@@ -405,7 +405,7 @@ func obsBenches() []struct {
 					rc = obs.NewRequest("insert", "bench")
 					ctx = obs.WithRequest(ctx, rc)
 				}
-				tk, err := d.EnqueueInsertCtx(ctx, parent, 0, xmltree.NewElement("w"))
+				tk, err := d.EnqueueInsert(ctx, parent, 0, xmltree.NewElement("w"))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -631,11 +631,11 @@ func writeRows() []microResult {
 		start := time.Now()
 		tickets := make([]*document.Ticket, 0, writeMutations)
 		for i := 0; i < writeMutations/2; i++ {
-			ti, err := d.EnqueueInsert(cellPath(i), 0, xmltree.NewElement("w"))
+			ti, err := d.EnqueueInsert(context.Background(), cellPath(i), 0, xmltree.NewElement("w"))
 			if err != nil {
 				panic(err)
 			}
-			td, err := d.EnqueueDelete(cellPath(i), 0)
+			td, err := d.EnqueueDelete(context.Background(), cellPath(i), 0)
 			if err != nil {
 				panic(err)
 			}
@@ -686,11 +686,11 @@ func writeRows() []microResult {
 				tickets := make([]*document.Ticket, 0, 2*perWriter)
 				for i := 0; i < perWriter; i++ {
 					c := cellPath(w*cellsPer + i%cellsPer)
-					ti, err := d.EnqueueInsert(c, 0, xmltree.NewElement("w"))
+					ti, err := d.EnqueueInsert(context.Background(), c, 0, xmltree.NewElement("w"))
 					if err != nil {
 						panic(err)
 					}
-					td, err := d.EnqueueDelete(c, 0)
+					td, err := d.EnqueueDelete(context.Background(), c, 0)
 					if err != nil {
 						panic(err)
 					}

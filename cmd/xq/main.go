@@ -201,7 +201,7 @@ func run(cfg config, query, path string, out io.Writer) error {
 				rc = obs.NewRequest("insert", "")
 				ctx = obs.WithRequest(ctx, rc)
 			}
-			tk, err := d.EnqueueInsertCtx(ctx, parent, 0, xmltree.NewElement("xqwrite"))
+			tk, err := d.EnqueueInsert(ctx, parent, 0, xmltree.NewElement("xqwrite"))
 			if err != nil {
 				return fmt.Errorf("-writes: %w", err)
 			}

@@ -146,9 +146,9 @@ func TestGuideCompression(t *testing.T) {
 }
 
 // TestGuideBatchFold: a batch fold over N updates produces exactly the
-// guide that N chained WithUpdate calls produce, the base guide is left
+// guide that Build produces over the updated tree, the base guide is left
 // untouched, and an inconsistent update breaks the whole batch (nil
-// result, matching the nil-WithUpdate rebuild contract).
+// result, the caller's cue to rebuild).
 func TestGuideBatchFold(t *testing.T) {
 	doc, err := xmltree.ParseString(
 		`<a><b><c/><c/></b><b><d/></b><e><c/></e></a>`)
@@ -170,13 +170,14 @@ func TestGuideBatchFold(t *testing.T) {
 		{[]string{"a"}, sub2.DocumentElement(), +1},      // new path a/c
 	}
 
-	chained := base
+	updated, err := xmltree.ParseString(
+		`<a><b><c/><c/><f><c/></f></b><b><d/></b><e/><c/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := dataguide.Build(updated)
 	fold := base.Begin()
 	for _, u := range updates {
-		chained = chained.WithUpdate(u.prefix, u.sub, u.delta)
-		if chained == nil {
-			t.Fatal("WithUpdate chain broke on a consistent update")
-		}
 		if !fold.Update(u.prefix, u.sub, u.delta) {
 			t.Fatal("Batch.Update rejected a consistent update")
 		}
@@ -185,16 +186,16 @@ func TestGuideBatchFold(t *testing.T) {
 	if folded == nil {
 		t.Fatal("Batch.Guide returned nil for a consistent batch")
 	}
-	if got, want := strings.Join(folded.Paths(), ","), strings.Join(chained.Paths(), ","); got != want {
-		t.Fatalf("folded paths %q != chained paths %q", got, want)
+	if got, want := strings.Join(folded.Paths(), ","), strings.Join(rebuilt.Paths(), ","); got != want {
+		t.Fatalf("folded paths %q != rebuilt paths %q", got, want)
 	}
 	for _, p := range [][]string{{"a", "b", "f", "c"}, {"a", "c"}, {"a", "e", "c"}, {"a", "b", "c"}} {
-		if folded.Count(p...) != chained.Count(p...) {
-			t.Fatalf("Count(%v): folded %d != chained %d", p, folded.Count(p...), chained.Count(p...))
+		if folded.Count(p...) != rebuilt.Count(p...) {
+			t.Fatalf("Count(%v): folded %d != rebuilt %d", p, folded.Count(p...), rebuilt.Count(p...))
 		}
 	}
-	if folded.Size() != chained.Size() {
-		t.Fatalf("Size: folded %d != chained %d", folded.Size(), chained.Size())
+	if folded.Size() != rebuilt.Size() {
+		t.Fatalf("Size: folded %d != rebuilt %d", folded.Size(), rebuilt.Size())
 	}
 	if got := strings.Join(base.Paths(), ","); got != basePaths {
 		t.Fatalf("batch fold mutated the base guide: %q != %q", got, basePaths)

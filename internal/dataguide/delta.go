@@ -3,34 +3,11 @@ package dataguide
 import "repro/internal/xmltree"
 
 // Incremental maintenance: epoch publication derives the next epoch's
-// guide from the previous one plus the single inserted or removed subtree,
-// instead of re-walking the document. The receiver is never mutated —
-// published epochs share no mutable guide state — so WithUpdate deep-copies
-// the trie (a structure "typically orders of magnitude below the node
-// count", see Size) and adjusts the copy.
-
-// WithUpdate returns a copy of the guide in which the element counts of
-// the subtree rooted at sub have been added (delta = +1) or removed
-// (delta = -1). prefix is the label path from the document's root element
-// down to and including sub's parent element (empty when sub is the root
-// element itself, which no structural update produces). Trie nodes whose
-// count drops to zero are pruned with their descendants. A nil result
-// signals an inconsistency between guide and update (unknown prefix, or
-// removal of an unrecorded path); callers should rebuild with Build.
-func (g *Guide) WithUpdate(prefix []string, sub *xmltree.Node, delta int) *Guide {
-	ng := g.clone()
-	at := ng.root
-	for _, label := range prefix {
-		at = at.Children[label]
-		if at == nil {
-			return nil
-		}
-	}
-	if !ng.apply(at, sub, delta) {
-		return nil
-	}
-	return ng
-}
+// guide from the previous one plus the batch's inserted and removed
+// subtrees, instead of re-walking the document. A published guide is never
+// mutated — epochs share no mutable guide state — so a Batch deep-copies the
+// trie (a structure "typically orders of magnitude below the node count",
+// see Size) once and folds every update of the batch into the copy.
 
 // apply adjusts the counts along sub's shape below trie node at; it
 // reports false on an inconsistent removal.
@@ -64,10 +41,9 @@ func (g *Guide) apply(at *Node, sub *xmltree.Node, delta int) bool {
 }
 
 // Batch folds a run of updates into ONE working copy of the guide: a
-// group-commit publication pays the deep copy once per batch instead of
-// once per mutation (the per-mutation WithUpdate clone dominates the write
-// path on name-rich documents). The base guide is never mutated; the
-// working copy is private until Guide() hands it out.
+// publication pays the deep copy once per batch, not once per mutation (the
+// clone dominates the write path on name-rich documents). The base guide is
+// never mutated; the working copy is private until Guide() hands it out.
 type Batch struct {
 	g  *Guide
 	ok bool
@@ -78,10 +54,15 @@ func (g *Guide) Begin() *Batch {
 	return &Batch{g: g.clone(), ok: true}
 }
 
-// Update folds one inserted (delta = +1) or removed (delta = -1) subtree,
-// with the same prefix contract as WithUpdate. It reports false on an
-// inconsistency; the batch is then broken as a whole — apply may have
-// partially adjusted the working copy — and Guide() returns nil.
+// Update adds (delta = +1) or removes (delta = -1) the element counts of the
+// subtree rooted at sub. prefix is the label path from the document's root
+// element down to and including sub's parent element (empty when sub is the
+// root element itself, which no structural update produces). Trie nodes
+// whose count drops to zero are pruned with their descendants. It reports
+// false on an inconsistency between guide and update (unknown prefix, or
+// removal of an unrecorded path); the batch is then broken as a whole —
+// apply may have partially adjusted the working copy — and Guide() returns
+// nil.
 func (b *Batch) Update(prefix []string, sub *xmltree.Node, delta int) bool {
 	if !b.ok {
 		return false
@@ -102,7 +83,7 @@ func (b *Batch) Update(prefix []string, sub *xmltree.Node, delta int) bool {
 }
 
 // Guide returns the folded guide, or nil when any update was inconsistent
-// (callers rebuild with Build, exactly as for a nil WithUpdate result).
+// (callers rebuild with Build).
 func (b *Batch) Guide() *Guide {
 	if !b.ok {
 		return nil

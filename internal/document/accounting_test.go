@@ -63,7 +63,7 @@ func recount(s *document.Snapshot) int {
 // TestFailedPublishKeepsCounters: when publication fails after a
 // structural write, the document's statistics must keep describing the
 // epoch readers still see. Before the fix, Insert bumped
-// nodeCount/depthSum before publishGenericLocked, so a failed publication
+// nodeCount/depthSum before publishing, so a failed publication
 // left the counters permanently drifted from every published epoch.
 func TestFailedPublishKeepsCounters(t *testing.T) {
 	d, err := document.OpenString(librarySrc, document.Options{Scheme: "flaky-uid-test"})

@@ -26,16 +26,33 @@
 // racing updates observe either the pre- or post-update document, never a
 // mix.
 //
+// # One mutation pipeline
+//
+// Every write is a batch. EnqueueInsert and EnqueueDelete build one queued
+// mutation and submit it; Insert and Delete are the same call followed by
+// Ticket.Wait. With a commit loop running (EnableGroupCommit, group.go) the
+// mutation is WAL-logged and applied in queue order alongside whatever else
+// is queued; without one it is applied on the spot as a batch of one. Either
+// way the batch goes through applyBatchLocked — each member individually
+// area-confined and individually rolled back on failure — and ONE function,
+// publishLocked, installs the epoch that covers it. WAL replay submits the
+// recovered records as one batch through the same two functions. There is
+// no other way to mutate the master or to move the snapshot pointer (the
+// cold install in OpenBundle excepted), so durability, counter accounting
+// and payload maintenance each have exactly one implementation.
+//
 // # Incremental epoch publication
 //
 // Publication is area-confined, mirroring the paper's update-scope claim:
-// the writer copies only the update area's nodes plus the spine of
-// ancestors up to the document node (xmltree.CloneAlong), and the next
-// epoch structurally shares every untouched subtree, posting list, guide
-// trie and K row with the previous epoch (core.CloneDelta,
-// index.ApplyDelta, dataguide.WithUpdate). Publication cost therefore
-// scales with the area budget, not the document size. Two invariants make
-// the sharing safe:
+// the batch's per-mutation deltas merge into the union of their update
+// scopes (core.MergeDeltas; the merge of one delta is that delta), the
+// writer copies only those areas' nodes plus the spine of ancestors up to
+// the document node (xmltree.CloneAlong), and the next epoch structurally
+// shares every untouched subtree, posting list and K row with the previous
+// epoch (core.CloneDelta, index.ApplyDeltaStats); the DataGuide is one
+// folded copy per batch (dataguide.Batch). Publication cost therefore scales
+// with the area budget, not the document size. Two invariants make the
+// sharing safe:
 //
 //   - Deep immutability: no node, slot map, posting list or guide node
 //     reachable from a published epoch is ever written again. Any node
@@ -46,15 +63,18 @@
 //     pointers; downward navigation (Children, Attrs) is always
 //     consistent.
 //
-// Updates that heal a local-index overflow by re-partitioning (reported as
-// FullRebuild) fall back to a full clone publication.
+// Full rebuild is a branch inside publishLocked, not a sibling: the first
+// epoch, a batch that healed a local-index overflow by re-partitioning
+// (reported as FullRebuild), an incremental assembly that tripped an
+// internal invariant, and every epoch of a non-ruid scheme clone the whole
+// master instead.
 //
 // # Write-failure atomicity
 //
-// A failed Insert or Delete is a no-op: core's update operations roll back
-// the tree mutation and every numbering change on any error path, no epoch
-// is published, and the master stays byte-identical to the last published
-// epoch's state. Readers never observe a partial write.
+// A failed mutation is a no-op: core's update operations roll back the tree
+// mutation and every numbering change on any error path, the failed member
+// drops out of its batch, and a batch with no surviving member publishes
+// nothing. Readers never observe a partial write.
 package document
 
 import (
@@ -251,154 +271,137 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 			return nil, err
 		}
 		d.num = num
-		num.Root().Walk(func(x *xmltree.Node) bool {
-			d.nodeCount++
-			d.depthSum += x.Depth()
-			return true
-		})
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d, d.publishFullLocked(d.nodeCount, d.depthSum)
+	} else {
+		reg, ok := scheme.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("document: unknown scheme %q (registered: %v)", name, scheme.Names())
+		}
+		s, err := reg.Build(doc)
+		if err != nil {
+			return nil, err
+		}
+		d.sreg = reg
+		d.gs = s
 	}
-	reg, ok := scheme.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("document: unknown scheme %q (registered: %v)", name, scheme.Names())
-	}
-	s, err := reg.Build(doc)
-	if err != nil {
-		return nil, err
-	}
-	d.sreg = reg
-	d.gs = s
 	root := doc
 	if doc.Kind == xmltree.Document {
 		root = doc.DocumentElement()
 	}
+	var nodes, depths int
 	if root != nil {
-		root.Walk(func(x *xmltree.Node) bool {
-			d.nodeCount++
-			d.depthSum += x.Depth()
-			return true
-		})
+		nodes, depths = subtreeStats(root, root.Depth())
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d, d.publishGenericLocked(d.nodeCount, d.depthSum)
+	return d, d.publishLocked(nil, nil, nodes, depths)
 }
 
-// publishGenericLocked installs the next epoch in generic-scheme mode: the
-// master is fully cloned and the clone re-numbered through the registry
-// constructor, so the snapshot's scheme, index and planner are built over an
-// immutable tree the writer never touches again. There is no structural
-// sharing with the previous epoch — the trade documented in Options.Scheme.
+// publishLocked is the one function that installs an epoch. deltas are the
+// applied mutations' deltas in application order and guide the batch's
+// eagerly folded DataGuide (nil when a fold reported an inconsistency; the
+// assembly then rebuilds it from the master). The epoch is assembled
+// incrementally — one CloneAlong, one CloneDelta, one index patch, one guide
+// swap over the union of the deltas' update scopes — whenever it can be: a
+// previous epoch exists, there are deltas (non-ruid schemes have none) and
+// none of them is a full rebuild. Otherwise, and when incremental assembly
+// trips an internal invariant, it clones the whole master, which always
+// recovers a consistent epoch.
 //
-// nodes and depths are the counter values the new epoch should carry; they
-// are committed to d.nodeCount/d.depthSum only after the epoch is installed,
-// so a failed publication (the registry constructor rejecting the new tree)
-// leaves the document's statistics describing the still-current epoch.
-// Callers hold d.mu.
-func (d *Document) publishGenericLocked(nodes, depths int) error {
+// nodes and depths are the counter values the new epoch carries; they are
+// committed to d.nodeCount/d.depthSum only after the epoch is installed, so
+// a failed publication (a registry constructor rejecting the new tree, a
+// page-out failure) leaves the document's statistics describing the epoch
+// readers still see. A non-nil error wrapping ErrStorage is the one failure
+// AFTER the install: the epoch is visible but the paged payload table could
+// not follow it. Callers hold d.mu.
+func (d *Document) publishLocked(deltas []*core.Delta, guide *dataguide.Guide, nodes, depths int) error {
 	var start time.Time
 	if d.dm != nil {
 		start = time.Now()
 	}
-	tree, _ := d.master.CloneWithMap()
-	s, err := d.sreg.Build(tree)
-	if err != nil {
-		return err
+	var (
+		snap *Snapshot
+		st   index.DeltaStats
+		err  error
+	)
+	if prev := d.cur.Load(); prev != nil && len(deltas) > 0 {
+		if merged := core.MergeDeltas(deltas); !merged.Full {
+			// The error is dropped on purpose: incremental assembly fails only
+			// on an internal invariant violation, leaves snap nil and has
+			// committed nothing, and the full clone below recovers from it.
+			snap, st, _ = d.assembleBatchLocked(prev, deltas, merged, guide, nodes, depths)
+		}
+	}
+	full := snap == nil
+	if full {
+		if snap, err = d.assembleFullLocked(nodes, depths); err != nil {
+			return err
+		}
 	}
 	d.epoch++
-	planner := query.New(tree, s)
+	snap.epoch = d.epoch
+	d.cur.Store(snap)
+	d.nodeCount, d.depthSum = nodes, depths
+	if !full {
+		// In out-of-core mode the payload table follows the epoch (the store
+		// serves the latest one). It replays the deltas in application order:
+		// each deletes dropped/old-key rows before writing new bindings, so
+		// relabel chains across batch members resolve to the final keys. A
+		// full publication paged out a fresh store instead.
+		for _, delta := range deltas {
+			if err = d.maintainPayloadsLocked(delta); err != nil {
+				err = fmt.Errorf("%w: payload table behind epoch %d: %w", ErrStorage, d.epoch, err)
+				break
+			}
+		}
+	}
+	d.noteEpochLocked(full, st, time.Since(start))
+	return err
+}
+
+// snapshotOf wires planner to the document's executor, observer and pager
+// and wraps it as a snapshot; publishLocked stamps the epoch number.
+func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, s scheme.Scheme, planner *query.Planner, nodes int) *Snapshot {
 	planner.SetExecutor(d.exec)
 	planner.SetObserver(d.reg)
-	d.cur.Store(&Snapshot{
-		epoch:      d.epoch,
-		tree:       tree,
-		s:          s,
-		schemeName: d.schemeName,
-		planner:    planner,
-		nodes:      nodes,
-	})
-	d.nodeCount, d.depthSum = nodes, depths
-	d.noteEpochLocked(true, index.DeltaStats{}, time.Since(start))
-	return nil
+	d.wireIOStats(planner)
+	return &Snapshot{tree: tree, num: num, s: s, schemeName: d.schemeName, planner: planner, nodes: nodes}
 }
 
-// publishLocked installs the next epoch after a successful update. With an
-// area-confined delta it copies only the dirty area and its root spine,
-// sharing everything else with the previous epoch; a full-rebuild delta
-// (overflow healing) falls back to a full clone. nodes and depths are the
-// counter values the new epoch should carry (see publishGenericLocked).
-// Callers hold d.mu.
-func (d *Document) publishLocked(delta *core.Delta, nodes, depths int) error {
-	prev := d.cur.Load()
-	if prev == nil || delta == nil || delta.Full {
-		return d.publishFullLocked(nodes, depths)
+// assembleFullLocked builds the next epoch over a full clone of the master,
+// sharing nothing with the previous one. Under ruid the numbering is
+// re-pointed at the clone (and, out of core, the snapshot paged out into a
+// fresh store before it can become visible); any other scheme re-numbers the
+// clone through its registry constructor — the trade documented in
+// Options.Scheme. Callers hold d.mu.
+func (d *Document) assembleFullLocked(nodes, depths int) (*Snapshot, error) {
+	tree, mapping := d.master.CloneWithMap()
+	if d.num == nil {
+		s, err := d.sreg.Build(tree)
+		if err != nil {
+			return nil, err
+		}
+		return d.snapshotOf(tree, nil, s, query.New(tree, s), nodes), nil
 	}
-	var start time.Time
-	if d.dm != nil {
-		start = time.Now()
-	}
-	snap, st, err := d.assembleDeltaLocked(prev, delta, nodes, depths)
+	num, err := d.num.CloneFor(tree, mapping)
 	if err != nil {
-		// Incremental assembly fails only on an internal invariant
-		// violation; a full publication always recovers a consistent epoch.
-		return d.publishFullLocked(nodes, depths)
+		return nil, err
 	}
-	d.epoch++
-	snap.epoch = d.epoch
-	d.cur.Store(snap)
-	d.nodeCount, d.depthSum = nodes, depths
-	// In out-of-core mode the payload table follows the delta: the new
-	// epoch's index already shares paged lists for untouched names
-	// (ApplyDelta re-encodes touched ones resident), and the node rows move
-	// with their relabels. Applied after the epoch is installed — the store
-	// serves the latest epoch.
-	d.maintainPayloadsLocked(delta)
-	d.noteEpochLocked(false, st, time.Since(start))
-	return nil
+	snap := d.snapshotOf(tree, num, num, query.New(tree, num), nodes)
+	if d.poolPages > 0 {
+		if err := d.pageOutSnapshot(snap, depths); err != nil {
+			return nil, err
+		}
+	}
+	d.m2e = mapping
+	return snap, nil
 }
 
-// publishBatchLocked installs ONE epoch covering a whole batch of applied
-// updates: the per-mutation deltas are merged into the union of their
-// update scopes (core.MergeDeltas) and a single incremental assembly —
-// one CloneAlong, one CloneDelta, one index patch, one guide swap — covers
-// every mutation. guide is the batch's eagerly folded DataGuide (nil when
-// a fold reported an inconsistency; assembly then rebuilds it from the
-// master). A batch containing any full-rebuild delta falls back to a full
-// clone, exactly like the single-mutation path. Callers hold d.mu.
-func (d *Document) publishBatchLocked(prev *Snapshot, deltas []*core.Delta, guide *dataguide.Guide, nodes, depths int) error {
-	merged := core.MergeDeltas(deltas)
-	if prev == nil || merged == nil || merged.Full {
-		return d.publishFullLocked(nodes, depths)
-	}
-	var start time.Time
-	if d.dm != nil {
-		start = time.Now()
-	}
-	snap, st, err := d.assembleBatchLocked(prev, deltas, merged, guide, nodes, depths)
-	if err != nil {
-		// Incremental assembly fails only on an internal invariant
-		// violation; a full publication always recovers a consistent epoch.
-		return d.publishFullLocked(nodes, depths)
-	}
-	d.epoch++
-	snap.epoch = d.epoch
-	d.cur.Store(snap)
-	d.nodeCount, d.depthSum = nodes, depths
-	// The payload table replays the batch's deltas in application order:
-	// each delta deletes dropped/old-key rows before writing new bindings,
-	// so relabel chains across batch members resolve to the final keys.
-	for _, delta := range deltas {
-		d.maintainPayloadsLocked(delta)
-	}
-	d.noteEpochLocked(false, st, time.Since(start))
-	return nil
-}
-
-// assembleBatchLocked is assembleDeltaLocked over a merged batch scope:
-// tree and numbering derive from the merged delta, the index patch and the
-// master→epoch bookkeeping from the per-mutation deltas. Callers hold d.mu.
+// assembleBatchLocked builds the next epoch incrementally from the previous
+// one: tree and numbering derive from the merged delta, the index patch and
+// the master→epoch bookkeeping from the per-mutation deltas. nodes and depths
+// are passed explicitly because the document's own counters are not
+// committed until the epoch is installed. Callers hold d.mu.
 func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, merged *core.Delta, guide *dataguide.Guide, nodes, depths int) (*Snapshot, index.DeltaStats, error) {
 	copySet := d.num.CopySet(merged)
 	tree, copies, err := d.master.CloneAlong(copySet, d.m2e)
@@ -430,18 +433,7 @@ func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, mer
 			})
 		}
 	}
-	planner := query.NewWithState(tree, num, ix, guide, nodes, depths)
-	planner.SetExecutor(d.exec)
-	planner.SetObserver(d.reg)
-	d.wireIOStats(planner)
-	return &Snapshot{
-		tree:       tree,
-		num:        num,
-		s:          num,
-		schemeName: "ruid",
-		planner:    planner,
-		nodes:      nodes,
-	}, st, nil
+	return d.snapshotOf(tree, num, num, query.NewWithState(tree, num, ix, guide, nodes, depths), nodes), st, nil
 }
 
 // applyIndexBatch composes the batch's per-mutation deltas into one set of
@@ -462,9 +454,6 @@ func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, mer
 // (the node was detached before publication); their removal entries filter
 // nothing and are harmless.
 func (d *Document) applyIndexBatch(prev *Snapshot, num *core.Numbering, deltas []*core.Delta) (*index.NameIndex, index.DeltaStats, error) {
-	if len(deltas) == 1 {
-		return d.applyIndexDelta(prev, num, deltas[0])
-	}
 	// Elements inserted by this batch and still attached: their relabels
 	// and drops are batch-internal, not prev-epoch edits.
 	insertedNodes := make(map[*xmltree.Node]bool)
@@ -529,159 +518,6 @@ func (d *Document) applyIndexBatch(prev *Snapshot, num *core.Numbering, deltas [
 	return prev.Index().ApplyDeltaStats(num, relabeled, removed, inserted)
 }
 
-// publishFullLocked clones the master tree, re-points a copy of the
-// numbering at the clone and atomically installs the bundle as the next
-// epoch. Counter commit follows the publishGenericLocked rule. Callers
-// hold d.mu.
-func (d *Document) publishFullLocked(nodes, depths int) error {
-	var start time.Time
-	if d.dm != nil {
-		start = time.Now()
-	}
-	tree, mapping := d.master.CloneWithMap()
-	num, err := d.num.CloneFor(tree, mapping)
-	if err != nil {
-		return err
-	}
-	d.m2e = mapping
-	planner := query.New(tree, num)
-	planner.SetExecutor(d.exec)
-	planner.SetObserver(d.reg)
-	snap := &Snapshot{
-		tree:       tree,
-		num:        num,
-		s:          num,
-		schemeName: "ruid",
-		planner:    planner,
-		nodes:      nodes,
-	}
-	if d.poolPages > 0 {
-		// Out-of-core mode: replace the freshly built resident snapshot with
-		// its paged form (block bytes and payloads in a new DocStore) before
-		// it becomes visible, so readers never see a half-paged epoch.
-		if err := d.pageOutSnapshot(snap, depths); err != nil {
-			return err
-		}
-	}
-	d.epoch++
-	snap.epoch = d.epoch
-	d.cur.Store(snap)
-	d.nodeCount, d.depthSum = nodes, depths
-	d.noteEpochLocked(true, index.DeltaStats{}, time.Since(start))
-	return nil
-}
-
-// assembleDeltaLocked builds the next epoch incrementally from the
-// previous one and the update's delta. nodes and depths are the planner
-// statistics of the epoch being assembled, passed explicitly because the
-// document's own counters are not committed until the epoch is installed.
-// Callers hold d.mu.
-func (d *Document) assembleDeltaLocked(prev *Snapshot, delta *core.Delta, nodes, depths int) (*Snapshot, index.DeltaStats, error) {
-	copySet := d.num.CopySet(delta)
-	tree, copies, err := d.master.CloneAlong(copySet, d.m2e)
-	if err != nil {
-		return nil, index.DeltaStats{}, err
-	}
-	num, err := d.num.CloneDelta(prev.num, delta, copies, d.m2e)
-	if err != nil {
-		return nil, index.DeltaStats{}, err
-	}
-	ix, st, err := d.applyIndexDelta(prev, num, delta)
-	if err != nil {
-		return nil, st, err
-	}
-	guide := d.applyGuideDelta(prev, delta)
-	// Commit the master→epoch mapping only once every component assembled.
-	for xm, xc := range copies {
-		d.m2e[xm] = xc
-	}
-	if delta.Removed != nil {
-		delta.Removed.WalkFull(func(x *xmltree.Node) bool {
-			delete(d.m2e, x)
-			return true
-		})
-	}
-	planner := query.NewWithState(tree, num, ix, guide, nodes, depths)
-	planner.SetExecutor(d.exec)
-	planner.SetObserver(d.reg)
-	d.wireIOStats(planner)
-	return &Snapshot{
-		tree:       tree,
-		num:        num,
-		s:          num,
-		schemeName: "ruid",
-		planner:    planner,
-		nodes:      nodes,
-	}, st, nil
-}
-
-// applyIndexDelta translates the update's delta into per-name posting
-// edits and derives the next epoch's index from the previous one.
-func (d *Document) applyIndexDelta(prev *Snapshot, num *core.Numbering, delta *core.Delta) (*index.NameIndex, index.DeltaStats, error) {
-	relabeled := make(map[string]map[core.ID]core.ID)
-	for _, r := range delta.Relabels {
-		if r.Node.Kind != xmltree.Element {
-			continue
-		}
-		m := relabeled[r.Node.Name]
-		if m == nil {
-			m = make(map[core.ID]core.ID)
-			relabeled[r.Node.Name] = m
-		}
-		m[r.Old] = r.New
-	}
-	removed := make(map[string]map[core.ID]bool)
-	for _, p := range delta.Dropped {
-		if p.Node.Kind != xmltree.Element {
-			continue
-		}
-		m := removed[p.Node.Name]
-		if m == nil {
-			m = make(map[core.ID]bool)
-			removed[p.Node.Name] = m
-		}
-		m[p.ID] = true
-	}
-	inserted := make(map[string][]core.ID)
-	if delta.Inserted != nil {
-		delta.Inserted.Walk(func(x *xmltree.Node) bool {
-			if x.Kind == xmltree.Element {
-				if id, ok := d.num.RUID(x); ok {
-					inserted[x.Name] = append(inserted[x.Name], id)
-				}
-			}
-			return true
-		})
-	}
-	return prev.Index().ApplyDeltaStats(num, relabeled, removed, inserted)
-}
-
-// applyGuideDelta derives the next epoch's DataGuide from the previous
-// one and the single inserted or removed subtree.
-func (d *Document) applyGuideDelta(prev *Snapshot, delta *core.Delta) *dataguide.Guide {
-	sub, sign := delta.Inserted, +1
-	if sub == nil {
-		sub, sign = delta.Removed, -1
-	}
-	if sub == nil {
-		return prev.Guide()
-	}
-	var prefix []string
-	for p := delta.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
-		prefix = append(prefix, p.Name)
-	}
-	for i, j := 0, len(prefix)-1; i < j; i, j = i+1, j-1 {
-		prefix[i], prefix[j] = prefix[j], prefix[i]
-	}
-	if g := prev.Guide().WithUpdate(prefix, sub, sign); g != nil {
-		return g
-	}
-	// Inconsistency between guide and delta: rebuild from the master (the
-	// guide holds label paths and counts only, no node pointers, so it is
-	// safe to share with the epoch).
-	return dataguide.Build(d.master)
-}
-
 // Snapshot pins the current epoch. The returned snapshot never changes;
 // queries on it are wait-free with respect to writers.
 func (d *Document) Snapshot() *Snapshot { return d.cur.Load() }
@@ -695,79 +531,28 @@ func (d *Document) Query(q string) ([]*xmltree.Node, query.Plan, error) {
 
 // Insert attaches child (possibly a whole subtree) as the pos-th child of
 // the first element matched by parentPath (an XPath location path,
-// evaluated in document order against the latest state) and publishes a
-// new epoch. It returns the paper's §3.2 relabeling statistics. The
-// Document takes ownership of child on success; a failed insert leaves the
-// document unchanged (no epoch is published) and ownership of the detached
-// child with the caller.
+// evaluated in document order against the latest state) and returns once
+// the epoch carrying it is published: EnqueueInsert followed by Ticket.Wait.
+// It returns the paper's §3.2 relabeling statistics. The Document takes
+// ownership of child on success; a failed insert leaves the document
+// unchanged (no epoch is published) and ownership of the detached child
+// with the caller.
 func (d *Document) Insert(parentPath string, pos int, child *xmltree.Node) (scheme.UpdateStats, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.readonly {
-		return scheme.UpdateStats{}, ErrColdDocument
-	}
-	parent, err := d.findOneLocked(parentPath)
-	if err != nil {
-		return scheme.UpdateStats{}, err
-	}
-	if d.num == nil {
-		upd, ok := d.gs.(scheme.Updatable)
-		if !ok {
-			return scheme.UpdateStats{}, fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
-		}
-		st, err := upd.InsertChild(parent, pos, child)
-		if err != nil {
-			return st, err
-		}
-		// The counters commit inside the publish call, only after the new
-		// epoch is installed: a publication failure must leave the document's
-		// statistics describing the epoch readers still see.
-		count, depths := subtreeStats(child, parent.Depth()+1)
-		return st, d.publishGenericLocked(d.nodeCount+count, d.depthSum+depths)
-	}
-	st, delta, err := d.num.InsertChildDelta(parent, pos, child)
-	if err != nil {
-		return st, err
-	}
-	count, depths := subtreeStats(child, parent.Depth()+1)
-	return st, d.publishLocked(delta, d.nodeCount+count, d.depthSum+depths)
+	return waitVisible(d.EnqueueInsert(context.Background(), parentPath, pos, child))
 }
 
 // Delete removes (cascading) the pos-th child of the first element matched
-// by parentPath and publishes a new epoch. A failed delete leaves the
-// document unchanged and publishes nothing.
+// by parentPath and returns once the epoch without it is published. A
+// failed delete leaves the document unchanged and publishes nothing.
 func (d *Document) Delete(parentPath string, pos int) (scheme.UpdateStats, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.readonly {
-		return scheme.UpdateStats{}, ErrColdDocument
-	}
-	parent, err := d.findOneLocked(parentPath)
+	return waitVisible(d.EnqueueDelete(context.Background(), parentPath, pos))
+}
+
+func waitVisible(tk *Ticket, err error) (scheme.UpdateStats, error) {
 	if err != nil {
 		return scheme.UpdateStats{}, err
 	}
-	if d.num == nil {
-		upd, ok := d.gs.(scheme.Updatable)
-		if !ok {
-			return scheme.UpdateStats{}, fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
-		}
-		if pos < 0 || pos >= len(parent.Children) {
-			return scheme.UpdateStats{}, fmt.Errorf("document: delete position %d out of range", pos)
-		}
-		removed := parent.Children[pos]
-		st, err := upd.DeleteChild(parent, pos)
-		if err != nil {
-			return st, err
-		}
-		count, depths := subtreeStats(removed, parent.Depth()+1)
-		return st, d.publishGenericLocked(d.nodeCount-count, d.depthSum-depths)
-	}
-	st, delta, err := d.num.DeleteChildDelta(parent, pos)
-	if err != nil {
-		return st, err
-	}
-	count, depths := subtreeStats(delta.Removed, parent.Depth()+1)
-	return st, d.publishLocked(delta, d.nodeCount-count, d.depthSum-depths)
+	return tk.Wait(context.Background())
 }
 
 // subtreeStats counts the non-attribute nodes of the subtree rooted at x
@@ -874,18 +659,14 @@ func (s *Snapshot) Query(q string) ([]*xmltree.Node, query.Plan, error) {
 	return s.planner.Run(q)
 }
 
-// QueryBudget is Query under the resource limits lim and the deadline (or
-// cancellation) of ctx. A query that exceeds a bound terminates early
-// inside the join kernels and returns the matching sentinel —
-// budget.ErrPostingsBudget, budget.ErrResultBudget, or the context's own
-// error — with a nil node-set. The server's per-request enforcement point.
-func (s *Snapshot) QueryBudget(ctx context.Context, q string, lim budget.Limits) ([]*xmltree.Node, query.Plan, error) {
-	return s.planner.RunBudget(ctx, q, lim)
-}
-
-// QueryMetered is QueryBudget over a caller-owned meter, optionally traced:
-// the caller inspects the meter afterwards for postings/result consumption.
-// A nil meter runs unbudgeted; a nil trace untraced.
+// QueryMetered is the general form of Query: the planner charges postings
+// scanned and result rows materialized against m as it executes, and a
+// query that exceeds a bound (or m's context) terminates early inside the
+// join kernels with the matching sentinel — budget.ErrPostingsBudget,
+// budget.ErrResultBudget, or the context's own error — and a nil node-set;
+// the caller inspects m afterwards for consumption. tr collects the
+// per-stage execution spans (EXPLAIN ANALYZE). A nil meter runs unbudgeted;
+// a nil trace untraced.
 func (s *Snapshot) QueryMetered(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.Node, query.Plan, error) {
 	return s.planner.RunMetered(q, tr, m)
 }

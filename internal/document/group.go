@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -72,13 +71,15 @@ func (cfg GroupConfig) withDefaults() GroupConfig {
 	return cfg
 }
 
-// ErrNoGroupCommit reports an Enqueue against a document whose group-commit
-// path is not enabled.
-var ErrNoGroupCommit = errors.New("document: group commit not enabled")
+// ErrStorage marks a write that failed below the document — a WAL append or
+// fsync, or the paged payload table — as opposed to a mutation the document
+// rejected (bad path, position out of range). Test with errors.Is; the cause
+// is wrapped alongside.
+var ErrStorage = errors.New("document: storage failure")
 
-// ErrDocumentClosed reports an Enqueue racing DisableGroupCommit. Note the
-// mutation may already be durable in the WAL (and will replay on recovery)
-// even when Enqueue returns this error.
+// ErrDocumentClosed reports an Enqueue racing DisableGroupCommit: the commit
+// loop it was headed for is shutting down. The mutation was neither logged
+// nor queued; retry it.
 var ErrDocumentClosed = errors.New("document: group commit closed")
 
 // pendingOp is one queued mutation.
@@ -114,11 +115,10 @@ func (t *Ticket) Seq() int64 { return t.op.seq }
 // failed).
 func (t *Ticket) Done() <-chan struct{} { return t.op.done }
 
-// Wait blocks until the mutation is visible or ctx ends, and returns the
-// §3.2 relabeling statistics exactly as the synchronous Insert/Delete
-// would. A batch member that failed mid-merge gets its own error while the
-// rest of the batch publishes (rollback atomicity is per mutation, as in
-// the synchronous path); a publication failure fails every member.
+// Wait blocks until the mutation is visible or ctx ends, and returns its
+// §3.2 relabeling statistics. A batch member that failed mid-merge gets its
+// own error while the rest of the batch publishes (rollback atomicity is per
+// mutation); a publication failure fails every member.
 func (t *Ticket) Wait(ctx context.Context) (scheme.UpdateStats, error) {
 	select {
 	case <-t.op.done:
@@ -135,6 +135,14 @@ type groupMetrics struct {
 	applied   *obs.Counter
 	failed    *obs.Counter
 	enqueued  *obs.Counter
+
+	// queueDepth is the intake backlog and pipelineDepth the backlog plus the
+	// batch being committed. Plain gauges set by the commit loop, not
+	// RegisterFunc closures: the registry is shared by every document of a
+	// server and never unregisters, so a closure would report — and pin —
+	// whichever document registered first.
+	queueDepth    *obs.Gauge
+	pipelineDepth *obs.Gauge
 }
 
 type groupCommitter struct {
@@ -150,27 +158,17 @@ type groupCommitter struct {
 	quit chan struct{}
 	done chan struct{}
 
-	// inflight counts ops dequeued into the current batch but not yet
-	// decided; queue_depth + inflight is the publish-pipeline depth.
-	inflight atomic.Int64
-
 	gm *groupMetrics
 }
 
-// EnableGroupCommit starts the document's group-commit write path: a
-// background commit loop that coalesces queued mutations (EnqueueInsert,
-// EnqueueDelete) into batched epoch publications. Synchronous Insert and
-// Delete keep working and serialize with batches on the writer mutex, at
-// unspecified order relative to queued mutations. Fails on cold-opened
-// (read-only) documents, non-updatable schemes, and when already enabled.
+// EnableGroupCommit starts the document's commit loop: from here on every
+// mutation (EnqueueInsert, EnqueueDelete, and Insert/Delete on top of them)
+// is logged to cfg.WAL, queued, and coalesced with its neighbours into
+// batched epoch publications. Fails on cold-opened (read-only) documents,
+// non-updatable schemes, and when already enabled.
 func (d *Document) EnableGroupCommit(cfg GroupConfig) error {
-	if d.readonly {
-		return ErrColdDocument
-	}
-	if d.num == nil {
-		if _, ok := d.gs.(scheme.Updatable); !ok {
-			return fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
-		}
+	if err := d.writable(); err != nil {
+		return err
 	}
 	cfg = cfg.withDefaults()
 	gc := &groupCommitter{
@@ -190,11 +188,10 @@ func (d *Document) EnableGroupCommit(cfg GroupConfig) error {
 			applied:   d.reg.Counter("write.applied"),
 			failed:    d.reg.Counter("write.failed"),
 			enqueued:  d.reg.Counter("write.enqueued"),
+
+			queueDepth:    d.reg.Gauge("write.queue_depth"),
+			pipelineDepth: d.reg.Gauge("write.pipeline_depth"),
 		}
-		d.reg.RegisterFunc("write.queue_depth", func() int64 { return int64(len(gc.ch)) })
-		d.reg.RegisterFunc("write.pipeline_depth", func() int64 {
-			return int64(len(gc.ch)) + gc.inflight.Load()
-		})
 		if w := cfg.WAL; w != nil {
 			d.reg.RegisterFunc("write.wal_appends", func() int64 { return w.Stats().Appends })
 			d.reg.RegisterFunc("write.wal_fsyncs", func() int64 { return w.Stats().Syncs })
@@ -205,9 +202,6 @@ func (d *Document) EnableGroupCommit(cfg GroupConfig) error {
 	return nil
 }
 
-// GroupCommit reports whether the group-commit path is enabled.
-func (d *Document) GroupCommit() bool { return d.grp.Load() != nil }
-
 // DisableGroupCommit flushes every queued mutation, stops the commit loop
 // and closes the WAL (if any). Safe to call when not enabled.
 func (d *Document) DisableGroupCommit() error {
@@ -215,7 +209,9 @@ func (d *Document) DisableGroupCommit() error {
 	if gc == nil {
 		return nil
 	}
+	gc.emu.Lock()
 	close(gc.quit)
+	gc.emu.Unlock()
 	<-gc.done
 	if gc.cfg.WAL != nil {
 		return gc.cfg.WAL.Close()
@@ -228,44 +224,42 @@ func (d *Document) DisableGroupCommit() error {
 // stay valid.
 func (d *Document) Close() error { return d.DisableGroupCommit() }
 
-// EnqueueInsert queues an Insert for the next batch and returns once the
-// mutation is durable (per the WAL sync policy; immediately without a WAL).
-// Visibility — and the §3.2 statistics — come from Ticket.Wait. On an
-// error return the mutation was not queued, except for ErrDocumentClosed
-// and WAL-sync failures, where the record may already be durable.
-func (d *Document) EnqueueInsert(parentPath string, pos int, child *xmltree.Node) (*Ticket, error) {
-	return d.EnqueueInsertCtx(context.Background(), parentPath, pos, child)
-}
-
-// EnqueueInsertCtx is EnqueueInsert carrying the caller's context: a
-// request trace in ctx (obs.WithRequest) rides the ticket through the
-// asynchronous pipeline and collects the per-stage write breakdown. The
-// context is NOT a cancellation handle here — enqueue-side blocking
-// (backpressure, the durability wait) is bounded by the write path itself.
-func (d *Document) EnqueueInsertCtx(ctx context.Context, parentPath string, pos int, child *xmltree.Node) (*Ticket, error) {
-	return d.enqueue(&pendingOp{insert: true, parent: parentPath, pos: pos, child: child,
+// EnqueueInsert submits an insert to the mutation pipeline and returns its
+// ticket. With a commit loop running it returns once the mutation is durable
+// (per the WAL sync policy; immediately without a WAL) and visibility — and
+// the §3.2 statistics — come from Ticket.Wait. Without one the mutation is
+// applied here as a batch of one, and the returned ticket is already
+// decided. A non-nil error means the mutation never reached the queue,
+// except a WAL fsync failure (which also returns the ticket), where the
+// record is queued and may already be durable.
+//
+// A request trace in ctx (obs.WithRequest) rides the ticket through the
+// pipeline and collects the per-stage write breakdown. ctx is NOT a
+// cancellation handle — enqueue-side blocking (backpressure, the durability
+// wait) is bounded by the write path itself.
+func (d *Document) EnqueueInsert(ctx context.Context, parentPath string, pos int, child *xmltree.Node) (*Ticket, error) {
+	return d.submit(&pendingOp{insert: true, parent: parentPath, pos: pos, child: child,
 		rc: obs.RequestFrom(ctx), done: make(chan struct{})})
 }
 
-// EnqueueDelete queues a Delete for the next batch; see EnqueueInsert for
-// the durability/visibility split.
-func (d *Document) EnqueueDelete(parentPath string, pos int) (*Ticket, error) {
-	return d.EnqueueDeleteCtx(context.Background(), parentPath, pos)
-}
-
-// EnqueueDeleteCtx is EnqueueDelete carrying the caller's context; see
-// EnqueueInsertCtx.
-func (d *Document) EnqueueDeleteCtx(ctx context.Context, parentPath string, pos int) (*Ticket, error) {
-	return d.enqueue(&pendingOp{parent: parentPath, pos: pos,
+// EnqueueDelete submits a delete to the mutation pipeline; see
+// EnqueueInsert.
+func (d *Document) EnqueueDelete(ctx context.Context, parentPath string, pos int) (*Ticket, error) {
+	return d.submit(&pendingOp{parent: parentPath, pos: pos,
 		rc: obs.RequestFrom(ctx), done: make(chan struct{})})
 }
 
-func (d *Document) enqueue(op *pendingOp) (*Ticket, error) {
+// submit is the single intake of the mutation pipeline.
+func (d *Document) submit(op *pendingOp) (*Ticket, error) {
+	op.rc.Stamp(obs.StageEnqueue)
 	gc := d.grp.Load()
 	if gc == nil {
-		return nil, ErrNoGroupCommit
+		d.mu.Lock()
+		d.applyBatchLocked([]*pendingOp{op})
+		d.mu.Unlock()
+		decide(op)
+		return &Ticket{op: op}, nil
 	}
-	op.rc.Stamp(obs.StageEnqueue)
 	var rec []byte
 	if gc.cfg.WAL != nil {
 		xml := ""
@@ -275,24 +269,29 @@ func (d *Document) enqueue(op *pendingOp) (*Ticket, error) {
 		rec = encodeMutation(op.insert, op.parent, op.pos, xml)
 	}
 	gc.emu.Lock()
+	// quit is closed under emu, so a submit that gets past this check sends
+	// before the commit loop's final drain: no op is queued behind a loop
+	// that has exited, and no ticket is left undecided.
+	select {
+	case <-gc.quit:
+		gc.emu.Unlock()
+		return nil, ErrDocumentClosed
+	default:
+	}
 	if rec != nil {
 		seq, err := gc.cfg.WAL.AppendNoSync(rec)
 		if err != nil {
 			gc.emu.Unlock()
-			return nil, err
+			return nil, fmt.Errorf("%w: WAL append: %w", ErrStorage, err)
 		}
 		op.seq = seq
 		op.rc.Stamp(obs.StageWALAppend)
 	}
 	// The queue send happens under emu, right after the WAL append, so
 	// intake order equals log order. The send may block on a full queue
-	// (backpressure); the commit loop never takes emu, so it always drains.
-	select {
-	case gc.ch <- op:
-	case <-gc.quit:
-		gc.emu.Unlock()
-		return nil, ErrDocumentClosed
-	}
+	// (backpressure); the commit loop never takes emu and cannot be told to
+	// quit while emu is held, so it always drains.
+	gc.ch <- op
 	gc.emu.Unlock()
 	if gc.gm != nil {
 		gc.gm.enqueued.Inc()
@@ -301,11 +300,20 @@ func (d *Document) enqueue(op *pendingOp) (*Ticket, error) {
 		// The durability wait coalesces with concurrent enqueuers (and with
 		// the commit loop's own SyncTo barrier) under SyncGroup.
 		if err := gc.cfg.WAL.WaitDurable(op.seq); err != nil {
-			return &Ticket{op: op}, err
+			return &Ticket{op: op}, fmt.Errorf("%w: WAL fsync: %w", ErrStorage, err)
 		}
 		op.rc.Stamp(obs.StageFsyncDone)
 	}
 	return &Ticket{op: op}, nil
+}
+
+// decide releases op's ticket. A successful op's epoch is published and its
+// Wait is about to return — the moment the mutation became readable.
+func decide(op *pendingOp) {
+	if op.err == nil {
+		op.rc.Stamp(obs.StageVisible)
+	}
+	close(op.done)
 }
 
 func (gc *groupCommitter) loop() {
@@ -366,19 +374,31 @@ drain:
 	return batch
 }
 
+// noteDepth sets the depth gauges as the loop takes (inflight = batch size)
+// and finishes (0) a batch.
+func (gc *groupCommitter) noteDepth(inflight int) {
+	if gc.gm == nil {
+		return
+	}
+	queued := int64(len(gc.ch))
+	gc.gm.queueDepth.Set(queued)
+	gc.gm.pipelineDepth.Set(queued + int64(inflight))
+}
+
 // commit makes one batch durable, applies it and publishes one epoch.
 func (gc *groupCommitter) commit(batch []*pendingOp) {
-	gc.inflight.Add(int64(len(batch)))
-	defer gc.inflight.Add(-int64(len(batch)))
+	gc.noteDepth(len(batch))
+	defer gc.noteDepth(0)
 	// Publish-after-durable: nothing in this batch becomes visible before
 	// its WAL records are on disk. Usually a no-op — the enqueuers' own
 	// durability waits already drove a covering fsync.
 	if w := gc.cfg.WAL; w != nil && w.Policy() != storage.SyncNone {
 		if last := batch[len(batch)-1].seq; last > 0 {
 			if err := w.SyncTo(last); err != nil {
+				err = fmt.Errorf("%w: WAL fsync: %w", ErrStorage, err)
 				for _, op := range batch {
 					op.err = err
-					close(op.done)
+					decide(op)
 				}
 				if gc.gm != nil {
 					gc.gm.failed.Add(uint64(len(batch)))
@@ -398,13 +418,23 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 		gc.gm.failed.Add(uint64(len(batch) - applied))
 	}
 	for _, op := range batch {
-		if op.err == nil {
-			// The epoch is published and Wait is about to be released —
-			// this is the moment the mutation became readable.
-			op.rc.Stamp(obs.StageVisible)
-		}
-		close(op.done)
+		decide(op)
 	}
+}
+
+// writable reports why the document cannot take structural updates at all:
+// a cold-opened master is shared with its snapshot, and a registry scheme
+// may not declare the Update capability.
+func (d *Document) writable() error {
+	if d.readonly {
+		return ErrColdDocument
+	}
+	if d.num == nil {
+		if _, ok := d.gs.(scheme.Updatable); !ok {
+			return fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
+		}
+	}
+	return nil
 }
 
 // applyBatchLocked applies every member of one batch to the master —
@@ -413,16 +443,15 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 // returns how many members applied and publishes nothing when none did.
 // Per-op outcomes land on the ops. Callers hold d.mu.
 func (d *Document) applyBatchLocked(batch []*pendingOp) int {
-	if d.readonly {
-		for _, op := range batch {
-			op.err = ErrColdDocument
+	fail := func(ops []*pendingOp, err error) int {
+		for _, op := range ops {
+			op.err = err
 		}
 		return 0
 	}
-	if d.num == nil {
-		return d.applyBatchGenericLocked(batch)
+	if err := d.writable(); err != nil {
+		return fail(batch, err)
 	}
-	prev := d.cur.Load()
 	var (
 		deltas  []*core.Delta
 		applied []*pendingOp
@@ -430,79 +459,92 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 		depths  = d.depthSum
 		fold    *dataguide.Batch
 	)
-	if prev != nil && prev.Guide() != nil {
+	if prev := d.cur.Load(); d.num != nil && prev != nil && prev.Guide() != nil {
 		fold = prev.Guide().Begin()
 	}
 	// Writer paths resolve against the master by pointer navigation; one
 	// batch resolves each distinct parent path once. Any delete may detach
 	// a memoized parent (or an ancestor of one), so deletes flush the memo.
 	memo := make(map[string]*xmltree.Node, len(batch))
-	resolve := func(path string) (*xmltree.Node, error) {
-		if p, hit := memo[path]; hit {
-			return p, nil
-		}
-		p, err := d.findOneLocked(path)
-		if err == nil {
-			memo[path] = p
-		}
-		return p, err
-	}
 	for _, op := range batch {
-		parent, err := resolve(op.parent)
+		parent, hit := memo[op.parent]
+		if !hit {
+			var err error
+			if parent, err = d.findOneLocked(op.parent); err != nil {
+				op.err = err
+				continue
+			}
+			memo[op.parent] = parent
+		}
+		delta, sub, err := d.applyOpLocked(op, parent)
 		if err != nil {
 			op.err = err
 			continue
 		}
-		var delta *core.Delta
+		c, dd := subtreeStats(sub, parent.Depth()+1)
 		if op.insert {
-			op.stats, delta, err = d.num.InsertChildDelta(parent, op.pos, op.child)
-			if err != nil {
-				op.err = err
-				continue
-			}
-			c, dd := subtreeStats(op.child, parent.Depth()+1)
 			nodes += c
 			depths += dd
 		} else {
-			op.stats, delta, err = d.num.DeleteChildDelta(parent, op.pos)
-			if err != nil {
-				op.err = err
-				continue
-			}
-			c, dd := subtreeStats(delta.Removed, parent.Depth()+1)
 			nodes -= c
 			depths -= dd
-			memo = make(map[string]*xmltree.Node, len(batch))
+			clear(memo)
 		}
-		deltas = append(deltas, delta)
-		// The guide update folds EAGERLY, at apply time, because the fold
-		// walks the subtree: an inserted subtree must be counted as it was
-		// inserted, before a later batch member deletes inside it (whose own
-		// fold then subtracts exactly that part). A deferred walk would see
-		// the post-batch shape and double-subtract. The batch fold shares
-		// ONE guide copy across the whole run — the per-mutation WithUpdate
-		// clone is what group commit amortizes away.
-		foldGuideUpdate(fold, delta)
+		if delta != nil {
+			deltas = append(deltas, delta)
+			// The guide update folds EAGERLY, at apply time, because the fold
+			// walks the subtree: an inserted subtree must be counted as it was
+			// inserted, before a later batch member deletes inside it (whose own
+			// fold then subtracts exactly that part). A deferred walk would see
+			// the post-batch shape and double-subtract. The fold shares ONE
+			// guide copy across the whole batch.
+			foldGuideUpdate(fold, delta)
+		}
 		op.rc.Stamp(obs.StageMerged)
 		applied = append(applied, op)
 	}
-	if len(deltas) == 0 {
+	if len(applied) == 0 {
 		return 0
 	}
 	var guide *dataguide.Guide
 	if fold != nil {
 		guide = fold.Guide()
 	}
-	if err := d.publishBatchLocked(prev, deltas, guide, nodes, depths); err != nil {
-		for _, op := range applied {
-			op.err = err
-		}
-		return 0
+	if err := d.publishLocked(deltas, guide, nodes, depths); err != nil {
+		return fail(applied, err)
 	}
 	for _, op := range applied {
 		op.rc.Stamp(obs.StagePublished)
 	}
 	return len(applied)
+}
+
+// applyOpLocked applies one mutation below parent on the master and records
+// its §3.2 statistics on op — the only step of the pipeline that differs by
+// scheme. It returns the inserted or removed subtree and, under ruid, the
+// update's delta; a registry scheme (already checked Updatable by writable)
+// has none and publishes by full clone. Callers hold d.mu.
+func (d *Document) applyOpLocked(op *pendingOp, parent *xmltree.Node) (delta *core.Delta, sub *xmltree.Node, err error) {
+	switch {
+	case d.num != nil && op.insert:
+		op.stats, delta, err = d.num.InsertChildDelta(parent, op.pos, op.child)
+		return delta, op.child, err
+	case d.num != nil:
+		if op.stats, delta, err = d.num.DeleteChildDelta(parent, op.pos); err != nil {
+			return nil, nil, err
+		}
+		return delta, delta.Removed, nil
+	case op.insert:
+		op.stats, err = d.gs.(scheme.Updatable).InsertChild(parent, op.pos, op.child)
+		return nil, op.child, err
+	default:
+		if op.pos < 0 || op.pos >= len(parent.Children) {
+			return nil, nil, fmt.Errorf("document: delete position %d out of range", op.pos)
+		}
+		sub = parent.Children[op.pos]
+		op.stats, err = d.gs.(scheme.Updatable).DeleteChild(parent, op.pos)
+		return nil, sub, err
+	}
 }
 
 // foldGuideUpdate accumulates one mutation's DataGuide update into the
@@ -527,80 +569,6 @@ func foldGuideUpdate(fold *dataguide.Batch, delta *core.Delta) {
 		prefix[i], prefix[j] = prefix[j], prefix[i]
 	}
 	fold.Update(prefix, sub, sign)
-}
-
-// applyBatchGenericLocked is applyBatchLocked for non-ruid schemes: every
-// member applies through the scheme's Updatable interface, then ONE full
-// clone publication covers the batch.
-func (d *Document) applyBatchGenericLocked(batch []*pendingOp) int {
-	upd, ok := d.gs.(scheme.Updatable)
-	if !ok {
-		err := fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
-		for _, op := range batch {
-			op.err = err
-		}
-		return 0
-	}
-	var applied []*pendingOp
-	nodes, depths := d.nodeCount, d.depthSum
-	memo := make(map[string]*xmltree.Node, len(batch))
-	resolve := func(path string) (*xmltree.Node, error) {
-		if p, hit := memo[path]; hit {
-			return p, nil
-		}
-		p, err := d.findOneLocked(path)
-		if err == nil {
-			memo[path] = p
-		}
-		return p, err
-	}
-	for _, op := range batch {
-		parent, err := resolve(op.parent)
-		if err != nil {
-			op.err = err
-			continue
-		}
-		if op.insert {
-			op.stats, err = upd.InsertChild(parent, op.pos, op.child)
-			if err != nil {
-				op.err = err
-				continue
-			}
-			c, dd := subtreeStats(op.child, parent.Depth()+1)
-			nodes += c
-			depths += dd
-		} else {
-			if op.pos < 0 || op.pos >= len(parent.Children) {
-				op.err = fmt.Errorf("document: delete position %d out of range", op.pos)
-				continue
-			}
-			removed := parent.Children[op.pos]
-			op.stats, err = upd.DeleteChild(parent, op.pos)
-			if err != nil {
-				op.err = err
-				continue
-			}
-			c, dd := subtreeStats(removed, parent.Depth()+1)
-			nodes -= c
-			depths -= dd
-			memo = make(map[string]*xmltree.Node, len(batch))
-		}
-		op.rc.Stamp(obs.StageMerged)
-		applied = append(applied, op)
-	}
-	if len(applied) == 0 {
-		return 0
-	}
-	if err := d.publishGenericLocked(nodes, depths); err != nil {
-		for _, op := range applied {
-			op.err = err
-		}
-		return 0
-	}
-	for _, op := range applied {
-		op.rc.Stamp(obs.StagePublished)
-	}
-	return len(applied)
 }
 
 // Mutation record payload, the document layer's WAL encoding:
@@ -687,7 +655,7 @@ func (d *Document) ReplayWAL(records [][]byte) (applied, skipped int, err error)
 		}
 		op := &pendingOp{insert: insert, parent: parent, pos: pos, done: make(chan struct{})}
 		if insert {
-			child, perr := parseSubtree(xml)
+			child, perr := xmltree.ParseFragment(xml)
 			if perr != nil {
 				skipped++
 				continue
@@ -708,18 +676,4 @@ func (d *Document) ReplayWAL(records [][]byte) (applied, skipped int, err error)
 		}
 	}
 	return applied, skipped, nil
-}
-
-// parseSubtree parses one serialized XML element into a detached subtree.
-func parseSubtree(src string) (*xmltree.Node, error) {
-	doc, err := xmltree.ParseString(src)
-	if err != nil {
-		return nil, err
-	}
-	el := doc.DocumentElement()
-	if el == nil {
-		return nil, errors.New("document: WAL record holds no element")
-	}
-	el.Detach()
-	return el, nil
 }

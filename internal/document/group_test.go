@@ -2,10 +2,13 @@ package document
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,7 +60,7 @@ func applySerial(t *testing.T, d *Document, muts []batchMutation) {
 	for i, m := range muts {
 		var err error
 		if m.insert {
-			sub, perr := parseSubtree(m.xml)
+			sub, perr := xmltree.ParseFragment(m.xml)
 			if perr != nil {
 				t.Fatal(perr)
 			}
@@ -77,13 +80,13 @@ func enqueueAll(t *testing.T, d *Document, muts []batchMutation) []*Ticket {
 	for i, m := range muts {
 		var err error
 		if m.insert {
-			sub, perr := parseSubtree(m.xml)
+			sub, perr := xmltree.ParseFragment(m.xml)
 			if perr != nil {
 				t.Fatal(perr)
 			}
-			tickets[i], err = d.EnqueueInsert(m.parent, m.pos, sub)
+			tickets[i], err = d.EnqueueInsert(context.Background(), m.parent, m.pos, sub)
 		} else {
-			tickets[i], err = d.EnqueueDelete(m.parent, m.pos)
+			tickets[i], err = d.EnqueueDelete(context.Background(), m.parent, m.pos)
 		}
 		if err != nil {
 			t.Fatalf("enqueue op %d: %v", i, err)
@@ -282,6 +285,59 @@ func TestGroupCommitWALRecovery(t *testing.T) {
 	assertDocsEqual(t, tornDoc, oracle)
 }
 
+// TestSynchronousWriteIsLogged: on a WAL-backed document a synchronous
+// Insert or Delete is a queued mutation like any other — logged, in queue
+// order. It used to bypass the log, so crash replay lost it and ran every
+// later positional record against a different tree.
+func TestSynchronousWriteIsLogged(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "doc.wal")
+	wal, err := storage.CreateWAL(walPath, storage.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := groupFixture(t)
+	if err := writer.EnableGroupCommit(GroupConfig{MaxBatch: 4, MaxDelay: time.Millisecond, WAL: wal}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := writer.Insert("/book/section", 0, xmltree.NewElement("sync")); err != nil {
+		t.Fatal(err)
+	}
+	// Positional records after it: replayed without the insert above, this
+	// delete would take the section's original first child instead.
+	tk, err := writer.EnqueueDelete(ctx, "/book/section", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Delete("/book/section/section", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var records [][]byte
+	reopened, err := storage.OpenWAL(walPath, storage.SyncGroup, func(p []byte) error {
+		records = append(records, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	recovered := groupFixture(t)
+	if applied, skipped, err := recovered.ReplayWAL(records); err != nil || applied != 3 || skipped != 0 {
+		t.Fatalf("replay applied %d skipped %d err %v, want 3/0/nil", applied, skipped, err)
+	}
+	if res, _, err := recovered.Query("/book/section/sync"); err != nil || len(res) != 1 {
+		t.Fatalf("synchronous insert lost in replay: %v %v", res, err)
+	}
+	assertDocsEqual(t, recovered, writer)
+}
+
 // TestGroupCommitConcurrent drives concurrent writers against concurrent
 // pinned-snapshot readers across the async publish pipeline (run under
 // -race). Invariants: a pinned snapshot answers identically forever, every
@@ -331,7 +387,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				parent += "/section"
 			}
 			for i := 0; i < perWriter; i++ {
-				tk, err := d.EnqueueInsert(parent, 0, xmltree.NewElement(fmt.Sprintf("leaf%dx%d", w, i)))
+				tk, err := d.EnqueueInsert(context.Background(), parent, 0, xmltree.NewElement(fmt.Sprintf("leaf%dx%d", w, i)))
 				if err != nil {
 					werr.Store(fmt.Sprintf("w%d-enq%d", w, i), err)
 					return
@@ -366,22 +422,51 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestGroupCommitLifecycle pins the enable/disable contract.
+// TestGroupCommitLifecycle pins the enable/disable contract: the same
+// Enqueue call works with and without a commit loop — inline, with the
+// ticket already decided, when there is none.
 func TestGroupCommitLifecycle(t *testing.T) {
 	d := groupFixture(t)
-	if _, err := d.EnqueueInsert("/book", 0, xmltree.NewElement("x")); err != ErrNoGroupCommit {
-		t.Fatalf("enqueue without group commit: %v", err)
+	ctx := context.Background()
+	inline := func(name string) {
+		t.Helper()
+		epoch := d.Snapshot().Epoch()
+		tk, err := d.EnqueueInsert(ctx, "/book", 0, xmltree.NewElement(name))
+		if err != nil {
+			t.Fatalf("enqueue without a commit loop: %v", err)
+		}
+		select {
+		case <-tk.Done():
+		default:
+			t.Fatal("enqueue without a commit loop returned an undecided ticket")
+		}
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Snapshot().Epoch(); got != epoch+1 {
+			t.Fatalf("inline enqueue published %d epochs, want 1", got-epoch)
+		}
+		if res, _, err := d.Query("/book/" + name); err != nil || len(res) != 1 {
+			t.Fatalf("inline insert not visible at return: %v %v", res, err)
+		}
 	}
-	if err := d.EnableGroupCommit(GroupConfig{}); err != nil {
+	inline("before")
+	// A mutation the document rejects is decided inline too, on the ticket.
+	tk, err := d.EnqueueDelete(ctx, "/book/nosuch", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.GroupCommit() {
-		t.Fatal("GroupCommit() false while enabled")
+	if _, err := tk.Wait(ctx); err == nil {
+		t.Fatal("inline delete under an unmatched path succeeded")
+	}
+
+	if err := d.EnableGroupCommit(GroupConfig{}); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.EnableGroupCommit(GroupConfig{}); err == nil {
 		t.Fatal("double enable accepted")
 	}
-	tk, err := d.EnqueueInsert("/book", 0, xmltree.NewElement("x"))
+	tk, err = d.EnqueueInsert(ctx, "/book", 0, xmltree.NewElement("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,19 +479,63 @@ func TestGroupCommitLifecycle(t *testing.T) {
 	default:
 		t.Fatal("Close left a queued op undecided")
 	}
-	if _, err := tk.Wait(context.Background()); err != nil {
+	if _, err := tk.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.EnqueueInsert("/book", 0, xmltree.NewElement("y")); err != ErrNoGroupCommit {
-		t.Fatalf("enqueue after close: %v", err)
-	}
+	inline("after")
 	if err := d.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
 }
 
+// TestWritesRacingClose: writers racing Close must all return — through the
+// loop, refused with ErrDocumentClosed, or inline once the loop is gone —
+// and every write that reported success must be in the document. An op sent
+// behind a loop that has already drained would leave its writer waiting
+// forever.
+func TestWritesRacingClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		d := groupFixture(t)
+		if err := d.EnableGroupCommit(GroupConfig{MaxBatch: 4, MaxDelay: -1, QueueDepth: 2}); err != nil {
+			t.Fatal(err)
+		}
+		start := d.Stats().Nodes
+		const writers, perWriter = 4, 8
+		var ok atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					_, err := d.Insert("/book", 0, xmltree.NewElement("r"))
+					switch {
+					case err == nil:
+						ok.Add(1)
+					case !errors.Is(err, ErrDocumentClosed):
+						t.Errorf("insert racing Close: %v", err)
+					}
+				}
+			}()
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("a writer racing Close never returned")
+		}
+		if got, want := d.Stats().Nodes, start+int(ok.Load()); got != want {
+			t.Fatalf("round %d: %d nodes after %d successful inserts, want %d", round, got, ok.Load(), want)
+		}
+	}
+}
+
 // TestGroupCommitStageStamps pins the write-pipeline tracing contract: a
-// traced EnqueueInsertCtx over a WAL must stamp all seven pipeline stages
+// traced EnqueueInsert over a WAL must stamp all seven pipeline stages
 // onto the request, and the reported timeline must be monotonically
 // non-decreasing even though the stamps come from three goroutines (the
 // writer, the fsync leader, the commit loop).
@@ -423,7 +552,7 @@ func TestGroupCommitStageStamps(t *testing.T) {
 
 	rc := obs.NewRequest("insert", "fixture")
 	ctx := obs.WithRequest(context.Background(), rc)
-	tk, err := d.EnqueueInsertCtx(ctx, "/book/section", 0, xmltree.NewElement("traced"))
+	tk, err := d.EnqueueInsert(ctx, "/book/section", 0, xmltree.NewElement("traced"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +588,82 @@ func TestGroupCommitStageStamps(t *testing.T) {
 
 	// An untraced enqueue (plain context) must not panic and must not
 	// leak stamps anywhere.
-	tk2, err := d.EnqueueInsert("/book/section", 0, xmltree.NewElement("untraced"))
+	tk2, err := d.EnqueueInsert(context.Background(), "/book/section", 0, xmltree.NewElement("untraced"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tk2.Wait(wctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGroupCommitGaugesFollowLiveDocument: documents of one server share a
+// registry. write.queue_depth / write.pipeline_depth used to be RegisterFunc
+// closures over the first document's committer — first wins, never
+// unregistered — so they reported only that document and pinned it (master
+// tree, m2e, WAL) after it was dropped. As plain gauges set by each commit
+// loop they follow whichever document is writing, and a closed document is
+// garbage.
+func TestGroupCommitGaugesFollowLiveDocument(t *testing.T) {
+	reg := obs.NewRegistry()
+	open := func() *Document {
+		d, err := FromTree(xmltree.Recursive(2, 6), Options{Observe: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.EnableGroupCommit(GroupConfig{MaxBatch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	collected := make(chan struct{})
+	func() {
+		first := open()
+		runtime.SetFinalizer(first, func(*Document) { close(collected) })
+		if _, err := first.Insert("/book", 0, xmltree.NewElement("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	live := open()
+
+	// Hold the writer mutex so the live document's commit loop parks inside
+	// commit with one op in flight and nothing queued behind it.
+	live.mu.Lock()
+	tk, err := live.EnqueueInsert(context.Background(), "/book", 0, xmltree.NewElement("y"))
+	if err != nil {
+		live.mu.Unlock()
+		t.Fatal(err)
+	}
+	pipeline, queue := reg.Gauge("write.pipeline_depth"), reg.Gauge("write.queue_depth")
+	deadline := time.Now().Add(10 * time.Second)
+	for pipeline.Value() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	got, gotQueue := pipeline.Value(), queue.Value()
+	live.mu.Unlock()
+	if got != 1 || gotQueue != 0 {
+		t.Fatalf("with one op in flight on the live document: pipeline_depth %d queue_depth %d, want 1 and 0", got, gotQueue)
+	}
+	if _, err := tk.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Close(); err != nil { // the loop has exited: gauges are final
+		t.Fatal(err)
+	}
+	if pipeline.Value() != 0 || queue.Value() != 0 {
+		t.Fatalf("drained: pipeline_depth %d queue_depth %d, want 0 and 0", pipeline.Value(), queue.Value())
+	}
+
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the closed document is still reachable (pinned by the registry?)")
 }

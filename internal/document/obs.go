@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/query"
-	"repro/internal/xmltree"
 )
 
 // docMetrics holds the registry pointers the facade records into, resolved
@@ -90,20 +88,13 @@ func (d *Document) noteEpochLocked(full bool, st index.DeltaStats, dur time.Dura
 // nil when unobserved. Useful for wiring obs.Serve or dumping xq -stats.
 func (d *Document) Registry() *obs.Registry { return d.reg }
 
-// QueryTraced is Snapshot.Query recording the planner's per-stage execution
-// spans into tr — the EXPLAIN ANALYZE building block. A nil trace behaves
-// exactly like Query.
-func (s *Snapshot) QueryTraced(q string, tr *obs.Trace) ([]*xmltree.Node, query.Plan, error) {
-	return s.planner.RunTraced(q, tr)
-}
-
 // ExplainAnalyze executes q against the current epoch under a fresh trace
 // and returns the rendered report: the plan decision with both cost
 // estimates, one line per execution stage with cardinalities and per-shard
 // timings, and the seek kernels' blocks admitted versus skipped.
 func (d *Document) ExplainAnalyze(q string) (string, error) {
 	tr := obs.NewTrace(q)
-	if _, _, err := d.Snapshot().QueryTraced(q, tr); err != nil {
+	if _, _, err := d.Snapshot().QueryMetered(q, tr, nil); err != nil {
 		return "", err
 	}
 	var sb strings.Builder

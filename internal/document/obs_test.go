@@ -91,7 +91,7 @@ func TestObservedDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("//book/title")
-	traced, _, err := d.Snapshot().QueryTraced("//book/title", tr)
+	traced, _, err := d.Snapshot().QueryMetered("//book/title", tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,21 +278,11 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 		readonly:   true,
 		epoch:      1,
 	}
-	planner := query.NewWithState(doc, num, ix, dataguide.Build(doc), nodes, depths)
-	planner.SetExecutor(d.exec)
-	planner.SetObserver(d.reg)
-	d.wireIOStats(planner)
 	// The cold snapshot shares the parsed tree with the master — legal only
 	// because the document refuses writes.
-	d.cur.Store(&Snapshot{
-		epoch:      1,
-		tree:       doc,
-		num:        num,
-		s:          num,
-		schemeName: "ruid",
-		planner:    planner,
-		nodes:      nodes,
-	})
+	snap := d.snapshotOf(doc, num, num, query.NewWithState(doc, num, ix, dataguide.Build(doc), nodes, depths), nodes)
+	snap.epoch = 1
+	d.cur.Store(snap)
 	// Start cold: loading dirtied the pool; everything is on "disk" now and
 	// the first faults count from zero.
 	store.Flush()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/document"
+	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -116,6 +117,39 @@ func TestPagedEngineMatchesResident(t *testing.T) {
 			}
 		}
 		check(fmt.Sprintf("after step %d", step))
+	}
+}
+
+// TestPayloadFailureSurfaces: on a paged document the payload table follows
+// every installed epoch. When it cannot — a failed Nodes.Put or Delete — the
+// write must say so; it used to return nil and leave the store silently
+// behind the epoch readers see.
+func TestPayloadFailureSurfaces(t *testing.T) {
+	d, err := document.OpenString(pagedLibraryXML(), document.Options{PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A node table whose root is an interior page pointing at a child that
+	// was never allocated: every Put and Delete fails descending into it.
+	pager := storage.NewPager(4)
+	broken := storage.NewNodeStoreOn(pager)
+	if err := pager.Write(0, []byte{0, 0, 0, 0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	d.Store().Nodes = broken
+
+	epoch := d.Snapshot().Epoch()
+	_, err = d.Insert("/lib/shelf", 0, xmltree.NewElement("probe"))
+	if !errors.Is(err, document.ErrStorage) || !errors.Is(err, storage.ErrPageBounds) {
+		t.Fatalf("Insert over a failing payload table: err = %v, want ErrStorage wrapping ErrPageBounds", err)
+	}
+	// The failure is after the install: the epoch is visible, and the error
+	// is how the caller learns the store no longer matches it.
+	if got := d.Snapshot().Epoch(); got != epoch+1 {
+		t.Fatalf("epoch %d after the failed payload update, want %d", got, epoch+1)
+	}
+	if got := queryPaths(t, d, "//probe"); len(got) != 1 {
+		t.Fatalf("//probe = %v, want the installed insert", got)
 	}
 }
 

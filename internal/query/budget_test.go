@@ -7,12 +7,19 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/query"
 	"repro/internal/xmltree"
 )
 
-// Planner-level budget contract: RunBudget with generous limits matches
+// Planner-level budget contract: RunMetered with generous limits matches
 // Run exactly; a query that exceeds a limit returns the matching sentinel
 // with a nil node-set, whatever plan the query takes.
+
+// runBudget runs q under a fresh meter over ctx and lim, the way the server
+// builds one per request.
+func runBudget(p *query.Planner, ctx context.Context, q string, lim budget.Limits) ([]*xmltree.Node, query.Plan, error) {
+	return p.RunMetered(q, nil, budget.NewMeter(ctx, lim))
+}
 
 func TestRunBudgetGenerousMatchesRun(t *testing.T) {
 	p := newPlanner(t, xmltree.XMark(2, 9))
@@ -21,7 +28,7 @@ func TestRunBudgetGenerousMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := p.RunBudget(context.Background(), q,
+		got, _, err := runBudget(p, context.Background(), q,
 			budget.Limits{MaxPostings: 1 << 40, MaxResults: 1 << 40})
 		if err != nil {
 			t.Fatalf("RunBudget(%q): %v", q, err)
@@ -39,7 +46,7 @@ func TestRunBudgetGenerousMatchesRun(t *testing.T) {
 
 func TestRunBudgetPostingsSentinel(t *testing.T) {
 	p := newPlanner(t, xmltree.XMark(2, 9))
-	nodes, plan, err := p.RunBudget(context.Background(), "/site//item/name",
+	nodes, plan, err := runBudget(p, context.Background(), "/site//item/name",
 		budget.Limits{MaxPostings: 2})
 	if !errors.Is(err, budget.ErrPostingsBudget) {
 		t.Fatalf("err = %v (plan %s), want ErrPostingsBudget", err, plan.Kind)
@@ -55,7 +62,7 @@ func TestRunBudgetResultSentinel(t *testing.T) {
 	if err != nil || len(full) < 2 {
 		t.Fatalf("fixture: %d items, err %v", len(full), err)
 	}
-	nodes, _, err := p.RunBudget(context.Background(), "//item",
+	nodes, _, err := runBudget(p, context.Background(), "//item",
 		budget.Limits{MaxResults: 1})
 	if !errors.Is(err, budget.ErrResultBudget) {
 		t.Fatalf("err = %v, want ErrResultBudget", err)
@@ -73,7 +80,7 @@ func TestRunBudgetDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for _, q := range []string{"/site//item/name", "//item[1]"} {
-		nodes, _, err := p.RunBudget(ctx, q, budget.Limits{})
+		nodes, _, err := runBudget(p, ctx, q, budget.Limits{})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("RunBudget(%q) err = %v, want DeadlineExceeded", q, err)
 		}

@@ -53,11 +53,11 @@ func TestExplainRejectedAlternative(t *testing.T) {
 	}
 }
 
-// TestRunTraced drives the EXPLAIN ANALYZE pipeline end to end: the traced
+// TestRunMeteredTraced drives the EXPLAIN ANALYZE pipeline end to end: the traced
 // run returns the same nodes as the untraced one, and the rendered trace
 // carries the plan decision, one span per pipeline stage with
 // cardinalities, and the seek kernels' block statistics.
-func TestRunTraced(t *testing.T) {
+func TestRunMeteredTraced(t *testing.T) {
 	p := newPlanner(t, xmltree.Recursive(2, 9))
 	reg := obs.NewRegistry()
 	p.SetObserver(reg)
@@ -67,7 +67,7 @@ func TestRunTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("//section//title")
-	got, plan, err := p.RunTraced("//section//title", tr)
+	got, plan, err := p.RunMetered("//section//title", tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunTraced(t *testing.T) {
 
 	// Registry side: the query counted, the plan kind counted, latency
 	// observed.
-	if reg.Counter("query.count").Value() != 2 { // Run + RunTraced
+	if reg.Counter("query.count").Value() != 2 { // Run + RunMetered
 		t.Errorf("query.count = %d", reg.Counter("query.count").Value())
 	}
 	if reg.Counter("query.plan_join").Value() != 2 {
@@ -129,16 +129,16 @@ func TestRunTraced(t *testing.T) {
 	}
 }
 
-// TestRunTracedNavAndPruned covers the two non-pipeline exits: a navigation
+// TestRunMeteredTracedNavAndPruned covers the two non-pipeline exits: a navigation
 // fallback records a navigate span, and a DataGuide-pruned chain records
 // the pruning note without executing a single join.
-func TestRunTracedNavAndPruned(t *testing.T) {
+func TestRunMeteredTracedNavAndPruned(t *testing.T) {
 	p := newPlanner(t, xmltree.Recursive(2, 7))
 	reg := obs.NewRegistry()
 	p.SetObserver(reg)
 
 	tr := obs.NewTrace("//section[1]")
-	_, plan, err := p.RunTraced("//section[1]", tr)
+	_, plan, err := p.RunMetered("//section[1]", tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRunTracedNavAndPruned(t *testing.T) {
 	}
 
 	tr = obs.NewTrace("//section//nosuchname")
-	got, _, err := p.RunTraced("//section//nosuchname", tr)
+	got, _, err := p.RunMetered("//section//nosuchname", tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

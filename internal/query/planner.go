@@ -11,7 +11,6 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -389,38 +388,24 @@ func compileChain(path xpath.Path) ([]step, bool) {
 // Run plans and executes the query, returning the result node-set in
 // document order together with the plan used.
 func (p *Planner) Run(q string) ([]*xmltree.Node, Plan, error) {
-	return p.run(q, nil, nil)
+	return p.RunMetered(q, nil, nil)
 }
 
-// RunTraced is Run recording per-stage execution spans into tr — the
-// EXPLAIN ANALYZE entry point. A nil trace is the untraced fast path: no
-// span, note, or attribute is materialized. The trace is finished (plan
-// recorded, total frozen) before returning, ready to Render.
-func (p *Planner) RunTraced(q string, tr *obs.Trace) ([]*xmltree.Node, Plan, error) {
-	return p.run(q, tr, nil)
-}
-
-// RunBudget is Run under the resource limits lim and the deadline (or
-// cancellation) of ctx: identifier pipelines charge postings scanned and
-// result rows materialized against a fresh meter as they execute, and a
-// query that exceeds any bound terminates early inside the join kernels,
-// returning the matching sentinel (budget.ErrPostingsBudget,
-// budget.ErrResultBudget, or the context's own error) with a nil node-set.
-// Zero limits with a background context make every charge admit — the
-// unbudgeted behavior at three atomic adds of cost per stage.
-func (p *Planner) RunBudget(ctx context.Context, q string, lim budget.Limits) ([]*xmltree.Node, Plan, error) {
-	return p.run(q, nil, budget.NewMeter(ctx, lim))
-}
-
-// RunMetered is RunBudget over a caller-owned meter — the server path,
-// where one meter per request is inspected afterwards for postings/result
-// consumption, optionally combined with an EXPLAIN ANALYZE trace. A nil
-// meter runs unbudgeted.
-func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.Node, Plan, error) {
-	return p.run(q, tr, m)
-}
-
-func (p *Planner) run(q string, tr *obs.Trace, m *budget.Meter) (nodes []*xmltree.Node, plan Plan, err error) {
+// RunMetered is the general form of Run; both arguments are nil-safe.
+//
+// tr records per-stage execution spans — the EXPLAIN ANALYZE building
+// block. A nil trace is the untraced fast path: no span, note, or attribute
+// is materialized. The trace is finished (plan recorded, total frozen)
+// before returning, ready to Render.
+//
+// m is the request's resource meter (budget.NewMeter over the caller's
+// context and limits): identifier pipelines charge postings scanned and
+// result rows materialized against it as they execute, and a query that
+// exceeds any bound terminates early inside the join kernels, returning
+// the matching sentinel (budget.ErrPostingsBudget, budget.ErrResultBudget,
+// or the context's own error) with a nil node-set. The caller inspects the
+// meter afterwards for consumption. A nil meter runs unbudgeted.
+func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) (nodes []*xmltree.Node, plan Plan, err error) {
 	var start time.Time
 	if p.m != nil {
 		start = time.Now()

@@ -37,9 +37,12 @@ import (
 // set waitVisible in JSON or pass ?wait=visible in the URL.
 //
 // Error mapping is part of the overload contract: 503 + Retry-After for
-// shed requests, 504 for queries that ran out of wall clock, 422 for
-// queries that ran out of postings or result budget, 404/409 for catalog
-// misses and collisions, 400 for malformed inputs.
+// shed requests and for writes racing a document's close, 504 for queries
+// that ran out of wall clock, 422 for queries that ran out of postings or
+// result budget, 404 for catalog misses, 409 for catalog collisions and for
+// writes to a document that takes none (cold-opened, read-only scheme), 500
+// for a write the storage layer failed (WAL append or fsync, payload table),
+// 400 for malformed inputs.
 
 // WriteRequest is the body of insert/delete calls.
 type WriteRequest struct {
@@ -50,7 +53,8 @@ type WriteRequest struct {
 	// mutation's batch has published (visibility ack). The default false
 	// returns at the durability ack — the mutation is in the WAL and will
 	// survive a crash, but a query racing the response may not see it yet.
-	// Without group commit every write is visible at return regardless.
+	// Without group commit every write is applied inline and is visible at
+	// return regardless.
 	WaitVisible bool `json:"waitVisible,omitempty"`
 }
 
@@ -260,22 +264,25 @@ func (e badRequest) Error() string { return string(e) }
 
 // writeErr maps an error to its HTTP status. The mapping is the client's
 // contract for distinguishing "back off" (503), "ask for less" (422),
-// "took too long" (504) and plain mistakes (4xx). The error text is also
-// recorded on the request trace for the flight recorder.
+// "took too long" (504), "our fault" (500) and plain mistakes (4xx). The
+// error text is also recorded on the request trace for the flight recorder.
 func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	obs.RequestFrom(r.Context()).SetError(err.Error())
 	var status int
 	switch {
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrOverloaded), errors.Is(err, document.ErrDocumentClosed):
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, document.ErrStorage):
+		status = http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, budget.ErrPostingsBudget), errors.Is(err, budget.ErrResultBudget):
 		status = http.StatusUnprocessableEntity
 	case errors.Is(err, ErrUnknownDocument):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrDuplicateDocument):
+	case errors.Is(err, ErrDuplicateDocument),
+		errors.Is(err, document.ErrColdDocument), errors.Is(err, document.ErrReadOnlyScheme):
 		status = http.StatusConflict
 	default:
 		status = http.StatusBadRequest

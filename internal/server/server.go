@@ -75,18 +75,18 @@ type Config struct {
 	// DocumentOptions are the facade options for every document the server
 	// opens; the Observe registry above is attached automatically.
 	DocumentOptions document.Options
-	// GroupCommit, when Enabled, switches every opened document to the
-	// batched write path: mutations enqueue into the document's group
-	// committer (durability-acked at WAL append when a WALDir is set) and
-	// publish in coalesced epochs. WriteRequest.WaitVisible picks the ack
-	// point per request.
+	// GroupCommit, when Enabled, starts a commit loop (and, with a WALDir, a
+	// WAL) for every opened document: mutations are durability-acked at WAL
+	// append and publish in coalesced epochs, and WriteRequest.WaitVisible
+	// picks the ack point per request. Disabled, the same mutation pipeline
+	// applies each write inline as a batch of one.
 	GroupCommit GroupCommitConfig
 }
 
 // GroupCommitConfig is the server-level switch for the documents' group
 // commit write path.
 type GroupCommitConfig struct {
-	// Enabled turns the batched write path on for every opened document.
+	// Enabled starts a commit loop for every opened document.
 	Enabled bool
 	// MaxBatch / MaxDelay / QueueDepth are document.GroupConfig knobs
 	// (zero = that config's defaults).
@@ -408,44 +408,29 @@ func (s *Server) Close() error {
 	return first
 }
 
-// Insert admits and executes one structural insert on the named document.
-// Kept for programmatic callers; visibility-ack semantics (the synchronous
-// contract).
+// Insert executes one structural insert on the named document with
+// visibility-ack semantics (the synchronous contract).
 func (s *Server) Insert(ctx context.Context, doc, parentPath string, pos int, xml string) (document.Stats, error) {
 	return s.InsertReq(ctx, doc, WriteRequest{Parent: parentPath, Pos: pos, XML: xml, WaitVisible: true})
 }
 
-// InsertReq executes one structural insert per the request's ack mode. On
-// the group-commit path the mutation enqueues into the document's batch
-// intake (durability-acked at WAL append); WaitVisible additionally blocks
-// until its batch's epoch publishes. Without group commit, writes are
-// always visible at return.
+// InsertReq executes one structural insert per the request's ack mode: the
+// mutation enters the document's mutation pipeline (durability-acked at WAL
+// append on a group-commit server); WaitVisible additionally blocks until
+// the epoch carrying it publishes. Without group commit the mutation is
+// applied inline and is visible at return either way.
 func (s *Server) InsertReq(ctx context.Context, doc string, req WriteRequest) (document.Stats, error) {
-	d, err := s.catalog.Get(doc)
-	if err != nil {
-		return document.Stats{}, err
-	}
-	if d.GroupCommit() {
-		return s.enqueue(ctx, d, func() (*document.Ticket, error) {
-			sub, err := parseFragment(req.XML)
-			if err != nil {
-				return nil, err
-			}
-			return d.EnqueueInsertCtx(ctx, req.Parent, req.Pos, sub)
-		}, req.WaitVisible)
-	}
-	return s.write(ctx, doc, func(d *document.Document) error {
-		sub, err := parseFragment(req.XML)
+	return s.mutate(ctx, doc, req.WaitVisible, func(ctx context.Context, d *document.Document) (*document.Ticket, error) {
+		sub, err := xmltree.ParseFragment(req.XML)
 		if err != nil {
-			return err
+			return nil, badRequest("bad fragment: " + err.Error())
 		}
-		_, err = d.Insert(req.Parent, req.Pos, sub)
-		return err
+		return d.EnqueueInsert(ctx, req.Parent, req.Pos, sub)
 	})
 }
 
-// Delete admits and executes one structural delete on the named document
-// with visibility-ack semantics.
+// Delete executes one structural delete on the named document with
+// visibility-ack semantics.
 func (s *Server) Delete(ctx context.Context, doc, parentPath string, pos int) (document.Stats, error) {
 	return s.DeleteReq(ctx, doc, WriteRequest{Parent: parentPath, Pos: pos, WaitVisible: true})
 }
@@ -453,37 +438,40 @@ func (s *Server) Delete(ctx context.Context, doc, parentPath string, pos int) (d
 // DeleteReq executes one structural delete per the request's ack mode; see
 // InsertReq.
 func (s *Server) DeleteReq(ctx context.Context, doc string, req WriteRequest) (document.Stats, error) {
+	return s.mutate(ctx, doc, req.WaitVisible, func(ctx context.Context, d *document.Document) (*document.Ticket, error) {
+		return d.EnqueueDelete(ctx, req.Parent, req.Pos)
+	})
+}
+
+// mutate is the server's one write path: submit through the document's
+// mutation pipeline, then wait on the ticket iff the request asked for the
+// visibility ack. It does not take an admission slot: the bounded intake
+// queue is the write path's own backpressure, and a queued mutation executes
+// on the commit loop, not here — holding a slot through Wait would let
+// pending writes starve readers.
+func (s *Server) mutate(ctx context.Context, doc string, wait bool, submit func(context.Context, *document.Document) (*document.Ticket, error)) (document.Stats, error) {
 	d, err := s.catalog.Get(doc)
 	if err != nil {
 		return document.Stats{}, err
 	}
-	if d.GroupCommit() {
-		return s.enqueue(ctx, d, func() (*document.Ticket, error) {
-			return d.EnqueueDeleteCtx(ctx, req.Parent, req.Pos)
-		}, req.WaitVisible)
-	}
-	return s.write(ctx, doc, func(d *document.Document) error {
-		_, err := d.Delete(req.Parent, req.Pos)
-		return err
-	})
-}
-
-// enqueue runs one mutation through the group-commit intake. It does not
-// take an admission slot: the bounded intake queue is the write path's own
-// backpressure, and the mutation executes on the commit loop, not here —
-// holding a slot through Wait would let pending writes starve readers.
-func (s *Server) enqueue(ctx context.Context, d *document.Document, op func() (*document.Ticket, error), wait bool) (document.Stats, error) {
 	if to := s.cfg.MaxTimeout; to > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, to)
 		defer cancel()
 	}
-	tk, err := op()
+	tk, err := submit(ctx, d)
 	if err != nil {
 		return document.Stats{}, err
 	}
 	if s.sm != nil {
 		s.sm.writes.Inc()
+	}
+	// A ticket that is already decided — always, without a commit loop —
+	// reports its outcome whatever the ack mode.
+	select {
+	case <-tk.Done():
+		wait = true
+	default:
 	}
 	if wait {
 		if _, err := tk.Wait(ctx); err != nil {
@@ -491,44 +479,6 @@ func (s *Server) enqueue(ctx context.Context, d *document.Document, op func() (*
 		}
 	}
 	return d.Stats(), nil
-}
-
-func (s *Server) write(ctx context.Context, doc string, op func(*document.Document) error) (document.Stats, error) {
-	d, err := s.catalog.Get(doc)
-	if err != nil {
-		return document.Stats{}, err
-	}
-	if to := s.cfg.MaxTimeout; to > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, to)
-		defer cancel()
-	}
-	if err := s.adm.Acquire(ctx); err != nil {
-		return document.Stats{}, err
-	}
-	defer s.adm.Release()
-	if s.sm != nil {
-		s.sm.writes.Inc()
-	}
-	if err := op(d); err != nil {
-		return document.Stats{}, err
-	}
-	return d.Stats(), nil
-}
-
-// parseFragment parses one XML element fragment into a detached subtree
-// ready for Document.Insert.
-func parseFragment(src string) (*xmltree.Node, error) {
-	doc, err := xmltree.ParseString(src)
-	if err != nil {
-		return nil, fmt.Errorf("server: bad fragment: %w", err)
-	}
-	el := doc.DocumentElement()
-	if el == nil {
-		return nil, errors.New("server: fragment holds no element")
-	}
-	el.Detach()
-	return el, nil
 }
 
 // Serve starts the server on addr (":0" picks a free port) and returns

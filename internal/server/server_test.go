@@ -8,12 +8,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/document"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -104,12 +108,26 @@ func TestHTTPRoundtrip(t *testing.T) {
 		t.Fatalf("budget query: %d %s, want 422", code, body)
 	}
 
-	// Unknown document maps to 404; bad body to 400.
+	// Unknown document maps to 404; bad body to 400; so do a write's own
+	// mistakes (unparsable fragment, unmatched parent, position out of range)
+	// even though the mutation pipeline reports them on the ticket.
 	if code, _ = do("POST", "/v1/docs/nope/query", `{"query":"//a"}`); code != 404 {
 		t.Fatalf("unknown doc: %d, want 404", code)
 	}
 	if code, _ = do("POST", "/v1/docs/bench/query", "{"); code != 400 {
 		t.Fatalf("bad body: %d, want 400", code)
+	}
+	for name, w := range map[string]string{
+		"bad fragment":     `{"parent":"/site","pos":0,"xml":"<open>"}`,
+		"unmatched parent": `{"parent":"/site/nosuch","pos":0,"xml":"<x/>"}`,
+		"bad position":     `{"parent":"/site","pos":9999,"xml":"<x/>"}`,
+	} {
+		if code, body = do("POST", "/v1/docs/bench/insert", w); code != 400 {
+			t.Fatalf("%s: %d %s, want 400", name, code, body)
+		}
+	}
+	if code, body = do("POST", "/v1/docs/bench/delete", `{"parent":"/site","pos":9999}`); code != 400 {
+		t.Fatalf("delete out of range: %d %s, want 400", code, body)
 	}
 
 	// Listing and stats.
@@ -351,5 +369,87 @@ func TestInsertWaitVisibleStages(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("trace %d not in flight recorder: %s", wr.TraceID, body)
+	}
+}
+
+// TestWriteErrorContract pins the status a failed write reports. Only the
+// client's own mistakes are 4xx-as-in-fix-your-request: a document that
+// takes no writes is 409, a document closing under the request is 503 with
+// Retry-After, and a failure of the storage below the document is 500 — all
+// three used to be 400.
+func TestWriteErrorContract(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	install := func(name string, d *document.Document) {
+		s.catalog.mu.Lock()
+		s.catalog.docs[name] = d
+		s.catalog.mu.Unlock()
+	}
+	post := func(doc string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/docs/"+doc+"/insert?wait=visible",
+			strings.NewReader(`{"parent":"/site/people","pos":0,"xml":"<person/>"}`)))
+		return rec
+	}
+
+	// A cold-opened bundle is read-only.
+	warm, err := document.OpenString(groupSrc, document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle bytes.Buffer
+	if err := warm.SaveBundle(&bundle); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := document.OpenBundle(&bundle, document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	install("cold", cold)
+	if rec := post("cold"); rec.Code != http.StatusConflict {
+		t.Fatalf("insert into a cold document: %d %s, want 409", rec.Code, rec.Body)
+	}
+
+	// A WAL that fails its append is the server's problem, not the client's.
+	wal, err := storage.CreateWAL(filepath.Join(t.TempDir(), "d.wal"), storage.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := document.OpenString(groupSrc, document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := logged.EnableGroupCommit(document.GroupConfig{WAL: wal}); err != nil {
+		t.Fatal(err)
+	}
+	install("logged", logged)
+	if rec := post("logged"); rec.Code != http.StatusOK {
+		t.Fatalf("insert over a healthy WAL: %d %s", rec.Code, rec.Body)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := post("logged"); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("insert over a failed WAL: %d %s, want 500", rec.Code, rec.Body)
+	}
+
+	// The classes that need a race to provoke, through the mapping itself.
+	for _, c := range []struct {
+		err   error
+		want  int
+		retry bool
+	}{
+		{document.ErrDocumentClosed, http.StatusServiceUnavailable, true},
+		{ErrOverloaded, http.StatusServiceUnavailable, true},
+		{fmt.Errorf("%w: WAL fsync: %w", document.ErrStorage, io.ErrShortWrite), http.StatusInternalServerError, false},
+		{fmt.Errorf("%w: scheme %q", document.ErrReadOnlyScheme, "ancestry"), http.StatusConflict, false},
+		{errors.New("document: no element matches \"/x\""), http.StatusBadRequest, false},
+	} {
+		rec := httptest.NewRecorder()
+		writeErr(rec, httptest.NewRequest("POST", "/", nil), c.err)
+		if rec.Code != c.want || (rec.Header().Get("Retry-After") != "") != c.retry {
+			t.Errorf("writeErr(%v) = %d (Retry-After %q), want %d (retry %v)",
+				c.err, rec.Code, rec.Header().Get("Retry-After"), c.want, c.retry)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -30,6 +31,22 @@ func Parse(r io.Reader) (*Node, error) {
 // ParseString parses an XML document held in a string.
 func ParseString(s string) (*Node, error) {
 	return Parse(strings.NewReader(s))
+}
+
+// ParseFragment parses one serialized XML element into a detached subtree,
+// ready to be inserted into another tree — the form structural inserts
+// travel in (a request body, a WAL record).
+func ParseFragment(s string) (*Node, error) {
+	doc, err := ParseString(s)
+	if err != nil {
+		return nil, err
+	}
+	el := doc.DocumentElement()
+	if el == nil {
+		return nil, errors.New("xmltree: fragment holds no element")
+	}
+	el.Detach()
+	return el, nil
 }
 
 // ParseWith reads an XML document from r into a Node tree.
