@@ -579,13 +579,14 @@ const (
 
 // writeRows measures single-writer mutation throughput at batch 1 (the
 // per-mutation publish path) against group commit at batch 64, plus a
-// durable row where eight concurrent writers share a group-fsync WAL. The
+// durable row where eight concurrent writers share a group-fsync WAL, and
+// one count row: postings the index re-encodes per batch=1 mutation. The
 // batch=1 / batch=64 ratio is the headline amortization claim (≥5x); both
 // rows sit in the committed baseline, so the benchdiff gate catches either
 // side drifting.
 func writeRows() []microResult {
-	build := func() *document.Document {
-		d, err := document.FromTree(writeFixture(writeCells, writePad), document.Options{})
+	build := func(opts document.Options) *document.Document {
+		d, err := document.FromTree(writeFixture(writeCells, writePad), opts)
 		if err != nil {
 			panic(err)
 		}
@@ -601,10 +602,7 @@ func writeRows() []microResult {
 	var rows []microResult
 
 	// batch=1: every mutation assembles and publishes its own epoch.
-	{
-		d := build()
-		e0 := d.Stats().Epoch
-		start := time.Now()
+	serialPairs := func(d *document.Document) {
 		for i := 0; i < writeMutations/2; i++ {
 			if _, err := d.Insert(cellPath(i), 0, xmltree.NewElement("w")); err != nil {
 				panic(err)
@@ -613,17 +611,33 @@ func writeRows() []microResult {
 				panic(err)
 			}
 		}
+	}
+	{
+		d := build(document.Options{})
+		e0 := d.Stats().Epoch
+		start := time.Now()
+		serialPairs(d)
 		el := time.Since(start)
 		rows = append(rows,
 			rate("write/mutation_ns/batch=1", writeMutations, el),
 			pseudo("write/publishes_per_kmutation/batch=1", 1000*float64(d.Stats().Epoch-e0)/writeMutations))
+	}
+	// The same stream once more, observed and untimed, for the index side of
+	// §3.2's update scope: postings re-encoded per mutation. It is a count —
+	// a pure function of the fixture and the stream — so the gate holds it
+	// to the committed value exactly as tightly as it holds a timing.
+	{
+		reg := obs.NewRegistry()
+		serialPairs(build(document.Options{Observe: reg}))
+		rows = append(rows, pseudo("write/postings_reencoded_per_mutation/batch=1",
+			float64(reg.Counter("index.delta_postings_reencoded").Value())/writeMutations))
 	}
 
 	// batch=64: the group committer coalesces the stream into merged-delta
 	// epochs; the writer acks at publication (Wait) like a synchronous
 	// client would.
 	{
-		d := build()
+		d := build(document.Options{})
 		if err := d.EnableGroupCommit(document.GroupConfig{MaxBatch: writeBatch}); err != nil {
 			panic(err)
 		}
@@ -661,7 +675,7 @@ func writeRows() []microResult {
 	// leader election actually coalesces fsyncs (a lone serial writer would
 	// measure raw fsync latency instead of the write path).
 	{
-		d := build()
+		d := build(document.Options{})
 		dir, err := os.MkdirTemp("", "ruidbench-wal-")
 		if err != nil {
 			panic(err)

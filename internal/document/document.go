@@ -49,7 +49,7 @@
 // writer copies only those areas' nodes plus the spine of ancestors up to
 // the document node (xmltree.CloneAlong), and the next epoch structurally
 // shares every untouched subtree, posting list and K row with the previous
-// epoch (core.CloneDelta, index.ApplyDeltaStats); the DataGuide is one
+// epoch (core.CloneDelta, index.ApplyDelta); the DataGuide is one
 // folded copy per batch (dataguide.Batch). Publication cost therefore scales
 // with the area budget, not the document size. Two invariants make the
 // sharing safe:
@@ -450,72 +450,68 @@ func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, mer
 //     delete leaves no trace — its intermediate identifiers never existed
 //     in any published posting list).
 //
-// Drops of batch-inserted nodes can surface identifiers prev never held
-// (the node was detached before publication); their removal entries filter
-// nothing and are harmless.
+// A node is pre-existing exactly when d.m2e still maps it: the mapping is
+// committed only after the epoch assembled. The index rejects an edit of an
+// identifier prev never held, so the test has to be exact — a node inserted
+// and then detached inside the batch (alone, or below an inserted subtree
+// that stays) must not reach it.
 func (d *Document) applyIndexBatch(prev *Snapshot, num *core.Numbering, deltas []*core.Delta) (*index.NameIndex, index.DeltaStats, error) {
-	// Elements inserted by this batch and still attached: their relabels
-	// and drops are batch-internal, not prev-epoch edits.
-	insertedNodes := make(map[*xmltree.Node]bool)
-	for _, delta := range deltas {
-		if delta.Inserted != nil {
-			delta.Inserted.Walk(func(x *xmltree.Node) bool {
-				if x.Kind == xmltree.Element {
-					insertedNodes[x] = true
-				}
-				return true
-			})
-		}
-	}
 	// First pre-batch identifier of every pre-existing element the batch
 	// touched, in application order.
 	orig := make(map[*xmltree.Node]core.ID)
+	note := func(x *xmltree.Node, id core.ID) {
+		if x.Kind != xmltree.Element || d.m2e[x] == nil {
+			return
+		}
+		if _, seen := orig[x]; !seen {
+			orig[x] = id
+		}
+	}
 	for _, delta := range deltas {
 		for _, r := range delta.Relabels {
-			if r.Node.Kind != xmltree.Element || insertedNodes[r.Node] {
-				continue
-			}
-			if _, seen := orig[r.Node]; !seen {
-				orig[r.Node] = r.Old
-			}
+			note(r.Node, r.Old)
 		}
 		for _, p := range delta.Dropped {
-			if p.Node.Kind != xmltree.Element || insertedNodes[p.Node] {
-				continue
-			}
-			if _, seen := orig[p.Node]; !seen {
-				orig[p.Node] = p.ID
-			}
+			note(p.Node, p.ID)
 		}
 	}
-	relabeled := make(map[string]map[core.ID]core.ID)
-	removed := make(map[string]map[core.ID]bool)
+	edits := make(map[string]*index.NameDelta)
+	edit := func(name string) *index.NameDelta {
+		nd := edits[name]
+		if nd == nil {
+			nd = &index.NameDelta{}
+			edits[name] = nd
+		}
+		return nd
+	}
 	for x, old := range orig {
-		if cur, ok := d.num.RUID(x); ok {
-			if cur != old {
-				m := relabeled[x.Name]
-				if m == nil {
-					m = make(map[core.ID]core.ID)
-					relabeled[x.Name] = m
+		if cur, ok := d.num.RUID(x); !ok {
+			nd := edit(x.Name)
+			nd.Removed = append(nd.Removed, old)
+		} else if cur != old {
+			nd := edit(x.Name)
+			nd.Relabeled = append(nd.Relabeled, index.IDPair{Old: old, New: cur})
+		}
+	}
+	// Elements inserted by this batch and still attached. An insert below an
+	// earlier insert of the same batch is walked twice, hence the set.
+	seen := make(map[*xmltree.Node]bool)
+	for _, delta := range deltas {
+		if delta.Inserted == nil {
+			continue
+		}
+		delta.Inserted.Walk(func(x *xmltree.Node) bool {
+			if x.Kind == xmltree.Element && !seen[x] {
+				seen[x] = true
+				if id, ok := d.num.RUID(x); ok {
+					nd := edit(x.Name)
+					nd.Inserted = append(nd.Inserted, id)
 				}
-				m[old] = cur
 			}
-		} else {
-			m := removed[x.Name]
-			if m == nil {
-				m = make(map[core.ID]bool)
-				removed[x.Name] = m
-			}
-			m[old] = true
-		}
+			return true
+		})
 	}
-	inserted := make(map[string][]core.ID)
-	for x := range insertedNodes {
-		if id, ok := d.num.RUID(x); ok {
-			inserted[x.Name] = append(inserted[x.Name], id)
-		}
-	}
-	return prev.Index().ApplyDeltaStats(num, relabeled, removed, inserted)
+	return prev.Index().ApplyDelta(num, edits)
 }
 
 // Snapshot pins the current epoch. The returned snapshot never changes;

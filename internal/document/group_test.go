@@ -204,6 +204,50 @@ func TestGroupCommitRollback(t *testing.T) {
 	assertDocsEqual(t, grouped, serial)
 }
 
+// TestBatchDeleteInsideInsertedSubtree: a batch that inserts a subtree and
+// then edits inside it — detaching one inserted element, adding another —
+// must still publish incrementally. The detached element was never in a
+// published posting list, so the index patch must not hear of it (the index
+// rejects edits of identifiers it never held, and a rejected patch falls
+// back to a full rebuild).
+func TestBatchDeleteInsideInsertedSubtree(t *testing.T) {
+	reg := obs.NewRegistry()
+	grouped, err := FromTree(xmltree.Recursive(2, 6), Options{
+		Partition: core.PartitionConfig{MaxAreaNodes: 8},
+		Observe:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := groupFixture(t)
+	muts := []batchMutation{
+		{insert: true, parent: "/book/section", pos: 0, xml: "<w1><t1/><t2/></w1>"},
+		{parent: "/book/section/w1", pos: 0}, // t1 goes before anyone saw it
+		{insert: true, parent: "/book/section/w1", pos: 1, xml: "<w4/>"},
+		{parent: "/book/section/section", pos: 2},
+	}
+	applySerial(t, serial, muts)
+
+	if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: 64, MaxDelay: 200 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer grouped.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, tk := range enqueueAll(t, grouped, muts) {
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	assertDocsEqual(t, grouped, serial)
+	if err := grouped.Snapshot().Index().CheckSorted(); err != nil {
+		t.Fatal(err)
+	}
+	if full, incr := reg.Counter("doc.publish_full").Value(), reg.Counter("doc.publish_incremental").Value(); full != 1 || incr != 1 {
+		t.Fatalf("published %d full and %d incremental epochs, want the open and one incremental batch", full, incr)
+	}
+}
+
 // TestGroupCommitWALRecovery: acked mutations must survive a crash — a
 // fresh document replaying the log lands byte-identical to the writer's
 // final state — and a torn tail must not resurrect the unacked suffix.

@@ -28,10 +28,13 @@ type docMetrics struct {
 	publishNS   *obs.Histogram
 
 	// ApplyDelta scope: how much of the index updates re-encode versus
-	// share (the paper's update-scope claim, measured per publication).
+	// share (the paper's update-scope claim, measured per publication), by
+	// name and, inside the touched names, by block.
 	namesTouched  *obs.Counter
 	namesShared   *obs.Counter
 	postingsReenc *obs.Counter
+	blocksReenc   *obs.Counter
+	blocksShared  *obs.Counter
 }
 
 func newDocMetrics(r *obs.Registry) *docMetrics {
@@ -51,6 +54,8 @@ func newDocMetrics(r *obs.Registry) *docMetrics {
 		namesTouched:  r.Counter("index.delta_names_touched"),
 		namesShared:   r.Counter("index.delta_names_shared"),
 		postingsReenc: r.Counter("index.delta_postings_reencoded"),
+		blocksReenc:   r.Counter("index.delta_blocks_reencoded"),
+		blocksShared:  r.Counter("index.delta_blocks_shared"),
 	}
 }
 
@@ -77,6 +82,8 @@ func (d *Document) noteEpochLocked(full bool, st index.DeltaStats, dur time.Dura
 		d.dm.namesTouched.Add(uint64(st.NamesTouched))
 		d.dm.namesShared.Add(uint64(st.NamesShared))
 		d.dm.postingsReenc.Add(uint64(st.PostingsReencoded))
+		d.dm.blocksReenc.Add(uint64(st.BlocksReencoded))
+		d.dm.blocksShared.Add(uint64(st.BlocksShared))
 	}
 	d.dm.publishNS.Observe(dur.Nanoseconds())
 	d.dm.epochsLive.Add(1)

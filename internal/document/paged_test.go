@@ -51,8 +51,9 @@ func queryPaths(t *testing.T, d *document.Document, q string) []string {
 // TestPagedEngineMatchesResident is the oracle test of the out-of-core
 // acceptance bar: the same document opened resident and opened with a tiny
 // buffer pool must answer every query identically — before and after a
-// series of identical structural updates (which exercise both incremental
-// payload maintenance and full re-page-out publications).
+// series of identical structural updates (which exercise incremental
+// payload maintenance, the block splice over paged input lists and full
+// re-page-out publications) — and must hold identical postings throughout.
 func TestPagedEngineMatchesResident(t *testing.T) {
 	src := pagedLibraryXML()
 	opts := document.Options{Partition: core.PartitionConfig{MaxAreaNodes: 32, AdjustFanout: true}}
@@ -77,6 +78,27 @@ func TestPagedEngineMatchesResident(t *testing.T) {
 			got := queryPaths(t, paged, q)
 			if strings.Join(got, "|") != strings.Join(want, "|") {
 				t.Fatalf("%s: Query(%q): paged %v, resident %v", stage, q, got, want)
+			}
+		}
+		// Below the queries: a write splices the paged engine's lists from
+		// paged input (block bytes faulted through the pool), the resident
+		// engine's from resident input, and both must hold the same postings.
+		rix, pix := resident.Snapshot().Index(), paged.Snapshot().Index()
+		if err := pix.CheckSorted(); err != nil {
+			t.Fatalf("%s: paged index: %v", stage, err)
+		}
+		if got, want := strings.Join(pix.Names(), " "), strings.Join(rix.Names(), " "); got != want {
+			t.Fatalf("%s: paged index names %q, resident %q", stage, got, want)
+		}
+		for _, name := range rix.Names() {
+			got, want := pix.RuidIDs(name), rix.RuidIDs(name)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %q: paged index holds %d postings, resident %d", stage, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: %q posting %d: paged %v, resident %v", stage, name, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 
 // Document-order sortedness is a maintained invariant of NameIndex
 // postings: Build emits walk order, and ApplyDelta preserves order by
-// substituting in place and splicing the one contiguous inserted run —
-// neither ever sorts. The parallel execution layer (internal/exec) leans on
+// substituting in place and merging inserted identifiers into the block
+// they belong to — neither ever sorts a list. The parallel execution layer (internal/exec) leans on
 // the invariant twice: contiguous posting shards can be joined
 // independently, and shard outputs merge by plain concatenation. Because
 // nothing re-sorts per query, a violation would surface as wrong query

@@ -465,13 +465,13 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.
 			return nil, plan, m.Err()
 		}
 		sp := tr.StartSpan("navigate")
-		nodes, err := p.engine.Query(q)
+		nodes := p.engine.Eval(plan.Paths)
 		sp.SetInt("out", int64(len(nodes)))
 		sp.End()
-		if err == nil && !m.ChargeResults(len(nodes)) {
+		if !m.ChargeResults(len(nodes)) {
 			return nil, plan, m.Err()
 		}
-		return nodes, plan, err
+		return nodes, plan, nil
 	}
 	// DataGuide pruning: a name chain absent from every label path cannot
 	// match; refuse it before running any join (§6 [4]: the guide lets

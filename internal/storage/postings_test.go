@@ -19,12 +19,14 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-func libraryXML() string {
+func libraryXML() string { return libraryOf(4, 6) }
+
+func libraryOf(shelves, books int) string {
 	var sb strings.Builder
 	sb.WriteString("<lib>")
-	for s := 0; s < 4; s++ {
+	for s := 0; s < shelves; s++ {
 		sb.WriteString("<shelf>")
-		for b := 0; b < 6; b++ {
+		for b := 0; b < books; b++ {
 			fmt.Fprintf(&sb, "<book><title>t%d.%d</title></book>", s, b)
 		}
 		sb.WriteString("</shelf>")
@@ -117,15 +119,32 @@ func TestPostingsSnapshotGolden(t *testing.T) {
 // TestPostingsSnapshotUnderUpdates is the property test of the acceptance
 // bar: after any randomized history of inserts and deletes flowing through
 // the incremental ApplyDelta publication path, every published epoch's
-// postings survive Save/Load byte-exactly.
+// postings survive Save/Load byte-exactly. The document's lists span
+// several blocks, so the block splice splits full blocks and coalesces
+// drained ones, and the partial-fill blocks that leaves in the middle of a
+// list are part of what must round-trip.
 func TestPostingsSnapshotUnderUpdates(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			d, err := document.OpenString(libraryXML(), document.Options{
+			d, err := document.OpenString(libraryOf(4, 50), document.Options{
 				Partition: core.PartitionConfig{MaxAreaNodes: 12, AdjustFanout: true},
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			var split, coalesced, partial bool
+			blocks := d.Snapshot().Index().Postings("book").List().NumBlocks()
+			check := func() {
+				t.Helper()
+				ix := d.Snapshot().Index()
+				checkRoundTrip(t, ix)
+				sks := ix.Postings("book").List().Skips()
+				split = split || len(sks) > blocks
+				coalesced = coalesced || len(sks) < blocks
+				blocks = len(sks)
+				for _, sk := range sks[:len(sks)-1] {
+					partial = partial || sk.N < index.BlockSize
+				}
 			}
 			r := rand.New(rand.NewSource(seed))
 			next := 1000
@@ -145,7 +164,18 @@ func TestPostingsSnapshotUnderUpdates(t *testing.T) {
 						}
 					}
 				}
-				checkRoundTrip(t, d.Snapshot().Index())
+				check()
+			}
+			// Drain one shelf: its blocks shrink until they fit a neighbour.
+			for i := 0; i < 45; i++ {
+				if _, err := d.Delete("/lib/shelf[1]", 0); err != nil {
+					t.Fatalf("drain %d: %v", i, err)
+				}
+				check()
+			}
+			if !split || !coalesced || !partial {
+				t.Fatalf("history split=%v coalesced=%v partial-fill=%v: it never left Build's block layout",
+					split, coalesced, partial)
 			}
 		})
 	}

@@ -83,16 +83,27 @@ func (e *Engine) Query(src string) ([]*xmltree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.Eval(paths), nil
+}
+
+// Eval evaluates an already parsed query — one location path, or the
+// members of a union — against the document root.
+func (e *Engine) Eval(paths []Path) []*xmltree.Node {
 	if len(paths) == 1 {
-		return e.Select(e.doc, paths[0]), nil
+		return e.Select(e.doc, paths[0])
 	}
-	return e.SelectUnion(e.doc, paths), nil
+	return e.SelectUnion(e.doc, paths)
 }
 
 // evalStep applies one location step to a node-set in document order.
 func (e *Engine) evalStep(ctx []*xmltree.Node, step Step) []*xmltree.Node {
 	var out []*xmltree.Node
-	seen := map[*xmltree.Node]bool{}
+	// One context node on one axis cannot yield a node twice; only merged
+	// contexts need the duplicate filter.
+	var seen map[*xmltree.Node]bool
+	if len(ctx) > 1 {
+		seen = map[*xmltree.Node]bool{}
+	}
 	for _, c := range ctx {
 		axis := e.axisNodes(c, step.Axis)
 		// Node test first (the "initial node-set" of the spec), then the
@@ -104,6 +115,17 @@ func (e *Engine) evalStep(ctx []*xmltree.Node, step Step) []*xmltree.Node {
 			}
 		}
 		for _, pred := range step.Predicates {
+			if k, ok := pred.(NumberLit); ok {
+				// A bare number is position() = k: it selects one node, or none
+				// when k is fractional or out of range, without evaluating
+				// anything per candidate.
+				if i := int(k); float64(i) == float64(k) && i >= 1 && i <= len(filtered) {
+					filtered = filtered[i-1 : i : i]
+				} else {
+					filtered = nil
+				}
+				continue
+			}
 			kept := filtered[:0:0]
 			for i, n := range filtered {
 				pos := i + 1 // axis order already honors direction
@@ -112,6 +134,10 @@ func (e *Engine) evalStep(ctx []*xmltree.Node, step Step) []*xmltree.Node {
 				}
 			}
 			filtered = kept
+		}
+		if seen == nil { // c is the only context node
+			out = filtered
+			break
 		}
 		for _, n := range filtered {
 			if !seen[n] {

@@ -104,6 +104,18 @@ func TestQueriesPointer(t *testing.T) {
 		// The paper's element_1/*/element_2 pattern (§3.5): titles exactly
 		// two levels below the library.
 		{"/library/*/*", "title author author price title author price review title issue"},
+		// A bare number selects by position: nothing at 0, past the end or at
+		// a fraction, and positions restart after each predicate.
+		{"/library/book[0]", ""},
+		{"/library/book[3]", ""},
+		{"/library/book[1.5]", ""},
+		{"/library/book[2.0]", "book#b2"},
+		{"/library/*[title][3]", "journal#j1"},
+		{"/library/book[price > 40][1]", "book#b2"},
+		{"/library/book[2][1]", "book#b2"},
+		{"/library/book[1][2]", ""},
+		{"//author[2]", "author"}, // per context node: only b1 has a second author
+		{"//title/ancestor::*[1]", "book#b1 book#b2 journal#j1 article"},
 	}
 	for _, c := range cases {
 		got, err := e.Query(c.q)
