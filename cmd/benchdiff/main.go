@@ -54,15 +54,17 @@ func load(path string) (map[string]result, error) {
 }
 
 // requiredBenches must exist in every current run: the publication benches
-// (and the count of postings a mutation re-encodes, the index's half of the
-// paper's confined update scope) are the point of the gate; refuse to pass
-// a run in which they went missing (renamed, dropped from the harness).
+// (and the two exact counts: postings a mutation re-encodes, the index's
+// half of the paper's confined update scope, and nodes a count-only query
+// resolves, which is none) are the point of the gate; refuse to pass a run
+// in which they went missing (renamed, dropped from the harness).
 var requiredBenches = []string{
 	"epoch_publish/nodes=5000",
 	"epoch_publish/nodes=50000",
 	"write/mutation_ns/batch=1",
 	"write/mutation_ns/batch=64",
 	"write/postings_reencoded_per_mutation/batch=1",
+	"read/nodes_resolved_per_count_query",
 	"obs2/server_query/on",
 	"obs2/group_write/on",
 }

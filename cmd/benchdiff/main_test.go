@@ -45,6 +45,18 @@ func TestDiffRegression(t *testing.T) {
 	if !strings.Contains(sb.String(), "REGRESS join/a") {
 		t.Fatalf("report lacks REGRESS line:\n%s", sb.String())
 	}
+
+	// An exact count committed as 0 (nodes a count-only query resolves)
+	// holds only at 0: any positive value is beyond every ratio.
+	base = rows(withRequired(map[string]float64{"read/nodes_resolved_per_count_query": 0}))
+	sb.Reset()
+	if diff(&sb, base, base, 0.25, false) {
+		t.Fatalf("0 against a 0 baseline failed:\n%s", sb.String())
+	}
+	cur = rows(withRequired(map[string]float64{"read/nodes_resolved_per_count_query": 1}))
+	if !diff(&sb, base, cur, 0.25, false) {
+		t.Fatal("a count query that resolves a node passed a 0 baseline")
+	}
 }
 
 // TestDiffAddedBenchmark: a benchmark only in the current run must be

@@ -727,6 +727,39 @@ func writeRows() []microResult {
 	return rows
 }
 
+// readRows is the read path's exact count row: nodes resolved per count-only
+// request, over the five set-at-a-time queries of the end-to-end benchmark's
+// read_join workload (bench/spec.go joinSpecs) sent through Server.Query the
+// way that benchmark sends them. A count is answered on identifiers, so the
+// committed value is 0, and a 0-baseline row passes the gate only while the
+// current value is 0 too: any change that makes a count touch a node fails
+// CI.
+func readRows() []microResult {
+	reg := obs.NewRegistry()
+	srv := server.New(server.Config{Observe: reg})
+	if _, err := srv.Open("bench", xmltree.Serialize(xmltree.XMark(20, 1))); err != nil {
+		panic(err)
+	}
+	queries := []string{
+		"/site//item/name", "//listitem//text", "//open_auction[bidder]/itemref",
+		"/site/people/person[profile]/name", "//bidder/increase",
+	}
+	for _, q := range queries {
+		resp, err := srv.Query(context.Background(), "bench", server.QueryRequest{Query: q})
+		if err != nil {
+			panic(err)
+		}
+		if resp.Count == 0 || resp.Plan == "nav" {
+			panic(fmt.Sprintf("ruidbench: %q answered %d by a %s plan; the row needs non-empty identifier plans", q, resp.Count, resp.Plan))
+		}
+	}
+	return []microResult{{
+		Name:       "read/nodes_resolved_per_count_query",
+		Iterations: 1,
+		NsPerOp:    float64(reg.Counter("query.nodes_resolved").Value()) / float64(len(queries)),
+	}}
+}
+
 // Default scale of the out-of-core I/O rows: big enough that the stored
 // tables dwarf the ~5% pool and the baselines page on every chain, small
 // enough that a -json baseline run stays in tens of seconds.
@@ -920,6 +953,7 @@ func runMicrobench(out io.Writer) error {
 	}
 	results = append(results, bytesPerPostingRows()...)
 	results = append(results, writeRows()...)
+	results = append(results, readRows()...)
 	results = append(results, schemeRows...)
 	// The out-of-core rows always run at the default scale here so the
 	// committed baseline stays comparable run to run; -io-json re-measures

@@ -655,15 +655,17 @@ func (s *Snapshot) Query(q string) ([]*xmltree.Node, query.Plan, error) {
 	return s.planner.Run(q)
 }
 
-// QueryMetered is the general form of Query: the planner charges postings
-// scanned and result rows materialized against m as it executes, and a
-// query that exceeds a bound (or m's context) terminates early inside the
-// join kernels with the matching sentinel — budget.ErrPostingsBudget,
-// budget.ErrResultBudget, or the context's own error — and a nil node-set;
-// the caller inspects m afterwards for consumption. tr collects the
-// per-stage execution spans (EXPLAIN ANALYZE). A nil meter runs unbudgeted;
-// a nil trace untraced.
-func (s *Snapshot) QueryMetered(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.Node, query.Plan, error) {
+// QueryMetered is the general form of Query. It returns the answer as a
+// query.Result: Len counts it on identifiers alone, and Nodes — the only
+// step that touches the tree — is the caller's to take or leave. The
+// planner charges postings scanned and result rows materialized against m
+// as it executes, and a query that exceeds a bound (or m's context)
+// terminates early inside the join kernels with the matching sentinel —
+// budget.ErrPostingsBudget, budget.ErrResultBudget, or the context's own
+// error — and an empty Result; the caller inspects m afterwards for
+// consumption. tr collects the per-stage execution spans (EXPLAIN ANALYZE).
+// A nil meter runs unbudgeted; a nil trace untraced.
+func (s *Snapshot) QueryMetered(q string, tr *obs.Trace, m *budget.Meter) (query.Result, query.Plan, error) {
 	return s.planner.RunMetered(q, tr, m)
 }
 

@@ -91,7 +91,11 @@ func TestObservedDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("//book/title")
-	traced, _, err := d.Snapshot().QueryMetered("//book/title", tr, nil)
+	res, _, err := d.Snapshot().QueryMetered("//book/title", tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := res.Nodes()
 	if err != nil {
 		t.Fatal(err)
 	}

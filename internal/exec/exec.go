@@ -197,14 +197,6 @@ var pairBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]in
 func getPairBuf() *[]index.PairID  { poolGets.Add(1); return pairBufPool.Get().(*[]index.PairID) }
 func putPairBuf(b *[]index.PairID) { *b = (*b)[:0]; pairBufPool.Put(b) }
 
-var hitSetPool = sync.Pool{New: func() any { poolMisses.Add(1); return make(index.IDSet) }}
-
-func getHitSet() index.IDSet { poolGets.Add(1); return hitSetPool.Get().(index.IDSet) }
-func putHitSet(s index.IDSet) {
-	clear(s)
-	hitSetPool.Put(s)
-}
-
 var mergeScratchPool = sync.Pool{New: func() any { poolMisses.Add(1); return new(index.MergeScratch) }}
 
 func getMergeScratch() *index.MergeScratch {

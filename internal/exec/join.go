@@ -77,6 +77,7 @@ func (e *Executor) upwardJoin(n *core.Numbering, ancs, descs index.Postings) []i
 			return nil
 		}
 		pr := index.MakeProbe(ancs)
+		defer pr.Release()
 		return gatherPairs(e, shardBlocks(pl.NumBlocks(), p), func(r [2]int, buf []index.PairID) []index.PairID {
 			bs := e.blockScratch()
 			before := len(buf)
@@ -101,12 +102,13 @@ func (e *Executor) upwardJoin(n *core.Numbering, ancs, descs index.Postings) []i
 		return nil
 	}
 	pr := index.MakeProbe(ancs)
+	defer pr.Release()
 	return gatherPairs(e, ranges, func(r [2]int, buf []index.PairID) []index.PairID {
 		if !e.meter.ChargePostings(r[1] - r[0]) {
 			return buf
 		}
 		before := len(buf)
-		buf = index.AppendUpwardJoinRUID(n, pr.Set, ids[r[0]:r[1]], buf)
+		buf = index.AppendUpwardJoinRUID(n, &pr.Set, ids[r[0]:r[1]], buf)
 		e.meter.ChargeResults(len(buf) - before)
 		return buf
 	})
@@ -142,6 +144,7 @@ func (e *Executor) mergeJoin(n *core.Numbering, ancs, descs index.Postings) []in
 		}
 		ancIDs := ancs.Materialize()
 		pr := index.MakeProbe(index.SlicePostings(ancIDs))
+		defer pr.Release()
 		return gatherPairs(e, shardBlocks(pl.NumBlocks(), p), func(r [2]int, buf []index.PairID) []index.PairID {
 			sc := getMergeScratch()
 			bs := e.blockScratch()
@@ -168,7 +171,8 @@ func (e *Executor) mergeJoin(n *core.Numbering, ancs, descs index.Postings) []in
 		return nil
 	}
 	ancIDs := ancs.Materialize()
-	ancSet := index.MakeIDSet(ancIDs)
+	pr := index.MakeProbe(index.SlicePostings(ancIDs))
+	defer pr.Release()
 	return gatherPairs(e, ranges, func(r [2]int, buf []index.PairID) []index.PairID {
 		if !e.meter.ChargePostings(r[1] - r[0]) {
 			return buf
@@ -184,7 +188,7 @@ func (e *Executor) mergeJoin(n *core.Numbering, ancs, descs index.Postings) []in
 		// the subset present in ancs, outermost first. chain[0] is d0 itself.
 		seed := *seedBuf
 		for j := len(chain) - 1; j >= 1; j-- {
-			if _, in := ancSet[chain[j]]; in {
+			if pr.Set.Has(chain[j]) {
 				seed = append(seed, chain[j])
 			}
 		}
@@ -222,6 +226,7 @@ func (e *Executor) upwardSemiJoin(n *core.Numbering, ancs, descs index.Postings)
 			return nil
 		}
 		pr := index.MakeProbe(ancs)
+		defer pr.Release()
 		return gatherIDs(e, shardBlocks(pl.NumBlocks(), p), func(r [2]int, buf []core.ID) []core.ID {
 			bs := e.blockScratch()
 			before := len(buf)
@@ -246,12 +251,13 @@ func (e *Executor) upwardSemiJoin(n *core.Numbering, ancs, descs index.Postings)
 		return nil
 	}
 	pr := index.MakeProbe(ancs)
+	defer pr.Release()
 	return gatherIDs(e, ranges, func(r [2]int, buf []core.ID) []core.ID {
 		if !e.meter.ChargePostings(r[1] - r[0]) {
 			return buf
 		}
 		before := len(buf)
-		buf = index.AppendUpwardSemiJoinRUID(n, pr.Set, ids[r[0]:r[1]], buf)
+		buf = index.AppendUpwardSemiJoinRUID(n, &pr.Set, ids[r[0]:r[1]], buf)
 		e.meter.ChargeResults(len(buf) - before)
 		return buf
 	})
@@ -279,6 +285,7 @@ func (e *Executor) parentSemiJoin(n *core.Numbering, ancs, descs index.Postings)
 			return nil
 		}
 		pr := index.MakeProbe(ancs)
+		defer pr.Release()
 		return gatherIDs(e, shardBlocks(pl.NumBlocks(), p), func(r [2]int, buf []core.ID) []core.ID {
 			bs := e.blockScratch()
 			before := len(buf)
@@ -303,12 +310,13 @@ func (e *Executor) parentSemiJoin(n *core.Numbering, ancs, descs index.Postings)
 		return nil
 	}
 	pr := index.MakeProbe(ancs)
+	defer pr.Release()
 	return gatherIDs(e, ranges, func(r [2]int, buf []core.ID) []core.ID {
 		if !e.meter.ChargePostings(r[1] - r[0]) {
 			return buf
 		}
 		before := len(buf)
-		buf = index.AppendParentSemiJoinRUID(n, pr.Set, ids[r[0]:r[1]], buf)
+		buf = index.AppendParentSemiJoinRUID(n, &pr.Set, ids[r[0]:r[1]], buf)
 		e.meter.ChargeResults(len(buf) - before)
 		return buf
 	})
@@ -317,7 +325,7 @@ func (e *Executor) parentSemiJoin(n *core.Numbering, ancs, descs index.Postings)
 // AncestorSemiJoin is index.AncestorSemiJoinPostings with the probing half
 // sharded over descs: the members of ancs having at least one proper
 // descendant in descs, in ancs order. Shards accumulate private hit sets;
-// the union is filtered through ancs serially, which restores order without
+// ancs is then filtered through them serially, which restores order without
 // a sort.
 func (e *Executor) AncestorSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
 	if !e.instrumented() {
@@ -332,10 +340,10 @@ func (e *Executor) AncestorSemiJoin(n *core.Numbering, ancs, descs index.Posting
 func (e *Executor) ancestorSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
 	return e.hitSemiJoin(ancs, descs,
 		func() []core.ID { return index.AncestorSemiJoinPostings(n, ancs, descs) },
-		func(pr *index.Probe, run []core.ID, hit index.IDSet) {
-			index.CollectAncestorHitsRUID(n, pr.Set, run, hit)
+		func(pr *index.Probe, run []core.ID, hit *index.IDSet) {
+			index.CollectAncestorHitsRUID(n, &pr.Set, run, hit)
 		},
-		func(pr *index.Probe, pl *index.PostingList, lo, hi int, bs *index.BlockScratch, hit index.IDSet) {
+		func(pr *index.Probe, pl *index.PostingList, lo, hi int, bs *index.BlockScratch, hit *index.IDSet) {
 			index.CollectAncestorHitsBlocks(n, pr, pl, lo, hi, bs, hit)
 		})
 }
@@ -356,10 +364,10 @@ func (e *Executor) ChildSemiJoin(n *core.Numbering, ancs, descs index.Postings) 
 func (e *Executor) childSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
 	return e.hitSemiJoin(ancs, descs,
 		func() []core.ID { return index.ChildSemiJoinPostings(n, ancs, descs) },
-		func(pr *index.Probe, run []core.ID, hit index.IDSet) {
-			index.CollectChildHitsRUID(n, pr.Set, run, hit)
+		func(pr *index.Probe, run []core.ID, hit *index.IDSet) {
+			index.CollectChildHitsRUID(n, &pr.Set, run, hit)
 		},
-		func(pr *index.Probe, pl *index.PostingList, lo, hi int, bs *index.BlockScratch, hit index.IDSet) {
+		func(pr *index.Probe, pl *index.PostingList, lo, hi int, bs *index.BlockScratch, hit *index.IDSet) {
 			index.CollectChildHitsBlocks(n, pr, pl, lo, hi, bs, hit)
 		})
 }
@@ -367,8 +375,8 @@ func (e *Executor) childSemiJoin(n *core.Numbering, ancs, descs index.Postings) 
 func (e *Executor) hitSemiJoin(
 	ancs, descs index.Postings,
 	serial func() []core.ID,
-	collectRun func(pr *index.Probe, run []core.ID, hit index.IDSet),
-	collectBlocks func(pr *index.Probe, pl *index.PostingList, lo, hi int, bs *index.BlockScratch, hit index.IDSet),
+	collectRun func(pr *index.Probe, run []core.ID, hit *index.IDSet),
+	collectBlocks func(pr *index.Probe, pl *index.PostingList, lo, hi int, bs *index.BlockScratch, hit *index.IDSet),
 ) []core.ID {
 	p := e.workersFor(ancs.Len() + descs.Len())
 	var ranges [][2]int
@@ -392,33 +400,40 @@ func (e *Executor) hitSemiJoin(
 		return nil
 	}
 	pr := index.MakeProbe(ancs)
-	hits := make([]index.IDSet, len(ranges))
+	defer pr.Release()
+	hits := make([]*index.IDSet, len(ranges))
+	perUnit := 1 // descendants per unit of a range: ids, or whole blocks
+	if pl != nil {
+		perUnit = index.BlockSize
+	}
 	clock := e.newShardClock(len(ranges))
 	e.run(len(ranges), func(s int) {
 		t := clock.start()
-		hit := getHitSet()
+		lo, hi := ranges[s][0], ranges[s][1]
+		// A hit is a probe member, and a shard of m descendants seldom hits
+		// more than m of them; a shard that does grows its table.
+		hit := index.AcquireIDSet(min(ancs.Len(), (hi-lo)*perUnit))
 		if pl != nil {
 			bs := e.blockScratch()
-			collectBlocks(pr, pl, ranges[s][0], ranges[s][1], bs, hit)
+			collectBlocks(pr, pl, lo, hi, bs, hit)
 			e.noteBlockStats(&bs.Stats)
 			putBlockScratch(bs)
-		} else if e.meter.ChargePostings(ranges[s][1] - ranges[s][0]) {
-			collectRun(pr, descIDs[ranges[s][0]:ranges[s][1]], hit)
+		} else if e.meter.ChargePostings(hi - lo) {
+			collectRun(pr, descIDs[lo:hi], hit)
 		}
 		hits[s] = hit
 		clock.stop(s, t)
 	})
 	clock.note(e)
-	union := hits[0]
-	for _, h := range hits[1:] {
-		for id := range h {
-			union[id] = struct{}{}
-		}
+	// Two shards can hit the same ancestor, so the sum bounds the output.
+	total := 0
+	for _, h := range hits {
+		total += h.Len()
 	}
-	out := index.AppendHitMembersPostings(ancs, union, make([]core.ID, 0, len(union)))
+	out := index.AppendHitMembersPostings(ancs, hits, make([]core.ID, 0, min(ancs.Len(), total)))
 	e.meter.ChargeResults(len(out))
 	for _, h := range hits {
-		putHitSet(h)
+		h.Release()
 	}
 	return out
 }

@@ -27,7 +27,9 @@ import (
 // determinism tests).
 
 // Pool traffic counters, global because the pools are. A miss is a Get that
-// fell through to the pool's New; hit rate = 1 - misses/gets.
+// fell through to the pool's New; hit rate = 1 - misses/gets. The probe and
+// hit-set pools live in package index, next to the serial join forms that
+// also draw from them, and are reported here with the executor's own.
 var (
 	poolGets   atomic.Int64
 	poolMisses atomic.Int64
@@ -53,8 +55,8 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 	if r == nil {
 		return nil
 	}
-	r.RegisterFunc("exec.pool_gets", poolGets.Load)
-	r.RegisterFunc("exec.pool_misses", poolMisses.Load)
+	r.RegisterFunc("exec.pool_gets", func() int64 { g, _ := index.PoolTraffic(); return g + poolGets.Load() })
+	r.RegisterFunc("exec.pool_misses", func() int64 { _, m := index.PoolTraffic(); return m + poolMisses.Load() })
 	return &execMetrics{
 		ops:            r.Counter("exec.ops"),
 		opNS:           r.Histogram("exec.op_ns"),

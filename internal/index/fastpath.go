@@ -9,13 +9,14 @@ import (
 // identifier is boxed behind the scheme.ID interface, and the hash-set
 // probe allocates a key string from ID.Key(). The *RUID variants below
 // exploit that core.ID is a small comparable value type: the probe sets
-// are map[core.ID] (hashed in place, no allocation), the parent chain is
-// computed with the concrete RParent, and the output slices are
-// preallocated from the input cardinalities. Both paths return identical
-// results; TestFastPathAgree pins that.
+// are flat pooled tables of inline identifiers (IDSet: three integers
+// hashed, no allocation), the parent chain is computed with the concrete
+// RParent, and the output slices are preallocated from the input
+// cardinalities. Both paths return identical results; TestFastPathAgree
+// pins that.
 //
-// Each join is split into a probe-set constructor (MakeIDSet) and an
-// Append* kernel that processes one contiguous run of descendants into a
+// Each join is split into a probe constructor (MakeProbe) and an Append*
+// kernel that processes one contiguous run of descendants into a
 // caller-supplied buffer. The one-shot *RUID functions below are thin
 // wrappers; internal/exec shards the same kernels by frame area and runs
 // them concurrently against one shared probe set.
@@ -24,20 +25,6 @@ import (
 type PairID struct {
 	Ancestor   core.ID
 	Descendant core.ID
-}
-
-// IDSet is an allocation-free membership probe over concrete identifiers —
-// the hash side of the upward joins. It is built once per join and then
-// only read, so concurrent shard kernels may share one instance.
-type IDSet map[core.ID]struct{}
-
-// MakeIDSet builds the probe set of ids.
-func MakeIDSet(ids []core.ID) IDSet {
-	set := make(IDSet, len(ids))
-	for _, id := range ids {
-		set[id] = struct{}{}
-	}
-	return set
 }
 
 // rparentID climbs one step with the concrete rparent arithmetic; a foreign
@@ -54,7 +41,7 @@ func rparentID(n *core.Numbering, id core.ID) (core.ID, bool) {
 // for every d in descs whose ancestor chain hits set, the (ancestor, d)
 // pairs are appended to out in climb order (nearest ancestor first), and
 // the extended slice is returned.
-func AppendUpwardJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out []PairID) []PairID {
+func AppendUpwardJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, out []PairID) []PairID {
 	for _, d := range descs {
 		cur := d
 		for {
@@ -62,7 +49,7 @@ func AppendUpwardJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out []P
 			if !ok {
 				break
 			}
-			if _, hit := set[p]; hit {
+			if set.Has(p) {
 				out = append(out, PairID{Ancestor: p, Descendant: d})
 			}
 			cur = p
@@ -75,13 +62,13 @@ func AppendUpwardJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out []P
 // a ∈ ancs a proper ancestor of d ∈ descs, in document order of the
 // descendant, computed by rparent arithmetic against a hash of ancs.
 func UpwardJoinRUID(n *core.Numbering, ancs, descs []core.ID) []PairID {
-	return AppendUpwardJoinRUID(n, MakeIDSet(ancs), descs, make([]PairID, 0, len(descs)))
+	return UpwardJoinPostings(n, SlicePostings(ancs), SlicePostings(descs))
 }
 
 // AppendUpwardSemiJoinRUID is the upward-semi-join kernel over one
 // descendant run: every d in descs with at least one ancestor in set is
 // appended to out (input order preserved).
-func AppendUpwardSemiJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out []core.ID) []core.ID {
+func AppendUpwardSemiJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, out []core.ID) []core.ID {
 	for _, d := range descs {
 		cur := d
 		for {
@@ -89,7 +76,7 @@ func AppendUpwardSemiJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out
 			if !ok {
 				break
 			}
-			if _, hit := set[p]; hit {
+			if set.Has(p) {
 				out = append(out, d)
 				break
 			}
@@ -102,18 +89,16 @@ func AppendUpwardSemiJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out
 // UpwardSemiJoinRUID is the unboxed form of UpwardSemiJoin: the descendants
 // of descs having at least one ancestor in ancs, in input order.
 func UpwardSemiJoinRUID(n *core.Numbering, ancs, descs []core.ID) []core.ID {
-	return AppendUpwardSemiJoinRUID(n, MakeIDSet(ancs), descs, make([]core.ID, 0, len(descs)))
+	return UpwardSemiJoinPostings(n, SlicePostings(ancs), SlicePostings(descs))
 }
 
 // AppendParentSemiJoinRUID is the parent-semi-join kernel over one
 // descendant run: every d in descs whose direct parent is in set is
 // appended to out. One rparent computation per candidate.
-func AppendParentSemiJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out []core.ID) []core.ID {
+func AppendParentSemiJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, out []core.ID) []core.ID {
 	for _, d := range descs {
-		if p, ok := rparentID(n, d); ok {
-			if _, hit := set[p]; hit {
-				out = append(out, d)
-			}
+		if p, ok := rparentID(n, d); ok && set.Has(p) {
+			out = append(out, d)
 		}
 	}
 	return out
@@ -123,14 +108,14 @@ func AppendParentSemiJoinRUID(n *core.Numbering, set IDSet, descs []core.ID, out
 // of descs whose direct parent is in ancs, in input order. One rparent
 // computation per candidate.
 func ParentSemiJoinRUID(n *core.Numbering, ancs, descs []core.ID) []core.ID {
-	return AppendParentSemiJoinRUID(n, MakeIDSet(ancs), descs, make([]core.ID, 0, len(descs)))
+	return ParentSemiJoinPostings(n, SlicePostings(ancs), SlicePostings(descs))
 }
 
 // CollectAncestorHitsRUID is the probing half of the ancestor semi-join
 // over one descendant run: every member of set found on the ancestor chain
 // of some d ∈ descs is recorded in hit. Each shard accumulates into its own
-// hit set; the caller unions them and filters the ancestor list in order.
-func CollectAncestorHitsRUID(n *core.Numbering, set IDSet, descs []core.ID, hit IDSet) {
+// hit set; the caller filters the ancestor list through them in order.
+func CollectAncestorHitsRUID(n *core.Numbering, set *IDSet, descs []core.ID, hit *IDSet) {
 	for _, d := range descs {
 		cur := d
 		for {
@@ -138,8 +123,8 @@ func CollectAncestorHitsRUID(n *core.Numbering, set IDSet, descs []core.ID, hit 
 			if !ok {
 				break
 			}
-			if _, in := set[p]; in {
-				hit[p] = struct{}{}
+			if set.Has(p) {
+				hit.Add(p)
 			}
 			cur = p
 		}
@@ -150,21 +135,16 @@ func CollectAncestorHitsRUID(n *core.Numbering, set IDSet, descs []core.ID, hit 
 // ancestors of ancs having at least one proper descendant in descs, in
 // ancs order.
 func AncestorSemiJoinRUID(n *core.Numbering, ancs, descs []core.ID) []core.ID {
-	set := MakeIDSet(ancs)
-	hit := make(IDSet)
-	CollectAncestorHitsRUID(n, set, descs, hit)
-	return AppendHitMembersRUID(ancs, hit, make([]core.ID, 0, len(hit)))
+	return AncestorSemiJoinPostings(n, SlicePostings(ancs), SlicePostings(descs))
 }
 
 // CollectChildHitsRUID is the probing half of the child semi-join over one
 // descendant run: every member of set that is the direct parent of some
 // d ∈ descs is recorded in hit.
-func CollectChildHitsRUID(n *core.Numbering, set IDSet, descs []core.ID, hit IDSet) {
+func CollectChildHitsRUID(n *core.Numbering, set *IDSet, descs []core.ID, hit *IDSet) {
 	for _, d := range descs {
-		if p, ok := rparentID(n, d); ok {
-			if _, in := set[p]; in {
-				hit[p] = struct{}{}
-			}
+		if p, ok := rparentID(n, d); ok && set.Has(p) {
+			hit.Add(p)
 		}
 	}
 }
@@ -172,19 +152,21 @@ func CollectChildHitsRUID(n *core.Numbering, set IDSet, descs []core.ID, hit IDS
 // ChildSemiJoinRUID is the unboxed form of ChildSemiJoin: the ancestors of
 // ancs having at least one direct child in descs, in ancs order.
 func ChildSemiJoinRUID(n *core.Numbering, ancs, descs []core.ID) []core.ID {
-	set := MakeIDSet(ancs)
-	hit := make(IDSet)
-	CollectChildHitsRUID(n, set, descs, hit)
-	return AppendHitMembersRUID(ancs, hit, make([]core.ID, 0, len(hit)))
+	return ChildSemiJoinPostings(n, SlicePostings(ancs), SlicePostings(descs))
 }
 
-// AppendHitMembersRUID appends the members of ids present in hit to out,
-// preserving ids order — the emission half of both bottom-up semi-joins.
-// internal/exec calls it once on the union of per-shard hit sets.
-func AppendHitMembersRUID(ids []core.ID, hit IDSet, out []core.ID) []core.ID {
+// AppendHitMembersRUID appends the members of ids present in any of hits to
+// out, preserving ids order — the emission half of both bottom-up
+// semi-joins. The serial forms pass their one hit set; internal/exec passes
+// its per-shard sets as they are, since filtering the ancestor list through
+// them restores order without a sort and without building their union.
+func AppendHitMembersRUID(ids []core.ID, hits []*IDSet, out []core.ID) []core.ID {
 	for _, a := range ids {
-		if _, in := hit[a]; in {
-			out = append(out, a)
+		for _, hit := range hits {
+			if hit.Has(a) {
+				out = append(out, a)
+				break
+			}
 		}
 	}
 	return out

@@ -278,7 +278,7 @@ func TestProbeSkipIsSound(t *testing.T) {
 				for _, d := range pl.AppendBlock(b, nil) {
 					chain = n.AppendAncestorChainID(chain[:0], d)
 					for _, a := range chain[1:] {
-						if _, in := pr.Set[a]; in {
+						if pr.Set.Has(a) {
 							t.Fatalf("probe(%s) skipped block %d of %s containing hit %v under %v",
 								ancName, b, descName, a, d)
 						}

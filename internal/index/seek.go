@@ -2,6 +2,7 @@ package index
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/budget"
 	"repro/internal/core"
@@ -29,16 +30,42 @@ import (
 type Probe struct {
 	Set IDSet
 	ids []core.ID
+	buf []core.ID // decode scratch a pooled probe keeps; ids aliases it for a block view
+
+	pooled bool // back in its pool: a second Release would hand it to two joins
 }
 
-// MakeProbe builds the probe for p. A slice view shares its backing
-// slice; a block view is decoded once.
+var probePool = sync.Pool{New: func() any { poolMisses.Add(1); return new(Probe) }}
+
+// MakeProbe builds the probe for p in a pooled table; the caller releases
+// it once every kernel reading it has returned. A slice view shares its
+// backing slice; a block view is decoded once, into the probe's own scratch.
 func MakeProbe(p Postings) *Probe {
-	pr := &Probe{Set: make(IDSet, p.Len()), ids: p.Materialize()}
+	poolGets.Add(1)
+	pr := probePool.Get().(*Probe)
+	pr.pooled = false
+	if pl := p.List(); pl != nil {
+		pr.buf = pl.AppendAll(pr.buf[:0])
+		pr.ids = pr.buf
+	} else {
+		pr.ids = p.Slice()
+	}
+	pr.Set.Reset(len(pr.ids))
 	for _, id := range pr.ids {
-		pr.Set[id] = struct{}{}
+		pr.Set.Add(id)
 	}
 	return pr
+}
+
+// Release returns the probe to its pool. The caller must not use it
+// afterwards; join outputs never alias it.
+func (pr *Probe) Release() {
+	if pr.pooled {
+		panic("index: Probe released twice")
+	}
+	pr.pooled = true
+	pr.ids = nil
+	probePool.Put(pr)
 }
 
 // mayContribute reports whether the block described by sk can produce a
@@ -55,7 +82,7 @@ func (pr *Probe) mayContribute(n *core.Numbering, sk *Skip, chain *[]core.ID) bo
 	}
 	*chain = n.AppendAncestorChainID((*chain)[:0], sk.First)
 	for _, a := range *chain {
-		if _, ok := pr.Set[a]; ok {
+		if pr.Set.Has(a) {
 			return true
 		}
 	}
@@ -175,7 +202,7 @@ func AppendUpwardJoinBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, h
 		cand = nil
 	}
 	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		out = AppendUpwardJoinRUID(n, pr.Set, ids, out)
+		out = AppendUpwardJoinRUID(n, &pr.Set, ids, out)
 	})
 	return out
 }
@@ -188,7 +215,7 @@ func AppendUpwardSemiJoinBlocks(n *core.Numbering, pr *Probe, pl *PostingList, l
 		cand = nil
 	}
 	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		out = AppendUpwardSemiJoinRUID(n, pr.Set, ids, out)
+		out = AppendUpwardSemiJoinRUID(n, &pr.Set, ids, out)
 	})
 	return out
 }
@@ -201,32 +228,32 @@ func AppendParentSemiJoinBlocks(n *core.Numbering, pr *Probe, pl *PostingList, l
 		cand = nil
 	}
 	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		out = AppendParentSemiJoinRUID(n, pr.Set, ids, out)
+		out = AppendParentSemiJoinRUID(n, &pr.Set, ids, out)
 	})
 	return out
 }
 
 // CollectAncestorHitsBlocks runs the ancestor-hit collector over blocks
 // [lo, hi) of pl with block skipping, accumulating into hit.
-func CollectAncestorHitsBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, hit IDSet) {
+func CollectAncestorHitsBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, hit *IDSet) {
 	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
 	if pr.admitAll(pl) {
 		cand = nil
 	}
 	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		CollectAncestorHitsRUID(n, pr.Set, ids, hit)
+		CollectAncestorHitsRUID(n, &pr.Set, ids, hit)
 	})
 }
 
 // CollectChildHitsBlocks runs the child-hit collector over blocks [lo, hi)
 // of pl with block skipping, accumulating into hit.
-func CollectChildHitsBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, hit IDSet) {
+func CollectChildHitsBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, hit *IDSet) {
 	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
 	if pr.admitAll(pl) {
 		cand = nil
 	}
 	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		CollectChildHitsRUID(n, pr.Set, ids, hit)
+		CollectChildHitsRUID(n, &pr.Set, ids, hit)
 	})
 }
 
@@ -254,7 +281,7 @@ func AppendMergeJoinBlocks(n *core.Numbering, ancs []core.ID, pr *Probe, pl *Pos
 		// subset present in ancs, outermost first.
 		seed = seed[:0]
 		for j := len(chain) - 1; j >= 1; j-- {
-			if _, in := pr.Set[chain[j]]; in {
+			if pr.Set.Has(chain[j]) {
 				seed = append(seed, chain[j])
 			}
 		}
@@ -271,12 +298,13 @@ func AppendMergeJoinBlocks(n *core.Numbering, ancs []core.ID, pr *Probe, pl *Pos
 // UpwardJoinPostings is UpwardJoinRUID over Postings views.
 func UpwardJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
 	pr := MakeProbe(ancs)
+	defer pr.Release()
 	out := make([]PairID, 0, descs.Len())
 	if pl := descs.List(); pl != nil {
 		var bs BlockScratch
 		return AppendUpwardJoinBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, out)
 	}
-	return AppendUpwardJoinRUID(n, pr.Set, descs.Slice(), out)
+	return AppendUpwardJoinRUID(n, &pr.Set, descs.Slice(), out)
 }
 
 // MergeJoinPostings is MergeJoinRUID over Postings views. The ancestor side
@@ -287,6 +315,7 @@ func MergeJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
 	out := make([]PairID, 0, descs.Len())
 	if pl := descs.List(); pl != nil {
 		pr := MakeProbe(SlicePostings(ancIDs))
+		defer pr.Release()
 		var sc MergeScratch
 		var bs BlockScratch
 		return AppendMergeJoinBlocks(n, ancIDs, pr, pl, 0, pl.NumBlocks(), &sc, &bs, out)
@@ -298,61 +327,67 @@ func MergeJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
 // UpwardSemiJoinPostings is UpwardSemiJoinRUID over Postings views.
 func UpwardSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
 	pr := MakeProbe(ancs)
+	defer pr.Release()
 	out := make([]core.ID, 0, descs.Len())
 	if pl := descs.List(); pl != nil {
 		var bs BlockScratch
 		return AppendUpwardSemiJoinBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, out)
 	}
-	return AppendUpwardSemiJoinRUID(n, pr.Set, descs.Slice(), out)
+	return AppendUpwardSemiJoinRUID(n, &pr.Set, descs.Slice(), out)
 }
 
 // ParentSemiJoinPostings is ParentSemiJoinRUID over Postings views.
 func ParentSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
 	pr := MakeProbe(ancs)
+	defer pr.Release()
 	out := make([]core.ID, 0, descs.Len())
 	if pl := descs.List(); pl != nil {
 		var bs BlockScratch
 		return AppendParentSemiJoinBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, out)
 	}
-	return AppendParentSemiJoinRUID(n, pr.Set, descs.Slice(), out)
+	return AppendParentSemiJoinRUID(n, &pr.Set, descs.Slice(), out)
 }
 
 // AncestorSemiJoinPostings is AncestorSemiJoinRUID over Postings views.
 func AncestorSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
 	pr := MakeProbe(ancs)
-	hit := make(IDSet)
+	defer pr.Release()
+	hit := AcquireIDSet(min(ancs.Len(), descs.Len()))
+	defer hit.Release()
 	if pl := descs.List(); pl != nil {
 		var bs BlockScratch
 		CollectAncestorHitsBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, hit)
 	} else {
-		CollectAncestorHitsRUID(n, pr.Set, descs.Slice(), hit)
+		CollectAncestorHitsRUID(n, &pr.Set, descs.Slice(), hit)
 	}
-	return AppendHitMembersPostings(ancs, hit, make([]core.ID, 0, len(hit)))
+	return AppendHitMembersPostings(ancs, []*IDSet{hit}, make([]core.ID, 0, hit.Len()))
 }
 
 // ChildSemiJoinPostings is ChildSemiJoinRUID over Postings views.
 func ChildSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
 	pr := MakeProbe(ancs)
-	hit := make(IDSet)
+	defer pr.Release()
+	hit := AcquireIDSet(min(ancs.Len(), descs.Len()))
+	defer hit.Release()
 	if pl := descs.List(); pl != nil {
 		var bs BlockScratch
 		CollectChildHitsBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, hit)
 	} else {
-		CollectChildHitsRUID(n, pr.Set, descs.Slice(), hit)
+		CollectChildHitsRUID(n, &pr.Set, descs.Slice(), hit)
 	}
-	return AppendHitMembersPostings(ancs, hit, make([]core.ID, 0, len(hit)))
+	return AppendHitMembersPostings(ancs, []*IDSet{hit}, make([]core.ID, 0, hit.Len()))
 }
 
-// AppendHitMembersPostings appends the members of p present in hit to out
-// in p's order — AppendHitMembersRUID generalized to a Postings view,
-// decoding blockwise so the full ancestor slice is never built.
-func AppendHitMembersPostings(p Postings, hit IDSet, out []core.ID) []core.ID {
+// AppendHitMembersPostings appends the members of p present in any of hits
+// to out in p's order — AppendHitMembersRUID generalized to a Postings
+// view, decoding blockwise so the full ancestor slice is never built.
+func AppendHitMembersPostings(p Postings, hits []*IDSet, out []core.ID) []core.ID {
 	if pl := p.List(); pl != nil {
 		var buf [BlockSize]core.ID
 		for b := range pl.skips {
-			out = AppendHitMembersRUID(pl.AppendBlock(b, buf[:0]), hit, out)
+			out = AppendHitMembersRUID(pl.AppendBlock(b, buf[:0]), hits, out)
 		}
 		return out
 	}
-	return AppendHitMembersRUID(p.Slice(), hit, out)
+	return AppendHitMembersRUID(p.Slice(), hits, out)
 }

@@ -16,9 +16,17 @@ import (
 // with a nil node-set, whatever plan the query takes.
 
 // runBudget runs q under a fresh meter over ctx and lim, the way the server
-// builds one per request.
+// builds one per request, and resolves the answer.
 func runBudget(p *query.Planner, ctx context.Context, q string, lim budget.Limits) ([]*xmltree.Node, query.Plan, error) {
-	return p.RunMetered(q, nil, budget.NewMeter(ctx, lim))
+	res, plan, err := p.RunMetered(q, nil, budget.NewMeter(ctx, lim))
+	if err != nil {
+		if res.Len() != 0 {
+			panic("a failed query returned a non-empty Result")
+		}
+		return nil, plan, err
+	}
+	nodes, err := res.Nodes()
+	return nodes, plan, err
 }
 
 func TestRunBudgetGenerousMatchesRun(t *testing.T) {

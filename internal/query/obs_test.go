@@ -67,7 +67,11 @@ func TestRunMeteredTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("//section//title")
-	got, plan, err := p.RunMetered("//section//title", tr, nil)
+	res, plan, err := p.RunMetered("//section//title", tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.Nodes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +160,8 @@ func TestRunMeteredTracedNavAndPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Fatalf("pruned query returned %d nodes", len(got))
+	if got.Len() != 0 {
+		t.Fatalf("pruned query returned %d nodes", got.Len())
 	}
 	sb.Reset()
 	tr.Render(&sb)

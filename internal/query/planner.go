@@ -12,6 +12,7 @@ package query
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/budget"
@@ -148,6 +149,7 @@ type plannerMetrics struct {
 	guidePruned *obs.Counter
 	queryNS     *obs.Histogram
 	results     *obs.Histogram
+	resolved    *obs.Counter
 }
 
 // SetObserver points the planner's query metrics at r (nil detaches). The
@@ -165,6 +167,7 @@ func (p *Planner) SetObserver(r *obs.Registry) {
 		guidePruned: r.Counter("query.guide_pruned"),
 		queryNS:     r.Histogram("query.query_ns"),
 		results:     r.Histogram("query.results"),
+		resolved:    r.Counter("query.nodes_resolved"),
 	}
 }
 
@@ -385,52 +388,144 @@ func compileChain(path xpath.Path) ([]step, bool) {
 	return chain, true
 }
 
+// Result is the answer of one executed query. An identifier plan's answer
+// stays a set of identifiers: Len counts them without touching a node, and
+// Nodes is the one place they become nodes. A navigation plan walks the tree
+// and so hands over its nodes ready-made. A Result is for one goroutine; the
+// zero Result is the empty answer.
+type Result struct {
+	n     int
+	nodes []*xmltree.Node // nil until resolved; a navigation plan's from the start
+
+	// The unresolved answer of an identifier plan: a Postings view over rn
+	// (still block-compressed for a seed-only chain), or boxed identifiers
+	// of s.
+	rn    *core.Numbering
+	ids   index.Postings
+	s     scheme.Scheme
+	boxed []scheme.ID
+
+	resolved *obs.Counter // query.nodes_resolved; nil when unobserved
+}
+
+// Len returns the size of the answer. No identifier is decoded or resolved
+// for it: a count-only caller never pays for nodes.
+func (r *Result) Len() int { return r.n }
+
+// unresolved reports whether Nodes still has identifiers to resolve.
+func (r *Result) unresolved() bool { return r.nodes == nil && r.n > 0 }
+
+// Nodes returns the answer's nodes in document order, resolving the
+// identifiers on the first call and keeping the nodes for later ones. An
+// identifier the numbering cannot resolve means the index and the numbering
+// disagree: that is an error naming the identifier, never a shorter answer,
+// so a success has exactly Len nodes.
+func (r *Result) Nodes() ([]*xmltree.Node, error) {
+	if r.unresolved() {
+		nodes, err := r.resolve()
+		if err != nil {
+			return nil, err
+		}
+		r.nodes = nodes
+		r.resolved.Add(uint64(len(nodes)))
+	}
+	return r.nodes, nil
+}
+
+// resolve maps the identifiers to nodes. Decoding a paged seed list can
+// fault; the failure is an error here as it is inside RunMetered.
+func (r *Result) resolve() (nodes []*xmltree.Node, err error) {
+	defer recoverPaged(&err)
+	nodes = make([]*xmltree.Node, 0, r.n)
+	if r.rn != nil {
+		for _, id := range r.ids.Materialize() {
+			n, ok := r.rn.NodeOfID(id)
+			if !ok {
+				return nil, fmt.Errorf("query: index holds %v, which the numbering resolves to no node", id)
+			}
+			nodes = append(nodes, n)
+		}
+		return nodes, nil
+	}
+	for _, id := range r.boxed {
+		n, ok := r.s.NodeOf(id)
+		if !ok {
+			return nil, fmt.Errorf("query: index holds %v, which the %s numbering resolves to no node", id, r.s.Name())
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
+}
+
+// recoverPaged turns a paged-postings fault into an ordinary error. Paged
+// postings fault inside decode sites that cannot return errors; a fault
+// failure (I/O error, torn page) panics with *index.PagedError, re-raised by
+// the executor from parallel workers. Anything else keeps panicking.
+func recoverPaged(err *error) {
+	if r := recover(); r != nil {
+		pe, ok := r.(*index.PagedError)
+		if !ok {
+			panic(r)
+		}
+		*err = pe
+	}
+}
+
+// debugChecks makes every query resolve its answer and hold it to Len, so a
+// count-only request cannot hide an index the numbering disagrees with.
+// Seeded from RUID_DEBUG like the index and pager checks.
+var debugChecks = os.Getenv("RUID_DEBUG") != ""
+
 // Run plans and executes the query, returning the result node-set in
 // document order together with the plan used.
 func (p *Planner) Run(q string) ([]*xmltree.Node, Plan, error) {
-	return p.RunMetered(q, nil, nil)
+	res, plan, err := p.RunMetered(q, nil, nil)
+	if err != nil {
+		return nil, plan, err
+	}
+	nodes, err := res.Nodes()
+	return nodes, plan, err
 }
 
-// RunMetered is the general form of Run; both arguments are nil-safe.
+// RunMetered is the general form of Run; both arguments are nil-safe. It
+// returns the answer unresolved: a caller that only counts reads Len, one
+// that needs nodes calls Nodes.
 //
 // tr records per-stage execution spans — the EXPLAIN ANALYZE building
 // block. A nil trace is the untraced fast path: no span, note, or attribute
-// is materialized. The trace is finished (plan recorded, total frozen)
-// before returning, ready to Render.
+// is materialized. A traced run resolves the answer under a resolve span, so
+// the report prices that stage whether or not the caller goes on to call
+// Nodes. The trace is finished (plan recorded, total frozen) before
+// returning, ready to Render.
 //
 // m is the request's resource meter (budget.NewMeter over the caller's
 // context and limits): identifier pipelines charge postings scanned and
 // result rows materialized against it as they execute, and a query that
 // exceeds any bound terminates early inside the join kernels, returning
 // the matching sentinel (budget.ErrPostingsBudget, budget.ErrResultBudget,
-// or the context's own error) with a nil node-set. The caller inspects the
+// or the context's own error) with an empty Result. The caller inspects the
 // meter afterwards for consumption. A nil meter runs unbudgeted.
-func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) (nodes []*xmltree.Node, plan Plan, err error) {
+func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) (res Result, plan Plan, err error) {
 	var start time.Time
 	if p.m != nil {
 		start = time.Now()
 	}
-	// Paged postings fault inside join kernels whose decode sites cannot
-	// return errors; a fault failure (I/O error, torn page) panics with
-	// *index.PagedError, re-raised by the executor from parallel workers.
-	// Convert it to an ordinary error at the query boundary; anything else
-	// keeps panicking.
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*index.PagedError)
-			if !ok {
-				panic(r)
-			}
-			tr.Notef("paged I/O failure: %v", pe)
-			tr.Finish()
-			nodes, err = nil, pe
-		}
-	}()
-	nodes, plan, err = p.execute(q, tr, m)
+	res, plan, err = p.execute(q, tr, m)
+	if err == nil && tr != nil && res.unresolved() {
+		sp := tr.StartSpan("resolve")
+		var nodes []*xmltree.Node
+		nodes, err = res.Nodes()
+		sp.SetInt("ids", int64(res.n))
+		sp.SetInt("out", int64(len(nodes)))
+		sp.End()
+	}
+	if err == nil && debugChecks {
+		err = res.check()
+	}
 	if err != nil {
 		tr.Notef("error: %v", err)
 		tr.Finish()
-		return nodes, plan, err
+		return Result{}, plan, err
 	}
 	tr.SetPlan(plan.Kind.String(), plan.Explain())
 	tr.Finish()
@@ -445,33 +540,53 @@ func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) (nodes []
 			p.m.planNav.Inc()
 		}
 		p.m.queryNS.Observe(time.Since(start).Nanoseconds())
-		p.m.results.Observe(int64(len(nodes)))
+		p.m.results.Observe(int64(res.n))
 	}
-	return nodes, plan, err
+	return res, plan, nil
 }
 
-func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.Node, Plan, error) {
+// check is the RUID_DEBUG assertion: the answer resolves, to exactly Len
+// nodes. It resolves a copy, so it neither counts as the caller's resolve
+// nor saves the caller one.
+func (r *Result) check() error {
+	nodes := r.nodes
+	if r.unresolved() {
+		var err error
+		if nodes, err = r.resolve(); err != nil {
+			return err
+		}
+	}
+	if len(nodes) != r.n {
+		panic(fmt.Sprintf("query: answer of %d identifiers resolved to %d nodes", r.n, len(nodes)))
+	}
+	return nil
+}
+
+// execute plans q and runs the chosen plan up to, and not including, the
+// resolve of an identifier answer.
+func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result, plan Plan, err error) {
+	defer recoverPaged(&err)
 	sp := tr.StartSpan("plan")
-	plan, err := p.Plan(q)
+	plan, err = p.Plan(q)
 	sp.End()
 	if err != nil {
-		return nil, Plan{}, err
+		return Result{}, Plan{}, err
 	}
 	if plan.Kind == NavPlan {
 		// The axis engine has no internal charge points, so navigation plans
 		// are budgeted at plan granularity: deadline and prior consumption are
 		// checked before the walk, and the result rows are charged after it.
 		if !m.Check() {
-			return nil, plan, m.Err()
+			return Result{}, plan, m.Err()
 		}
 		sp := tr.StartSpan("navigate")
 		nodes := p.engine.Eval(plan.Paths)
 		sp.SetInt("out", int64(len(nodes)))
 		sp.End()
 		if !m.ChargeResults(len(nodes)) {
-			return nil, plan, m.Err()
+			return Result{}, plan, m.Err()
 		}
-		return nodes, plan, nil
+		return Result{n: len(nodes), nodes: nodes}, plan, nil
 	}
 	// DataGuide pruning: a name chain absent from every label path cannot
 	// match; refuse it before running any join (§6 [4]: the guide lets
@@ -481,15 +596,19 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.
 			p.m.guidePruned.Inc()
 		}
 		tr.Notef("dataguide: chain %v unsatisfiable, pruned without execution", plan.spineNames())
-		return nil, plan, nil
+		return Result{}, plan, nil
+	}
+	var resolved *obs.Counter
+	if p.m != nil {
+		resolved = p.m.resolved
 	}
 	// Unboxed fast path: over a ruid-backed index the whole pipeline (twig
-	// or join chain) runs on concrete identifiers and resolves nodes via
-	// the concrete lookup, never boxing a single probe.
+	// or join chain) runs on concrete identifiers, never boxing a single
+	// probe, and its answer resolves through the concrete lookup.
 	if rn := p.ix.RUID(); rn != nil {
 		mex := p.exec.WithMeter(m)
 		qio := p.ioSnap()
-		var ids []core.ID
+		var ids index.Postings
 		if plan.Kind == TwigPlan {
 			var sp *obs.Span
 			ex := mex
@@ -498,8 +617,9 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.
 				ex = ex.WithSpan(sp)
 			}
 			before := p.ioSnap()
-			ids, _ = twig.MatchIDsWith(plan.pattern, p.ix, ex)
-			sp.SetInt("out", int64(len(ids)))
+			matched, _ := twig.MatchIDsWith(plan.pattern, p.ix, ex)
+			ids = index.SlicePostings(matched)
+			sp.SetInt("out", int64(ids.Len()))
 			p.ioRecord(sp, before)
 			sp.End()
 		} else {
@@ -513,32 +633,22 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.
 		// partial (possibly empty) set: discard it and surface the sentinel.
 		if err := m.Err(); err != nil {
 			tr.Notef("budget: %v", err)
-			return nil, plan, err
+			return Result{}, plan, err
 		}
 		// Charge the final identifier set too: a seed-only chain (single
-		// step) materializes its result without passing any join kernel, and
-		// this keeps MaxResults a bound on what reaches the resolver
-		// regardless of plan shape.
-		if !m.ChargeResults(len(ids)) {
+		// step) reaches here without passing any join kernel, and this keeps
+		// MaxResults a bound on what can reach the resolver regardless of
+		// plan shape.
+		if !m.ChargeResults(ids.Len()) {
 			tr.Notef("budget: %v", m.Err())
-			return nil, plan, m.Err()
+			return Result{}, plan, m.Err()
 		}
-		sp := tr.StartSpan("resolve")
-		nodes := make([]*xmltree.Node, 0, len(ids))
-		for _, id := range ids {
-			if n, ok := rn.NodeOfID(id); ok {
-				nodes = append(nodes, n)
-			}
-		}
-		sp.SetInt("ids", int64(len(ids)))
-		sp.SetInt("out", int64(len(nodes)))
-		sp.End()
-		return nodes, plan, nil
+		return Result{n: ids.Len(), rn: rn, ids: ids, resolved: resolved}, plan, nil
 	}
 	// Boxed pipelines run the per-stage kernels without an executor, so —
 	// like navigation — they are budgeted at plan granularity.
 	if !m.Check() {
-		return nil, plan, m.Err()
+		return Result{}, plan, m.Err()
 	}
 	sp = tr.StartSpan("boxed_pipeline")
 	var ids []scheme.ID
@@ -547,31 +657,26 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) ([]*xmltree.
 	} else {
 		ids = p.runChain(plan.chain)
 	}
-	if !m.ChargeResults(len(ids)) {
-		sp.End()
-		return nil, plan, m.Err()
-	}
-	nodes := make([]*xmltree.Node, 0, len(ids))
-	for _, id := range ids {
-		if n, ok := p.s.NodeOf(id); ok {
-			nodes = append(nodes, n)
-		}
-	}
-	sp.SetInt("out", int64(len(nodes)))
+	sp.SetInt("out", int64(len(ids)))
 	sp.End()
-	return nodes, plan, nil
+	if !m.ChargeResults(len(ids)) {
+		return Result{}, plan, m.Err()
+	}
+	return Result{n: len(ids), s: p.s, boxed: ids, resolved: resolved}, plan, nil
 }
 
 // runChainRUID executes a join pipeline entirely on concrete ruid
 // identifiers — the allocation-free counterpart of runChain. The first
 // step's postings stay in their block-compressed view; every descendant
 // side of the pipeline is likewise consumed as a Postings view, so only
-// candidate blocks are ever decoded. With a live trace, every pipeline
+// candidate blocks are ever decoded, and the answer is returned as a view
+// too: a seed-only chain's is the index's own list, undecoded. With a live
+// trace, every pipeline
 // stage gets its own span carrying input/output cardinalities, and the
 // stage's executor operation records its shard layout and block statistics
 // into that span; the tr == nil checks keep the untraced path free of the
 // span-name allocations.
-func (p *Planner) runChainRUID(rn *core.Numbering, chain []step, tr *obs.Trace, base *exec.Executor) []core.ID {
+func (p *Planner) runChainRUID(rn *core.Numbering, chain []step, tr *obs.Trace, base *exec.Executor) index.Postings {
 	first := chain[0]
 	cur := p.ix.Postings(first.name)
 	if !first.descendant {
@@ -600,7 +705,7 @@ func (p *Planner) runChainRUID(rn *core.Numbering, chain []step, tr *obs.Trace, 
 	for _, st := range chain[1:] {
 		if cur.Len() == 0 {
 			tr.Notef("pipeline short-circuit: empty intermediate result before %s", st.name)
-			return nil
+			return index.Postings{}
 		}
 		descs := p.ix.Postings(st.name)
 		ex := base
@@ -627,7 +732,7 @@ func (p *Planner) runChainRUID(rn *core.Numbering, chain []step, tr *obs.Trace, 
 		sp.End()
 		cur = index.SlicePostings(next)
 	}
-	return cur.Materialize()
+	return cur
 }
 
 // runChain executes a join pipeline on identifiers only.

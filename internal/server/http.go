@@ -41,8 +41,9 @@ import (
 // that ran out of wall clock, 422 for queries that ran out of postings or
 // result budget, 404 for catalog misses, 409 for catalog collisions and for
 // writes to a document that takes none (cold-opened, read-only scheme), 500
-// for a write the storage layer failed (WAL append or fsync, payload table),
-// 400 for malformed inputs.
+// for a write the storage layer failed (WAL append or fsync, payload table)
+// and for an answer whose identifiers the numbering cannot resolve, 400 for
+// malformed inputs.
 
 // WriteRequest is the body of insert/delete calls.
 type WriteRequest struct {
@@ -273,7 +274,7 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, ErrOverloaded), errors.Is(err, document.ErrDocumentClosed):
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, document.ErrStorage):
+	case errors.Is(err, document.ErrStorage), errors.As(err, new(internalError)):
 		status = http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusGatewayTimeout

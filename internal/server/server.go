@@ -211,8 +211,9 @@ type QueryRequest struct {
 	MaxResults int64 `json:"maxResults,omitempty"`
 	// TimeoutMS bounds wall clock, enforced via context deadline.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
-	// IncludePaths returns the result nodes' slash paths (costly on large
-	// results; counts alone are the load-test mode).
+	// IncludePaths returns the result nodes' slash paths. It is the only
+	// thing that resolves the answer's identifiers to nodes: a count alone —
+	// the load-test mode — touches none.
 	IncludePaths bool `json:"includePaths,omitempty"`
 }
 
@@ -280,9 +281,25 @@ func (s *Server) Query(ctx context.Context, doc string, req QueryRequest) (*Quer
 	snap := d.Snapshot() // pin the epoch for the whole request
 	io0 := d.IOStats()
 	m := budget.NewMeter(ctx, lim)
-	nodes, plan, err := snap.QueryMetered(req.Query, nil, m)
-	elapsed := time.Since(start)
+	res, plan, err := snap.QueryMetered(req.Query, nil, m)
 	rc.Stamp("exec_done")
+	// The answer is still identifiers here: a count-only request, the
+	// load-test mode, is done. Only a request for paths resolves them to
+	// nodes, and that serialisation is part of what the request cost.
+	var paths []string
+	if err == nil && req.IncludePaths {
+		var nodes []*xmltree.Node
+		if nodes, err = res.Nodes(); err != nil {
+			err = internalError{err}
+		} else {
+			paths = make([]string, len(nodes))
+			for i, n := range nodes {
+				paths[i] = n.Path()
+			}
+			rc.Stamp("resolved")
+		}
+	}
+	elapsed := time.Since(start)
 	// Per-request pager attribution by cumulative delta — the same
 	// before/after approach the planner uses for per-stage io_reads/io_hits
 	// spans. Concurrent queries on the same document smear into each
@@ -306,22 +323,22 @@ func (s *Server) Query(ctx context.Context, doc string, req QueryRequest) (*Quer
 	if err != nil {
 		return nil, err
 	}
-	resp := &QueryResponse{
-		Count:     len(nodes),
+	return &QueryResponse{
+		Count:     res.Len(),
 		Plan:      plan.Kind.String(),
 		Epoch:     snap.Epoch(),
 		Postings:  m.Postings(),
 		Results:   m.Results(),
 		ElapsedUS: elapsed.Microseconds(),
-	}
-	if req.IncludePaths {
-		resp.Paths = make([]string, len(nodes))
-		for i, n := range nodes {
-			resp.Paths[i] = n.Path()
-		}
-	}
-	return resp, nil
+		Paths:     paths,
+	}, nil
 }
+
+// internalError marks a failure that is the server's own — an index its
+// numbering disagrees with — so the API reports 500, not a client mistake.
+type internalError struct{ error }
+
+func (e internalError) Unwrap() error { return e.error }
 
 // Open parses src and installs it in the catalog under name. With group
 // commit enabled it also wires the document's batched write path — and,

@@ -81,6 +81,12 @@ func TestHTTPRoundtrip(t *testing.T) {
 	if qr.Count == 0 || len(qr.Paths) != qr.Count || qr.Postings == 0 {
 		t.Fatalf("query response: %+v", qr)
 	}
+	// Resolving the answer and building the paths is part of the request:
+	// it is stamped after execution, and the elapsed time covers it.
+	stamps := lastQueryStages(t, do)
+	if !(stamps["admitted"] > 0 && stamps["admitted"] < stamps["exec_done"] && stamps["exec_done"] < stamps["resolved"]) {
+		t.Fatalf("includePaths stages out of order: %v", stamps)
+	}
 
 	// Structural write, then the same query sees the new epoch.
 	ins := WriteRequest{Parent: "/site/regions", Pos: 0,
@@ -97,6 +103,9 @@ func TestHTTPRoundtrip(t *testing.T) {
 	_ = json.Unmarshal(body, &qr2)
 	if qr2.Count != qr.Count+1 {
 		t.Fatalf("query after insert: count %d, want %d", qr2.Count, qr.Count+1)
+	}
+	if stamps := lastQueryStages(t, do); stamps["resolved"] != 0 || stamps["exec_done"] == 0 {
+		t.Fatalf("count-only stages: %v, want exec_done and no resolved", stamps)
 	}
 	if qr2.Epoch <= qr.Epoch {
 		t.Fatalf("epoch did not advance: %d -> %d", qr.Epoch, qr2.Epoch)
@@ -165,6 +174,79 @@ func TestHTTPRoundtrip(t *testing.T) {
 	}
 	if code, _ = do("GET", "/v1/docs/bench", ""); code != 404 {
 		t.Fatalf("stats after drop: %d, want 404", code)
+	}
+}
+
+// lastQueryStages returns the most recent query request in the flight
+// recorder as stage name → 1-based position on its timeline.
+func lastQueryStages(t *testing.T, do func(method, path, body string) (int, []byte)) map[string]int {
+	t.Helper()
+	code, body := do("GET", "/v1/debug/requests", "")
+	var dump struct {
+		Requests []obs.RequestSummary `json:"requests"`
+	}
+	if err := json.Unmarshal(body, &dump); code != 200 || err != nil {
+		t.Fatalf("debug/requests: %d %v", code, err)
+	}
+	var last obs.RequestSummary
+	for _, r := range dump.Requests {
+		if r.Kind == "query" && r.ID > last.ID {
+			last = r
+		}
+	}
+	pos := map[string]int{}
+	for i, st := range last.Stages {
+		if i > 0 && st.OffsetUS < last.Stages[i-1].OffsetUS {
+			t.Fatalf("stage timeline not monotone: %v", last.Stages)
+		}
+		pos[st.Name] = i + 1
+	}
+	return pos
+}
+
+// TestCountTouchesNoNode is late materialisation seen from outside: a
+// count-only join or twig request through the handler resolves no node —
+// query.nodes_resolved does not move — and the same request asking for
+// paths resolves exactly the nodes it counts.
+func TestCountTouchesNoNode(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Observe: reg})
+	defer s.Close()
+	if _, err := s.Open("d", xmarkSrc(2, 7)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	resolved := reg.Counter("query.nodes_resolved")
+	for _, c := range []struct{ query, plan string }{
+		{"/site//item/name", "join"},
+		{"//bidder", "join"}, // seed-only: the count is the posting list's length
+		{"//open_auction[bidder]/itemref", "twig"},
+	} {
+		var counts [2]int
+		for i, includePaths := range []bool{false, true} {
+			body, _ := json.Marshal(QueryRequest{Query: c.query, IncludePaths: includePaths})
+			rec := httptest.NewRecorder()
+			before := resolved.Value()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/docs/d/query", bytes.NewReader(body)))
+			var resp QueryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
+				t.Fatalf("%q: %d %s", c.query, rec.Code, rec.Body)
+			}
+			if resp.Plan != c.plan || resp.Count == 0 {
+				t.Fatalf("%q: plan %q, count %d; want a non-empty %s answer", c.query, resp.Plan, resp.Count, c.plan)
+			}
+			counts[i] = resp.Count
+			moved := resolved.Value() - before
+			if !includePaths && (moved != 0 || resp.Paths != nil) {
+				t.Fatalf("%q: a count resolved %d nodes and returned %d paths", c.query, moved, len(resp.Paths))
+			}
+			if includePaths && (moved != uint64(resp.Count) || len(resp.Paths) != resp.Count) {
+				t.Fatalf("%q: count %d, but %d nodes resolved and %d paths", c.query, resp.Count, moved, len(resp.Paths))
+			}
+		}
+		if counts[0] != counts[1] {
+			t.Fatalf("%q: count %d without paths, %d with", c.query, counts[0], counts[1])
+		}
 	}
 }
 
@@ -443,6 +525,7 @@ func TestWriteErrorContract(t *testing.T) {
 		{ErrOverloaded, http.StatusServiceUnavailable, true},
 		{fmt.Errorf("%w: WAL fsync: %w", document.ErrStorage, io.ErrShortWrite), http.StatusInternalServerError, false},
 		{fmt.Errorf("%w: scheme %q", document.ErrReadOnlyScheme, "ancestry"), http.StatusConflict, false},
+		{internalError{errors.New("query: index holds (1, 9, false), which the numbering resolves to no node")}, http.StatusInternalServerError, false},
 		{errors.New("document: no element matches \"/x\""), http.StatusBadRequest, false},
 	} {
 		rec := httptest.NewRecorder()
