@@ -1,19 +1,17 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E12) as
+// Benchmarks regenerating the experiments of EXPERIMENTS.md (E1–E14) as
 // testing.B measurements. cmd/ruidbench prints the corresponding tables;
-// these benches measure the hot loops with -benchmem.
+// these benches measure the hot loops with -benchmem. The gated hot-path
+// rows (joins, axes, epoch publish, observation, parallel, scheme bake-off)
+// live in one place, `ruidbench -json`.
 package main
 
 import (
-	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/document"
-	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/prepost"
 	"repro/internal/scheme"
 	"repro/internal/storage"
@@ -438,213 +436,6 @@ func BenchmarkE11StructuralJoin(b *testing.B) {
 	})
 }
 
-// BenchmarkUpwardJoin compares the generic interface join (scheme.ID
-// boxing, per-probe Key() allocation) with the concrete-core.ID fast path
-// on identical inputs. Run with -benchmem: the fast path's allocs/op is the
-// point.
-func BenchmarkUpwardJoin(b *testing.B) {
-	doc := xmltree.Recursive(2, 9)
-	rn := workload.BuildRUID(doc)
-	ix := index.Build(doc.DocumentElement(), rn)
-	ancs, descs := ix.RuidIDs("section"), ix.RuidIDs("title")
-	bAncs, bDescs := ix.IDs("section"), ix.IDs("title")
-
-	b.Run("interface", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink += len(index.UpwardJoin(rn, bAncs, bDescs))
-		}
-	})
-	b.Run("fastpath", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink += len(index.UpwardJoinRUID(rn, ancs, descs))
-		}
-	})
-	b.Run("interface-semi", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink += len(index.UpwardSemiJoin(rn, bAncs, bDescs))
-		}
-	})
-	b.Run("fastpath-semi", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink += len(index.UpwardSemiJoinRUID(rn, ancs, descs))
-		}
-	})
-}
-
-// BenchmarkAxisGeneration compares boxed axis generation (the AxisScheme
-// interface) with the concrete buffer-append forms that the fast paths use.
-func BenchmarkAxisGeneration(b *testing.B) {
-	doc := xmltree.XMark(2, 2)
-	rn := workload.BuildRUID(doc)
-	nodes := doc.DocumentElement().Nodes()
-	rng := rand.New(rand.NewSource(9))
-	ids := make([]core.ID, 128)
-	boxed := make([]scheme.ID, 128)
-	for i := range ids {
-		id, _ := rn.RUID(nodes[rng.Intn(len(nodes))])
-		ids[i] = id
-		boxed[i] = id
-	}
-
-	axes := []struct {
-		name     string
-		boxedFn  func(scheme.ID) []scheme.ID
-		concrete func([]core.ID, core.ID) []core.ID
-	}{
-		{"children", rn.Children, rn.AppendChildren},
-		{"descendants", rn.Descendants, rn.AppendDescendants},
-		{"following", rn.Following, rn.AppendFollowing},
-	}
-	for _, ax := range axes {
-		ax := ax
-		b.Run("interface/"+ax.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(ax.boxedFn(boxed[i%len(boxed)]))
-			}
-		})
-		b.Run("fastpath/"+ax.name, func(b *testing.B) {
-			b.ReportAllocs()
-			buf := make([]core.ID, 0, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(ax.concrete(buf[:0], ids[i%len(ids)]))
-			}
-		})
-	}
-}
-
-// epochPublishFixture builds a document with a small hot spot (the update
-// target area) next to a bulk region that pads the document to roughly
-// total nodes. The bulk is eight deep 8-ary subtrees rather than one flat
-// fan: a flat bulk would turn every section into a boundary joint of the
-// ROOT area, making the hot spot's own area scale with the document and
-// defeating the point of the measurement. Publication cost should track
-// the (fixed-size) hot area, not the bulk.
-func epochPublishFixture(total int) *xmltree.Node {
-	doc := xmltree.NewDocument()
-	root := xmltree.NewElement("doc")
-	doc.AppendChild(root)
-	hot := xmltree.NewElement("hot")
-	root.AppendChild(hot)
-	for i := 0; i < 4; i++ {
-		hot.AppendChild(xmltree.NewElement(fmt.Sprintf("h%d", i)))
-	}
-	bulk := xmltree.NewElement("bulk")
-	root.AppendChild(bulk)
-	const chunks = 8
-	for i := 0; i < chunks; i++ {
-		bulk.AppendChild(bulkSubtree((total - 7) / chunks))
-	}
-	return doc
-}
-
-// bulkSubtree returns a "section" subtree of exactly m elements with
-// fan-out at most 8 (so depth grows logarithmically in m).
-func bulkSubtree(m int) *xmltree.Node {
-	el := xmltree.NewElement("section")
-	m--
-	q, r := m/8, m%8
-	for i := 0; i < 8; i++ {
-		sz := q
-		if i < r {
-			sz++
-		}
-		if sz > 0 {
-			el.AppendChild(bulkSubtree(sz))
-		}
-	}
-	return el
-}
-
-// BenchmarkEpochPublish measures one structural write through the document
-// facade — update, incremental epoch assembly (tree spine + dirty area
-// copy, numbering delta clone, index/guide delta), and publication — at two
-// document sizes an order of magnitude apart. With area-confined
-// publication the per-write cost must be governed by the (fixed) hot-area
-// size, staying within ~2× between 5k and 50k nodes rather than the ~10×
-// of a full clone.
-func BenchmarkEpochPublish(b *testing.B) {
-	for _, size := range []int{5000, 50000} {
-		b.Run(fmt.Sprintf("nodes=%d", size), func(b *testing.B) {
-			d, err := document.FromTree(epochPublishFixture(size), document.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Insert("/doc/hot", 0, xmltree.NewElement("hx")); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := d.Delete("/doc/hot", 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			benchSink += d.Stats().Nodes
-		})
-	}
-}
-
-// BenchmarkObsOverhead prices the observability layer. The off rows run
-// the nil-metric fast path (no registry configured) — their cost must be
-// indistinguishable from the pre-observability engine, which is the
-// instrumentation-off ≤2% requirement the benchdiff gate enforces against
-// the committed baseline. The on rows run with a live registry: every
-// counter/histogram update, block-stat drain and instrumented gather
-// routing included, pricing what a production deployment pays to observe.
-func BenchmarkObsOverhead(b *testing.B) {
-	doc := xmltree.Recursive(2, 13)
-	rn := workload.BuildRUID(doc)
-	ix := index.Build(doc.DocumentElement(), rn)
-	ancsP, descsP := ix.Postings("section"), ix.Postings("title")
-	execs := []struct {
-		tag string
-		e   *exec.Executor
-	}{
-		{"off", exec.New(exec.Config{Mode: exec.Serial})},
-		{"on", exec.New(exec.Config{Mode: exec.Serial, Observe: obs.NewRegistry()})},
-	}
-	for _, ex := range execs {
-		e := ex.e
-		b.Run("upward_semi_join/"+ex.tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(e.UpwardSemiJoin(rn, ancsP, descsP))
-			}
-		})
-	}
-
-	qDoc := xmltree.Recursive(2, 9)
-	docs := []struct {
-		tag  string
-		opts document.Options
-	}{
-		{"off", document.Options{}},
-		{"on", document.Options{Observe: obs.NewRegistry()}},
-	}
-	for _, dc := range docs {
-		d, err := document.FromTree(qDoc, dc.opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("query/"+dc.tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				nodes, _, err := d.Query("//section//title")
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += len(nodes)
-			}
-		})
-	}
-}
-
 // BenchmarkE12StorageAxes measures identifier-directed storage access:
 // a children range scan plus row fetches, and a computed-parent point
 // probe, against the clustered index (extension E12).
@@ -740,103 +531,4 @@ func BenchmarkE14Twig(b *testing.B) {
 			benchSink += len(engine.Select(nil, path))
 		}
 	})
-}
-
-// BenchmarkParallelJoins measures the frame-parallel execution layer
-// against the serial fast path on a ~65k-node document: each join family
-// serially, through the executor at P=1 (Serial mode — scheduling overhead
-// only), and at forced 2 and 8 workers. Observable speedup is bounded by
-// GOMAXPROCS on the benchmark host.
-func BenchmarkParallelJoins(b *testing.B) {
-	doc := xmltree.Recursive(2, 13)
-	rn := workload.BuildRUID(doc)
-	ix := index.Build(doc.DocumentElement(), rn)
-	ancs, descs := ix.RuidIDs("section"), ix.RuidIDs("title")
-	ancsP, descsP := ix.Postings("section"), ix.Postings("title")
-	pattern, err := twig.Compile("//section[title]//title")
-	if err != nil {
-		b.Fatal(err)
-	}
-	execs := []struct {
-		tag string
-		e   *exec.Executor
-	}{
-		{"p=1", exec.New(exec.Config{Mode: exec.Serial})},
-		{"p=2", exec.New(exec.Config{Mode: exec.Forced, Workers: 2})},
-		{"p=8", exec.New(exec.Config{Mode: exec.Forced, Workers: 8})},
-	}
-	b.Run("merge_join/serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink += len(index.MergeJoinRUID(rn, ancs, descs))
-		}
-	})
-	b.Run("upward_join/serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink += len(index.UpwardJoinRUID(rn, ancs, descs))
-		}
-	})
-	for _, ex := range execs {
-		e := ex.e
-		b.Run("merge_join/"+ex.tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(e.MergeJoin(rn, ancsP, descsP))
-			}
-		})
-		b.Run("upward_join/"+ex.tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(e.UpwardJoin(rn, ancsP, descsP))
-			}
-		})
-		b.Run("upward_semi_join/"+ex.tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(e.UpwardSemiJoin(rn, ancsP, descsP))
-			}
-		})
-		b.Run("path_query/"+ex.tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(e.PathQuery(ix, "section", "section", "title"))
-			}
-		})
-		b.Run("twig/"+ex.tag, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ids, _ := twig.MatchIDsWith(pattern, ix, e)
-				benchSink += len(ids)
-			}
-		})
-	}
-}
-
-// BenchmarkSchemeJoin is the bake-off's structural-join leg as a go-test
-// benchmark: every registered numbering scheme runs the same section//title
-// semi-join on the same recursion-heavy document through the planner's
-// capability-dispatched kernel (Parent-climbing for the UID family,
-// comparison-only merge otherwise). Importing internal/document registers
-// every in-tree scheme.
-func BenchmarkSchemeJoin(b *testing.B) {
-	doc := xmltree.Recursive(2, 9)
-	for _, name := range scheme.Names() {
-		reg, ok := scheme.Lookup(name)
-		if !ok {
-			continue
-		}
-		s, err := reg.Build(doc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix := index.Build(doc.DocumentElement(), s)
-		ancs, descs := ix.IDs("section"), ix.IDs("title")
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(index.SemiJoinDescendants(s, ancs, descs))
-			}
-		})
-	}
 }

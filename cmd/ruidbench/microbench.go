@@ -92,11 +92,14 @@ func epochPublishBench(size int) func(b *testing.B) {
 }
 
 // parallelBenches measures the frame-parallel execution layer against the
-// serial fast path on a ~65k-node recursive document (16383 sections and
-// titles): each join family at p=1 (the executor's serial path, measuring
-// scheduling overhead) and at forced 2 and 8 workers. Speedup is bounded by
-// the machine's core count; the committed baseline records whatever this
-// host measured.
+// serial one-shot joins on a ~65k-node recursive document (16383 sections
+// and titles): each join family at p=1 (the Serial-mode executor: the one
+// path with a single shard) and at forced 2 and 8 workers. The `serial` rows
+// feed the one-shots flat slice views and the p=* rows feed the executor the
+// index's block views, so serial against p=1 prices block decode and per-run
+// merge seeding — properties of the view — not scheduling. Speedup is
+// bounded by the machine's core count; the committed baseline records
+// whatever this host measured.
 func parallelBenches() []struct {
 	name string
 	fn   func(b *testing.B)
@@ -104,7 +107,7 @@ func parallelBenches() []struct {
 	doc := xmltree.Recursive(2, 13)
 	rn := workload.BuildRUID(doc)
 	ix := index.Build(doc.DocumentElement(), rn)
-	ancs, descs := ix.RuidIDs("section"), ix.RuidIDs("title")
+	ancs, descs := index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))
 	ancsP, descsP := ix.Postings("section"), ix.Postings("title")
 	pattern, err := twig.Compile("//section[title]//title")
 	if err != nil {
@@ -133,17 +136,17 @@ func parallelBenches() []struct {
 
 	add("parallel/merge_join/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.MergeJoinRUID(rn, ancs, descs))
+			microSink += len(index.MergeJoinPostings(rn, ancs, descs))
 		}
 	})
 	add("parallel/upward_join/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.UpwardJoinRUID(rn, ancs, descs))
+			microSink += len(index.UpwardJoinPostings(rn, ancs, descs))
 		}
 	})
 	add("parallel/upward_semi_join/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.UpwardSemiJoinRUID(rn, ancs, descs))
+			microSink += len(index.UpwardSemiJoinPostings(rn, ancs, descs))
 		}
 	})
 	add("parallel/path_query/serial", func(b *testing.B) {
@@ -234,7 +237,7 @@ func postingsBenches() []struct {
 	doc := selectiveFixture(50000, 64)
 	rn := workload.BuildRUID(doc)
 	ix := index.Build(doc.DocumentElement(), rn)
-	needle, leaf := ix.RuidIDs("needle"), ix.RuidIDs("leaf")
+	needle, leaf := index.SlicePostings(ix.RuidIDs("needle")), index.SlicePostings(ix.RuidIDs("leaf"))
 	needleP, leafP := ix.Postings("needle"), ix.Postings("leaf")
 
 	var out []struct {
@@ -255,7 +258,7 @@ func postingsBenches() []struct {
 	})
 	add("postings/semi_join_selective/flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.UpwardSemiJoinRUID(rn, needle, leaf))
+			microSink += len(index.UpwardSemiJoinPostings(rn, needle, leaf))
 		}
 	})
 	add("postings/merge_join_selective/seek", func(b *testing.B) {
@@ -265,7 +268,7 @@ func postingsBenches() []struct {
 	})
 	add("postings/merge_join_selective/flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.MergeJoinRUID(rn, needle, leaf))
+			microSink += len(index.MergeJoinPostings(rn, needle, leaf))
 		}
 	})
 	add("postings/path_query_selective", func(b *testing.B) {
@@ -282,10 +285,10 @@ func postingsBenches() []struct {
 }
 
 // obsBenches measures what observation costs: the same upward semi-join
-// and planner query, once on an uninstrumented executor/document (the
-// nil-metric fast path — this row is the proof that observation off is
-// free) and once with a registry attached (counters, histograms and block
-// stats live — this row prices the instrumented gather path). The off/on
+// and planner query, once on an uninstrumented executor/document (nil sinks
+// — this row is the proof that observation off is free) and once with a
+// registry attached (counters, histograms and block stats kept — both rows
+// run the same path, so the pair prices the sinks alone). The off/on
 // pairs are tracked independently by the benchdiff gate, so neither the
 // zero-cost default nor the observed cost can drift silently.
 func obsBenches() []struct {
@@ -443,9 +446,11 @@ var schemeFamilies = []struct {
 // schemeBenches builds the scheme bake-off: for every registered numbering
 // scheme × shape family, a structural semi-join row and a parent-step row
 // (timed), plus pseudo-rows carrying label footprint and update relabel
-// scope. Every scheme runs through the same capability-dispatched kernels
-// the planner uses (index.SemiJoinDescendants), so a row measures what a
-// query would actually pay under that scheme.
+// scope. Every scheme runs the kernel a planner query over it runs, so a row
+// measures what a query would actually pay under that scheme: the boxed
+// schemes the capability-dispatched index.SemiJoinDescendants, ruid the
+// identifier semi-join over its index's Postings views — the one-shot form
+// of the kernel internal/exec shards.
 func schemeBenches() (benches []struct {
 	name string
 	fn   func(b *testing.B)
@@ -483,9 +488,14 @@ func schemeBenches() (benches []struct {
 			})
 			ix := index.Build(root, s)
 			ancs, descs := ix.IDs(f.anc), ix.IDs(f.desc)
+			semiJoin := func() int { return len(index.SemiJoinDescendants(s, ancs, descs)) }
+			if rn := ix.RUID(); rn != nil {
+				ancsP, descsP := ix.Postings(f.anc), ix.Postings(f.desc)
+				semiJoin = func() int { return len(index.UpwardSemiJoinPostings(rn, ancsP, descsP)) }
+			}
 			add(prefix+"semi_join", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					microSink += len(index.SemiJoinDescendants(s, ancs, descs))
+					microSink += semiJoin()
 				}
 			})
 			add(prefix+"axis_parent", func(b *testing.B) {
@@ -827,7 +837,7 @@ func runMicrobench(out io.Writer) error {
 	doc := xmltree.Recursive(2, 9)
 	rn := workload.BuildRUID(doc)
 	ix := index.Build(doc.DocumentElement(), rn)
-	ancs, descs := ix.RuidIDs("section"), ix.RuidIDs("title")
+	ancs, descs := index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))
 	bAncs, bDescs := ix.IDs("section"), ix.IDs("title")
 
 	axisDoc := xmltree.XMark(2, 2)
@@ -850,7 +860,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"upward_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.UpwardJoinRUID(rn, ancs, descs))
+				microSink += len(index.UpwardJoinPostings(rn, ancs, descs))
 			}
 		}},
 		{"merge_join/interface", func(b *testing.B) {
@@ -860,7 +870,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"merge_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.MergeJoinRUID(rn, ancs, descs))
+				microSink += len(index.MergeJoinPostings(rn, ancs, descs))
 			}
 		}},
 		{"upward_semi_join/interface", func(b *testing.B) {
@@ -870,7 +880,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"upward_semi_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.UpwardSemiJoinRUID(rn, ancs, descs))
+				microSink += len(index.UpwardSemiJoinPostings(rn, ancs, descs))
 			}
 		}},
 		{"path_query/interface", func(b *testing.B) {

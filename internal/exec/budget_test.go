@@ -16,7 +16,10 @@ import (
 // The executor-level budget contract: a metered operation charges postings
 // and result rows as it runs, terminates early once a limit trips, and —
 // crucially — with limits it never reaches, produces byte-identical output
-// to the unmetered executor, in every input representation.
+// to the unmetered executor, in every input representation. There is one
+// charge point for the descendant side (index.ForEachRun), so a slice view —
+// every posting of which is admitted — costs exactly |ancs| + |descs|
+// postings per operation, however many shards cut it.
 
 func TestMeteredMatchesUnmetered(t *testing.T) {
 	n, ix := buildFixture(t, 9)
@@ -28,18 +31,34 @@ func TestMeteredMatchesUnmetered(t *testing.T) {
 		me := e.WithMeter(m)
 		for view, a := range views(ancs.Materialize()) {
 			for dview, d := range views(descs.Materialize()) {
+				last := m.Postings()
+				charged := func(op string) {
+					t.Helper()
+					now := m.Postings()
+					if want := int64(a.Len() + d.Len()); dview == "slice" && now-last != want {
+						t.Errorf("%s/%s/%s/slice: charged %d postings, want |ancs|+|descs| = %d",
+							mode, op, view, now-last, want)
+					}
+					last = now
+				}
 				equalIDs(t, mode.String()+"/semi/"+view+"/"+dview,
 					me.UpwardSemiJoin(n, a, d), e.UpwardSemiJoin(n, a, d))
+				charged("semi")
 				equalPairs(t, mode.String()+"/join/"+view+"/"+dview,
 					me.UpwardJoin(n, a, d), e.UpwardJoin(n, a, d))
+				charged("join")
 				equalPairs(t, mode.String()+"/merge/"+view+"/"+dview,
 					me.MergeJoin(n, a, d), e.MergeJoin(n, a, d))
+				charged("merge")
 				equalIDs(t, mode.String()+"/parent/"+view+"/"+dview,
 					me.ParentSemiJoin(n, a, d), e.ParentSemiJoin(n, a, d))
+				charged("parent")
 				equalIDs(t, mode.String()+"/ancsemi/"+view+"/"+dview,
 					me.AncestorSemiJoin(n, a, d), e.AncestorSemiJoin(n, a, d))
+				charged("ancsemi")
 				equalIDs(t, mode.String()+"/childsemi/"+view+"/"+dview,
 					me.ChildSemiJoin(n, a, d), e.ChildSemiJoin(n, a, d))
+				charged("childsemi")
 			}
 		}
 		if err := m.Err(); err != nil {
@@ -53,8 +72,8 @@ func TestMeteredMatchesUnmetered(t *testing.T) {
 }
 
 // TestPostingsBudgetStopsKernels: a tiny postings allowance trips inside
-// the kernels — in both the block-compressed path (charged per admitted
-// run, before decode) and the slice path (charged per shard).
+// the operation — whatever view the descendant side arrives in — and the
+// scan stops there.
 func TestPostingsBudgetStopsKernels(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	ancs := ix.Postings("section")

@@ -9,10 +9,13 @@
 // invariant of index.NameIndex postings (see index/debug.go).
 //
 // An Executor owns the policy: how many workers, and below what posting
-// volume the serial kernel wins (goroutine + probe-set sharing overhead is
-// real; small joins stay serial). Every operation is deterministic — the
-// parallel and serial paths return byte-identical output sequences — which
-// the conformance determinism tests pin under GOMAXPROCS 1, 2 and 8.
+// volume one shard wins (goroutine + probe-set sharing overhead is real;
+// small joins stay serial). Policy is all it chooses: each join has one run
+// kernel (package index) and one path to it (join.go), and a serial
+// operation is that path with a single shard. Every operation is
+// deterministic — any number of shards returns the byte-identical output
+// sequence — which the conformance determinism tests pin under GOMAXPROCS 1,
+// 2 and 8.
 package exec
 
 import (
@@ -115,8 +118,7 @@ func Default() *Executor {
 func (e *Executor) Workers() int { return e.workers }
 
 // workersFor resolves the policy for one operation of the given posting
-// volume: the number of concurrent shards to use, where 1 means "run the
-// serial kernel".
+// volume: the number of shards to cut, where 1 means "do not parallelize".
 func (e *Executor) workersFor(work int) int {
 	switch e.mode {
 	case Serial:
@@ -182,33 +184,18 @@ func (e *Executor) run(n int, fn func(i int)) {
 	}
 }
 
-// Per-worker scratch buffers. Shard outputs are appended into pooled
-// slices, copied once into the exact-size result, and recycled; the
-// merge-join kernels additionally reuse their stack and chain buffers
-// through index.MergeScratch.
+// Per-worker scratch. Shard outputs are appended into pooled slices, copied
+// once into the exact-size result, and recycled (gather is the pools' one
+// user); the scan and kernel scratch is a pooled index.BlockScratch.
 
 var idBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]core.ID) }}
 
-func getIDBuf() *[]core.ID  { poolGets.Add(1); return idBufPool.Get().(*[]core.ID) }
-func putIDBuf(b *[]core.ID) { *b = (*b)[:0]; idBufPool.Put(b) }
-
 var pairBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]index.PairID) }}
-
-func getPairBuf() *[]index.PairID  { poolGets.Add(1); return pairBufPool.Get().(*[]index.PairID) }
-func putPairBuf(b *[]index.PairID) { *b = (*b)[:0]; pairBufPool.Put(b) }
-
-var mergeScratchPool = sync.Pool{New: func() any { poolMisses.Add(1); return new(index.MergeScratch) }}
-
-func getMergeScratch() *index.MergeScratch {
-	poolGets.Add(1)
-	return mergeScratchPool.Get().(*index.MergeScratch)
-}
-func putMergeScratch(sc *index.MergeScratch) { mergeScratchPool.Put(sc) }
 
 var blockScratchPool = sync.Pool{New: func() any { poolMisses.Add(1); return new(index.BlockScratch) }}
 
 // blockScratch hands out a pooled scratch wired to this executor's meter, so
-// the seek kernels charge block decodes against the query's budget.
+// index.ForEachRun charges every admitted run against the query's budget.
 func (e *Executor) blockScratch() *index.BlockScratch {
 	poolGets.Add(1)
 	bs := blockScratchPool.Get().(*index.BlockScratch)
@@ -223,6 +210,16 @@ func putBlockScratch(b *index.BlockScratch) {
 	b.Stats = index.BlockStats{}
 	b.Meter = nil
 	blockScratchPool.Put(b)
+}
+
+// shardUnits cuts descs into at most want contiguous [lo, hi) ranges of the
+// units index.ForEachRun walks: whole blocks of a block or paged view,
+// area-aligned identifier ranges of a slice view.
+func shardUnits(descs index.Postings, want int) [][2]int {
+	if pl := descs.List(); pl != nil {
+		return shardBlocks(pl.NumBlocks(), want)
+	}
+	return shardRanges(descs.Slice(), want)
 }
 
 // shardBlocks cuts nblocks posting blocks into at most want contiguous

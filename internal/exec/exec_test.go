@@ -59,22 +59,40 @@ func subsample(r *rand.Rand, ids []core.ID, keep float64) []core.ID {
 	return out
 }
 
+// memSource is the minimal index.BlockSource: a paged list's delta bytes in
+// a plain byte slice.
+type memSource []byte
+
+func (m memSource) ReadRange(off, end uint32, dst []byte) ([]byte, error) {
+	return append(dst, m[off:end]...), nil
+}
+
 // views returns the representations a posting run can reach the executor
-// in: the plain slice view (intermediate pipeline results) and the
+// in: the plain slice view (intermediate pipeline results), the
 // block-compressed view (index-resident postings, rebuilt here from the
-// same identifiers).
+// same identifiers) and the paged view (a cold-opened document's postings:
+// the same blocks, faulted through a BlockSource on every decode).
 func views(ids []core.ID) map[string]index.Postings {
+	pl := index.BuildPostingList(ids)
+	paged := pl
+	if pl != nil {
+		var err error
+		if paged, err = index.PagedPostingList(pl.Skips(), pl.Len(), len(pl.Data()), memSource(pl.Data())); err != nil {
+			panic(err)
+		}
+	}
 	return map[string]index.Postings{
 		"slice": index.SlicePostings(ids),
-		"block": index.BlockPostings(index.BuildPostingList(ids)),
+		"block": index.BlockPostings(pl),
+		"paged": index.BlockPostings(paged),
 	}
 }
 
-// TestParallelAgreesWithSerial runs every executor operation in Forced mode
-// at several worker counts over randomized document-order subsets of real
-// postings, in every combination of slice-backed and block-compressed input
-// views, and requires byte-identical output versus the serial flat-slice
-// oracle.
+// TestParallelAgreesWithSerial runs every executor operation in Serial mode
+// and in Forced mode at several worker counts over randomized document-order
+// subsets of real postings, in every combination of slice, block and paged
+// input views, and requires byte-identical output versus the serial
+// flat-slice oracle.
 func TestParallelAgreesWithSerial(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	r := rand.New(rand.NewSource(7))
@@ -84,17 +102,24 @@ func TestParallelAgreesWithSerial(t *testing.T) {
 		if trial == 0 {
 			ancs, descs = ix.RuidIDs("section"), ix.RuidIDs("title")
 		}
-		wantUpward := index.UpwardJoinRUID(n, ancs, descs)
-		wantMerge := index.MergeJoinRUID(n, ancs, descs)
-		wantUpSemi := index.UpwardSemiJoinRUID(n, ancs, descs)
-		wantParent := index.ParentSemiJoinRUID(n, ancs, descs)
-		wantAnc := index.AncestorSemiJoinRUID(n, ancs, descs)
-		wantChild := index.ChildSemiJoinRUID(n, ancs, descs)
+		sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
+		wantUpward := index.UpwardJoinPostings(n, sAncs, sDescs)
+		wantMerge := index.MergeJoinPostings(n, sAncs, sDescs)
+		wantUpSemi := index.UpwardSemiJoinPostings(n, sAncs, sDescs)
+		wantParent := index.ParentSemiJoinPostings(n, sAncs, sDescs)
+		wantAnc := index.AncestorSemiJoinPostings(n, sAncs, sDescs)
+		wantChild := index.ChildSemiJoinPostings(n, sAncs, sDescs)
 		for aKind, aView := range views(ancs) {
 			for dKind, dView := range views(descs) {
 				tag := "/" + aKind + "-" + dKind
-				for _, workers := range []int{1, 2, 3, 8} {
-					e := exec.New(exec.Config{Mode: exec.Forced, Workers: workers})
+				for _, cfg := range []exec.Config{
+					{Mode: exec.Serial},
+					{Mode: exec.Forced, Workers: 1},
+					{Mode: exec.Forced, Workers: 2},
+					{Mode: exec.Forced, Workers: 3},
+					{Mode: exec.Forced, Workers: 8},
+				} {
+					e := exec.New(cfg)
 					equalPairs(t, "UpwardJoin"+tag, e.UpwardJoin(n, aView, dView), wantUpward)
 					equalPairs(t, "MergeJoin"+tag, e.MergeJoin(n, aView, dView), wantMerge)
 					equalIDs(t, "UpwardSemiJoin"+tag, e.UpwardSemiJoin(n, aView, dView), wantUpSemi)
@@ -112,26 +137,28 @@ func TestParallelAgreesWithSerial(t *testing.T) {
 func TestIndexPostingsAgree(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	ancs, descs := ix.RuidIDs("section"), ix.RuidIDs("title")
+	sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
 	ancsP, descsP := ix.Postings("section"), ix.Postings("title")
 	for _, workers := range []int{1, 4} {
 		e := exec.New(exec.Config{Mode: exec.Forced, Workers: workers})
-		equalPairs(t, "MergeJoin", e.MergeJoin(n, ancsP, descsP), index.MergeJoinRUID(n, ancs, descs))
-		equalPairs(t, "UpwardJoin", e.UpwardJoin(n, ancsP, descsP), index.UpwardJoinRUID(n, ancs, descs))
-		equalIDs(t, "UpwardSemiJoin", e.UpwardSemiJoin(n, ancsP, descsP), index.UpwardSemiJoinRUID(n, ancs, descs))
-		equalIDs(t, "ChildSemiJoin", e.ChildSemiJoin(n, ancsP, descsP), index.ChildSemiJoinRUID(n, ancs, descs))
+		equalPairs(t, "MergeJoin", e.MergeJoin(n, ancsP, descsP), index.MergeJoinPostings(n, sAncs, sDescs))
+		equalPairs(t, "UpwardJoin", e.UpwardJoin(n, ancsP, descsP), index.UpwardJoinPostings(n, sAncs, sDescs))
+		equalIDs(t, "UpwardSemiJoin", e.UpwardSemiJoin(n, ancsP, descsP), index.UpwardSemiJoinPostings(n, sAncs, sDescs))
+		equalIDs(t, "ChildSemiJoin", e.ChildSemiJoin(n, ancsP, descsP), index.ChildSemiJoinPostings(n, sAncs, sDescs))
 	}
 }
 
 // TestParallelNestedJoin pins the merge-join shard seeding on a deeply
 // nested ancestor list: sections nested under sections, where shard
 // boundaries land mid-subtree and the start stack must carry several open
-// ancestors across. Block-backed descendants additionally exercise the
-// per-run re-seeding inside AppendMergeJoinBlocks.
+// ancestors across. Block-backed descendants additionally cut a shard into
+// several runs, each seeded by the merge kernel on its own.
 func TestParallelNestedJoin(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	secs := ix.RuidIDs("section")
-	want := index.MergeJoinRUID(n, secs, secs)
-	wantUp := index.UpwardJoinRUID(n, secs, secs)
+	sSecs := index.SlicePostings(secs)
+	want := index.MergeJoinPostings(n, sSecs, sSecs)
+	wantUp := index.UpwardJoinPostings(n, sSecs, sSecs)
 	for kind, view := range views(secs) {
 		for _, workers := range []int{2, 5, 16} {
 			e := exec.New(exec.Config{Mode: exec.Forced, Workers: workers})
@@ -182,13 +209,13 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 				t.Fatalf("%s empty block descs: got %d pairs", kind, len(got))
 			}
 		}
-		one := titles[:1]
-		for _, oneView := range views(one) {
-			equalPairs(t, "single", e.MergeJoin(n, oneView, oneView), index.MergeJoinRUID(n, one, one))
+		one := index.SlicePostings(titles[:1])
+		for _, oneView := range views(one.Slice()) {
+			equalPairs(t, "single", e.MergeJoin(n, oneView, oneView), index.MergeJoinPostings(n, one, one))
 		}
-		small := titles[:min(3, len(titles))]
-		for _, smallView := range views(small) {
-			equalIDs(t, "tiny", e.UpwardSemiJoin(n, smallView, smallView), index.UpwardSemiJoinRUID(n, small, small))
+		small := index.SlicePostings(titles[:min(3, len(titles))])
+		for _, smallView := range views(small.Slice()) {
+			equalIDs(t, "tiny", e.UpwardSemiJoin(n, smallView, smallView), index.UpwardSemiJoinPostings(n, small, small))
 		}
 	}
 }
@@ -202,5 +229,5 @@ func TestDefaultExecutor(t *testing.T) {
 	n, ix := buildFixture(t, 7)
 	equalPairs(t, "default",
 		e.UpwardJoin(n, ix.Postings("section"), ix.Postings("title")),
-		index.UpwardJoinRUID(n, ix.RuidIDs("section"), ix.RuidIDs("title")))
+		index.UpwardJoinPostings(n, index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))))
 }

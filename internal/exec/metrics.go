@@ -18,13 +18,10 @@ import (
 //   - an *obs.Span (WithSpan), attached per operation by the planner —
 //     the per-query EXPLAIN ANALYZE trace.
 //
-// When neither is present, instrumented() is false and every operation runs
-// its original path: the only cost is one branch per public entry point and
-// one atomic add per pool round-trip. When either sink is live, serial
-// block-path operations are routed through the sharded gather path with a
-// single shard so the seek kernels' BlockStats become visible; output is
-// unchanged (the serial/sharded equivalence is pinned by the conformance
-// determinism tests).
+// Neither changes what an operation does — there is one execution path, and
+// it always gathers block statistics and shard counts; a sink only decides
+// whether they are kept. With neither present the cost is one branch per
+// clock read and one atomic add per pool round-trip.
 
 // Pool traffic counters, global because the pools are. A miss is a Get that
 // fell through to the pool's New; hit rate = 1 - misses/gets. The probe and
@@ -83,9 +80,9 @@ func (e *Executor) WithSpan(sp *obs.Span) *Executor {
 }
 
 // WithMeter returns an executor whose operations charge the query budget m:
-// probe sides and slice-backed shards are charged as postings scanned, the
-// block kernels charge admitted blocks through the scratch's meter before
-// decoding, and every operation's output rows are charged as results. A
+// the probe side and every admitted run of the descendant side are charged
+// as postings scanned (the latter inside index.ForEachRun, before any
+// decode), and every operation's output rows are charged as results. A
 // tripped meter stops each shard at its next charge point and the operation
 // returns a partial (to-be-discarded) output; the caller surfaces m.Err().
 // WithMeter(nil) returns the receiver unchanged.
@@ -98,19 +95,12 @@ func (e *Executor) WithMeter(m *budget.Meter) *Executor {
 	return &c
 }
 
-// instrumented reports whether any observation sink is live for this
-// executor.
-func (e *Executor) instrumented() bool {
-	return e.m != nil || e.span != nil
-}
-
-// plain reports whether an operation may delegate to the one-shot serial
-// index forms: nothing is observing (no registry, no span) and no meter
-// needs per-block budget visibility. A metered operation always routes
-// through the sharded gather path — with a single shard when serial — so
-// the seek kernels charge block decodes as they happen.
-func (e *Executor) plain() bool {
-	return e.m == nil && e.span == nil && e.meter == nil
+// opStart reads the clock for noteOp, when a registry will take the reading.
+func (e *Executor) opStart() (t time.Time) {
+	if e.m != nil {
+		t = time.Now()
+	}
+	return t
 }
 
 // noteOp records one completed operation (wall time from start).
@@ -136,13 +126,13 @@ func (e *Executor) noteBlockStats(st *index.BlockStats) {
 	e.span.AddBlocks(st.Admitted, st.Skipped, st.Probes, st.AdmitAll)
 }
 
-// shardClock is per-shard wall-time capture for one sharded operation: nil
-// when observation is off, else one slot per shard, each written by exactly
+// shardClock is per-shard wall-time capture for one operation: nil when
+// observation is off, else one slot per shard, each written by exactly
 // one worker (no synchronization needed beyond run's WaitGroup).
 type shardClock []int64
 
 func (e *Executor) newShardClock(n int) shardClock {
-	if !e.instrumented() {
+	if e.m == nil && e.span == nil {
 		return nil
 	}
 	return make(shardClock, n)

@@ -10,53 +10,60 @@ import (
 )
 
 // TestObservedAgreesWithPlain requires that attaching a registry and a span
-// changes nothing about an operation's output — in Serial mode (where
-// observation reroutes block-backed inputs through the single-shard gather
-// path) and in Forced mode alike — while actually populating both sinks.
+// changes nothing about an operation's output — every executor runs the one
+// path, a sink only keeps what it gathers — in every mode and descendant
+// view, while actually populating both sinks.
 func TestObservedAgreesWithPlain(t *testing.T) {
 	n, ix := buildFixture(t, 9)
-	ancs, descs := ix.Postings("section"), ix.Postings("title")
+	ancs := ix.Postings("section")
 	for _, mode := range []exec.Mode{exec.Serial, exec.Auto, exec.Forced} {
-		plain := exec.New(exec.Config{Mode: mode, Workers: 4})
-		reg := obs.NewRegistry()
-		tr := obs.NewTrace("//section//title")
-		sp := tr.StartSpan("upward_semi_join")
-		observed := exec.New(exec.Config{Mode: mode, Workers: 4, Observe: reg}).WithSpan(sp)
+		for kind, descs := range views(ix.RuidIDs("title")) {
+			plain := exec.New(exec.Config{Mode: mode, Workers: 4})
+			reg := obs.NewRegistry()
+			tr := obs.NewTrace("//section//title")
+			sp := tr.StartSpan("upward_semi_join")
+			observed := exec.New(exec.Config{Mode: mode, Workers: 4, Observe: reg}).WithSpan(sp)
 
-		tag := mode.String()
-		equalIDs(t, "UpwardSemiJoin/"+tag,
-			observed.UpwardSemiJoin(n, ancs, descs), plain.UpwardSemiJoin(n, ancs, descs))
-		equalPairs(t, "UpwardJoin/"+tag,
-			observed.UpwardJoin(n, ancs, descs), plain.UpwardJoin(n, ancs, descs))
-		equalPairs(t, "MergeJoin/"+tag,
-			observed.MergeJoin(n, ancs, descs), plain.MergeJoin(n, ancs, descs))
-		equalIDs(t, "ParentSemiJoin/"+tag,
-			observed.ParentSemiJoin(n, ancs, descs), plain.ParentSemiJoin(n, ancs, descs))
-		equalIDs(t, "AncestorSemiJoin/"+tag,
-			observed.AncestorSemiJoin(n, ancs, descs), plain.AncestorSemiJoin(n, ancs, descs))
-		equalIDs(t, "ChildSemiJoin/"+tag,
-			observed.ChildSemiJoin(n, ancs, descs), plain.ChildSemiJoin(n, ancs, descs))
-		sp.End()
+			tag := mode.String() + "/" + kind
+			equalIDs(t, "UpwardSemiJoin/"+tag,
+				observed.UpwardSemiJoin(n, ancs, descs), plain.UpwardSemiJoin(n, ancs, descs))
+			equalPairs(t, "UpwardJoin/"+tag,
+				observed.UpwardJoin(n, ancs, descs), plain.UpwardJoin(n, ancs, descs))
+			equalPairs(t, "MergeJoin/"+tag,
+				observed.MergeJoin(n, ancs, descs), plain.MergeJoin(n, ancs, descs))
+			equalIDs(t, "ParentSemiJoin/"+tag,
+				observed.ParentSemiJoin(n, ancs, descs), plain.ParentSemiJoin(n, ancs, descs))
+			equalIDs(t, "AncestorSemiJoin/"+tag,
+				observed.AncestorSemiJoin(n, ancs, descs), plain.AncestorSemiJoin(n, ancs, descs))
+			equalIDs(t, "ChildSemiJoin/"+tag,
+				observed.ChildSemiJoin(n, ancs, descs), plain.ChildSemiJoin(n, ancs, descs))
+			sp.End()
 
-		if got := reg.Counter("exec.ops").Value(); got != 6 {
-			t.Errorf("%s: exec.ops = %d, want 6", tag, got)
-		}
-		if reg.Histogram("exec.op_ns").Count() != 6 {
-			t.Errorf("%s: exec.op_ns count = %d", tag, reg.Histogram("exec.op_ns").Count())
-		}
-		// Block-backed inputs must surface seek statistics even serially:
-		// every block is either admitted or skipped, never lost.
-		adm := int64(reg.Counter("index.blocks_admitted").Value())
-		skip := int64(reg.Counter("index.blocks_skipped").Value())
-		if adm == 0 {
-			t.Errorf("%s: no blocks admitted recorded", tag)
-		}
-		sAdm, sSkip, _, _ := sp.Blocks()
-		if sAdm != adm || sSkip != skip {
-			t.Errorf("%s: span blocks (%d, %d) != registry (%d, %d)", tag, sAdm, sSkip, adm, skip)
-		}
-		if len(sp.ShardNS()) == 0 {
-			t.Errorf("%s: no per-shard durations recorded", tag)
+			if got := reg.Counter("exec.ops").Value(); got != 6 {
+				t.Errorf("%s: exec.ops = %d, want 6", tag, got)
+			}
+			if reg.Histogram("exec.op_ns").Count() != 6 {
+				t.Errorf("%s: exec.op_ns count = %d", tag, reg.Histogram("exec.op_ns").Count())
+			}
+			// Every operation records its shards, a single-shard one included.
+			if got := reg.Counter("exec.shards").Value(); got < 6 {
+				t.Errorf("%s: exec.shards = %d, want at least one per operation", tag, got)
+			}
+			// Block-backed inputs must surface seek statistics even serially:
+			// every block is either admitted or skipped, never lost. A slice
+			// has no blocks to count.
+			adm := int64(reg.Counter("index.blocks_admitted").Value())
+			skip := int64(reg.Counter("index.blocks_skipped").Value())
+			if (adm == 0) != (kind == "slice") {
+				t.Errorf("%s: %d blocks admitted recorded", tag, adm)
+			}
+			sAdm, sSkip, _, _ := sp.Blocks()
+			if sAdm != adm || sSkip != skip {
+				t.Errorf("%s: span blocks (%d, %d) != registry (%d, %d)", tag, sAdm, sSkip, adm, skip)
+			}
+			if len(sp.ShardNS()) == 0 {
+				t.Errorf("%s: no per-shard durations recorded", tag)
+			}
 		}
 	}
 }
@@ -116,7 +123,7 @@ func TestPanicPropagatesWithTracing(t *testing.T) {
 	sp2 := tr.StartSpan("recovered")
 	got := e.WithSpan(sp2).UpwardSemiJoin(n, ancs, descs)
 	sp2.End()
-	want := index.UpwardSemiJoinRUID(n, ancs.Materialize(), descIDs)
+	want := index.UpwardSemiJoinPostings(n, index.SlicePostings(ancs.Materialize()), index.SlicePostings(descIDs))
 	equalIDs(t, "UpwardSemiJoin after panic", got, want)
 	if reg.Counter("exec.ops").Value() == 0 {
 		t.Fatal("no operations recorded after recovery")

@@ -8,6 +8,11 @@ import (
 	"repro/internal/nestedint"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
+
+	// Registered by import, with ancestry and nestedint above and ruid
+	// (package core, which index itself imports): the full registry.
+	_ "repro/internal/prepost"
+	_ "repro/internal/uid"
 )
 
 // comparisonSchemes builds the schemes the merge kernels are aimed at: one
@@ -143,6 +148,74 @@ func sameStrings(t *testing.T, label string, got, want []string) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: result %d = %s, want %s", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestDispatchPerScheme pins, for every registered scheme, which kernel
+// family the semi-join dispatchers give it, and that what they return is the
+// truth derived from NaiveJoin (every pair by IsAncestor, the child edges
+// among them by the tree's own parent pointers) — so a scheme moved to the
+// other family, as nestedint was to merge, cannot change an answer.
+func TestDispatchPerScheme(t *testing.T) {
+	families := map[string]string{
+		"ruid": "climbing", "uid": "climbing",
+		"nestedint": "merge+depth", "ancestry": "merge+depth",
+		"prepost": "merge", "limoon": "merge",
+	}
+	doc := xmltree.Recursive(2, 5)
+	for _, name := range scheme.Names() {
+		reg, _ := scheme.Lookup(name)
+		s, err := reg.Build(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		family, known := families[name]
+		if got := index.FamilyName(s); !known || got != family {
+			t.Errorf("%s: given the %q kernels, want %q", name, got, family)
+		}
+		if got, want := index.CanChildStep(s), family != "merge"; got != want {
+			t.Errorf("%s: CanChildStep = %v, want %v", name, got, want)
+		}
+		ix := index.Build(doc.DocumentElement(), s)
+		for _, c := range joinCases() {
+			ancs, descs := ix.IDs(c[0]), ix.IDs(c[1])
+			// keep filters ids down to those some pair selects: the pair's
+			// ancestor or descendant side, over all pairs or child edges only.
+			keep := func(ids []scheme.ID, descSide, childOnly bool) []scheme.ID {
+				hit := map[string]bool{}
+				for _, p := range index.NaiveJoin(s, ancs, descs) {
+					a, _ := s.NodeOf(p.Ancestor)
+					d, _ := s.NodeOf(p.Descendant)
+					if childOnly && d.Parent != a {
+						continue
+					}
+					if descSide {
+						hit[string(p.Descendant.Key())] = true
+					} else {
+						hit[string(p.Ancestor.Key())] = true
+					}
+				}
+				var out []scheme.ID
+				for _, id := range ids {
+					if hit[string(id.Key())] {
+						out = append(out, id)
+					}
+				}
+				return out
+			}
+			label := name + " " + c[0] + "/" + c[1]
+			sameIDSlices(t, "SemiJoinDescendants "+label, index.SemiJoinDescendants(s, ancs, descs), keep(descs, true, false))
+			sameIDSlices(t, "SemiJoinAncestors "+label, index.SemiJoinAncestors(s, ancs, descs), keep(ancs, false, false))
+			children, ok := index.SemiJoinChildren(s, ancs, descs)
+			parents, ok2 := index.SemiJoinParents(s, ancs, descs)
+			if ok != (family != "merge") || ok2 != ok {
+				t.Fatalf("%s: child-edge kernels available = %v/%v", label, ok, ok2)
+			}
+			if ok {
+				sameIDSlices(t, "SemiJoinChildren "+label, children, keep(descs, true, true))
+				sameIDSlices(t, "SemiJoinParents "+label, parents, keep(ancs, false, true))
+			}
 		}
 	}
 }

@@ -29,8 +29,9 @@ func boxIDs(ids []core.ID) []scheme.ID {
 	return out
 }
 
-// TestFastPathAgree pins that every *RUID join returns exactly what its
-// generic counterpart returns on the boxed form of the same inputs.
+// TestFastPathAgree pins that every ruid join, over slice views of flat
+// core.ID postings, returns exactly what its generic counterpart returns on
+// the boxed form of the same inputs.
 func TestFastPathAgree(t *testing.T) {
 	n, ix := buildRUIDIndex(t)
 	ancs := ix.RuidIDs("section")
@@ -39,9 +40,10 @@ func TestFastPathAgree(t *testing.T) {
 		t.Fatalf("test document has no section/title elements")
 	}
 	bAncs, bDescs := boxIDs(ancs), boxIDs(descs)
+	sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
 
 	t.Run("UpwardJoin", func(t *testing.T) {
-		fast := index.UpwardJoinRUID(n, ancs, descs)
+		fast := index.UpwardJoinPostings(n, sAncs, sDescs)
 		slow := index.UpwardJoin(n, bAncs, bDescs)
 		if len(fast) != len(slow) {
 			t.Fatalf("fast %d pairs, generic %d", len(fast), len(slow))
@@ -55,7 +57,7 @@ func TestFastPathAgree(t *testing.T) {
 		}
 	})
 	t.Run("MergeJoin", func(t *testing.T) {
-		fast := index.MergeJoinRUID(n, ancs, descs)
+		fast := index.MergeJoinPostings(n, sAncs, sDescs)
 		slow := index.MergeJoin(n, bAncs, bDescs)
 		if len(fast) != len(slow) {
 			t.Fatalf("fast %d pairs, generic %d", len(fast), len(slow))
@@ -73,16 +75,16 @@ func TestFastPathAgree(t *testing.T) {
 		slow func() []scheme.ID
 	}{
 		{"UpwardSemiJoin",
-			func() []core.ID { return index.UpwardSemiJoinRUID(n, ancs, descs) },
+			func() []core.ID { return index.UpwardSemiJoinPostings(n, sAncs, sDescs) },
 			func() []scheme.ID { return index.UpwardSemiJoin(n, bAncs, bDescs) }},
 		{"ParentSemiJoin",
-			func() []core.ID { return index.ParentSemiJoinRUID(n, ancs, descs) },
+			func() []core.ID { return index.ParentSemiJoinPostings(n, sAncs, sDescs) },
 			func() []scheme.ID { return index.ParentSemiJoin(n, bAncs, bDescs) }},
 		{"AncestorSemiJoin",
-			func() []core.ID { return index.AncestorSemiJoinRUID(n, ancs, descs) },
+			func() []core.ID { return index.AncestorSemiJoinPostings(n, sAncs, sDescs) },
 			func() []scheme.ID { return index.AncestorSemiJoin(n, bAncs, bDescs) }},
 		{"ChildSemiJoin",
-			func() []core.ID { return index.ChildSemiJoinRUID(n, ancs, descs) },
+			func() []core.ID { return index.ChildSemiJoinPostings(n, sAncs, sDescs) },
 			func() []scheme.ID { return index.ChildSemiJoin(n, bAncs, bDescs) }},
 	}
 	for _, tc := range semis {

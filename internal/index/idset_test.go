@@ -180,13 +180,14 @@ func TestProbeSharedByShards(t *testing.T) {
 			descs = ids
 		}
 	}
-	want := index.AncestorSemiJoinRUID(n, ancs, descs)
-	wantUp := index.UpwardSemiJoinRUID(n, ancs, descs)
+	sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
+	want := index.AncestorSemiJoinPostings(n, sAncs, sDescs)
+	wantUp := index.UpwardSemiJoinPostings(n, sAncs, sDescs)
 	if len(want) == 0 || len(wantUp) == 0 {
 		t.Fatalf("fixture joins nothing: %d ancestors, %d descendants hit", len(want), len(wantUp))
 	}
 
-	pr := index.MakeProbe(index.SlicePostings(ancs))
+	pr := index.MakeProbe(sAncs)
 	defer pr.Release()
 	const shards = 8
 	hits := make([]*index.IDSet, shards)
@@ -208,7 +209,7 @@ func TestProbeSharedByShards(t *testing.T) {
 		up = append(up, ups[s]...)
 	}
 	sameIDs(t, "upward semi-join over shards", up, wantUp)
-	sameIDs(t, "ancestor semi-join over shards", index.AppendHitMembersRUID(ancs, hits, nil), want)
+	sameIDs(t, "ancestor semi-join over shards", index.AppendHitMembersPostings(pr, hits, nil), want)
 	for _, h := range hits {
 		h.Release()
 	}

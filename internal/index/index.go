@@ -19,6 +19,15 @@
 //
 // All strategies return identical results; the benchmarks (experiment E11)
 // compare their costs across selectivities.
+//
+// The functions above take any scheme.Scheme and boxed scheme.ID lists; for
+// them compare.go picks, per scheme, between the Parent-climbing and the
+// comparison-only merge semi-joins. An index built over the concrete ruid
+// numbering has a second, unboxed engine with one path per join: a run kernel
+// written once (fastpath.go), fed by the one iterator over a Postings view
+// (ForEachRun, seek.go — skip-table admission, budget charge, block decode),
+// wrapped by a serial one-shot *Postings form that is the reference, and
+// sharded by internal/exec.
 package index
 
 import (
@@ -38,8 +47,8 @@ import (
 //
 // When the index is built over the concrete ruid numbering
 // (*core.Numbering), postings are stored block-compressed (*PostingList,
-// see postings.go) and the join code takes the allocation-free seek-based
-// fast path; for every other scheme the boxed scheme.ID representation is
+// see postings.go) and the join code runs the unboxed kernels over Postings
+// views; for every other scheme the boxed scheme.ID representation is
 // kept.
 type NameIndex struct {
 	s      scheme.Scheme
@@ -95,7 +104,7 @@ func (ix *NameIndex) Scheme() scheme.Scheme { return ix.s }
 
 // RUID returns the concrete ruid numbering the index was built over, or
 // nil if the index uses the generic boxed representation. A non-nil result
-// means Postings, RuidIDs and the *RUID join functions are usable.
+// means Postings, RuidIDs and the *Postings join functions are usable.
 func (ix *NameIndex) RUID() *core.Numbering { return ix.ruid }
 
 // FromPostingLists assembles a ruid-backed index from prebuilt posting

@@ -14,7 +14,7 @@ import (
 // remaining entries are delta-encoded against their predecessor with the
 // core varint codec (core.AppendIDDelta), so the common same-area step
 // costs 2 bytes instead of a resident 24-byte core.ID. The skip table is
-// what the seek-based kernels (seek.go) read: each entry carries the
+// what the join iterator (ForEachRun, seek.go) reads: each entry carries the
 // block's first and last identifier and the range of UID-local areas
 // (Global components) present in it, so a join can decide per block —
 // without decoding — whether the block can possibly contribute and gallop
@@ -388,6 +388,15 @@ func BlockPostings(pl *PostingList) Postings { return Postings{pl: pl} }
 func (p Postings) Len() int {
 	if p.pl != nil {
 		return p.pl.n
+	}
+	return len(p.ids)
+}
+
+// units returns how many units ForEachRun walks: blocks of a block or paged
+// view, identifiers of a slice view.
+func (p Postings) units() int {
+	if p.pl != nil {
+		return len(p.pl.skips)
 	}
 	return len(p.ids)
 }

@@ -211,12 +211,13 @@ func TestSeekKernelsAgree(t *testing.T) {
 	}
 	for trial := 0; trial < 12; trial++ {
 		ancs, descs := pick(), pick()
-		wantUp := index.UpwardJoinRUID(n, ancs, descs)
-		wantMerge := index.MergeJoinRUID(n, ancs, descs)
-		wantUpSemi := index.UpwardSemiJoinRUID(n, ancs, descs)
-		wantParent := index.ParentSemiJoinRUID(n, ancs, descs)
-		wantAnc := index.AncestorSemiJoinRUID(n, ancs, descs)
-		wantChild := index.ChildSemiJoinRUID(n, ancs, descs)
+		sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
+		wantUp := index.UpwardJoinPostings(n, sAncs, sDescs)
+		wantMerge := index.MergeJoinPostings(n, sAncs, sDescs)
+		wantUpSemi := index.UpwardSemiJoinPostings(n, sAncs, sDescs)
+		wantParent := index.ParentSemiJoinPostings(n, sAncs, sDescs)
+		wantAnc := index.AncestorSemiJoinPostings(n, sAncs, sDescs)
+		wantChild := index.ChildSemiJoinPostings(n, sAncs, sDescs)
 		for ak, av := range views(ancs) {
 			for dk, dv := range views(descs) {
 				tag := ak + "-" + dk

@@ -8,7 +8,8 @@ import (
 	"repro/internal/core"
 )
 
-// Seek-based join kernels over block-compressed postings. The skip test
+// The read side of the ruid joins: the probe, the block skip test and the one
+// iterator over a Postings view, plus the serial one-shot joins. The skip test
 // exploits the one interval the ruid scheme gives us for free: a subtree is
 // contiguous in document order. A block covering the document-order range
 // [First, Last] can only produce a hit against an ancestor set A if some
@@ -105,14 +106,14 @@ func (pr *Probe) admitAll(pl *PostingList) bool {
 // bounded (32 blocks = 4096 identifiers).
 const maxRunBlocks = 32
 
-// BlockStats counts what the skip table did for one kernel call: how many
-// blocks the skip test examined (Probes counts candidate evaluations,
-// including the re-test that ends a run), how many were decoded (Admitted),
-// how many were galloped over without decoding (Skipped), and how often the
-// dense admit-all shortcut bypassed the skip test entirely (AdmitAll, once
-// per kernel call). The fields are plain integers — the scratch is
-// per-worker — and internal/exec folds them into the observability registry
-// and the query trace after each shard.
+// BlockStats counts what the skip table did for one scan: how many blocks
+// the skip test examined (Probes counts candidate evaluations, including the
+// re-test that ends a run), how many were decoded (Admitted), how many were
+// galloped over without decoding (Skipped), and how often the dense admit-all
+// shortcut bypassed the skip test entirely (AdmitAll, once per scan). A slice
+// view has no blocks and moves none of them. The fields are plain integers —
+// the scratch is per-worker — and internal/exec folds them into the
+// observability registry and the query trace after each shard.
 type BlockStats struct {
 	Probes   int64
 	Admitted int64
@@ -120,67 +121,79 @@ type BlockStats struct {
 	AdmitAll int64
 }
 
-// Add accumulates other into s.
-func (s *BlockStats) Add(other BlockStats) {
-	s.Probes += other.Probes
-	s.Admitted += other.Admitted
-	s.Skipped += other.Skipped
-	s.AdmitAll += other.AdmitAll
-}
-
-// BlockScratch is the reusable scratch of the block kernels — the decode
-// buffer, the skip test's ancestor-chain buffer and the per-call block
-// statistics; internal/exec pools instances across shards. The zero value
-// is ready.
+// BlockScratch is one worker's reusable scratch for a scan and the kernel it
+// feeds — the decode buffer, the skip test's ancestor-chain buffer, the merge
+// kernel's open-ancestor stack and chain buffers, and the scan's block
+// statistics; internal/exec pools instances across shards. The zero value is
+// ready.
 type BlockScratch struct {
 	buf   []core.ID
 	chain []core.ID
 
-	// Stats accumulates across kernel calls until reset; exec drains it
-	// per shard.
+	stack  []core.ID
+	aChain []core.ID
+	dChain []core.ID
+
+	// Stats accumulates across scans until reset; exec drains it per shard.
 	Stats BlockStats
 
-	// Meter, when non-nil, is the query's resource budget: forEachRun
-	// charges every admitted block's postings against it before decoding
-	// and stops the scan — mid-list, without touching the remaining blocks
-	// — the moment a charge is refused. Pooled instances must have it
-	// cleared on return (internal/exec does).
+	// Meter, when non-nil, is the query's resource budget: ForEachRun
+	// charges every admitted run's postings against it before decoding and
+	// stops the scan — mid-list, without touching the remaining blocks — the
+	// moment a charge is refused. Pooled instances must have it cleared on
+	// return (internal/exec does).
 	Meter *budget.Meter
 }
 
-// forEachRun decodes maximal runs of consecutive candidate blocks in
-// [lo, hi) and hands each run to fn along with its first block index.
-// Blocks failing the candidate test are galloped over without decoding; a
-// nil candidate admits every block (the dense case, see Probe.admitAll).
+// ForEachRun is the one reader of a join's descendant side. It walks units
+// [lo, hi) of p in document order and hands fn every run of postings the
+// probe admits. The units of a block or paged view are its blocks: maximal
+// runs of consecutive candidate blocks (at most maxRunBlocks) are decoded
+// into the scratch, blocks failing the skip test are galloped over without
+// decoding, and a probe dense enough admits every block untested (see
+// Probe.admitAll). The units of a slice view are its identifiers, and the
+// range is one admitted run, handed over as it is. A run is valid only until
+// fn returns.
 //
-// This is the budget enforcement point of the block read path: every
-// admitted run's postings are charged against bs.Meter before any decode,
-// and a refused charge — limit exceeded, deadline past, or another shard
-// already tripped — ends the scan immediately. The caller's partial output
-// is discarded above (the query surfaces the meter's sentinel error), so
+// This is the budget enforcement point of the read path: every admitted
+// run's postings are charged against bs.Meter before any decode, and a
+// refused charge — limit exceeded, deadline past, or another shard already
+// tripped — ends the scan immediately. The caller's partial output is
+// discarded above (the query surfaces the meter's sentinel error), so
 // stopping mid-list never yields a silently truncated result.
-func forEachRun(pl *PostingList, lo, hi int, candidate func(sk *Skip) bool, bs *BlockScratch, fn func(firstBlock int, ids []core.ID)) {
-	if candidate == nil {
+func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockScratch, fn func(run []core.ID)) {
+	pl := p.List()
+	if pl == nil {
+		if lo < hi && bs.Meter.ChargePostings(hi-lo) {
+			fn(p.Slice()[lo:hi])
+		}
+		return
+	}
+	admitAll := pr.admitAll(pl)
+	if admitAll {
 		bs.Stats.AdmitAll++
 	}
-	probe := func(b int) bool {
+	candidate := func(b int) bool {
+		if admitAll {
+			return true
+		}
 		bs.Stats.Probes++
-		return candidate(&pl.skips[b])
+		return pr.mayContribute(n, &pl.skips[b], &bs.chain)
 	}
 	i := lo
 	for i < hi {
-		if candidate != nil && !probe(i) {
+		if !candidate(i) {
 			bs.Stats.Skipped++
 			i++
 			continue
 		}
 		j := i + 1
-		n := int(pl.skips[i].N)
-		for j < hi && j-i < maxRunBlocks && (candidate == nil || probe(j)) {
-			n += int(pl.skips[j].N)
+		count := int(pl.skips[i].N)
+		for j < hi && j-i < maxRunBlocks && candidate(j) {
+			count += int(pl.skips[j].N)
 			j++
 		}
-		if !bs.Meter.ChargePostings(n) {
+		if !bs.Meter.ChargePostings(count) {
 			return
 		}
 		ids := bs.buf[:0]
@@ -189,205 +202,103 @@ func forEachRun(pl *PostingList, lo, hi int, candidate func(sk *Skip) bool, bs *
 		}
 		bs.buf = ids
 		bs.Stats.Admitted += int64(j - i)
-		fn(i, ids)
+		fn(ids)
 		i = j
 	}
 }
 
-// AppendUpwardJoinBlocks runs the upward-join kernel over blocks [lo, hi)
-// of pl, skipping blocks the skip test rules out.
-func AppendUpwardJoinBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, out []PairID) []PairID {
-	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
-	if pr.admitAll(pl) {
-		cand = nil
-	}
-	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		out = AppendUpwardJoinRUID(n, &pr.Set, ids, out)
+// The serial one-shot form of every join, over Postings views: probe, one
+// scan of the whole descendant side, the run kernel on every run. They are
+// the reference internal/exec's sharded operations are tested against, and
+// NameIndex.PathQueryRUID pipelines through the semi-join.
+
+func oneShot[T any](n *core.Numbering, ancs, descs Postings, kernel func(pr *Probe, bs *BlockScratch, run []core.ID, out []T) []T) []T {
+	pr := MakeProbe(ancs)
+	defer pr.Release()
+	var bs BlockScratch
+	out := make([]T, 0, descs.Len())
+	ForEachRun(n, pr, descs, 0, descs.units(), &bs, func(run []core.ID) {
+		out = kernel(pr, &bs, run, out)
 	})
 	return out
 }
 
-// AppendUpwardSemiJoinBlocks runs the upward-semi-join kernel over blocks
-// [lo, hi) of pl with block skipping.
-func AppendUpwardSemiJoinBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, out []core.ID) []core.ID {
-	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
-	if pr.admitAll(pl) {
-		cand = nil
-	}
-	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		out = AppendUpwardSemiJoinRUID(n, &pr.Set, ids, out)
-	})
-	return out
-}
-
-// AppendParentSemiJoinBlocks runs the parent-semi-join kernel over blocks
-// [lo, hi) of pl, skipping blocks that cannot contain a child of a probe member.
-func AppendParentSemiJoinBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, out []core.ID) []core.ID {
-	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
-	if pr.admitAll(pl) {
-		cand = nil
-	}
-	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		out = AppendParentSemiJoinRUID(n, &pr.Set, ids, out)
-	})
-	return out
-}
-
-// CollectAncestorHitsBlocks runs the ancestor-hit collector over blocks
-// [lo, hi) of pl with block skipping, accumulating into hit.
-func CollectAncestorHitsBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, hit *IDSet) {
-	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
-	if pr.admitAll(pl) {
-		cand = nil
-	}
-	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		CollectAncestorHitsRUID(n, &pr.Set, ids, hit)
+// UpwardJoinPostings returns every pair (a, d) with a ∈ ancs a proper
+// ancestor of d ∈ descs, in document order of the descendant, computed by
+// rparent arithmetic against a hash of ancs.
+func UpwardJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
+	return oneShot(n, ancs, descs, func(pr *Probe, _ *BlockScratch, run []core.ID, out []PairID) []PairID {
+		return AppendUpwardJoinRUID(n, &pr.Set, run, out)
 	})
 }
 
-// CollectChildHitsBlocks runs the child-hit collector over blocks [lo, hi)
-// of pl with block skipping, accumulating into hit.
-func CollectChildHitsBlocks(n *core.Numbering, pr *Probe, pl *PostingList, lo, hi int, bs *BlockScratch, hit *IDSet) {
-	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
-	if pr.admitAll(pl) {
-		cand = nil
-	}
-	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		CollectChildHitsRUID(n, &pr.Set, ids, hit)
+// MergeJoinPostings returns the same pairs as UpwardJoinPostings by the
+// stack-based sort-merge over the two document-ordered inputs. The ancestor
+// side is materialized in the probe: the merge kernel walks it sequentially
+// and a selective merge join has a small ancestor side by construction.
+func MergeJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
+	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []PairID) []PairID {
+		return AppendMergeJoinRUID(n, pr, run, bs, out)
 	})
 }
 
-// AppendMergeJoinBlocks runs the stack-based merge join over blocks
-// [lo, hi) of pl. Skipped blocks contribute no pairs, and every run is
-// re-seeded exactly the way internal/exec seeds a shard: candidate
-// admission restarts at the first ancestor not ordered before the run's
-// first descendant (binary search) and the open-ancestor stack is seeded
-// with the ancs members on that descendant's ancestor chain, outermost
-// first — the serial algorithm's stack state at that point. The
-// concatenated run outputs therefore equal the serial flat-slice output.
-func AppendMergeJoinBlocks(n *core.Numbering, ancs []core.ID, pr *Probe, pl *PostingList, lo, hi int, sc *MergeScratch, bs *BlockScratch, out []PairID) []PairID {
-	var chain, seed []core.ID
-	cand := func(sk *Skip) bool { return pr.mayContribute(n, sk, &bs.chain) }
-	if pr.admitAll(pl) {
-		cand = nil
-	}
-	forEachRun(pl, lo, hi, cand, bs, func(_ int, ids []core.ID) {
-		d0 := ids[0]
-		start := sort.Search(len(ancs), func(j int) bool {
-			return n.CompareOrderID(ancs[j], d0) >= 0
-		})
-		chain = n.AppendAncestorChainID(chain[:0], d0)
-		// chain[0] is d0 itself, nearest ancestor first; the seed wants the
-		// subset present in ancs, outermost first.
-		seed = seed[:0]
-		for j := len(chain) - 1; j >= 1; j-- {
-			if pr.Set.Has(chain[j]) {
-				seed = append(seed, chain[j])
+// UpwardSemiJoinPostings returns the members of descs having at least one
+// proper ancestor in ancs, in input order.
+func UpwardSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
+	return oneShot(n, ancs, descs, func(pr *Probe, _ *BlockScratch, run []core.ID, out []core.ID) []core.ID {
+		return AppendUpwardSemiJoinRUID(n, &pr.Set, run, out)
+	})
+}
+
+// ParentSemiJoinPostings returns the members of descs whose direct parent is
+// in ancs, in input order. One rparent computation per candidate.
+func ParentSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
+	return oneShot(n, ancs, descs, func(pr *Probe, _ *BlockScratch, run []core.ID, out []core.ID) []core.ID {
+		return AppendParentSemiJoinRUID(n, &pr.Set, run, out)
+	})
+}
+
+// hitOneShot is oneShot for the bottom-up semi-joins: collect accumulates
+// the probe members each run hits, and the ancestor side is then filtered
+// through that set.
+func hitOneShot(n *core.Numbering, ancs, descs Postings, collect func(n *core.Numbering, set *IDSet, run []core.ID, hit *IDSet)) []core.ID {
+	pr := MakeProbe(ancs)
+	defer pr.Release()
+	hit := AcquireIDSet(min(ancs.Len(), descs.Len()))
+	defer hit.Release()
+	var bs BlockScratch
+	ForEachRun(n, pr, descs, 0, descs.units(), &bs, func(run []core.ID) {
+		collect(n, &pr.Set, run, hit)
+	})
+	return AppendHitMembersPostings(pr, []*IDSet{hit}, make([]core.ID, 0, hit.Len()))
+}
+
+// AncestorSemiJoinPostings returns the members of ancs having at least one
+// proper descendant in descs, in ancs order.
+func AncestorSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
+	return hitOneShot(n, ancs, descs, CollectAncestorHitsRUID)
+}
+
+// ChildSemiJoinPostings returns the members of ancs having at least one
+// direct child in descs, in ancs order.
+func ChildSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
+	return hitOneShot(n, ancs, descs, CollectChildHitsRUID)
+}
+
+// AppendHitMembersPostings appends the postings pr was built from that are
+// present in any of hits to out, in their document order — the emission half
+// of both bottom-up semi-joins. The serial forms pass their one hit set;
+// internal/exec passes its per-shard sets as they are, since filtering the
+// ancestor side through them restores order without a sort and without
+// building their union.
+func AppendHitMembersPostings(pr *Probe, hits []*IDSet, out []core.ID) []core.ID {
+	for _, a := range pr.ids {
+		for _, hit := range hits {
+			if hit.Has(a) {
+				out = append(out, a)
+				break
 			}
 		}
-		out = AppendMergeJoinRUID(n, ancs[start:], ids, seed, sc, out)
-	})
+	}
 	return out
-}
-
-// Serial one-shot forms over Postings views. Slice-backed descendants run
-// the flat kernels unchanged (the legacy oracle); block-backed descendants
-// get block skipping. internal/exec delegates here below its parallel
-// crossover, and NameIndex.PathQueryRUID pipelines through them.
-
-// UpwardJoinPostings is UpwardJoinRUID over Postings views.
-func UpwardJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
-	pr := MakeProbe(ancs)
-	defer pr.Release()
-	out := make([]PairID, 0, descs.Len())
-	if pl := descs.List(); pl != nil {
-		var bs BlockScratch
-		return AppendUpwardJoinBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, out)
-	}
-	return AppendUpwardJoinRUID(n, &pr.Set, descs.Slice(), out)
-}
-
-// MergeJoinPostings is MergeJoinRUID over Postings views. The ancestor side
-// is materialized: the merge kernel walks it sequentially and a selective
-// merge join has a small ancestor side by construction.
-func MergeJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
-	ancIDs := ancs.Materialize()
-	out := make([]PairID, 0, descs.Len())
-	if pl := descs.List(); pl != nil {
-		pr := MakeProbe(SlicePostings(ancIDs))
-		defer pr.Release()
-		var sc MergeScratch
-		var bs BlockScratch
-		return AppendMergeJoinBlocks(n, ancIDs, pr, pl, 0, pl.NumBlocks(), &sc, &bs, out)
-	}
-	var sc MergeScratch
-	return AppendMergeJoinRUID(n, ancIDs, descs.Slice(), nil, &sc, out)
-}
-
-// UpwardSemiJoinPostings is UpwardSemiJoinRUID over Postings views.
-func UpwardSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	pr := MakeProbe(ancs)
-	defer pr.Release()
-	out := make([]core.ID, 0, descs.Len())
-	if pl := descs.List(); pl != nil {
-		var bs BlockScratch
-		return AppendUpwardSemiJoinBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, out)
-	}
-	return AppendUpwardSemiJoinRUID(n, &pr.Set, descs.Slice(), out)
-}
-
-// ParentSemiJoinPostings is ParentSemiJoinRUID over Postings views.
-func ParentSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	pr := MakeProbe(ancs)
-	defer pr.Release()
-	out := make([]core.ID, 0, descs.Len())
-	if pl := descs.List(); pl != nil {
-		var bs BlockScratch
-		return AppendParentSemiJoinBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, out)
-	}
-	return AppendParentSemiJoinRUID(n, &pr.Set, descs.Slice(), out)
-}
-
-// AncestorSemiJoinPostings is AncestorSemiJoinRUID over Postings views.
-func AncestorSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	pr := MakeProbe(ancs)
-	defer pr.Release()
-	hit := AcquireIDSet(min(ancs.Len(), descs.Len()))
-	defer hit.Release()
-	if pl := descs.List(); pl != nil {
-		var bs BlockScratch
-		CollectAncestorHitsBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, hit)
-	} else {
-		CollectAncestorHitsRUID(n, &pr.Set, descs.Slice(), hit)
-	}
-	return AppendHitMembersPostings(ancs, []*IDSet{hit}, make([]core.ID, 0, hit.Len()))
-}
-
-// ChildSemiJoinPostings is ChildSemiJoinRUID over Postings views.
-func ChildSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	pr := MakeProbe(ancs)
-	defer pr.Release()
-	hit := AcquireIDSet(min(ancs.Len(), descs.Len()))
-	defer hit.Release()
-	if pl := descs.List(); pl != nil {
-		var bs BlockScratch
-		CollectChildHitsBlocks(n, pr, pl, 0, pl.NumBlocks(), &bs, hit)
-	} else {
-		CollectChildHitsRUID(n, &pr.Set, descs.Slice(), hit)
-	}
-	return AppendHitMembersPostings(ancs, []*IDSet{hit}, make([]core.ID, 0, hit.Len()))
-}
-
-// AppendHitMembersPostings appends the members of p present in any of hits
-// to out in p's order — AppendHitMembersRUID generalized to a Postings
-// view, decoding blockwise so the full ancestor slice is never built.
-func AppendHitMembersPostings(p Postings, hits []*IDSet, out []core.ID) []core.ID {
-	if pl := p.List(); pl != nil {
-		var buf [BlockSize]core.ID
-		for b := range pl.skips {
-			out = AppendHitMembersRUID(pl.AppendBlock(b, buf[:0]), hits, out)
-		}
-		return out
-	}
-	return AppendHitMembersRUID(p.Slice(), hits, out)
 }
