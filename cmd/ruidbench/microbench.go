@@ -303,12 +303,12 @@ func obsBenches() []struct {
 	off := exec.New(exec.Config{Mode: exec.Serial})
 	on := exec.New(exec.Config{Mode: exec.Serial, Observe: obs.NewRegistry()})
 
-	qDoc := xmltree.Recursive(2, 9)
-	dOff, err := document.FromTree(qDoc, document.Options{})
+	// One generated tree per document: FromTree takes ownership of its tree.
+	dOff, err := document.FromTree(xmltree.Recursive(2, 9), document.Options{})
 	if err != nil {
 		panic(err)
 	}
-	dOn, err := document.FromTree(qDoc, document.Options{Observe: obs.NewRegistry()})
+	dOn, err := document.FromTree(xmltree.Recursive(2, 9), document.Options{Observe: obs.NewRegistry()})
 	if err != nil {
 		panic(err)
 	}
@@ -361,7 +361,7 @@ func obsBenches() []struct {
 	// recorder ring write. The no-trace side exercises the nil-RequestCtx
 	// fast path every instrumented site pays.
 	srv := server.New(server.Config{Observe: obs.NewRegistry()})
-	if _, err := srv.Open("bench", xmltree.Serialize(qDoc)); err != nil {
+	if _, err := srv.Open("bench", xmltree.Serialize(xmltree.Recursive(2, 9))); err != nil {
 		panic(err)
 	}
 	qreq := server.QueryRequest{Query: "//section//title"}

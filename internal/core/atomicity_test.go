@@ -20,8 +20,9 @@ type numFingerprint struct {
 	kappa      int64
 	localLimit int64
 	k          []KRow
-	ids        map[*xmltree.Node]ID
-	nodes      map[ID]*xmltree.Node
+	size       int
+	stamps     map[*xmltree.Node]xmltree.NodeNum // every node of the tree, zero stamps included
+	nodes      map[ID]*xmltree.Node              // what each carried identifier resolves to
 	areaRoots  map[*xmltree.Node]bool
 	fanouts    map[int64]int64
 	rootLocals map[int64]int64
@@ -37,20 +38,22 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 		kappa:      n.kappa,
 		localLimit: n.localLimit,
 		k:          n.K(),
-		ids:        make(map[*xmltree.Node]ID, len(n.ids)),
-		nodes:      make(map[ID]*xmltree.Node, len(n.nodes)),
+		size:       n.Size(),
+		stamps:     make(map[*xmltree.Node]xmltree.NodeNum),
+		nodes:      make(map[ID]*xmltree.Node),
 		areaRoots:  make(map[*xmltree.Node]bool, len(n.areaRoots)),
 		fanouts:    make(map[int64]int64, len(n.areas)),
 		rootLocals: make(map[int64]int64, len(n.areas)),
 		locals:     make(map[int64]map[int64]*xmltree.Node, len(n.areas)),
 		boundaries: make(map[int64]map[int64]int64, len(n.areas)),
 	}
-	for x, id := range n.ids {
-		f.ids[x] = id
-	}
-	for id, x := range n.nodes {
-		f.nodes[id] = x
-	}
+	n.doc.WalkFull(func(x *xmltree.Node) bool {
+		f.stamps[x] = x.Num
+		if id, ok := n.RUID(x); ok {
+			f.nodes[id], _ = n.NodeOfID(id)
+		}
+		return true
+	})
 	for x, ok := range n.areaRoots {
 		if ok {
 			f.areaRoots[x] = true
@@ -91,7 +94,8 @@ func assertSameFingerprint(t *testing.T, before, after numFingerprint) {
 		t.Fatalf("table K changed:\nbefore %v\nafter  %v", before.k, after.k)
 	}
 	for name, pair := range map[string][2]interface{}{
-		"ids":        {before.ids, after.ids},
+		"size":       {before.size, after.size},
+		"stamps":     {before.stamps, after.stamps},
 		"nodes":      {before.nodes, after.nodes},
 		"areaRoots":  {before.areaRoots, after.areaRoots},
 		"fanouts":    {before.fanouts, after.fanouts},
@@ -286,5 +290,165 @@ func TestEpochCloneRejectsUpdates(t *testing.T) {
 	}
 	if len(croot.Children) != 2 {
 		t.Fatal("rejected update mutated the epoch tree")
+	}
+}
+
+// TestFailedHealLeavesStampsUntouched: an overflow whose healing gets as far
+// as renumbering the whole tree — twice over, promoting x and then w —
+// before it meets an overflow no promotion can fix. The scratch renumbering
+// must not have written a single stamp.
+func TestFailedHealLeavesStampsUntouched(t *testing.T) {
+	doc := mustParse(t, "<r><x/></r>")
+	n, err := Build(doc, Options{Partition: PartitionConfig{MaxLocalBits: 2}}) // local indices ≤ 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := doc.DocumentElement().FirstChildElement("x")
+	before := fingerprint(t, n)
+
+	// w's five children need fan-out 5 wherever w lands: below x in r's
+	// area (overflow at x, healable: x is promoted), below x as an area
+	// root (overflow at w, healable: w is promoted), and finally as an area
+	// root itself, where slots 2..6 still pass the limit — unhealable.
+	w := mustParse(t, "<w><a/><b/><c/><d/><e/></w>").DocumentElement()
+	w.Detach()
+	if _, err := n.InsertChild(x, 0, w); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("err = %v, want ErrOverflow", err)
+	}
+	if w.Parent != nil {
+		t.Fatal("failed insert left child attached")
+	}
+	assertSameFingerprint(t, before, fingerprint(t, n))
+	verifyAgainstGroundTruth(t, n)
+	assertUnnumbered(t, n, w)
+}
+
+// assertUnnumbered fails unless every node of the detached subtree (its
+// attributes included) answers RUID false.
+func assertUnnumbered(t *testing.T, n *Numbering, sub *xmltree.Node) {
+	t.Helper()
+	sub.WalkFull(func(x *xmltree.Node) bool {
+		if id, ok := n.RUID(x); ok {
+			t.Fatalf("detached node %s still carries %v", x.Path(), id)
+		}
+		return true
+	})
+}
+
+// assertFreshLabels checks that an insert numbered every node of sub for the
+// first time: the delta counts them all as inserted and reports none of them
+// as relabeled, whatever stamps the subtree carried on arrival.
+func assertFreshLabels(t *testing.T, n *Numbering, sub *xmltree.Node, d *Delta) {
+	t.Helper()
+	in := map[*xmltree.Node]bool{}
+	sub.WalkFull(func(x *xmltree.Node) bool {
+		if _, ok := n.RUID(x); ok {
+			in[x] = true
+		}
+		return true
+	})
+	if d.InsertedCount != len(in) || len(in) == 0 {
+		t.Fatalf("InsertedCount = %d, subtree has %d numbered nodes", d.InsertedCount, len(in))
+	}
+	for _, r := range d.Relabels {
+		if in[r.Node] {
+			t.Fatalf("inserted node %s reported as relabeled %v→%v", r.Node.Path(), r.Old, r.New)
+		}
+	}
+}
+
+// TestDeletedSubtreeIsUnnumberedAndReinsertable: delete clears the stamps of
+// everything it detaches (two whole areas here, attributes included), and
+// the same subtree inserted again — elsewhere — gets only fresh labels.
+func TestDeletedSubtreeIsUnnumberedAndReinsertable(t *testing.T) {
+	doc := mustParse(t, `<r><s p="1"><tt q="2"><u/></tt><t2/></s><v><y/></v></r>`)
+	r := doc.DocumentElement()
+	s := r.FirstChildElement("s")
+	n, err := Build(doc, Options{WithAttrs: true, Roots: map[*xmltree.Node]bool{s: true, s.FirstChildElement("tt"): true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := n.Size()
+	_, d, err := n.DeleteChildDelta(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Dropped) != 6 || n.Size() != size-6 {
+		t.Fatalf("dropped %d nodes, size %d→%d; want 6", len(d.Dropped), size, n.Size())
+	}
+	assertUnnumbered(t, n, s)
+	for _, p := range d.Dropped {
+		if x, ok := n.NodeOfID(p.ID); ok && x == p.Node {
+			t.Fatalf("dropped identifier %v still resolves to its node", p.ID)
+		}
+	}
+	verifyAgainstGroundTruth(t, n)
+
+	_, d, err = n.InsertChildDelta(r.FirstChildElement("v"), 1, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertFreshLabels(t, n, s, d)
+	if n.Size() != size {
+		t.Fatalf("size after re-insert = %d, want %d", n.Size(), size)
+	}
+	verifyAgainstGroundTruth(t, n)
+}
+
+// TestInsertedEpochCloneGetsFreshLabels: a Clone of a node taken from a
+// published epoch arrives carrying that epoch's stamps. The master must
+// number it from scratch, and the epoch it came from must not notice.
+func TestInsertedEpochCloneGetsFreshLabels(t *testing.T) {
+	doc := xmltree.Balanced(3, 4)
+	n, err := Build(doc, Options{Partition: PartitionConfig{MaxAreaNodes: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, mapping := doc.CloneWithMap()
+	epoch, err := n.CloneFor(tree, mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids := doc.DocumentElement().ChildElements("")
+	sub := mapping[kids[0]].Clone() // spans several areas of the epoch
+	if _, ok := epoch.RUID(sub); !ok {
+		t.Fatal("fixture: the clone should arrive stamped")
+	}
+
+	// An epoch node is not a node of the master, however it is stamped.
+	if _, err := n.InsertChild(mapping[kids[2]], 0, xmltree.NewElement("x")); err == nil {
+		t.Fatal("insert under an epoch node accepted by the master")
+	}
+
+	_, d, err := n.InsertChildDelta(kids[2], 1, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertFreshLabels(t, n, sub, d)
+	verifyAgainstGroundTruth(t, n)
+	verifyAgainstGroundTruth(t, epoch)
+}
+
+// TestCheckKCatchesDisagreement: the RUID_DEBUG check reports a stamp that
+// disagrees with its slot, and a Size that disagrees with the slots.
+func TestCheckKCatchesDisagreement(t *testing.T) {
+	doc := mustParse(t, "<a><b/><c/></a>")
+	n, err := Build(doc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.checkK(); err != nil {
+		t.Fatal(err)
+	}
+	b := doc.DocumentElement().FirstChildElement("b")
+	good := b.Num
+	b.Num.L++
+	if n.checkK() == nil {
+		t.Fatal("stale stamp not reported")
+	}
+	b.Num = good
+	n.size++
+	if n.checkK() == nil {
+		t.Fatal("wrong Size not reported")
 	}
 }

@@ -62,10 +62,9 @@ func (a *area) resolveLocal(slot int64) ID {
 }
 
 // rangeBounds returns the half-open [start, end) positions of sortedLocals
-// covering local slots in [lo, hi], so callers can iterate without the
-// intermediate slice localsInRange would allocate.
+// covering local slots in [lo, hi], so callers can iterate without an
+// intermediate slice.
 func (a *area) rangeBounds(lo, hi int64) (start, end int) {
-	a.ensureSorted()
 	start = sort.Search(len(a.sortedLocals), func(i int) bool { return a.sortedLocals[i] >= lo })
 	end = start
 	for end < len(a.sortedLocals) && a.sortedLocals[end] <= hi {

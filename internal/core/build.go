@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -29,7 +30,7 @@ func (e *overflowError) Error() string {
 
 func (e *overflowError) Unwrap() error { return ErrOverflow }
 
-// errorsAs is errors.As, aliased to keep the Build loop readable.
+// errorsAs is errors.As, aliased to keep the promotion loops readable.
 func errorsAs(err error, target **overflowError) bool { return errors.As(err, target) }
 
 // Options configure Build.
@@ -66,53 +67,42 @@ type area struct {
 	// clustered (global, local) index of the stored document.
 	locals map[int64]*xmltree.Node
 
-	// boundary inverts locals for the boundary leaves only: lower-area
-	// root -> its local slot here. Filled during enumeration so step 4 of
-	// renumberAll resolves each area root's upper-area slot in O(1)
-	// instead of scanning the upper area (quadratic on wide documents).
-	boundary map[*xmltree.Node]int64
-
-	sortedLocals []int64 // keys of locals in increasing order
-	sortedDirty  bool
+	// sortedLocals holds the keys of locals in increasing order — the
+	// clustered index the axis routines range-scan. It is rebuilt as a fresh
+	// slice whenever locals is (never edited in place), so a copy of the
+	// area struct, or an epoch row sharing the slice, stays valid.
+	sortedLocals []int64
 }
 
-func (a *area) ensureSorted() {
-	if !a.sortedDirty {
-		return
-	}
-	a.sortedLocals = a.sortedLocals[:0]
+// sortLocals rebuilds sortedLocals from locals.
+func (a *area) sortLocals() {
+	s := make([]int64, 0, len(a.locals))
 	for l := range a.locals {
-		a.sortedLocals = append(a.sortedLocals, l)
+		s = append(s, l)
 	}
-	sort.Slice(a.sortedLocals, func(i, j int) bool { return a.sortedLocals[i] < a.sortedLocals[j] })
-	a.sortedDirty = false
-}
-
-// localsInRange returns the existing local indices in [lo, hi], ascending.
-func (a *area) localsInRange(lo, hi int64) []int64 {
-	a.ensureSorted()
-	start := sort.Search(len(a.sortedLocals), func(i int) bool { return a.sortedLocals[i] >= lo })
-	var out []int64
-	for i := start; i < len(a.sortedLocals) && a.sortedLocals[i] <= hi; i++ {
-		out = append(out, a.sortedLocals[i])
-	}
-	return out
+	slices.Sort(s)
+	a.sortedLocals = s
 }
 
 // Numbering is a 2-level ruid numbering of one document snapshot.
 // It implements scheme.AxisScheme and scheme.Updatable.
 //
-// A Numbering exists in one of two representations:
+// The binding between nodes and identifiers has one form: a numbered node
+// carries its identifier in its xmltree.NodeNum stamp (RUID reads it), and
+// an identifier resolves to its node through the slot maps of its table-K
+// row (NodeOfID). There is no per-node table beside those two, so a tree
+// carries at most one ruid numbering at a time (see Build).
 //
-//   - master mode (the output of Build and Load): areas/ids/nodes/areaRoots
-//     are populated and structural updates are accepted;
-//   - epoch mode (the output of CloneFor and CloneDelta): the table K is a
-//     slice sorted by global index (areaIdx), node→ID lookups read the
-//     xmltree.NodeNum stamp burned into each node, and ID→node lookups
-//     resolve through the per-area slot maps. Epoch numberings are
-//     immutable and reject updates with ErrImmutable; they exist so that
-//     epoch publication shares untouched areas structurally instead of
-//     rebuilding O(n) maps per write.
+// What differs between the two representations is only how table K is held
+// and whether it may change:
+//
+//   - master mode (the output of Build and Load): K is the mutable map
+//     areas, the area-root set S is kept, and structural updates are
+//     accepted;
+//   - epoch mode (the output of CloneFor and CloneDelta): K is the
+//     persistent chunked index areaIdx, sorted by global index, whose
+//     untouched rows each publication shares with the previous epoch. Epoch
+//     numberings are immutable and reject updates with ErrImmutable.
 type Numbering struct {
 	doc  *xmltree.Node
 	root *xmltree.Node
@@ -120,15 +110,12 @@ type Numbering struct {
 
 	kappa      int64 // frame fan-out κ
 	localLimit int64 // largest admissible local index (see MaxLocalBits)
+	size       int   // numbered-node count
 
-	areas map[int64]*area // by global index; the in-memory table K (master mode)
-	ids   map[*xmltree.Node]ID
-	nodes map[ID]*xmltree.Node
-
+	areas     map[int64]*area        // by global index; the table K (master mode)
 	areaRoots map[*xmltree.Node]bool // current set S (master mode)
 
 	areaIdx *areaIndex // the table K, chunked and sorted by global index (epoch mode)
-	size    int        // numbered-node count (epoch mode; master mode uses len(ids))
 }
 
 // epochMode reports whether n is an immutable epoch clone.
@@ -149,6 +136,11 @@ func (n *Numbering) forEachArea(fn func(*area)) {
 // Fig. 3: partition into UID-local areas, enumerate the frame with a κ-ary
 // UID for the global indices, enumerate each area with its own kᵢ-ary UID
 // for the local indices, and record κ and the table K.
+//
+// The identifiers are burned into the nodes (xmltree.NodeNum), so a tree
+// carries at most one ruid numbering at a time: building a second one over
+// the same tree takes the stamps over and leaves the first unusable. A
+// failed Build leaves the tree's stamps as it found them.
 func Build(doc *xmltree.Node, opts Options) (*Numbering, error) {
 	root := doc
 	if doc.Kind == xmltree.Document {
@@ -179,33 +171,46 @@ func Build(doc *xmltree.Node, opts Options) (*Numbering, error) {
 	} else {
 		n.areaRoots = SelectAreaRoots(root, opts.Partition, opts.WithAttrs)
 	}
-	// A node-count budget alone does not bound local identifier magnitude:
-	// an area mixing a wide node with a deep path can push a kᵢ-ary local
-	// index past int64. When that happens, promote the node where the
-	// overflow occurred to an area root (shrinking the area) and retry;
-	// each promotion strictly reduces the offending area, so this
-	// terminates.
+	if err := n.renumberHealing(opts.Roots == nil && opts.Partition.AdjustFanout); err != nil {
+		return nil, err
+	}
+	n.commitStamps()
+	n.assertK("Build")
+	return n, nil
+}
+
+// renumberHealing runs renumberAll until it succeeds. A node-count budget
+// alone does not bound local identifier magnitude: an area mixing a wide
+// node with a deep path can push a kᵢ-ary local index past int64. When that
+// happens, the node where the overflow occurred is promoted to an area root
+// (shrinking the area) and the enumeration retried; each promotion strictly
+// reduces the offending area, so this terminates. With adjust, promotions —
+// which add frame children — are followed by the §2.3 pass.
+//
+// It computes into n's table K only and writes no stamp: whole-tree
+// renumbering is compute-then-commit, and the caller burns the result into
+// the tree with commitStamps once it has succeeded.
+func (n *Numbering) renumberHealing(adjust bool) error {
 	for {
 		err := n.renumberAll()
 		if err == nil {
-			return n, nil
+			return nil
 		}
 		var ov *overflowError
 		if !errorsAs(err, &ov) || ov.node == nil || n.areaRoots[ov.node] {
-			return nil, err
+			return err
 		}
 		n.areaRoots[ov.node] = true
-		// Promotions add frame children; keep the §2.3 guarantee holding.
-		if opts.Roots == nil && opts.Partition.AdjustFanout {
-			adjustFanout(root, n.areaRoots, opts.WithAttrs)
+		if adjust {
+			adjustFanout(n.root, n.areaRoots, n.opts.WithAttrs)
 		}
 	}
 }
 
-// renumberAll recomputes the full numbering from the current tree and area
+// renumberAll recomputes κ and the table K from the current tree and area
 // root set (steps 2–4 of Fig. 3).
 func (n *Numbering) renumberAll() error {
-	frameKids := frameChildren(n.root, n.areaRoots)
+	frameKids, _ := frameChildren(n.root, n.areaRoots)
 
 	// Step 2: κ is the maximal fan-out of the frame.
 	n.kappa = 1
@@ -216,108 +221,70 @@ func (n *Numbering) renumberAll() error {
 	}
 
 	n.areas = make(map[int64]*area)
-	n.ids = make(map[*xmltree.Node]ID, len(n.ids))
-	n.nodes = make(map[ID]*xmltree.Node, len(n.nodes))
+	n.size = 0
 
 	// Step 3: enumerate the frame with a κ-ary UID (global indices), then
-	// each area with its own local UID. enumerateArea fills in rootLocal
-	// lazily: an area root's local index in the upper area is known once
-	// the upper area is enumerated, so areas are processed top-down.
+	// each area with its own local UID. An area root's local index in the
+	// upper area (step 4's half of its identifier) is known once the upper
+	// area is enumerated, so areas are processed top-down and each job
+	// carries it.
 	type job struct {
 		root         *xmltree.Node
 		global       int64
 		parentGlobal int64
+		rootLocal    int64
 	}
-	queue := []job{{n.root, 1, 0}}
+	queue := []job{{n.root, 1, 0, 1}}
 	for len(queue) > 0 {
 		j := queue[0]
 		queue = queue[1:]
 		a := &area{
 			global:       j.global,
 			root:         j.root,
+			rootLocal:    j.rootLocal,
 			parentGlobal: j.parentGlobal,
 			locals:       make(map[int64]*xmltree.Node),
 			rootByLocal:  make(map[int64]int64),
-			sortedDirty:  true,
 		}
 		n.areas[j.global] = a
-		if err := n.enumerateArea(a); err != nil {
+		boundary, err := n.enumerateArea(a)
+		if err != nil {
 			return err
 		}
-		for idx, kid := range frameKids[j.root] {
+		// The boundary leaves and the frame children of this area are the
+		// same nodes, both in document order.
+		kids := frameKids[j.root]
+		if len(boundary) != len(kids) {
+			return fmt.Errorf("core: area %d (%s) has %d boundary leaves, frame has %d children",
+				j.global, j.root.Path(), len(boundary), len(kids))
+		}
+		for idx, kid := range kids {
 			cg, ok := childIndex(j.global, n.kappa, idx)
 			if !ok {
 				return fmt.Errorf("%w: frame child of area %d", ErrOverflow, j.global)
 			}
-			queue = append(queue, job{kid, cg, j.global})
+			a.rootByLocal[boundary[idx]] = cg
+			queue = append(queue, job{kid, cg, j.global, boundary[idx]})
 		}
-	}
-
-	// Step 4: compose identifiers. Interior nodes got theirs during area
-	// enumeration; area roots get (own global, index in upper area, true).
-	rootArea := n.areas[1]
-	rootArea.rootLocal = 1
-	n.setID(n.root, RootID)
-	for g, a := range n.areas {
-		if g == 1 {
-			continue
-		}
-		upper := n.areas[a.parentGlobal]
-		l, ok := upper.boundary[a.root]
-		if !ok {
-			return fmt.Errorf("core: area %d root %s not enumerated in upper area %d",
-				g, a.root.Path(), a.parentGlobal)
-		}
-		a.rootLocal = l
-		upper.rootByLocal[l] = g
-		n.setID(a.root, ID{Global: g, Local: l, Root: true})
 	}
 	return nil
 }
 
 // enumerateArea performs steps 5–6 of Fig. 3 for one area: find the local
-// maximal fan-out kᵢ and assign local indices via a kᵢ-ary tree. Interior
-// (non-area-root) nodes receive their final identifiers here; boundary
-// leaves (roots of lower areas) only occupy a local slot.
-func (n *Numbering) enumerateArea(a *area) error {
-	// Determine the local fan-out: the maximal structural fan-out over the
-	// area's interior nodes (boundary leaves contribute no children here).
-	a.fanout = 1
-	var scan func(x *xmltree.Node)
-	scan = func(x *xmltree.Node) {
-		if x != a.root && n.areaRoots[x] {
-			return
-		}
-		kids := x.StructuralChildren(n.opts.WithAttrs)
-		if int64(len(kids)) > a.fanout {
-			a.fanout = int64(len(kids))
-		}
-		for _, c := range kids {
-			scan(c)
-		}
-	}
-	scan(a.root)
-
-	// Assign local indices.
+// maximal fan-out kᵢ and assign local indices via a kᵢ-ary tree. It returns
+// the slots of the boundary leaves (roots of lower areas) in document order.
+func (n *Numbering) enumerateArea(a *area) ([]int64, error) {
+	a.fanout = n.areaFanout(a)
+	var boundary []int64
 	var assign func(x *xmltree.Node, local int64) error
 	assign = func(x *xmltree.Node, local int64) error {
 		a.locals[local] = x
 		if x != a.root && n.areaRoots[x] {
 			// Boundary leaf: a lower area continues below.
-			if a.boundary == nil {
-				a.boundary = make(map[*xmltree.Node]int64)
-			}
-			a.boundary[x] = local
+			boundary = append(boundary, local)
 			return nil
 		}
-		if x != a.root || a.global == 1 {
-			// Interior node: final identifier. (The document root is both
-			// the root of area 1 and an interior case; its ID is fixed to
-			// RootID by the caller.)
-			if x != n.root {
-				n.setID(x, ID{Global: a.global, Local: local, Root: false})
-			}
-		}
+		n.size++
 		for j, c := range x.StructuralChildren(n.opts.WithAttrs) {
 			cl, ok := childIndex(local, a.fanout, j)
 			if !ok || cl > n.localLimit {
@@ -329,8 +296,37 @@ func (n *Numbering) enumerateArea(a *area) error {
 		}
 		return nil
 	}
-	a.sortedDirty = true
-	return assign(a.root, 1)
+	if err := assign(a.root, 1); err != nil {
+		return nil, err
+	}
+	a.sortLocals()
+	return boundary, nil
+}
+
+// commitStamps burns the identifiers the table K implies into the tree:
+// every slot's node receives the identifier resolveLocal derives for that
+// slot (an area root is reached twice, through its own slot 1 and through
+// its boundary slot above, with the same result), and attributes left out
+// of the numbering lose any stamp from an earlier one. It returns how many
+// previously numbered nodes changed identifier. Master mode only.
+func (n *Numbering) commitStamps() (changed int) {
+	for _, a := range n.areas {
+		for slot, x := range a.locals {
+			num := a.resolveLocal(slot).stamp()
+			if x.Num != num {
+				if x.Num.G != 0 {
+					changed++
+				}
+				x.Num = num
+			}
+			if !n.opts.WithAttrs {
+				for _, at := range x.Attrs {
+					at.Num = xmltree.NodeNum{}
+				}
+			}
+		}
+	}
+	return changed
 }
 
 // childIndex computes (i−1)·k + 2 + j with overflow detection.
@@ -342,34 +338,17 @@ func childIndex(i, k int64, j int) (int64, bool) {
 	return base*k + 2 + int64(j), true
 }
 
-func (n *Numbering) setID(node *xmltree.Node, id ID) {
-	// During relabeling, the node's old identifier may already have been
-	// claimed by another node; only remove the reverse entry if it still
-	// points here.
-	if old, ok := n.ids[node]; ok && n.nodes[old] == node {
-		delete(n.nodes, old)
-	}
-	n.ids[node] = id
-	n.nodes[id] = node
-}
-
 // Kappa returns the frame fan-out κ.
 func (n *Numbering) Kappa() int64 { return n.kappa }
 
 // K returns the global parameter table, sorted by global index (Fig. 5).
 func (n *Numbering) K() []KRow {
-	if n.epochMode() {
-		rows := make([]KRow, 0, n.areaIdx.rows)
-		n.areaIdx.forEach(func(a *area) { // chunks are already sorted by global index
-			rows = append(rows, KRow{Global: a.global, RootLocal: a.rootLocal, Fanout: a.fanout})
-		})
-		return rows
-	}
-	rows := make([]KRow, 0, len(n.areas))
-	for _, a := range n.areas {
+	rows := make([]KRow, 0, n.AreaCount())
+	n.forEachArea(func(a *area) {
 		rows = append(rows, KRow{Global: a.global, RootLocal: a.rootLocal, Fanout: a.fanout})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Global < rows[j].Global })
+	})
+	// The chunked index visits in order already; the master's map does not.
+	slices.SortFunc(rows, func(x, y KRow) int { return cmp.Compare(x.Global, y.Global) })
 	return rows
 }
 
@@ -382,12 +361,7 @@ func (n *Numbering) AreaCount() int {
 }
 
 // Size returns the number of numbered nodes.
-func (n *Numbering) Size() int {
-	if n.epochMode() {
-		return n.size
-	}
-	return len(n.ids)
-}
+func (n *Numbering) Size() int { return n.size }
 
 // Root returns the numbered root element.
 func (n *Numbering) Root() *xmltree.Node { return n.root }
@@ -398,7 +372,6 @@ func (n *Numbering) Root() *xmltree.Node { return n.root }
 func (n *Numbering) MaxLocalIndex() int64 {
 	var max int64
 	n.forEachArea(func(a *area) {
-		a.ensureSorted()
 		if len(a.sortedLocals) > 0 {
 			if v := a.sortedLocals[len(a.sortedLocals)-1]; v > max {
 				max = v
@@ -432,20 +405,13 @@ func (n *Numbering) IDOf(node *xmltree.Node) (scheme.ID, bool) {
 }
 
 // RUID returns the concrete identifier of a node, and false if the node is
-// not numbered. On a master numbering this is a map lookup; on an epoch
-// clone it reads the NodeNum stamp burned into the node at publication —
-// the stamp is always current because any node whose identifier changes is
-// freshly copied into the next epoch (never shared).
+// not numbered: it reads the NodeNum stamp the node carries. The stamp is
+// current in every numbering that reaches the node — the master writes it
+// with each relabel, and an epoch never shares a node whose identifier
+// changed (such a node is copied afresh, stamp included).
 func (n *Numbering) RUID(node *xmltree.Node) (ID, bool) {
-	if n.ids != nil {
-		id, ok := n.ids[node]
-		return id, ok
-	}
 	num := node.Num
-	if num.G == 0 { // zero stamp: not numbered (global indices start at 1)
-		return ID{}, false
-	}
-	return ID{Global: num.G, Local: num.L, Root: num.R}, true
+	return ID{Global: num.G, Local: num.L, Root: num.R}, num.G != 0
 }
 
 // NodeOf implements scheme.Scheme.
@@ -453,22 +419,12 @@ func (n *Numbering) NodeOf(id scheme.ID) (*xmltree.Node, bool) {
 	return n.NodeOfID(id.(ID))
 }
 
-// NodeOfID resolves a concrete identifier. On a master numbering this is a
-// map lookup; on an epoch clone the identifier is resolved through the
-// clustered per-area slot maps (the same structures the axis routines scan).
-func (n *Numbering) NodeOfID(id ID) (*xmltree.Node, bool) {
-	if n.nodes != nil {
-		node, ok := n.nodes[id]
-		return node, ok
-	}
-	return n.lookupByID(id)
-}
-
-// lookupByID resolves an identifier against the epoch-mode area index.
+// NodeOfID resolves a concrete identifier through the clustered slot maps
+// of its table-K row (the same structures the axis routines scan).
 // Identifier shapes (see ID): an area root's identifier carries its own
 // global index and its local slot in the upper area; an interior node's
 // identifier carries its area's global index and its own slot.
-func (n *Numbering) lookupByID(id ID) (*xmltree.Node, bool) {
+func (n *Numbering) NodeOfID(id ID) (*xmltree.Node, bool) {
 	a, ok := n.krow(id.Global)
 	if !ok {
 		return nil, false
@@ -488,7 +444,7 @@ func (n *Numbering) lookupByID(id ID) (*xmltree.Node, bool) {
 	}
 	// Interior identifier: slot 1 is the area's own root and boundary slots
 	// hold lower-area roots — both carry Root identifiers, so an interior
-	// lookup there must miss (exactly as the master nodes map would).
+	// lookup there must miss.
 	if id.Local == 1 {
 		return nil, false
 	}

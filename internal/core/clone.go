@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/xmltree"
 )
@@ -15,18 +17,14 @@ import (
 // The clone carries exactly the same identifiers, κ and table K as the
 // original — including fan-outs enlarged by past updates — so identifiers
 // remain stable across snapshot epochs of the document facade. The clone
-// is produced in epoch mode (see Numbering): the table K becomes a slice
-// sorted by global index, node→ID lookups read the NodeNum stamp this
-// function burns into every numbered clone node, and ID→node lookups
-// resolve through the copied per-area slot maps. The clone shares no
-// mutable state with the original; the per-area slot lists are pre-sorted
-// so reads on the clone are free of lazy initialization (safe for
-// concurrent readers). Epoch clones reject structural updates with
+// is produced in epoch mode (see Numbering): the table K becomes a chunked
+// index sorted by global index whose slot maps point at the clone's nodes.
+// No stamp is assigned here — the tree copy already copied each node's
+// stamp with it. The clone shares no mutable state with the original (the
+// sorted slot lists are shared, and never edited in place), so it is safe
+// for concurrent readers. Epoch clones reject structural updates with
 // ErrImmutable.
 func (n *Numbering) CloneFor(doc *xmltree.Node, mapping map[*xmltree.Node]*xmltree.Node) (*Numbering, error) {
-	if n.epochMode() {
-		return nil, ErrImmutable
-	}
 	remap := func(x *xmltree.Node) (*xmltree.Node, error) {
 		c, ok := mapping[x]
 		if !ok {
@@ -44,47 +42,35 @@ func (n *Numbering) CloneFor(doc *xmltree.Node, mapping map[*xmltree.Node]*xmltr
 		opts:       n.opts,
 		kappa:      n.kappa,
 		localLimit: n.localLimit,
-		size:       len(n.ids),
+		size:       n.size,
 	}
-	sorted := make([]*area, 0, len(n.areas))
-	for _, a := range n.areas {
-		ar, err := remap(a.root)
-		if err != nil {
-			return nil, err
-		}
+	sorted := make([]*area, 0, n.AreaCount())
+	n.forEachArea(func(a *area) {
 		ca := &area{
 			global:       a.global,
-			root:         ar,
 			rootLocal:    a.rootLocal,
 			fanout:       a.fanout,
 			parentGlobal: a.parentGlobal,
-			rootByLocal:  make(map[int64]int64, len(a.rootByLocal)),
+			rootByLocal:  maps.Clone(a.rootByLocal),
 			locals:       make(map[int64]*xmltree.Node, len(a.locals)),
-		}
-		for l, g2 := range a.rootByLocal {
-			ca.rootByLocal[l] = g2
+			sortedLocals: a.sortedLocals,
 		}
 		for l, x := range a.locals {
-			cx, err := remap(x)
-			if err != nil {
-				return nil, err
+			cx, rerr := remap(x)
+			if rerr != nil {
+				err = rerr
 			}
 			ca.locals[l] = cx
 		}
-		a.ensureSorted()
-		ca.sortedLocals = append([]int64(nil), a.sortedLocals...)
-		ca.sortedDirty = false
+		ca.root = ca.locals[1]
 		sorted = append(sorted, ca)
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].global < sorted[j].global })
+	slices.SortFunc(sorted, func(x, y *area) int { return cmp.Compare(x.global, y.global) })
 	c.areaIdx = newAreaIndex(sorted)
-	for x, id := range n.ids {
-		cx, err := remap(x)
-		if err != nil {
-			return nil, err
-		}
-		cx.Num = xmltree.NodeNum{G: id.Global, L: id.Local, R: id.Root}
-	}
+	c.assertK("CloneFor")
 	return c, nil
 }
 
@@ -109,7 +95,7 @@ func (n *Numbering) CopySet(d *Delta) map[*xmltree.Node]bool {
 		}
 		for _, x := range a.locals {
 			if x != a.root && n.areaRoots[x] {
-				if id, ok := n.ids[x]; ok && moved[id.Global] {
+				if id, _ := n.RUID(x); moved[id.Global] {
 					set[x] = true
 				}
 				continue
@@ -133,8 +119,8 @@ func (n *Numbering) CopySet(d *Delta) map[*xmltree.Node]bool {
 // The receiver is the master numbering after a successful update, d its
 // Delta, prev the previous epoch's numbering (epoch mode), copies the
 // master→fresh map returned by xmltree.CloneAlong, and shared the
-// master→previous-epoch map for everything else. Fresh nodes get their
-// NodeNum stamp here, from the master's authoritative identifiers.
+// master→previous-epoch map for everything else. Fresh nodes were copied
+// after the update, so they already carry the master's current stamps.
 func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xmltree.Node]*xmltree.Node) (*Numbering, error) {
 	if !prev.epochMode() {
 		return nil, fmt.Errorf("core: CloneDelta requires an epoch-mode previous numbering")
@@ -183,19 +169,15 @@ func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xm
 		if err != nil {
 			return nil, err
 		}
-		ma.ensureSorted()
 		na := &area{
 			global:       g,
 			root:         ar,
 			rootLocal:    ma.rootLocal,
 			fanout:       ma.fanout,
 			parentGlobal: ma.parentGlobal,
-			rootByLocal:  make(map[int64]int64, len(ma.rootByLocal)),
+			rootByLocal:  maps.Clone(ma.rootByLocal),
 			locals:       make(map[int64]*xmltree.Node, len(ma.locals)),
-			sortedLocals: append([]int64(nil), ma.sortedLocals...),
-		}
-		for l, g2 := range ma.rootByLocal {
-			na.rootByLocal[l] = g2
+			sortedLocals: ma.sortedLocals,
 		}
 		for l, x := range ma.locals {
 			cx, err := mapNode(x)
@@ -242,24 +224,19 @@ func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xm
 			patched[g] = a
 		}
 		if !owned[g] {
-			nl := make(map[int64]*xmltree.Node, len(a.locals))
-			for l, v := range a.locals {
-				nl[l] = v
-			}
-			a.locals = nl
+			a.locals = maps.Clone(a.locals)
 			owned[g] = true
 		}
 		return a, nil
 	}
 
-	// Stamp every fresh copy and re-point at it each slot that references
-	// the copied node from an area that was not rebuilt above.
+	// Re-point at each fresh copy every slot that references the copied
+	// node from an area that was not rebuilt above.
 	for xm, xc := range copies {
-		id, ok := n.ids[xm]
+		id, ok := n.RUID(xm)
 		if !ok {
 			continue // document node, or attributes outside the numbering
 		}
-		xc.Num = xmltree.NodeNum{G: id.Global, L: id.Local, R: id.Root}
 		if id.Root {
 			if !dirty[id.Global] {
 				a, err := rebind(id.Global)
@@ -296,6 +273,7 @@ func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xm
 		return nil, err
 	}
 	c.areaIdx = idx
-	c.size = prev.size + d.InsertedCount - len(d.Dropped)
+	c.size = n.size
+	c.assertK("CloneDelta")
 	return c, nil
 }

@@ -20,11 +20,23 @@
 // entirely in main memory (Lemma 1, the rparent() algorithm of Fig. 6),
 // to decide ancestor/descendant and preceding/following order
 // (Lemmas 2 and 3), and to generate every positional XPath axis (§3.5).
+//
+// A node carries its identifier: Build, Load and every update write it into
+// the node's xmltree.NodeNum stamp, RUID reads it back, and NodeOfID goes
+// the other way through the slot maps of table K. That pair is the one
+// node↔identifier binding — the same in a master numbering, an epoch clone
+// and a cold bundle — and no per-node table exists beside it. Two rules
+// keep it sound: a tree carries at most one ruid numbering at a time (a
+// node has one stamp), and anything that renumbers a whole tree computes
+// the complete table K first and commits stamps only on success, so a
+// failed operation leaves tree and numbering exactly as they were.
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/xmltree"
 )
 
 // ID is a 2-level ruid (g, l, r) per Definition 3 of the paper. The zero
@@ -37,6 +49,11 @@ type ID struct {
 
 // RootID is the identifier of the document root (Definition 3).
 var RootID = ID{Global: 1, Local: 1, Root: true}
+
+// stamp is the form in which a node carries id (see Numbering.RUID).
+func (id ID) stamp() xmltree.NodeNum {
+	return xmltree.NodeNum{G: id.Global, L: id.Local, R: id.Root}
+}
 
 // String renders the identifier the way the paper writes it,
 // e.g. "(10, 9, true)".

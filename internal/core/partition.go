@@ -114,29 +114,31 @@ func adjustFanout(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs bo
 		limit = 1
 	}
 	for {
-		frameKids := frameChildren(root, roots)
+		frameKids, order := frameChildren(root, roots)
 		promoted := false
-		for frameNode, kids := range frameKids {
+		for _, frameNode := range order {
+			kids := frameKids[frameNode]
 			if len(kids) <= limit {
 				continue
 			}
 			// Group the frame children by the tree child of frameNode on
-			// their paths; promote the child of the largest group ≥ 2.
-			groups := map[*xmltree.Node][]*xmltree.Node{}
+			// their paths and promote the child of the largest group ≥ 2.
+			// kids is in document order, so each group is one contiguous
+			// run, and on a tie the first run wins: the choice has to be a
+			// function of the tree, or Build is not a function of its input.
+			// (A child that is already an area root is its own run of one.)
+			var best, cur *xmltree.Node
+			bestN, curN := 1, 0
 			for _, s := range kids {
 				c := s
 				for c.Parent != frameNode {
 					c = c.Parent
 				}
-				groups[c] = append(groups[c], s)
-			}
-			var best *xmltree.Node
-			for c, g := range groups {
-				if roots[c] {
-					continue // already an area root; nothing to promote
+				if c != cur {
+					cur, curN = c, 0
 				}
-				if len(g) >= 2 && (best == nil || len(g) > len(groups[best])) {
-					best = c
+				if curN++; curN > bestN {
+					best, bestN = c, curN
 				}
 			}
 			if best != nil {
@@ -151,13 +153,17 @@ func adjustFanout(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs bo
 }
 
 // frameChildren maps each area root to its frame children (the area roots
-// whose nearest proper S-ancestor it is), in document order.
-func frameChildren(root *xmltree.Node, roots map[*xmltree.Node]bool) map[*xmltree.Node][]*xmltree.Node {
-	out := make(map[*xmltree.Node][]*xmltree.Node, len(roots))
+// whose nearest proper S-ancestor it is), in document order, and lists the
+// area roots that have any in the order the walk first meets one.
+func frameChildren(root *xmltree.Node, roots map[*xmltree.Node]bool) (kids map[*xmltree.Node][]*xmltree.Node, order []*xmltree.Node) {
+	kids = make(map[*xmltree.Node][]*xmltree.Node, len(roots))
 	var walk func(n, nearest *xmltree.Node)
 	walk = func(n, nearest *xmltree.Node) {
 		if n != root && roots[n] {
-			out[nearest] = append(out[nearest], n)
+			if kids[nearest] == nil {
+				order = append(order, nearest)
+			}
+			kids[nearest] = append(kids[nearest], n)
 			nearest = n
 		}
 		for _, c := range n.Children {
@@ -165,14 +171,15 @@ func frameChildren(root *xmltree.Node, roots map[*xmltree.Node]bool) map[*xmltre
 		}
 	}
 	walk(root, root)
-	return out
+	return kids, order
 }
 
 // FrameFanout returns the maximal number of frame children over all area
 // roots — the κ of the frame enumeration before any level splitting.
 func FrameFanout(root *xmltree.Node, roots map[*xmltree.Node]bool) int {
 	max := 0
-	for _, kids := range frameChildren(root, roots) {
+	frameKids, _ := frameChildren(root, roots)
+	for _, kids := range frameKids {
 		if len(kids) > max {
 			max = len(kids)
 		}

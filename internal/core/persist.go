@@ -15,7 +15,7 @@ import (
 // and every node's identifier in document-walk order; Load reattaches them
 // to an identically shaped document (typically re-parsed from the same
 // XML), rebuilding all derived state (areas, local slot indexes, the
-// reverse map) without re-running the partitioning or enumeration.
+// nodes' stamps) without re-running the partitioning or enumeration.
 
 // saveMagic identifies the serialization format.
 var saveMagic = [8]byte{'r', 'u', 'i', 'd', 'v', '0', '0', '1'}
@@ -53,16 +53,8 @@ func (n *Numbering) Save(w io.Writer) error {
 			}
 		}
 	}
-	// Identifiers in deterministic document order; count first. RUID (not
-	// the ids map directly) so that epoch-mode numberings save too.
-	count := 0
-	n.root.WalkFull(func(x *xmltree.Node) bool {
-		if _, ok := n.RUID(x); ok {
-			count++
-		}
-		return true
-	})
-	if err := writeU64(uint64(count)); err != nil {
+	// Identifiers in deterministic document order; count first.
+	if err := writeU64(uint64(n.size)); err != nil {
 		return err
 	}
 	var werr error
@@ -85,8 +77,12 @@ func (n *Numbering) Save(w io.Writer) error {
 
 // Load reads a numbering saved by Save and attaches it to doc, which must
 // have exactly the shape of the document the numbering was built on. No
-// partitioning or enumeration runs: the areas, slot indexes and reverse
-// maps are reconstructed from the identifiers and the table K.
+// partitioning or enumeration runs: the areas and slot indexes are
+// reconstructed from the identifiers and the table K, and the identifiers
+// are burned into doc's nodes (see Build for the one-numbering-per-tree
+// rule) only once the whole snapshot has been accepted — a rejected
+// snapshot leaves doc as it was. The result has every slot list sorted, so
+// it can serve concurrent readers as it is.
 func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 	root := doc
 	if doc.Kind == xmltree.Document {
@@ -133,8 +129,6 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 		kappa:      int64(kappa),
 		localLimit: int64(limit),
 		areas:      make(map[int64]*area, nRows),
-		ids:        make(map[*xmltree.Node]ID),
-		nodes:      make(map[ID]*xmltree.Node),
 		areaRoots:  make(map[*xmltree.Node]bool),
 	}
 	if n.kappa < 1 || n.localLimit < 1 || nRows == 0 || nRows > 1<<40 {
@@ -159,7 +153,6 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 			fanout:      int64(fo),
 			locals:      make(map[int64]*xmltree.Node),
 			rootByLocal: make(map[int64]int64),
-			sortedDirty: true,
 		}
 		if a.global != 1 {
 			a.parentGlobal = (a.global-2)/n.kappa + 1
@@ -204,38 +197,43 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 		if a.root == nil {
 			return nil, fmt.Errorf("%w: area %d has no root node", ErrBadSnapshot, g)
 		}
+		a.sortLocals()
 	}
+	n.commitStamps()
+	n.assertK("Load")
 	return n, nil
 }
 
-// attach registers one (node, id) pair and rebuilds the derived area state.
+// attach places one (node, id) pair in the K slots the identifier names. A
+// slot that is already occupied means two nodes claim one identifier.
 func (n *Numbering) attach(x *xmltree.Node, id ID) error {
-	if _, dup := n.nodes[id]; dup {
-		return fmt.Errorf("%w: duplicate identifier %v", ErrBadSnapshot, id)
-	}
-	n.ids[x] = id
-	n.nodes[id] = x
 	a, ok := n.areas[id.Global]
 	if !ok {
 		return fmt.Errorf("%w: identifier %v references unknown area", ErrBadSnapshot, id)
 	}
+	slots := a // the area whose slot id.Local names
 	if id.Root {
+		if a.root != nil || a.rootLocal != id.Local {
+			return fmt.Errorf("%w: duplicate or misplaced area root %v", ErrBadSnapshot, id)
+		}
 		n.areaRoots[x] = true
 		a.root = x
 		a.locals[1] = x
-		if id.Global != 1 {
-			upper, ok := n.areas[a.parentGlobal]
-			if !ok {
-				return fmt.Errorf("%w: area %d has no parent area %d",
-					ErrBadSnapshot, id.Global, a.parentGlobal)
-			}
-			upper.locals[id.Local] = x
-			upper.rootByLocal[id.Local] = id.Global
-			upper.sortedDirty = true
+		if id.Global == 1 {
+			n.size++
+			return nil
 		}
-		return nil
+		// An area root also occupies its boundary slot in the upper area.
+		if slots, ok = n.areas[a.parentGlobal]; !ok {
+			return fmt.Errorf("%w: area %d has no parent area %d",
+				ErrBadSnapshot, id.Global, a.parentGlobal)
+		}
+		slots.rootByLocal[id.Local] = id.Global
 	}
-	a.locals[id.Local] = x
-	a.sortedDirty = true
+	if _, dup := slots.locals[id.Local]; dup || id.Local == 1 {
+		return fmt.Errorf("%w: duplicate identifier %v", ErrBadSnapshot, id)
+	}
+	slots.locals[id.Local] = x
+	n.size++
 	return nil
 }

@@ -165,10 +165,7 @@ func TestQuickInsertScope(t *testing.T) {
 		target := nodes[int(pick)%len(nodes)]
 		tid, _ := n.RUID(target)
 		ga, _ := n.childContext(tid)
-		before := make(map[*xmltree.Node]ID, len(n.ids))
-		for x, id := range n.ids {
-			before[x] = id
-		}
+		before := labels(n)
 		st, err := n.InsertChild(target, len(target.Children), xmltree.NewElement("q"))
 		if err != nil {
 			return false
@@ -177,7 +174,7 @@ func TestQuickInsertScope(t *testing.T) {
 			return false
 		}
 		for x, old := range before {
-			now, ok := n.ids[x]
+			now, ok := n.RUID(x)
 			if !ok {
 				return false
 			}
@@ -226,4 +223,36 @@ func TestQuickMultilevelRoundTrip(t *testing.T) {
 // quickCheck wraps testing/quick with a MaxCount for reuse across files.
 func quickCheck(f any, max int) error {
 	return quick.Check(f, &quick.Config{MaxCount: max})
+}
+
+// TestBuildIsAFunctionOfItsInput: two builds of one generated document give
+// the same table K and the same identifier for every node — under
+// AdjustFanout too, whose choice among equal-sized groups once followed map
+// iteration order.
+func TestBuildIsAFunctionOfItsInput(t *testing.T) {
+	opts := Options{Partition: PartitionConfig{MaxAreaNodes: 64, AdjustFanout: true}}
+	var k0 []KRow
+	var ids0 []ID
+	for round := 0; round < 4; round++ {
+		doc := xmltree.XMark(40, 1)
+		n, err := Build(doc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []ID
+		for _, x := range doc.DocumentElement().Nodes() {
+			id, _ := n.RUID(x)
+			ids = append(ids, id)
+		}
+		if round == 0 {
+			k0, ids0 = n.K(), ids
+			continue
+		}
+		if !reflect.DeepEqual(n.K(), k0) {
+			t.Fatalf("build %d: table K differs from the first build's", round)
+		}
+		if !reflect.DeepEqual(ids, ids0) {
+			t.Fatalf("build %d: identifiers differ from the first build's", round)
+		}
+	}
 }

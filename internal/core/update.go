@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -27,12 +28,13 @@ import (
 // # Atomicity
 //
 // Every update is all-or-nothing. The tree is mutated first (the
-// re-enumeration must see the new shape), but every numbering mutation is
-// recorded in an undo log, the update area's bookkeeping is snapshotted
-// up front, and overflow healing runs on a scratch numbering that is
-// committed only when it fully succeeds. On any error the tree mutation
-// is reverted and the log replayed backwards, leaving master tree and
-// numbering exactly as before the call.
+// re-enumeration must see the new shape), but every stamp and K-row
+// mutation is recorded in an undo log, the update area's row is copied up
+// front (re-enumeration replaces its slot maps, never edits them), and
+// overflow healing computes a scratch table K that is committed — stamps
+// included — only when it fully succeeds. On any error the tree mutation
+// is reverted and the log replayed backwards, leaving master tree, stamps
+// and numbering exactly as before the call.
 
 // ErrImmutable reports a structural update attempted on a published epoch
 // clone (the output of CloneFor or CloneDelta). Updates run on the master
@@ -72,11 +74,10 @@ type NodeID struct {
 	ID   ID
 }
 
-// idUndo records the prior node→identifier binding of one logged mutation.
+// idUndo records the stamp a node carried before one logged mutation.
 type idUndo struct {
 	node *xmltree.Node
-	old  ID
-	had  bool
+	old  xmltree.NodeNum
 }
 
 // rowUndo records a child area's prior K-row root slot.
@@ -85,91 +86,33 @@ type rowUndo struct {
 	old int64
 }
 
-// droppedArea records an area removed with a deleted subtree.
-type droppedArea struct {
-	a    *area
-	root *xmltree.Node
-}
-
-// updateLog accumulates every numbering mutation of one structural update.
-// Each node appears at most once in ids (re-enumeration assigns each slot
-// once and dropped nodes are never re-enumerated), which the two-pass
-// rollback relies on.
+// updateLog accumulates every numbering mutation of one structural update
+// outside the update area's own row: stamps, the K rows of boundary roots
+// that moved, and the areas dropped with a deleted subtree.
 type updateLog struct {
 	ids          []idUndo
 	rows         []rowUndo
-	droppedAreas []droppedArea
+	droppedAreas []*area
 }
 
-// setIDLogged is setID with undo logging.
-func (n *Numbering) setIDLogged(x *xmltree.Node, id ID, log *updateLog) {
-	old, had := n.ids[x]
-	log.ids = append(log.ids, idUndo{node: x, old: old, had: had})
-	n.setID(x, id)
+// stamp relabels x (a zero id clears its stamp), logging the old stamp.
+func (log *updateLog) stamp(x *xmltree.Node, id ID) {
+	log.ids = append(log.ids, idUndo{node: x, old: x.Num})
+	x.Num = id.stamp()
 }
 
-// rollback restores the numbering maps to their state before the logged
-// mutations. Every identifier involved is scoped to the update area (plus
-// the K rows and identifiers of its boundary roots), so clearing and then
-// restoring exactly the logged nodes reconstructs the prior bijection.
+// rollback undoes the logged mutations, newest first.
 func (n *Numbering) rollback(log *updateLog) {
-	for _, u := range log.ids {
-		if cur, ok := n.ids[u.node]; ok {
-			if n.nodes[cur] == u.node {
-				delete(n.nodes, cur)
-			}
-			delete(n.ids, u.node)
-		}
-	}
-	for _, u := range log.ids {
-		if u.had {
-			n.ids[u.node] = u.old
-			n.nodes[u.old] = u.node
-		}
+	for i := len(log.ids) - 1; i >= 0; i-- {
+		log.ids[i].node.Num = log.ids[i].old
 	}
 	for i := len(log.rows) - 1; i >= 0; i-- {
 		log.rows[i].a.rootLocal = log.rows[i].old
 	}
-	for _, d := range log.droppedAreas {
-		n.areas[d.a.global] = d.a
-		n.areaRoots[d.root] = true
+	for _, a := range log.droppedAreas {
+		n.areas[a.global] = a
+		n.areaRoots[a.root] = true
 	}
-}
-
-// areaSave snapshots the mutable bookkeeping of one area so a failed
-// re-enumeration can restore it wholesale.
-type areaSave struct {
-	fanout       int64
-	locals       map[int64]*xmltree.Node
-	rootByLocal  map[int64]int64
-	sortedLocals []int64
-	sortedDirty  bool
-}
-
-func saveArea(a *area) areaSave {
-	ls := make(map[int64]*xmltree.Node, len(a.locals))
-	for k, v := range a.locals {
-		ls[k] = v
-	}
-	rb := make(map[int64]int64, len(a.rootByLocal))
-	for k, v := range a.rootByLocal {
-		rb[k] = v
-	}
-	return areaSave{
-		fanout:       a.fanout,
-		locals:       ls,
-		rootByLocal:  rb,
-		sortedLocals: append([]int64(nil), a.sortedLocals...),
-		sortedDirty:  a.sortedDirty,
-	}
-}
-
-func (s areaSave) restore(a *area) {
-	a.fanout = s.fanout
-	a.locals = s.locals
-	a.rootByLocal = s.rootByLocal
-	a.sortedLocals = s.sortedLocals
-	a.sortedDirty = s.sortedDirty
 }
 
 // reEnumFailHook, when non-nil, may inject a failure before an area is
@@ -178,6 +121,22 @@ func (s areaSave) restore(a *area) {
 // instance, can never overflow naturally: it re-enumerates fewer nodes
 // with the same fan-out).
 var reEnumFailHook func(global int64) error
+
+// updateArea opens a structural update under parent: it returns the area
+// in which parent's children are enumerated. The parent must be numbered by
+// this numbering — its stamp must resolve back to it — which rejects a node
+// of another tree (an epoch copy, say) that merely carries a stamp.
+func (n *Numbering) updateArea(parent *xmltree.Node, op string) (*area, error) {
+	if n.epochMode() {
+		return nil, ErrImmutable
+	}
+	pid, _ := n.RUID(parent)
+	if x, ok := n.NodeOfID(pid); !ok || x != parent {
+		return nil, fmt.Errorf("core: %s under unnumbered node %s", op, parent.Path())
+	}
+	ga, _ := n.childContext(pid)
+	return n.areas[ga], nil
+}
 
 // InsertChild implements scheme.Updatable: newChild (possibly a whole
 // subtree) becomes the pos-th child of parent. The subtree joins parent's
@@ -188,41 +147,43 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 }
 
 // InsertChildDelta is InsertChild plus a Delta describing exactly which
-// numbering state changed, for incremental epoch publication. On error the
-// master tree and the numbering are exactly as before the call (newChild
-// is detached again and ownership stays with the caller).
+// numbering state changed, for incremental epoch publication. The subtree
+// arrives unnumbered: stamps it carries from another life (a Clone of an
+// epoch node, a subtree deleted earlier) are cleared, so it comes out with
+// only the labels this numbering gives it. On error the master tree and the
+// numbering are exactly as before the call (newChild is detached again,
+// unnumbered, and ownership stays with the caller).
 func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xmltree.Node) (scheme.UpdateStats, *Delta, error) {
-	if n.epochMode() {
-		return scheme.UpdateStats{}, nil, ErrImmutable
-	}
-	pid, ok := n.ids[parent]
-	if !ok {
-		return scheme.UpdateStats{}, nil, fmt.Errorf("core: insert under unnumbered node %s", parent.Path())
+	a, err := n.updateArea(parent, "insert")
+	if err != nil {
+		return scheme.UpdateStats{}, nil, err
 	}
 	if pos < 0 || pos > len(parent.Children) {
 		return scheme.UpdateStats{}, nil, fmt.Errorf("core: insert position %d out of range", pos)
 	}
+	newChild.WalkFull(func(x *xmltree.Node) bool {
+		x.Num = xmltree.NodeNum{}
+		return true
+	})
 	parent.InsertChildAt(pos, newChild)
 
-	ga, _ := n.childContext(pid)
-	a := n.areas[ga]
-	save := saveArea(a)
+	saved := *a
 	var log updateLog
-	d := &Delta{Dirty: []int64{ga}, Inserted: newChild, Parent: parent}
+	d := &Delta{Dirty: []int64{a.global}, Inserted: newChild, Parent: parent}
 
-	need := n.areaFanout(a)
 	var st scheme.UpdateStats
 	newK := a.fanout
-	if need > newK {
+	if need := n.areaFanout(a); need > newK {
 		// No space: enlarge the enumerating tree of this area only
 		// ("the enlargement changes only the identifiers of the nodes in
 		// this area").
 		newK = need
 		st.AreaRebuilds = 1
 	}
-	relabeled, err := n.reEnumerateArea(a, newK, &log, d)
+	st.Relabeled, err = n.reEnumerateArea(a, newK, &log, d)
 	if err == nil {
-		st.Relabeled = relabeled
+		n.size += d.InsertedCount
+		n.assertK("insert")
 		return st, d, nil
 	}
 	if hst, healed := n.healOverflow(err); healed {
@@ -231,7 +192,8 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 	}
 	parent.RemoveChild(pos)
 	n.rollback(&log)
-	save.restore(a)
+	*a = saved
+	n.assertK("insert rollback")
 	return scheme.UpdateStats{}, nil, err
 }
 
@@ -239,44 +201,37 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 // promoting the node where the overflow occurred to an area root and
 // renumbering — the update-time analogue of the Build-time promotion loop,
 // rare (it needs a wide-and-deep area) and reported conservatively as a
-// full rebuild. The renumbering runs on a scratch numbering that shares
-// only the (already mutated) tree, and is committed into n only when it
-// fully succeeds: an unhealable overflow returns false with n untouched,
-// so the caller can roll the whole update back.
+// full rebuild. An unhealable overflow returns false with n untouched (see
+// renumberWith), so the caller can roll the whole update back.
 func (n *Numbering) healOverflow(err error) (scheme.UpdateStats, bool) {
 	var ov *overflowError
 	if !errorsAs(err, &ov) || ov.node == nil || n.areaRoots[ov.node] {
 		return scheme.UpdateStats{}, false
 	}
-	s := &Numbering{
-		doc:        n.doc,
-		root:       n.root,
-		opts:       n.opts,
-		localLimit: n.localLimit,
-		areaRoots:  make(map[*xmltree.Node]bool, len(n.areaRoots)+1),
+	roots := maps.Clone(n.areaRoots)
+	roots[ov.node] = true
+	if _, err := n.renumberWith(roots, n.opts.Partition, false); err != nil {
+		return scheme.UpdateStats{}, false
 	}
-	for x, ok := range n.areaRoots {
-		if ok {
-			s.areaRoots[x] = true
-		}
+	return scheme.UpdateStats{FullRebuild: true, Relabeled: n.size}, true
+}
+
+// renumberWith renumbers the whole (already mutated) tree under the area
+// root set roots, compute-then-commit: the new κ and table K are computed
+// on a scratch numbering that shares only the tree and writes no stamp, and
+// only when that fully succeeds are they adopted and burned into the nodes.
+// On error n, and every stamp, is untouched. It returns the number of
+// numbered nodes whose identifier changed.
+func (n *Numbering) renumberWith(roots map[*xmltree.Node]bool, part PartitionConfig, adjust bool) (int, error) {
+	s := &Numbering{doc: n.doc, root: n.root, opts: n.opts, localLimit: n.localLimit, areaRoots: roots}
+	s.opts.Partition = part
+	if err := s.renumberHealing(adjust); err != nil {
+		return 0, err
 	}
-	s.areaRoots[ov.node] = true
-	for {
-		rerr := s.renumberAll()
-		if rerr == nil {
-			break
-		}
-		if !errorsAs(rerr, &ov) || ov.node == nil || s.areaRoots[ov.node] {
-			return scheme.UpdateStats{}, false
-		}
-		s.areaRoots[ov.node] = true
-	}
-	n.kappa = s.kappa
-	n.areas = s.areas
-	n.ids = s.ids
-	n.nodes = s.nodes
-	n.areaRoots = s.areaRoots
-	return scheme.UpdateStats{FullRebuild: true, Relabeled: len(n.ids)}, true
+	*n = *s
+	changed := n.commitStamps()
+	n.assertK("renumber")
+	return changed, nil
 }
 
 // DeleteChild implements scheme.Updatable: cascading deletion of the pos-th
@@ -290,37 +245,32 @@ func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateSta
 }
 
 // DeleteChildDelta is DeleteChild plus a Delta describing exactly which
-// numbering state changed, for incremental epoch publication. On error the
-// master tree and the numbering are exactly as before the call (the
-// detached subtree is reattached in place).
+// numbering state changed, for incremental epoch publication. The detached
+// subtree reads as unnumbered afterwards. On error the master tree and the
+// numbering are exactly as before the call (the detached subtree is
+// reattached in place, stamps restored).
 func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.UpdateStats, *Delta, error) {
-	if n.epochMode() {
-		return scheme.UpdateStats{}, nil, ErrImmutable
-	}
-	pid, ok := n.ids[parent]
-	if !ok {
-		return scheme.UpdateStats{}, nil, fmt.Errorf("core: delete under unnumbered node %s", parent.Path())
+	a, err := n.updateArea(parent, "delete")
+	if err != nil {
+		return scheme.UpdateStats{}, nil, err
 	}
 	if pos < 0 || pos >= len(parent.Children) {
 		return scheme.UpdateStats{}, nil, fmt.Errorf("core: delete position %d out of range", pos)
 	}
 	removed := parent.RemoveChild(pos)
 
-	ga, _ := n.childContext(pid)
-	a := n.areas[ga]
-	save := saveArea(a)
+	saved := *a
 	var log updateLog
-	d := &Delta{Dirty: []int64{ga}, Removed: removed, Parent: parent}
+	d := &Delta{Dirty: []int64{a.global}, Removed: removed, Parent: parent}
 
-	removed.Walk(func(x *xmltree.Node) bool {
+	removed.WalkFull(func(x *xmltree.Node) bool {
 		n.dropNode(x, &log, d)
-		for _, at := range x.Attrs {
-			n.dropNode(at, &log, d)
-		}
 		return true
 	})
 	relabeled, err := n.reEnumerateArea(a, a.fanout, &log, d)
 	if err == nil {
+		n.size -= len(d.Dropped)
+		n.assertK("delete")
 		return scheme.UpdateStats{Relabeled: relabeled}, d, nil
 	}
 	if hst, healed := n.healOverflow(err); healed {
@@ -328,27 +278,24 @@ func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.Upda
 	}
 	parent.InsertChildAt(pos, removed)
 	n.rollback(&log)
-	save.restore(a)
+	*a = saved
+	n.assertK("delete rollback")
 	return scheme.UpdateStats{}, nil, err
 }
 
-// dropNode removes one deleted node from all numbering state, including the
-// whole area it roots, if any, logging everything for rollback.
+// dropNode removes one deleted node from all numbering state — its stamp
+// and, if it roots one, its whole area — logging everything for rollback.
 func (n *Numbering) dropNode(x *xmltree.Node, log *updateLog, d *Delta) {
-	id, ok := n.ids[x]
+	id, ok := n.RUID(x)
 	if !ok {
 		return
 	}
-	log.ids = append(log.ids, idUndo{node: x, old: id, had: true})
+	log.stamp(x, ID{})
 	d.Dropped = append(d.Dropped, NodeID{Node: x, ID: id})
-	delete(n.ids, x)
-	if n.nodes[id] == x {
-		delete(n.nodes, id)
-	}
-	if n.areaRoots[x] && x != n.root {
+	if n.areaRoots[x] {
 		delete(n.areaRoots, x)
 		if a := n.areas[id.Global]; a != nil {
-			log.droppedAreas = append(log.droppedAreas, droppedArea{a: a, root: x})
+			log.droppedAreas = append(log.droppedAreas, a)
 			d.DeletedAreas = append(d.DeletedAreas, id.Global)
 			delete(n.areas, id.Global)
 		}
@@ -378,11 +325,12 @@ func (n *Numbering) areaFanout(a *area) int64 {
 }
 
 // reEnumerateArea re-derives the local enumeration of one area with fan-out
-// k, updating node identifiers, the K row entries of child areas whose
-// roots moved slots, and the area's slot index, logging every mutation and
-// recording the scope in d. It returns the number of pre-existing nodes
-// whose identifier changed. Nodes enumerated for the first time (fresh
-// insertions) are not counted.
+// k, updating node stamps, the K row entries of child areas whose roots
+// moved slots, and the area's slot index (fresh maps and a fresh sorted
+// list — the old ones stay intact for the caller's saved row), logging
+// every mutation outside the row and recording the scope in d. It returns
+// the number of pre-existing nodes whose identifier changed. Nodes
+// enumerated for the first time (fresh insertions) are not counted.
 func (n *Numbering) reEnumerateArea(a *area, k int64, log *updateLog, d *Delta) (int, error) {
 	if reEnumFailHook != nil {
 		if err := reEnumFailHook(a.global); err != nil {
@@ -392,24 +340,23 @@ func (n *Numbering) reEnumerateArea(a *area, k int64, log *updateLog, d *Delta) 
 	a.fanout = k
 	a.locals = make(map[int64]*xmltree.Node, len(a.locals))
 	a.rootByLocal = make(map[int64]int64, len(a.rootByLocal))
-	a.sortedDirty = true
 	relabeled := 0
 
 	var assign func(x *xmltree.Node, slot int64) error
 	assign = func(x *xmltree.Node, slot int64) error {
 		a.locals[slot] = x
+		old, existed := n.RUID(x)
 		if x != a.root && n.areaRoots[x] {
 			// Boundary leaf: the root of a lower area. Its own area keeps
 			// its global index and interior; only its slot here (and hence
 			// its K row and full identifier) may change.
-			old := n.ids[x]
 			a.rootByLocal[slot] = old.Global
 			child := n.areas[old.Global]
 			if child.rootLocal != slot {
 				log.rows = append(log.rows, rowUndo{a: child, old: child.rootLocal})
 				child.rootLocal = slot
 				newID := ID{Global: old.Global, Local: slot, Root: true}
-				n.setIDLogged(x, newID, log)
+				log.stamp(x, newID)
 				relabeled++
 				d.RowMoved = append(d.RowMoved, old.Global)
 				d.Relabels = append(d.Relabels, Relabel{Node: x, Old: old, New: newID})
@@ -418,12 +365,11 @@ func (n *Numbering) reEnumerateArea(a *area, k int64, log *updateLog, d *Delta) 
 		}
 		if x != a.root {
 			newID := ID{Global: a.global, Local: slot, Root: false}
-			old, existed := n.ids[x]
 			if !existed {
-				n.setIDLogged(x, newID, log)
+				log.stamp(x, newID)
 				d.InsertedCount++
 			} else if old != newID {
-				n.setIDLogged(x, newID, log)
+				log.stamp(x, newID)
 				relabeled++
 				d.Relabels = append(d.Relabels, Relabel{Node: x, Old: old, New: newID})
 			}
@@ -442,30 +388,17 @@ func (n *Numbering) reEnumerateArea(a *area, k int64, log *updateLog, d *Delta) 
 	if err := assign(a.root, 1); err != nil {
 		return relabeled, err
 	}
+	a.sortLocals()
 	return relabeled, nil
 }
 
 // Repartition rebuilds the numbering from scratch with a fresh automatic
 // partition, re-balancing areas after bulk structural change. It returns
-// the number of nodes whose identifier changed.
+// the number of nodes whose identifier changed; on error the numbering is
+// unchanged.
 func (n *Numbering) Repartition(cfg PartitionConfig) (int, error) {
 	if n.epochMode() {
 		return 0, ErrImmutable
 	}
-	old := make(map[*xmltree.Node]ID, len(n.ids))
-	for x, id := range n.ids {
-		old[x] = id
-	}
-	n.areaRoots = SelectAreaRoots(n.root, cfg, n.opts.WithAttrs)
-	n.opts.Partition = cfg
-	if err := n.renumberAll(); err != nil {
-		return 0, err
-	}
-	changed := 0
-	for x, oldID := range old {
-		if newID, ok := n.ids[x]; ok && newID != oldID {
-			changed++
-		}
-	}
-	return changed, nil
+	return n.renumberWith(SelectAreaRoots(n.root, cfg, n.opts.WithAttrs), cfg, cfg.AdjustFanout)
 }

@@ -12,6 +12,14 @@ import (
 // order queries exactly like the pointer tree.
 func verifyAgainstGroundTruth(t *testing.T, n *Numbering) {
 	t.Helper()
+	// One binding, in master and epoch mode alike: the stamps and table K
+	// agree, and Size counts exactly the numbered nodes.
+	if err := n.checkK(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(labels(n)); got != n.Size() {
+		t.Fatalf("Size() = %d, tree has %d numbered nodes", n.Size(), got)
+	}
 	nodes := n.root.Nodes()
 	for _, x := range nodes {
 		id, ok := n.RUID(x)
@@ -55,6 +63,18 @@ func verifyAgainstGroundTruth(t *testing.T, n *Numbering) {
 	}
 }
 
+// labels returns the identifier of every numbered node of n's tree.
+func labels(n *Numbering) map[*xmltree.Node]ID {
+	out := make(map[*xmltree.Node]ID)
+	n.doc.WalkFull(func(x *xmltree.Node) bool {
+		if id, ok := n.RUID(x); ok {
+			out[x] = id
+		}
+		return true
+	})
+	return out
+}
+
 // TestInsertScopeConfinedToArea checks §3.2's central claim: an insertion
 // relabels only nodes of the update area; identifiers in descendant areas
 // do not change.
@@ -70,7 +90,7 @@ func TestInsertScopeConfinedToArea(t *testing.T) {
 
 	// Snapshot identifiers of all nodes outside the root's area.
 	outside := map[*xmltree.Node]ID{}
-	for x, id := range n.ids {
+	for x, id := range labels(n) {
 		if id.Global != rootArea {
 			outside[x] = id
 		}
@@ -92,7 +112,7 @@ func TestInsertScopeConfinedToArea(t *testing.T) {
 	}
 	changedOutside := 0
 	for x, old := range outside {
-		if now, ok := n.ids[x]; ok && now != old {
+		if now, ok := n.RUID(x); ok && now != old {
 			// Roots of child areas of the update area may legitimately get
 			// a new slot (their Local changes); their Global must not.
 			if now.Global != old.Global {

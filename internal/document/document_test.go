@@ -195,6 +195,59 @@ func TestIdentifierStabilityAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestInsertCloneOfEpochNode: a subtree cloned out of a published epoch
+// arrives carrying that epoch's labels. The document must number it afresh:
+// every query then agrees with the pointer-navigation oracle, the pinned
+// epoch the clone came from still answers as before, and each node of the
+// new epoch resolves from its own label.
+func TestInsertCloneOfEpochNode(t *testing.T) {
+	d, err := document.OpenString(librarySrc, document.Options{Partition: coreSmallPartition()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := d.Snapshot()
+	shelves, _, err := pinned.Query("/library/shelf")
+	if err != nil || len(shelves) != 2 {
+		t.Fatalf("shelves: %v (%d)", err, len(shelves))
+	}
+	if _, err := d.Insert("/library/shelf[2]", 1, shelves[0].Clone()); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"//book/title",
+		"/library/shelf[2]/shelf/book[2]/author",
+		"//shelf//shelf/book[1]/following-sibling::book",
+		"//author/ancestor::shelf",
+		"//shelf[@floor='1']/book/title",
+	}
+	for _, snap := range []*document.Snapshot{pinned, d.Snapshot()} {
+		for _, q := range queries {
+			got, _, err := snap.Query(q)
+			if err != nil {
+				t.Fatalf("Query(%q): %v", q, err)
+			}
+			want := oracleQuery(t, snap.Tree(), q)
+			if gotP := sortedPaths(got); strings.Join(gotP, "|") != strings.Join(want, "|") {
+				t.Errorf("epoch %d: Query(%q) = %v, want %v", snap.Epoch(), q, gotP, want)
+			}
+		}
+		num := snap.Numbering()
+		seen := map[core.ID]bool{}
+		snap.Tree().DocumentElement().Walk(func(x *xmltree.Node) bool {
+			id, ok := num.RUID(x)
+			if back, found := num.NodeOfID(id); !ok || seen[id] || !found || back != x {
+				t.Fatalf("epoch %d: %s carries %v (ok=%v, repeated=%v), which resolves to %v",
+					snap.Epoch(), x.Path(), id, ok, seen[id], back)
+			}
+			seen[id] = true
+			return true
+		})
+		if len(seen) != num.Size() {
+			t.Errorf("epoch %d: %d labelled nodes, numbering counts %d", snap.Epoch(), len(seen), num.Size())
+		}
+	}
+}
+
 func coreSmallPartition() core.PartitionConfig {
 	return core.PartitionConfig{MaxAreaNodes: 8, AdjustFanout: true}
 }

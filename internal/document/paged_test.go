@@ -266,3 +266,43 @@ func TestColdBundleRoundTrip(t *testing.T) {
 		t.Fatalf("bad magic accepted")
 	}
 }
+
+// TestColdBundleConcurrentNavigation: a cold-opened document serves readers
+// straight from the numbering core.Load returns, so Load must hand it over
+// ready to share — every slot list sorted, nothing left to initialise on
+// first use. Eight goroutines navigate the same areas at once; under -race
+// a lazily sorted slot list is reported here.
+func TestColdBundleConcurrentNavigation(t *testing.T) {
+	orig, err := document.FromTree(xmltree.XMark(3, 1), document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle bytes.Buffer
+	if err := orig.SaveBundle(&bundle); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := document.OpenBundle(&bundle, document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "/site/people/person[2]/following-sibling::person[1]"
+	want := queryPaths(t, orig, q)
+	if len(want) != 1 {
+		t.Fatalf("fixture: %q matched %v", q, want)
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			got, _, err := cold.Query(q)
+			if err == nil && strings.Join(sortedPaths(got), "|") != strings.Join(want, "|") {
+				err = fmt.Errorf("got %v, want %v", sortedPaths(got), want)
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -49,12 +49,19 @@ func (k Kind) String() string {
 	}
 }
 
-// NodeNum is an opaque numbering stamp a scheme may burn into a node when
-// it publishes an immutable copy of a numbered tree: the stamp lets the
-// copy answer node→identifier lookups without any per-copy map. The zero
-// value means "not stamped" (G is never 0 in a valid stamp). xmltree does
-// not interpret the fields; internal/core writes its 2-level ruid
-// (global, local, root-flag) here when cloning an epoch.
+// NodeNum is an opaque numbering stamp: the label a numbering scheme burns
+// into the node it numbers, so that node→identifier is a field read with no
+// per-node table beside the tree. The zero value means "not numbered" (G is
+// never 0 in a valid stamp). xmltree does not interpret the fields and only
+// copies them (Clone, CloneWithMap and CloneAlong copy a node's stamp with
+// it, which is how an epoch copy of a numbered tree is numbered for free).
+//
+// internal/core keeps its 2-level ruid (global, local, root-flag) here, in
+// master trees and epoch copies alike. A node has one stamp, so a tree
+// carries at most one such numbering at a time: numbering a tree again
+// overwrites the stamps, and the earlier numbering must not be used after
+// that. core clears the stamps of a subtree it deletes and of one it is
+// handed to insert, so a stamp never outlives the numbering that wrote it.
 type NodeNum struct {
 	G, L int64
 	R    bool
@@ -74,7 +81,7 @@ type Node struct {
 	Parent   *Node   // nil for the document node
 	Children []*Node // element and document nodes only
 	Attrs    []*Node // element nodes only; each has Kind == Attribute
-	Num      NodeNum // numbering stamp of immutable epoch copies (see NodeNum)
+	Num      NodeNum // the label this node carries (see NodeNum)
 }
 
 // NewDocument returns an empty document node.
