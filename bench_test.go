@@ -324,23 +324,23 @@ func BenchmarkE9Axes(b *testing.B) {
 	for i := range sample {
 		sample[i] = nodes[rng.Intn(len(nodes))]
 	}
+	count := func(*xmltree.Node) bool { benchSink++; return true }
+	axes := []struct {
+		name string
+		walk func(xpath.Navigator, *xmltree.Node, xpath.Visit) bool
+	}{
+		{"children", xpath.Navigator.Children},
+		{"descendants", xpath.Navigator.Descendants},
+		{"following", xpath.Navigator.Following},
+	}
 	for _, nv := range navs {
-		nv := nv
-		b.Run(nv.name+"/children", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += len(nv.nav.Children(sample[i%len(sample)]))
-			}
-		})
-		b.Run(nv.name+"/descendants", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += len(nv.nav.Descendants(sample[i%len(sample)]))
-			}
-		})
-		b.Run(nv.name+"/following", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += len(nv.nav.Following(sample[i%len(sample)]))
-			}
-		})
+		for _, ax := range axes {
+			b.Run(nv.name+"/"+ax.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ax.walk(nv.nav, sample[i%len(sample)], count)
+				}
+			})
+		}
 	}
 }
 

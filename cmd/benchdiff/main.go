@@ -54,10 +54,11 @@ func load(path string) (map[string]result, error) {
 }
 
 // requiredBenches must exist in every current run: the publication benches
-// (and the two exact counts: postings a mutation re-encodes, the index's
-// half of the paper's confined update scope, and nodes a count-only query
-// resolves, which is none) are the point of the gate; refuse to pass a run
-// in which they went missing (renamed, dropped from the harness).
+// (and the three exact counts: postings a mutation re-encodes, the index's
+// half of the paper's confined update scope; nodes a count-only query
+// resolves, which is none; and candidates a positional lookup's axis walks
+// visit) are the point of the gate; refuse to pass a run in which they went
+// missing (renamed, dropped from the harness).
 var requiredBenches = []string{
 	"epoch_publish/nodes=5000",
 	"epoch_publish/nodes=50000",
@@ -65,6 +66,7 @@ var requiredBenches = []string{
 	"write/mutation_ns/batch=64",
 	"write/postings_reencoded_per_mutation/batch=1",
 	"read/nodes_resolved_per_count_query",
+	"read/nav_visited_per_point_query",
 	"obs2/server_query/on",
 	"obs2/group_write/on",
 }

@@ -737,36 +737,55 @@ func writeRows() []microResult {
 	return rows
 }
 
-// readRows is the read path's exact count row: nodes resolved per count-only
-// request, over the five set-at-a-time queries of the end-to-end benchmark's
-// read_join workload (bench/spec.go joinSpecs) sent through Server.Query the
-// way that benchmark sends them. A count is answered on identifiers, so the
+// readRows are the read path's exact count rows, taken over the queries of
+// the end-to-end benchmark sent through Server.Query the way that benchmark
+// sends them: the five set-at-a-time queries of its read_join workload
+// (bench/spec.go joinSpecs) and the four positional templates of read_point
+// (bench/harness.go) at fixed positions.
+//
+// nodes_resolved_per_count_query: a count is answered on identifiers (join
+// and twig plans) or on the nodes a walk already holds (navigation), so the
 // committed value is 0, and a 0-baseline row passes the gate only while the
-// current value is 0 too: any change that makes a count touch a node fails
+// current value is 0 too: any change that makes a count resolve a node fails
 // CI.
+//
+// nav_visited_per_point_query: candidates the axis walks hand the evaluator
+// per positional lookup. t[k] stops at its k-th match, so the value is a
+// function of the fixed positions, not of how many siblings follow them; a
+// change that walks an axis to its end again multiplies it.
 func readRows() []microResult {
 	reg := obs.NewRegistry()
 	srv := server.New(server.Config{Observe: reg})
 	if _, err := srv.Open("bench", xmltree.Serialize(xmltree.XMark(20, 1))); err != nil {
 		panic(err)
 	}
-	queries := []string{
+	joins := []string{
 		"/site//item/name", "//listitem//text", "//open_auction[bidder]/itemref",
 		"/site/people/person[profile]/name", "//bidder/increase",
 	}
-	for _, q := range queries {
+	points := []string{
+		"/site/regions/europe/item[3]/name",
+		"/site/regions/namerica/item[5]/description/parlist/listitem[1]/text",
+		"/site/people/person[30]/ancestor::*",
+		"/site/open_auctions/open_auction[60]/bidder[1]/increase",
+	}
+	for i, q := range append(joins, points...) {
 		resp, err := srv.Query(context.Background(), "bench", server.QueryRequest{Query: q})
 		if err != nil {
 			panic(err)
 		}
-		if resp.Count == 0 || resp.Plan == "nav" {
-			panic(fmt.Sprintf("ruidbench: %q answered %d by a %s plan; the row needs non-empty identifier plans", q, resp.Count, resp.Plan))
+		if nav := i >= len(joins); resp.Count == 0 || (resp.Plan == "nav") != nav {
+			panic(fmt.Sprintf("ruidbench: %q answered %d by a %s plan; the rows need non-empty answers, identifier plans for the joins and navigation for the lookups", q, resp.Count, resp.Plan))
 		}
 	}
 	return []microResult{{
 		Name:       "read/nodes_resolved_per_count_query",
 		Iterations: 1,
-		NsPerOp:    float64(reg.Counter("query.nodes_resolved").Value()) / float64(len(queries)),
+		NsPerOp:    float64(reg.Counter("query.nodes_resolved").Value()) / float64(len(joins)+len(points)),
+	}, {
+		Name:       "read/nav_visited_per_point_query",
+		Iterations: 1,
+		NsPerOp:    float64(reg.Counter("query.nav_visited").Value()) / float64(len(points)),
 	}}
 }
 

@@ -1,22 +1,31 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/scheme"
+	"repro/internal/xmltree"
 )
 
-// XPath axis generation (§3.5 of the paper). Each routine derives candidate
-// identifier ranges arithmetically from κ and the table K, then intersects
-// them with the existing identifiers via a range scan of the (global,
-// local) clustered index; the root-indicator of each candidate is decided
-// exactly as the paper describes, by looking the candidate's local slot up
-// among the frame children of the context area.
+// XPath axis generation (§3.5 of the paper). Each routine derives a slot
+// range arithmetically from (global, local, root flag), κ and the table K
+// and range-scans the (global, local) clustered index — the area's
+// sortedLocals — for the slots that exist.
 //
-// Every axis exists in two forms: a concrete Append* method that writes
-// ruid identifiers into a caller-supplied buffer without interface boxing
-// (the hot path used by the joins, the twig matcher and the document
-// facade), and the boxed scheme.AxisScheme method built on top of it.
+// Every scan is written once, as an in-place walk over slots that reads
+// nothing but K and stops as soon as its visitor returns false. What a slot
+// yields is the visitor's business: the VisitX methods hand over the node
+// already sitting there (area.locals) — what the XPath evaluator consumes,
+// context and candidates as nodes, nothing generated, boxed or resolved for
+// a consumer that wants the k-th match or only counts — and the AppendX
+// methods derive the slot's identifier into a caller-supplied buffer, on
+// which the boxed scheme.AxisScheme methods sit. None of the three adds a
+// loop of its own. A descent carries its K row along and consults K again
+// only where a slot holds the root of a lower area.
+
+// slotVisit receives one occupied slot of an area; returning false stops
+// the walk.
+type slotVisit func(a *area, slot int64) bool
 
 // childContext returns the area in which id's children are enumerated and
 // id's local index inside that area: an area root's children live in its
@@ -51,174 +60,297 @@ func (a *area) resolveLocal(slot int64) ID {
 		return ID{Global: cg, Local: slot, Root: true}
 	}
 	if slot == 1 {
-		// The area's own root occupies slot 1; its identifier carries its
-		// index in the upper area.
-		if a.global == 1 {
-			return RootID
-		}
-		return ID{Global: a.global, Local: a.rootLocal, Root: true}
+		return a.rootID()
 	}
 	return ID{Global: a.global, Local: slot, Root: false}
 }
 
-// rangeBounds returns the half-open [start, end) positions of sortedLocals
-// covering local slots in [lo, hi], so callers can iterate without an
-// intermediate slice.
-func (a *area) rangeBounds(lo, hi int64) (start, end int) {
-	start = sort.Search(len(a.sortedLocals), func(i int) bool { return a.sortedLocals[i] >= lo })
-	end = start
-	for end < len(a.sortedLocals) && a.sortedLocals[end] <= hi {
-		end++
+// rootID returns the identifier of the area's own root, the node at slot 1:
+// it carries its index in the upper area.
+func (a *area) rootID() ID {
+	if a.global == 1 {
+		return RootID
 	}
-	return start, end
+	return ID{Global: a.global, Local: a.rootLocal, Root: true}
 }
 
-// AppendAncestors appends the ancestors of id (rancestor of §3.5), nearest
-// first, to dst: a repetition of RParent.
-func (n *Numbering) AppendAncestors(dst []ID, id ID) []ID {
-	cur := id
-	for {
-		p, ok, err := n.RParent(cur)
-		if err != nil || !ok {
-			return dst
+// seek returns the position of the first slot ≥ slot in the ascending list
+// slots. Every walk, and every node of a deep one, starts here; hand-rolled
+// because slices.BinarySearch, which also answers "found", measured 30 %
+// slower on the following axis.
+func seek(slots []int64, slot int64) int {
+	lo, hi := 0, len(slots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if slots[mid] < slot {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		dst = append(dst, p)
-		cur = p
 	}
+	return lo
 }
 
-// AppendChildren appends the children of id (rchildren of §3.5) to dst in
-// document order.
-func (n *Numbering) AppendChildren(dst []ID, id ID) []ID {
+// childSlots returns the slot range [lo, hi] of the children of the node at
+// slot l of an area enumerated with fan-out k.
+func childSlots(l, k int64) (lo, hi int64) { return (l-1)*k + 2, l*k + 1 }
+
+// scan is the one slot scan every axis is made of: it visits the occupied
+// slots of a within [lo, hi] — ascending, or descending when rev — and, when
+// deep, the whole subtree of each with it: after the slot in document
+// order, before it in reverse document order. It reports false as soon as
+// visit does.
+func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit) bool {
+	slots := a.sortedLocals
+	i := seek(slots, lo)
+	if i == len(slots) || slots[i] > hi {
+		return true // nothing there: a leaf's children, an only child's siblings
+	}
+	// The range holds at most hi-lo+1 slots, so its end is near.
+	rest := slots[i:]
+	if width := hi - lo + 1; int64(len(rest)) > width {
+		rest = rest[:width]
+	}
+	count := seek(rest, hi+1) // occupied slots in range
+	end, step := i+count, 1
+	if rev {
+		i, end, step = end-1, i-1, -1
+	}
+	for ; i != end; i += step {
+		slot := slots[i]
+		if !deep {
+			if !visit(a, slot) {
+				return false
+			}
+			continue
+		}
+		if !rev && !visit(a, slot) {
+			return false
+		}
+		// The children of the node at slot share its area and slot unless it
+		// heads a lower area — the one place a descent consults K.
+		sub, l := a, slot
+		if g, boundary := a.rootByLocal[slot]; boundary {
+			var ok bool
+			if sub, ok = n.krow(g); !ok {
+				continue
+			}
+			l = 1
+		}
+		clo, chi := childSlots(l, sub.fanout)
+		if !n.scan(sub, clo, chi, rev, true, visit) {
+			return false
+		}
+		if rev && !visit(a, slot) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkBelow visits id's children (rchildren of §3.5) or, when deep, all its
+// descendants (rdescendant) in document order.
+func (n *Numbering) walkBelow(id ID, deep bool, visit slotVisit) bool {
 	g, l := n.childContext(id)
 	a, ok := n.krow(g)
 	if !ok {
-		return dst
+		return true
 	}
-	lo := (l-1)*a.fanout + 2
-	hi := l*a.fanout + 1
-	start, end := a.rangeBounds(lo, hi)
-	for i := start; i < end; i++ {
-		dst = append(dst, a.resolveLocal(a.sortedLocals[i]))
-	}
-	return dst
+	lo, hi := childSlots(l, a.fanout)
+	return n.scan(a, lo, hi, false, deep, visit)
 }
 
-// AppendDescendants appends every descendant of id (rdescendant of §3.5)
-// to dst in document (preorder) order; crossing into a lower area happens
-// automatically when a child resolves to an area root. The slot scan reads
-// the clustered index in place — no intermediate slices.
-func (n *Numbering) AppendDescendants(dst []ID, id ID) []ID {
-	g, l := n.childContext(id)
-	a, ok := n.krow(g)
-	if !ok {
-		return dst
-	}
-	lo := (l-1)*a.fanout + 2
-	hi := l*a.fanout + 1
-	start, end := a.rangeBounds(lo, hi)
-	for i := start; i < end; i++ {
-		c := a.resolveLocal(a.sortedLocals[i])
-		dst = append(dst, c)
-		dst = n.AppendDescendants(dst, c)
-	}
-	return dst
-}
-
-// AppendFollowingSiblings appends id's following siblings (rfsibling of
-// §3.5) to dst in document order.
-func (n *Numbering) AppendFollowingSiblings(dst []ID, id ID) []ID {
+// walkSiblings visits id's following siblings in document order (rfsibling)
+// or, when rev, its preceding siblings nearest first (rpsibling); deep takes
+// each sibling's subtree along, which is one level of rfollowing/rpreceding.
+func (n *Numbering) walkSiblings(id ID, rev, deep bool, visit slotVisit) bool {
 	g, l, ok := n.siblingContext(id)
 	if !ok {
-		return dst
+		return true
 	}
 	a, ok := n.krow(g)
 	if !ok {
-		return dst
+		return true
 	}
-	p := (l-2)/a.fanout + 1
-	hi := p*a.fanout + 1
-	start, end := a.rangeBounds(l+1, hi)
-	for i := start; i < end; i++ {
-		dst = append(dst, a.resolveLocal(a.sortedLocals[i]))
+	lo, hi := childSlots((l-2)/a.fanout+1, a.fanout) // the parent's children
+	if rev {
+		return n.scan(a, lo, l-1, true, deep, visit)
 	}
-	return dst
+	return n.scan(a, l+1, hi, false, deep, visit)
 }
 
-// AppendPrecedingSiblings appends id's preceding siblings (rpsibling of
-// §3.5) to dst, nearest sibling first per the XPath reverse-axis
-// convention.
-func (n *Numbering) AppendPrecedingSiblings(dst []ID, id ID) []ID {
-	g, l, ok := n.siblingContext(id)
-	if !ok {
-		return dst
+// walkBeyond visits the following axis of id in document order (rfollowing)
+// or, when rev, its preceding axis in reverse document order (rpreceding):
+// for id and each ancestor in turn, the siblings on that side and their
+// whole subtrees. By Lemma 3 this touches only the node's own area and its
+// frame ancestors before expanding whole areas.
+func (n *Numbering) walkBeyond(id ID, rev bool, visit slotVisit) bool {
+	for ok := true; ok; id, ok, _ = n.RParent(id) {
+		if !n.walkSiblings(id, rev, true, visit) {
+			return false
+		}
 	}
-	a, ok := n.krow(g)
-	if !ok {
-		return dst
-	}
-	p := (l-2)/a.fanout + 1
-	lo := (p-1)*a.fanout + 2
-	start, end := a.rangeBounds(lo, l-1)
-	for i := end - 1; i >= start; i-- {
-		dst = append(dst, a.resolveLocal(a.sortedLocals[i]))
-	}
-	return dst
+	return true
 }
 
-// AppendFollowing appends the following axis of id (rfollowing of §3.5) to
-// dst: for each ancestor-or-self, its following siblings and their whole
-// subtrees, in document order. By Lemma 3 this touches only the node's own
-// area and its frame ancestors before expanding whole following areas.
-func (n *Numbering) AppendFollowing(dst []ID, id ID) []ID {
-	cur := id
+// walkAncestors visits the ancestors of id nearest first (rancestor): a
+// repetition of the parent formula, each parent found at its slot.
+func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 	for {
-		if g, l, ok := n.siblingContext(cur); ok {
-			a, found := n.krow(g)
-			if !found {
-				return dst
-			}
-			p := (l-2)/a.fanout + 1
-			hi := p*a.fanout + 1
-			start, end := a.rangeBounds(l+1, hi)
-			for i := start; i < end; i++ {
-				s := a.resolveLocal(a.sortedLocals[i])
-				dst = append(dst, s)
-				dst = n.AppendDescendants(dst, s)
-			}
-		}
-		p, ok, err := n.RParent(cur)
-		if err != nil || !ok {
-			return dst
-		}
-		cur = p
-	}
-}
-
-// AppendPreceding appends the preceding axis of id (rpreceding of §3.5) to
-// dst in document order: walking the ancestor chain from the root down,
-// each ancestor-or-self's preceding siblings and their subtrees.
-func (n *Numbering) AppendPreceding(dst []ID, id ID) []ID {
-	var chainBuf [32]ID
-	chain := n.appendAncestorChain(chainBuf[:0], id)
-	for i := len(chain) - 1; i >= 0; i-- {
-		g, l, ok := n.siblingContext(chain[i])
+		g, l, ok := n.siblingContext(id)
 		if !ok {
-			continue
+			return true
 		}
-		a, found := n.krow(g)
-		if !found {
-			continue
+		a, ok := n.krow(g)
+		if !ok {
+			return true
 		}
 		p := (l-2)/a.fanout + 1
-		lo := (p-1)*a.fanout + 2
-		start, end := a.rangeBounds(lo, l-1)
-		for j := start; j < end; j++ { // ascending slots = document order
-			s := a.resolveLocal(a.sortedLocals[j])
-			dst = append(dst, s)
-			dst = n.AppendDescendants(dst, s)
+		if !visit(a, p) {
+			return false
+		}
+		if id = (ID{Global: g, Local: p}); p == 1 {
+			id = a.rootID()
 		}
 	}
+}
+
+// atNode adapts a node visitor to the walks: it hands over the node sitting
+// at each visited slot.
+func atNode(visit func(*xmltree.Node) bool) slotVisit {
+	return func(a *area, slot int64) bool { return visit(a.locals[slot]) }
+}
+
+// intoIDs adapts an identifier buffer to the walks: it appends the
+// identifier of each visited slot.
+func intoIDs(dst *[]ID) slotVisit {
+	return func(a *area, slot int64) bool {
+		*dst = append(*dst, a.resolveLocal(slot))
+		return true
+	}
+}
+
+// The VisitX methods walk one axis of the numbered node c in place, in axis
+// order (reverse axes nearest first), handing visit each node until it
+// returns false; they report whether the walk ran to its end. A node outside
+// the numbering has no axes.
+
+// VisitChildren walks the children of c in document order.
+func (n *Numbering) VisitChildren(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
+	id, ok := n.RUID(c)
+	return !ok || n.walkBelow(id, false, atNode(visit))
+}
+
+// VisitDescendants walks the descendants of c in document order.
+func (n *Numbering) VisitDescendants(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
+	id, ok := n.RUID(c)
+	return !ok || n.walkBelow(id, true, atNode(visit))
+}
+
+// VisitAncestors walks the ancestors of c, nearest first.
+func (n *Numbering) VisitAncestors(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
+	id, ok := n.RUID(c)
+	return !ok || n.walkAncestors(id, atNode(visit))
+}
+
+// VisitFollowingSiblings walks the following siblings of c in document
+// order.
+func (n *Numbering) VisitFollowingSiblings(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
+	id, ok := n.RUID(c)
+	return !ok || n.walkSiblings(id, false, false, atNode(visit))
+}
+
+// VisitPrecedingSiblings walks the preceding siblings of c, nearest first.
+func (n *Numbering) VisitPrecedingSiblings(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
+	id, ok := n.RUID(c)
+	return !ok || n.walkSiblings(id, true, false, atNode(visit))
+}
+
+// VisitFollowing walks the following axis of c in document order.
+func (n *Numbering) VisitFollowing(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
+	id, ok := n.RUID(c)
+	return !ok || n.walkBeyond(id, false, atNode(visit))
+}
+
+// VisitPreceding walks the preceding axis of c, nearest first (reverse
+// document order).
+func (n *Numbering) VisitPreceding(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
+	id, ok := n.RUID(c)
+	return !ok || n.walkBeyond(id, true, atNode(visit))
+}
+
+// ParentNode returns the parent of the numbered node c (false for the root
+// and for nodes outside the numbering): RParent, read off its slot.
+func (n *Numbering) ParentNode(c *xmltree.Node) (p *xmltree.Node, ok bool) {
+	n.VisitAncestors(c, func(x *xmltree.Node) bool {
+		p, ok = x, true
+		return false
+	})
+	return p, ok
+}
+
+// CompareNodes orders two numbered nodes in document order from the
+// identifiers they carry (CompareOrderID, the Fig. 10 routine); ok is false
+// when either node is outside the numbering.
+func (n *Numbering) CompareNodes(a, b *xmltree.Node) (order int, ok bool) {
+	ia, oka := n.RUID(a)
+	ib, okb := n.RUID(b)
+	if !oka || !okb {
+		return 0, false
+	}
+	return n.CompareOrderID(ia, ib), true
+}
+
+// The AppendX methods append the identifiers of one axis of id to dst: the
+// same walks, deriving each visited slot's identifier from K. The buffer is
+// the caller's, so nothing is boxed or allocated.
+
+// AppendAncestors appends the ancestors of id, nearest first, to dst.
+func (n *Numbering) AppendAncestors(dst []ID, id ID) []ID {
+	n.walkAncestors(id, intoIDs(&dst))
+	return dst
+}
+
+// AppendChildren appends the children of id to dst in document order.
+func (n *Numbering) AppendChildren(dst []ID, id ID) []ID {
+	n.walkBelow(id, false, intoIDs(&dst))
+	return dst
+}
+
+// AppendDescendants appends every descendant of id to dst in document
+// (preorder) order.
+func (n *Numbering) AppendDescendants(dst []ID, id ID) []ID {
+	n.walkBelow(id, true, intoIDs(&dst))
+	return dst
+}
+
+// AppendFollowingSiblings appends id's following siblings to dst in
+// document order.
+func (n *Numbering) AppendFollowingSiblings(dst []ID, id ID) []ID {
+	n.walkSiblings(id, false, false, intoIDs(&dst))
+	return dst
+}
+
+// AppendPrecedingSiblings appends id's preceding siblings to dst, nearest
+// sibling first per the XPath reverse-axis convention.
+func (n *Numbering) AppendPrecedingSiblings(dst []ID, id ID) []ID {
+	n.walkSiblings(id, true, false, intoIDs(&dst))
+	return dst
+}
+
+// AppendFollowing appends the following axis of id to dst in document
+// order.
+func (n *Numbering) AppendFollowing(dst []ID, id ID) []ID {
+	n.walkBeyond(id, false, intoIDs(&dst))
+	return dst
+}
+
+// AppendPreceding appends the preceding axis of id to dst in document
+// order, as scheme.AxisScheme states it: the walk's order, turned round.
+func (n *Numbering) AppendPreceding(dst []ID, id ID) []ID {
+	from := len(dst)
+	n.walkBeyond(id, true, intoIDs(&dst))
+	slices.Reverse(dst[from:])
 	return dst
 }
 

@@ -19,7 +19,11 @@
 // fan-out) per area — suffices to compute the parent of any identifier
 // entirely in main memory (Lemma 1, the rparent() algorithm of Fig. 6),
 // to decide ancestor/descendant and preceding/following order
-// (Lemmas 2 and 3), and to generate every positional XPath axis (§3.5).
+// (Lemmas 2 and 3), and to generate every positional XPath axis (§3.5):
+// each axis is one in-place scan of an area's slot list between bounds
+// derived from the identifier (axes.go), which yields the node sitting at
+// each slot (VisitX) or the slot's identifier (AppendX) and stops when its
+// consumer does.
 //
 // A node carries its identifier: Build, Load and every update write it into
 // the node's xmltree.NodeNum stamp, RUID reads it back, and NodeOfID goes

@@ -48,10 +48,7 @@ func (n *Numbering) RParent(id ID) (ID, bool, error) {
 	// Lines 8–13: local index 1 means the parent is the root of area g,
 	// whose full identifier carries its index in the upper area (from K).
 	if l == 1 {
-		if g == 1 {
-			return RootID, true, nil
-		}
-		return ID{Global: g, Local: row.rootLocal, Root: true}, true, nil
+		return row.rootID(), true, nil
 	}
 	return ID{Global: g, Local: l, Root: false}, true, nil
 }

@@ -3,12 +3,19 @@ package document_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/document"
+	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // saveBytes serializes a snapshot's numbering for byte-exact comparison.
@@ -223,6 +230,133 @@ func TestEpochNumberingSharing(t *testing.T) {
 		back, ok := s1.Numbering().NodeOfID(id)
 		if !ok || back != x {
 			t.Fatalf("pinned epoch reverse lookup broke for %v", id)
+		}
+	}
+}
+
+// TestEpochNumberingsAnswerPositionalPaths is the differential case on
+// epoch numberings — table-K rows made by CloneDelta, not by Build: 200
+// seeded insert/delete pairs through the Document, and after each pair the
+// snapshot's scheme engine against the pointer engine on positional paths
+// that cross the touched areas. Forward paths are compared node for node on
+// the snapshot's own tree; paths that climb are compared by label on a full
+// clone, because a partial copy's Parent pointers lead out of it
+// (xmltree.CloneAlong).
+func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := document.FromTree(xmltree.XMark(2, 5), document.Options{
+		Partition: core.PartitionConfig{MaxAreaNodes: 16, AdjustFanout: true},
+		Observe:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(q string) int {
+		res, _, err := d.Snapshot().QueryMetered(q, nil, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		return res.Len()
+	}
+	labels := func(nodes []*xmltree.Node) string {
+		var sb strings.Builder
+		for _, n := range nodes {
+			fmt.Fprintf(&sb, "%s%v ", n.Name, n.Num)
+		}
+		return sb.String()
+	}
+	auctions := count("/site/open_auctions/open_auction")
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 200; i++ {
+		grown := fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+rng.Intn(auctions))
+		bidder, err := xmltree.ParseFragment(fmt.Sprintf("<bidder><increase>%d</increase></bidder>", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Insert(grown, rng.Intn(count(grown+"/*")+1), bidder); err != nil {
+			t.Fatalf("pair %d: insert under %s: %v", i, grown, err)
+		}
+		shrunk := fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+rng.Intn(auctions))
+		if kids := count(shrunk + "/*"); kids > 0 {
+			if _, err := d.Delete(shrunk, rng.Intn(kids)); err != nil {
+				t.Fatalf("pair %d: delete under %s: %v", i, shrunk, err)
+			}
+		}
+
+		snap := d.Snapshot()
+		clone := snap.Tree().Clone()
+		scheme := xpath.NewEngine(snap.Tree(), xpath.SchemeNavigator{S: snap.Numbering()})
+		pointer := xpath.NewEngine(snap.Tree(), xpath.PointerNavigator{})
+		climbing := xpath.NewEngine(clone, xpath.PointerNavigator{})
+		for _, q := range []string{
+			grown + "/bidder[1]/increase", grown + "/bidder[last()]", grown + "/*[position() < 3]",
+			shrunk + "/*[2]", shrunk + "/bidder[2]/increase/text()",
+			"//open_auction/bidder[2]", "//open_auction/*[last()][increase]",
+			grown + "/bidder[1] | " + shrunk + "/bidder[1]",
+		} {
+			got, err := scheme.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := pointer.Query(q)
+			if !slices.Equal(got, want) {
+				t.Fatalf("pair %d: %q: scheme engine %d nodes, pointer engine %d, or in another order", i, q, len(got), len(want))
+			}
+		}
+		for _, q := range []string{
+			grown + "/bidder[last()]/preceding-sibling::*[1]", grown + "/bidder[1]/increase/ancestor::*",
+			shrunk + "/*[1]/following-sibling::*[2]", shrunk + "/bidder[1]/preceding::bidder[1]",
+			"//bidder[1]/..", "//increase/ancestor::*[2]",
+		} {
+			got, err := scheme.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := climbing.Query(q)
+			if labels(got) != labels(want) {
+				t.Fatalf("pair %d: %q:\nscheme engine  %s\npointer engine %s", i, q, labels(got), labels(want))
+			}
+		}
+	}
+	if incr := reg.Counter("doc.publish_incremental").Value(); incr < 300 {
+		t.Fatalf("only %d of the publications were incremental; the case is about CloneDelta rows", incr)
+	}
+}
+
+// TestPointQueryAllocsIndependentOfSiblings guards the one navigation path:
+// each read_point template shape (bench/harness.go) through
+// Snapshot.QueryMetered allocates the same small number of objects on XMark
+// 20 and on XMark 100, where every sibling list is five times longer — no
+// slice of an axis is built on the way to t[k].
+func TestPointQueryAllocsIndependentOfSiblings(t *testing.T) {
+	queries := []string{
+		"/site/regions/europe/item[70]/name",
+		"/site/regions/namerica/item[75]/description/parlist/listitem[1]/text",
+		"/site/people/person[190]/ancestor::*",
+		"/site/open_auctions/open_auction[110]/bidder[1]/increase",
+	}
+	allocs := func(scale int) []float64 {
+		d, err := document.FromTree(xmltree.XMark(scale, 1), document.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := d.Snapshot()
+		out := make([]float64, len(queries))
+		for i, q := range queries {
+			if res, plan, err := snap.QueryMetered(q, nil, nil); err != nil || res.Len() == 0 || plan.Kind != query.NavPlan {
+				t.Fatalf("XMark %d: %q: %d results by a %s plan, err %v", scale, q, res.Len(), plan.Kind, err)
+			}
+			out[i] = testing.AllocsPerRun(20, func() { snap.QueryMetered(q, nil, nil) })
+		}
+		return out
+	}
+	small, large := allocs(20), allocs(100)
+	for i, q := range queries {
+		// Equal, give or take the pooled objects a run happens to find (the
+		// race detector empties sync.Pools at random); one materialised axis
+		// would put hundreds between the two.
+		if math.Abs(small[i]-large[i]) > 4 || small[i] > 80 {
+			t.Errorf("%q: %v allocations on XMark 20, %v on XMark 100; want the same small number", q, small[i], large[i])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/xmltree"
 )
@@ -81,8 +82,8 @@ func TestRunBudgetResultSentinel(t *testing.T) {
 }
 
 // TestRunBudgetDeadline covers both plan families: identifier pipelines
-// observe the deadline at kernel charge points, navigation plans at the
-// pre-walk check.
+// observe the deadline at kernel charge points, navigation plans before the
+// walk and inside it (TestRunBudgetDeadlineInsideWalk).
 func TestRunBudgetDeadline(t *testing.T) {
 	p := newPlanner(t, xmltree.XMark(2, 9))
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -95,6 +96,49 @@ func TestRunBudgetDeadline(t *testing.T) {
 		if nodes != nil {
 			t.Fatalf("RunBudget(%q) returned nodes past its deadline", q)
 		}
+	}
+}
+
+// expiringCtx is a context whose Err turns non-nil on its n-th call: a
+// deadline that passes while the query runs, without a clock.
+type expiringCtx struct {
+	context.Context
+	calls, n int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestRunBudgetDeadlineInsideWalk: a navigation plan samples its meter as it
+// walks, so a deadline that passes mid-query stops it there — the sentinel,
+// an empty Result, and fewer candidates visited than the document holds,
+// where running to completion visits every node more than once.
+func TestRunBudgetDeadlineInsideWalk(t *testing.T) {
+	doc := xmltree.XMark(20, 9)
+	p := newPlanner(t, doc)
+	reg := obs.NewRegistry()
+	p.SetObserver(reg)
+	const q = "//*[contains(., 'no such text')]"
+	if _, plan, err := p.RunMetered(q, nil, nil); err != nil || plan.Kind != query.NavPlan {
+		t.Fatalf("fixture: plan %s, err %v", plan.Kind, err)
+	}
+	visited := reg.Counter("query.nav_visited")
+	nodes := uint64(xmltree.CountNodes(doc))
+	if full := visited.Value(); full < nodes {
+		t.Fatalf("fixture: the whole walk visits %d candidates over %d nodes", full, nodes)
+	}
+	before := visited.Value()
+	ctx := &expiringCtx{Context: context.Background(), n: 3} // entry check, then two samples
+	res, _, err := p.RunMetered(q, nil, budget.NewMeter(ctx, budget.Limits{}))
+	if !errors.Is(err, context.DeadlineExceeded) || res.Len() != 0 {
+		t.Fatalf("err = %v with %d results, want DeadlineExceeded and none", err, res.Len())
+	}
+	if got := visited.Value() - before; got == 0 || got >= nodes {
+		t.Fatalf("stopped walk visited %d candidates of a %d-node document", got, nodes)
 	}
 }
 

@@ -151,8 +151,11 @@ func TestRunMeteredTracedNavAndPruned(t *testing.T) {
 	}
 	var sb strings.Builder
 	tr.Render(&sb)
-	if !strings.Contains(sb.String(), "navigate") {
-		t.Errorf("nav trace missing navigate span:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "navigate") || !strings.Contains(sb.String(), "visited=") {
+		t.Errorf("nav trace missing navigate span or its visited count:\n%s", sb.String())
+	}
+	if reg.Counter("query.nav_visited").Value() == 0 {
+		t.Errorf("query.nav_visited did not move on a navigation plan")
 	}
 
 	tr = obs.NewTrace("//section//nosuchname")

@@ -150,6 +150,7 @@ type plannerMetrics struct {
 	queryNS     *obs.Histogram
 	results     *obs.Histogram
 	resolved    *obs.Counter
+	navVisited  *obs.Counter
 }
 
 // SetObserver points the planner's query metrics at r (nil detaches). The
@@ -168,6 +169,7 @@ func (p *Planner) SetObserver(r *obs.Registry) {
 		queryNS:     r.Histogram("query.query_ns"),
 		results:     r.Histogram("query.results"),
 		resolved:    r.Counter("query.nodes_resolved"),
+		navVisited:  r.Counter("query.nav_visited"),
 	}
 }
 
@@ -573,17 +575,22 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 		return Result{}, Plan{}, err
 	}
 	if plan.Kind == NavPlan {
-		// The axis engine has no internal charge points, so navigation plans
-		// are budgeted at plan granularity: deadline and prior consumption are
-		// checked before the walk, and the result rows are charged after it.
+		// The axis engine samples the meter every thousand-odd candidates its
+		// walks visit, so a navigation plan honours its deadline inside the
+		// walk like a join does inside a block; its result rows are charged
+		// once the walk is done.
 		if !m.Check() {
 			return Result{}, plan, m.Err()
 		}
 		sp := tr.StartSpan("navigate")
-		nodes := p.engine.Eval(plan.Paths)
+		nodes, visited, ok := p.engine.EvalMetered(plan.Paths, m.Check)
+		sp.SetInt("visited", int64(visited))
 		sp.SetInt("out", int64(len(nodes)))
 		sp.End()
-		if !m.ChargeResults(len(nodes)) {
+		if p.m != nil {
+			p.m.navVisited.Add(uint64(visited))
+		}
+		if !ok || !m.ChargeResults(len(nodes)) {
 			return Result{}, plan, m.Err()
 		}
 		return Result{n: len(nodes), nodes: nodes}, plan, nil

@@ -1,79 +1,59 @@
 package xpath
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/xmltree"
 )
 
-// Navigator supplies the positional axes over the element tree. The engine
-// is generic over it: SchemeNavigator derives axes from identifier
-// arithmetic (the paper's approach), PointerNavigator from parent/child
-// pointers (the ground truth).
-type Navigator interface {
-	// Name identifies the navigator in benchmark output.
-	Name() string
-	Children(n *xmltree.Node) []*xmltree.Node
-	Parent(n *xmltree.Node) (*xmltree.Node, bool)
-	Descendants(n *xmltree.Node) []*xmltree.Node
-	Ancestors(n *xmltree.Node) []*xmltree.Node // nearest first
-	FollowingSiblings(n *xmltree.Node) []*xmltree.Node
-	PrecedingSiblings(n *xmltree.Node) []*xmltree.Node // nearest first
-	Following(n *xmltree.Node) []*xmltree.Node
-	Preceding(n *xmltree.Node) []*xmltree.Node
-}
-
-// Engine evaluates location paths over one document snapshot.
+// Engine evaluates location paths over one document snapshot. It holds no
+// per-node table and no mutable state, so construction is O(1) and one
+// engine (one published epoch's planner) serves any number of concurrent
+// readers; what a single evaluation needs lives in its run.
 type Engine struct {
-	doc      *xmltree.Node
-	nav      Navigator
-	rankOnce sync.Once
-	rank     map[*xmltree.Node]int // document-order rank, attributes included
+	doc *xmltree.Node
+	nav Navigator
 }
 
 // NewEngine returns an engine over doc (its Document node) using nav for
-// the positional axes. Construction is O(1): the document-order rank map
-// (needed only to sort node-sets that merge several context nodes or come
-// from a reverse axis) is built lazily on first use, so engines created
-// for a single cheap lookup — or for an epoch that is published but never
-// queried — never pay an O(n) walk.
+// the positional axes and for document order.
 func NewEngine(doc *xmltree.Node, nav Navigator) *Engine {
 	return &Engine{doc: doc, nav: nav}
-}
-
-// ensureRank builds the document-order rank map on first use. The build is
-// guarded by a sync.Once because one engine (one published epoch's
-// planner) serves concurrent readers.
-func (e *Engine) ensureRank() {
-	e.rankOnce.Do(func() {
-		rank := make(map[*xmltree.Node]int)
-		i := 0
-		e.doc.WalkFull(func(n *xmltree.Node) bool {
-			rank[n] = i
-			i++
-			return true
-		})
-		e.rank = rank
-	})
 }
 
 // Navigator returns the engine's navigator.
 func (e *Engine) Navigator() Navigator { return e.nav }
 
+// stopStride is how many visited candidates pass between two samples of a
+// run's stop test: often enough that a deadline is honoured within
+// microseconds, seldom enough that the test costs the walk nothing.
+const stopStride = 1024
+
+// run is the state of one evaluation: the candidates its axis walks have
+// visited so far, and the caller's stop test with its verdict.
+type run struct {
+	*Engine
+	alive   func() bool // sampled every stopStride candidates; nil never stops
+	visited int
+	stopped bool
+}
+
+// tick counts one visited candidate and reports whether the walk goes on.
+func (r *run) tick() bool {
+	r.visited++
+	if r.visited%stopStride == 0 && r.alive != nil && !r.alive() {
+		r.stopped = true
+	}
+	return !r.stopped
+}
+
 // Select evaluates a location path with the given context node (ignored
 // for absolute paths) and returns the result node-set in document order.
 func (e *Engine) Select(ctx *xmltree.Node, path Path) []*xmltree.Node {
-	set := []*xmltree.Node{ctx}
-	if path.Absolute {
-		set = []*xmltree.Node{e.doc}
-	}
-	for _, step := range path.Steps {
-		set = e.evalStep(set, step)
-	}
-	return set
+	r := run{Engine: e}
+	return r.selectPath(ctx, path)
 }
 
 // Query parses and evaluates src — a location path or a '|' union of
@@ -89,75 +69,152 @@ func (e *Engine) Query(src string) ([]*xmltree.Node, error) {
 // Eval evaluates an already parsed query — one location path, or the
 // members of a union — against the document root.
 func (e *Engine) Eval(paths []Path) []*xmltree.Node {
-	if len(paths) == 1 {
-		return e.Select(e.doc, paths[0])
+	nodes, _, _ := e.EvalMetered(paths, nil)
+	return nodes
+}
+
+// EvalMetered is Eval with the walk accounted for and stoppable: alive (nil
+// never stops) is sampled every stopStride candidates, and once it reports
+// false every axis walk in progress unwinds. It returns how many candidates
+// the axis walks visited and whether the evaluation ran to its end; a
+// stopped one returns no nodes.
+func (e *Engine) EvalMetered(paths []Path, alive func() bool) (nodes []*xmltree.Node, visited int, ok bool) {
+	r := run{Engine: e, alive: alive}
+	nodes = r.selectUnion(e.doc, paths)
+	if r.stopped {
+		return nil, r.visited, false
 	}
-	return e.SelectUnion(e.doc, paths)
+	return nodes, r.visited, true
+}
+
+// selectUnion evaluates the members of a union against the same context and
+// returns their deduplicated union in document order.
+func (r *run) selectUnion(ctx *xmltree.Node, paths []Path) []*xmltree.Node {
+	if len(paths) == 1 {
+		return r.selectPath(ctx, paths[0])
+	}
+	var out []*xmltree.Node
+	for _, p := range paths {
+		out = append(out, r.selectPath(ctx, p)...)
+	}
+	return r.nav.InOrder(r.doc, out)
+}
+
+func (r *run) selectPath(ctx *xmltree.Node, path Path) []*xmltree.Node {
+	set := []*xmltree.Node{ctx}
+	if path.Absolute {
+		set[0] = r.doc
+	}
+	for _, step := range path.Steps {
+		if set = r.evalStep(set, step); len(set) == 0 {
+			return nil
+		}
+	}
+	return set
+}
+
+// stepScan is the visitor of one location step: it applies the node test to
+// each candidate an axis walk hands it and keeps the survivors — all of
+// them, or, when the step's first predicate is a bare number k, the k-th
+// only, stopping the walk there.
+type stepScan struct {
+	r    *run
+	test NodeTest
+	axis Axis
+	k    int // 0: keep every survivor
+	seen int // survivors of the current context so far
+	out  []*xmltree.Node
+}
+
+func (s *stepScan) visit(n *xmltree.Node) bool {
+	if !s.r.tick() {
+		return false
+	}
+	if !matches(n, s.test, s.axis) {
+		return true
+	}
+	if s.seen++; s.seen < s.k {
+		return true
+	}
+	s.out = append(s.out, n)
+	return s.k == 0
+}
+
+// position returns the index a bare-number predicate selects, or 0 when it
+// selects nothing (zero, negative, fractional).
+func position(k NumberLit) int {
+	if i := int(k); float64(i) == float64(k) && i >= 1 {
+		return i
+	}
+	return 0
 }
 
 // evalStep applies one location step to a node-set in document order.
-func (e *Engine) evalStep(ctx []*xmltree.Node, step Step) []*xmltree.Node {
-	var out []*xmltree.Node
-	// One context node on one axis cannot yield a node twice; only merged
-	// contexts need the duplicate filter.
-	var seen map[*xmltree.Node]bool
-	if len(ctx) > 1 {
-		seen = map[*xmltree.Node]bool{}
+func (r *run) evalStep(ctx []*xmltree.Node, step Step) []*xmltree.Node {
+	s := &stepScan{r: r, test: step.Test, axis: step.Axis}
+	visit := Visit(s.visit)
+	preds := step.Predicates
+	walk := true
+	if len(preds) > 0 {
+		if lead, ok := preds[0].(NumberLit); ok {
+			// t[k]: count to k during the walk instead of collecting t; a k
+			// that selects nothing (0, 2.5) needs no walk.
+			s.k, preds = position(lead), preds[1:]
+			walk = s.k > 0
+		}
 	}
 	for _, c := range ctx {
-		axis := e.axisNodes(c, step.Axis)
-		// Node test first (the "initial node-set" of the spec), then the
-		// predicates in turn, each with fresh positions.
-		filtered := axis[:0:0]
-		for _, n := range axis {
-			if matches(n, step.Test, step.Axis) {
-				filtered = append(filtered, n)
-			}
+		from := len(s.out)
+		s.seen = 0
+		if walk {
+			r.axis(c, step.Axis, visit)
 		}
-		for _, pred := range step.Predicates {
-			if k, ok := pred.(NumberLit); ok {
-				// A bare number is position() = k: it selects one node, or none
-				// when k is fractional or out of range, without evaluating
-				// anything per candidate.
-				if i := int(k); float64(i) == float64(k) && i >= 1 && i <= len(filtered) {
-					filtered = filtered[i-1 : i : i]
-				} else {
-					filtered = nil
-				}
-				continue
-			}
-			kept := filtered[:0:0]
-			for i, n := range filtered {
-				pos := i + 1 // axis order already honors direction
-				if e.truth(e.evalExpr(n, pos, len(filtered), pred), pos) {
-					kept = append(kept, n)
-				}
-			}
-			filtered = kept
+		if r.stopped {
+			return nil
 		}
-		if seen == nil { // c is the only context node
-			out = filtered
-			break
+		// The survivors of the node test are the "initial node-set" of the
+		// spec; the predicates filter it in turn, each with fresh positions
+		// in axis order.
+		seg := s.out[from:]
+		for _, pred := range preds {
+			seg = r.filter(seg, pred)
 		}
-		for _, n := range filtered {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
+		if reverseAxis(step.Axis) {
+			slices.Reverse(seg)
+		}
+		s.out = s.out[:from+len(seg)]
+	}
+	// One context's answer is in document order as it stands; merged ones
+	// may interleave and repeat.
+	if len(ctx) > 1 {
+		return r.nav.InOrder(r.doc, s.out)
+	}
+	return s.out
+}
+
+// filter keeps the nodes of seg — one context's candidates in axis order —
+// that satisfy pred, compacting seg in place.
+func (r *run) filter(seg []*xmltree.Node, pred Expr) []*xmltree.Node {
+	if k, ok := pred.(NumberLit); ok {
+		// A bare number is position() = k: it selects one node, or none,
+		// without evaluating anything per candidate.
+		if i := position(k); i >= 1 && i <= len(seg) {
+			seg[0] = seg[i-1]
+			return seg[:1]
+		}
+		return seg[:0]
+	}
+	kept := seg[:0]
+	for i, n := range seg {
+		if r.truth(r.evalExpr(n, i+1, len(seg), pred), i+1) {
+			kept = append(kept, n)
 		}
 	}
-	// A single context node expanded along a forward axis is already in
-	// document order; only merged or reverse-axis results need the sort
-	// (and with it the lazily built rank map).
-	if len(ctx) > 1 || reverseAxis(step.Axis) {
-		e.ensureRank()
-		sort.Slice(out, func(i, j int) bool { return e.rank[out[i]] < e.rank[out[j]] })
-	}
-	return out
+	return kept
 }
 
 // reverseAxis reports whether axis emits nodes in reverse document order
-// (nearest first), so its results need re-sorting even for one context.
+// (nearest first).
 func reverseAxis(a Axis) bool {
 	switch a {
 	case AxisAncestor, AxisAncestorOrSelf, AxisPreceding, AxisPrecedingSibling:
@@ -166,82 +223,69 @@ func reverseAxis(a Axis) bool {
 	return false
 }
 
-// axisNodes generates the axis node list for one context node, in axis
-// order (reverse axes nearest-first). The synthetic Document node and the
-// attribute axis are handled here; everything else is the Navigator's.
-func (e *Engine) axisNodes(c *xmltree.Node, axis Axis) []*xmltree.Node {
-	if c.Kind == xmltree.Document {
+// axis walks the axis of one context node in axis order (reverse axes
+// nearest first). The synthetic Document node and attributes — which no
+// numbering need cover — are handled here by pointer; everything else is
+// the Navigator's.
+func (r *run) axis(c *xmltree.Node, axis Axis, visit Visit) bool {
+	nav := r.nav
+	switch c.Kind {
+	case xmltree.Document:
 		switch axis {
 		case AxisChild:
-			return c.Children
+			return each(c.Children, false, visit)
 		case AxisDescendant:
-			return xmltree.Descendants(c)
+			return subtrees(c.Children, false, visit)
 		case AxisDescendantOrSelf:
-			return append([]*xmltree.Node{c}, xmltree.Descendants(c)...)
+			return visit(c) && subtrees(c.Children, false, visit)
 		case AxisSelf:
-			return []*xmltree.Node{c}
-		default:
-			return nil
+			return visit(c)
 		}
-	}
-	if c.Kind == xmltree.Attribute {
+		return true
+	case xmltree.Attribute:
 		// Attributes have a parent and ancestors but no other axes here.
 		switch axis {
 		case AxisParent:
-			return []*xmltree.Node{c.Parent}
-		case AxisAncestor, AxisAncestorOrSelf:
-			out := []*xmltree.Node{}
-			if axis == AxisAncestorOrSelf {
-				out = append(out, c)
-			}
-			out = append(out, c.Parent)
-			out = append(out, e.nav.Ancestors(c.Parent)...)
-			return append(out, e.doc)
+			return visit(c.Parent)
+		case AxisAncestor:
+			return visit(c.Parent) && nav.Ancestors(c.Parent, visit) && visit(r.doc)
+		case AxisAncestorOrSelf:
+			return visit(c) && visit(c.Parent) && nav.Ancestors(c.Parent, visit) && visit(r.doc)
 		case AxisSelf:
-			return []*xmltree.Node{c}
-		default:
-			return nil
+			return visit(c)
 		}
+		return true
 	}
 	switch axis {
 	case AxisChild:
-		return e.nav.Children(c)
+		return nav.Children(c, visit)
 	case AxisDescendant:
-		return e.nav.Descendants(c)
+		return nav.Descendants(c, visit)
 	case AxisDescendantOrSelf:
-		return append([]*xmltree.Node{c}, e.nav.Descendants(c)...)
+		return visit(c) && nav.Descendants(c, visit)
 	case AxisParent:
-		if p, ok := e.nav.Parent(c); ok {
-			return []*xmltree.Node{p}
+		if p, ok := nav.Parent(c); ok {
+			return visit(p)
 		}
-		return []*xmltree.Node{e.doc} // the root element's parent is "/"
+		return visit(r.doc) // the root element's parent is "/"
 	case AxisAncestor:
-		return append(e.nav.Ancestors(c), e.doc)
+		return nav.Ancestors(c, visit) && visit(r.doc)
 	case AxisAncestorOrSelf:
-		return append([]*xmltree.Node{c}, append(e.nav.Ancestors(c), e.doc)...)
+		return visit(c) && nav.Ancestors(c, visit) && visit(r.doc)
 	case AxisFollowingSibling:
-		return e.nav.FollowingSiblings(c)
+		return nav.FollowingSiblings(c, visit)
 	case AxisPrecedingSibling:
-		return e.nav.PrecedingSiblings(c)
+		return nav.PrecedingSiblings(c, visit)
 	case AxisFollowing:
-		return e.nav.Following(c)
+		return nav.Following(c, visit)
 	case AxisPreceding:
-		return reversed(e.nav.Preceding(c)) // reverse axis: nearest first
+		return nav.Preceding(c, visit)
 	case AxisSelf:
-		return []*xmltree.Node{c}
+		return visit(c)
 	case AxisAttribute:
-		return c.Attrs
-	default:
-		return nil
+		return each(c.Attrs, false, visit)
 	}
-}
-
-func reversed(ns []*xmltree.Node) []*xmltree.Node {
-	out := make([]*xmltree.Node, len(ns))
-	for i, n := range ns {
-		out[len(ns)-1-i] = n
-	}
-	return out
+	return true
 }
 
 // matches applies a node test.
@@ -269,33 +313,33 @@ type value any
 
 // evalExpr evaluates a predicate expression with context node n at
 // position pos of size.
-func (e *Engine) evalExpr(n *xmltree.Node, pos, size int, x Expr) value {
+func (r *run) evalExpr(n *xmltree.Node, pos, size int, x Expr) value {
 	switch x := x.(type) {
 	case NumberLit:
 		return float64(x)
 	case StringLit:
 		return string(x)
 	case PathExpr:
-		return e.Select(n, x.Path)
+		return r.selectPath(n, x.Path)
 	case FuncCall:
-		return e.evalFunc(n, pos, size, x)
+		return r.evalFunc(n, pos, size, x)
 	case Binary:
 		switch x.Op {
 		case "and":
-			return e.truth(e.evalExpr(n, pos, size, x.L), pos) &&
-				e.truth(e.evalExpr(n, pos, size, x.R), pos)
+			return r.truth(r.evalExpr(n, pos, size, x.L), pos) &&
+				r.truth(r.evalExpr(n, pos, size, x.R), pos)
 		case "or":
-			return e.truth(e.evalExpr(n, pos, size, x.L), pos) ||
-				e.truth(e.evalExpr(n, pos, size, x.R), pos)
+			return r.truth(r.evalExpr(n, pos, size, x.L), pos) ||
+				r.truth(r.evalExpr(n, pos, size, x.R), pos)
 		default:
-			return compare(x.Op, e.evalExpr(n, pos, size, x.L), e.evalExpr(n, pos, size, x.R))
+			return compare(x.Op, r.evalExpr(n, pos, size, x.L), r.evalExpr(n, pos, size, x.R))
 		}
 	default:
 		return false
 	}
 }
 
-func (e *Engine) evalFunc(n *xmltree.Node, pos, size int, f FuncCall) value {
+func (r *run) evalFunc(n *xmltree.Node, pos, size int, f FuncCall) value {
 	switch f.Name {
 	case "position":
 		return float64(pos)
@@ -303,7 +347,7 @@ func (e *Engine) evalFunc(n *xmltree.Node, pos, size int, f FuncCall) value {
 		return float64(size)
 	case "count":
 		if len(f.Args) == 1 {
-			if ns, ok := e.evalExpr(n, pos, size, f.Args[0]).([]*xmltree.Node); ok {
+			if ns, ok := r.evalExpr(n, pos, size, f.Args[0]).([]*xmltree.Node); ok {
 				return float64(len(ns))
 			}
 		}
@@ -312,19 +356,19 @@ func (e *Engine) evalFunc(n *xmltree.Node, pos, size int, f FuncCall) value {
 		return n.Name
 	case "not":
 		if len(f.Args) == 1 {
-			return !e.truth(e.evalExpr(n, pos, size, f.Args[0]), pos)
+			return !r.truth(r.evalExpr(n, pos, size, f.Args[0]), pos)
 		}
 		return false
 	case "contains":
 		if len(f.Args) == 2 {
-			s1 := toString(e.evalExpr(n, pos, size, f.Args[0]))
-			s2 := toString(e.evalExpr(n, pos, size, f.Args[1]))
+			s1 := toString(r.evalExpr(n, pos, size, f.Args[0]))
+			s2 := toString(r.evalExpr(n, pos, size, f.Args[1]))
 			return strings.Contains(s1, s2)
 		}
 		return false
 	case "string-length":
 		if len(f.Args) == 1 {
-			return float64(len(toString(e.evalExpr(n, pos, size, f.Args[0]))))
+			return float64(len(toString(r.evalExpr(n, pos, size, f.Args[0]))))
 		}
 		return float64(0)
 	default:
@@ -334,7 +378,7 @@ func (e *Engine) evalFunc(n *xmltree.Node, pos, size int, f FuncCall) value {
 
 // truth converts a predicate value to a boolean: a number predicate is
 // positional (position() = number), per the XPath 1.0 rules.
-func (e *Engine) truth(v value, pos int) bool {
+func (r *run) truth(v value, pos int) bool {
 	switch v := v.(type) {
 	case bool:
 		return v
@@ -478,22 +522,4 @@ func toString(v value) string {
 	default:
 		return ""
 	}
-}
-
-// SelectUnion evaluates several paths against the same context and returns
-// the deduplicated union in document order.
-func (e *Engine) SelectUnion(ctx *xmltree.Node, paths []Path) []*xmltree.Node {
-	seen := map[*xmltree.Node]bool{}
-	var out []*xmltree.Node
-	for _, p := range paths {
-		for _, n := range e.Select(ctx, p) {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	e.ensureRank()
-	sort.Slice(out, func(i, j int) bool { return e.rank[out[i]] < e.rank[out[j]] })
-	return out
 }

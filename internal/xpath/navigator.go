@@ -1,9 +1,45 @@
 package xpath
 
 import (
+	"cmp"
+	"fmt"
+	"os"
+	"slices"
+
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
+
+// Visit receives one axis candidate; returning false stops the walk.
+type Visit func(*xmltree.Node) bool
+
+// Navigator supplies the positional axes over the element tree and the
+// document order of its nodes. The engine is generic over it:
+// SchemeNavigator derives both from identifier arithmetic (the paper's
+// approach), PointerNavigator from parent/child pointers (the ground
+// truth).
+//
+// An axis is walked, not returned: each method hands visit the nodes of the
+// axis of n in axis order — document order for the forward axes, nearest
+// first for Ancestors, PrecedingSiblings and Preceding — until visit returns
+// false, and reports whether the walk ran to its end. A consumer that wants
+// the k-th candidate pays for k.
+type Navigator interface {
+	// Name identifies the navigator in benchmark output.
+	Name() string
+	Parent(n *xmltree.Node) (*xmltree.Node, bool)
+	Children(n *xmltree.Node, visit Visit) bool
+	Descendants(n *xmltree.Node, visit Visit) bool
+	Ancestors(n *xmltree.Node, visit Visit) bool
+	FollowingSiblings(n *xmltree.Node, visit Visit) bool
+	PrecedingSiblings(n *xmltree.Node, visit Visit) bool
+	Following(n *xmltree.Node, visit Visit) bool
+	Preceding(n *xmltree.Node, visit Visit) bool
+	// InOrder returns ns — nodes of any kind from the tree under the
+	// Document node doc — in document order and without duplicates; it may
+	// reorder ns in place.
+	InOrder(doc *xmltree.Node, ns []*xmltree.Node) []*xmltree.Node
+}
 
 // PointerNavigator provides the axes by direct pointer navigation over the
 // xmltree ground truth. It is the reference the scheme-driven navigator is
@@ -13,9 +49,6 @@ type PointerNavigator struct{}
 // Name implements Navigator.
 func (PointerNavigator) Name() string { return "pointer" }
 
-// Children implements Navigator.
-func (PointerNavigator) Children(n *xmltree.Node) []*xmltree.Node { return n.Children }
-
 // Parent implements Navigator; the synthetic Document node does not count.
 func (PointerNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
 	if n.Parent == nil || n.Parent.Kind == xmltree.Document {
@@ -24,75 +57,186 @@ func (PointerNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
 	return n.Parent, true
 }
 
+// each visits ns front to back, or back to front when rev.
+func each(ns []*xmltree.Node, rev bool, visit Visit) bool {
+	if rev {
+		for i := len(ns) - 1; i >= 0; i-- {
+			if !visit(ns[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, x := range ns {
+		if !visit(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// subtrees visits every node of ns with its whole subtree, attributes
+// excluded: in document order, or — back to front, each node after its
+// subtree — in reverse document order.
+func subtrees(ns []*xmltree.Node, rev bool, visit Visit) bool {
+	return each(ns, rev, func(x *xmltree.Node) bool {
+		if rev {
+			return subtrees(x.Children, true, visit) && visit(x)
+		}
+		return visit(x) && subtrees(x.Children, false, visit)
+	})
+}
+
+// siblings splits the child list n sits in around n. Attributes and the
+// document node have no siblings.
+func siblings(n *xmltree.Node) (before, after []*xmltree.Node) {
+	if n.Parent == nil || n.Kind == xmltree.Attribute {
+		return nil, nil
+	}
+	i := n.Index()
+	return n.Parent.Children[:i], n.Parent.Children[i+1:]
+}
+
+// Children implements Navigator.
+func (PointerNavigator) Children(n *xmltree.Node, visit Visit) bool {
+	return each(n.Children, false, visit)
+}
+
 // Descendants implements Navigator.
-func (PointerNavigator) Descendants(n *xmltree.Node) []*xmltree.Node {
-	return xmltree.Descendants(n)
+func (PointerNavigator) Descendants(n *xmltree.Node, visit Visit) bool {
+	return subtrees(n.Children, false, visit)
 }
 
 // Ancestors implements Navigator.
-func (PointerNavigator) Ancestors(n *xmltree.Node) []*xmltree.Node {
-	var out []*xmltree.Node
+func (PointerNavigator) Ancestors(n *xmltree.Node, visit Visit) bool {
 	for p := n.Parent; p != nil && p.Kind != xmltree.Document; p = p.Parent {
-		out = append(out, p)
+		if !visit(p) {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 // FollowingSiblings implements Navigator.
-func (PointerNavigator) FollowingSiblings(n *xmltree.Node) []*xmltree.Node {
-	return xmltree.FollowingSiblings(n)
+func (PointerNavigator) FollowingSiblings(n *xmltree.Node, visit Visit) bool {
+	_, after := siblings(n)
+	return each(after, false, visit)
 }
 
 // PrecedingSiblings implements Navigator.
-func (PointerNavigator) PrecedingSiblings(n *xmltree.Node) []*xmltree.Node {
-	return xmltree.PrecedingSiblings(n)
+func (PointerNavigator) PrecedingSiblings(n *xmltree.Node, visit Visit) bool {
+	before, _ := siblings(n)
+	return each(before, true, visit)
 }
 
-// Following implements Navigator.
-func (PointerNavigator) Following(n *xmltree.Node) []*xmltree.Node {
-	return xmltree.Following(n)
+// Following implements Navigator: for n and each ancestor in turn, the
+// following siblings and their subtrees.
+func (PointerNavigator) Following(n *xmltree.Node, visit Visit) bool {
+	for ; n != nil; n = n.Parent {
+		if _, after := siblings(n); !subtrees(after, false, visit) {
+			return false
+		}
+	}
+	return true
 }
 
-// Preceding implements Navigator.
-func (PointerNavigator) Preceding(n *xmltree.Node) []*xmltree.Node {
-	return xmltree.Preceding(n)
+// Preceding implements Navigator: the mirror image of Following.
+func (PointerNavigator) Preceding(n *xmltree.Node, visit Visit) bool {
+	for ; n != nil; n = n.Parent {
+		if before, _ := siblings(n); !subtrees(before, true, visit) {
+			return false
+		}
+	}
+	return true
 }
 
-// SchemeNavigator adapts a numbering scheme's identifier-arithmetic axes
-// (scheme.AxisScheme) to the Navigator interface: every axis request maps
-// the node to its identifier, generates the axis by arithmetic plus index
-// range scans, and resolves the resulting identifiers back to nodes.
+// InOrder implements Navigator by the tree's own order: one walk from the
+// top that keeps the members of ns as it meets them. It follows no Parent
+// pointer, so it holds on a partial copy (xmltree.CloneAlong) too.
+func (PointerNavigator) InOrder(doc *xmltree.Node, ns []*xmltree.Node) []*xmltree.Node {
+	if len(ns) < 2 {
+		return ns
+	}
+	member := make(map[*xmltree.Node]bool, len(ns))
+	for _, n := range ns {
+		member[n] = true
+	}
+	out := ns[:0]
+	doc.WalkFull(func(x *xmltree.Node) bool {
+		if member[x] {
+			out = append(out, x)
+		}
+		return len(out) < len(member) // nothing left to find below
+	})
+	return out
+}
+
+// nodeAxes is the in-place form of a scheme's axes: the scheme walks its
+// own clustered index and hands over the node sitting at each slot, so no
+// identifier is generated, boxed or resolved on either side of a step.
+// *core.Numbering satisfies it.
+type nodeAxes interface {
+	ParentNode(c *xmltree.Node) (*xmltree.Node, bool)
+	VisitChildren(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
+	VisitDescendants(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
+	VisitAncestors(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
+	VisitFollowingSiblings(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
+	VisitPrecedingSiblings(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
+	VisitFollowing(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
+	VisitPreceding(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
+	CompareNodes(a, b *xmltree.Node) (order int, ok bool)
+}
+
+// SchemeNavigator adapts a numbering scheme's identifier-arithmetic axes to
+// the Navigator interface. A scheme that walks its axes in place (nodeAxes —
+// ruid) is used that way; one that only generates boxed identifier lists
+// (scheme.AxisScheme — uid, nestedint) has them resolved back to nodes one
+// at a time, so either way a walk the consumer stops early resolves nothing
+// past the stop.
 type SchemeNavigator struct {
 	S scheme.AxisScheme
 }
 
+// debugChecks makes a boxed identifier that resolves to no node a panic
+// instead of a shorter answer. Seeded from RUID_DEBUG like the core, index
+// and query checks.
+var debugChecks = os.Getenv("RUID_DEBUG") != ""
+
 // Name implements Navigator.
 func (v SchemeNavigator) Name() string { return v.S.Name() }
 
-func (v SchemeNavigator) resolve(ids []scheme.ID) []*xmltree.Node {
-	out := make([]*xmltree.Node, 0, len(ids))
-	for _, id := range ids {
-		if n, ok := v.S.NodeOf(id); ok {
-			out = append(out, n)
+// boxed walks one boxed axis of n: generate the identifier list, then
+// resolve and visit one identifier at a time, back to front when rev.
+func (v SchemeNavigator) boxed(n *xmltree.Node, axis func(scheme.AxisScheme, scheme.ID) []scheme.ID, rev bool, visit Visit) bool {
+	id, ok := v.S.IDOf(n)
+	if !ok {
+		return true
+	}
+	ids := axis(v.S, id)
+	for i := range ids {
+		if rev {
+			i = len(ids) - 1 - i
+		}
+		x, ok := v.S.NodeOf(ids[i])
+		if !ok {
+			if debugChecks {
+				panic(fmt.Sprintf("xpath: %s generated identifier %s, which resolves to no node", v.S.Name(), ids[i]))
+			}
+			continue
+		}
+		if !visit(x) {
+			return false
 		}
 	}
-	return out
-}
-
-func (v SchemeNavigator) idOf(n *xmltree.Node) (scheme.ID, bool) { return v.S.IDOf(n) }
-
-// Children implements Navigator.
-func (v SchemeNavigator) Children(n *xmltree.Node) []*xmltree.Node {
-	id, ok := v.idOf(n)
-	if !ok {
-		return nil
-	}
-	return v.resolve(v.S.Children(id))
+	return true
 }
 
 // Parent implements Navigator.
 func (v SchemeNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
-	id, ok := v.idOf(n)
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.ParentNode(n)
+	}
+	id, ok := v.S.IDOf(n)
 	if !ok {
 		return nil, false
 	}
@@ -103,56 +247,133 @@ func (v SchemeNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
 	return v.S.NodeOf(pid)
 }
 
-// Descendants implements Navigator.
-func (v SchemeNavigator) Descendants(n *xmltree.Node) []*xmltree.Node {
-	id, ok := v.idOf(n)
-	if !ok {
-		return nil
+// Children implements Navigator.
+func (v SchemeNavigator) Children(n *xmltree.Node, visit Visit) bool {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.VisitChildren(n, visit)
 	}
-	return v.resolve(v.S.Descendants(id))
+	return v.boxed(n, scheme.AxisScheme.Children, false, visit)
+}
+
+// Descendants implements Navigator.
+func (v SchemeNavigator) Descendants(n *xmltree.Node, visit Visit) bool {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.VisitDescendants(n, visit)
+	}
+	return v.boxed(n, scheme.AxisScheme.Descendants, false, visit)
 }
 
 // Ancestors implements Navigator.
-func (v SchemeNavigator) Ancestors(n *xmltree.Node) []*xmltree.Node {
-	id, ok := v.idOf(n)
-	if !ok {
-		return nil
+func (v SchemeNavigator) Ancestors(n *xmltree.Node, visit Visit) bool {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.VisitAncestors(n, visit)
 	}
-	return v.resolve(v.S.Ancestors(id))
+	return v.boxed(n, scheme.AxisScheme.Ancestors, false, visit)
 }
 
 // FollowingSiblings implements Navigator.
-func (v SchemeNavigator) FollowingSiblings(n *xmltree.Node) []*xmltree.Node {
-	id, ok := v.idOf(n)
-	if !ok {
-		return nil
+func (v SchemeNavigator) FollowingSiblings(n *xmltree.Node, visit Visit) bool {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.VisitFollowingSiblings(n, visit)
 	}
-	return v.resolve(v.S.FollowingSiblings(id))
+	return v.boxed(n, scheme.AxisScheme.FollowingSiblings, false, visit)
 }
 
 // PrecedingSiblings implements Navigator.
-func (v SchemeNavigator) PrecedingSiblings(n *xmltree.Node) []*xmltree.Node {
-	id, ok := v.idOf(n)
-	if !ok {
-		return nil
+func (v SchemeNavigator) PrecedingSiblings(n *xmltree.Node, visit Visit) bool {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.VisitPrecedingSiblings(n, visit)
 	}
-	return v.resolve(v.S.PrecedingSiblings(id))
+	return v.boxed(n, scheme.AxisScheme.PrecedingSiblings, false, visit)
 }
 
 // Following implements Navigator.
-func (v SchemeNavigator) Following(n *xmltree.Node) []*xmltree.Node {
-	id, ok := v.idOf(n)
-	if !ok {
-		return nil
+func (v SchemeNavigator) Following(n *xmltree.Node, visit Visit) bool {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.VisitFollowing(n, visit)
 	}
-	return v.resolve(v.S.Following(id))
+	return v.boxed(n, scheme.AxisScheme.Following, false, visit)
 }
 
-// Preceding implements Navigator.
-func (v SchemeNavigator) Preceding(n *xmltree.Node) []*xmltree.Node {
-	id, ok := v.idOf(n)
-	if !ok {
-		return nil
+// Preceding implements Navigator; scheme.AxisScheme states the boxed list in
+// document order, so it is walked back to front.
+func (v SchemeNavigator) Preceding(n *xmltree.Node, visit Visit) bool {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.VisitPreceding(n, visit)
 	}
-	return v.resolve(v.S.Preceding(id))
+	return v.boxed(n, scheme.AxisScheme.Preceding, true, visit)
+}
+
+// InOrder implements Navigator from the identifiers the nodes carry: one
+// pass of comparisons finds a set already in order — the common case — and
+// only a set that is not gets sorted; duplicates then sit side by side.
+func (v SchemeNavigator) InOrder(doc *xmltree.Node, ns []*xmltree.Node) []*xmltree.Node {
+	cmp := func(a, b *xmltree.Node) int { return v.compare(doc, a, b) }
+	if !slices.IsSortedFunc(ns, cmp) {
+		slices.SortFunc(ns, cmp)
+	}
+	return slices.Compact(ns)
+}
+
+// compare is document order over everything a node-set can hold. The
+// scheme orders the nodes it numbers, from their labels. An attribute
+// stands directly after its element (in attribute-list order), and so
+// wherever that element stands relative to any other node; what then still
+// carries no label is the Document node or a comment or processing
+// instruction beside the document element, placed by its position at the
+// top level.
+func (v SchemeNavigator) compare(doc, a, b *xmltree.Node) int {
+	if a == b {
+		return 0
+	}
+	ea, eb := a, b
+	if a.Kind == xmltree.Attribute {
+		ea = a.Parent
+	}
+	if b.Kind == xmltree.Attribute {
+		eb = b.Parent
+	}
+	if ea == eb {
+		if a == ea || (b != eb && a.Index() < b.Index()) {
+			return -1
+		}
+		return 1
+	}
+	if order, ok := v.labelOrder(ea, eb); ok {
+		return order
+	}
+	return cmp.Compare(topLevel(doc, ea), topLevel(doc, eb))
+}
+
+// labelOrder compares two nodes by the identifiers they carry; ok is false
+// when either carries none.
+func (v SchemeNavigator) labelOrder(a, b *xmltree.Node) (order int, ok bool) {
+	if w, ok := v.S.(nodeAxes); ok {
+		return w.CompareNodes(a, b)
+	}
+	ia, oka := v.S.IDOf(a)
+	ib, okb := v.S.IDOf(b)
+	if !oka || !okb {
+		return 0, false
+	}
+	return v.S.CompareOrder(ia, ib), true
+}
+
+// topLevel returns where n stands at the top level of the document: -1 for
+// the Document node itself, its position for a child of the Document node,
+// and the document element's position for every node below that.
+func topLevel(doc, n *xmltree.Node) int {
+	if n == doc {
+		return -1
+	}
+	root := 0
+	for i, c := range doc.Children {
+		if c == n {
+			return i
+		}
+		if c.Kind == xmltree.Element {
+			root = i
+		}
+	}
+	return root
 }

@@ -1,9 +1,15 @@
 package xpath
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/scheme"
+	"repro/internal/uid"
+	"repro/internal/xmltree"
 )
 
 // TestParseNeverPanics: the parser returns errors, never panics, on
@@ -54,4 +60,46 @@ func TestParseRenderReparse(t *testing.T) {
 			t.Errorf("render not stable: %q -> %q -> %q", q, r1, r2)
 		}
 	}
+}
+
+// ghostChildren is a boxed axis scheme whose Children lists one identifier
+// that resolves to no node.
+type ghostChildren struct {
+	scheme.AxisScheme
+	ghost scheme.ID
+}
+
+func (g ghostChildren) Children(id scheme.ID) []scheme.ID {
+	return append(g.AxisScheme.Children(id), g.ghost)
+}
+
+// TestBoxedGhostIdentifier: an identifier a boxed scheme generates and then
+// cannot resolve is skipped — the answer comes back short and nothing says
+// so — unless RUID_DEBUG is on, when the walk panics naming it.
+func TestBoxedGhostIdentifier(t *testing.T) {
+	defer func(prev bool) { debugChecks = prev }(debugChecks)
+
+	doc, err := xmltree.ParseString("<a><b/><b/></a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := uid.Build(doc, uid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := uid.NewID(1 << 40)
+	e := NewEngine(doc, SchemeNavigator{S: ghostChildren{n, ghost}})
+
+	debugChecks = false
+	if got, err := e.Query("/a/b"); err != nil || len(got) != 2 {
+		t.Fatalf("/a/b = %d nodes, err %v", len(got), err)
+	}
+
+	debugChecks = true
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), ghost.String()) {
+			t.Fatalf("recovered %v, want a panic naming %v", r, ghost)
+		}
+	}()
+	e.Query("/a/b")
 }
