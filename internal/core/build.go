@@ -160,18 +160,20 @@ func Build(doc *xmltree.Node, opts Options) (*Numbering, error) {
 	n.localLimit = int64(1) << bits
 
 	// Step 1 of Fig. 3: partition into UID-local areas; build the frame.
+	var f *frame
 	if opts.Roots != nil {
-		n.areaRoots = make(map[*xmltree.Node]bool, len(opts.Roots)+1)
+		roots := make(map[*xmltree.Node]bool, len(opts.Roots)+1)
 		for r, ok := range opts.Roots {
 			if ok {
-				n.areaRoots[r] = true
+				roots[r] = true
 			}
 		}
-		n.areaRoots[root] = true
+		roots[root] = true
+		f, _ = deriveFrame(root, roots, opts.WithAttrs)
 	} else {
-		n.areaRoots = SelectAreaRoots(root, opts.Partition, opts.WithAttrs)
+		f = selectFrame(root, opts.Partition, opts.WithAttrs)
 	}
-	if err := n.renumberHealing(opts.Roots == nil && opts.Partition.AdjustFanout); err != nil {
+	if err := n.renumberHealing(f, opts.Roots == nil && opts.Partition.AdjustFanout); err != nil {
 		return nil, err
 	}
 	n.commitStamps()
@@ -190,31 +192,32 @@ func Build(doc *xmltree.Node, opts Options) (*Numbering, error) {
 // It computes into n's table K only and writes no stamp: whole-tree
 // renumbering is compute-then-commit, and the caller burns the result into
 // the tree with commitStamps once it has succeeded.
-func (n *Numbering) renumberHealing(adjust bool) error {
+func (n *Numbering) renumberHealing(f *frame, adjust bool) error {
 	for {
-		err := n.renumberAll()
+		err := n.renumberAll(f)
 		if err == nil {
 			return nil
 		}
 		var ov *overflowError
-		if !errorsAs(err, &ov) || ov.node == nil || n.areaRoots[ov.node] {
+		if !errorsAs(err, &ov) || ov.node == nil || f.roots[ov.node] {
 			return err
 		}
-		n.areaRoots[ov.node] = true
+		up := f.promote(ov.node)
 		if adjust {
-			adjustFanout(n.root, n.areaRoots, n.opts.WithAttrs)
+			f.adjust([]*xmltree.Node{up, ov.node})
 		}
 	}
 }
 
-// renumberAll recomputes κ and the table K from the current tree and area
-// root set (steps 2–4 of Fig. 3).
-func (n *Numbering) renumberAll() error {
-	frameKids, _ := frameChildren(n.root, n.areaRoots)
+// renumberAll recomputes κ and the table K from the current tree and the
+// frame f, whose area-root set becomes the numbering's (steps 2–4 of
+// Fig. 3).
+func (n *Numbering) renumberAll(f *frame) error {
+	n.areaRoots = f.roots
 
 	// Step 2: κ is the maximal fan-out of the frame.
 	n.kappa = 1
-	for _, kids := range frameKids {
+	for _, kids := range f.kids {
 		if int64(len(kids)) > n.kappa {
 			n.kappa = int64(len(kids))
 		}
@@ -235,9 +238,8 @@ func (n *Numbering) renumberAll() error {
 		rootLocal    int64
 	}
 	queue := []job{{n.root, 1, 0, 1}}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
+	for qi := 0; qi < len(queue); qi++ {
+		j := queue[qi]
 		a := &area{
 			global:       j.global,
 			root:         j.root,
@@ -253,7 +255,7 @@ func (n *Numbering) renumberAll() error {
 		}
 		// The boundary leaves and the frame children of this area are the
 		// same nodes, both in document order.
-		kids := frameKids[j.root]
+		kids := f.kids[j.root]
 		if len(boundary) != len(kids) {
 			return fmt.Errorf("core: area %d (%s) has %d boundary leaves, frame has %d children",
 				j.global, j.root.Path(), len(boundary), len(kids))

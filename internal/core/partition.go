@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"sort"
+
 	"repro/internal/xmltree"
 )
 
@@ -14,6 +17,10 @@ import (
 // The paper leaves the choice of S open and only requires the κ-adjustment
 // trick of §2.3; we provide a size/depth-budgeted top-down selector plus
 // that adjustment pass.
+//
+// The frame is derived from the tree once (deriveFrame) and from then on
+// maintained: adding a node to S edits the child lists of the one frame node
+// above it and of the new frame node itself, and nothing else.
 
 // PartitionConfig controls automatic area-root selection.
 type PartitionConfig struct {
@@ -50,31 +57,57 @@ const DefaultMaxAreaNodes = 64
 // SelectAreaRoots chooses the set S of area roots for the tree rooted at
 // root, per cfg. The returned set always contains root.
 func SelectAreaRoots(root *xmltree.Node, cfg PartitionConfig, withAttrs bool) map[*xmltree.Node]bool {
+	return selectFrame(root, cfg, withAttrs).roots
+}
+
+// visitHook, when non-nil, is called once for every node the partitioning
+// and the frame's derivation and adjustment visit. Tests use it to hold the
+// pass to a constant number of walks over the tree.
+var visitHook func()
+
+func visited() {
+	if visitHook != nil {
+		visitHook()
+	}
+}
+
+// frame is the tree F of Definition 2 as the builder keeps it: the set S
+// and, for every area root that has any, its frame children (the area roots
+// whose nearest proper S-ancestor it is) in document order.
+type frame struct {
+	roots map[*xmltree.Node]bool
+	kids  map[*xmltree.Node][]*xmltree.Node
+	limit int // maximal fan-out of the source tree: §2.3's bound on κ
+}
+
+// selectFrame partitions the tree under root per cfg and returns the frame
+// of the chosen S, fan-out adjusted when cfg asks for it.
+func selectFrame(root *xmltree.Node, cfg PartitionConfig, withAttrs bool) *frame {
 	budget := cfg.MaxAreaNodes
 	if budget <= 0 {
 		budget = DefaultMaxAreaNodes
 	}
+	type entry struct {
+		n     *xmltree.Node
+		depth int
+	}
 	roots := map[*xmltree.Node]bool{root: true}
 	queue := []*xmltree.Node{root}
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		// Grow the area of r breadth-first within the budget; nodes that
-		// do not fit become area roots themselves.
+	var frontier []entry // one buffer, reused by every area
+	for qi := 0; qi < len(queue); qi++ {
+		// Grow the area of the next root breadth-first within the budget;
+		// nodes that do not fit become area roots themselves.
 		count := 1
-		type entry struct {
-			n     *xmltree.Node
-			depth int
-		}
-		frontier := make([]entry, 0, 8)
-		for _, c := range r.StructuralChildren(withAttrs) {
+		frontier = frontier[:0]
+		for _, c := range queue[qi].StructuralChildren(withAttrs) {
 			frontier = append(frontier, entry{c, 1})
 		}
-		for len(frontier) > 0 {
-			e := frontier[0]
-			frontier = frontier[1:]
+		for fi := 0; fi < len(frontier); fi++ {
+			e := frontier[fi]
+			visited()
+			kids := e.n.StructuralChildren(withAttrs)
 			over := count >= budget || (cfg.MaxAreaDepth > 0 && e.depth > cfg.MaxAreaDepth)
-			if over && len(e.n.StructuralChildren(withAttrs)) > 0 {
+			if over && len(kids) > 0 {
 				// Leaf nodes never start their own areas: an area whose
 				// root has no children contributes nothing.
 				roots[e.n] = true
@@ -82,107 +115,155 @@ func SelectAreaRoots(root *xmltree.Node, cfg PartitionConfig, withAttrs bool) ma
 				continue
 			}
 			count++
-			if over {
-				continue
-			}
-			for _, c := range e.n.StructuralChildren(withAttrs) {
-				frontier = append(frontier, entry{c, e.depth + 1})
+			if !over {
+				for _, c := range kids {
+					frontier = append(frontier, entry{c, e.depth + 1})
+				}
 			}
 		}
 	}
+	f, parents := deriveFrame(root, roots, withAttrs)
 	if cfg.AdjustFanout {
-		adjustFanout(root, roots, withAttrs)
+		f.adjust(parents)
 	}
-	return roots
+	return f
 }
 
-// adjustFanout implements the §2.3 trick: whenever a frame node has more
-// frame children than the maximal fan-out of the source tree (because
-// several area roots hang below it in separate paths), the tree child on
-// the most crowded path is promoted to an area root, rerouting those frame
-// children below it. The pass repeats until the frame fan-out is bounded by
-// the tree fan-out (which the grouping argument guarantees is reachable).
-func adjustFanout(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs bool) {
-	limit := 0
-	root.Walk(func(d *xmltree.Node) bool {
-		if f := len(d.StructuralChildren(withAttrs)); f > limit {
-			limit = f
-		}
-		return true
-	})
-	if limit < 1 {
-		limit = 1
-	}
-	for {
-		frameKids, order := frameChildren(root, roots)
-		promoted := false
-		for _, frameNode := range order {
-			kids := frameKids[frameNode]
-			if len(kids) <= limit {
-				continue
+// deriveFrame reads the frame of the area-root set roots off the tree in one
+// walk, which also finds the tree's maximal fan-out. parents lists the frame
+// nodes that have children, in the order the walk met them.
+func deriveFrame(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs bool) (f *frame, parents []*xmltree.Node) {
+	f = &frame{roots: roots, kids: make(map[*xmltree.Node][]*xmltree.Node), limit: 1}
+	var walk func(x, nearest *xmltree.Node)
+	walk = func(x, nearest *xmltree.Node) {
+		visited()
+		if x != root && roots[x] {
+			if f.kids[nearest] == nil {
+				parents = append(parents, nearest)
 			}
-			// Group the frame children by the tree child of frameNode on
-			// their paths and promote the child of the largest group ≥ 2.
-			// kids is in document order, so each group is one contiguous
-			// run, and on a tie the first run wins: the choice has to be a
-			// function of the tree, or Build is not a function of its input.
-			// (A child that is already an area root is its own run of one.)
-			var best, cur *xmltree.Node
-			bestN, curN := 1, 0
-			for _, s := range kids {
-				c := s
-				for c.Parent != frameNode {
-					c = c.Parent
-				}
-				if c != cur {
-					cur, curN = c, 0
-				}
-				if curN++; curN > bestN {
-					best, bestN = c, curN
-				}
-			}
-			if best != nil {
-				roots[best] = true
-				promoted = true
-			}
+			f.kids[nearest] = append(f.kids[nearest], x)
+			nearest = x
 		}
-		if !promoted {
-			return
+		fan := len(x.Children)
+		if withAttrs {
+			fan += len(x.Attrs)
 		}
-	}
-}
-
-// frameChildren maps each area root to its frame children (the area roots
-// whose nearest proper S-ancestor it is), in document order, and lists the
-// area roots that have any in the order the walk first meets one.
-func frameChildren(root *xmltree.Node, roots map[*xmltree.Node]bool) (kids map[*xmltree.Node][]*xmltree.Node, order []*xmltree.Node) {
-	kids = make(map[*xmltree.Node][]*xmltree.Node, len(roots))
-	var walk func(n, nearest *xmltree.Node)
-	walk = func(n, nearest *xmltree.Node) {
-		if n != root && roots[n] {
-			if kids[nearest] == nil {
-				order = append(order, nearest)
-			}
-			kids[nearest] = append(kids[nearest], n)
-			nearest = n
+		if fan > f.limit {
+			f.limit = fan
 		}
-		for _, c := range n.Children {
+		for _, c := range x.Children {
 			walk(c, nearest)
 		}
 	}
 	walk(root, root)
-	return kids, order
+	return f, parents
 }
 
-// FrameFanout returns the maximal number of frame children over all area
-// roots — the κ of the frame enumeration before any level splitting.
-func FrameFanout(root *xmltree.Node, roots map[*xmltree.Node]bool) int {
-	max := 0
-	frameKids, _ := frameChildren(root, roots)
-	for _, kids := range frameKids {
-		if len(kids) > max {
-			max = len(kids)
+// splice makes c, a node in the area of frame node up, an area root: the
+// frame children kids[up][lo:hi] — the ones below c, contiguous because the
+// list is in document order — become c's, and c takes their place.
+func (f *frame) splice(up *xmltree.Node, lo, hi int, c *xmltree.Node) {
+	f.roots[c] = true
+	kids := f.kids[up]
+	if lo < hi {
+		f.kids[c] = slices.Clone(kids[lo:hi])
+	}
+	f.kids[up] = slices.Replace(kids, lo, hi, c)
+}
+
+// promote adds x, any node that is not an area root yet, to S and returns
+// the frame node above it.
+func (f *frame) promote(x *xmltree.Node) (up *xmltree.Node) {
+	for up = x.Parent; !f.roots[up]; up = up.Parent {
+	}
+	kids := f.kids[up]
+	// x precedes its descendants and nothing else comes between them.
+	lo := sort.Search(len(kids), func(i int) bool { return xmltree.CompareOrder(kids[i], x) > 0 })
+	hi := lo
+	for hi < len(kids) && xmltree.IsAncestor(x, kids[hi]) {
+		hi++
+	}
+	f.splice(up, lo, hi, x)
+	return up
+}
+
+// adjust implements the §2.3 trick on the frame nodes in work: whenever one
+// has more frame children than the maximal fan-out of the source tree
+// (because several area roots hang below it in separate paths), the tree
+// child on the most crowded path is promoted to an area root, rerouting
+// those frame children below it, until the frame fan-out is bounded by the
+// tree fan-out (which the grouping argument guarantees is reachable) or no
+// two frame children share a path.
+//
+// A promotion under a frame node changes that node's children and creates
+// the promoted child's; no other frame node's children move. What is
+// promoted under a node therefore depends on that node alone, the set S
+// reached does not depend on the order the nodes are taken in, and only the
+// promoted child needs a visit of its own.
+func (f *frame) adjust(work []*xmltree.Node) {
+	// A crowded frame node and, per frame child, the tree path from that
+	// child up to the child of the frame node it hangs under: climbed once,
+	// when a node from work is first looked at, and handed down one step
+	// shorter to each child promoted under it.
+	type crowd struct {
+		up    *xmltree.Node
+		paths [][]*xmltree.Node
+	}
+	todo := make([]crowd, len(work))
+	for i, up := range work {
+		todo[i].up = up
+	}
+	for len(todo) > 0 {
+		up, paths := todo[len(todo)-1].up, todo[len(todo)-1].paths
+		todo = todo[:len(todo)-1]
+		kids := f.kids[up]
+		if len(kids) <= f.limit {
+			continue
+		}
+		if paths == nil {
+			paths = make([][]*xmltree.Node, len(kids))
+			var buf []*xmltree.Node
+			for i, c := range kids {
+				from := len(buf)
+				for ; c != up; c = c.Parent {
+					visited()
+					buf = append(buf, c)
+				}
+				paths[i] = buf[from:len(buf):len(buf)]
+			}
+		}
+		// The last node of a path is the tree child of up the frame child
+		// hangs under (itself, if it is that child).
+		via := func(i int) *xmltree.Node { return paths[i][len(paths[i])-1] }
+		for len(kids) > f.limit {
+			// Promote the child with the largest run of ≥ 2 frame children
+			// below it. kids is in document order, so each child's run is
+			// contiguous, and on a tie the first run wins: the choice has to
+			// be a function of the tree, or Build is not a function of its
+			// input.
+			lo, n := 0, 1
+			for i := 0; i < len(kids); {
+				j := i + 1
+				for j < len(kids) && via(j) == via(i) {
+					j++
+				}
+				if j-i > n {
+					lo, n = i, j-i
+				}
+				i = j
+			}
+			if n < 2 {
+				break
+			}
+			c, own := via(lo), paths[lo][len(paths[lo])-1:]
+			below := make([][]*xmltree.Node, n)
+			for i := range below {
+				below[i] = paths[lo+i][:len(paths[lo+i])-1]
+			}
+			todo = append(todo, crowd{c, below})
+			f.splice(up, lo, lo+n, c)
+			kids = f.kids[up]
+			paths = slices.Replace(paths, lo, lo+n, own)
 		}
 	}
-	return max
 }

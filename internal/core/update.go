@@ -210,22 +210,23 @@ func (n *Numbering) healOverflow(err error) (scheme.UpdateStats, bool) {
 	}
 	roots := maps.Clone(n.areaRoots)
 	roots[ov.node] = true
-	if _, err := n.renumberWith(roots, n.opts.Partition, false); err != nil {
+	f, _ := deriveFrame(n.root, roots, n.opts.WithAttrs)
+	if _, err := n.renumberWith(f, n.opts.Partition, false); err != nil {
 		return scheme.UpdateStats{}, false
 	}
 	return scheme.UpdateStats{FullRebuild: true, Relabeled: n.size}, true
 }
 
-// renumberWith renumbers the whole (already mutated) tree under the area
-// root set roots, compute-then-commit: the new κ and table K are computed
+// renumberWith renumbers the whole (already mutated) tree under the frame f,
+// compute-then-commit: the new κ and table K are computed
 // on a scratch numbering that shares only the tree and writes no stamp, and
 // only when that fully succeeds are they adopted and burned into the nodes.
 // On error n, and every stamp, is untouched. It returns the number of
 // numbered nodes whose identifier changed.
-func (n *Numbering) renumberWith(roots map[*xmltree.Node]bool, part PartitionConfig, adjust bool) (int, error) {
-	s := &Numbering{doc: n.doc, root: n.root, opts: n.opts, localLimit: n.localLimit, areaRoots: roots}
+func (n *Numbering) renumberWith(f *frame, part PartitionConfig, adjust bool) (int, error) {
+	s := &Numbering{doc: n.doc, root: n.root, opts: n.opts, localLimit: n.localLimit}
 	s.opts.Partition = part
-	if err := s.renumberHealing(adjust); err != nil {
+	if err := s.renumberHealing(f, adjust); err != nil {
 		return 0, err
 	}
 	*n = *s
@@ -400,5 +401,5 @@ func (n *Numbering) Repartition(cfg PartitionConfig) (int, error) {
 	if n.epochMode() {
 		return 0, ErrImmutable
 	}
-	return n.renumberWith(SelectAreaRoots(n.root, cfg, n.opts.WithAttrs), cfg, cfg.AdjustFanout)
+	return n.renumberWith(selectFrame(n.root, cfg, n.opts.WithAttrs), cfg, cfg.AdjustFanout)
 }
