@@ -62,15 +62,15 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 	for g, a := range n.areas {
 		f.fanouts[g] = a.fanout
 		f.rootLocals[g] = a.rootLocal
-		ls := make(map[int64]*xmltree.Node, len(a.locals))
-		for l, x := range a.locals {
-			ls[l] = x
+		ls := make(map[int64]*xmltree.Node, len(a.slots))
+		bs := make(map[int64]int64)
+		for i, l := range a.slots {
+			ls[l] = a.nodes[i]
+			if cg := a.lower[i]; cg != 0 {
+				bs[l] = cg
+			}
 		}
 		f.locals[g] = ls
-		bs := make(map[int64]int64, len(a.rootByLocal))
-		for l, cg := range a.rootByLocal {
-			bs[l] = cg
-		}
 		f.boundaries[g] = bs
 	}
 	var buf bytes.Buffer
@@ -430,25 +430,45 @@ func TestInsertedEpochCloneGetsFreshLabels(t *testing.T) {
 }
 
 // TestCheckKCatchesDisagreement: the RUID_DEBUG check reports a stamp that
-// disagrees with its slot, and a Size that disagrees with the slots.
+// disagrees with its slot, a Size that disagrees with the slots, and every
+// way a row's slot arrays can go wrong.
 func TestCheckKCatchesDisagreement(t *testing.T) {
-	doc := mustParse(t, "<a><b/><c/></a>")
-	n, err := Build(doc, Options{})
+	doc := mustParse(t, "<a><b><d/><e/></b><c/></a>")
+	b := doc.DocumentElement().FirstChildElement("b")
+	n, err := Build(doc, Options{Roots: map[*xmltree.Node]bool{b: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	top, low := n.areas[1], n.areas[2]
+	if low == nil || low.root != b || len(top.slots) != 3 || top.lower[1] != 2 {
+		t.Fatalf("fixture partition changed: rows %v", n.K())
+	}
+	c := top.nodes[2]
+	for _, tc := range []struct {
+		name        string
+		break_, fix func()
+	}{
+		{"a stale stamp", func() { c.Num.L++ }, func() { c.Num.L-- }},
+		{"a wrong Size", func() { n.size++ }, func() { n.size-- }},
+		{"slots out of order", func() { top.slots[1], top.slots[2] = top.slots[2], top.slots[1] }, func() { top.slots[1], top.slots[2] = top.slots[2], top.slots[1] }},
+		{"a slot taken twice", func() { top.slots[2] = top.slots[1] }, func() { top.slots[2] = 3 }},
+		{"nodes shorter than slots", func() { top.nodes = top.nodes[:2] }, func() { top.nodes = top.nodes[:3] }},
+		{"an empty slot", func() { top.nodes[2] = nil }, func() { top.nodes[2] = c }},
+		{"a root outside slot 1", func() { low.nodes[0] = c }, func() { low.nodes[0] = b }},
+		{"a boundary slot naming no area", func() { top.lower[1] = 7 }, func() { top.lower[1] = 2 }},
+		{"a boundary slot the lower row does not name", func() { low.rootLocal = 3 }, func() { low.rootLocal = 2 }},
+		{"an interior slot marked as boundary", func() { top.lower[2] = 2 }, func() { top.lower[2] = 0 }},
+	} {
+		if err := n.checkK(); err != nil {
+			t.Fatalf("before %s: %v", tc.name, err)
+		}
+		tc.break_()
+		if n.checkK() == nil {
+			t.Fatalf("%s not reported", tc.name)
+		}
+		tc.fix()
+	}
 	if err := n.checkK(); err != nil {
 		t.Fatal(err)
-	}
-	b := doc.DocumentElement().FirstChildElement("b")
-	good := b.Num
-	b.Num.L++
-	if n.checkK() == nil {
-		t.Fatal("stale stamp not reported")
-	}
-	b.Num = good
-	n.size++
-	if n.checkK() == nil {
-		t.Fatal("wrong Size not reported")
 	}
 }

@@ -9,13 +9,13 @@ import (
 
 // XPath axis generation (§3.5 of the paper). Each routine derives a slot
 // range arithmetically from (global, local, root flag), κ and the table K
-// and range-scans the (global, local) clustered index — the area's
-// sortedLocals — for the slots that exist.
+// and range-scans the (global, local) clustered index — the area's slots
+// array — for the slots that exist.
 //
 // Every scan is written once, as an in-place walk over slots that reads
 // nothing but K and stops as soon as its visitor returns false. What a slot
 // yields is the visitor's business: the VisitX methods hand over the node
-// already sitting there (area.locals) — what the XPath evaluator consumes,
+// already sitting there (area.nodes) — what the XPath evaluator consumes,
 // context and candidates as nodes, nothing generated, boxed or resolved for
 // a consumer that wants the k-th match or only counts — and the AppendX
 // methods derive the slot's identifier into a caller-supplied buffer, on
@@ -23,9 +23,9 @@ import (
 // loop of its own. A descent carries its K row along and consults K again
 // only where a slot holds the root of a lower area.
 
-// slotVisit receives one occupied slot of an area; returning false stops
-// the walk.
-type slotVisit func(a *area, slot int64) bool
+// slotVisit receives one occupied slot of an area, as its position in the
+// row's arrays; returning false stops the walk.
+type slotVisit func(a *area, i int) bool
 
 // childContext returns the area in which id's children are enumerated and
 // id's local index inside that area: an area root's children live in its
@@ -51,18 +51,18 @@ func (n *Numbering) siblingContext(id ID) (g, l int64, ok bool) {
 	return id.Global, id.Local, true
 }
 
-// resolveLocal turns an existing local slot of area a into a full
+// resolveLocal turns the occupied slot at position i of area a into a full
 // identifier: if the slot holds the root of a lower area (found among the
 // frame children of a, as in the paper's rchildren routine), the identifier
 // is (childGlobal, slot, true); otherwise (a.global, slot, false).
-func (a *area) resolveLocal(slot int64) ID {
-	if cg, ok := a.rootByLocal[slot]; ok {
-		return ID{Global: cg, Local: slot, Root: true}
+func (a *area) resolveLocal(i int) ID {
+	if cg := a.lower[i]; cg != 0 {
+		return ID{Global: cg, Local: a.slots[i], Root: true}
 	}
-	if slot == 1 {
+	if i == 0 {
 		return a.rootID()
 	}
-	return ID{Global: a.global, Local: slot, Root: false}
+	return ID{Global: a.global, Local: a.slots[i], Root: false}
 }
 
 // rootID returns the identifier of the area's own root, the node at slot 1:
@@ -101,7 +101,7 @@ func childSlots(l, k int64) (lo, hi int64) { return (l-1)*k + 2, l*k + 1 }
 // order, before it in reverse document order. It reports false as soon as
 // visit does.
 func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit) bool {
-	slots := a.sortedLocals
+	slots := a.slots
 	i := seek(slots, lo)
 	if i == len(slots) || slots[i] > hi {
 		return true // nothing there: a leaf's children, an only child's siblings
@@ -117,20 +117,19 @@ func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit)
 		i, end, step = end-1, i-1, -1
 	}
 	for ; i != end; i += step {
-		slot := slots[i]
 		if !deep {
-			if !visit(a, slot) {
+			if !visit(a, i) {
 				return false
 			}
 			continue
 		}
-		if !rev && !visit(a, slot) {
+		if !rev && !visit(a, i) {
 			return false
 		}
-		// The children of the node at slot share its area and slot unless it
-		// heads a lower area — the one place a descent consults K.
-		sub, l := a, slot
-		if g, boundary := a.rootByLocal[slot]; boundary {
+		// The children of the node at the slot share its area and slot unless
+		// it heads a lower area — the one place a descent consults K.
+		sub, l := a, slots[i]
+		if g := a.lower[i]; g != 0 {
 			var ok bool
 			if sub, ok = n.krow(g); !ok {
 				continue
@@ -141,7 +140,7 @@ func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit)
 		if !n.scan(sub, clo, chi, rev, true, visit) {
 			return false
 		}
-		if rev && !visit(a, slot) {
+		if rev && !visit(a, i) {
 			return false
 		}
 	}
@@ -206,7 +205,11 @@ func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 			return true
 		}
 		p := (l-2)/a.fanout + 1
-		if !visit(a, p) {
+		i := seek(a.slots, p)
+		if i == len(a.slots) || a.slots[i] != p {
+			return true // id is not of this numbering: its parent's slot is empty
+		}
+		if !visit(a, i) {
 			return false
 		}
 		if id = (ID{Global: g, Local: p}); p == 1 {
@@ -218,14 +221,14 @@ func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 // atNode adapts a node visitor to the walks: it hands over the node sitting
 // at each visited slot.
 func atNode(visit func(*xmltree.Node) bool) slotVisit {
-	return func(a *area, slot int64) bool { return visit(a.locals[slot]) }
+	return func(a *area, i int) bool { return visit(a.nodes[i]) }
 }
 
 // intoIDs adapts an identifier buffer to the walks: it appends the
 // identifier of each visited slot.
 func intoIDs(dst *[]ID) slotVisit {
-	return func(a *area, slot int64) bool {
-		*dst = append(*dst, a.resolveLocal(slot))
+	return func(a *area, i int) bool {
+		*dst = append(*dst, a.resolveLocal(i))
 		return true
 	}
 }

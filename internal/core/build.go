@@ -30,9 +30,6 @@ func (e *overflowError) Error() string {
 
 func (e *overflowError) Unwrap() error { return ErrOverflow }
 
-// errorsAs is errors.As, aliased to keep the promotion loops readable.
-func errorsAs(err error, target **overflowError) bool { return errors.As(err, target) }
-
 // Options configure Build.
 type Options struct {
 	// Partition controls automatic area-root selection; ignored when Roots
@@ -55,33 +52,84 @@ type area struct {
 	fanout       int64         // local enumeration fan-out kᵢ
 	parentGlobal int64         // global index of the upper area (0 for the root area)
 
-	// rootByLocal maps a local slot of this area to the global index of
-	// the lower area rooted there (the boundary leaves). It is the
-	// materialization of the paper's "search K for a row whose global
-	// index is a frame child of θ and whose local index is i".
-	rootByLocal map[int64]int64
-
-	// locals maps local index -> node for every node enumerated in this
-	// area, including boundary leaves that are roots of lower areas (their
-	// stored ID differs, but they occupy a local slot here). It models the
-	// clustered (global, local) index of the stored document.
-	locals map[int64]*xmltree.Node
-
-	// sortedLocals holds the keys of locals in increasing order — the
-	// clustered index the axis routines range-scan. It is rebuilt as a fresh
-	// slice whenever locals is (never edited in place), so a copy of the
-	// area struct, or an epoch row sharing the slice, stays valid.
-	sortedLocals []int64
+	// The row's slots — the clustered (global, local) index of the stored
+	// document — as parallel arrays in ascending local-index order:
+	// slots[i] is an occupied local index, nodes[i] the node sitting there
+	// and lower[i] the global index of the lower area rooted there when the
+	// slot holds a boundary leaf (the materialization of the paper's "search
+	// K for a row whose global index is a frame child of θ and whose local
+	// index is i"), zero otherwise. Boundary leaves occupy a slot here
+	// although their stored identifier differs; position 0 is slot 1, the
+	// area's own root.
+	//
+	// The arrays are built whole (rowBuilder) and never edited afterwards, so
+	// a copy of the area struct stays valid, and an epoch row shares slots
+	// and lower with the master's and differs only in nodes.
+	slots []int64
+	nodes []*xmltree.Node
+	lower []int64
 }
 
-// sortLocals rebuilds sortedLocals from locals.
-func (a *area) sortLocals() {
-	s := make([]int64, 0, len(a.locals))
-	for l := range a.locals {
-		s = append(s, l)
+// rowBuilder lays out the slot arrays of one K row in two passes over the
+// area; its buffers are reused from one row to the next.
+type rowBuilder struct {
+	nodes []*xmltree.Node // the area's members, breadth-first
+	kids  []childRun      // each member's children among them
+}
+
+// childRun is a member's children in breadth-first order: n of them from
+// position first on; n < 0 marks a boundary leaf.
+type childRun struct{ first, n int32 }
+
+// collect gathers the members of a's area breadth-first from its root,
+// stopping at boundary leaves (members of roots other than the area's own),
+// sizes a's slot arrays for them and returns the maximal fan-out among them —
+// the kᵢ the area needs (step 5 of Fig. 3). Breadth-first order is ascending
+// local-index order under any kᵢ-ary UID, so the row comes out sorted.
+func (b *rowBuilder) collect(a *area, roots map[*xmltree.Node]bool, withAttrs bool) (need int64) {
+	b.nodes, b.kids = append(b.nodes[:0], a.root), b.kids[:0]
+	need = 1
+	for p := 0; p < len(b.nodes); p++ {
+		x := b.nodes[p]
+		if p > 0 && roots[x] {
+			b.kids = append(b.kids, childRun{n: -1})
+			continue
+		}
+		kids := x.StructuralChildren(withAttrs)
+		need = max(need, int64(len(kids)))
+		b.kids = append(b.kids, childRun{int32(len(b.nodes)), int32(len(kids))})
+		b.nodes = append(b.nodes, kids...)
 	}
-	slices.Sort(s)
-	a.sortedLocals = s
+	a.nodes = slices.Clone(b.nodes)
+	a.slots = make([]int64, len(b.nodes))
+	a.lower = make([]int64, len(b.nodes))
+	return need
+}
+
+// number assigns the collected members their local indices via a
+// a.fanout-ary tree (step 6 of Fig. 3), none beyond limit. It walks the row,
+// not the tree, in document order, and hands at each member's position once
+// its slot is set; a boundary leaf's lower entry is at's to fill.
+func (b *rowBuilder) number(a *area, limit int64, at func(p int, boundary bool) error) error {
+	var assign func(p int, slot int64) error
+	assign = func(p int, slot int64) error {
+		a.slots[p] = slot
+		kids := b.kids[p]
+		if err := at(p, kids.n < 0); err != nil {
+			return err
+		}
+		for j := 0; j < int(kids.n); j++ {
+			cl, ok := childIndex(slot, a.fanout, j)
+			if !ok || cl > limit {
+				return &overflowError{area: a.global, node: a.nodes[p]}
+			}
+			if err := assign(int(kids.first)+j, cl); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return assign(0, 1)
 }
 
 // Numbering is a 2-level ruid numbering of one document snapshot.
@@ -89,7 +137,7 @@ func (a *area) sortLocals() {
 //
 // The binding between nodes and identifiers has one form: a numbered node
 // carries its identifier in its xmltree.NodeNum stamp (RUID reads it), and
-// an identifier resolves to its node through the slot maps of its table-K
+// an identifier resolves to its node through the slot arrays of its table-K
 // row (NodeOfID). There is no per-node table beside those two, so a tree
 // carries at most one ruid numbering at a time (see Build).
 //
@@ -199,12 +247,13 @@ func (n *Numbering) renumberHealing(f *frame, adjust bool) error {
 			return nil
 		}
 		var ov *overflowError
-		if !errorsAs(err, &ov) || ov.node == nil || f.roots[ov.node] {
+		if !errors.As(err, &ov) || ov.node == nil || f.roots[ov.node] {
 			return err
 		}
 		up := f.promote(ov.node)
 		if adjust {
-			f.adjust([]*xmltree.Node{up, ov.node})
+			f.adjust(up, nil)
+			f.adjust(ov.node, nil)
 		}
 	}
 }
@@ -229,80 +278,44 @@ func (n *Numbering) renumberAll(f *frame) error {
 	// Step 3: enumerate the frame with a κ-ary UID (global indices), then
 	// each area with its own local UID. An area root's local index in the
 	// upper area (step 4's half of its identifier) is known once the upper
-	// area is enumerated, so areas are processed top-down and each job
-	// carries it.
-	type job struct {
-		root         *xmltree.Node
-		global       int64
-		parentGlobal int64
-		rootLocal    int64
-	}
-	queue := []job{{n.root, 1, 0, 1}}
+	// area is enumerated, so areas are processed top-down and a row is opened
+	// when its root is met as a boundary leaf of the row above.
+	queue := []*area{{global: 1, root: n.root, rootLocal: 1}}
+	var b rowBuilder
 	for qi := 0; qi < len(queue); qi++ {
-		j := queue[qi]
-		a := &area{
-			global:       j.global,
-			root:         j.root,
-			rootLocal:    j.rootLocal,
-			parentGlobal: j.parentGlobal,
-			locals:       make(map[int64]*xmltree.Node),
-			rootByLocal:  make(map[int64]int64),
-		}
-		n.areas[j.global] = a
-		boundary, err := n.enumerateArea(a)
+		a := queue[qi]
+		n.areas[a.global] = a
+		a.fanout = b.collect(a, n.areaRoots, n.opts.WithAttrs)
+		// The boundary leaves and the frame children of this area are the
+		// same nodes, both met in document order.
+		kids, met := f.kids[a.root], 0
+		err := b.number(a, n.localLimit, func(p int, boundary bool) error {
+			if !boundary {
+				n.size++
+				return nil
+			}
+			if met == len(kids) || kids[met] != a.nodes[p] {
+				return fmt.Errorf("core: area %d (%s): boundary leaf %s is not frame child %d",
+					a.global, a.root.Path(), a.nodes[p].Path(), met)
+			}
+			cg, ok := childIndex(a.global, n.kappa, met)
+			if !ok {
+				return fmt.Errorf("%w: frame child of area %d", ErrOverflow, a.global)
+			}
+			a.lower[p] = cg
+			queue = append(queue, &area{global: cg, root: kids[met], rootLocal: a.slots[p], parentGlobal: a.global})
+			met++
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		// The boundary leaves and the frame children of this area are the
-		// same nodes, both in document order.
-		kids := f.kids[j.root]
-		if len(boundary) != len(kids) {
+		if met != len(kids) {
 			return fmt.Errorf("core: area %d (%s) has %d boundary leaves, frame has %d children",
-				j.global, j.root.Path(), len(boundary), len(kids))
-		}
-		for idx, kid := range kids {
-			cg, ok := childIndex(j.global, n.kappa, idx)
-			if !ok {
-				return fmt.Errorf("%w: frame child of area %d", ErrOverflow, j.global)
-			}
-			a.rootByLocal[boundary[idx]] = cg
-			queue = append(queue, job{kid, cg, j.global, boundary[idx]})
+				a.global, a.root.Path(), met, len(kids))
 		}
 	}
 	return nil
-}
-
-// enumerateArea performs steps 5–6 of Fig. 3 for one area: find the local
-// maximal fan-out kᵢ and assign local indices via a kᵢ-ary tree. It returns
-// the slots of the boundary leaves (roots of lower areas) in document order.
-func (n *Numbering) enumerateArea(a *area) ([]int64, error) {
-	a.fanout = n.areaFanout(a)
-	var boundary []int64
-	var assign func(x *xmltree.Node, local int64) error
-	assign = func(x *xmltree.Node, local int64) error {
-		a.locals[local] = x
-		if x != a.root && n.areaRoots[x] {
-			// Boundary leaf: a lower area continues below.
-			boundary = append(boundary, local)
-			return nil
-		}
-		n.size++
-		for j, c := range x.StructuralChildren(n.opts.WithAttrs) {
-			cl, ok := childIndex(local, a.fanout, j)
-			if !ok || cl > n.localLimit {
-				return &overflowError{area: a.global, node: x}
-			}
-			if err := assign(c, cl); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := assign(a.root, 1); err != nil {
-		return nil, err
-	}
-	a.sortLocals()
-	return boundary, nil
 }
 
 // commitStamps burns the identifiers the table K implies into the tree:
@@ -313,8 +326,8 @@ func (n *Numbering) enumerateArea(a *area) ([]int64, error) {
 // previously numbered nodes changed identifier. Master mode only.
 func (n *Numbering) commitStamps() (changed int) {
 	for _, a := range n.areas {
-		for slot, x := range a.locals {
-			num := a.resolveLocal(slot).stamp()
+		for i, x := range a.nodes {
+			num := a.resolveLocal(i).stamp()
 			if x.Num != num {
 				if x.Num.G != 0 {
 					changed++
@@ -374,10 +387,8 @@ func (n *Numbering) Root() *xmltree.Node { return n.root }
 func (n *Numbering) MaxLocalIndex() int64 {
 	var max int64
 	n.forEachArea(func(a *area) {
-		if len(a.sortedLocals) > 0 {
-			if v := a.sortedLocals[len(a.sortedLocals)-1]; v > max {
-				max = v
-			}
+		if v := a.slots[len(a.slots)-1]; v > max {
+			max = v
 		}
 	})
 	return max
@@ -421,8 +432,8 @@ func (n *Numbering) NodeOf(id scheme.ID) (*xmltree.Node, bool) {
 	return n.NodeOfID(id.(ID))
 }
 
-// NodeOfID resolves a concrete identifier through the clustered slot maps
-// of its table-K row (the same structures the axis routines scan).
+// NodeOfID resolves a concrete identifier by a seek in the clustered slot
+// array of its table-K row (the same arrays the axis routines scan).
 // Identifier shapes (see ID): an area root's identifier carries its own
 // global index and its local slot in the upper area; an interior node's
 // identifier carries its area's global index and its own slot.
@@ -432,14 +443,7 @@ func (n *Numbering) NodeOfID(id ID) (*xmltree.Node, bool) {
 		return nil, false
 	}
 	if id.Root {
-		if id.Global == 1 {
-			// The document root's identifier is exactly RootID.
-			if id != RootID {
-				return nil, false
-			}
-			return a.root, true
-		}
-		if a.rootLocal != id.Local {
+		if id != a.rootID() {
 			return nil, false
 		}
 		return a.root, true
@@ -447,12 +451,9 @@ func (n *Numbering) NodeOfID(id ID) (*xmltree.Node, bool) {
 	// Interior identifier: slot 1 is the area's own root and boundary slots
 	// hold lower-area roots — both carry Root identifiers, so an interior
 	// lookup there must miss.
-	if id.Local == 1 {
+	i := seek(a.slots, id.Local)
+	if id.Local == 1 || i == len(a.slots) || a.slots[i] != id.Local || a.lower[i] != 0 {
 		return nil, false
 	}
-	if _, boundary := a.rootByLocal[id.Local]; boundary {
-		return nil, false
-	}
-	node, ok := a.locals[id.Local]
-	return node, ok
+	return a.nodes[i], true
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/xmltree"
@@ -18,11 +17,11 @@ import (
 // original — including fan-outs enlarged by past updates — so identifiers
 // remain stable across snapshot epochs of the document facade. The clone
 // is produced in epoch mode (see Numbering): the table K becomes a chunked
-// index sorted by global index whose slot maps point at the clone's nodes.
-// No stamp is assigned here — the tree copy already copied each node's
-// stamp with it. The clone shares no mutable state with the original (the
-// sorted slot lists are shared, and never edited in place), so it is safe
-// for concurrent readers. Epoch clones reject structural updates with
+// index sorted by global index whose rows hold the clone's nodes. No stamp
+// is assigned here — the tree copy already copied each node's stamp with it.
+// The clone shares no mutable state with the original (a row's slots and
+// lower arrays are shared, and never edited in place), so it is safe for
+// concurrent readers. Epoch clones reject structural updates with
 // ErrImmutable.
 func (n *Numbering) CloneFor(doc *xmltree.Node, mapping map[*xmltree.Node]*xmltree.Node) (*Numbering, error) {
 	remap := func(x *xmltree.Node) (*xmltree.Node, error) {
@@ -46,23 +45,10 @@ func (n *Numbering) CloneFor(doc *xmltree.Node, mapping map[*xmltree.Node]*xmltr
 	}
 	sorted := make([]*area, 0, n.AreaCount())
 	n.forEachArea(func(a *area) {
-		ca := &area{
-			global:       a.global,
-			rootLocal:    a.rootLocal,
-			fanout:       a.fanout,
-			parentGlobal: a.parentGlobal,
-			rootByLocal:  maps.Clone(a.rootByLocal),
-			locals:       make(map[int64]*xmltree.Node, len(a.locals)),
-			sortedLocals: a.sortedLocals,
+		ca, rerr := a.withNodes(remap)
+		if rerr != nil {
+			err = rerr
 		}
-		for l, x := range a.locals {
-			cx, rerr := remap(x)
-			if rerr != nil {
-				err = rerr
-			}
-			ca.locals[l] = cx
-		}
-		ca.root = ca.locals[1]
 		sorted = append(sorted, ca)
 	})
 	if err != nil {
@@ -72,6 +58,21 @@ func (n *Numbering) CloneFor(doc *xmltree.Node, mapping map[*xmltree.Node]*xmltr
 	c.areaIdx = newAreaIndex(sorted)
 	c.assertK("CloneFor")
 	return c, nil
+}
+
+// withNodes returns a copy of the row whose slots hold the images of a's
+// nodes under remap; the slots and lower arrays are shared with a.
+func (a *area) withNodes(remap func(*xmltree.Node) (*xmltree.Node, error)) (*area, error) {
+	na := *a
+	na.nodes = make([]*xmltree.Node, len(a.nodes))
+	for i, x := range a.nodes {
+		var err error
+		if na.nodes[i], err = remap(x); err != nil {
+			return nil, err
+		}
+	}
+	na.root = na.nodes[0]
+	return &na, nil
 }
 
 // CopySet returns the set of master nodes an incremental epoch publication
@@ -93,14 +94,10 @@ func (n *Numbering) CopySet(d *Delta) map[*xmltree.Node]bool {
 		if a == nil {
 			continue
 		}
-		for _, x := range a.locals {
-			if x != a.root && n.areaRoots[x] {
-				if id, _ := n.RUID(x); moved[id.Global] {
-					set[x] = true
-				}
-				continue
+		for i, x := range a.nodes {
+			if g := a.lower[i]; g == 0 || moved[g] {
+				set[x] = true
 			}
-			set[x] = true
 		}
 		for p := a.root.Parent; p != nil; p = p.Parent {
 			set[p] = true
@@ -110,11 +107,12 @@ func (n *Numbering) CopySet(d *Delta) map[*xmltree.Node]bool {
 }
 
 // CloneDelta builds the next epoch's numbering incrementally: only the
-// dirty areas' slot maps are rebuilt; areas the copied spine crosses get
-// rebound copies whose slots point at the fresh nodes; areas whose K row
-// moved get patched row copies sharing their slot maps; every other area
-// struct — and every untouched subtree — is shared with the previous
-// epoch outright.
+// dirty areas' rows are rebuilt; areas the copied spine crosses get rebound
+// copies whose slots point at the fresh nodes; areas whose K row moved get
+// patched row copies sharing their slot arrays; every other area struct —
+// and every untouched subtree — is shared with the previous epoch
+// outright. A published row's arrays are never written: a rebound row gets
+// its own nodes array first.
 //
 // The receiver is the master numbering after a successful update, d its
 // Delta, prev the previous epoch's numbering (epoch mode), copies the
@@ -155,44 +153,25 @@ func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xm
 
 	dirty := make(map[int64]bool, len(d.Dirty))
 	patched := make(map[int64]*area) // next-epoch replacements by global index
-	owned := make(map[int64]bool)    // patched areas whose maps are private (writable)
+	owned := make(map[int64]bool)    // patched areas whose nodes array is private (writable)
 
-	// Dirty areas: rebuild slot maps from the master's post-update state,
-	// re-pointed at the next epoch's nodes.
+	// Dirty areas: take the master's post-update row, re-pointed at the next
+	// epoch's nodes.
 	for _, g := range d.Dirty {
 		dirty[g] = true
 		ma := n.areas[g]
 		if ma == nil {
 			return nil, fmt.Errorf("core: delta names unknown area %d", g)
 		}
-		ar, err := mapNode(ma.root)
-		if err != nil {
+		if patched[g], err = ma.withNodes(mapNode); err != nil {
 			return nil, err
 		}
-		na := &area{
-			global:       g,
-			root:         ar,
-			rootLocal:    ma.rootLocal,
-			fanout:       ma.fanout,
-			parentGlobal: ma.parentGlobal,
-			rootByLocal:  maps.Clone(ma.rootByLocal),
-			locals:       make(map[int64]*xmltree.Node, len(ma.locals)),
-			sortedLocals: ma.sortedLocals,
-		}
-		for l, x := range ma.locals {
-			cx, err := mapNode(x)
-			if err != nil {
-				return nil, err
-			}
-			na.locals[l] = cx
-		}
-		patched[g] = na
 		owned[g] = true
 	}
 
 	// Row-moved child areas: same interior, new root slot. Start from a
-	// shallow copy sharing the previous epoch's maps; the rebind pass below
-	// splits the maps copy-on-write before its first write.
+	// shallow copy sharing the previous epoch's arrays; the rebind pass below
+	// splits nodes off copy-on-write before its first write.
 	for _, g := range d.RowMoved {
 		if dirty[g] || patched[g] != nil {
 			continue
@@ -210,24 +189,32 @@ func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xm
 		patched[g] = &na
 	}
 
-	// rebind returns a writable next-epoch copy of area g, splitting shared
-	// maps copy-on-write on first write.
-	rebind := func(g int64) (*area, error) {
+	// rebind points the slot of area g's next-epoch row that holds local
+	// index slot at the fresh node xc, copying the row — and splitting its
+	// nodes array off the previous epoch's — before the first write.
+	rebind := func(g, slot int64, xc *xmltree.Node) error {
 		a, ok := patched[g]
 		if !ok {
 			pa, found := prev.krow(g)
 			if !found {
-				return nil, fmt.Errorf("core: previous epoch misses area %d", g)
+				return fmt.Errorf("core: previous epoch misses area %d", g)
 			}
 			na := *pa
 			a = &na
 			patched[g] = a
 		}
 		if !owned[g] {
-			a.locals = maps.Clone(a.locals)
+			a.nodes = slices.Clone(a.nodes)
 			owned[g] = true
 		}
-		return a, nil
+		i := seek(a.slots, slot)
+		if i == len(a.slots) || a.slots[i] != slot {
+			return fmt.Errorf("core: area %d of the previous epoch has no slot %d", g, slot)
+		}
+		if a.nodes[i] = xc; i == 0 {
+			a.root = xc
+		}
+		return nil
 	}
 
 	// Re-point at each fresh copy every slot that references the copied
@@ -237,28 +224,23 @@ func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xm
 		if !ok {
 			continue // document node, or attributes outside the numbering
 		}
+		g, slot := id.Global, id.Local
 		if id.Root {
-			if !dirty[id.Global] {
-				a, err := rebind(id.Global)
-				if err != nil {
+			// An area root sits in slot 1 of its own row and in its boundary
+			// slot of the row above.
+			if !dirty[g] {
+				if err := rebind(g, 1, xc); err != nil {
 					return nil, err
 				}
-				a.root = xc
-				a.locals[1] = xc
 			}
-			if pg := n.areas[id.Global].parentGlobal; pg != 0 && !dirty[pg] {
-				a, err := rebind(pg)
-				if err != nil {
-					return nil, err
-				}
-				a.locals[id.Local] = xc
+			if g = n.areas[g].parentGlobal; g == 0 {
+				continue
 			}
-		} else if !dirty[id.Global] {
-			a, err := rebind(id.Global)
-			if err != nil {
+		}
+		if !dirty[g] {
+			if err := rebind(g, slot, xc); err != nil {
 				return nil, err
 			}
-			a.locals[id.Local] = xc
 		}
 	}
 

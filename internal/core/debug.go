@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"slices"
 )
 
 // The binding between nodes and identifiers is held twice over on purpose —
@@ -17,11 +16,11 @@ import (
 // the index, query and pager checks.
 var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
-// checkK verifies table K against the stamps: every occupied slot's node
-// carries the identifier that slot implies, every area root sits in slot 1
-// of its own row and in the boundary slot of the upper row its rootLocal
-// names, every slot list is sorted and complete, and the slots hold exactly
-// Size nodes.
+// checkK verifies table K against the stamps: every row's slot arrays are
+// parallel, strictly ascending and start at slot 1 with the area root, every
+// occupied slot's node carries the identifier that slot implies, a boundary
+// slot names the lower row whose root it holds and whose rootLocal it is, and
+// the slots hold exactly Size nodes.
 func (n *Numbering) checkK() error {
 	var err error
 	fail := func(format string, args ...any) {
@@ -31,34 +30,42 @@ func (n *Numbering) checkK() error {
 	}
 	size := 0
 	n.forEachArea(func(a *area) {
-		if a.locals[1] != a.root {
+		if len(a.nodes) != len(a.slots) || len(a.lower) != len(a.slots) {
+			fail("area %d: %d slots, %d nodes, %d lower entries", a.global, len(a.slots), len(a.nodes), len(a.lower))
+			return
+		}
+		if len(a.slots) == 0 || a.slots[0] != 1 || a.nodes[0] != a.root || a.lower[0] != 0 {
 			fail("area %d: slot 1 does not hold the area root", a.global)
+			return
+		}
+		for i, x := range a.nodes {
+			slot := a.slots[i]
+			if i > 0 && slot <= a.slots[i-1] {
+				fail("area %d: slot %d follows slot %d", a.global, slot, a.slots[i-1])
+			}
+			if x == nil {
+				fail("area %d: slot %d holds no node", a.global, slot)
+				return
+			}
+			if want := a.resolveLocal(i); x.Num != want.stamp() {
+				fail("area %d slot %d: node %s carries %+v, slot implies %v", a.global, slot, x.Path(), x.Num, want)
+			}
+			if g := a.lower[i]; g != 0 {
+				if low, ok := n.krow(g); !ok || low.root != x || low.rootLocal != slot || low.parentGlobal != a.global {
+					fail("area %d: boundary slot %d does not hold the root of area %d", a.global, slot, g)
+				}
+				continue
+			}
+			size++
 		}
 		if a.global != 1 {
 			up, ok := n.krow(a.parentGlobal)
-			if !ok || up.locals[a.rootLocal] != a.root || up.rootByLocal[a.rootLocal] != a.global {
+			if !ok {
+				fail("area %d: no upper area %d", a.global, a.parentGlobal)
+			} else if i := seek(up.slots, a.rootLocal); i == len(up.slots) || up.slots[i] != a.rootLocal || up.lower[i] != a.global {
 				fail("area %d: root not at boundary slot %d of area %d", a.global, a.rootLocal, a.parentGlobal)
 			}
 		}
-		for slot, x := range a.locals {
-			if want := a.resolveLocal(slot); x.Num != want.stamp() {
-				fail("area %d slot %d: node %s carries %+v, slot implies %v", a.global, slot, x.Path(), x.Num, want)
-			}
-		}
-		for slot, g := range a.rootByLocal {
-			if _, ok := n.krow(g); !ok || a.locals[slot] == nil {
-				fail("area %d: boundary slot %d names missing area %d", a.global, slot, g)
-			}
-		}
-		if len(a.sortedLocals) != len(a.locals) || !slices.IsSorted(a.sortedLocals) {
-			fail("area %d: slot list has %d entries for %d slots, or is unsorted", a.global, len(a.sortedLocals), len(a.locals))
-		}
-		for _, slot := range a.sortedLocals {
-			if a.locals[slot] == nil {
-				fail("area %d: slot list names empty slot %d", a.global, slot)
-			}
-		}
-		size += len(a.locals) - len(a.rootByLocal)
 	})
 	if err == nil && size != n.size {
 		fail("slots hold %d nodes, Size is %d", size, n.size)

@@ -27,7 +27,7 @@
 //
 // A node carries its identifier: Build, Load and every update write it into
 // the node's xmltree.NodeNum stamp, RUID reads it back, and NodeOfID goes
-// the other way through the slot maps of table K. That pair is the one
+// the other way through the slot arrays of table K. That pair is the one
 // node↔identifier binding — the same in a master numbering, an epoch clone
 // and a cold bundle — and no per-node table exists beside it. Two rules
 // keep it sound: a tree carries at most one ruid numbering at a time (a

@@ -66,7 +66,7 @@ func MergeDeltas(ds []*Delta) *Delta {
 		merged.Dropped = append(merged.Dropped, d.Dropped...)
 	}
 	// A row move recorded before the area went dirty is superseded by the
-	// dirty rebuild (the rebuilt slot map carries the final row).
+	// dirty rebuild (the rebuilt row carries the final slot).
 	for g := range dirty {
 		delete(moved, g)
 	}

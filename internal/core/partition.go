@@ -124,7 +124,9 @@ func selectFrame(root *xmltree.Node, cfg PartitionConfig, withAttrs bool) *frame
 	}
 	f, parents := deriveFrame(root, roots, withAttrs)
 	if cfg.AdjustFanout {
-		f.adjust(parents)
+		for _, up := range parents {
+			f.adjust(up, nil)
+		}
 	}
 	return f
 }
@@ -148,9 +150,7 @@ func deriveFrame(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs boo
 		if withAttrs {
 			fan += len(x.Attrs)
 		}
-		if fan > f.limit {
-			f.limit = fan
-		}
+		f.limit = max(f.limit, fan)
 		for _, c := range x.Children {
 			walk(c, nearest)
 		}
@@ -187,83 +187,68 @@ func (f *frame) promote(x *xmltree.Node) (up *xmltree.Node) {
 	return up
 }
 
-// adjust implements the §2.3 trick on the frame nodes in work: whenever one
-// has more frame children than the maximal fan-out of the source tree
-// (because several area roots hang below it in separate paths), the tree
-// child on the most crowded path is promoted to an area root, rerouting
-// those frame children below it, until the frame fan-out is bounded by the
-// tree fan-out (which the grouping argument guarantees is reachable) or no
-// two frame children share a path.
+// adjust implements the §2.3 trick at frame node up: while it has more frame
+// children than the maximal fan-out of the source tree (because several area
+// roots hang below it in separate paths), the tree child on the most crowded
+// path is promoted to an area root, rerouting those frame children below it —
+// until the frame fan-out is bounded by the tree fan-out (which the grouping
+// argument guarantees is reachable) or no two frame children share a path —
+// and is adjusted in turn.
 //
 // A promotion under a frame node changes that node's children and creates
 // the promoted child's; no other frame node's children move. What is
 // promoted under a node therefore depends on that node alone, the set S
 // reached does not depend on the order the nodes are taken in, and only the
 // promoted child needs a visit of its own.
-func (f *frame) adjust(work []*xmltree.Node) {
-	// A crowded frame node and, per frame child, the tree path from that
-	// child up to the child of the frame node it hangs under: climbed once,
-	// when a node from work is first looked at, and handed down one step
-	// shorter to each child promoted under it.
-	type crowd struct {
-		up    *xmltree.Node
-		paths [][]*xmltree.Node
+//
+// paths[i] is the tree path from frame child i up to the child of up it
+// hangs under (itself, if it is that child): climbed here when the caller
+// has none, and handed down one step shorter to each child promoted.
+func (f *frame) adjust(up *xmltree.Node, paths [][]*xmltree.Node) {
+	kids := f.kids[up]
+	if len(kids) <= f.limit {
+		return
 	}
-	todo := make([]crowd, len(work))
-	for i, up := range work {
-		todo[i].up = up
+	if paths == nil {
+		paths = make([][]*xmltree.Node, len(kids))
+		var buf []*xmltree.Node
+		for i, c := range kids {
+			from := len(buf)
+			for ; c != up; c = c.Parent {
+				visited()
+				buf = append(buf, c)
+			}
+			paths[i] = buf[from:len(buf):len(buf)]
+		}
 	}
-	for len(todo) > 0 {
-		up, paths := todo[len(todo)-1].up, todo[len(todo)-1].paths
-		todo = todo[:len(todo)-1]
-		kids := f.kids[up]
-		if len(kids) <= f.limit {
-			continue
+	via := func(i int) *xmltree.Node { return paths[i][len(paths[i])-1] }
+	for len(kids) > f.limit {
+		// Promote the child with the largest run of ≥ 2 frame children below
+		// it. kids is in document order, so each child's run is contiguous,
+		// and on a tie the first run wins: the choice has to be a function of
+		// the tree, or Build is not a function of its input.
+		lo, n := 0, 1
+		for i := 0; i < len(kids); {
+			j := i + 1
+			for j < len(kids) && via(j) == via(i) {
+				j++
+			}
+			if j-i > n {
+				lo, n = i, j-i
+			}
+			i = j
 		}
-		if paths == nil {
-			paths = make([][]*xmltree.Node, len(kids))
-			var buf []*xmltree.Node
-			for i, c := range kids {
-				from := len(buf)
-				for ; c != up; c = c.Parent {
-					visited()
-					buf = append(buf, c)
-				}
-				paths[i] = buf[from:len(buf):len(buf)]
-			}
+		if n < 2 {
+			return
 		}
-		// The last node of a path is the tree child of up the frame child
-		// hangs under (itself, if it is that child).
-		via := func(i int) *xmltree.Node { return paths[i][len(paths[i])-1] }
-		for len(kids) > f.limit {
-			// Promote the child with the largest run of ≥ 2 frame children
-			// below it. kids is in document order, so each child's run is
-			// contiguous, and on a tie the first run wins: the choice has to
-			// be a function of the tree, or Build is not a function of its
-			// input.
-			lo, n := 0, 1
-			for i := 0; i < len(kids); {
-				j := i + 1
-				for j < len(kids) && via(j) == via(i) {
-					j++
-				}
-				if j-i > n {
-					lo, n = i, j-i
-				}
-				i = j
-			}
-			if n < 2 {
-				break
-			}
-			c, own := via(lo), paths[lo][len(paths[lo])-1:]
-			below := make([][]*xmltree.Node, n)
-			for i := range below {
-				below[i] = paths[lo+i][:len(paths[lo+i])-1]
-			}
-			todo = append(todo, crowd{c, below})
-			f.splice(up, lo, lo+n, c)
-			kids = f.kids[up]
-			paths = slices.Replace(paths, lo, lo+n, own)
+		c, own := via(lo), paths[lo][len(paths[lo])-1:]
+		below := make([][]*xmltree.Node, n)
+		for i := range below {
+			below[i] = paths[lo+i][:len(paths[lo+i])-1]
 		}
+		f.splice(up, lo, lo+n, c)
+		kids = f.kids[up]
+		paths = slices.Replace(paths, lo, lo+n, own)
+		f.adjust(c, below)
 	}
 }

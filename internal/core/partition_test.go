@@ -119,7 +119,7 @@ func buildReference(t *testing.T, doc *xmltree.Node, opts Options) (n *Numbering
 			break
 		}
 		var ov *overflowError
-		if !errorsAs(err, &ov) || ov.node == nil || roots[ov.node] {
+		if !errors.As(err, &ov) || ov.node == nil || roots[ov.node] {
 			t.Fatalf("reference build: %v", err)
 		}
 		roots[ov.node] = true
@@ -255,7 +255,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 					}
 
 					n, err := Build(doc, opts)
-					if errors.Is(err, ErrOverflow) && !errorsAs(err, new(*overflowError)) {
+					if errors.Is(err, ErrOverflow) && !errors.As(err, new(*overflowError)) {
 						// The frame of a deep tree under a small budget does
 						// not fit int64 global indices, whoever selects S.
 						frameOverflows++

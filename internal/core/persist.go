@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/xmltree"
 )
@@ -14,8 +15,8 @@ import (
 // Save writes the global parameters (κ, the table K, the partition limits)
 // and every node's identifier in document-walk order; Load reattaches them
 // to an identically shaped document (typically re-parsed from the same
-// XML), rebuilding all derived state (areas, local slot indexes, the
-// nodes' stamps) without re-running the partitioning or enumeration.
+// XML), rebuilding all derived state (areas, slot arrays, the nodes'
+// stamps) without re-running the partitioning or enumeration.
 
 // saveMagic identifies the serialization format.
 var saveMagic = [8]byte{'r', 'u', 'i', 'd', 'v', '0', '0', '1'}
@@ -77,7 +78,7 @@ func (n *Numbering) Save(w io.Writer) error {
 
 // Load reads a numbering saved by Save and attaches it to doc, which must
 // have exactly the shape of the document the numbering was built on. No
-// partitioning or enumeration runs: the areas and slot indexes are
+// partitioning or enumeration runs: the areas and slot arrays are
 // reconstructed from the identifiers and the table K, and the identifiers
 // are burned into doc's nodes (see Build for the one-numbering-per-tree
 // rule) only once the whole snapshot has been accepted — a rejected
@@ -147,13 +148,7 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := &area{
-			global:      int64(g),
-			rootLocal:   int64(rl),
-			fanout:      int64(fo),
-			locals:      make(map[int64]*xmltree.Node),
-			rootByLocal: make(map[int64]int64),
-		}
+		a := &area{global: int64(g), rootLocal: int64(rl), fanout: int64(fo)}
 		if a.global != 1 {
 			a.parentGlobal = (a.global-2)/n.kappa + 1
 		}
@@ -192,48 +187,69 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 			return nil, err
 		}
 	}
-	// Sanity: every area has its root.
+	// Identifiers arrive in document order; a row is kept in slot order, its
+	// root first and no slot taken twice.
 	for g, a := range n.areas {
 		if a.root == nil {
 			return nil, fmt.Errorf("%w: area %d has no root node", ErrBadSnapshot, g)
 		}
-		a.sortLocals()
+		sort.Sort(bySlot{a})
+		for i := 1; i < len(a.slots); i++ {
+			if a.slots[i] == a.slots[i-1] {
+				return nil, fmt.Errorf("%w: two nodes at slot %d of area %d", ErrBadSnapshot, a.slots[i], g)
+			}
+		}
 	}
 	n.commitStamps()
 	n.assertK("Load")
 	return n, nil
 }
 
-// attach places one (node, id) pair in the K slots the identifier names. A
-// slot that is already occupied means two nodes claim one identifier.
+// attach places one (node, id) pair in the K slots the identifier names.
 func (n *Numbering) attach(x *xmltree.Node, id ID) error {
 	a, ok := n.areas[id.Global]
 	if !ok {
 		return fmt.Errorf("%w: identifier %v references unknown area", ErrBadSnapshot, id)
 	}
-	slots := a // the area whose slot id.Local names
+	n.size++
+	var lower int64
 	if id.Root {
 		if a.root != nil || a.rootLocal != id.Local {
 			return fmt.Errorf("%w: duplicate or misplaced area root %v", ErrBadSnapshot, id)
 		}
 		n.areaRoots[x] = true
 		a.root = x
-		a.locals[1] = x
+		a.place(1, x, 0)
 		if id.Global == 1 {
-			n.size++
 			return nil
 		}
 		// An area root also occupies its boundary slot in the upper area.
-		if slots, ok = n.areas[a.parentGlobal]; !ok {
-			return fmt.Errorf("%w: area %d has no parent area %d",
-				ErrBadSnapshot, id.Global, a.parentGlobal)
+		if a, ok = n.areas[a.parentGlobal]; !ok {
+			return fmt.Errorf("%w: area %d has no parent area", ErrBadSnapshot, id.Global)
 		}
-		slots.rootByLocal[id.Local] = id.Global
+		lower = id.Global
 	}
-	if _, dup := slots.locals[id.Local]; dup || id.Local == 1 {
-		return fmt.Errorf("%w: duplicate identifier %v", ErrBadSnapshot, id)
+	if id.Local <= 1 {
+		return fmt.Errorf("%w: identifier %v claims a root slot", ErrBadSnapshot, id)
 	}
-	slots.locals[id.Local] = x
-	n.size++
+	a.place(id.Local, x, lower)
 	return nil
+}
+
+// place appends one occupied slot to the row.
+func (a *area) place(slot int64, x *xmltree.Node, lower int64) {
+	a.slots = append(a.slots, slot)
+	a.nodes = append(a.nodes, x)
+	a.lower = append(a.lower, lower)
+}
+
+// bySlot sorts a row's parallel arrays by local index.
+type bySlot struct{ *area }
+
+func (r bySlot) Len() int           { return len(r.slots) }
+func (r bySlot) Less(i, j int) bool { return r.slots[i] < r.slots[j] }
+func (r bySlot) Swap(i, j int) {
+	r.slots[i], r.slots[j] = r.slots[j], r.slots[i]
+	r.nodes[i], r.nodes[j] = r.nodes[j], r.nodes[i]
+	r.lower[i], r.lower[j] = r.lower[j], r.lower[i]
 }

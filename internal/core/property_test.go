@@ -170,7 +170,7 @@ func TestQuickInsertScope(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if st.Relabeled > len(n.areas[ga].locals) {
+		if st.Relabeled > len(n.areas[ga].slots) {
 			return false
 		}
 		for x, old := range before {

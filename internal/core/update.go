@@ -30,7 +30,7 @@ import (
 // Every update is all-or-nothing. The tree is mutated first (the
 // re-enumeration must see the new shape), but every stamp and K-row
 // mutation is recorded in an undo log, the update area's row is copied up
-// front (re-enumeration replaces its slot maps, never edits them), and
+// front (re-enumeration replaces its slot arrays, never edits them), and
 // overflow healing computes a scratch table K that is committed — stamps
 // included — only when it fully succeeds. On any error the tree mutation
 // is reverted and the log replayed backwards, leaving master tree, stamps
@@ -172,15 +172,10 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 	d := &Delta{Dirty: []int64{a.global}, Inserted: newChild, Parent: parent}
 
 	var st scheme.UpdateStats
-	newK := a.fanout
-	if need := n.areaFanout(a); need > newK {
-		// No space: enlarge the enumerating tree of this area only
-		// ("the enlargement changes only the identifiers of the nodes in
-		// this area").
-		newK = need
+	st.Relabeled, err = n.reEnumerateArea(a, &log, d)
+	if a.fanout > saved.fanout {
 		st.AreaRebuilds = 1
 	}
-	st.Relabeled, err = n.reEnumerateArea(a, newK, &log, d)
 	if err == nil {
 		n.size += d.InsertedCount
 		n.assertK("insert")
@@ -205,7 +200,7 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 // renumberWith), so the caller can roll the whole update back.
 func (n *Numbering) healOverflow(err error) (scheme.UpdateStats, bool) {
 	var ov *overflowError
-	if !errorsAs(err, &ov) || ov.node == nil || n.areaRoots[ov.node] {
+	if !errors.As(err, &ov) || ov.node == nil || n.areaRoots[ov.node] {
 		return scheme.UpdateStats{}, false
 	}
 	roots := maps.Clone(n.areaRoots)
@@ -268,7 +263,7 @@ func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.Upda
 		n.dropNode(x, &log, d)
 		return true
 	})
-	relabeled, err := n.reEnumerateArea(a, a.fanout, &log, d)
+	relabeled, err := n.reEnumerateArea(a, &log, d)
 	if err == nil {
 		n.size -= len(d.Dropped)
 		n.assertK("delete")
@@ -303,94 +298,57 @@ func (n *Numbering) dropNode(x *xmltree.Node, log *updateLog, d *Delta) {
 	}
 }
 
-// areaFanout scans the current members of area a (stopping at boundary
-// leaves) and returns the maximal structural fan-out — the kᵢ the area
-// needs.
-func (n *Numbering) areaFanout(a *area) int64 {
-	var need int64 = 1
-	var scan func(x *xmltree.Node)
-	scan = func(x *xmltree.Node) {
-		if x != a.root && n.areaRoots[x] {
-			return
-		}
-		kids := x.StructuralChildren(n.opts.WithAttrs)
-		if int64(len(kids)) > need {
-			need = int64(len(kids))
-		}
-		for _, c := range kids {
-			scan(c)
-		}
-	}
-	scan(a.root)
-	return need
-}
-
-// reEnumerateArea re-derives the local enumeration of one area with fan-out
-// k, updating node stamps, the K row entries of child areas whose roots
-// moved slots, and the area's slot index (fresh maps and a fresh sorted
-// list — the old ones stay intact for the caller's saved row), logging
-// every mutation outside the row and recording the scope in d. It returns
-// the number of pre-existing nodes whose identifier changed. Nodes
-// enumerated for the first time (fresh insertions) are not counted.
-func (n *Numbering) reEnumerateArea(a *area, k int64, log *updateLog, d *Delta) (int, error) {
+// reEnumerateArea re-derives the local enumeration of one area, updating
+// node stamps, the K row entries of child areas whose roots moved slots, and
+// the area's slot arrays (fresh ones — the old stay intact for the caller's
+// saved row), logging every mutation outside the row and recording the scope
+// in d. The area keeps its fan-out unless its members now need a larger one:
+// with no space left, the enumerating tree of this area only is enlarged
+// ("the enlargement changes only the identifiers of the nodes in this
+// area"). It returns the number of pre-existing nodes whose identifier
+// changed. Nodes enumerated for the first time (fresh insertions) are not
+// counted.
+func (n *Numbering) reEnumerateArea(a *area, log *updateLog, d *Delta) (relabeled int, err error) {
 	if reEnumFailHook != nil {
 		if err := reEnumFailHook(a.global); err != nil {
 			return 0, err
 		}
 	}
-	a.fanout = k
-	a.locals = make(map[int64]*xmltree.Node, len(a.locals))
-	a.rootByLocal = make(map[int64]int64, len(a.rootByLocal))
-	relabeled := 0
-
-	var assign func(x *xmltree.Node, slot int64) error
-	assign = func(x *xmltree.Node, slot int64) error {
-		a.locals[slot] = x
+	var b rowBuilder
+	if need := b.collect(a, n.areaRoots, n.opts.WithAttrs); need > a.fanout {
+		a.fanout = need
+	}
+	err = b.number(a, n.localLimit, func(p int, boundary bool) error {
+		x, slot := a.nodes[p], a.slots[p]
 		old, existed := n.RUID(x)
-		if x != a.root && n.areaRoots[x] {
-			// Boundary leaf: the root of a lower area. Its own area keeps
-			// its global index and interior; only its slot here (and hence
-			// its K row and full identifier) may change.
-			a.rootByLocal[slot] = old.Global
+		newID := ID{Global: a.global, Local: slot, Root: false}
+		switch {
+		case boundary:
+			// The root of a lower area. Its own area keeps its global index
+			// and interior; only its slot here (and hence its K row and full
+			// identifier) may change.
+			a.lower[p] = old.Global
 			child := n.areas[old.Global]
-			if child.rootLocal != slot {
-				log.rows = append(log.rows, rowUndo{a: child, old: child.rootLocal})
-				child.rootLocal = slot
-				newID := ID{Global: old.Global, Local: slot, Root: true}
-				log.stamp(x, newID)
-				relabeled++
-				d.RowMoved = append(d.RowMoved, old.Global)
-				d.Relabels = append(d.Relabels, Relabel{Node: x, Old: old, New: newID})
+			if child.rootLocal == slot {
+				return nil
 			}
+			log.rows = append(log.rows, rowUndo{a: child, old: child.rootLocal})
+			child.rootLocal = slot
+			newID = ID{Global: old.Global, Local: slot, Root: true}
+			d.RowMoved = append(d.RowMoved, old.Global)
+		case p == 0 || old == newID:
+			return nil
+		case !existed:
+			log.stamp(x, newID)
+			d.InsertedCount++
 			return nil
 		}
-		if x != a.root {
-			newID := ID{Global: a.global, Local: slot, Root: false}
-			if !existed {
-				log.stamp(x, newID)
-				d.InsertedCount++
-			} else if old != newID {
-				log.stamp(x, newID)
-				relabeled++
-				d.Relabels = append(d.Relabels, Relabel{Node: x, Old: old, New: newID})
-			}
-		}
-		for j, c := range x.StructuralChildren(n.opts.WithAttrs) {
-			cl, ok := childIndex(slot, a.fanout, j)
-			if !ok || cl > n.localLimit {
-				return &overflowError{area: a.global, node: x}
-			}
-			if err := assign(c, cl); err != nil {
-				return err
-			}
-		}
+		log.stamp(x, newID)
+		relabeled++
+		d.Relabels = append(d.Relabels, Relabel{Node: x, Old: old, New: newID})
 		return nil
-	}
-	if err := assign(a.root, 1); err != nil {
-		return relabeled, err
-	}
-	a.sortLocals()
-	return relabeled, nil
+	})
+	return relabeled, err
 }
 
 // Repartition rebuilds the numbering from scratch with a fresh automatic

@@ -107,7 +107,7 @@ func TestInsertScopeConfinedToArea(t *testing.T) {
 	if st.Relabeled >= n.Size() {
 		t.Fatalf("relabeled %d of %d nodes: scope not confined", st.Relabeled, n.Size())
 	}
-	if max := len(area.locals); st.Relabeled > max {
+	if max := len(area.slots); st.Relabeled > max {
 		t.Fatalf("relabeled %d nodes, but the area enumerates only %d", st.Relabeled, max)
 	}
 	changedOutside := 0
@@ -155,8 +155,8 @@ func TestInsertFanoutOverflowRebuildsOneArea(t *testing.T) {
 	if got := n.areas[ga].fanout; got <= oldFanout {
 		t.Fatalf("area fan-out %d did not grow past %d", got, oldFanout)
 	}
-	if st.Relabeled > len(n.areas[ga].locals) {
-		t.Fatalf("relabeled %d nodes, area holds %d", st.Relabeled, len(n.areas[ga].locals))
+	if st.Relabeled > len(n.areas[ga].slots) {
+		t.Fatalf("relabeled %d nodes, area holds %d", st.Relabeled, len(n.areas[ga].slots))
 	}
 	verifyAgainstGroundTruth(t, n)
 }

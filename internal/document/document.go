@@ -54,7 +54,7 @@
 // with the area budget, not the document size. Two invariants make the
 // sharing safe:
 //
-//   - Deep immutability: no node, slot map, posting list or guide node
+//   - Deep immutability: no node, slot array, posting list or guide node
 //     reachable from a published epoch is ever written again. Any node
 //     whose identifier changes is freshly copied into the next epoch.
 //   - Shared nodes keep the Parent pointers of the epoch they were first

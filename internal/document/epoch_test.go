@@ -323,6 +323,88 @@ func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
 	}
 }
 
+// TestPinnedEpochRowsNeverWritten pins an epoch, pushes 200 area-confined
+// writes through CloneDelta behind it, and checks the pinned epoch's table K
+// again: later epochs share its rows' slot arrays, so a write into one —
+// rebinding a slot to a fresh node copy without copying the array first —
+// would make the pinned numbering resolve an identifier to a node of another
+// epoch, or walk children its tree does not have.
+func TestPinnedEpochRowsNeverWritten(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := document.FromTree(xmltree.XMark(2, 5), document.Options{
+		Partition: core.PartitionConfig{MaxAreaNodes: 16, AdjustFanout: true},
+		Observe:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := d.Snapshot()
+	num := pinned.Numbering()
+	check := func(when string) (nodes int) {
+		t.Helper()
+		pinned.Tree().DocumentElement().Walk(func(x *xmltree.Node) bool {
+			nodes++
+			id, ok := num.RUID(x)
+			if !ok {
+				t.Fatalf("%s: %s carries no identifier", when, x.Path())
+			}
+			if back, ok := num.NodeOfID(id); !ok || back != x {
+				t.Fatalf("%s: %v no longer resolves to the pinned epoch's %s", when, id, x.Path())
+			}
+			var kids []*xmltree.Node
+			num.VisitChildren(x, func(c *xmltree.Node) bool {
+				kids = append(kids, c)
+				return true
+			})
+			if !slices.Equal(kids, x.Children) {
+				t.Fatalf("%s: the slots below %s hold %d nodes, the pinned tree has %d children there, or others",
+					when, x.Path(), len(kids), len(x.Children))
+			}
+			return true
+		})
+		return nodes
+	}
+	before := check("before the writes")
+
+	count := func(q string) int {
+		res, _, err := d.Snapshot().QueryMetered(q, nil, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		return res.Len()
+	}
+	auctions := count("/site/open_auctions/open_auction")
+	rng := rand.New(rand.NewSource(22))
+	writes := 0
+	for i := 0; writes < 200; i++ {
+		grown := fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+rng.Intn(auctions))
+		bidder, err := xmltree.ParseFragment(fmt.Sprintf("<bidder><increase>%d</increase></bidder>", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Insert(grown, rng.Intn(count(grown+"/*")+1), bidder); err != nil {
+			t.Fatalf("insert under %s: %v", grown, err)
+		}
+		writes++
+		shrunk := fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+rng.Intn(auctions))
+		if kids := count(shrunk + "/*"); kids > 0 {
+			if _, err := d.Delete(shrunk, rng.Intn(kids)); err != nil {
+				t.Fatalf("delete under %s: %v", shrunk, err)
+			}
+			writes++
+		}
+	}
+	if incr := reg.Counter("doc.publish_incremental").Value(); writes < 200 || incr < uint64(writes) {
+		t.Fatalf("%d writes, %d incremental publications; the case is about 200 rows CloneDelta shares", writes, incr)
+	}
+	if got := d.Snapshot().Epoch(); got != pinned.Epoch()+uint64(writes) {
+		t.Fatalf("epoch %d after %d writes on epoch %d", got, writes, pinned.Epoch())
+	}
+	if after := check("after the writes"); after != before {
+		t.Fatalf("the pinned tree has %d nodes, had %d", after, before)
+	}
+}
+
 // TestPointQueryAllocsIndependentOfSiblings guards the one navigation path:
 // each read_point template shape (bench/harness.go) through
 // Snapshot.QueryMetered allocates the same small number of objects on XMark
