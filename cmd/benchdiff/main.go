@@ -54,11 +54,13 @@ func load(path string) (map[string]result, error) {
 }
 
 // requiredBenches must exist in every current run: the publication benches
-// (and the three exact counts: postings a mutation re-encodes, the index's
-// half of the paper's confined update scope; nodes a count-only query
-// resolves, which is none; and candidates a positional lookup's axis walks
-// visit) are the point of the gate; refuse to pass a run in which they went
-// missing (renamed, dropped from the harness).
+// (and the exact counts: postings a mutation re-encodes, the index's half of
+// the paper's confined update scope; nodes a count-only query resolves,
+// which is none; candidates a positional lookup's axis walks visit; and the
+// area count and κ of the table K built for the bench document, which move
+// when a partition change renames the identifiers) are the point of the
+// gate; refuse to pass a run in which they went missing (renamed, dropped
+// from the harness).
 var requiredBenches = []string{
 	"epoch_publish/nodes=5000",
 	"epoch_publish/nodes=50000",
@@ -67,6 +69,8 @@ var requiredBenches = []string{
 	"write/postings_reencoded_per_mutation/batch=1",
 	"read/nodes_resolved_per_count_query",
 	"read/nav_visited_per_point_query",
+	"build/k_rows",
+	"build/kappa",
 	"obs2/server_query/on",
 	"obs2/group_write/on",
 }

@@ -753,12 +753,19 @@ func writeRows() []microResult {
 // per positional lookup. t[k] stops at its k-th match, so the value is a
 // function of the fixed positions, not of how many siblings follow them; a
 // change that walks an axis to its end again multiplies it.
+//
+// build/k_rows and build/kappa fingerprint the table K the server built for
+// that document — its area count and the frame fan-out κ. Every identifier
+// is a function of the partition, so a change to area-root selection that
+// silently renames them all moves one of the two and fails the gate.
 func readRows() []microResult {
 	reg := obs.NewRegistry()
 	srv := server.New(server.Config{Observe: reg})
-	if _, err := srv.Open("bench", xmltree.Serialize(xmltree.XMark(20, 1))); err != nil {
+	d, err := srv.Open("bench", xmltree.Serialize(xmltree.XMark(20, 1)))
+	if err != nil {
 		panic(err)
 	}
+	built := d.Stats()
 	joins := []string{
 		"/site//item/name", "//listitem//text", "//open_auction[bidder]/itemref",
 		"/site/people/person[profile]/name", "//bidder/increase",
@@ -786,6 +793,14 @@ func readRows() []microResult {
 		Name:       "read/nav_visited_per_point_query",
 		Iterations: 1,
 		NsPerOp:    float64(reg.Counter("query.nav_visited").Value()) / float64(len(points)),
+	}, {
+		Name:       "build/k_rows",
+		Iterations: 1,
+		NsPerOp:    float64(built.Areas),
+	}, {
+		Name:       "build/kappa",
+		Iterations: 1,
+		NsPerOp:    float64(built.Kappa),
 	}}
 }
 

@@ -14,8 +14,9 @@ import (
 // ErrOverflow reports that an index computation exceeded int64. Local-level
 // overflows during Build are healed automatically by promoting the
 // offending node to an area root; a global-level overflow signals that the
-// frame itself should be split with a multilevel ruid.
-var ErrOverflow = errors.New("core: index exceeds int64")
+// frame itself should be split with a multilevel ruid. It is the sentinel
+// every scheme shares.
+var ErrOverflow = scheme.ErrOverflow
 
 // overflowError wraps ErrOverflow with the node whose child index no longer
 // fits, so Build can split the area there.

@@ -30,11 +30,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/scheme"
 )
 
 // ErrOverflow is the sentinel returned when a continued-fraction label does
-// not fit in int64. It is returned wrapped; test with errors.Is.
-var ErrOverflow = errors.New("nestedint: label overflows int64")
+// not fit in int64. It is returned wrapped; test with errors.Is. It is the
+// sentinel every scheme shares.
+var ErrOverflow = scheme.ErrOverflow
 
 // ErrMalformed is the sentinel returned when a rational is not a canonical
 // continued-fraction encoding of any sibling path.

@@ -13,8 +13,16 @@
 package scheme
 
 import (
+	"errors"
+
 	"repro/internal/xmltree"
 )
+
+// ErrOverflow reports that an identifier, or a component of one, does not fit
+// the machine integer its scheme stores it in. Every scheme returns this one
+// value, wrapped with what overflowed and where, so errors.Is agrees across
+// schemes; the packages re-export it under their own names.
+var ErrOverflow = errors.New("scheme: identifier exceeds int64")
 
 // ID is an opaque node identifier. Implementations provide value types with
 // meaningful String and Key representations.

@@ -33,8 +33,9 @@ import (
 )
 
 var (
-	// ErrOverflow reports that an identifier does not fit in an int64.
-	ErrOverflow = errors.New("uid: identifier exceeds int64")
+	// ErrOverflow reports that an identifier does not fit in an int64. It is
+	// the sentinel every scheme shares.
+	ErrOverflow = scheme.ErrOverflow
 	// ErrFanout reports that a node's fan-out exceeds the enumeration k.
 	ErrFanout = errors.New("uid: node fan-out exceeds k")
 )
