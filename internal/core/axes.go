@@ -91,6 +91,13 @@ func seek(slots []int64, slot int64) int {
 	return lo
 }
 
+// position returns where slot sits in the row's arrays, and whether the row
+// has that slot at all.
+func (a *area) position(slot int64) (int, bool) {
+	i := seek(a.slots, slot)
+	return i, i < len(a.slots) && a.slots[i] == slot
+}
+
 // childSlots returns the slot range [lo, hi] of the children of the node at
 // slot l of an area enumerated with fan-out k.
 func childSlots(l, k int64) (lo, hi int64) { return (l-1)*k + 2, l*k + 1 }
@@ -205,8 +212,8 @@ func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 			return true
 		}
 		p := (l-2)/a.fanout + 1
-		i := seek(a.slots, p)
-		if i == len(a.slots) || a.slots[i] != p {
+		i, ok := a.position(p)
+		if !ok {
 			return true // id is not of this numbering: its parent's slot is empty
 		}
 		if !visit(a, i) {

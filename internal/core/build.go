@@ -72,7 +72,8 @@ type area struct {
 }
 
 // rowBuilder lays out the slot arrays of one K row in two passes over the
-// area; its buffers are reused from one row to the next.
+// area; its buffers are reused from one row to the next, and from one update
+// to the next.
 type rowBuilder struct {
 	nodes []*xmltree.Node // the area's members, breadth-first
 	kids  []childRun      // each member's children among them
@@ -107,30 +108,28 @@ func (b *rowBuilder) collect(a *area, roots map[*xmltree.Node]bool, withAttrs bo
 	return need
 }
 
-// number assigns the collected members their local indices via a
-// a.fanout-ary tree (step 6 of Fig. 3), none beyond limit. It walks the row,
-// not the tree, in document order, and hands at each member's position once
-// its slot is set; a boundary leaf's lower entry is at's to fill.
-func (b *rowBuilder) number(a *area, limit int64, at func(p int, boundary bool) error) error {
-	var assign func(p int, slot int64) error
-	assign = func(p int, slot int64) error {
-		a.slots[p] = slot
-		kids := b.kids[p]
-		if err := at(p, kids.n < 0); err != nil {
+// number assigns the member at position p the local index slot and the
+// members below it theirs via an a.fanout-ary tree (step 6 of Fig. 3), none
+// beyond limit: number(a, limit, 0, 1, at) numbers the collected row. It walks
+// the row, not the tree, in document order, and hands at each member's
+// position once its slot is set; a boundary leaf's lower entry is at's to
+// fill.
+func (b *rowBuilder) number(a *area, limit int64, p int, slot int64, at func(p int, boundary bool) error) error {
+	a.slots[p] = slot
+	kids := b.kids[p]
+	if err := at(p, kids.n < 0); err != nil {
+		return err
+	}
+	for j := 0; j < int(kids.n); j++ {
+		cl, ok := childIndex(slot, a.fanout, j)
+		if !ok || cl > limit {
+			return &overflowError{area: a.global, node: a.nodes[p]}
+		}
+		if err := b.number(a, limit, int(kids.first)+j, cl, at); err != nil {
 			return err
 		}
-		for j := 0; j < int(kids.n); j++ {
-			cl, ok := childIndex(slot, a.fanout, j)
-			if !ok || cl > limit {
-				return &overflowError{area: a.global, node: a.nodes[p]}
-			}
-			if err := assign(int(kids.first)+j, cl); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return assign(0, 1)
+	return nil
 }
 
 // Numbering is a 2-level ruid numbering of one document snapshot.
@@ -163,6 +162,7 @@ type Numbering struct {
 
 	areas     map[int64]*area        // by global index; the table K (master mode)
 	areaRoots map[*xmltree.Node]bool // current set S (master mode)
+	rows      rowBuilder             // buffers every row of this K is laid out in (master mode)
 
 	areaIdx *areaIndex // the table K, chunked and sorted by global index (epoch mode)
 }
@@ -282,7 +282,7 @@ func (n *Numbering) renumberAll(f *frame) error {
 	// area is enumerated, so areas are processed top-down and a row is opened
 	// when its root is met as a boundary leaf of the row above.
 	queue := []*area{{global: 1, root: n.root, rootLocal: 1}}
-	var b rowBuilder
+	b := &n.rows
 	for qi := 0; qi < len(queue); qi++ {
 		a := queue[qi]
 		n.areas[a.global] = a
@@ -290,7 +290,7 @@ func (n *Numbering) renumberAll(f *frame) error {
 		// The boundary leaves and the frame children of this area are the
 		// same nodes, both met in document order.
 		kids, met := f.kids[a.root], 0
-		err := b.number(a, n.localLimit, func(p int, boundary bool) error {
+		err := b.number(a, n.localLimit, 0, 1, func(p int, boundary bool) error {
 			if !boundary {
 				n.size++
 				return nil
@@ -452,8 +452,8 @@ func (n *Numbering) NodeOfID(id ID) (*xmltree.Node, bool) {
 	// Interior identifier: slot 1 is the area's own root and boundary slots
 	// hold lower-area roots — both carry Root identifiers, so an interior
 	// lookup there must miss.
-	i := seek(a.slots, id.Local)
-	if id.Local == 1 || i == len(a.slots) || a.slots[i] != id.Local || a.lower[i] != 0 {
+	i, ok := a.position(id.Local)
+	if !ok || id.Local == 1 || a.lower[i] != 0 {
 		return nil, false
 	}
 	return a.nodes[i], true

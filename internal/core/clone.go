@@ -207,8 +207,8 @@ func (n *Numbering) CloneDelta(prev *Numbering, d *Delta, copies, shared map[*xm
 			a.nodes = slices.Clone(a.nodes)
 			owned[g] = true
 		}
-		i := seek(a.slots, slot)
-		if i == len(a.slots) || a.slots[i] != slot {
+		i, ok := a.position(slot)
+		if !ok {
 			return fmt.Errorf("core: area %d of the previous epoch has no slot %d", g, slot)
 		}
 		if a.nodes[i] = xc; i == 0 {

@@ -62,7 +62,7 @@ func (n *Numbering) checkK() error {
 			up, ok := n.krow(a.parentGlobal)
 			if !ok {
 				fail("area %d: no upper area %d", a.global, a.parentGlobal)
-			} else if i := seek(up.slots, a.rootLocal); i == len(up.slots) || up.slots[i] != a.rootLocal || up.lower[i] != a.global {
+			} else if i, ok := up.position(a.rootLocal); !ok || up.lower[i] != a.global {
 				fail("area %d: root not at boundary slot %d of area %d", a.global, a.rootLocal, a.parentGlobal)
 			}
 		}

@@ -314,11 +314,11 @@ func (n *Numbering) reEnumerateArea(a *area, log *updateLog, d *Delta) (relabele
 			return 0, err
 		}
 	}
-	var b rowBuilder
+	b := &n.rows
 	if need := b.collect(a, n.areaRoots, n.opts.WithAttrs); need > a.fanout {
 		a.fanout = need
 	}
-	err = b.number(a, n.localLimit, func(p int, boundary bool) error {
+	err = b.number(a, n.localLimit, 0, 1, func(p int, boundary bool) error {
 		x, slot := a.nodes[p], a.slots[p]
 		old, existed := n.RUID(x)
 		newID := ID{Global: a.global, Local: slot, Root: false}
