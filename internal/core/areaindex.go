@@ -1,42 +1,61 @@
 package core
 
-import "fmt"
+import "repro/internal/xmltree"
 
-// The epoch-mode representation of the table K. A flat sorted slice would
-// make every publication copy O(areas) pointers — on large documents that
-// copy (and the garbage-collector work of scanning it) dominates an
-// area-confined publish. Chunking the sorted rows turns the per-publish
-// cost into one directory copy (≈ areas / areaChunkSize entries) plus one
-// chunk copy per touched area: untouched chunks are shared with the
-// previous epoch, in the same path-copying style as the tree and the slot
-// maps. Chunks are immutable once published.
+// The table K. A flat sorted slice would make every fork copy O(areas)
+// pointers — on large documents that copy (and the garbage-collector work of
+// scanning it) dominates an area-confined write. Chunking the sorted rows
+// turns the per-fork cost into one directory copy (≈ areas / areaChunkSize
+// entries) plus one chunk copy per touched area: untouched chunks are shared
+// with the numbering the fork was taken from, in the same path-copying style
+// as the tree and the rows' node arrays.
 
 // areaChunkSize bounds both the directory length and the size of the chunk
-// a publication has to copy when one of its rows changes.
+// a fork has to copy when one of its rows changes.
 const areaChunkSize = 256
 
-// areaIndex is an immutable chunked view of the table K sorted by global
-// index: the concatenation of chunks is the full sorted row list, and
-// firstG[i] caches chunks[i][0].global for the directory search.
+// areaIndex is a chunked view of the table K sorted by global index: the
+// concatenation of chunks is the full sorted row list, and firstG[i] caches
+// chunks[i][0].global for the directory search.
+//
+// Writes are copy-on-first-write at both levels. mine[i] says chunk i is
+// private to this index, and a row is private when its owner field names
+// this index; anything else is shared with the index this one was forked
+// from and is copied before it is written (ownChunk, own). The index Build
+// and Load produce owns everything, so the same writes edit it in place.
 type areaIndex struct {
 	chunks [][]*area
 	firstG []int64
+	mine   []bool
 	rows   int
 }
 
-// newAreaIndex chunks a slice of K rows already sorted by global index.
+// newAreaIndex chunks a slice of K rows already sorted by global index and
+// takes ownership of them.
 func newAreaIndex(sorted []*area) *areaIndex {
 	ix := &areaIndex{rows: len(sorted)}
+	for _, a := range sorted {
+		a.owner = ix
+	}
 	for len(sorted) > 0 {
-		n := areaChunkSize
-		if n > len(sorted) {
-			n = len(sorted)
-		}
+		n := min(areaChunkSize, len(sorted))
 		ix.chunks = append(ix.chunks, sorted[:n:n])
 		ix.firstG = append(ix.firstG, sorted[0].global)
+		ix.mine = append(ix.mine, true)
 		sorted = sorted[n:]
 	}
 	return ix
+}
+
+// fork returns an index with the same rows that owns none of them: only the
+// directory is copied.
+func (ix *areaIndex) fork() *areaIndex {
+	return &areaIndex{
+		chunks: append([][]*area(nil), ix.chunks...),
+		firstG: append([]int64(nil), ix.firstG...),
+		mine:   make([]bool, len(ix.chunks)),
+		rows:   ix.rows,
+	}
 }
 
 // locate returns the position of the chunk that would hold global index g
@@ -56,7 +75,26 @@ func (ix *areaIndex) locate(g int64) int {
 	return lo - 1
 }
 
-// find returns the K row with global index g.
+// slot returns where the K row with global index g sits: chunk ci, entry i.
+func (ix *areaIndex) slot(g int64) (ci, i int, ok bool) {
+	if ci = ix.locate(g); ci < 0 {
+		return 0, 0, false
+	}
+	chunk := ix.chunks[ci]
+	lo, hi := 0, len(chunk)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if chunk[mid].global < g {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return ci, lo, lo < len(chunk) && chunk[lo].global == g
+}
+
+// find returns the K row with global index g: slot, spelled out again
+// because every parent computation of every join passes through here.
 func (ix *areaIndex) find(g int64) (*area, bool) {
 	ci := ix.locate(g)
 	if ci < 0 {
@@ -87,67 +125,55 @@ func (ix *areaIndex) forEach(fn func(*area)) {
 	}
 }
 
-// withPatches derives the next epoch's index: rows named in patched are
-// substituted, rows named in deleted are dropped, and every chunk that
-// holds neither is shared with the receiver. Patching a row unknown to the
-// receiver is an error (updates never create areas outside a full
-// rebuild); deleting an unknown row is too.
-func (ix *areaIndex) withPatches(patched map[int64]*area, deleted []int64) (*areaIndex, error) {
-	out := &areaIndex{
-		chunks: append([][]*area(nil), ix.chunks...),
-		firstG: append([]int64(nil), ix.firstG...),
-		rows:   ix.rows,
+// ownChunk makes chunk ci writable.
+func (ix *areaIndex) ownChunk(ci int) []*area {
+	if !ix.mine[ci] {
+		ix.chunks[ci] = append([]*area(nil), ix.chunks[ci]...)
+		ix.mine[ci] = true
 	}
-	owned := make(map[int]bool, len(patched)+len(deleted))
-	own := func(ci int) []*area {
-		if !owned[ci] {
-			out.chunks[ci] = append([]*area(nil), out.chunks[ci]...)
-			owned[ci] = true
-		}
-		return out.chunks[ci]
+	return ix.chunks[ci]
+}
+
+// put installs a, which the index owns from here on, in place of the row
+// with the same global index.
+func (ix *areaIndex) put(a *area) {
+	ci, i, _ := ix.slot(a.global)
+	a.owner = ix
+	ix.ownChunk(ci)[i] = a
+}
+
+// own returns the row with global index g, writable: a row shared with the
+// index this one was forked from is copied first, its nodes array with it
+// (slots and lower are replaced whole, never edited, and stay shared).
+func (ix *areaIndex) own(g int64) *area {
+	ci, i, _ := ix.slot(g)
+	a := ix.chunks[ci][i]
+	if a.owner != ix {
+		na := *a
+		na.owner = ix
+		na.nodes = append([]*xmltree.Node(nil), a.nodes...)
+		a = &na
+		ix.ownChunk(ci)[i] = a
 	}
-	pos := func(g int64) (int, int, bool) {
-		ci := out.locate(g)
-		if ci < 0 {
-			return 0, 0, false
-		}
-		chunk := out.chunks[ci]
-		lo, hi := 0, len(chunk)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if chunk[mid].global < g {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(chunk) && chunk[lo].global == g {
-			return ci, lo, true
-		}
-		return 0, 0, false
+	return a
+}
+
+// drop removes the row with global index g. The κ-ary frame arithmetic
+// tolerates the gap; a chunk left empty leaves the directory.
+func (ix *areaIndex) drop(g int64) {
+	ci, i, ok := ix.slot(g)
+	if !ok {
+		return
 	}
-	for g, na := range patched {
-		ci, i, ok := pos(g)
-		if !ok {
-			return nil, fmt.Errorf("core: delta patched area %d unknown to the previous epoch", g)
-		}
-		own(ci)[i] = na
+	chunk := ix.ownChunk(ci)
+	chunk = append(chunk[:i], chunk[i+1:]...)
+	ix.rows--
+	if len(chunk) == 0 {
+		ix.chunks = append(ix.chunks[:ci], ix.chunks[ci+1:]...)
+		ix.firstG = append(ix.firstG[:ci], ix.firstG[ci+1:]...)
+		ix.mine = append(ix.mine[:ci], ix.mine[ci+1:]...)
+		return
 	}
-	for _, g := range deleted {
-		ci, i, ok := pos(g)
-		if !ok {
-			return nil, fmt.Errorf("core: delta deleted area %d unknown to the previous epoch", g)
-		}
-		chunk := own(ci)
-		chunk = append(chunk[:i], chunk[i+1:]...)
-		out.rows--
-		if len(chunk) == 0 {
-			out.chunks = append(out.chunks[:ci], out.chunks[ci+1:]...)
-			out.firstG = append(out.firstG[:ci], out.firstG[ci+1:]...)
-			continue
-		}
-		out.chunks[ci] = chunk
-		out.firstG[ci] = chunk[0].global
-	}
-	return out, nil
+	ix.chunks[ci] = chunk
+	ix.firstG[ci] = chunk[0].global
 }

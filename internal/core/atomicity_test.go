@@ -10,8 +10,8 @@ import (
 )
 
 // Write-failure atomicity (see update.go): a failed InsertChild or
-// DeleteChild must leave the master tree and every piece of numbering
-// state byte-identical to the pre-call state.
+// DeleteChild must leave the tree and every piece of numbering state
+// byte-identical to the pre-call state.
 
 // numFingerprint captures everything observable about a numbering and its
 // tree for exact before/after comparison.
@@ -41,11 +41,11 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 		size:       n.Size(),
 		stamps:     make(map[*xmltree.Node]xmltree.NodeNum),
 		nodes:      make(map[ID]*xmltree.Node),
-		areaRoots:  make(map[*xmltree.Node]bool, len(n.areaRoots)),
-		fanouts:    make(map[int64]int64, len(n.areas)),
-		rootLocals: make(map[int64]int64, len(n.areas)),
-		locals:     make(map[int64]map[int64]*xmltree.Node, len(n.areas)),
-		boundaries: make(map[int64]map[int64]int64, len(n.areas)),
+		areaRoots:  areaRootsOf(n),
+		fanouts:    make(map[int64]int64),
+		rootLocals: make(map[int64]int64),
+		locals:     make(map[int64]map[int64]*xmltree.Node),
+		boundaries: make(map[int64]map[int64]int64),
 	}
 	n.doc.WalkFull(func(x *xmltree.Node) bool {
 		f.stamps[x] = x.Num
@@ -54,12 +54,8 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 		}
 		return true
 	})
-	for x, ok := range n.areaRoots {
-		if ok {
-			f.areaRoots[x] = true
-		}
-	}
-	for g, a := range n.areas {
+	n.forEachArea(func(a *area) {
+		g := a.global
 		f.fanouts[g] = a.fanout
 		f.rootLocals[g] = a.rootLocal
 		ls := make(map[int64]*xmltree.Node, len(a.slots))
@@ -72,13 +68,31 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 		}
 		f.locals[g] = ls
 		f.boundaries[g] = bs
-	}
+	})
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	f.saved = buf.Bytes()
 	return f
+}
+
+// areaRootsOf returns the set S the numbering's table K is built on: the
+// roots of its rows.
+func areaRootsOf(n *Numbering) map[*xmltree.Node]bool {
+	roots := make(map[*xmltree.Node]bool, n.AreaCount())
+	n.forEachArea(func(a *area) { roots[a.root] = true })
+	return roots
+}
+
+// mustRow returns the K row with global index g.
+func mustRow(t *testing.T, n *Numbering, g int64) *area {
+	t.Helper()
+	a, ok := n.krow(g)
+	if !ok {
+		t.Fatalf("no K row %d", g)
+	}
+	return a
 }
 
 func assertSameFingerprint(t *testing.T, before, after numFingerprint) {
@@ -139,8 +153,8 @@ func TestInsertRollbackOnUnhealableOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: the scenario needs h to head the area about to overflow.
-	if !n.areaRoots[h] || !n.areaRoots[c2] {
-		t.Fatalf("fixture partition changed: areaRoots=%v", n.areaRoots)
+	if roots := areaRootsOf(n); !roots[h] || !roots[c2] {
+		t.Fatalf("fixture partition changed: areaRoots=%v", roots)
 	}
 	before := fingerprint(t, n)
 
@@ -264,32 +278,32 @@ func TestInsertRollbackOnInjectedFailure(t *testing.T) {
 	verifyAgainstGroundTruth(t, n)
 }
 
-// TestEpochCloneRejectsUpdates pins the immutability contract of epoch
-// clones: structural updates must fail with ErrImmutable and change
-// nothing.
+// TestEpochCloneRejectsUpdates pins the immutability contract of published
+// numberings: once sealed — by its holder, or by a fork being taken —
+// structural updates must fail with ErrImmutable and change nothing.
 func TestEpochCloneRejectsUpdates(t *testing.T) {
-	doc := mustParse(t, "<a><b/><c/></a>")
-	n, err := Build(doc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, mapping := doc.CloneWithMap()
-	clone, err := n.CloneFor(tree, mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	croot := tree.DocumentElement()
-	if _, err := clone.InsertChild(croot, 0, xmltree.NewElement("x")); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("insert on epoch: err = %v, want ErrImmutable", err)
-	}
-	if _, err := clone.DeleteChild(croot, 0); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("delete on epoch: err = %v, want ErrImmutable", err)
-	}
-	if _, err := clone.Repartition(PartitionConfig{}); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("repartition on epoch: err = %v, want ErrImmutable", err)
-	}
-	if len(croot.Children) != 2 {
-		t.Fatal("rejected update mutated the epoch tree")
+	for _, seal := range []func(*Numbering){
+		func(n *Numbering) { n.Seal() },
+		func(n *Numbering) { n.Fork() },
+	} {
+		doc := mustParse(t, "<a><b/><c/></a>")
+		n, err := Build(doc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seal(n)
+		before := fingerprint(t, n)
+		root := doc.DocumentElement()
+		if _, err := n.InsertChild(root, 0, xmltree.NewElement("x")); !errors.Is(err, ErrImmutable) {
+			t.Fatalf("insert on epoch: err = %v, want ErrImmutable", err)
+		}
+		if _, err := n.DeleteChild(root, 0); !errors.Is(err, ErrImmutable) {
+			t.Fatalf("delete on epoch: err = %v, want ErrImmutable", err)
+		}
+		if _, err := n.Repartition(PartitionConfig{}); !errors.Is(err, ErrImmutable) {
+			t.Fatalf("repartition on epoch: err = %v, want ErrImmutable", err)
+		}
+		assertSameFingerprint(t, before, fingerprint(t, n))
 	}
 }
 
@@ -395,9 +409,9 @@ func TestDeletedSubtreeIsUnnumberedAndReinsertable(t *testing.T) {
 	verifyAgainstGroundTruth(t, n)
 }
 
-// TestInsertedEpochCloneGetsFreshLabels: a Clone of a node taken from a
-// published epoch arrives carrying that epoch's stamps. The master must
-// number it from scratch, and the epoch it came from must not notice.
+// TestInsertedEpochCloneGetsFreshLabels: a Clone of a node taken from
+// another numbering's tree arrives carrying that numbering's stamps. It must
+// be numbered from scratch, and the numbering it came from must not notice.
 func TestInsertedEpochCloneGetsFreshLabels(t *testing.T) {
 	doc := xmltree.Balanced(3, 4)
 	n, err := Build(doc, Options{Partition: PartitionConfig{MaxAreaNodes: 8}})
@@ -415,9 +429,9 @@ func TestInsertedEpochCloneGetsFreshLabels(t *testing.T) {
 		t.Fatal("fixture: the clone should arrive stamped")
 	}
 
-	// An epoch node is not a node of the master, however it is stamped.
+	// A node of another tree is not a node of this one, however it is stamped.
 	if _, err := n.InsertChild(mapping[kids[2]], 0, xmltree.NewElement("x")); err == nil {
-		t.Fatal("insert under an epoch node accepted by the master")
+		t.Fatal("insert under a node of another tree accepted")
 	}
 
 	_, d, err := n.InsertChildDelta(kids[2], 1, sub)
@@ -439,8 +453,8 @@ func TestCheckKCatchesDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, low := n.areas[1], n.areas[2]
-	if low == nil || low.root != b || len(top.slots) != 3 || top.lower[1] != 2 {
+	top, low := mustRow(t, n, 1), mustRow(t, n, 2)
+	if low.root != b || len(top.slots) != 3 || top.lower[1] != 2 {
 		t.Fatalf("fixture partition changed: rows %v", n.K())
 	}
 	c := top.nodes[2]

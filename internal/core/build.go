@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -63,12 +62,15 @@ type area struct {
 	// although their stored identifier differs; position 0 is slot 1, the
 	// area's own root.
 	//
-	// The arrays are built whole (rowBuilder) and never edited afterwards, so
-	// a copy of the area struct stays valid, and an epoch row shares slots
-	// and lower with the master's and differs only in nodes.
+	// slots and lower are built whole (rowBuilder) and never edited
+	// afterwards, so a copy of the area struct stays valid and a fork's copy
+	// of a row shares them; nodes is edited — a slot re-pointed at the copy
+	// of its node — only in a row its index owns (areaIndex.own).
 	slots []int64
 	nodes []*xmltree.Node
 	lower []int64
+
+	owner *areaIndex // the index that may write this row
 }
 
 // rowBuilder lays out the slot arrays of one K row in two passes over the
@@ -77,6 +79,7 @@ type area struct {
 type rowBuilder struct {
 	nodes []*xmltree.Node // the area's members, breadth-first
 	kids  []childRun      // each member's children among them
+	moves []move          // what an update's enumeration changes (renumberArea)
 }
 
 // childRun is a member's children in breadth-first order: n of them from
@@ -84,16 +87,18 @@ type rowBuilder struct {
 type childRun struct{ first, n int32 }
 
 // collect gathers the members of a's area breadth-first from its root,
-// stopping at boundary leaves (members of roots other than the area's own),
-// sizes a's slot arrays for them and returns the maximal fan-out among them —
-// the kᵢ the area needs (step 5 of Fig. 3). Breadth-first order is ascending
-// local-index order under any kᵢ-ary UID, so the row comes out sorted.
+// stopping at boundary leaves (area roots other than the area's own: the
+// members of roots or, when roots is nil and the tree is numbered, the nodes
+// whose stamp says so), sizes a's slot arrays for them and returns the maximal
+// fan-out among them — the kᵢ the area needs (step 5 of Fig. 3). Breadth-first
+// order is ascending local-index order under any kᵢ-ary UID, so the row comes
+// out sorted.
 func (b *rowBuilder) collect(a *area, roots map[*xmltree.Node]bool, withAttrs bool) (need int64) {
 	b.nodes, b.kids = append(b.nodes[:0], a.root), b.kids[:0]
 	need = 1
 	for p := 0; p < len(b.nodes); p++ {
 		x := b.nodes[p]
-		if p > 0 && roots[x] {
+		if p > 0 && (roots[x] || roots == nil && x.Num.R) {
 			b.kids = append(b.kids, childRun{n: -1})
 			continue
 		}
@@ -141,16 +146,20 @@ func (b *rowBuilder) number(a *area, limit int64, p int, slot int64, at func(p i
 // row (NodeOfID). There is no per-node table beside those two, so a tree
 // carries at most one ruid numbering at a time (see Build).
 //
-// What differs between the two representations is only how table K is held
-// and whether it may change:
+// There is one representation — κ, and the table K as a chunked index
+// sorted by global index — and one update (update.go). What differs between
+// numberings is only what they may write:
 //
-//   - master mode (the output of Build and Load): K is the mutable map
-//     areas, the area-root set S is kept, and structural updates are
-//     accepted;
-//   - epoch mode (the output of CloneFor and CloneDelta): K is the
-//     persistent chunked index areaIdx, sorted by global index, whose
-//     untouched rows each publication shares with the previous epoch. Epoch
-//     numberings are immutable and reject updates with ErrImmutable.
+//   - an owning numbering (the output of Build, Load and CloneFor) owns its
+//     tree and every K row, and a structural update edits both in place;
+//   - a fork (the output of Fork) shares tree and K with the numbering it
+//     was taken from and owns nothing at first: every write goes through own
+//     (own.go), which copies a node, a K row or a chunk the first time the
+//     fork writes it, so the update is the same code and what it leaves
+//     untouched stays shared by pointer;
+//   - a sealed numbering (one that was forked, or that its holder published
+//     with Seal) is immutable — others read what it reaches — and rejects
+//     updates with ErrImmutable.
 type Numbering struct {
 	doc  *xmltree.Node
 	root *xmltree.Node
@@ -160,26 +169,18 @@ type Numbering struct {
 	localLimit int64 // largest admissible local index (see MaxLocalBits)
 	size       int   // numbered-node count
 
-	areas     map[int64]*area        // by global index; the table K (master mode)
-	areaRoots map[*xmltree.Node]bool // current set S (master mode)
-	rows      rowBuilder             // buffers every row of this K is laid out in (master mode)
+	k    *areaIndex // the table K
+	rows rowBuilder // buffers every row of this K is laid out in
 
-	areaIdx *areaIndex // the table K, chunked and sorted by global index (epoch mode)
+	sealed bool
+	// copied is nil in an owning numbering. In a fork it holds the nodes that
+	// are the fork's alone — its copies of shared nodes and the subtrees it
+	// was handed to insert — which it may therefore write.
+	copied map[*xmltree.Node]struct{}
 }
 
-// epochMode reports whether n is an immutable epoch clone.
-func (n *Numbering) epochMode() bool { return n.areas == nil }
-
-// forEachArea visits every K row in either representation.
-func (n *Numbering) forEachArea(fn func(*area)) {
-	if n.areas != nil {
-		for _, a := range n.areas {
-			fn(a)
-		}
-		return
-	}
-	n.areaIdx.forEach(fn)
-}
+// forEachArea visits every K row in ascending global order.
+func (n *Numbering) forEachArea(fn func(*area)) { n.k.forEach(fn) }
 
 // Build constructs the 2-level ruid for doc following the algorithm of
 // Fig. 3: partition into UID-local areas, enumerate the frame with a κ-ary
@@ -226,7 +227,7 @@ func Build(doc *xmltree.Node, opts Options) (*Numbering, error) {
 		return nil, err
 	}
 	n.commitStamps()
-	n.assertK("Build")
+	n.AssertK("Build")
 	return n, nil
 }
 
@@ -260,11 +261,8 @@ func (n *Numbering) renumberHealing(f *frame, adjust bool) error {
 }
 
 // renumberAll recomputes κ and the table K from the current tree and the
-// frame f, whose area-root set becomes the numbering's (steps 2–4 of
-// Fig. 3).
+// frame f (steps 2–4 of Fig. 3).
 func (n *Numbering) renumberAll(f *frame) error {
-	n.areaRoots = f.roots
-
 	// Step 2: κ is the maximal fan-out of the frame.
 	n.kappa = 1
 	for _, kids := range f.kids {
@@ -273,20 +271,20 @@ func (n *Numbering) renumberAll(f *frame) error {
 		}
 	}
 
-	n.areas = make(map[int64]*area)
 	n.size = 0
 
 	// Step 3: enumerate the frame with a κ-ary UID (global indices), then
 	// each area with its own local UID. An area root's local index in the
 	// upper area (step 4's half of its identifier) is known once the upper
 	// area is enumerated, so areas are processed top-down and a row is opened
-	// when its root is met as a boundary leaf of the row above.
+	// when its root is met as a boundary leaf of the row above. That is
+	// level order over the frame, which a κ-ary UID numbers ascending: the
+	// queue is the table K, sorted.
 	queue := []*area{{global: 1, root: n.root, rootLocal: 1}}
 	b := &n.rows
 	for qi := 0; qi < len(queue); qi++ {
 		a := queue[qi]
-		n.areas[a.global] = a
-		a.fanout = b.collect(a, n.areaRoots, n.opts.WithAttrs)
+		a.fanout = b.collect(a, f.roots, n.opts.WithAttrs)
 		// The boundary leaves and the frame children of this area are the
 		// same nodes, both met in document order.
 		kids, met := f.kids[a.root], 0
@@ -316,6 +314,7 @@ func (n *Numbering) renumberAll(f *frame) error {
 				a.global, a.root.Path(), met, len(kids))
 		}
 	}
+	n.k = newAreaIndex(queue)
 	return nil
 }
 
@@ -324,9 +323,10 @@ func (n *Numbering) renumberAll(f *frame) error {
 // slot (an area root is reached twice, through its own slot 1 and through
 // its boundary slot above, with the same result), and attributes left out
 // of the numbering lose any stamp from an earlier one. It returns how many
-// previously numbered nodes changed identifier. Master mode only.
+// previously numbered nodes changed identifier. The numbering must own its
+// tree.
 func (n *Numbering) commitStamps() (changed int) {
-	for _, a := range n.areas {
+	n.forEachArea(func(a *area) {
 		for i, x := range a.nodes {
 			num := a.resolveLocal(i).stamp()
 			if x.Num != num {
@@ -341,7 +341,7 @@ func (n *Numbering) commitStamps() (changed int) {
 				}
 			}
 		}
-	}
+	})
 	return changed
 }
 
@@ -363,24 +363,22 @@ func (n *Numbering) K() []KRow {
 	n.forEachArea(func(a *area) {
 		rows = append(rows, KRow{Global: a.global, RootLocal: a.rootLocal, Fanout: a.fanout})
 	})
-	// The chunked index visits in order already; the master's map does not.
-	slices.SortFunc(rows, func(x, y KRow) int { return cmp.Compare(x.Global, y.Global) })
 	return rows
 }
 
 // AreaCount returns the number of UID-local areas.
-func (n *Numbering) AreaCount() int {
-	if n.epochMode() {
-		return n.areaIdx.rows
-	}
-	return len(n.areas)
-}
+func (n *Numbering) AreaCount() int { return n.k.rows }
 
 // Size returns the number of numbered nodes.
 func (n *Numbering) Size() int { return n.size }
 
 // Root returns the numbered root element.
 func (n *Numbering) Root() *xmltree.Node { return n.root }
+
+// Doc returns the top of the numbered tree: the Document node above Root, or
+// Root itself when the numbering was built over a bare element. A fork's
+// differs from that of the numbering it was taken from once it has written.
+func (n *Numbering) Doc() *xmltree.Node { return n.doc }
 
 // MaxLocalIndex returns the largest local index in use in any area — the
 // identifier-magnitude metric of experiment E3 (each ruid component stays
@@ -420,9 +418,9 @@ func (n *Numbering) IDOf(node *xmltree.Node) (scheme.ID, bool) {
 
 // RUID returns the concrete identifier of a node, and false if the node is
 // not numbered: it reads the NodeNum stamp the node carries. The stamp is
-// current in every numbering that reaches the node — the master writes it
-// with each relabel, and an epoch never shares a node whose identifier
-// changed (such a node is copied afresh, stamp included).
+// current in every numbering that reaches the node — an owning numbering
+// writes it with each relabel, and a fork never shares a node whose
+// identifier changed (it relabels its own copy).
 func (n *Numbering) RUID(node *xmltree.Node) (ID, bool) {
 	num := node.Num
 	return ID{Global: num.G, Local: num.L, Root: num.R}, num.G != 0

@@ -11,16 +11,16 @@ import (
 // answer far from its cause; the debug check below turns it into a loud
 // failure at the operation that broke it.
 
-// debugChecks gates the O(n) table-K verification after Build, Load, every
-// update and rollback, CloneFor and CloneDelta. Seeded from RUID_DEBUG like
-// the index, query and pager checks.
+// debugChecks gates the O(n) table-K verification after Build, Load,
+// CloneFor and every update, and of an epoch once its successor is published
+// (AssertK). Seeded from RUID_DEBUG like the index, query and pager checks.
 var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
-// checkK verifies table K against the stamps: every row's slot arrays are
-// parallel, strictly ascending and start at slot 1 with the area root, every
-// occupied slot's node carries the identifier that slot implies, a boundary
-// slot names the lower row whose root it holds and whose rootLocal it is, and
-// the slots hold exactly Size nodes.
+// checkK verifies table K against the stamps: the rows come in ascending
+// global order, every row's slot arrays are parallel, strictly ascending and
+// start at slot 1 with the area root, every occupied slot's node carries the
+// identifier that slot implies, a boundary slot names the lower row whose root
+// it holds and whose rootLocal it is, and the slots hold exactly Size nodes.
 func (n *Numbering) checkK() error {
 	var err error
 	fail := func(format string, args ...any) {
@@ -28,8 +28,12 @@ func (n *Numbering) checkK() error {
 			err = fmt.Errorf(format, args...)
 		}
 	}
-	size := 0
+	size, last := 0, int64(0)
 	n.forEachArea(func(a *area) {
+		if a.global <= last {
+			fail("area %d follows area %d", a.global, last)
+		}
+		last = a.global
 		if len(a.nodes) != len(a.slots) || len(a.lower) != len(a.slots) {
 			fail("area %d: %d slots, %d nodes, %d lower entries", a.global, len(a.slots), len(a.nodes), len(a.lower))
 			return
@@ -73,8 +77,9 @@ func (n *Numbering) checkK() error {
 	return err
 }
 
-// assertK panics on a table-K violation when debug checks are on.
-func (n *Numbering) assertK(op string) {
+// AssertK panics on a table-K violation when debug checks are on; op names
+// what has just happened to the numbering, or around it.
+func (n *Numbering) AssertK(op string) {
 	if !debugChecks {
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/xmltree"
@@ -140,23 +139,19 @@ func BuildMultilevel(doc *xmltree.Node, opts MLOptions) (*Multilevel, error) {
 // numbers it with its own 2-level ruid.
 func buildFrameLevel(n *Numbering, cfg PartitionConfig) (*frameLevel, error) {
 	fl := &frameLevel{
-		byTheta: make(map[int64]*xmltree.Node, len(n.areas)),
-		thetaOf: make(map[*xmltree.Node]int64, len(n.areas)),
+		byTheta: make(map[int64]*xmltree.Node, n.AreaCount()),
+		thetaOf: make(map[*xmltree.Node]int64, n.AreaCount()),
 	}
 	// One synthetic node per area; frame topology from parentGlobal links,
-	// children ordered by document order of their area roots.
+	// children in document order of their area roots — which is ascending
+	// global index among the frame children of one area, the order K is
+	// visited in.
 	kids := make(map[int64][]int64)
-	for g, a := range n.areas {
-		if g != 1 {
-			kids[a.parentGlobal] = append(kids[a.parentGlobal], g)
+	n.forEachArea(func(a *area) {
+		if a.global != 1 {
+			kids[a.parentGlobal] = append(kids[a.parentGlobal], a.global)
 		}
-	}
-	for _, gs := range kids {
-		gs := gs
-		sort.Slice(gs, func(i, j int) bool {
-			return xmltree.CompareOrder(n.areas[gs[i]].root, n.areas[gs[j]].root) < 0
-		})
-	}
+	})
 	doc := xmltree.NewDocument()
 	var build func(g int64) *xmltree.Node
 	build = func(g int64) *xmltree.Node {

@@ -11,17 +11,9 @@ import (
 // tree — honoring Lemma 1's claim that, with those global parameters in
 // main memory, parent computation requires no I/O.
 
-// krow returns the K-table row for a global index. Master numberings hold
-// K in a map; epoch clones hold it in a chunked index sorted by global
-// index, where the row is found by two binary searches (directory, then
-// chunk — see areaIndex).
-func (n *Numbering) krow(g int64) (*area, bool) {
-	if n.areas != nil {
-		a, ok := n.areas[g]
-		return a, ok
-	}
-	return n.areaIdx.find(g)
-}
+// krow returns the K-table row for a global index, found by two binary
+// searches (directory, then chunk — see areaIndex).
+func (n *Numbering) krow(g int64) (*area, bool) { return n.k.find(g) }
 
 // RParent is the rparent() algorithm of Fig. 6: it computes the 2-level
 // ruid of the parent of id, using only κ and the table K. The second result

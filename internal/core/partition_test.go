@@ -272,7 +272,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 						t.Fatalf("%s: Build differs from the reference build (κ %d vs %d, %d vs %d areas)",
 							name, got.kappa, ref.Kappa(), len(got.rows), ref.AreaCount())
 					}
-					if !sameRoots(n.areaRoots, ref.areaRoots) {
+					if !sameRoots(areaRootsOf(n), areaRootsOf(ref)) {
 						t.Fatalf("%s: Build kept another S than the reference build", name)
 					}
 					again, err := Build(doc, opts)

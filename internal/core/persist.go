@@ -129,12 +129,11 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 		opts:       Options{WithAttrs: flags&1 != 0},
 		kappa:      int64(kappa),
 		localLimit: int64(limit),
-		areas:      make(map[int64]*area, nRows),
-		areaRoots:  make(map[*xmltree.Node]bool),
 	}
 	if n.kappa < 1 || n.localLimit < 1 || nRows == 0 || nRows > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible header", ErrBadSnapshot)
 	}
+	var rows []*area
 	for i := uint64(0); i < nRows; i++ {
 		g, err := readU64()
 		if err != nil {
@@ -155,8 +154,12 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 		if a.fanout < 1 {
 			return nil, fmt.Errorf("%w: area %d fan-out %d", ErrBadSnapshot, g, fo)
 		}
-		n.areas[a.global] = a
+		if len(rows) > 0 && a.global <= rows[len(rows)-1].global {
+			return nil, fmt.Errorf("%w: area %d out of order", ErrBadSnapshot, g)
+		}
+		rows = append(rows, a)
 	}
+	n.k = newAreaIndex(rows)
 	count, err := readU64()
 	if err != nil {
 		return nil, err
@@ -189,25 +192,25 @@ func Load(doc *xmltree.Node, r io.Reader) (*Numbering, error) {
 	}
 	// Identifiers arrive in document order; a row is kept in slot order, its
 	// root first and no slot taken twice.
-	for g, a := range n.areas {
+	for _, a := range rows {
 		if a.root == nil {
-			return nil, fmt.Errorf("%w: area %d has no root node", ErrBadSnapshot, g)
+			return nil, fmt.Errorf("%w: area %d has no root node", ErrBadSnapshot, a.global)
 		}
 		sort.Sort(bySlot{a})
 		for i := 1; i < len(a.slots); i++ {
 			if a.slots[i] == a.slots[i-1] {
-				return nil, fmt.Errorf("%w: two nodes at slot %d of area %d", ErrBadSnapshot, a.slots[i], g)
+				return nil, fmt.Errorf("%w: two nodes at slot %d of area %d", ErrBadSnapshot, a.slots[i], a.global)
 			}
 		}
 	}
 	n.commitStamps()
-	n.assertK("Load")
+	n.AssertK("Load")
 	return n, nil
 }
 
 // attach places one (node, id) pair in the K slots the identifier names.
 func (n *Numbering) attach(x *xmltree.Node, id ID) error {
-	a, ok := n.areas[id.Global]
+	a, ok := n.krow(id.Global)
 	if !ok {
 		return fmt.Errorf("%w: identifier %v references unknown area", ErrBadSnapshot, id)
 	}
@@ -217,14 +220,13 @@ func (n *Numbering) attach(x *xmltree.Node, id ID) error {
 		if a.root != nil || a.rootLocal != id.Local {
 			return fmt.Errorf("%w: duplicate or misplaced area root %v", ErrBadSnapshot, id)
 		}
-		n.areaRoots[x] = true
 		a.root = x
 		a.place(1, x, 0)
 		if id.Global == 1 {
 			return nil
 		}
 		// An area root also occupies its boundary slot in the upper area.
-		if a, ok = n.areas[a.parentGlobal]; !ok {
+		if a, ok = n.krow(a.parentGlobal); !ok {
 			return fmt.Errorf("%w: area %d has no parent area", ErrBadSnapshot, id.Global)
 		}
 		lower = id.Global

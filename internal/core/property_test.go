@@ -170,7 +170,7 @@ func TestQuickInsertScope(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if st.Relabeled > len(n.areas[ga].slots) {
+		if st.Relabeled > len(mustRow(t, n, ga).slots) {
 			return false
 		}
 		for x, old := range before {

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -27,29 +27,28 @@ import (
 //
 // # Atomicity
 //
-// Every update is all-or-nothing. The tree is mutated first (the
-// re-enumeration must see the new shape), but every stamp and K-row
-// mutation is recorded in an undo log, the update area's row is copied up
-// front (re-enumeration replaces its slot arrays, never edits them), and
-// overflow healing computes a scratch table K that is committed — stamps
-// included — only when it fully succeeds. On any error the tree mutation
-// is reverted and the log replayed backwards, leaving master tree, stamps
-// and numbering exactly as before the call.
+// Every update is all-or-nothing, by computing before it commits. The one
+// thing done up front is the edit of the parent's child list (the
+// enumeration must see the new shape). The area's new row is then laid out
+// in scratch arrays, reading nodes only (renumberArea); stamps, the row, the
+// rows of lower areas whose roots moved and the rows of areas that left with
+// a deleted subtree are written only once that has succeeded, and none of
+// those writes can fail. A failure therefore has exactly one thing to undo,
+// the child-list edit. Overflow healing follows the same rule over the whole
+// tree (renumberWith).
+//
+// On a fork every one of those writes is preceded by own (own.go); the parent
+// is owned before its child list is edited, which is harmless to undo — the
+// copy differs from the node it replaced in nothing but identity.
 
-// ErrImmutable reports a structural update attempted on a published epoch
-// clone (the output of CloneFor or CloneDelta). Updates run on the master
-// numbering only.
-var ErrImmutable = errors.New("core: numbering is an immutable epoch clone")
-
-// Delta describes the exact scope of one successful update so that epoch
-// publication can copy only what changed (see CopySet and CloneDelta).
-// All node pointers refer to the master tree.
+// Delta describes what one successful update changed, for the index, guide
+// and payload maintenance of the layer above. Node pointers refer to the
+// updated numbering's tree as the update left it: a relabeled node is the
+// one that carries the new stamp (on a fork, the fork's copy), a dropped
+// node the one the delete detached.
 type Delta struct {
-	Dirty        []int64   // re-enumerated areas (the update areas)
-	RowMoved     []int64   // child areas whose K-row root slot changed
-	DeletedAreas []int64   // areas that vanished with a deleted subtree
-	Relabels     []Relabel // pre-existing nodes whose identifier changed
-	Dropped      []NodeID  // nodes a delete removed, with their last identifiers
+	Relabels []Relabel // pre-existing nodes whose identifier changed
+	Dropped  []NodeID  // nodes a delete removed, with their last identifiers
 
 	Inserted      *xmltree.Node // root of the subtree an insert attached (nil for deletes)
 	Removed       *xmltree.Node // root of the subtree a delete detached (nil for inserts)
@@ -57,8 +56,9 @@ type Delta struct {
 	InsertedCount int           // nodes numbered for the first time
 
 	// Full marks an update that healed an overflow by re-partitioning and
-	// renumbering: the area-confined description above does not apply and
-	// publication must fall back to a full clone.
+	// renumbering: the area-confined description above does not apply, every
+	// index over the identifiers has to be rebuilt, and a fork has turned into
+	// an owning numbering over a fresh clone of the whole tree.
 	Full bool
 }
 
@@ -74,68 +74,37 @@ type NodeID struct {
 	ID   ID
 }
 
-// idUndo records the stamp a node carried before one logged mutation.
-type idUndo struct {
-	node *xmltree.Node
-	old  xmltree.NodeNum
-}
-
-// rowUndo records a child area's prior K-row root slot.
-type rowUndo struct {
-	a   *area
-	old int64
-}
-
-// updateLog accumulates every numbering mutation of one structural update
-// outside the update area's own row: stamps, the K rows of boundary roots
-// that moved, and the areas dropped with a deleted subtree.
-type updateLog struct {
-	ids          []idUndo
-	rows         []rowUndo
-	droppedAreas []*area
-}
-
-// stamp relabels x (a zero id clears its stamp), logging the old stamp.
-func (log *updateLog) stamp(x *xmltree.Node, id ID) {
-	log.ids = append(log.ids, idUndo{node: x, old: x.Num})
-	x.Num = id.stamp()
-}
-
-// rollback undoes the logged mutations, newest first.
-func (n *Numbering) rollback(log *updateLog) {
-	for i := len(log.ids) - 1; i >= 0; i-- {
-		log.ids[i].node.Num = log.ids[i].old
-	}
-	for i := len(log.rows) - 1; i >= 0; i-- {
-		log.rows[i].a.rootLocal = log.rows[i].old
-	}
-	for _, a := range log.droppedAreas {
-		n.areas[a.global] = a
-		n.areaRoots[a.root] = true
-	}
+// move is one slot of an update area whose node has to be stamped id.
+type move struct {
+	p  int
+	id ID
 }
 
 // reEnumFailHook, when non-nil, may inject a failure before an area is
-// re-enumerated. Tests use it to exercise rollback paths that real
-// documents reach only through rare overflow geometries (a delete, for
-// instance, can never overflow naturally: it re-enumerates fewer nodes
-// with the same fan-out).
+// re-enumerated. Tests use it to exercise failure paths that real documents
+// reach only through rare overflow geometries (a delete can never overflow:
+// it re-enumerates fewer nodes with the same fan-out).
 var reEnumFailHook func(global int64) error
 
-// updateArea opens a structural update under parent: it returns the area
-// in which parent's children are enumerated. The parent must be numbered by
-// this numbering — its stamp must resolve back to it — which rejects a node
-// of another tree (an epoch copy, say) that merely carries a stamp.
-func (n *Numbering) updateArea(parent *xmltree.Node, op string) (*area, error) {
-	if n.epochMode() {
-		return nil, ErrImmutable
+// ownParent opens a structural update under parent: it makes parent
+// writable and returns it (on a fork, possibly as a copy) with the global
+// index of the area its children are enumerated in. The parent must be
+// numbered by this numbering — its stamp must resolve back to it — which
+// rejects a node of another tree that merely carries a stamp.
+func (n *Numbering) ownParent(parent *xmltree.Node, op string) (*xmltree.Node, int64, error) {
+	if n.sealed {
+		return nil, 0, ErrImmutable
 	}
 	pid, _ := n.RUID(parent)
 	if x, ok := n.NodeOfID(pid); !ok || x != parent {
-		return nil, fmt.Errorf("core: %s under unnumbered node %s", op, parent.Path())
+		return nil, 0, fmt.Errorf("core: %s under unnumbered node %s", op, parent.Path())
 	}
-	ga, _ := n.childContext(pid)
-	return n.areas[ga], nil
+	i := 0
+	if !pid.Root {
+		a, _ := n.krow(pid.Global)
+		i, _ = a.position(pid.Local)
+	}
+	return n.ownAt(pid.Global, i), pid.Global, nil
 }
 
 // InsertChild implements scheme.Updatable: newChild (possibly a whole
@@ -147,77 +116,66 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 }
 
 // InsertChildDelta is InsertChild plus a Delta describing exactly which
-// numbering state changed, for incremental epoch publication. The subtree
-// arrives unnumbered: stamps it carries from another life (a Clone of an
-// epoch node, a subtree deleted earlier) are cleared, so it comes out with
-// only the labels this numbering gives it. On error the master tree and the
-// numbering are exactly as before the call (newChild is detached again,
-// unnumbered, and ownership stays with the caller).
+// numbering state changed. The subtree arrives unnumbered: stamps it carries
+// from another life (a Clone of a published node, a subtree deleted earlier)
+// are cleared, so it comes out with only the labels this numbering gives it.
+// On error the tree and the numbering read exactly as before the call
+// (newChild is detached again, unnumbered, and ownership stays with the
+// caller).
 func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xmltree.Node) (scheme.UpdateStats, *Delta, error) {
-	a, err := n.updateArea(parent, "insert")
-	if err != nil {
-		return scheme.UpdateStats{}, nil, err
-	}
 	if pos < 0 || pos > len(parent.Children) {
 		return scheme.UpdateStats{}, nil, fmt.Errorf("core: insert position %d out of range", pos)
+	}
+	parent, g, err := n.ownParent(parent, "insert")
+	if err != nil {
+		return scheme.UpdateStats{}, nil, err
 	}
 	newChild.WalkFull(func(x *xmltree.Node) bool {
 		x.Num = xmltree.NodeNum{}
 		return true
 	})
+	n.adopt(newChild)
 	parent.InsertChildAt(pos, newChild)
 
-	saved := *a
-	var log updateLog
-	d := &Delta{Dirty: []int64{a.global}, Inserted: newChild, Parent: parent}
-
-	var st scheme.UpdateStats
-	st.Relabeled, err = n.reEnumerateArea(a, &log, d)
-	if a.fanout > saved.fanout {
-		st.AreaRebuilds = 1
-	}
+	d := &Delta{Inserted: newChild, Parent: parent}
+	st, err := n.renumberArea(g, d)
 	if err == nil {
 		n.size += d.InsertedCount
-		n.assertK("insert")
+		n.AssertK("insert")
 		return st, d, nil
 	}
-	if hst, healed := n.healOverflow(err); healed {
-		st.Add(hst)
-		return st, &Delta{Full: true, Inserted: newChild, Parent: parent}, nil
+	var ov *overflowError
+	if healable := errors.As(err, &ov) && ov.node != nil && !ov.node.Num.R; healable && n.copied != nil {
+		// A heal renumbers the whole tree: own all of it, then run the same code.
+		parent.RemoveChild(pos)
+		return n.InsertChildDelta(n.ownAll()[parent], pos, newChild)
+	} else if healable && n.healOverflow(ov.node) {
+		return scheme.UpdateStats{FullRebuild: true, Relabeled: n.size}, &Delta{Full: true, Inserted: newChild, Parent: parent}, nil
 	}
 	parent.RemoveChild(pos)
-	n.rollback(&log)
-	*a = saved
-	n.assertK("insert rollback")
 	return scheme.UpdateStats{}, nil, err
 }
 
 // healOverflow recovers from a local-index overflow during an update by
-// promoting the node where the overflow occurred to an area root and
-// renumbering — the update-time analogue of the Build-time promotion loop,
-// rare (it needs a wide-and-deep area) and reported conservatively as a
-// full rebuild. An unhealable overflow returns false with n untouched (see
-// renumberWith), so the caller can roll the whole update back.
-func (n *Numbering) healOverflow(err error) (scheme.UpdateStats, bool) {
-	var ov *overflowError
-	if !errors.As(err, &ov) || ov.node == nil || n.areaRoots[ov.node] {
-		return scheme.UpdateStats{}, false
-	}
-	roots := maps.Clone(n.areaRoots)
-	roots[ov.node] = true
+// promoting the node where the overflow occurred (not an area root yet) to
+// one and renumbering — the update-time analogue of the Build-time promotion
+// loop, rare (it needs a wide-and-deep area) and reported conservatively as
+// a full rebuild. An overflow the promotion does not cure returns false with
+// n untouched (see renumberWith), so the caller can undo the whole update.
+func (n *Numbering) healOverflow(at *xmltree.Node) bool {
+	roots := map[*xmltree.Node]bool{at: true}
+	n.forEachArea(func(a *area) { roots[a.root] = true })
 	f, _ := deriveFrame(n.root, roots, n.opts.WithAttrs)
-	if _, err := n.renumberWith(f, n.opts.Partition, false); err != nil {
-		return scheme.UpdateStats{}, false
-	}
-	return scheme.UpdateStats{FullRebuild: true, Relabeled: n.size}, true
+	_, err := n.renumberWith(f, n.opts.Partition, false)
+	return err == nil
 }
 
-// renumberWith renumbers the whole (already mutated) tree under the frame f,
-// compute-then-commit: the new κ and table K are computed
-// on a scratch numbering that shares only the tree and writes no stamp, and
-// only when that fully succeeds are they adopted and burned into the nodes.
-// On error n, and every stamp, is untouched. It returns the number of
-// numbered nodes whose identifier changed.
+// renumberWith renumbers the whole (already mutated) tree, all of which n
+// owns, under the frame f, compute-then-commit: the new κ and table K are
+// computed on a scratch numbering that shares only the tree and writes no
+// stamp, and only when that fully succeeds are they adopted and burned into
+// the nodes. On error n, and every stamp, is untouched. It returns the number
+// of numbered nodes whose identifier changed.
 func (n *Numbering) renumberWith(f *frame, part PartitionConfig, adjust bool) (int, error) {
 	s := &Numbering{doc: n.doc, root: n.root, opts: n.opts, localLimit: n.localLimit}
 	s.opts.Partition = part
@@ -226,7 +184,7 @@ func (n *Numbering) renumberWith(f *frame, part PartitionConfig, adjust bool) (i
 	}
 	*n = *s
 	changed := n.commitStamps()
-	n.assertK("renumber")
+	n.AssertK("renumber")
 	return changed, nil
 }
 
@@ -241,114 +199,110 @@ func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateSta
 }
 
 // DeleteChildDelta is DeleteChild plus a Delta describing exactly which
-// numbering state changed, for incremental epoch publication. The detached
-// subtree reads as unnumbered afterwards. On error the master tree and the
-// numbering are exactly as before the call (the detached subtree is
-// reattached in place, stamps restored).
+// numbering state changed. The detached subtree reads as unnumbered
+// afterwards — where n owns it: a fork leaves a subtree it shares with its
+// origin as it is, unreachable from the fork's tree and still numbered in
+// the origin's. On error the tree and the numbering read exactly as before
+// the call.
 func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.UpdateStats, *Delta, error) {
-	a, err := n.updateArea(parent, "delete")
-	if err != nil {
-		return scheme.UpdateStats{}, nil, err
-	}
 	if pos < 0 || pos >= len(parent.Children) {
 		return scheme.UpdateStats{}, nil, fmt.Errorf("core: delete position %d out of range", pos)
 	}
-	removed := parent.RemoveChild(pos)
+	parent, g, err := n.ownParent(parent, "delete")
+	if err != nil {
+		return scheme.UpdateStats{}, nil, err
+	}
+	removed := parent.Children[pos]
+	parent.Children = slices.Delete(parent.Children, pos, pos+1)
 
-	saved := *a
-	var log updateLog
-	d := &Delta{Dirty: []int64{a.global}, Removed: removed, Parent: parent}
-
+	d := &Delta{Removed: removed, Parent: parent}
+	st, err := n.renumberArea(g, d)
+	if err != nil {
+		parent.Children = slices.Insert(parent.Children, pos, removed)
+		return scheme.UpdateStats{}, nil, err
+	}
+	// The detached subtree leaves the numbering: its stamps, and the rows of
+	// the areas rooted in it.
 	removed.WalkFull(func(x *xmltree.Node) bool {
-		n.dropNode(x, &log, d)
+		id, ok := n.RUID(x)
+		if !ok {
+			return true
+		}
+		d.Dropped = append(d.Dropped, NodeID{Node: x, ID: id})
+		if id.Root {
+			n.k.drop(id.Global)
+		}
+		if n.owns(x) {
+			x.Num = xmltree.NodeNum{}
+		}
 		return true
 	})
-	relabeled, err := n.reEnumerateArea(a, &log, d)
-	if err == nil {
-		n.size -= len(d.Dropped)
-		n.assertK("delete")
-		return scheme.UpdateStats{Relabeled: relabeled}, d, nil
+	if n.owns(removed) {
+		removed.Parent = nil
 	}
-	if hst, healed := n.healOverflow(err); healed {
-		return hst, &Delta{Full: true, Removed: removed, Parent: parent}, nil
-	}
-	parent.InsertChildAt(pos, removed)
-	n.rollback(&log)
-	*a = saved
-	n.assertK("delete rollback")
-	return scheme.UpdateStats{}, nil, err
+	n.size -= len(d.Dropped)
+	n.AssertK("delete")
+	return st, d, nil
 }
 
-// dropNode removes one deleted node from all numbering state — its stamp
-// and, if it roots one, its whole area — logging everything for rollback.
-func (n *Numbering) dropNode(x *xmltree.Node, log *updateLog, d *Delta) {
-	id, ok := n.RUID(x)
-	if !ok {
-		return
-	}
-	log.stamp(x, ID{})
-	d.Dropped = append(d.Dropped, NodeID{Node: x, ID: id})
-	if n.areaRoots[x] {
-		delete(n.areaRoots, x)
-		if a := n.areas[id.Global]; a != nil {
-			log.droppedAreas = append(log.droppedAreas, a)
-			d.DeletedAreas = append(d.DeletedAreas, id.Global)
-			delete(n.areas, id.Global)
-		}
-	}
-}
-
-// reEnumerateArea re-derives the local enumeration of one area, updating
-// node stamps, the K row entries of child areas whose roots moved slots, and
-// the area's slot arrays (fresh ones — the old stay intact for the caller's
-// saved row), logging every mutation outside the row and recording the scope
-// in d. The area keeps its fan-out unless its members now need a larger one:
-// with no space left, the enumerating tree of this area only is enlarged
-// ("the enlargement changes only the identifiers of the nodes in this
-// area"). It returns the number of pre-existing nodes whose identifier
-// changed. Nodes enumerated for the first time (fresh insertions) are not
-// counted.
-func (n *Numbering) reEnumerateArea(a *area, log *updateLog, d *Delta) (relabeled int, err error) {
+// renumberArea re-derives the local enumeration of area g after its tree
+// changed shape, compute-then-commit. It lays the new row out in fresh
+// arrays, reading nodes only, and notes which members the row gives another
+// identifier; on error nothing has been written. It then installs the row
+// and, for each such member, owns it and stamps it, moves the K row of a
+// lower area whose root changed slot, and records the change in d. The area
+// keeps its fan-out unless its members now need a larger one: with no space
+// left, the enumerating tree of this area only is enlarged ("the enlargement
+// changes only the identifiers of the nodes in this area"). The statistics
+// count the pre-existing nodes whose identifier changed; nodes enumerated for
+// the first time (fresh insertions) are counted in d.
+func (n *Numbering) renumberArea(g int64, d *Delta) (st scheme.UpdateStats, err error) {
 	if reEnumFailHook != nil {
-		if err := reEnumFailHook(a.global); err != nil {
-			return 0, err
+		if err := reEnumFailHook(g); err != nil {
+			return st, err
 		}
 	}
+	old, _ := n.krow(g)
+	a := &area{global: g, root: old.root, rootLocal: old.rootLocal, parentGlobal: old.parentGlobal}
 	b := &n.rows
-	if need := b.collect(a, n.areaRoots, n.opts.WithAttrs); need > a.fanout {
-		a.fanout = need
-	}
+	a.fanout = max(old.fanout, b.collect(a, nil, n.opts.WithAttrs))
+	b.moves = b.moves[:0]
 	err = b.number(a, n.localLimit, 0, 1, func(p int, boundary bool) error {
-		x, slot := a.nodes[p], a.slots[p]
-		old, existed := n.RUID(x)
-		newID := ID{Global: a.global, Local: slot, Root: false}
-		switch {
-		case boundary:
+		x, id := a.nodes[p], ID{Global: g, Local: a.slots[p]}
+		if boundary {
 			// The root of a lower area. Its own area keeps its global index
 			// and interior; only its slot here (and hence its K row and full
 			// identifier) may change.
-			a.lower[p] = old.Global
-			child := n.areas[old.Global]
-			if child.rootLocal == slot {
-				return nil
-			}
-			log.rows = append(log.rows, rowUndo{a: child, old: child.rootLocal})
-			child.rootLocal = slot
-			newID = ID{Global: old.Global, Local: slot, Root: true}
-			d.RowMoved = append(d.RowMoved, old.Global)
-		case p == 0 || old == newID:
-			return nil
-		case !existed:
-			log.stamp(x, newID)
-			d.InsertedCount++
-			return nil
+			a.lower[p] = x.Num.G
+			id = ID{Global: x.Num.G, Local: a.slots[p], Root: true}
 		}
-		log.stamp(x, newID)
-		relabeled++
-		d.Relabels = append(d.Relabels, Relabel{Node: x, Old: old, New: newID})
+		if p > 0 && x.Num != id.stamp() {
+			b.moves = append(b.moves, move{p, id})
+		}
 		return nil
 	})
-	return relabeled, err
+	if err != nil {
+		return st, err
+	}
+
+	n.k.put(a)
+	if a.fanout > old.fanout {
+		st.AreaRebuilds = 1
+	}
+	for _, m := range b.moves {
+		if m.id.Root {
+			n.k.own(m.id.Global).rootLocal = m.id.Local
+		}
+		x := n.ownAt(g, m.p)
+		if was, existed := n.RUID(x); existed {
+			st.Relabeled++
+			d.Relabels = append(d.Relabels, Relabel{Node: x, Old: was, New: m.id})
+		} else {
+			d.InsertedCount++
+		}
+		x.Num = m.id.stamp()
+	}
+	return st, nil
 }
 
 // Repartition rebuilds the numbering from scratch with a fresh automatic
@@ -356,8 +310,9 @@ func (n *Numbering) reEnumerateArea(a *area, log *updateLog, d *Delta) (relabele
 // the number of nodes whose identifier changed; on error the numbering is
 // unchanged.
 func (n *Numbering) Repartition(cfg PartitionConfig) (int, error) {
-	if n.epochMode() {
+	if n.sealed {
 		return 0, ErrImmutable
 	}
+	n.ownAll()
 	return n.renumberWith(selectFrame(n.root, cfg, n.opts.WithAttrs), cfg, cfg.AdjustFanout)
 }

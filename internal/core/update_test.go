@@ -103,7 +103,7 @@ func TestInsertScopeConfinedToArea(t *testing.T) {
 	if st.Relabeled == 0 {
 		t.Fatalf("inserting at position 0 must shift right siblings")
 	}
-	area := n.areas[rootArea]
+	area := mustRow(t, n, rootArea)
 	if st.Relabeled >= n.Size() {
 		t.Fatalf("relabeled %d of %d nodes: scope not confined", st.Relabeled, n.Size())
 	}
@@ -141,7 +141,7 @@ func TestInsertFanoutOverflowRebuildsOneArea(t *testing.T) {
 	root := doc.DocumentElement()
 	rootID, _ := n.RUID(root)
 	ga, _ := n.childContext(rootID)
-	oldFanout := n.areas[ga].fanout
+	oldFanout := mustRow(t, n, ga).fanout
 
 	// The root has 3 children; the area fan-out is 3. A fourth child
 	// overflows it.
@@ -152,11 +152,11 @@ func TestInsertFanoutOverflowRebuildsOneArea(t *testing.T) {
 	if st.AreaRebuilds != 1 {
 		t.Fatalf("AreaRebuilds = %d, want 1", st.AreaRebuilds)
 	}
-	if got := n.areas[ga].fanout; got <= oldFanout {
+	if got := mustRow(t, n, ga).fanout; got <= oldFanout {
 		t.Fatalf("area fan-out %d did not grow past %d", got, oldFanout)
 	}
-	if st.Relabeled > len(n.areas[ga].slots) {
-		t.Fatalf("relabeled %d nodes, area holds %d", st.Relabeled, len(n.areas[ga].slots))
+	if st.Relabeled > len(mustRow(t, n, ga).slots) {
+		t.Fatalf("relabeled %d nodes, area holds %d", st.Relabeled, len(mustRow(t, n, ga).slots))
 	}
 	verifyAgainstGroundTruth(t, n)
 }

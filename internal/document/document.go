@@ -7,20 +7,23 @@
 // # Concurrency model
 //
 // The Document is safe for concurrent use by any number of readers and
-// writers, with snapshot isolation:
+// writers, with snapshot isolation, and it holds one tree: the epochs.
 //
 //   - Readers pin an immutable epoch with Snapshot (or implicitly through
 //     Query). An epoch bundles a tree, a numbering (κ, the table K, the
 //     per-area clustered slot lists), the index postings and the guide;
-//     nothing reachable from a published epoch is ever mutated again, so
+//     nothing reachable from a published epoch is ever written again, so
 //     readers share epochs freely without locks.
-//   - Writers serialize on an internal mutex and mutate the writer-private
-//     master tree. Identifier maintenance on the master is the paper's
-//     incremental §3.2 algorithm: an insert or delete re-enumerates only
-//     the affected UID-local area (UpdateStats reports the scope), so
-//     identifiers outside the update area survive across epochs. After the
-//     areas are rebuilt, the writer publishes the next epoch with one
-//     atomic pointer store.
+//   - Writers serialize on an internal mutex. A write forks the newest
+//     epoch's numbering (core.Numbering.Fork), resolves its target on the fork
+//     with the scheme navigator, and applies the paper's incremental §3.2
+//     update to it: an insert or delete re-enumerates only the affected
+//     UID-local area (UpdateStats reports the scope), so identifiers outside
+//     the update area survive across epochs. The fork copies what the update
+//     writes before writing it — the relabeled nodes, the spine above them,
+//     their K rows — and shares the rest with the epoch it came from. The
+//     writer then publishes the fork as the next epoch with one atomic
+//     pointer store. There is no writer-private second copy of the document.
 //
 // A reader holding an old epoch keeps querying it consistently — queries
 // racing updates observe either the pre- or post-update document, never a
@@ -33,30 +36,32 @@
 // Ticket.Wait. With a commit loop running (EnableGroupCommit, group.go) the
 // mutation is WAL-logged and applied in queue order alongside whatever else
 // is queued; without one it is applied on the spot as a batch of one. Either
-// way the batch goes through applyBatchLocked — each member individually
-// area-confined and individually rolled back on failure — and ONE function,
-// publishLocked, installs the epoch that covers it. WAL replay submits the
-// recovered records as one batch through the same two functions. There is
-// no other way to mutate the master or to move the snapshot pointer (the
-// cold install in OpenBundle excepted), so durability, counter accounting
-// and payload maintenance each have exactly one implementation.
+// way the batch goes through applyBatchLocked — one fork, each member
+// resolved on the state the members before it left and individually
+// area-confined, so a batch equals its members applied one by one — and ONE
+// function, publishLocked, installs the epoch that covers it. WAL replay
+// submits the recovered records as one batch through the same two functions.
+// There is no other way to move the snapshot pointer (the cold install in
+// OpenBundle excepted), so durability, counter accounting and payload
+// maintenance each have exactly one implementation.
 //
-// # Incremental epoch publication
+// # Publication
 //
-// Publication is area-confined, mirroring the paper's update-scope claim:
-// the batch's per-mutation deltas merge into the union of their update
-// scopes (core.MergeDeltas; the merge of one delta is that delta), the
-// writer copies only those areas' nodes plus the spine of ancestors up to
-// the document node (xmltree.CloneAlong), and the next epoch structurally
-// shares every untouched subtree, posting list and K row with the previous
-// epoch (core.CloneDelta, index.ApplyDelta); the DataGuide is one
-// folded copy per batch (dataguide.Batch). Publication cost therefore scales
-// with the area budget, not the document size. Two invariants make the
-// sharing safe:
+// Publication is area-confined, mirroring the paper's update-scope claim.
+// The tree and the numbering of the next epoch are the fork as the batch
+// left it; the index is the previous epoch's with the batch's relabels,
+// drops and inserts spliced in (index.ApplyDelta, over the endpoints of each
+// node's identifier chain), the DataGuide one folded copy per batch
+// (dataguide.Batch). Every untouched subtree, K row and posting block is
+// shared with the previous epoch by pointer, so publication cost scales with
+// the area budget, not the document size. Two invariants make the sharing
+// safe:
 //
 //   - Deep immutability: no node, slot array, posting list or guide node
 //     reachable from a published epoch is ever written again. Any node
-//     whose identifier changes is freshly copied into the next epoch.
+//     whose identifier or child list changes is the fork's own copy. Under
+//     RUID_DEBUG each publication re-checks the previous epoch's table K
+//     against its stamps.
 //   - Shared nodes keep the Parent pointers of the epoch they were first
 //     copied into, so upward navigation inside an epoch goes through the
 //     numbering's identifier arithmetic (RParent), never through Parent
@@ -65,16 +70,19 @@
 //
 // Full rebuild is a branch inside publishLocked, not a sibling: the first
 // epoch, a batch that healed a local-index overflow by re-partitioning
-// (reported as FullRebuild), an incremental assembly that tripped an
-// internal invariant, and every epoch of a non-ruid scheme clone the whole
-// master instead.
+// (reported as FullRebuild; core has cloned the whole tree for it), an
+// incremental assembly that tripped an internal invariant, and every epoch of
+// a non-ruid scheme — whose batch works on a full clone of the newest
+// epoch's tree, numbered afresh through the registry constructor — build
+// index and guide from scratch over the working tree.
 //
 // # Write-failure atomicity
 //
-// A failed mutation is a no-op: core's update operations roll back the tree
-// mutation and every numbering change on any error path, the failed member
-// drops out of its batch, and a batch with no surviving member publishes
-// nothing. Readers never observe a partial write.
+// A failed mutation is a no-op: core computes an update before it commits
+// any of it, so a failed member leaves the fork reading as it did, drops out
+// of its batch while the others land, and a batch with no surviving member
+// drops its fork and publishes nothing — the current snapshot stays the very
+// one it was. Readers never observe a partial write.
 package document
 
 import (
@@ -82,6 +90,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,22 +169,13 @@ type Document struct {
 	reg  *obs.Registry  // nil when unobserved
 	dm   *docMetrics    // resolved metric pointers; nil when unobserved
 
-	mu     sync.Mutex    // serializes writers and epoch publication
-	master *xmltree.Node // writer-private tree; never exposed to readers
-	num    *core.Numbering
+	mu sync.Mutex // serializes writers and epoch publication
 
-	// Generic-scheme mode (schemeName != "ruid"): num is nil, the master is
-	// numbered by gs (built by sreg.Build), and every publication is a full
-	// clone re-numbered through the registry constructor.
+	// schemeName is the resolved scheme; sreg its registry entry when it is
+	// not ruid (every batch then numbers a clone of the newest epoch's tree
+	// through sreg.Build).
 	schemeName string
 	sreg       scheme.Registration
-	gs         scheme.Scheme
-
-	// m2e maps every live master node (attributes included) to its
-	// counterpart in the newest published epoch. Incremental publication
-	// resolves shared subtrees through it and re-points the entries of
-	// freshly copied nodes.
-	m2e map[*xmltree.Node]*xmltree.Node
 
 	// nodeCount and depthSum maintain the planner's cardinality statistics
 	// (non-attribute nodes from the root element down; sum of their
@@ -186,8 +186,10 @@ type Document struct {
 	// Out-of-core mode (Options.PoolPages > 0): store holds the postings
 	// blobs and the node-payload table behind one shared buffer pool, and
 	// every published snapshot's index pages its block bytes through it.
-	// readonly marks a cold-opened document (OpenBundle), whose master tree
-	// is shared with its snapshot and therefore must not be mutated.
+	// readonly marks a cold-opened document (OpenBundle): nothing about its
+	// tree forbids a fork, but serving a bundle read-write belongs with the
+	// checkpoint-plus-WAL-tail recovery it needs to be worth anything
+	// (ROADMAP item 4), so until then it refuses writes.
 	poolPages int
 	store     *storage.DocStore
 	readonly  bool
@@ -243,8 +245,8 @@ func OpenString(src string, opts Options) (*Document, error) {
 }
 
 // FromTree numbers an already-parsed tree. The Document takes ownership of
-// doc: the caller must not read or mutate it afterwards (readers work on
-// snapshot copies; writers on the master).
+// doc — it becomes the tree of the first epoch — and the caller must not
+// mutate it afterwards.
 func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 	name := opts.Scheme
 	if name == "" {
@@ -261,16 +263,16 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 		exec:       exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
 		reg:        opts.Observe,
 		dm:         newDocMetrics(opts.Observe),
-		master:     doc,
 		schemeName: name,
 		poolPages:  opts.PoolPages,
 	}
+	first := &working{tree: doc}
 	if name == "ruid" {
 		num, err := core.Build(doc, d.opts)
 		if err != nil {
 			return nil, err
 		}
-		d.num = num
+		first.num, first.s = num, num
 	} else {
 		reg, ok := scheme.Lookup(name)
 		if !ok {
@@ -280,8 +282,7 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.sreg = reg
-		d.gs = s
+		d.sreg, first.s = reg, s
 	}
 	root := doc
 	if doc.Kind == xmltree.Document {
@@ -293,28 +294,67 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d, d.publishLocked(nil, nil, nodes, depths)
+	return d, d.publishLocked(first, nil, nodes, depths)
 }
 
-// publishLocked is the one function that installs an epoch. deltas are the
-// applied mutations' deltas in application order and guide the batch's
-// eagerly folded DataGuide (nil when a fold reported an inconsistency; the
-// assembly then rebuilds it from the master). The epoch is assembled
-// incrementally — one CloneAlong, one CloneDelta, one index patch, one guide
-// swap over the union of the deltas' update scopes — whenever it can be: a
-// previous epoch exists, there are deltas (non-ruid schemes have none) and
-// none of them is a full rebuild. Otherwise, and when incremental assembly
-// trips an internal invariant, it clones the whole master, which always
-// recovers a consistent epoch.
+// working is the state a batch works on and then publishes: the private
+// successor of the newest epoch. Under ruid that is a fork of the epoch's
+// numbering, which shares the epoch's tree and copies what it writes; under
+// any other scheme it is a full clone of the epoch's tree numbered afresh
+// through the registry constructor — the trade documented in Options.Scheme.
+// The first epoch's is the parsed tree under its first numbering.
+type working struct {
+	num  *core.Numbering // nil when the document uses a non-ruid scheme
+	s    scheme.Scheme   // the numbering, whatever the scheme
+	tree *xmltree.Node   // the document node when num is nil (a fork's moves as it copies: see doc)
+
+	// deltas are the applied members' deltas in application order and born the
+	// elements they inserted (ruid only; other schemes rebuild their index).
+	deltas []*core.Delta
+	born   map[*xmltree.Node]struct{}
+}
+
+// doc returns the working tree's document node.
+func (w *working) doc() *xmltree.Node {
+	if w.num != nil {
+		return w.num.Doc()
+	}
+	return w.tree
+}
+
+// forkLocked opens the working state of a batch over the newest epoch.
+// Callers hold d.mu.
+func (d *Document) forkLocked(prev *Snapshot) (*working, error) {
+	if prev.num != nil {
+		num := prev.num.Fork()
+		return &working{num: num, s: num, born: make(map[*xmltree.Node]struct{})}, nil
+	}
+	tree := prev.tree.Clone()
+	s, err := d.sreg.Build(tree)
+	if err != nil {
+		return nil, err
+	}
+	return &working{s: s, tree: tree}, nil
+}
+
+// publishLocked is the one function that installs an epoch: the working
+// state w becomes the next snapshot. guide is the batch's eagerly folded
+// DataGuide (nil when a fold reported an inconsistency; the assembly then
+// rebuilds it from the tree). The epoch's index and guide are assembled
+// incrementally — one index patch, one guide swap over the union of the
+// deltas' update scopes — whenever they can be: a previous epoch exists,
+// there are deltas (non-ruid schemes have none) and none of them is a full
+// rebuild. Otherwise, and when incremental assembly trips an internal
+// invariant, they are built from scratch over w's tree, which always yields a
+// consistent epoch.
 //
 // nodes and depths are the counter values the new epoch carries; they are
 // committed to d.nodeCount/d.depthSum only after the epoch is installed, so
-// a failed publication (a registry constructor rejecting the new tree, a
-// page-out failure) leaves the document's statistics describing the epoch
-// readers still see. A non-nil error wrapping ErrStorage is the one failure
-// AFTER the install: the epoch is visible but the paged payload table could
-// not follow it. Callers hold d.mu.
-func (d *Document) publishLocked(deltas []*core.Delta, guide *dataguide.Guide, nodes, depths int) error {
+// a failed publication (a page-out failure) leaves the document's statistics
+// describing the epoch readers still see. A non-nil error wrapping ErrStorage
+// is the one failure AFTER the install: the epoch is visible but the paged
+// payload table could not follow it. Callers hold d.mu.
+func (d *Document) publishLocked(w *working, guide *dataguide.Guide, nodes, depths int) error {
 	var start time.Time
 	if d.dm != nil {
 		start = time.Now()
@@ -324,31 +364,38 @@ func (d *Document) publishLocked(deltas []*core.Delta, guide *dataguide.Guide, n
 		st   index.DeltaStats
 		err  error
 	)
-	if prev := d.cur.Load(); prev != nil && len(deltas) > 0 {
-		if merged := core.MergeDeltas(deltas); !merged.Full {
-			// The error is dropped on purpose: incremental assembly fails only
-			// on an internal invariant violation, leaves snap nil and has
-			// committed nothing, and the full clone below recovers from it.
-			snap, st, _ = d.assembleBatchLocked(prev, deltas, merged, guide, nodes, depths)
-		}
+	prev := d.cur.Load()
+	if prev != nil && len(w.deltas) > 0 && !slices.ContainsFunc(w.deltas, func(delta *core.Delta) bool { return delta.Full }) {
+		// The error is dropped on purpose: incremental assembly fails only
+		// on an internal invariant violation, leaves snap nil and has
+		// committed nothing, and the full build below recovers from it.
+		snap, st, _ = d.assembleBatchLocked(prev, w, guide, nodes, depths)
 	}
 	full := snap == nil
 	if full {
-		if snap, err = d.assembleFullLocked(nodes, depths); err != nil {
+		if snap, err = d.assembleFullLocked(w, nodes, depths); err != nil {
 			return err
 		}
+	}
+	if w.num != nil {
+		w.num.Seal()
 	}
 	d.epoch++
 	snap.epoch = d.epoch
 	d.cur.Store(snap)
 	d.nodeCount, d.depthSum = nodes, depths
+	if prev != nil && prev.num != nil {
+		// Nothing published is ever written: a write that skipped own shows
+		// here, as a stamp of the previous epoch disagreeing with its table K.
+		prev.num.AssertK("publishing the next epoch")
+	}
 	if !full {
 		// In out-of-core mode the payload table follows the epoch (the store
 		// serves the latest one). It replays the deltas in application order:
 		// each deletes dropped/old-key rows before writing new bindings, so
 		// relabel chains across batch members resolve to the final keys. A
 		// full publication paged out a fresh store instead.
-		for _, delta := range deltas {
+		for _, delta := range w.deltas {
 			if err = d.maintainPayloadsLocked(delta); err != nil {
 				err = fmt.Errorf("%w: payload table behind epoch %d: %w", ErrStorage, d.epoch, err)
 				break
@@ -368,79 +415,45 @@ func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, s scheme.
 	return &Snapshot{tree: tree, num: num, s: s, schemeName: d.schemeName, planner: planner, nodes: nodes}
 }
 
-// assembleFullLocked builds the next epoch over a full clone of the master,
-// sharing nothing with the previous one. Under ruid the numbering is
-// re-pointed at the clone (and, out of core, the snapshot paged out into a
-// fresh store before it can become visible); any other scheme re-numbers the
-// clone through its registry constructor — the trade documented in
-// Options.Scheme. Callers hold d.mu.
-func (d *Document) assembleFullLocked(nodes, depths int) (*Snapshot, error) {
-	tree, mapping := d.master.CloneWithMap()
-	if d.num == nil {
-		s, err := d.sreg.Build(tree)
-		if err != nil {
-			return nil, err
-		}
-		return d.snapshotOf(tree, nil, s, query.New(tree, s), nodes), nil
-	}
-	num, err := d.num.CloneFor(tree, mapping)
-	if err != nil {
-		return nil, err
-	}
-	snap := d.snapshotOf(tree, num, num, query.New(tree, num), nodes)
+// assembleFullLocked builds the next epoch's index and guide from scratch
+// over w's tree, sharing neither with the previous epoch (out of core, the
+// snapshot is paged out into a fresh store before it can become visible).
+// Callers hold d.mu.
+func (d *Document) assembleFullLocked(w *working, nodes, depths int) (*Snapshot, error) {
+	tree := w.doc()
+	snap := d.snapshotOf(tree, w.num, w.s, query.New(tree, w.s), nodes)
 	if d.poolPages > 0 {
 		if err := d.pageOutSnapshot(snap, depths); err != nil {
 			return nil, err
 		}
 	}
-	d.m2e = mapping
 	return snap, nil
 }
 
 // assembleBatchLocked builds the next epoch incrementally from the previous
-// one: tree and numbering derive from the merged delta, the index patch and
-// the master→epoch bookkeeping from the per-mutation deltas. nodes and depths
-// are passed explicitly because the document's own counters are not
-// committed until the epoch is installed. Callers hold d.mu.
-func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, merged *core.Delta, guide *dataguide.Guide, nodes, depths int) (*Snapshot, index.DeltaStats, error) {
-	copySet := d.num.CopySet(merged)
-	tree, copies, err := d.master.CloneAlong(copySet, d.m2e)
-	if err != nil {
-		return nil, index.DeltaStats{}, err
-	}
-	num, err := d.num.CloneDelta(prev.num, merged, copies, d.m2e)
-	if err != nil {
-		return nil, index.DeltaStats{}, err
-	}
-	ix, st, err := d.applyIndexBatch(prev, num, deltas)
+// one: tree and numbering are the fork as the batch left it, the index is
+// prev's patched with the batch's edits. nodes and depths are passed
+// explicitly because the document's own counters are not committed until the
+// epoch is installed. Callers hold d.mu.
+func (d *Document) assembleBatchLocked(prev *Snapshot, w *working, guide *dataguide.Guide, nodes, depths int) (*Snapshot, index.DeltaStats, error) {
+	ix, st, err := applyIndexBatch(prev, w)
 	if err != nil {
 		return nil, st, err
 	}
+	tree := w.doc()
 	if guide == nil {
 		// A fold inconsistency was detected mid-batch; the guide holds label
-		// paths and counts only, so rebuilding from the master is safe.
-		guide = dataguide.Build(d.master)
+		// paths and counts only, so rebuilding from the tree is safe.
+		guide = dataguide.Build(tree)
 	}
-	// Commit the master→epoch mapping only once every component assembled.
-	for xm, xc := range copies {
-		d.m2e[xm] = xc
-	}
-	for _, delta := range deltas {
-		if delta.Removed != nil {
-			delta.Removed.WalkFull(func(x *xmltree.Node) bool {
-				delete(d.m2e, x)
-				return true
-			})
-		}
-	}
-	return d.snapshotOf(tree, num, num, query.NewWithState(tree, num, ix, guide, nodes, depths), nodes), st, nil
+	return d.snapshotOf(tree, w.num, w.num, query.NewWithState(tree, w.num, ix, guide, nodes, depths), nodes), st, nil
 }
 
 // applyIndexBatch composes the batch's per-mutation deltas into one set of
 // per-name posting edits against prev's index. Identifiers may be relabeled
 // several times inside one batch; the index only needs the ENDPOINTS of
-// each chain — a node's first pre-batch identifier and its final one (read
-// off the post-batch master numbering). Three cases fold out:
+// each chain — a node's first pre-batch identifier and its final one (the
+// stamp it carries once the batch is through). Three cases fold out:
 //
 //   - pre-existing node, still present: relabel firstOld → final (dropped
 //     when they coincide — the chain returned to its origin);
@@ -450,29 +463,33 @@ func (d *Document) assembleBatchLocked(prev *Snapshot, deltas []*core.Delta, mer
 //     delete leaves no trace — its intermediate identifiers never existed
 //     in any published posting list).
 //
-// A node is pre-existing exactly when d.m2e still maps it: the mapping is
-// committed only after the epoch assembled. The index rejects an edit of an
-// identifier prev never held, so the test has to be exact — a node inserted
-// and then detached inside the batch (alone, or below an inserted subtree
-// that stays) must not reach it.
-func (d *Document) applyIndexBatch(prev *Snapshot, num *core.Numbering, deltas []*core.Delta) (*index.NameIndex, index.DeltaStats, error) {
+// A node is pre-existing exactly when the batch did not bear it (w.born).
+// The index rejects an edit of an identifier prev never held, so the test
+// has to be exact — a node inserted and then detached inside the batch
+// (alone, or below an inserted subtree that stays) must not reach it. The
+// nodes named are the fork's: a delta names a relabeled node by the copy
+// that carries the new stamp, and the fork keeps that copy for the rest of
+// the batch, so one node is one key.
+func applyIndexBatch(prev *Snapshot, w *working) (*index.NameIndex, index.DeltaStats, error) {
 	// First pre-batch identifier of every pre-existing element the batch
-	// touched, in application order.
+	// touched, in application order, and the elements it detached.
 	orig := make(map[*xmltree.Node]core.ID)
+	gone := make(map[*xmltree.Node]bool)
 	note := func(x *xmltree.Node, id core.ID) {
-		if x.Kind != xmltree.Element || d.m2e[x] == nil {
+		if _, born := w.born[x]; born || x.Kind != xmltree.Element {
 			return
 		}
 		if _, seen := orig[x]; !seen {
 			orig[x] = id
 		}
 	}
-	for _, delta := range deltas {
+	for _, delta := range w.deltas {
 		for _, r := range delta.Relabels {
 			note(r.Node, r.Old)
 		}
 		for _, p := range delta.Dropped {
 			note(p.Node, p.ID)
+			gone[p.Node] = true
 		}
 	}
 	edits := make(map[string]*index.NameDelta)
@@ -485,33 +502,22 @@ func (d *Document) applyIndexBatch(prev *Snapshot, num *core.Numbering, deltas [
 		return nd
 	}
 	for x, old := range orig {
-		if cur, ok := d.num.RUID(x); !ok {
+		if gone[x] {
 			nd := edit(x.Name)
 			nd.Removed = append(nd.Removed, old)
-		} else if cur != old {
+		} else if cur, _ := w.num.RUID(x); cur != old {
 			nd := edit(x.Name)
 			nd.Relabeled = append(nd.Relabeled, index.IDPair{Old: old, New: cur})
 		}
 	}
-	// Elements inserted by this batch and still attached. An insert below an
-	// earlier insert of the same batch is walked twice, hence the set.
-	seen := make(map[*xmltree.Node]bool)
-	for _, delta := range deltas {
-		if delta.Inserted == nil {
-			continue
+	for x := range w.born {
+		if !gone[x] {
+			id, _ := w.num.RUID(x)
+			nd := edit(x.Name)
+			nd.Inserted = append(nd.Inserted, id)
 		}
-		delta.Inserted.Walk(func(x *xmltree.Node) bool {
-			if x.Kind == xmltree.Element && !seen[x] {
-				seen[x] = true
-				if id, ok := d.num.RUID(x); ok {
-					nd := edit(x.Name)
-					nd.Inserted = append(nd.Inserted, id)
-				}
-			}
-			return true
-		})
 	}
-	return prev.Index().ApplyDelta(num, edits)
+	return prev.Index().ApplyDelta(w.num, edits)
 }
 
 // Snapshot pins the current epoch. The returned snapshot never changes;
@@ -563,12 +569,12 @@ func subtreeStats(x *xmltree.Node, depth int) (count, depths int) {
 	return count, depths
 }
 
-// findOneLocked resolves a writer's target path against the master tree
-// using pointer navigation (the master numbering may be mid-flight between
-// epochs, so identifiers are not used here).
-func (d *Document) findOneLocked(path string) (*xmltree.Node, error) {
-	engine := xpath.NewEngine(d.master, xpath.PointerNavigator{})
-	res, err := engine.Query(path)
+// findOne resolves a writer's target path on the working state: under ruid
+// with the fork's own identifier arithmetic — between two members of a batch
+// the fork is as consistent as any epoch — and otherwise by pointer
+// navigation over the private clone.
+func (w *working) findOne(path string) (*xmltree.Node, error) {
+	res, err := xpath.NewEngine(w.doc(), w.navigator()).Query(path)
 	if err != nil {
 		return nil, err
 	}
@@ -578,6 +584,25 @@ func (d *Document) findOneLocked(path string) (*xmltree.Node, error) {
 		}
 	}
 	return nil, fmt.Errorf("document: no element matches %q", path)
+}
+
+func (w *working) navigator() xpath.Navigator {
+	if w.num != nil {
+		return xpath.SchemeNavigator{S: w.num}
+	}
+	return xpath.PointerNavigator{}
+}
+
+// elementPath returns the names of the elements from the root element down
+// to x, x included.
+func (w *working) elementPath(x *xmltree.Node) []string {
+	names := []string{x.Name}
+	w.navigator().Ancestors(x, func(a *xmltree.Node) bool {
+		names = append(names, a.Name)
+		return true
+	})
+	slices.Reverse(names)
+	return names
 }
 
 // ErrReadOnlyScheme reports a structural update against a document whose

@@ -91,9 +91,9 @@ func TestFailedWriteLeavesEpochUntouched(t *testing.T) {
 }
 
 // TestEpochStructuralSharing pins the tentpole property: an area-confined
-// write publishes an epoch that shares every untouched subtree with the
-// previous epoch by pointer, while the dirty area and its root spine are
-// fresh copies.
+// write publishes an epoch that shares everything it did not write with the
+// previous epoch by pointer, while the update parent, the relabeled members
+// of its area and the root spine are fresh copies.
 func TestEpochStructuralSharing(t *testing.T) {
 	// A tight area budget splits each two-node branch (b2+b2x, a2+a2x, …)
 	// into its own area, so an insert under b2 dirties exactly that area
@@ -137,14 +137,15 @@ func TestEpochStructuralSharing(t *testing.T) {
 		t.Fatalf("epochs %d → %d", s1.Epoch(), s2.Epoch())
 	}
 
-	// Untouched subtrees: shared by pointer across the epochs.
-	for _, q := range []string{"//shelfa", "//a1", "//a2x", "//b1", "//b1x", "//b3x"} {
+	// Untouched subtrees: shared by pointer across the epochs — b2x too, the
+	// left sibling of the insertion point, whose label and children stand.
+	for _, q := range []string{"//shelfa", "//a1", "//a2x", "//b1", "//b1x", "//b3x", "//b2x"} {
 		if one(s1, q) != one(s2, q) {
 			t.Errorf("untouched node %s was copied between epochs", q)
 		}
 	}
-	// Dirty area and spine: fresh copies.
-	for _, q := range []string{"//b2", "//b2x", "//shelfb"} {
+	// Update parent and spine: fresh copies.
+	for _, q := range []string{"//b2", "//shelfb"} {
 		if one(s1, q) == one(s2, q) {
 			t.Errorf("touched node %s shared between epochs", q)
 		}
@@ -171,7 +172,7 @@ func TestEpochStructuralSharing(t *testing.T) {
 		t.Error("untouched b-side copied by a-side write")
 	}
 	if one(s2, "//a2x") == one(s3, "//a2x") {
-		t.Error("dirty a-side shared after write")
+		t.Error("a2x, relabeled by the insert before it, shared after the write")
 	}
 	// All three epochs remain individually consistent.
 	for i, want := range []string{"", "<b2y/>", "<a2y/>"} {
@@ -235,13 +236,13 @@ func TestEpochNumberingSharing(t *testing.T) {
 }
 
 // TestEpochNumberingsAnswerPositionalPaths is the differential case on
-// epoch numberings — table-K rows made by CloneDelta, not by Build: 200
+// epoch numberings — table-K rows written by forks, not by Build: 200
 // seeded insert/delete pairs through the Document, and after each pair the
 // snapshot's scheme engine against the pointer engine on positional paths
 // that cross the touched areas. Forward paths are compared node for node on
 // the snapshot's own tree; paths that climb are compared by label on a full
-// clone, because a partial copy's Parent pointers lead out of it
-// (xmltree.CloneAlong).
+// clone, because a path-copied tree's Parent pointers lead out of it
+// (xmltree.ShallowCopy).
 func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := document.FromTree(xmltree.XMark(2, 5), document.Options{
@@ -319,12 +320,12 @@ func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
 		}
 	}
 	if incr := reg.Counter("doc.publish_incremental").Value(); incr < 300 {
-		t.Fatalf("only %d of the publications were incremental; the case is about CloneDelta rows", incr)
+		t.Fatalf("only %d of the publications were incremental; the case is about rows written by forks", incr)
 	}
 }
 
 // TestPinnedEpochRowsNeverWritten pins an epoch, pushes 200 area-confined
-// writes through CloneDelta behind it, and checks the pinned epoch's table K
+// writes through forks behind it, and checks the pinned epoch's table K
 // again: later epochs share its rows' slot arrays, so a write into one —
 // rebinding a slot to a fresh node copy without copying the array first —
 // would make the pinned numbering resolve an identifier to a node of another
@@ -395,7 +396,7 @@ func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 		}
 	}
 	if incr := reg.Counter("doc.publish_incremental").Value(); writes < 200 || incr < uint64(writes) {
-		t.Fatalf("%d writes, %d incremental publications; the case is about 200 rows CloneDelta shares", writes, incr)
+		t.Fatalf("%d writes, %d incremental publications; the case is about 200 rows the forks share", writes, incr)
 	}
 	if got := d.Snapshot().Epoch(); got != pinned.Epoch()+uint64(writes) {
 		t.Fatalf("epoch %d after %d writes on epoch %d", got, writes, pinned.Epoch())

@@ -23,11 +23,11 @@ import (
 // amortizes exactly that part. Writers enqueue mutations into a bounded
 // intake queue (optionally behind a WAL, where an Enqueue return IS the
 // durability acknowledgment); a commit loop drains up to MaxBatch of them,
-// applies each to the master one at a time — every mutation still
-// area-confined, with per-mutation rollback — and then publishes ONE epoch
-// whose scope is the union of the batch's update areas (core.MergeDeltas):
-// one CloneAlong, one CloneDelta, one index patch, one atomic pointer
-// store, however many mutations rode along.
+// applies each to one fork of the newest epoch one at a time — every
+// mutation still area-confined, each all-or-nothing — and then publishes the
+// fork as ONE epoch: one spine copy, one index patch, one atomic pointer
+// store, however many mutations rode along (a node or K row the batch writes
+// twice is copied once).
 //
 // Durability and visibility are deliberately split: Enqueue returns when
 // the mutation is durable (per the WAL's sync policy), Ticket.Wait returns
@@ -117,7 +117,7 @@ func (t *Ticket) Done() <-chan struct{} { return t.op.done }
 
 // Wait blocks until the mutation is visible or ctx ends, and returns its
 // §3.2 relabeling statistics. A batch member that failed mid-merge gets its
-// own error while the rest of the batch publishes (rollback atomicity is per
+// own error while the rest of the batch publishes (atomicity is per
 // mutation); a publication failure fails every member.
 func (t *Ticket) Wait(ctx context.Context) (scheme.UpdateStats, error) {
 	select {
@@ -423,25 +423,25 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 }
 
 // writable reports why the document cannot take structural updates at all:
-// a cold-opened master is shared with its snapshot, and a registry scheme
-// may not declare the Update capability.
+// a cold-opened document refuses them (see Document.readonly), and a registry
+// scheme may not declare the Update capability.
 func (d *Document) writable() error {
 	if d.readonly {
 		return ErrColdDocument
 	}
-	if d.num == nil {
-		if _, ok := d.gs.(scheme.Updatable); !ok {
-			return fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
-		}
+	if _, ok := d.cur.Load().s.(scheme.Updatable); !ok {
+		return fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
 	}
 	return nil
 }
 
-// applyBatchLocked applies every member of one batch to the master —
-// each mutation individually area-confined and individually rolled back on
-// failure — and publishes ONE epoch covering the successful ones. It
-// returns how many members applied and publishes nothing when none did.
-// Per-op outcomes land on the ops. Callers hold d.mu.
+// applyBatchLocked applies every member of one batch to one working
+// successor of the newest epoch — each mutation resolved on the state the
+// ones before it left, individually area-confined and individually a no-op
+// on failure — and publishes it as ONE epoch covering the successful ones.
+// It returns how many members applied; when none did the working state is
+// dropped and nothing is published. Per-op outcomes land on the ops. Callers
+// hold d.mu.
 func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 	fail := func(ops []*pendingOp, err error) int {
 		for _, op := range ops {
@@ -452,53 +452,64 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 	if err := d.writable(); err != nil {
 		return fail(batch, err)
 	}
+	prev := d.cur.Load()
+	w, err := d.forkLocked(prev)
+	if err != nil {
+		return fail(batch, err)
+	}
 	var (
-		deltas  []*core.Delta
 		applied []*pendingOp
 		nodes   = d.nodeCount
 		depths  = d.depthSum
 		fold    *dataguide.Batch
 	)
-	if prev := d.cur.Load(); d.num != nil && prev != nil && prev.Guide() != nil {
+	if w.num != nil && prev.Guide() != nil {
 		fold = prev.Guide().Begin()
 	}
-	// Writer paths resolve against the master by pointer navigation; one
-	// batch resolves each distinct parent path once. Any delete may detach
-	// a memoized parent (or an ancestor of one), so deletes flush the memo.
-	memo := make(map[string]*xmltree.Node, len(batch))
+	rootDepth := 0
+	if w.doc().Kind == xmltree.Document {
+		rootDepth = 1
+	}
 	for _, op := range batch {
-		parent, hit := memo[op.parent]
-		if !hit {
-			var err error
-			if parent, err = d.findOneLocked(op.parent); err != nil {
-				op.err = err
-				continue
-			}
-			memo[op.parent] = parent
-		}
-		delta, sub, err := d.applyOpLocked(op, parent)
+		// Every member resolves its own path: an earlier insert or delete
+		// changes what a positional path selects.
+		parent, err := w.findOne(op.parent)
 		if err != nil {
 			op.err = err
 			continue
 		}
-		c, dd := subtreeStats(sub, parent.Depth()+1)
-		if op.insert {
-			nodes += c
-			depths += dd
-		} else {
-			nodes -= c
-			depths -= dd
-			clear(memo)
+		path := w.elementPath(parent)
+		sub, err := w.apply(op, parent)
+		if err != nil {
+			op.err = err
+			continue
 		}
-		if delta != nil {
-			deltas = append(deltas, delta)
+		c, dd := subtreeStats(sub, rootDepth+len(path))
+		sign := +1
+		if !op.insert {
+			c, dd, sign = -c, -dd, -1
+		}
+		nodes += c
+		depths += dd
+		if w.num != nil {
+			if op.insert {
+				sub.Walk(func(x *xmltree.Node) bool {
+					if x.Kind == xmltree.Element {
+						w.born[x] = struct{}{}
+					}
+					return true
+				})
+			}
 			// The guide update folds EAGERLY, at apply time, because the fold
 			// walks the subtree: an inserted subtree must be counted as it was
 			// inserted, before a later batch member deletes inside it (whose own
 			// fold then subtracts exactly that part). A deferred walk would see
 			// the post-batch shape and double-subtract. The fold shares ONE
-			// guide copy across the whole batch.
-			foldGuideUpdate(fold, delta)
+			// guide copy across the whole batch; a nil or broken fold stays
+			// broken, and publication then rebuilds the guide from the tree.
+			if fold != nil {
+				fold.Update(path, sub, sign)
+			}
 		}
 		op.rc.Stamp(obs.StageMerged)
 		applied = append(applied, op)
@@ -510,7 +521,7 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 	if fold != nil {
 		guide = fold.Guide()
 	}
-	if err := d.publishLocked(deltas, guide, nodes, depths); err != nil {
+	if err := d.publishLocked(w, guide, nodes, depths); err != nil {
 		return fail(applied, err)
 	}
 	for _, op := range applied {
@@ -519,56 +530,38 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 	return len(applied)
 }
 
-// applyOpLocked applies one mutation below parent on the master and records
+// apply applies one mutation below parent on the working state and records
 // its §3.2 statistics on op — the only step of the pipeline that differs by
-// scheme. It returns the inserted or removed subtree and, under ruid, the
-// update's delta; a registry scheme (already checked Updatable by writable)
-// has none and publishes by full clone. Callers hold d.mu.
-func (d *Document) applyOpLocked(op *pendingOp, parent *xmltree.Node) (delta *core.Delta, sub *xmltree.Node, err error) {
+// scheme. It returns the inserted or removed subtree; under ruid the update's
+// delta joins w.deltas, a registry scheme (already checked Updatable by
+// writable) has none and publishes by full rebuild.
+func (w *working) apply(op *pendingOp, parent *xmltree.Node) (sub *xmltree.Node, err error) {
+	var delta *core.Delta
 	switch {
-	case d.num != nil && op.insert:
-		op.stats, delta, err = d.num.InsertChildDelta(parent, op.pos, op.child)
-		return delta, op.child, err
-	case d.num != nil:
-		if op.stats, delta, err = d.num.DeleteChildDelta(parent, op.pos); err != nil {
-			return nil, nil, err
-		}
-		return delta, delta.Removed, nil
+	case w.num != nil && op.insert:
+		op.stats, delta, err = w.num.InsertChildDelta(parent, op.pos, op.child)
+	case w.num != nil:
+		op.stats, delta, err = w.num.DeleteChildDelta(parent, op.pos)
 	case op.insert:
-		op.stats, err = d.gs.(scheme.Updatable).InsertChild(parent, op.pos, op.child)
-		return nil, op.child, err
+		op.stats, err = w.s.(scheme.Updatable).InsertChild(parent, op.pos, op.child)
 	default:
 		if op.pos < 0 || op.pos >= len(parent.Children) {
-			return nil, nil, fmt.Errorf("document: delete position %d out of range", op.pos)
+			return nil, fmt.Errorf("document: delete position %d out of range", op.pos)
 		}
 		sub = parent.Children[op.pos]
-		op.stats, err = d.gs.(scheme.Updatable).DeleteChild(parent, op.pos)
-		return nil, sub, err
+		op.stats, err = w.s.(scheme.Updatable).DeleteChild(parent, op.pos)
 	}
-}
-
-// foldGuideUpdate accumulates one mutation's DataGuide update into the
-// batch fold. A nil or broken fold stays broken; publication then rebuilds
-// the guide from the master.
-func foldGuideUpdate(fold *dataguide.Batch, delta *core.Delta) {
-	if fold == nil {
-		return
+	if err != nil {
+		return nil, err
 	}
-	sub, sign := delta.Inserted, +1
-	if sub == nil {
-		sub, sign = delta.Removed, -1
+	if delta != nil {
+		w.deltas = append(w.deltas, delta)
+		sub = delta.Removed
 	}
-	if sub == nil {
-		return
+	if op.insert {
+		sub = op.child
 	}
-	var prefix []string
-	for p := delta.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
-		prefix = append(prefix, p.Name)
-	}
-	for i, j := 0, len(prefix)-1; i < j; i, j = i+1, j-1 {
-		prefix[i], prefix[j] = prefix[j], prefix[i]
-	}
-	fold.Update(prefix, sub, sign)
+	return sub, nil
 }
 
 // Mutation record payload, the document layer's WAL encoding:

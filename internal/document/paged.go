@@ -27,10 +27,9 @@ import (
 // fault in only the blocks their skip tables admit.
 
 // ErrColdDocument reports a structural update against a cold-opened
-// document. A cold open shares the parsed tree between the master and the
-// first snapshot (materializing a private master would defeat the cold
-// open), so the epoch immutability invariant forbids writes; reopen the
-// bundle through Open/FromTree to update it. Test with errors.Is.
+// document, which serves reads only until a bundle carries its WAL position
+// (see Document.readonly); reopen the bundle through Open/FromTree to update
+// it. Test with errors.Is.
 var ErrColdDocument = errors.New("document: cold-opened document is read-only")
 
 // wireIOStats points the planner's per-stage I/O attribution at the
@@ -104,13 +103,14 @@ func (d *Document) pageOutSnapshot(snap *Snapshot, depthTotal int) error {
 // maintainPayloadsLocked applies an update's delta to the payload table:
 // dropped rows and the old keys of relabeled rows are removed first, then
 // every new binding is written, so a relabel chain never leaves a stale row
-// under a reused key. Inserted subtrees are walked with the master
-// numbering (their identifiers are identical in the new epoch). Callers
-// hold d.mu; a nil delta or a non-paged document is a no-op.
+// under a reused key. Inserted subtrees are walked as the batch left them,
+// for the stamps the new epoch carries. Callers hold d.mu; a non-paged
+// document is a no-op.
 func (d *Document) maintainPayloadsLocked(delta *core.Delta) error {
-	if d.store == nil || delta == nil {
+	if d.store == nil {
 		return nil
 	}
+	num := d.cur.Load().num
 	for _, p := range delta.Dropped {
 		if _, err := d.store.Nodes.Delete(p.ID); err != nil {
 			return err
@@ -129,7 +129,7 @@ func (d *Document) maintainPayloadsLocked(delta *core.Delta) error {
 	var werr error
 	if delta.Inserted != nil {
 		delta.Inserted.WalkFull(func(x *xmltree.Node) bool {
-			if id, ok := d.num.RUID(x); ok {
+			if id, ok := num.RUID(x); ok {
 				if err := d.store.Nodes.Put(id, x); err != nil {
 					werr = err
 					return false
@@ -268,8 +268,6 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 		exec:       exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
 		reg:        opts.Observe,
 		dm:         newDocMetrics(opts.Observe),
-		master:     doc,
-		num:        num,
 		schemeName: "ruid",
 		nodeCount:  nodes,
 		depthSum:   depths,
@@ -278,8 +276,7 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 		readonly:   true,
 		epoch:      1,
 	}
-	// The cold snapshot shares the parsed tree with the master — legal only
-	// because the document refuses writes.
+	num.Seal()
 	snap := d.snapshotOf(doc, num, num, query.NewWithState(doc, num, ix, dataguide.Build(doc), nodes, depths), nodes)
 	snap.epoch = 1
 	d.cur.Store(snap)

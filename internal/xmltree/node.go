@@ -53,11 +53,11 @@ func (k Kind) String() string {
 // into the node it numbers, so that node→identifier is a field read with no
 // per-node table beside the tree. The zero value means "not numbered" (G is
 // never 0 in a valid stamp). xmltree does not interpret the fields and only
-// copies them (Clone, CloneWithMap and CloneAlong copy a node's stamp with
-// it, which is how an epoch copy of a numbered tree is numbered for free).
+// copies them (Clone, CloneWithMap and ShallowCopy copy a node's stamp with
+// it, which is how a copy of a numbered tree is numbered for free).
 //
 // internal/core keeps its 2-level ruid (global, local, root-flag) here, in
-// master trees and epoch copies alike. A node has one stamp, so a tree
+// every tree it numbers. A node has one stamp, so a tree
 // carries at most one such numbering at a time: numbering a tree again
 // overwrites the stamps, and the earlier numbering must not be used after
 // that. core clears the stamps of a subtree it deletes and of one it is
@@ -348,9 +348,8 @@ func (n *Node) Clone() *Node {
 
 // CloneWithMap returns a deep copy of the subtree rooted at n together
 // with a mapping from every original node (attributes included) to its
-// clone. The document facade uses the mapping to re-point a numbering at
-// the cloned tree (core.Numbering.CloneFor) when publishing a snapshot
-// epoch.
+// clone, which is what re-points a numbering at the cloned tree
+// (core.Numbering.CloneFor).
 func (n *Node) CloneWithMap() (*Node, map[*Node]*Node) {
 	m := make(map[*Node]*Node)
 	return n.cloneInto(m), m
@@ -372,6 +371,25 @@ func (n *Node) cloneInto(m map[*Node]*Node) *Node {
 		cc := ch.cloneInto(m)
 		cc.Parent = c
 		c.Children = append(c.Children, cc)
+	}
+	return c
+}
+
+// ShallowCopy returns a copy of n alone, for path-copying writers: the copy
+// has its own child list holding n's children themselves, its own copies of
+// n's attributes (an attribute is reached only through its element, so the
+// two are copied together), n's stamp, and parent as its Parent.
+//
+// The children are shared, not adopted: each keeps the Parent pointer of the
+// tree it was created in, so upward navigation from inside a shared subtree
+// leaves the copy's tree — readers of a path-copied tree go up through a
+// numbering scheme. Downward navigation (Children, Attrs) is always
+// consistent.
+func (n *Node) ShallowCopy(parent *Node) *Node {
+	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, Num: n.Num, Parent: parent}
+	c.Children = append(c.Children, n.Children...)
+	for _, a := range n.Attrs {
+		c.Attrs = append(c.Attrs, &Node{Kind: Attribute, Name: a.Name, Data: a.Data, Parent: c, Num: a.Num})
 	}
 	return c
 }
