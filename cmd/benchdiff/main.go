@@ -56,10 +56,11 @@ func load(path string) (map[string]result, error) {
 // requiredBenches must exist in every current run: the publication benches
 // (and the exact counts: postings a mutation re-encodes, the index's half of
 // the paper's confined update scope; nodes a count-only query resolves,
-// which is none; candidates a positional lookup's axis walks visit; and the
+// which is none; candidates a positional lookup's axis walks visit; the
 // area count and κ of the table K built for the bench document, which move
-// when a partition change renames the identifiers) are the point of the
-// gate; refuse to pass a run in which they went missing (renamed, dropped
+// when a partition change renames the identifiers; and the live heap an open
+// document holds per node, which a second per-document tree nearly doubles)
+// are the point of the gate; refuse to pass a run in which they went missing (renamed, dropped
 // from the harness).
 var requiredBenches = []string{
 	"epoch_publish/nodes=5000",
@@ -71,6 +72,7 @@ var requiredBenches = []string{
 	"read/nav_visited_per_point_query",
 	"build/k_rows",
 	"build/kappa",
+	"open/heap_bytes_per_node",
 	"obs2/server_query/on",
 	"obs2/group_write/on",
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -758,10 +760,18 @@ func writeRows() []microResult {
 // that document — its area count and the frame fan-out κ. Every identifier
 // is a function of the partition, so a change to area-root selection that
 // silently renames them all moves one of the two and fails the gate.
+//
+// open/heap_bytes_per_node is what one opened copy of that document keeps
+// alive, per node: the growth of the live heap (HeapAlloc after two
+// collections) across document.OpenString, over the node count. A document
+// holds one tree — the epochs, which share what writes leave alone — so a
+// second per-document copy of it (+70 % on this row) fails the gate.
 func readRows() []microResult {
+	src := xmltree.Serialize(xmltree.XMark(20, 1))
+	heapPerNode := openHeapPerNode(src)
 	reg := obs.NewRegistry()
 	srv := server.New(server.Config{Observe: reg})
-	d, err := srv.Open("bench", xmltree.Serialize(xmltree.XMark(20, 1)))
+	d, err := srv.Open("bench", src)
 	if err != nil {
 		panic(err)
 	}
@@ -801,7 +811,31 @@ func readRows() []microResult {
 		Name:       "build/kappa",
 		Iterations: 1,
 		NsPerOp:    float64(built.Kappa),
+	}, {
+		Name:       "open/heap_bytes_per_node",
+		Iterations: 1,
+		NsPerOp:    heapPerNode,
 	}}
+}
+
+// openHeapPerNode opens src and returns the live heap the document holds,
+// in bytes per node.
+func openHeapPerNode(src string) float64 {
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	d, err := document.OpenString(src, document.Options{})
+	if err != nil {
+		panic(err)
+	}
+	after := live()
+	nodes := d.Stats().Nodes // also keeps d alive across the measurement
+	return math.Round(float64(after-before) / float64(nodes))
 }
 
 // Default scale of the out-of-core I/O rows: big enough that the stored

@@ -11,7 +11,52 @@ import (
 
 // Write-failure atomicity (see update.go): a failed InsertChild or
 // DeleteChild must leave the tree and every piece of numbering state
-// byte-identical to the pre-call state.
+// byte-identical to the pre-call state. On a fork — where the failed call
+// may already have copied the update parent and its spine, copies that
+// differ from their originals in identity only — it must read the same
+// (assertReadsSame) and must not have written the numbering it was forked
+// from, which is held to the byte-identical standard.
+
+// eachOwnership runs a failure scenario twice: on the numbering Build
+// returned, updated in place, and on a fork of it. check compares the
+// updated numbering before and after the failed call; after the scenario the
+// fork's origin must be exactly as it was.
+func eachOwnership(t *testing.T, build func(t *testing.T) *Numbering, scenario func(t *testing.T, n *Numbering, check func(t *testing.T, before, after numFingerprint))) {
+	t.Run("owning", func(t *testing.T) { scenario(t, build(t), assertSameFingerprint) })
+	t.Run("fork", func(t *testing.T) {
+		origin := build(t)
+		before := fingerprint(t, origin)
+		scenario(t, origin.Fork(), assertReadsSame)
+		assertSameFingerprint(t, before, fingerprint(t, origin))
+		verifyAgainstGroundTruth(t, origin)
+	})
+}
+
+// verify holds n to the ground truth, through a clone when it is a fork.
+func verify(t *testing.T, n *Numbering) {
+	t.Helper()
+	if n.copied != nil {
+		verifyFork(t, n)
+		return
+	}
+	verifyAgainstGroundTruth(t, n)
+}
+
+// assertReadsSame is assertSameFingerprint without node identity: same
+// serialized tree, same κ and table K, same identifier on every node in
+// document order (the Save image).
+func assertReadsSame(t *testing.T, before, after numFingerprint) {
+	t.Helper()
+	if before.xml != after.xml {
+		t.Fatalf("tree changed:\nbefore %s\nafter  %s", before.xml, after.xml)
+	}
+	if before.kappa != after.kappa || before.localLimit != after.localLimit || before.size != after.size || !reflect.DeepEqual(before.k, after.k) {
+		t.Fatalf("globals or table K changed:\nbefore %v\nafter  %v", before.k, after.k)
+	}
+	if !bytes.Equal(before.saved, after.saved) {
+		t.Fatalf("serialized numbering changed (%d vs %d bytes)", len(before.saved), len(after.saved))
+	}
+}
 
 // numFingerprint captures everything observable about a numbering and its
 // tree for exact before/after comparison.
@@ -141,49 +186,53 @@ func mustParse(t *testing.T, src string) *xmltree.Node {
 // relabeled and a child area's K row already moved. The whole update must
 // roll back.
 func TestInsertRollbackOnUnhealableOverflow(t *testing.T) {
-	doc := mustParse(t, "<r><h><c1/><c2><d/></c2><c3/></h></r>")
-	r := doc.DocumentElement()
-	h := r.FirstChildElement("h")
-	c2 := h.ChildElements("")[1]
-	n, err := Build(doc, Options{
-		Roots:     map[*xmltree.Node]bool{h: true, c2: true},
-		Partition: PartitionConfig{MaxLocalBits: 2}, // local indices ≤ 4
+	eachOwnership(t, func(t *testing.T) *Numbering {
+		doc := mustParse(t, "<r><h><c1/><c2><d/></c2><c3/></h></r>")
+		h := doc.DocumentElement().FirstChildElement("h")
+		c2 := h.ChildElements("")[1]
+		n, err := Build(doc, Options{
+			Roots:     map[*xmltree.Node]bool{h: true, c2: true},
+			Partition: PartitionConfig{MaxLocalBits: 2}, // local indices ≤ 4
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sanity: the scenario needs h to head the area about to overflow.
+		if roots := areaRootsOf(n); !roots[h] || !roots[c2] {
+			t.Fatalf("fixture partition changed: areaRoots=%v", roots)
+		}
+		return n
+	}, func(t *testing.T, n *Numbering, check func(*testing.T, numFingerprint, numFingerprint)) {
+		h := func() *xmltree.Node { return n.Root().FirstChildElement("h") }
+		before := fingerprint(t, n)
+
+		// A fourth child pushes h's area to fan-out 4: slots run 2..5, past the
+		// local limit of 4, overflowing at h itself — unhealable, since h
+		// already heads its own area. By then the enumeration has found a new
+		// slot for c1 and for c2's K row; none of it may have been written.
+		w := xmltree.NewElement("w")
+		st, err := n.InsertChild(h(), 0, w)
+		if err == nil {
+			t.Fatalf("insert unexpectedly succeeded: %+v", st)
+		}
+		if !errors.Is(err, ErrOverflow) {
+			t.Fatalf("err = %v, want ErrOverflow", err)
+		}
+		if w.Parent != nil {
+			t.Fatalf("failed insert left child attached at %s", w.Path())
+		}
+		check(t, before, fingerprint(t, n))
+		verify(t, n)
+
+		// The numbering must still accept updates after the failure.
+		if _, err := n.DeleteChild(h(), 2); err != nil {
+			t.Fatalf("delete after the failure: %v", err)
+		}
+		if _, err := n.InsertChild(h(), 0, w); err != nil {
+			t.Fatalf("insert after the failure: %v", err)
+		}
+		verify(t, n)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sanity: the scenario needs h to head the area about to overflow.
-	if roots := areaRootsOf(n); !roots[h] || !roots[c2] {
-		t.Fatalf("fixture partition changed: areaRoots=%v", roots)
-	}
-	before := fingerprint(t, n)
-
-	// A fourth child pushes h's area to fan-out 4: slots run 2..5, past the
-	// local limit of 4, overflowing at h itself — unhealable, since h
-	// already heads its own area. Before the overflow is hit, c1 has been
-	// relabeled and c2's K row moved; all of it must roll back.
-	w := xmltree.NewElement("w")
-	st, err := n.InsertChild(h, 0, w)
-	if err == nil {
-		t.Fatalf("insert unexpectedly succeeded: %+v", st)
-	}
-	if !errors.Is(err, ErrOverflow) {
-		t.Fatalf("err = %v, want ErrOverflow", err)
-	}
-	if w.Parent != nil {
-		t.Fatalf("failed insert left child attached at %s", w.Path())
-	}
-	assertSameFingerprint(t, before, fingerprint(t, n))
-	verifyAgainstGroundTruth(t, n)
-
-	// The numbering must still accept updates after the rollback.
-	if _, err := n.DeleteChild(h, 2); err != nil {
-		t.Fatalf("delete after rollback: %v", err)
-	}
-	if _, err := n.InsertChild(h, 0, w); err != nil {
-		t.Fatalf("insert after rollback: %v", err)
-	}
-	verifyAgainstGroundTruth(t, n)
 }
 
 // TestInsertRollbackLeavesChainUntouched is the minimal §3.2 overflow
@@ -214,68 +263,73 @@ func TestInsertRollbackLeavesChainUntouched(t *testing.T) {
 // detached subtree is reattached and every dropped identifier and area —
 // the deleted subtree spans two whole areas here — is restored.
 func TestDeleteRollbackOnInjectedFailure(t *testing.T) {
-	doc := mustParse(t, "<r><s><tt><u/></tt></s><v/></r>")
-	r := doc.DocumentElement()
-	s := r.FirstChildElement("s")
-	tt := s.FirstChildElement("tt")
-	n, err := Build(doc, Options{Roots: map[*xmltree.Node]bool{s: true, tt: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.AreaCount() != 3 {
-		t.Fatalf("fixture has %d areas, want 3", n.AreaCount())
-	}
-	before := fingerprint(t, n)
+	eachOwnership(t, func(t *testing.T) *Numbering {
+		doc := mustParse(t, "<r><s><tt><u/></tt></s><v/></r>")
+		s := doc.DocumentElement().FirstChildElement("s")
+		n, err := Build(doc, Options{Roots: map[*xmltree.Node]bool{s: true, s.FirstChildElement("tt"): true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.AreaCount() != 3 {
+			t.Fatalf("fixture has %d areas, want 3", n.AreaCount())
+		}
+		return n
+	}, func(t *testing.T, n *Numbering, check func(*testing.T, numFingerprint, numFingerprint)) {
+		before := fingerprint(t, n)
 
-	injected := errors.New("injected re-enumeration failure")
-	reEnumFailHook = func(int64) error { return injected }
-	defer func() { reEnumFailHook = nil }()
-	if _, err := n.DeleteChild(r, 0); !errors.Is(err, injected) {
-		t.Fatalf("err = %v, want injected failure", err)
-	}
-	assertSameFingerprint(t, before, fingerprint(t, n))
-	verifyAgainstGroundTruth(t, n)
+		injected := errors.New("injected re-enumeration failure")
+		reEnumFailHook = func(int64) error { return injected }
+		defer func() { reEnumFailHook = nil }()
+		if _, err := n.DeleteChild(n.Root(), 0); !errors.Is(err, injected) {
+			t.Fatalf("err = %v, want injected failure", err)
+		}
+		check(t, before, fingerprint(t, n))
+		verify(t, n)
 
-	// With the failure gone the same delete succeeds and drops both areas.
-	reEnumFailHook = nil
-	if _, err := n.DeleteChild(r, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n.AreaCount() != 1 {
-		t.Fatalf("delete left %d areas, want 1", n.AreaCount())
-	}
-	verifyAgainstGroundTruth(t, n)
+		// With the failure gone the same delete succeeds and drops both areas.
+		reEnumFailHook = nil
+		if _, err := n.DeleteChild(n.Root(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if n.AreaCount() != 1 {
+			t.Fatalf("delete left %d areas, want 1", n.AreaCount())
+		}
+		verify(t, n)
+	})
 }
 
 // TestInsertRollbackOnInjectedFailure covers the insert-side hook path on
 // a document where the update area sits below other areas (the spine is
 // non-trivial), so rollback is validated on interior geometry too.
 func TestInsertRollbackOnInjectedFailure(t *testing.T) {
-	doc := xmltree.Balanced(3, 4) // 121 nodes
-	n, err := Build(doc, Options{Partition: PartitionConfig{MaxAreaNodes: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := doc.DocumentElement().ChildElements("")[1]
-	before := fingerprint(t, n)
+	eachOwnership(t, func(t *testing.T) *Numbering {
+		n, err := Build(xmltree.Balanced(3, 4), Options{Partition: PartitionConfig{MaxAreaNodes: 8}}) // 121 nodes
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}, func(t *testing.T, n *Numbering, check func(*testing.T, numFingerprint, numFingerprint)) {
+		target := func() *xmltree.Node { return n.Root().ChildElements("")[1] }
+		before := fingerprint(t, n)
 
-	injected := errors.New("injected re-enumeration failure")
-	reEnumFailHook = func(int64) error { return injected }
-	defer func() { reEnumFailHook = nil }()
-	w := xmltree.NewElement("w")
-	if _, err := n.InsertChild(target, 0, w); !errors.Is(err, injected) {
-		t.Fatalf("err = %v, want injected failure", err)
-	}
-	if w.Parent != nil {
-		t.Fatal("failed insert left child attached")
-	}
-	assertSameFingerprint(t, before, fingerprint(t, n))
+		injected := errors.New("injected re-enumeration failure")
+		reEnumFailHook = func(int64) error { return injected }
+		defer func() { reEnumFailHook = nil }()
+		w := xmltree.NewElement("w")
+		if _, err := n.InsertChild(target(), 0, w); !errors.Is(err, injected) {
+			t.Fatalf("err = %v, want injected failure", err)
+		}
+		if w.Parent != nil {
+			t.Fatal("failed insert left child attached")
+		}
+		check(t, before, fingerprint(t, n))
 
-	reEnumFailHook = nil
-	if _, err := n.InsertChild(target, 0, w); err != nil {
-		t.Fatal(err)
-	}
-	verifyAgainstGroundTruth(t, n)
+		reEnumFailHook = nil
+		if _, err := n.InsertChild(target(), 0, w); err != nil {
+			t.Fatal(err)
+		}
+		verify(t, n)
+	})
 }
 
 // TestEpochCloneRejectsUpdates pins the immutability contract of published
@@ -312,29 +366,32 @@ func TestEpochCloneRejectsUpdates(t *testing.T) {
 // before it meets an overflow no promotion can fix. The scratch renumbering
 // must not have written a single stamp.
 func TestFailedHealLeavesStampsUntouched(t *testing.T) {
-	doc := mustParse(t, "<r><x/></r>")
-	n, err := Build(doc, Options{Partition: PartitionConfig{MaxLocalBits: 2}}) // local indices ≤ 4
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := doc.DocumentElement().FirstChildElement("x")
-	before := fingerprint(t, n)
+	eachOwnership(t, func(t *testing.T) *Numbering {
+		n, err := Build(mustParse(t, "<r><x/></r>"), Options{Partition: PartitionConfig{MaxLocalBits: 2}}) // local indices ≤ 4
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}, func(t *testing.T, n *Numbering, check func(*testing.T, numFingerprint, numFingerprint)) {
+		before := fingerprint(t, n)
 
-	// w's five children need fan-out 5 wherever w lands: below x in r's
-	// area (overflow at x, healable: x is promoted), below x as an area
-	// root (overflow at w, healable: w is promoted), and finally as an area
-	// root itself, where slots 2..6 still pass the limit — unhealable.
-	w := mustParse(t, "<w><a/><b/><c/><d/><e/></w>").DocumentElement()
-	w.Detach()
-	if _, err := n.InsertChild(x, 0, w); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("err = %v, want ErrOverflow", err)
-	}
-	if w.Parent != nil {
-		t.Fatal("failed insert left child attached")
-	}
-	assertSameFingerprint(t, before, fingerprint(t, n))
-	verifyAgainstGroundTruth(t, n)
-	assertUnnumbered(t, n, w)
+		// w's five children need fan-out 5 wherever w lands: below x in r's
+		// area (overflow at x, healable: x is promoted), below x as an area
+		// root (overflow at w, healable: w is promoted), and finally as an area
+		// root itself, where slots 2..6 still pass the limit — unhealable. A
+		// fork has cloned its whole tree for the heal by then.
+		w := mustParse(t, "<w><a/><b/><c/><d/><e/></w>").DocumentElement()
+		w.Detach()
+		if _, err := n.InsertChild(n.Root().FirstChildElement("x"), 0, w); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("err = %v, want ErrOverflow", err)
+		}
+		if w.Parent != nil {
+			t.Fatal("failed insert left child attached")
+		}
+		check(t, before, fingerprint(t, n))
+		verify(t, n)
+		assertUnnumbered(t, n, w)
+	})
 }
 
 // assertUnnumbered fails unless every node of the detached subtree (its

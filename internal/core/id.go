@@ -28,7 +28,7 @@
 // A node carries its identifier: Build, Load and every update write it into
 // the node's xmltree.NodeNum stamp, RUID reads it back, and NodeOfID goes
 // the other way through the slot arrays of table K. That pair is the one
-// node↔identifier binding — the same in a master numbering, an epoch clone
+// node↔identifier binding — the same in a built numbering, a fork of one
 // and a cold bundle — and no per-node table exists beside it. Two rules
 // keep it sound: a tree carries at most one ruid numbering at a time (a
 // node has one stamp), and anything that renumbers a whole tree computes

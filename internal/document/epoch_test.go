@@ -14,6 +14,7 @@ import (
 	"repro/internal/document"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -42,7 +43,7 @@ func TestFailedWriteLeavesEpochUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := document.FromTree(doc, document.Options{
-		Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 1},
+		Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 15},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,6 +404,124 @@ func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 	}
 	if after := check("after the writes"); after != before {
 		t.Fatalf("the pinned tree has %d nodes, had %d", after, before)
+	}
+}
+
+// TestPinnedEpochsSurviveForkedWrites is "nothing published is ever written"
+// from the outside: 300 seeded writes (inserts, deletes, and local indices
+// tight enough that a few of the inserts overflow and heal) with the first,
+// the middle and the last epoch pinned as they are published. Every write is mirrored
+// on a plain pointer tree, the serial oracle, and at the end each pinned
+// epoch must still serialize to what the oracle read when it was current and
+// resolve its own identifiers to its own nodes. Between consecutive epochs,
+// every node the write did not have to copy is shared by pointer: a fresh
+// node is a member or boundary leaf of the update area, or on the spine above
+// the update parent — so a write costs at most the area plus the spine.
+func TestPinnedEpochsSurviveForkedWrites(t *testing.T) {
+	const writes = 300
+	d, err := document.FromTree(xmltree.XMark(2, 5), document.Options{
+		Partition: core.PartitionConfig{MaxAreaNodes: 16, AdjustFanout: true, MaxLocalBits: 15},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := xmltree.XMark(2, 5)
+	oracleOne := func(path string) *xmltree.Node {
+		t.Helper()
+		res, err := xpath.NewEngine(oracle, xpath.PointerNavigator{}).Query(path)
+		if err != nil || len(res) == 0 {
+			t.Fatalf("oracle: %q: %d nodes, err %v", path, len(res), err)
+		}
+		return res[0]
+	}
+	type pin struct {
+		snap *document.Snapshot
+		xml  string
+	}
+	pins := []pin{{d.Snapshot(), xmltree.Serialize(oracle)}}
+
+	auctions := len(oracleOne("/site/open_auctions").ChildElements("open_auction"))
+	rng := rand.New(rand.NewSource(23))
+	heals := 0
+	for i := 0; i < writes; i++ {
+		path := fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+rng.Intn(auctions/4))
+		prev := d.Snapshot()
+		res, _, err := prev.Query(path)
+		if err != nil || len(res) != 1 {
+			t.Fatalf("write %d: %q: %d nodes, err %v", i, path, len(res), err)
+		}
+		parent, twin := res[0], oracleOne(path)
+		pid, _ := prev.Numbering().RUID(parent)
+
+		var st scheme.UpdateStats
+		if rng.Intn(3) > 0 || len(twin.Children) == 0 {
+			pos := rng.Intn(len(twin.Children) + 1)
+			src := fmt.Sprintf("<bidder><increase>%d</increase></bidder>", i)
+			sub, _ := xmltree.ParseFragment(src)
+			osub, _ := xmltree.ParseFragment(src)
+			st, err = d.Insert(path, pos, sub)
+			twin.InsertChildAt(pos, osub)
+		} else {
+			pos := rng.Intn(len(twin.Children))
+			st, err = d.Delete(path, pos)
+			twin.RemoveChild(pos)
+		}
+		if err != nil {
+			t.Fatalf("write %d under %s: %v", i, path, err)
+		}
+		next := d.Snapshot()
+		if got, want := xmltree.Serialize(next.Tree()), xmltree.Serialize(oracle); got != want {
+			t.Fatalf("write %d: the epoch differs from the serial oracle", i)
+		}
+		if i == writes/2 || i == writes-1 {
+			pins = append(pins, pin{next, xmltree.Serialize(oracle)})
+		}
+		if st.FullRebuild {
+			heals++ // a heal renumbers the whole tree, on a clone of all of it
+			continue
+		}
+
+		// What the write copied.
+		old := make(map[*xmltree.Node]bool)
+		prev.Tree().Walk(func(x *xmltree.Node) bool { old[x] = true; return true })
+		num, g := next.Numbering(), pid.Global
+		area, fresh := 0, 0
+		next.Tree().Walk(func(x *xmltree.Node) bool {
+			id, numbered := num.RUID(x)
+			inArea := numbered && (id.Global == g || id.Root && (id.Global-2)/num.Kappa()+1 == g)
+			if inArea {
+				area++
+			}
+			if !old[x] {
+				fresh++
+				if numbered && !inArea && id != pid && !num.IsAncestorID(id, pid) {
+					t.Fatalf("write %d under %s: %s%v is a fresh copy, outside area %d and off the spine", i, path, x.Name, id, g)
+				}
+			}
+			return true
+		})
+		spine := len(num.AppendAncestors(nil, pid)) + 2 // the parent and the document node
+		if fresh == 0 || fresh > area+spine {
+			t.Fatalf("write %d under %s: %d fresh nodes; area %d holds %d, the spine %d", i, path, fresh, g, area, spine)
+		}
+	}
+	if heals == 0 {
+		t.Fatal("no write healed an overflow: the own-everything path went untested")
+	}
+	t.Logf("%d writes, %d of them healed an overflow", writes, heals)
+
+	for _, p := range pins {
+		if got := xmltree.Serialize(p.snap.Tree()); got != p.xml {
+			t.Fatalf("pinned epoch %d no longer reads as the oracle did", p.snap.Epoch())
+		}
+		num := p.snap.Numbering()
+		p.snap.Tree().DocumentElement().Walk(func(x *xmltree.Node) bool {
+			id, ok := num.RUID(x)
+			if back, found := num.NodeOfID(id); !ok || !found || back != x {
+				t.Fatalf("pinned epoch %d: %v of %s resolves to another node", p.snap.Epoch(), id, x.Name)
+			}
+			return true
+		})
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/scheme"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -168,6 +171,117 @@ func TestGroupCommitEquivalence(t *testing.T) {
 	}
 }
 
+// assertSameTreeAndStamps compares two documents' current epochs by
+// serialization and by the stamp of every node, attributes included.
+func assertSameTreeAndStamps(t *testing.T, what string, got, want *Document) {
+	t.Helper()
+	gt, wt := got.Snapshot().Tree(), want.Snapshot().Tree()
+	if g, w := xmltree.Serialize(gt), xmltree.Serialize(wt); g != w {
+		t.Fatalf("%s: trees diverge:\n got %s\nwant %s", what, g, w)
+	}
+	var gs, ws []xmltree.NodeNum
+	gt.WalkFull(func(x *xmltree.Node) bool { gs = append(gs, x.Num); return true })
+	wt.WalkFull(func(x *xmltree.Node) bool { ws = append(ws, x.Num); return true })
+	if !slices.Equal(gs, ws) {
+		t.Fatalf("%s: stamps diverge", what)
+	}
+}
+
+// checkBatchEqualsSerial applies muts to three documents opened by open —
+// one mutation at a time, as one coalesced batch, and as a WAL replay of the
+// same records — and holds the three to the same tree and the same stamps.
+// It returns the serially written document.
+func checkBatchEqualsSerial(t *testing.T, open func() *Document, muts []batchMutation) *Document {
+	t.Helper()
+	serial, grouped, replayed := open(), open(), open()
+	applySerial(t, serial, muts)
+
+	if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: len(muts), MaxDelay: 500 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer grouped.Close()
+	before := grouped.Snapshot().Epoch()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, tk := range enqueueAll(t, grouped, muts) {
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatalf("batched op %d: %v", i, err)
+		}
+	}
+	if got := grouped.Snapshot().Epoch(); got != before+1 {
+		t.Fatalf("the batch published %d epochs, want 1", got-before)
+	}
+	assertSameTreeAndStamps(t, "batch vs one by one", grouped, serial)
+
+	records := make([][]byte, len(muts))
+	for i, m := range muts {
+		records[i] = encodeMutation(m.insert, m.parent, m.pos, m.xml)
+	}
+	if applied, skipped, err := replayed.ReplayWAL(records); err != nil || applied != len(muts) || skipped != 0 {
+		t.Fatalf("replay applied %d, skipped %d, err %v; want %d/0", applied, skipped, err, len(muts))
+	}
+	assertSameTreeAndStamps(t, "replay vs one by one", replayed, serial)
+	return serial
+}
+
+// TestBatchEqualsSerialApplication: a batch is its members applied one at a
+// time, positional parent paths included — an insert, like a delete, changes
+// what b[1] selects, so every member resolves its path on the state the
+// members before it left. ReplayWAL submits a whole log as one batch, so
+// anything else lets a recovered document differ from the one that crashed.
+func TestBatchEqualsSerialApplication(t *testing.T) {
+	open := func() *Document {
+		d, err := OpenString(`<a><b id="old"/></a>`, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	serial := checkBatchEqualsSerial(t, open, []batchMutation{
+		{insert: true, parent: "/a/b[1]", pos: 0, xml: "<x/>"},
+		{insert: true, parent: "/a", pos: 0, xml: `<b id="new"/>`},
+		{insert: true, parent: "/a/b[1]", pos: 0, xml: "<y/>"},
+	})
+	if got, want := xmltree.Serialize(serial.Snapshot().Tree().DocumentElement()), `<a><b id="new"><y/></b><b id="old"><x/></b></a>`; got != want {
+		t.Fatalf("one by one: %s, want %s", got, want)
+	}
+
+	// A seeded history of inserts and deletes whose parents are named by
+	// position at every step, generated against a scratch document so that
+	// every member is valid when its turn comes.
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		scratch := groupFixture(t)
+		var muts []batchMutation
+		for len(muts) < 48 {
+			// A random walk down from the root element spells the path.
+			x, path := scratch.Snapshot().Tree().DocumentElement(), "/book"
+			for {
+				kids := x.ChildElements("")
+				if len(kids) == 0 || rng.Intn(4) == 0 {
+					break
+				}
+				c := kids[rng.Intn(len(kids))]
+				k := 1 + slices.Index(x.ChildElements(c.Name), c)
+				x, path = c, fmt.Sprintf("%s/%s[%d]", path, c.Name, k)
+			}
+			m := batchMutation{parent: path}
+			if len(x.Children) == 0 || rng.Intn(3) > 0 {
+				m.insert, m.pos = true, rng.Intn(len(x.Children)+1)
+				m.xml = fmt.Sprintf("<%s><leaf/></%s>", x.Name, x.Name) // a same-name sibling for later paths to count
+				if rng.Intn(2) == 0 {
+					m.xml = fmt.Sprintf("<n%d/>", len(muts))
+				}
+			} else {
+				m.pos = rng.Intn(len(x.Children))
+			}
+			applySerial(t, scratch, []batchMutation{m})
+			muts = append(muts, m)
+		}
+		checkBatchEqualsSerial(t, func() *Document { return groupFixture(t) }, muts)
+	}
+}
+
 // TestGroupCommitRollback: a batch member failing mid-merge (bad path,
 // out-of-range position) must fail ALONE — the rest of the batch publishes
 // and the final state equals the serial application of the good members.
@@ -202,6 +316,85 @@ func TestGroupCommitRollback(t *testing.T) {
 		}
 	}
 	assertDocsEqual(t, grouped, serial)
+}
+
+// TestFailedBatchMemberPublishesNothing is write atomicity at the document
+// layer, on core's forced-overflow geometry: with 1-bit local indices a
+// second child under b overflows where no promotion helps, while a child
+// under the leaf c overflows where one does (the heal renumbers the whole
+// tree, on a clone of it the fork takes mid-batch). A batch of nothing but
+// failures leaves the very snapshot that was current; a failed member of a
+// mixed batch publishes nothing of itself while the others land, healed one
+// included; the epoch pinned before reads as it did; the next write succeeds.
+func TestFailedBatchMemberPublishesNothing(t *testing.T) {
+	open := func() *Document {
+		d, err := OpenString("<a><b><c/></b></a>", Options{
+			Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	var healed bool
+	batch := func(d *Document, muts []batchMutation) []error {
+		t.Helper()
+		if err := d.EnableGroupCommit(GroupConfig{MaxBatch: len(muts), MaxDelay: 500 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer d.DisableGroupCommit()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		errs := make([]error, len(muts))
+		for i, tk := range enqueueAll(t, d, muts) {
+			var st scheme.UpdateStats
+			st, errs[i] = tk.Wait(ctx)
+			healed = healed || st.FullRebuild
+		}
+		return errs
+	}
+	overflow := batchMutation{insert: true, parent: "/a/b", pos: 1, xml: "<d/>"}
+
+	d := open()
+	pinned := d.Snapshot()
+	was := xmltree.Serialize(pinned.Tree())
+	for i, err := range batch(d, []batchMutation{overflow, {parent: "/a/b", pos: 7}, overflow}) {
+		if err == nil {
+			t.Fatalf("member %d of the all-failing batch succeeded", i)
+		}
+	}
+	if d.Snapshot() != pinned {
+		t.Fatalf("a batch of failures published epoch %d", d.Snapshot().Epoch())
+	}
+
+	good := []batchMutation{
+		{insert: true, parent: "/a/b/c", pos: 0, xml: "<x/>"}, // overflows at c, heals by promoting it
+		{insert: true, parent: "/a/b/c/x", pos: 0, xml: "<y/>"},
+		{parent: "/a/b/c/x", pos: 0},
+	}
+	errs := batch(d, []batchMutation{good[0], overflow, good[1], overflow, good[2]})
+	for i, err := range errs {
+		if failed := i == 1 || i == 3; failed && !errors.Is(err, core.ErrOverflow) {
+			t.Fatalf("member %d: err = %v, want ErrOverflow", i, err)
+		} else if !failed && err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+	}
+	if got := d.Snapshot().Epoch(); got != pinned.Epoch()+1 || !healed {
+		t.Fatalf("the mixed batch published %d epochs (healed an overflow: %v), want 1 with a heal", got-pinned.Epoch(), healed)
+	}
+	serial := open()
+	applySerial(t, serial, good)
+	assertSameTreeAndStamps(t, "batch with failed members vs its good members one by one", d, serial)
+	if got := xmltree.Serialize(pinned.Tree()); got != was {
+		t.Fatalf("the pinned epoch changed: %s, was %s", got, was)
+	}
+	if _, err := d.Delete("/a/b/c", 0); err != nil {
+		t.Fatalf("write after the failures: %v", err)
+	}
+	if got := xmltree.Serialize(d.Snapshot().Tree().DocumentElement()); got != "<a><b><c/></b></a>" {
+		t.Fatalf("after the last delete: %s", got)
+	}
 }
 
 // TestBatchDeleteInsideInsertedSubtree: a batch that inserts a subtree and

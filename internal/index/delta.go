@@ -50,7 +50,7 @@ type DeltaStats struct {
 // Every name absent from edits shares its *PostingList with the receiver; a
 // name in edits gets a new list spliced from the previous one block by
 // block (see splice). rn becomes the new index's numbering; it must be the
-// next epoch's (or the master's post-update) numbering. An edit of an
+// next epoch's numbering. An edit of an
 // identifier the previous list does not hold is an error and yields no
 // index.
 func (ix *NameIndex) ApplyDelta(rn *core.Numbering, edits map[string]*NameDelta) (*NameIndex, DeltaStats, error) {

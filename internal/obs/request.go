@@ -38,7 +38,7 @@ const (
 	StageWALAppend = "wal_append" // record appended to the WAL (not yet synced)
 	StageFsyncDone = "fsync_done" // record durable per the WAL sync policy
 	StageDequeue   = "dequeue"    // commit loop pulled the op into a batch
-	StageMerged    = "merged"     // op applied to the master tree
+	StageMerged    = "merged"     // op applied to the batch's fork
 	StagePublished = "published"  // the batch's single epoch published
 	StageVisible   = "visible"    // waiters released; op readable by queries
 )

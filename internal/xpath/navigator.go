@@ -152,7 +152,7 @@ func (PointerNavigator) Preceding(n *xmltree.Node, visit Visit) bool {
 
 // InOrder implements Navigator by the tree's own order: one walk from the
 // top that keeps the members of ns as it meets them. It follows no Parent
-// pointer, so it holds on a partial copy (xmltree.CloneAlong) too.
+// pointer, so it holds on a path-copied tree (xmltree.ShallowCopy) too.
 func (PointerNavigator) InOrder(doc *xmltree.Node, ns []*xmltree.Node) []*xmltree.Node {
 	if len(ns) < 2 {
 		return ns
