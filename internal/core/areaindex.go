@@ -19,8 +19,8 @@ const areaChunkSize = 256
 // chunks[i][0].global for the directory search.
 //
 // Writes are copy-on-first-write at both levels. mine[i] says chunk i is
-// private to this index, and a row is private when its owner field names
-// this index; anything else is shared with the index this one was forked
+// private to this index, and a row is private when its owner field is this
+// index's tag; anything else is shared with the index this one was forked
 // from and is copied before it is written (ownChunk, own). The index Build
 // and Load produce owns everything, so the same writes edit it in place.
 type areaIndex struct {
@@ -28,14 +28,21 @@ type areaIndex struct {
 	firstG []int64
 	mine   []bool
 	rows   int
+	tag    *ownerTag
 }
+
+// ownerTag is an index's identity as its rows carry it. It is a separate
+// object, not the index: a row outlives the index that made it — later forks
+// share it — and must not keep that index's directory, chunks and the rows
+// they have since replaced alive.
+type ownerTag struct{ _ byte }
 
 // newAreaIndex chunks a slice of K rows already sorted by global index and
 // takes ownership of them.
 func newAreaIndex(sorted []*area) *areaIndex {
-	ix := &areaIndex{rows: len(sorted)}
+	ix := &areaIndex{rows: len(sorted), tag: new(ownerTag)}
 	for _, a := range sorted {
-		a.owner = ix
+		a.owner = ix.tag
 	}
 	for len(sorted) > 0 {
 		n := min(areaChunkSize, len(sorted))
@@ -55,6 +62,7 @@ func (ix *areaIndex) fork() *areaIndex {
 		firstG: append([]int64(nil), ix.firstG...),
 		mine:   make([]bool, len(ix.chunks)),
 		rows:   ix.rows,
+		tag:    new(ownerTag),
 	}
 }
 
@@ -138,7 +146,7 @@ func (ix *areaIndex) ownChunk(ci int) []*area {
 // with the same global index.
 func (ix *areaIndex) put(a *area) {
 	ci, i, _ := ix.slot(a.global)
-	a.owner = ix
+	a.owner = ix.tag
 	ix.ownChunk(ci)[i] = a
 }
 
@@ -148,9 +156,9 @@ func (ix *areaIndex) put(a *area) {
 func (ix *areaIndex) own(g int64) *area {
 	ci, i, _ := ix.slot(g)
 	a := ix.chunks[ci][i]
-	if a.owner != ix {
+	if a.owner != ix.tag {
 		na := *a
-		na.owner = ix
+		na.owner = ix.tag
 		na.nodes = append([]*xmltree.Node(nil), a.nodes...)
 		a = &na
 		ix.ownChunk(ci)[i] = a

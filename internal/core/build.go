@@ -70,7 +70,7 @@ type area struct {
 	nodes []*xmltree.Node
 	lower []int64
 
-	owner *areaIndex // the index that may write this row
+	owner *ownerTag // the index that may write this row (areaIndex.tag)
 }
 
 // rowBuilder lays out the slot arrays of one K row in two passes over the

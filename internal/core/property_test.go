@@ -170,6 +170,12 @@ func TestQuickInsertScope(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		if st.FullRebuild {
+			// A chain-like tree can push the grown area past the local-index
+			// limit; the heal renumbers the whole tree and says so, and the
+			// confinement claim is about the updates that do not overflow.
+			return true
+		}
 		if st.Relabeled > len(mustRow(t, n, ga).slots) {
 			return false
 		}

@@ -43,7 +43,7 @@ func TestFailedWriteLeavesEpochUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := document.FromTree(doc, document.Options{
-		Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 15},
+		Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
