@@ -52,7 +52,6 @@ type Delta struct {
 
 	Inserted      *xmltree.Node // root of the subtree an insert attached (nil for deletes)
 	Removed       *xmltree.Node // root of the subtree a delete detached (nil for inserts)
-	Parent        *xmltree.Node // the structurally mutated parent
 	InsertedCount int           // nodes numbered for the first time
 
 	// Full marks an update that healed an overflow by re-partitioning and
@@ -137,20 +136,24 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 	n.adopt(newChild)
 	parent.InsertChildAt(pos, newChild)
 
-	d := &Delta{Inserted: newChild, Parent: parent}
+	d := &Delta{Inserted: newChild}
 	st, err := n.renumberArea(g, d)
 	if err == nil {
 		n.size += d.InsertedCount
 		n.AssertK("insert")
 		return st, d, nil
 	}
+	// An overflow at a node that is not an area root yet heals by promoting it.
 	var ov *overflowError
-	if healable := errors.As(err, &ov) && ov.node != nil && !ov.node.Num.R; healable && n.copied != nil {
-		// A heal renumbers the whole tree: own all of it, then run the same code.
-		parent.RemoveChild(pos)
-		return n.InsertChildDelta(n.ownAll()[parent], pos, newChild)
-	} else if healable && n.healOverflow(ov.node) {
-		return scheme.UpdateStats{FullRebuild: true, Relabeled: n.size}, &Delta{Full: true, Inserted: newChild, Parent: parent}, nil
+	if errors.As(err, &ov) && ov.node != nil && !ov.node.Num.R {
+		if n.copied != nil {
+			// A heal renumbers the whole tree: own all of it, then run the same code.
+			parent.RemoveChild(pos)
+			return n.InsertChildDelta(n.ownAll()[parent], pos, newChild)
+		}
+		if n.healOverflow(ov.node) {
+			return scheme.UpdateStats{FullRebuild: true, Relabeled: n.size}, &Delta{Full: true, Inserted: newChild}, nil
+		}
 	}
 	parent.RemoveChild(pos)
 	return scheme.UpdateStats{}, nil, err
@@ -215,7 +218,7 @@ func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.Upda
 	removed := parent.Children[pos]
 	parent.Children = slices.Delete(parent.Children, pos, pos+1)
 
-	d := &Delta{Removed: removed, Parent: parent}
+	d := &Delta{Removed: removed}
 	st, err := n.renumberArea(g, d)
 	if err != nil {
 		parent.Children = slices.Insert(parent.Children, pos, removed)

@@ -266,7 +266,7 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 		schemeName: name,
 		poolPages:  opts.PoolPages,
 	}
-	first := &working{tree: doc}
+	first := &working{}
 	if name == "ruid" {
 		num, err := core.Build(doc, d.opts)
 		if err != nil {
@@ -282,7 +282,7 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.sreg, first.s = reg, s
+		d.sreg, first.s, first.tree = reg, s, doc
 	}
 	root := doc
 	if doc.Kind == xmltree.Document {
@@ -306,7 +306,7 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 type working struct {
 	num  *core.Numbering // nil when the document uses a non-ruid scheme
 	s    scheme.Scheme   // the numbering, whatever the scheme
-	tree *xmltree.Node   // the document node when num is nil (a fork's moves as it copies: see doc)
+	tree *xmltree.Node   // the document node when num is nil (a fork's moves as it copies: doc)
 
 	// deltas are the applied members' deltas in application order and born the
 	// elements they inserted (ruid only; other schemes rebuild their index).
