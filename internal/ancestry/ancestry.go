@@ -118,7 +118,8 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 	var measure func(d *xmltree.Node) int
 	measure = func(d *xmltree.Node) int {
 		s := 1
-		for _, c := range d.Children {
+		for ci := 0; ci < d.Children.Len(); ci++ {
+			c := d.Children.At(ci)
 			s += measure(c)
 		}
 		size[d] = s
@@ -138,12 +139,14 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 
 		heavy := -1
 		best := -1
-		for i, c := range d.Children {
+		for i := 0; i < d.Children.Len(); i++ {
+			c := d.Children.At(i)
 			if size[c] > best {
 				best, heavy = size[c], i
 			}
 		}
-		for i, c := range d.Children {
+		for i := 0; i < d.Children.Len(); i++ {
+			c := d.Children.At(i)
 			if i == heavy {
 				walk(c, depth+1, light)
 				continue

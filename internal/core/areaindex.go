@@ -1,14 +1,15 @@
 package core
 
-import "repro/internal/xmltree"
-
 // The table K. A flat sorted slice would make every fork copy O(areas)
 // pointers — on large documents that copy (and the garbage-collector work of
 // scanning it) dominates an area-confined write. Chunking the sorted rows
 // turns the per-fork cost into one directory copy (≈ areas / areaChunkSize
 // entries) plus one chunk copy per touched area: untouched chunks are shared
 // with the numbering the fork was taken from, in the same path-copying style
-// as the tree and the rows' node arrays.
+// as the tree and the rows' node sequences (xmltree.Seq, which chunks a child
+// list and a row's nodes the same way, at 64 entries; the directory stays on
+// its own bookkeeping because it is searched by key and drops rows, neither
+// of which a positional sequence does).
 
 // areaChunkSize bounds both the directory length and the size of the chunk
 // a fork has to copy when one of its rows changes.
@@ -151,15 +152,17 @@ func (ix *areaIndex) put(a *area) {
 }
 
 // own returns the row with global index g, writable: a row shared with the
-// index this one was forked from is copied first, its nodes array with it
-// (slots and lower are replaced whole, never edited, and stay shared).
+// index this one was forked from is copied first, and its nodes with it as
+// xmltree.Seq.Share copies — the chunk table and a tail of under 64 slots,
+// the chunks themselves when a slot in them is re-pointed (slots and lower are
+// replaced whole, never edited, and stay shared).
 func (ix *areaIndex) own(g int64) *area {
 	ci, i, _ := ix.slot(g)
 	a := ix.chunks[ci][i]
 	if a.owner != ix.tag {
 		na := *a
 		na.owner = ix.tag
-		na.nodes = append([]*xmltree.Node(nil), a.nodes...)
+		na.nodes = a.nodes.Share()
 		a = &na
 		ix.ownChunk(ci)[i] = a
 	}

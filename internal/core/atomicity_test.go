@@ -106,7 +106,7 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 		ls := make(map[int64]*xmltree.Node, len(a.slots))
 		bs := make(map[int64]int64)
 		for i, l := range a.slots {
-			ls[l] = a.nodes[i]
+			ls[l] = a.nodes.At(i)
 			if cg := a.lower[i]; cg != 0 {
 				bs[l] = cg
 			}
@@ -250,7 +250,7 @@ func TestInsertRollbackLeavesChainUntouched(t *testing.T) {
 	if _, err := n.InsertChild(b, 1, d); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("err = %v, want ErrOverflow", err)
 	}
-	if d.Parent != nil || len(b.Children) != 1 {
+	if d.Parent != nil || b.Children.Len() != 1 {
 		t.Fatalf("tree mutated: %s", xmltree.Serialize(doc))
 	}
 	assertSameFingerprint(t, before, fingerprint(t, n))
@@ -514,7 +514,7 @@ func TestCheckKCatchesDisagreement(t *testing.T) {
 	if low.root != b || len(top.slots) != 3 || top.lower[1] != 2 {
 		t.Fatalf("fixture partition changed: rows %v", n.K())
 	}
-	c := top.nodes[2]
+	c := top.nodes.At(2)
 	for _, tc := range []struct {
 		name        string
 		break_, fix func()
@@ -523,9 +523,9 @@ func TestCheckKCatchesDisagreement(t *testing.T) {
 		{"a wrong Size", func() { n.size++ }, func() { n.size-- }},
 		{"slots out of order", func() { top.slots[1], top.slots[2] = top.slots[2], top.slots[1] }, func() { top.slots[1], top.slots[2] = top.slots[2], top.slots[1] }},
 		{"a slot taken twice", func() { top.slots[2] = top.slots[1] }, func() { top.slots[2] = 3 }},
-		{"nodes shorter than slots", func() { top.nodes = top.nodes[:2] }, func() { top.nodes = top.nodes[:3] }},
-		{"an empty slot", func() { top.nodes[2] = nil }, func() { top.nodes[2] = c }},
-		{"a root outside slot 1", func() { low.nodes[0] = c }, func() { low.nodes[0] = b }},
+		{"nodes shorter than slots", func() { top.nodes.Delete(2) }, func() { top.nodes.Append(c) }},
+		{"an empty slot", func() { top.nodes.Set(2, nil) }, func() { top.nodes.Set(2, c) }},
+		{"a root outside slot 1", func() { low.nodes.Set(0, c) }, func() { low.nodes.Set(0, b) }},
 		{"a boundary slot naming no area", func() { top.lower[1] = 7 }, func() { top.lower[1] = 2 }},
 		{"a boundary slot the lower row does not name", func() { low.rootLocal = 3 }, func() { low.rootLocal = 2 }},
 		{"an interior slot marked as boundary", func() { top.lower[2] = 2 }, func() { top.lower[2] = 0 }},

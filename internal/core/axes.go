@@ -228,7 +228,7 @@ func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 // atNode adapts a node visitor to the walks: it hands over the node sitting
 // at each visited slot.
 func atNode(visit func(*xmltree.Node) bool) slotVisit {
-	return func(a *area, i int) bool { return visit(a.nodes[i]) }
+	return func(a *area, i int) bool { return visit(a.nodes.At(i)) }
 }
 
 // intoIDs adapts an identifier buffer to the walks: it appends the

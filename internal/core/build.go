@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -65,9 +64,13 @@ type area struct {
 	// slots and lower are built whole (rowBuilder) and never edited
 	// afterwards, so a copy of the area struct stays valid and a fork's copy
 	// of a row shares them; nodes is edited — a slot re-pointed at the copy
-	// of its node — only in a row its index owns (areaIndex.own).
+	// of its node — only in a row its index owns (areaIndex.own), and there
+	// chunk by chunk (xmltree.Seq): the row the 3000 open_auctions of an
+	// XMark document sit in costs a fork one 64-slot chunk per slot it
+	// re-points, not the array. The row is 128 bytes, a size class, with the
+	// Seq's four words; a fifth would move every row to 144.
 	slots []int64
-	nodes []*xmltree.Node
+	nodes xmltree.Seq
 	lower []int64
 
 	owner *ownerTag // the index that may write this row (areaIndex.tag)
@@ -102,12 +105,12 @@ func (b *rowBuilder) collect(a *area, roots map[*xmltree.Node]bool, withAttrs bo
 			b.kids = append(b.kids, childRun{n: -1})
 			continue
 		}
-		kids := x.StructuralChildren(withAttrs)
-		need = max(need, int64(len(kids)))
-		b.kids = append(b.kids, childRun{int32(len(b.nodes)), int32(len(kids))})
-		b.nodes = append(b.nodes, kids...)
+		first := len(b.nodes)
+		b.nodes = x.StructuralChildren(b.nodes, withAttrs)
+		need = max(need, int64(len(b.nodes)-first))
+		b.kids = append(b.kids, childRun{int32(first), int32(len(b.nodes) - first)})
 	}
-	a.nodes = slices.Clone(b.nodes)
+	a.nodes = xmltree.SeqOf(b.nodes)
 	a.slots = make([]int64, len(b.nodes))
 	a.lower = make([]int64, len(b.nodes))
 	return need
@@ -117,8 +120,8 @@ func (b *rowBuilder) collect(a *area, roots map[*xmltree.Node]bool, withAttrs bo
 // members below it theirs via an a.fanout-ary tree (step 6 of Fig. 3), none
 // beyond limit: number(a, limit, 0, 1, at) numbers the collected row. It walks
 // the row, not the tree, in document order, and hands at each member's
-// position once its slot is set; a boundary leaf's lower entry is at's to
-// fill.
+// position — b.nodes[p] is the member — once its slot is set; a boundary
+// leaf's lower entry is at's to fill.
 func (b *rowBuilder) number(a *area, limit int64, p int, slot int64, at func(p int, boundary bool) error) error {
 	a.slots[p] = slot
 	kids := b.kids[p]
@@ -128,7 +131,7 @@ func (b *rowBuilder) number(a *area, limit int64, p int, slot int64, at func(p i
 	for j := 0; j < int(kids.n); j++ {
 		cl, ok := childIndex(slot, a.fanout, j)
 		if !ok || cl > limit {
-			return &overflowError{area: a.global, node: a.nodes[p]}
+			return &overflowError{area: a.global, node: b.nodes[p]}
 		}
 		if err := b.number(a, limit, int(kids.first)+j, cl, at); err != nil {
 			return err
@@ -293,9 +296,9 @@ func (n *Numbering) renumberAll(f *frame) error {
 				n.size++
 				return nil
 			}
-			if met == len(kids) || kids[met] != a.nodes[p] {
+			if met == len(kids) || kids[met] != b.nodes[p] {
 				return fmt.Errorf("core: area %d (%s): boundary leaf %s is not frame child %d",
-					a.global, a.root.Path(), a.nodes[p].Path(), met)
+					a.global, a.root.Path(), b.nodes[p].Path(), met)
 			}
 			cg, ok := childIndex(a.global, n.kappa, met)
 			if !ok {
@@ -327,8 +330,8 @@ func (n *Numbering) renumberAll(f *frame) error {
 // tree.
 func (n *Numbering) commitStamps() (changed int) {
 	n.forEachArea(func(a *area) {
-		for i, x := range a.nodes {
-			num := a.resolveLocal(i).stamp()
+		for i := 0; i < a.nodes.Len(); i++ {
+			x, num := a.nodes.At(i), a.resolveLocal(i).stamp()
 			if x.Num != num {
 				if x.Num.G != 0 {
 					changed++
@@ -454,5 +457,5 @@ func (n *Numbering) NodeOfID(id ID) (*xmltree.Node, bool) {
 	if !ok || id.Local == 1 || a.lower[i] != 0 {
 		return nil, false
 	}
-	return a.nodes[i], true
+	return a.nodes.At(i), true
 }

@@ -34,16 +34,16 @@ func (n *Numbering) checkK() error {
 			fail("area %d follows area %d", a.global, last)
 		}
 		last = a.global
-		if len(a.nodes) != len(a.slots) || len(a.lower) != len(a.slots) {
-			fail("area %d: %d slots, %d nodes, %d lower entries", a.global, len(a.slots), len(a.nodes), len(a.lower))
+		if a.nodes.Len() != len(a.slots) || len(a.lower) != len(a.slots) {
+			fail("area %d: %d slots, %d nodes, %d lower entries", a.global, len(a.slots), a.nodes.Len(), len(a.lower))
 			return
 		}
-		if len(a.slots) == 0 || a.slots[0] != 1 || a.nodes[0] != a.root || a.lower[0] != 0 {
+		if len(a.slots) == 0 || a.slots[0] != 1 || a.nodes.At(0) != a.root || a.lower[0] != 0 {
 			fail("area %d: slot 1 does not hold the area root", a.global)
 			return
 		}
-		for i, x := range a.nodes {
-			slot := a.slots[i]
+		for i, slot := range a.slots {
+			x := a.nodes.At(i)
 			if i > 0 && slot <= a.slots[i-1] {
 				fail("area %d: slot %d follows slot %d", a.global, slot, a.slots[i-1])
 			}

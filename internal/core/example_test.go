@@ -18,7 +18,7 @@ func ExampleBuild() {
 	for _, row := range n.K() {
 		fmt.Println(row)
 	}
-	b := doc.DocumentElement().Children[0]
+	b := doc.DocumentElement().Children.At(0)
 	id, _ := n.RUID(b)
 	fmt.Println("b:", id)
 	// Output:
@@ -32,7 +32,7 @@ func ExampleBuild() {
 func ExampleNumbering_RParent() {
 	doc, _ := xmltree.ParseString(`<a><b><c/></b></a>`)
 	n, _ := core.Build(doc, core.Options{})
-	c := doc.DocumentElement().Children[0].Children[0]
+	c := doc.DocumentElement().Children.At(0).Children.At(0)
 	id, _ := n.RUID(c)
 	for {
 		fmt.Println(id)

@@ -159,9 +159,7 @@ func buildFrameLevel(n *Numbering, cfg PartitionConfig) (*frameLevel, error) {
 		fl.byTheta[g] = fn
 		fl.thetaOf[fn] = g
 		for _, cg := range kids[g] {
-			c := build(cg)
-			c.Parent = fn
-			fn.Children = append(fn.Children, c)
+			fn.AppendChild(build(cg))
 		}
 		return fn
 	}

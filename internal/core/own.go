@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/xmltree"
 )
@@ -18,6 +17,14 @@ import (
 // areaIndex.mine): the nodes a batch of updates ends up having copied are
 // the relabeled members of its update areas, the boundary leaves whose slot
 // moved, and the spines above them.
+//
+// Copying a spine node means re-pointing one entry of its parent's child list
+// and one slot of a row at the copy. Both lists are xmltree.Seq, so under a
+// wide node — open_auctions and the row its 3000 children's boundary slots
+// sit in — that copies the 64-entry chunk holding the entry and the list's
+// chunk table, once per chunk and fork, and leaves the other chunks shared
+// with the origin; a list of up to 64 entries is copied whole, as a slice
+// would be.
 
 // ErrImmutable reports a structural update attempted on a sealed numbering:
 // one that a fork shares its tree and table K with, or that its holder
@@ -84,29 +91,41 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 		j, _ := up.position(a.rootLocal)
 		return n.ownAt(up.global, j)
 	}
-	if x := a.nodes[i]; n.owns(x) {
+	if x := a.nodes.At(i); n.owns(x) {
 		return x
 	}
+	// The parent, and where x sits in its child list: the row knows both from
+	// x's slot (the inverse of childIndex), the document node above the root
+	// element — which has no slot — by looking.
 	var parent *xmltree.Node
+	at := -1
 	if i > 0 {
 		pi, _ := a.position((a.slots[i]-2)/a.fanout + 1)
 		parent = n.ownAt(g, pi)
+		at = int((a.slots[i] - 2) % a.fanout)
+		if n.opts.WithAttrs {
+			at -= len(parent.Attrs) // numbered in front of the children
+		}
 	} else if n.doc != n.root {
 		if !n.owns(n.doc) {
 			n.doc = n.doc.ShallowCopy(nil)
 			n.copied[n.doc] = struct{}{}
 		}
 		parent = n.doc
+		at = parent.Children.Index(n.root)
 	}
 	a = n.k.own(g)
-	x := a.nodes[i]
+	x := a.nodes.At(i)
 	if n.owns(x) {
 		return x // an attribute: copied with its element just now
 	}
 	c := x.ShallowCopy(parent)
 	n.copied[c] = struct{}{}
 	if parent != nil {
-		parent.Children[slices.Index(parent.Children, x)] = c
+		if debugChecks && parent.Children.At(at) != x {
+			panic(fmt.Sprintf("core: slot %d of area %d places %s at child %d of its parent, which holds another node", a.slots[i], g, x.Path(), at))
+		}
+		parent.Children.Set(at, c)
 	}
 	if i == 0 {
 		if n.doc == n.root {
@@ -138,12 +157,13 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 // there, and with it slot 1 of the lower row when the position is a boundary
 // slot.
 func (n *Numbering) rebind(a *area, i int, c *xmltree.Node) {
-	if a.nodes[i] = c; i == 0 {
+	if a.nodes.Set(i, c); i == 0 {
 		a.root = c
 	}
 	if lg := a.lower[i]; lg != 0 {
 		low := n.k.own(lg)
-		low.nodes[0], low.root = c, c
+		low.nodes.Set(0, c)
+		low.root = c
 	}
 }
 
@@ -186,15 +206,16 @@ func (n *Numbering) CloneFor(doc *xmltree.Node, mapping map[*xmltree.Node]*xmltr
 	}
 	rows := make([]*area, 0, n.AreaCount())
 	var err error
+	var buf []*xmltree.Node
 	n.forEachArea(func(a *area) {
 		na := *a
-		na.nodes = make([]*xmltree.Node, len(a.nodes))
-		for i, x := range a.nodes {
-			if na.nodes[i] = mapping[x]; na.nodes[i] == nil && err == nil {
+		buf = a.nodes.AppendTo(buf[:0])
+		for i, x := range buf {
+			if buf[i] = mapping[x]; buf[i] == nil && err == nil {
 				err = fmt.Errorf("core: clone mapping misses node %s", x.Path())
 			}
 		}
-		na.root = na.nodes[0]
+		na.nodes, na.root = xmltree.SeqOf(buf), buf[0]
 		rows = append(rows, &na)
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func verifyFork(t *testing.T, f *Numbering) {
 // same stamp node for node.
 func sameStamps(t *testing.T, a, b *xmltree.Node) {
 	t.Helper()
-	if a.Name != b.Name || len(a.Children) != len(b.Children) || len(a.Attrs) != len(b.Attrs) {
+	if a.Name != b.Name || a.Children.Len() != b.Children.Len() || len(a.Attrs) != len(b.Attrs) {
 		t.Fatalf("shape divergence at %s vs %s", a.Path(), b.Path())
 	}
 	if a.Num != b.Num {
@@ -40,8 +40,8 @@ func sameStamps(t *testing.T, a, b *xmltree.Node) {
 			t.Fatalf("stamp mismatch at %s: %+v vs %+v", b.Attrs[i].Path(), a.Attrs[i].Num, b.Attrs[i].Num)
 		}
 	}
-	for i := range a.Children {
-		sameStamps(t, a.Children[i], b.Children[i])
+	for i := 0; i < a.Children.Len(); i++ {
+		sameStamps(t, a.Children.At(i), b.Children.At(i))
 	}
 }
 
@@ -65,7 +65,7 @@ func TestForkBatchMatchesInPlace(t *testing.T) {
 	for _, attrs := range []bool{false, true} {
 		doc := xmltree.Recursive(2, 9) // ~1k elements
 		doc.DocumentElement().Walk(func(x *xmltree.Node) bool {
-			if x.Kind == xmltree.Element && len(x.Children)%2 == 1 {
+			if x.Kind == xmltree.Element && x.Children.Len()%2 == 1 {
 				x.SetAttr("odd", "1")
 			}
 			return true
@@ -95,7 +95,8 @@ func TestForkBatchMatchesInPlace(t *testing.T) {
 			return x
 		}
 		deep := func(p *xmltree.Node) int {
-			for i, c := range p.Children {
+			for i := 0; i < p.Children.Len(); i++ {
+				c := p.Children.At(i)
 				if c.Name == "section" {
 					return i
 				}
@@ -215,8 +216,8 @@ func TestForkChainSoak(t *testing.T) {
 					els := fork.Root().Elements()
 					k := rng.Intn(len(els))
 					target, twin := els[k], inPlace.Root().Elements()[k]
-					if rng.Intn(3) > 0 || len(target.Children) == 0 {
-						pos := rng.Intn(len(target.Children) + 1)
+					if rng.Intn(3) > 0 || target.Children.Len() == 0 {
+						pos := rng.Intn(target.Children.Len() + 1)
 						sub := func() *xmltree.Node {
 							s := xmltree.NewElement("n")
 							s.SetAttr("a", "1")
@@ -232,7 +233,7 @@ func TestForkChainSoak(t *testing.T) {
 							heals++
 						}
 					} else {
-						pos := rng.Intn(len(target.Children))
+						pos := rng.Intn(target.Children.Len())
 						_, _, err := fork.DeleteChildDelta(target, pos)
 						_, _, err2 := inPlace.DeleteChildDelta(twin, pos)
 						if (err == nil) != (err2 == nil) {

@@ -93,21 +93,22 @@ func selectFrame(root *xmltree.Node, cfg PartitionConfig, withAttrs bool) *frame
 	}
 	roots := map[*xmltree.Node]bool{root: true}
 	queue := []*xmltree.Node{root}
-	var frontier []entry // one buffer, reused by every area
+	var frontier []entry     // one buffer, reused by every area
+	var kids []*xmltree.Node // and one for the children of the node at hand
 	for qi := 0; qi < len(queue); qi++ {
 		// Grow the area of the next root breadth-first within the budget;
 		// nodes that do not fit become area roots themselves.
 		count := 1
 		frontier = frontier[:0]
-		for _, c := range queue[qi].StructuralChildren(withAttrs) {
+		kids = queue[qi].StructuralChildren(kids[:0], withAttrs)
+		for _, c := range kids {
 			frontier = append(frontier, entry{c, 1})
 		}
 		for fi := 0; fi < len(frontier); fi++ {
 			e := frontier[fi]
 			visited()
-			kids := e.n.StructuralChildren(withAttrs)
 			over := count >= budget || (cfg.MaxAreaDepth > 0 && e.depth > cfg.MaxAreaDepth)
-			if over && len(kids) > 0 {
+			if over && e.n.StructuralFanout(withAttrs) > 0 {
 				// Leaf nodes never start their own areas: an area whose
 				// root has no children contributes nothing.
 				roots[e.n] = true
@@ -116,6 +117,7 @@ func selectFrame(root *xmltree.Node, cfg PartitionConfig, withAttrs bool) *frame
 			}
 			count++
 			if !over {
+				kids = e.n.StructuralChildren(kids[:0], withAttrs)
 				for _, c := range kids {
 					frontier = append(frontier, entry{c, e.depth + 1})
 				}
@@ -146,12 +148,13 @@ func deriveFrame(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs boo
 			f.kids[nearest] = append(f.kids[nearest], x)
 			nearest = x
 		}
-		fan := len(x.Children)
+		fan := x.Children.Len()
 		if withAttrs {
 			fan += len(x.Attrs)
 		}
 		f.limit = max(f.limit, fan)
-		for _, c := range x.Children {
+		for ci := 0; ci < x.Children.Len(); ci++ {
+			c := x.Children.At(ci)
 			walk(c, nearest)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 func adjustFanoutReference(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs bool) (rounds int) {
 	limit := 0
 	root.Walk(func(d *xmltree.Node) bool {
-		if f := len(d.StructuralChildren(withAttrs)); f > limit {
+		if f := d.StructuralFanout(withAttrs); f > limit {
 			limit = f
 		}
 		return true
@@ -80,7 +80,8 @@ func frameChildrenReference(root *xmltree.Node, roots map[*xmltree.Node]bool) (k
 			kids[nearest] = append(kids[nearest], n)
 			nearest = n
 		}
-		for _, c := range n.Children {
+		for ci := 0; ci < n.Children.Len(); ci++ {
+			c := n.Children.At(ci)
 			walk(c, nearest)
 		}
 	}

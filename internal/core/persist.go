@@ -241,7 +241,7 @@ func (n *Numbering) attach(x *xmltree.Node, id ID) error {
 // place appends one occupied slot to the row.
 func (a *area) place(slot int64, x *xmltree.Node, lower int64) {
 	a.slots = append(a.slots, slot)
-	a.nodes = append(a.nodes, x)
+	a.nodes.Append(x)
 	a.lower = append(a.lower, lower)
 }
 
@@ -252,6 +252,8 @@ func (r bySlot) Len() int           { return len(r.slots) }
 func (r bySlot) Less(i, j int) bool { return r.slots[i] < r.slots[j] }
 func (r bySlot) Swap(i, j int) {
 	r.slots[i], r.slots[j] = r.slots[j], r.slots[i]
-	r.nodes[i], r.nodes[j] = r.nodes[j], r.nodes[i]
+	xi, xj := r.nodes.At(i), r.nodes.At(j)
+	r.nodes.Set(i, xj)
+	r.nodes.Set(j, xi)
 	r.lower[i], r.lower[j] = r.lower[j], r.lower[i]
 }

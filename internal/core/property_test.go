@@ -166,7 +166,7 @@ func TestQuickInsertScope(t *testing.T) {
 		tid, _ := n.RUID(target)
 		ga, _ := n.childContext(tid)
 		before := labels(n)
-		st, err := n.InsertChild(target, len(target.Children), xmltree.NewElement("q"))
+		st, err := n.InsertChild(target, target.Children.Len(), xmltree.NewElement("q"))
 		if err != nil {
 			return false
 		}

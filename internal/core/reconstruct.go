@@ -82,7 +82,7 @@ func (n *Numbering) reconstruct(ids []ID, withText bool) *xmltree.Node {
 	}
 	if withText {
 		for _, p := range leaves {
-			if len(p.copy.Children) > 0 {
+			if p.copy.Children.Len() > 0 {
 				continue
 			}
 			if src, _ := n.NodeOfID(p.id); src != nil {

@@ -50,8 +50,8 @@ func TestReconstructWithText(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := doc.DocumentElement()
-	c := root.Children[0].Children[0]
-	d := root.Children[1]
+	c := root.Children.At(0).Children.At(0)
+	d := root.Children.At(1)
 	idA, _ := n.RUID(root)
 	idC, _ := n.RUID(c)
 	idD, _ := n.RUID(d)
@@ -115,7 +115,7 @@ func TestReconstructRandomInvariants(t *testing.T) {
 			}
 		}
 		// The serialization parses back (if non-empty with a single root).
-		if len(out.Children) == 1 {
+		if out.Children.Len() == 1 {
 			if _, err := xmltree.ParseString(xmltree.Serialize(out)); err != nil {
 				t.Fatalf("trial %d: reserialize: %v", trial, err)
 			}

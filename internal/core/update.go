@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -122,7 +121,7 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 // (newChild is detached again, unnumbered, and ownership stays with the
 // caller).
 func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xmltree.Node) (scheme.UpdateStats, *Delta, error) {
-	if pos < 0 || pos > len(parent.Children) {
+	if pos < 0 || pos > parent.Children.Len() {
 		return scheme.UpdateStats{}, nil, fmt.Errorf("core: insert position %d out of range", pos)
 	}
 	parent, g, err := n.ownParent(parent, "insert")
@@ -208,20 +207,20 @@ func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateSta
 // the origin's. On error the tree and the numbering read exactly as before
 // the call.
 func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.UpdateStats, *Delta, error) {
-	if pos < 0 || pos >= len(parent.Children) {
+	if pos < 0 || pos >= parent.Children.Len() {
 		return scheme.UpdateStats{}, nil, fmt.Errorf("core: delete position %d out of range", pos)
 	}
 	parent, g, err := n.ownParent(parent, "delete")
 	if err != nil {
 		return scheme.UpdateStats{}, nil, err
 	}
-	removed := parent.Children[pos]
-	parent.Children = slices.Delete(parent.Children, pos, pos+1)
+	removed := parent.Children.At(pos)
+	parent.Children.Delete(pos)
 
 	d := &Delta{Removed: removed}
 	st, err := n.renumberArea(g, d)
 	if err != nil {
-		parent.Children = slices.Insert(parent.Children, pos, removed)
+		parent.Children.Insert(pos, removed)
 		return scheme.UpdateStats{}, nil, err
 	}
 	// The detached subtree leaves the numbering: its stamps, and the rows of
@@ -271,7 +270,7 @@ func (n *Numbering) renumberArea(g int64, d *Delta) (st scheme.UpdateStats, err 
 	a.fanout = max(old.fanout, b.collect(a, nil, n.opts.WithAttrs))
 	b.moves = b.moves[:0]
 	err = b.number(a, n.localLimit, 0, 1, func(p int, boundary bool) error {
-		x, id := a.nodes[p], ID{Global: g, Local: a.slots[p]}
+		x, id := b.nodes[p], ID{Global: g, Local: a.slots[p]}
 		if boundary {
 			// The root of a lower area. Its own area keeps its global index
 			// and interior; only its slot here (and hence its K row and full

@@ -170,7 +170,7 @@ func TestDeleteCascadesAndCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := doc.DocumentElement()
-	victim := root.Children[0]
+	victim := root.Children.At(0)
 	removedNodes := victim.Nodes()
 	areasBefore := n.AreaCount()
 	sizeBefore := n.Size()
@@ -210,16 +210,16 @@ func TestRandomUpdateSoak(t *testing.T) {
 	for op := 0; op < 60; op++ {
 		nodes := root.Nodes()
 		target := nodes[rng.Intn(len(nodes))]
-		if rng.Intn(3) > 0 || len(target.Children) == 0 {
+		if rng.Intn(3) > 0 || target.Children.Len() == 0 {
 			pos := 0
-			if len(target.Children) > 0 {
-				pos = rng.Intn(len(target.Children) + 1)
+			if target.Children.Len() > 0 {
+				pos = rng.Intn(target.Children.Len() + 1)
 			}
 			if _, err := n.InsertChild(target, pos, xmltree.NewElement("ins")); err != nil {
 				t.Fatalf("op %d: InsertChild: %v", op, err)
 			}
 		} else {
-			if _, err := n.DeleteChild(target, rng.Intn(len(target.Children))); err != nil {
+			if _, err := n.DeleteChild(target, rng.Intn(target.Children.Len())); err != nil {
 				t.Fatalf("op %d: DeleteChild: %v", op, err)
 			}
 		}
@@ -242,7 +242,7 @@ func TestInsertSubtree(t *testing.T) {
 	root := doc.DocumentElement()
 	sub := xmltree.Balanced(2, 2).DocumentElement()
 	sub.Detach()
-	if _, err := n.InsertChild(root.Children[0], 1, sub); err != nil {
+	if _, err := n.InsertChild(root.Children.At(0), 1, sub); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := n.RUID(sub); !ok {
@@ -288,14 +288,16 @@ func TestWithAttrsNumbering(t *testing.T) {
 			if n.CompareOrder(xid, aid) != -1 {
 				t.Fatalf("element must precede its attribute")
 			}
-			for _, c := range x.Children {
+			for ci := 0; ci < x.Children.Len(); ci++ {
+				c := x.Children.At(ci)
 				cid, _ := n.RUID(c)
 				if n.CompareOrder(aid, cid) != -1 {
 					t.Fatalf("attribute must precede element children")
 				}
 			}
 		}
-		for _, c := range x.Children {
+		for ci := 0; ci < x.Children.Len(); ci++ {
+			c := x.Children.At(ci)
 			check(c)
 		}
 	}

@@ -55,8 +55,8 @@ func Build(doc *xmltree.Node) *Guide {
 			g.paths++
 		}
 		child.Count++
-		for _, c := range x.Children {
-			walk(c, child)
+		for i := 0; i < x.Children.Len(); i++ {
+			walk(x.Children.At(i), child)
 		}
 	}
 	walk(root, g.root)

@@ -1,17 +1,46 @@
 package dataguide
 
-import "repro/internal/xmltree"
+import (
+	"maps"
+
+	"repro/internal/xmltree"
+)
 
 // Incremental maintenance: epoch publication derives the next epoch's
 // guide from the previous one plus the batch's inserted and removed
 // subtrees, instead of re-walking the document. A published guide is never
-// mutated — epochs share no mutable guide state — so a Batch deep-copies the
-// trie (a structure "typically orders of magnitude below the node count",
-// see Size) once and folds every update of the batch into the copy.
+// mutated — epochs share no mutable guide state — so a Batch copies what it
+// writes, as the tree and table K do: the trie nodes along an update's label
+// path and under the shape of its subtree are copied the first time the batch
+// touches them, and every other trie node stays shared with the base guide.
 
-// apply adjusts the counts along sub's shape below trie node at; it
-// reports false on an inconsistent removal.
-func (g *Guide) apply(at *Node, sub *xmltree.Node, delta int) bool {
+// Batch folds a run of updates into ONE working guide, private until Guide()
+// hands it out; the base guide is never mutated.
+type Batch struct {
+	g    *Guide
+	mine map[*Node]struct{} // the trie nodes this batch made or copied, which it may write
+	ok   bool
+}
+
+// Begin starts a batch fold over g.
+func (g *Guide) Begin() *Batch {
+	return &Batch{g: &Guide{root: g.root, paths: g.paths}, mine: map[*Node]struct{}{}, ok: true}
+}
+
+// own returns the trie node at, writable: a node still shared with the base
+// guide is copied first, its child map with it. The caller re-points the
+// parent's entry at the result.
+func (b *Batch) own(at *Node) *Node {
+	if _, ok := b.mine[at]; !ok {
+		at = &Node{Label: at.Label, Count: at.Count, Children: maps.Clone(at.Children)}
+		b.mine[at] = struct{}{}
+	}
+	return at
+}
+
+// apply adjusts the counts along sub's shape below the owned trie node at;
+// it reports false on an inconsistent removal.
+func (b *Batch) apply(at *Node, sub *xmltree.Node, delta int) bool {
 	if sub.Kind != xmltree.Element {
 		return true // text/comment/PI subtrees don't show in the guide
 	}
@@ -21,37 +50,26 @@ func (g *Guide) apply(at *Node, sub *xmltree.Node, delta int) bool {
 			return false
 		}
 		child = &Node{Label: sub.Name, Children: map[string]*Node{}}
-		at.Children[sub.Name] = child
-		g.paths++
+		b.mine[child] = struct{}{}
+		b.g.paths++
+	} else {
+		child = b.own(child)
 	}
+	at.Children[sub.Name] = child
 	child.Count += delta
 	if child.Count < 0 {
 		return false
 	}
-	for _, c := range sub.Children {
-		if !g.apply(child, c, delta) {
+	for i := 0; i < sub.Children.Len(); i++ {
+		if !b.apply(child, sub.Children.At(i), delta) {
 			return false
 		}
 	}
 	if child.Count == 0 {
 		delete(at.Children, sub.Name)
-		g.paths -= pathCount(child)
+		b.g.paths -= pathCount(child)
 	}
 	return true
-}
-
-// Batch folds a run of updates into ONE working copy of the guide: a
-// publication pays the deep copy once per batch, not once per mutation (the
-// clone dominates the write path on name-rich documents). The base guide is
-// never mutated; the working copy is private until Guide() hands it out.
-type Batch struct {
-	g  *Guide
-	ok bool
-}
-
-// Begin starts a batch fold over a copy of g.
-func (g *Guide) Begin() *Batch {
-	return &Batch{g: g.clone(), ok: true}
 }
 
 // Update adds (delta = +1) or removes (delta = -1) the element counts of the
@@ -67,15 +85,19 @@ func (b *Batch) Update(prefix []string, sub *xmltree.Node, delta int) bool {
 	if !b.ok {
 		return false
 	}
+	b.g.root = b.own(b.g.root)
 	at := b.g.root
 	for _, label := range prefix {
-		at = at.Children[label]
-		if at == nil {
+		next := at.Children[label]
+		if next == nil {
 			b.ok = false
 			return false
 		}
+		next = b.own(next)
+		at.Children[label] = next
+		at = next
 	}
-	if !b.g.apply(at, sub, delta) {
+	if !b.apply(at, sub, delta) {
 		b.ok = false
 		return false
 	}
@@ -98,17 +120,4 @@ func pathCount(n *Node) int {
 		total += pathCount(c)
 	}
 	return total
-}
-
-// clone returns a deep copy of the guide.
-func (g *Guide) clone() *Guide {
-	var cp func(*Node) *Node
-	cp = func(n *Node) *Node {
-		c := &Node{Label: n.Label, Count: n.Count, Children: make(map[string]*Node, len(n.Children))}
-		for k, v := range n.Children {
-			c.Children[k] = cp(v)
-		}
-		return c
-	}
-	return &Guide{root: cp(g.root), paths: g.paths}
 }

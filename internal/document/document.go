@@ -561,7 +561,8 @@ func waitVisible(tk *Ticket, err error) (scheme.UpdateStats, error) {
 // and sums their depths, with x itself at the given depth.
 func subtreeStats(x *xmltree.Node, depth int) (count, depths int) {
 	count, depths = 1, depth
-	for _, c := range x.Children {
+	for ci := 0; ci < x.Children.Len(); ci++ {
+		c := x.Children.At(ci)
 		cc, cd := subtreeStats(c, depth+1)
 		count += cc
 		depths += cd

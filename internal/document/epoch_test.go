@@ -358,9 +358,9 @@ func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 				kids = append(kids, c)
 				return true
 			})
-			if !slices.Equal(kids, x.Children) {
+			if !slices.Equal(kids, x.Children.AppendTo(nil)) {
 				t.Fatalf("%s: the slots below %s hold %d nodes, the pinned tree has %d children there, or others",
-					when, x.Path(), len(kids), len(x.Children))
+					when, x.Path(), len(kids), x.Children.Len())
 			}
 			return true
 		})
@@ -454,15 +454,15 @@ func TestPinnedEpochsSurviveForkedWrites(t *testing.T) {
 		pid, _ := prev.Numbering().RUID(parent)
 
 		var st scheme.UpdateStats
-		if rng.Intn(3) > 0 || len(twin.Children) == 0 {
-			pos := rng.Intn(len(twin.Children) + 1)
+		if rng.Intn(3) > 0 || twin.Children.Len() == 0 {
+			pos := rng.Intn(twin.Children.Len() + 1)
 			src := fmt.Sprintf("<bidder><increase>%d</increase></bidder>", i)
 			sub, _ := xmltree.ParseFragment(src)
 			osub, _ := xmltree.ParseFragment(src)
 			st, err = d.Insert(path, pos, sub)
 			twin.InsertChildAt(pos, osub)
 		} else {
-			pos := rng.Intn(len(twin.Children))
+			pos := rng.Intn(twin.Children.Len())
 			st, err = d.Delete(path, pos)
 			twin.RemoveChild(pos)
 		}

@@ -545,10 +545,10 @@ func (w *working) apply(op *pendingOp, parent *xmltree.Node) (sub *xmltree.Node,
 	case op.insert:
 		op.stats, err = w.s.(scheme.Updatable).InsertChild(parent, op.pos, op.child)
 	default:
-		if op.pos < 0 || op.pos >= len(parent.Children) {
+		if op.pos < 0 || op.pos >= parent.Children.Len() {
 			return nil, fmt.Errorf("document: delete position %d out of range", op.pos)
 		}
-		sub = parent.Children[op.pos]
+		sub = parent.Children.At(op.pos)
 		op.stats, err = w.s.(scheme.Updatable).DeleteChild(parent, op.pos)
 	}
 	if err != nil {

@@ -112,8 +112,8 @@ func assertDocsEqual(t *testing.T, got, want *Document) {
 		if a.Kind == xmltree.Element && a.Num != b.Num {
 			t.Fatalf("stamp mismatch at %s: got %+v want %+v", a.Path(), a.Num, b.Num)
 		}
-		for i := range a.Children {
-			walk(a.Children[i], b.Children[i])
+		for i := 0; i < a.Children.Len(); i++ {
+			walk(a.Children.At(i), b.Children.At(i))
 		}
 	}
 	walk(gs.Tree(), ws.Tree())
@@ -266,14 +266,14 @@ func TestBatchEqualsSerialApplication(t *testing.T) {
 				x, path = c, fmt.Sprintf("%s/%s[%d]", path, c.Name, k)
 			}
 			m := batchMutation{parent: path}
-			if len(x.Children) == 0 || rng.Intn(3) > 0 {
-				m.insert, m.pos = true, rng.Intn(len(x.Children)+1)
+			if x.Children.Len() == 0 || rng.Intn(3) > 0 {
+				m.insert, m.pos = true, rng.Intn(x.Children.Len()+1)
 				m.xml = fmt.Sprintf("<%s><leaf/></%s>", x.Name, x.Name) // a same-name sibling for later paths to count
 				if rng.Intn(2) == 0 {
 					m.xml = fmt.Sprintf("<n%d/>", len(muts))
 				}
 			} else {
-				m.pos = rng.Intn(len(x.Children))
+				m.pos = rng.Intn(x.Children.Len())
 			}
 			applySerial(t, scratch, []batchMutation{m})
 			muts = append(muts, m)

@@ -302,7 +302,8 @@ func TestReverseSemiJoins(t *testing.T) {
 		if x.Name != "section" {
 			continue
 		}
-		for _, c := range x.Children {
+		for ci := 0; ci < x.Children.Len(); ci++ {
+			c := x.Children.At(ci)
 			if c.Name == "para" {
 				wantC++
 				break

@@ -109,7 +109,8 @@ func (n *Numbering) renumberAll() error {
 		byKey[id.packed] = d
 		pos[id.packed] = len(ordered)
 		ordered = append(ordered, d)
-		for i, c := range d.Children {
+		for i := 0; i < d.Children.Len(); i++ {
+			c := d.Children.At(i)
 			if err := walk(c, append(path, uint32(i+1))); err != nil {
 				return err
 			}
@@ -365,7 +366,7 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: insert under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos > len(parent.Children) {
+	if pos < 0 || pos > parent.Children.Len() {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: insert position %d out of range", pos)
 	}
 	parent.InsertChildAt(pos, newChild)
@@ -384,7 +385,7 @@ func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateSta
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: delete under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos >= len(parent.Children) {
+	if pos < 0 || pos >= parent.Children.Len() {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: delete position %d out of range", pos)
 	}
 	removed := parent.RemoveChild(pos)

@@ -75,7 +75,8 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 		myPre := pre
 		pre++
 		n.byPre = append(n.byPre, d)
-		for _, c := range d.Children {
+		for ci := 0; ci < d.Children.Len(); ci++ {
+			c := d.Children.At(ci)
 			walk(c, myPre)
 		}
 		n.ids[d] = ID{Pre: myPre, Post: post, Par: par}

@@ -121,7 +121,7 @@ func TestLiMoonGapInsertion(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := doc.DocumentElement()
-	b := root.Children[0]
+	b := root.Children.At(0)
 	free := 0
 	rebuilds := 0
 	for i := 0; i < 12; i++ {
@@ -168,7 +168,7 @@ func TestLiMoonDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := doc.DocumentElement()
-	victim := root.Children[1]
+	victim := root.Children.At(1)
 	removed := victim.Nodes()
 	st, err := n.DeleteChild(root, 1)
 	if err != nil {

@@ -152,7 +152,7 @@ func TestPartitionedStoreSelection(t *testing.T) {
 		t.Fatalf("title rows = %d, want 200", count)
 	}
 	// Point lookup through the decomposition.
-	some := root.Children[17].FirstChildElement("title")
+	some := root.Children.At(17).FirstChildElement("title")
 	id, _ := n.RUID(some)
 	r, ok, _, err := ps.Lookup("title", id)
 	if err != nil || !ok {

@@ -137,7 +137,7 @@ func Build(doc *xmltree.Node, opts Options) (*Numbering, error) {
 func maxFanout(root *xmltree.Node, withAttrs bool) int {
 	max := 0
 	root.Walk(func(d *xmltree.Node) bool {
-		if f := len(d.StructuralChildren(withAttrs)); f > max {
+		if f := d.StructuralFanout(withAttrs); f > max {
 			max = f
 		}
 		return true
@@ -157,7 +157,7 @@ func (n *Numbering) renumberAll() error {
 // assign gives node the identifier id and recurses into its children.
 func (n *Numbering) assign(node *xmltree.Node, id *big.Int) error {
 	n.setID(node, id)
-	kids := node.StructuralChildren(n.opts.WithAttrs)
+	kids := node.StructuralChildren(nil, n.opts.WithAttrs)
 	if int64(len(kids)) > n.k64 {
 		return fmt.Errorf("%w: node %s has %d children, k = %d",
 			ErrFanout, node.Path(), len(kids), n.k64)

@@ -75,7 +75,7 @@ func TestFigure1Insertion(t *testing.T) {
 		}
 	}
 	// The inserted node takes the identifier 3, the slot it pushed right.
-	newID, ok := n.IDValue(root.Children[1])
+	newID, ok := n.IDValue(root.Children.At(1))
 	if !ok || newID.Int64() != 3 {
 		t.Errorf("inserted node uid = %v, want 3", newID)
 	}

@@ -23,11 +23,11 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: insert under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos > len(parent.Children) {
+	if pos < 0 || pos > parent.Children.Len() {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: insert position %d out of range", pos)
 	}
 	parent.InsertChildAt(pos, newChild)
-	kids := parent.StructuralChildren(n.opts.WithAttrs)
+	kids := parent.StructuralChildren(nil, n.opts.WithAttrs)
 	if int64(len(kids)) > n.k64 {
 		// Overflow of the global fan-out: the paper's worst case. The whole
 		// identifier system is reconstructed with the new maximal fan-out.
@@ -43,7 +43,7 @@ func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateSta
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: delete under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos >= len(parent.Children) {
+	if pos < 0 || pos >= parent.Children.Len() {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: delete position %d out of range", pos)
 	}
 	removed := parent.RemoveChild(pos)
@@ -72,10 +72,10 @@ func (n *Numbering) dropID(node *xmltree.Node) {
 func (n *Numbering) relabelFrom(parent, skip *xmltree.Node, pos int) scheme.UpdateStats {
 	var st scheme.UpdateStats
 	pid := n.ids[parent]
-	kids := parent.StructuralChildren(n.opts.WithAttrs)
+	kids := parent.StructuralChildren(nil, n.opts.WithAttrs)
 	// Attributes precede children in structural order; an insertion among
 	// children never moves attributes, but positions must account for them.
-	offset := len(kids) - len(parent.Children)
+	offset := len(kids) - parent.Children.Len()
 	for j := offset + pos; j < len(kids); j++ {
 		n.relabelSubtree(kids[j], n.childID(pid, j), skip, &st)
 	}
@@ -92,7 +92,7 @@ func (n *Numbering) relabelSubtree(node *xmltree.Node, id *big.Int, skip *xmltre
 		}
 		n.setID(node, id)
 	}
-	for j, c := range node.StructuralChildren(n.opts.WithAttrs) {
+	for j, c := range node.StructuralChildren(nil, n.opts.WithAttrs) {
 		n.relabelSubtree(c, n.childID(id, j), skip, st)
 	}
 }

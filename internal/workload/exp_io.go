@@ -58,7 +58,7 @@ func E12StorageAxes() *Table {
 		// Sample of interior nodes with children.
 		var sample []*xmltree.Node
 		root.Walk(func(x *xmltree.Node) bool {
-			if len(x.Children) > 0 && len(sample) < 32 {
+			if x.Children.Len() > 0 && len(sample) < 32 {
 				sample = append(sample, x)
 			}
 			return true

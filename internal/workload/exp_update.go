@@ -122,7 +122,7 @@ func measureDeletions(doc *xmltree.Node, depth, trials int, build func(*xmltree.
 	for done < trials {
 		var candidates []*xmltree.Node
 		root.Walk(func(x *xmltree.Node) bool {
-			if x.Depth()-root.Depth() == depth && len(x.Children) > 1 {
+			if x.Depth()-root.Depth() == depth && x.Children.Len() > 1 {
 				candidates = append(candidates, x)
 			}
 			return true
@@ -169,12 +169,12 @@ func E6WorstCase() *Table {
 			root := doc.DocumentElement()
 			widest := root
 			root.Walk(func(x *xmltree.Node) bool {
-				if len(x.Children) > len(widest.Children) {
+				if x.Children.Len() > widest.Children.Len() {
 					widest = x
 				}
 				return true
 			})
-			return widest, len(widest.Children)
+			return widest, widest.Children.Len()
 		}
 
 		docU := mk()

@@ -39,7 +39,8 @@ func FuzzParseXML(f *testing.F) {
 		}
 		var check func(n *Node)
 		check = func(n *Node) {
-			for _, c := range n.Children {
+			for ci := 0; ci < n.Children.Len(); ci++ {
+				c := n.Children.At(ci)
 				if c.Parent != n {
 					t.Fatalf("child %v not parented to %v", c, n)
 				}

@@ -27,8 +27,7 @@ func Balanced(fanout, depth int) *Node {
 		if level < depth {
 			for i := 0; i < fanout; i++ {
 				c := build(level + 1)
-				c.Parent = el
-				el.Children = append(el.Children, c)
+				el.AppendChild(c)
 			}
 		}
 		return el
@@ -66,12 +65,12 @@ func Skewed(wideFanout, narrowFanout, depth int) *Node {
 		root.AppendChild(NewElement("wide"))
 	}
 	// One narrow spine hanging off the first wide child.
-	cur := root.Children[0]
+	cur := root.Children.At(0)
 	for d := 0; d < depth; d++ {
 		for i := 0; i < narrowFanout; i++ {
 			cur.AppendChild(NewElement(fmt.Sprintf("deep%d", d)))
 		}
-		cur = cur.Children[0]
+		cur = cur.Children.At(0)
 	}
 	return doc
 }
@@ -116,14 +115,14 @@ func Random(cfg RandomConfig) *Node {
 		c := NewElement(fmt.Sprintf("e%d", rng.Intn(16)))
 		p.AppendChild(c)
 		open = append(open, c)
-		if len(p.Children) >= cfg.MaxFanout {
+		if p.Children.Len() >= cfg.MaxFanout {
 			open[idx] = open[len(open)-1]
 			open = open[:len(open)-1]
 		}
 	}
 	if cfg.TextLeaf {
 		root.Walk(func(d *Node) bool {
-			if d.Kind == Element && len(d.Children) == 0 {
+			if d.Kind == Element && d.Children.Len() == 0 {
 				d.AppendChild(NewText(fmt.Sprintf("t%d", rng.Intn(1000))))
 			}
 			return true
@@ -149,8 +148,7 @@ func Recursive(width, depth int) *Node {
 		if level < depth {
 			for i := 0; i < width; i++ {
 				c := build(level + 1)
-				c.Parent = sec
-				sec.Children = append(sec.Children, c)
+				sec.AppendChild(c)
 			}
 		}
 		return sec
@@ -158,8 +156,7 @@ func Recursive(width, depth int) *Node {
 	book := NewElement("book")
 	doc.AppendChild(book)
 	c := build(0)
-	c.Parent = book
-	book.Children = append(book.Children, c)
+	book.AppendChild(c)
 	return doc
 }
 

@@ -11,6 +11,7 @@ package xmltree
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -79,10 +80,14 @@ type Node struct {
 	Name     string  // element name, attribute name or PI target
 	Data     string  // text content, comment text, attribute value or PI data
 	Parent   *Node   // nil for the document node
-	Children []*Node // element and document nodes only
+	Children Seq     // element and document nodes only
 	Attrs    []*Node // element nodes only; each has Kind == Attribute
 	Num      NodeNum // the label this node carries (see NodeNum)
 }
+
+// Node is 128 bytes, a size class of the allocator, and Children may not grow
+// past the four words Seq takes: a fifth moves every node of every document
+// into the 144-byte class.
 
 // NewDocument returns an empty document node.
 func NewDocument() *Node { return &Node{Kind: Document} }
@@ -131,7 +136,7 @@ func (n *Node) Attr(name string) (string, bool) {
 // AppendChild attaches c as the last child of n. It panics if c already has a
 // parent or if n cannot hold children.
 func (n *Node) AppendChild(c *Node) {
-	n.InsertChildAt(len(n.Children), c)
+	n.InsertChildAt(n.Children.Len(), c)
 }
 
 // InsertChildAt inserts c so that it becomes the child at position i
@@ -147,25 +152,22 @@ func (n *Node) InsertChildAt(i int, c *Node) {
 	if c.Kind == Attribute || c.Kind == Document {
 		panic("xmltree: cannot insert " + c.Kind.String() + " node as child")
 	}
-	if i < 0 || i > len(n.Children) {
+	if i < 0 || i > n.Children.Len() {
 		panic("xmltree: insert position out of range")
 	}
 	c.Parent = n
-	n.Children = append(n.Children, nil)
-	copy(n.Children[i+1:], n.Children[i:])
-	n.Children[i] = c
+	n.Children.Insert(i, c)
 }
 
 // RemoveChild detaches the child at position i and returns it. The removal
 // is cascading in the sense of the paper (§3.2): the whole subtree rooted at
 // the child leaves the document.
 func (n *Node) RemoveChild(i int) *Node {
-	if i < 0 || i >= len(n.Children) {
+	if i < 0 || i >= n.Children.Len() {
 		panic("xmltree: remove position out of range")
 	}
-	c := n.Children[i]
-	copy(n.Children[i:], n.Children[i+1:])
-	n.Children = n.Children[:len(n.Children)-1]
+	c := n.Children.At(i)
+	n.Children.Delete(i)
 	c.Parent = nil
 	return c
 }
@@ -197,16 +199,14 @@ func (n *Node) Index() int {
 	if p == nil {
 		panic("xmltree: Index of parentless node")
 	}
-	list := p.Children
+	i := p.Children.Index(n)
 	if n.Kind == Attribute {
-		list = p.Attrs
+		i = slices.Index(p.Attrs, n)
 	}
-	for i, c := range list {
-		if c == n {
-			return i
-		}
+	if i < 0 {
+		panic("xmltree: node not found among its parent's children")
 	}
-	panic("xmltree: node not found among its parent's children")
+	return i
 }
 
 // Root returns the topmost ancestor of n (n itself if parentless).
@@ -228,33 +228,33 @@ func (n *Node) Depth() int {
 
 // DocumentElement returns the first element child of a document node, or nil.
 func (n *Node) DocumentElement() *Node {
-	for _, c := range n.Children {
-		if c.Kind == Element {
-			return c
-		}
-	}
-	return nil
+	return n.FirstChildElement("")
 }
 
-// StructuralChildren returns the children of n as seen by a numbering scheme
-// that enumerates every component of the document: attributes first (in
-// definition order), then regular children. The returned slice must not be
-// modified.
-func (n *Node) StructuralChildren(withAttrs bool) []*Node {
-	if !withAttrs || len(n.Attrs) == 0 {
-		return n.Children
+// StructuralChildren appends to dst the children of n as seen by a numbering
+// scheme that enumerates every component of the document — attributes first
+// (in definition order) when withAttrs, then regular children — and returns
+// the extended slice.
+func (n *Node) StructuralChildren(dst []*Node, withAttrs bool) []*Node {
+	if withAttrs {
+		dst = append(dst, n.Attrs...)
 	}
-	out := make([]*Node, 0, len(n.Attrs)+len(n.Children))
-	out = append(out, n.Attrs...)
-	out = append(out, n.Children...)
-	return out
+	return n.Children.AppendTo(dst)
+}
+
+// StructuralFanout returns how many children StructuralChildren yields.
+func (n *Node) StructuralFanout(withAttrs bool) int {
+	if withAttrs {
+		return len(n.Attrs) + n.Children.Len()
+	}
+	return n.Children.Len()
 }
 
 // FirstChildElement returns the first child element with the given name
 // ("" matches any element), or nil.
 func (n *Node) FirstChildElement(name string) *Node {
-	for _, c := range n.Children {
-		if c.Kind == Element && (name == "" || c.Name == name) {
+	for i := 0; i < n.Children.Len(); i++ {
+		if c := n.Children.At(i); c.Kind == Element && (name == "" || c.Name == name) {
 			return c
 		}
 	}
@@ -265,8 +265,8 @@ func (n *Node) FirstChildElement(name string) *Node {
 // any element).
 func (n *Node) ChildElements(name string) []*Node {
 	var out []*Node
-	for _, c := range n.Children {
-		if c.Kind == Element && (name == "" || c.Name == name) {
+	for i := 0; i < n.Children.Len(); i++ {
+		if c := n.Children.At(i); c.Kind == Element && (name == "" || c.Name == name) {
 			out = append(out, c)
 		}
 	}
@@ -296,8 +296,8 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	if !fn(n) {
 		return
 	}
-	for _, c := range n.Children {
-		c.Walk(fn)
+	for i := 0; i < n.Children.Len(); i++ {
+		n.Children.At(i).Walk(fn)
 	}
 }
 
@@ -312,8 +312,8 @@ func (n *Node) WalkFull(fn func(*Node) bool) {
 	for _, a := range n.Attrs {
 		fn(a)
 	}
-	for _, c := range n.Children {
-		c.WalkFull(fn)
+	for i := 0; i < n.Children.Len(); i++ {
+		n.Children.At(i).WalkFull(fn)
 	}
 }
 
@@ -367,16 +367,17 @@ func (n *Node) cloneInto(m map[*Node]*Node) *Node {
 		}
 		c.Attrs = append(c.Attrs, ac)
 	}
-	for _, ch := range n.Children {
-		cc := ch.cloneInto(m)
+	for i := 0; i < n.Children.Len(); i++ {
+		cc := n.Children.At(i).cloneInto(m)
 		cc.Parent = c
-		c.Children = append(c.Children, cc)
+		c.Children.Append(cc)
 	}
 	return c
 }
 
 // ShallowCopy returns a copy of n alone, for path-copying writers: the copy
-// has its own child list holding n's children themselves, its own copies of
+// has its own child list holding n's children themselves (Seq.Share: a wide
+// list's chunks are shared until the copy writes them), its own copies of
 // n's attributes (an attribute is reached only through its element, so the
 // two are copied together), n's stamp, and parent as its Parent.
 //
@@ -387,7 +388,7 @@ func (n *Node) cloneInto(m map[*Node]*Node) *Node {
 // consistent.
 func (n *Node) ShallowCopy(parent *Node) *Node {
 	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, Num: n.Num, Parent: parent}
-	c.Children = append(c.Children, n.Children...)
+	c.Children = n.Children.Share()
 	for _, a := range n.Attrs {
 		c.Attrs = append(c.Attrs, &Node{Kind: Attribute, Name: a.Name, Data: a.Data, Parent: c, Num: a.Num})
 	}

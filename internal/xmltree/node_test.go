@@ -23,11 +23,11 @@ func TestParseBasic(t *testing.T) {
 	if v, ok := root.Attr("x"); !ok || v != "1" {
 		t.Fatalf("attr x = %q, %v", v, ok)
 	}
-	if len(root.Children) != 2 { // comment dropped by default
-		t.Fatalf("children = %d, want 2", len(root.Children))
+	if root.Children.Len() != 2 { // comment dropped by default
+		t.Fatalf("children = %d, want 2", root.Children.Len())
 	}
-	b := root.Children[0]
-	if b.Name != "b" || len(b.Children) != 1 || b.Children[0].Kind != Text || b.Children[0].Data != "hi" {
+	b := root.Children.At(0)
+	if b.Name != "b" || b.Children.Len() != 1 || b.Children.At(0).Kind != Text || b.Children.At(0).Data != "hi" {
 		t.Fatalf("unexpected b subtree: %s", Serialize(b))
 	}
 }
@@ -42,7 +42,8 @@ func TestParseOptions(t *testing.T) {
 	}
 	root := doc.DocumentElement()
 	kinds := map[Kind]int{}
-	for _, c := range root.Children {
+	for ci := 0; ci < root.Children.Len(); ci++ {
+		c := root.Children.At(ci)
 		kinds[c.Kind]++
 	}
 	if kinds[Text] != 3 || kinds[Comment] != 1 || kinds[ProcInst] != 1 || kinds[Element] != 1 {
@@ -99,7 +100,8 @@ func TestMutation(t *testing.T) {
 
 func names(n *Node) string {
 	var out []string
-	for _, c := range n.Children {
+	for ci := 0; ci < n.Children.Len(); ci++ {
+		c := n.Children.At(ci)
 		out = append(out, c.Name)
 	}
 	return strings.Join(out, ",")
@@ -108,7 +110,7 @@ func names(n *Node) string {
 func TestMutationPanics(t *testing.T) {
 	doc := mustParse(t, `<a><b/></a>`)
 	root := doc.DocumentElement()
-	assertPanic(t, "reattach", func() { root.AppendChild(root.Children[0]) })
+	assertPanic(t, "reattach", func() { root.AppendChild(root.Children.At(0)) })
 	assertPanic(t, "range", func() { root.InsertChildAt(5, NewElement("x")) })
 	assertPanic(t, "text child", func() { NewText("t").AppendChild(NewElement("x")) })
 	assertPanic(t, "attr child", func() { root.AppendChild(&Node{Kind: Attribute, Name: "a"}) })
@@ -134,7 +136,7 @@ func TestCloneIsDeepAndDetached(t *testing.T) {
 	if Serialize(c) != Serialize(root) {
 		t.Fatalf("clone differs: %s vs %s", Serialize(c), Serialize(root))
 	}
-	c.Children[0].Children[0].Children[0].Data = "changed"
+	c.Children.At(0).Children.At(0).Children.At(0).Data = "changed"
 	if strings.Contains(Serialize(root), "changed") {
 		t.Fatalf("clone shares nodes with the original")
 	}
@@ -143,7 +145,7 @@ func TestCloneIsDeepAndDetached(t *testing.T) {
 func TestDepthRootIndexPath(t *testing.T) {
 	doc := mustParse(t, `<a><b><c/></b><d/></a>`)
 	root := doc.DocumentElement()
-	c := root.Children[0].Children[0]
+	c := root.Children.At(0).Children.At(0)
 	if c.Depth() != 3 { // document -> a -> b -> c
 		t.Fatalf("depth = %d", c.Depth())
 	}
@@ -153,8 +155,8 @@ func TestDepthRootIndexPath(t *testing.T) {
 	if got := c.Path(); got != "/a[0]/b[0]/c[0]" {
 		t.Fatalf("Path() = %q", got)
 	}
-	if root.Children[1].Index() != 1 {
-		t.Fatalf("Index of d = %d", root.Children[1].Index())
+	if root.Children.At(1).Index() != 1 {
+		t.Fatalf("Index of d = %d", root.Children.At(1).Index())
 	}
 }
 
@@ -175,11 +177,11 @@ func TestTextsAndChildHelpers(t *testing.T) {
 func TestStructuralChildren(t *testing.T) {
 	doc := mustParse(t, `<a p="1" q="2"><b/></a>`)
 	root := doc.DocumentElement()
-	plain := root.StructuralChildren(false)
+	plain := root.StructuralChildren(nil, false)
 	if len(plain) != 1 {
 		t.Fatalf("plain children = %d", len(plain))
 	}
-	full := root.StructuralChildren(true)
+	full := root.StructuralChildren(nil, true)
 	if len(full) != 3 || full[0].Kind != Attribute || full[2].Name != "b" {
 		t.Fatalf("full children wrong: %v", full)
 	}

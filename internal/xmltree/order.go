@@ -156,11 +156,7 @@ func FollowingSiblings(n *Node) []*Node {
 	if n.Parent == nil || n.Kind == Attribute {
 		return nil
 	}
-	sibs := n.Parent.Children
-	i := n.Index()
-	out := make([]*Node, len(sibs)-i-1)
-	copy(out, sibs[i+1:])
-	return out
+	return n.Parent.Children.AppendTo(nil)[n.Index()+1:]
 }
 
 // PrecedingSiblings returns the siblings of n that come before it, in
@@ -172,7 +168,7 @@ func PrecedingSiblings(n *Node) []*Node {
 	i := n.Index()
 	out := make([]*Node, 0, i)
 	for j := i - 1; j >= 0; j-- {
-		out = append(out, n.Parent.Children[j])
+		out = append(out, n.Parent.Children.At(j))
 	}
 	return out
 }
@@ -181,7 +177,8 @@ func PrecedingSiblings(n *Node) []*Node {
 // excluding attributes.
 func Descendants(n *Node) []*Node {
 	var out []*Node
-	for _, c := range n.Children {
+	for ci := 0; ci < n.Children.Len(); ci++ {
+		c := n.Children.At(ci)
 		c.Walk(func(d *Node) bool {
 			out = append(out, d)
 			return true

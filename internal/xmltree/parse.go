@@ -139,7 +139,8 @@ func (e *errWriter) str(s string) {
 func writeNode(w *errWriter, n *Node) {
 	switch n.Kind {
 	case Document:
-		for _, c := range n.Children {
+		for ci := 0; ci < n.Children.Len(); ci++ {
+			c := n.Children.At(ci)
 			writeNode(w, c)
 		}
 	case Element:
@@ -152,12 +153,13 @@ func writeNode(w *errWriter, n *Node) {
 			w.str(escapeAttr(a.Data))
 			w.str(`"`)
 		}
-		if len(n.Children) == 0 {
+		if n.Children.Len() == 0 {
 			w.str("/>")
 			return
 		}
 		w.str(">")
-		for _, c := range n.Children {
+		for ci := 0; ci < n.Children.Len(); ci++ {
+			c := n.Children.At(ci)
 			writeNode(w, c)
 		}
 		w.str("</")

@@ -20,7 +20,7 @@ func randomTextDoc(seed int64, nodes int) *Node {
 		if rng.Intn(2) == 0 {
 			n.SetAttr("h", hostile[rng.Intn(len(hostile))])
 		}
-		if len(n.Children) == 0 && rng.Intn(2) == 0 {
+		if n.Children.Len() == 0 && rng.Intn(2) == 0 {
 			n.AppendChild(NewText(hostile[rng.Intn(len(hostile))]))
 		}
 		return true
@@ -59,7 +59,7 @@ func equalTrees(a, b *Node) bool {
 	if a.Kind != b.Kind || a.Name != b.Name || a.Data != b.Data {
 		return false
 	}
-	if len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
+	if len(a.Attrs) != len(b.Attrs) || a.Children.Len() != b.Children.Len() {
 		return false
 	}
 	for i := range a.Attrs {
@@ -67,8 +67,8 @@ func equalTrees(a, b *Node) bool {
 			return false
 		}
 	}
-	for i := range a.Children {
-		if !equalTrees(a.Children[i], b.Children[i]) {
+	for i := 0; i < a.Children.Len(); i++ {
+		if !equalTrees(a.Children.At(i), b.Children.At(i)) {
 			return false
 		}
 	}

@@ -37,7 +37,7 @@ func Measure(n *Node) Stats {
 		case Text:
 			s.TextNodes++
 		}
-		f := len(d.Children)
+		f := d.Children.Len()
 		if f == 0 {
 			s.Leaves++
 		} else {
@@ -110,8 +110,8 @@ func (s Stats) String() string {
 func MaxFanout(n *Node) int {
 	max := 0
 	n.Walk(func(d *Node) bool {
-		if len(d.Children) > max {
-			max = len(d.Children)
+		if d.Children.Len() > max {
+			max = d.Children.Len()
 		}
 		return true
 	})
@@ -134,7 +134,8 @@ func MaxDepth(n *Node) int {
 		if depth > max {
 			max = depth
 		}
-		for _, c := range d.Children {
+		for ci := 0; ci < d.Children.Len(); ci++ {
+			c := d.Children.At(ci)
 			walk(c, depth+1)
 		}
 	}
@@ -166,7 +167,8 @@ func Sketch(n *Node, maxDepth int) string {
 			b.WriteString(d.Kind.String())
 		}
 		b.WriteByte('\n')
-		for _, c := range d.Children {
+		for ci := 0; ci < d.Children.Len(); ci++ {
+			c := d.Children.At(ci)
 			walk(c, depth+1)
 		}
 	}

@@ -233,11 +233,11 @@ func (r *run) axis(c *xmltree.Node, axis Axis, visit Visit) bool {
 	case xmltree.Document:
 		switch axis {
 		case AxisChild:
-			return each(c.Children, false, visit)
+			return all(c.Children, visit)
 		case AxisDescendant:
-			return subtrees(c.Children, false, visit)
+			return below(c, false, visit)
 		case AxisDescendantOrSelf:
-			return visit(c) && subtrees(c.Children, false, visit)
+			return visit(c) && below(c, false, visit)
 		case AxisSelf:
 			return visit(c)
 		}
@@ -283,7 +283,11 @@ func (r *run) axis(c *xmltree.Node, axis Axis, visit Visit) bool {
 	case AxisSelf:
 		return visit(c)
 	case AxisAttribute:
-		return each(c.Attrs, false, visit)
+		for _, a := range c.Attrs {
+			if !visit(a) {
+				return false
+			}
+		}
 	}
 	return true
 }

@@ -57,54 +57,59 @@ func (PointerNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
 	return n.Parent, true
 }
 
-// each visits ns front to back, or back to front when rev.
-func each(ns []*xmltree.Node, rev bool, visit Visit) bool {
-	if rev {
-		for i := len(ns) - 1; i >= 0; i-- {
-			if !visit(ns[i]) {
-				return false
-			}
+// each visits entries lo to hi-1 of ns front to back, or back to front when
+// rev.
+func each(ns xmltree.Seq, lo, hi int, rev bool, visit Visit) bool {
+	for i := lo; i < hi; i++ {
+		at := i
+		if rev {
+			at = lo + hi - 1 - i
 		}
-		return true
-	}
-	for _, x := range ns {
-		if !visit(x) {
+		if !visit(ns.At(at)) {
 			return false
 		}
 	}
 	return true
 }
 
-// subtrees visits every node of ns with its whole subtree, attributes
-// excluded: in document order, or — back to front, each node after its
-// subtree — in reverse document order.
-func subtrees(ns []*xmltree.Node, rev bool, visit Visit) bool {
-	return each(ns, rev, func(x *xmltree.Node) bool {
+// all visits every entry of ns in order.
+func all(ns xmltree.Seq, visit Visit) bool { return each(ns, 0, ns.Len(), false, visit) }
+
+// subtrees visits entries lo to hi-1 of ns, each with its whole subtree,
+// attributes excluded: in document order, or — back to front, each node after
+// its subtree — in reverse document order.
+func subtrees(ns xmltree.Seq, lo, hi int, rev bool, visit Visit) bool {
+	return each(ns, lo, hi, rev, func(x *xmltree.Node) bool {
 		if rev {
-			return subtrees(x.Children, true, visit) && visit(x)
+			return below(x, true, visit) && visit(x)
 		}
-		return visit(x) && subtrees(x.Children, false, visit)
+		return visit(x) && below(x, false, visit)
 	})
 }
 
-// siblings splits the child list n sits in around n. Attributes and the
-// document node have no siblings.
-func siblings(n *xmltree.Node) (before, after []*xmltree.Node) {
+// below visits the proper descendants of x.
+func below(x *xmltree.Node, rev bool, visit Visit) bool {
+	return subtrees(x.Children, 0, x.Children.Len(), rev, visit)
+}
+
+// siblings returns the child list n sits in, n's position there and the
+// list's length: the entries in front of the position and behind it are n's
+// siblings. Attributes and the document node have none.
+func siblings(n *xmltree.Node) (list xmltree.Seq, at, end int) {
 	if n.Parent == nil || n.Kind == xmltree.Attribute {
-		return nil, nil
+		return xmltree.Seq{}, 0, 0
 	}
-	i := n.Index()
-	return n.Parent.Children[:i], n.Parent.Children[i+1:]
+	return n.Parent.Children, n.Index(), n.Parent.Children.Len()
 }
 
 // Children implements Navigator.
 func (PointerNavigator) Children(n *xmltree.Node, visit Visit) bool {
-	return each(n.Children, false, visit)
+	return all(n.Children, visit)
 }
 
 // Descendants implements Navigator.
 func (PointerNavigator) Descendants(n *xmltree.Node, visit Visit) bool {
-	return subtrees(n.Children, false, visit)
+	return below(n, false, visit)
 }
 
 // Ancestors implements Navigator.
@@ -119,21 +124,21 @@ func (PointerNavigator) Ancestors(n *xmltree.Node, visit Visit) bool {
 
 // FollowingSiblings implements Navigator.
 func (PointerNavigator) FollowingSiblings(n *xmltree.Node, visit Visit) bool {
-	_, after := siblings(n)
-	return each(after, false, visit)
+	list, at, end := siblings(n)
+	return each(list, at+1, end, false, visit)
 }
 
 // PrecedingSiblings implements Navigator.
 func (PointerNavigator) PrecedingSiblings(n *xmltree.Node, visit Visit) bool {
-	before, _ := siblings(n)
-	return each(before, true, visit)
+	list, at, _ := siblings(n)
+	return each(list, 0, at, true, visit)
 }
 
 // Following implements Navigator: for n and each ancestor in turn, the
 // following siblings and their subtrees.
 func (PointerNavigator) Following(n *xmltree.Node, visit Visit) bool {
 	for ; n != nil; n = n.Parent {
-		if _, after := siblings(n); !subtrees(after, false, visit) {
+		if list, at, end := siblings(n); !subtrees(list, at+1, end, false, visit) {
 			return false
 		}
 	}
@@ -143,7 +148,7 @@ func (PointerNavigator) Following(n *xmltree.Node, visit Visit) bool {
 // Preceding implements Navigator: the mirror image of Following.
 func (PointerNavigator) Preceding(n *xmltree.Node, visit Visit) bool {
 	for ; n != nil; n = n.Parent {
-		if before, _ := siblings(n); !subtrees(before, true, visit) {
+		if list, at, _ := siblings(n); !subtrees(list, 0, at, true, visit) {
 			return false
 		}
 	}
@@ -367,7 +372,8 @@ func topLevel(doc, n *xmltree.Node) int {
 		return -1
 	}
 	root := 0
-	for i, c := range doc.Children {
+	for i := 0; i < doc.Children.Len(); i++ {
+		c := doc.Children.At(i)
 		if c == n {
 			return i
 		}
