@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -592,7 +593,10 @@ const (
 // writeRows measures single-writer mutation throughput at batch 1 (the
 // per-mutation publish path) against group commit at batch 64, plus a
 // durable row where eight concurrent writers share a group-fsync WAL, and
-// one count row: postings the index re-encodes per batch=1 mutation. The
+// two cost rows of the batch=1 stream: postings the index re-encodes per
+// mutation, and bytes the process allocates per mutation — the 256 cells hang
+// off one wide node, so every write's spine copy passes a child list and a K
+// row wider than a chunk, and copying either whole shows here. The
 // batch=1 / batch=64 ratio is the headline amortization claim (≥5x); both
 // rows sit in the committed baseline, so the benchdiff gate catches either
 // side drifting.
@@ -627,12 +631,14 @@ func writeRows() []microResult {
 	{
 		d := build(document.Options{})
 		e0 := d.Stats().Epoch
+		a0 := allocatedBytes()
 		start := time.Now()
 		serialPairs(d)
 		el := time.Since(start)
 		rows = append(rows,
 			rate("write/mutation_ns/batch=1", writeMutations, el),
-			pseudo("write/publishes_per_kmutation/batch=1", 1000*float64(d.Stats().Epoch-e0)/writeMutations))
+			pseudo("write/publishes_per_kmutation/batch=1", 1000*float64(d.Stats().Epoch-e0)/writeMutations),
+			pseudo("write/alloc_bytes_per_mutation/batch=1", math.Round(float64(allocatedBytes()-a0)/writeMutations)))
 	}
 	// The same stream once more, observed and untimed, for the index side of
 	// §3.2's update scope: postings re-encoded per mutation. It is a count —
@@ -816,6 +822,14 @@ func readRows() []microResult {
 		Iterations: 1,
 		NsPerOp:    heapPerNode,
 	}}
+}
+
+// allocatedBytes is the cumulative bytes the process has allocated: a counter
+// the runtime keeps, independent of when collections run.
+func allocatedBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 // openHeapPerNode opens src and returns the live heap the document holds,

@@ -269,12 +269,13 @@ func run(cfg config, query, path string, out io.Writer) error {
 			ioReport(d)
 			return finish()
 		}
-		results, plan, err := d.Query(query)
+		snap := d.Snapshot()
+		results, plan, err := snap.Query(query)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "plan: %s\n", plan.Explain())
-		if err := printResults(out, results, cfg.serialize); err != nil {
+		if err := printResults(out, results, cfg.serialize, snap.Path); err != nil {
 			return err
 		}
 		ioReport(d)
@@ -301,7 +302,7 @@ func run(cfg config, query, path string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := printResults(out, results, cfg.serialize); err != nil {
+		if err := printResults(out, results, cfg.serialize, snap.Path); err != nil {
 			return err
 		}
 		ioReport(d)
@@ -333,14 +334,17 @@ func run(cfg config, query, path string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return printResults(out, results, cfg.serialize)
+		return printResults(out, results, cfg.serialize, (*xmltree.Node).Path)
 
 	default:
 		return fmt.Errorf("unknown navigator %q", nav)
 	}
 }
 
-func printResults(out io.Writer, results []*xmltree.Node, serialize bool) error {
+// printResults prints each result node serialized or as its path; path is the
+// epoch's for a facade document (document.Snapshot.Path) and the tree's own
+// for a bare parsed one.
+func printResults(out io.Writer, results []*xmltree.Node, serialize bool, path func(*xmltree.Node) string) error {
 	for _, n := range results {
 		if serialize {
 			fmt.Fprintln(out, xmltree.Serialize(n))
@@ -348,9 +352,9 @@ func printResults(out io.Writer, results []*xmltree.Node, serialize bool) error 
 		}
 		switch n.Kind {
 		case xmltree.Attribute, xmltree.Text:
-			fmt.Fprintf(out, "%s = %q\n", n.Path(), n.Data)
+			fmt.Fprintf(out, "%s = %q\n", path(n), n.Data)
 		default:
-			fmt.Fprintln(out, n.Path())
+			fmt.Fprintln(out, path(n))
 		}
 	}
 	fmt.Fprintf(os.Stderr, "%d node(s)\n", len(results))

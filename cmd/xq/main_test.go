@@ -146,3 +146,24 @@ func TestRunStats(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPathsAfterWrites is the stale-path regression through the CLI: a
+// write relabels d (one <xqwrite/> in front of it) and copies it, while the
+// nodes below keep the Parent pointers of the tree they were parsed into,
+// which lead to the d of the first epoch at position 2. The printed path must
+// be the queried epoch's.
+func TestRunPathsAfterWrites(t *testing.T) {
+	p := writeDoc(t, `<a><b><k/></b><c><k/></c><d><e><f><g><k/><k/><k/></g></f></e></d></a>`)
+	for _, nav := range []string{"ruid", "planner"} {
+		c := cfg(nav)
+		c.area, c.writes = 3, 1
+		var out strings.Builder
+		if err := run(c, "//g/k", p, &out); err != nil {
+			t.Fatalf("%s: %v", nav, err)
+		}
+		want := "/a[0]/d[3]/e[0]/f[0]/g[0]/k[0]\n/a[0]/d[3]/e[0]/f[0]/g[0]/k[1]\n/a[0]/d[3]/e[0]/f[0]/g[0]/k[2]"
+		if got := strings.TrimSpace(out.String()); got != want {
+			t.Errorf("%s: output %q, want %q", nav, got, want)
+		}
+	}
+}

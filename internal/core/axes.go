@@ -23,9 +23,23 @@ import (
 // loop of its own. A descent carries its K row along and consults K again
 // only where a slot holds the root of a lower area.
 
-// slotVisit receives one occupied slot of an area, as its position in the
-// row's arrays; returning false stops the walk.
-type slotVisit func(a *area, i int) bool
+// slotVisit is what a walk hands each occupied slot to: node, for a consumer
+// of the node sitting there, or slot, for one that wants the slot itself (its
+// position in the row's arrays). Returning false stops the walk. A walk over
+// nodes calls the consumer's own function, with no adapter in between: the
+// call per slot is most of what a scan of a wide row costs.
+type slotVisit struct {
+	node func(x *xmltree.Node) bool
+	slot func(a *area, i int) bool
+}
+
+// at hands over position i of row a, which holds x.
+func (v slotVisit) at(a *area, i int, x *xmltree.Node) bool {
+	if v.node != nil {
+		return v.node(x)
+	}
+	return v.slot(a, i)
+}
 
 // childContext returns the area in which id's children are enumerated and
 // id's local index inside that area: an area root's children live in its
@@ -123,32 +137,39 @@ func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit)
 	if rev {
 		i, end, step = end-1, i-1, -1
 	}
-	for ; i != end; i += step {
-		if !deep {
-			if !visit(a, i) {
-				return false
-			}
-			continue
-		}
-		if !rev && !visit(a, i) {
-			return false
-		}
-		// The children of the node at the slot share its area and slot unless
-		// it heads a lower area — the one place a descent consults K.
-		sub, l := a, slots[i]
-		if g := a.lower[i]; g != 0 {
-			var ok bool
-			if sub, ok = n.krow(g); !ok {
+	// The nodes of neighbouring slots sit in one stretch of the row's sequence
+	// (a chunk of 64 in a wide row, the whole of a narrow one): the outer loop
+	// fetches a stretch, the inner one walks the slots inside it.
+	for i != end {
+		run, first := a.nodes.Run(i)
+		for j := i - first; i != end && uint(j) < uint(len(run)); i, j = i+step, j+step {
+			x := run[j]
+			if !deep {
+				if !visit.at(a, i, x) {
+					return false
+				}
 				continue
 			}
-			l = 1
-		}
-		clo, chi := childSlots(l, sub.fanout)
-		if !n.scan(sub, clo, chi, rev, true, visit) {
-			return false
-		}
-		if rev && !visit(a, i) {
-			return false
+			if !rev && !visit.at(a, i, x) {
+				return false
+			}
+			// The children of the node at the slot share its area and slot
+			// unless it heads a lower area — the one place a descent consults K.
+			sub, l := a, slots[i]
+			if g := a.lower[i]; g != 0 {
+				var ok bool
+				if sub, ok = n.krow(g); !ok {
+					continue
+				}
+				l = 1
+			}
+			clo, chi := childSlots(l, sub.fanout)
+			if !n.scan(sub, clo, chi, rev, true, visit) {
+				return false
+			}
+			if rev && !visit.at(a, i, x) {
+				return false
+			}
 		}
 	}
 	return true
@@ -216,7 +237,7 @@ func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 		if !ok {
 			return true // id is not of this numbering: its parent's slot is empty
 		}
-		if !visit(a, i) {
+		if !visit.at(a, i, a.nodes.At(i)) {
 			return false
 		}
 		if id = (ID{Global: g, Local: p}); p == 1 {
@@ -227,17 +248,15 @@ func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 
 // atNode adapts a node visitor to the walks: it hands over the node sitting
 // at each visited slot.
-func atNode(visit func(*xmltree.Node) bool) slotVisit {
-	return func(a *area, i int) bool { return visit(a.nodes.At(i)) }
-}
+func atNode(visit func(*xmltree.Node) bool) slotVisit { return slotVisit{node: visit} }
 
 // intoIDs adapts an identifier buffer to the walks: it appends the
 // identifier of each visited slot.
 func intoIDs(dst *[]ID) slotVisit {
-	return func(a *area, i int) bool {
+	return slotVisit{slot: func(a *area, i int) bool {
 		*dst = append(*dst, a.resolveLocal(i))
 		return true
-	}
+	}}
 }
 
 // The VisitX methods walk one axis of the numbered node c in place, in axis

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/xmltree"
 )
@@ -264,5 +266,83 @@ func TestForkChainSoak(t *testing.T) {
 				t.Fatal("no overflow healed on a fork: the own-everything path went untested")
 			}
 		})
+	}
+}
+
+// TestForkedWriteByteBudget pins what a served write costs inside core: on
+// the 190k-node XMark document, a fork, an insert of a three-node bidder
+// under one of the 3000 open_auctions, a second fork and the delete that
+// undoes it. The spine of each write runs through open_auctions, whose child
+// list and whose children's row are 3000 entries each; re-pointing one entry
+// of each costs a chunk and a table (xmltree.Seq), and the pair stays under
+// 40 KB — 35 measured, of which the two forks' K directories and the
+// directory chunks they copy are 15 and the rows, nodes and deltas of the two
+// areas most of the rest; it was 128 KB while both lists were flat arrays
+// copied whole. The nodes a write copies are still bounded by its area and its
+// spine.
+func TestForkedWriteByteBudget(t *testing.T) {
+	n, err := Build(xmltree.XMark(500, 1), Options{Partition: PartitionConfig{MaxAreaNodes: 64, AdjustFanout: true}}) // as served
+	if err != nil {
+		t.Fatal(err)
+	}
+	auctions := n.Root().FirstChildElement("open_auctions")
+	if auctions.Children.Len() != 3000 {
+		t.Fatalf("fixture changed: %d open_auctions", auctions.Children.Len())
+	}
+	rng := rand.New(rand.NewSource(7))
+	const pairs = 40
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < pairs; i++ {
+		id, _ := n.RUID(auctions.Children.At(rng.Intn(3000)))
+		sub, err := xmltree.ParseFragment("<bidder><increase>1</increase></bidder>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		start := ms.TotalAlloc
+
+		ins := n.Fork()
+		parent, _ := ins.NodeOfID(id)
+		if _, _, err := ins.InsertChildDelta(parent, 0, sub); err != nil {
+			t.Fatal(err)
+		}
+		del := ins.Fork()
+		parent, _ = del.NodeOfID(id)
+		if _, _, err := del.DeleteChildDelta(parent, 0); err != nil {
+			t.Fatal(err)
+		}
+
+		runtime.ReadMemStats(&ms)
+		total += ms.TotalAlloc - start
+
+		for _, f := range []*Numbering{ins, del} {
+			area, _ := f.krow(id.Global)
+			spine := len(f.AppendAncestors(nil, id)) + 2 // the parent and the document node
+			fresh := 0
+			for x := range f.copied {
+				if x.Kind != xmltree.Attribute { // copied with their elements, and not numbered here
+					fresh++
+				}
+			}
+			if fresh == 0 || fresh > area.nodes.Len()+spine {
+				t.Fatalf("pair %d: %d fresh nodes; area %d holds %d, the spine %d", i, fresh, id.Global, area.nodes.Len(), spine)
+			}
+		}
+		n = del
+		auctions = n.Root().FirstChildElement("open_auctions")
+	}
+	if per := total / pairs; per > 40<<10 {
+		t.Fatalf("an insert+delete pair on forks allocates %d bytes inside core, budget 40960", per)
+	} else {
+		t.Logf("%d bytes per forked insert+delete pair", per)
+	}
+}
+
+// TestRowStaysInItsSizeClass: a K row is allocated in the 128-byte size
+// class, which the four words of its node sequence fill exactly.
+func TestRowStaysInItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(area{}); size > 128 {
+		t.Fatalf("a K row is %d bytes, past the 128-byte size class", size)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -291,6 +292,7 @@ func (n *Numbering) renumberArea(g int64, d *Delta) (st scheme.UpdateStats, err 
 	if a.fanout > old.fanout {
 		st.AreaRebuilds = 1
 	}
+	d.Relabels = slices.Grow(d.Relabels, len(b.moves))
 	for _, m := range b.moves {
 		if m.id.Root {
 			n.k.own(m.id.Global).rootLocal = m.id.Local

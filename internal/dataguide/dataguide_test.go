@@ -1,7 +1,9 @@
 package dataguide_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,5 +216,74 @@ func TestGuideBatchFold(t *testing.T) {
 	}
 	if bad.Guide() != nil {
 		t.Fatal("broken batch still produced a guide")
+	}
+}
+
+// TestGuidePinnedAcrossFoldedUpdates chains 200 batches, each folded over the
+// guide the one before it produced — the way epochs publish — while the
+// first and a middle guide stay pinned. A batch copies only the trie nodes it
+// writes and shares the rest with its base, so a write that reached a shared
+// node would show in a pinned guide: both must still read exactly as they did
+// (counts, paths and the paths later batches pruned), and the last guide must
+// equal one built from scratch over the mirrored tree.
+func TestGuidePinnedAcrossFoldedUpdates(t *testing.T) {
+	doc := xmltree.XMark(3, 9)
+	g := dataguide.Build(doc)
+	type pin struct {
+		g    *dataguide.Guide
+		text string
+		size int
+	}
+	pins := []pin{{g, g.String(), g.Size()}}
+
+	rng := rand.New(rand.NewSource(4))
+	elementPath := func(x *xmltree.Node) []string {
+		var names []string
+		for ; x.Kind == xmltree.Element; x = x.Parent {
+			names = append(names, x.Name)
+		}
+		slices.Reverse(names)
+		return names
+	}
+	for i := 0; i < 200; i++ {
+		b := g.Begin()
+		for u := 0; u <= i%2; u++ { // every other batch folds two updates
+			els := doc.DocumentElement().Elements()
+			parent := els[rng.Intn(len(els))]
+			if kids := parent.ChildElements(""); len(kids) > 0 && rng.Intn(2) == 0 {
+				sub := kids[rng.Intn(len(kids))]
+				if !b.Update(elementPath(parent), sub, -1) {
+					t.Fatalf("batch %d: removal of %s rejected", i, sub.Path())
+				}
+				sub.Detach()
+				continue
+			}
+			sub, err := xmltree.ParseFragment(fmt.Sprintf("<novel%d><deep><er/></deep>text</novel%d>", i%5, i%5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !b.Update(elementPath(parent), sub, +1) {
+				t.Fatalf("batch %d: insert under %s rejected", i, parent.Path())
+			}
+			parent.AppendChild(sub)
+		}
+		if g = b.Guide(); g == nil {
+			t.Fatalf("batch %d broke", i)
+		}
+		if i == 100 {
+			pins = append(pins, pin{g, g.String(), g.Size()})
+		}
+	}
+	rebuilt := dataguide.Build(doc)
+	if g.String() != rebuilt.String() || g.Size() != rebuilt.Size() {
+		t.Fatalf("after 200 folded batches the guide (%d paths) differs from one built over the tree (%d paths)", g.Size(), rebuilt.Size())
+	}
+	for i, p := range pins {
+		if p.g.String() != p.text || p.g.Size() != p.size {
+			t.Fatalf("pinned guide %d changed under later batches: %d paths, had %d", i, p.g.Size(), p.size)
+		}
+	}
+	if pins[0].text == pins[1].text || pins[1].text == g.String() {
+		t.Fatal("the pinned guides do not differ: the updates did not change the summary")
 	}
 }

@@ -653,6 +653,35 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // the numbering instead.
 func (s *Snapshot) Tree() *xmltree.Node { return s.tree }
 
+// Path returns the slash path (xmltree.Node.Path's format) of n, a node of
+// this epoch's tree, as this epoch holds it. Under ruid the ancestors come
+// from the epoch's own numbering (rparent) and each step's position from that
+// ancestor's child list: n.Path() would climb Parent pointers, and a node the
+// epoch shares with an earlier one keeps the Parent of the tree it was
+// created in, whose positions later writes have moved. An attribute is the
+// exception that needs none of it: it is copied with its element, so its
+// Parent is the element this epoch holds. The epochs of any other scheme are
+// private clones, and their Parent pointers their own.
+func (s *Snapshot) Path(n *xmltree.Node) string {
+	if s.num == nil {
+		return n.Path()
+	}
+	var steps []string
+	if n.Kind == xmltree.Attribute {
+		steps = append(steps, n.PathStep(n.Parent))
+		n = n.Parent
+	}
+	s.num.VisitAncestors(n, func(p *xmltree.Node) bool {
+		steps = append(steps, n.PathStep(p))
+		n = p
+		return true
+	})
+	if n != s.tree {
+		steps = append(steps, n.PathStep(s.tree)) // the root element, under the unnumbered Document node
+	}
+	return xmltree.JoinPath(steps)
+}
+
 // Numbering returns the snapshot's ruid numbering, or nil when the document
 // was opened with a non-ruid scheme (use Scheme for the general interface).
 func (s *Snapshot) Numbering() *core.Numbering { return s.num }

@@ -190,6 +190,31 @@ func TestEpochStructuralSharing(t *testing.T) {
 			t.Errorf("epoch %d: %d shelfa descendants, want %d", i, len(res), wantN)
 		}
 	}
+
+	// Under a wide node the spine copy shares the child list too: the new
+	// open_auctions re-points one of its 300 children at the copy of the
+	// auction written under, which costs it the 64-entry chunk holding that
+	// entry and none of the others.
+	w, err := document.FromTree(xmltree.XMark(50, 1), document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := one(w.Snapshot(), "/site/open_auctions")
+	if _, err := w.Insert("/site/open_auctions/open_auction[10]", 0, xmltree.NewElement("bidder")); err != nil {
+		t.Fatal(err)
+	}
+	after := one(w.Snapshot(), "/site/open_auctions")
+	if after == before || after.Children.Len() != before.Children.Len() {
+		t.Fatalf("open_auctions shared between the epochs, or its width changed: %d, %d children", before.Children.Len(), after.Children.Len())
+	}
+	if shared, of := after.Children.SharedChunks(before.Children); of < 4 || shared != of-1 {
+		t.Errorf("the new open_auctions shares %d of its %d child chunks with the previous epoch's, want all but one of at least 4", shared, of)
+	}
+	for i := 0; i < after.Children.Len(); i++ {
+		if (after.Children.At(i) == before.Children.At(i)) != (i != 9) {
+			t.Errorf("open_auction %d: shared with the previous epoch = %v", i+1, i == 9)
+		}
+	}
 }
 
 // TestEpochNumberingSharing checks the numbering side of structural
@@ -333,7 +358,7 @@ func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
 // epoch, or walk children its tree does not have.
 func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 	reg := obs.NewRegistry()
-	d, err := document.FromTree(xmltree.XMark(2, 5), document.Options{
+	d, err := document.FromTree(xmltree.XMark(12, 5), document.Options{
 		Partition: core.PartitionConfig{MaxAreaNodes: 16, AdjustFanout: true},
 		Observe:   reg,
 	})
@@ -376,6 +401,9 @@ func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 		return res.Len()
 	}
 	auctions := count("/site/open_auctions/open_auction")
+	if auctions <= 64 {
+		t.Fatalf("%d open_auctions: the fixture no longer reaches a chunked child list and row", auctions)
+	}
 	rng := rand.New(rand.NewSource(22))
 	writes := 0
 	for i := 0; writes < 200; i++ {
@@ -419,13 +447,13 @@ func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 // the update parent — so a write costs at most the area plus the spine.
 func TestPinnedEpochsSurviveForkedWrites(t *testing.T) {
 	const writes = 300
-	d, err := document.FromTree(xmltree.XMark(2, 5), document.Options{
+	d, err := document.FromTree(xmltree.XMark(12, 5), document.Options{
 		Partition: core.PartitionConfig{MaxAreaNodes: 16, AdjustFanout: true, MaxLocalBits: 15},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := xmltree.XMark(2, 5)
+	oracle := xmltree.XMark(12, 5)
 	oracleOne := func(path string) *xmltree.Node {
 		t.Helper()
 		res, err := xpath.NewEngine(oracle, xpath.PointerNavigator{}).Query(path)
@@ -440,11 +468,16 @@ func TestPinnedEpochsSurviveForkedWrites(t *testing.T) {
 	}
 	pins := []pin{{d.Snapshot(), xmltree.Serialize(oracle)}}
 
-	auctions := len(oracleOne("/site/open_auctions").ChildElements("open_auction"))
+	// open_auctions is wider than one chunk of its child list (xmltree.Seq) and
+	// of the row its children's boundary slots sit in, so every spine copy
+	// re-points an entry of a chunk the previous epoch shares.
+	if wide := oracleOne("/site/open_auctions").Children.Len(); wide <= 64 {
+		t.Fatalf("open_auctions has %d children: the fixture no longer reaches a chunked list", wide)
+	}
 	rng := rand.New(rand.NewSource(23))
 	heals := 0
 	for i := 0; i < writes; i++ {
-		path := fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+rng.Intn(auctions/4))
+		path := fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+rng.Intn(3)) // few targets, so they grow until one overflows
 		prev := d.Snapshot()
 		res, _, err := prev.Query(path)
 		if err != nil || len(res) != 1 {

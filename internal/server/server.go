@@ -294,7 +294,7 @@ func (s *Server) Query(ctx context.Context, doc string, req QueryRequest) (*Quer
 		} else {
 			paths = make([]string, len(nodes))
 			for i, n := range nodes {
-				paths[i] = n.Path()
+				paths[i] = snap.Path(n)
 			}
 			rc.Stamp("resolved")
 		}

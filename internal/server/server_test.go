@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/core"
 	"repro/internal/document"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -533,6 +535,42 @@ func TestWriteErrorContract(t *testing.T) {
 		if rec.Code != c.want || (rec.Header().Get("Retry-After") != "") != c.retry {
 			t.Errorf("writeErr(%v) = %d (Retry-After %q), want %d (retry %v)",
 				c.err, rec.Code, rec.Header().Get("Retry-After"), c.want, c.retry)
+		}
+	}
+}
+
+// TestQueryPathsComeFromTheEpoch is the stale-path regression: after writes
+// that copy the ancestors of a subtree at different epochs, a node's path
+// must be the one the queried epoch gives it, not the one its Parent
+// pointers — which lead into whichever epoch last copied each ancestor —
+// spell out. Before Snapshot.Path, //d reported /a[0]/d[3] here and the k
+// below it /a[0]/d[2]/….
+func TestQueryPathsComeFromTheEpoch(t *testing.T) {
+	s := New(Config{DocumentOptions: document.Options{Partition: core.PartitionConfig{MaxAreaNodes: 3}}})
+	if _, err := s.Open("doc", `<a><b><k/></b><c><k/></c><d><e><f><g><k/><k/><k/></g></f></e></d></a>`); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, w := range []struct{ parent, xml string }{{"/a/c", "<y/>"}, {"/a", "<x/>"}, {"/a/b", "<z/>"}} {
+		if _, err := s.Insert(ctx, "doc", w.parent, 0, w.xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		query string
+		want  []string
+	}{
+		{"//d", []string{"/a[0]/d[3]"}},
+		{"//g/k", []string{"/a[0]/d[3]/e[0]/f[0]/g[0]/k[0]", "/a[0]/d[3]/e[0]/f[0]/g[0]/k[1]", "/a[0]/d[3]/e[0]/f[0]/g[0]/k[2]"}},
+		{"//c/k", []string{"/a[0]/c[2]/k[1]"}},
+		{"/a", []string{"/a[0]"}},
+	} {
+		resp, err := s.Query(ctx, "doc", QueryRequest{Query: c.query, IncludePaths: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(resp.Paths, c.want) {
+			t.Errorf("%s: paths %v, want %v", c.query, resp.Paths, c.want)
 		}
 	}
 }

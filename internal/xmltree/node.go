@@ -396,27 +396,43 @@ func (n *Node) ShallowCopy(parent *Node) *Node {
 }
 
 // Path returns a human-readable slash path from the root to n, for error
-// messages and debugging (e.g. "/doc[0]/section[2]/title[0]").
+// messages and debugging (e.g. "/doc[0]/section[2]/title[0]"). It climbs
+// Parent pointers, so it describes the tree n was created in: in a
+// path-copied tree (ShallowCopy) that is not the tree n was reached through,
+// and the path of a node as an epoch holds it comes from the epoch's
+// numbering (document.Snapshot.Path).
 func (n *Node) Path() string {
-	if n.Parent == nil {
+	var steps []string
+	for cur := n; cur.Parent != nil; cur = cur.Parent {
+		steps = append(steps, cur.PathStep(cur.Parent))
+	}
+	return JoinPath(steps)
+}
+
+// PathStep returns n's step of a Path under parent, the node holding it:
+// "@name" for an attribute, otherwise its name (its kind when it has none)
+// and its position among parent's children.
+func (n *Node) PathStep(parent *Node) string {
+	label := n.Name
+	if label == "" {
+		label = n.Kind.String()
+	}
+	if n.Kind == Attribute {
+		return "@" + label
+	}
+	return fmt.Sprintf("%s[%d]", label, parent.Children.Index(n))
+}
+
+// JoinPath assembles a Path from its steps, innermost first; no steps make
+// the path of a root, "/".
+func JoinPath(steps []string) string {
+	if len(steps) == 0 {
 		return "/"
 	}
-	var parts []string
-	for cur := n; cur.Parent != nil; cur = cur.Parent {
-		label := cur.Name
-		if label == "" {
-			label = cur.Kind.String()
-		}
-		if cur.Kind == Attribute {
-			parts = append(parts, "@"+label)
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%s[%d]", label, cur.Index()))
-	}
 	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
+	for i := len(steps) - 1; i >= 0; i-- {
 		b.WriteByte('/')
-		b.WriteString(parts[i])
+		b.WriteString(steps[i])
 	}
 	return b.String()
 }

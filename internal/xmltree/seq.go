@@ -70,6 +70,20 @@ func (s Seq) At(i int) *Node {
 	return s.tail[i]
 }
 
+// Run returns the contiguous stretch of entries that holds entry i — its
+// chunk, or the tail — and the position of the stretch's first entry: a
+// loop over neighbouring positions reads the stretch and comes back when it
+// leaves it, instead of finding the chunk again for every entry. The stretch
+// must not be written.
+func (s Seq) Run(i int) (run []*Node, first int) {
+	if s.wide != nil {
+		if c := i / seqChunk; uint(c) < uint(len(s.wide.chunks)) {
+			return s.wide.chunks[c][:], c * seqChunk
+		}
+	}
+	return s.tail, s.chunked()
+}
+
 // AppendTo appends the entries, in order, to dst.
 func (s Seq) AppendTo(dst []*Node) []*Node { return s.appendFrom(dst, 0) }
 
