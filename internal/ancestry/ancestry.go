@@ -118,9 +118,8 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 	var measure func(d *xmltree.Node) int
 	measure = func(d *xmltree.Node) int {
 		s := 1
-		for ci := 0; ci < d.Children.Len(); ci++ {
-			c := d.Children.At(ci)
-			s += measure(c)
+		for i := 0; i < d.Children.Len(); i++ {
+			s += measure(d.Children.At(i))
 		}
 		size[d] = s
 		return s

@@ -148,14 +148,9 @@ func deriveFrame(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs boo
 			f.kids[nearest] = append(f.kids[nearest], x)
 			nearest = x
 		}
-		fan := x.Children.Len()
-		if withAttrs {
-			fan += len(x.Attrs)
-		}
-		f.limit = max(f.limit, fan)
-		for ci := 0; ci < x.Children.Len(); ci++ {
-			c := x.Children.At(ci)
-			walk(c, nearest)
+		f.limit = max(f.limit, x.StructuralFanout(withAttrs))
+		for i := 0; i < x.Children.Len(); i++ {
+			walk(x.Children.At(i), nearest)
 		}
 	}
 	walk(root, root)

@@ -561,9 +561,8 @@ func waitVisible(tk *Ticket, err error) (scheme.UpdateStats, error) {
 // and sums their depths, with x itself at the given depth.
 func subtreeStats(x *xmltree.Node, depth int) (count, depths int) {
 	count, depths = 1, depth
-	for ci := 0; ci < x.Children.Len(); ci++ {
-		c := x.Children.At(ci)
-		cc, cd := subtreeStats(c, depth+1)
+	for i := 0; i < x.Children.Len(); i++ {
+		cc, cd := subtreeStats(x.Children.At(i), depth+1)
 		count += cc
 		depths += cd
 	}

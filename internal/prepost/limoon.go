@@ -69,9 +69,8 @@ func BuildLiMoon(doc *xmltree.Node, slack int64) (*LiMoon, error) {
 	var assign func(d *xmltree.Node, order int64, par int64) int64 // returns size
 	assign = func(d *xmltree.Node, order int64, par int64) int64 {
 		next := order + slack
-		for ci := 0; ci < d.Children.Len(); ci++ {
-			c := d.Children.At(ci)
-			cs := assign(c, next, order)
+		for i := 0; i < d.Children.Len(); i++ {
+			cs := assign(d.Children.At(i), next, order)
 			next += cs + slack
 		}
 		size := next - order - 1

@@ -75,9 +75,8 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 		myPre := pre
 		pre++
 		n.byPre = append(n.byPre, d)
-		for ci := 0; ci < d.Children.Len(); ci++ {
-			c := d.Children.At(ci)
-			walk(c, myPre)
+		for i := 0; i < d.Children.Len(); i++ {
+			walk(d.Children.At(i), myPre)
 		}
 		n.ids[d] = ID{Pre: myPre, Post: post, Par: par}
 		post++

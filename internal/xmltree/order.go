@@ -177,9 +177,8 @@ func PrecedingSiblings(n *Node) []*Node {
 // excluding attributes.
 func Descendants(n *Node) []*Node {
 	var out []*Node
-	for ci := 0; ci < n.Children.Len(); ci++ {
-		c := n.Children.At(ci)
-		c.Walk(func(d *Node) bool {
+	for i := 0; i < n.Children.Len(); i++ {
+		n.Children.At(i).Walk(func(d *Node) bool {
 			out = append(out, d)
 			return true
 		})

@@ -139,9 +139,8 @@ func (e *errWriter) str(s string) {
 func writeNode(w *errWriter, n *Node) {
 	switch n.Kind {
 	case Document:
-		for ci := 0; ci < n.Children.Len(); ci++ {
-			c := n.Children.At(ci)
-			writeNode(w, c)
+		for i := 0; i < n.Children.Len(); i++ {
+			writeNode(w, n.Children.At(i))
 		}
 	case Element:
 		w.str("<")
@@ -158,9 +157,8 @@ func writeNode(w *errWriter, n *Node) {
 			return
 		}
 		w.str(">")
-		for ci := 0; ci < n.Children.Len(); ci++ {
-			c := n.Children.At(ci)
-			writeNode(w, c)
+		for i := 0; i < n.Children.Len(); i++ {
+			writeNode(w, n.Children.At(i))
 		}
 		w.str("</")
 		w.str(n.Name)

@@ -61,13 +61,8 @@ func (s Seq) Len() int { return s.chunked() + len(s.tail) }
 
 // At returns entry i. It panics when i is out of range.
 func (s Seq) At(i int) *Node {
-	if s.wide != nil {
-		if c := i / seqChunk; uint(c) < uint(len(s.wide.chunks)) {
-			return s.wide.chunks[c][i%seqChunk]
-		}
-		i -= len(s.wide.chunks) * seqChunk
-	}
-	return s.tail[i]
+	run, first := s.Run(i)
+	return run[i-first]
 }
 
 // Run returns the contiguous stretch of entries that holds entry i — its

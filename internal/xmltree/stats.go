@@ -134,9 +134,8 @@ func MaxDepth(n *Node) int {
 		if depth > max {
 			max = depth
 		}
-		for ci := 0; ci < d.Children.Len(); ci++ {
-			c := d.Children.At(ci)
-			walk(c, depth+1)
+		for i := 0; i < d.Children.Len(); i++ {
+			walk(d.Children.At(i), depth+1)
 		}
 	}
 	walk(n, 0)
@@ -167,9 +166,8 @@ func Sketch(n *Node, maxDepth int) string {
 			b.WriteString(d.Kind.String())
 		}
 		b.WriteByte('\n')
-		for ci := 0; ci < d.Children.Len(); ci++ {
-			c := d.Children.At(ci)
-			walk(c, depth+1)
+		for i := 0; i < d.Children.Len(); i++ {
+			walk(d.Children.At(i), depth+1)
 		}
 	}
 	walk(n, 0)
