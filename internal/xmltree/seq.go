@@ -149,26 +149,45 @@ func (s *Seq) Set(i int, x *Node) {
 	w.chunks[c][i%seqChunk] = x
 }
 
-// Append adds xs at the end. A tail that has filled up becomes a chunk.
+// Append adds xs at the end. A tail that has filled up becomes a chunk, and a
+// run of more than a chunk arriving at once is laid out in one array the
+// chunks point into: a sequence built whole (a K row, SeqOf) is then as
+// contiguous in memory as the slice it replaces, which is what a scan of 3000
+// slots wants — chunks allocated one by one cost it two cold loads at every
+// 64th slot. A chunk a later Set copies leaves that array; the array itself
+// lives as long as any chunk of it is reachable.
 func (s *Seq) Append(xs ...*Node) {
 	for len(xs) > 0 {
 		if len(s.tail) == seqChunk {
-			if s.wide == nil {
-				s.wide = new(seqWide)
-			}
 			ch := (*[seqChunk]*Node)(s.tail)
 			if cap(s.tail) > seqChunk {
 				ch = new([seqChunk]*Node) // do not pin the larger array
 				copy(ch[:], s.tail)
 			}
-			s.wide.chunks = append(s.wide.chunks, ch)
-			s.wide.mine = append(s.wide.mine, true)
+			s.push(ch)
 			s.tail = make([]*Node, 0, seqChunk)
+		}
+		if len(s.tail) == 0 && len(xs) > seqChunk {
+			whole := (len(xs) - 1) / seqChunk * seqChunk // the rest, at least one entry, is the tail
+			block := slices.Clone(xs[:whole])
+			for ; len(block) > 0; block = block[seqChunk:] {
+				s.push((*[seqChunk]*Node)(block))
+			}
+			s.tail, xs = nil, xs[whole:]
 		}
 		n := min(len(xs), seqChunk-len(s.tail))
 		s.tail = append(s.tail, xs[:n]...)
 		xs = xs[n:]
 	}
+}
+
+// push adds a full chunk, which the sequence owns, behind the others.
+func (s *Seq) push(ch *[seqChunk]*Node) {
+	if s.wide == nil {
+		s.wide = new(seqWide)
+	}
+	s.wide.chunks = append(s.wide.chunks, ch)
+	s.wide.mine = append(s.wide.mine, true)
 }
 
 // cut removes the entries from the chunk holding position i on (from the
