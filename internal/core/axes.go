@@ -137,39 +137,44 @@ func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit)
 	if rev {
 		i, end, step = end-1, i-1, -1
 	}
-	// The nodes of neighbouring slots sit in one stretch of the row's sequence
-	// (a chunk of 64 in a wide row, the whole of a narrow one): the outer loop
-	// fetches a stretch, the inner one walks the slots inside it.
-	for i != end {
-		run, first := a.nodes.Run(i)
-		for j := i - first; i != end && uint(j) < uint(len(run)); i, j = i+step, j+step {
-			x := run[j]
-			if !deep {
-				if !visit.at(a, i, x) {
-					return false
-				}
+	// Only a node visitor needs the nodes. Those of neighbouring slots sit in
+	// one stretch of the row's sequence (a chunk of 64 in a wide row, the whole
+	// of a narrow one), fetched when the walk enters it.
+	var run []*xmltree.Node
+	first := 0
+	for ; i != end; i += step {
+		var x *xmltree.Node
+		if visit.node != nil {
+			if uint(i-first) >= uint(len(run)) {
+				run, first = a.nodes.Run(i)
+			}
+			x = run[i-first]
+		}
+		if !deep {
+			if !visit.at(a, i, x) {
+				return false
+			}
+			continue
+		}
+		if !rev && !visit.at(a, i, x) {
+			return false
+		}
+		// The children of the node at the slot share its area and slot unless
+		// it heads a lower area — the one place a descent consults K.
+		sub, l := a, slots[i]
+		if g := a.lower[i]; g != 0 {
+			var ok bool
+			if sub, ok = n.krow(g); !ok {
 				continue
 			}
-			if !rev && !visit.at(a, i, x) {
-				return false
-			}
-			// The children of the node at the slot share its area and slot
-			// unless it heads a lower area — the one place a descent consults K.
-			sub, l := a, slots[i]
-			if g := a.lower[i]; g != 0 {
-				var ok bool
-				if sub, ok = n.krow(g); !ok {
-					continue
-				}
-				l = 1
-			}
-			clo, chi := childSlots(l, sub.fanout)
-			if !n.scan(sub, clo, chi, rev, true, visit) {
-				return false
-			}
-			if rev && !visit.at(a, i, x) {
-				return false
-			}
+			l = 1
+		}
+		clo, chi := childSlots(l, sub.fanout)
+		if !n.scan(sub, clo, chi, rev, true, visit) {
+			return false
+		}
+		if rev && !visit.at(a, i, x) {
+			return false
 		}
 	}
 	return true
@@ -237,7 +242,11 @@ func (n *Numbering) walkAncestors(id ID, visit slotVisit) bool {
 		if !ok {
 			return true // id is not of this numbering: its parent's slot is empty
 		}
-		if !visit.at(a, i, a.nodes.At(i)) {
+		var x *xmltree.Node
+		if visit.node != nil {
+			x = a.nodes.At(i)
+		}
+		if !visit.at(a, i, x) {
 			return false
 		}
 		if id = (ID{Global: g, Local: p}); p == 1 {
