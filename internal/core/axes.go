@@ -137,47 +137,59 @@ func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit)
 	if rev {
 		i, end, step = end-1, i-1, -1
 	}
-	// Only a node visitor needs the nodes. Those of neighbouring slots sit in
-	// one stretch of the row's sequence (a chunk of 64 in a wide row, the whole
-	// of a narrow one), fetched when the walk enters it.
-	var run []*xmltree.Node
-	first := 0
-	for ; i != end; i += step {
-		var x *xmltree.Node
-		if visit.node != nil {
-			if uint(i-first) >= uint(len(run)) {
-				run, first = a.nodes.Run(i)
-			}
-			x = run[i-first]
-		}
-		if !deep {
-			if !visit.at(a, i, x) {
+	if visit.node == nil {
+		// A walk over slots reads K alone.
+		for ; i != end; i += step {
+			if !deep {
+				if !visit.slot(a, i) {
+					return false
+				}
+			} else if !n.descend(a, i, nil, rev, visit) {
 				return false
 			}
-			continue
 		}
-		if !rev && !visit.at(a, i, x) {
-			return false
-		}
-		// The children of the node at the slot share its area and slot unless
-		// it heads a lower area — the one place a descent consults K.
-		sub, l := a, slots[i]
-		if g := a.lower[i]; g != 0 {
-			var ok bool
-			if sub, ok = n.krow(g); !ok {
-				continue
+		return true
+	}
+	// A walk over nodes: those of neighbouring slots sit in one stretch of the
+	// row's sequence (a chunk of 64 in a wide row, the whole of a narrow one);
+	// the outer loop fetches a stretch, the inner one walks the slots inside it.
+	for i != end {
+		run, first := a.nodes.Run(i)
+		for j := i - first; i != end && uint(j) < uint(len(run)); i, j = i+step, j+step {
+			if !deep {
+				if !visit.node(run[j]) {
+					return false
+				}
+			} else if !n.descend(a, i, run[j], rev, visit) {
+				return false
 			}
-			l = 1
-		}
-		clo, chi := childSlots(l, sub.fanout)
-		if !n.scan(sub, clo, chi, rev, true, visit) {
-			return false
-		}
-		if rev && !visit.at(a, i, x) {
-			return false
 		}
 	}
 	return true
+}
+
+// descend is one slot of a deep scan: the slot at position i of a, which
+// holds x, and the whole subtree below it — after the slot in document order,
+// before it in reverse document order.
+func (n *Numbering) descend(a *area, i int, x *xmltree.Node, rev bool, visit slotVisit) bool {
+	if !rev && !visit.at(a, i, x) {
+		return false
+	}
+	// The children of the node at the slot share its area and slot unless it
+	// heads a lower area — the one place a descent consults K.
+	sub, l := a, a.slots[i]
+	if g := a.lower[i]; g != 0 {
+		var ok bool
+		if sub, ok = n.krow(g); !ok {
+			return true
+		}
+		l = 1
+	}
+	clo, chi := childSlots(l, sub.fanout)
+	if !n.scan(sub, clo, chi, rev, true, visit) {
+		return false
+	}
+	return !rev || visit.at(a, i, x)
 }
 
 // walkBelow visits id's children (rchildren of §3.5) or, when deep, all its
