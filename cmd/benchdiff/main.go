@@ -56,8 +56,9 @@ func load(path string) (map[string]result, error) {
 // requiredBenches must exist in every current run: the publication benches
 // (and the exact counts: postings a mutation re-encodes, the index's half of
 // the paper's confined update scope; bytes a mutation allocates, which a
-// write that copies a wide child list or K row whole multiplies; nodes a
-// count-only query resolves,
+// write that copies a wide child list or K row whole multiplies; bytes one
+// posting splice allocates, which a splice that copies the list instead of
+// its directory multiplies forty-fold; nodes a count-only query resolves,
 // which is none; candidates a positional lookup's axis walks visit; the
 // area count and κ of the table K built for the bench document, which move
 // when a partition change renames the identifiers; and the live heap an open
@@ -71,6 +72,7 @@ var requiredBenches = []string{
 	"write/mutation_ns/batch=64",
 	"write/postings_reencoded_per_mutation/batch=1",
 	"write/alloc_bytes_per_mutation/batch=1",
+	"postings/apply_delta_bytes/postings=200000",
 	"read/nodes_resolved_per_count_query",
 	"read/nav_visited_per_point_query",
 	"build/k_rows",

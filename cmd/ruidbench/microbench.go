@@ -554,6 +554,60 @@ func bytesPerPostingRows() []microResult {
 	}}
 }
 
+// applyDeltaBytesRow reports what a posting splice allocates: the bytes
+// index.ApplyDelta allocates to relabel one posting of a 200 000-posting
+// list and insert one — the fixture and edit of internal/index's
+// TestApplyDeltaByteBudget — read from /gc/heap/allocs:bytes between
+// collections (which flush the runtime's per-P counts), the least of five
+// splices one collection apart so the pooled scratch survives. A splice
+// pays the list's directory, 8 bytes a block, and the blocks it rewrites; one
+// that copies the list whole (≈ 650 KB here) fails the gate.
+func applyDeltaBytesRow() microResult {
+	const n = 200000
+	doc := xmltree.NewDocument()
+	root := xmltree.NewElement("r")
+	doc.AppendChild(root)
+	for i := 0; i < n+2; i++ {
+		root.AppendChild(xmltree.NewElement("x"))
+	}
+	num, err := core.Build(doc, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	all := index.Build(root, num).RuidIDs("x")
+	relabel, insert := n/2, n/4 // all[relabel+1] and all[insert] are not in the list
+	ids := make([]core.ID, 0, n)
+	for i, id := range all {
+		if i != relabel+1 && i != insert {
+			ids = append(ids, id)
+		}
+	}
+	ix, err := index.FromPostingLists(num, map[string]*index.PostingList{"x": index.BuildPostingList(ids)})
+	if err != nil {
+		panic(err)
+	}
+	edits := make([]map[string]*index.NameDelta, 5)
+	for i := range edits {
+		edits[i] = map[string]*index.NameDelta{"x": {
+			Relabeled: []index.IDPair{{Old: all[relabel], New: all[relabel+1]}},
+			Inserted:  []core.ID{all[insert]},
+		}}
+	}
+	defer index.SetDebugChecks(index.SetDebugChecks(false))
+	best := uint64(math.MaxUint64)
+	runtime.GC()
+	a0 := allocatedBytes()
+	for _, e := range edits {
+		if _, _, err := ix.ApplyDelta(num, e); err != nil {
+			panic(err)
+		}
+		runtime.GC()
+		a1 := allocatedBytes()
+		best, a0 = min(best, a1-a0), a1
+	}
+	return microResult{Name: fmt.Sprintf("postings/apply_delta_bytes/postings=%d", n), Iterations: 1, NsPerOp: float64(best)}
+}
+
 // writeFixture builds the write-throughput bench document: cells distinct
 // "c<i>" elements under one root, each padded with pad children. Distinct
 // cell names make every cell addressable by a unique simple path, so a
@@ -1044,6 +1098,7 @@ func runMicrobench(out io.Writer) error {
 		})
 	}
 	results = append(results, bytesPerPostingRows()...)
+	results = append(results, applyDeltaBytesRow())
 	results = append(results, writeRows()...)
 	results = append(results, readRows()...)
 	results = append(results, schemeRows...)

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/document"
+	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -305,4 +308,93 @@ func TestColdBundleConcurrentNavigation(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestPagedWritesKeepUntouchedBlocksPaged: a write to an out-of-core
+// document re-points the posting blocks it changes and leaves every other
+// block where it was, in the pager. Fifty insert/delete pairs under random
+// open_auctions of one neighbourhood (their bidders span a block or two of
+// eleven) must leave all but a few of bidder's blocks paged, and no write may
+// grow the index's resident delta bytes by more than the bytes of the blocks
+// it wrote. (Before blocks were shared, a write faulted each touched list
+// in whole and left it resident.)
+func TestPagedWritesKeepUntouchedBlocksPaged(t *testing.T) {
+	d, err := document.FromTree(xmltree.XMark(100, 1), document.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bidders := func() *index.PostingList { return d.Snapshot().Index().Postings("bidder").List() }
+	if n := bidders().NumBlocks(); n < 10 || bidders().PagedBlocks() != n {
+		t.Fatalf("fixture: bidder has %d blocks, %d paged", n, bidders().PagedBlocks())
+	}
+	// blocks maps each block of a list, by its skip entry (less its
+	// offsets) and bytes, to its byte length.
+	type key struct {
+		skip  index.Skip
+		bytes string
+	}
+	blocks := func(pl *index.PostingList) map[key]int {
+		data, err := pl.DataBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[key]int)
+		for _, sk := range pl.Skips() {
+			b := string(data[sk.Off:sk.End])
+			sk.Off, sk.End = 0, 0
+			out[key{sk, b}] = len(b)
+		}
+		return out
+	}
+	resident := func(pl *index.PostingList) int {
+		return pl.SizeBytes() - pl.NumBlocks()*int(unsafe.Sizeof(index.Skip{}))
+	}
+	r := rand.New(rand.NewSource(25))
+	first := 1 + r.Intn(580)
+	for pair := 0; pair < 50; pair++ {
+		parent := fmt.Sprintf("/site/open_auctions/open_auction[%d]", first+r.Intn(16))
+		for _, insert := range []bool{true, false} {
+			prev := d.Snapshot().Index()
+			if insert {
+				_, err = d.Insert(parent, 1, pagedBidder())
+			} else {
+				_, err = d.Delete(parent, 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := d.Snapshot().Index()
+			grew, wrote := 0, 0
+			for _, name := range cur.Names() {
+				old, pl := prev.Postings(name).List(), cur.Postings(name).List()
+				if old == pl {
+					continue
+				}
+				had := blocks(old)
+				for k, n := range blocks(pl) {
+					if _, ok := had[k]; !ok {
+						wrote += n
+					}
+				}
+				grew += resident(pl) - resident(old)
+			}
+			if grew > wrote {
+				t.Fatalf("pair %d: a write grew the resident delta bytes by %d, it wrote %d", pair, grew, wrote)
+			}
+		}
+	}
+	pl := bidders()
+	t.Logf("after 50 pairs %d of bidder's %d blocks are paged", pl.PagedBlocks(), pl.NumBlocks())
+	if pl.PagedBlocks() < pl.NumBlocks()-6 {
+		t.Fatalf("after 50 pairs %d of bidder's %d blocks are paged, want at least %d", pl.PagedBlocks(), pl.NumBlocks(), pl.NumBlocks()-6)
+	}
+}
+
+// pagedBidder is the fragment the end-to-end benchmark's writes insert.
+func pagedBidder() *xmltree.Node {
+	b := xmltree.NewElement("bidder")
+	inc := xmltree.NewElement("increase")
+	inc.AppendChild(xmltree.NewText("1.50"))
+	b.AppendChild(inc)
+	return b
 }

@@ -76,8 +76,11 @@ func views(ids []core.ID) map[string]index.Postings {
 	pl := index.BuildPostingList(ids)
 	paged := pl
 	if pl != nil {
-		var err error
-		if paged, err = index.PagedPostingList(pl.Skips(), pl.Len(), len(pl.Data()), memSource(pl.Data())); err != nil {
+		data, err := pl.DataBytes()
+		if err == nil {
+			paged, err = index.PagedPostingList(pl.Skips(), pl.Len(), len(data), memSource(data))
+		}
+		if err != nil {
 			panic(err)
 		}
 	}

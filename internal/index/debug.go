@@ -37,10 +37,11 @@ func SetDebugChecks(on bool) bool {
 
 // CheckSorted verifies the postings invariant at block granularity: every
 // posting list is strictly ascending in document order (which implies no
-// duplicates), every block's Skip entry agrees with its decoded contents
-// (First/Last identifiers, Global window, entry count) and the block byte
-// ranges tile the data exactly. It returns nil for generic (boxed) indexes,
-// whose postings inherit walk order from Build and are never patched.
+// duplicates), every resident block's Skip entry agrees with its decoded
+// contents (First/Last identifiers, Global window, entry count, byte
+// extent) and the block counts sum to the list's. It returns nil for
+// generic (boxed) indexes, whose postings inherit walk order from Build and
+// are never patched.
 func (ix *NameIndex) CheckSorted() error {
 	if ix.ruid == nil {
 		return nil
@@ -53,49 +54,63 @@ func (ix *NameIndex) CheckSorted() error {
 	return nil
 }
 
-// checkPostingList validates one list's block structure and document order.
-// A paged list is checked without faulting any block bytes — decode-free
-// skip-table structure plus document order over the resident First/Last
-// identifiers — so a cold open stays cold; the fault path revalidates block
-// contents on every read instead.
+// checkPostingList validates one list block by block: every block's count
+// and byte extent, and strict document order across the whole list. A
+// resident block is decoded in full against its skip entry; a paged block is
+// checked without faulting its bytes — its First/Last in order, its byte
+// range after the previous paged block's in their blob — so a cold open
+// stays cold; the fault path revalidates its contents on every read instead.
 func checkPostingList(rn *core.Numbering, name string, pl *PostingList) error {
 	if pl.Len() == 0 {
 		return fmt.Errorf("index: empty posting list stored for %q", name)
 	}
-	if pl.Paged() {
-		if err := validateSkipStructure(pl.skips, pl.DataLen(), pl.n); err != nil {
-			return fmt.Errorf("index: postings for %q: %w", name, err)
-		}
-		var prev core.ID
-		for b, sk := range pl.skips {
-			if b > 0 && rn.CompareOrderID(prev, sk.First) >= 0 {
-				return fmt.Errorf("index: paged postings for %q out of document order at block %d", name, b)
-			}
-			if sk.N > 1 && rn.CompareOrderID(sk.First, sk.Last) >= 0 {
-				return fmt.Errorf("index: paged postings for %q block %d First !< Last", name, b)
-			}
-			prev = sk.Last
-		}
-		return nil
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("index: postings for %q: "+format, append([]any{name}, args...)...)
 	}
-	// Re-running the structural validation on our own parts catches a
-	// builder bug (or in-place mutation) the same way it catches a corrupt
-	// snapshot on load.
-	if _, err := PostingListFromParts(pl.data, pl.skips, pl.n); err != nil {
-		return fmt.Errorf("index: postings for %q: %w", name, err)
-	}
-	var prev core.ID
-	first := true
-	var buf [BlockSize]core.ID
-	for b := 0; b < pl.NumBlocks(); b++ {
-		for _, id := range pl.AppendBlock(b, buf[:0]) {
-			if !first && rn.CompareOrderID(prev, id) >= 0 {
-				return fmt.Errorf("index: postings for %q out of document order: %v !< %v",
-					name, prev, id)
+	var (
+		prev            core.ID
+		pagedBlob       *blob
+		pagedEnd        uint32
+		total, resident int
+		buf             [BlockSize]core.ID
+	)
+	for b, blk := range pl.blocks {
+		if blk.N == 0 || int(blk.N) > BlockSize {
+			return fail("block %d has %d entries (max %d)", b, blk.N, BlockSize)
+		}
+		if blk.End < blk.Off {
+			return fail("block %d has bytes [%d,%d)", b, blk.Off, blk.End)
+		}
+		total += int(blk.N)
+		ids := buf[:0]
+		if blk.blob == nil {
+			if len(blk.data) != int(blk.End-blk.Off) {
+				return fail("block %d holds %d bytes, its extent says %d", b, len(blk.data), blk.End-blk.Off)
+			}
+			resident += len(blk.data)
+			var err error
+			if ids, err = decodeBlockChecked(blk.Skip, b, blk.data, ids); err != nil {
+				return fail("%w", err)
+			}
+		} else {
+			if blk.blob == pagedBlob && blk.Off < pagedEnd {
+				return fail("paged block %d bytes [%d,%d) overlap the previous paged block's", b, blk.Off, blk.End)
+			}
+			pagedBlob, pagedEnd = blk.blob, blk.End
+			ids = append(ids, blk.First)
+			if blk.N > 1 {
+				ids = append(ids, blk.Last)
+			}
+		}
+		for i, id := range ids {
+			if (b > 0 || i > 0) && rn.CompareOrderID(prev, id) >= 0 {
+				return fail("out of document order at block %d: %v !< %v", b, prev, id)
 			}
 			prev = id
-			first = false
 		}
+	}
+	if total != pl.n || resident != pl.resident {
+		return fail("blocks hold %d postings in %d resident bytes, the list says %d in %d", total, resident, pl.n, pl.resident)
 	}
 	return nil
 }

@@ -27,15 +27,16 @@ func TestSpliceNormalization(t *testing.T) {
 
 	// layout encodes ids into blocks of the given sizes.
 	layout := func(ids []core.ID, sizes ...int) *PostingList {
-		pl := &PostingList{}
+		var dir []*block
 		for _, n := range sizes {
-			pl.appendBlock(ids[:n])
+			blk, _ := encodeBlock(ids[:n], nil)
+			dir = append(dir, blk)
 			ids = ids[n:]
 		}
 		if len(ids) != 0 {
 			t.Fatalf("layout leaves %d ids over", len(ids))
 		}
-		return pl
+		return newList(dir)
 	}
 	without := func(ids []core.ID, drop ...int) []core.ID {
 		out := append([]core.ID(nil), ids...)
@@ -123,12 +124,12 @@ func TestSpliceNormalization(t *testing.T) {
 				}
 				return
 			}
-			if _, err := PostingListFromParts(got.data, got.skips, got.n); err != nil {
+			if err := checkPostingList(num, "x", got); err != nil {
 				t.Fatal(err)
 			}
 			var sizes []int
-			for _, sk := range got.skips {
-				sizes = append(sizes, int(sk.N))
+			for _, blk := range got.blocks {
+				sizes = append(sizes, int(blk.N))
 			}
 			if fmt.Sprint(sizes) != fmt.Sprint(c.sizes) {
 				t.Errorf("block sizes %v, want %v", sizes, c.sizes)

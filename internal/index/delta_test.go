@@ -1,9 +1,11 @@
 package index_test
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/core"
@@ -179,7 +181,7 @@ func (h *spliceHarness) publish(paged bool) index.DeltaStats {
 		lists := make(map[string]*index.PostingList)
 		for _, name := range prev.Names() {
 			lists[name] = prev.Postings(name).List()
-			if !lists[name].Paged() { // an earlier paged step may have shared it
+			if lists[name].PagedBlocks() == 0 { // an earlier paged step may have shared some
 				lists[name] = pagedTwin(h.t, lists[name])
 			}
 		}
@@ -227,38 +229,24 @@ func (h *spliceHarness) publish(paged bool) index.DeltaStats {
 	}
 
 	// Scope: a name outside the edits shares its list; inside an edited
-	// name, every block counted as shared is byte-identical to a block of
-	// the previous epoch, and an edit costs at most its own block and two
-	// coalesced neighbours.
-	oldBlocks, newBlocks, identical := 0, 0, 0
-	for _, name := range h.ix.Names() {
-		old, cur := h.ix.Postings(name).List(), nix.Postings(name).List()
+	// name, every block counted as shared is one of the previous epoch's
+	// block objects — a paged one still paged — and an edit costs at most
+	// its own block and two coalesced neighbours.
+	oldBlocks, newBlocks, shared := 0, 0, 0
+	for _, name := range prev.Names() {
+		old, cur := prev.Postings(name).List(), nix.Postings(name).List()
 		if edits[name] == nil {
-			if prev.Postings(name).List() != cur {
+			if old != cur {
 				h.t.Fatalf("%q untouched but not shared", name)
 			}
 			continue
 		}
 		oldBlocks += old.NumBlocks()
-		if cur == nil {
-			continue
-		}
-		oldData, err := old.DataBytes() // old may be a paged list an earlier step shared
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		type block struct {
-			n     uint16
-			bytes []byte
-		}
-		byFirst := make(map[core.ID]block)
-		for _, sk := range old.Skips() {
-			byFirst[sk.First] = block{sk.N, oldData[sk.Off:sk.End]}
-		}
-		for _, sk := range cur.Skips() {
-			if b, ok := byFirst[sk.First]; ok && b.n == sk.N && bytes.Equal(b.bytes, cur.Data()[sk.Off:sk.End]) {
-				identical++
-			}
+		kept := index.SharedBlocks(old, cur)
+		shared += kept
+		if old.PagedBlocks() == old.NumBlocks() && cur.PagedBlocks() != kept {
+			h.t.Fatalf("after %d writes: %q keeps %d blocks of a paged list, %d of them paged",
+				h.writes, name, kept, cur.PagedBlocks())
 		}
 	}
 	for name := range edits {
@@ -268,8 +256,8 @@ func (h *spliceHarness) publish(paged bool) index.DeltaStats {
 		h.t.Fatalf("after %d writes: %d shared + %d re-encoded blocks, lists hold %d",
 			h.writes, st.BlocksShared, st.BlocksReencoded, newBlocks)
 	}
-	if identical < st.BlocksShared {
-		h.t.Fatalf("after %d writes: %d blocks reported shared, %d byte-identical", h.writes, st.BlocksShared, identical)
+	if shared != st.BlocksShared {
+		h.t.Fatalf("after %d writes: %d blocks reported shared, %d are the previous epoch's", h.writes, st.BlocksShared, shared)
 	}
 	if oldBlocks-st.BlocksShared > 3*nEdits {
 		h.t.Fatalf("after %d writes: %d edits cost %d of %d blocks", h.writes, nEdits, oldBlocks-st.BlocksShared, oldBlocks)
@@ -286,7 +274,7 @@ func (h *spliceHarness) publish(paged bool) index.DeltaStats {
 // random update histories, published one write or one batch at a time, must
 // leave every posting list decoding to exactly what a from-scratch build of
 // the same document gives, sorted and structurally valid after every step,
-// with untouched blocks shared byte for byte and the block count bounded.
+// with untouched blocks shared by pointer and the block count bounded.
 func TestSpliceMatchesRebuild(t *testing.T) {
 	target := 10000
 	if testing.Short() {
@@ -372,5 +360,87 @@ func TestSpliceRejectsUnknownEdit(t *testing.T) {
 	}
 	if _, _, err := h.ix.ApplyDelta(h.ix.RUID(), map[string]*index.NameDelta{"nosuch": {Removed: []core.ID{ghost}}}); err == nil {
 		t.Errorf("removal from a name without postings accepted")
+	}
+}
+
+// deltaBudgetFixture returns a one-name index of n postings over numbering
+// num — the x children of one root, less two — and a fresh edit of it: one
+// posting relabeled to the identifier after it and one inserted, so both
+// epochs order by the same numbering. cmd/ruidbench's
+// postings/apply_delta_bytes row mirrors it.
+func deltaBudgetFixture(t *testing.T, n int) (*index.NameIndex, *core.Numbering, func() map[string]*index.NameDelta) {
+	t.Helper()
+	doc := xmltree.NewDocument()
+	root := xmltree.NewElement("r")
+	doc.AppendChild(root)
+	for i := 0; i < n+2; i++ {
+		root.AppendChild(xmltree.NewElement("x"))
+	}
+	num, err := core.Build(doc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := index.Build(root, num).RuidIDs("x")
+	relabel, insert := n/2, n/4 // all[relabel+1] and all[insert] are not in the list
+	ids := make([]core.ID, 0, n)
+	for i, id := range all {
+		if i != relabel+1 && i != insert {
+			ids = append(ids, id)
+		}
+	}
+	ix, err := index.FromPostingLists(num, map[string]*index.PostingList{"x": index.BuildPostingList(ids)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, num, func() map[string]*index.NameDelta {
+		return map[string]*index.NameDelta{"x": {
+			Relabeled: []index.IDPair{{Old: all[relabel], New: all[relabel+1]}},
+			Inserted:  []core.ID{all[insert]},
+		}}
+	}
+}
+
+// TestApplyDeltaByteBudget: a write pays for the directory of the list it
+// touches (8 bytes a block) and the blocks it rewrites, not for a copy of
+// the list. The bytes one ApplyDelta allocates, bracketed by collections so
+// the runtime's count is exact, stay under a budget a whole-list copy
+// (about 3 bytes a posting plus 80 a block) exceeds many times over.
+func TestApplyDeltaByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under -race; the splice's scratch would count")
+	}
+	defer index.SetDebugChecks(index.SetDebugChecks(false))
+	allocated := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	for _, c := range []struct{ postings, budget int }{{200000, 32 << 10}, {20000, 8 << 10}} {
+		ix, num, edit := deltaBudgetFixture(t, c.postings)
+		edits := make([]map[string]*index.NameDelta, 5)
+		for i := range edits {
+			edits[i] = edit()
+		}
+		// One collection between two splices, so the pooled scratch of one
+		// survives to the next; the least of the trials is the splice's own.
+		best := uint64(math.MaxUint64)
+		runtime.GC()
+		a0 := allocated()
+		for _, e := range edits {
+			nix, st, err := ix.ApplyDelta(num, e)
+			runtime.GC()
+			a1 := allocated()
+			best, a0 = min(best, a1-a0), a1
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := nix.Count("x"); got != c.postings+1 || st.BlocksReencoded > 3 {
+				t.Fatalf("%d postings: splice left %d postings, re-encoded %d blocks", c.postings, got, st.BlocksReencoded)
+			}
+		}
+		t.Logf("%d postings: ApplyDelta allocated %d bytes", c.postings, best)
+		if best > uint64(c.budget) {
+			t.Errorf("%d postings: ApplyDelta allocated %d bytes, budget %d", c.postings, best, c.budget)
+		}
 	}
 }

@@ -13,15 +13,23 @@ import (
 // block's first identifier is stored uncompressed in its Skip entry; the
 // remaining entries are delta-encoded against their predecessor with the
 // core varint codec (core.AppendIDDelta), so the common same-area step
-// costs 2 bytes instead of a resident 24-byte core.ID. The skip table is
-// what the join iterator (ForEachRun, seek.go) reads: each entry carries the
+// costs 2 bytes instead of a resident 24-byte core.ID. The skip entries are
+// what the join iterator (ForEachRun, seek.go) reads: each carries the
 // block's first and last identifier and the range of UID-local areas
 // (Global components) present in it, so a join can decide per block —
 // without decoding — whether the block can possibly contribute and gallop
 // over the ones that cannot.
 //
-// PostingList is immutable after Finish/FromParts; epoch publication shares
-// whole lists across index versions (see delta.go).
+// A list is a directory of pointers to immutable blocks, each holding its
+// skip entry and its own delta bytes (or, for a block read from a paged
+// list, where those bytes sit behind its BlockSource). Nothing mutates a
+// block once a list holds it, so epochs share blocks by pointer: a splice
+// (delta.go) copies the directory and writes only the blocks it changes.
+// Build, PostingListFromParts and PagedPostingList lay out a list's blocks
+// in one backing array and its bytes in one array the blocks subslice, so a
+// list nothing has spliced reads as contiguously as a flat one. The flat
+// persisted form — one skip table over one byte region — is what Skips and
+// DataBytes assemble.
 
 // BlockSize is the maximal number of postings per block. 128 keeps the
 // skip-table overhead under a byte per posting while leaving blocks small
@@ -41,9 +49,22 @@ type Skip struct {
 
 const skipBytes = int(unsafe.Sizeof(Skip{}))
 
+// block is one immutable block of a list. End-Off is its byte length. A
+// resident block's bytes are data; a paged block's are [Off, End) of its
+// blob, and data is nil.
+type block struct {
+	Skip
+	data []byte
+	blob *blob
+}
+
+// blob is a paged list's delta region behind its source, one per
+// PagedPostingList and shared by every block read from it.
+type blob struct{ src BlockSource }
+
 // BlockSource supplies a paged posting list's delta bytes on demand: the
-// out-of-core form, where only the skip table is memory-resident and block
-// bytes live in buffer-pool pages (storage.BlockStore implements it).
+// out-of-core form, where only the skip entries are memory-resident and
+// block bytes live in buffer-pool pages (storage.BlockStore implements it).
 // ReadRange appends bytes [off, end) of the list's data region to dst.
 type BlockSource interface {
 	ReadRange(off, end uint32, dst []byte) ([]byte, error)
@@ -66,16 +87,22 @@ func (e *PagedError) Error() string {
 
 func (e *PagedError) Unwrap() error { return e.Err }
 
-// PostingList is one name's block-compressed, document-ordered postings.
-// In the resident form the delta bytes are in data; in the paged form data
-// is nil and the bytes are faulted per block through src, with the skip
-// table (and nothing else) staying memory-resident.
+// PostingList is one name's block-compressed, document-ordered postings: a
+// directory of shared, immutable blocks, any of which may be paged.
 type PostingList struct {
-	skips   []Skip
-	data    []byte
-	n       int
-	src     BlockSource // nil for a resident list
-	dataLen uint32      // total data-region length (paged lists only)
+	blocks   []*block
+	n        int
+	resident int // delta bytes of the resident blocks
+}
+
+// newList returns the list over a directory.
+func newList(blocks []*block) *PostingList {
+	pl := &PostingList{blocks: blocks}
+	for _, blk := range blocks {
+		pl.n += int(blk.N)
+		pl.resident += len(blk.data)
+	}
+	return pl
 }
 
 // Len returns the number of postings.
@@ -91,76 +118,102 @@ func (pl *PostingList) NumBlocks() int {
 	if pl == nil {
 		return 0
 	}
-	return len(pl.skips)
+	return len(pl.blocks)
 }
 
-// Skips returns the skip table, shared with the list: read-only.
-func (pl *PostingList) Skips() []Skip { return pl.skips }
+// First returns the list's first posting; the list must not be empty.
+func (pl *PostingList) First() core.ID { return pl.blocks[0].First }
 
-// Data returns the delta-encoded block bytes, shared with the list:
-// read-only. Together with Skips and Len it is the exact persisted form
-// (internal/storage writes both verbatim). A paged list returns nil — its
-// bytes are not resident; use DataBytes to fault them in.
-func (pl *PostingList) Data() []byte { return pl.data }
-
-// Paged reports whether the list's block bytes live behind a BlockSource
-// instead of in memory.
-func (pl *PostingList) Paged() bool { return pl != nil && pl.src != nil }
-
-// DataLen returns the length of the delta byte region, resident or not.
-func (pl *PostingList) DataLen() int {
+// PagedBlocks returns how many blocks keep their bytes behind a
+// BlockSource rather than in memory.
+func (pl *PostingList) PagedBlocks() int {
 	if pl == nil {
 		return 0
 	}
-	if pl.src != nil {
-		return int(pl.dataLen)
+	paged := 0
+	for _, blk := range pl.blocks {
+		if blk.blob != nil {
+			paged++
+		}
 	}
-	return len(pl.data)
+	return paged
 }
 
-// DataBytes returns the full delta byte region, faulting a paged list's
-// bytes through its source (the persistence path uses it; resident lists
-// return the shared slice without copying).
+// Skips assembles the flat skip table of the persisted form: every block's
+// entry, with Off/End locating its bytes in DataBytes.
+func (pl *PostingList) Skips() []Skip {
+	out := make([]Skip, len(pl.blocks))
+	off := uint32(0)
+	for i, blk := range pl.blocks {
+		out[i] = blk.Skip
+		out[i].Off, out[i].End = off, off+blk.End-blk.Off
+		off = out[i].End
+	}
+	return out
+}
+
+// DataBytes assembles the delta byte region of the persisted form, faulting
+// paged blocks' bytes through their source (a run of paged blocks adjacent
+// in their blob is one read). Together with Skips and Len it is the exact
+// persisted form.
 func (pl *PostingList) DataBytes() ([]byte, error) {
 	if pl == nil {
 		return nil, nil
 	}
-	if pl.src == nil {
-		return pl.data, nil
+	size := 0
+	for _, blk := range pl.blocks {
+		size += int(blk.End - blk.Off)
 	}
-	return pl.src.ReadRange(0, pl.dataLen, make([]byte, 0, pl.dataLen))
+	out := make([]byte, 0, size)
+	for i := 0; i < len(pl.blocks); {
+		blk := pl.blocks[i]
+		if blk.blob == nil {
+			out = append(out, blk.data...)
+			i++
+			continue
+		}
+		end := blk.End
+		for i++; i < len(pl.blocks) && pl.blocks[i].blob == blk.blob && pl.blocks[i].Off == end; i++ {
+			end = pl.blocks[i].End
+		}
+		var err error
+		if out, err = blk.blob.src.ReadRange(blk.Off, end, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SizeBytes returns the resident size of the compressed representation:
-// delta bytes plus the skip table. A paged list's data bytes are not
-// resident, so only its skip table counts — the footprint Lemma 1's
-// in-memory table K argument is about.
+// delta bytes plus skip entries. A paged block's bytes are not resident, so
+// only its skip entry counts — the footprint Lemma 1's in-memory table K
+// argument is about.
 func (pl *PostingList) SizeBytes() int {
 	if pl == nil {
 		return 0
 	}
-	return len(pl.data) + len(pl.skips)*skipBytes
+	return pl.resident + len(pl.blocks)*skipBytes
 }
 
 // AppendBlock decodes block b onto dst and returns the extended slice. A
-// resident list is validated at construction (Finish never emits a
+// resident block is validated when it is made (Finish never emits a
 // malformed block, FromParts rejects one), so a decode failure is memory
-// corruption and panics. A paged list revalidates the block against its
-// skip entry on every fault — torn or corrupted pages surface as a
-// *PagedError panic that query.Planner converts to an error.
+// corruption and panics. A paged block is revalidated against its skip
+// entry on every fault — torn or corrupted pages surface as a *PagedError
+// panic that query.Planner converts to an error.
 func (pl *PostingList) AppendBlock(b int, dst []core.ID) []core.ID {
-	if pl.src != nil {
-		out, err := pl.appendPagedBlock(b, dst)
+	blk := pl.blocks[b]
+	if blk.blob != nil {
+		out, err := blk.appendPaged(b, dst)
 		if err != nil {
 			panic(&PagedError{Block: b, Err: err})
 		}
 		return out
 	}
-	sk := pl.skips[b]
-	dst = append(dst, sk.First)
-	prev := sk.First
-	buf := pl.data[sk.Off:sk.End]
-	for i := 1; i < int(sk.N); i++ {
+	dst = append(dst, blk.First)
+	prev := blk.First
+	buf := blk.data
+	for i := 1; i < int(blk.N); i++ {
 		id, n, ok := core.DecodeIDDelta(buf, prev)
 		if !ok {
 			panic(fmt.Sprintf("index: corrupt posting block %d at entry %d", b, i))
@@ -173,12 +226,12 @@ func (pl *PostingList) AppendBlock(b int, dst []core.ID) []core.ID {
 }
 
 // TryAppendBlock is AppendBlock with an error return instead of the
-// *PagedError panic, for callers (tests, tools) that probe possibly-corrupt
-// paged blocks directly. On error dst's appended tail is garbage and the
-// original prefix should be re-sliced by the caller.
+// *PagedError panic, for callers (the splice, tests, tools) that probe
+// possibly-corrupt paged blocks directly. On error dst's appended tail is
+// garbage and the original prefix should be re-sliced by the caller.
 func (pl *PostingList) TryAppendBlock(b int, dst []core.ID) ([]core.ID, error) {
-	if pl.src != nil {
-		return pl.appendPagedBlock(b, dst)
+	if blk := pl.blocks[b]; blk.blob != nil {
+		return blk.appendPaged(b, dst)
 	}
 	return pl.AppendBlock(b, dst), nil
 }
@@ -188,12 +241,13 @@ func (pl *PostingList) TryAppendBlock(b int, dst []core.ID) ([]core.ID, error) {
 // block.
 var blockBytesPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func (pl *PostingList) appendPagedBlock(b int, dst []core.ID) ([]core.ID, error) {
-	sk := pl.skips[b]
+// appendPaged faults a paged block (block b of its list) and decodes it
+// onto dst.
+func (blk *block) appendPaged(b int, dst []core.ID) ([]core.ID, error) {
 	bufp := blockBytesPool.Get().(*[]byte)
-	buf, err := pl.src.ReadRange(sk.Off, sk.End, (*bufp)[:0])
+	buf, err := blk.blob.src.ReadRange(blk.Off, blk.End, (*bufp)[:0])
 	if err == nil {
-		dst, err = decodeBlockChecked(sk, b, buf, dst)
+		dst, err = decodeBlockChecked(blk.Skip, b, buf, dst)
 	}
 	if buf != nil {
 		*bufp = buf[:0]
@@ -205,9 +259,9 @@ func (pl *PostingList) appendPagedBlock(b int, dst []core.ID) ([]core.ID, error)
 // decodeBlockChecked decodes one block's delta bytes onto dst with full
 // validation against its skip entry: every entry must decode, the bytes
 // must be consumed exactly, and Last/MinGlobal/MaxGlobal must agree with
-// the contents. Shared by load-time validation (PostingListFromParts) and
-// the paged fault path, which re-runs it on every fault — the same
-// LoadPostings-grade revalidation, applied lazily per block.
+// the contents. Shared by load-time validation (PostingListFromParts), the
+// debug checks and the paged fault path, which re-runs it on every fault —
+// the same LoadPostings-grade revalidation, applied lazily per block.
 func decodeBlockChecked(sk Skip, b int, buf []byte, dst []core.ID) ([]core.ID, error) {
 	dst = append(dst, sk.First)
 	prev := sk.First
@@ -241,7 +295,7 @@ func (pl *PostingList) AppendAll(dst []core.ID) []core.ID {
 	if pl == nil {
 		return dst
 	}
-	for b := range pl.skips {
+	for b := range pl.blocks {
 		dst = pl.AppendBlock(b, dst)
 	}
 	return dst
@@ -251,24 +305,25 @@ func (pl *PostingList) AppendAll(dst []core.ID) []core.ID {
 // The zero value is ready to use; Append order must be document order (the
 // index debug assertions verify the result).
 type PostingBuilder struct {
-	pl   PostingList
-	last core.ID
+	skips []Skip
+	data  []byte
+	last  core.ID
 }
 
 // Append adds the next posting in document order.
 func (b *PostingBuilder) Append(id core.ID) {
-	sks := b.pl.skips
+	sks := b.skips
 	if len(sks) == 0 || sks[len(sks)-1].N >= BlockSize {
-		off := uint32(len(b.pl.data))
-		b.pl.skips = append(sks, Skip{
+		off := uint32(len(b.data))
+		b.skips = append(sks, Skip{
 			First: id, Last: id,
 			MinGlobal: id.Global, MaxGlobal: id.Global,
 			Off: off, End: off, N: 1,
 		})
 	} else {
 		sk := &sks[len(sks)-1]
-		b.pl.data = core.AppendIDDelta(b.pl.data, b.last, id)
-		sk.End = uint32(len(b.pl.data))
+		b.data = core.AppendIDDelta(b.data, b.last, id)
+		sk.End = uint32(len(b.data))
 		sk.Last = id
 		sk.N++
 		if id.Global < sk.MinGlobal {
@@ -279,21 +334,17 @@ func (b *PostingBuilder) Append(id core.ID) {
 		}
 	}
 	b.last = id
-	b.pl.n++
 }
-
-// Len returns the number of postings appended so far.
-func (b *PostingBuilder) Len() int { return b.pl.n }
 
 // Finish returns the built list, or nil when nothing was appended. The
 // builder must not be reused afterwards.
 func (b *PostingBuilder) Finish() *PostingList {
-	if b.pl.n == 0 {
+	if len(b.skips) == 0 {
 		return nil
 	}
-	pl := b.pl
-	b.pl = PostingList{}
-	return &pl
+	pl := layout(b.skips, b.data, nil)
+	*b = PostingBuilder{}
+	return pl
 }
 
 // BuildPostingList encodes a document-ordered slice.
@@ -303,6 +354,22 @@ func BuildPostingList(ids []core.ID) *PostingList {
 		b.Append(id)
 	}
 	return b.Finish()
+}
+
+// layout lays a list out over a flat skip table: the block structs in one
+// backing array, each resident block's bytes a subslice of data, or, when
+// paged is set, every block paged at its [Off, End) of that blob.
+func layout(skips []Skip, data []byte, paged *blob) *PostingList {
+	arr := make([]block, len(skips))
+	dir := make([]*block, len(skips))
+	for i, sk := range skips {
+		arr[i] = block{Skip: sk, blob: paged}
+		if paged == nil && sk.End > sk.Off {
+			arr[i].data = data[sk.Off:sk.End:sk.End]
+		}
+		dir[i] = &arr[i]
+	}
+	return newList(dir)
 }
 
 // PostingListFromParts reassembles a list from its persisted form and
@@ -323,7 +390,7 @@ func PostingListFromParts(data []byte, skips []Skip, n int) (*PostingList, error
 			return nil, fmt.Errorf("index: %w", err)
 		}
 	}
-	return &PostingList{skips: skips, data: data, n: n}, nil
+	return layout(skips, data, nil), nil
 }
 
 // validateSkipStructure checks the decode-free half of list validation:
@@ -351,12 +418,12 @@ func validateSkipStructure(skips []Skip, dataLen, n int) error {
 	return nil
 }
 
-// PagedPostingList assembles the out-of-core form: a resident skip table
+// PagedPostingList assembles the out-of-core form: resident skip entries
 // over a dataLen-byte delta region that lives behind src. Only the
 // decode-free structural validation runs here — faulting every block to
 // verify its contents would defeat a cold open, so content validation is
-// deferred to each fault (decodeBlockChecked in appendPagedBlock), which
-// rejects torn or corrupt pages at read time.
+// deferred to each fault (decodeBlockChecked in appendPaged), which rejects
+// torn or corrupt pages at read time.
 func PagedPostingList(skips []Skip, n, dataLen int, src BlockSource) (*PostingList, error) {
 	if src == nil {
 		return nil, fmt.Errorf("index: paged posting list needs a block source")
@@ -364,7 +431,7 @@ func PagedPostingList(skips []Skip, n, dataLen int, src BlockSource) (*PostingLi
 	if err := validateSkipStructure(skips, dataLen, n); err != nil {
 		return nil, err
 	}
-	return &PostingList{skips: skips, n: n, src: src, dataLen: uint32(dataLen)}, nil
+	return layout(skips, nil, &blob{src}), nil
 }
 
 // Postings is the read view join code consumes: either a block-compressed
@@ -396,7 +463,7 @@ func (p Postings) Len() int {
 // view, identifiers of a slice view.
 func (p Postings) units() int {
 	if p.pl != nil {
-		return len(p.pl.skips)
+		return len(p.pl.blocks)
 	}
 	return len(p.ids)
 }

@@ -34,7 +34,11 @@ func (failSource) ReadRange(off, end uint32, dst []byte) ([]byte, error) {
 // pagedTwin returns the paged form of a resident list over its own bytes.
 func pagedTwin(t *testing.T, pl *index.PostingList) *index.PostingList {
 	t.Helper()
-	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(pl.Data()), memSource(pl.Data()))
+	data, err := pl.DataBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), memSource(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +61,8 @@ func TestPagedPostingListMatchesResident(t *testing.T) {
 			pl := ix.Postings(name).List()
 			ppl := pagedTwin(t, pl)
 			label := shape + "/" + name
-			if !ppl.Paged() || pl.Paged() {
-				t.Fatalf("%s: Paged() wrong way around", label)
+			if ppl.PagedBlocks() != ppl.NumBlocks() || pl.PagedBlocks() != 0 {
+				t.Fatalf("%s: PagedBlocks() %d and %d of %d", label, ppl.PagedBlocks(), pl.PagedBlocks(), pl.NumBlocks())
 			}
 			sameIDs(t, label, ppl.AppendAll(nil), pl.AppendAll(nil))
 			for b := 0; b < pl.NumBlocks(); b++ {
@@ -68,21 +72,19 @@ func TestPagedPostingListMatchesResident(t *testing.T) {
 				}
 				sameIDs(t, fmt.Sprintf("%s block %d", label, b), got, pl.AppendBlock(b, nil))
 			}
-			if ppl.Data() != nil {
-				t.Fatalf("%s: paged list leaked a resident data slice", label)
-			}
-			if ppl.DataLen() != len(pl.Data()) {
-				t.Fatalf("%s: DataLen %d, want %d", label, ppl.DataLen(), len(pl.Data()))
+			data, err := pl.DataBytes()
+			if err != nil {
+				t.Fatal(err)
 			}
 			back, err := ppl.DataBytes()
 			if err != nil {
 				t.Fatalf("%s: DataBytes: %v", label, err)
 			}
-			if !bytes.Equal(back, pl.Data()) {
+			if !bytes.Equal(back, data) {
 				t.Fatalf("%s: DataBytes differ from resident bytes", label)
 			}
-			if ppl.SizeBytes() >= pl.SizeBytes() && len(pl.Data()) > 0 {
-				t.Fatalf("%s: paged footprint %d not below resident %d", label, ppl.SizeBytes(), pl.SizeBytes())
+			if ppl.SizeBytes() != pl.SizeBytes()-len(data) {
+				t.Fatalf("%s: paged footprint %d, want resident %d less its %d data bytes", label, ppl.SizeBytes(), pl.SizeBytes(), len(data))
 			}
 		}
 	}
@@ -97,7 +99,11 @@ func TestPagedPostingListValidation(t *testing.T) {
 		ids = append(ids, core.ID{Global: int64(2 + i/7), Local: int64(1 + i%7)})
 	}
 	pl := index.BuildPostingList(ids)
-	data, skips := pl.Data(), pl.Skips()
+	data, err := pl.DataBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	skips := pl.Skips()
 
 	if _, err := index.PagedPostingList(skips, pl.Len()+1, len(data), memSource(data)); err == nil {
 		t.Errorf("count mismatch accepted")

@@ -47,7 +47,7 @@ func sameIDs(t *testing.T, what string, got, want []core.ID) {
 // TestPostingListRoundTrip checks, for every name of several document
 // shapes, that the block-compressed list decodes back to the independent
 // walk-order oracle, that no block exceeds BlockSize, and that the
-// persisted parts (Data/Skips/Len) revalidate through PostingListFromParts.
+// persisted parts (DataBytes/Skips/Len) revalidate through PostingListFromParts.
 func TestPostingListRoundTrip(t *testing.T) {
 	docs := map[string]*xmltree.Node{
 		"recursive": xmltree.Recursive(3, 6),
@@ -69,7 +69,11 @@ func TestPostingListRoundTrip(t *testing.T) {
 					t.Fatalf("%s/%s: block %d holds %d entries", shape, name, b, sk.N)
 				}
 			}
-			if _, err := index.PostingListFromParts(pl.Data(), pl.Skips(), pl.Len()); err != nil {
+			data, err := pl.DataBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := index.PostingListFromParts(data, pl.Skips(), pl.Len()); err != nil {
 				t.Fatalf("%s/%s: own parts rejected: %v", shape, name, err)
 			}
 		}
@@ -107,7 +111,11 @@ func TestPostingListFromPartsRejectsCorruption(t *testing.T) {
 		ids = append(ids, core.ID{Global: int64(2 + i/7), Local: int64(1 + i%7)})
 	}
 	pl := index.BuildPostingList(ids)
-	data, skips := pl.Data(), pl.Skips()
+	data, err := pl.DataBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	skips := pl.Skips()
 
 	cloneSkips := func() []index.Skip { return append([]index.Skip(nil), skips...) }
 	cloneData := func() []byte { return append([]byte(nil), data...) }
@@ -269,9 +277,10 @@ func TestProbeSkipIsSound(t *testing.T) {
 		for descName := range flat {
 			pl := ix.Postings(descName).List()
 			var skipped, total int
+			sks := pl.Skips()
 			for b := 0; b < pl.NumBlocks(); b++ {
 				total++
-				sk := &pl.Skips()[b]
+				sk := &sks[b]
 				if pr.MayContribute(n, sk) {
 					continue
 				}

@@ -178,7 +178,7 @@ func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockS
 			return true
 		}
 		bs.Stats.Probes++
-		return pr.mayContribute(n, &pl.skips[b], &bs.chain)
+		return pr.mayContribute(n, &pl.blocks[b].Skip, &bs.chain)
 	}
 	i := lo
 	for i < hi {
@@ -188,9 +188,9 @@ func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockS
 			continue
 		}
 		j := i + 1
-		count := int(pl.skips[i].N)
+		count := int(pl.blocks[i].N)
 		for j < hi && j-i < maxRunBlocks && candidate(j) {
-			count += int(pl.skips[j].N)
+			count += int(pl.blocks[j].N)
 			j++
 		}
 		if !bs.Meter.ChargePostings(count) {

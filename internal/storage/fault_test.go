@@ -87,16 +87,20 @@ func pagedFixture(t *testing.T) (*BlockStore, *index.PostingList, *index.Posting
 		ids = append(ids, core.ID{Global: int64(2 + i/500), Local: int64(1 + i%500)})
 	}
 	pl := index.BuildPostingList(ids)
-	if len(pl.Data()) < 3*PageSize {
-		t.Fatalf("fixture too small: %d data bytes", len(pl.Data()))
+	data, err := pl.DataBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 3*PageSize {
+		t.Fatalf("fixture too small: %d data bytes", len(data))
 	}
 	bs := NewBlockStore(4)
-	if err := bs.PutBlob("px:t", pl.Data()); err != nil {
+	if err := bs.PutBlob("px:t", data); err != nil {
 		t.Fatal(err)
 	}
 	bs.Pager().Flush()
 	bs.DropCache()
-	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(pl.Data()), bs.Source("px:t"))
+	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), bs.Source("px:t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +184,12 @@ func TestPagedBlocksPartialFlushRejected(t *testing.T) {
 		ids = append(ids, core.ID{Global: int64(2 + i/500), Local: int64(1 + i%500)})
 	}
 	pl := index.BuildPostingList(ids)
+	data, err := pl.DataBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
 	bs := NewBlockStore(4)
-	if err := bs.PutBlob("px:t", pl.Data()); err != nil {
+	if err := bs.PutBlob("px:t", data); err != nil {
 		t.Fatal(err)
 	}
 	// Crash before Flush: discard the pool without writing dirty frames
@@ -203,7 +211,7 @@ func TestPagedBlocksPartialFlushRejected(t *testing.T) {
 		t.Fatalf("no dirty frames to lose; fixture does not model a partial flush")
 	}
 
-	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(pl.Data()), bs.Source("px:t"))
+	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), bs.Source("px:t"))
 	if err != nil {
 		t.Fatal(err)
 	}

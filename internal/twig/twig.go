@@ -347,7 +347,7 @@ func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) ([]core.ID, bo
 			first := cur.Slice()
 			var head core.ID
 			if pl := cur.List(); pl != nil {
-				head = pl.Skips()[0].First
+				head = pl.First()
 			} else {
 				head = first[0]
 			}
