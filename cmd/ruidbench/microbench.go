@@ -26,6 +26,13 @@ import (
 	"repro/internal/twig"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
+
+	// The scheme bake-off (schemeBenches) runs every registered scheme;
+	// importing a scheme package registers it. ruid rides along with core.
+	_ "repro/internal/ancestry"
+	_ "repro/internal/nestedint"
+	_ "repro/internal/prepost"
+	_ "repro/internal/uid"
 )
 
 // publishFixture builds the EpochPublish benchmark document: a small hot
@@ -449,11 +456,12 @@ var schemeFamilies = []struct {
 // schemeBenches builds the scheme bake-off: for every registered numbering
 // scheme × shape family, a structural semi-join row and a parent-step row
 // (timed), plus pseudo-rows carrying label footprint and update relabel
-// scope. Every scheme runs the kernel a planner query over it runs, so a row
-// measures what a query would actually pay under that scheme: the boxed
-// schemes the capability-dispatched index.SemiJoinDescendants, ruid the
-// identifier semi-join over its index's Postings views — the one-shot form
-// of the kernel internal/exec shards.
+// scope. Every scheme runs the descendant semi-join its capabilities favour
+// (DESIGN.md §9): ruid the identifier semi-join over its index's Postings
+// views — the one-shot form of the kernel internal/exec shards — and the
+// boxed schemes, over per-name lists from scheme.IDsByName, Parent climbing
+// (index.UpwardSemiJoin) when Parent is arithmetic and depth is not labeled,
+// the comparison-only index.MergeSemiJoin otherwise.
 func schemeBenches() (benches []struct {
 	name string
 	fn   func(b *testing.B)
@@ -489,12 +497,19 @@ func schemeBenches() (benches []struct {
 				Iterations: 1,
 				NsPerOp:    float64(scheme.LabelBytes(s, ids)) / float64(len(ids)),
 			})
-			ix := index.Build(root, s)
-			ancs, descs := ix.IDs(f.anc), ix.IDs(f.desc)
-			semiJoin := func() int { return len(index.SemiJoinDescendants(s, ancs, descs)) }
-			if rn := ix.RUID(); rn != nil {
-				ancsP, descsP := ix.Postings(f.anc), ix.Postings(f.desc)
-				semiJoin = func() int { return len(index.UpwardSemiJoinPostings(rn, ancsP, descsP)) }
+			var semiJoin func() int
+			if rn, ok := s.(*core.Numbering); ok {
+				ix := index.Build(root, rn)
+				ancs, descs := ix.Postings(f.anc), ix.Postings(f.desc)
+				semiJoin = func() int { return len(index.UpwardSemiJoinPostings(rn, ancs, descs)) }
+			} else {
+				lists := scheme.IDsByName(root, s)
+				ancs, descs := lists[f.anc], lists[f.desc]
+				kernel := index.MergeSemiJoin
+				if caps := scheme.CapsOf(s); caps.ComputedParent && !caps.Depth {
+					kernel = index.UpwardSemiJoin
+				}
+				semiJoin = func() int { return len(kernel(s, ancs, descs)) }
 			}
 			add(prefix+"semi_join", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -104,7 +104,7 @@ func main() {
 			os.Exit(1)
 		}
 		st := d.Stats()
-		fmt.Fprintf(os.Stderr, "ruidd: opened %q (%d nodes, scheme %s)\n", name, st.Nodes, st.Scheme)
+		fmt.Fprintf(os.Stderr, "ruidd: opened %q (%d nodes)\n", name, st.Nodes)
 	}
 	for _, rec := range s.Recoveries() {
 		fmt.Fprintf(os.Stderr, "ruidd: recovered %q: %d WAL records, %d applied, %d skipped, %d torn bytes cut\n",

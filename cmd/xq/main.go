@@ -53,7 +53,6 @@ import (
 	"repro/internal/document"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/uid"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -62,7 +61,6 @@ import (
 // config carries the flag values into run.
 type config struct {
 	nav       string
-	scheme    string // -scheme: numbering scheme for the facade modes
 	area      int
 	serialize bool
 	explain   bool   // -explain-analyze: print the trace, not the results
@@ -79,7 +77,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.nav, "nav", "ruid", "navigator: ruid, uid, pointer or planner")
-	flag.StringVar(&cfg.scheme, "scheme", "", "numbering scheme for the facade modes (registry name or auto; default ruid)")
 	flag.IntVar(&cfg.area, "area", core.DefaultMaxAreaNodes, "ruid: max nodes per UID-local area")
 	flag.BoolVar(&cfg.serialize, "serialize", false, "print matched subtrees as XML instead of paths")
 	flag.BoolVar(&cfg.explain, "explain-analyze", false, "print the traced execution report (implies -nav planner)")
@@ -87,7 +84,7 @@ func main() {
 	flag.StringVar(&cfg.parallel, "parallel", "auto", "identifier pipeline scheduling: auto, serial or forced")
 	flag.IntVar(&cfg.workers, "workers", 0, "query worker cap (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.serve, "serve", "", "serve /metrics and /debug/pprof on this address after the query")
-	flag.IntVar(&cfg.poolPages, "pool-pages", 0, "back postings and node payloads with an N-frame buffer pool (ruid scheme only)")
+	flag.IntVar(&cfg.poolPages, "pool-pages", 0, "back postings and node payloads with an N-frame buffer pool")
 	flag.BoolVar(&cfg.cold, "cold", false, "round-trip through a saved bundle and reopen cold before querying")
 	flag.IntVar(&cfg.writes, "writes", 0, "drive N group-commit inserts before the query (facade modes; pairs with -stats)")
 	flag.BoolVar(&cfg.waitVis, "wait-visible", false, "trace each -writes insert and print its write-pipeline stage breakdown")
@@ -135,7 +132,6 @@ func run(cfg config, query, path string, out io.Writer) error {
 		return err
 	}
 	opts := document.Options{
-		Scheme:      cfg.scheme,
 		Partition:   core.PartitionConfig{MaxAreaNodes: cfg.area, AdjustFanout: true},
 		Parallel:    mode,
 		ExecWorkers: cfg.workers,
@@ -290,14 +286,7 @@ func run(cfg config, query, path string, out io.Writer) error {
 			return err
 		}
 		snap := d.Snapshot()
-		// Axis-generating schemes answer the query from identifiers alone;
-		// comparison-only schemes fall back to pointer navigation over the
-		// snapshot's immutable tree.
-		var navigator xpath.Navigator = xpath.PointerNavigator{}
-		if ax, ok := snap.Scheme().(scheme.AxisScheme); ok {
-			navigator = xpath.SchemeNavigator{S: ax}
-		}
-		engine := xpath.NewEngine(snap.Tree(), navigator)
+		engine := xpath.NewEngine(snap.Tree(), xpath.SchemeNavigator{S: snap.Numbering()})
 		results, err := engine.Query(query)
 		if err != nil {
 			return err

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/prepost"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -34,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ixR := index.Build(doc.DocumentElement(), rn)
-	ixP := index.Build(doc.DocumentElement(), pn)
+	listsP := scheme.IDsByName(doc.DocumentElement(), pn)
 
 	anc, desc := "item", "text"
 	fmt.Printf("join %s//%s: |anc|=%d |desc|=%d\n",
@@ -52,7 +53,7 @@ func main() {
 		return len(index.MergeJoin(rn, ixR.IDs(anc), ixR.IDs(desc)))
 	})
 	measure("prepost stack merge", func() int {
-		return len(index.MergeJoin(pn, ixP.IDs(anc), ixP.IDs(desc)))
+		return len(index.MergeJoin(pn, listsP[anc], listsP[desc]))
 	})
 	measure("naive quadratic", func() int {
 		return len(index.NaiveJoin(rn, ixR.IDs(anc), ixR.IDs(desc)))

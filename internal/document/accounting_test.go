@@ -1,34 +1,16 @@
 package document_test
 
 import (
-	"errors"
-	"sync/atomic"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/document"
-	"repro/internal/scheme"
-	"repro/internal/uid"
+	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
-
-// flakyBuildFail, when set, makes the "flaky-uid-test" scheme's constructor
-// fail — forcing the next epoch publication to abort after the write
-// already succeeded, which is exactly the window the counter-commit
-// regression below guards.
-var flakyBuildFail atomic.Bool
-
-func init() {
-	scheme.Register(scheme.Registration{
-		Name: "flaky-uid-test",
-		Caps: scheme.Capabilities{Axes: true, Update: true, ComputedParent: true},
-		Build: func(doc *xmltree.Node) (scheme.Scheme, error) {
-			if flakyBuildFail.Load() {
-				return nil, errors.New("flaky-uid-test: forced constructor failure")
-			}
-			return uid.Build(doc, uid.Options{})
-		},
-	})
-}
 
 // richSubtree builds an insert payload that exercises every accounting
 // class: elements, text and attributes (attributes must stay outside the
@@ -64,75 +46,102 @@ func recount(s *document.Snapshot) int {
 // structural write, the document's statistics must keep describing the
 // epoch readers still see. Before the fix, Insert bumped
 // nodeCount/depthSum before publishing, so a failed publication
-// left the counters permanently drifted from every published epoch.
+// left the counters permanently drifted from every published epoch. The
+// failure here is the one that happens before the install: a write that
+// heals a local-index overflow publishes in full, which on a paged document
+// pages the epoch out into a fresh store, and a text row larger than a
+// B+tree value refuses the page-out.
 func TestFailedPublishKeepsCounters(t *testing.T) {
-	d, err := document.OpenString(librarySrc, document.Options{Scheme: "flaky-uid-test"})
+	d, err := document.OpenString("<a><b><c/></b></a>", document.Options{
+		Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 1},
+		PoolPages: 8,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := d.Stats()
-	if before.Nodes != recount(d.Snapshot()) {
-		t.Fatalf("baseline Stats.Nodes = %d, recount = %d", before.Nodes, recount(d.Snapshot()))
+	payload := func(text string) *xmltree.Node {
+		x := xmltree.NewElement("x")
+		x.AppendChild(xmltree.NewText(text))
+		return x
+	}
+	before, pinned := d.Stats(), d.Snapshot()
+	if before.Nodes != recount(pinned) {
+		t.Fatalf("baseline Stats.Nodes = %d, recount = %d", before.Nodes, recount(pinned))
 	}
 
-	flakyBuildFail.Store(true)
-	_, err = d.Insert("/library/shelf", 0, richSubtree())
-	flakyBuildFail.Store(false)
-	if err == nil {
-		t.Fatal("Insert published through a failing scheme constructor")
+	// Under the leaf c the insert overflows c's 1-bit local index and heals.
+	if _, err := d.Insert("/a/b/c", 0, payload(strings.Repeat("t", storage.PageSize))); err == nil {
+		t.Fatal("Insert published a text row no B+tree page holds")
 	}
-
 	after := d.Stats()
-	if after != before {
+	if after != before || d.Snapshot() != pinned {
 		t.Fatalf("failed publication changed Stats: before %+v, after %+v", before, after)
 	}
 	if got := recount(d.Snapshot()); after.Nodes != got {
 		t.Fatalf("Stats.Nodes = %d diverged from published epoch recount %d", after.Nodes, got)
 	}
-}
 
-// TestGenericStatsMatchRecount pins the accounting reconciliation: under a
-// generic scheme, Stats().Nodes answers from the incrementally maintained
-// counter, and that counter must agree with an independent recount of the
-// published tree across inserts and deletes of subtrees carrying
-// attributes and text.
-func TestGenericStatsMatchRecount(t *testing.T) {
-	d, err := document.OpenString(librarySrc, document.Options{Scheme: "uid"})
+	// The same write with a row that fits takes the same full publication.
+	st, err := d.Insert("/a/b/c", 0, payload("t"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(stage string) {
-		t.Helper()
-		st := d.Stats()
-		if got := recount(d.Snapshot()); st.Nodes != got {
-			t.Fatalf("%s: Stats.Nodes = %d, independent recount = %d", stage, st.Nodes, got)
-		}
+	if !st.FullRebuild {
+		t.Fatal("fixture regressed: the insert did not heal an overflow")
 	}
-	check("open")
-	for i := 0; i < 3; i++ {
-		if _, err := d.Insert("/library/shelf", i, richSubtree()); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		check("insert")
+	if got := d.Stats(); got.Nodes != before.Nodes+2 || got.Nodes != recount(d.Snapshot()) {
+		t.Fatalf("after the healed insert: Stats.Nodes = %d, want %d = recount %d", got.Nodes, before.Nodes+2, recount(d.Snapshot()))
 	}
-	if _, err := d.Delete("/library/shelf", 1); err != nil {
-		t.Fatal(err)
-	}
-	check("delete")
 }
 
-// TestRUIDStatsMatchRecount holds the ruid scheme to the same canonical
-// accounting rule as the generic schemes.
+// TestRUIDStatsMatchRecount pins the accounting reconciliation:
+// Stats().Nodes answers from the incrementally maintained counter, and that
+// counter must agree with an independent recount of the published tree
+// across inserts and deletes of subtrees carrying attributes and text, with
+// attributes numbered or not.
 func TestRUIDStatsMatchRecount(t *testing.T) {
-	d, err := document.OpenString(librarySrc, document.Options{})
+	for _, withAttrs := range []bool{false, true} {
+		d, err := document.OpenString(librarySrc, document.Options{WithAttrs: withAttrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			t.Helper()
+			if st, got := d.Stats(), recount(d.Snapshot()); st.Nodes != got {
+				t.Fatalf("WithAttrs=%v, %s: Stats.Nodes = %d, independent recount = %d", withAttrs, stage, st.Nodes, got)
+			}
+		}
+		check("open")
+		for i := 0; i < 3; i++ {
+			if _, err := d.Insert("/library/shelf", i, richSubtree()); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+			check(fmt.Sprintf("insert %d", i))
+		}
+		if _, err := d.Delete("/library/shelf", 1); err != nil {
+			t.Fatal(err)
+		}
+		check("delete")
+	}
+}
+
+// TestNodeGaugeMatchesStats: /metrics and GET /v1/docs report one node count
+// for one document. The doc.nodes gauge used to be the numbering's size,
+// which counts attributes on a WithAttrs document.
+func TestNodeGaugeMatchesStats(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := document.OpenString(librarySrc, document.Options{WithAttrs: true, Observe: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Insert("/library/shelf", 0, richSubtree()); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
-	if got := recount(d.Snapshot()); st.Nodes != got {
-		t.Fatalf("Stats.Nodes = %d, independent recount = %d", st.Nodes, got)
+	gauge, st, got := reg.Gauge("doc.nodes").Value(), d.Stats(), recount(d.Snapshot())
+	if gauge != int64(st.Nodes) || st.Nodes != got {
+		t.Fatalf("doc.nodes = %d, Stats().Nodes = %d, recount = %d", gauge, st.Nodes, got)
+	}
+	if names := reg.Gauge("doc.names").Value(); names != int64(st.Names) || st.Names != len(d.Snapshot().Index().Names()) {
+		t.Fatalf("doc.names = %d, Stats().Names = %d, index names %d", names, st.Names, len(d.Snapshot().Index().Names()))
 	}
 }

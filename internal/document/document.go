@@ -70,11 +70,9 @@
 //
 // Full rebuild is a branch inside publishLocked, not a sibling: the first
 // epoch, a batch that healed a local-index overflow by re-partitioning
-// (reported as FullRebuild; core has cloned the whole tree for it), an
-// incremental assembly that tripped an internal invariant, and every epoch of
-// a non-ruid scheme — whose batch works on a full clone of the newest
-// epoch's tree, numbered afresh through the registry constructor — build
-// index and guide from scratch over the working tree.
+// (reported as FullRebuild; core has cloned the whole tree for it) and an
+// incremental assembly that tripped an internal invariant build index and
+// guide from scratch over the working tree.
 //
 // # Write-failure atomicity
 //
@@ -87,7 +85,6 @@ package document
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -110,14 +107,6 @@ import (
 
 // Options configure Open.
 type Options struct {
-	// Scheme names the numbering scheme for the document. "" and "ruid"
-	// select the paper's 2-level ruid with incremental area-confined epoch
-	// publication (the serving default). "auto" measures the tree's shape
-	// and lets scheme.Pick choose. Any other value resolves against the
-	// scheme registry (importing this package registers every in-tree
-	// scheme); non-ruid schemes publish full-clone epochs and support
-	// updates only when the scheme declares the Update capability.
-	Scheme string
 	// Partition controls UID-local area selection for the ruid numbering.
 	// Zero fields select serving-oriented defaults individually (area
 	// budget 64, §2.3 fan-out adjustment on); explicitly set fields are
@@ -144,9 +133,9 @@ type Options struct {
 	// postings block bytes and node payloads live in storage.Pager pages
 	// behind a shared buffer pool of PoolPages frames, faulted on demand by
 	// the query kernels; only table K, the skip tables and the DataGuide
-	// stay memory-resident. Requires the ruid scheme. Queries over a paged
-	// document report their page I/O per stage in EXPLAIN ANALYZE, and a
-	// fault failure surfaces as an *index.PagedError from Query.
+	// stay memory-resident. Queries over a paged document report their page
+	// I/O per stage in EXPLAIN ANALYZE, and a fault failure surfaces as an
+	// *index.PagedError from Query.
 	PoolPages int
 }
 
@@ -170,12 +159,6 @@ type Document struct {
 	dm   *docMetrics    // resolved metric pointers; nil when unobserved
 
 	mu sync.Mutex // serializes writers and epoch publication
-
-	// schemeName is the resolved scheme; sreg its registry entry when it is
-	// not ruid (every batch then numbers a clone of the newest epoch's tree
-	// through sreg.Build).
-	schemeName string
-	sreg       scheme.Registration
 
 	// nodeCount and depthSum maintain the planner's cardinality statistics
 	// (non-attribute nodes from the root element down; sum of their
@@ -209,20 +192,17 @@ type Document struct {
 // Successive epochs structurally share untouched subtrees; see the package
 // comment for the navigation invariant this implies.
 type Snapshot struct {
-	epoch      uint64
-	tree       *xmltree.Node
-	num        *core.Numbering // nil when the document uses a non-ruid scheme
-	s          scheme.Scheme   // the epoch's numbering, whatever the scheme
-	schemeName string
-	planner    *query.Planner
+	epoch   uint64
+	tree    *xmltree.Node
+	num     *core.Numbering
+	planner *query.Planner
 
 	// nodes is the canonical node count of this epoch under the facade's
 	// accounting rule: non-attribute nodes from the root element down —
 	// exactly the population subtreeStats maintains across updates. Carried
-	// on the snapshot so Stats never re-walks the tree (and so the generic
-	// and ruid paths answer from the same maintained figure; the ruid Areas
-	// and Kappa stats still come from the numbering, whose Size additionally
-	// counts attributes when the document was opened WithAttrs).
+	// on the snapshot so Stats never re-walks the tree (the numbering's Size
+	// additionally counts attributes when the document was opened
+	// WithAttrs).
 	nodes int
 }
 
@@ -248,41 +228,16 @@ func OpenString(src string, opts Options) (*Document, error) {
 // doc — it becomes the tree of the first epoch — and the caller must not
 // mutate it afterwards.
 func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
-	name := opts.Scheme
-	if name == "" {
-		name = "ruid"
-	}
-	if name == "auto" {
-		name = scheme.Pick(xmltree.Measure(doc))
-	}
-	if opts.PoolPages > 0 && name != "ruid" {
-		return nil, fmt.Errorf("document: out-of-core mode (PoolPages) requires the ruid scheme, got %q", name)
-	}
 	d := &Document{
-		opts:       opts.coreOptions(),
-		exec:       exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
-		reg:        opts.Observe,
-		dm:         newDocMetrics(opts.Observe),
-		schemeName: name,
-		poolPages:  opts.PoolPages,
+		opts:      opts.coreOptions(),
+		exec:      exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
+		reg:       opts.Observe,
+		dm:        newDocMetrics(opts.Observe),
+		poolPages: opts.PoolPages,
 	}
-	first := &working{}
-	if name == "ruid" {
-		num, err := core.Build(doc, d.opts)
-		if err != nil {
-			return nil, err
-		}
-		first.num, first.s = num, num
-	} else {
-		reg, ok := scheme.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("document: unknown scheme %q (registered: %v)", name, scheme.Names())
-		}
-		s, err := reg.Build(doc)
-		if err != nil {
-			return nil, err
-		}
-		d.sreg, first.s, first.tree = reg, s, doc
+	num, err := core.Build(doc, d.opts)
+	if err != nil {
+		return nil, err
 	}
 	root := doc
 	if doc.Kind == xmltree.Document {
@@ -294,48 +249,24 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d, d.publishLocked(first, nil, nodes, depths)
+	return d, d.publishLocked(&working{num: num}, nil, nodes, depths)
 }
 
 // working is the state a batch works on and then publishes: the private
-// successor of the newest epoch. Under ruid that is a fork of the epoch's
-// numbering, which shares the epoch's tree and copies what it writes; under
-// any other scheme it is a full clone of the epoch's tree numbered afresh
-// through the registry constructor — the trade documented in Options.Scheme.
-// The first epoch's is the parsed tree under its first numbering.
+// successor of the newest epoch, a fork of the epoch's numbering, which
+// shares the epoch's tree and copies what it writes. The first epoch's is the
+// parsed tree under its first numbering.
 type working struct {
-	num  *core.Numbering // nil when the document uses a non-ruid scheme
-	s    scheme.Scheme   // the numbering, whatever the scheme
-	tree *xmltree.Node   // the document node when num is nil (a fork's moves as it copies: doc)
+	num *core.Numbering
 
 	// deltas are the applied members' deltas in application order and born the
-	// elements they inserted (ruid only; other schemes rebuild their index).
+	// elements they inserted.
 	deltas []*core.Delta
 	born   map[*xmltree.Node]struct{}
 }
 
-// doc returns the working tree's document node.
-func (w *working) doc() *xmltree.Node {
-	if w.num != nil {
-		return w.num.Doc()
-	}
-	return w.tree
-}
-
-// forkLocked opens the working state of a batch over the newest epoch.
-// Callers hold d.mu.
-func (d *Document) forkLocked(prev *Snapshot) (*working, error) {
-	if prev.num != nil {
-		num := prev.num.Fork()
-		return &working{num: num, s: num, born: make(map[*xmltree.Node]struct{})}, nil
-	}
-	tree := prev.tree.Clone()
-	s, err := d.sreg.Build(tree)
-	if err != nil {
-		return nil, err
-	}
-	return &working{s: s, tree: tree}, nil
-}
+// doc returns the working tree's document node (a fork's moves as it copies).
+func (w *working) doc() *xmltree.Node { return w.num.Doc() }
 
 // publishLocked is the one function that installs an epoch: the working
 // state w becomes the next snapshot. guide is the batch's eagerly folded
@@ -343,10 +274,9 @@ func (d *Document) forkLocked(prev *Snapshot) (*working, error) {
 // rebuilds it from the tree). The epoch's index and guide are assembled
 // incrementally — one index patch, one guide swap over the union of the
 // deltas' update scopes — whenever they can be: a previous epoch exists,
-// there are deltas (non-ruid schemes have none) and none of them is a full
-// rebuild. Otherwise, and when incremental assembly trips an internal
-// invariant, they are built from scratch over w's tree, which always yields a
-// consistent epoch.
+// there are deltas and none of them is a full rebuild. Otherwise, and when
+// incremental assembly trips an internal invariant, they are built from
+// scratch over w's tree, which always yields a consistent epoch.
 //
 // nodes and depths are the counter values the new epoch carries; they are
 // committed to d.nodeCount/d.depthSum only after the epoch is installed, so
@@ -377,14 +307,12 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide, nodes, dept
 			return err
 		}
 	}
-	if w.num != nil {
-		w.num.Seal()
-	}
+	w.num.Seal()
 	d.epoch++
 	snap.epoch = d.epoch
 	d.cur.Store(snap)
 	d.nodeCount, d.depthSum = nodes, depths
-	if prev != nil && prev.num != nil {
+	if prev != nil {
 		// Nothing published is ever written: a write that skipped own shows
 		// here, as a stamp of the previous epoch disagreeing with its table K.
 		prev.num.AssertK("publishing the next epoch")
@@ -408,11 +336,11 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide, nodes, dept
 
 // snapshotOf wires planner to the document's executor, observer and pager
 // and wraps it as a snapshot; publishLocked stamps the epoch number.
-func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, s scheme.Scheme, planner *query.Planner, nodes int) *Snapshot {
+func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, planner *query.Planner, nodes int) *Snapshot {
 	planner.SetExecutor(d.exec)
 	planner.SetObserver(d.reg)
 	d.wireIOStats(planner)
-	return &Snapshot{tree: tree, num: num, s: s, schemeName: d.schemeName, planner: planner, nodes: nodes}
+	return &Snapshot{tree: tree, num: num, planner: planner, nodes: nodes}
 }
 
 // assembleFullLocked builds the next epoch's index and guide from scratch
@@ -421,7 +349,7 @@ func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, s scheme.
 // Callers hold d.mu.
 func (d *Document) assembleFullLocked(w *working, nodes, depths int) (*Snapshot, error) {
 	tree := w.doc()
-	snap := d.snapshotOf(tree, w.num, w.s, query.New(tree, w.s), nodes)
+	snap := d.snapshotOf(tree, w.num, query.New(tree, w.num), nodes)
 	if d.poolPages > 0 {
 		if err := d.pageOutSnapshot(snap, depths); err != nil {
 			return nil, err
@@ -446,7 +374,7 @@ func (d *Document) assembleBatchLocked(prev *Snapshot, w *working, guide *datagu
 		// paths and counts only, so rebuilding from the tree is safe.
 		guide = dataguide.Build(tree)
 	}
-	return d.snapshotOf(tree, w.num, w.num, query.NewWithState(tree, w.num, ix, guide, nodes, depths), nodes), st, nil
+	return d.snapshotOf(tree, w.num, query.NewWithState(tree, w.num, ix, guide, nodes, depths), nodes), st, nil
 }
 
 // applyIndexBatch composes the batch's per-mutation deltas into one set of
@@ -569,12 +497,11 @@ func subtreeStats(x *xmltree.Node, depth int) (count, depths int) {
 	return count, depths
 }
 
-// findOne resolves a writer's target path on the working state: under ruid
-// with the fork's own identifier arithmetic — between two members of a batch
-// the fork is as consistent as any epoch — and otherwise by pointer
-// navigation over the private clone.
+// findOne resolves a writer's target path on the working state with the
+// fork's own identifier arithmetic: between two members of a batch the fork
+// is as consistent as any epoch.
 func (w *working) findOne(path string) (*xmltree.Node, error) {
-	res, err := xpath.NewEngine(w.doc(), w.navigator()).Query(path)
+	res, err := xpath.NewEngine(w.doc(), xpath.SchemeNavigator{S: w.num}).Query(path)
 	if err != nil {
 		return nil, err
 	}
@@ -586,18 +513,11 @@ func (w *working) findOne(path string) (*xmltree.Node, error) {
 	return nil, fmt.Errorf("document: no element matches %q", path)
 }
 
-func (w *working) navigator() xpath.Navigator {
-	if w.num != nil {
-		return xpath.SchemeNavigator{S: w.num}
-	}
-	return xpath.PointerNavigator{}
-}
-
 // elementPath returns the names of the elements from the root element down
 // to x, x included.
 func (w *working) elementPath(x *xmltree.Node) []string {
 	names := []string{x.Name}
-	w.navigator().Ancestors(x, func(a *xmltree.Node) bool {
+	xpath.SchemeNavigator{S: w.num}.Ancestors(x, func(a *xmltree.Node) bool {
 		names = append(names, a.Name)
 		return true
 	})
@@ -605,40 +525,27 @@ func (w *working) elementPath(x *xmltree.Node) []string {
 	return names
 }
 
-// ErrReadOnlyScheme reports a structural update against a document whose
-// scheme does not declare the Update capability (e.g. the compact ancestry
-// labels, which trade updatability for label size). Test with errors.Is.
-var ErrReadOnlyScheme = errors.New("document: scheme is read-only")
-
-// Stats summarizes the current epoch. Areas and Kappa describe the ruid
-// area partition and are zero under any other scheme.
+// Stats summarizes the current epoch.
 type Stats struct {
-	Epoch  int    // epochs published so far (1 = the initial one)
-	Scheme string // numbering scheme name
-	Nodes  int    // numbered nodes
-	Areas  int    // UID-local areas (rows of K); ruid only
-	Kappa  int64  // frame fan-out κ; ruid only
-	Names  int    // distinct indexed element names
+	Epoch int   // epochs published so far (1 = the initial one)
+	Nodes int   // non-attribute nodes from the root element down
+	Areas int   // UID-local areas (rows of K)
+	Kappa int64 // frame fan-out κ
+	Names int   // distinct indexed element names
 }
 
-// Stats returns a summary of the current epoch.
+// Stats returns a summary of the current epoch. Nodes is the snapshot's
+// maintained count, the same population subtreeStats tracks across updates:
+// no per-call tree walk.
 func (d *Document) Stats() Stats {
 	s := d.Snapshot()
-	st := Stats{
-		Epoch:  int(s.epoch),
-		Scheme: s.schemeName,
-		Names:  len(s.Index().Names()),
+	return Stats{
+		Epoch: int(s.epoch),
+		Nodes: s.nodes,
+		Areas: s.num.AreaCount(),
+		Kappa: s.num.Kappa(),
+		Names: s.Index().NameCount(),
 	}
-	// Both scheme families answer Nodes from the snapshot's maintained count
-	// (non-attribute nodes from the root element down, the same population
-	// subtreeStats tracks across updates) — no per-call tree walk. The
-	// accounting consistency is pinned by TestGenericStatsMatchRecount.
-	st.Nodes = s.nodes
-	if s.num != nil {
-		st.Areas = s.num.AreaCount()
-		st.Kappa = s.num.Kappa()
-	}
-	return st
 }
 
 // Epoch returns the snapshot's epoch number (monotonically increasing per
@@ -653,18 +560,14 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) Tree() *xmltree.Node { return s.tree }
 
 // Path returns the slash path (xmltree.Node.Path's format) of n, a node of
-// this epoch's tree, as this epoch holds it. Under ruid the ancestors come
-// from the epoch's own numbering (rparent) and each step's position from that
+// this epoch's tree, as this epoch holds it. The ancestors come from the
+// epoch's own numbering (rparent) and each step's position from that
 // ancestor's child list: n.Path() would climb Parent pointers, and a node the
 // epoch shares with an earlier one keeps the Parent of the tree it was
 // created in, whose positions later writes have moved. An attribute is the
 // exception that needs none of it: it is copied with its element, so its
-// Parent is the element this epoch holds. The epochs of any other scheme are
-// private clones, and their Parent pointers their own.
+// Parent is the element this epoch holds.
 func (s *Snapshot) Path(n *xmltree.Node) string {
-	if s.num == nil {
-		return n.Path()
-	}
 	var steps []string
 	if n.Kind == xmltree.Attribute {
 		steps = append(steps, n.PathStep(n.Parent))
@@ -681,20 +584,8 @@ func (s *Snapshot) Path(n *xmltree.Node) string {
 	return xmltree.JoinPath(steps)
 }
 
-// Numbering returns the snapshot's ruid numbering, or nil when the document
-// was opened with a non-ruid scheme (use Scheme for the general interface).
+// Numbering returns the snapshot's ruid numbering.
 func (s *Snapshot) Numbering() *core.Numbering { return s.num }
-
-// Scheme returns the snapshot's numbering through the scheme interface,
-// whatever concrete scheme the document was opened with.
-func (s *Snapshot) Scheme() scheme.Scheme { return s.s }
-
-// SchemeName returns the resolved name of the snapshot's numbering scheme
-// ("auto" resolves at Open; this reports the picked scheme).
-func (s *Snapshot) SchemeName() string { return s.schemeName }
-
-// SchemeName returns the resolved name of the document's numbering scheme.
-func (d *Document) SchemeName() string { return d.schemeName }
 
 // Index returns the snapshot's element-name index.
 func (s *Snapshot) Index() *index.NameIndex { return s.planner.Index() }

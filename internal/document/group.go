@@ -164,8 +164,8 @@ type groupCommitter struct {
 // EnableGroupCommit starts the document's commit loop: from here on every
 // mutation (EnqueueInsert, EnqueueDelete, and Insert/Delete on top of them)
 // is logged to cfg.WAL, queued, and coalesced with its neighbours into
-// batched epoch publications. Fails on cold-opened (read-only) documents,
-// non-updatable schemes, and when already enabled.
+// batched epoch publications. Fails on cold-opened (read-only) documents
+// and when already enabled.
 func (d *Document) EnableGroupCommit(cfg GroupConfig) error {
 	if err := d.writable(); err != nil {
 		return err
@@ -423,14 +423,10 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 }
 
 // writable reports why the document cannot take structural updates at all:
-// a cold-opened document refuses them (see Document.readonly), and a registry
-// scheme may not declare the Update capability.
+// a cold-opened document refuses them (see Document.readonly).
 func (d *Document) writable() error {
 	if d.readonly {
 		return ErrColdDocument
-	}
-	if _, ok := d.cur.Load().s.(scheme.Updatable); !ok {
-		return fmt.Errorf("%w: scheme %q", ErrReadOnlyScheme, d.schemeName)
 	}
 	return nil
 }
@@ -453,17 +449,14 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 		return fail(batch, err)
 	}
 	prev := d.cur.Load()
-	w, err := d.forkLocked(prev)
-	if err != nil {
-		return fail(batch, err)
-	}
+	w := &working{num: prev.num.Fork(), born: make(map[*xmltree.Node]struct{})}
 	var (
 		applied []*pendingOp
 		nodes   = d.nodeCount
 		depths  = d.depthSum
 		fold    *dataguide.Batch
 	)
-	if w.num != nil && prev.Guide() != nil {
+	if prev.Guide() != nil {
 		fold = prev.Guide().Begin()
 	}
 	rootDepth := 0
@@ -491,25 +484,23 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 		}
 		nodes += c
 		depths += dd
-		if w.num != nil {
-			if op.insert {
-				sub.Walk(func(x *xmltree.Node) bool {
-					if x.Kind == xmltree.Element {
-						w.born[x] = struct{}{}
-					}
-					return true
-				})
-			}
-			// The guide update folds EAGERLY, at apply time, because the fold
-			// walks the subtree: an inserted subtree must be counted as it was
-			// inserted, before a later batch member deletes inside it (whose own
-			// fold then subtracts exactly that part). A deferred walk would see
-			// the post-batch shape and double-subtract. The fold shares ONE
-			// guide copy across the whole batch; a nil or broken fold stays
-			// broken, and publication then rebuilds the guide from the tree.
-			if fold != nil {
-				fold.Update(path, sub, sign)
-			}
+		if op.insert {
+			sub.Walk(func(x *xmltree.Node) bool {
+				if x.Kind == xmltree.Element {
+					w.born[x] = struct{}{}
+				}
+				return true
+			})
+		}
+		// The guide update folds EAGERLY, at apply time, because the fold
+		// walks the subtree: an inserted subtree must be counted as it was
+		// inserted, before a later batch member deletes inside it (whose own
+		// fold then subtracts exactly that part). A deferred walk would see
+		// the post-batch shape and double-subtract. The fold shares ONE
+		// guide copy across the whole batch; a nil or broken fold stays
+		// broken, and publication then rebuilds the guide from the tree.
+		if fold != nil {
+			fold.Update(path, sub, sign)
 		}
 		op.rc.Stamp(obs.StageMerged)
 		applied = append(applied, op)
@@ -531,37 +522,26 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 }
 
 // apply applies one mutation below parent on the working state and records
-// its §3.2 statistics on op — the only step of the pipeline that differs by
-// scheme. It returns the inserted or removed subtree; under ruid the update's
-// delta joins w.deltas, a registry scheme (already checked Updatable by
-// writable) has none and publishes by full rebuild.
-func (w *working) apply(op *pendingOp, parent *xmltree.Node) (sub *xmltree.Node, err error) {
-	var delta *core.Delta
-	switch {
-	case w.num != nil && op.insert:
+// its §3.2 statistics on op. It returns the inserted or removed subtree; the
+// update's delta joins w.deltas.
+func (w *working) apply(op *pendingOp, parent *xmltree.Node) (*xmltree.Node, error) {
+	var (
+		delta *core.Delta
+		err   error
+	)
+	if op.insert {
 		op.stats, delta, err = w.num.InsertChildDelta(parent, op.pos, op.child)
-	case w.num != nil:
+	} else {
 		op.stats, delta, err = w.num.DeleteChildDelta(parent, op.pos)
-	case op.insert:
-		op.stats, err = w.s.(scheme.Updatable).InsertChild(parent, op.pos, op.child)
-	default:
-		if op.pos < 0 || op.pos >= parent.Children.Len() {
-			return nil, fmt.Errorf("document: delete position %d out of range", op.pos)
-		}
-		sub = parent.Children.At(op.pos)
-		op.stats, err = w.s.(scheme.Updatable).DeleteChild(parent, op.pos)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if delta != nil {
-		w.deltas = append(w.deltas, delta)
-		sub = delta.Removed
-	}
+	w.deltas = append(w.deltas, delta)
 	if op.insert {
-		sub = op.child
+		return op.child, nil
 	}
-	return sub, nil
+	return delta.Removed, nil
 }
 
 // Mutation record payload, the document layer's WAL encoding:

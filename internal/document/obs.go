@@ -67,13 +67,9 @@ func (d *Document) noteEpochLocked(full bool, st index.DeltaStats, dur time.Dura
 	}
 	s := d.cur.Load()
 	d.dm.epoch.Set(int64(s.epoch))
-	if s.num != nil {
-		d.dm.nodes.Set(int64(s.num.Size()))
-		d.dm.areas.Set(int64(s.num.AreaCount()))
-	} else {
-		d.dm.nodes.Set(int64(s.nodes))
-	}
-	d.dm.names.Set(int64(len(s.Index().Names())))
+	d.dm.nodes.Set(int64(s.nodes))
+	d.dm.areas.Set(int64(s.num.AreaCount()))
+	d.dm.names.Set(int64(s.Index().NameCount()))
 	d.dm.postingsBytes.Set(int64(s.Index().PostingsSizeBytes()))
 	if full {
 		d.dm.publishFull.Inc()

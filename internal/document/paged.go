@@ -179,14 +179,10 @@ const bundleMagic = "ruidbd01"
 
 // SaveBundle writes the current epoch as a self-contained bundle: XML
 // text, numbering snapshot and postings snapshot. OpenBundle reopens it
-// cold — without rebuilding the index or materializing postings bytes.
-// Only ruid-backed documents bundle (the cold open leans on Lemma 1's
-// resident table K).
+// cold — without rebuilding the index or materializing postings bytes (the
+// cold open leans on Lemma 1's resident table K).
 func (d *Document) SaveBundle(w io.Writer) error {
 	snap := d.Snapshot()
-	if snap.num == nil {
-		return fmt.Errorf("document: bundle requires the ruid scheme, got %q", snap.schemeName)
-	}
 	xml := xmltree.Serialize(snap.tree)
 	var num bytes.Buffer
 	if err := snap.num.Save(&num); err != nil {
@@ -212,11 +208,8 @@ func (d *Document) SaveBundle(w io.Writer) error {
 // behind the same pool. The buffer pool is then dropped, so the first
 // queries fault from a cold cache and EXPLAIN ANALYZE shows exactly which
 // stages page. The document is read-only (ErrColdDocument); PoolPages
-// defaults to 256 frames when unset. Scheme must be "" or "ruid".
+// defaults to 256 frames when unset.
 func OpenBundle(r io.Reader, opts Options) (*Document, error) {
-	if opts.Scheme != "" && opts.Scheme != "ruid" {
-		return nil, fmt.Errorf("document: bundle requires the ruid scheme, got %q", opts.Scheme)
-	}
 	pool := opts.PoolPages
 	if pool <= 0 {
 		pool = 256
@@ -264,20 +257,19 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 	}
 	nodes, depths := subtreeStats(root, root.Depth())
 	d := &Document{
-		opts:       opts.coreOptions(),
-		exec:       exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
-		reg:        opts.Observe,
-		dm:         newDocMetrics(opts.Observe),
-		schemeName: "ruid",
-		nodeCount:  nodes,
-		depthSum:   depths,
-		poolPages:  pool,
-		store:      store,
-		readonly:   true,
-		epoch:      1,
+		opts:      opts.coreOptions(),
+		exec:      exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
+		reg:       opts.Observe,
+		dm:        newDocMetrics(opts.Observe),
+		nodeCount: nodes,
+		depthSum:  depths,
+		poolPages: pool,
+		store:     store,
+		readonly:  true,
+		epoch:     1,
 	}
 	num.Seal()
-	snap := d.snapshotOf(doc, num, num, query.NewWithState(doc, num, ix, dataguide.Build(doc), nodes, depths), nodes)
+	snap := d.snapshotOf(doc, num, query.NewWithState(doc, num, ix, dataguide.Build(doc), nodes, depths), nodes)
 	snap.epoch = 1
 	d.cur.Store(snap)
 	// Start cold: loading dirtied the pool; everything is on "disk" now and

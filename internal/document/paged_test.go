@@ -178,15 +178,6 @@ func TestPayloadFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestPoolPagesRequiresRUID: out-of-core mode is a ruid feature; other
-// schemes cannot promise Lemma 1's resident navigation.
-func TestPoolPagesRequiresRUID(t *testing.T) {
-	_, err := document.OpenString(librarySrc, document.Options{PoolPages: 8, Scheme: "prepost"})
-	if err == nil || !strings.Contains(err.Error(), "requires the ruid scheme") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestColdBundleRoundTrip: SaveBundle → OpenBundle serves byte-identical
 // answers without materializing postings, refuses writes, re-saves the
 // identical bundle, and reports honest cold/warm I/O.

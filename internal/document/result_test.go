@@ -7,12 +7,11 @@ import (
 
 	"repro/internal/document"
 	"repro/internal/query"
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// resultFamilies are the documents TestQueryResultAcrossSchemes runs over,
+// resultFamilies are the documents TestQueryResult runs over,
 // each with the conformance queries that mean something on it (the set of
 // query.TestParallelDeterminism: join chains, twigs, navigation fallbacks,
 // plus a seed-only chain) and the parents its update history writes under.
@@ -48,28 +47,31 @@ var resultFamilies = []struct {
 	},
 }
 
-// TestQueryResultAcrossSchemes holds query.Result to the pointer-tree
-// oracle under every registered scheme — concrete ruid identifiers, boxed
-// identifiers, and the ready-made nodes of a navigation plan — on a fresh
-// document and again after a random insert/delete history: Len, the length
-// of Nodes and the oracle's count are one number, Nodes is the oracle's
-// node sequence (what Run returned before answers stayed identifiers), and
-// Snapshot.Query is Nodes.
-func TestQueryResultAcrossSchemes(t *testing.T) {
-	kinds := map[string]map[query.PlanKind]bool{}
-	for _, name := range scheme.Names() {
-		reg, _ := scheme.Lookup(name)
-		kinds[name] = map[query.PlanKind]bool{}
+// TestQueryResult holds query.Result to the pointer-tree oracle — concrete
+// ruid identifiers and the ready-made nodes of a navigation plan — resident
+// and paged, on a fresh document and again after a random insert/delete
+// history: Len, the length of Nodes and the oracle's count are one number,
+// Nodes is the oracle's node sequence (what Run returned before answers
+// stayed identifiers), and Snapshot.Query is Nodes.
+func TestQueryResult(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts document.Options
+	}{
+		{"resident", document.Options{}},
+		{"paged", document.Options{PoolPages: 16}},
+	} {
+		kinds := map[query.PlanKind]bool{}
 		for _, fam := range resultFamilies {
-			d, err := document.FromTree(fam.build(), document.Options{Scheme: name})
+			d, err := document.FromTree(fam.build(), mode.opts)
 			if err != nil {
-				t.Fatalf("%s/%s: open: %v", name, fam.name, err)
+				t.Fatalf("%s/%s: open: %v", mode.name, fam.name, err)
 			}
 			check := func(when string) {
 				snap := d.Snapshot()
 				oracle := xpath.NewEngine(snap.Tree(), xpath.PointerNavigator{})
 				for _, q := range fam.queries {
-					tag := fmt.Sprintf("%s/%s/%s %q", name, fam.name, when, q)
+					tag := fmt.Sprintf("%s/%s/%s %q", mode.name, fam.name, when, q)
 					want, err := oracle.Query(q)
 					if err != nil {
 						t.Fatalf("%s: oracle: %v", tag, err)
@@ -78,7 +80,7 @@ func TestQueryResultAcrossSchemes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}
-					kinds[name][plan.Kind] = true
+					kinds[plan.Kind] = true
 					if res.Len() != len(want) {
 						t.Fatalf("%s [%s]: Len = %d, oracle %d", tag, plan.Kind, res.Len(), len(want))
 					}
@@ -101,10 +103,7 @@ func TestQueryResultAcrossSchemes(t *testing.T) {
 				}
 			}
 			check("fresh")
-			if !reg.Caps.Update {
-				continue
-			}
-			rng := rand.New(rand.NewSource(int64(len(name)) + 31))
+			rng := rand.New(rand.NewSource(35))
 			applied := 0
 			// A write can miss once deletes have shifted or emptied its parent.
 			// A failed write publishes nothing, so it is skipped, not fatal.
@@ -125,18 +124,15 @@ func TestQueryResultAcrossSchemes(t *testing.T) {
 				}
 			}
 			if applied < 20 {
-				t.Fatalf("%s/%s: only %d of 40 writes applied", name, fam.name, applied)
+				t.Fatalf("%s/%s: only %d of 40 writes applied", mode.name, fam.name, applied)
 			}
 			check("after history")
 		}
-	}
-	// The three forms an answer takes were all exercised: ruid runs join and
-	// twig plans on concrete identifiers, a scheme with computed parents runs
-	// them on boxed ones, and every scheme falls back to navigation.
-	for _, name := range []string{"ruid", "nestedint"} {
+		// Both forms an answer takes were exercised: join and twig plans on
+		// identifiers, navigation on nodes.
 		for _, k := range []query.PlanKind{query.JoinPlan, query.TwigPlan, query.NavPlan} {
-			if !kinds[name][k] {
-				t.Errorf("%s: no %s plan among the conformance queries", name, k)
+			if !kinds[k] {
+				t.Errorf("%s: no %s plan among the conformance queries", mode.name, k)
 			}
 		}
 	}

@@ -197,12 +197,11 @@ func (e *Executor) ChildSemiJoin(n *core.Numbering, ancs, descs index.Postings) 
 // through the executor: postings of names[0] filtered down the path by
 // parallel upward semi-joins. The index's block-compressed postings are
 // consumed as Postings views, so each step decodes only candidate blocks.
-// Returns nil for non-ruid indexes, like the serial form.
 func (e *Executor) PathQuery(ix *index.NameIndex, names ...string) []core.ID {
-	n := ix.RUID()
-	if n == nil || len(names) == 0 {
+	if len(names) == 0 {
 		return nil
 	}
+	n := ix.RUID()
 	cur := ix.Postings(names[0])
 	if cur.Len() == 0 {
 		return nil

@@ -8,16 +8,11 @@ import (
 	"repro/internal/nestedint"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
-
-	// Registered by import, with ancestry and nestedint above and ruid
-	// (package core, which index itself imports): the full registry.
-	_ "repro/internal/prepost"
-	_ "repro/internal/uid"
 )
 
-// comparisonSchemes builds the schemes the merge kernels are aimed at: one
+// comparisonSchemes builds the schemes the merge kernel is aimed at: one
 // UID-family scheme with Depth (nestedint, doubles as the oracle via the
-// Parent-climbing kernels) and the read-only compact ancestry labels.
+// Parent-climbing kernel) and the read-only compact ancestry labels.
 func comparisonSchemes(t *testing.T, doc *xmltree.Node) map[string]scheme.Depther {
 	t.Helper()
 	nn, err := nestedint.Build(doc)
@@ -52,8 +47,6 @@ func sameIDSlices(t *testing.T, label string, got, want []scheme.ID) {
 	}
 }
 
-// nodesNamed resolves a posting list to element names via the scheme, used
-// to cross-check against pointer navigation.
 func joinCases() [][2]string {
 	return [][2]string{
 		{"section", "title"},
@@ -64,9 +57,9 @@ func joinCases() [][2]string {
 	}
 }
 
-// TestMergeSemiJoinsAgreeWithClimbing: on documents where both kernel
-// families run (nestedint computes parents AND compares), the comparison-
-// only kernels must reproduce the Parent-climbing kernels exactly.
+// TestMergeSemiJoinsAgreeWithClimbing: on documents where both kernels run
+// (nestedint computes parents AND compares), the comparison-only semi-join
+// must reproduce the Parent-climbing one exactly.
 func TestMergeSemiJoinsAgreeWithClimbing(t *testing.T) {
 	docs := map[string]*xmltree.Node{
 		"recursive": xmltree.Recursive(2, 6),
@@ -77,52 +70,33 @@ func TestMergeSemiJoinsAgreeWithClimbing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := index.Build(doc.DocumentElement(), nn)
+		lists := scheme.IDsByName(doc.DocumentElement(), nn)
 		for _, c := range joinCases() {
-			ancs, descs := ix.IDs(c[0]), ix.IDs(c[1])
-			label := dname + "/" + c[0] + "//" + c[1]
-			sameIDSlices(t, "MergeSemiJoin "+label,
+			ancs, descs := lists[c[0]], lists[c[1]]
+			sameIDSlices(t, "MergeSemiJoin "+dname+"/"+c[0]+"//"+c[1],
 				index.MergeSemiJoin(nn, ancs, descs),
 				index.UpwardSemiJoin(nn, ancs, descs))
-			sameIDSlices(t, "MergeAncestorSemiJoin "+label,
-				index.MergeAncestorSemiJoin(nn, ancs, descs),
-				index.AncestorSemiJoin(nn, ancs, descs))
-			sameIDSlices(t, "MergeParentSemiJoin "+label,
-				index.MergeParentSemiJoin(nn, ancs, descs),
-				index.ParentSemiJoin(nn, ancs, descs))
-			sameIDSlices(t, "MergeChildSemiJoin "+label,
-				index.MergeChildSemiJoin(nn, ancs, descs),
-				index.ChildSemiJoin(nn, ancs, descs))
 		}
 	}
 }
 
-// TestMergeKernelsAcrossSchemes: the comparison-only kernels must produce
-// identical result key sets under every scheme that can run them — results
+// TestMergeKernelsAcrossSchemes: the comparison-only semi-join must produce
+// identical result node sets under every scheme that can run it — results
 // are scheme-independent node sets.
 func TestMergeKernelsAcrossSchemes(t *testing.T) {
 	doc := xmltree.Recursive(3, 5)
 	schemes := comparisonSchemes(t, doc)
 	for _, c := range joinCases() {
-		var wantSemi, wantAnc, wantPar, wantChild []string
+		var want []string
 		first := true
 		for sname, s := range schemes {
-			ix := index.Build(doc.DocumentElement(), s)
-			ancs, descs := ix.IDs(c[0]), ix.IDs(c[1])
-			semi := nodeSet(t, s, index.MergeSemiJoin(s, ancs, descs))
-			anc := nodeSet(t, s, index.MergeAncestorSemiJoin(s, ancs, descs))
-			par := nodeSet(t, s, index.MergeParentSemiJoin(s, ancs, descs))
-			child := nodeSet(t, s, index.MergeChildSemiJoin(s, ancs, descs))
+			lists := scheme.IDsByName(doc.DocumentElement(), s)
+			got := nodeSet(t, s, index.MergeSemiJoin(s, lists[c[0]], lists[c[1]]))
 			if first {
-				wantSemi, wantAnc, wantPar, wantChild = semi, anc, par, child
-				first = false
+				want, first = got, false
 				continue
 			}
-			label := c[0] + "//" + c[1] + " under " + sname
-			sameStrings(t, "semi "+label, semi, wantSemi)
-			sameStrings(t, "ancestor "+label, anc, wantAnc)
-			sameStrings(t, "parent "+label, par, wantPar)
-			sameStrings(t, "child "+label, child, wantChild)
+			sameStrings(t, "semi "+c[0]+"//"+c[1]+" under "+sname, got, want)
 		}
 	}
 }
@@ -148,74 +122,6 @@ func sameStrings(t *testing.T, label string, got, want []string) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: result %d = %s, want %s", label, i, got[i], want[i])
-		}
-	}
-}
-
-// TestDispatchPerScheme pins, for every registered scheme, which kernel
-// family the semi-join dispatchers give it, and that what they return is the
-// truth derived from NaiveJoin (every pair by IsAncestor, the child edges
-// among them by the tree's own parent pointers) — so a scheme moved to the
-// other family, as nestedint was to merge, cannot change an answer.
-func TestDispatchPerScheme(t *testing.T) {
-	families := map[string]string{
-		"ruid": "climbing", "uid": "climbing",
-		"nestedint": "merge+depth", "ancestry": "merge+depth",
-		"prepost": "merge", "limoon": "merge",
-	}
-	doc := xmltree.Recursive(2, 5)
-	for _, name := range scheme.Names() {
-		reg, _ := scheme.Lookup(name)
-		s, err := reg.Build(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		family, known := families[name]
-		if got := index.FamilyName(s); !known || got != family {
-			t.Errorf("%s: given the %q kernels, want %q", name, got, family)
-		}
-		if got, want := index.CanChildStep(s), family != "merge"; got != want {
-			t.Errorf("%s: CanChildStep = %v, want %v", name, got, want)
-		}
-		ix := index.Build(doc.DocumentElement(), s)
-		for _, c := range joinCases() {
-			ancs, descs := ix.IDs(c[0]), ix.IDs(c[1])
-			// keep filters ids down to those some pair selects: the pair's
-			// ancestor or descendant side, over all pairs or child edges only.
-			keep := func(ids []scheme.ID, descSide, childOnly bool) []scheme.ID {
-				hit := map[string]bool{}
-				for _, p := range index.NaiveJoin(s, ancs, descs) {
-					a, _ := s.NodeOf(p.Ancestor)
-					d, _ := s.NodeOf(p.Descendant)
-					if childOnly && d.Parent != a {
-						continue
-					}
-					if descSide {
-						hit[string(p.Descendant.Key())] = true
-					} else {
-						hit[string(p.Ancestor.Key())] = true
-					}
-				}
-				var out []scheme.ID
-				for _, id := range ids {
-					if hit[string(id.Key())] {
-						out = append(out, id)
-					}
-				}
-				return out
-			}
-			label := name + " " + c[0] + "/" + c[1]
-			sameIDSlices(t, "SemiJoinDescendants "+label, index.SemiJoinDescendants(s, ancs, descs), keep(descs, true, false))
-			sameIDSlices(t, "SemiJoinAncestors "+label, index.SemiJoinAncestors(s, ancs, descs), keep(ancs, false, false))
-			children, ok := index.SemiJoinChildren(s, ancs, descs)
-			parents, ok2 := index.SemiJoinParents(s, ancs, descs)
-			if ok != (family != "merge") || ok2 != ok {
-				t.Fatalf("%s: child-edge kernels available = %v/%v", label, ok, ok2)
-			}
-			if ok {
-				sameIDSlices(t, "SemiJoinChildren "+label, children, keep(descs, true, true))
-				sameIDSlices(t, "SemiJoinParents "+label, parents, keep(ancs, false, true))
-			}
 		}
 	}
 }

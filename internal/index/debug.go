@@ -39,13 +39,8 @@ func SetDebugChecks(on bool) bool {
 // posting list is strictly ascending in document order (which implies no
 // duplicates), every resident block's Skip entry agrees with its decoded
 // contents (First/Last identifiers, Global window, entry count, byte
-// extent) and the block counts sum to the list's. It returns nil for
-// generic (boxed) indexes, whose postings inherit walk order from Build and
-// are never patched.
+// extent) and the block counts sum to the list's.
 func (ix *NameIndex) CheckSorted() error {
-	if ix.ruid == nil {
-		return nil
-	}
 	for name, pl := range ix.ruidByName {
 		if err := checkPostingList(ix.ruid, name, pl); err != nil {
 			return err

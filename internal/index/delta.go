@@ -1,7 +1,6 @@
 package index
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -20,10 +19,6 @@ import (
 // block; only the blocks that hold an edited posting, or that a split or a
 // coalesce rewrites, are decoded, re-encoded and allocated. A paged block
 // the edits miss stays paged.
-
-// ErrNotRUID reports an ApplyDelta on a generic (boxed) index, which has no
-// incremental path.
-var ErrNotRUID = errors.New("index: ApplyDelta requires a ruid-backed index")
 
 // IDPair is one identifier change of a surviving element.
 type IDPair struct{ Old, New core.ID }
@@ -59,10 +54,7 @@ type DeltaStats struct {
 // index.
 func (ix *NameIndex) ApplyDelta(rn *core.Numbering, edits map[string]*NameDelta) (*NameIndex, DeltaStats, error) {
 	var st DeltaStats
-	if ix.ruid == nil {
-		return nil, st, ErrNotRUID
-	}
-	out := &NameIndex{s: rn, ruid: rn, ruidByName: make(map[string]*PostingList, len(ix.ruidByName)+len(edits))}
+	out := &NameIndex{ruid: rn, ruidByName: make(map[string]*PostingList, len(ix.ruidByName)+len(edits))}
 	for name, pl := range ix.ruidByName {
 		out.ruidByName[name] = pl
 	}

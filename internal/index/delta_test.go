@@ -410,6 +410,11 @@ func TestApplyDeltaByteBudget(t *testing.T) {
 		t.Skip("sync.Pool drops entries under -race; the splice's scratch would count")
 	}
 	defer index.SetDebugChecks(index.SetDebugChecks(false))
+	// One P: a pooled value sits in the private slot of the P that put it,
+	// which a Get on another P cannot reach once a collection has moved it to
+	// the victim cache, so a test goroutine woken on the other P after each
+	// runtime.GC would count the splice's scratch every time.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	allocated := func() uint64 {
 		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 		metrics.Read(s)

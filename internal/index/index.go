@@ -20,14 +20,15 @@
 // All strategies return identical results; the benchmarks (experiment E11)
 // compare their costs across selectivities.
 //
-// The functions above take any scheme.Scheme and boxed scheme.ID lists; for
-// them compare.go picks, per scheme, between the Parent-climbing and the
-// comparison-only merge semi-joins. An index built over the concrete ruid
-// numbering has a second, unboxed engine with one path per join: a run kernel
-// written once (fastpath.go), fed by the one iterator over a Postings view
-// (ForEachRun, seek.go — skip-table admission, budget charge, block decode),
-// wrapped by a serial one-shot *Postings form that is the reference, and
-// sharded by internal/exec.
+// The functions above take any scheme.Scheme and boxed scheme.ID lists: they
+// are the reference kernels the experiment tables and the scheme bake-off run
+// under every numbering scheme, with per-name lists from scheme.IDsByName. A
+// NameIndex is built over the concrete ruid numbering and has a second,
+// unboxed engine with one path per join: a run kernel written once
+// (fastpath.go), fed by the one iterator over a Postings view (ForEachRun,
+// seek.go — skip-table admission, budget charge, block decode), wrapped by a
+// serial one-shot *Postings form that is the reference, and sharded by
+// internal/exec.
 package index
 
 import (
@@ -38,81 +39,55 @@ import (
 	"repro/internal/xmltree"
 )
 
-// NameIndex is an in-memory inverted index from element name to the
-// identifiers of the elements carrying it, in document order. Sortedness is
-// a maintained invariant, not a per-query step: Build emits walk order,
-// ApplyDelta patches in place and splices, and nothing downstream re-sorts
-// (see debug.go). The join pipelines, the reconstruction fast path and the
-// parallel shard merge all rely on it.
-//
-// When the index is built over the concrete ruid numbering
-// (*core.Numbering), postings are stored block-compressed (*PostingList,
-// see postings.go) and the join code runs the unboxed kernels over Postings
-// views; for every other scheme the boxed scheme.ID representation is
-// kept.
+// NameIndex is an in-memory inverted index from element name to the ruid
+// identifiers of the elements carrying it, in document order. Postings are
+// stored block-compressed (*PostingList, see postings.go) and the join code
+// runs the unboxed kernels over Postings views. Sortedness is a maintained
+// invariant, not a per-query step: Build emits walk order, ApplyDelta patches
+// in place and splices, and nothing downstream re-sorts (see debug.go). The
+// join pipelines, the reconstruction fast path and the parallel shard merge
+// all rely on it.
 type NameIndex struct {
-	s      scheme.Scheme
-	byName map[string][]scheme.ID // generic postings (nil when ruid is set)
-
-	ruid       *core.Numbering         // non-nil: concrete fast path active
+	ruid       *core.Numbering
 	ruidByName map[string]*PostingList // block-compressed postings, document order
 }
 
-// Build indexes every element of the snapshot rooted at root under scheme s.
-func Build(root *xmltree.Node, s scheme.Scheme) *NameIndex {
-	ix := &NameIndex{s: s}
+// Build indexes every element of the snapshot rooted at root under the ruid
+// numbering rn.
+func Build(root *xmltree.Node, rn *core.Numbering) *NameIndex {
 	// Walk order is document order already; keep lists as built.
-	if rn, ok := s.(*core.Numbering); ok {
-		ix.ruid = rn
-		builders := make(map[string]*PostingBuilder)
-		root.Walk(func(x *xmltree.Node) bool {
-			if x.Kind != xmltree.Element {
-				return true
-			}
-			if id, ok := rn.RUID(x); ok {
-				b := builders[x.Name]
-				if b == nil {
-					b = &PostingBuilder{}
-					builders[x.Name] = b
-				}
-				b.Append(id)
-			}
-			return true
-		})
-		ix.ruidByName = make(map[string]*PostingList, len(builders))
-		for name, b := range builders {
-			ix.ruidByName[name] = b.Finish()
-		}
-		ix.assertSorted("Build")
-		return ix
-	}
-	ix.byName = make(map[string][]scheme.ID)
+	builders := make(map[string]*PostingBuilder)
 	root.Walk(func(x *xmltree.Node) bool {
 		if x.Kind != xmltree.Element {
 			return true
 		}
-		if id, ok := s.IDOf(x); ok {
-			ix.byName[x.Name] = append(ix.byName[x.Name], id)
+		if id, ok := rn.RUID(x); ok {
+			b := builders[x.Name]
+			if b == nil {
+				b = &PostingBuilder{}
+				builders[x.Name] = b
+			}
+			b.Append(id)
 		}
 		return true
 	})
+	ix := &NameIndex{ruid: rn, ruidByName: make(map[string]*PostingList, len(builders))}
+	for name, b := range builders {
+		ix.ruidByName[name] = b.Finish()
+	}
+	ix.assertSorted("Build")
 	return ix
 }
 
-// Scheme returns the numbering scheme the index was built over.
-func (ix *NameIndex) Scheme() scheme.Scheme { return ix.s }
-
-// RUID returns the concrete ruid numbering the index was built over, or
-// nil if the index uses the generic boxed representation. A non-nil result
-// means Postings, RuidIDs and the *Postings join functions are usable.
+// RUID returns the ruid numbering the index was built over.
 func (ix *NameIndex) RUID() *core.Numbering { return ix.ruid }
 
-// FromPostingLists assembles a ruid-backed index from prebuilt posting
-// lists — the storage load path. Every list is verified to be in strict
-// document order under rn, so a corrupt or mismatched snapshot is an error
-// here rather than wrong query results later.
+// FromPostingLists assembles an index from prebuilt posting lists — the
+// storage load path. Every list is verified to be in strict document order
+// under rn, so a corrupt or mismatched snapshot is an error here rather than
+// wrong query results later.
 func FromPostingLists(rn *core.Numbering, lists map[string]*PostingList) (*NameIndex, error) {
-	ix := &NameIndex{s: rn, ruid: rn, ruidByName: make(map[string]*PostingList, len(lists))}
+	ix := &NameIndex{ruid: rn, ruidByName: make(map[string]*PostingList, len(lists))}
 	for name, pl := range lists {
 		if pl.Len() == 0 {
 			continue
@@ -127,10 +102,7 @@ func FromPostingLists(rn *core.Numbering, lists map[string]*PostingList) (*NameI
 
 // Names returns the indexed element names, sorted.
 func (ix *NameIndex) Names() []string {
-	names := make([]string, 0, len(ix.byName)+len(ix.ruidByName))
-	for n := range ix.byName {
-		names = append(names, n)
-	}
+	names := make([]string, 0, len(ix.ruidByName))
 	for n := range ix.ruidByName {
 		names = append(names, n)
 	}
@@ -138,44 +110,36 @@ func (ix *NameIndex) Names() []string {
 	return names
 }
 
-// IDs returns the identifiers of elements named name, in document order.
-// The returned slice is a fresh copy: callers may keep or modify it freely
-// without corrupting the index. On a ruid-backed index this decodes (and
-// boxes) the whole block-compressed list — O(Count(name)); pipelines that
+// NameCount returns the number of distinct indexed element names: len(Names())
+// without building and sorting the names.
+func (ix *NameIndex) NameCount() int { return len(ix.ruidByName) }
+
+// IDs returns the identifiers of elements named name, in document order,
+// boxed as scheme.ID for the reference kernels. It decodes the whole
+// block-compressed list into a fresh slice — O(Count(name)); pipelines that
 // only probe or seek should use Postings instead.
 func (ix *NameIndex) IDs(name string) []scheme.ID {
-	if ix.ruid != nil {
-		pl := ix.ruidByName[name]
-		if pl.Len() == 0 {
-			return nil
-		}
-		var buf [BlockSize]core.ID
-		out := make([]scheme.ID, 0, pl.Len())
-		for b := 0; b < pl.NumBlocks(); b++ {
-			for _, id := range pl.AppendBlock(b, buf[:0]) {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	ps := ix.byName[name]
-	if len(ps) == 0 {
+	pl := ix.ruidByName[name]
+	if pl.Len() == 0 {
 		return nil
 	}
-	return append([]scheme.ID(nil), ps...)
+	var buf [BlockSize]core.ID
+	out := make([]scheme.ID, 0, pl.Len())
+	for b := 0; b < pl.NumBlocks(); b++ {
+		for _, id := range pl.AppendBlock(b, buf[:0]) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // RuidIDs returns the unboxed postings of elements named name, in document
-// order, for a ruid-backed index (nil otherwise). The postings are stored
-// block-compressed, so this MATERIALIZES a fresh O(Count(name)) slice on
-// every call — it is the compatibility path for callers that genuinely
-// need a flat slice. Join pipelines, semi-joins and twig matching should
-// take Postings(name), which seeks through the skip table and never builds
-// the slice.
+// order. The postings are stored block-compressed, so this MATERIALIZES a
+// fresh O(Count(name)) slice on every call — it is the compatibility path for
+// callers that genuinely need a flat slice. Join pipelines, semi-joins and
+// twig matching should take Postings(name), which seeks through the skip
+// table and never builds the slice.
 func (ix *NameIndex) RuidIDs(name string) []core.ID {
-	if ix.ruid == nil {
-		return nil
-	}
 	pl := ix.ruidByName[name]
 	if pl.Len() == 0 {
 		return nil
@@ -184,28 +148,20 @@ func (ix *NameIndex) RuidIDs(name string) []core.ID {
 }
 
 // Postings returns the block-compressed postings view of elements named
-// name for a ruid-backed index (the zero view otherwise): the no-copy,
-// no-decode path for the seek-based join kernels. The view is shared with
-// the index and read-only.
+// name: the no-copy, no-decode path for the seek-based join kernels. The view
+// is shared with the index and read-only.
 func (ix *NameIndex) Postings(name string) Postings {
-	if ix.ruid == nil {
-		return Postings{}
-	}
 	return BlockPostings(ix.ruidByName[name])
 }
 
 // Count returns the number of elements named name.
 func (ix *NameIndex) Count(name string) int {
-	if ix.ruid != nil {
-		return ix.ruidByName[name].Len()
-	}
-	return len(ix.byName[name])
+	return ix.ruidByName[name].Len()
 }
 
-// PostingsSizeBytes returns the resident size of all posting lists of a
-// ruid-backed index (compressed delta bytes plus skip tables), and 0 for a
-// generic index. PostingsSizeBytes / PostingsCount is the bytes-per-posting
-// metric ruidbench tracks.
+// PostingsSizeBytes returns the resident size of all posting lists
+// (compressed delta bytes plus skip tables). PostingsSizeBytes /
+// PostingsCount is the bytes-per-posting metric ruidbench tracks.
 func (ix *NameIndex) PostingsSizeBytes() int {
 	total := 0
 	for _, pl := range ix.ruidByName {
@@ -219,9 +175,6 @@ func (ix *NameIndex) PostingsCount() int {
 	total := 0
 	for _, pl := range ix.ruidByName {
 		total += pl.Len()
-	}
-	for _, ps := range ix.byName {
-		total += len(ps)
 	}
 	return total
 }
@@ -319,6 +272,32 @@ func MergeJoin(s scheme.Scheme, ancs, descs []scheme.ID) []Pair {
 	return out
 }
 
+// MergeSemiJoin returns the descendants of descs having at least one proper
+// ancestor in ancs, in input (document) order: the semi-join form of
+// MergeJoin, emitting each descendant at most once.
+func MergeSemiJoin(s scheme.Scheme, ancs, descs []scheme.ID) []scheme.ID {
+	var out []scheme.ID
+	var stack []scheme.ID
+	i := 0
+	for _, d := range descs {
+		for i < len(ancs) && s.CompareOrder(ancs[i], d) < 0 {
+			for len(stack) > 0 && !s.IsAncestor(stack[len(stack)-1], ancs[i]) &&
+				s.CompareOrder(stack[len(stack)-1], ancs[i]) < 0 {
+				stack = stack[:len(stack)-1]
+			}
+			stack = append(stack, ancs[i])
+			i++
+		}
+		for len(stack) > 0 && !s.IsAncestor(stack[len(stack)-1], d) {
+			stack = stack[:len(stack)-1]
+		}
+		if len(stack) > 0 {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // NaiveJoin is the quadratic baseline: every pair tested with IsAncestor.
 func NaiveJoin(s scheme.Scheme, ancs, descs []scheme.ID) []Pair {
 	var out []Pair
@@ -336,44 +315,26 @@ func NaiveJoin(s scheme.Scheme, ancs, descs []scheme.ID) []Pair {
 // index with a pipeline of upward semi-joins, returning the identifiers of
 // the final step's elements in document order. This is the §4 "query
 // evaluation" use of the numbering scheme: the whole pipeline runs on
-// identifiers; nodes are fetched only by the caller, afterwards.
+// identifiers; nodes are fetched only by the caller, afterwards. It is
+// PathQueryRUID with the answer boxed as scheme.ID.
 func (ix *NameIndex) PathQuery(names ...string) []scheme.ID {
-	if len(names) == 0 {
+	out := ix.PathQueryRUID(names...)
+	if len(out) == 0 {
 		return nil
 	}
-	if ix.ruid != nil {
-		out := ix.PathQueryRUID(names...)
-		if len(out) == 0 {
-			return nil
-		}
-		boxed := make([]scheme.ID, len(out))
-		for i, id := range out {
-			boxed[i] = id
-		}
-		return boxed
+	boxed := make([]scheme.ID, len(out))
+	for i, id := range out {
+		boxed[i] = id
 	}
-	// Top-down pipeline: after step i, cur holds the names[i] elements
-	// reachable through a chain names[0] ≻ names[1] ≻ … ≻ names[i]. The
-	// chain must be honored step by step — filtering the leaf list against
-	// each ancestor name independently would accept ancestors in the wrong
-	// vertical order.
-	cur := ix.IDs(names[0])
-	for step := 1; step < len(names); step++ {
-		cur = SemiJoinDescendants(ix.s, cur, ix.IDs(names[step]))
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
+	return boxed
 }
 
-// PathQueryRUID is the unboxed fast-path form of PathQuery for ruid-backed
-// indexes: the whole semi-join pipeline runs on concrete identifiers with
-// no interface boxing, seeking through the block skip tables — each step's
-// descendant postings are decoded only where a block may contain a match.
-// It returns nil for non-ruid indexes.
+// PathQueryRUID is the unboxed form of PathQuery: the whole semi-join
+// pipeline runs on concrete identifiers with no interface boxing, seeking
+// through the block skip tables — each step's descendant postings are
+// decoded only where a block may contain a match.
 func (ix *NameIndex) PathQueryRUID(names ...string) []core.ID {
-	if ix.ruid == nil || len(names) == 0 {
+	if len(names) == 0 {
 		return nil
 	}
 	cur := ix.Postings(names[0])

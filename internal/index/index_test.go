@@ -17,10 +17,7 @@ import (
 
 func buildSchemes(t *testing.T, doc *xmltree.Node) map[string]scheme.Scheme {
 	t.Helper()
-	rn, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 16, AdjustFanout: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rn, _, _ := buildRUID(t, doc)
 	un, err := uid.Build(doc, uid.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +45,7 @@ func canon(pairs []index.Pair) string {
 func TestJoinStrategiesAgree(t *testing.T) {
 	doc := xmltree.Recursive(2, 6)
 	for name, s := range buildSchemes(t, doc) {
-		ix := index.Build(doc.DocumentElement(), s)
+		lists := scheme.IDsByName(doc.DocumentElement(), s)
 		cases := [][2]string{
 			{"section", "title"},
 			{"section", "para"},
@@ -57,8 +54,8 @@ func TestJoinStrategiesAgree(t *testing.T) {
 			{"title", "para"}, // empty: titles have no para descendants
 		}
 		for _, c := range cases {
-			ancs := ix.IDs(c[0])
-			descs := ix.IDs(c[1])
+			ancs := lists[c[0]]
+			descs := lists[c[1]]
 			naive := index.NaiveJoin(s, ancs, descs)
 			merge := index.MergeJoin(s, ancs, descs)
 			if canon(naive) != canon(merge) {
@@ -80,8 +77,7 @@ func TestJoinStrategiesAgree(t *testing.T) {
 // the full join, in document order.
 func TestSemiJoin(t *testing.T) {
 	doc := xmltree.XMark(2, 5)
-	s := buildSchemes(t, doc)["ruid"]
-	ix := index.Build(doc.DocumentElement(), s)
+	s, ix, _ := buildRUID(t, doc)
 	ancs := ix.IDs("item")
 	descs := ix.IDs("text")
 	full := index.UpwardJoin(s, ancs, descs)
@@ -177,8 +173,7 @@ func TestPathQueryChainOrder(t *testing.T) {
 // TestNamesAndCounts covers the small accessors.
 func TestNamesAndCounts(t *testing.T) {
 	doc := xmltree.DBLP(50, 1)
-	s := buildSchemes(t, doc)["ruid"]
-	ix := index.Build(doc.DocumentElement(), s)
+	s, ix, _ := buildRUID(t, doc)
 	if ix.Count("article") != 50 {
 		t.Fatalf("Count(article) = %d", ix.Count("article"))
 	}
@@ -186,8 +181,8 @@ func TestNamesAndCounts(t *testing.T) {
 	if !sort.StringsAreSorted(names) || len(names) < 4 {
 		t.Fatalf("Names() = %v", names)
 	}
-	if ix.Scheme() != s {
-		t.Fatalf("Scheme() mismatch")
+	if ix.RUID() != s {
+		t.Fatalf("RUID() mismatch")
 	}
 	if ids := ix.IDs("nonexistent"); len(ids) != 0 {
 		t.Fatalf("IDs(nonexistent) = %v", ids)
@@ -243,8 +238,7 @@ func TestJoinRandomized(t *testing.T) {
 // TestParentSemiJoin checks the child-step join against ground truth.
 func TestParentSemiJoin(t *testing.T) {
 	doc := xmltree.Recursive(2, 5)
-	s := buildSchemes(t, doc)["ruid"]
-	ix := index.Build(doc.DocumentElement(), s)
+	s, ix, _ := buildRUID(t, doc)
 	got := index.ParentSemiJoin(s, ix.IDs("section"), ix.IDs("title"))
 	want := 0
 	for _, x := range doc.DocumentElement().Elements() {
@@ -267,8 +261,7 @@ func TestParentSemiJoin(t *testing.T) {
 // pointer ground truth.
 func TestReverseSemiJoins(t *testing.T) {
 	doc := xmltree.Recursive(2, 5)
-	s := buildSchemes(t, doc)["ruid"]
-	ix := index.Build(doc.DocumentElement(), s)
+	s, ix, _ := buildRUID(t, doc)
 
 	gotA := index.AncestorSemiJoin(s, ix.IDs("section"), ix.IDs("title"))
 	wantA := 0

@@ -21,7 +21,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -95,7 +94,7 @@ func (p Plan) Explain() string {
 // Planner plans and executes queries over one numbered snapshot.
 type Planner struct {
 	doc    *xmltree.Node
-	s      scheme.Scheme
+	num    *core.Numbering
 	ix     *index.NameIndex
 	guide  *dataguide.Guide
 	engine *xpath.Engine
@@ -173,31 +172,18 @@ func (p *Planner) SetObserver(r *obs.Registry) {
 	}
 }
 
-// navigatorFor picks the axis source for the fallback engine: identifier
-// arithmetic when the scheme generates axes, pointer navigation over the
-// ground-truth tree otherwise (comparison-only schemes still answer every
-// query — they just cannot do it on identifiers alone).
-func navigatorFor(s scheme.Scheme) xpath.Navigator {
-	if ax, ok := s.(scheme.AxisScheme); ok {
-		return xpath.SchemeNavigator{S: ax}
-	}
-	return xpath.PointerNavigator{}
-}
-
-// New builds a planner over doc numbered by s. Any registered scheme works:
-// the planner reads the scheme's capability flags and offers only the plans
-// its kernels can execute, falling back to navigation for the rest.
-func New(doc *xmltree.Node, s scheme.Scheme) *Planner {
+// New builds a planner over doc numbered by num.
+func New(doc *xmltree.Node, num *core.Numbering) *Planner {
 	root := doc
 	if doc.Kind == xmltree.Document {
 		root = doc.DocumentElement()
 	}
 	p := &Planner{
 		doc:    doc,
-		s:      s,
-		ix:     index.Build(root, s),
+		num:    num,
+		ix:     index.Build(root, num),
 		guide:  dataguide.Build(doc),
-		engine: xpath.NewEngine(doc, navigatorFor(s)),
+		engine: xpath.NewEngine(doc, xpath.SchemeNavigator{S: num}),
 		exec:   exec.Default(),
 	}
 	total, count := 0, 0
@@ -219,13 +205,13 @@ func New(doc *xmltree.Node, s scheme.Scheme) *Planner {
 // cardinality statistics itself instead of re-walking the document.
 // nodes and depthTotal are the non-attribute node count of the tree below
 // (and including) the root element and the sum of their depths.
-func NewWithState(doc *xmltree.Node, s scheme.Scheme, ix *index.NameIndex, guide *dataguide.Guide, nodes, depthTotal int) *Planner {
+func NewWithState(doc *xmltree.Node, num *core.Numbering, ix *index.NameIndex, guide *dataguide.Guide, nodes, depthTotal int) *Planner {
 	p := &Planner{
 		doc:    doc,
-		s:      s,
+		num:    num,
 		ix:     ix,
 		guide:  guide,
-		engine: xpath.NewEngine(doc, navigatorFor(s)),
+		engine: xpath.NewEngine(doc, xpath.SchemeNavigator{S: num}),
 		exec:   exec.Default(),
 		nodes:  nodes,
 	}
@@ -265,15 +251,10 @@ func (p *Planner) Plan(q string) (Plan, error) {
 		return plan, nil
 	}
 	chain, ok := compileChain(paths[0])
-	if ok && !p.chainExecutable(chain) {
-		ok = false
-	}
 	if !ok {
 		// A branching name-test pattern still beats navigation when the
-		// involved name lists are small: try the twig compiler. Patterns
-		// whose edges the scheme's kernels cannot execute stay on the
-		// navigation engine.
-		if pattern, err := twig.CompilePath(paths[0]); err == nil && twig.Executable(pattern, p.s) {
+		// involved name lists are small: try the twig compiler.
+		if pattern, err := twig.CompilePath(paths[0]); err == nil {
 			// Each pattern edge is one semi-join: child edges probe once
 			// per candidate, descendant edges climb an ancestor chain that
 			// stops at the first hit (about half the mean depth). The root
@@ -322,23 +303,6 @@ func (p *Planner) Plan(q string) (Plan, error) {
 		plan.Kind = JoinPlan
 	}
 	return plan, nil
-}
-
-// chainExecutable reports whether every stage of a compiled join chain has
-// a kernel under the planner's scheme: descendant stages need only order
-// comparison and ancestry (every scheme), child stages need Parent
-// computation or identifier depths. The first stage is a seed list, not a
-// join, so it never disqualifies the chain.
-func (p *Planner) chainExecutable(chain []step) bool {
-	if index.CanChildStep(p.s) {
-		return true
-	}
-	for _, st := range chain[1:] {
-		if !st.descendant {
-			return false
-		}
-	}
-	return true
 }
 
 // navCost estimates axis-navigation cost: absolute descendant queries scan
@@ -400,12 +364,9 @@ type Result struct {
 	nodes []*xmltree.Node // nil until resolved; a navigation plan's from the start
 
 	// The unresolved answer of an identifier plan: a Postings view over rn
-	// (still block-compressed for a seed-only chain), or boxed identifiers
-	// of s.
-	rn    *core.Numbering
-	ids   index.Postings
-	s     scheme.Scheme
-	boxed []scheme.ID
+	// (still block-compressed for a seed-only chain).
+	rn  *core.Numbering
+	ids index.Postings
 
 	resolved *obs.Counter // query.nodes_resolved; nil when unobserved
 }
@@ -439,20 +400,10 @@ func (r *Result) Nodes() ([]*xmltree.Node, error) {
 func (r *Result) resolve() (nodes []*xmltree.Node, err error) {
 	defer recoverPaged(&err)
 	nodes = make([]*xmltree.Node, 0, r.n)
-	if r.rn != nil {
-		for _, id := range r.ids.Materialize() {
-			n, ok := r.rn.NodeOfID(id)
-			if !ok {
-				return nil, fmt.Errorf("query: index holds %v, which the numbering resolves to no node", id)
-			}
-			nodes = append(nodes, n)
-		}
-		return nodes, nil
-	}
-	for _, id := range r.boxed {
-		n, ok := r.s.NodeOf(id)
+	for _, id := range r.ids.Materialize() {
+		n, ok := r.rn.NodeOfID(id)
 		if !ok {
-			return nil, fmt.Errorf("query: index holds %v, which the %s numbering resolves to no node", id, r.s.Name())
+			return nil, fmt.Errorf("query: index holds %v, which the numbering resolves to no node", id)
 		}
 		nodes = append(nodes, n)
 	}
@@ -609,81 +560,59 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 	if p.m != nil {
 		resolved = p.m.resolved
 	}
-	// Unboxed fast path: over a ruid-backed index the whole pipeline (twig
-	// or join chain) runs on concrete identifiers, never boxing a single
-	// probe, and its answer resolves through the concrete lookup.
-	if rn := p.ix.RUID(); rn != nil {
-		mex := p.exec.WithMeter(m)
-		qio := p.ioSnap()
-		var ids index.Postings
-		if plan.Kind == TwigPlan {
-			var sp *obs.Span
-			ex := mex
-			if tr != nil {
-				sp = tr.StartSpan("twig_match " + plan.pattern.String())
-				ex = ex.WithSpan(sp)
-			}
-			before := p.ioSnap()
-			matched, _ := twig.MatchIDsWith(plan.pattern, p.ix, ex)
-			ids = index.SlicePostings(matched)
-			sp.SetInt("out", int64(ids.Len()))
-			p.ioRecord(sp, before)
-			sp.End()
-		} else {
-			ids = p.runChainRUID(rn, plan.chain, tr, mex)
-		}
-		if p.io != nil && tr != nil {
-			now := p.ioSnap()
-			tr.Notef("io: reads=%d hits=%d evictions=%d", now.reads-qio.reads, now.hits-qio.hits, now.evicts-qio.evicts)
-		}
-		// A tripped meter means the pipeline stopped mid-kernel and ids is a
-		// partial (possibly empty) set: discard it and surface the sentinel.
-		if err := m.Err(); err != nil {
-			tr.Notef("budget: %v", err)
-			return Result{}, plan, err
-		}
-		// Charge the final identifier set too: a seed-only chain (single
-		// step) reaches here without passing any join kernel, and this keeps
-		// MaxResults a bound on what can reach the resolver regardless of
-		// plan shape.
-		if !m.ChargeResults(ids.Len()) {
-			tr.Notef("budget: %v", m.Err())
-			return Result{}, plan, m.Err()
-		}
-		return Result{n: ids.Len(), rn: rn, ids: ids, resolved: resolved}, plan, nil
-	}
-	// Boxed pipelines run the per-stage kernels without an executor, so —
-	// like navigation — they are budgeted at plan granularity.
-	if !m.Check() {
-		return Result{}, plan, m.Err()
-	}
-	sp = tr.StartSpan("boxed_pipeline")
-	var ids []scheme.ID
+	// The whole pipeline (twig or join chain) runs on concrete identifiers,
+	// never boxing a single probe, and its answer resolves through the
+	// concrete lookup.
+	mex := p.exec.WithMeter(m)
+	qio := p.ioSnap()
+	var ids index.Postings
 	if plan.Kind == TwigPlan {
-		ids = twig.Match(plan.pattern, p.ix)
+		var sp *obs.Span
+		ex := mex
+		if tr != nil {
+			sp = tr.StartSpan("twig_match " + plan.pattern.String())
+			ex = ex.WithSpan(sp)
+		}
+		before := p.ioSnap()
+		matched, _ := twig.MatchIDsWith(plan.pattern, p.ix, ex)
+		ids = index.SlicePostings(matched)
+		sp.SetInt("out", int64(ids.Len()))
+		p.ioRecord(sp, before)
+		sp.End()
 	} else {
-		ids = p.runChain(plan.chain)
+		ids = p.runChain(plan.chain, tr, mex)
 	}
-	sp.SetInt("out", int64(len(ids)))
-	sp.End()
-	if !m.ChargeResults(len(ids)) {
+	if p.io != nil && tr != nil {
+		now := p.ioSnap()
+		tr.Notef("io: reads=%d hits=%d evictions=%d", now.reads-qio.reads, now.hits-qio.hits, now.evicts-qio.evicts)
+	}
+	// A tripped meter means the pipeline stopped mid-kernel and ids is a
+	// partial (possibly empty) set: discard it and surface the sentinel.
+	if err := m.Err(); err != nil {
+		tr.Notef("budget: %v", err)
+		return Result{}, plan, err
+	}
+	// Charge the final identifier set too: a seed-only chain (single
+	// step) reaches here without passing any join kernel, and this keeps
+	// MaxResults a bound on what can reach the resolver regardless of
+	// plan shape.
+	if !m.ChargeResults(ids.Len()) {
+		tr.Notef("budget: %v", m.Err())
 		return Result{}, plan, m.Err()
 	}
-	return Result{n: len(ids), s: p.s, boxed: ids, resolved: resolved}, plan, nil
+	return Result{n: ids.Len(), rn: p.num, ids: ids, resolved: resolved}, plan, nil
 }
 
-// runChainRUID executes a join pipeline entirely on concrete ruid
-// identifiers — the allocation-free counterpart of runChain. The first
-// step's postings stay in their block-compressed view; every descendant
-// side of the pipeline is likewise consumed as a Postings view, so only
-// candidate blocks are ever decoded, and the answer is returned as a view
-// too: a seed-only chain's is the index's own list, undecoded. With a live
-// trace, every pipeline
-// stage gets its own span carrying input/output cardinalities, and the
-// stage's executor operation records its shard layout and block statistics
-// into that span; the tr == nil checks keep the untraced path free of the
-// span-name allocations.
-func (p *Planner) runChainRUID(rn *core.Numbering, chain []step, tr *obs.Trace, base *exec.Executor) index.Postings {
+// runChain executes a join pipeline entirely on concrete ruid identifiers.
+// The first step's postings stay in their block-compressed view; every
+// descendant side of the pipeline is likewise consumed as a Postings view, so
+// only candidate blocks are ever decoded, and the answer is returned as a
+// view too: a seed-only chain's is the index's own list, undecoded. With a
+// live trace, every pipeline stage gets its own span carrying input/output
+// cardinalities, and the stage's executor operation records its shard layout
+// and block statistics into that span; the tr == nil checks keep the
+// untraced path free of the span-name allocations.
+func (p *Planner) runChain(chain []step, tr *obs.Trace, base *exec.Executor) index.Postings {
 	first := chain[0]
 	cur := p.ix.Postings(first.name)
 	if !first.descendant {
@@ -694,7 +623,7 @@ func (p *Planner) runChainRUID(rn *core.Numbering, chain []step, tr *obs.Trace, 
 		}
 		var anchored []core.ID
 		if root != nil && root.Name == first.name {
-			if id, ok := rn.RUID(root); ok {
+			if id, ok := p.num.RUID(root); ok {
 				anchored = []core.ID{id}
 			}
 		}
@@ -730,48 +659,14 @@ func (p *Planner) runChainRUID(rn *core.Numbering, chain []step, tr *obs.Trace, 
 		before := p.ioSnap()
 		var next []core.ID
 		if st.descendant {
-			next = ex.UpwardSemiJoin(rn, cur, descs)
+			next = ex.UpwardSemiJoin(p.num, cur, descs)
 		} else {
-			next = ex.ParentSemiJoin(rn, cur, descs)
+			next = ex.ParentSemiJoin(p.num, cur, descs)
 		}
 		sp.SetInt("out", int64(len(next)))
 		p.ioRecord(sp, before)
 		sp.End()
 		cur = index.SlicePostings(next)
-	}
-	return cur
-}
-
-// runChain executes a join pipeline on identifiers only.
-func (p *Planner) runChain(chain []step) []scheme.ID {
-	first := chain[0]
-	cur := p.ix.IDs(first.name)
-	if !first.descendant {
-		// Root-anchored /name: only the document root element qualifies.
-		root := p.doc
-		if root.Kind == xmltree.Document {
-			root = root.DocumentElement()
-		}
-		cur = nil
-		if root != nil && root.Name == first.name {
-			if id, ok := p.s.IDOf(root); ok {
-				cur = []scheme.ID{id}
-			}
-		}
-	}
-	for _, st := range chain[1:] {
-		if len(cur) == 0 {
-			return nil
-		}
-		if st.descendant {
-			cur = index.SemiJoinDescendants(p.s, cur, p.ix.IDs(st.name))
-		} else {
-			var ok bool
-			cur, ok = index.SemiJoinChildren(p.s, cur, p.ix.IDs(st.name))
-			if !ok {
-				return nil // unreachable: chainExecutable gated the plan
-			}
-		}
 	}
 	return cur
 }

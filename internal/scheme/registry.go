@@ -2,7 +2,6 @@ package scheme
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -10,11 +9,11 @@ import (
 )
 
 // Capabilities declares, per registered scheme, which optional contracts the
-// implementation honors. The planner and the document facade consult these
-// flags instead of sniffing interfaces, so a scheme that *could* satisfy an
-// interface syntactically but not semantically (prepost implements Parent
-// through a stored rank, not arithmetic) is classified by what it genuinely
-// computes from identifiers.
+// implementation honors. The scheme bake-off and the conformance suites
+// consult these flags instead of sniffing interfaces, so a scheme that
+// *could* satisfy an interface syntactically but not semantically (prepost
+// implements Parent through a stored rank, not arithmetic) is classified by
+// what it genuinely computes from identifiers.
 type Capabilities struct {
 	// Axes: the scheme implements AxisScheme — every positional XPath axis
 	// is generated from an identifier (plus small in-memory tables).
@@ -24,12 +23,11 @@ type Capabilities struct {
 	Update bool
 	// ComputedParent: Parent is identifier arithmetic alone (the UID-family
 	// property of the paper). Schemes without it carry a stored parent
-	// pointer per node, so the planner must not credit them with the
-	// parent-climbing join kernels: it falls back to the comparison-only
-	// merge kernels, which need nothing beyond CompareOrder and IsAncestor.
+	// pointer per node, so the bake-off must not credit them with the
+	// parent-climbing join kernels: it runs the comparison-only merge
+	// kernels, which need nothing beyond CompareOrder and IsAncestor.
 	ComputedParent bool
-	// Depth: identifiers carry their node's depth (the Depther interface),
-	// which lets comparison-only plans still execute child steps.
+	// Depth: identifiers carry their node's depth (the Depther interface).
 	Depth bool
 	// OrderedKeys: bytes.Compare on ID.Key() agrees with CompareOrder for
 	// every pair of identifiers of one snapshot, i.e. the index key order
@@ -111,9 +109,7 @@ func CapsOf(s Scheme) Capabilities {
 }
 
 // Depther is implemented by schemes whose identifiers expose their node's
-// depth (root element at depth 0). Depth lets the comparison-only join
-// kernels execute child steps: d is a child of a iff a is the nearest
-// admitted ancestor of d and depth(d) = depth(a)+1.
+// depth (root element at depth 0).
 type Depther interface {
 	Scheme
 	Depth(id ID) (int, bool)
@@ -142,42 +138,19 @@ func LabelBytes(s Scheme, nodes []ID) int {
 	return total
 }
 
-// Pick chooses a numbering scheme for a document from its shape statistics —
-// the adaptive layer behind document.Options{Scheme: "auto"}. The choice is
-// a pure function of the Stats (deterministic per document) and only ever
-// names update-capable registered schemes:
-//
-//   - Deep, narrow, recursion-heavy documents (depth ≥ 8 and the bulk of
-//     the nodes below depth 4, with no wide fan-out) pick "nestedint":
-//     continued-fraction labels stay within int64 when the per-level
-//     component values are small, the label is a flat 16 bytes/node with no
-//     area table, and insertion relabels only following siblings.
-//   - Everything else — wide or shallow documents, and any shape whose
-//     estimated continued-fraction magnitude could overflow — picks "ruid":
-//     area partitioning absorbs wide fan-outs and bounds update scope by
-//     the area budget.
-//
-// The overflow estimate is deliberately conservative: every level is
-// charged log2(avgFanout+1)+1 bits, so a tree within the bit budget here is
-// comfortably within int64 in practice.
-func Pick(st xmltree.Stats) string {
-	const (
-		// CF terms grow multiplicatively with sibling rank, so even one
-		// moderately wide level inflates every descendant numerator; area
-		// partitioning absorbs such levels instead. XMark-shaped site
-		// documents (fan-out ≈ 10–20 at the region/people levels) must land
-		// on ruid, recursion-heavy section trees (fan-out ≤ 4) on nestedint.
-		wideFanout = 8
-		minDepth   = 8  // shallower trees gain nothing from CF labels
-		bitBudget  = 56 // conservative bound on CF numerator magnitude
-	)
-	cfBits := float64(st.MaxDepth+1) * (math.Log2(st.AvgFanout()+1) + 1)
-	deepMass := st.DeepFraction(4)
-	if st.MaxFanout <= wideFanout && st.MaxDepth >= minDepth &&
-		deepMass >= 0.5 && cfBits <= bitBudget {
-		if _, ok := Lookup("nestedint"); ok {
-			return "nestedint"
+// IDsByName walks the subtree rooted at root and returns, for each element
+// name, the identifiers s assigns the elements of that name, in document
+// order: the boxed per-name lists the reference join kernels of
+// internal/index take under any scheme.
+func IDsByName(root *xmltree.Node, s Scheme) map[string][]ID {
+	lists := make(map[string][]ID)
+	root.Walk(func(x *xmltree.Node) bool {
+		if x.Kind == xmltree.Element {
+			if id, ok := s.IDOf(x); ok {
+				lists[x.Name] = append(lists[x.Name], id)
+			}
 		}
-	}
-	return "ruid"
+		return true
+	})
+	return lists
 }

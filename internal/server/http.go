@@ -40,10 +40,10 @@ import (
 // shed requests and for writes racing a document's close, 504 for queries
 // that ran out of wall clock, 422 for queries that ran out of postings or
 // result budget, 404 for catalog misses, 409 for catalog collisions and for
-// writes to a document that takes none (cold-opened, read-only scheme), 500
-// for a write the storage layer failed (WAL append or fsync, payload table)
-// and for an answer whose identifiers the numbering cannot resolve, 400 for
-// malformed inputs.
+// writes to a document that takes none (cold-opened), 500 for a write the
+// storage layer failed (WAL append or fsync, payload table) and for an
+// answer whose identifiers the numbering cannot resolve, 400 for malformed
+// inputs.
 
 // WriteRequest is the body of insert/delete calls.
 type WriteRequest struct {
@@ -61,11 +61,10 @@ type WriteRequest struct {
 
 // DocInfo is one catalog entry in listings.
 type DocInfo struct {
-	Name   string `json:"name"`
-	Scheme string `json:"scheme"`
-	Epoch  int    `json:"epoch"`
-	Nodes  int    `json:"nodes"`
-	Names  int    `json:"names"`
+	Name  string `json:"name"`
+	Epoch int    `json:"epoch"`
+	Nodes int    `json:"nodes"`
+	Names int    `json:"names"`
 }
 
 // WriteResponse reports one executed write: the document's post-write
@@ -162,7 +161,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 			continue // dropped between Names and Get
 		}
 		st := d.Stats()
-		infos = append(infos, DocInfo{Name: n, Scheme: st.Scheme, Epoch: st.Epoch, Nodes: st.Nodes, Names: st.Names})
+		infos = append(infos, DocInfo{Name: n, Epoch: st.Epoch, Nodes: st.Nodes, Names: st.Names})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"docs": infos})
 }
@@ -180,7 +179,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := d.Stats()
-	writeJSON(w, http.StatusCreated, DocInfo{Name: name, Scheme: st.Scheme, Epoch: st.Epoch, Nodes: st.Nodes, Names: st.Names})
+	writeJSON(w, http.StatusCreated, DocInfo{Name: name, Epoch: st.Epoch, Nodes: st.Nodes, Names: st.Names})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -282,8 +281,7 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		status = http.StatusUnprocessableEntity
 	case errors.Is(err, ErrUnknownDocument):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrDuplicateDocument),
-		errors.Is(err, document.ErrColdDocument), errors.Is(err, document.ErrReadOnlyScheme):
+	case errors.Is(err, ErrDuplicateDocument), errors.Is(err, document.ErrColdDocument):
 		status = http.StatusConflict
 	default:
 		status = http.StatusBadRequest

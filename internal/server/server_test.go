@@ -526,7 +526,6 @@ func TestWriteErrorContract(t *testing.T) {
 		{document.ErrDocumentClosed, http.StatusServiceUnavailable, true},
 		{ErrOverloaded, http.StatusServiceUnavailable, true},
 		{fmt.Errorf("%w: WAL fsync: %w", document.ErrStorage, io.ErrShortWrite), http.StatusInternalServerError, false},
-		{fmt.Errorf("%w: scheme %q", document.ErrReadOnlyScheme, "ancestry"), http.StatusConflict, false},
 		{internalError{errors.New("query: index holds (1, 9, false), which the numbering resolves to no node")}, http.StatusInternalServerError, false},
 		{errors.New("document: no element matches \"/x\""), http.StatusBadRequest, false},
 	} {

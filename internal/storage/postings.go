@@ -37,11 +37,8 @@ import (
 // postingsMagic identifies and versions the postings snapshot format.
 const postingsMagic = "ruidpx01"
 
-// EncodePostings serializes every posting list of a ruid-backed index.
+// EncodePostings serializes every posting list of an index.
 func EncodePostings(ix *index.NameIndex) ([]byte, error) {
-	if ix.RUID() == nil {
-		return nil, fmt.Errorf("storage: postings snapshot requires a ruid-backed index")
-	}
 	names := ix.Names()
 	sort.Strings(names)
 	out := append(make([]byte, 0, 1024), postingsMagic...)

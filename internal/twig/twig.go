@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/scheme"
 	"repro/internal/xpath"
 )
 
@@ -207,135 +206,23 @@ func compileSteps(steps []xpath.Step, isRoot bool) (*Node, error) {
 	return first, nil
 }
 
-// Executable reports whether the pattern's edges can all run as identifier
-// semi-joins under scheme s: descendant edges need only order comparison
-// and ancestry tests, child edges additionally need Parent computation or
-// identifier depths (index.CanChildStep). The planner refuses TwigPlan —
-// and stays on the navigation engine — when this is false.
-func Executable(p *Node, s scheme.Scheme) bool {
-	if index.CanChildStep(s) {
-		return true
-	}
-	var hasChildEdge func(n *Node, isRoot bool) bool
-	hasChildEdge = func(n *Node, isRoot bool) bool {
-		if !isRoot && n.Edge == Child {
-			return true
-		}
-		for _, c := range n.Children {
-			if hasChildEdge(c, false) {
-				return true
-			}
-		}
-		return false
-	}
-	return !hasChildEdge(p, true)
-}
-
-// Match evaluates the pattern against a name index and returns the output
-// node's matches in document order. Over a ruid-backed index the whole
-// match runs on the unboxed fast path; only the final result is boxed. The
-// generic path picks its semi-join kernels by the scheme's capabilities —
-// Parent-climbing for the UID family, comparison-only merges otherwise —
-// and returns nil for patterns Executable rejects.
-func Match(p *Node, ix *index.NameIndex) []scheme.ID {
-	if ids, ok := MatchIDs(p, ix); ok {
-		if len(ids) == 0 {
-			return nil
-		}
-		out := make([]scheme.ID, len(ids))
-		for i, id := range ids {
-			out[i] = id
-		}
-		return out
-	}
-	s := ix.Scheme()
-	sat := satisfy(p, ix, s)
-	// Top-down prefix filtering along the output path.
-	cur := sat[p]
-	if p.Anchored {
-		cur = anchorToRoot(cur, s)
-	}
-	node := p
-	for !node.Output {
-		var next *Node
-		for _, c := range node.Children {
-			if c.onOutputPath() {
-				next = c
-			}
-		}
-		if next == nil {
-			return nil // no output node (cannot happen for compiled patterns)
-		}
-		if next.Edge == Descendant {
-			cur = index.SemiJoinDescendants(s, cur, sat[next])
-		} else {
-			var ok bool
-			cur, ok = index.SemiJoinChildren(s, cur, sat[next])
-			if !ok {
-				return nil
-			}
-		}
-		node = next
-	}
-	return cur
-}
-
-// satisfy computes, bottom-up, the elements that embed each pattern node's
-// subtree.
-func satisfy(p *Node, ix *index.NameIndex, s scheme.Scheme) map[*Node][]scheme.ID {
-	sat := make(map[*Node][]scheme.ID)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, c := range n.Children {
-			walk(c)
-		}
-		cur := ix.IDs(n.Name)
-		for _, c := range n.Children {
-			if len(cur) == 0 {
-				break
-			}
-			if c.Edge == Descendant {
-				cur = index.SemiJoinAncestors(s, cur, sat[c])
-			} else {
-				cur, _ = index.SemiJoinParents(s, cur, sat[c])
-			}
-		}
-		sat[n] = cur
-	}
-	walk(p)
-	return sat
-}
-
-// anchorToRoot keeps only the identifier of the document root element.
-func anchorToRoot(ids []scheme.ID, s scheme.Scheme) []scheme.ID {
-	var out []scheme.ID
-	for _, id := range ids {
-		if _, ok := s.Parent(id); !ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// MatchIDs evaluates the pattern on the unboxed ruid fast path: every
-// semi-join of both passes runs on concrete core.ID slices with no
-// interface boxing or per-probe key allocation. The second result is false
-// when the index is not ruid-backed (callers fall back to Match's generic
-// path). Semi-joins are scheduled by the process-wide default executor;
-// MatchIDsWith takes an explicit one.
-func MatchIDs(p *Node, ix *index.NameIndex) ([]core.ID, bool) {
+// MatchIDs evaluates the pattern against a name index and returns the output
+// node's matches in document order: every semi-join of both passes runs on
+// concrete core.ID identifiers with no interface boxing or per-probe key
+// allocation. ok is false when the pattern has no output node, which only a
+// hand-built pattern can lack (Compile always marks one). Semi-joins are
+// scheduled by the process-wide default executor; MatchIDsWith takes an
+// explicit one.
+func MatchIDs(p *Node, ix *index.NameIndex) (ids []core.ID, ok bool) {
 	return MatchIDsWith(p, ix, exec.Default())
 }
 
 // MatchIDsWith is MatchIDs with every semi-join of both passes scheduled by
 // e: large postings are sharded by frame area and probed concurrently, and
 // the parallel and serial paths return identical identifier sequences.
-func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) ([]core.ID, bool) {
+func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) (ids []core.ID, ok bool) {
 	n := ix.RUID()
-	if n == nil {
-		return nil, false
-	}
-	sat := satisfyRUID(p, ix, n, e)
+	sat := satisfy(p, ix, n, e)
 	// Top-down prefix filtering along the output path.
 	cur := sat[p]
 	if p.Anchored {
@@ -366,7 +253,7 @@ func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) ([]core.ID, bo
 			}
 		}
 		if next == nil {
-			return nil, true // no output node (cannot happen for compiled patterns)
+			return nil, false
 		}
 		if next.Edge == Descendant {
 			cur = index.SlicePostings(e.UpwardSemiJoin(n, cur, sat[next]))
@@ -378,12 +265,11 @@ func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) ([]core.ID, bo
 	return cur.Materialize(), true
 }
 
-// satisfyRUID is the unboxed form of satisfy: bottom-up, the elements that
-// embed each pattern node's subtree, as Postings views. A leaf's view is
-// the index's block-compressed postings untouched — a leaf that only feeds
-// a semi-join is probed through its skip table and never materialized. Each
-// semi-join runs through e.
-func satisfyRUID(p *Node, ix *index.NameIndex, n *core.Numbering, e *exec.Executor) map[*Node]index.Postings {
+// satisfy computes, bottom-up, the elements that embed each pattern node's
+// subtree, as Postings views. A leaf's view is the index's block-compressed
+// postings untouched — a leaf that only feeds a semi-join is probed through
+// its skip table and never materialized. Each semi-join runs through e.
+func satisfy(p *Node, ix *index.NameIndex, n *core.Numbering, e *exec.Executor) map[*Node]index.Postings {
 	sat := make(map[*Node]index.Postings)
 	var walk func(t *Node)
 	walk = func(t *Node) {

@@ -21,8 +21,18 @@ func setup(t *testing.T, doc *xmltree.Node) (*core.Numbering, *index.NameIndex, 
 	return n, index.Build(doc.DocumentElement(), n), xpath.NewEngine(doc, xpath.PointerNavigator{})
 }
 
-// TestTwigMatchesXPath: for twig-compilable queries, Match returns exactly
-// the XPath engine's result set.
+// match runs MatchIDs, which answers for every compiled pattern.
+func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
+	t.Helper()
+	ids, ok := twig.MatchIDs(p, ix)
+	if !ok {
+		t.Fatalf("MatchIDs(%s): no output node", p)
+	}
+	return ids
+}
+
+// TestTwigMatchesXPath: for twig-compilable queries, MatchIDs returns
+// exactly the XPath engine's result set.
 func TestTwigMatchesXPath(t *testing.T) {
 	docs := map[string]*xmltree.Node{
 		"xmark":     xmltree.XMark(2, 21),
@@ -55,19 +65,19 @@ func TestTwigMatchesXPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Compile(%q): %v", dn, q, err)
 			}
-			got := twig.Match(p, ix)
+			got := match(t, p, ix)
 			want, err := ref.Query(q)
 			if err != nil {
 				t.Fatalf("%s: ref Query(%q): %v", dn, q, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s: Match(%q) = %d nodes, xpath %d (pattern %s)",
+				t.Fatalf("%s: MatchIDs(%q) = %d nodes, xpath %d (pattern %s)",
 					dn, q, len(got), len(want), p)
 			}
 			for i := range got {
-				node, ok := n.NodeOf(got[i])
+				node, ok := n.NodeOfID(got[i])
 				if !ok || node != want[i] {
-					t.Fatalf("%s: Match(%q): result %d differs", dn, q, i)
+					t.Fatalf("%s: MatchIDs(%q): result %d differs", dn, q, i)
 				}
 			}
 		}
@@ -121,21 +131,22 @@ func TestTwigAnchoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := twig.Match(p, ix)
+	got := match(t, p, ix)
 	if len(got) != 1 {
 		t.Fatalf("anchored match = %d results, want 1", len(got))
 	}
-	node, _ := n.NodeOf(got[0])
+	node, _ := n.NodeOfID(got[0])
 	if node != doc.DocumentElement() {
 		t.Fatalf("anchored match is not the root: %s", node.Path())
 	}
 	p2, _ := twig.Compile("//a[b]")
-	if got := twig.Match(p2, ix); len(got) != 2 {
+	if got := match(t, p2, ix); len(got) != 2 {
 		t.Fatalf("unanchored match = %d results, want 2", len(got))
 	}
 }
 
-// TestTwigEmptyResult: a pattern with an unsatisfiable branch returns nil.
+// TestTwigEmptyResult: a pattern with an unsatisfiable branch matches
+// nothing.
 func TestTwigEmptyResult(t *testing.T) {
 	doc := xmltree.Recursive(2, 4)
 	_, ix, _ := setup(t, doc)
@@ -143,7 +154,17 @@ func TestTwigEmptyResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := twig.Match(p, ix); len(got) != 0 {
+	if got := match(t, p, ix); len(got) != 0 {
 		t.Fatalf("expected empty result, got %d", len(got))
+	}
+}
+
+// TestTwigNoOutputNode: a hand-built pattern without an output node is
+// refused, not answered with an empty set.
+func TestTwigNoOutputNode(t *testing.T) {
+	_, ix, _ := setup(t, xmltree.Recursive(2, 4))
+	p := &twig.Node{Name: "section", Children: []*twig.Node{{Name: "title", Edge: twig.Child}}}
+	if ids, ok := twig.MatchIDs(p, ix); ok {
+		t.Fatalf("MatchIDs without an output node = %d ids, ok", len(ids))
 	}
 }

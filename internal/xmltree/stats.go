@@ -83,22 +83,6 @@ func (s Stats) AvgDepth() float64 {
 	return float64(s.TotalDepth) / float64(s.Nodes)
 }
 
-// DeepFraction returns the fraction of nodes strictly deeper than the given
-// depth — the "recursion mass" signal the adaptive scheme picker uses to
-// tell genuinely deep documents from shallow ones with one long tail path.
-func (s Stats) DeepFraction(depth int) float64 {
-	if s.Nodes == 0 {
-		return 0
-	}
-	deep := 0
-	for d, c := range s.DepthHist {
-		if d > depth {
-			deep += c
-		}
-	}
-	return float64(deep) / float64(s.Nodes)
-}
-
 // String renders the statistics on one line.
 func (s Stats) String() string {
 	return fmt.Sprintf("nodes=%d elements=%d text=%d attrs=%d maxFanout=%d avgFanout=%.2f maxDepth=%d leaves=%d",

@@ -50,12 +50,6 @@ func TestStatsDepthHistStar(t *testing.T) {
 	if got, want := s.AvgDepth(), 6.0/7.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("AvgDepth = %v, want %v", got, want)
 	}
-	if got := s.DeepFraction(0); math.Abs(got-6.0/7.0) > 1e-12 {
-		t.Fatalf("DeepFraction(0) = %v, want 6/7", got)
-	}
-	if got := s.DeepFraction(1); got != 0 {
-		t.Fatalf("DeepFraction(1) = %v, want 0", got)
-	}
 }
 
 func TestStatsDepthHistMixed(t *testing.T) {
@@ -92,14 +86,11 @@ func TestStatsDepthHistMixed(t *testing.T) {
 	if sum != s.Nodes || weighted != s.TotalDepth {
 		t.Fatalf("hist sum=%d nodes=%d weighted=%d totalDepth=%d", sum, s.Nodes, weighted, s.TotalDepth)
 	}
-	if got := s.DeepFraction(1); math.Abs(got-3.0/6.0) > 1e-12 {
-		t.Fatalf("DeepFraction(1) = %v, want 1/2", got)
-	}
 }
 
 func TestStatsAvgDepthEmpty(t *testing.T) {
 	var s Stats
-	if s.AvgDepth() != 0 || s.DeepFraction(0) != 0 {
-		t.Fatalf("zero Stats accessors should be 0, got AvgDepth=%v DeepFraction=%v", s.AvgDepth(), s.DeepFraction(0))
+	if s.AvgDepth() != 0 {
+		t.Fatalf("zero Stats AvgDepth should be 0, got %v", s.AvgDepth())
 	}
 }
