@@ -19,7 +19,8 @@
 //     prints the per-stage EXPLAIN ANALYZE report (plan decision with both
 //     cost estimates, per-stage cardinalities and wall times, per-shard
 //     durations, blocks admitted versus skipped) instead of the result set.
-//   - -stats dumps the engine metric registry after the query.
+//   - -stats dumps the engine metric registry after the query, in the
+//     Prometheus text exposition /metrics serves.
 //   - -writes N drives N inserts through the group-commit write path before
 //     the query (facade modes), so -stats and -serve expose the write.*
 //     metrics — queue depth, batch-size histogram, publish counters — from
@@ -29,7 +30,7 @@
 //     published → visible, plus the WAL stamps when one is attached) to
 //     standard error after the batch lands.
 //   - -serve addr keeps the process alive after the query, exposing
-//     /metrics, /metrics.json, /debug/vars and /debug/pprof on addr.
+//     /metrics, /metrics.json and /debug/pprof on addr.
 //
 // Out-of-core flags (facade modes):
 //
@@ -234,7 +235,7 @@ func run(cfg config, query, path string, out io.Writer) error {
 	// endpoint after the query ran, for the modes that built a facade.
 	finish := func() error {
 		if cfg.stats {
-			reg.WriteText(out)
+			reg.WriteProm(out)
 		}
 		if cfg.serve != "" {
 			srv, err := obs.Serve(cfg.serve, reg)

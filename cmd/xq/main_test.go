@@ -126,8 +126,8 @@ func TestRunExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestRunStats checks that -stats appends a registry dump after the
-// results for the facade-backed navigators.
+// TestRunStats checks that -stats appends a registry dump, in the Prometheus
+// exposition, after the results for the facade-backed navigators.
 func TestRunStats(t *testing.T) {
 	p := writeDoc(t, testDoc)
 	for _, nav := range []string{"planner", "ruid"} {
@@ -138,20 +138,19 @@ func TestRunStats(t *testing.T) {
 			t.Fatalf("%s: %v", nav, err)
 		}
 		got := out.String()
-		if !strings.Contains(got, "doc.epoch 1") {
+		if !strings.Contains(got, "ruid_doc_epoch 1") {
 			t.Errorf("%s: stats dump missing doc.epoch:\n%s", nav, got)
 		}
-		if nav == "planner" && !strings.Contains(got, "query.count 1") {
+		if nav == "planner" && !strings.Contains(got, "ruid_query_count 1") {
 			t.Errorf("planner: stats dump missing query.count:\n%s", got)
 		}
 	}
 }
 
 // TestRunPathsAfterWrites is the stale-path regression through the CLI: a
-// write relabels d (one <xqwrite/> in front of it) and copies it, while the
-// nodes below keep the Parent pointers of the tree they were parsed into,
-// which lead to the d of the first epoch at position 2. The printed path must
-// be the queried epoch's.
+// write relabels d (one <xqwrite/> in front of it) and copies it, and shares
+// the nodes below with the first epoch, where d stands at position 2. The
+// printed path must be the queried epoch's.
 func TestRunPathsAfterWrites(t *testing.T) {
 	p := writeDoc(t, `<a><b><k/></b><c><k/></c><d><e><f><g><k/><k/><k/></g></f></e></d></a>`)
 	for _, nav := range []string{"ruid", "planner"} {

@@ -39,7 +39,9 @@ type areaIndex struct {
 type ownerTag struct{ _ byte }
 
 // newAreaIndex chunks a slice of K rows already sorted by global index and
-// takes ownership of them.
+// takes ownership of them. Each chunk is an allocation of its own: a window
+// of sorted would keep the whole array alive, and with it every row a later
+// fork replaced, for as long as any fork shares one chunk.
 func newAreaIndex(sorted []*area) *areaIndex {
 	ix := &areaIndex{rows: len(sorted), tag: new(ownerTag)}
 	for _, a := range sorted {
@@ -47,7 +49,7 @@ func newAreaIndex(sorted []*area) *areaIndex {
 	}
 	for len(sorted) > 0 {
 		n := min(areaChunkSize, len(sorted))
-		ix.chunks = append(ix.chunks, sorted[:n:n])
+		ix.chunks = append(ix.chunks, append([]*area(nil), sorted[:n]...))
 		ix.firstG = append(ix.firstG, sorted[0].global)
 		ix.mine = append(ix.mine, true)
 		sorted = sorted[n:]

@@ -65,15 +65,23 @@ func (n *Numbering) owns(x *xmltree.Node) bool {
 	return ok
 }
 
-// adopt takes ownership of a subtree handed to n from outside the tree.
-func (n *Numbering) adopt(sub *xmltree.Node) {
-	if n.copied == nil {
-		return
+// adopt takes ownership of a subtree handed to n from outside the tree and
+// returns the root to attach, unnumbered. A fork writes nothing an epoch may
+// hold: it adopts an unstamped subtree (a parsed fragment) as it is, and a
+// Clone of a stamped one (a node of an epoch, or a copy of one), which it
+// leaves untouched.
+func (n *Numbering) adopt(sub *xmltree.Node) *xmltree.Node {
+	if n.copied != nil && sub.Num != (xmltree.NodeNum{}) {
+		sub = sub.Clone()
 	}
 	sub.WalkFull(func(x *xmltree.Node) bool {
-		n.copied[x] = struct{}{}
+		x.Num = xmltree.NodeNum{}
+		if n.copied != nil {
+			n.copied[x] = struct{}{}
+		}
 		return true
 	})
+	return sub
 }
 
 // ownAt returns the node at position i of the row with global index g,
@@ -81,9 +89,9 @@ func (n *Numbering) adopt(sub *xmltree.Node) {
 // and the copy takes its place everywhere the fork refers to it: in the
 // child list of its parent — owned in turn, which is what copies the spine
 // up to the document node — and in the K slots that held it. The parent is
-// the node at the parent slot of the same row (the row's arithmetic, not
-// Node.Parent, which in a shared node leads into an older tree); an area
-// root is owned through the boundary slot it occupies in the upper row.
+// the node at the parent slot of the same row (the row's arithmetic: a
+// published node carries no Node.Parent); an area root is owned through the
+// boundary slot it occupies in the upper row.
 func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 	a, _ := n.krow(g)
 	if i == 0 && g != 1 {
@@ -108,7 +116,7 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 		}
 	} else if n.doc != n.root {
 		if !n.owns(n.doc) {
-			n.doc = n.doc.ShallowCopy(nil)
+			n.doc = n.doc.ShallowCopy()
 			n.copied[n.doc] = struct{}{}
 		}
 		parent = n.doc
@@ -119,7 +127,7 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 	if n.owns(x) {
 		return x // an attribute: copied with its element just now
 	}
-	c := x.ShallowCopy(parent)
+	c := x.ShallowCopy()
 	n.copied[c] = struct{}{}
 	if parent != nil {
 		if debugChecks && parent.Children.At(at) != x {

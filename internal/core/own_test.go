@@ -11,9 +11,9 @@ import (
 	"repro/internal/xmltree"
 )
 
-// verifyFork holds a fork — whose tree's Parent pointers lead, in shared
-// nodes, into older trees — to the ground truth through a full clone, which
-// carries the same stamps over a tree of its own.
+// verifyFork holds a fork — whose copies carry no Parent, and whose shared
+// nodes point into older trees — to the ground truth through a full clone,
+// which carries the same stamps over a tree of its own.
 func verifyFork(t *testing.T, f *Numbering) {
 	t.Helper()
 	if err := f.checkK(); err != nil {

@@ -170,7 +170,8 @@ func (f *frame) splice(up *xmltree.Node, lo, hi int, c *xmltree.Node) {
 }
 
 // promote adds x, any node that is not an area root yet, to S and returns
-// the frame node above it.
+// the frame node above it. It climbs Parent, so it runs only on a fresh parse
+// (Build) or on ownAll's clone (a heal).
 func (f *frame) promote(x *xmltree.Node) (up *xmltree.Node) {
 	for up = x.Parent; !f.roots[up]; up = up.Parent {
 	}

@@ -50,7 +50,7 @@ type Delta struct {
 	Relabels []Relabel // pre-existing nodes whose identifier changed
 	Dropped  []NodeID  // nodes a delete removed, with their last identifiers
 
-	Inserted      *xmltree.Node // root of the subtree an insert attached (nil for deletes)
+	Inserted      *xmltree.Node // root of the subtree an insert attached, maybe a copy (adopt; nil for deletes)
 	Removed       *xmltree.Node // root of the subtree a delete detached (nil for inserts)
 	InsertedCount int           // nodes numbered for the first time
 
@@ -116,11 +116,12 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 
 // InsertChildDelta is InsertChild plus a Delta describing exactly which
 // numbering state changed. The subtree arrives unnumbered: stamps it carries
-// from another life (a Clone of a published node, a subtree deleted earlier)
-// are cleared, so it comes out with only the labels this numbering gives it.
-// On error the tree and the numbering read exactly as before the call
-// (newChild is detached again, unnumbered, and ownership stays with the
-// caller).
+// from another life (a node of an epoch, a subtree deleted earlier) are
+// cleared, so it comes out with only the labels this numbering gives it — on
+// a fork, from a copy of a stamped subtree (adopt), and Delta.Inserted names
+// the root actually attached. On error the tree and the numbering read
+// exactly as before the call (what was attached is detached again, and
+// ownership of newChild stays with the caller).
 func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xmltree.Node) (scheme.UpdateStats, *Delta, error) {
 	if pos < 0 || pos > parent.Children.Len() {
 		return scheme.UpdateStats{}, nil, fmt.Errorf("core: insert position %d out of range", pos)
@@ -129,11 +130,7 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 	if err != nil {
 		return scheme.UpdateStats{}, nil, err
 	}
-	newChild.WalkFull(func(x *xmltree.Node) bool {
-		x.Num = xmltree.NodeNum{}
-		return true
-	})
-	n.adopt(newChild)
+	newChild = n.adopt(newChild)
 	parent.InsertChildAt(pos, newChild)
 
 	d := &Delta{Inserted: newChild}

@@ -44,8 +44,8 @@ func recount(s *document.Snapshot) int {
 
 // TestFailedPublishKeepsCounters: when publication fails after a
 // structural write, the document's statistics must keep describing the
-// epoch readers still see. Before the fix, Insert bumped
-// nodeCount/depthSum before publishing, so a failed publication
+// epoch readers still see. Before the fix, Insert bumped the document's
+// counters before publishing, so a failed publication
 // left the counters permanently drifted from every published epoch. The
 // failure here is the one that happens before the install: a write that
 // heals a local-index overflow publishes in full, which on a paged document

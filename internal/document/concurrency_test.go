@@ -2,6 +2,7 @@ package document_test
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ func newBook(i int) *xmltree.Node {
 // TestConcurrentReadersWriter races N reader goroutines against a writer
 // that inserts and deletes subtrees. Every reader pins a snapshot and
 // cross-checks the planner's answer against the pointer-navigation oracle
-// evaluated over that same snapshot's tree — so any torn epoch (a tree
+// evaluated over a clone of that same snapshot's tree — so any torn epoch (a tree
 // paired with a numbering or index of a different state) is caught as a
 // divergence, and the race detector catches unsynchronized access.
 func TestConcurrentReadersWriter(t *testing.T) {
@@ -67,12 +68,12 @@ func TestConcurrentReadersWriter(t *testing.T) {
 					errc <- fmt.Errorf("reader %d: %q: %v", r, q, err)
 					return
 				}
-				want, err := oracleOnTree(snap.Tree(), q)
+				want, err := oracleOnTree(snap.Tree().Clone(), q)
 				if err != nil {
 					errc <- fmt.Errorf("reader %d oracle: %q: %v", r, q, err)
 					return
 				}
-				gotP := strings.Join(sortedPaths(got), "|")
+				gotP := strings.Join(sortedPaths(snap, got), "|")
 				if gotP != want {
 					errc <- fmt.Errorf("reader %d epoch %d: %q = %s, oracle %s",
 						r, snap.Epoch(), q, gotP, want)
@@ -129,7 +130,7 @@ func TestConcurrentReadersWriter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("final oracle %q: %v", q, err)
 		}
-		if gotP := strings.Join(sortedPaths(got), "|"); gotP != want {
+		if gotP := strings.Join(sortedPaths(final, got), "|"); gotP != want {
 			t.Errorf("final %q = %s, serial oracle %s", q, gotP, want)
 		}
 	}
@@ -242,7 +243,7 @@ func TestConcurrentMultiEpochPinning(t *testing.T) {
 						errc <- fmt.Errorf("reader %d pin epoch %d: %q: %v", r, snap.Epoch(), q, err)
 						return
 					}
-					p.ans[q] = strings.Join(sortedPaths(res), "|")
+					p.ans[q] = strings.Join(sortedPaths(snap, res), "|")
 				}
 				ring = append(ring, p)
 				if len(ring) > pinned {
@@ -264,7 +265,7 @@ func TestConcurrentMultiEpochPinning(t *testing.T) {
 								r, old.snap.Epoch(), q, err)
 							return
 						}
-						if got := strings.Join(sortedPaths(res), "|"); got != old.ans[q] {
+						if got := strings.Join(sortedPaths(old.snap, res), "|"); got != old.ans[q] {
 							errc <- fmt.Errorf("reader %d: epoch %d answer drifted for %q:\npinned %s\nnow    %s",
 								r, old.snap.Epoch(), q, old.ans[q], got)
 							return
@@ -302,14 +303,20 @@ func TestConcurrentMultiEpochPinning(t *testing.T) {
 	}
 }
 
-// oracleOnTree evaluates q over an arbitrary tree with pointer navigation
-// and returns the joined sorted result paths.
+// oracleOnTree evaluates q with pointer navigation over a tree whose Parent
+// pointers hold (a parsed tree, or a Clone of a published one) and returns
+// the joined sorted result paths.
 func oracleOnTree(tree *xmltree.Node, q string) (string, error) {
 	res, err := xpath.NewEngine(tree, xpath.PointerNavigator{}).Query(q)
 	if err != nil {
 		return "", err
 	}
-	return strings.Join(sortedPaths(res), "|"), nil
+	paths := make([]string, len(res))
+	for i, n := range res {
+		paths[i] = n.Path()
+	}
+	sort.Strings(paths)
+	return strings.Join(paths, "|"), nil
 }
 
 // mirrorInsert applies the writer's insert to the serial mirror: attach

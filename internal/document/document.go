@@ -62,11 +62,14 @@
 //     whose identifier or child list changes is the fork's own copy. Under
 //     RUID_DEBUG each publication re-checks the previous epoch's table K
 //     against its stamps.
-//   - Shared nodes keep the Parent pointers of the epoch they were first
-//     copied into, so upward navigation inside an epoch goes through the
-//     numbering's identifier arithmetic (RParent), never through Parent
-//     pointers; downward navigation (Children, Attrs) is always
-//     consistent.
+//   - No upward pointer: a published node carries no Parent, except an
+//     attribute, which is copied with its element and so names the element
+//     its epoch holds. Upward navigation goes through the numbering's
+//     identifier arithmetic (RParent, Lemma 1), and a subtree shared by two
+//     epochs keeps neither's spine alive. The fork's copies come without a
+//     Parent, each inserted subtree is detached as its batch counts it, and
+//     a full publication detaches the whole tree (detach); under RUID_DEBUG
+//     publication re-checks the tree it installs.
 //
 // Full rebuild is a branch inside publishLocked, not a sibling: the first
 // epoch, a batch that healed a local-index overflow by re-partitioning
@@ -87,6 +90,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -160,12 +164,6 @@ type Document struct {
 
 	mu sync.Mutex // serializes writers and epoch publication
 
-	// nodeCount and depthSum maintain the planner's cardinality statistics
-	// (non-attribute nodes from the root element down; sum of their
-	// depths) incrementally, so publication need not re-walk the document.
-	nodeCount int
-	depthSum  int
-
 	// Out-of-core mode (Options.PoolPages > 0): store holds the postings
 	// blobs and the node-payload table behind one shared buffer pool, and
 	// every published snapshot's index pages its block bytes through it.
@@ -199,11 +197,13 @@ type Snapshot struct {
 
 	// nodes is the canonical node count of this epoch under the facade's
 	// accounting rule: non-attribute nodes from the root element down —
-	// exactly the population subtreeStats maintains across updates. Carried
-	// on the snapshot so Stats never re-walks the tree (the numbering's Size
+	// exactly the population detach counts — and depths the sum of their
+	// depths, the planner's cardinality statistics. The next epoch's are
+	// maintained from these across its batch, so neither Stats nor an
+	// incremental publication re-walks the tree (the numbering's Size
 	// additionally counts attributes when the document was opened
 	// WithAttrs).
-	nodes int
+	nodes, depths int
 }
 
 // Open parses an XML document from r and numbers it.
@@ -239,17 +239,9 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := doc
-	if doc.Kind == xmltree.Document {
-		root = doc.DocumentElement()
-	}
-	var nodes, depths int
-	if root != nil {
-		nodes, depths = subtreeStats(root, root.Depth())
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d, d.publishLocked(&working{num: num}, nil, nodes, depths)
+	return d, d.publishLocked(&working{num: num}, nil)
 }
 
 // working is the state a batch works on and then publishes: the private
@@ -263,6 +255,10 @@ type working struct {
 	// elements they inserted.
 	deltas []*core.Delta
 	born   map[*xmltree.Node]struct{}
+
+	// nodes and depths are the newest epoch's statistics (Snapshot.nodes)
+	// with each applied member's subtree added or taken away.
+	nodes, depths int
 }
 
 // doc returns the working tree's document node (a fork's moves as it copies).
@@ -278,13 +274,12 @@ func (w *working) doc() *xmltree.Node { return w.num.Doc() }
 // incremental assembly trips an internal invariant, they are built from
 // scratch over w's tree, which always yields a consistent epoch.
 //
-// nodes and depths are the counter values the new epoch carries; they are
-// committed to d.nodeCount/d.depthSum only after the epoch is installed, so
-// a failed publication (a page-out failure) leaves the document's statistics
-// describing the epoch readers still see. A non-nil error wrapping ErrStorage
-// is the one failure AFTER the install: the epoch is visible but the paged
-// payload table could not follow it. Callers hold d.mu.
-func (d *Document) publishLocked(w *working, guide *dataguide.Guide, nodes, depths int) error {
+// The statistics travel on the snapshot, so a failed publication (a page-out
+// failure) leaves Stats describing the epoch readers still see. A non-nil
+// error wrapping ErrStorage is the one failure AFTER the install: the epoch
+// is visible but the paged payload table could not follow it. Callers hold
+// d.mu.
+func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
 	var start time.Time
 	if d.dm != nil {
 		start = time.Now()
@@ -299,19 +294,26 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide, nodes, dept
 		// The error is dropped on purpose: incremental assembly fails only
 		// on an internal invariant violation, leaves snap nil and has
 		// committed nothing, and the full build below recovers from it.
-		snap, st, _ = d.assembleBatchLocked(prev, w, guide, nodes, depths)
+		snap, st, _ = d.assembleBatchLocked(prev, w, guide)
 	}
 	full := snap == nil
 	if full {
-		if snap, err = d.assembleFullLocked(w, nodes, depths); err != nil {
+		if snap, err = d.assembleFullLocked(w); err != nil {
 			return err
 		}
+	}
+	if debugChecks {
+		snap.tree.Walk(func(x *xmltree.Node) bool {
+			if x.Parent != nil {
+				panic(fmt.Sprintf("document: epoch %d would publish %s %q with a Parent", d.epoch+1, x.Kind, x.Name))
+			}
+			return true
+		})
 	}
 	w.num.Seal()
 	d.epoch++
 	snap.epoch = d.epoch
 	d.cur.Store(snap)
-	d.nodeCount, d.depthSum = nodes, depths
 	if prev != nil {
 		// Nothing published is ever written: a write that skipped own shows
 		// here, as a stamp of the previous epoch disagreeing with its table K.
@@ -334,24 +336,28 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide, nodes, dept
 	return err
 }
 
-// snapshotOf wires planner to the document's executor, observer and pager
-// and wraps it as a snapshot; publishLocked stamps the epoch number.
-func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, planner *query.Planner, nodes int) *Snapshot {
+// snapshotOf wires a planner over tree to the document's executor, observer
+// and pager and wraps it as a snapshot; publishLocked stamps the epoch
+// number.
+func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, ix *index.NameIndex, guide *dataguide.Guide, nodes, depths int) *Snapshot {
+	planner := query.NewWithState(tree, num, ix, guide, nodes, depths)
 	planner.SetExecutor(d.exec)
 	planner.SetObserver(d.reg)
 	d.wireIOStats(planner)
-	return &Snapshot{tree: tree, num: num, planner: planner, nodes: nodes}
+	return &Snapshot{tree: tree, num: num, planner: planner, nodes: nodes, depths: depths}
 }
 
 // assembleFullLocked builds the next epoch's index and guide from scratch
 // over w's tree, sharing neither with the previous epoch (out of core, the
 // snapshot is paged out into a fresh store before it can become visible).
-// Callers hold d.mu.
-func (d *Document) assembleFullLocked(w *working, nodes, depths int) (*Snapshot, error) {
+// The walk that detaches the tree recounts its statistics. Callers hold
+// d.mu.
+func (d *Document) assembleFullLocked(w *working) (*Snapshot, error) {
 	tree := w.doc()
-	snap := d.snapshotOf(tree, w.num, query.New(tree, w.num), nodes)
+	nodes, depths := detachTree(tree)
+	snap := d.snapshotOf(tree, w.num, index.Build(w.num.Root(), w.num), dataguide.Build(tree), nodes, depths)
 	if d.poolPages > 0 {
-		if err := d.pageOutSnapshot(snap, depths); err != nil {
+		if err := d.pageOutSnapshot(snap); err != nil {
 			return nil, err
 		}
 	}
@@ -360,10 +366,8 @@ func (d *Document) assembleFullLocked(w *working, nodes, depths int) (*Snapshot,
 
 // assembleBatchLocked builds the next epoch incrementally from the previous
 // one: tree and numbering are the fork as the batch left it, the index is
-// prev's patched with the batch's edits. nodes and depths are passed
-// explicitly because the document's own counters are not committed until the
-// epoch is installed. Callers hold d.mu.
-func (d *Document) assembleBatchLocked(prev *Snapshot, w *working, guide *dataguide.Guide, nodes, depths int) (*Snapshot, index.DeltaStats, error) {
+// prev's patched with the batch's edits. Callers hold d.mu.
+func (d *Document) assembleBatchLocked(prev *Snapshot, w *working, guide *dataguide.Guide) (*Snapshot, index.DeltaStats, error) {
 	ix, st, err := applyIndexBatch(prev, w)
 	if err != nil {
 		return nil, st, err
@@ -374,7 +378,7 @@ func (d *Document) assembleBatchLocked(prev *Snapshot, w *working, guide *datagu
 		// paths and counts only, so rebuilding from the tree is safe.
 		guide = dataguide.Build(tree)
 	}
-	return d.snapshotOf(tree, w.num, query.NewWithState(tree, w.num, ix, guide, nodes, depths), nodes), st, nil
+	return d.snapshotOf(tree, w.num, ix, guide, w.nodes, w.depths), st, nil
 }
 
 // applyIndexBatch composes the batch's per-mutation deltas into one set of
@@ -485,17 +489,44 @@ func waitVisible(tk *Ticket, err error) (scheme.UpdateStats, error) {
 	return tk.Wait(context.Background())
 }
 
-// subtreeStats counts the non-attribute nodes of the subtree rooted at x
-// and sums their depths, with x itself at the given depth.
-func subtreeStats(x *xmltree.Node, depth int) (count, depths int) {
+// detach clears the Parent of x and of every non-attribute node below it, as
+// publication must (see the package notes), and counts those nodes and sums
+// their depths, with x itself at the given depth. A node without a Parent is
+// only read: it may be one an epoch holds.
+func detach(x *xmltree.Node, depth int) (count, depths int) {
+	if x.Parent != nil {
+		x.Parent = nil
+	}
 	count, depths = 1, depth
 	for i := 0; i < x.Children.Len(); i++ {
-		cc, cd := subtreeStats(x.Children.At(i), depth+1)
+		cc, cd := detach(x.Children.At(i), depth+1)
 		count += cc
 		depths += cd
 	}
 	return count, depths
 }
+
+// detachTree detaches the whole tree under doc, comments and processing
+// instructions beside the root element included, and returns the count and
+// depth sum of its nodes from the root element down.
+func detachTree(doc *xmltree.Node) (nodes, depths int) {
+	if doc.Kind != xmltree.Document {
+		return detach(doc, 0)
+	}
+	root := doc.DocumentElement()
+	for i := 0; i < doc.Children.Len(); i++ {
+		c := doc.Children.At(i)
+		if cn, cd := detach(c, 1); c == root {
+			nodes, depths = cn, cd
+		}
+	}
+	return nodes, depths
+}
+
+// debugChecks gates publication's O(n) check that the tree it installs
+// carries no Parent below the document node. Seeded from RUID_DEBUG like the
+// core, index and query checks.
+var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
 // findOne resolves a writer's target path on the working state with the
 // fork's own identifier arithmetic: between two members of a batch the fork
@@ -535,8 +566,8 @@ type Stats struct {
 }
 
 // Stats returns a summary of the current epoch. Nodes is the snapshot's
-// maintained count, the same population subtreeStats tracks across updates:
-// no per-call tree walk.
+// maintained count, the same population detach counts: no per-call tree
+// walk.
 func (d *Document) Stats() Stats {
 	s := d.Snapshot()
 	return Stats{
@@ -554,19 +585,15 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // Tree returns the snapshot's immutable document tree. Callers must not
 // mutate it (it is shared by every reader of this epoch, and its untouched
-// subtrees by later epochs). Parent pointers inside subtrees shared with
-// an earlier epoch point into that earlier epoch; navigate upward through
-// the numbering instead.
+// subtrees by later epochs). Only its attributes carry a Parent: navigate
+// upward through the numbering, or climb a Clone.
 func (s *Snapshot) Tree() *xmltree.Node { return s.tree }
 
 // Path returns the slash path (xmltree.Node.Path's format) of n, a node of
 // this epoch's tree, as this epoch holds it. The ancestors come from the
 // epoch's own numbering (rparent) and each step's position from that
-// ancestor's child list: n.Path() would climb Parent pointers, and a node the
-// epoch shares with an earlier one keeps the Parent of the tree it was
-// created in, whose positions later writes have moved. An attribute is the
-// exception that needs none of it: it is copied with its element, so its
-// Parent is the element this epoch holds.
+// ancestor's child list. An attribute's step up is its Parent: it is copied
+// with its element, so that is the element this epoch holds.
 func (s *Snapshot) Path(n *xmltree.Node) string {
 	var steps []string
 	if n.Kind == xmltree.Attribute {

@@ -1,6 +1,7 @@
 package document_test
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/document"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 )
 
 const librarySrc = `<library>
@@ -21,21 +21,24 @@ const librarySrc = `<library>
   </shelf>
 </library>`
 
-// oracleQuery evaluates q over tree with the pointer-navigation engine and
+// oracleQuery evaluates q with the pointer-navigation engine over a clone of
+// the snapshot's tree — a published tree carries no Parent to climb — and
 // returns the sorted result paths.
-func oracleQuery(t *testing.T, tree *xmltree.Node, q string) []string {
+func oracleQuery(t *testing.T, snap *document.Snapshot, q string) []string {
 	t.Helper()
-	res, err := xpath.NewEngine(tree, xpath.PointerNavigator{}).Query(q)
+	want, err := oracleOnTree(snap.Tree().Clone(), q)
 	if err != nil {
 		t.Fatalf("oracle %q: %v", q, err)
 	}
-	return sortedPaths(res)
+	return strings.Split(want, "|")
 }
 
-func sortedPaths(nodes []*xmltree.Node) []string {
+// sortedPaths returns the sorted paths of nodes of snap's tree as snap holds
+// them (Snapshot.Path).
+func sortedPaths(snap *document.Snapshot, nodes []*xmltree.Node) []string {
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
-		out[i] = n.Path()
+		out[i] = snap.Path(n)
 	}
 	sort.Strings(out)
 	return out
@@ -59,8 +62,8 @@ func TestOpenAndQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Query(%q): %v", q, err)
 		}
-		want := oracleQuery(t, snap.Tree(), q)
-		if gotP := sortedPaths(got); strings.Join(gotP, "|") != strings.Join(want, "|") {
+		want := oracleQuery(t, snap, q)
+		if gotP := sortedPaths(snap, got); strings.Join(gotP, "|") != strings.Join(want, "|") {
 			t.Errorf("Query(%q) = %v, want %v", q, gotP, want)
 		}
 	}
@@ -166,7 +169,7 @@ func TestIdentifierStabilityAcrossEpochs(t *testing.T) {
 	if err != nil || len(titles) == 0 {
 		t.Fatalf("titles: %v (%d)", err, len(titles))
 	}
-	firstPath := titles[0].Path()
+	firstPath := before.Path(titles[0])
 	idBefore, ok := before.Numbering().RUID(titles[0])
 	if !ok {
 		t.Fatal("first title unnumbered")
@@ -178,7 +181,7 @@ func TestIdentifierStabilityAcrossEpochs(t *testing.T) {
 	after := d.Snapshot()
 	var match *xmltree.Node
 	after.Tree().Walk(func(x *xmltree.Node) bool {
-		if x.Path() == firstPath {
+		if after.Path(x) == firstPath {
 			match = x
 		}
 		return true
@@ -226,8 +229,8 @@ func TestInsertCloneOfEpochNode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Query(%q): %v", q, err)
 			}
-			want := oracleQuery(t, snap.Tree(), q)
-			if gotP := sortedPaths(got); strings.Join(gotP, "|") != strings.Join(want, "|") {
+			want := oracleQuery(t, snap, q)
+			if gotP := sortedPaths(snap, got); strings.Join(gotP, "|") != strings.Join(want, "|") {
 				t.Errorf("epoch %d: Query(%q) = %v, want %v", snap.Epoch(), q, gotP, want)
 			}
 		}
@@ -237,7 +240,7 @@ func TestInsertCloneOfEpochNode(t *testing.T) {
 			id, ok := num.RUID(x)
 			if back, found := num.NodeOfID(id); !ok || seen[id] || !found || back != x {
 				t.Fatalf("epoch %d: %s carries %v (ok=%v, repeated=%v), which resolves to %v",
-					snap.Epoch(), x.Path(), id, ok, seen[id], back)
+					snap.Epoch(), snap.Path(x), id, ok, seen[id], back)
 			}
 			seen[id] = true
 			return true
@@ -246,6 +249,74 @@ func TestInsertCloneOfEpochNode(t *testing.T) {
 			t.Errorf("epoch %d: %d labelled nodes, numbering counts %d", snap.Epoch(), len(seen), num.Size())
 		}
 	}
+}
+
+// TestInsertNodeOfEpoch: a node an epoch holds, handed straight back to
+// Insert, goes in as a copy. The epochs it came from, the current one and a
+// pinned older one, keep their serialization and every stamp, and the new
+// epoch numbers the copies afresh.
+func TestInsertNodeOfEpoch(t *testing.T) {
+	d, err := document.OpenString(librarySrc, document.Options{Partition: coreSmallPartition()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(s *document.Snapshot, q string) *xmltree.Node {
+		t.Helper()
+		res, _, err := s.Query(q)
+		if err != nil || len(res) != 1 {
+			t.Fatalf("epoch %d: %q: %d nodes, err %v", s.Epoch(), q, len(res), err)
+		}
+		return res[0]
+	}
+	type state struct {
+		xml    string
+		stamps []xmltree.NodeNum
+	}
+	read := func(s *document.Snapshot) state {
+		st := state{xml: xmltree.Serialize(s.Tree())}
+		s.Tree().WalkFull(func(x *xmltree.Node) bool {
+			st.stamps = append(st.stamps, x.Num)
+			return true
+		})
+		return st
+	}
+	pinned := d.Snapshot()
+	oldBook := one(pinned, "/library/shelf[1]/book[1]")
+	if _, err := d.Insert("/library/shelf[2]", 0, newBook(1)); err != nil {
+		t.Fatal(err)
+	}
+	current := d.Snapshot()
+	curBook := one(current, "/library/shelf[1]/book[2]")
+	epochs := []*document.Snapshot{pinned, current}
+	was := []state{read(pinned), read(current)}
+
+	if _, err := d.Insert("/library/shelf[2]", 1, curBook); err != nil {
+		t.Fatalf("insert a node of the current epoch: %v", err)
+	}
+	if _, err := d.Insert("/library/shelf[1]", 0, oldBook); err != nil {
+		t.Fatalf("insert a node of a pinned epoch: %v", err)
+	}
+	for i, s := range epochs {
+		if now := read(s); now.xml != was[i].xml || !slices.Equal(now.stamps, was[i].stamps) {
+			t.Errorf("epoch %d changed under an insert of its own node:\nbefore %s\nafter  %s", s.Epoch(), was[i].xml, now.xml)
+		}
+	}
+	last := d.Snapshot()
+	if got := one(last, "/library/shelf[1]/book[1]"); got == oldBook || xmltree.Serialize(got) != xmltree.Serialize(oldBook) {
+		t.Errorf("shelf 1 holds %s, want a copy of the pinned epoch's %s", xmltree.Serialize(got), xmltree.Serialize(oldBook))
+	}
+	if got := one(last, "/library/shelf[2]/book[2]"); got == curBook || xmltree.Serialize(got) != xmltree.Serialize(curBook) {
+		t.Errorf("shelf 2 holds %s, want a copy of the current epoch's %s", xmltree.Serialize(got), xmltree.Serialize(curBook))
+	}
+	num := last.Numbering()
+	last.Tree().DocumentElement().Walk(func(x *xmltree.Node) bool {
+		if id, ok := num.RUID(x); !ok {
+			t.Errorf("%s is unnumbered", last.Path(x))
+		} else if back, _ := num.NodeOfID(id); back != x {
+			t.Errorf("%s carries %v, which resolves elsewhere", last.Path(x), id)
+		}
+		return true
+	})
 }
 
 func coreSmallPartition() core.PartitionConfig {

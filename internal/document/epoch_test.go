@@ -267,8 +267,7 @@ func TestEpochNumberingSharing(t *testing.T) {
 // snapshot's scheme engine against the pointer engine on positional paths
 // that cross the touched areas. Forward paths are compared node for node on
 // the snapshot's own tree; paths that climb are compared by label on a full
-// clone, because a path-copied tree's Parent pointers lead out of it
-// (xmltree.ShallowCopy).
+// clone, because a published tree carries no Parent pointers.
 func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := document.FromTree(xmltree.XMark(2, 5), document.Options{

@@ -449,11 +449,9 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 		return fail(batch, err)
 	}
 	prev := d.cur.Load()
-	w := &working{num: prev.num.Fork(), born: make(map[*xmltree.Node]struct{})}
+	w := &working{num: prev.num.Fork(), born: make(map[*xmltree.Node]struct{}), nodes: prev.nodes, depths: prev.depths}
 	var (
 		applied []*pendingOp
-		nodes   = d.nodeCount
-		depths  = d.depthSum
 		fold    *dataguide.Batch
 	)
 	if prev.Guide() != nil {
@@ -477,13 +475,15 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 			op.err = err
 			continue
 		}
-		c, dd := subtreeStats(sub, rootDepth+len(path))
+		// Counting an inserted subtree detaches it, as publication requires;
+		// a removed one is the fork's or an epoch's, and detached already.
+		c, dd := detach(sub, rootDepth+len(path))
 		sign := +1
 		if !op.insert {
 			c, dd, sign = -c, -dd, -1
 		}
-		nodes += c
-		depths += dd
+		w.nodes += c
+		w.depths += dd
 		if op.insert {
 			sub.Walk(func(x *xmltree.Node) bool {
 				if x.Kind == xmltree.Element {
@@ -512,7 +512,7 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 	if fold != nil {
 		guide = fold.Guide()
 	}
-	if err := d.publishLocked(w, guide, nodes, depths); err != nil {
+	if err := d.publishLocked(w, guide); err != nil {
 		return fail(applied, err)
 	}
 	for _, op := range applied {
@@ -522,8 +522,9 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 }
 
 // apply applies one mutation below parent on the working state and records
-// its §3.2 statistics on op. It returns the inserted or removed subtree; the
-// update's delta joins w.deltas.
+// its §3.2 statistics on op. It returns the subtree the update attached or
+// removed (an insert of a stamped child attaches a copy); the update's delta
+// joins w.deltas.
 func (w *working) apply(op *pendingOp, parent *xmltree.Node) (*xmltree.Node, error) {
 	var (
 		delta *core.Delta
@@ -539,7 +540,7 @@ func (w *working) apply(op *pendingOp, parent *xmltree.Node) (*xmltree.Node, err
 	}
 	w.deltas = append(w.deltas, delta)
 	if op.insert {
-		return op.child, nil
+		return delta.Inserted, nil
 	}
 	return delta.Removed, nil
 }

@@ -51,7 +51,7 @@ func (d *Document) wireIOStats(p *query.Planner) {
 // every numbered node's payload row is bulk-loaded into the shared
 // B+tree. Runs before the snapshot is published; on error the caller keeps
 // the resident snapshot unpublished. Callers hold d.mu.
-func (d *Document) pageOutSnapshot(snap *Snapshot, depthTotal int) error {
+func (d *Document) pageOutSnapshot(snap *Snapshot) error {
 	store := storage.NewDocStore(d.poolPages)
 	store.SetObserver(d.reg)
 	ix := snap.Index()
@@ -90,13 +90,9 @@ func (d *Document) pageOutSnapshot(snap *Snapshot, depthTotal int) error {
 	if err := store.Nodes.Load(root, snap.num, true); err != nil {
 		return err
 	}
-	planner := query.NewWithState(snap.tree, snap.num, pix, snap.Guide(), snap.nodes, depthTotal)
-	planner.SetExecutor(d.exec)
-	planner.SetObserver(d.reg)
-	snap.planner = planner
 	store.Flush()
 	d.store = store
-	d.wireIOStats(planner)
+	*snap = *d.snapshotOf(snap.tree, snap.num, pix, snap.Guide(), snap.nodes, snap.depths)
 	return nil
 }
 
@@ -255,21 +251,19 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 	if err := store.Nodes.Load(root, num, true); err != nil {
 		return nil, err
 	}
-	nodes, depths := subtreeStats(root, root.Depth())
 	d := &Document{
 		opts:      opts.coreOptions(),
 		exec:      exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
 		reg:       opts.Observe,
 		dm:        newDocMetrics(opts.Observe),
-		nodeCount: nodes,
-		depthSum:  depths,
 		poolPages: pool,
 		store:     store,
 		readonly:  true,
 		epoch:     1,
 	}
 	num.Seal()
-	snap := d.snapshotOf(doc, num, query.NewWithState(doc, num, ix, dataguide.Build(doc), nodes, depths), nodes)
+	nodes, depths := detachTree(doc)
+	snap := d.snapshotOf(doc, num, ix, dataguide.Build(doc), nodes, depths)
 	snap.epoch = 1
 	d.cur.Store(snap)
 	// Start cold: loading dirtied the pool; everything is on "disk" now and

@@ -44,11 +44,12 @@ var pagedQueries = []string{
 // queryPaths runs q and returns the sorted result paths.
 func queryPaths(t *testing.T, d *document.Document, q string) []string {
 	t.Helper()
-	got, _, err := d.Query(q)
+	snap := d.Snapshot()
+	got, _, err := snap.Query(q)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", q, err)
 	}
-	return sortedPaths(got)
+	return sortedPaths(snap, got)
 }
 
 // TestPagedEngineMatchesResident is the oracle test of the out-of-core
@@ -287,9 +288,10 @@ func TestColdBundleConcurrentNavigation(t *testing.T) {
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			got, _, err := cold.Query(q)
-			if err == nil && strings.Join(sortedPaths(got), "|") != strings.Join(want, "|") {
-				err = fmt.Errorf("got %v, want %v", sortedPaths(got), want)
+			snap := cold.Snapshot()
+			got, _, err := snap.Query(q)
+			if paths := sortedPaths(snap, got); err == nil && strings.Join(paths, "|") != strings.Join(want, "|") {
+				err = fmt.Errorf("got %v, want %v", paths, want)
 			}
 			errs <- err
 		}()

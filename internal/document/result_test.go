@@ -68,8 +68,10 @@ func TestQueryResult(t *testing.T) {
 				t.Fatalf("%s/%s: open: %v", mode.name, fam.name, err)
 			}
 			check := func(when string) {
+				// The oracle climbs a clone: a published tree carries no Parent.
 				snap := d.Snapshot()
-				oracle := xpath.NewEngine(snap.Tree(), xpath.PointerNavigator{})
+				clone, of := snap.Tree().CloneWithMap()
+				oracle := xpath.NewEngine(clone, xpath.PointerNavigator{})
 				for _, q := range fam.queries {
 					tag := fmt.Sprintf("%s/%s/%s %q", mode.name, fam.name, when, q)
 					want, err := oracle.Query(q)
@@ -96,7 +98,7 @@ func TestQueryResult(t *testing.T) {
 						t.Fatalf("%s [%s]: Nodes has %d, Query %d, oracle %d", tag, plan.Kind, len(nodes), len(viaQuery), len(want))
 					}
 					for i := range want {
-						if nodes[i] != want[i] || viaQuery[i] != want[i] {
+						if of[nodes[i]] != want[i] || of[viaQuery[i]] != want[i] {
 							t.Fatalf("%s [%s]: node %d is not the oracle's", tag, plan.Kind, i)
 						}
 					}

@@ -1,7 +1,7 @@
 // Package obs is the runtime observability layer: a low-overhead metric
 // registry (atomic counters, gauges, bounded power-of-two histograms), a
 // per-query execution Trace feeding the EXPLAIN ANALYZE renderer, and an
-// optional expvar+pprof HTTP endpoint (serve.go).
+// optional Prometheus+pprof HTTP endpoint (serve.go).
 //
 // Two properties drive the design:
 //
@@ -19,8 +19,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"sync"
@@ -403,7 +401,7 @@ func (r *Registry) RegisterFunc(name string, f func() int64) {
 }
 
 // Snapshot returns every metric's current value keyed by name, suitable for
-// JSON/expvar export. Histograms appear as HistogramSummary. A nil registry
+// JSON export. Histograms appear as HistogramSummary. A nil registry
 // returns an empty map.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
@@ -425,29 +423,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// WriteText renders every metric as one sorted "name value" line — the
-// xq -stats dump. Histograms render count, sum and quantile estimates.
-// Iterates the cached sorted entry list: no per-scrape sort.
-func (r *Registry) WriteText(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries() {
-		switch e.kind {
-		case kindCounter:
-			fmt.Fprintf(w, "%s %d\n", e.name, e.c.Value())
-		case kindGauge:
-			fmt.Fprintf(w, "%s %d\n", e.name, e.g.Value())
-		case kindFunc:
-			fmt.Fprintf(w, "%s %d\n", e.name, e.f())
-		case kindHist:
-			s := e.h.Summary()
-			fmt.Fprintf(w, "%s count=%d sum=%d p50=%d p90=%d p99=%d\n",
-				e.name, s.Count, s.Sum, s.P50, s.P90, s.P99)
-		}
-	}
 }

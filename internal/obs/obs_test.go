@@ -24,7 +24,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry snapshot non-empty")
 	}
 	var sb strings.Builder
-	r.WriteText(&sb) // must not panic
+	r.WriteProm(&sb) // must not panic
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -53,10 +53,10 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Errorf("derived = %v", snap["derived"])
 	}
 	var sb strings.Builder
-	r.WriteText(&sb)
-	for _, want := range []string{"hits 7", "depth -2", "derived 11"} {
+	r.WriteProm(&sb)
+	for _, want := range []string{"ruid_hits 7", "ruid_depth -2", "ruid_derived 11"} {
 		if !strings.Contains(sb.String(), want) {
-			t.Errorf("WriteText missing %q in:\n%s", want, sb.String())
+			t.Errorf("WriteProm missing %q in:\n%s", want, sb.String())
 		}
 	}
 }

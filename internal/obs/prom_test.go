@@ -143,12 +143,6 @@ func TestRegistryCacheInvalidation(t *testing.T) {
 			t.Errorf("post-registration scrape missing %q:\n%s", want, sb.String())
 		}
 	}
-	// WriteText shares the cache.
-	sb.Reset()
-	r.WriteText(&sb)
-	if !strings.Contains(sb.String(), "b.second 2") {
-		t.Errorf("WriteText missing post-registration metric:\n%s", sb.String())
-	}
 }
 
 // TestWritePromAllocs is the scrape-allocation regression gate: with the
@@ -171,27 +165,5 @@ func TestWritePromAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(50, func() { r.WriteProm(io.Discard) })
 	if avg > 4 {
 		t.Fatalf("WriteProm allocates %.1f/scrape over 80 metrics, want ≤ 4", avg)
-	}
-}
-
-// TestWriteTextAllocsBounded pins the Snapshot satellite from the other
-// side: WriteText no longer sorts per call, so its allocations are bounded
-// by the per-line Fprintf boxing, not by an O(n log n) rebuild. The bound
-// here is deliberately loose — the regression it guards against is the
-// per-scrape sort of the full name set.
-func TestWriteTextAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts are not stable under -race")
-	}
-	r := NewRegistry()
-	for i := 0; i < 64; i++ {
-		r.Counter("c.n" + strconv.Itoa(i)).Inc()
-	}
-	r.WriteText(io.Discard)
-	avg := testing.AllocsPerRun(20, func() { r.WriteText(io.Discard) })
-	// One boxed operand per line is inherent to Fprintf; sorting 64 names
-	// per call would roughly double this.
-	if avg > 80 {
-		t.Fatalf("WriteText allocates %.1f/call for 64 counters, want ≤ 80", avg)
 	}
 }

@@ -2,48 +2,22 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// HTTP surfacing of a Registry: Go-standard expvar under /debug/vars (the
-// registry is published there as "ruid"), the pprof profiler family under
-// /debug/pprof/, Prometheus text exposition under /metrics, the legacy
-// plain-text dump under /metrics.txt and a JSON snapshot under
-// /metrics.json. Serve is optional equipment — nothing in the engine
-// depends on it — so a serving process opts in with one call and a CLI run
-// never pays for an HTTP stack.
+// HTTP surfacing of a Registry: one metrics surface, the Prometheus text
+// exposition under /metrics, with the same registry as a JSON snapshot under
+// /metrics.json, plus the pprof profiler family under /debug/pprof/. Serve is
+// optional equipment — nothing in the engine depends on it — so a serving
+// process opts in with one call and a CLI run never pays for an HTTP stack.
 
-var (
-	publishedRegistry atomic.Pointer[Registry]
-	expvarOnce        sync.Once
-)
-
-// publishExpvar exposes reg through the process-global expvar namespace
-// under the key "ruid". expvar registration is global and permanent, so the
-// Func indirects through an atomic pointer: the most recently served
-// registry wins.
-func publishExpvar(reg *Registry) {
-	publishedRegistry.Store(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("ruid", expvar.Func(func() any {
-			return publishedRegistry.Load().Snapshot()
-		}))
-	})
-}
-
-// Handler returns the observability mux for reg: /debug/vars, /debug/pprof/,
-// /metrics (Prometheus exposition), /metrics.txt (legacy plain text) and
-// /metrics.json.
+// Handler returns the observability mux for reg: /metrics (Prometheus
+// exposition), /metrics.json and /debug/pprof/.
 func Handler(reg *Registry) http.Handler {
-	publishExpvar(reg)
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -52,10 +26,6 @@ func Handler(reg *Registry) http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteProm(w)
-	})
-	mux.HandleFunc("/metrics.txt", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		reg.WriteText(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

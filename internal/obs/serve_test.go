@@ -38,14 +38,6 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 	}
 
-	code, body = get(t, h, "/metrics.txt")
-	if code != 200 || !strings.Contains(body, "exec.ops 3") {
-		t.Fatalf("/metrics.txt: %d %q", code, body)
-	}
-	if !strings.Contains(body, "exec.op_ns count=1") {
-		t.Errorf("/metrics.txt missing histogram: %q", body)
-	}
-
 	code, body = get(t, h, "/metrics.json")
 	if code != 200 {
 		t.Fatalf("/metrics.json: %d", code)
@@ -58,14 +50,16 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("json exec.ops = %v", snap["exec.ops"])
 	}
 
-	code, body = get(t, h, "/debug/vars")
-	if code != 200 || !strings.Contains(body, `"ruid"`) {
-		t.Fatalf("/debug/vars: %d (registry not published)", code)
-	}
-
 	code, _ = get(t, h, "/debug/pprof/")
 	if code != 200 {
 		t.Fatalf("/debug/pprof/: %d", code)
+	}
+
+	// One metrics surface: the legacy flat dump and expvar are gone.
+	for _, gone := range []string{"/metrics.txt", "/debug/vars"} {
+		if code, _ = get(t, h, gone); code != http.StatusNotFound {
+			t.Errorf("%s: %d, want 404", gone, code)
+		}
 	}
 }
 

@@ -172,31 +172,24 @@ func (p *Planner) SetObserver(r *obs.Registry) {
 	}
 }
 
-// New builds a planner over doc numbered by num.
+// New builds a planner over doc numbered by num, walking the tree for its
+// cardinality statistics (depth counted on the way down).
 func New(doc *xmltree.Node, num *core.Numbering) *Planner {
-	root := doc
+	root, depth := doc, 0
 	if doc.Kind == xmltree.Document {
-		root = doc.DocumentElement()
-	}
-	p := &Planner{
-		doc:    doc,
-		num:    num,
-		ix:     index.Build(root, num),
-		guide:  dataguide.Build(doc),
-		engine: xpath.NewEngine(doc, xpath.SchemeNavigator{S: num}),
-		exec:   exec.Default(),
+		root, depth = doc.DocumentElement(), 1
 	}
 	total, count := 0, 0
-	root.Walk(func(x *xmltree.Node) bool {
-		total += x.Depth()
+	var walk func(x *xmltree.Node, depth int)
+	walk = func(x *xmltree.Node, depth int) {
+		total += depth
 		count++
-		return true
-	})
-	p.nodes = count
-	if count > 0 {
-		p.meanDepth = float64(total) / float64(count)
+		for i := 0; i < x.Children.Len(); i++ {
+			walk(x.Children.At(i), depth+1)
+		}
 	}
-	return p
+	walk(root, depth)
+	return NewWithState(doc, num, index.Build(root, num), dataguide.Build(doc), count, total)
 }
 
 // NewWithState builds a planner over doc from pre-assembled components —

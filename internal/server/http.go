@@ -27,7 +27,7 @@ import (
 //	GET    /healthz                 → 200 ok (load-balancer probe)
 //
 // plus, when the server is observed, the obs endpoints (/metrics,
-// /metrics.json, /debug/vars, /debug/pprof/) on the same listener.
+// /metrics.json, /debug/pprof/) on the same listener.
 //
 // Every /v1/docs handler runs behind the tracing middleware: a fresh
 // obs.RequestCtx rides the request's context end to end (admission, budget,
@@ -134,7 +134,7 @@ func (s *Server) Handler() http.Handler {
 		// Mount the observability surface on the same listener; the obs
 		// handler owns everything under its prefixes.
 		oh := obs.Handler(s.reg)
-		for _, p := range []string{"/metrics", "/metrics.txt", "/metrics.json", "/debug/"} {
+		for _, p := range []string{"/metrics", "/metrics.json", "/debug/pprof/"} {
 			mux.Handle("GET "+p, oh)
 		}
 	}

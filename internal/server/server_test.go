@@ -151,7 +151,8 @@ func TestHTTPRoundtrip(t *testing.T) {
 	}
 
 	// Observability is mounted on the same listener: /metrics serves the
-	// Prometheus exposition, /metrics.txt the legacy flat text.
+	// Prometheus exposition, /metrics.json the same registry as JSON, and
+	// nothing else serves metrics.
 	code, body = do("GET", "/metrics", "")
 	if code != 200 || !bytes.Contains(body, []byte("ruid_server_queries")) {
 		t.Fatalf("metrics: %d %s", code, body)
@@ -159,9 +160,14 @@ func TestHTTPRoundtrip(t *testing.T) {
 	if !bytes.Contains(body, []byte(`ruid_server_http_requests{endpoint="query",status="200"}`)) {
 		t.Fatalf("metrics: missing per-endpoint status family: %s", body)
 	}
-	code, body = do("GET", "/metrics.txt", "")
-	if code != 200 || !bytes.Contains(body, []byte("server.queries")) {
-		t.Fatalf("metrics.txt: %d %s", code, body)
+	code, body = do("GET", "/metrics.json", "")
+	if code != 200 || !bytes.Contains(body, []byte(`"server.queries"`)) {
+		t.Fatalf("metrics.json: %d %s", code, body)
+	}
+	for _, gone := range []string{"/metrics.txt", "/debug/vars"} {
+		if code, _ = do("GET", gone, ""); code != http.StatusNotFound {
+			t.Fatalf("%s: %d, want 404", gone, code)
+		}
 	}
 
 	// The flight recorder saw the traffic above.
@@ -540,10 +546,9 @@ func TestWriteErrorContract(t *testing.T) {
 
 // TestQueryPathsComeFromTheEpoch is the stale-path regression: after writes
 // that copy the ancestors of a subtree at different epochs, a node's path
-// must be the one the queried epoch gives it, not the one its Parent
-// pointers — which lead into whichever epoch last copied each ancestor —
-// spell out. Before Snapshot.Path, //d reported /a[0]/d[3] here and the k
-// below it /a[0]/d[2]/….
+// must be the one the queried epoch gives it. Before Snapshot.Path, when
+// shared nodes kept Parent pointers into whichever epoch last copied each
+// ancestor, //d reported /a[0]/d[3] here and the k below it /a[0]/d[2]/….
 func TestQueryPathsComeFromTheEpoch(t *testing.T) {
 	s := New(Config{DocumentOptions: document.Options{Partition: core.PartitionConfig{MaxAreaNodes: 3}}})
 	if _, err := s.Open("doc", `<a><b><k/></b><c><k/></c><d><e><f><g><k/><k/><k/></g></f></e></d></a>`); err != nil {

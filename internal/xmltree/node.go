@@ -61,8 +61,9 @@ func (k Kind) String() string {
 // every tree it numbers. A node has one stamp, so a tree
 // carries at most one such numbering at a time: numbering a tree again
 // overwrites the stamps, and the earlier numbering must not be used after
-// that. core clears the stamps of a subtree it deletes and of one it is
-// handed to insert, so a stamp never outlives the numbering that wrote it.
+// that. core clears the stamps of a subtree it deletes and of one it inserts
+// (a fork inserts a copy of a stamped one), so a stamp never outlives the
+// numbering that wrote it.
 type NodeNum struct {
 	G, L int64
 	R    bool
@@ -79,7 +80,7 @@ type Node struct {
 	Kind     Kind
 	Name     string  // element name, attribute name or PI target
 	Data     string  // text content, comment text, attribute value or PI data
-	Parent   *Node   // nil for the document node
+	Parent   *Node   // nil for the document node and, in a tree a document.Document publishes, for all but attributes
 	Children Seq     // element and document nodes only
 	Attrs    []*Node // element nodes only; each has Kind == Attribute
 	Num      NodeNum // the label this node carries (see NodeNum)
@@ -379,15 +380,9 @@ func (n *Node) cloneInto(m map[*Node]*Node) *Node {
 // has its own child list holding n's children themselves (Seq.Share: a wide
 // list's chunks are shared until the copy writes them), its own copies of
 // n's attributes (an attribute is reached only through its element, so the
-// two are copied together), n's stamp, and parent as its Parent.
-//
-// The children are shared, not adopted: each keeps the Parent pointer of the
-// tree it was created in, so upward navigation from inside a shared subtree
-// leaves the copy's tree — readers of a path-copied tree go up through a
-// numbering scheme. Downward navigation (Children, Attrs) is always
-// consistent.
-func (n *Node) ShallowCopy(parent *Node) *Node {
-	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, Num: n.Num, Parent: parent}
+// two are copied together), n's stamp, and no Parent.
+func (n *Node) ShallowCopy() *Node {
+	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, Num: n.Num}
 	c.Children = n.Children.Share()
 	for _, a := range n.Attrs {
 		c.Attrs = append(c.Attrs, &Node{Kind: Attribute, Name: a.Name, Data: a.Data, Parent: c, Num: a.Num})
@@ -397,10 +392,7 @@ func (n *Node) ShallowCopy(parent *Node) *Node {
 
 // Path returns a human-readable slash path from the root to n, for error
 // messages and debugging (e.g. "/doc[0]/section[2]/title[0]"). It climbs
-// Parent pointers, so it describes the tree n was created in: in a
-// path-copied tree (ShallowCopy) that is not the tree n was reached through,
-// and the path of a node as an epoch holds it comes from the epoch's
-// numbering (document.Snapshot.Path).
+// Parent pointers.
 func (n *Node) Path() string {
 	var steps []string
 	for cur := n; cur.Parent != nil; cur = cur.Parent {

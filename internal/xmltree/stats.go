@@ -19,16 +19,16 @@ type Stats struct {
 	MaxDepth    int   // longest root-to-leaf path, in edges
 	Leaves      int   // nodes with no children
 	FanoutHist  []int // FanoutHist[f] = number of internal nodes with fan-out f
-	DepthHist   []int // DepthHist[d] = number of nodes at depth d below the walked node
 	TotalFanout int   // sum of fan-outs (== Nodes-1 for a tree rooted at the walked node)
-	TotalDepth  int   // sum of node depths below the walked node
 }
 
 // Measure walks the subtree rooted at n (attributes excluded from fan-out)
-// and returns its Stats.
+// and returns its Stats. Depth is counted on the way down, so Measure reads
+// no Parent pointer.
 func Measure(n *Node) Stats {
 	var s Stats
-	n.Walk(func(d *Node) bool {
+	var walk func(d *Node, depth int)
+	walk = func(d *Node, depth int) {
 		s.Nodes++
 		s.Attributes += len(d.Attrs)
 		switch d.Kind {
@@ -37,30 +37,23 @@ func Measure(n *Node) Stats {
 		case Text:
 			s.TextNodes++
 		}
+		s.MaxDepth = max(s.MaxDepth, depth)
 		f := d.Children.Len()
 		if f == 0 {
 			s.Leaves++
-		} else {
-			for len(s.FanoutHist) <= f {
-				s.FanoutHist = append(s.FanoutHist, 0)
-			}
-			s.FanoutHist[f]++
-			s.TotalFanout += f
-			if f > s.MaxFanout {
-				s.MaxFanout = f
-			}
+			return
 		}
-		dep := d.Depth() - n.Depth()
-		if dep > s.MaxDepth {
-			s.MaxDepth = dep
+		for len(s.FanoutHist) <= f {
+			s.FanoutHist = append(s.FanoutHist, 0)
 		}
-		for len(s.DepthHist) <= dep {
-			s.DepthHist = append(s.DepthHist, 0)
+		s.FanoutHist[f]++
+		s.TotalFanout += f
+		s.MaxFanout = max(s.MaxFanout, f)
+		for i := 0; i < f; i++ {
+			walk(d.Children.At(i), depth+1)
 		}
-		s.DepthHist[dep]++
-		s.TotalDepth += dep
-		return true
-	})
+	}
+	walk(n, 0)
 	return s
 }
 
@@ -72,15 +65,6 @@ func (s Stats) AvgFanout() float64 {
 		return 0
 	}
 	return float64(s.TotalFanout) / float64(internal)
-}
-
-// AvgDepth returns the mean node depth below the measured root, or 0 for an
-// empty measurement.
-func (s Stats) AvgDepth() float64 {
-	if s.Nodes == 0 {
-		return 0
-	}
-	return float64(s.TotalDepth) / float64(s.Nodes)
 }
 
 // String renders the statistics on one line.
