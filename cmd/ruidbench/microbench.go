@@ -1034,6 +1034,17 @@ func runMicrobench(out io.Writer) error {
 				microSink += len(index.UpwardSemiJoinPostings(rn, ancs, descs))
 			}
 		}},
+		// The kernels of a /name step and of a [name] predicate.
+		{"parent_semi_join/fastpath", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				microSink += len(index.ParentSemiJoinPostings(rn, ancs, descs))
+			}
+		}},
+		{"child_semi_join/fastpath", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				microSink += len(index.ChildSemiJoinPostings(rn, ancs, descs))
+			}
+		}},
 		{"path_query/interface", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				microSink += len(ix.PathQuery("section", "section", "title"))

@@ -169,9 +169,9 @@ func (n *Numbering) appendAncestorChain(dst []ID, id ID) []ID {
 
 // AppendAncestorChainID appends id followed by its ancestor chain up to the
 // document root to dst and returns the extended slice. It is the exported
-// form of the chain walk the order comparison uses internally: join kernels
-// that amortize one climb per identifier (instead of one per comparison)
-// build chains with it and compare them with CompareChains.
+// form of the chain walk the order comparison uses internally, by RParent
+// step by step; join kernels build the same chains through their scan's
+// ParentCursor (AppendChain) and compare them with CompareChains.
 func (n *Numbering) AppendAncestorChainID(dst []ID, id ID) []ID {
 	return n.appendAncestorChain(dst, id)
 }

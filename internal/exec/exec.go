@@ -185,10 +185,57 @@ func (e *Executor) run(n int, fn func(i int)) {
 }
 
 // Per-worker scratch. Shard outputs are appended into pooled slices, copied
-// once into the exact-size result, and recycled (gather is the pools' one
-// user); the scan and kernel scratch is a pooled index.BlockScratch.
+// once into the result and recycled; the scan and kernel scratch is a pooled
+// index.BlockScratch. An identifier result is itself drawn from a pool
+// (acquireIDs), and the caller that owns it hands it back with ReleaseIDs
+// once the step consuming it has returned: the join pipelines of
+// internal/query and internal/twig release every intermediate that way.
 
 var idBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]core.ID) }}
+
+// resultPool holds released identifier results. It is apart from idBufPool
+// so that a result, which its caller may keep, never takes a shard's grown
+// buffer away with it.
+var resultPool sync.Pool
+
+// releasedID marks a slice ReleaseIDs has taken back: no identifier has a
+// global index below 1.
+var releasedID = core.ID{Global: -1}
+
+// acquireIDs returns an empty slice with room for n identifiers, the backing
+// of one operation's result: a released result when the pool has one large
+// enough, a new slice otherwise.
+func acquireIDs(n int) []core.ID {
+	poolGets.Add(1)
+	if b, _ := resultPool.Get().(*[]core.ID); b != nil && cap(*b) >= n {
+		ids := (*b)[:0]
+		if cap(ids) > 0 {
+			ids[:1][0] = core.ID{} // live again: an empty result may be released
+		}
+		return ids
+	}
+	poolMisses.Add(1)
+	return make([]core.ID, 0, n)
+}
+
+// ReleaseIDs hands an identifier result of this package — UpwardSemiJoin,
+// ParentSemiJoin, AncestorSemiJoin or ChildSemiJoin — back for a later
+// operation to reuse. The caller must own ids (nothing else holds the slice,
+// or a view of it) and must not read it afterwards; an answer that escapes
+// to a caller's caller is never released. Releasing a slice that is back in
+// the pool panics, as IDSet.Release does.
+func ReleaseIDs(ids []core.ID) {
+	if cap(ids) == 0 {
+		return
+	}
+	head := ids[:1]
+	if head[0] == releasedID {
+		panic("exec: identifier result released twice")
+	}
+	head[0] = releasedID
+	ids = ids[:0]
+	resultPool.Put(&ids)
+}
 
 var pairBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]index.PairID) }}
 

@@ -234,3 +234,31 @@ func TestDefaultExecutor(t *testing.T) {
 		e.UpwardJoin(n, ix.Postings("section"), ix.Postings("title")),
 		index.UpwardJoinPostings(n, index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))))
 }
+
+// TestReleaseIDs: a released result goes back for reuse, and a second
+// release of it panics, as IDSet.Release does. A result that was never
+// released stays the caller's: later operations drawing results do not
+// touch it.
+func TestReleaseIDs(t *testing.T) {
+	n, ix := buildFixture(t, 8)
+	ex := exec.New(exec.Config{Mode: exec.Serial})
+	kept := ex.UpwardSemiJoin(n, ix.Postings("section"), ix.Postings("title"))
+	want := append([]core.ID(nil), kept...)
+	for i := 0; i < 20; i++ {
+		r := ex.ParentSemiJoin(n, ix.Postings("section"), ix.Postings("para"))
+		if len(r) == 0 {
+			t.Fatal("fixture joins nothing")
+		}
+		exec.ReleaseIDs(r)
+	}
+	equalIDs(t, "kept result after released ones", kept, want)
+
+	r := ex.AncestorSemiJoin(n, ix.Postings("section"), ix.Postings("title"))
+	exec.ReleaseIDs(r)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second ReleaseIDs of one result did not panic")
+		}
+	}()
+	exec.ReleaseIDs(r)
+}

@@ -81,8 +81,8 @@ type kernel[T any] func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, 
 
 // gather is the sharding driver of the four joins whose rows follow the
 // descendant side: every shard appends into a pooled buffer, and the buffers
-// are copied in range order into one exact-size result.
-func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, descs index.Postings, pool *sync.Pool, k kernel[T]) []T {
+// are copied in range order into one result, result(total) long.
+func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, descs index.Postings, pool *sync.Pool, result func(total int) []T, k kernel[T]) []T {
 	o := e.begin(n, ancs, descs)
 	if o == nil {
 		return nil
@@ -103,7 +103,7 @@ func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, desc
 	for _, b := range bufs {
 		total += len(*b)
 	}
-	out := make([]T, 0, total)
+	out := result(total)
 	for _, b := range bufs {
 		out = append(out, *b...)
 		*b = (*b)[:0]
@@ -116,7 +116,7 @@ func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, desc
 // follow the ancestor side: shards accumulate private hit sets, and the
 // ancestor side is then filtered through them serially, which restores
 // order without a sort.
-func (e *Executor) hitSemiJoin(n *core.Numbering, ancs, descs index.Postings, collect func(n *core.Numbering, set *index.IDSet, run []core.ID, hit *index.IDSet)) []core.ID {
+func (e *Executor) hitSemiJoin(n *core.Numbering, ancs, descs index.Postings, collect func(c *core.ParentCursor, set *index.IDSet, run []core.ID, hit *index.IDSet)) []core.ID {
 	o := e.begin(n, ancs, descs)
 	if o == nil {
 		return nil
@@ -126,17 +126,17 @@ func (e *Executor) hitSemiJoin(n *core.Numbering, ancs, descs index.Postings, co
 	// A hit is a probe member, and a shard of m descendants seldom hits more
 	// than m of them; a shard that does grows its table.
 	sized := min(ancs.Len(), descs.Len()/len(hits)+1)
-	o.shards(func(s int, _ *index.BlockScratch) func(run []core.ID) {
+	o.shards(func(s int, bs *index.BlockScratch) func(run []core.ID) {
 		hit := index.AcquireIDSet(sized)
 		hits[s] = hit
-		return func(run []core.ID) { collect(n, &o.pr.Set, run, hit) }
+		return func(run []core.ID) { collect(bs.Cursor(), &o.pr.Set, run, hit) }
 	})
 	// Two shards can hit the same ancestor, so the sum bounds the output.
 	total := 0
 	for _, h := range hits {
 		total += h.Len()
 	}
-	out := index.AppendHitMembersPostings(o.pr, hits, make([]core.ID, 0, min(ancs.Len(), total)))
+	out := index.AppendHitMembersPostings(o.pr, hits, acquireIDs(min(ancs.Len(), total)))
 	e.meter.ChargeResults(len(out))
 	for _, h := range hits {
 		h.Release()
@@ -144,12 +144,16 @@ func (e *Executor) hitSemiJoin(n *core.Numbering, ancs, descs index.Postings, co
 	return out
 }
 
+// makePairs allocates a pair result: pair joins have no caller that hands
+// rows back, so their results are not drawn from a pool.
+func makePairs(n int) []index.PairID { return make([]index.PairID, 0, n) }
+
 // UpwardJoin is index.UpwardJoinPostings sharded over descs: every pair
 // (a, d) with a ∈ ancs a proper ancestor of d ∈ descs, in document order of
 // the descendant.
 func (e *Executor) UpwardJoin(n *core.Numbering, ancs, descs index.Postings) []index.PairID {
-	return gather(e, n, ancs, descs, &pairBufPool, func(pr *index.Probe, _ *index.BlockScratch, run []core.ID, buf []index.PairID) []index.PairID {
-		return index.AppendUpwardJoinRUID(n, &pr.Set, run, buf)
+	return gather(e, n, ancs, descs, &pairBufPool, makePairs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []index.PairID) []index.PairID {
+		return index.AppendUpwardJoinRUID(bs.Cursor(), &pr.Set, run, buf)
 	})
 }
 
@@ -157,8 +161,8 @@ func (e *Executor) UpwardJoin(n *core.Numbering, ancs, descs index.Postings) []i
 // seeds itself per run (index.AppendMergeJoinRUID), so no state crosses a
 // shard boundary and the concatenated output is identical to the serial one.
 func (e *Executor) MergeJoin(n *core.Numbering, ancs, descs index.Postings) []index.PairID {
-	return gather(e, n, ancs, descs, &pairBufPool, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []index.PairID) []index.PairID {
-		return index.AppendMergeJoinRUID(n, pr, run, bs, buf)
+	return gather(e, n, ancs, descs, &pairBufPool, makePairs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []index.PairID) []index.PairID {
+		return index.AppendMergeJoinRUID(pr, run, bs, buf)
 	})
 }
 
@@ -166,16 +170,16 @@ func (e *Executor) MergeJoin(n *core.Numbering, ancs, descs index.Postings) []in
 // members of descs having at least one proper ancestor in ancs, in input
 // order.
 func (e *Executor) UpwardSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return gather(e, n, ancs, descs, &idBufPool, func(pr *index.Probe, _ *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
-		return index.AppendUpwardSemiJoinRUID(n, &pr.Set, run, buf)
+	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
+		return index.AppendUpwardSemiJoinRUID(bs.Cursor(), &pr.Set, run, buf)
 	})
 }
 
 // ParentSemiJoin is index.ParentSemiJoinPostings sharded over descs: the
 // members of descs whose direct parent is in ancs, in input order.
 func (e *Executor) ParentSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return gather(e, n, ancs, descs, &idBufPool, func(pr *index.Probe, _ *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
-		return index.AppendParentSemiJoinRUID(n, &pr.Set, run, buf)
+	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
+		return index.AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, buf)
 	})
 }
 
@@ -206,12 +210,14 @@ func (e *Executor) PathQuery(ix *index.NameIndex, names ...string) []core.ID {
 	if cur.Len() == 0 {
 		return nil
 	}
+	var prev []core.ID // the intermediate cur views, released once consumed
 	for step := 1; step < len(names); step++ {
 		next := e.UpwardSemiJoin(n, cur, ix.Postings(names[step]))
+		ReleaseIDs(prev)
 		if len(next) == 0 {
 			return nil
 		}
-		cur = index.SlicePostings(next)
+		cur, prev = index.SlicePostings(next), next
 	}
 	return cur.Materialize()
 }

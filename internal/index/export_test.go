@@ -5,8 +5,9 @@ import "repro/internal/core"
 // MayContribute exposes the block skip test so the soundness test can
 // check rejected blocks by brute force.
 func (pr *Probe) MayContribute(n *core.Numbering, sk *Skip) bool {
-	var chain []core.ID
-	return pr.mayContribute(n, sk, &chain)
+	var bs BlockScratch
+	bs.cursor.Reset(n)
+	return pr.mayContribute(sk, &bs)
 }
 
 // SharedBlocks counts the blocks of cur that are block objects of prev.

@@ -13,8 +13,9 @@ import (
 // boxed behind the scheme.ID interface, and the hash-set probe allocates a
 // key string from ID.Key(). The kernels below exploit that core.ID is a small
 // comparable value type: the probe sets are flat pooled tables of inline
-// identifiers (IDSet: three integers hashed, no allocation), the parent chain
-// is computed with the concrete RParent, and output goes into a
+// identifiers (IDSet: three integers hashed, no allocation), every climb goes
+// through the scan's core.ParentCursor (RParent with a forward finger over
+// table K instead of two binary searches a step), and output goes into a
 // caller-supplied buffer. Both paths return identical results;
 // TestFastPathAgree pins that.
 //
@@ -29,25 +30,15 @@ type PairID struct {
 	Descendant core.ID
 }
 
-// rparentID climbs one step with the concrete rparent arithmetic; a foreign
-// identifier (error) terminates the climb like the root does.
-func rparentID(n *core.Numbering, id core.ID) (core.ID, bool) {
-	p, ok, err := n.RParent(id)
-	if err != nil {
-		return core.ID{}, false
-	}
-	return p, ok
-}
-
 // AppendUpwardJoinRUID is the upward-join kernel over one descendant run:
 // for every d in descs whose ancestor chain hits set, the (ancestor, d)
 // pairs are appended to out in climb order (nearest ancestor first), and
 // the extended slice is returned.
-func AppendUpwardJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, out []PairID) []PairID {
+func AppendUpwardJoinRUID(c *core.ParentCursor, set *IDSet, descs []core.ID, out []PairID) []PairID {
 	for _, d := range descs {
 		cur := d
 		for {
-			p, ok := rparentID(n, cur)
+			p, ok := c.Parent(cur)
 			if !ok {
 				break
 			}
@@ -63,11 +54,11 @@ func AppendUpwardJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, out []
 // AppendUpwardSemiJoinRUID is the upward-semi-join kernel over one
 // descendant run: every d in descs with at least one ancestor in set is
 // appended to out (input order preserved).
-func AppendUpwardSemiJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, out []core.ID) []core.ID {
+func AppendUpwardSemiJoinRUID(c *core.ParentCursor, set *IDSet, descs []core.ID, out []core.ID) []core.ID {
 	for _, d := range descs {
 		cur := d
 		for {
-			p, ok := rparentID(n, cur)
+			p, ok := c.Parent(cur)
 			if !ok {
 				break
 			}
@@ -84,9 +75,9 @@ func AppendUpwardSemiJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, ou
 // AppendParentSemiJoinRUID is the parent-semi-join kernel over one
 // descendant run: every d in descs whose direct parent is in set is
 // appended to out. One rparent computation per candidate.
-func AppendParentSemiJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, out []core.ID) []core.ID {
+func AppendParentSemiJoinRUID(c *core.ParentCursor, set *IDSet, descs []core.ID, out []core.ID) []core.ID {
 	for _, d := range descs {
-		if p, ok := rparentID(n, d); ok && set.Has(p) {
+		if p, ok := c.Parent(d); ok && set.Has(p) {
 			out = append(out, d)
 		}
 	}
@@ -97,11 +88,11 @@ func AppendParentSemiJoinRUID(n *core.Numbering, set *IDSet, descs []core.ID, ou
 // over one descendant run: every member of set found on the ancestor chain
 // of some d ∈ descs is recorded in hit. Each shard accumulates into its own
 // hit set; the caller filters the ancestor list through them in order.
-func CollectAncestorHitsRUID(n *core.Numbering, set *IDSet, descs []core.ID, hit *IDSet) {
+func CollectAncestorHitsRUID(c *core.ParentCursor, set *IDSet, descs []core.ID, hit *IDSet) {
 	for _, d := range descs {
 		cur := d
 		for {
-			p, ok := rparentID(n, cur)
+			p, ok := c.Parent(cur)
 			if !ok {
 				break
 			}
@@ -116,9 +107,9 @@ func CollectAncestorHitsRUID(n *core.Numbering, set *IDSet, descs []core.ID, hit
 // CollectChildHitsRUID is the probing half of the child semi-join over one
 // descendant run: every member of set that is the direct parent of some
 // d ∈ descs is recorded in hit.
-func CollectChildHitsRUID(n *core.Numbering, set *IDSet, descs []core.ID, hit *IDSet) {
+func CollectChildHitsRUID(c *core.ParentCursor, set *IDSet, descs []core.ID, hit *IDSet) {
 	for _, d := range descs {
-		if p, ok := rparentID(n, d); ok && set.Has(p) {
+		if p, ok := c.Parent(d); ok && set.Has(p) {
 			hit.Add(p)
 		}
 	}
@@ -127,10 +118,11 @@ func CollectChildHitsRUID(n *core.Numbering, set *IDSet, descs []core.ID, hit *I
 // AppendMergeJoinRUID is the stack-based sort-merge kernel over one
 // contiguous descendant run, against the document-ordered ancestor side pr
 // holds. The kernel climbs each identifier's ancestor chain exactly once (one
-// chain per admitted ancestor, one per descendant) and decides order and
-// ancestorship from the chains (core.CompareChains), instead of paying
-// several RParent climbs per comparison the way the boxed merge join does —
-// that chain amortization is what makes the fast path fast.
+// chain per admitted ancestor, one per descendant) through the scratch's
+// cursor and decides order and ancestorship from the chains
+// (core.CompareChains), instead of paying several RParent climbs per
+// comparison the way the boxed merge join does — that chain amortization is
+// what makes the fast path fast.
 //
 // Every run seeds itself, so runs are independent and their outputs
 // concatenate to the one-pass result whatever cut them (a skipped block, a
@@ -139,17 +131,18 @@ func CollectChildHitsRUID(n *core.Numbering, set *IDSet, descs []core.ID, hit *I
 // the open-ancestor stack starts as the probe members on that descendant's
 // ancestor chain, outermost first — exactly the one-pass algorithm's stack
 // state at that descendant. This is the only place the seed is computed.
-func AppendMergeJoinRUID(n *core.Numbering, pr *Probe, descs []core.ID, bs *BlockScratch, out []PairID) []PairID {
+func AppendMergeJoinRUID(pr *Probe, descs []core.ID, bs *BlockScratch, out []PairID) []PairID {
 	if len(descs) == 0 {
 		return out
 	}
+	c := &bs.cursor
 	d0 := descs[0]
 	ancs := pr.ids[sort.Search(len(pr.ids), func(j int) bool {
-		return n.CompareOrderID(pr.ids[j], d0) >= 0
+		return c.CompareOrder(pr.ids[j], d0) >= 0
 	}):]
 	// The chain runs nearest-first from d0 itself (chain[0]) to the root.
 	stack := bs.stack[:0]
-	bs.dChain = n.AppendAncestorChainID(bs.dChain[:0], d0)
+	bs.dChain = c.AppendChain(bs.dChain[:0], d0)
 	for j := len(bs.dChain) - 1; j >= 1; j-- {
 		if pr.Set.Has(bs.dChain[j]) {
 			stack = append(stack, bs.dChain[j])
@@ -157,10 +150,10 @@ func AppendMergeJoinRUID(n *core.Numbering, pr *Probe, descs []core.ID, bs *Bloc
 	}
 	i := 0
 	for _, d := range descs {
-		dChain := n.AppendAncestorChainID(bs.dChain[:0], d)
+		dChain := c.AppendChain(bs.dChain[:0], d)
 		// Admit every ancestor candidate that starts before d.
 		for i < len(ancs) {
-			aChain := n.AppendAncestorChainID(bs.aChain[:0], ancs[i])
+			aChain := c.AppendChain(bs.aChain[:0], ancs[i])
 			if core.CompareChains(aChain, dChain) >= 0 {
 				bs.aChain = aChain
 				break

@@ -199,8 +199,10 @@ func TestProbeSharedByShards(t *testing.T) {
 			defer wg.Done()
 			run := descs[s*len(descs)/shards : (s+1)*len(descs)/shards]
 			hits[s] = index.AcquireIDSet(0)
-			index.CollectAncestorHitsRUID(n, &pr.Set, run, hits[s])
-			ups[s] = index.AppendUpwardSemiJoinRUID(n, &pr.Set, run, nil)
+			var c core.ParentCursor
+			c.Reset(n)
+			index.CollectAncestorHitsRUID(&c, &pr.Set, run, hits[s])
+			ups[s] = index.AppendUpwardSemiJoinRUID(&c, &pr.Set, run, nil)
 		}(s)
 	}
 	wg.Wait()

@@ -72,17 +72,18 @@ func (pr *Probe) Release() {
 // mayContribute reports whether the block described by sk can produce a
 // descendant (or child) of a probe member, using only the skip entry:
 // either a probe identifier lies in the block's document-order range after
-// First, or one is an ancestor-or-self of First. chain is scratch for the
-// ancestor climb.
-func (pr *Probe) mayContribute(n *core.Numbering, sk *Skip, chain *[]core.ID) bool {
+// First, or one is an ancestor-or-self of First. Every climb goes through
+// bs's cursor, and bs.chain is the scratch for First's.
+func (pr *Probe) mayContribute(sk *Skip, bs *BlockScratch) bool {
+	c := &bs.cursor
 	i := sort.Search(len(pr.ids), func(i int) bool {
-		return n.CompareOrderID(pr.ids[i], sk.First) > 0
+		return c.CompareOrder(pr.ids[i], sk.First) > 0
 	})
-	if i < len(pr.ids) && n.CompareOrderID(pr.ids[i], sk.Last) <= 0 {
+	if i < len(pr.ids) && c.CompareOrder(pr.ids[i], sk.Last) <= 0 {
 		return true
 	}
-	*chain = n.AppendAncestorChainID((*chain)[:0], sk.First)
-	for _, a := range *chain {
+	bs.chain = c.AppendChain(bs.chain[:0], sk.First)
+	for _, a := range bs.chain {
 		if pr.Set.Has(a) {
 			return true
 		}
@@ -122,11 +123,13 @@ type BlockStats struct {
 }
 
 // BlockScratch is one worker's reusable scratch for a scan and the kernel it
-// feeds — the decode buffer, the skip test's ancestor-chain buffer, the merge
-// kernel's open-ancestor stack and chain buffers, and the scan's block
-// statistics; internal/exec pools instances across shards. The zero value is
-// ready.
+// feeds — the parent cursor every climb of the scan goes through, the decode
+// buffer, the skip test's ancestor-chain buffer, the merge kernel's
+// open-ancestor stack and chain buffers, and the scan's block statistics;
+// internal/exec pools instances across shards. The zero value is ready.
 type BlockScratch struct {
+	cursor core.ParentCursor // bound to the scan's numbering by ForEachRun
+
 	buf   []core.ID
 	chain []core.ID
 
@@ -145,6 +148,10 @@ type BlockScratch struct {
 	Meter *budget.Meter
 }
 
+// Cursor returns the parent cursor of the scan bs serves, for the run
+// kernels; it is bound to the scan's numbering once ForEachRun starts.
+func (bs *BlockScratch) Cursor() *core.ParentCursor { return &bs.cursor }
+
 // ForEachRun is the one reader of a join's descendant side. It walks units
 // [lo, hi) of p in document order and hands fn every run of postings the
 // probe admits. The units of a block or paged view are its blocks: maximal
@@ -153,7 +160,8 @@ type BlockScratch struct {
 // decoding, and a probe dense enough admits every block untested (see
 // Probe.admitAll). The units of a slice view are its identifiers, and the
 // range is one admitted run, handed over as it is. A run is valid only until
-// fn returns.
+// fn returns. The scan first binds bs's cursor to n: the skip test climbs
+// through it, and so does the kernel fn runs (BlockScratch.Cursor).
 //
 // This is the budget enforcement point of the read path: every admitted
 // run's postings are charged against bs.Meter before any decode, and a
@@ -162,6 +170,7 @@ type BlockScratch struct {
 // discarded above (the query surfaces the meter's sentinel error), so
 // stopping mid-list never yields a silently truncated result.
 func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockScratch, fn func(run []core.ID)) {
+	bs.cursor.Reset(n)
 	pl := p.List()
 	if pl == nil {
 		if lo < hi && bs.Meter.ChargePostings(hi-lo) {
@@ -178,7 +187,7 @@ func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockS
 			return true
 		}
 		bs.Stats.Probes++
-		return pr.mayContribute(n, &pl.blocks[b].Skip, &bs.chain)
+		return pr.mayContribute(&pl.blocks[b].Skip, bs)
 	}
 	i := lo
 	for i < hi {
@@ -227,8 +236,8 @@ func oneShot[T any](n *core.Numbering, ancs, descs Postings, kernel func(pr *Pro
 // ancestor of d ∈ descs, in document order of the descendant, computed by
 // rparent arithmetic against a hash of ancs.
 func UpwardJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
-	return oneShot(n, ancs, descs, func(pr *Probe, _ *BlockScratch, run []core.ID, out []PairID) []PairID {
-		return AppendUpwardJoinRUID(n, &pr.Set, run, out)
+	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []PairID) []PairID {
+		return AppendUpwardJoinRUID(bs.Cursor(), &pr.Set, run, out)
 	})
 }
 
@@ -238,37 +247,37 @@ func UpwardJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
 // and a selective merge join has a small ancestor side by construction.
 func MergeJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
 	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []PairID) []PairID {
-		return AppendMergeJoinRUID(n, pr, run, bs, out)
+		return AppendMergeJoinRUID(pr, run, bs, out)
 	})
 }
 
 // UpwardSemiJoinPostings returns the members of descs having at least one
 // proper ancestor in ancs, in input order.
 func UpwardSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	return oneShot(n, ancs, descs, func(pr *Probe, _ *BlockScratch, run []core.ID, out []core.ID) []core.ID {
-		return AppendUpwardSemiJoinRUID(n, &pr.Set, run, out)
+	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []core.ID) []core.ID {
+		return AppendUpwardSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
 	})
 }
 
 // ParentSemiJoinPostings returns the members of descs whose direct parent is
 // in ancs, in input order. One rparent computation per candidate.
 func ParentSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	return oneShot(n, ancs, descs, func(pr *Probe, _ *BlockScratch, run []core.ID, out []core.ID) []core.ID {
-		return AppendParentSemiJoinRUID(n, &pr.Set, run, out)
+	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []core.ID) []core.ID {
+		return AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
 	})
 }
 
 // hitOneShot is oneShot for the bottom-up semi-joins: collect accumulates
 // the probe members each run hits, and the ancestor side is then filtered
 // through that set.
-func hitOneShot(n *core.Numbering, ancs, descs Postings, collect func(n *core.Numbering, set *IDSet, run []core.ID, hit *IDSet)) []core.ID {
+func hitOneShot(n *core.Numbering, ancs, descs Postings, collect func(c *core.ParentCursor, set *IDSet, run []core.ID, hit *IDSet)) []core.ID {
 	pr := MakeProbe(ancs)
 	defer pr.Release()
 	hit := AcquireIDSet(min(ancs.Len(), descs.Len()))
 	defer hit.Release()
 	var bs BlockScratch
 	ForEachRun(n, pr, descs, 0, descs.units(), &bs, func(run []core.ID) {
-		collect(n, &pr.Set, run, hit)
+		collect(bs.Cursor(), &pr.Set, run, hit)
 	})
 	return AppendHitMembersPostings(pr, []*IDSet{hit}, make([]core.ID, 0, hit.Len()))
 }

@@ -604,7 +604,9 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 // live trace, every pipeline stage gets its own span carrying input/output
 // cardinalities, and the stage's executor operation records its shard layout
 // and block statistics into that span; the tr == nil checks keep the
-// untraced path free of the span-name allocations.
+// untraced path free of the span-name allocations. Every intermediate goes
+// back to the executor (exec.ReleaseIDs) once the step reading it returns;
+// the answer, which the Result keeps, does not.
 func (p *Planner) runChain(chain []step, tr *obs.Trace, base *exec.Executor) index.Postings {
 	first := chain[0]
 	cur := p.ix.Postings(first.name)
@@ -631,9 +633,11 @@ func (p *Planner) runChain(chain []step, tr *obs.Trace, base *exec.Executor) ind
 		sp.SetInt("out", int64(cur.Len()))
 		sp.End()
 	}
+	var prev []core.ID // the executor result cur views, if any
 	for _, st := range chain[1:] {
 		if cur.Len() == 0 {
 			tr.Notef("pipeline short-circuit: empty intermediate result before %s", st.name)
+			exec.ReleaseIDs(prev)
 			return index.Postings{}
 		}
 		descs := p.ix.Postings(st.name)
@@ -656,10 +660,11 @@ func (p *Planner) runChain(chain []step, tr *obs.Trace, base *exec.Executor) ind
 		} else {
 			next = ex.ParentSemiJoin(p.num, cur, descs)
 		}
+		exec.ReleaseIDs(prev)
 		sp.SetInt("out", int64(len(next)))
 		p.ioRecord(sp, before)
 		sp.End()
-		cur = index.SlicePostings(next)
+		cur, prev = index.SlicePostings(next), next
 	}
 	return cur
 }

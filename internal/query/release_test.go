@@ -1,0 +1,106 @@
+package query_test
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/query"
+	"repro/internal/xmltree"
+	"repro/internal/xpath"
+)
+
+// The five set-at-a-time queries of the read_join benchmark workload: three
+// join chains and two twigs, whose intermediates the planner releases.
+var readJoinQueries = []string{
+	"/site//item/name", "//listitem//text", "//open_auction[bidder]/itemref",
+	"/site/people/person[profile]/name", "//bidder/increase",
+}
+
+// TestReleasedIntermediatesStayPrivate: the join pipelines hand every
+// intermediate back to the executor, and nothing a caller still holds may
+// be among them. Semi-join results a caller keeps survive 100 further
+// queries unchanged, and the five read_join queries, interleaved from
+// several goroutines on one planner, keep matching the pointer evaluator
+// under GOMAXPROCS 1 and 2, serial and auto executors alike (the race
+// detector watches the reuse in the race build).
+func TestReleasedIntermediatesStayPrivate(t *testing.T) {
+	doc := xmltree.XMark(3, 5)
+	n, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 24, AdjustFanout: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := query.New(doc, n)
+	ref := xpath.NewEngine(doc, xpath.PointerNavigator{})
+	want := make(map[string][]*xmltree.Node, len(readJoinQueries))
+	for _, q := range readJoinQueries {
+		if want[q], err = ref.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[q]) == 0 {
+			t.Fatalf("%q matches nothing", q)
+		}
+		if plan, err := p.Plan(q); err != nil || plan.Kind == query.NavPlan {
+			t.Fatalf("%q plans %v, %v: want a join or twig plan", q, plan.Kind, err)
+		}
+	}
+
+	ix, ex := p.Index(), exec.Default()
+	kept := [][]core.ID{
+		ex.UpwardSemiJoin(n, ix.Postings("site"), ix.Postings("item")),
+		ex.ParentSemiJoin(n, ix.Postings("bidder"), ix.Postings("increase")),
+	}
+	copies := make([][]core.ID, len(kept))
+	for i, k := range kept {
+		copies[i] = slices.Clone(k)
+	}
+	for i := 0; i < 100; i++ {
+		if _, _, err := p.Run(readJoinQueries[i%len(readJoinQueries)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range kept {
+		if !slices.Equal(kept[i], copies[i]) {
+			t.Fatalf("kept result %d changed under 100 further queries", i)
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, mode := range []exec.Mode{exec.Serial, exec.Auto} {
+			// A low crossover makes Auto shard this small document.
+			p.SetExecutor(exec.New(exec.Config{Mode: mode, MinWork: 64}))
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, mode), func(t *testing.T) {
+				var wg sync.WaitGroup
+				errs := make(chan error, 4)
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := 0; i < 5*len(readJoinQueries); i++ {
+							q := readJoinQueries[(g+i)%len(readJoinQueries)]
+							got, plan, err := p.Run(q)
+							if err == nil && !slices.Equal(got, want[q]) {
+								err = fmt.Errorf("%q [%s]: %d nodes, pointer evaluator %d", q, plan.Kind, len(got), len(want[q]))
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}

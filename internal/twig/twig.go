@@ -219,7 +219,9 @@ func MatchIDs(p *Node, ix *index.NameIndex) (ids []core.ID, ok bool) {
 
 // MatchIDsWith is MatchIDs with every semi-join of both passes scheduled by
 // e: large postings are sharded by frame area and probed concurrently, and
-// the parallel and serial paths return identical identifier sequences.
+// the parallel and serial paths return identical identifier sequences. Every
+// intermediate goes back to e (exec.ReleaseIDs) once the semi-join reading it
+// has returned; the answer is the caller's.
 func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) (ids []core.ID, ok bool) {
 	n := ix.RUID()
 	sat := satisfy(p, ix, n, e)
@@ -242,7 +244,8 @@ func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) (ids []core.ID
 				anchored = append(anchored, core.RootID)
 			}
 		}
-		cur = index.SlicePostings(anchored)
+		cur.release()
+		cur = match{Postings: index.SlicePostings(anchored)}
 	}
 	node := p
 	for !node.Output {
@@ -255,37 +258,61 @@ func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) (ids []core.ID
 		if next == nil {
 			return nil, false
 		}
+		var out []core.ID
 		if next.Edge == Descendant {
-			cur = index.SlicePostings(e.UpwardSemiJoin(n, cur, sat[next]))
+			out = e.UpwardSemiJoin(n, cur.Postings, sat[next].Postings)
 		} else {
-			cur = index.SlicePostings(e.ParentSemiJoin(n, cur, sat[next]))
+			out = e.ParentSemiJoin(n, cur.Postings, sat[next].Postings)
 		}
+		cur.release()
+		sat[next].release()
+		cur = owned(out)
 		node = next
 	}
 	return cur.Materialize(), true
 }
 
+// match is the set of elements that embed one pattern node's subtree, as a
+// Postings view: the index's own list, or an executor result the match owns
+// and releases after its last read.
+type match struct {
+	index.Postings
+	own []core.ID
+}
+
+func owned(ids []core.ID) match { return match{Postings: index.SlicePostings(ids), own: ids} }
+
+func (m match) release() { exec.ReleaseIDs(m.own) }
+
 // satisfy computes, bottom-up, the elements that embed each pattern node's
-// subtree, as Postings views. A leaf's view is the index's block-compressed
-// postings untouched — a leaf that only feeds a semi-join is probed through
-// its skip table and never materialized. Each semi-join runs through e.
-func satisfy(p *Node, ix *index.NameIndex, n *core.Numbering, e *exec.Executor) map[*Node]index.Postings {
-	sat := make(map[*Node]index.Postings)
+// subtree. A leaf's view is the index's block-compressed postings untouched —
+// a leaf that only feeds a semi-join is probed through its skip table and
+// never materialized. Each semi-join runs through e, and releases its inputs
+// unless the top-down pass of MatchIDsWith reads them again: the sets on the
+// output path.
+func satisfy(p *Node, ix *index.NameIndex, n *core.Numbering, e *exec.Executor) map[*Node]match {
+	sat := make(map[*Node]match)
 	var walk func(t *Node)
 	walk = func(t *Node) {
 		for _, c := range t.Children {
 			walk(c)
 		}
-		cur := ix.Postings(t.Name)
+		cur := match{Postings: ix.Postings(t.Name)}
 		for _, c := range t.Children {
 			if cur.Len() == 0 {
 				break
 			}
+			var out []core.ID
 			if c.Edge == Descendant {
-				cur = index.SlicePostings(e.AncestorSemiJoin(n, cur, sat[c]))
+				out = e.AncestorSemiJoin(n, cur.Postings, sat[c].Postings)
 			} else {
-				cur = index.SlicePostings(e.ChildSemiJoin(n, cur, sat[c]))
+				out = e.ChildSemiJoin(n, cur.Postings, sat[c].Postings)
 			}
+			cur.release()
+			if !c.onOutputPath() {
+				sat[c].release()
+			}
+			cur = owned(out)
 		}
 		sat[t] = cur
 	}
