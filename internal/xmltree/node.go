@@ -1,6 +1,6 @@
 // Package xmltree provides the XML document substrate used by every
-// numbering scheme in this repository: a mutable DOM-like node tree, a parser
-// built on encoding/xml, a serializer, ground-truth structural predicates
+// numbering scheme in this repository: a mutable DOM-like node tree, a
+// one-pass XML parser, a serializer, ground-truth structural predicates
 // (parent, ancestor, document order), tree statistics, and deterministic
 // synthetic document generators.
 //

@@ -1,12 +1,12 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+	"unsafe"
 )
 
 // ParseOptions control how Parse builds a tree.
@@ -28,9 +28,10 @@ func Parse(r io.Reader) (*Node, error) {
 	return ParseWith(r, ParseOptions{})
 }
 
-// ParseString parses an XML document held in a string.
+// ParseString parses an XML document held in a string. The tree does not
+// point into s.
 func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
+	return parse(s, ParseOptions{})
 }
 
 // ParseFragment parses one serialized XML element into a detached subtree,
@@ -49,63 +50,31 @@ func ParseFragment(s string) (*Node, error) {
 	return el, nil
 }
 
-// ParseWith reads an XML document from r into a Node tree.
+// ParseWith reads r to the end and parses it as one XML document (XML 1.0
+// in UTF-8, namespaces as written) into a Node tree:
+//
+//   - elements and attributes keep their local names, and xmlns
+//     declarations are dropped;
+//   - adjacent character data — text, CDATA sections, text on either side
+//     of a comment or processing instruction that is dropped — is one text
+//     node;
+//   - references to the five predefined entities and character references
+//     are resolved, and no others are accepted;
+//   - CR and CRLF become LF outside comments and processing instructions;
+//   - the XML declaration and a DOCTYPE, internal subset included, are read
+//     and dropped.
+//
+// A document with more than one root element, character data other than
+// whitespace outside its root, an attribute repeated, mismatched tags,
+// invalid UTF-8 or characters outside XML's Char production is rejected.
 func ParseWith(r io.Reader, opts ParseOptions) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	doc := NewDocument()
-	cur := doc
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				el.SetAttr(a.Name.Local, a.Value)
-			}
-			cur.AppendChild(el)
-			cur = el
-		case xml.EndElement:
-			if cur.Parent == nil {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
-			}
-			cur = cur.Parent
-		case xml.CharData:
-			s := string(t)
-			if !opts.KeepWhitespace && strings.TrimSpace(s) == "" {
-				continue
-			}
-			if cur == doc {
-				continue // character data outside the root element
-			}
-			cur.AppendChild(NewText(s))
-		case xml.Comment:
-			if opts.KeepComments {
-				cur.AppendChild(NewComment(string(t)))
-			}
-		case xml.ProcInst:
-			if opts.KeepProcInsts && t.Target != "xml" {
-				cur.AppendChild(NewProcInst(t.Target, string(t.Inst)))
-			}
-		case xml.Directive:
-			// DOCTYPE etc. — ignored.
-		}
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
 	}
-	if cur != doc {
-		return nil, fmt.Errorf("xmltree: parse: unclosed element %q", cur.Name)
-	}
-	if doc.DocumentElement() == nil {
-		return nil, fmt.Errorf("xmltree: parse: no root element")
-	}
-	return doc, nil
+	// b is the parse's own and the tree never points into it (see scanner),
+	// so it can be read as a string without a copy.
+	return parse(unsafe.String(unsafe.SliceData(b), len(b)), opts)
 }
 
 // WriteXML serializes the subtree rooted at n to w as XML. Document nodes
@@ -182,10 +151,12 @@ func writeNode(w *errWriter, n *Node) {
 	}
 }
 
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+// The escapers write CR as a reference: parsing turns a literal one into LF,
+// so the tree would not read back.
+var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;")
 
 var attrEscaper = strings.NewReplacer(
-	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\n", "&#10;",
+	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\n", "&#10;", "\r", "&#13;",
 )
 
 func escapeText(s string) string { return textEscaper.Replace(s) }

@@ -41,9 +41,13 @@ type seqWide struct {
 	mine   []bool
 }
 
-// SeqOf returns a sequence holding a copy of xs.
+// SeqOf returns a sequence holding a copy of xs, built at its exact size:
+// the tail and, for a wide one, the chunk table are allocated once.
 func SeqOf(xs []*Node) Seq {
 	var s Seq
+	if c := (len(xs) - 1) / seqChunk; c > 0 {
+		s.wide = &seqWide{chunks: make([]*[seqChunk]*Node, 0, c), mine: make([]bool, 0, c)}
+	}
 	s.Append(xs...)
 	return s
 }
