@@ -193,7 +193,7 @@ func BenchmarkE5QueryEvaluation(b *testing.B) {
 	}{
 		{"pointer", xpath.NewEngine(doc, xpath.PointerNavigator{})},
 		{"ruid", xpath.NewEngine(doc, xpath.SchemeNavigator{S: workload.BuildRUID(doc)})},
-		{"uid", xpath.NewEngine(doc, xpath.SchemeNavigator{S: workload.BuildUID(doc)})},
+		{"uid", xpath.NewEngine(doc, scheme.Navigator{S: workload.BuildUID(doc)})},
 	}
 	path := xpath.MustParse("/dblp/article[year > 1995]/title")
 	for _, eng := range engines {
@@ -238,12 +238,12 @@ func BenchmarkE6UpdateScope(b *testing.B) {
 		target := doc.DocumentElement().Children.At(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st, err := n.InsertChild(target, 0, xmltree.NewElement("ins"))
+			st, _, err := n.InsertChildDelta(target, 0, xmltree.NewElement("ins"))
 			if err != nil {
 				b.Fatal(err)
 			}
 			benchSink += st.Relabeled
-			if _, err := n.DeleteChild(target, 0); err != nil {
+			if _, _, err := n.DeleteChildDelta(target, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -316,7 +316,7 @@ func BenchmarkE9Axes(b *testing.B) {
 	}{
 		{"pointer", xpath.PointerNavigator{}},
 		{"ruid", xpath.SchemeNavigator{S: workload.BuildRUID(doc)}},
-		{"uid", xpath.SchemeNavigator{S: workload.BuildUID(doc)}},
+		{"uid", scheme.Navigator{S: workload.BuildUID(doc)}},
 	}
 	nodes := doc.DocumentElement().Nodes()
 	rng := rand.New(rand.NewSource(9))
@@ -352,7 +352,7 @@ func BenchmarkE10TableSelection(b *testing.B) {
 	root := doc.DocumentElement()
 
 	mono := storage.NewNodeStore(8)
-	if err := mono.Load(root, n, false); err != nil {
+	if err := mono.Load(root, n.NodeKey, false); err != nil {
 		b.Fatal(err)
 	}
 	part := storage.NewPartitionedStore(8)
@@ -411,27 +411,29 @@ func BenchmarkE11StructuralJoin(b *testing.B) {
 	}
 	ixR := index.Build(doc.DocumentElement(), rn)
 	listsP := scheme.IDsByName(doc.DocumentElement(), pn)
-	ancsR, descsR := ixR.IDs("section"), ixR.IDs("title")
+	boxed := scheme.RUID{Num: rn}
+	listsR := scheme.IDsByName(doc.DocumentElement(), boxed)
+	ancsR, descsR := listsR["section"], listsR["title"]
 	ancsP, descsP := listsP["section"], listsP["title"]
 
 	b.Run("ruid-upward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink += len(index.UpwardJoin(rn, ancsR, descsR))
+			benchSink += len(scheme.UpwardJoin(boxed, ancsR, descsR))
 		}
 	})
 	b.Run("ruid-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink += len(index.MergeJoin(rn, ancsR, descsR))
+			benchSink += len(scheme.MergeJoin(boxed, ancsR, descsR))
 		}
 	})
 	b.Run("prepost-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink += len(index.MergeJoin(pn, ancsP, descsP))
+			benchSink += len(scheme.MergeJoin(pn, ancsP, descsP))
 		}
 	})
 	b.Run("path-pipeline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink += len(ixR.PathQuery("section", "section", "title"))
+			benchSink += len(ixR.PathQueryRUID("section", "section", "title"))
 		}
 	})
 }
@@ -444,7 +446,7 @@ func BenchmarkE12StorageAxes(b *testing.B) {
 	rn := workload.BuildRUID(doc)
 	st := storage.NewNodeStore(64)
 	root := doc.DocumentElement()
-	if err := st.Load(root, rn, false); err != nil {
+	if err := st.Load(root, rn.NodeKey, false); err != nil {
 		b.Fatal(err)
 	}
 	var sample []*xmltree.Node
@@ -458,8 +460,8 @@ func BenchmarkE12StorageAxes(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			x := sample[i%len(sample)]
 			id, _ := rn.RUID(x)
-			for _, c := range rn.Children(id) {
-				if _, _, err := st.Get(c); err != nil {
+			for _, c := range rn.AppendChildren(nil, id) {
+				if _, _, err := st.Get(c.Key()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -473,7 +475,7 @@ func BenchmarkE12StorageAxes(b *testing.B) {
 			if err != nil || !ok {
 				continue
 			}
-			if _, _, err := st.Get(p); err != nil {
+			if _, _, err := st.Get(p.Key()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,7 +28,7 @@ import (
 	"repro/internal/xmltree"
 
 	// The scheme bake-off (schemeBenches) runs every registered scheme;
-	// importing a scheme package registers it. ruid rides along with core.
+	// importing a scheme package registers it. ruid registers with scheme.
 	_ "repro/internal/ancestry"
 	_ "repro/internal/nestedint"
 	_ "repro/internal/prepost"
@@ -460,8 +460,8 @@ var schemeFamilies = []struct {
 // (DESIGN.md §9): ruid the identifier semi-join over its index's Postings
 // views — the one-shot form of the kernel internal/exec shards — and the
 // boxed schemes, over per-name lists from scheme.IDsByName, Parent climbing
-// (index.UpwardSemiJoin) when Parent is arithmetic and depth is not labeled,
-// the comparison-only index.MergeSemiJoin otherwise.
+// (scheme.UpwardSemiJoin) when Parent is arithmetic and depth is not labeled,
+// the comparison-only scheme.MergeSemiJoin otherwise.
 func schemeBenches() (benches []struct {
 	name string
 	fn   func(b *testing.B)
@@ -498,16 +498,16 @@ func schemeBenches() (benches []struct {
 				NsPerOp:    float64(scheme.LabelBytes(s, ids)) / float64(len(ids)),
 			})
 			var semiJoin func() int
-			if rn, ok := s.(*core.Numbering); ok {
-				ix := index.Build(root, rn)
+			if r, ok := s.(scheme.RUID); ok {
+				ix := index.Build(root, r.Num)
 				ancs, descs := ix.Postings(f.anc), ix.Postings(f.desc)
-				semiJoin = func() int { return len(index.UpwardSemiJoinPostings(rn, ancs, descs)) }
+				semiJoin = func() int { return len(index.UpwardSemiJoinPostings(r.Num, ancs, descs)) }
 			} else {
 				lists := scheme.IDsByName(root, s)
 				ancs, descs := lists[f.anc], lists[f.desc]
-				kernel := index.MergeSemiJoin
+				kernel := scheme.MergeSemiJoin
 				if caps := scheme.CapsOf(s); caps.ComputedParent && !caps.Depth {
-					kernel = index.UpwardSemiJoin
+					kernel = scheme.UpwardSemiJoin
 				}
 				semiJoin = func() int { return len(kernel(s, ancs, descs)) }
 			}
@@ -980,19 +980,22 @@ type microResult struct {
 var microSink int
 
 // runMicrobench measures the identifier hot paths — structural joins,
-// RParent arithmetic and axis generation, each on both the generic
-// scheme.ID interface path and the concrete core.ID fast path — and writes
-// one JSON array. This is the machine-readable baseline behind
-// BENCH_baseline.json.
+// RParent arithmetic and axis generation, each on both the bake-off's boxed
+// scheme.ID path (the scheme.RUID adapter) and the concrete core.ID fast
+// path — and writes one JSON array. This is the machine-readable baseline
+// behind BENCH_baseline.json.
 func runMicrobench(out io.Writer) error {
 	doc := xmltree.Recursive(2, 9)
 	rn := workload.BuildRUID(doc)
 	ix := index.Build(doc.DocumentElement(), rn)
 	ancs, descs := index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))
-	bAncs, bDescs := ix.IDs("section"), ix.IDs("title")
+	boxed := scheme.RUID{Num: rn}
+	lists := scheme.IDsByName(doc.DocumentElement(), boxed)
+	bAncs, bDescs := lists["section"], lists["title"]
 
 	axisDoc := xmltree.XMark(2, 2)
 	an := workload.BuildRUID(axisDoc)
+	bn := scheme.RUID{Num: an}
 	nodes := axisDoc.DocumentElement().Nodes()
 	rng := rand.New(rand.NewSource(9))
 	ids := make([]core.ID, 128)
@@ -1006,7 +1009,7 @@ func runMicrobench(out io.Writer) error {
 	}{
 		{"upward_join/interface", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.UpwardJoin(rn, bAncs, bDescs))
+				microSink += len(scheme.UpwardJoin(boxed, bAncs, bDescs))
 			}
 		}},
 		{"upward_join/fastpath", func(b *testing.B) {
@@ -1016,7 +1019,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"merge_join/interface", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.MergeJoin(rn, bAncs, bDescs))
+				microSink += len(scheme.MergeJoin(boxed, bAncs, bDescs))
 			}
 		}},
 		{"merge_join/fastpath", func(b *testing.B) {
@@ -1026,7 +1029,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"upward_semi_join/interface", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.UpwardSemiJoin(rn, bAncs, bDescs))
+				microSink += len(scheme.UpwardSemiJoin(boxed, bAncs, bDescs))
 			}
 		}},
 		{"upward_semi_join/fastpath", func(b *testing.B) {
@@ -1045,11 +1048,6 @@ func runMicrobench(out io.Writer) error {
 				microSink += len(index.ChildSemiJoinPostings(rn, ancs, descs))
 			}
 		}},
-		{"path_query/interface", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				microSink += len(ix.PathQuery("section", "section", "title"))
-			}
-		}},
 		{"path_query/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				microSink += len(ix.PathQueryRUID("section", "section", "title"))
@@ -1066,7 +1064,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"axis_children/interface", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(an.Children(ids[i%len(ids)]))
+				microSink += len(bn.Children(ids[i%len(ids)]))
 			}
 		}},
 		{"axis_children/fastpath", func(b *testing.B) {
@@ -1078,7 +1076,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"axis_descendants/interface", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(an.Descendants(ids[i%len(ids)]))
+				microSink += len(bn.Descendants(ids[i%len(ids)]))
 			}
 		}},
 		{"axis_descendants/fastpath", func(b *testing.B) {
@@ -1090,7 +1088,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"axis_following/interface", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(an.Following(ids[i%len(ids)]))
+				microSink += len(bn.Following(ids[i%len(ids)]))
 			}
 		}},
 		{"axis_following/fastpath", func(b *testing.B) {

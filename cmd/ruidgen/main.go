@@ -121,7 +121,7 @@ func run(cfg runConfig, path string, out io.Writer) error {
 				return err
 			}
 		}
-		s = rn
+		s = scheme.RUID{Num: rn}
 		fmt.Fprintf(out, "scheme=ruid kappa=%d areas=%d\n", rn.Kappa(), rn.AreaCount())
 	case "uid":
 		if cfg.loadPath != "" || cfg.savePath != "" {

@@ -1,10 +1,10 @@
 // Command xq evaluates an XPath location path over an XML document using
-// the ruid-driven axis engine (or, with -nav, the original-UID or pointer
-// engines for comparison).
+// the ruid-driven axis engine (or, with -nav, the query planner or the
+// pointer engine for comparison).
 //
 // Usage:
 //
-//	xq [-nav ruid|uid|pointer|planner] [-area N] [-serialize]
+//	xq [-nav ruid|pointer|planner] [-area N] [-serialize]
 //	   [-explain-analyze] [-stats] [-parallel auto|serial|forced]
 //	   [-workers N] [-serve addr] [-pool-pages N] [-cold] [-writes N]
 //	   [-wait-visible] 'xpath' [file.xml]
@@ -54,7 +54,6 @@ import (
 	"repro/internal/document"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/uid"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -77,7 +76,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.nav, "nav", "ruid", "navigator: ruid, uid, pointer or planner")
+	flag.StringVar(&cfg.nav, "nav", "ruid", "navigator: ruid, pointer or planner")
 	flag.IntVar(&cfg.area, "area", core.DefaultMaxAreaNodes, "ruid: max nodes per UID-local area")
 	flag.BoolVar(&cfg.serialize, "serialize", false, "print matched subtrees as XML instead of paths")
 	flag.BoolVar(&cfg.explain, "explain-analyze", false, "print the traced execution report (implies -nav planner)")
@@ -298,29 +297,15 @@ func run(cfg config, query, path string, out io.Writer) error {
 		ioReport(d)
 		return finish()
 
-	case "uid", "pointer":
-		if cfg.stats || cfg.serve != "" {
-			return fmt.Errorf("-stats and -serve need the facade: use -nav ruid or -nav planner")
-		}
-		if cfg.cold || cfg.poolPages > 0 {
-			return fmt.Errorf("-cold and -pool-pages need the facade: use -nav ruid or -nav planner")
-		}
-		if cfg.writes > 0 {
-			return fmt.Errorf("-writes needs the facade: use -nav ruid or -nav planner")
+	case "pointer":
+		if cfg.stats || cfg.serve != "" || cfg.cold || cfg.poolPages > 0 || cfg.writes > 0 {
+			return fmt.Errorf("-stats, -serve, -cold, -pool-pages and -writes need the facade: use -nav ruid or -nav planner")
 		}
 		doc, err := xmltree.Parse(in)
 		if err != nil {
 			return err
 		}
-		var navigator xpath.Navigator = xpath.PointerNavigator{}
-		if nav == "uid" {
-			n, err := uid.Build(doc, uid.Options{})
-			if err != nil {
-				return err
-			}
-			navigator = xpath.SchemeNavigator{S: n}
-		}
-		results, err := xpath.NewEngine(doc, navigator).Query(query)
+		results, err := xpath.NewEngine(doc, xpath.PointerNavigator{}).Query(query)
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,7 @@ const testDoc = `<lib><book id="b1"><title>One</title></book><book id="b2"><titl
 
 func TestRunNavigators(t *testing.T) {
 	p := writeDoc(t, testDoc)
-	for _, nav := range []string{"ruid", "uid", "pointer"} {
+	for _, nav := range []string{"ruid", "pointer"} {
 		var out strings.Builder
 		if err := run(cfg(nav), "//book[2]/title", p, &out); err != nil {
 			t.Fatalf("%s: %v", nav, err)
@@ -84,10 +84,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(bad, "//a", p, &out); err == nil {
 		t.Errorf("unknown -parallel mode accepted")
 	}
-	uidStats := cfg("uid")
-	uidStats.stats = true
-	if err := run(uidStats, "//a", p, &out); err == nil {
-		t.Errorf("-stats with -nav uid accepted")
+	pointerStats := cfg("pointer")
+	pointerStats.stats = true
+	if err := run(pointerStats, "//a", p, &out); err == nil {
+		t.Errorf("-stats with -nav pointer accepted")
 	}
 }
 

@@ -35,6 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ixR := index.Build(doc.DocumentElement(), rn)
+	listsR := scheme.IDsByName(doc.DocumentElement(), scheme.RUID{Num: rn})
 	listsP := scheme.IDsByName(doc.DocumentElement(), pn)
 
 	anc, desc := "item", "text"
@@ -47,31 +48,31 @@ func main() {
 		fmt.Printf("  %-22s %6d pairs in %v\n", name, pairs, time.Since(start).Round(time.Microsecond))
 	}
 	measure("ruid upward probe", func() int {
-		return len(index.UpwardJoin(rn, ixR.IDs(anc), ixR.IDs(desc)))
+		return len(index.UpwardJoinPostings(rn, ixR.Postings(anc), ixR.Postings(desc)))
 	})
 	measure("ruid stack merge", func() int {
-		return len(index.MergeJoin(rn, ixR.IDs(anc), ixR.IDs(desc)))
+		return len(index.MergeJoinPostings(rn, ixR.Postings(anc), ixR.Postings(desc)))
 	})
 	measure("prepost stack merge", func() int {
-		return len(index.MergeJoin(pn, listsP[anc], listsP[desc]))
+		return len(scheme.MergeJoin(pn, listsP[anc], listsP[desc]))
 	})
 	measure("naive quadratic", func() int {
-		return len(index.NaiveJoin(rn, ixR.IDs(anc), ixR.IDs(desc)))
+		return len(scheme.NaiveJoin(scheme.RUID{Num: rn}, listsR[anc], listsR[desc]))
 	})
 
 	// A three-step descendant path as a pipeline of upward semi-joins.
 	names := []string{"regions", "item", "name"}
 	fmt.Printf("\npath //%s//%s//%s via join pipeline:\n", names[0], names[1], names[2])
 	start := time.Now()
-	result := ixR.PathQuery(names...)
+	result := ixR.PathQueryRUID(names...)
 	fmt.Printf("  %d results in %v\n", len(result), time.Since(start).Round(time.Microsecond))
 
 	// Reconstruct the first few answers as a document portion (§3.3),
 	// including their region/item context, purely from identifiers.
 	var portion []core.ID
 	for _, id := range result[:3] {
-		portion = append(portion, id.(core.ID))
-		cur := id.(core.ID)
+		portion = append(portion, id)
+		cur := id
 		for {
 			p, ok, err := rn.RParent(cur)
 			if err != nil || !ok {

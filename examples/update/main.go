@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run("ruid", nr, docR)
+	run("ruid", scheme.RUID{Num: nr}, docR)
 
 	// Deletion is cascading (§3.2): removing a section takes its whole
 	// subtree, and only right siblings inside the same area shift. Delete
@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stR, err := nr.DeleteChild(delTarget(docR), 2)
+	stR, _, err := nr.DeleteChildDelta(delTarget(docR), 2)
 	if err != nil {
 		log.Fatal(err)
 	}

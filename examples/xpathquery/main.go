@@ -43,7 +43,7 @@ func main() {
 				break
 			}
 			label := "(unnumbered)" // attributes are outside this numbering
-			if id, ok := n.IDOf(node); ok {
+			if id, ok := n.RUID(node); ok {
 				label = id.String()
 			}
 			fmt.Printf("   %-16s %s\n", label, describe(node))

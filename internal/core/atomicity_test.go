@@ -211,7 +211,7 @@ func TestInsertRollbackOnUnhealableOverflow(t *testing.T) {
 		// already heads its own area. By then the enumeration has found a new
 		// slot for c1 and for c2's K row; none of it may have been written.
 		w := xmltree.NewElement("w")
-		st, err := n.InsertChild(h(), 0, w)
+		st, _, err := n.InsertChildDelta(h(), 0, w)
 		if err == nil {
 			t.Fatalf("insert unexpectedly succeeded: %+v", st)
 		}
@@ -225,10 +225,10 @@ func TestInsertRollbackOnUnhealableOverflow(t *testing.T) {
 		verify(t, n)
 
 		// The numbering must still accept updates after the failure.
-		if _, err := n.DeleteChild(h(), 2); err != nil {
+		if _, _, err := n.DeleteChildDelta(h(), 2); err != nil {
 			t.Fatalf("delete after the failure: %v", err)
 		}
-		if _, err := n.InsertChild(h(), 0, w); err != nil {
+		if _, _, err := n.InsertChildDelta(h(), 0, w); err != nil {
 			t.Fatalf("insert after the failure: %v", err)
 		}
 		verify(t, n)
@@ -247,7 +247,7 @@ func TestInsertRollbackLeavesChainUntouched(t *testing.T) {
 	b := doc.DocumentElement().FirstChildElement("b")
 	before := fingerprint(t, n)
 	d := xmltree.NewElement("d")
-	if _, err := n.InsertChild(b, 1, d); !errors.Is(err, ErrOverflow) {
+	if _, _, err := n.InsertChildDelta(b, 1, d); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("err = %v, want ErrOverflow", err)
 	}
 	if d.Parent != nil || b.Children.Len() != 1 {
@@ -280,7 +280,7 @@ func TestDeleteRollbackOnInjectedFailure(t *testing.T) {
 		injected := errors.New("injected re-enumeration failure")
 		reEnumFailHook = func(int64) error { return injected }
 		defer func() { reEnumFailHook = nil }()
-		if _, err := n.DeleteChild(n.Root(), 0); !errors.Is(err, injected) {
+		if _, _, err := n.DeleteChildDelta(n.Root(), 0); !errors.Is(err, injected) {
 			t.Fatalf("err = %v, want injected failure", err)
 		}
 		check(t, before, fingerprint(t, n))
@@ -288,7 +288,7 @@ func TestDeleteRollbackOnInjectedFailure(t *testing.T) {
 
 		// With the failure gone the same delete succeeds and drops both areas.
 		reEnumFailHook = nil
-		if _, err := n.DeleteChild(n.Root(), 0); err != nil {
+		if _, _, err := n.DeleteChildDelta(n.Root(), 0); err != nil {
 			t.Fatal(err)
 		}
 		if n.AreaCount() != 1 {
@@ -316,7 +316,7 @@ func TestInsertRollbackOnInjectedFailure(t *testing.T) {
 		reEnumFailHook = func(int64) error { return injected }
 		defer func() { reEnumFailHook = nil }()
 		w := xmltree.NewElement("w")
-		if _, err := n.InsertChild(target(), 0, w); !errors.Is(err, injected) {
+		if _, _, err := n.InsertChildDelta(target(), 0, w); !errors.Is(err, injected) {
 			t.Fatalf("err = %v, want injected failure", err)
 		}
 		if w.Parent != nil {
@@ -325,7 +325,7 @@ func TestInsertRollbackOnInjectedFailure(t *testing.T) {
 		check(t, before, fingerprint(t, n))
 
 		reEnumFailHook = nil
-		if _, err := n.InsertChild(target(), 0, w); err != nil {
+		if _, _, err := n.InsertChildDelta(target(), 0, w); err != nil {
 			t.Fatal(err)
 		}
 		verify(t, n)
@@ -348,10 +348,10 @@ func TestEpochCloneRejectsUpdates(t *testing.T) {
 		seal(n)
 		before := fingerprint(t, n)
 		root := doc.DocumentElement()
-		if _, err := n.InsertChild(root, 0, xmltree.NewElement("x")); !errors.Is(err, ErrImmutable) {
+		if _, _, err := n.InsertChildDelta(root, 0, xmltree.NewElement("x")); !errors.Is(err, ErrImmutable) {
 			t.Fatalf("insert on epoch: err = %v, want ErrImmutable", err)
 		}
-		if _, err := n.DeleteChild(root, 0); !errors.Is(err, ErrImmutable) {
+		if _, _, err := n.DeleteChildDelta(root, 0); !errors.Is(err, ErrImmutable) {
 			t.Fatalf("delete on epoch: err = %v, want ErrImmutable", err)
 		}
 		if _, err := n.Repartition(PartitionConfig{}); !errors.Is(err, ErrImmutable) {
@@ -382,7 +382,7 @@ func TestFailedHealLeavesStampsUntouched(t *testing.T) {
 		// fork has cloned its whole tree for the heal by then.
 		w := mustParse(t, "<w><a/><b/><c/><d/><e/></w>").DocumentElement()
 		w.Detach()
-		if _, err := n.InsertChild(n.Root().FirstChildElement("x"), 0, w); !errors.Is(err, ErrOverflow) {
+		if _, _, err := n.InsertChildDelta(n.Root().FirstChildElement("x"), 0, w); !errors.Is(err, ErrOverflow) {
 			t.Fatalf("err = %v, want ErrOverflow", err)
 		}
 		if w.Parent != nil {
@@ -487,7 +487,7 @@ func TestInsertedEpochCloneGetsFreshLabels(t *testing.T) {
 	}
 
 	// A node of another tree is not a node of this one, however it is stamped.
-	if _, err := n.InsertChild(mapping[kids[2]], 0, xmltree.NewElement("x")); err == nil {
+	if _, _, err := n.InsertChildDelta(mapping[kids[2]], 0, xmltree.NewElement("x")); err == nil {
 		t.Fatal("insert under a node of another tree accepted")
 	}
 

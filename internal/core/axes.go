@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -18,10 +17,9 @@ import (
 // already sitting there (area.nodes) — what the XPath evaluator consumes,
 // context and candidates as nodes, nothing generated, boxed or resolved for
 // a consumer that wants the k-th match or only counts — and the AppendX
-// methods derive the slot's identifier into a caller-supplied buffer, on
-// which the boxed scheme.AxisScheme methods sit. None of the three adds a
-// loop of its own. A descent carries its K row along and consults K again
-// only where a slot holds the root of a lower area.
+// methods derive the slot's identifier into a caller-supplied buffer.
+// Neither adds a loop of its own. A descent carries its K row along and
+// consults K again only where a slot holds the root of a lower area.
 
 // slotVisit is what a walk hands each occupied slot to: node, for a consumer
 // of the node sitting there, or slot, for one that wants the slot itself (its
@@ -396,59 +394,10 @@ func (n *Numbering) AppendFollowing(dst []ID, id ID) []ID {
 }
 
 // AppendPreceding appends the preceding axis of id to dst in document
-// order, as scheme.AxisScheme states it: the walk's order, turned round.
+// order: the walk's order, turned round.
 func (n *Numbering) AppendPreceding(dst []ID, id ID) []ID {
 	from := len(dst)
 	n.walkBeyond(id, true, intoIDs(&dst))
 	slices.Reverse(dst[from:])
 	return dst
-}
-
-// box converts a concrete identifier slice to the boxed scheme.ID form.
-func box(ids []ID) []scheme.ID {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]scheme.ID, len(ids))
-	for i, id := range ids {
-		out[i] = id
-	}
-	return out
-}
-
-// Ancestors implements scheme.AxisScheme via AppendAncestors.
-func (n *Numbering) Ancestors(id scheme.ID) []scheme.ID {
-	return box(n.AppendAncestors(nil, id.(ID)))
-}
-
-// Children implements scheme.AxisScheme via AppendChildren.
-func (n *Numbering) Children(id scheme.ID) []scheme.ID {
-	return box(n.AppendChildren(nil, id.(ID)))
-}
-
-// Descendants implements scheme.AxisScheme via AppendDescendants.
-func (n *Numbering) Descendants(id scheme.ID) []scheme.ID {
-	return box(n.AppendDescendants(nil, id.(ID)))
-}
-
-// FollowingSiblings implements scheme.AxisScheme via
-// AppendFollowingSiblings.
-func (n *Numbering) FollowingSiblings(id scheme.ID) []scheme.ID {
-	return box(n.AppendFollowingSiblings(nil, id.(ID)))
-}
-
-// PrecedingSiblings implements scheme.AxisScheme via
-// AppendPrecedingSiblings.
-func (n *Numbering) PrecedingSiblings(id scheme.ID) []scheme.ID {
-	return box(n.AppendPrecedingSiblings(nil, id.(ID)))
-}
-
-// Following implements scheme.AxisScheme via AppendFollowing.
-func (n *Numbering) Following(id scheme.ID) []scheme.ID {
-	return box(n.AppendFollowing(nil, id.(ID)))
-}
-
-// Preceding implements scheme.AxisScheme via AppendPreceding.
-func (n *Numbering) Preceding(id scheme.ID) []scheme.ID {
-	return box(n.AppendPreceding(nil, id.(ID)))
 }

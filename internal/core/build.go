@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
 // ErrOverflow reports that an index computation exceeded int64. Local-level
 // overflows during Build are healed automatically by promoting the
 // offending node to an area root; a global-level overflow signals that the
-// frame itself should be split with a multilevel ruid. It is the sentinel
-// every scheme shares.
-var ErrOverflow = scheme.ErrOverflow
+// frame itself should be split with a multilevel ruid. The comparison
+// schemes wrap this same value, so errors.Is agrees across them.
+var ErrOverflow = errors.New("identifier exceeds int64")
 
 // overflowError wraps ErrOverflow with the node whose child index no longer
 // fits, so Build can split the area there.
@@ -141,7 +140,6 @@ func (b *rowBuilder) number(a *area, limit int64, p int, slot int64, at func(p i
 }
 
 // Numbering is a 2-level ruid numbering of one document snapshot.
-// It implements scheme.AxisScheme and scheme.Updatable.
 //
 // The binding between nodes and identifiers has one form: a numbered node
 // carries its identifier in its xmltree.NodeNum stamp (RUID reads it), and
@@ -407,18 +405,6 @@ func (n *Numbering) MaxGlobalIndex() int64 {
 	return max
 }
 
-// Name implements scheme.Scheme.
-func (n *Numbering) Name() string { return "ruid" }
-
-// IDOf implements scheme.Scheme.
-func (n *Numbering) IDOf(node *xmltree.Node) (scheme.ID, bool) {
-	id, ok := n.RUID(node)
-	if !ok {
-		return nil, false
-	}
-	return id, true
-}
-
 // RUID returns the concrete identifier of a node, and false if the node is
 // not numbered: it reads the NodeNum stamp the node carries. The stamp is
 // current in every numbering that reaches the node — an owning numbering
@@ -429,9 +415,15 @@ func (n *Numbering) RUID(node *xmltree.Node) (ID, bool) {
 	return ID{Global: num.G, Local: num.L, Root: num.R}, num.G != 0
 }
 
-// NodeOf implements scheme.Scheme.
-func (n *Numbering) NodeOf(id scheme.ID) (*xmltree.Node, bool) {
-	return n.NodeOfID(id.(ID))
+// NodeKey returns the storage key of a numbered node, its identifier's Key,
+// and false if the node is not numbered: the key function a node table is
+// loaded with.
+func (n *Numbering) NodeKey(node *xmltree.Node) ([]byte, bool) {
+	id, ok := n.RUID(node)
+	if !ok {
+		return nil, false
+	}
+	return id.Key(), true
 }
 
 // NodeOfID resolves a concrete identifier by a seek in the clustered slot

@@ -22,7 +22,7 @@ func TestConformanceAuto(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Build: %v", err)
 				}
-				return n
+				return scheme.RUID{Num: n}
 			})
 		})
 	}
@@ -60,7 +60,7 @@ func TestConformanceDepthLimited(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		return n
+		return scheme.RUID{Num: n}
 	})
 }
 
@@ -77,7 +77,7 @@ func TestUpdateSoakShared(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return n
+				return scheme.RUID{Num: n}
 			}, 40, seed)
 		})
 	}

@@ -156,7 +156,7 @@ func TestParentCursorAgrees(t *testing.T) {
 	// A fork that has written one area shares every other chunk.
 	fork := deep.Fork()
 	sec := fork.Root().ChildElements("section")[0]
-	if _, err := fork.InsertChild(sec, 1, xmltree.NewElement("w")); err != nil {
+	if _, _, err := fork.InsertChildDelta(sec, 1, xmltree.NewElement("w")); err != nil {
 		t.Fatal(err)
 	}
 	shared := 0
@@ -176,7 +176,7 @@ func TestParentCursorAgrees(t *testing.T) {
 	rows, chunks := flat.k.rows, len(flat.k.chunks)
 	r := flat.Root()
 	for i := 0; i < 560; i++ {
-		if _, err := flat.DeleteChild(r, 250); err != nil {
+		if _, _, err := flat.DeleteChildDelta(r, 250); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,11 +48,11 @@ func ExampleNumbering_RParent() {
 	// (1, 1, true)
 }
 
-// ExampleNumbering_InsertChild shows the §3.2 update accounting.
-func ExampleNumbering_InsertChild() {
+// ExampleNumbering_InsertChildDelta shows the §3.2 update accounting.
+func ExampleNumbering_InsertChildDelta() {
 	doc, _ := xmltree.ParseString(`<a><b/><c/><d/></a>`)
 	n, _ := core.Build(doc, core.Options{})
-	st, _ := n.InsertChild(doc.DocumentElement(), 0, xmltree.NewElement("new"))
+	st, _, _ := n.InsertChildDelta(doc.DocumentElement(), 0, xmltree.NewElement("new"))
 	fmt.Println("relabeled:", st.Relabeled, "area rebuilds:", st.AreaRebuilds)
 	// Output:
 	// relabeled: 3 area rebuilds: 1

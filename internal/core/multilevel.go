@@ -289,7 +289,7 @@ func (m *Multilevel) IsAncestor(anc, desc MLID) bool {
 	if err != nil {
 		return false
 	}
-	return m.base.IsAncestor(fa, fd)
+	return m.base.IsAncestorID(fa, fd)
 }
 
 // CompareOrder compares two multilevel identifiers in document order.
@@ -303,5 +303,5 @@ func (m *Multilevel) CompareOrder(a, b MLID) int {
 	if errA != nil || errB != nil {
 		return 0
 	}
-	return m.base.CompareOrder(fa, fb)
+	return m.base.CompareOrderID(fa, fb)
 }

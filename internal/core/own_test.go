@@ -153,7 +153,7 @@ func TestForkBatchMatchesInPlace(t *testing.T) {
 		// The origin was not written, and it refuses to be.
 		assertSameFingerprint(t, before, fingerprint(t, origin))
 		verifyAgainstGroundTruth(t, origin)
-		if _, err := origin.InsertChild(origin.Root(), 0, xmltree.NewElement("x")); !errors.Is(err, ErrImmutable) {
+		if _, _, err := origin.InsertChildDelta(origin.Root(), 0, xmltree.NewElement("x")); !errors.Is(err, ErrImmutable) {
 			t.Fatalf("insert on a forked numbering: err = %v, want ErrImmutable", err)
 		}
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/scheme"
-)
+import "fmt"
 
 // This file implements the structural decision procedures of §2.2 and §3
 // of the paper. Everything here reads only κ and the table K — never the
@@ -45,23 +41,8 @@ func (n *Numbering) RParent(id ID) (ID, bool, error) {
 	return ID{Global: g, Local: l, Root: false}, true, nil
 }
 
-// Parent implements scheme.Scheme via RParent.
-func (n *Numbering) Parent(id scheme.ID) (scheme.ID, bool) {
-	p, ok, err := n.RParent(id.(ID))
-	if err != nil || !ok {
-		return nil, false
-	}
-	return p, true
-}
-
-// IsAncestor implements scheme.Scheme via IsAncestorID.
-func (n *Numbering) IsAncestor(anc, desc scheme.ID) bool {
-	return n.IsAncestorID(anc.(ID), desc.(ID))
-}
-
-// IsAncestorID is the concrete-identifier form of IsAncestor — the fast
-// path used by the identifier joins, with no interface boxing.
-// Ancestor/descendant is examined "based on parent-child determination"
+// IsAncestorID reports whether a is a proper ancestor of d, decided from
+// the identifiers alone. Ancestor/descendant is examined "based on parent-child determination"
 // (§3.3), iterating RParent from the descendant. The frame shortcut of
 // Lemma 3 prunes early: if the two areas are unrelated in the frame, no
 // ancestor relationship can exist.
@@ -93,7 +74,7 @@ func (n *Numbering) IsAncestorID(a, d ID) bool {
 // the area it heads, for an interior node its containing area. In both
 // cases that is the Global field. Every proper descendant of the node lies
 // in a frame descendant-or-self of this area, which is what the ancestry
-// pruning in IsAncestor relies on.
+// pruning in IsAncestorID relies on.
 func contextArea(id ID) int64 { return id.Global }
 
 // frameAncestorOrSelf reports whether area ga is an ancestor-or-self of
@@ -105,14 +86,9 @@ func (n *Numbering) frameAncestorOrSelf(ga, gd int64) bool {
 	return gd == ga
 }
 
-// CompareOrder implements scheme.Scheme via CompareOrderID.
-func (n *Numbering) CompareOrder(a, b scheme.ID) int {
-	return n.CompareOrderID(a.(ID), b.(ID))
-}
-
-// CompareOrderID is the concrete-identifier form of CompareOrder — the
-// fast path used by the merge join, with no interface boxing and
-// stack-allocated ancestor chains for documents up to 32 levels deep.
+// CompareOrderID compares two identifiers in document order: -1 if a
+// precedes b, +1 if a follows b, 0 if equal. It keeps its ancestor chains
+// on the stack for documents up to 32 levels deep.
 // The procedure mirrors Fig. 10 lifted to ruid: ancestors precede
 // descendants; otherwise the identifiers of the two children of the lowest
 // common ancestor are compared — by Lemma 2 their sibling order decides,

@@ -108,10 +108,10 @@ func TestLoadAfterUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n2.InsertChild(doc2.DocumentElement(), 0, xmltree.NewElement("fresh")); err != nil {
+	if _, _, err := n2.InsertChildDelta(doc2.DocumentElement(), 0, xmltree.NewElement("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n2.DeleteChild(doc2.DocumentElement(), 2); err != nil {
+	if _, _, err := n2.DeleteChildDelta(doc2.DocumentElement(), 2); err != nil {
 		t.Fatal(err)
 	}
 	verifyAgainstGroundTruth(t, n2)

@@ -35,7 +35,7 @@ func TestSaveLoadAfterUpdateHistory(t *testing.T) {
 
 	// A third child of r grows the fan-out to 3, pushing s past the local
 	// limit; the overflow heals by promoting q to an area root.
-	st, err := n1.InsertChild(r, 2, xmltree.NewElement("w"))
+	st, _, err := n1.InsertChildDelta(r, 2, xmltree.NewElement("w"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSaveLoadAfterUpdateHistory(t *testing.T) {
 		t.Fatalf("expected a healing rebuild into 2 areas, got %+v / %d areas", st, n1.AreaCount())
 	}
 	// An enlargement confined to the promoted area (fan-out 1 → 2).
-	st, err = n1.InsertChild(q, 1, xmltree.NewElement("t2"))
+	st, _, err = n1.InsertChildDelta(q, 1, xmltree.NewElement("t2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestSaveLoadAfterUpdateHistory(t *testing.T) {
 		t.Fatalf("expected one confined area rebuild, got %+v", st)
 	}
 	// Deletes: one leaf, then one subtree.
-	if _, err := n1.DeleteChild(r, 1); err != nil { // u
+	if _, _, err := n1.DeleteChildDelta(r, 1); err != nil { // u
 		t.Fatal(err)
 	}
-	if _, err := n1.DeleteChild(q, 0); err != nil { // s
+	if _, _, err := n1.DeleteChildDelta(q, 0); err != nil { // s
 		t.Fatal(err)
 	}
 	verifyAgainstGroundTruth(t, n1)

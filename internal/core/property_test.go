@@ -120,19 +120,19 @@ func TestQuickOrderTrichotomy(t *testing.T) {
 		b := nodes[int(j)%len(nodes)]
 		ida, _ := n.RUID(a)
 		idb, _ := n.RUID(b)
-		got := n.CompareOrder(ida, idb)
+		got := n.CompareOrderID(ida, idb)
 		if got != xmltree.CompareOrder(a, b) {
 			return false
 		}
-		return got == -n.CompareOrder(idb, ida)
+		return got == -n.CompareOrderID(idb, ida)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickAncestorIffChain: IsAncestor agrees with membership of the
-// ancestor chain produced by Ancestors.
+// TestQuickAncestorIffChain: IsAncestorID agrees with membership of the
+// ancestor chain produced by AppendAncestors.
 func TestQuickAncestorIffChain(t *testing.T) {
 	f := func(s treeSpec, i, j uint16) bool {
 		doc, n := s.build(t)
@@ -142,13 +142,13 @@ func TestQuickAncestorIffChain(t *testing.T) {
 		ida, _ := n.RUID(a)
 		idb, _ := n.RUID(b)
 		inChain := false
-		for _, anc := range n.Ancestors(idb) {
-			if anc.(ID) == ida {
+		for _, anc := range n.AppendAncestors(nil, idb) {
+			if anc == ida {
 				inChain = true
 				break
 			}
 		}
-		return n.IsAncestor(ida, idb) == inChain
+		return n.IsAncestorID(ida, idb) == inChain
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestQuickInsertScope(t *testing.T) {
 		tid, _ := n.RUID(target)
 		ga, _ := n.childContext(tid)
 		before := labels(n)
-		st, err := n.InsertChild(target, target.Children.Len(), xmltree.NewElement("q"))
+		st, _, err := n.InsertChildDelta(target, target.Children.Len(), xmltree.NewElement("q"))
 		if err != nil {
 			return false
 		}

@@ -10,8 +10,8 @@ import (
 // element identifiers — for instance the result of a query — produce "a
 // portion of an XML document generated from these elements respecting the
 // ancestor-descendant order existing in the source data". Both the
-// ordering and the nesting decisions run on identifiers alone (CompareOrder
-// and IsAncestor); the stored nodes are touched only to copy names,
+// ordering and the nesting decisions run on identifiers alone (CompareOrderID
+// and IsAncestorID); the stored nodes are touched only to copy names,
 // attributes and (optionally) text into the output.
 
 // Reconstruct builds the document portion spanned by ids: the selected
@@ -51,7 +51,7 @@ func (n *Numbering) reconstruct(ids []ID, withText bool) *xmltree.Node {
 		}
 	}
 	if !ordered {
-		sort.Slice(uniq, func(i, j int) bool { return n.CompareOrder(uniq[i], uniq[j]) < 0 })
+		sort.Slice(uniq, func(i, j int) bool { return n.CompareOrderID(uniq[i], uniq[j]) < 0 })
 	}
 
 	out := xmltree.NewDocument()
@@ -67,7 +67,7 @@ func (n *Numbering) reconstruct(ids []ID, withText bool) *xmltree.Node {
 		// In document order an ancestor precedes its descendants, so the
 		// enclosing selected element (if any) is on the stack: pop until
 		// the top is an ancestor of the current node.
-		for len(stack) > 0 && !n.IsAncestor(stack[len(stack)-1].id, id) {
+		for len(stack) > 0 && !n.IsAncestorID(stack[len(stack)-1].id, id) {
 			stack = stack[:len(stack)-1]
 		}
 		if len(stack) == 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -40,6 +39,31 @@ import (
 // On a fork every one of those writes is preceded by own (own.go); the parent
 // is owned before its child list is edited, which is harmless to undo — the
 // copy differs from the node it replaced in nothing but identity.
+
+// UpdateStats quantifies the renumbering scope of one structural update —
+// the central metric of experiments E1 and E6. Every numbering scheme of the
+// bake-off reports its updates in this type.
+type UpdateStats struct {
+	// Relabeled is the number of pre-existing nodes whose identifier
+	// changed (the inserted node itself does not count; deleted nodes do
+	// not count).
+	Relabeled int
+	// FullRebuild reports that the whole document had to be renumbered
+	// (original UID when the global fan-out k overflows).
+	FullRebuild bool
+	// AreaRebuilds is the number of UID-local areas that had to be
+	// re-enumerated with a larger local fan-out (ruid only).
+	AreaRebuilds int
+}
+
+// Add accumulates other into s.
+func (s *UpdateStats) Add(other UpdateStats) {
+	s.Relabeled += other.Relabeled
+	if other.FullRebuild {
+		s.FullRebuild = true
+	}
+	s.AreaRebuilds += other.AreaRebuilds
+}
 
 // Delta describes what one successful update changed, for the index, guide
 // and payload maintenance of the layer above. Node pointers refer to the
@@ -106,29 +130,23 @@ func (n *Numbering) ownParent(parent *xmltree.Node, op string) (*xmltree.Node, i
 	return n.ownAt(pid.Global, i), pid.Global, nil
 }
 
-// InsertChild implements scheme.Updatable: newChild (possibly a whole
-// subtree) becomes the pos-th child of parent. The subtree joins parent's
-// UID-local area; use Repartition to re-balance areas after bulk insertion.
-func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree.Node) (scheme.UpdateStats, error) {
-	st, _, err := n.InsertChildDelta(parent, pos, newChild)
-	return st, err
-}
-
-// InsertChildDelta is InsertChild plus a Delta describing exactly which
-// numbering state changed. The subtree arrives unnumbered: stamps it carries
-// from another life (a node of an epoch, a subtree deleted earlier) are
-// cleared, so it comes out with only the labels this numbering gives it — on
-// a fork, from a copy of a stamped subtree (adopt), and Delta.Inserted names
-// the root actually attached. On error the tree and the numbering read
+// InsertChildDelta makes newChild (possibly a whole subtree) the pos-th
+// child of parent and returns a Delta describing exactly which numbering
+// state changed. The subtree joins parent's UID-local area; use Repartition
+// to re-balance areas after bulk insertion. It arrives unnumbered: stamps it
+// carries from another life (a node of an epoch, a subtree deleted earlier)
+// are cleared, so it comes out with only the labels this numbering gives it —
+// on a fork, from a copy of a stamped subtree (adopt), and Delta.Inserted
+// names the root actually attached. On error the tree and the numbering read
 // exactly as before the call (what was attached is detached again, and
 // ownership of newChild stays with the caller).
-func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xmltree.Node) (scheme.UpdateStats, *Delta, error) {
+func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xmltree.Node) (UpdateStats, *Delta, error) {
 	if pos < 0 || pos > parent.Children.Len() {
-		return scheme.UpdateStats{}, nil, fmt.Errorf("core: insert position %d out of range", pos)
+		return UpdateStats{}, nil, fmt.Errorf("core: insert position %d out of range", pos)
 	}
 	parent, g, err := n.ownParent(parent, "insert")
 	if err != nil {
-		return scheme.UpdateStats{}, nil, err
+		return UpdateStats{}, nil, err
 	}
 	newChild = n.adopt(newChild)
 	parent.InsertChildAt(pos, newChild)
@@ -149,11 +167,11 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 			return n.InsertChildDelta(n.ownAll()[parent], pos, newChild)
 		}
 		if n.healOverflow(ov.node) {
-			return scheme.UpdateStats{FullRebuild: true, Relabeled: n.size}, &Delta{Full: true, Inserted: newChild}, nil
+			return UpdateStats{FullRebuild: true, Relabeled: n.size}, &Delta{Full: true, Inserted: newChild}, nil
 		}
 	}
 	parent.RemoveChild(pos)
-	return scheme.UpdateStats{}, nil, err
+	return UpdateStats{}, nil, err
 }
 
 // healOverflow recovers from a local-index overflow during an update by
@@ -188,29 +206,23 @@ func (n *Numbering) renumberWith(f *frame, part PartitionConfig, adjust bool) (i
 	return changed, nil
 }
 
-// DeleteChild implements scheme.Updatable: cascading deletion of the pos-th
-// child of parent (§3.2: "any node deletion in an XML tree is cascading").
-// Areas rooted inside the deleted subtree disappear with it; the frame
-// positions of surviving areas are untouched (the κ-ary arithmetic
-// tolerates the gaps), so no identifier outside the update area changes.
-func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateStats, error) {
-	st, _, err := n.DeleteChildDelta(parent, pos)
-	return st, err
-}
-
-// DeleteChildDelta is DeleteChild plus a Delta describing exactly which
-// numbering state changed. The detached subtree reads as unnumbered
+// DeleteChildDelta deletes the pos-th child of parent, cascading (§3.2: "any
+// node deletion in an XML tree is cascading"), and returns a Delta describing
+// exactly which numbering state changed. Areas rooted inside the deleted
+// subtree disappear with it; the frame positions of surviving areas are
+// untouched (the κ-ary arithmetic tolerates the gaps), so no identifier
+// outside the update area changes. The detached subtree reads as unnumbered
 // afterwards — where n owns it: a fork leaves a subtree it shares with its
 // origin as it is, unreachable from the fork's tree and still numbered in
 // the origin's. On error the tree and the numbering read exactly as before
 // the call.
-func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.UpdateStats, *Delta, error) {
+func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (UpdateStats, *Delta, error) {
 	if pos < 0 || pos >= parent.Children.Len() {
-		return scheme.UpdateStats{}, nil, fmt.Errorf("core: delete position %d out of range", pos)
+		return UpdateStats{}, nil, fmt.Errorf("core: delete position %d out of range", pos)
 	}
 	parent, g, err := n.ownParent(parent, "delete")
 	if err != nil {
-		return scheme.UpdateStats{}, nil, err
+		return UpdateStats{}, nil, err
 	}
 	removed := parent.Children.At(pos)
 	parent.Children.Delete(pos)
@@ -219,7 +231,7 @@ func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.Upda
 	st, err := n.renumberArea(g, d)
 	if err != nil {
 		parent.Children.Insert(pos, removed)
-		return scheme.UpdateStats{}, nil, err
+		return UpdateStats{}, nil, err
 	}
 	// The detached subtree leaves the numbering: its stamps, and the rows of
 	// the areas rooted in it.
@@ -256,7 +268,7 @@ func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (scheme.Upda
 // changes only the identifiers of the nodes in this area"). The statistics
 // count the pre-existing nodes whose identifier changed; nodes enumerated for
 // the first time (fresh insertions) are counted in d.
-func (n *Numbering) renumberArea(g int64, d *Delta) (st scheme.UpdateStats, err error) {
+func (n *Numbering) renumberArea(g int64, d *Delta) (st UpdateStats, err error) {
 	if reEnumFailHook != nil {
 		if err := reEnumFailHook(g); err != nil {
 			return st, err

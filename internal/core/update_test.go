@@ -53,10 +53,10 @@ func verifyAgainstGroundTruth(t *testing.T, n *Numbering) {
 			a, b := nodes[i], nodes[j]
 			ida, _ := n.RUID(a)
 			idb, _ := n.RUID(b)
-			if got, want := n.IsAncestor(ida, idb), xmltree.IsAncestor(a, b); got != want {
+			if got, want := n.IsAncestorID(ida, idb), xmltree.IsAncestor(a, b); got != want {
 				t.Fatalf("IsAncestor(%v, %v) = %v, want %v", ida, idb, got, want)
 			}
-			if got, want := n.CompareOrder(ida, idb), xmltree.CompareOrder(a, b); got != want {
+			if got, want := n.CompareOrderID(ida, idb), xmltree.CompareOrder(a, b); got != want {
 				t.Fatalf("CompareOrder(%v, %v) = %d, want %d", ida, idb, got, want)
 			}
 		}
@@ -96,7 +96,7 @@ func TestInsertScopeConfinedToArea(t *testing.T) {
 		}
 	}
 
-	st, err := n.InsertChild(root, 0, xmltree.NewElement("fresh"))
+	st, _, err := n.InsertChildDelta(root, 0, xmltree.NewElement("fresh"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestInsertFanoutOverflowRebuildsOneArea(t *testing.T) {
 
 	// The root has 3 children; the area fan-out is 3. A fourth child
 	// overflows it.
-	st, err := n.InsertChild(root, 3, xmltree.NewElement("fourth"))
+	st, _, err := n.InsertChildDelta(root, 3, xmltree.NewElement("fourth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDeleteCascadesAndCompacts(t *testing.T) {
 	areasBefore := n.AreaCount()
 	sizeBefore := n.Size()
 
-	st, err := n.DeleteChild(root, 0)
+	st, _, err := n.DeleteChildDelta(root, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestRandomUpdateSoak(t *testing.T) {
 			if target.Children.Len() > 0 {
 				pos = rng.Intn(target.Children.Len() + 1)
 			}
-			if _, err := n.InsertChild(target, pos, xmltree.NewElement("ins")); err != nil {
+			if _, _, err := n.InsertChildDelta(target, pos, xmltree.NewElement("ins")); err != nil {
 				t.Fatalf("op %d: InsertChild: %v", op, err)
 			}
 		} else {
-			if _, err := n.DeleteChild(target, rng.Intn(target.Children.Len())); err != nil {
+			if _, _, err := n.DeleteChildDelta(target, rng.Intn(target.Children.Len())); err != nil {
 				t.Fatalf("op %d: DeleteChild: %v", op, err)
 			}
 		}
@@ -242,7 +242,7 @@ func TestInsertSubtree(t *testing.T) {
 	root := doc.DocumentElement()
 	sub := xmltree.Balanced(2, 2).DocumentElement()
 	sub.Detach()
-	if _, err := n.InsertChild(root.Children.At(0), 1, sub); err != nil {
+	if _, _, err := n.InsertChildDelta(root.Children.At(0), 1, sub); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := n.RUID(sub); !ok {
@@ -285,13 +285,13 @@ func TestWithAttrsNumbering(t *testing.T) {
 				t.Fatalf("attribute %s: parent %v, want %v", at.Path(), p, want)
 			}
 			xid, _ := n.RUID(x)
-			if n.CompareOrder(xid, aid) != -1 {
+			if n.CompareOrderID(xid, aid) != -1 {
 				t.Fatalf("element must precede its attribute")
 			}
 			for ci := 0; ci < x.Children.Len(); ci++ {
 				c := x.Children.At(ci)
 				cid, _ := n.RUID(c)
-				if n.CompareOrder(aid, cid) != -1 {
+				if n.CompareOrderID(aid, cid) != -1 {
 					t.Fatalf("attribute must precede element children")
 				}
 			}
@@ -307,7 +307,7 @@ func TestWithAttrsNumbering(t *testing.T) {
 		t.Fatalf("size = %d, want 7", n.Size())
 	}
 	// Updates keep attribute identifiers consistent.
-	if _, err := n.InsertChild(root, 0, xmltree.NewElement("new")); err != nil {
+	if _, _, err := n.InsertChildDelta(root, 0, xmltree.NewElement("new")); err != nil {
 		t.Fatal(err)
 	}
 	check(root)

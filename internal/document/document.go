@@ -16,7 +16,7 @@
 //     readers share epochs freely without locks.
 //   - Writers serialize on an internal mutex. A write forks the newest
 //     epoch's numbering (core.Numbering.Fork), resolves its target on the fork
-//     with the scheme navigator, and applies the paper's incremental §3.2
+//     with xpath.SchemeNavigator, and applies the paper's incremental §3.2
 //     update to it: an insert or delete re-enumerates only the affected
 //     UID-local area (UpdateStats reports the scope), so identifiers outside
 //     the update area survive across epochs. The fork copies what the update
@@ -103,7 +103,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/scheme"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -471,20 +470,20 @@ func (d *Document) Query(q string) ([]*xmltree.Node, query.Plan, error) {
 // ownership of child on success; a failed insert leaves the document
 // unchanged (no epoch is published) and ownership of the detached child
 // with the caller.
-func (d *Document) Insert(parentPath string, pos int, child *xmltree.Node) (scheme.UpdateStats, error) {
+func (d *Document) Insert(parentPath string, pos int, child *xmltree.Node) (core.UpdateStats, error) {
 	return waitVisible(d.EnqueueInsert(context.Background(), parentPath, pos, child))
 }
 
 // Delete removes (cascading) the pos-th child of the first element matched
 // by parentPath and returns once the epoch without it is published. A
 // failed delete leaves the document unchanged and publishes nothing.
-func (d *Document) Delete(parentPath string, pos int) (scheme.UpdateStats, error) {
+func (d *Document) Delete(parentPath string, pos int) (core.UpdateStats, error) {
 	return waitVisible(d.EnqueueDelete(context.Background(), parentPath, pos))
 }
 
-func waitVisible(tk *Ticket, err error) (scheme.UpdateStats, error) {
+func waitVisible(tk *Ticket, err error) (core.UpdateStats, error) {
 	if err != nil {
-		return scheme.UpdateStats{}, err
+		return core.UpdateStats{}, err
 	}
 	return tk.Wait(context.Background())
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/document"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -485,7 +484,7 @@ func TestPinnedEpochsSurviveForkedWrites(t *testing.T) {
 		parent, twin := res[0], oracleOne(path)
 		pid, _ := prev.Numbering().RUID(parent)
 
-		var st scheme.UpdateStats
+		var st core.UpdateStats
 		if rng.Intn(3) > 0 || twin.Children.Len() == 0 {
 			pos := rng.Intn(twin.Children.Len() + 1)
 			src := fmt.Sprintf("<bidder><increase>%d</increase></bidder>", i)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataguide"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -96,7 +95,7 @@ type pendingOp struct {
 	// for untraced writers and WAL replay; every Stamp no-ops then.
 	rc *obs.RequestCtx
 
-	stats scheme.UpdateStats
+	stats core.UpdateStats
 	err   error
 	done  chan struct{}
 }
@@ -119,12 +118,12 @@ func (t *Ticket) Done() <-chan struct{} { return t.op.done }
 // §3.2 relabeling statistics. A batch member that failed mid-merge gets its
 // own error while the rest of the batch publishes (atomicity is per
 // mutation); a publication failure fails every member.
-func (t *Ticket) Wait(ctx context.Context) (scheme.UpdateStats, error) {
+func (t *Ticket) Wait(ctx context.Context) (core.UpdateStats, error) {
 	select {
 	case <-t.op.done:
 		return t.op.stats, t.op.err
 	case <-ctx.Done():
-		return scheme.UpdateStats{}, ctx.Err()
+		return core.UpdateStats{}, ctx.Err()
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -347,7 +346,7 @@ func TestFailedBatchMemberPublishesNothing(t *testing.T) {
 		defer cancel()
 		errs := make([]error, len(muts))
 		for i, tk := range enqueueAll(t, d, muts) {
-			var st scheme.UpdateStats
+			var st core.UpdateStats
 			st, errs[i] = tk.Wait(ctx)
 			healed = healed || st.FullRebuild
 		}

@@ -84,10 +84,10 @@ func (d *Document) pageOutSnapshot(snap *Snapshot) error {
 	if root.Kind == xmltree.Document {
 		root = root.DocumentElement()
 	}
-	// Attribute rows follow the numbering: IDOf answers only for numbered
+	// Attribute rows follow the numbering: NodeKey answers only for numbered
 	// nodes, so passing withAttrs=true stores attrs exactly when the
 	// document was opened WithAttrs.
-	if err := store.Nodes.Load(root, snap.num, true); err != nil {
+	if err := store.Nodes.Load(root, snap.num.NodeKey, true); err != nil {
 		return err
 	}
 	store.Flush()
@@ -108,25 +108,25 @@ func (d *Document) maintainPayloadsLocked(delta *core.Delta) error {
 	}
 	num := d.cur.Load().num
 	for _, p := range delta.Dropped {
-		if _, err := d.store.Nodes.Delete(p.ID); err != nil {
+		if _, err := d.store.Nodes.Delete(p.ID.Key()); err != nil {
 			return err
 		}
 	}
 	for _, r := range delta.Relabels {
-		if _, err := d.store.Nodes.Delete(r.Old); err != nil {
+		if _, err := d.store.Nodes.Delete(r.Old.Key()); err != nil {
 			return err
 		}
 	}
 	for _, r := range delta.Relabels {
-		if err := d.store.Nodes.Put(r.New, r.Node); err != nil {
+		if err := d.store.Nodes.Put(r.New.Key(), r.Node); err != nil {
 			return err
 		}
 	}
 	var werr error
 	if delta.Inserted != nil {
 		delta.Inserted.WalkFull(func(x *xmltree.Node) bool {
-			if id, ok := num.RUID(x); ok {
-				if err := d.store.Nodes.Put(id, x); err != nil {
+			if key, ok := num.NodeKey(x); ok {
+				if err := d.store.Nodes.Put(key, x); err != nil {
 					werr = err
 					return false
 				}
@@ -248,7 +248,7 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 	if root == nil {
 		return nil, fmt.Errorf("document: bundle has no document element")
 	}
-	if err := store.Nodes.Load(root, num, true); err != nil {
+	if err := store.Nodes.Load(root, num.NodeKey, true); err != nil {
 		return nil, err
 	}
 	d := &Document{

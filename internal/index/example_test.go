@@ -8,16 +8,16 @@ import (
 	"repro/internal/xmltree"
 )
 
-// ExampleNameIndex_PathQuery runs a //a//b//c query as a pipeline of
+// ExampleNameIndex_PathQueryRUID runs a //a//b//c query as a pipeline of
 // identifier joins.
-func ExampleNameIndex_PathQuery() {
+func ExampleNameIndex_PathQueryRUID() {
 	doc, _ := xmltree.ParseString(
 		`<site><region><item><name>x</name></item></region><name>site-name</name></site>`)
 	n, _ := core.Build(doc, core.Options{})
 	ix := index.Build(doc.DocumentElement(), n)
 
-	for _, id := range ix.PathQuery("region", "item", "name") {
-		node, _ := n.NodeOf(id)
+	for _, id := range ix.PathQueryRUID("region", "item", "name") {
+		node, _ := n.NodeOfID(id)
 		fmt.Println(node.Texts())
 	}
 	fmt.Println("all name elements:", ix.Count("name"))
@@ -26,12 +26,13 @@ func ExampleNameIndex_PathQuery() {
 	// all name elements: 2
 }
 
-// ExampleUpwardJoin probes computed ancestor chains against a name list.
-func ExampleUpwardJoin() {
+// ExampleUpwardJoinPostings probes computed ancestor chains against a name
+// list.
+func ExampleUpwardJoinPostings() {
 	doc, _ := xmltree.ParseString(`<a><s><t/></s><s><u><t/></u></s><t/></a>`)
 	n, _ := core.Build(doc, core.Options{})
 	ix := index.Build(doc.DocumentElement(), n)
-	pairs := index.UpwardJoin(n, ix.IDs("s"), ix.IDs("t"))
+	pairs := index.UpwardJoinPostings(n, ix.Postings("s"), ix.Postings("t"))
 	fmt.Println("s//t pairs:", len(pairs))
 	// Output:
 	// s//t pairs: 2

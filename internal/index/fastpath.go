@@ -8,16 +8,16 @@ import (
 
 // The run kernels of the ruid joins: each structural join written once, over
 // one contiguous document-ordered run of concrete core.ID descendants and a
-// prepared Probe of the ancestor side. The generic functions in index.go
-// accept any scheme.Scheme but pay for it twice per probe: the identifier is
-// boxed behind the scheme.ID interface, and the hash-set probe allocates a
+// prepared Probe of the ancestor side. The boxed kernels of internal/scheme
+// accept any numbering scheme but pay for it twice per probe: the identifier
+// is boxed behind the scheme.ID interface, and the hash-set probe allocates a
 // key string from ID.Key(). The kernels below exploit that core.ID is a small
 // comparable value type: the probe sets are flat pooled tables of inline
 // identifiers (IDSet: three integers hashed, no allocation), every climb goes
 // through the scan's core.ParentCursor (RParent with a forward finger over
 // table K instead of two binary searches a step), and output goes into a
-// caller-supplied buffer. Both paths return identical results;
-// TestFastPathAgree pins that.
+// caller-supplied buffer. TestFastPathAgree pins each against the pointer
+// tree.
 //
 // Nothing here knows how the run reached it. ForEachRun (seek.go) is the one
 // reader of a Postings view — it admits, charges and decodes — and hands

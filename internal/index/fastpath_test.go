@@ -5,11 +5,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
-func buildRUIDIndex(t *testing.T) (*core.Numbering, *index.NameIndex) {
+func buildRUIDIndex(t *testing.T) (*xmltree.Node, *core.Numbering, *index.NameIndex) {
 	t.Helper()
 	doc := xmltree.Recursive(2, 7)
 	n, err := core.Build(doc, core.Options{
@@ -18,122 +18,109 @@ func buildRUIDIndex(t *testing.T) (*core.Numbering, *index.NameIndex) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, index.Build(doc.DocumentElement(), n)
+	return doc, n, index.Build(doc.DocumentElement(), n)
 }
 
-func boxIDs(ids []core.ID) []scheme.ID {
-	out := make([]scheme.ID, len(ids))
-	for i, id := range ids {
-		out[i] = id
-	}
-	return out
-}
-
-// TestFastPathAgree pins that every ruid join, over slice views of flat
-// core.ID postings, returns exactly what its generic counterpart returns on
-// the boxed form of the same inputs.
+// TestFastPathAgree pins every ruid join kernel, over the block postings of
+// a self-nesting document cut into 16-node areas, to the answer the pointer
+// tree gives for section and title.
 func TestFastPathAgree(t *testing.T) {
-	n, ix := buildRUIDIndex(t)
-	ancs := ix.RuidIDs("section")
-	descs := ix.RuidIDs("title")
-	if len(ancs) == 0 || len(descs) == 0 {
+	doc, n, ix := buildRUIDIndex(t)
+	root := doc.DocumentElement()
+	ancs, descs := ix.Postings("section"), ix.Postings("title")
+	if ancs.Len() == 0 || descs.Len() == 0 {
 		t.Fatalf("test document has no section/title elements")
 	}
-	bAncs, bDescs := boxIDs(ancs), boxIDs(descs)
-	sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
+	// related reports whether x has a relative named name: an ancestor
+	// (a parent when !deep) when up, a descendant (a child) otherwise.
+	related := func(x *xmltree.Node, name string, up, deep bool) bool {
+		if up {
+			for p := x.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
+				if p.Name == name {
+					return true
+				}
+				if !deep {
+					return false
+				}
+			}
+			return false
+		}
+		kids := xmltree.Descendants(x)
+		if !deep {
+			kids = x.Children.AppendTo(nil)
+		}
+		for _, c := range kids {
+			if c.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	// truth lists, in document order, the elements named name that have a
+	// relative named other.
+	truth := func(name, other string, up, deep bool) []core.ID {
+		var out []core.ID
+		for _, x := range root.Elements() {
+			if x.Name == name && related(x, other, up, deep) {
+				id, _ := n.RUID(x)
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	pairs := canon(truthPairs(n, root, "section", "title"))
 
 	t.Run("UpwardJoin", func(t *testing.T) {
-		fast := index.UpwardJoinPostings(n, sAncs, sDescs)
-		slow := index.UpwardJoin(n, bAncs, bDescs)
-		if len(fast) != len(slow) {
-			t.Fatalf("fast %d pairs, generic %d", len(fast), len(slow))
-		}
-		for i := range fast {
-			if fast[i].Ancestor != slow[i].Ancestor.(core.ID) ||
-				fast[i].Descendant != slow[i].Descendant.(core.ID) {
-				t.Fatalf("pair %d: fast %v/%v generic %v/%v", i,
-					fast[i].Ancestor, fast[i].Descendant, slow[i].Ancestor, slow[i].Descendant)
-			}
+		if got := index.UpwardJoinPostings(n, ancs, descs); canon(got) != pairs {
+			t.Fatalf("%d pairs, differs from the pointer tree", len(got))
 		}
 	})
 	t.Run("MergeJoin", func(t *testing.T) {
-		fast := index.MergeJoinPostings(n, sAncs, sDescs)
-		slow := index.MergeJoin(n, bAncs, bDescs)
-		if len(fast) != len(slow) {
-			t.Fatalf("fast %d pairs, generic %d", len(fast), len(slow))
-		}
-		for i := range fast {
-			if fast[i].Ancestor != slow[i].Ancestor.(core.ID) ||
-				fast[i].Descendant != slow[i].Descendant.(core.ID) {
-				t.Fatalf("pair %d differs", i)
-			}
+		if got := index.MergeJoinPostings(n, ancs, descs); canon(got) != pairs {
+			t.Fatalf("%d pairs, differs from the pointer tree", len(got))
 		}
 	})
-	semis := []struct {
-		name string
-		fast func() []core.ID
-		slow func() []scheme.ID
-	}{
-		{"UpwardSemiJoin",
-			func() []core.ID { return index.UpwardSemiJoinPostings(n, sAncs, sDescs) },
-			func() []scheme.ID { return index.UpwardSemiJoin(n, bAncs, bDescs) }},
-		{"ParentSemiJoin",
-			func() []core.ID { return index.ParentSemiJoinPostings(n, sAncs, sDescs) },
-			func() []scheme.ID { return index.ParentSemiJoin(n, bAncs, bDescs) }},
-		{"AncestorSemiJoin",
-			func() []core.ID { return index.AncestorSemiJoinPostings(n, sAncs, sDescs) },
-			func() []scheme.ID { return index.AncestorSemiJoin(n, bAncs, bDescs) }},
-		{"ChildSemiJoin",
-			func() []core.ID { return index.ChildSemiJoinPostings(n, sAncs, sDescs) },
-			func() []scheme.ID { return index.ChildSemiJoin(n, bAncs, bDescs) }},
-	}
-	for _, tc := range semis {
-		t.Run(tc.name, func(t *testing.T) {
-			fast := tc.fast()
-			slow := tc.slow()
-			if len(fast) != len(slow) {
-				t.Fatalf("fast %d ids, generic %d", len(fast), len(slow))
-			}
-			for i := range fast {
-				if fast[i] != slow[i].(core.ID) {
-					t.Fatalf("id %d: fast %v generic %v", i, fast[i], slow[i])
-				}
-			}
-		})
-	}
+	t.Run("UpwardSemiJoin", func(t *testing.T) {
+		sameIDs(t, "section//title", index.UpwardSemiJoinPostings(n, ancs, descs), truth("title", "section", true, true))
+	})
+	t.Run("ParentSemiJoin", func(t *testing.T) {
+		sameIDs(t, "section/title", index.ParentSemiJoinPostings(n, ancs, descs), truth("title", "section", true, false))
+	})
+	t.Run("AncestorSemiJoin", func(t *testing.T) {
+		sameIDs(t, "section[.//title]", index.AncestorSemiJoinPostings(n, ancs, descs), truth("section", "title", false, true))
+	})
+	t.Run("ChildSemiJoin", func(t *testing.T) {
+		sameIDs(t, "section[title]", index.ChildSemiJoinPostings(n, ancs, descs), truth("section", "title", false, false))
+	})
 	t.Run("PathQuery", func(t *testing.T) {
-		fast := ix.PathQueryRUID("section", "section", "title")
-		slow := ix.PathQuery("section", "section", "title")
-		if len(fast) != len(slow) {
-			t.Fatalf("fast %d ids, generic %d", len(fast), len(slow))
+		nodes, err := xpath.NewEngine(doc, xpath.PointerNavigator{}).Query("//section//section//title")
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range fast {
-			if fast[i] != slow[i].(core.ID) {
-				t.Fatalf("id %d differs", i)
-			}
+		want := make([]core.ID, len(nodes))
+		for i, x := range nodes {
+			want[i], _ = n.RUID(x)
 		}
+		sameIDs(t, "//section//section//title", ix.PathQueryRUID("section", "section", "title"), want)
 	})
 }
 
-// TestIDsReturnsCopy pins the public-API contract fixed in this PR: IDs
-// hands back a fresh slice, so a caller scribbling over it cannot corrupt
-// the index postings.
+// TestIDsReturnsCopy pins the public-API contract: RuidIDs hands back a
+// fresh slice, so a caller scribbling over it cannot corrupt the index
+// postings.
 func TestIDsReturnsCopy(t *testing.T) {
-	_, ix := buildRUIDIndex(t)
-	got := ix.IDs("title")
+	_, _, ix := buildRUIDIndex(t)
+	got := ix.RuidIDs("title")
 	if len(got) == 0 {
 		t.Fatal("no title postings")
 	}
 	want := got[0]
 	got[0] = core.ID{Global: 999, Local: 999}
-	again := ix.IDs("title")
-	if again[0].(core.ID) != want.(core.ID) {
-		t.Fatalf("mutating IDs() result corrupted the index: %v", again[0])
+	again := ix.RuidIDs("title")
+	if again[0] != want {
+		t.Fatalf("mutating RuidIDs() result corrupted the index: %v", again[0])
 	}
-	// Same contract for the generic representation (prepost-style schemes
-	// are exercised in index_test.go; here a second ruid call suffices to
-	// show the copies are independent).
 	if &got[0] == &again[0] {
-		t.Fatal("IDs returned the same backing array twice")
+		t.Fatal("RuidIDs returned the same backing array twice")
 	}
 }

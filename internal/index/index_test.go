@@ -8,29 +8,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/prepost"
-	"repro/internal/scheme"
-	"repro/internal/uid"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-func buildSchemes(t *testing.T, doc *xmltree.Node) map[string]scheme.Scheme {
-	t.Helper()
-	rn, _, _ := buildRUID(t, doc)
-	un, err := uid.Build(doc, uid.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pn, err := prepost.Build(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]scheme.Scheme{"ruid": rn, "uid": un, "prepost": pn}
-}
-
 // canon renders a pair list order-independently for comparison.
-func canon(pairs []index.Pair) string {
+func canon(pairs []index.PairID) string {
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
 		keys[i] = string(p.Ancestor.Key()) + "|" + string(p.Descendant.Key())
@@ -39,61 +22,48 @@ func canon(pairs []index.Pair) string {
 	return strings.Join(keys, ";")
 }
 
-// TestJoinStrategiesAgree: all three join strategies produce the same pair
-// set, for every scheme, on several name combinations of a recursive
-// document (where section//section self-joins are the hard case).
-func TestJoinStrategiesAgree(t *testing.T) {
-	doc := xmltree.Recursive(2, 6)
-	for name, s := range buildSchemes(t, doc) {
-		lists := scheme.IDsByName(doc.DocumentElement(), s)
-		cases := [][2]string{
-			{"section", "title"},
-			{"section", "para"},
-			{"section", "section"},
-			{"book", "title"},
-			{"title", "para"}, // empty: titles have no para descendants
+// truthPairs is the pair set of a//d read off the pointer tree: every element
+// named d with each of its proper ancestors named a.
+func truthPairs(n *core.Numbering, root *xmltree.Node, a, d string) []index.PairID {
+	var out []index.PairID
+	for _, dn := range root.Elements() {
+		if dn.Name != d {
+			continue
 		}
-		for _, c := range cases {
-			ancs := lists[c[0]]
-			descs := lists[c[1]]
-			naive := index.NaiveJoin(s, ancs, descs)
-			merge := index.MergeJoin(s, ancs, descs)
-			if canon(naive) != canon(merge) {
-				t.Fatalf("%s: merge join differs from naive on %v (%d vs %d pairs)",
-					name, c, len(merge), len(naive))
-			}
-			if name != "prepost" {
-				up := index.UpwardJoin(s, ancs, descs)
-				if canon(naive) != canon(up) {
-					t.Fatalf("%s: upward join differs from naive on %v (%d vs %d pairs)",
-						name, c, len(up), len(naive))
-				}
+		did, _ := n.RUID(dn)
+		for p := dn.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
+			if p.Name == a {
+				aid, _ := n.RUID(p)
+				out = append(out, index.PairID{Ancestor: aid, Descendant: did})
 			}
 		}
 	}
+	return out
 }
 
-// TestSemiJoin: the semi-join returns exactly the distinct descendants of
-// the full join, in document order.
+// TestSemiJoin: the semi-join returns exactly the elements named text below
+// an element named item, read off the pointer tree, in document order.
 func TestSemiJoin(t *testing.T) {
 	doc := xmltree.XMark(2, 5)
 	s, ix, _ := buildRUID(t, doc)
-	ancs := ix.IDs("item")
-	descs := ix.IDs("text")
-	full := index.UpwardJoin(s, ancs, descs)
-	semi := index.UpwardSemiJoin(s, ancs, descs)
-	want := map[string]bool{}
-	for _, p := range full {
-		want[string(p.Descendant.Key())] = true
-	}
-	if len(semi) != len(want) {
-		t.Fatalf("semi join %d results, want %d distinct", len(semi), len(want))
-	}
-	for i := 1; i < len(semi); i++ {
-		if s.CompareOrder(semi[i-1], semi[i]) >= 0 {
-			t.Fatalf("semi join out of document order at %d", i)
+	semi := index.UpwardSemiJoinPostings(s, ix.Postings("item"), ix.Postings("text"))
+	var want []core.ID
+	for _, x := range doc.DocumentElement().Elements() {
+		if x.Name != "text" {
+			continue
+		}
+		for p := x.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
+			if p.Name == "item" {
+				id, _ := s.RUID(x)
+				want = append(want, id)
+				break
+			}
 		}
 	}
+	if len(want) == 0 {
+		t.Fatal("fixture has no item//text")
+	}
+	sameIDs(t, "item//text", semi, want)
 }
 
 // TestPathQueryMatchesXPath: the join pipeline agrees with the navigation
@@ -129,7 +99,7 @@ func TestPathQueryMatchesXPath(t *testing.T) {
 		ix := index.Build(doc.DocumentElement(), rn)
 		engine := xpath.NewEngine(doc, xpath.PointerNavigator{})
 		for _, names := range paths[dn] {
-			got := ix.PathQuery(names...)
+			got := ix.PathQueryRUID(names...)
 			q := "//" + strings.Join(names, "//")
 			want, err := engine.Query(q)
 			if err != nil {
@@ -139,7 +109,7 @@ func TestPathQueryMatchesXPath(t *testing.T) {
 				t.Fatalf("%s %s: join pipeline %d results, xpath %d", dn, q, len(got), len(want))
 			}
 			for i := range got {
-				node, ok := rn.NodeOf(got[i])
+				node, ok := rn.NodeOfID(got[i])
 				if !ok || node != want[i] {
 					t.Fatalf("%s %s: result %d differs", dn, q, i)
 				}
@@ -160,11 +130,11 @@ func TestPathQueryChainOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := index.Build(doc.DocumentElement(), rn)
-	got := ix.PathQuery("a", "b", "c")
+	got := ix.PathQueryRUID("a", "b", "c")
 	if len(got) != 1 {
-		t.Fatalf("PathQuery(a,b,c) = %d results, want 1", len(got))
+		t.Fatalf("PathQueryRUID(a,b,c) = %d results, want 1", len(got))
 	}
-	node, _ := rn.NodeOf(got[0])
+	node, _ := rn.NodeOfID(got[0])
 	if node.Parent.Name != "b" || node.Parent.Parent.Name != "a" {
 		t.Fatalf("wrong c matched: %s", node.Path())
 	}
@@ -184,13 +154,13 @@ func TestNamesAndCounts(t *testing.T) {
 	if ix.RUID() != s {
 		t.Fatalf("RUID() mismatch")
 	}
-	if ids := ix.IDs("nonexistent"); len(ids) != 0 {
-		t.Fatalf("IDs(nonexistent) = %v", ids)
+	if ids := ix.RuidIDs("nonexistent"); len(ids) != 0 {
+		t.Fatalf("RuidIDs(nonexistent) = %v", ids)
 	}
 }
 
-// TestJoinRandomized: random documents, random name pairs, all strategies
-// agree with ground truth computed from the pointer tree.
+// TestJoinRandomized: random documents, random name pairs, both join
+// kernels agree with ground truth computed from the pointer tree.
 func TestJoinRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
@@ -205,27 +175,11 @@ func TestJoinRandomized(t *testing.T) {
 		names := ix.Names()
 		a := names[rng.Intn(len(names))]
 		d := names[rng.Intn(len(names))]
-		ancs := ix.IDs(a)
-		descs := ix.IDs(d)
-
-		// Ground truth from pointers.
-		var want []index.Pair
-		for _, dn := range doc.DocumentElement().Elements() {
-			if dn.Name != d {
-				continue
-			}
-			did, _ := rn.IDOf(dn)
-			for p := dn.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
-				if p.Name == a {
-					aid, _ := rn.IDOf(p)
-					want = append(want, index.Pair{Ancestor: aid, Descendant: did})
-				}
-			}
-		}
-		for sname, join := range map[string]func() []index.Pair{
-			"upward": func() []index.Pair { return index.UpwardJoin(rn, ancs, descs) },
-			"merge":  func() []index.Pair { return index.MergeJoin(rn, ancs, descs) },
-			"naive":  func() []index.Pair { return index.NaiveJoin(rn, ancs, descs) },
+		ancs, descs := ix.Postings(a), ix.Postings(d)
+		want := truthPairs(rn, doc.DocumentElement(), a, d)
+		for sname, join := range map[string]func() []index.PairID{
+			"upward": func() []index.PairID { return index.UpwardJoinPostings(rn, ancs, descs) },
+			"merge":  func() []index.PairID { return index.MergeJoinPostings(rn, ancs, descs) },
 		} {
 			if got := join(); canon(got) != canon(want) {
 				t.Fatalf("trial %d: %s join on (%s, %s): %d pairs, want %d",
@@ -239,81 +193,57 @@ func TestJoinRandomized(t *testing.T) {
 func TestParentSemiJoin(t *testing.T) {
 	doc := xmltree.Recursive(2, 5)
 	s, ix, _ := buildRUID(t, doc)
-	got := index.ParentSemiJoin(s, ix.IDs("section"), ix.IDs("title"))
-	want := 0
+	got := index.ParentSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title"))
+	var want []core.ID
 	for _, x := range doc.DocumentElement().Elements() {
 		if x.Name == "title" && x.Parent.Name == "section" {
-			want++
+			id, _ := s.RUID(x)
+			want = append(want, id)
 		}
 	}
-	if len(got) != want {
-		t.Fatalf("ParentSemiJoin = %d results, want %d", len(got), want)
-	}
-	for _, id := range got {
-		node, _ := s.NodeOf(id)
-		if node.Parent.Name != "section" {
-			t.Fatalf("result %s has parent %s", node.Path(), node.Parent.Name)
-		}
-	}
+	sameIDs(t, "ParentSemiJoinPostings", got, want)
 }
 
-// TestReverseSemiJoins checks AncestorSemiJoin and ChildSemiJoin against
-// pointer ground truth.
+// TestReverseSemiJoins checks AncestorSemiJoinPostings and
+// ChildSemiJoinPostings against pointer ground truth.
 func TestReverseSemiJoins(t *testing.T) {
 	doc := xmltree.Recursive(2, 5)
 	s, ix, _ := buildRUID(t, doc)
 
-	gotA := index.AncestorSemiJoin(s, ix.IDs("section"), ix.IDs("title"))
-	wantA := 0
+	// Sections with a title below them, and sections with a para child, in
+	// document order.
+	var wantA, wantC []core.ID
 	for _, x := range doc.DocumentElement().Elements() {
 		if x.Name != "section" {
 			continue
 		}
-		found := false
+		id, _ := s.RUID(x)
 		for _, d := range xmltree.Descendants(x) {
 			if d.Name == "title" {
-				found = true
+				wantA = append(wantA, id)
 				break
 			}
-		}
-		if found {
-			wantA++
-		}
-	}
-	if len(gotA) != wantA {
-		t.Fatalf("AncestorSemiJoin = %d, want %d", len(gotA), wantA)
-	}
-	for i := 1; i < len(gotA); i++ {
-		if s.CompareOrder(gotA[i-1], gotA[i]) >= 0 {
-			t.Fatalf("AncestorSemiJoin out of order")
-		}
-	}
-
-	gotC := index.ChildSemiJoin(s, ix.IDs("section"), ix.IDs("para"))
-	wantC := 0
-	for _, x := range doc.DocumentElement().Elements() {
-		if x.Name != "section" {
-			continue
 		}
 		for ci := 0; ci < x.Children.Len(); ci++ {
-			c := x.Children.At(ci)
-			if c.Name == "para" {
-				wantC++
+			if x.Children.At(ci).Name == "para" {
+				wantC = append(wantC, id)
 				break
 			}
 		}
 	}
-	if len(gotC) != wantC {
-		t.Fatalf("ChildSemiJoin = %d, want %d", len(gotC), wantC)
-	}
+	sameIDs(t, "AncestorSemiJoinPostings",
+		index.AncestorSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title")), wantA)
+	sameIDs(t, "ChildSemiJoinPostings",
+		index.ChildSemiJoinPostings(s, ix.Postings("section"), ix.Postings("para")), wantC)
+
 	// Empty inputs.
-	if got := index.AncestorSemiJoin(s, nil, ix.IDs("title")); len(got) != 0 {
-		t.Fatalf("AncestorSemiJoin(nil, ...) = %d", len(got))
+	if got := index.AncestorSemiJoinPostings(s, index.SlicePostings(nil), ix.Postings("title")); len(got) != 0 {
+		t.Fatalf("AncestorSemiJoinPostings(nil, ...) = %d", len(got))
 	}
-	if got := ix.PathQuery(); got != nil {
-		t.Fatalf("PathQuery() = %v", got)
+	if got := ix.PathQueryRUID(); got != nil {
+		t.Fatalf("PathQueryRUID() = %v", got)
 	}
-	if got := ix.PathQuery("nonexistent", "title"); got != nil {
-		t.Fatalf("PathQuery(nonexistent, ...) = %v", got)
+	if got := ix.PathQueryRUID("nonexistent", "title"); got != nil {
+		t.Fatalf("PathQueryRUID(nonexistent, ...) = %v", got)
 	}
 }

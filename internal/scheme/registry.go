@@ -89,23 +89,10 @@ func Names() []string {
 }
 
 // CapsOf returns the declared capabilities of a scheme instance, resolved
-// through the registry by Name. For an unregistered scheme it falls back to
-// interface probing, conservatively claiming no computed parent.
+// through the registry by Name; an unregistered scheme declares none.
 func CapsOf(s Scheme) Capabilities {
-	if r, ok := Lookup(s.Name()); ok {
-		return r.Caps
-	}
-	caps := Capabilities{}
-	if _, ok := s.(AxisScheme); ok {
-		caps.Axes = true
-	}
-	if _, ok := s.(Updatable); ok {
-		caps.Update = true
-	}
-	if _, ok := s.(Depther); ok {
-		caps.Depth = true
-	}
-	return caps
+	r, _ := Lookup(s.Name())
+	return r.Caps
 }
 
 // Depther is implemented by schemes whose identifiers expose their node's
@@ -140,8 +127,8 @@ func LabelBytes(s Scheme, nodes []ID) int {
 
 // IDsByName walks the subtree rooted at root and returns, for each element
 // name, the identifiers s assigns the elements of that name, in document
-// order: the boxed per-name lists the reference join kernels of
-// internal/index take under any scheme.
+// order: the boxed per-name lists the join kernels of this package take
+// under any scheme.
 func IDsByName(root *xmltree.Node, s Scheme) map[string][]ID {
 	lists := make(map[string][]ID)
 	root.Walk(func(x *xmltree.Node) bool {
@@ -153,4 +140,17 @@ func IDsByName(root *xmltree.Node, s Scheme) map[string][]ID {
 		return true
 	})
 	return lists
+}
+
+// NodeKey returns the key function storage.NodeStore.Load takes for s: the
+// Key of the identifier s assigns a node, and false for a node s does not
+// number.
+func NodeKey(s Scheme) func(*xmltree.Node) ([]byte, bool) {
+	return func(x *xmltree.Node) ([]byte, bool) {
+		id, ok := s.IDOf(x)
+		if !ok {
+			return nil, false
+		}
+		return id.Key(), true
+	}
 }

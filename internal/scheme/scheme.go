@@ -1,8 +1,11 @@
-// Package scheme defines the common interface implemented by every
-// numbering scheme in this repository (the original UID baseline, the
-// preorder/postorder and extended-preorder baselines, and the paper's ruid),
-// together with a conformance harness that checks any implementation against
-// the pointer-tree ground truth of package xmltree.
+// Package scheme is the scheme bake-off: a boxed contract that lines the
+// paper's ruid up against the comparison schemes (the original UID, the
+// preorder/postorder and extended-preorder baselines, nested intervals and
+// compact ancestry labels), with a conformance harness (schemetest) that checks
+// any implementation against the pointer-tree ground truth of package xmltree.
+// The serving packages do not import it: ruid enters through an adapter over
+// the concrete *core.Numbering (RUID), and the join kernels and the XPath
+// navigator the experiment tables run over boxed identifiers live here.
 //
 // A Scheme is a numbering of one tree snapshot: it assigns each node a
 // unique identifier from which structural relationships can be recovered.
@@ -13,16 +16,16 @@
 package scheme
 
 import (
-	"errors"
-
+	"repro/internal/core"
 	"repro/internal/xmltree"
 )
 
 // ErrOverflow reports that an identifier, or a component of one, does not fit
-// the machine integer its scheme stores it in. Every scheme returns this one
-// value, wrapped with what overflowed and where, so errors.Is agrees across
-// schemes; the packages re-export it under their own names.
-var ErrOverflow = errors.New("scheme: identifier exceeds int64")
+// the machine integer its scheme stores it in. It is core.ErrOverflow: every
+// scheme returns this one value, wrapped with what overflowed and where, so
+// errors.Is agrees across schemes; the packages re-export it under their own
+// names.
+var ErrOverflow = core.ErrOverflow
 
 // ID is an opaque node identifier. Implementations provide value types with
 // meaningful String and Key representations.
@@ -101,25 +104,6 @@ type Updatable interface {
 }
 
 // UpdateStats quantifies the renumbering scope of one structural update —
-// the central metric of experiments E1 and E6.
-type UpdateStats struct {
-	// Relabeled is the number of pre-existing nodes whose identifier
-	// changed (the inserted node itself does not count; deleted nodes do
-	// not count).
-	Relabeled int
-	// FullRebuild reports that the whole document had to be renumbered
-	// (original UID when the global fan-out k overflows).
-	FullRebuild bool
-	// AreaRebuilds is the number of UID-local areas that had to be
-	// re-enumerated with a larger local fan-out (ruid only).
-	AreaRebuilds int
-}
-
-// Add accumulates other into s.
-func (s *UpdateStats) Add(other UpdateStats) {
-	s.Relabeled += other.Relabeled
-	if other.FullRebuild {
-		s.FullRebuild = true
-	}
-	s.AreaRebuilds += other.AreaRebuilds
-}
+// the central metric of experiments E1 and E6. It is core's type, so every
+// scheme reports its updates the way ruid does.
+type UpdateStats = core.UpdateStats

@@ -9,7 +9,6 @@ import (
 
 	// Pull every scheme implementation into the registry.
 	_ "repro/internal/ancestry"
-	_ "repro/internal/core"
 	_ "repro/internal/nestedint"
 	_ "repro/internal/prepost"
 	_ "repro/internal/uid"
@@ -55,9 +54,9 @@ func TestRegisteredSchemes(t *testing.T) {
 	}
 }
 
-// TestCapabilitiesMatchImplementation guards the registry metadata: a
-// scheme claiming Axes or Update must actually implement the interface,
-// and vice versa for the probing fallback.
+// TestCapabilitiesMatchImplementation guards the registry metadata, the
+// only source of a scheme's capabilities: a scheme claims Axes or Update
+// exactly when it implements the interface.
 func TestCapabilitiesMatchImplementation(t *testing.T) {
 	doc := xmltree.Recursive(2, 4)
 	for _, name := range scheme.Names() {

@@ -51,7 +51,7 @@ func (ps *PartitionedStore) Load(root *xmltree.Node, n *core.Numbering) error {
 			tbl = NewNodeStore(ps.poolPages)
 			ps.tables[k] = tbl
 		}
-		if e := tbl.Put(id, x); e != nil {
+		if e := tbl.Put(id.Key(), x); e != nil {
 			err = e
 			return false
 		}
@@ -108,7 +108,7 @@ func (ps *PartitionedStore) Lookup(name string, id core.ID) (Record, bool, IOSta
 		return Record{}, false, IOStats{}, nil
 	}
 	before := tbl.Stats()
-	r, found, err := tbl.Get(id)
+	r, found, err := tbl.Get(id.Key())
 	return r, found, tbl.Stats().Sub(before), err
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -89,8 +88,9 @@ func NewNodeStoreOn(p *Pager) *NodeStore {
 	return &NodeStore{pager: p, tree: NewBTree(p)}
 }
 
-// Load bulk-inserts every numbered node of s (document order).
-func (st *NodeStore) Load(root *xmltree.Node, s scheme.Scheme, withAttrs bool) error {
+// Load bulk-inserts, in document order, every node under root for which key
+// returns a key: the identifier key of each numbered node.
+func (st *NodeStore) Load(root *xmltree.Node, key func(*xmltree.Node) ([]byte, bool), withAttrs bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var err error
@@ -98,11 +98,11 @@ func (st *NodeStore) Load(root *xmltree.Node, s scheme.Scheme, withAttrs bool) e
 		if n.Kind == xmltree.Attribute && !withAttrs {
 			return true
 		}
-		id, ok := s.IDOf(n)
+		k, ok := key(n)
 		if !ok {
 			return true
 		}
-		if e := st.tree.Put(id.Key(), encodeRecord(recordOf(n))); e != nil {
+		if e := st.tree.Put(k, encodeRecord(recordOf(n))); e != nil {
 			err = e
 			return false
 		}
@@ -111,18 +111,18 @@ func (st *NodeStore) Load(root *xmltree.Node, s scheme.Scheme, withAttrs bool) e
 	return err
 }
 
-// Put inserts or replaces one row.
-func (st *NodeStore) Put(id scheme.ID, n *xmltree.Node) error {
+// Put inserts or replaces the row of n under key.
+func (st *NodeStore) Put(key []byte, n *xmltree.Node) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.tree.Put(id.Key(), encodeRecord(recordOf(n)))
+	return st.tree.Put(key, encodeRecord(recordOf(n)))
 }
 
-// Get fetches the row stored under id.
-func (st *NodeStore) Get(id scheme.ID) (Record, bool, error) {
+// Get fetches the row stored under key.
+func (st *NodeStore) Get(key []byte) (Record, bool, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	v, ok, err := st.tree.Get(id.Key())
+	v, ok, err := st.tree.Get(key)
 	if err != nil || !ok {
 		return Record{}, false, err
 	}
@@ -133,11 +133,11 @@ func (st *NodeStore) Get(id scheme.ID) (Record, bool, error) {
 	return r, true, nil
 }
 
-// Delete removes the row stored under id.
-func (st *NodeStore) Delete(id scheme.ID) (bool, error) {
+// Delete removes the row stored under key.
+func (st *NodeStore) Delete(key []byte) (bool, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.tree.Delete(id.Key())
+	return st.tree.Delete(key)
 }
 
 // ScanRange visits the rows whose keys fall in [lo, hi] in key order.

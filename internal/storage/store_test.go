@@ -24,7 +24,7 @@ func TestNodeStoreLoadAndGet(t *testing.T) {
 	n := buildRUID(t, doc, 24)
 	st := storage.NewNodeStore(64)
 	root := doc.DocumentElement()
-	if err := st.Load(root, n, false); err != nil {
+	if err := st.Load(root, n.NodeKey, false); err != nil {
 		t.Fatal(err)
 	}
 	want := xmltree.CountNodes(root)
@@ -32,8 +32,8 @@ func TestNodeStoreLoadAndGet(t *testing.T) {
 		t.Fatalf("stored %d rows, want %d", st.Len(), want)
 	}
 	for _, x := range root.Nodes() {
-		id, _ := n.IDOf(x)
-		r, ok, err := st.Get(id)
+		id, _ := n.RUID(x)
+		r, ok, err := st.Get(id.Key())
 		if err != nil || !ok {
 			t.Fatalf("Get(%v): ok=%v err=%v", id, ok, err)
 		}
@@ -54,7 +54,7 @@ func TestClusteredScanIsAreaScan(t *testing.T) {
 	n := buildRUID(t, doc, 16)
 	st := storage.NewNodeStore(64)
 	root := doc.DocumentElement()
-	if err := st.Load(root, n, false); err != nil {
+	if err := st.Load(root, n.NodeKey, false); err != nil {
 		t.Fatal(err)
 	}
 	// Count per-area rows via ground truth. A node's row is keyed by its
@@ -93,7 +93,7 @@ func TestParentLookupNeedsNoTreeIO(t *testing.T) {
 	n := buildRUID(t, doc, 32)
 	st := storage.NewNodeStore(256)
 	root := doc.DocumentElement()
-	if err := st.Load(root, n, false); err != nil {
+	if err := st.Load(root, n.NodeKey, false); err != nil {
 		t.Fatal(err)
 	}
 	deep := root

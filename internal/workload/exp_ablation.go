@@ -56,7 +56,7 @@ func E13BudgetAblation() *Table {
 		})
 		dChildren := timeOp(8, func() {
 			for _, id := range sample {
-				sinkInt += len(n.Children(id))
+				sinkInt += len(n.AppendChildren(nil, id))
 			}
 		})
 
@@ -71,7 +71,7 @@ func E13BudgetAblation() *Table {
 		total := 0
 		for i := 0; i < 16; i++ {
 			target := targets[rng.Intn(len(targets))]
-			st, err := n.InsertChild(target, 0, xmltree.NewElement("abl"))
+			st, _, err := n.InsertChildDelta(target, 0, xmltree.NewElement("abl"))
 			if err != nil {
 				panic(err)
 			}

@@ -3,8 +3,8 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/prepost"
+	"repro/internal/scheme"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -47,11 +47,11 @@ func E12StorageAxes() *Table {
 		}
 
 		stR := storage.NewNodeStore(4)
-		if err := stR.Load(root, rn, false); err != nil {
+		if err := stR.Load(root, rn.NodeKey, false); err != nil {
 			panic(err)
 		}
 		stP := storage.NewNodeStore(4)
-		if err := stP.Load(root, pn, false); err != nil {
+		if err := stP.Load(root, scheme.NodeKey(pn), false); err != nil {
 			panic(err)
 		}
 
@@ -91,9 +91,8 @@ func E12StorageAxes() *Table {
 		measure("ruid children (range scan)", -1, func(x *xmltree.Node) int {
 			id, _ := rn.RUID(x)
 			count := 0
-			for _, c := range rn.Children(id) {
-				cid := c.(core.ID)
-				if _, ok, err := stR.Get(cid); err != nil {
+			for _, c := range rn.AppendChildren(nil, id) {
+				if _, ok, err := stR.Get(c.Key()); err != nil {
 					panic(err)
 				} else if ok {
 					count++
@@ -109,7 +108,7 @@ func E12StorageAxes() *Table {
 			if err != nil || !ok {
 				return 0
 			}
-			if _, ok, err := stR.Get(p); err != nil {
+			if _, ok, err := stR.Get(p.Key()); err != nil {
 				panic(err)
 			} else if !ok {
 				panic("parent row missing")

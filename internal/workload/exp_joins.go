@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/prepost"
 	"repro/internal/query"
@@ -43,24 +44,24 @@ func E11StructuralJoins() *Table {
 	}
 	for _, c := range cases {
 		doc := c.mk()
-		rn := BuildRUID(doc)
+		rn := scheme.RUID{Num: BuildRUID(doc)}
 		pn, err := prepost.Build(doc)
 		if err != nil {
 			panic(err)
 		}
-		ixR := index.Build(doc.DocumentElement(), rn)
+		listsR := scheme.IDsByName(doc.DocumentElement(), rn)
 		listsP := scheme.IDsByName(doc.DocumentElement(), pn)
 
-		ancsR, descsR := ixR.IDs(c.anc), ixR.IDs(c.desc)
+		ancsR, descsR := listsR[c.anc], listsR[c.desc]
 		ancsP, descsP := listsP[c.anc], listsP[c.desc]
-		pairs := len(index.MergeJoin(rn, ancsR, descsR))
+		pairs := len(scheme.MergeJoin(rn, ancsR, descsR))
 
-		dUp := timeOp(3, func() { sinkInt = len(index.UpwardJoin(rn, ancsR, descsR)) })
-		dMR := timeOp(3, func() { sinkInt = len(index.MergeJoin(rn, ancsR, descsR)) })
-		dMP := timeOp(3, func() { sinkInt = len(index.MergeJoin(pn, ancsP, descsP)) })
+		dUp := timeOp(3, func() { sinkInt = len(scheme.UpwardJoin(rn, ancsR, descsR)) })
+		dMR := timeOp(3, func() { sinkInt = len(scheme.MergeJoin(rn, ancsR, descsR)) })
+		dMP := timeOp(3, func() { sinkInt = len(scheme.MergeJoin(pn, ancsP, descsP)) })
 		naive := "-"
 		if len(ancsR)*len(descsR) <= 1<<22 {
-			dN := timeOp(1, func() { sinkInt = len(index.NaiveJoin(rn, ancsR, descsR)) })
+			dN := timeOp(1, func() { sinkInt = len(scheme.NaiveJoin(rn, ancsR, descsR)) })
 			naive = formatDuration(dN)
 		}
 		t.AddRow(
@@ -95,27 +96,26 @@ func E11PathPipeline() *Table {
 		doc := c.mk()
 		rn := BuildRUID(doc)
 		ix := index.Build(doc.DocumentElement(), rn)
-		results := len(ix.PathQuery(c.names...))
+		results := len(ix.PathQueryRUID(c.names...))
 
-		dJoin := timeOp(3, func() { sinkInt = len(ix.PathQuery(c.names...)) })
+		dJoin := timeOp(3, func() { sinkInt = len(ix.PathQueryRUID(c.names...)) })
 
 		// Navigation: descendant scans from each step's matches.
 		nav := func() int {
-			cur := ix.IDs(c.names[0])
+			cur := ix.RuidIDs(c.names[0])
+			var desc []core.ID
 			for step := 1; step < len(c.names); step++ {
-				seen := map[string]bool{}
-				var next []scheme.ID
+				seen := map[core.ID]bool{}
+				var next []core.ID
 				for _, a := range cur {
-					for _, d := range rn.Descendants(a) {
-						node, ok := rn.NodeOf(d)
-						if !ok || node.Name != c.names[step] {
+					desc = rn.AppendDescendants(desc[:0], a)
+					for _, d := range desc {
+						node, ok := rn.NodeOfID(d)
+						if !ok || node.Name != c.names[step] || seen[d] {
 							continue
 						}
-						k := string(d.Key())
-						if !seen[k] {
-							seen[k] = true
-							next = append(next, d)
-						}
+						seen[d] = true
+						next = append(next, d)
 					}
 				}
 				cur = next

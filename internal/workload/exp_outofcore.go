@@ -118,9 +118,9 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 
 	// Stored node tables, loaded with a pool roomy enough that the bulk
 	// load itself does not thrash, then capped at ~5% for the measurement.
-	load := func(s scheme.Scheme) *storage.NodeStore {
+	load := func(key func(*xmltree.Node) ([]byte, bool)) *storage.NodeStore {
 		t := storage.NewNodeStore(32768)
-		if err := t.Load(root, s, false); err != nil {
+		if err := t.Load(root, key, false); err != nil {
 			panic(err)
 		}
 		t.Pager().Flush()
@@ -129,8 +129,8 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 		t.ResetStats()
 		return t
 	}
-	stR := load(rn)
-	stP := load(pn)
+	stR := load(rn.NodeKey)
+	stP := load(scheme.NodeKey(pn))
 	st.TotalPages = stR.Pages()
 	st.PoolPages = outOfCorePool(st.TotalPages)
 
@@ -170,7 +170,7 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 				id = p
 				steps++
 			}
-			rn.Children(id) // children of the root area node: K arithmetic too
+			rn.AppendChildren(nil, id) // children of the root area node: K arithmetic too
 		}
 		if pass == 1 {
 			st.RuidNavReads = stR.Stats().Sub(before).Reads
@@ -191,7 +191,7 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 					panic("unnumbered sample node")
 				}
 				pid := sid.(prepost.ID)
-				if _, ok, err := stP.Get(pid); err != nil {
+				if _, ok, err := stP.Get(pid.Key()); err != nil {
 					panic(err)
 				} else if !ok {
 					panic("stored row missing")
@@ -222,7 +222,7 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 		st.UID64Overflowed = true
 	}
 	un := BuildUID(doc)
-	stU := load(un)
+	stU := load(scheme.NodeKey(un))
 	for pass := 0; pass < 2; pass++ {
 		before := stU.Stats()
 		var steps int64
@@ -236,7 +236,7 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 				if !ok {
 					break
 				}
-				if _, ok, err := stU.Get(p); err != nil {
+				if _, ok, err := stU.Get(p.Key()); err != nil {
 					panic(err)
 				} else if !ok {
 					panic("stored row missing")

@@ -146,7 +146,7 @@ func E5QueryEvaluation() *Table {
 		engines := map[string]*xpath.Engine{
 			"pointer": xpath.NewEngine(doc, xpath.PointerNavigator{}),
 			"ruid":    xpath.NewEngine(doc, xpath.SchemeNavigator{S: BuildRUID(doc)}),
-			"uid":     xpath.NewEngine(doc, xpath.SchemeNavigator{S: BuildUID(doc)}),
+			"uid":     xpath.NewEngine(doc, scheme.Navigator{S: BuildUID(doc)}),
 		}
 		for _, q := range QuerySet(d) {
 			path, err := xpath.Parse(q)
@@ -181,7 +181,7 @@ func E9Axes() *Table {
 	navs := []xpath.Navigator{
 		xpath.PointerNavigator{},
 		xpath.SchemeNavigator{S: BuildRUID(doc)},
-		xpath.SchemeNavigator{S: BuildUID(doc)},
+		scheme.Navigator{S: BuildUID(doc)},
 	}
 	nodes := doc.DocumentElement().Nodes()
 	rng := rand.New(rand.NewSource(21))

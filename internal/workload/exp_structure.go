@@ -109,7 +109,7 @@ func E10TableSelection() *Table {
 		root := doc.DocumentElement()
 
 		mono := storage.NewNodeStore(8)
-		if err := mono.Load(root, n, false); err != nil {
+		if err := mono.Load(root, n.NodeKey, false); err != nil {
 			panic(err)
 		}
 		part := storage.NewPartitionedStore(8)

@@ -38,7 +38,7 @@ func E6UpdateScope() *Table {
 				return BuildUID(doc)
 			})
 			ruidRel, ruidReb := measureInsertions(mk(), depth, 8, func(doc *xmltree.Node) scheme.Updatable {
-				return BuildRUID(doc)
+				return scheme.RUID{Num: BuildRUID(doc)}
 			})
 			t.AddRow(d, depth, fmt.Sprintf("%.1f", uidRel), uidReb,
 				fmt.Sprintf("%.1f", ruidRel), ruidReb)
@@ -106,7 +106,7 @@ func E6Deletion() *Table {
 		maxDepth := xmltree.MaxDepth(mk().DocumentElement())
 		for depth := 0; depth < maxDepth-1; depth += depthStep(maxDepth) {
 			u := measureDeletions(mk(), depth, 8, func(doc *xmltree.Node) scheme.Updatable { return BuildUID(doc) })
-			r := measureDeletions(mk(), depth, 8, func(doc *xmltree.Node) scheme.Updatable { return BuildRUID(doc) })
+			r := measureDeletions(mk(), depth, 8, func(doc *xmltree.Node) scheme.Updatable { return scheme.RUID{Num: BuildRUID(doc)} })
 			t.AddRow(d, depth, fmt.Sprintf("%.1f", u), fmt.Sprintf("%.1f", r))
 		}
 	}
@@ -194,7 +194,7 @@ func E6WorstCase() *Table {
 		// Fill the widest node's area fan-out first so the next insert
 		// overflows it; one insertion at the widest node suffices when the
 		// node already carries the area's maximal fan-out.
-		stR, err := nR.InsertChild(widestR, 0, xmltree.NewElement("over"))
+		stR, _, err := nR.InsertChildDelta(widestR, 0, xmltree.NewElement("over"))
 		if err != nil {
 			panic(err)
 		}
@@ -264,7 +264,7 @@ func E6Churn() *Table {
 		docU := mk()
 		uTotal, _ := churn(BuildUID(docU), docU)
 		docR := mk()
-		rTotal, _ := churn(BuildRUID(docR), docR)
+		rTotal, _ := churn(scheme.RUID{Num: BuildRUID(docR)}, docR)
 		docL := mk()
 		lm, err := prepost.BuildLiMoon(docL, 4)
 		if err != nil {

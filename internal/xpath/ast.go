@@ -10,10 +10,10 @@
 // covering positions, position()/last()/count(), string and numeric
 // comparisons, and/or, and nested relative paths.
 //
-// Evaluation is generic over a Navigator, with two implementations: one
-// driven by a numbering scheme's axis arithmetic (the paper's approach) and
-// one by direct pointer navigation (the ground truth the scheme-driven
-// engine is validated against).
+// Evaluation is generic over a Navigator, with two implementations here: one
+// driven by the ruid's axis arithmetic (the paper's approach) and one by
+// direct pointer navigation (the ground truth the ruid-driven engine is
+// validated against).
 //
 // There is one evaluator and it streams: a Navigator walks an axis for a
 // visitor instead of returning it, a step applies its node test to one

@@ -229,7 +229,7 @@ func agreeNavigators(t testing.TB, doc *xmltree.Node) []xpath.Navigator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []xpath.Navigator{xpath.SchemeNavigator{S: rn}, xpath.SchemeNavigator{S: un}, xpath.SchemeNavigator{S: nn}}
+	return []xpath.Navigator{xpath.SchemeNavigator{S: rn}, scheme.Navigator{S: un}, scheme.Navigator{S: nn}}
 }
 
 // sameNodes reports the first position at which two node sequences differ,

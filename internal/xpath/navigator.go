@@ -2,11 +2,9 @@ package xpath
 
 import (
 	"cmp"
-	"fmt"
-	"os"
 	"slices"
 
-	"repro/internal/scheme"
+	"repro/internal/core"
 	"repro/internal/xmltree"
 )
 
@@ -15,9 +13,10 @@ type Visit func(*xmltree.Node) bool
 
 // Navigator supplies the positional axes over the element tree and the
 // document order of its nodes. The engine is generic over it:
-// SchemeNavigator derives both from identifier arithmetic (the paper's
+// SchemeNavigator derives both from ruid identifier arithmetic (the paper's
 // approach), PointerNavigator from parent/child pointers (the ground
-// truth).
+// truth); the scheme bake-off brings a navigator over any boxed numbering
+// scheme (internal/scheme).
 //
 // An axis is walked, not returned: each method hands visit the nodes of the
 // axis of n in axis order — document order for the forward axes, nearest
@@ -176,192 +175,101 @@ func (PointerNavigator) InOrder(doc *xmltree.Node, ns []*xmltree.Node) []*xmltre
 	return out
 }
 
-// nodeAxes is the in-place form of a scheme's axes: the scheme walks its
-// own clustered index and hands over the node sitting at each slot, so no
-// identifier is generated, boxed or resolved on either side of a step.
-// *core.Numbering satisfies it.
-type nodeAxes interface {
-	ParentNode(c *xmltree.Node) (*xmltree.Node, bool)
-	VisitChildren(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
-	VisitDescendants(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
-	VisitAncestors(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
-	VisitFollowingSiblings(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
-	VisitPrecedingSiblings(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
-	VisitFollowing(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
-	VisitPreceding(c *xmltree.Node, visit func(*xmltree.Node) bool) bool
-	CompareNodes(a, b *xmltree.Node) (order int, ok bool)
-}
-
-// SchemeNavigator adapts a numbering scheme's identifier-arithmetic axes to
-// the Navigator interface. A scheme that walks its axes in place (nodeAxes —
-// ruid) is used that way; one that only generates boxed identifier lists
-// (scheme.AxisScheme — uid, nestedint) has them resolved back to nodes one
-// at a time, so either way a walk the consumer stops early resolves nothing
+// SchemeNavigator derives the axes from the ruid identifiers the nodes carry:
+// the numbering walks its own clustered index and hands over the node
+// sitting at each slot, so no identifier is generated, boxed or resolved on
+// either side of a step, and a walk the consumer stops early visits nothing
 // past the stop.
 type SchemeNavigator struct {
-	S scheme.AxisScheme
+	S *core.Numbering
 }
-
-// debugChecks makes a boxed identifier that resolves to no node a panic
-// instead of a shorter answer. Seeded from RUID_DEBUG like the core, index
-// and query checks.
-var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
 // Name implements Navigator.
-func (v SchemeNavigator) Name() string { return v.S.Name() }
-
-// boxed walks one boxed axis of n: generate the identifier list, then
-// resolve and visit one identifier at a time, back to front when rev.
-func (v SchemeNavigator) boxed(n *xmltree.Node, axis func(scheme.AxisScheme, scheme.ID) []scheme.ID, rev bool, visit Visit) bool {
-	id, ok := v.S.IDOf(n)
-	if !ok {
-		return true
-	}
-	ids := axis(v.S, id)
-	for i := range ids {
-		if rev {
-			i = len(ids) - 1 - i
-		}
-		x, ok := v.S.NodeOf(ids[i])
-		if !ok {
-			if debugChecks {
-				panic(fmt.Sprintf("xpath: %s generated identifier %s, which resolves to no node", v.S.Name(), ids[i]))
-			}
-			continue
-		}
-		if !visit(x) {
-			return false
-		}
-	}
-	return true
-}
+func (SchemeNavigator) Name() string { return "ruid" }
 
 // Parent implements Navigator.
-func (v SchemeNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.ParentNode(n)
-	}
-	id, ok := v.S.IDOf(n)
-	if !ok {
-		return nil, false
-	}
-	pid, ok := v.S.Parent(id)
-	if !ok {
-		return nil, false
-	}
-	return v.S.NodeOf(pid)
-}
+func (v SchemeNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) { return v.S.ParentNode(n) }
 
 // Children implements Navigator.
 func (v SchemeNavigator) Children(n *xmltree.Node, visit Visit) bool {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.VisitChildren(n, visit)
-	}
-	return v.boxed(n, scheme.AxisScheme.Children, false, visit)
+	return v.S.VisitChildren(n, visit)
 }
 
 // Descendants implements Navigator.
 func (v SchemeNavigator) Descendants(n *xmltree.Node, visit Visit) bool {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.VisitDescendants(n, visit)
-	}
-	return v.boxed(n, scheme.AxisScheme.Descendants, false, visit)
+	return v.S.VisitDescendants(n, visit)
 }
 
 // Ancestors implements Navigator.
 func (v SchemeNavigator) Ancestors(n *xmltree.Node, visit Visit) bool {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.VisitAncestors(n, visit)
-	}
-	return v.boxed(n, scheme.AxisScheme.Ancestors, false, visit)
+	return v.S.VisitAncestors(n, visit)
 }
 
 // FollowingSiblings implements Navigator.
 func (v SchemeNavigator) FollowingSiblings(n *xmltree.Node, visit Visit) bool {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.VisitFollowingSiblings(n, visit)
-	}
-	return v.boxed(n, scheme.AxisScheme.FollowingSiblings, false, visit)
+	return v.S.VisitFollowingSiblings(n, visit)
 }
 
 // PrecedingSiblings implements Navigator.
 func (v SchemeNavigator) PrecedingSiblings(n *xmltree.Node, visit Visit) bool {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.VisitPrecedingSiblings(n, visit)
-	}
-	return v.boxed(n, scheme.AxisScheme.PrecedingSiblings, false, visit)
+	return v.S.VisitPrecedingSiblings(n, visit)
 }
 
 // Following implements Navigator.
 func (v SchemeNavigator) Following(n *xmltree.Node, visit Visit) bool {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.VisitFollowing(n, visit)
-	}
-	return v.boxed(n, scheme.AxisScheme.Following, false, visit)
+	return v.S.VisitFollowing(n, visit)
 }
 
-// Preceding implements Navigator; scheme.AxisScheme states the boxed list in
-// document order, so it is walked back to front.
+// Preceding implements Navigator.
 func (v SchemeNavigator) Preceding(n *xmltree.Node, visit Visit) bool {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.VisitPreceding(n, visit)
-	}
-	return v.boxed(n, scheme.AxisScheme.Preceding, true, visit)
+	return v.S.VisitPreceding(n, visit)
 }
 
-// InOrder implements Navigator from the identifiers the nodes carry: one
-// pass of comparisons finds a set already in order — the common case — and
-// only a set that is not gets sorted; duplicates then sit side by side.
+// InOrder implements Navigator from the identifiers the nodes carry.
 func (v SchemeNavigator) InOrder(doc *xmltree.Node, ns []*xmltree.Node) []*xmltree.Node {
-	cmp := func(a, b *xmltree.Node) int { return v.compare(doc, a, b) }
-	if !slices.IsSortedFunc(ns, cmp) {
-		slices.SortFunc(ns, cmp)
-	}
-	return slices.Compact(ns)
+	return OrderByLabels(doc, ns, v.S.CompareNodes)
 }
 
-// compare is document order over everything a node-set can hold. The
-// scheme orders the nodes it numbers, from their labels. An attribute
-// stands directly after its element (in attribute-list order), and so
-// wherever that element stands relative to any other node; what then still
-// carries no label is the Document node or a comment or processing
+// OrderByLabels returns ns — nodes of any kind from the tree under the
+// Document node doc — in document order and without duplicates, reordering
+// ns in place: the InOrder of a navigator whose numbering orders the nodes
+// it labels, where label compares two nodes by their labels (ok false when
+// either carries none). One pass of comparisons finds a set already in
+// order — the common case — and only a set that is not gets sorted;
+// duplicates then sit side by side.
+//
+// An attribute stands directly after its element (in attribute-list order),
+// and so wherever that element stands relative to any other node; what then
+// still carries no label is the Document node or a comment or processing
 // instruction beside the document element, placed by its position at the
 // top level.
-func (v SchemeNavigator) compare(doc, a, b *xmltree.Node) int {
-	if a == b {
-		return 0
-	}
-	ea, eb := a, b
-	if a.Kind == xmltree.Attribute {
-		ea = a.Parent
-	}
-	if b.Kind == xmltree.Attribute {
-		eb = b.Parent
-	}
-	if ea == eb {
-		if a == ea || (b != eb && a.Index() < b.Index()) {
-			return -1
+func OrderByLabels(doc *xmltree.Node, ns []*xmltree.Node, label func(a, b *xmltree.Node) (int, bool)) []*xmltree.Node {
+	order := func(a, b *xmltree.Node) int {
+		if a == b {
+			return 0
 		}
-		return 1
+		ea, eb := a, b
+		if a.Kind == xmltree.Attribute {
+			ea = a.Parent
+		}
+		if b.Kind == xmltree.Attribute {
+			eb = b.Parent
+		}
+		if ea == eb {
+			if a == ea || (b != eb && a.Index() < b.Index()) {
+				return -1
+			}
+			return 1
+		}
+		if o, ok := label(ea, eb); ok {
+			return o
+		}
+		return cmp.Compare(topLevel(doc, ea), topLevel(doc, eb))
 	}
-	if order, ok := v.labelOrder(ea, eb); ok {
-		return order
+	if !slices.IsSortedFunc(ns, order) {
+		slices.SortFunc(ns, order)
 	}
-	return cmp.Compare(topLevel(doc, ea), topLevel(doc, eb))
-}
-
-// labelOrder compares two nodes by the identifiers they carry; ok is false
-// when either carries none.
-func (v SchemeNavigator) labelOrder(a, b *xmltree.Node) (order int, ok bool) {
-	if w, ok := v.S.(nodeAxes); ok {
-		return w.CompareNodes(a, b)
-	}
-	ia, oka := v.S.IDOf(a)
-	ib, okb := v.S.IDOf(b)
-	if !oka || !okb {
-		return 0, false
-	}
-	return v.S.CompareOrder(ia, ib), true
+	return slices.Compact(ns)
 }
 
 // topLevel returns where n stands at the top level of the document: -1 for
