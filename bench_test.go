@@ -216,7 +216,7 @@ func BenchmarkE6UpdateScope(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		target := doc.DocumentElement().Children.At(0)
+		target := doc.DocumentElement().Child(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st, err := n.InsertChild(target, 0, xmltree.NewElement("ins"))
@@ -235,7 +235,7 @@ func BenchmarkE6UpdateScope(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		target := doc.DocumentElement().Children.At(0)
+		target := doc.DocumentElement().Child(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st, _, err := n.InsertChildDelta(target, 0, xmltree.NewElement("ins"))
@@ -451,7 +451,7 @@ func BenchmarkE12StorageAxes(b *testing.B) {
 	}
 	var sample []*xmltree.Node
 	root.Walk(func(x *xmltree.Node) bool {
-		if x.Children.Len() > 0 && len(sample) < 64 {
+		if x.NumChildren() > 0 && len(sample) < 64 {
 			sample = append(sample, x)
 		}
 		return true

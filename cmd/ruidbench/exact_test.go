@@ -11,8 +11,10 @@ import (
 // values. They are counts and sizes, pure functions of the fixtures, so a
 // change that moves one changed what the engine does: the partition (K rows,
 // κ), the posting encoding, the update scope of a write, the work of a
-// positional lookup, or a scheme's labels. open/heap_bytes_per_node depends
-// on the collector and stays with the timing rows.
+// positional lookup, or a scheme's labels. open/heap_bytes_per_node is the
+// live heap an open document keeps per node; it read the same in every probe
+// of a commit, but it is taken from the collector's accounting, so it is held
+// within 2 %: a node size class moves it by 16 or more.
 func TestExactRows(t *testing.T) {
 	got := map[string]float64{}
 	add := func(rows ...microResult) {
@@ -74,6 +76,11 @@ func TestExactRows(t *testing.T) {
 				t.Errorf("%s = %v has no baseline row", name, g)
 			}
 		}
+	}
+
+	const heapName, heapWant = "open/heap_bytes_per_node", 178
+	if g, ok := got[heapName]; !ok || g < heapWant*0.98 || g > heapWant*1.02 {
+		t.Errorf("%s = %v, want %v ±2 %%", heapName, g, heapWant)
 	}
 
 	// A posting splice pays the list's directory and the blocks it rewrites;

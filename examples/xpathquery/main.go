@@ -60,7 +60,7 @@ func main() {
 		ps.Tables(), len(doc.DocumentElement().Elements()))
 
 	// A point lookup opens exactly one small table.
-	title := doc.DocumentElement().Children.At(123).FirstChildElement("title")
+	title := doc.DocumentElement().Child(123).FirstChildElement("title")
 	id, _ := n.RUID(title)
 	ps.DropCaches()
 	rec, ok, io, err := ps.Lookup("title", id)

@@ -118,8 +118,8 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 	var measure func(d *xmltree.Node) int
 	measure = func(d *xmltree.Node) int {
 		s := 1
-		for i := 0; i < d.Children.Len(); i++ {
-			s += measure(d.Children.At(i))
+		for i := 0; i < d.NumChildren(); i++ {
+			s += measure(d.Child(i))
 		}
 		size[d] = s
 		return s
@@ -138,14 +138,14 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 
 		heavy := -1
 		best := -1
-		for i := 0; i < d.Children.Len(); i++ {
-			c := d.Children.At(i)
+		for i := 0; i < d.NumChildren(); i++ {
+			c := d.Child(i)
 			if size[c] > best {
 				best, heavy = size[c], i
 			}
 		}
-		for i := 0; i < d.Children.Len(); i++ {
-			c := d.Children.At(i)
+		for i := 0; i < d.NumChildren(); i++ {
+			c := d.Child(i)
 			if i == heavy {
 				walk(c, depth+1, light)
 				continue

@@ -62,9 +62,9 @@ func TestHeavyPathLabelsShared(t *testing.T) {
 	rootID, _ := n.IDOf(root)
 	// Descend along largest subtrees; light sequence must stay empty.
 	cur := root
-	for cur.Children.Len() > 0 {
-		heavy := cur.Children.At(0)
-		for _, c := range cur.Children.AppendTo(nil)[1:] {
+	for cur.NumChildren() > 0 {
+		heavy := cur.Child(0)
+		for _, c := range cur.AppendChildren(nil)[1:] {
 			if len(xmltree.Descendants(c)) > len(xmltree.Descendants(heavy)) {
 				heavy = c
 			}

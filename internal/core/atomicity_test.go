@@ -66,8 +66,8 @@ type numFingerprint struct {
 	localLimit int64
 	k          []KRow
 	size       int
-	stamps     map[*xmltree.Node]xmltree.NodeNum // every node of the tree, zero stamps included
-	nodes      map[ID]*xmltree.Node              // what each carried identifier resolves to
+	stamps     map[*xmltree.Node]ID // every node of the tree, zero stamps included
+	nodes      map[ID]*xmltree.Node // what each carried identifier resolves to
 	areaRoots  map[*xmltree.Node]bool
 	fanouts    map[int64]int64
 	rootLocals map[int64]int64
@@ -84,7 +84,7 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 		localLimit: n.localLimit,
 		k:          n.K(),
 		size:       n.Size(),
-		stamps:     make(map[*xmltree.Node]xmltree.NodeNum),
+		stamps:     make(map[*xmltree.Node]ID),
 		nodes:      make(map[ID]*xmltree.Node),
 		areaRoots:  areaRootsOf(n),
 		fanouts:    make(map[int64]int64),
@@ -93,7 +93,7 @@ func fingerprint(t *testing.T, n *Numbering) numFingerprint {
 		boundaries: make(map[int64]map[int64]int64),
 	}
 	n.doc.WalkFull(func(x *xmltree.Node) bool {
-		f.stamps[x] = x.Num
+		f.stamps[x] = stampOf(x)
 		if id, ok := n.RUID(x); ok {
 			f.nodes[id], _ = n.NodeOfID(id)
 		}
@@ -250,7 +250,7 @@ func TestInsertRollbackLeavesChainUntouched(t *testing.T) {
 	if _, _, err := n.InsertChildDelta(b, 1, d); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("err = %v, want ErrOverflow", err)
 	}
-	if d.Parent != nil || b.Children.Len() != 1 {
+	if d.Parent != nil || b.NumChildren() != 1 {
 		t.Fatalf("tree mutated: %s", xmltree.Serialize(doc))
 	}
 	assertSameFingerprint(t, before, fingerprint(t, n))
@@ -515,12 +515,17 @@ func TestCheckKCatchesDisagreement(t *testing.T) {
 		t.Fatalf("fixture partition changed: rows %v", n.K())
 	}
 	c := top.nodes.At(2)
+	e, stray := b.Child(1), &xmltree.Node{Kind: xmltree.Attribute, Name: "stray"}
+	stale := func(by int64) func() {
+		return func() { id := stampOf(c); id.Local += by; id.stamp(c) }
+	}
 	for _, tc := range []struct {
 		name        string
 		break_, fix func()
 	}{
-		{"a stale stamp", func() { c.Num.L++ }, func() { c.Num.L-- }},
+		{"a stale stamp", stale(1), stale(-1)},
 		{"a wrong Size", func() { n.size++ }, func() { n.size-- }},
+		{"an attribute behind the children", func() { b.SetEntry(1, stray) }, func() { b.SetEntry(1, e) }},
 		{"slots out of order", func() { top.slots[1], top.slots[2] = top.slots[2], top.slots[1] }, func() { top.slots[1], top.slots[2] = top.slots[2], top.slots[1] }},
 		{"a slot taken twice", func() { top.slots[2] = top.slots[1] }, func() { top.slots[2] = 3 }},
 		{"nodes shorter than slots", func() { top.nodes.Delete(2) }, func() { top.nodes.Append(c) }},

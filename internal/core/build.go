@@ -100,7 +100,7 @@ func (b *rowBuilder) collect(a *area, roots map[*xmltree.Node]bool, withAttrs bo
 	need = 1
 	for p := 0; p < len(b.nodes); p++ {
 		x := b.nodes[p]
-		if p > 0 && (roots[x] || roots == nil && x.Num.R) {
+		if p > 0 && (roots[x] || roots == nil && stampOf(x).Root) {
 			b.kids = append(b.kids, childRun{n: -1})
 			continue
 		}
@@ -329,16 +329,16 @@ func (n *Numbering) renumberAll(f *frame) error {
 func (n *Numbering) commitStamps() (changed int) {
 	n.forEachArea(func(a *area) {
 		for i := 0; i < a.nodes.Len(); i++ {
-			x, num := a.nodes.At(i), a.resolveLocal(i).stamp()
-			if x.Num != num {
-				if x.Num.G != 0 {
+			x, id := a.nodes.At(i), a.resolveLocal(i)
+			if was := stampOf(x); was != id {
+				if was.Global != 0 {
 					changed++
 				}
-				x.Num = num
+				id.stamp(x)
 			}
 			if !n.opts.WithAttrs {
-				for _, at := range x.Attrs {
-					at.Num = xmltree.NodeNum{}
+				for _, at := range x.Attrs() {
+					ID{}.stamp(at)
 				}
 			}
 		}
@@ -411,8 +411,8 @@ func (n *Numbering) MaxGlobalIndex() int64 {
 // writes it with each relabel, and a fork never shares a node whose
 // identifier changed (it relabels its own copy).
 func (n *Numbering) RUID(node *xmltree.Node) (ID, bool) {
-	num := node.Num
-	return ID{Global: num.G, Local: num.L, Root: num.R}, num.G != 0
+	id := stampOf(node)
+	return id, id.Global != 0
 }
 
 // NodeKey returns the storage key of a numbered node, its identifier's Key,

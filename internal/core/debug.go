@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"os"
+
+	"repro/internal/xmltree"
 )
 
 // The binding between nodes and identifiers is held twice over on purpose —
@@ -19,8 +21,9 @@ var debugChecks = os.Getenv("RUID_DEBUG") != ""
 // checkK verifies table K against the stamps: the rows come in ascending
 // global order, every row's slot arrays are parallel, strictly ascending and
 // start at slot 1 with the area root, every occupied slot's node carries the
-// identifier that slot implies, a boundary slot names the lower row whose root
-// it holds and whose rootLocal it is, and the slots hold exactly Size nodes.
+// identifier that slot implies and keeps its attributes in front of its
+// children (attrPrefix), a boundary slot names the lower row whose root it
+// holds and whose rootLocal it is, and the slots hold exactly Size nodes.
 func (n *Numbering) checkK() error {
 	var err error
 	fail := func(format string, args ...any) {
@@ -51,8 +54,11 @@ func (n *Numbering) checkK() error {
 				fail("area %d: slot %d holds no node", a.global, slot)
 				return
 			}
-			if want := a.resolveLocal(i); x.Num != want.stamp() {
-				fail("area %d slot %d: node %s carries %+v, slot implies %v", a.global, slot, x.Path(), x.Num, want)
+			if want := a.resolveLocal(i); stampOf(x) != want {
+				fail("area %d slot %d: node %s carries %v, slot implies %v", a.global, slot, x.Path(), stampOf(x), want)
+			}
+			if j := attrPrefix(x); j >= 0 {
+				fail("area %d slot %d: entry %d of %s breaks its attribute prefix of %d", a.global, slot, j, x.Path(), x.NumAttrs())
 			}
 			if g := a.lower[i]; g != 0 {
 				if low, ok := n.krow(g); !ok || low.root != x || low.rootLocal != slot || low.parentGlobal != a.global {
@@ -75,6 +81,23 @@ func (n *Numbering) checkK() error {
 		fail("slots hold %d nodes, Size is %d", size, n.size)
 	}
 	return err
+}
+
+// attrPrefix returns the first entry of x's sequence that breaks the
+// attribute prefix — an attribute behind the first NumAttrs entries, or
+// another kind among them — and -1 when none does. Slot arithmetic under
+// WithAttrs and the fork's ownAt both read the sequence as that prefix.
+func attrPrefix(x *xmltree.Node) int {
+	s, k := x.Seq(), x.NumAttrs()
+	for j := 0; j < s.Len(); j++ {
+		if (s.At(j).Kind == xmltree.Attribute) != (j < k) {
+			return j
+		}
+	}
+	if s.Len() < k {
+		return s.Len()
+	}
+	return -1
 }
 
 // AssertK panics on a table-K violation when debug checks are on; op names

@@ -54,9 +54,17 @@ type ID struct {
 // RootID is the identifier of the document root (Definition 3).
 var RootID = ID{Global: 1, Local: 1, Root: true}
 
-// stamp is the form in which a node carries id (see Numbering.RUID).
-func (id ID) stamp() xmltree.NodeNum {
-	return xmltree.NodeNum{G: id.Global, L: id.Local, R: id.Root}
+// stamp burns id into x, the form in which a node carries its identifier
+// (see Numbering.RUID); the zero ID clears x's stamp. Every stamp write goes
+// through here.
+func (id ID) stamp(x *xmltree.Node) {
+	x.SetNum(xmltree.NodeNum{G: id.Global, L: id.Local}, id.Root)
+}
+
+// stampOf returns the identifier x carries, the zero ID when it carries none.
+func stampOf(x *xmltree.Node) ID {
+	num, root := x.Num()
+	return ID{Global: num.G, Local: num.L, Root: root}
 }
 
 // String renders the identifier the way the paper writes it,

@@ -71,11 +71,11 @@ func (n *Numbering) owns(x *xmltree.Node) bool {
 // Clone of a stamped one (a node of an epoch, or a copy of one), which it
 // leaves untouched.
 func (n *Numbering) adopt(sub *xmltree.Node) *xmltree.Node {
-	if n.copied != nil && sub.Num != (xmltree.NodeNum{}) {
+	if n.copied != nil && stampOf(sub) != (ID{}) {
 		sub = sub.Clone()
 	}
 	sub.WalkFull(func(x *xmltree.Node) bool {
-		x.Num = xmltree.NodeNum{}
+		ID{}.stamp(x)
 		if n.copied != nil {
 			n.copied[x] = struct{}{}
 		}
@@ -110,9 +110,9 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 	if i > 0 {
 		pi, _ := a.position((a.slots[i]-2)/a.fanout + 1)
 		parent = n.ownAt(g, pi)
-		at = int((a.slots[i] - 2) % a.fanout)
-		if n.opts.WithAttrs {
-			at -= len(parent.Attrs) // numbered in front of the children
+		at = int((a.slots[i] - 2) % a.fanout) // its entry in parent's sequence
+		if !n.opts.WithAttrs {
+			at += parent.NumAttrs() // which leads with the attributes, not numbered
 		}
 	} else if n.doc != n.root {
 		if !n.owns(n.doc) {
@@ -120,7 +120,7 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 			n.copied[n.doc] = struct{}{}
 		}
 		parent = n.doc
-		at = parent.Children.Index(n.root)
+		at = parent.Seq().Index(n.root)
 	}
 	a = n.k.own(g)
 	x := a.nodes.At(i)
@@ -130,10 +130,10 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 	c := x.ShallowCopy()
 	n.copied[c] = struct{}{}
 	if parent != nil {
-		if debugChecks && parent.Children.At(at) != x {
-			panic(fmt.Sprintf("core: slot %d of area %d places %s at child %d of its parent, which holds another node", a.slots[i], g, x.Path(), at))
+		if debugChecks && parent.Seq().At(at) != x {
+			panic(fmt.Sprintf("core: slot %d of area %d places %s at entry %d of its parent, which holds another node", a.slots[i], g, x.Path(), at))
 		}
-		parent.Children.Set(at, c)
+		parent.SetEntry(at, c)
 	}
 	if i == 0 {
 		if n.doc == n.root {
@@ -144,15 +144,15 @@ func (n *Numbering) ownAt(g int64, i int) *xmltree.Node {
 	n.rebind(a, i, c)
 	// The attributes were copied with their element; where they are numbered
 	// they lead its children, in the row its children are enumerated in.
-	for _, at := range c.Attrs {
+	for _, at := range c.Attrs() {
 		n.copied[at] = struct{}{}
 	}
-	if n.opts.WithAttrs && len(c.Attrs) > 0 {
+	if n.opts.WithAttrs && c.NumAttrs() > 0 {
 		kids, l := a, a.slots[i]
 		if lg := a.lower[i]; lg != 0 {
 			kids, l = n.k.own(lg), 1
 		}
-		for j, at := range c.Attrs {
+		for j, at := range c.Attrs() {
 			slot, _ := childIndex(l, kids.fanout, j)
 			p, _ := kids.position(slot)
 			n.rebind(kids, p, at)

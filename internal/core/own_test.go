@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -31,19 +32,19 @@ func verifyFork(t *testing.T, f *Numbering) {
 // same stamp node for node.
 func sameStamps(t *testing.T, a, b *xmltree.Node) {
 	t.Helper()
-	if a.Name != b.Name || a.Children.Len() != b.Children.Len() || len(a.Attrs) != len(b.Attrs) {
+	if a.Name != b.Name || a.NumChildren() != b.NumChildren() || a.NumAttrs() != b.NumAttrs() {
 		t.Fatalf("shape divergence at %s vs %s", a.Path(), b.Path())
 	}
-	if a.Num != b.Num {
-		t.Fatalf("stamp mismatch at %s: %+v vs %+v", b.Path(), a.Num, b.Num)
+	if stampOf(a) != stampOf(b) {
+		t.Fatalf("stamp mismatch at %s: %v vs %v", b.Path(), stampOf(a), stampOf(b))
 	}
-	for i := range a.Attrs {
-		if a.Attrs[i].Num != b.Attrs[i].Num {
-			t.Fatalf("stamp mismatch at %s: %+v vs %+v", b.Attrs[i].Path(), a.Attrs[i].Num, b.Attrs[i].Num)
+	for i, at := range a.Attrs() {
+		if bt := b.Attrs()[i]; stampOf(at) != stampOf(bt) {
+			t.Fatalf("stamp mismatch at %s: %v vs %v", bt.Path(), stampOf(at), stampOf(bt))
 		}
 	}
-	for i := 0; i < a.Children.Len(); i++ {
-		sameStamps(t, a.Children.At(i), b.Children.At(i))
+	for i := 0; i < a.NumChildren(); i++ {
+		sameStamps(t, a.Child(i), b.Child(i))
 	}
 }
 
@@ -67,7 +68,7 @@ func TestForkBatchMatchesInPlace(t *testing.T) {
 	for _, attrs := range []bool{false, true} {
 		doc := xmltree.Recursive(2, 9) // ~1k elements
 		doc.DocumentElement().Walk(func(x *xmltree.Node) bool {
-			if x.Kind == xmltree.Element && x.Children.Len()%2 == 1 {
+			if x.Kind == xmltree.Element && x.NumChildren()%2 == 1 {
 				x.SetAttr("odd", "1")
 			}
 			return true
@@ -97,8 +98,8 @@ func TestForkBatchMatchesInPlace(t *testing.T) {
 			return x
 		}
 		deep := func(p *xmltree.Node) int {
-			for i := 0; i < p.Children.Len(); i++ {
-				c := p.Children.At(i)
+			for i := 0; i < p.NumChildren(); i++ {
+				c := p.Child(i)
 				if c.Name == "section" {
 					return i
 				}
@@ -172,6 +173,63 @@ func TestForkBatchMatchesInPlace(t *testing.T) {
 	}
 }
 
+// TestForkInsertUnderAttributes inserts in front of the children of
+// elements that carry attributes — the root element, whose sequence is wide,
+// and an area root below it — on a fork and in place, with attributes
+// numbered and not. Every relabeled child is copied and re-pointed at its
+// entry of a copied, attribute-led sequence (ownAt), so the two must end with
+// the same tree, stamps and table K, and the origin must read as before.
+func TestForkInsertUnderAttributes(t *testing.T) {
+	src := `<a x="1" y="2"><b p="1"/><c/><d q="2" r="3"><e/><f s="4"/></d>` + strings.Repeat(`<g t="5"/>`, 70) + `</a>`
+	for _, attrs := range []bool{false, true} {
+		doc := mustParse(t, src)
+		d := doc.DocumentElement().FirstChildElement("d")
+		origin, err := Build(doc, Options{Roots: map[*xmltree.Node]bool{d: true}, WithAttrs: attrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, serialized := fingerprint(t, origin), xmltree.Serialize(doc)
+		cloneTree, mapping := doc.CloneWithMap()
+		inPlace, err := origin.CloneFor(cloneTree, mapping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork := origin.Fork()
+		for _, n := range []*Numbering{fork, inPlace} {
+			for i, step := range []struct {
+				parent func() *xmltree.Node
+				pos    int
+			}{
+				{n.Root, 0},
+				{func() *xmltree.Node { return n.Root().FirstChildElement("d") }, 0},
+				{n.Root, 60},
+			} {
+				if _, d, err := n.InsertChildDelta(step.parent(), step.pos, xmltree.NewElement(fmt.Sprint("w", i))); err != nil || d.Full || len(d.Relabels) == 0 {
+					t.Fatalf("attrs=%v step %d: err %v, delta %+v", attrs, i, err, d)
+				}
+			}
+		}
+		if xmltree.Serialize(fork.Doc()) != xmltree.Serialize(inPlace.Doc()) {
+			t.Fatalf("attrs=%v: the fork's tree differs from the in-place one", attrs)
+		}
+		sameStamps(t, fork.Doc(), inPlace.Doc())
+		if fmt.Sprint(fork.K()) != fmt.Sprint(inPlace.K()) || fork.Size() != inPlace.Size() {
+			t.Fatalf("attrs=%v: table K: fork %v (%d nodes), in place %v (%d)", attrs, fork.K(), fork.Size(), inPlace.K(), inPlace.Size())
+		}
+		verifyFork(t, fork)
+		verifyAgainstGroundTruth(t, inPlace)
+		for _, at := range fork.Root().Attrs() {
+			if at.Parent != fork.Root() || reach(origin.Doc())[at] {
+				t.Fatalf("attrs=%v: the fork's root shares attribute %s with the origin", attrs, at.Name)
+			}
+		}
+		assertSameFingerprint(t, before, fingerprint(t, origin))
+		if xmltree.Serialize(origin.Doc()) != serialized {
+			t.Fatalf("attrs=%v: the fork wrote into the origin's tree", attrs)
+		}
+	}
+}
+
 // TestForkChainSoak publishes a chain of forks — fork, a few random updates,
 // seal, fork again — beside an in-place numbering taking the same updates,
 // and checks at every link that the two agree and, at the end, that every
@@ -218,8 +276,8 @@ func TestForkChainSoak(t *testing.T) {
 					els := fork.Root().Elements()
 					k := rng.Intn(len(els))
 					target, twin := els[k], inPlace.Root().Elements()[k]
-					if rng.Intn(3) > 0 || target.Children.Len() == 0 {
-						pos := rng.Intn(target.Children.Len() + 1)
+					if rng.Intn(3) > 0 || target.NumChildren() == 0 {
+						pos := rng.Intn(target.NumChildren() + 1)
 						sub := func() *xmltree.Node {
 							s := xmltree.NewElement("n")
 							s.SetAttr("a", "1")
@@ -235,7 +293,7 @@ func TestForkChainSoak(t *testing.T) {
 							heals++
 						}
 					} else {
-						pos := rng.Intn(target.Children.Len())
+						pos := rng.Intn(target.NumChildren())
 						_, _, err := fork.DeleteChildDelta(target, pos)
 						_, _, err2 := inPlace.DeleteChildDelta(twin, pos)
 						if (err == nil) != (err2 == nil) {
@@ -286,15 +344,15 @@ func TestForkedWriteByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	auctions := n.Root().FirstChildElement("open_auctions")
-	if auctions.Children.Len() != 3000 {
-		t.Fatalf("fixture changed: %d open_auctions", auctions.Children.Len())
+	if auctions.NumChildren() != 3000 {
+		t.Fatalf("fixture changed: %d open_auctions", auctions.NumChildren())
 	}
 	rng := rand.New(rand.NewSource(7))
 	const pairs = 40
 	var ms runtime.MemStats
 	var total uint64
 	for i := 0; i < pairs; i++ {
-		id, _ := n.RUID(auctions.Children.At(rng.Intn(3000)))
+		id, _ := n.RUID(auctions.Child(rng.Intn(3000)))
 		sub, err := xmltree.ParseFragment("<bidder><increase>1</increase></bidder>")
 		if err != nil {
 			t.Fatal(err)

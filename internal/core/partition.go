@@ -149,8 +149,8 @@ func deriveFrame(root *xmltree.Node, roots map[*xmltree.Node]bool, withAttrs boo
 			nearest = x
 		}
 		f.limit = max(f.limit, x.StructuralFanout(withAttrs))
-		for i := 0; i < x.Children.Len(); i++ {
-			walk(x.Children.At(i), nearest)
+		for i := 0; i < x.NumChildren(); i++ {
+			walk(x.Child(i), nearest)
 		}
 	}
 	walk(root, root)

@@ -80,8 +80,8 @@ func frameChildrenReference(root *xmltree.Node, roots map[*xmltree.Node]bool) (k
 			kids[nearest] = append(kids[nearest], n)
 			nearest = n
 		}
-		for ci := 0; ci < n.Children.Len(); ci++ {
-			c := n.Children.At(ci)
+		for ci := 0; ci < n.NumChildren(); ci++ {
+			c := n.Child(ci)
 			walk(c, nearest)
 		}
 	}
@@ -191,13 +191,13 @@ var partitionShapes = []partitionShape{
 type numberingImage struct {
 	kappa  int64
 	rows   []KRow
-	stamps []xmltree.NodeNum
+	stamps []ID
 }
 
 func imageOf(n *Numbering) numberingImage {
 	im := numberingImage{kappa: n.Kappa(), rows: n.K()}
 	n.doc.WalkFull(func(x *xmltree.Node) bool {
-		im.stamps = append(im.stamps, x.Num)
+		im.stamps = append(im.stamps, stampOf(x))
 		return true
 	})
 	return im

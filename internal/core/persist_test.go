@@ -82,7 +82,7 @@ func TestSaveLoadWithAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attr := doc2.DocumentElement().Attrs[0]
+	attr := doc2.DocumentElement().Attrs()[0]
 	if _, ok := n2.RUID(attr); !ok {
 		t.Fatalf("attribute lost its identifier after reload")
 	}

@@ -166,7 +166,7 @@ func TestQuickInsertScope(t *testing.T) {
 		tid, _ := n.RUID(target)
 		ga, _ := n.childContext(tid)
 		before := labels(n)
-		st, _, err := n.InsertChildDelta(target, target.Children.Len(), xmltree.NewElement("q"))
+		st, _, err := n.InsertChildDelta(target, target.NumChildren(), xmltree.NewElement("q"))
 		if err != nil {
 			return false
 		}

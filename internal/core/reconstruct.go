@@ -82,7 +82,7 @@ func (n *Numbering) reconstruct(ids []ID, withText bool) *xmltree.Node {
 	}
 	if withText {
 		for _, p := range leaves {
-			if p.copy.Children.Len() > 0 {
+			if p.copy.NumChildren() > 0 {
 				continue
 			}
 			if src, _ := n.NodeOfID(p.id); src != nil {
@@ -97,7 +97,7 @@ func (n *Numbering) reconstruct(ids []ID, withText bool) *xmltree.Node {
 
 func shallowCopy(src *xmltree.Node) *xmltree.Node {
 	c := &xmltree.Node{Kind: src.Kind, Name: src.Name, Data: src.Data}
-	for _, a := range src.Attrs {
+	for _, a := range src.Attrs() {
 		c.SetAttr(a.Name, a.Data)
 	}
 	return c

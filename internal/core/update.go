@@ -141,7 +141,7 @@ func (n *Numbering) ownParent(parent *xmltree.Node, op string) (*xmltree.Node, i
 // exactly as before the call (what was attached is detached again, and
 // ownership of newChild stays with the caller).
 func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xmltree.Node) (UpdateStats, *Delta, error) {
-	if pos < 0 || pos > parent.Children.Len() {
+	if pos < 0 || pos > parent.NumChildren() {
 		return UpdateStats{}, nil, fmt.Errorf("core: insert position %d out of range", pos)
 	}
 	parent, g, err := n.ownParent(parent, "insert")
@@ -160,7 +160,7 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 	}
 	// An overflow at a node that is not an area root yet heals by promoting it.
 	var ov *overflowError
-	if errors.As(err, &ov) && ov.node != nil && !ov.node.Num.R {
+	if errors.As(err, &ov) && ov.node != nil && !stampOf(ov.node).Root {
 		if n.copied != nil {
 			// A heal renumbers the whole tree: own all of it, then run the same code.
 			parent.RemoveChild(pos)
@@ -217,20 +217,19 @@ func (n *Numbering) renumberWith(f *frame, part PartitionConfig, adjust bool) (i
 // the origin's. On error the tree and the numbering read exactly as before
 // the call.
 func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (UpdateStats, *Delta, error) {
-	if pos < 0 || pos >= parent.Children.Len() {
+	if pos < 0 || pos >= parent.NumChildren() {
 		return UpdateStats{}, nil, fmt.Errorf("core: delete position %d out of range", pos)
 	}
 	parent, g, err := n.ownParent(parent, "delete")
 	if err != nil {
 		return UpdateStats{}, nil, err
 	}
-	removed := parent.Children.At(pos)
-	parent.Children.Delete(pos)
+	removed := parent.TakeChild(pos) // a fork may share it: it is not written
 
 	d := &Delta{Removed: removed}
 	st, err := n.renumberArea(g, d)
 	if err != nil {
-		parent.Children.Insert(pos, removed)
+		parent.PutChild(pos, removed)
 		return UpdateStats{}, nil, err
 	}
 	// The detached subtree leaves the numbering: its stamps, and the rows of
@@ -245,7 +244,7 @@ func (n *Numbering) DeleteChildDelta(parent *xmltree.Node, pos int) (UpdateStats
 			n.k.drop(id.Global)
 		}
 		if n.owns(x) {
-			x.Num = xmltree.NodeNum{}
+			ID{}.stamp(x)
 		}
 		return true
 	})
@@ -285,10 +284,10 @@ func (n *Numbering) renumberArea(g int64, d *Delta) (st UpdateStats, err error) 
 			// The root of a lower area. Its own area keeps its global index
 			// and interior; only its slot here (and hence its K row and full
 			// identifier) may change.
-			a.lower[p] = x.Num.G
-			id = ID{Global: x.Num.G, Local: a.slots[p], Root: true}
+			a.lower[p] = stampOf(x).Global
+			id = ID{Global: a.lower[p], Local: a.slots[p], Root: true}
 		}
-		if p > 0 && x.Num != id.stamp() {
+		if p > 0 && stampOf(x) != id {
 			b.moves = append(b.moves, move{p, id})
 		}
 		return nil
@@ -313,7 +312,7 @@ func (n *Numbering) renumberArea(g int64, d *Delta) (st UpdateStats, err error) 
 		} else {
 			d.InsertedCount++
 		}
-		x.Num = m.id.stamp()
+		m.id.stamp(x)
 	}
 	return st, nil
 }

@@ -170,7 +170,7 @@ func TestDeleteCascadesAndCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := doc.DocumentElement()
-	victim := root.Children.At(0)
+	victim := root.Child(0)
 	removedNodes := victim.Nodes()
 	areasBefore := n.AreaCount()
 	sizeBefore := n.Size()
@@ -210,16 +210,16 @@ func TestRandomUpdateSoak(t *testing.T) {
 	for op := 0; op < 60; op++ {
 		nodes := root.Nodes()
 		target := nodes[rng.Intn(len(nodes))]
-		if rng.Intn(3) > 0 || target.Children.Len() == 0 {
+		if rng.Intn(3) > 0 || target.NumChildren() == 0 {
 			pos := 0
-			if target.Children.Len() > 0 {
-				pos = rng.Intn(target.Children.Len() + 1)
+			if target.NumChildren() > 0 {
+				pos = rng.Intn(target.NumChildren() + 1)
 			}
 			if _, _, err := n.InsertChildDelta(target, pos, xmltree.NewElement("ins")); err != nil {
 				t.Fatalf("op %d: InsertChild: %v", op, err)
 			}
 		} else {
-			if _, _, err := n.DeleteChildDelta(target, rng.Intn(target.Children.Len())); err != nil {
+			if _, _, err := n.DeleteChildDelta(target, rng.Intn(target.NumChildren())); err != nil {
 				t.Fatalf("op %d: DeleteChild: %v", op, err)
 			}
 		}
@@ -242,7 +242,7 @@ func TestInsertSubtree(t *testing.T) {
 	root := doc.DocumentElement()
 	sub := xmltree.Balanced(2, 2).DocumentElement()
 	sub.Detach()
-	if _, _, err := n.InsertChildDelta(root.Children.At(0), 1, sub); err != nil {
+	if _, _, err := n.InsertChildDelta(root.Child(0), 1, sub); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := n.RUID(sub); !ok {
@@ -271,7 +271,7 @@ func TestWithAttrsNumbering(t *testing.T) {
 	root := doc.DocumentElement()
 	var check func(x *xmltree.Node)
 	check = func(x *xmltree.Node) {
-		for _, at := range x.Attrs {
+		for _, at := range x.Attrs() {
 			aid, ok := n.RUID(at)
 			if !ok {
 				t.Fatalf("attribute %s unnumbered", at.Path())
@@ -288,16 +288,16 @@ func TestWithAttrsNumbering(t *testing.T) {
 			if n.CompareOrderID(xid, aid) != -1 {
 				t.Fatalf("element must precede its attribute")
 			}
-			for ci := 0; ci < x.Children.Len(); ci++ {
-				c := x.Children.At(ci)
+			for ci := 0; ci < x.NumChildren(); ci++ {
+				c := x.Child(ci)
 				cid, _ := n.RUID(c)
 				if n.CompareOrderID(aid, cid) != -1 {
 					t.Fatalf("attribute must precede element children")
 				}
 			}
 		}
-		for ci := 0; ci < x.Children.Len(); ci++ {
-			c := x.Children.At(ci)
+		for ci := 0; ci < x.NumChildren(); ci++ {
+			c := x.Child(ci)
 			check(c)
 		}
 	}

@@ -60,8 +60,8 @@ func (b *Batch) apply(at *Node, sub *xmltree.Node, delta int) bool {
 	if child.Count < 0 {
 		return false
 	}
-	for i := 0; i < sub.Children.Len(); i++ {
-		if !b.apply(child, sub.Children.At(i), delta) {
+	for i := 0; i < sub.NumChildren(); i++ {
+		if !b.apply(child, sub.Child(i), delta) {
 			return false
 		}
 	}

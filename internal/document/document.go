@@ -497,8 +497,8 @@ func detach(x *xmltree.Node, depth int) (count, depths int) {
 		x.Parent = nil
 	}
 	count, depths = 1, depth
-	for i := 0; i < x.Children.Len(); i++ {
-		cc, cd := detach(x.Children.At(i), depth+1)
+	for i := 0; i < x.NumChildren(); i++ {
+		cc, cd := detach(x.Child(i), depth+1)
 		count += cc
 		depths += cd
 	}
@@ -513,8 +513,8 @@ func detachTree(doc *xmltree.Node) (nodes, depths int) {
 		return detach(doc, 0)
 	}
 	root := doc.DocumentElement()
-	for i := 0; i < doc.Children.Len(); i++ {
-		c := doc.Children.At(i)
+	for i := 0; i < doc.NumChildren(); i++ {
+		c := doc.Child(i)
 		if cn, cd := detach(c, 1); c == root {
 			nodes, depths = cn, cd
 		}

@@ -270,12 +270,13 @@ func TestInsertNodeOfEpoch(t *testing.T) {
 	}
 	type state struct {
 		xml    string
-		stamps []xmltree.NodeNum
+		stamps []core.ID
 	}
 	read := func(s *document.Snapshot) state {
 		st := state{xml: xmltree.Serialize(s.Tree())}
 		s.Tree().WalkFull(func(x *xmltree.Node) bool {
-			st.stamps = append(st.stamps, x.Num)
+			id, _ := s.Numbering().RUID(x)
+			st.stamps = append(st.stamps, id)
 			return true
 		})
 		return st

@@ -203,14 +203,14 @@ func TestEpochStructuralSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := one(w.Snapshot(), "/site/open_auctions")
-	if after == before || after.Children.Len() != before.Children.Len() {
-		t.Fatalf("open_auctions shared between the epochs, or its width changed: %d, %d children", before.Children.Len(), after.Children.Len())
+	if after == before || after.NumChildren() != before.NumChildren() {
+		t.Fatalf("open_auctions shared between the epochs, or its width changed: %d, %d children", before.NumChildren(), after.NumChildren())
 	}
-	if shared, of := after.Children.SharedChunks(before.Children); of < 4 || shared != of-1 {
+	if shared, of := after.Seq().SharedChunks(before.Seq()); of < 4 || shared != of-1 {
 		t.Errorf("the new open_auctions shares %d of its %d child chunks with the previous epoch's, want all but one of at least 4", shared, of)
 	}
-	for i := 0; i < after.Children.Len(); i++ {
-		if (after.Children.At(i) == before.Children.At(i)) != (i != 9) {
+	for i := 0; i < after.NumChildren(); i++ {
+		if (after.Child(i) == before.Child(i)) != (i != 9) {
 			t.Errorf("open_auction %d: shared with the previous epoch = %v", i+1, i == 9)
 		}
 	}
@@ -286,7 +286,8 @@ func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
 	labels := func(nodes []*xmltree.Node) string {
 		var sb strings.Builder
 		for _, n := range nodes {
-			fmt.Fprintf(&sb, "%s%v ", n.Name, n.Num)
+			num, root := n.Num()
+			fmt.Fprintf(&sb, "%s%v%v ", n.Name, num, root)
 		}
 		return sb.String()
 	}
@@ -381,9 +382,9 @@ func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 				kids = append(kids, c)
 				return true
 			})
-			if !slices.Equal(kids, x.Children.AppendTo(nil)) {
+			if !slices.Equal(kids, x.AppendChildren(nil)) {
 				t.Fatalf("%s: the slots below %s hold %d nodes, the pinned tree has %d children there, or others",
-					when, x.Path(), len(kids), x.Children.Len())
+					when, x.Path(), len(kids), x.NumChildren())
 			}
 			return true
 		})
@@ -469,7 +470,7 @@ func TestPinnedEpochsSurviveForkedWrites(t *testing.T) {
 	// open_auctions is wider than one chunk of its child list (xmltree.Seq) and
 	// of the row its children's boundary slots sit in, so every spine copy
 	// re-points an entry of a chunk the previous epoch shares.
-	if wide := oracleOne("/site/open_auctions").Children.Len(); wide <= 64 {
+	if wide := oracleOne("/site/open_auctions").NumChildren(); wide <= 64 {
 		t.Fatalf("open_auctions has %d children: the fixture no longer reaches a chunked list", wide)
 	}
 	rng := rand.New(rand.NewSource(23))
@@ -485,15 +486,15 @@ func TestPinnedEpochsSurviveForkedWrites(t *testing.T) {
 		pid, _ := prev.Numbering().RUID(parent)
 
 		var st core.UpdateStats
-		if rng.Intn(3) > 0 || twin.Children.Len() == 0 {
-			pos := rng.Intn(twin.Children.Len() + 1)
+		if rng.Intn(3) > 0 || twin.NumChildren() == 0 {
+			pos := rng.Intn(twin.NumChildren() + 1)
 			src := fmt.Sprintf("<bidder><increase>%d</increase></bidder>", i)
 			sub, _ := xmltree.ParseFragment(src)
 			osub, _ := xmltree.ParseFragment(src)
 			st, err = d.Insert(path, pos, sub)
 			twin.InsertChildAt(pos, osub)
 		} else {
-			pos := rng.Intn(twin.Children.Len())
+			pos := rng.Intn(twin.NumChildren())
 			st, err = d.Delete(path, pos)
 			twin.RemoveChild(pos)
 		}

@@ -97,6 +97,17 @@ func enqueueAll(t *testing.T, d *Document, muts []batchMutation) []*Ticket {
 	return tickets
 }
 
+// stamp is what a node carries of its numbering, root flag included.
+type stamp struct {
+	num  xmltree.NodeNum
+	root bool
+}
+
+func stampOf(x *xmltree.Node) stamp {
+	num, root := x.Num()
+	return stamp{num, root}
+}
+
 // assertDocsEqual compares two documents' current epochs byte for byte:
 // serialized tree, numbering stamps node by node, stats and a set of probe
 // queries.
@@ -108,11 +119,11 @@ func assertDocsEqual(t *testing.T, got, want *Document) {
 	}
 	var walk func(a, b *xmltree.Node)
 	walk = func(a, b *xmltree.Node) {
-		if a.Kind == xmltree.Element && a.Num != b.Num {
-			t.Fatalf("stamp mismatch at %s: got %+v want %+v", a.Path(), a.Num, b.Num)
+		if a.Kind == xmltree.Element && stampOf(a) != stampOf(b) {
+			t.Fatalf("stamp mismatch at %s: got %v want %v", a.Path(), stampOf(a), stampOf(b))
 		}
-		for i := 0; i < a.Children.Len(); i++ {
-			walk(a.Children.At(i), b.Children.At(i))
+		for i := 0; i < a.NumChildren(); i++ {
+			walk(a.Child(i), b.Child(i))
 		}
 	}
 	walk(gs.Tree(), ws.Tree())
@@ -130,8 +141,8 @@ func assertDocsEqual(t *testing.T, got, want *Document) {
 			t.Fatalf("%s: %d results, want %d", q, len(gr), len(wr))
 		}
 		for i := range gr {
-			if gr[i].Num != wr[i].Num || gr[i].Name != wr[i].Name {
-				t.Fatalf("%s[%d]: %s%+v vs %s%+v", q, i, gr[i].Name, gr[i].Num, wr[i].Name, wr[i].Num)
+			if stampOf(gr[i]) != stampOf(wr[i]) || gr[i].Name != wr[i].Name {
+				t.Fatalf("%s[%d]: %s%v vs %s%v", q, i, gr[i].Name, stampOf(gr[i]), wr[i].Name, stampOf(wr[i]))
 			}
 		}
 	}
@@ -178,9 +189,9 @@ func assertSameTreeAndStamps(t *testing.T, what string, got, want *Document) {
 	if g, w := xmltree.Serialize(gt), xmltree.Serialize(wt); g != w {
 		t.Fatalf("%s: trees diverge:\n got %s\nwant %s", what, g, w)
 	}
-	var gs, ws []xmltree.NodeNum
-	gt.WalkFull(func(x *xmltree.Node) bool { gs = append(gs, x.Num); return true })
-	wt.WalkFull(func(x *xmltree.Node) bool { ws = append(ws, x.Num); return true })
+	var gs, ws []stamp
+	gt.WalkFull(func(x *xmltree.Node) bool { gs = append(gs, stampOf(x)); return true })
+	wt.WalkFull(func(x *xmltree.Node) bool { ws = append(ws, stampOf(x)); return true })
 	if !slices.Equal(gs, ws) {
 		t.Fatalf("%s: stamps diverge", what)
 	}
@@ -265,14 +276,14 @@ func TestBatchEqualsSerialApplication(t *testing.T) {
 				x, path = c, fmt.Sprintf("%s/%s[%d]", path, c.Name, k)
 			}
 			m := batchMutation{parent: path}
-			if x.Children.Len() == 0 || rng.Intn(3) > 0 {
-				m.insert, m.pos = true, rng.Intn(x.Children.Len()+1)
+			if x.NumChildren() == 0 || rng.Intn(3) > 0 {
+				m.insert, m.pos = true, rng.Intn(x.NumChildren()+1)
 				m.xml = fmt.Sprintf("<%s><leaf/></%s>", x.Name, x.Name) // a same-name sibling for later paths to count
 				if rng.Intn(2) == 0 {
 					m.xml = fmt.Sprintf("<n%d/>", len(muts))
 				}
 			} else {
-				m.pos = rng.Intn(x.Children.Len())
+				m.pos = rng.Intn(x.NumChildren())
 			}
 			applySerial(t, scratch, []batchMutation{m})
 			muts = append(muts, m)

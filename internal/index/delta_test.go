@@ -106,7 +106,7 @@ func (h *spliceHarness) insert(name string, n int) {
 	for p.Depth() > 6 {
 		p = p.Parent
 	}
-	if _, _, err := h.num.InsertChildDelta(p, h.rng.Intn(p.Children.Len()+1), subtree(name, n)); err == nil {
+	if _, _, err := h.num.InsertChildDelta(p, h.rng.Intn(p.NumChildren()+1), subtree(name, n)); err == nil {
 		h.writes++
 	}
 }
@@ -321,7 +321,7 @@ func TestSpliceRelabelOnly(t *testing.T) {
 	h := newSpliceHarness(t, 3)
 	var p *xmltree.Node
 	h.master.DocumentElement().Walk(func(x *xmltree.Node) bool {
-		if p == nil && x.Kind == xmltree.Element && x.Children.Len() >= 3 {
+		if p == nil && x.Kind == xmltree.Element && x.NumChildren() >= 3 {
 			p = x
 		}
 		return p == nil

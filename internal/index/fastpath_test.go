@@ -47,7 +47,7 @@ func TestFastPathAgree(t *testing.T) {
 		}
 		kids := xmltree.Descendants(x)
 		if !deep {
-			kids = x.Children.AppendTo(nil)
+			kids = x.AppendChildren(nil)
 		}
 		for _, c := range kids {
 			if c.Name == name {

@@ -224,8 +224,8 @@ func TestReverseSemiJoins(t *testing.T) {
 				break
 			}
 		}
-		for ci := 0; ci < x.Children.Len(); ci++ {
-			if x.Children.At(ci).Name == "para" {
+		for ci := 0; ci < x.NumChildren(); ci++ {
+			if x.Child(ci).Name == "para" {
 				wantC = append(wantC, id)
 				break
 			}

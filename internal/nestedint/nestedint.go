@@ -109,8 +109,8 @@ func (n *Numbering) renumberAll() error {
 		byKey[id.packed] = d
 		pos[id.packed] = len(ordered)
 		ordered = append(ordered, d)
-		for i := 0; i < d.Children.Len(); i++ {
-			c := d.Children.At(i)
+		for i := 0; i < d.NumChildren(); i++ {
+			c := d.Child(i)
 			if err := walk(c, append(path, uint32(i+1))); err != nil {
 				return err
 			}
@@ -366,7 +366,7 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: insert under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos > parent.Children.Len() {
+	if pos < 0 || pos > parent.NumChildren() {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: insert position %d out of range", pos)
 	}
 	parent.InsertChildAt(pos, newChild)
@@ -385,7 +385,7 @@ func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateSta
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: delete under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos >= parent.Children.Len() {
+	if pos < 0 || pos >= parent.NumChildren() {
 		return scheme.UpdateStats{}, fmt.Errorf("nestedint: delete position %d out of range", pos)
 	}
 	removed := parent.RemoveChild(pos)

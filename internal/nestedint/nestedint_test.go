@@ -131,7 +131,7 @@ func TestInsertRelabelScope(t *testing.T) {
 		t.Fatalf("unexpected stats %+v", st)
 	}
 	// Appending as the last child relabels nothing.
-	st, err = n.InsertChild(root, root.Children.Len(), xmltree.NewElement("tail"))
+	st, err = n.InsertChild(root, root.NumChildren(), xmltree.NewElement("tail"))
 	if err != nil {
 		t.Fatalf("InsertChild: %v", err)
 	}
@@ -150,8 +150,8 @@ func TestOverflowRollback(t *testing.T) {
 	n := build(t, doc)
 	// Walk to the deepest node.
 	deepest := doc.DocumentElement()
-	for deepest.Children.Len() > 0 {
-		deepest = deepest.Children.At(0)
+	for deepest.NumChildren() > 0 {
+		deepest = deepest.Child(0)
 	}
 	var overflowed bool
 	for i := 0; i < 40; i++ {
@@ -163,8 +163,8 @@ func TestOverflowRollback(t *testing.T) {
 				t.Fatalf("unexpected error: %v", err)
 			}
 			// Rolled back: tree unchanged, numbering still valid.
-			if deepest.Children.Len() != 0 {
-				t.Fatalf("tree not rolled back: %d children", deepest.Children.Len())
+			if deepest.NumChildren() != 0 {
+				t.Fatalf("tree not rolled back: %d children", deepest.NumChildren())
 			}
 			if n.Size() != before {
 				t.Fatalf("numbering changed on failed insert: %d -> %d", before, n.Size())

@@ -69,8 +69,8 @@ func BuildLiMoon(doc *xmltree.Node, slack int64) (*LiMoon, error) {
 	var assign func(d *xmltree.Node, order int64, par int64) int64 // returns size
 	assign = func(d *xmltree.Node, order int64, par int64) int64 {
 		next := order + slack
-		for i := 0; i < d.Children.Len(); i++ {
-			cs := assign(d.Children.At(i), next, order)
+		for i := 0; i < d.NumChildren(); i++ {
+			cs := assign(d.Child(i), next, order)
 			next += cs + slack
 		}
 		size := next - order - 1
@@ -148,22 +148,22 @@ func (n *LiMoon) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree.No
 	if !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("prepost: insert under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos > parent.Children.Len() {
+	if pos < 0 || pos > parent.NumChildren() {
 		return scheme.UpdateStats{}, fmt.Errorf("prepost: insert position %d out of range", pos)
 	}
 	parent.InsertChildAt(pos, newChild)
-	if newChild.Children.Len() == 0 {
+	if newChild.NumChildren() == 0 {
 		// Gap bounds: after the previous sibling's interval (or the parent's
 		// order), before the next sibling's order (or the end of the
 		// parent's interval).
 		lo := pid.Order
 		if pos > 0 {
-			prev := n.ids[parent.Children.At(pos-1)]
+			prev := n.ids[parent.Child(pos-1)]
 			lo = prev.Order + prev.Size
 		}
 		hi := pid.Order + pid.Size + 1
-		if pos+1 < parent.Children.Len() {
-			hi = n.ids[parent.Children.At(pos+1)].Order
+		if pos+1 < parent.NumChildren() {
+			hi = n.ids[parent.Child(pos+1)].Order
 		}
 		if hi-lo > 1 {
 			o := lo + (hi-lo)/2
@@ -182,7 +182,7 @@ func (n *LiMoon) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateStats,
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("prepost: delete under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos >= parent.Children.Len() {
+	if pos < 0 || pos >= parent.NumChildren() {
 		return scheme.UpdateStats{}, fmt.Errorf("prepost: delete position %d out of range", pos)
 	}
 	removed := parent.RemoveChild(pos)

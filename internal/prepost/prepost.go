@@ -75,8 +75,8 @@ func Build(doc *xmltree.Node) (*Numbering, error) {
 		myPre := pre
 		pre++
 		n.byPre = append(n.byPre, d)
-		for i := 0; i < d.Children.Len(); i++ {
-			walk(d.Children.At(i), myPre)
+		for i := 0; i < d.NumChildren(); i++ {
+			walk(d.Child(i), myPre)
 		}
 		n.ids[d] = ID{Pre: myPre, Post: post, Par: par}
 		post++

@@ -184,8 +184,8 @@ func New(doc *xmltree.Node, num *core.Numbering) *Planner {
 	walk = func(x *xmltree.Node, depth int) {
 		total += depth
 		count++
-		for i := 0; i < x.Children.Len(); i++ {
-			walk(x.Children.At(i), depth+1)
+		for i := 0; i < x.NumChildren(); i++ {
+			walk(x.Child(i), depth+1)
 		}
 	}
 	walk(root, depth)

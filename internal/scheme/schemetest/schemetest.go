@@ -175,7 +175,7 @@ func checkAxes(t *testing.T, s scheme.AxisScheme, nodes []*xmltree.Node) {
 		n := nodes[i]
 		id, _ := s.IDOf(n)
 		compareAxis(t, s, "ancestor", id, n, s.Ancestors(id), dropDocument(xmltree.Ancestors(n)))
-		compareAxis(t, s, "child", id, n, s.Children(id), n.Children.AppendTo(nil))
+		compareAxis(t, s, "child", id, n, s.Children(id), n.AppendChildren(nil))
 		compareAxis(t, s, "descendant", id, n, s.Descendants(id), xmltree.Descendants(n))
 		compareAxis(t, s, "following-sibling", id, n, s.FollowingSiblings(id), xmltree.FollowingSiblings(n))
 		compareAxis(t, s, "preceding-sibling", id, n, s.PrecedingSiblings(id), xmltree.PrecedingSiblings(n))
@@ -235,16 +235,16 @@ func RunUpdateSoak(t *testing.T, build UpdatableBuilder, ops int, seed int64) {
 			return true
 		})
 		target := elements[rng.Intn(len(elements))]
-		if rng.Intn(3) > 0 || target.Children.Len() == 0 {
+		if rng.Intn(3) > 0 || target.NumChildren() == 0 {
 			pos := 0
-			if target.Children.Len() > 0 {
-				pos = rng.Intn(target.Children.Len() + 1)
+			if target.NumChildren() > 0 {
+				pos = rng.Intn(target.NumChildren() + 1)
 			}
 			if _, err := s.InsertChild(target, pos, xmltree.NewElement("soak")); err != nil {
 				t.Fatalf("op %d: InsertChild: %v", op, err)
 			}
 		} else {
-			if _, err := s.DeleteChild(target, rng.Intn(target.Children.Len())); err != nil {
+			if _, err := s.DeleteChild(target, rng.Intn(target.NumChildren())); err != nil {
 				t.Fatalf("op %d: DeleteChild: %v", op, err)
 			}
 		}

@@ -46,12 +46,12 @@ func (n *Numbering64) assign(node *xmltree.Node, id int64) error {
 	if id > n.Max {
 		n.Max = id
 	}
-	if int64(node.Children.Len()) > n.K {
+	if int64(node.NumChildren()) > n.K {
 		return fmt.Errorf("%w: node %s has %d children, k = %d",
-			ErrFanout, node.Path(), node.Children.Len(), n.K)
+			ErrFanout, node.Path(), node.NumChildren(), n.K)
 	}
-	for j := 0; j < node.Children.Len(); j++ {
-		c := node.Children.At(j)
+	for j := 0; j < node.NumChildren(); j++ {
+		c := node.Child(j)
 		cid, ok := child64(id, n.K, j)
 		if !ok {
 			return fmt.Errorf("%w: child of %d with k=%d", ErrOverflow, id, n.K)

@@ -23,7 +23,7 @@ func (n *Numbering) InsertChild(parent *xmltree.Node, pos int, newChild *xmltree
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: insert under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos > parent.Children.Len() {
+	if pos < 0 || pos > parent.NumChildren() {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: insert position %d out of range", pos)
 	}
 	parent.InsertChildAt(pos, newChild)
@@ -43,15 +43,12 @@ func (n *Numbering) DeleteChild(parent *xmltree.Node, pos int) (scheme.UpdateSta
 	if _, ok := n.ids[parent]; !ok {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: delete under unnumbered node %s", parent.Path())
 	}
-	if pos < 0 || pos >= parent.Children.Len() {
+	if pos < 0 || pos >= parent.NumChildren() {
 		return scheme.UpdateStats{}, fmt.Errorf("uid: delete position %d out of range", pos)
 	}
 	removed := parent.RemoveChild(pos)
-	removed.Walk(func(d *xmltree.Node) bool {
+	removed.WalkFull(func(d *xmltree.Node) bool {
 		n.dropID(d)
-		for _, a := range d.Attrs {
-			n.dropID(a)
-		}
 		return true
 	})
 	return n.relabelFrom(parent, nil, pos), nil
@@ -75,7 +72,7 @@ func (n *Numbering) relabelFrom(parent, skip *xmltree.Node, pos int) scheme.Upda
 	kids := parent.StructuralChildren(nil, n.opts.WithAttrs)
 	// Attributes precede children in structural order; an insertion among
 	// children never moves attributes, but positions must account for them.
-	offset := len(kids) - parent.Children.Len()
+	offset := len(kids) - parent.NumChildren()
 	for j := offset + pos; j < len(kids); j++ {
 		n.relabelSubtree(kids[j], n.childID(pid, j), skip, &st)
 	}

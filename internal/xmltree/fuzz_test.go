@@ -34,13 +34,22 @@ var parseSeeds = []string{
 	"<p:1a/>",
 }
 
+// prefixSeeds put attributes in front of children in the one sequence an
+// element holds: in chunk 0 of a wide one, alone, and a repeat the parser
+// must reject. Both fuzz targets end their corpus with them.
+var prefixSeeds = []string{
+	`<a x="1" y="2">` + strings.Repeat("<b/>t", 40) + `</a>`,
+	`<a><b x="1" y="2"/><c z="3"></c><d w="4">` + strings.Repeat(`<e v="5"/>`, 65) + `</d></a>`,
+	`<a><b/><c x="1" y="2" x="3"><d/></c></a>`,
+}
+
 // FuzzParseXML throws arbitrary bytes at the XML parser: it must either
 // error out or return a well-formed tree (parented children and
 // attributes, a document element), serializing that tree must reparse
 // without error, and the reparse must be the same tree. It must never
 // panic.
 func FuzzParseXML(f *testing.F) {
-	for _, s := range parseSeeds {
+	for _, s := range slices.Concat(parseSeeds, prefixSeeds) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -65,17 +74,17 @@ func FuzzParseXML(f *testing.F) {
 }
 
 // checkParented fails unless every child and attribute below n points up to
-// the node that holds it.
+// the node that holds it, and n's sequence leads with exactly its attributes.
 func checkParented(t *testing.T, n *Node) {
 	t.Helper()
-	for _, a := range n.Attrs {
-		if a.Parent != n {
+	for _, a := range n.Attrs() {
+		if a.Parent != n || a.Kind != Attribute {
 			t.Fatalf("attribute %v not parented to %v", a, n)
 		}
 	}
-	for ci := 0; ci < n.Children.Len(); ci++ {
-		c := n.Children.At(ci)
-		if c.Parent != n {
+	for ci := 0; ci < n.NumChildren(); ci++ {
+		c := n.Child(ci)
+		if c.Parent != n || c.Kind == Attribute {
 			t.Fatalf("child %v not parented to %v", c, n)
 		}
 		checkParented(t, c)
@@ -146,7 +155,7 @@ func agreeDocs() []string {
 // input and build the same tree — kinds, names, data, attribute order,
 // children — or both reject it.
 func FuzzParseAgree(f *testing.F) {
-	for _, s := range slices.Concat(parseSeeds, agreeSeeds, agreeDocs()) {
+	for _, s := range slices.Concat(parseSeeds, agreeSeeds, agreeDocs(), prefixSeeds) {
 		for flags := uint8(0); flags < 8; flags++ {
 			f.Add([]byte(s), flags)
 		}

@@ -65,12 +65,12 @@ func Skewed(wideFanout, narrowFanout, depth int) *Node {
 		root.AppendChild(NewElement("wide"))
 	}
 	// One narrow spine hanging off the first wide child.
-	cur := root.Children.At(0)
+	cur := root.Child(0)
 	for d := 0; d < depth; d++ {
 		for i := 0; i < narrowFanout; i++ {
 			cur.AppendChild(NewElement(fmt.Sprintf("deep%d", d)))
 		}
-		cur = cur.Children.At(0)
+		cur = cur.Child(0)
 	}
 	return doc
 }
@@ -115,14 +115,14 @@ func Random(cfg RandomConfig) *Node {
 		c := NewElement(fmt.Sprintf("e%d", rng.Intn(16)))
 		p.AppendChild(c)
 		open = append(open, c)
-		if p.Children.Len() >= cfg.MaxFanout {
+		if p.NumChildren() >= cfg.MaxFanout {
 			open[idx] = open[len(open)-1]
 			open = open[:len(open)-1]
 		}
 	}
 	if cfg.TextLeaf {
 		root.Walk(func(d *Node) bool {
-			if d.Kind == Element && d.Children.Len() == 0 {
+			if d.Kind == Element && d.NumChildren() == 0 {
 				d.AppendChild(NewText(fmt.Sprintf("t%d", rng.Intn(1000))))
 			}
 			return true

@@ -11,7 +11,6 @@ package xmltree
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -57,38 +56,44 @@ func (k Kind) String() string {
 // copies them (Clone, CloneWithMap and ShallowCopy copy a node's stamp with
 // it, which is how a copy of a numbered tree is numbered for free).
 //
-// internal/core keeps its 2-level ruid (global, local, root-flag) here, in
-// every tree it numbers. A node has one stamp, so a tree
-// carries at most one such numbering at a time: numbering a tree again
-// overwrites the stamps, and the earlier numbering must not be used after
-// that. core clears the stamps of a subtree it deletes and of one it inserts
-// (a fork inserts a copy of a stamped one), so a stamp never outlives the
-// numbering that wrote it.
+// internal/core keeps its 2-level ruid (global, local, root flag) here, in
+// every tree it numbers: global and local in the NodeNum, the flag in the
+// node's header word beside Kind (SetNum writes the three together). A node
+// has one stamp, so a tree carries at most one such numbering at a time:
+// numbering a tree again overwrites the stamps, and the earlier numbering
+// must not be used after that. core clears the stamps of a subtree it
+// deletes and of one it inserts (a fork inserts a copy of a stamped one), so
+// a stamp never outlives the numbering that wrote it.
 type NodeNum struct {
 	G, L int64
-	R    bool
 }
 
 // Node is a node of an XML tree. The zero value is not useful; create nodes
 // with the NewX constructors or by parsing.
 //
-// Attributes are kept on a separate list (Attrs) as in the XPath data model,
-// but StructuralChildren exposes them before the regular children so that
-// numbering schemes can enumerate "all components of XML document trees"
-// (paper §4) when configured to do so.
+// An element's attributes and its children are one sequence: the attributes
+// first, in definition order, their count in the header word, then the
+// children (the attribute prefix). The XPath data model keeps them apart, and
+// so do the accessors — Attrs, NumAttrs for the attributes, Child, NumChildren
+// and AppendChildren for the children — while StructuralChildren hands a
+// numbering scheme that enumerates "all components of XML document trees"
+// (paper §4) the sequence itself.
+//
+// Node is 96 bytes on a 64-bit platform, a size class of the allocator: an
+// 8-byte header (Kind, the root flag of the stamp, the attribute count),
+// Name, Data, Parent, the sequence's four words and the stamp.
+// TestNodeStaysInItsSizeClass holds the figure; a field more, or a Seq grown
+// by one word, moves every node of every document into the 112-byte class.
 type Node struct {
-	Kind     Kind
-	Name     string  // element name, attribute name or PI target
-	Data     string  // text content, comment text, attribute value or PI data
-	Parent   *Node   // nil for the document node and, in a tree a document.Document publishes, for all but attributes
-	Children Seq     // element and document nodes only
-	Attrs    []*Node // element nodes only; each has Kind == Attribute
-	Num      NodeNum // the label this node carries (see NodeNum)
+	Kind   Kind
+	root   bool   // the root flag of the stamp (SetNum)
+	nattr  uint32 // how many entries at the front of seq are attributes
+	Name   string // element name, attribute name or PI target
+	Data   string // text content, comment text, attribute value or PI data
+	Parent *Node  // nil for the document node and, in a tree a document.Document publishes, for all but attributes
+	seq    Seq    // element and document nodes only: the attributes, then the children
+	num    NodeNum
 }
-
-// Node is 128 bytes, a size class of the allocator, and Children may not grow
-// past the four words Seq takes: a fifth moves every node of every document
-// into the 144-byte class.
 
 // NewDocument returns an empty document node.
 func NewDocument() *Node { return &Node{Kind: Document} }
@@ -107,26 +112,87 @@ func NewProcInst(target, data string) *Node {
 	return &Node{Kind: ProcInst, Name: target, Data: data}
 }
 
+// Num returns the stamp n carries and its root flag (see NodeNum).
+func (n *Node) Num() (num NodeNum, root bool) { return n.num, n.root }
+
+// SetNum stamps n; the zero NodeNum with root false clears the stamp. It is
+// the one place a stamp is written.
+func (n *Node) SetNum(num NodeNum, root bool) { n.num, n.root = num, root }
+
+// Seq returns n's sequence: its attributes (the first NumAttrs entries), then
+// its children. It must not be written; the Node methods below do that.
+func (n *Node) Seq() Seq { return n.seq }
+
+// NumAttrs returns how many attributes n has.
+func (n *Node) NumAttrs() int { return int(n.nattr) }
+
+// Attrs returns n's attributes in definition order. The slice is n's own
+// storage when the attributes lie in one run of its sequence, as up to 64
+// always do, and a copy otherwise: it must not be written, and what it holds
+// after n's sequence changes is undefined.
+func (n *Node) Attrs() []*Node {
+	k := int(n.nattr)
+	if k == 0 {
+		return nil
+	}
+	if run, _ := n.seq.Run(0); len(run) >= k {
+		return run[:k:k]
+	}
+	out := make([]*Node, 0, k)
+	for len(out) < k {
+		run, _ := n.seq.Run(len(out)) // a chunk, starting where out ends
+		out = append(out, run[:min(len(run), k-len(out))]...)
+	}
+	return out
+}
+
+// NumChildren returns how many children n has, attributes not counted.
+func (n *Node) NumChildren() int { return n.seq.Len() - int(n.nattr) }
+
+// Child returns child i (0-based) of n. It panics when i is out of range.
+func (n *Node) Child(i int) *Node {
+	if i < 0 {
+		panic("xmltree: child position out of range")
+	}
+	return n.seq.At(int(n.nattr) + i)
+}
+
+// AppendChildren appends n's children, in order, to dst.
+func (n *Node) AppendChildren(dst []*Node) []*Node {
+	k := int(n.nattr)
+	if k == 0 {
+		return n.seq.AppendTo(dst)
+	}
+	for i := k; i < n.seq.Len(); {
+		run, first := n.seq.Run(i)
+		dst = append(dst, run[i-first:]...)
+		i = first + len(run)
+	}
+	return dst
+}
+
 // SetAttr sets (or replaces) an attribute on an element and returns the
-// attribute node. It panics if n is not an element.
+// attribute node; a new one goes behind the others, in front of the
+// children. It panics if n is not an element.
 func (n *Node) SetAttr(name, value string) *Node {
 	if n.Kind != Element {
 		panic("xmltree: SetAttr on non-element node")
 	}
-	for _, a := range n.Attrs {
+	for _, a := range n.Attrs() {
 		if a.Name == name {
 			a.Data = value
 			return a
 		}
 	}
 	a := &Node{Kind: Attribute, Name: name, Data: value, Parent: n}
-	n.Attrs = append(n.Attrs, a)
+	n.seq.Insert(int(n.nattr), a)
+	n.nattr++
 	return a
 }
 
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
+	for _, a := range n.Attrs() {
 		if a.Name == name {
 			return a.Data, true
 		}
@@ -137,7 +203,7 @@ func (n *Node) Attr(name string) (string, bool) {
 // AppendChild attaches c as the last child of n. It panics if c already has a
 // parent or if n cannot hold children.
 func (n *Node) AppendChild(c *Node) {
-	n.InsertChildAt(n.Children.Len(), c)
+	n.InsertChildAt(n.NumChildren(), c)
 }
 
 // InsertChildAt inserts c so that it becomes the child at position i
@@ -153,25 +219,46 @@ func (n *Node) InsertChildAt(i int, c *Node) {
 	if c.Kind == Attribute || c.Kind == Document {
 		panic("xmltree: cannot insert " + c.Kind.String() + " node as child")
 	}
-	if i < 0 || i > n.Children.Len() {
-		panic("xmltree: insert position out of range")
-	}
+	n.PutChild(i, c)
 	c.Parent = n
-	n.Children.Insert(i, c)
 }
 
 // RemoveChild detaches the child at position i and returns it. The removal
 // is cascading in the sense of the paper (§3.2): the whole subtree rooted at
 // the child leaves the document.
 func (n *Node) RemoveChild(i int) *Node {
-	if i < 0 || i >= n.Children.Len() {
-		panic("xmltree: remove position out of range")
-	}
-	c := n.Children.At(i)
-	n.Children.Delete(i)
+	c := n.TakeChild(i)
 	c.Parent = nil
 	return c
 }
+
+// TakeChild removes the child at position i from n's sequence and returns
+// it without writing it: its Parent is left as it was. It is RemoveChild for
+// a writer that may not write the child, such as a fork that shares it with
+// the epoch it came from; PutChild undoes it.
+func (n *Node) TakeChild(i int) *Node {
+	if i < 0 || i >= n.NumChildren() {
+		panic("xmltree: remove position out of range")
+	}
+	c := n.seq.At(int(n.nattr) + i)
+	n.seq.Delete(int(n.nattr) + i)
+	return c
+}
+
+// PutChild makes c the child at position i of n without writing c (see
+// TakeChild). It panics if i is out of range.
+func (n *Node) PutChild(i int, c *Node) {
+	if i < 0 || i > n.NumChildren() {
+		panic("xmltree: insert position out of range")
+	}
+	n.seq.Insert(int(n.nattr)+i, c)
+}
+
+// SetEntry replaces entry i of n's sequence — attributes first, as Seq
+// counts — with x, writing neither x nor the node it replaces: how a
+// path-copying writer re-points the entry at its copy of that node. It
+// panics when i is out of range.
+func (n *Node) SetEntry(i int, x *Node) { n.seq.Set(i, x) }
 
 // Detach removes n from its parent. It is a no-op for parentless nodes.
 func (n *Node) Detach() {
@@ -180,15 +267,10 @@ func (n *Node) Detach() {
 		return
 	}
 	if n.Kind == Attribute {
-		for i, a := range p.Attrs {
-			if a == n {
-				copy(p.Attrs[i:], p.Attrs[i+1:])
-				p.Attrs = p.Attrs[:len(p.Attrs)-1]
-				n.Parent = nil
-				return
-			}
-		}
-		panic("xmltree: attribute not found on its parent")
+		p.seq.Delete(n.Index())
+		p.nattr--
+		n.Parent = nil
+		return
 	}
 	p.RemoveChild(n.Index())
 }
@@ -200,9 +282,9 @@ func (n *Node) Index() int {
 	if p == nil {
 		panic("xmltree: Index of parentless node")
 	}
-	i := p.Children.Index(n)
-	if n.Kind == Attribute {
-		i = slices.Index(p.Attrs, n)
+	i := p.seq.Index(n)
+	if n.Kind != Attribute {
+		i -= int(p.nattr)
 	}
 	if i < 0 {
 		panic("xmltree: node not found among its parent's children")
@@ -234,28 +316,28 @@ func (n *Node) DocumentElement() *Node {
 
 // StructuralChildren appends to dst the children of n as seen by a numbering
 // scheme that enumerates every component of the document — attributes first
-// (in definition order) when withAttrs, then regular children — and returns
-// the extended slice.
+// (in definition order) when withAttrs, then regular children: with
+// attributes, n's whole sequence — and returns the extended slice.
 func (n *Node) StructuralChildren(dst []*Node, withAttrs bool) []*Node {
 	if withAttrs {
-		dst = append(dst, n.Attrs...)
+		return n.seq.AppendTo(dst)
 	}
-	return n.Children.AppendTo(dst)
+	return n.AppendChildren(dst)
 }
 
 // StructuralFanout returns how many children StructuralChildren yields.
 func (n *Node) StructuralFanout(withAttrs bool) int {
 	if withAttrs {
-		return len(n.Attrs) + n.Children.Len()
+		return n.seq.Len()
 	}
-	return n.Children.Len()
+	return n.NumChildren()
 }
 
 // FirstChildElement returns the first child element with the given name
 // ("" matches any element), or nil.
 func (n *Node) FirstChildElement(name string) *Node {
-	for i := 0; i < n.Children.Len(); i++ {
-		if c := n.Children.At(i); c.Kind == Element && (name == "" || c.Name == name) {
+	for i := 0; i < n.NumChildren(); i++ {
+		if c := n.Child(i); c.Kind == Element && (name == "" || c.Name == name) {
 			return c
 		}
 	}
@@ -266,8 +348,8 @@ func (n *Node) FirstChildElement(name string) *Node {
 // any element).
 func (n *Node) ChildElements(name string) []*Node {
 	var out []*Node
-	for i := 0; i < n.Children.Len(); i++ {
-		if c := n.Children.At(i); c.Kind == Element && (name == "" || c.Name == name) {
+	for i := 0; i < n.NumChildren(); i++ {
+		if c := n.Child(i); c.Kind == Element && (name == "" || c.Name == name) {
 			out = append(out, c)
 		}
 	}
@@ -297,8 +379,8 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	if !fn(n) {
 		return
 	}
-	for i := 0; i < n.Children.Len(); i++ {
-		n.Children.At(i).Walk(fn)
+	for i := 0; i < n.NumChildren(); i++ {
+		n.Child(i).Walk(fn)
 	}
 }
 
@@ -310,11 +392,8 @@ func (n *Node) WalkFull(fn func(*Node) bool) {
 	if !fn(n) {
 		return
 	}
-	for _, a := range n.Attrs {
-		fn(a)
-	}
-	for i := 0; i < n.Children.Len(); i++ {
-		n.Children.At(i).WalkFull(fn)
+	for i := 0; i < n.seq.Len(); i++ {
+		n.seq.At(i).WalkFull(fn) // the attributes first
 	}
 }
 
@@ -357,35 +436,36 @@ func (n *Node) CloneWithMap() (*Node, map[*Node]*Node) {
 }
 
 func (n *Node) cloneInto(m map[*Node]*Node) *Node {
-	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, Num: n.Num}
+	c := n.copyAlone()
 	if m != nil {
 		m[n] = c
 	}
-	for _, a := range n.Attrs {
-		ac := &Node{Kind: Attribute, Name: a.Name, Data: a.Data, Parent: c, Num: a.Num}
-		if m != nil {
-			m[a] = ac
-		}
-		c.Attrs = append(c.Attrs, ac)
-	}
-	for i := 0; i < n.Children.Len(); i++ {
-		cc := n.Children.At(i).cloneInto(m)
-		cc.Parent = c
-		c.Children.Append(cc)
+	for i := 0; i < n.seq.Len(); i++ {
+		xc := n.seq.At(i).cloneInto(m)
+		xc.Parent = c
+		c.seq.Append(xc)
 	}
 	return c
 }
 
+// copyAlone returns a copy of n's header, payload and stamp: no Parent, an
+// empty sequence (it keeps n's attribute count, for the caller to fill).
+func (n *Node) copyAlone() *Node {
+	return &Node{Kind: n.Kind, root: n.root, nattr: n.nattr, Name: n.Name, Data: n.Data, num: n.num}
+}
+
 // ShallowCopy returns a copy of n alone, for path-copying writers: the copy
-// has its own child list holding n's children themselves (Seq.Share: a wide
+// has its own sequence holding n's children themselves (Seq.Share: a wide
 // list's chunks are shared until the copy writes them), its own copies of
-// n's attributes (an attribute is reached only through its element, so the
-// two are copied together), n's stamp, and no Parent.
+// n's attributes in front of them (an attribute is reached only through its
+// element, so the two are copied together), n's stamp, and no Parent.
 func (n *Node) ShallowCopy() *Node {
-	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, Num: n.Num}
-	c.Children = n.Children.Share()
-	for _, a := range n.Attrs {
-		c.Attrs = append(c.Attrs, &Node{Kind: Attribute, Name: a.Name, Data: a.Data, Parent: c, Num: a.Num})
+	c := n.copyAlone()
+	c.seq = n.seq.Share()
+	for i := 0; i < int(n.nattr); i++ {
+		a := n.seq.At(i).copyAlone()
+		a.Parent = c
+		c.seq.Set(i, a)
 	}
 	return c
 }
@@ -412,7 +492,7 @@ func (n *Node) PathStep(parent *Node) string {
 	if n.Kind == Attribute {
 		return "@" + label
 	}
-	return fmt.Sprintf("%s[%d]", label, parent.Children.Index(n))
+	return fmt.Sprintf("%s[%d]", label, parent.seq.Index(n)-int(parent.nattr))
 }
 
 // JoinPath assembles a Path from its steps, innermost first; no steps make

@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,11 +25,11 @@ func TestParseBasic(t *testing.T) {
 	if v, ok := root.Attr("x"); !ok || v != "1" {
 		t.Fatalf("attr x = %q, %v", v, ok)
 	}
-	if root.Children.Len() != 2 { // comment dropped by default
-		t.Fatalf("children = %d, want 2", root.Children.Len())
+	if root.NumChildren() != 2 { // comment dropped by default
+		t.Fatalf("children = %d, want 2", root.NumChildren())
 	}
-	b := root.Children.At(0)
-	if b.Name != "b" || b.Children.Len() != 1 || b.Children.At(0).Kind != Text || b.Children.At(0).Data != "hi" {
+	b := root.Child(0)
+	if b.Name != "b" || b.NumChildren() != 1 || b.Child(0).Kind != Text || b.Child(0).Data != "hi" {
 		t.Fatalf("unexpected b subtree: %s", Serialize(b))
 	}
 }
@@ -42,8 +44,8 @@ func TestParseOptions(t *testing.T) {
 	}
 	root := doc.DocumentElement()
 	kinds := map[Kind]int{}
-	for ci := 0; ci < root.Children.Len(); ci++ {
-		c := root.Children.At(ci)
+	for ci := 0; ci < root.NumChildren(); ci++ {
+		c := root.Child(ci)
 		kinds[c.Kind]++
 	}
 	if kinds[Text] != 3 || kinds[Comment] != 1 || kinds[ProcInst] != 1 || kinds[Element] != 1 {
@@ -100,8 +102,8 @@ func TestMutation(t *testing.T) {
 
 func names(n *Node) string {
 	var out []string
-	for ci := 0; ci < n.Children.Len(); ci++ {
-		c := n.Children.At(ci)
+	for ci := 0; ci < n.NumChildren(); ci++ {
+		c := n.Child(ci)
 		out = append(out, c.Name)
 	}
 	return strings.Join(out, ",")
@@ -110,7 +112,7 @@ func names(n *Node) string {
 func TestMutationPanics(t *testing.T) {
 	doc := mustParse(t, `<a><b/></a>`)
 	root := doc.DocumentElement()
-	assertPanic(t, "reattach", func() { root.AppendChild(root.Children.At(0)) })
+	assertPanic(t, "reattach", func() { root.AppendChild(root.Child(0)) })
 	assertPanic(t, "range", func() { root.InsertChildAt(5, NewElement("x")) })
 	assertPanic(t, "text child", func() { NewText("t").AppendChild(NewElement("x")) })
 	assertPanic(t, "attr child", func() { root.AppendChild(&Node{Kind: Attribute, Name: "a"}) })
@@ -136,7 +138,7 @@ func TestCloneIsDeepAndDetached(t *testing.T) {
 	if Serialize(c) != Serialize(root) {
 		t.Fatalf("clone differs: %s vs %s", Serialize(c), Serialize(root))
 	}
-	c.Children.At(0).Children.At(0).Children.At(0).Data = "changed"
+	c.Child(0).Child(0).Child(0).Data = "changed"
 	if strings.Contains(Serialize(root), "changed") {
 		t.Fatalf("clone shares nodes with the original")
 	}
@@ -145,7 +147,7 @@ func TestCloneIsDeepAndDetached(t *testing.T) {
 func TestDepthRootIndexPath(t *testing.T) {
 	doc := mustParse(t, `<a><b><c/></b><d/></a>`)
 	root := doc.DocumentElement()
-	c := root.Children.At(0).Children.At(0)
+	c := root.Child(0).Child(0)
 	if c.Depth() != 3 { // document -> a -> b -> c
 		t.Fatalf("depth = %d", c.Depth())
 	}
@@ -155,8 +157,8 @@ func TestDepthRootIndexPath(t *testing.T) {
 	if got := c.Path(); got != "/a[0]/b[0]/c[0]" {
 		t.Fatalf("Path() = %q", got)
 	}
-	if root.Children.At(1).Index() != 1 {
-		t.Fatalf("Index of d = %d", root.Children.At(1).Index())
+	if root.Child(1).Index() != 1 {
+		t.Fatalf("Index of d = %d", root.Child(1).Index())
 	}
 }
 
@@ -218,5 +220,142 @@ func TestParseWriteFile(t *testing.T) {
 	}
 	if err := WriteFile(dir+"/nope/doc.xml", doc); err == nil {
 		t.Fatalf("bad path accepted")
+	}
+}
+
+// attrNames lists n's attributes as name=value, in order.
+func attrNames(n *Node) string {
+	var out []string
+	for _, a := range n.Attrs() {
+		out = append(out, a.Name+"="+a.Data)
+	}
+	return strings.Join(out, ",")
+}
+
+// TestSetAttrBehindChildren adds attributes to elements that already have
+// children, a narrow one and one wide enough for its sequence to be chunked:
+// each new attribute goes behind the others and in front of every child, and
+// the children keep their positions.
+func TestSetAttrBehindChildren(t *testing.T) {
+	for _, kids := range []int{2, 130} {
+		a := NewElement("a")
+		for i := 0; i < kids; i++ {
+			a.AppendChild(NewElement("k"))
+		}
+		want := a.AppendChildren(nil)
+		a.SetAttr("x", "1")
+		a.SetAttr("y", "2")
+		a.SetAttr("x", "3") // replaced in place
+		if got := attrNames(a); got != "x=3,y=2" || a.NumAttrs() != 2 {
+			t.Fatalf("%d children: attributes %s (%d)", kids, got, a.NumAttrs())
+		}
+		if a.NumChildren() != kids || a.Seq().Len() != kids+2 {
+			t.Fatalf("%d children: %d children, sequence of %d", kids, a.NumChildren(), a.Seq().Len())
+		}
+		for i, c := range want {
+			if a.Child(i) != c || c.Index() != i {
+				t.Fatalf("%d children: child %d moved", kids, i)
+			}
+		}
+		if full := a.StructuralChildren(nil, true); full[0].Name != "x" || full[1].Name != "y" || full[2] != want[0] {
+			t.Fatalf("%d children: structural children do not lead with the attributes", kids)
+		}
+		if !strings.HasPrefix(Serialize(a), `<a x="3" y="2"><k/>`) {
+			t.Fatalf("%d children: serialized as %.40s", kids, Serialize(a))
+		}
+	}
+}
+
+// TestAttrDetachIndex: an attribute's Index counts among the attributes, and
+// Detach takes it out of the prefix without moving a child.
+func TestAttrDetachIndex(t *testing.T) {
+	a := mustParse(t, `<a p="1" q="2" r="3"><b/>t<c/></a>`).DocumentElement()
+	attrs, kids := slices.Clone(a.Attrs()), a.AppendChildren(nil)
+	for i, at := range attrs {
+		if at.Index() != i {
+			t.Fatalf("attribute %s: Index %d, want %d", at.Name, at.Index(), i)
+		}
+	}
+	q := attrs[1]
+	q.Detach()
+	if q.Parent != nil || attrNames(a) != "p=1,r=3" || attrs[2].Index() != 1 {
+		t.Fatalf("after detaching q: attributes %s, r at %d", attrNames(a), attrs[2].Index())
+	}
+	for i, c := range kids {
+		if a.Child(i) != c || c.Index() != i {
+			t.Fatalf("child %d moved when an attribute left", i)
+		}
+	}
+	a.Child(0).Detach()
+	if attrNames(a) != "p=1,r=3" || a.NumChildren() != 2 || a.Child(0).Kind != Text {
+		t.Fatalf("after detaching b: attributes %s, %d children", attrNames(a), a.NumChildren())
+	}
+	if Serialize(a) != `<a p="1" r="3">t<c/></a>` {
+		t.Fatalf("serialized as %s", Serialize(a))
+	}
+}
+
+// TestCopiesKeepAttrOrder: Clone, CloneWithMap and ShallowCopy give the copy
+// its own attributes, in the original's order, parented to the copy and in
+// front of its children.
+func TestCopiesKeepAttrOrder(t *testing.T) {
+	a := mustParse(t, `<a z="1" m="2" b="3"><k y="4" x="5"/><k/></a>`).DocumentElement()
+	a.SetAttr("a", "6")
+	clone, m := a.CloneWithMap()
+	shallow := a.ShallowCopy()
+	for _, c := range []struct {
+		name string
+		copy *Node
+	}{{"Clone", a.Clone()}, {"CloneWithMap", clone}, {"ShallowCopy", shallow}} {
+		if got := attrNames(c.copy); got != "z=1,m=2,b=3,a=6" {
+			t.Fatalf("%s: attributes %s", c.name, got)
+		}
+		for i, at := range c.copy.Attrs() {
+			if at == a.Attrs()[i] || at.Parent != c.copy || at.Kind != Attribute {
+				t.Fatalf("%s: attribute %s is not the copy's own", c.name, at.Name)
+			}
+		}
+		if c.copy.NumChildren() != 2 || attrNames(c.copy.Child(0)) != "y=4,x=5" {
+			t.Fatalf("%s: children %d, first with attributes %s", c.name, c.copy.NumChildren(), attrNames(c.copy.Child(0)))
+		}
+	}
+	for i, at := range a.Attrs() {
+		if m[at] != clone.Attrs()[i] {
+			t.Fatalf("CloneWithMap maps attribute %s elsewhere", at.Name)
+		}
+	}
+	if shallow.Child(0) != a.Child(0) {
+		t.Fatal("ShallowCopy copied a child")
+	}
+	if a.Attrs()[0].Parent != a {
+		t.Fatal("ShallowCopy re-parented the original's attributes")
+	}
+}
+
+// TestAttrsPastOneChunk: a prefix of more attributes than a chunk holds is
+// read back whole and in order, set in between children being added.
+func TestAttrsPastOneChunk(t *testing.T) {
+	a := NewElement("a")
+	var want []string
+	for i := 0; i < 150; i++ {
+		name := fmt.Sprint("p", i)
+		a.SetAttr(name, "v")
+		want = append(want, name+"=v")
+		if i%15 == 0 {
+			a.AppendChild(NewText(name))
+		}
+	}
+	for _, n := range []*Node{a, a.Clone(), a.ShallowCopy()} {
+		if got := attrNames(n); got != strings.Join(want, ",") {
+			t.Fatalf("attributes %.80s…", got)
+		}
+		if n.NumChildren() != 10 || n.Child(9).Data != "p135" {
+			t.Fatalf("%d children", n.NumChildren())
+		}
+	}
+	p70 := a.Attrs()[70]
+	p70.Detach()
+	if a.NumAttrs() != 149 || a.Attrs()[70].Name != "p71" || a.Attrs()[70].Index() != 70 || a.Child(0).Data != "p0" {
+		t.Fatalf("after detaching p70: %d attributes, %s at 70", a.NumAttrs(), a.Attrs()[70].Name)
 	}
 }

@@ -156,7 +156,7 @@ func FollowingSiblings(n *Node) []*Node {
 	if n.Parent == nil || n.Kind == Attribute {
 		return nil
 	}
-	return n.Parent.Children.AppendTo(nil)[n.Index()+1:]
+	return n.Parent.AppendChildren(nil)[n.Index()+1:]
 }
 
 // PrecedingSiblings returns the siblings of n that come before it, in
@@ -168,7 +168,7 @@ func PrecedingSiblings(n *Node) []*Node {
 	i := n.Index()
 	out := make([]*Node, 0, i)
 	for j := i - 1; j >= 0; j-- {
-		out = append(out, n.Parent.Children.At(j))
+		out = append(out, n.Parent.Child(j))
 	}
 	return out
 }
@@ -177,8 +177,8 @@ func PrecedingSiblings(n *Node) []*Node {
 // excluding attributes.
 func Descendants(n *Node) []*Node {
 	var out []*Node
-	for i := 0; i < n.Children.Len(); i++ {
-		n.Children.At(i).Walk(func(d *Node) bool {
+	for i := 0; i < n.NumChildren(); i++ {
+		n.Child(i).Walk(func(d *Node) bool {
 			out = append(out, d)
 			return true
 		})

@@ -10,9 +10,9 @@ import (
 func TestIsAncestorAndLCA(t *testing.T) {
 	doc := mustParse(t, `<a><b><c/><d/></b><e><f/></e></a>`)
 	a := doc.DocumentElement()
-	b, e := a.Children.At(0), a.Children.At(1)
-	c, d := b.Children.At(0), b.Children.At(1)
-	f := e.Children.At(0)
+	b, e := a.Child(0), a.Child(1)
+	c, d := b.Child(0), b.Child(1)
+	f := e.Child(0)
 
 	if !IsAncestor(a, c) || !IsAncestor(b, c) || IsAncestor(c, a) || IsAncestor(c, c) {
 		t.Fatalf("IsAncestor wrong")
@@ -54,9 +54,9 @@ func TestCompareOrderMatchesWalk(t *testing.T) {
 func TestCompareOrderAttributes(t *testing.T) {
 	doc := mustParse(t, `<a p="1" q="2"><b r="3"/><c/></a>`)
 	a := doc.DocumentElement()
-	p, q := a.Attrs[0], a.Attrs[1]
-	b, c := a.Children.At(0), a.Children.At(1)
-	r := b.Attrs[0]
+	p, q := a.Attrs()[0], a.Attrs()[1]
+	b, c := a.Child(0), a.Child(1)
+	r := b.Attrs()[0]
 	ordered := []*Node{a, p, q, b, r, c}
 	for i := range ordered {
 		for j := range ordered {
@@ -76,10 +76,10 @@ func TestCompareOrderAttributes(t *testing.T) {
 func TestAxesGroundTruth(t *testing.T) {
 	doc := mustParse(t, `<a><b><c/><d/></b><e><f/><g/></e><h/></a>`)
 	a := doc.DocumentElement()
-	b := a.Children.At(0)
-	d := b.Children.At(1)
-	e := a.Children.At(1)
-	f := e.Children.At(0)
+	b := a.Child(0)
+	d := b.Child(1)
+	e := a.Child(1)
+	f := e.Child(0)
 
 	if got := nodeNames(Following(d)); got != "e,f,g,h" {
 		t.Errorf("Following(d) = %s", got)
@@ -90,7 +90,7 @@ func TestAxesGroundTruth(t *testing.T) {
 	if got := nodeNames(FollowingSiblings(b)); got != "e,h" {
 		t.Errorf("FollowingSiblings(b) = %s", got)
 	}
-	if got := nodeNames(PrecedingSiblings(a.Children.At(2))); got != "e,b" {
+	if got := nodeNames(PrecedingSiblings(a.Child(2))); got != "e,b" {
 		t.Errorf("PrecedingSiblings(h) = %s", got)
 	}
 	if got := nodeNames(Descendants(a)); got != "b,c,d,e,f,g,h" {

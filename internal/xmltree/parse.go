@@ -108,26 +108,26 @@ func (e *errWriter) str(s string) {
 func writeNode(w *errWriter, n *Node) {
 	switch n.Kind {
 	case Document:
-		for i := 0; i < n.Children.Len(); i++ {
-			writeNode(w, n.Children.At(i))
+		for i := 0; i < n.NumChildren(); i++ {
+			writeNode(w, n.Child(i))
 		}
 	case Element:
 		w.str("<")
 		w.str(n.Name)
-		for _, a := range n.Attrs {
+		for _, a := range n.Attrs() {
 			w.str(" ")
 			w.str(a.Name)
 			w.str(`="`)
 			w.str(escapeAttr(a.Data))
 			w.str(`"`)
 		}
-		if n.Children.Len() == 0 {
+		if n.NumChildren() == 0 {
 			w.str("/>")
 			return
 		}
 		w.str(">")
-		for i := 0; i < n.Children.Len(); i++ {
-			writeNode(w, n.Children.At(i))
+		for i := 0; i < n.NumChildren(); i++ {
+			writeNode(w, n.Child(i))
 		}
 		w.str("</")
 		w.str(n.Name)

@@ -22,7 +22,7 @@ func randomTextDoc(seed int64, nodes int) *Node {
 		if rng.Intn(2) == 0 {
 			n.SetAttr("h", hostile[rng.Intn(len(hostile))])
 		}
-		if n.Children.Len() == 0 && rng.Intn(2) == 0 {
+		if n.NumChildren() == 0 && rng.Intn(2) == 0 {
 			n.AppendChild(NewText(hostile[rng.Intn(len(hostile))]))
 		}
 		return true
@@ -61,16 +61,16 @@ func equalTrees(a, b *Node) bool {
 	if a.Kind != b.Kind || a.Name != b.Name || a.Data != b.Data {
 		return false
 	}
-	if len(a.Attrs) != len(b.Attrs) || a.Children.Len() != b.Children.Len() {
+	if a.NumAttrs() != b.NumAttrs() || a.NumChildren() != b.NumChildren() {
 		return false
 	}
-	for i := range a.Attrs {
-		if a.Attrs[i].Name != b.Attrs[i].Name || a.Attrs[i].Data != b.Attrs[i].Data {
+	for i := range a.Attrs() {
+		if a.Attrs()[i].Name != b.Attrs()[i].Name || a.Attrs()[i].Data != b.Attrs()[i].Data {
 			return false
 		}
 	}
-	for i := 0; i < a.Children.Len(); i++ {
-		if !equalTrees(a.Children.At(i), b.Children.At(i)) {
+	for i := 0; i < a.NumChildren(); i++ {
+		if !equalTrees(a.Child(i), b.Child(i)) {
 			return false
 		}
 	}
@@ -125,9 +125,9 @@ func TestParseMergesAdjacentText(t *testing.T) {
 		}
 		var got []string
 		a := doc.DocumentElement()
-		for i := 0; i < a.Children.Len(); i++ {
-			got = append(got, a.Children.At(i).Data)
-			if a.Children.At(i).Kind != Text {
+		for i := 0; i < a.NumChildren(); i++ {
+			got = append(got, a.Child(i).Data)
+			if a.Child(i).Kind != Text {
 				got[i] = ""
 			}
 		}

@@ -39,7 +39,7 @@ type scanner struct {
 	root  bool // the root element has been read
 
 	open  []frame  // the open elements, the document node first
-	kids  []*Node  // the children read so far of every open element, in order
+	kids  []*Node  // the attributes and children read so far of every open element, in order
 	attrs []*Node  // the attributes of the start tag being read
 	raw   []string // their names as written, for the Unique Att Spec rule
 }
@@ -47,7 +47,7 @@ type scanner struct {
 type frame struct {
 	n    *Node
 	name string // as written, to match the end tag against
-	kids int    // where n's children start on the kids stack
+	kids int    // where n's attributes, then children, start on the kids stack
 }
 
 // textChunk is the size of a text chunk when the input left is larger.
@@ -471,13 +471,16 @@ func (s *scanner) startTag() error {
 			return err
 		}
 	}
-	if len(s.attrs) > 0 {
-		el.Attrs = slices.Clone(s.attrs)
-	}
+	el.nattr = uint32(len(s.attrs))
 	s.kids = append(s.kids, el)
 	s.root = true
 	if raw != "" {
+		// The attributes lead the children on the stack, and in the sequence
+		// close installs.
 		s.open = append(s.open, frame{n: el, name: raw, kids: len(s.kids)})
+		s.kids = append(s.kids, s.attrs...)
+	} else if len(s.attrs) > 0 {
+		el.seq = SeqOf(s.attrs)
 	}
 	s.pos = i
 	return nil
@@ -561,7 +564,7 @@ func (s *scanner) endTag() error {
 // close gives the innermost open element the children gathered for it.
 func (s *scanner) close() {
 	f := s.open[len(s.open)-1]
-	f.n.Children = SeqOf(s.kids[f.kids:])
+	f.n.seq = SeqOf(s.kids[f.kids:])
 	s.kids = s.kids[:f.kids]
 	s.open = s.open[:len(s.open)-1]
 }

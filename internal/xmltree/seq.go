@@ -2,8 +2,8 @@ package xmltree
 
 import "slices"
 
-// Seq is the node sequence the tree and table K are made of: a node's child
-// list, the nodes of a K row. It exists so that a path-copying writer who
+// Seq is the node sequence the tree and table K are made of: a node's
+// attributes and children (Node.Seq), the nodes of a K row. It exists so that a path-copying writer who
 // re-points one entry of a 3000-entry list copies 64 entries and a table of
 // chunk pointers, not the list.
 //

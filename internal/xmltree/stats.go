@@ -30,7 +30,7 @@ func Measure(n *Node) Stats {
 	var walk func(d *Node, depth int)
 	walk = func(d *Node, depth int) {
 		s.Nodes++
-		s.Attributes += len(d.Attrs)
+		s.Attributes += d.NumAttrs()
 		switch d.Kind {
 		case Element:
 			s.Elements++
@@ -38,7 +38,7 @@ func Measure(n *Node) Stats {
 			s.TextNodes++
 		}
 		s.MaxDepth = max(s.MaxDepth, depth)
-		f := d.Children.Len()
+		f := d.NumChildren()
 		if f == 0 {
 			s.Leaves++
 			return
@@ -50,7 +50,7 @@ func Measure(n *Node) Stats {
 		s.TotalFanout += f
 		s.MaxFanout = max(s.MaxFanout, f)
 		for i := 0; i < f; i++ {
-			walk(d.Children.At(i), depth+1)
+			walk(d.Child(i), depth+1)
 		}
 	}
 	walk(n, 0)
@@ -78,8 +78,8 @@ func (s Stats) String() string {
 func MaxFanout(n *Node) int {
 	max := 0
 	n.Walk(func(d *Node) bool {
-		if d.Children.Len() > max {
-			max = d.Children.Len()
+		if d.NumChildren() > max {
+			max = d.NumChildren()
 		}
 		return true
 	})
@@ -102,8 +102,8 @@ func MaxDepth(n *Node) int {
 		if depth > max {
 			max = depth
 		}
-		for i := 0; i < d.Children.Len(); i++ {
-			walk(d.Children.At(i), depth+1)
+		for i := 0; i < d.NumChildren(); i++ {
+			walk(d.Child(i), depth+1)
 		}
 	}
 	walk(n, 0)
@@ -134,8 +134,8 @@ func Sketch(n *Node, maxDepth int) string {
 			b.WriteString(d.Kind.String())
 		}
 		b.WriteByte('\n')
-		for i := 0; i < d.Children.Len(); i++ {
-			walk(d.Children.At(i), depth+1)
+		for i := 0; i < d.NumChildren(); i++ {
+			walk(d.Child(i), depth+1)
 		}
 	}
 	walk(n, 0)

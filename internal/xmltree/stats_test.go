@@ -25,7 +25,7 @@ func TestMeasureDepthWithoutParent(t *testing.T) {
 	if want.MaxDepth != 4 || want.Nodes != 6 || want.Leaves != 2 {
 		t.Fatalf("Measure(chain) = %+v, want maxDepth 4, 6 nodes, 2 leaves", want)
 	}
-	if got := Measure(root.Children.At(0)); got.MaxDepth != 3 {
+	if got := Measure(root.Child(0)); got.MaxDepth != 3 {
 		t.Fatalf("Measure(subtree).MaxDepth = %d, want 3", got.MaxDepth)
 	}
 	root.Walk(func(x *Node) bool {

@@ -233,7 +233,7 @@ func (r *run) axis(c *xmltree.Node, axis Axis, visit Visit) bool {
 	case xmltree.Document:
 		switch axis {
 		case AxisChild:
-			return all(c.Children, visit)
+			return all(c, visit)
 		case AxisDescendant:
 			return below(c, false, visit)
 		case AxisDescendantOrSelf:
@@ -283,7 +283,7 @@ func (r *run) axis(c *xmltree.Node, axis Axis, visit Visit) bool {
 	case AxisSelf:
 		return visit(c)
 	case AxisAttribute:
-		for _, a := range c.Attrs {
+		for _, a := range c.Attrs() {
 			if !visit(a) {
 				return false
 			}

@@ -356,7 +356,7 @@ func TestPointerNavigatorGroundTruth(t *testing.T) {
 				axis      string
 				got, want []*xmltree.Node
 			}{
-				{"children", collect(func(f xpath.Visit) bool { return nav.Children(n, f) }), n.Children.AppendTo(nil)},
+				{"children", collect(func(f xpath.Visit) bool { return nav.Children(n, f) }), n.AppendChildren(nil)},
 				{"descendants", collect(func(f xpath.Visit) bool { return nav.Descendants(n, f) }), xmltree.Descendants(n)},
 				{"ancestors", collect(func(f xpath.Visit) bool { return nav.Ancestors(n, f) }), ancestors},
 				{"following-siblings", collect(func(f xpath.Visit) bool { return nav.FollowingSiblings(n, f) }), xmltree.FollowingSiblings(n)},
@@ -390,7 +390,7 @@ func TestPositionalStopsAtK(t *testing.T) {
 	}
 	for _, nav := range append(agreeNavigators(t, doc), xpath.PointerNavigator{}) {
 		nodes, visited, ok := xpath.NewEngine(doc, nav).EvalMetered(paths, nil)
-		if !ok || len(nodes) != 1 || nodes[0] != root.Children.At(6).Children.At(0) {
+		if !ok || len(nodes) != 1 || nodes[0] != root.Child(6).Child(0) {
 			t.Fatalf("%s: /r/c[7]/d[1] = %d nodes, ok %v", nav.Name(), len(nodes), ok)
 		}
 		if visited != 1+7+1 { // r, seven c, one d

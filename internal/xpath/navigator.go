@@ -56,29 +56,29 @@ func (PointerNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
 	return n.Parent, true
 }
 
-// each visits entries lo to hi-1 of ns front to back, or back to front when
+// each visits children lo to hi-1 of p front to back, or back to front when
 // rev.
-func each(ns xmltree.Seq, lo, hi int, rev bool, visit Visit) bool {
+func each(p *xmltree.Node, lo, hi int, rev bool, visit Visit) bool {
 	for i := lo; i < hi; i++ {
 		at := i
 		if rev {
 			at = lo + hi - 1 - i
 		}
-		if !visit(ns.At(at)) {
+		if !visit(p.Child(at)) {
 			return false
 		}
 	}
 	return true
 }
 
-// all visits every entry of ns in order.
-func all(ns xmltree.Seq, visit Visit) bool { return each(ns, 0, ns.Len(), false, visit) }
+// all visits every child of p in order.
+func all(p *xmltree.Node, visit Visit) bool { return each(p, 0, p.NumChildren(), false, visit) }
 
-// subtrees visits entries lo to hi-1 of ns, each with its whole subtree,
+// subtrees visits children lo to hi-1 of p, each with its whole subtree,
 // attributes excluded: in document order, or — back to front, each node after
 // its subtree — in reverse document order.
-func subtrees(ns xmltree.Seq, lo, hi int, rev bool, visit Visit) bool {
-	return each(ns, lo, hi, rev, func(x *xmltree.Node) bool {
+func subtrees(p *xmltree.Node, lo, hi int, rev bool, visit Visit) bool {
+	return each(p, lo, hi, rev, func(x *xmltree.Node) bool {
 		if rev {
 			return below(x, true, visit) && visit(x)
 		}
@@ -88,22 +88,23 @@ func subtrees(ns xmltree.Seq, lo, hi int, rev bool, visit Visit) bool {
 
 // below visits the proper descendants of x.
 func below(x *xmltree.Node, rev bool, visit Visit) bool {
-	return subtrees(x.Children, 0, x.Children.Len(), rev, visit)
+	return subtrees(x, 0, x.NumChildren(), rev, visit)
 }
 
-// siblings returns the child list n sits in, n's position there and the
-// list's length: the entries in front of the position and behind it are n's
-// siblings. Attributes and the document node have none.
-func siblings(n *xmltree.Node) (list xmltree.Seq, at, end int) {
+// siblings returns n's parent, n's position among its children and their
+// count: the children in front of the position and behind it are n's
+// siblings. Attributes and the document node have none (a nil parent, which
+// each visits nothing of).
+func siblings(n *xmltree.Node) (parent *xmltree.Node, at, end int) {
 	if n.Parent == nil || n.Kind == xmltree.Attribute {
-		return xmltree.Seq{}, 0, 0
+		return nil, 0, 0
 	}
-	return n.Parent.Children, n.Index(), n.Parent.Children.Len()
+	return n.Parent, n.Index(), n.Parent.NumChildren()
 }
 
 // Children implements Navigator.
 func (PointerNavigator) Children(n *xmltree.Node, visit Visit) bool {
-	return all(n.Children, visit)
+	return all(n, visit)
 }
 
 // Descendants implements Navigator.
@@ -280,8 +281,8 @@ func topLevel(doc, n *xmltree.Node) int {
 		return -1
 	}
 	root := 0
-	for i := 0; i < doc.Children.Len(); i++ {
-		c := doc.Children.At(i)
+	for i := 0; i < doc.NumChildren(); i++ {
+		c := doc.Child(i)
 		if c == n {
 			return i
 		}
