@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/prepost"
 	"repro/internal/scheme"
@@ -431,9 +432,14 @@ func BenchmarkE11StructuralJoin(b *testing.B) {
 			benchSink += len(scheme.MergeJoin(pn, ancsP, descsP))
 		}
 	})
+	chain, err := twig.Compile("//section//section//title")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("path-pipeline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink += len(ixR.PathQueryRUID("section", "section", "title"))
+			ids, _ := twig.MatchIDsWith(chain, ixR, exec.Default())
+			benchSink += len(ids)
 		}
 	})
 }
@@ -525,7 +531,7 @@ func BenchmarkE14Twig(b *testing.B) {
 	path := xpath.MustParse("//item[name]//text")
 	b.Run("twig-match", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ids, _ := twig.MatchIDs(pattern, ix)
+			ids, _ := twig.MatchIDsWith(pattern, ix, exec.Default())
 			benchSink += len(ids)
 		}
 	})

@@ -123,6 +123,10 @@ func parallelBenches() []struct {
 	if err != nil {
 		panic(err)
 	}
+	chain, err := twig.Compile("//section//section//title")
+	if err != nil {
+		panic(err)
+	}
 
 	execs := []struct {
 		tag string
@@ -159,13 +163,9 @@ func parallelBenches() []struct {
 			microSink += len(index.UpwardSemiJoinPostings(rn, ancs, descs))
 		}
 	})
-	add("parallel/path_query/serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			microSink += len(ix.PathQueryRUID("section", "section", "title"))
-		}
-	})
-	// twig has no executor-free serial kernel; its p=1 row (Serial-mode
-	// executor) is the serial reference.
+	// A name path runs through the twig pipeline, which has no executor-free
+	// serial form: the path_query and twig p=1 rows (Serial-mode executor)
+	// are the serial reference.
 	for _, ex := range execs {
 		e := ex.e
 		add("parallel/merge_join/"+ex.tag, func(b *testing.B) {
@@ -185,7 +185,8 @@ func parallelBenches() []struct {
 		})
 		add("parallel/path_query/"+ex.tag, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(e.PathQuery(ix, "section", "section", "title"))
+				ids, _ := twig.MatchIDsWith(chain, ix, e)
+				microSink += len(ids)
 			}
 		})
 		add("parallel/twig/"+ex.tag, func(b *testing.B) {
@@ -249,6 +250,11 @@ func postingsBenches() []struct {
 	ix := index.Build(doc.DocumentElement(), rn)
 	needle, leaf := index.SlicePostings(ix.RuidIDs("needle")), index.SlicePostings(ix.RuidIDs("leaf"))
 	needleP, leafP := ix.Postings("needle"), ix.Postings("leaf")
+	chain, err := twig.Compile("//needle//leaf")
+	if err != nil {
+		panic(err)
+	}
+	serial := exec.New(exec.Config{Mode: exec.Serial})
 
 	var out []struct {
 		name string
@@ -283,7 +289,8 @@ func postingsBenches() []struct {
 	})
 	add("postings/path_query_selective", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(ix.PathQueryRUID("needle", "leaf"))
+			ids, _ := twig.MatchIDsWith(chain, ix, serial)
+			microSink += len(ids)
 		}
 	})
 	add("postings/materialize", func(b *testing.B) {
@@ -992,6 +999,11 @@ func runMicrobench(out io.Writer) error {
 	boxed := scheme.RUID{Num: rn}
 	lists := scheme.IDsByName(doc.DocumentElement(), boxed)
 	bAncs, bDescs := lists["section"], lists["title"]
+	chain, err := twig.Compile("//section//section//title")
+	if err != nil {
+		return err
+	}
+	serial := exec.New(exec.Config{Mode: exec.Serial})
 
 	axisDoc := xmltree.XMark(2, 2)
 	an := workload.BuildRUID(axisDoc)
@@ -1050,7 +1062,8 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"path_query/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(ix.PathQueryRUID("section", "section", "title"))
+				ids, _ := twig.MatchIDsWith(chain, ix, serial)
+				microSink += len(ids)
 			}
 		}},
 		{"rparent", func(b *testing.B) {

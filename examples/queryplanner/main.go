@@ -1,6 +1,6 @@
 // Query planning (§4 "query evaluation" + §6 [4] DataGuides): a generated
 // auction document is opened through the document facade, whose cost-based
-// planner chooses between the identifier-join pipeline, the twig matcher
+// planner chooses between the identifier pipeline (a join chain or a twig)
 // and axis navigation per query, prunes impossible name chains with the
 // DataGuide, and explains each decision.
 package main

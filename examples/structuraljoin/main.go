@@ -13,9 +13,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/prepost"
 	"repro/internal/scheme"
+	"repro/internal/twig"
 	"repro/internal/xmltree"
 )
 
@@ -61,10 +63,14 @@ func main() {
 	})
 
 	// A three-step descendant path as a pipeline of upward semi-joins.
-	names := []string{"regions", "item", "name"}
-	fmt.Printf("\npath //%s//%s//%s via join pipeline:\n", names[0], names[1], names[2])
+	const path = "//regions//item//name"
+	chain, err := twig.Compile(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\npath %s via join pipeline:\n", path)
 	start := time.Now()
-	result := ixR.PathQueryRUID(names...)
+	result, _ := twig.MatchIDsWith(chain, ixR, exec.Default())
 	fmt.Printf("  %d results in %v\n", len(result), time.Since(start).Round(time.Microsecond))
 
 	// Reconstruct the first few answers as a document portion (§3.3),

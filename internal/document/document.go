@@ -270,8 +270,9 @@ func (w *working) doc() *xmltree.Node { return w.num.Doc() }
 // incrementally — one index patch, one guide swap over the union of the
 // deltas' update scopes — whenever they can be: a previous epoch exists,
 // there are deltas and none of them is a full rebuild. Otherwise, and when
-// incremental assembly trips an internal invariant, they are built from
-// scratch over w's tree, which always yields a consistent epoch.
+// incremental assembly trips an internal invariant (a panic under
+// RUID_DEBUG), they are built from scratch over w's tree, which always
+// yields a consistent epoch.
 //
 // The statistics travel on the snapshot, so a failed publication (a page-out
 // failure) leaves Stats describing the epoch readers still see. A non-nil
@@ -290,10 +291,13 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
 	)
 	prev := d.cur.Load()
 	if prev != nil && len(w.deltas) > 0 && !slices.ContainsFunc(w.deltas, func(delta *core.Delta) bool { return delta.Full }) {
-		// The error is dropped on purpose: incremental assembly fails only
-		// on an internal invariant violation, leaves snap nil and has
-		// committed nothing, and the full build below recovers from it.
-		snap, st, _ = d.assembleBatchLocked(prev, w, guide)
+		// Incremental assembly fails only on a broken internal invariant. It
+		// then leaves snap nil and has committed nothing: under RUID_DEBUG
+		// that is a panic naming the error, otherwise the full build below
+		// recovers from it and doc.publish_full counts the fallback.
+		if snap, st, err = d.assembleBatchLocked(prev, w, guide); err != nil && debugChecks {
+			panic(fmt.Sprintf("document: epoch %d: incremental assembly: %v", d.epoch+1, err))
+		}
 	}
 	full := snap == nil
 	if full {
@@ -523,8 +527,9 @@ func detachTree(doc *xmltree.Node) (nodes, depths int) {
 }
 
 // debugChecks gates publication's O(n) check that the tree it installs
-// carries no Parent below the document node. Seeded from RUID_DEBUG like the
-// core, index and query checks.
+// carries no Parent below the document node, and turns a rejected
+// incremental assembly from a silent full rebuild into a panic. Seeded from
+// RUID_DEBUG like the core, index and query checks.
 var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
 // findOne resolves a writer's target path on the working state with the

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -448,6 +449,65 @@ func TestBatchDeleteInsideInsertedSubtree(t *testing.T) {
 	}
 	if full, incr := reg.Counter("doc.publish_full").Value(), reg.Counter("doc.publish_incremental").Value(); full != 1 || incr != 1 {
 		t.Fatalf("published %d full and %d incremental epochs, want the open and one incremental batch", full, incr)
+	}
+}
+
+// TestRejectedAssemblyFailsLoudly: a batch whose index edits ApplyDelta
+// rejects — here a delta dropping the root element under an identifier no
+// epoch gave it — can only come from a broken invariant. Under RUID_DEBUG
+// publication panics with the error and installs nothing; outside it,
+// publication falls back to a full rebuild, which doc.publish_full counts,
+// and the epoch it installs answers like the one before.
+func TestRejectedAssemblyFailsLoudly(t *testing.T) {
+	defer func(prev bool) { debugChecks = prev }(debugChecks)
+	reg := obs.NewRegistry()
+	d, err := FromTree(xmltree.Recursive(2, 6), Options{Observe: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	titles := func() int {
+		nodes, _, err := d.Query("//section/title")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(nodes)
+	}
+	want := titles()
+	ghost := core.ID{Global: 1, Local: 1 << 40}
+	publishDoctored := func() (panicked any, err error) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		defer func() { panicked = recover() }()
+		prev := d.cur.Load()
+		if _, ok := prev.num.NodeOfID(ghost); ok {
+			t.Fatalf("fixture: %v resolves", ghost)
+		}
+		w := &working{num: prev.num.Fork(), born: map[*xmltree.Node]struct{}{}, nodes: prev.nodes, depths: prev.depths}
+		w.deltas = []*core.Delta{{Dropped: []core.NodeID{{Node: w.num.Root(), ID: ghost}}}}
+		return nil, d.publishLocked(w, nil)
+	}
+
+	debugChecks = true
+	panicked, err := publishDoctored()
+	if msg, _ := panicked.(string); !strings.Contains(msg, "incremental assembly") || !strings.Contains(msg, ghost.String()) {
+		t.Fatalf("debug publication: panic %v, err %v; want a panic naming the rejected edit", panicked, err)
+	}
+	if got := d.Snapshot().Epoch(); got != 1 {
+		t.Fatalf("the panicking publication installed epoch %d", got)
+	}
+
+	debugChecks = false
+	if panicked, err := publishDoctored(); err != nil || panicked != nil {
+		t.Fatalf("publication: err %v, panic %v; want the full-rebuild fallback", err, panicked)
+	}
+	if full, incr := reg.Counter("doc.publish_full").Value(), reg.Counter("doc.publish_incremental").Value(); full != 2 || incr != 0 {
+		t.Fatalf("published %d full and %d incremental epochs, want the open and the fallback in full", full, incr)
+	}
+	if got := d.Snapshot().Epoch(); got != 2 {
+		t.Fatalf("fallback installed epoch %d, want 2", got)
+	}
+	if got := titles(); got != want {
+		t.Fatalf("//section/title = %d after the fallback, %d before", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/document"
+	"repro/internal/exec"
 	"repro/internal/query"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -14,7 +15,8 @@ import (
 // resultFamilies are the documents TestQueryResult runs over,
 // each with the conformance queries that mean something on it (the set of
 // query.TestParallelDeterminism: join chains, twigs, navigation fallbacks,
-// plus a seed-only chain) and the parents its update history writes under.
+// plus a seed-only chain and the edge cases of the identifier pipeline) and
+// the parents its update history writes under.
 var resultFamilies = []struct {
 	name     string
 	build    func() *xmltree.Node
@@ -30,6 +32,12 @@ var resultFamilies = []struct {
 			"//item", "/site//item/name", "//regions//item//text",
 			"//item[name]//text", "//person[profile]/name", "//open_auction[bidder][itemref]/initial",
 			"//item[1]", "//title | //name", "//bidder/increase",
+			// The pipeline's edge cases: an anchored root with a branch, an
+			// output node carrying a branch, a nested predicate, a spine that
+			// empties midway, root steps that are not the document element.
+			"/site[people]//person/name", "//open_auction[bidder]",
+			"//open_auction[bidder[increase]]/itemref", "/site/open_auctions/bidder/increase",
+			"/nosuch//name", "/people//name",
 		},
 		parents:  []string{"/site/open_auctions/open_auction[1]", "/site/open_auctions/open_auction[2]", "/site/regions/*[1]", "/site/people"},
 		fragment: "<item><name>n</name><bidder><increase>1</increase></bidder><text>t</text></item>",
@@ -40,6 +48,7 @@ var resultFamilies = []struct {
 		queries: []string{
 			"//title", "//section//title", "/book//para", "//section/title",
 			"//section[title]//para", "//section[1]", "//section/..",
+			"/book[section]//title", "//section[section[title]]/para", "/section//title",
 		},
 		parents:  []string{"/book/section", "/book/section/section[1]", "/book/section/section[2]"},
 		delPos:   2, // past the title and the para: a whole subsection
@@ -49,7 +58,8 @@ var resultFamilies = []struct {
 
 // TestQueryResult holds query.Result to the pointer-tree oracle — concrete
 // ruid identifiers and the ready-made nodes of a navigation plan — resident
-// and paged, on a fresh document and again after a random insert/delete
+// (serial, default and forced-parallel executors) and paged, on a fresh
+// document and again after a random insert/delete
 // history: Len, the length of Nodes and the oracle's count are one number,
 // Nodes is the oracle's node sequence (what Run returned before answers
 // stayed identifiers), and Snapshot.Query is Nodes.
@@ -59,6 +69,8 @@ func TestQueryResult(t *testing.T) {
 		opts document.Options
 	}{
 		{"resident", document.Options{}},
+		{"serial", document.Options{Parallel: exec.Serial}},
+		{"forced", document.Options{Parallel: exec.Forced, ExecWorkers: 4}},
 		{"paged", document.Options{PoolPages: 16}},
 	} {
 		kinds := map[query.PlanKind]bool{}

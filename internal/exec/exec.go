@@ -108,8 +108,8 @@ func init() {
 }
 
 // Default returns the process-wide Auto executor (GOMAXPROCS workers,
-// default threshold). Library entry points that take no explicit executor —
-// twig.MatchIDs, for one — use it.
+// default threshold): a query planner schedules on it until SetExecutor
+// names another.
 func Default() *Executor {
 	return defaultExec.Load()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
+	"repro/internal/twig"
 	"repro/internal/xmltree"
 )
 
@@ -173,20 +174,25 @@ func TestParallelNestedJoin(t *testing.T) {
 	}
 }
 
-// TestPathQueryParallel compares the executor's path query against the
-// index one across modes.
+// TestPathQueryParallel runs the planner's name-path pipeline (a twig
+// without branches) under each mode against the serial one-shot semi-join.
 func TestPathQueryParallel(t *testing.T) {
-	_, ix := buildFixture(t, 9)
-	want := ix.PathQueryRUID("section", "title")
+	n, ix := buildFixture(t, 9)
+	want := index.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("title"))
 	if len(want) == 0 {
 		t.Fatal("fixture returned no path results")
+	}
+	chain, err := twig.Compile("//section//title")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, cfg := range []exec.Config{
 		{Mode: exec.Serial},
 		{Mode: exec.Auto, Workers: 4, MinWork: 1},
 		{Mode: exec.Forced, Workers: 8},
 	} {
-		equalIDs(t, "PathQuery/"+cfg.Mode.String(), exec.New(cfg).PathQuery(ix, "section", "title"), want)
+		got, _ := twig.MatchIDsWith(chain, ix, exec.New(cfg))
+		equalIDs(t, "PathQuery/"+cfg.Mode.String(), got, want)
 	}
 }
 

@@ -196,28 +196,3 @@ func (e *Executor) AncestorSemiJoin(n *core.Numbering, ancs, descs index.Posting
 func (e *Executor) ChildSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
 	return e.hitSemiJoin(n, ancs, descs, index.CollectChildHitsRUID)
 }
-
-// PathQuery is NameIndex.PathQueryRUID with every step's semi-join run
-// through the executor: postings of names[0] filtered down the path by
-// parallel upward semi-joins. The index's block-compressed postings are
-// consumed as Postings views, so each step decodes only candidate blocks.
-func (e *Executor) PathQuery(ix *index.NameIndex, names ...string) []core.ID {
-	if len(names) == 0 {
-		return nil
-	}
-	n := ix.RUID()
-	cur := ix.Postings(names[0])
-	if cur.Len() == 0 {
-		return nil
-	}
-	var prev []core.ID // the intermediate cur views, released once consumed
-	for step := 1; step < len(names); step++ {
-		next := e.UpwardSemiJoin(n, cur, ix.Postings(names[step]))
-		ReleaseIDs(prev)
-		if len(next) == 0 {
-			return nil
-		}
-		cur, prev = index.SlicePostings(next), next
-	}
-	return cur.Materialize()
-}

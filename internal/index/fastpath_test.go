@@ -101,7 +101,10 @@ func TestFastPathAgree(t *testing.T) {
 		for i, x := range nodes {
 			want[i], _ = n.RUID(x)
 		}
-		sameIDs(t, "//section//section//title", ix.PathQueryRUID("section", "section", "title"), want)
+		// The serial form of the planner's pipeline: one upward semi-join per
+		// step, each consuming the last one's survivors.
+		nested := index.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("section"))
+		sameIDs(t, "//section//section//title", index.UpwardSemiJoinPostings(n, index.SlicePostings(nested), ix.Postings("title")), want)
 	})
 }
 

@@ -148,28 +148,3 @@ func (ix *NameIndex) PostingsCount() int {
 	}
 	return total
 }
-
-// PathQueryRUID evaluates a pure descendant path //n1//n2//…//nk over the
-// index with a pipeline of upward semi-joins, returning the identifiers of
-// the final step's elements in document order. This is the §4 "query
-// evaluation" use of the numbering scheme: the whole pipeline runs on
-// identifiers, seeking through the block skip tables — each step's
-// descendant postings are decoded only where a block may contain a match —
-// and nodes are fetched only by the caller, afterwards.
-func (ix *NameIndex) PathQueryRUID(names ...string) []core.ID {
-	if len(names) == 0 {
-		return nil
-	}
-	cur := ix.Postings(names[0])
-	if cur.Len() == 0 {
-		return nil
-	}
-	for step := 1; step < len(names); step++ {
-		next := UpwardSemiJoinPostings(ix.ruid, cur, ix.Postings(names[step]))
-		if len(next) == 0 {
-			return nil
-		}
-		cur = SlicePostings(next)
-	}
-	return cur.Materialize()
-}

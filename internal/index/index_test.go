@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 )
 
 // canon renders a pair list order-independently for comparison.
@@ -64,80 +63,6 @@ func TestSemiJoin(t *testing.T) {
 		t.Fatal("fixture has no item//text")
 	}
 	sameIDs(t, "item//text", semi, want)
-}
-
-// TestPathQueryMatchesXPath: the join pipeline agrees with the navigation
-// engine on //n1//n2//…//nk queries.
-func TestPathQueryMatchesXPath(t *testing.T) {
-	docs := map[string]*xmltree.Node{
-		"recursive": xmltree.Recursive(2, 6),
-		"xmark":     xmltree.XMark(2, 6),
-		"random": xmltree.Random(xmltree.RandomConfig{
-			Nodes: 400, MaxFanout: 5, Seed: 31,
-		}),
-	}
-	paths := map[string][][]string{
-		"recursive": {
-			{"book", "section", "title"},
-			{"section", "section", "para"},
-			{"section", "section", "section", "title"},
-		},
-		"xmark": {
-			{"site", "regions", "item"},
-			{"item", "description", "text"},
-			{"open_auctions", "bidder", "increase"},
-		},
-		"random": {
-			{"e1", "e2"}, {"e3", "e3"}, {"e0", "e5", "e7"},
-		},
-	}
-	for dn, doc := range docs {
-		rn, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 24}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := index.Build(doc.DocumentElement(), rn)
-		engine := xpath.NewEngine(doc, xpath.PointerNavigator{})
-		for _, names := range paths[dn] {
-			got := ix.PathQueryRUID(names...)
-			q := "//" + strings.Join(names, "//")
-			want, err := engine.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %s: join pipeline %d results, xpath %d", dn, q, len(got), len(want))
-			}
-			for i := range got {
-				node, ok := rn.NodeOfID(got[i])
-				if !ok || node != want[i] {
-					t.Fatalf("%s %s: result %d differs", dn, q, i)
-				}
-			}
-		}
-	}
-}
-
-// TestPathQueryChainOrder: the pipeline honours the vertical order of the
-// chain — //a//b//c must not match when b is above a.
-func TestPathQueryChainOrder(t *testing.T) {
-	doc, err := xmltree.ParseString(`<r><b><a><c/></a></b><a><b><c/></b></a></r>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.Build(doc.DocumentElement(), rn)
-	got := ix.PathQueryRUID("a", "b", "c")
-	if len(got) != 1 {
-		t.Fatalf("PathQueryRUID(a,b,c) = %d results, want 1", len(got))
-	}
-	node, _ := rn.NodeOfID(got[0])
-	if node.Parent.Name != "b" || node.Parent.Parent.Name != "a" {
-		t.Fatalf("wrong c matched: %s", node.Path())
-	}
 }
 
 // TestNamesAndCounts covers the small accessors.
@@ -239,11 +164,5 @@ func TestReverseSemiJoins(t *testing.T) {
 	// Empty inputs.
 	if got := index.AncestorSemiJoinPostings(s, index.SlicePostings(nil), ix.Postings("title")); len(got) != 0 {
 		t.Fatalf("AncestorSemiJoinPostings(nil, ...) = %d", len(got))
-	}
-	if got := ix.PathQueryRUID(); got != nil {
-		t.Fatalf("PathQueryRUID() = %v", got)
-	}
-	if got := ix.PathQueryRUID("nonexistent", "title"); got != nil {
-		t.Fatalf("PathQueryRUID(nonexistent, ...) = %v", got)
 	}
 }

@@ -218,8 +218,7 @@ func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockS
 
 // The serial one-shot form of every join, over Postings views: probe, one
 // scan of the whole descendant side, the run kernel on every run. They are
-// the reference internal/exec's sharded operations are tested against, and
-// NameIndex.PathQueryRUID pipelines through the semi-join.
+// the reference internal/exec's sharded operations are tested against.
 
 func oneShot[T any](n *core.Numbering, ancs, descs Postings, kernel func(pr *Probe, bs *BlockScratch, run []core.ID, out []T) []T) []T {
 	pr := MakeProbe(ancs)

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,6 +131,49 @@ func TestRunMeteredTraced(t *testing.T) {
 	}
 	if reg.Histogram("query.query_ns").Count() != 2 {
 		t.Errorf("query.query_ns count = %d", reg.Histogram("query.query_ns").Count())
+	}
+
+	// A twig runs through the same pipeline, traced step by step: the seed,
+	// then one span per semi-join — the branch [para] filtering the seed,
+	// then the spine step to title — each with its cardinalities and the
+	// block statistics of its kernel.
+	const twigQ = "//section[para]/title"
+	tr = obs.NewTrace(twigQ)
+	res, plan, err = p.RunMetered(twigQ, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Kind != query.TwigPlan {
+		t.Fatalf("%s planned as %s", twigQ, plan.Kind)
+	}
+	if res.Len() == 0 {
+		t.Fatalf("%s matched nothing", twigQ)
+	}
+	var steps []string
+	for _, sp := range tr.Spans() {
+		if !strings.HasSuffix(sp.Name(), "_semi_join") {
+			continue
+		}
+		steps = append(steps, sp.Name())
+		if !sp.Ended() {
+			t.Errorf("span %q not ended", sp.Name())
+		}
+		for _, key := range []string{"ancs", "descs", "out"} {
+			if _, ok := sp.Int(key); !ok {
+				t.Errorf("span %q lacks %s=", sp.Name(), key)
+			}
+		}
+		if adm, skip, _, _ := sp.Blocks(); adm+skip == 0 {
+			t.Errorf("span %q carries no block statistics", sp.Name())
+		}
+	}
+	if want := []string{"section[para] child_semi_join", "/title parent_semi_join"}; !slices.Equal(steps, want) {
+		t.Errorf("twig semi-join spans = %q, want %q", steps, want)
+	}
+	sb.Reset()
+	tr.Render(&sb)
+	if !strings.Contains(sb.String(), "seed //section") {
+		t.Errorf("twig trace missing its seed span:\n%s", sb.String())
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package query implements a small cost-based planner over a numbered
-// document: simple absolute location paths made of child/descendant steps
-// with plain name tests compile to an identifier-only join pipeline
-// (internal/index); everything else falls back to the axis-navigation
-// engine (internal/xpath). The cost model uses the name-index counts the
-// way a relational optimizer uses table cardinalities.
+// document: absolute location paths made of child/descendant steps with
+// plain name tests, and predicates of the same shape, compile to an
+// identifier-only pipeline (internal/twig); everything else falls back to
+// the axis-navigation engine (internal/xpath). The cost model uses the
+// name-index counts the way a relational optimizer uses table
+// cardinalities.
 //
 // This realizes the §4 "query evaluation" application end to end: a query
 // arrives as text, the planner decides how much of it can run purely on
@@ -33,10 +34,11 @@ type PlanKind int
 const (
 	// NavPlan evaluates the full location path with the axis engine.
 	NavPlan PlanKind = iota
-	// JoinPlan evaluates a name-step chain as an identifier join pipeline.
+	// JoinPlan evaluates a name-step chain (a pattern without branches) as
+	// an identifier join pipeline.
 	JoinPlan
-	// TwigPlan evaluates a branching name-test pattern with the two-pass
-	// twig matcher.
+	// TwigPlan evaluates a branching name-test pattern through the same
+	// pipeline.
 	TwigPlan
 )
 
@@ -52,19 +54,13 @@ func (k PlanKind) String() string {
 	}
 }
 
-// step is one stage of a join pipeline.
-type step struct {
-	name       string
-	descendant bool // true: //name (UpwardSemiJoin); false: /name (ParentSemiJoin)
-}
-
 // Plan is a chosen execution strategy for one query.
 type Plan struct {
 	Kind    PlanKind
 	Query   string
 	Paths   []xpath.Path // parsed form (all kinds)
-	chain   []step       // JoinPlan only
-	pattern *twig.Node   // TwigPlan only
+	pattern *twig.Node   // the compiled pattern, when the query has one
+	idKind  PlanKind     // the pattern's plan: JoinPlan or TwigPlan
 	NavCost float64      // estimated cost of navigation
 	JoinCst float64      // estimated cost of the identifier plan (join or twig)
 }
@@ -74,26 +70,21 @@ type Plan struct {
 // the cost comparison — the rejected alternative, so a plan choice is always
 // auditable from its one-line rendering.
 func (p Plan) Explain() string {
-	switch p.Kind {
-	case JoinPlan:
-		return fmt.Sprintf("join pipeline (est %.0f vs nav %.0f): %v", p.JoinCst, p.NavCost, p.chain)
-	case TwigPlan:
-		return fmt.Sprintf("twig match (est %.0f vs nav %.0f): %s", p.JoinCst, p.NavCost, p.pattern)
-	default:
-		switch {
-		case p.chain != nil:
-			return fmt.Sprintf("navigation (est %.0f; rejected join pipeline est %.0f: %v)", p.NavCost, p.JoinCst, p.chain)
-		case p.pattern != nil:
-			return fmt.Sprintf("navigation (est %.0f; rejected twig match est %.0f: %s)", p.NavCost, p.JoinCst, p.pattern)
-		default:
-			return fmt.Sprintf("navigation (est %.0f; no identifier plan applies)", p.NavCost)
-		}
+	if p.pattern == nil {
+		return fmt.Sprintf("navigation (est %.0f; no identifier plan applies)", p.NavCost)
 	}
+	what := "twig match"
+	if p.idKind == JoinPlan {
+		what = "join pipeline"
+	}
+	if p.Kind == NavPlan {
+		return fmt.Sprintf("navigation (est %.0f; rejected %s est %.0f: %s)", p.NavCost, what, p.JoinCst, p.pattern)
+	}
+	return fmt.Sprintf("%s (est %.0f vs nav %.0f): %s", what, p.JoinCst, p.NavCost, p.pattern)
 }
 
 // Planner plans and executes queries over one numbered snapshot.
 type Planner struct {
-	doc    *xmltree.Node
 	num    *core.Numbering
 	ix     *index.NameIndex
 	guide  *dataguide.Guide
@@ -116,26 +107,18 @@ type IOStatsFunc func() (reads, writes, hits, evictions int64)
 // SetIOStats attaches the paged store's I/O counters (nil detaches).
 func (p *Planner) SetIOStats(f IOStatsFunc) { p.io = f }
 
-// ioMark is a snapshot of the store counters taken before a stage.
-type ioMark struct{ reads, writes, hits, evicts int64 }
-
-func (p *Planner) ioSnap() ioMark {
-	if p.io == nil {
-		return ioMark{}
+// stepIO prices the page I/O of one traced pipeline step (a twig.StepIO
+// over the attached store): it reads the counters as the step starts, and
+// the function it returns writes what the step read, hit and evicted onto
+// the step's span.
+func (p *Planner) stepIO() func(*obs.Span) {
+	r0, _, h0, e0 := p.io()
+	return func(sp *obs.Span) {
+		r, _, h, e := p.io()
+		sp.SetInt("io_reads", r-r0)
+		sp.SetInt("io_hits", h-h0)
+		sp.SetInt("io_evictions", e-e0)
 	}
-	r, w, h, e := p.io()
-	return ioMark{reads: r, writes: w, hits: h, evicts: e}
-}
-
-// ioRecord writes the I/O consumed since before onto sp.
-func (p *Planner) ioRecord(sp *obs.Span, before ioMark) {
-	if p.io == nil || sp == nil {
-		return
-	}
-	after := p.ioSnap()
-	sp.SetInt("io_reads", after.reads-before.reads)
-	sp.SetInt("io_hits", after.hits-before.hits)
-	sp.SetInt("io_evictions", after.evicts-before.evicts)
 }
 
 // plannerMetrics holds the registry pointers the planner records into,
@@ -200,7 +183,6 @@ func New(doc *xmltree.Node, num *core.Numbering) *Planner {
 // (and including) the root element and the sum of their depths.
 func NewWithState(doc *xmltree.Node, num *core.Numbering, ix *index.NameIndex, guide *dataguide.Guide, nodes, depthTotal int) *Planner {
 	p := &Planner{
-		doc:    doc,
 		num:    num,
 		ix:     ix,
 		guide:  guide,
@@ -243,59 +225,43 @@ func (p *Planner) Plan(q string) (Plan, error) {
 	if len(paths) != 1 {
 		return plan, nil
 	}
-	chain, ok := compileChain(paths[0])
-	if !ok {
-		// A branching name-test pattern still beats navigation when the
-		// involved name lists are small: try the twig compiler.
-		if pattern, err := twig.CompilePath(paths[0]); err == nil {
-			// Each pattern edge is one semi-join: child edges probe once
-			// per candidate, descendant edges climb an ancestor chain that
-			// stops at the first hit (about half the mean depth). The root
-			// list itself is free.
-			cost := 0.0
-			var walk func(n *twig.Node, isRoot bool)
-			walk = func(n *twig.Node, isRoot bool) {
-				if !isRoot {
-					per := 1.0
-					if n.Edge == twig.Descendant {
-						per = p.meanDepth / 2
-					}
-					cost += float64(p.ix.Count(n.Name)) * per
-				}
-				for _, c := range n.Children {
-					walk(c, false)
-				}
-			}
-			walk(pattern, true)
-			plan.pattern = pattern
-			plan.JoinCst = cost
-			if cost < plan.NavCost {
-				plan.Kind = TwigPlan
-			}
-		}
+	pattern, err := twig.CompilePath(paths[0])
+	if err != nil {
 		return plan, nil
 	}
-	// Join pipeline cost: each stage climbs (descendant step) or probes
-	// (child step) once per surviving candidate; surviving cardinality is
-	// bounded by the stage's own name count.
-	cost := 0.0
-	for i, st := range chain {
-		card := float64(p.ix.Count(st.name))
-		if i == 0 {
-			continue // the first list is free (already materialized)
-		}
-		perCandidate := 1.0
-		if st.descendant {
-			perCandidate = p.meanDepth
-		}
-		cost += card * perCandidate
-	}
-	plan.chain = chain
-	plan.JoinCst = cost
-	if cost < plan.NavCost {
-		plan.Kind = JoinPlan
+	plan.pattern = pattern
+	plan.JoinCst, plan.idKind = p.estimate(pattern)
+	if plan.JoinCst < plan.NavCost {
+		plan.Kind = plan.idKind
 	}
 	return plan, nil
+}
+
+// estimate prices the identifier plan of a pattern and names its kind. Each
+// non-root pattern node is one semi-join whose probes scale with the node's
+// name count: one probe per candidate on a child edge, and on a descendant
+// edge a climb that stops at the first hit, about half the mean depth. The
+// root's list is free. A pattern whose every node is on the spine is a join
+// chain; any other is a twig.
+func (p *Planner) estimate(pattern *twig.Node) (cost float64, kind PlanKind) {
+	nodes := 0
+	var walk func(n *twig.Node)
+	walk = func(n *twig.Node) {
+		nodes++
+		for _, c := range n.Children {
+			per := 1.0
+			if c.Edge == twig.Descendant {
+				per = p.meanDepth / 2
+			}
+			cost += float64(p.ix.Count(c.Name)) * per
+			walk(c)
+		}
+	}
+	walk(pattern)
+	if nodes == len(pattern.Spine()) {
+		return cost, JoinPlan
+	}
+	return cost, TwigPlan
 }
 
 // navCost estimates axis-navigation cost: absolute descendant queries scan
@@ -312,39 +278,6 @@ func (p *Planner) navCost(paths []xpath.Path) float64 {
 		cost += float64(p.nodes) * float64(steps)
 	}
 	return cost
-}
-
-// compileChain recognizes absolute paths of the form
-// /a/b//c/… (child and descendant steps, plain name tests, no predicates)
-// and compiles them to a join chain. It returns ok=false otherwise.
-func compileChain(path xpath.Path) ([]step, bool) {
-	if !path.Absolute || len(path.Steps) == 0 {
-		return nil, false
-	}
-	var chain []step
-	pendingDescendant := false
-	for _, s := range path.Steps {
-		if len(s.Predicates) > 0 {
-			return nil, false
-		}
-		if s.Axis == xpath.AxisDescendantOrSelf && s.Test.Kind == xpath.TestNode {
-			pendingDescendant = true // the '//' abbreviation
-			continue
-		}
-		if s.Axis != xpath.AxisChild || s.Test.Kind != xpath.TestName || s.Test.Name == "*" {
-			return nil, false
-		}
-		chain = append(chain, step{name: s.Test.Name, descendant: pendingDescendant})
-		pendingDescendant = false
-	}
-	if pendingDescendant || len(chain) == 0 {
-		return nil, false
-	}
-	// The first step must anchor at the document root: /a means "a is the
-	// root element", //a means "a anywhere" — both are fine as the initial
-	// list, but a root-anchored /a must filter to the root element, which
-	// the executor handles.
-	return chain, true
 }
 
 // Result is the answer of one executed query. An identifier plan's answer
@@ -539,45 +472,38 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 		}
 		return Result{n: len(nodes), nodes: nodes}, plan, nil
 	}
-	// DataGuide pruning: a name chain absent from every label path cannot
-	// match; refuse it before running any join (§6 [4]: the guide lets
-	// "users perform meaningful and valid queries").
-	if !p.guide.HasChain(plan.spineNames()...) {
+	// DataGuide pruning: a spine whose name chain is absent from every label
+	// path cannot match; refuse it before running any join (§6 [4]: the
+	// guide lets "users perform meaningful and valid queries").
+	spine := plan.pattern.Spine()
+	names := make([]string, len(spine))
+	for i, n := range spine {
+		names[i] = n.Name
+	}
+	if !p.guide.HasChain(names...) {
 		if p.m != nil {
 			p.m.guidePruned.Inc()
 		}
-		tr.Notef("dataguide: chain %v unsatisfiable, pruned without execution", plan.spineNames())
+		tr.Notef("dataguide: chain %v unsatisfiable, pruned without execution", names)
 		return Result{}, plan, nil
 	}
 	var resolved *obs.Counter
 	if p.m != nil {
 		resolved = p.m.resolved
 	}
-	// The whole pipeline (twig or join chain) runs on concrete identifiers,
-	// never boxing a single probe, and its answer resolves through the
-	// concrete lookup.
-	mex := p.exec.WithMeter(m)
-	qio := p.ioSnap()
-	var ids index.Postings
-	if plan.Kind == TwigPlan {
-		var sp *obs.Span
-		ex := mex
-		if tr != nil {
-			sp = tr.StartSpan("twig_match " + plan.pattern.String())
-			ex = ex.WithSpan(sp)
-		}
-		before := p.ioSnap()
-		matched, _ := twig.MatchIDsWith(plan.pattern, p.ix, ex)
-		ids = index.SlicePostings(matched)
-		sp.SetInt("out", int64(ids.Len()))
-		p.ioRecord(sp, before)
-		sp.End()
-	} else {
-		ids = p.runChain(plan.chain, tr, mex)
+	// The whole pipeline runs on concrete identifiers, never boxing a single
+	// probe, and its answer — the index's own list for a seed-only chain —
+	// resolves through the concrete lookup.
+	var io twig.StepIO
+	var r0, h0, e0 int64
+	if tr != nil && p.io != nil {
+		io = p.stepIO
+		r0, _, h0, e0 = p.io()
 	}
-	if p.io != nil && tr != nil {
-		now := p.ioSnap()
-		tr.Notef("io: reads=%d hits=%d evictions=%d", now.reads-qio.reads, now.hits-qio.hits, now.evicts-qio.evicts)
+	ids, _ := twig.Match(plan.pattern, p.ix, p.exec.WithMeter(m), tr, io)
+	if io != nil {
+		r, _, h, e := p.io()
+		tr.Notef("io: reads=%d hits=%d evictions=%d", r-r0, h-h0, e-e0)
 	}
 	// A tripped meter means the pipeline stopped mid-kernel and ids is a
 	// partial (possibly empty) set: discard it and surface the sentinel.
@@ -594,112 +520,4 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 		return Result{}, plan, m.Err()
 	}
 	return Result{n: ids.Len(), rn: p.num, ids: ids, resolved: resolved}, plan, nil
-}
-
-// runChain executes a join pipeline entirely on concrete ruid identifiers.
-// The first step's postings stay in their block-compressed view; every
-// descendant side of the pipeline is likewise consumed as a Postings view, so
-// only candidate blocks are ever decoded, and the answer is returned as a
-// view too: a seed-only chain's is the index's own list, undecoded. With a
-// live trace, every pipeline stage gets its own span carrying input/output
-// cardinalities, and the stage's executor operation records its shard layout
-// and block statistics into that span; the tr == nil checks keep the
-// untraced path free of the span-name allocations. Every intermediate goes
-// back to the executor (exec.ReleaseIDs) once the step reading it returns;
-// the answer, which the Result keeps, does not.
-func (p *Planner) runChain(chain []step, tr *obs.Trace, base *exec.Executor) index.Postings {
-	first := chain[0]
-	cur := p.ix.Postings(first.name)
-	if !first.descendant {
-		// Root-anchored /name: only the document root element qualifies.
-		root := p.doc
-		if root.Kind == xmltree.Document {
-			root = root.DocumentElement()
-		}
-		var anchored []core.ID
-		if root != nil && root.Name == first.name {
-			if id, ok := p.num.RUID(root); ok {
-				anchored = []core.ID{id}
-			}
-		}
-		cur = index.SlicePostings(anchored)
-	}
-	if tr != nil {
-		pre := "/"
-		if first.descendant {
-			pre = "//"
-		}
-		sp := tr.StartSpan("seed " + pre + first.name)
-		sp.SetInt("out", int64(cur.Len()))
-		sp.End()
-	}
-	var prev []core.ID // the executor result cur views, if any
-	for _, st := range chain[1:] {
-		if cur.Len() == 0 {
-			tr.Notef("pipeline short-circuit: empty intermediate result before %s", st.name)
-			exec.ReleaseIDs(prev)
-			return index.Postings{}
-		}
-		descs := p.ix.Postings(st.name)
-		ex := base
-		var sp *obs.Span
-		if tr != nil {
-			op, pre := "upward_semi_join", "//"
-			if !st.descendant {
-				op, pre = "parent_semi_join", "/"
-			}
-			sp = tr.StartSpan(pre + st.name + " " + op)
-			sp.SetInt("ancs", int64(cur.Len()))
-			sp.SetInt("descs", int64(descs.Len()))
-			ex = ex.WithSpan(sp)
-		}
-		before := p.ioSnap()
-		var next []core.ID
-		if st.descendant {
-			next = ex.UpwardSemiJoin(p.num, cur, descs)
-		} else {
-			next = ex.ParentSemiJoin(p.num, cur, descs)
-		}
-		exec.ReleaseIDs(prev)
-		sp.SetInt("out", int64(len(next)))
-		p.ioRecord(sp, before)
-		sp.End()
-		cur, prev = index.SlicePostings(next), next
-	}
-	return cur
-}
-
-// spineNames returns the name chain along the plan's output path, used for
-// DataGuide satisfiability pruning (conservative: descendant gaps allowed).
-func (p Plan) spineNames() []string {
-	var names []string
-	if p.Kind == JoinPlan {
-		for _, st := range p.chain {
-			names = append(names, st.name)
-		}
-		return names
-	}
-	for n := p.pattern; n != nil; {
-		names = append(names, n.Name)
-		var next *twig.Node
-		for _, c := range n.Children {
-			if c.Output || hasOutput(c) {
-				next = c
-			}
-		}
-		n = next
-	}
-	return names
-}
-
-func hasOutput(n *twig.Node) bool {
-	if n.Output {
-		return true
-	}
-	for _, c := range n.Children {
-		if hasOutput(c) {
-			return true
-		}
-	}
-	return false
 }

@@ -60,7 +60,7 @@ func TestResolveMissFailsLoudly(t *testing.T) {
 	debugChecks = false
 
 	p := disagreeingPlanner(t, "title")
-	honest := index.Build(p.doc.DocumentElement(), p.ix.RUID()).Count("title")
+	honest := index.Build(p.num.Root(), p.num).Count("title")
 	for _, q := range []string{"//title", "/book//title"} {
 		res, plan, err := p.RunMetered(q, nil, nil)
 		if err != nil {

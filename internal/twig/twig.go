@@ -1,22 +1,27 @@
-// Package twig matches branching tree patterns ("twigs") against a numbered
-// document using identifier joins only — the natural extension of the
-// paper's §4 query-evaluation application to queries like //a[b][c//d]//e,
-// and the problem class the related work's containment-query papers ([11]
-// of §6) address.
+// Package twig matches tree patterns ("twigs") against a numbered document
+// using identifier joins only — the paper's §4 query-evaluation application,
+// extended from name chains like /a//b/c to branching queries like
+// //a[b][c//d]//e, the problem class the related work's containment-query
+// papers ([11] of §6) address.
 //
 // A pattern is compiled from an XPath location path whose steps use child
 // or descendant axes with plain name tests, and whose predicates are
-// relative paths of the same shape. Matching runs in two passes over the
-// element-name index:
+// relative paths of the same shape. Its spine is the main path, from the
+// first step to the output node (the last step); the predicates hang off
+// the spine as branches. A join chain is a pattern without branches, and
+// every pattern runs through one pipeline over the element-name index:
 //
-//  1. bottom-up: a pattern node's candidate list keeps the elements that
-//     embed the node's whole pattern subtree below them (semi-joins with
-//     the children's satisfied lists);
-//  2. top-down: candidates are filtered to those whose ancestor chain
-//     realizes the pattern path to the root (the PathQuery pipeline).
+//  1. top-down along the spine: the first step's postings seed it, and each
+//     further spine node keeps its candidates that lie below a survivor of
+//     the node above (an upward semi-join on '//', a parent semi-join on
+//     '/'), so the survivors realize the spine path to the root;
+//  2. bottom-up inside each branch: a spine node's candidates are its
+//     postings kept where they embed each of its branches (an ancestor or
+//     child semi-join with the branch node's own candidates, computed the
+//     same way).
 //
-// The survivors of the output node (the last step of the main path) are
-// exactly the elements participating in at least one full embedding.
+// The survivors of the output node are exactly the elements participating
+// in at least one full embedding.
 package twig
 
 import (
@@ -27,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/xpath"
 )
 
@@ -78,23 +84,17 @@ func (n *Node) render(b *strings.Builder, isRoot bool) {
 	if n.Output {
 		b.WriteString("*")
 	}
-	var branches, spine []*Node
 	for _, c := range n.Children {
-		if c.spineMark {
-			spine = append(spine, c)
-		} else {
-			branches = append(branches, c)
+		if !c.spineMark {
+			var cb strings.Builder
+			c.render(&cb, false)
+			b.WriteString("[" + strings.TrimPrefix(cb.String(), "/") + "]")
 		}
 	}
-	for _, c := range branches {
-		b.WriteString("[")
-		var cb strings.Builder
-		c.render(&cb, false)
-		b.WriteString(strings.TrimPrefix(cb.String(), "/"))
-		b.WriteString("]")
-	}
-	for _, c := range spine {
-		c.render(b, false)
+	for _, c := range n.Children {
+		if c.spineMark {
+			c.render(b, false)
+		}
 	}
 }
 
@@ -130,43 +130,29 @@ func CompilePath(path xpath.Path) (*Node, error) {
 	if !path.Absolute || len(path.Steps) == 0 {
 		return nil, fmt.Errorf("%w: must be absolute", ErrNotTwig)
 	}
-	spine, err := compileSteps(path.Steps, true)
+	root, last, err := compileSteps(path.Steps, true)
 	if err != nil {
 		return nil, err
 	}
-	// Mark the last spine node as the output.
-	out := spine
-	for {
-		var next *Node
-		for _, c := range out.Children {
-			if c.spineMark {
-				next = c
-			}
-		}
-		if next == nil {
-			break
-		}
-		out = next
-	}
-	out.Output = true
-	return spine, nil
+	last.Output = true
+	return root, nil
 }
 
-// compileSteps converts a step list into a chain of pattern nodes; isRoot
-// affects the anchoring of the first name step.
-func compileSteps(steps []xpath.Step, isRoot bool) (*Node, error) {
-	var first, cur *Node
+// compileSteps converts a step list into a chain of pattern nodes and
+// returns its first and last node; isRoot affects the anchoring of the
+// first name step.
+func compileSteps(steps []xpath.Step, isRoot bool) (first, cur *Node, err error) {
 	sawDescendant := false
 	for _, s := range steps {
 		if len(s.Predicates) > 0 && s.Test.Kind != xpath.TestName {
-			return nil, fmt.Errorf("%w: predicate on non-name step", ErrNotTwig)
+			return nil, nil, fmt.Errorf("%w: predicate on non-name step", ErrNotTwig)
 		}
 		if s.Axis == xpath.AxisDescendantOrSelf && s.Test.Kind == xpath.TestNode && len(s.Predicates) == 0 {
 			sawDescendant = true
 			continue
 		}
 		if s.Axis != xpath.AxisChild || s.Test.Kind != xpath.TestName || s.Test.Name == "*" {
-			return nil, fmt.Errorf("%w: step %v", ErrNotTwig, s)
+			return nil, nil, fmt.Errorf("%w: step %v", ErrNotTwig, s)
 		}
 		n := &Node{Name: s.Test.Name}
 		if sawDescendant {
@@ -186,14 +172,14 @@ func compileSteps(steps []xpath.Step, isRoot bool) (*Node, error) {
 		for _, pred := range s.Predicates {
 			pe, ok := pred.(xpath.PathExpr)
 			if !ok {
-				return nil, fmt.Errorf("%w: unsupported predicate %v", ErrNotTwig, pred)
+				return nil, nil, fmt.Errorf("%w: unsupported predicate %v", ErrNotTwig, pred)
 			}
 			if pe.Path.Absolute {
-				return nil, fmt.Errorf("%w: absolute predicate path", ErrNotTwig)
+				return nil, nil, fmt.Errorf("%w: absolute predicate path", ErrNotTwig)
 			}
-			branch, err := compileSteps(pe.Path.Steps, false)
+			branch, _, err := compileSteps(pe.Path.Steps, false)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			n.Children = append(n.Children, branch)
 		}
@@ -201,121 +187,211 @@ func compileSteps(steps []xpath.Step, isRoot bool) (*Node, error) {
 		sawDescendant = false
 	}
 	if sawDescendant || first == nil {
-		return nil, fmt.Errorf("%w: dangling '//'", ErrNotTwig)
+		return nil, nil, fmt.Errorf("%w: dangling '//'", ErrNotTwig)
 	}
-	return first, nil
+	return first, cur, nil
 }
 
-// MatchIDs evaluates the pattern against a name index and returns the output
-// node's matches in document order: every semi-join of both passes runs on
-// concrete core.ID identifiers with no interface boxing or per-probe key
-// allocation. ok is false when the pattern has no output node, which only a
-// hand-built pattern can lack (Compile always marks one). Semi-joins are
-// scheduled by the process-wide default executor; MatchIDsWith takes an
-// explicit one.
-func MatchIDs(p *Node, ix *index.NameIndex) (ids []core.ID, ok bool) {
-	return MatchIDsWith(p, ix, exec.Default())
+// Spine returns the pattern's main path: the root, then each node on the
+// way down to the output node. It is nil when the pattern has no output
+// node, which only a hand-built pattern can lack (Compile always marks one).
+func (n *Node) Spine() []*Node {
+	var spine []*Node
+	for t := n; t != nil; t = t.spineChild() {
+		spine = append(spine, t)
+		if t.Output {
+			return spine
+		}
+	}
+	return nil
 }
 
-// MatchIDsWith is MatchIDs with every semi-join of both passes scheduled by
-// e: large postings are sharded by frame area and probed concurrently, and
-// the parallel and serial paths return identical identifier sequences. Every
-// intermediate goes back to e (exec.ReleaseIDs) once the semi-join reading it
-// has returned; the answer is the caller's.
+// spineChild returns the child on the way down to the output node, nil at
+// the output node itself or where no output node lies below.
+func (n *Node) spineChild() *Node {
+	if n.Output {
+		return nil
+	}
+	for _, c := range n.Children {
+		if c.onOutputPath() {
+			return c
+		}
+	}
+	return nil
+}
+
+// StepIO prices the page I/O of one traced pipeline step: called as the
+// step's span opens, it returns the function that records the step's I/O
+// onto the span before it ends.
+type StepIO func() func(*obs.Span)
+
+// Match evaluates the pattern against a name index and returns the output
+// node's matches in document order as a Postings view: an executor result
+// the caller owns, or for an unanchored seed-only pattern such as //bidder
+// the index's own block list, undecoded. ok is false when the pattern has
+// no output node.
+//
+// Every semi-join runs on concrete identifiers through e, which shards large
+// postings by frame area; parallel and serial schedules return identical
+// sequences. Each intermediate goes back to e (exec.ReleaseIDs) once the
+// semi-join reading it has returned, and the pipeline stops at the first
+// empty one. With a non-nil tr the seed and every semi-join get a span of
+// their own, carrying cardinalities, the executor's block statistics and,
+// when io is set, page I/O; an untraced match builds no span name.
+func Match(p *Node, ix *index.NameIndex, e *exec.Executor, tr *obs.Trace, io StepIO) (index.Postings, bool) {
+	if !p.onOutputPath() {
+		return index.Postings{}, false
+	}
+	m := &matcher{ix: ix, e: e, tr: tr, io: io}
+	below := p.spineChild() // the one child of a spine node that is no branch
+	cur := m.satisfy(p, below, m.seed(p))
+	for t := below; t != nil; t = below {
+		if cur.Len() == 0 {
+			tr.Notef("pipeline short-circuit: empty intermediate result before %s", t.Name)
+			cur.release()
+			return index.Postings{}, true
+		}
+		below = t.spineChild()
+		k := parentSemi
+		if t.Edge == Descendant {
+			k = upwardSemi
+		}
+		cur = m.join(k, nil, t, cur, m.satisfy(t, below, match{Postings: ix.Postings(t.Name)}))
+	}
+	return cur.Postings, true
+}
+
+// MatchIDsWith is Match materialised and untraced: the answer, a fresh slice
+// or an executor result, is the caller's.
 func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) (ids []core.ID, ok bool) {
-	n := ix.RUID()
-	sat := satisfy(p, ix, n, e)
-	// Top-down prefix filtering along the output path.
-	cur := sat[p]
-	if p.Anchored {
-		// The document root precedes every other element in document order,
-		// so if RootID is in the (ordered) list it is the first entry — no
-		// need to decode a block-compressed list to look for it.
-		anchored := make([]core.ID, 0, 1)
-		if cur.Len() > 0 {
-			first := cur.Slice()
-			var head core.ID
-			if pl := cur.List(); pl != nil {
-				head = pl.First()
-			} else {
-				head = first[0]
-			}
-			if head == core.RootID {
-				anchored = append(anchored, core.RootID)
-			}
-		}
-		cur.release()
-		cur = match{Postings: index.SlicePostings(anchored)}
-	}
-	node := p
-	for !node.Output {
-		var next *Node
-		for _, c := range node.Children {
-			if c.onOutputPath() {
-				next = c
-			}
-		}
-		if next == nil {
-			return nil, false
-		}
-		var out []core.ID
-		if next.Edge == Descendant {
-			out = e.UpwardSemiJoin(n, cur.Postings, sat[next].Postings)
-		} else {
-			out = e.ParentSemiJoin(n, cur.Postings, sat[next].Postings)
-		}
-		cur.release()
-		sat[next].release()
-		cur = owned(out)
-		node = next
-	}
-	return cur.Materialize(), true
+	res, ok := Match(p, ix, e, nil, nil)
+	return res.Materialize(), ok
 }
 
-// match is the set of elements that embed one pattern node's subtree, as a
-// Postings view: the index's own list, or an executor result the match owns
-// and releases after its last read.
+// match is one step's set of elements as a Postings view: the index's own
+// list, or an executor result the match owns and releases after its last
+// read.
 type match struct {
 	index.Postings
 	own []core.ID
 }
 
-func owned(ids []core.ID) match { return match{Postings: index.SlicePostings(ids), own: ids} }
-
 func (m match) release() { exec.ReleaseIDs(m.own) }
 
-// satisfy computes, bottom-up, the elements that embed each pattern node's
-// subtree. A leaf's view is the index's block-compressed postings untouched —
-// a leaf that only feeds a semi-join is probed through its skip table and
-// never materialized. Each semi-join runs through e, and releases its inputs
-// unless the top-down pass of MatchIDsWith reads them again: the sets on the
-// output path.
-func satisfy(p *Node, ix *index.NameIndex, n *core.Numbering, e *exec.Executor) map[*Node]match {
-	sat := make(map[*Node]match)
-	var walk func(t *Node)
-	walk = func(t *Node) {
-		for _, c := range t.Children {
-			walk(c)
+// kernel is one of the executor's semi-joins, named as its span is. Spine
+// steps keep the descendant side, branch steps the ancestor side.
+type kernel struct {
+	name string
+	run  func(*exec.Executor, *core.Numbering, index.Postings, index.Postings) []core.ID
+}
+
+var (
+	upwardSemi   = kernel{"upward_semi_join", (*exec.Executor).UpwardSemiJoin}
+	parentSemi   = kernel{"parent_semi_join", (*exec.Executor).ParentSemiJoin}
+	ancestorSemi = kernel{"ancestor_semi_join", (*exec.Executor).AncestorSemiJoin}
+	childSemi    = kernel{"child_semi_join", (*exec.Executor).ChildSemiJoin}
+)
+
+// matcher is the state of one Match.
+type matcher struct {
+	ix *index.NameIndex
+	e  *exec.Executor
+	tr *obs.Trace
+	io StepIO
+}
+
+// seed returns the root's postings; for an anchored root ('/name'), the
+// document element alone when it carries the name. The document element
+// precedes every other element, so it can only be the list's first entry:
+// no block is decoded to look for it.
+func (m *matcher) seed(t *Node) match {
+	var sp step
+	if m.tr != nil {
+		pre := "//"
+		if t.Anchored {
+			pre = "/"
 		}
-		cur := match{Postings: ix.Postings(t.Name)}
-		for _, c := range t.Children {
-			if cur.Len() == 0 {
-				break
-			}
-			var out []core.ID
-			if c.Edge == Descendant {
-				out = e.AncestorSemiJoin(n, cur.Postings, sat[c].Postings)
-			} else {
-				out = e.ChildSemiJoin(n, cur.Postings, sat[c].Postings)
-			}
-			cur.release()
-			if !c.onOutputPath() {
-				sat[c].release()
-			}
-			cur = owned(out)
-		}
-		sat[t] = cur
+		sp = m.start("seed " + pre + t.Name)
 	}
-	walk(p)
-	return sat
+	cur := m.ix.Postings(t.Name)
+	if t.Anchored {
+		var anchored []core.ID
+		if pl := cur.List(); pl.Len() > 0 && pl.First() == core.RootID {
+			anchored = []core.ID{core.RootID}
+		}
+		cur = index.SlicePostings(anchored)
+	}
+	sp.end(cur.Len())
+	return match{Postings: cur}
+}
+
+// satisfy keeps the candidates of t that embed each of t's branches — every
+// child but below, t's spine child — below them. A branch's own candidates
+// come from satisfy in turn, bottom-up, and only while t has candidates
+// left.
+func (m *matcher) satisfy(t, below *Node, cands match) match {
+	for _, c := range t.Children {
+		if cands.Len() == 0 {
+			break
+		}
+		if c != below {
+			k := childSemi
+			if c.Edge == Descendant {
+				k = ancestorSemi
+			}
+			cands = m.join(k, t, c, cands, m.satisfy(c, nil, match{Postings: m.ix.Postings(c.Name)}))
+		}
+	}
+	return cands
+}
+
+// join runs one semi-join and releases both inputs. Traced, its span is
+// named for the step: "t[c] kernel" for t's branch c, "//c kernel" for the
+// spine step onto c (t nil).
+func (m *matcher) join(k kernel, t, c *Node, ancs, descs match) match {
+	ex := m.e
+	var sp step
+	if m.tr != nil {
+		name := c.Edge.String() + c.Name
+		if t != nil && c.Edge == Child {
+			name = t.Name + "[" + c.Name + "]"
+		} else if t != nil {
+			name = t.Name + "[.//" + c.Name + "]"
+		}
+		sp = m.start(name + " " + k.name)
+		sp.SetInt("ancs", int64(ancs.Len()))
+		sp.SetInt("descs", int64(descs.Len()))
+		ex = ex.WithSpan(sp.Span)
+	}
+	out := k.run(ex, m.ix.RUID(), ancs.Postings, descs.Postings)
+	ancs.release()
+	descs.release()
+	sp.end(len(out))
+	return match{Postings: index.SlicePostings(out), own: out}
+}
+
+// step is the span of one traced pipeline step; the zero step is untraced.
+type step struct {
+	*obs.Span
+	record func(*obs.Span) // the step's I/O, when priced
+}
+
+func (m *matcher) start(name string) step {
+	s := step{Span: m.tr.StartSpan(name)}
+	if m.io != nil {
+		s.record = m.io()
+	}
+	return s
+}
+
+// end records the step's output size and I/O and ends its span.
+func (s step) end(out int) {
+	if s.Span == nil {
+		return
+	}
+	s.SetInt("out", int64(out))
+	if s.record != nil {
+		s.record(s.Span)
+	}
+	s.End()
 }

@@ -1,9 +1,12 @@
 package twig_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -21,17 +24,33 @@ func setup(t *testing.T, doc *xmltree.Node) (*core.Numbering, *index.NameIndex, 
 	return n, index.Build(doc.DocumentElement(), n), xpath.NewEngine(doc, xpath.PointerNavigator{})
 }
 
-// match runs MatchIDs, which answers for every compiled pattern.
-func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
-	t.Helper()
-	ids, ok := twig.MatchIDs(p, ix)
-	if !ok {
-		t.Fatalf("MatchIDs(%s): no output node", p)
-	}
-	return ids
+// executors are the schedules every match is held to: one goroutine, and
+// forced sharding even on one CPU.
+var executors = []*exec.Executor{
+	exec.New(exec.Config{Mode: exec.Serial}),
+	exec.New(exec.Config{Mode: exec.Forced, Workers: 4}),
 }
 
-// TestTwigMatchesXPath: for twig-compilable queries, MatchIDs returns
+// match runs MatchIDsWith, which answers for every compiled pattern, under
+// each executor, and requires the schedules to agree.
+func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
+	t.Helper()
+	var first []core.ID
+	for i, e := range executors {
+		ids, ok := twig.MatchIDsWith(p, ix, e)
+		if !ok {
+			t.Fatalf("MatchIDsWith(%s): no output node", p)
+		}
+		if i == 0 {
+			first = ids
+		} else if !slices.Equal(ids, first) {
+			t.Fatalf("MatchIDsWith(%s): %d ids forced, %d serial", p, len(ids), len(first))
+		}
+	}
+	return first
+}
+
+// TestTwigMatchesXPath: for twig-compilable queries, MatchIDsWith returns
 // exactly the XPath engine's result set.
 func TestTwigMatchesXPath(t *testing.T) {
 	docs := map[string]*xmltree.Node{
@@ -71,13 +90,13 @@ func TestTwigMatchesXPath(t *testing.T) {
 				t.Fatalf("%s: ref Query(%q): %v", dn, q, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s: MatchIDs(%q) = %d nodes, xpath %d (pattern %s)",
+				t.Fatalf("%s: MatchIDsWith(%q) = %d nodes, xpath %d (pattern %s)",
 					dn, q, len(got), len(want), p)
 			}
 			for i := range got {
 				node, ok := n.NodeOfID(got[i])
 				if !ok || node != want[i] {
-					t.Fatalf("%s: MatchIDs(%q): result %d differs", dn, q, i)
+					t.Fatalf("%s: MatchIDsWith(%q): result %d differs", dn, q, i)
 				}
 			}
 		}
@@ -164,7 +183,90 @@ func TestTwigEmptyResult(t *testing.T) {
 func TestTwigNoOutputNode(t *testing.T) {
 	_, ix, _ := setup(t, xmltree.Recursive(2, 4))
 	p := &twig.Node{Name: "section", Children: []*twig.Node{{Name: "title", Edge: twig.Child}}}
-	if ids, ok := twig.MatchIDs(p, ix); ok {
-		t.Fatalf("MatchIDs without an output node = %d ids, ok", len(ids))
+	if ids, ok := twig.MatchIDsWith(p, ix, exec.Default()); ok {
+		t.Fatalf("MatchIDsWith without an output node = %d ids, ok", len(ids))
+	}
+}
+
+// TestPathQueryMatchesXPath: a pattern without branches — the planner's
+// join chain — agrees with the navigation engine on //n1//n2//…//nk
+// queries.
+func TestPathQueryMatchesXPath(t *testing.T) {
+	docs := map[string]*xmltree.Node{
+		"recursive": xmltree.Recursive(2, 6),
+		"xmark":     xmltree.XMark(2, 6),
+		"random": xmltree.Random(xmltree.RandomConfig{
+			Nodes: 400, MaxFanout: 5, Seed: 31,
+		}),
+	}
+	paths := map[string][][]string{
+		"recursive": {
+			{"book", "section", "title"},
+			{"section", "section", "para"},
+			{"section", "section", "section", "title"},
+		},
+		"xmark": {
+			{"site", "regions", "item"},
+			{"item", "description", "text"},
+			{"open_auctions", "bidder", "increase"},
+		},
+		"random": {
+			{"e1", "e2"}, {"e3", "e3"}, {"e0", "e5", "e7"},
+		},
+	}
+	for dn, doc := range docs {
+		rn, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 24}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := index.Build(doc.DocumentElement(), rn)
+		engine := xpath.NewEngine(doc, xpath.PointerNavigator{})
+		for _, names := range paths[dn] {
+			q := "//" + strings.Join(names, "//")
+			chain, err := twig.Compile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := match(t, chain, ix)
+			want, err := engine.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: join pipeline %d results, xpath %d", dn, q, len(got), len(want))
+			}
+			for i := range got {
+				node, ok := rn.NodeOfID(got[i])
+				if !ok || node != want[i] {
+					t.Fatalf("%s %s: result %d differs", dn, q, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPathQueryChainOrder: the pipeline honours the vertical order of the
+// chain — //a//b//c must not match when b is above a.
+func TestPathQueryChainOrder(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><b><a><c/></a></b><a><b><c/></b></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc.DocumentElement(), rn)
+	chain, err := twig.Compile("//a//b//c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := match(t, chain, ix)
+	if len(got) != 1 {
+		t.Fatalf("//a//b//c = %d results, want 1", len(got))
+	}
+	node, _ := rn.NodeOfID(got[0])
+	if node.Parent.Name != "b" || node.Parent.Parent.Name != "a" {
+		t.Fatalf("wrong c matched: %s", node.Path())
 	}
 }

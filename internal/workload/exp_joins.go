@@ -2,8 +2,10 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/prepost"
 	"repro/internal/query"
@@ -96,9 +98,18 @@ func E11PathPipeline() *Table {
 		doc := c.mk()
 		rn := BuildRUID(doc)
 		ix := index.Build(doc.DocumentElement(), rn)
-		results := len(ix.PathQueryRUID(c.names...))
+		path := "//" + strings.Join(c.names, "//")
+		chain, err := twig.Compile(path)
+		if err != nil {
+			panic(err)
+		}
+		pipeline := func() int {
+			ids, _ := twig.MatchIDsWith(chain, ix, exec.Default())
+			return len(ids)
+		}
+		results := pipeline()
 
-		dJoin := timeOp(3, func() { sinkInt = len(ix.PathQueryRUID(c.names...)) })
+		dJoin := timeOp(3, func() { sinkInt = pipeline() })
 
 		// Navigation: descendant scans from each step's matches.
 		nav := func() int {
@@ -126,26 +137,14 @@ func E11PathPipeline() *Table {
 			panic(fmt.Sprintf("E11b: navigation %d != pipeline %d for %v", got, results, c.names))
 		}
 		dNav := timeOp(1, func() { sinkInt = nav() })
-		t.AddRow(c.doc, "//"+join(c.names, "//"), results,
+		t.AddRow(c.doc, path, results,
 			formatDuration(dJoin), formatDuration(dNav))
 	}
 	return t
 }
 
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
-}
-
-// E14TwigMatching extends E11 to branching patterns: the two-pass twig
-// matcher over the name index against axis navigation, plus the planner's
-// choice.
+// E14TwigMatching extends E11 to branching patterns: the twig pipeline over
+// the name index against axis navigation, plus the planner's choice.
 func E14TwigMatching() *Table {
 	t := &Table{
 		ID:     "E14",
@@ -174,13 +173,13 @@ func E14TwigMatching() *Table {
 		}
 		engine := xpath.NewEngine(doc, xpath.SchemeNavigator{S: rn})
 		path := xpath.MustParse(c.q)
-		matched, _ := twig.MatchIDs(pattern, ix)
+		matched, _ := twig.MatchIDsWith(pattern, ix, exec.Default())
 		results := len(matched)
 		if nav := len(engine.Select(nil, path)); nav != results {
 			panic(fmt.Sprintf("E14: twig %d != nav %d for %s", results, nav, c.q))
 		}
 		dTwig := timeOp(3, func() {
-			matched, _ := twig.MatchIDs(pattern, ix)
+			matched, _ := twig.MatchIDsWith(pattern, ix, exec.Default())
 			sinkInt = len(matched)
 		})
 		dNav := timeOp(1, func() { sinkInt = len(engine.Select(nil, path)) })
