@@ -33,6 +33,7 @@ func TestExactRows(t *testing.T) {
 		"build/kappa":                                   200,
 		"read/nav_visited_per_point_query":              34.75,
 		"read/nodes_resolved_per_count_query":           0,
+		"read/ids_kept_per_count_query":                 0,
 		"postings/bytes_per_posting/nodes=50000":        4.52636,
 		"write/postings_reencoded_per_mutation/batch=1": 136.5,
 	}

@@ -833,6 +833,11 @@ func writeRows() []microResult {
 // current value is 0 too: any change that makes a count resolve a node fails
 // CI.
 //
+// ids_kept_per_count_query: identifiers written into a returned answer
+// (query.ids_kept). A count-only request runs in count shape and keeps
+// none, so the committed value is 0 and gates like the row above: a change
+// that makes a count write its answer down again fails CI.
+//
 // nav_visited_per_point_query: candidates the axis walks hand the evaluator
 // per positional lookup. t[k] stops at its k-th match, so the value is a
 // function of the fixed positions, not of how many siblings follow them; a
@@ -881,6 +886,10 @@ func readRows() []microResult {
 		Name:       "read/nodes_resolved_per_count_query",
 		Iterations: 1,
 		NsPerOp:    float64(reg.Counter("query.nodes_resolved").Value()) / float64(len(joins)+len(points)),
+	}, {
+		Name:       "read/ids_kept_per_count_query",
+		Iterations: 1,
+		NsPerOp:    float64(reg.Counter("query.ids_kept").Value()) / float64(len(joins)+len(points)),
 	}, {
 		Name:       "read/nav_visited_per_point_query",
 		Iterations: 1,

@@ -640,9 +640,11 @@ func (s *Snapshot) Query(q string) ([]*xmltree.Node, query.Plan, error) {
 // budget.ErrPostingsBudget, budget.ErrResultBudget, or the context's own
 // error — and an empty Result; the caller inspects m afterwards for
 // consumption. tr collects the per-stage execution spans (EXPLAIN ANALYZE).
-// A nil meter runs unbudgeted; a nil trace untraced.
-func (s *Snapshot) QueryMetered(q string, tr *obs.Trace, m *budget.Meter) (query.Result, query.Plan, error) {
-	return s.planner.RunMetered(q, tr, m)
+// A nil meter runs unbudgeted; a nil trace untraced. resolve says whether
+// the caller will call Nodes: without it an untraced query is only counted,
+// keeping no answer (query.Planner.RunMetered).
+func (s *Snapshot) QueryMetered(q string, tr *obs.Trace, m *budget.Meter, resolve bool) (query.Result, query.Plan, error) {
+	return s.planner.RunMetered(q, tr, m, resolve)
 }
 
 // Plan parses the query and reports the strategy the planner would choose,

@@ -277,7 +277,7 @@ func TestEpochNumberingsAnswerPositionalPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func(q string) int {
-		res, _, err := d.Snapshot().QueryMetered(q, nil, nil)
+		res, _, err := d.Snapshot().QueryMetered(q, nil, nil, false)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -393,7 +393,7 @@ func TestPinnedEpochRowsNeverWritten(t *testing.T) {
 	before := check("before the writes")
 
 	count := func(q string) int {
-		res, _, err := d.Snapshot().QueryMetered(q, nil, nil)
+		res, _, err := d.Snapshot().QueryMetered(q, nil, nil, false)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -577,10 +577,10 @@ func TestPointQueryAllocsIndependentOfSiblings(t *testing.T) {
 		snap := d.Snapshot()
 		out := make([]float64, len(queries))
 		for i, q := range queries {
-			if res, plan, err := snap.QueryMetered(q, nil, nil); err != nil || res.Len() == 0 || plan.Kind != query.NavPlan {
+			if res, plan, err := snap.QueryMetered(q, nil, nil, false); err != nil || res.Len() == 0 || plan.Kind != query.NavPlan {
 				t.Fatalf("XMark %d: %q: %d results by a %s plan, err %v", scale, q, res.Len(), plan.Kind, err)
 			}
-			out[i] = testing.AllocsPerRun(20, func() { snap.QueryMetered(q, nil, nil) })
+			out[i] = testing.AllocsPerRun(20, func() { snap.QueryMetered(q, nil, nil, false) })
 		}
 		return out
 	}

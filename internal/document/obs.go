@@ -97,7 +97,7 @@ func (d *Document) Registry() *obs.Registry { return d.reg }
 // timings, and the seek kernels' blocks admitted versus skipped.
 func (d *Document) ExplainAnalyze(q string) (string, error) {
 	tr := obs.NewTrace(q)
-	if _, _, err := d.Snapshot().QueryMetered(q, tr, nil); err != nil {
+	if _, _, err := d.Snapshot().QueryMetered(q, tr, nil, true); err != nil {
 		return "", err
 	}
 	var sb strings.Builder

@@ -91,7 +91,7 @@ func TestObservedDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("//book/title")
-	res, _, err := d.Snapshot().QueryMetered("//book/title", tr, nil)
+	res, _, err := d.Snapshot().QueryMetered("//book/title", tr, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

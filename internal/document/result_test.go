@@ -1,10 +1,16 @@
 package document_test
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/document"
 	"repro/internal/exec"
 	"repro/internal/query"
@@ -62,7 +68,8 @@ var resultFamilies = []struct {
 // document and again after a random insert/delete
 // history: Len, the length of Nodes and the oracle's count are one number,
 // Nodes is the oracle's node sequence (what Run returned before answers
-// stayed identifiers), and Snapshot.Query is Nodes.
+// stayed identifiers), and Snapshot.Query is Nodes. A counted run of the
+// same query has the oracle's Len and no nodes.
 func TestQueryResult(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -90,7 +97,7 @@ func TestQueryResult(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: oracle: %v", tag, err)
 					}
-					res, plan, err := snap.QueryMetered(q, nil, nil)
+					res, plan, err := snap.QueryMetered(q, nil, nil, true)
 					if err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}
@@ -101,6 +108,13 @@ func TestQueryResult(t *testing.T) {
 					nodes, err := res.Nodes()
 					if err != nil {
 						t.Fatalf("%s [%s]: Nodes: %v", tag, plan.Kind, err)
+					}
+					counted, _, err := snap.QueryMetered(q, nil, nil, false)
+					if err != nil || counted.Len() != len(want) {
+						t.Fatalf("%s [%s]: counted Len = %d, err %v; oracle %d", tag, plan.Kind, counted.Len(), err, len(want))
+					}
+					if cn, err := counted.Nodes(); cn != nil || !errors.Is(err, query.ErrCounted) {
+						t.Fatalf("%s [%s]: counted Nodes = %d nodes, err %v; want ErrCounted", tag, plan.Kind, len(cn), err)
 					}
 					viaQuery, _, err := snap.Query(q)
 					if err != nil {
@@ -150,4 +164,45 @@ func TestQueryResult(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCountedQueryKeepsNoAnswer: a count-only query writes none of its
+// answer down. Once the executor's pools are warm, /site//item/name on
+// XMark 20 allocates less than an eighth of what its answer would take as
+// identifiers — what every count-only query allocated while the last
+// semi-join wrote the answer out only for Len to read its length.
+func TestCountedQueryKeepsNoAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pools at random")
+	}
+	if os.Getenv("RUID_DEBUG") != "" {
+		t.Skip("under RUID_DEBUG a counted answer is written out to be checked")
+	}
+	d, err := document.FromTree(xmltree.XMark(20, 1), document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Snapshot()
+	const q, runs = "/site//item/name", 100
+	res, plan, err := snap.QueryMetered(q, nil, nil, false)
+	if err != nil || plan.Kind != query.JoinPlan || res.Len() == 0 {
+		t.Fatalf("fixture: %q answered %d by a %s plan, err %v", q, res.Len(), plan.Kind, err)
+	}
+	// The least of five rounds: a round that a collection (which empties the
+	// executor's pools) or another test's goroutine lands in reads high.
+	perQuery := math.Inf(1)
+	for round := 0; round < 5; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			snap.QueryMetered(q, nil, nil, false)
+		}
+		runtime.ReadMemStats(&after)
+		perQuery = min(perQuery, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	answer := float64(res.Len()) * float64(unsafe.Sizeof(core.ID{}))
+	if perQuery >= answer/8 {
+		t.Fatalf("a counted %q allocates %.0f B, an eighth of its %d-identifier answer is %.0f B", q, perQuery, res.Len(), answer/8)
+	}
+	t.Logf("a counted %q allocates %.0f B; its answer would take %.0f B", q, perQuery, answer)
 }

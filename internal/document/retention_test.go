@@ -25,7 +25,7 @@ func TestWritesRetainNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := d.Snapshot().QueryMetered("/site/open_auctions/open_auction", nil, nil)
+	res, _, err := d.Snapshot().QueryMetered("/site/open_auctions/open_auction", nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,6 +53,24 @@ func TestMeteredMatchesUnmetered(t *testing.T) {
 				equalIDs(t, mode.String()+"/parent/"+view+"/"+dview,
 					me.ParentSemiJoin(n, a, d), e.ParentSemiJoin(n, a, d))
 				charged("parent")
+				// A counting form charges what its materialised form does.
+				for _, op := range []struct {
+					name  string
+					rows  func(*core.Numbering, index.Postings, index.Postings) []core.ID
+					count func(*core.Numbering, index.Postings, index.Postings) int
+				}{
+					{"count_semi", me.UpwardSemiJoin, me.CountUpwardSemiJoin},
+					{"count_parent", me.ParentSemiJoin, me.CountParentSemiJoin},
+				} {
+					p0, r0 := m.Postings(), m.Results()
+					rows := op.rows(n, a, d)
+					p1, r1 := m.Postings(), m.Results()
+					if got := op.count(n, a, d); got != len(rows) || m.Postings()-p1 != p1-p0 || m.Results()-r1 != r1-r0 {
+						t.Errorf("%s/%s/%s/%s: counted %d of %d rows, charging %d postings and %d results against %d and %d",
+							mode, op.name, view, dview, got, len(rows), m.Postings()-p1, m.Results()-r1, p1-p0, r1-r0)
+					}
+					last = m.Postings()
+				}
 				equalIDs(t, mode.String()+"/ancsemi/"+view+"/"+dview,
 					me.AncestorSemiJoin(n, a, d), e.AncestorSemiJoin(n, a, d))
 				charged("ancsemi")
@@ -110,6 +128,11 @@ func TestResultBudgetStopsKernels(t *testing.T) {
 			e.WithMeter(m).UpwardSemiJoin(n, ancs, d)
 			if !errors.Is(m.Err(), budget.ErrResultBudget) {
 				t.Fatalf("%s/%s: Err = %v, want ErrResultBudget", mode, view, m.Err())
+			}
+			m = budget.NewMeter(context.Background(), budget.Limits{MaxResults: 1})
+			e.WithMeter(m).CountUpwardSemiJoin(n, ancs, d)
+			if !errors.Is(m.Err(), budget.ErrResultBudget) {
+				t.Fatalf("%s/%s: counted: Err = %v, want ErrResultBudget", mode, view, m.Err())
 			}
 		}
 	}

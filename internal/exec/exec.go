@@ -188,8 +188,8 @@ func (e *Executor) run(n int, fn func(i int)) {
 // once into the result and recycled; the scan and kernel scratch is a pooled
 // index.BlockScratch. An identifier result is itself drawn from a pool
 // (acquireIDs), and the caller that owns it hands it back with ReleaseIDs
-// once the step consuming it has returned: the join pipelines of
-// internal/query and internal/twig release every intermediate that way.
+// once the step consuming it has returned: the twig pipeline releases every
+// intermediate that way, and a counted answer too.
 
 var idBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]core.ID) }}
 
@@ -233,8 +233,9 @@ func ReleaseIDs(ids []core.ID) {
 		panic("exec: identifier result released twice")
 	}
 	head[0] = releasedID
-	ids = ids[:0]
-	resultPool.Put(&ids)
+	b := new([]core.ID) // boxed here, so a call with nothing to release allocates nothing
+	*b = ids[:0]
+	resultPool.Put(b)
 }
 
 var pairBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]index.PairID) }}

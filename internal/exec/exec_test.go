@@ -128,6 +128,12 @@ func TestParallelAgreesWithSerial(t *testing.T) {
 					equalPairs(t, "MergeJoin"+tag, e.MergeJoin(n, aView, dView), wantMerge)
 					equalIDs(t, "UpwardSemiJoin"+tag, e.UpwardSemiJoin(n, aView, dView), wantUpSemi)
 					equalIDs(t, "ParentSemiJoin"+tag, e.ParentSemiJoin(n, aView, dView), wantParent)
+					if got := e.CountUpwardSemiJoin(n, aView, dView); got != len(wantUpSemi) {
+						t.Errorf("CountUpwardSemiJoin%s = %d, want %d", tag, got, len(wantUpSemi))
+					}
+					if got := e.CountParentSemiJoin(n, aView, dView); got != len(wantParent) {
+						t.Errorf("CountParentSemiJoin%s = %d, want %d", tag, got, len(wantParent))
+					}
 					equalIDs(t, "AncestorSemiJoin"+tag, e.AncestorSemiJoin(n, aView, dView), wantAnc)
 					equalIDs(t, "ChildSemiJoin"+tag, e.ChildSemiJoin(n, aView, dView), wantChild)
 				}

@@ -17,7 +17,9 @@ import (
 // inputs are document-ordered and every kernel preserves input order. Serial
 // mode (and an Auto operation below the crossover) is the same path with one
 // range; the index.*Postings one-shots are the reference the tests compare
-// it against, not a path it delegates to.
+// it against, not a path it delegates to. The two top-down semi-joins also
+// have a counting form (count), the same path with each run's rows counted
+// and dropped, for a caller that reads only the size of the answer.
 //
 // Budget enforcement (WithMeter) has one pattern: the probe side is charged
 // as postings before it is built, the descendant side is charged inside
@@ -56,17 +58,16 @@ func (e *Executor) begin(n *core.Numbering, ancs, descs index.Postings) *op {
 // the worker's pooled scratch, wired to the meter — and returns what to do
 // with each of its admitted runs.
 func (o *op) shards(shard func(s int, bs *index.BlockScratch) func(run []core.ID)) {
-	e := o.e
-	clock := e.newShardClock(len(o.ranges))
-	e.run(len(o.ranges), func(s int) {
+	clock := o.e.newShardClock(len(o.ranges))
+	o.e.run(len(o.ranges), func(s int) {
 		t := clock.start()
-		bs := e.blockScratch()
+		bs := o.e.blockScratch()
 		index.ForEachRun(o.n, o.pr, o.descs, o.ranges[s][0], o.ranges[s][1], bs, shard(s, bs))
-		e.noteBlockStats(&bs.Stats)
+		o.e.noteBlockStats(&bs.Stats)
 		putBlockScratch(bs)
 		clock.stop(s, t)
 	})
-	clock.note(e)
+	clock.note(o.e)
 }
 
 // end releases the probe and records the operation.
@@ -110,6 +111,42 @@ func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, desc
 		pool.Put(b)
 	}
 	return out
+}
+
+// count is gather's counting form for the two semi-joins whose rows follow
+// the descendant side: every admitted run goes through the same kernel into
+// the shard's pooled buffer, which is emptied after each run, and the shard
+// adds up what each run kept. Results are charged per run as gather charges
+// them, so a counted operation spends the budget its materialised form
+// would; the output itself is never written anywhere that outlives a run.
+func count(e *Executor, n *core.Numbering, ancs, descs index.Postings, k kernel[core.ID]) int {
+	o := e.begin(n, ancs, descs)
+	if o == nil {
+		return 0
+	}
+	defer o.end()
+	type tally struct {
+		buf  *[]core.ID
+		rows int
+	}
+	tallies := make([]tally, len(o.ranges))
+	o.shards(func(s int, bs *index.BlockScratch) func(run []core.ID) {
+		poolGets.Add(1)
+		t := &tallies[s]
+		t.buf = idBufPool.Get().(*[]core.ID)
+		return func(run []core.ID) {
+			*t.buf = k(o.pr, bs, run, (*t.buf)[:0])
+			t.rows += len(*t.buf)
+			e.meter.ChargeResults(len(*t.buf))
+		}
+	})
+	total := 0
+	for _, t := range tallies {
+		total += t.rows
+		*t.buf = (*t.buf)[:0]
+		idBufPool.Put(t.buf)
+	}
+	return total
 }
 
 // hitSemiJoin is the driver of the two bottom-up semi-joins, whose rows
@@ -166,21 +203,39 @@ func (e *Executor) MergeJoin(n *core.Numbering, ancs, descs index.Postings) []in
 	})
 }
 
+// upwardSemiRows and parentSemiRows are the run kernels of the two
+// top-down semi-joins, shared by their materialised and counting forms.
+func upwardSemiRows(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
+	return index.AppendUpwardSemiJoinRUID(bs.Cursor(), &pr.Set, run, buf)
+}
+
+func parentSemiRows(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
+	return index.AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, buf)
+}
+
 // UpwardSemiJoin is index.UpwardSemiJoinPostings sharded over descs: the
 // members of descs having at least one proper ancestor in ancs, in input
 // order.
 func (e *Executor) UpwardSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
-		return index.AppendUpwardSemiJoinRUID(bs.Cursor(), &pr.Set, run, buf)
-	})
+	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, upwardSemiRows)
+}
+
+// CountUpwardSemiJoin is len(UpwardSemiJoin(n, ancs, descs)), charged
+// against the budget as UpwardSemiJoin is, without writing the result.
+func (e *Executor) CountUpwardSemiJoin(n *core.Numbering, ancs, descs index.Postings) int {
+	return count(e, n, ancs, descs, upwardSemiRows)
 }
 
 // ParentSemiJoin is index.ParentSemiJoinPostings sharded over descs: the
 // members of descs whose direct parent is in ancs, in input order.
 func (e *Executor) ParentSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
-		return index.AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, buf)
-	})
+	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, parentSemiRows)
+}
+
+// CountParentSemiJoin is len(ParentSemiJoin(n, ancs, descs)), charged
+// against the budget as ParentSemiJoin is, without writing the result.
+func (e *Executor) CountParentSemiJoin(n *core.Numbering, ancs, descs index.Postings) int {
+	return count(e, n, ancs, descs, parentSemiRows)
 }
 
 // AncestorSemiJoin is index.AncestorSemiJoinPostings with the probing half

@@ -19,7 +19,7 @@ import (
 // runBudget runs q under a fresh meter over ctx and lim, the way the server
 // builds one per request, and resolves the answer.
 func runBudget(p *query.Planner, ctx context.Context, q string, lim budget.Limits) ([]*xmltree.Node, query.Plan, error) {
-	res, plan, err := p.RunMetered(q, nil, budget.NewMeter(ctx, lim))
+	res, plan, err := p.RunMetered(q, nil, budget.NewMeter(ctx, lim), true)
 	if err != nil {
 		if res.Len() != 0 {
 			panic("a failed query returned a non-empty Result")
@@ -123,7 +123,7 @@ func TestRunBudgetDeadlineInsideWalk(t *testing.T) {
 	reg := obs.NewRegistry()
 	p.SetObserver(reg)
 	const q = "//*[contains(., 'no such text')]"
-	if _, plan, err := p.RunMetered(q, nil, nil); err != nil || plan.Kind != query.NavPlan {
+	if _, plan, err := p.RunMetered(q, nil, nil, false); err != nil || plan.Kind != query.NavPlan {
 		t.Fatalf("fixture: plan %s, err %v", plan.Kind, err)
 	}
 	visited := reg.Counter("query.nav_visited")
@@ -133,7 +133,7 @@ func TestRunBudgetDeadlineInsideWalk(t *testing.T) {
 	}
 	before := visited.Value()
 	ctx := &expiringCtx{Context: context.Background(), n: 3} // entry check, then two samples
-	res, _, err := p.RunMetered(q, nil, budget.NewMeter(ctx, budget.Limits{}))
+	res, _, err := p.RunMetered(q, nil, budget.NewMeter(ctx, budget.Limits{}), false)
 	if !errors.Is(err, context.DeadlineExceeded) || res.Len() != 0 {
 		t.Fatalf("err = %v with %d results, want DeadlineExceeded and none", err, res.Len())
 	}
@@ -147,7 +147,7 @@ func TestRunBudgetDeadlineInsideWalk(t *testing.T) {
 func TestRunBudgetMeterObservable(t *testing.T) {
 	p := newPlanner(t, xmltree.XMark(2, 9))
 	m := budget.NewMeter(context.Background(), budget.Limits{MaxPostings: 1 << 40, MaxResults: 1 << 40})
-	if _, _, err := p.RunMetered("/site//item/name", nil, m); err != nil {
+	if _, _, err := p.RunMetered("/site//item/name", nil, m, false); err != nil {
 		t.Fatal(err)
 	}
 	if m.Postings() == 0 || m.Results() == 0 {

@@ -68,7 +68,7 @@ func TestRunMeteredTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("//section//title")
-	res, plan, err := p.RunMetered("//section//title", tr, nil)
+	res, plan, err := p.RunMetered("//section//title", tr, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRunMeteredTraced(t *testing.T) {
 	// block statistics of its kernel.
 	const twigQ = "//section[para]/title"
 	tr = obs.NewTrace(twigQ)
-	res, plan, err = p.RunMetered(twigQ, tr, nil)
+	res, plan, err = p.RunMetered(twigQ, tr, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRunMeteredTracedNavAndPruned(t *testing.T) {
 	p.SetObserver(reg)
 
 	tr := obs.NewTrace("//section[1]")
-	_, plan, err := p.RunMetered("//section[1]", tr, nil)
+	_, plan, err := p.RunMetered("//section[1]", tr, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRunMeteredTracedNavAndPruned(t *testing.T) {
 	}
 
 	tr = obs.NewTrace("//section//nosuchname")
-	got, _, err := p.RunMetered("//section//nosuchname", tr, nil)
+	got, _, err := p.RunMetered("//section//nosuchname", tr, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -60,6 +61,7 @@ type Plan struct {
 	Query   string
 	Paths   []xpath.Path // parsed form (all kinds)
 	pattern *twig.Node   // the compiled pattern, when the query has one
+	spine   []string     // the names along its main path
 	idKind  PlanKind     // the pattern's plan: JoinPlan or TwigPlan
 	NavCost float64      // estimated cost of navigation
 	JoinCst float64      // estimated cost of the identifier plan (join or twig)
@@ -132,6 +134,7 @@ type plannerMetrics struct {
 	queryNS     *obs.Histogram
 	results     *obs.Histogram
 	resolved    *obs.Counter
+	idsKept     *obs.Counter
 	navVisited  *obs.Counter
 }
 
@@ -151,6 +154,7 @@ func (p *Planner) SetObserver(r *obs.Registry) {
 		queryNS:     r.Histogram("query.query_ns"),
 		results:     r.Histogram("query.results"),
 		resolved:    r.Counter("query.nodes_resolved"),
+		idsKept:     r.Counter("query.ids_kept"),
 		navVisited:  r.Counter("query.nav_visited"),
 	}
 }
@@ -229,8 +233,8 @@ func (p *Planner) Plan(q string) (Plan, error) {
 	if err != nil {
 		return plan, nil
 	}
-	plan.pattern = pattern
-	plan.JoinCst, plan.idKind = p.estimate(pattern)
+	plan.pattern, plan.spine = pattern, pattern.SpineNames()
+	plan.JoinCst, plan.idKind = p.estimate(pattern, len(plan.spine))
 	if plan.JoinCst < plan.NavCost {
 		plan.Kind = plan.idKind
 	}
@@ -243,7 +247,7 @@ func (p *Planner) Plan(q string) (Plan, error) {
 // edge a climb that stops at the first hit, about half the mean depth. The
 // root's list is free. A pattern whose every node is on the spine is a join
 // chain; any other is a twig.
-func (p *Planner) estimate(pattern *twig.Node) (cost float64, kind PlanKind) {
+func (p *Planner) estimate(pattern *twig.Node, spineLen int) (cost float64, kind PlanKind) {
 	nodes := 0
 	var walk func(n *twig.Node)
 	walk = func(n *twig.Node) {
@@ -258,7 +262,7 @@ func (p *Planner) estimate(pattern *twig.Node) (cost float64, kind PlanKind) {
 		}
 	}
 	walk(pattern)
-	if nodes == len(pattern.Spine()) {
+	if nodes == spineLen {
 		return cost, JoinPlan
 	}
 	return cost, TwigPlan
@@ -283,11 +287,13 @@ func (p *Planner) navCost(paths []xpath.Path) float64 {
 // Result is the answer of one executed query. An identifier plan's answer
 // stays a set of identifiers: Len counts them without touching a node, and
 // Nodes is the one place they become nodes. A navigation plan walks the tree
-// and so hands over its nodes ready-made. A Result is for one goroutine; the
-// zero Result is the empty answer.
+// and so hands over its nodes ready-made. A counted answer — a run whose
+// caller said it would not resolve — holds its size and nothing else. A
+// Result is for one goroutine; the zero Result is the empty answer.
 type Result struct {
-	n     int
-	nodes []*xmltree.Node // nil until resolved; a navigation plan's from the start
+	n       int
+	counted bool
+	nodes   []*xmltree.Node // nil until resolved; a navigation plan's from the start
 
 	// The unresolved answer of an identifier plan: a Postings view over rn
 	// (still block-compressed for a seed-only chain).
@@ -297,19 +303,27 @@ type Result struct {
 	resolved *obs.Counter // query.nodes_resolved; nil when unobserved
 }
 
+// ErrCounted is what Nodes returns for a counted answer: the run was asked
+// for a size, so it kept no identifier to resolve.
+var ErrCounted = errors.New("query: the answer was counted, not kept; run the query with resolve to read its nodes")
+
 // Len returns the size of the answer. No identifier is decoded or resolved
 // for it: a count-only caller never pays for nodes.
 func (r *Result) Len() int { return r.n }
 
 // unresolved reports whether Nodes still has identifiers to resolve.
-func (r *Result) unresolved() bool { return r.nodes == nil && r.n > 0 }
+func (r *Result) unresolved() bool { return !r.counted && r.nodes == nil && r.n > 0 }
 
 // Nodes returns the answer's nodes in document order, resolving the
 // identifiers on the first call and keeping the nodes for later ones. An
 // identifier the numbering cannot resolve means the index and the numbering
 // disagree: that is an error naming the identifier, never a shorter answer,
-// so a success has exactly Len nodes.
+// so a success has exactly Len nodes. A counted answer has no nodes to give:
+// Nodes returns ErrCounted, never an empty slice.
 func (r *Result) Nodes() ([]*xmltree.Node, error) {
+	if r.counted {
+		return nil, ErrCounted
+	}
 	if r.unresolved() {
 		nodes, err := r.resolve()
 		if err != nil {
@@ -351,14 +365,15 @@ func recoverPaged(err *error) {
 }
 
 // debugChecks makes every query resolve its answer and hold it to Len, so a
-// count-only request cannot hide an index the numbering disagrees with.
+// count-only request cannot hide an index the numbering disagrees with; a
+// counted answer is first written out and held to its count (check).
 // Seeded from RUID_DEBUG like the index and pager checks.
 var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
 // Run plans and executes the query, returning the result node-set in
 // document order together with the plan used.
 func (p *Planner) Run(q string) ([]*xmltree.Node, Plan, error) {
-	res, plan, err := p.RunMetered(q, nil, nil)
+	res, plan, err := p.RunMetered(q, nil, nil, true)
 	if err != nil {
 		return nil, plan, err
 	}
@@ -366,16 +381,22 @@ func (p *Planner) Run(q string) ([]*xmltree.Node, Plan, error) {
 	return nodes, plan, err
 }
 
-// RunMetered is the general form of Run; both arguments are nil-safe. It
-// returns the answer unresolved: a caller that only counts reads Len, one
-// that needs nodes calls Nodes.
+// RunMetered is the general form of Run; tr and m are nil-safe. It returns
+// the answer unresolved: a caller that only counts reads Len, one that needs
+// nodes calls Nodes.
+//
+// resolve says whether the caller will call Nodes. A caller that will not —
+// the server's count-only request — passes false, and an identifier plan
+// then runs in count shape (twig.Match): no identifier of the answer is
+// written or kept, and Nodes returns ErrCounted. Budget charges are the
+// same in either shape.
 //
 // tr records per-stage execution spans — the EXPLAIN ANALYZE building
 // block. A nil trace is the untraced fast path: no span, note, or attribute
-// is materialized. A traced run resolves the answer under a resolve span, so
-// the report prices that stage whether or not the caller goes on to call
-// Nodes. The trace is finished (plan recorded, total frozen) before
-// returning, ready to Render.
+// is materialized. A traced run keeps and resolves the answer under a
+// resolve span whatever resolve says, so the report prices that stage
+// whether or not the caller goes on to call Nodes. The trace is finished
+// (plan recorded, total frozen) before returning, ready to Render.
 //
 // m is the request's resource meter (budget.NewMeter over the caller's
 // context and limits): identifier pipelines charge postings scanned and
@@ -384,12 +405,12 @@ func (p *Planner) Run(q string) ([]*xmltree.Node, Plan, error) {
 // the matching sentinel (budget.ErrPostingsBudget, budget.ErrResultBudget,
 // or the context's own error) with an empty Result. The caller inspects the
 // meter afterwards for consumption. A nil meter runs unbudgeted.
-func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) (res Result, plan Plan, err error) {
+func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter, resolve bool) (res Result, plan Plan, err error) {
 	var start time.Time
 	if p.m != nil {
 		start = time.Now()
 	}
-	res, plan, err = p.execute(q, tr, m)
+	res, plan, err = p.execute(q, tr, m, !resolve && tr == nil)
 	if err == nil && tr != nil && res.unresolved() {
 		sp := tr.StartSpan("resolve")
 		var nodes []*xmltree.Node
@@ -399,14 +420,16 @@ func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) (res Resu
 		sp.End()
 	}
 	if err == nil && debugChecks {
-		err = res.check()
+		err = p.check(res, plan)
 	}
 	if err != nil {
 		tr.Notef("error: %v", err)
 		tr.Finish()
 		return Result{}, plan, err
 	}
-	tr.SetPlan(plan.Kind.String(), plan.Explain())
+	if tr != nil {
+		tr.SetPlan(plan.Kind.String(), plan.Explain())
+	}
 	tr.Finish()
 	if p.m != nil {
 		p.m.queries.Inc()
@@ -420,14 +443,28 @@ func (p *Planner) RunMetered(q string, tr *obs.Trace, m *budget.Meter) (res Resu
 		}
 		p.m.queryNS.Observe(time.Since(start).Nanoseconds())
 		p.m.results.Observe(int64(res.n))
+		p.m.idsKept.Add(uint64(len(res.ids.Slice())))
 	}
 	return res, plan, nil
 }
 
 // check is the RUID_DEBUG assertion: the answer resolves, to exactly Len
 // nodes. It resolves a copy, so it neither counts as the caller's resolve
-// nor saves the caller one.
-func (r *Result) check() error {
+// nor saves the caller one. A counted identifier answer has nothing to
+// resolve: the query runs again written out, unmetered, and that answer must
+// hold exactly the counted number of identifiers before it is resolved in
+// turn. A counted walk's count is the length of what it walked to.
+func (p *Planner) check(r Result, plan Plan) error {
+	if r.counted {
+		if plan.Kind == NavPlan {
+			return nil
+		}
+		ids, n, _ := twig.Match(plan.pattern, p.ix, p.exec, nil, nil, false)
+		if n != r.n {
+			panic(fmt.Sprintf("query: %q counted %d identifiers, written out %d", plan.Query, r.n, n))
+		}
+		r = Result{n: n, rn: p.num, ids: ids}
+	}
 	nodes := r.nodes
 	if r.unresolved() {
 		var err error
@@ -442,8 +479,8 @@ func (r *Result) check() error {
 }
 
 // execute plans q and runs the chosen plan up to, and not including, the
-// resolve of an identifier answer.
-func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result, plan Plan, err error) {
+// resolve of an identifier answer. A counted run keeps no answer.
+func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter, counted bool) (res Result, plan Plan, err error) {
 	defer recoverPaged(&err)
 	sp := tr.StartSpan("plan")
 	plan, err = p.Plan(q)
@@ -470,22 +507,20 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 		if !ok || !m.ChargeResults(len(nodes)) {
 			return Result{}, plan, m.Err()
 		}
+		if counted {
+			return Result{n: len(nodes), counted: true}, plan, nil
+		}
 		return Result{n: len(nodes), nodes: nodes}, plan, nil
 	}
 	// DataGuide pruning: a spine whose name chain is absent from every label
 	// path cannot match; refuse it before running any join (§6 [4]: the
 	// guide lets "users perform meaningful and valid queries").
-	spine := plan.pattern.Spine()
-	names := make([]string, len(spine))
-	for i, n := range spine {
-		names[i] = n.Name
-	}
-	if !p.guide.HasChain(names...) {
+	if !p.guide.HasChain(plan.spine...) {
 		if p.m != nil {
 			p.m.guidePruned.Inc()
 		}
-		tr.Notef("dataguide: chain %v unsatisfiable, pruned without execution", names)
-		return Result{}, plan, nil
+		tr.Notef("dataguide: chain %v unsatisfiable, pruned without execution", plan.spine)
+		return Result{counted: counted}, plan, nil
 	}
 	var resolved *obs.Counter
 	if p.m != nil {
@@ -500,7 +535,7 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 		io = p.stepIO
 		r0, _, h0, e0 = p.io()
 	}
-	ids, _ := twig.Match(plan.pattern, p.ix, p.exec.WithMeter(m), tr, io)
+	ids, n, _ := twig.Match(plan.pattern, p.ix, p.exec.WithMeter(m), tr, io, counted)
 	if io != nil {
 		r, _, h, e := p.io()
 		tr.Notef("io: reads=%d hits=%d evictions=%d", r-r0, h-h0, e-e0)
@@ -515,9 +550,12 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter) (res Result,
 	// step) reaches here without passing any join kernel, and this keeps
 	// MaxResults a bound on what can reach the resolver regardless of
 	// plan shape.
-	if !m.ChargeResults(ids.Len()) {
+	if !m.ChargeResults(n) {
 		tr.Notef("budget: %v", m.Err())
 		return Result{}, plan, m.Err()
 	}
-	return Result{n: ids.Len(), rn: p.num, ids: ids, resolved: resolved}, plan, nil
+	if counted {
+		return Result{n: n, counted: true}, plan, nil
+	}
+	return Result{n: n, rn: p.num, ids: ids, resolved: resolved}, plan, nil
 }

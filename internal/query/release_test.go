@@ -22,12 +22,13 @@ var readJoinQueries = []string{
 }
 
 // TestReleasedIntermediatesStayPrivate: the join pipelines hand every
-// intermediate back to the executor, and nothing a caller still holds may
-// be among them. Semi-join results a caller keeps survive 100 further
-// queries unchanged, and the five read_join queries, interleaved from
-// several goroutines on one planner, keep matching the pointer evaluator
-// under GOMAXPROCS 1 and 2, serial and auto executors alike (the race
-// detector watches the reuse in the race build).
+// intermediate back to the executor, and a counted run its answer too, and
+// nothing a caller still holds may be among them. Semi-join results a caller
+// keeps survive 100 further queries unchanged, and the five read_join
+// queries plus a twig whose output is its root, kept and counted runs
+// interleaved from several goroutines on one planner, keep matching the
+// pointer evaluator under GOMAXPROCS 1 and 2, serial and auto executors
+// alike (the race detector watches the reuse in the race build).
 func TestReleasedIntermediatesStayPrivate(t *testing.T) {
 	doc := xmltree.XMark(3, 5)
 	n, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 24, AdjustFanout: true}})
@@ -36,8 +37,9 @@ func TestReleasedIntermediatesStayPrivate(t *testing.T) {
 	}
 	p := query.New(doc, n)
 	ref := xpath.NewEngine(doc, xpath.PointerNavigator{})
-	want := make(map[string][]*xmltree.Node, len(readJoinQueries))
-	for _, q := range readJoinQueries {
+	queries := append(slices.Clip(readJoinQueries), "//open_auction[bidder]")
+	want := make(map[string][]*xmltree.Node, len(queries))
+	for _, q := range queries {
 		if want[q], err = ref.Query(q); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +61,7 @@ func TestReleasedIntermediatesStayPrivate(t *testing.T) {
 		copies[i] = slices.Clone(k)
 	}
 	for i := 0; i < 100; i++ {
-		if _, _, err := p.Run(readJoinQueries[i%len(readJoinQueries)]); err != nil {
+		if _, _, err := p.RunMetered(queries[i%len(queries)], nil, nil, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,11 +84,15 @@ func TestReleasedIntermediatesStayPrivate(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						for i := 0; i < 5*len(readJoinQueries); i++ {
-							q := readJoinQueries[(g+i)%len(readJoinQueries)]
-							got, plan, err := p.Run(q)
-							if err == nil && !slices.Equal(got, want[q]) {
-								err = fmt.Errorf("%q [%s]: %d nodes, pointer evaluator %d", q, plan.Kind, len(got), len(want[q]))
+						for i := 0; i < 5*len(queries); i++ {
+							q, keep := queries[(g+i)%len(queries)], g%2 == 0
+							res, plan, err := p.RunMetered(q, nil, nil, keep)
+							var got []*xmltree.Node
+							if err == nil && keep {
+								got, err = res.Nodes()
+							}
+							if err == nil && (res.Len() != len(want[q]) || keep && !slices.Equal(got, want[q])) {
+								err = fmt.Errorf("%q [%s] resolve=%v: %d nodes, pointer evaluator %d", q, plan.Kind, keep, res.Len(), len(want[q]))
 							}
 							if err != nil {
 								errs <- err

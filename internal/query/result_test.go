@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,6 +56,7 @@ func disagreeingPlanner(t *testing.T, name string) *Planner {
 // used to be dropped, so the answer came back one node short and nothing
 // said so. Now Len counts it, and Nodes refuses with an error naming it —
 // for the seed-only chain that never passes a kernel and for a join alike.
+// A counted run reports the same Len and has no nodes to give at all.
 func TestResolveMissFailsLoudly(t *testing.T) {
 	// Under RUID_DEBUG the query itself fails; that is the next test.
 	defer func(prev bool) { debugChecks = prev }(debugChecks)
@@ -62,7 +65,14 @@ func TestResolveMissFailsLoudly(t *testing.T) {
 	p := disagreeingPlanner(t, "title")
 	honest := index.Build(p.num.Root(), p.num).Count("title")
 	for _, q := range []string{"//title", "/book//title"} {
-		res, plan, err := p.RunMetered(q, nil, nil)
+		counted, _, err := p.RunMetered(q, nil, nil, false)
+		if err != nil {
+			t.Fatalf("counted RunMetered(%q): %v", q, err)
+		}
+		if nodes, err := counted.Nodes(); counted.Len() != honest+1 || nodes != nil || !errors.Is(err, ErrCounted) {
+			t.Fatalf("%q counted: Len %d, Nodes = %d nodes, err %v; want %d and ErrCounted", q, counted.Len(), len(nodes), err, honest+1)
+		}
+		res, plan, err := p.RunMetered(q, nil, nil, true)
 		if err != nil {
 			t.Fatalf("RunMetered(%q): %v", q, err)
 		}
@@ -88,19 +98,23 @@ func TestResolveMissFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestDebugChecksResolveEveryAnswer: under RUID_DEBUG a count-only query
-// resolves its answer too, so the disagreement above cannot hide behind
+// TestDebugChecksResolveEveryAnswer: under RUID_DEBUG a query resolves its
+// answer too, counted or kept, so the disagreement above cannot hide behind
 // Len — and the check's own resolve is not counted as the caller's.
 func TestDebugChecksResolveEveryAnswer(t *testing.T) {
 	defer func(prev bool) { debugChecks = prev }(debugChecks)
 	debugChecks = true
 
 	p := disagreeingPlanner(t, "title")
-	if _, _, err := p.RunMetered("//title", nil, nil); err == nil || !strings.Contains(err.Error(), ghost.String()) {
-		t.Fatalf("debug RunMetered err = %v, want one naming %v", err, ghost)
+	for _, q := range []string{"//title", "/book//title"} {
+		for _, resolve := range []bool{false, true} {
+			if _, _, err := p.RunMetered(q, nil, nil, resolve); err == nil || !strings.Contains(err.Error(), ghost.String()) {
+				t.Fatalf("debug RunMetered(%q, resolve %v) err = %v, want one naming %v", q, resolve, err, ghost)
+			}
+		}
 	}
 
-	res, _, err := p.RunMetered("//section//para", nil, nil)
+	res, _, err := p.RunMetered("//section//para", nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +133,39 @@ func TestDebugChecksResolveEveryAnswer(t *testing.T) {
 	}
 	if again, _ := res.Nodes(); len(again) != len(nodes) || p.m.resolved.Value() != uint64(res.Len()) {
 		t.Fatalf("a second Nodes call resolved again: %d nodes, counter %d", len(again), p.m.resolved.Value())
+	}
+}
+
+// TestCountedAnswerFailsLoudly: under RUID_DEBUG a counted query is run again
+// written out, and an answer whose length is not the count is a panic naming
+// both — for the seed-only chain, the root-output twig whose owned answer is
+// only read for its length, a chain whose last semi-join counts, and a
+// branching twig alike. Doctoring the count by one trips it.
+func TestCountedAnswerFailsLoudly(t *testing.T) {
+	defer func(prev bool) { debugChecks = prev }(debugChecks)
+	debugChecks = true
+	doc := xmltree.Recursive(2, 6)
+	rn, err := core.Build(doc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(doc, rn)
+	for _, q := range []string{"//section", "//section[title]", "/book//section/para", "//section[title]//para"} {
+		res, plan, err := p.RunMetered(q, nil, nil, false)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if plan.Kind == NavPlan || res.Len() == 0 {
+			t.Fatalf("fixture: %q answered %d by a %s plan", q, res.Len(), plan.Kind)
+		}
+		doctored := func() (panicked any) {
+			defer func() { panicked = recover() }()
+			p.check(Result{n: res.Len() + 1, counted: true}, plan)
+			return nil
+		}
+		want := fmt.Sprintf("counted %d identifiers, written out %d", res.Len()+1, res.Len())
+		if msg, _ := doctored().(string); !strings.Contains(msg, want) {
+			t.Fatalf("%q: doctored count: panic %q, want one saying %q", q, msg, want)
+		}
 	}
 }

@@ -281,11 +281,12 @@ func (s *Server) Query(ctx context.Context, doc string, req QueryRequest) (*Quer
 	snap := d.Snapshot() // pin the epoch for the whole request
 	io0 := d.IOStats()
 	m := budget.NewMeter(ctx, lim)
-	res, plan, err := snap.QueryMetered(req.Query, nil, m)
+	res, plan, err := snap.QueryMetered(req.Query, nil, m, req.IncludePaths)
 	rc.Stamp("exec_done")
-	// The answer is still identifiers here: a count-only request, the
-	// load-test mode, is done. Only a request for paths resolves them to
-	// nodes, and that serialisation is part of what the request cost.
+	// A count-only request, the load-test mode, is done: it was run in count
+	// shape and kept no answer. Only a request for paths resolves the
+	// answer's identifiers to nodes, and that serialisation is part of what
+	// the request cost.
 	var paths []string
 	if err == nil && req.IncludePaths {
 		var nodes []*xmltree.Node

@@ -192,18 +192,23 @@ func compileSteps(steps []xpath.Step, isRoot bool) (first, cur *Node, err error)
 	return first, cur, nil
 }
 
-// Spine returns the pattern's main path: the root, then each node on the
-// way down to the output node. It is nil when the pattern has no output
-// node, which only a hand-built pattern can lack (Compile always marks one).
-func (n *Node) Spine() []*Node {
-	var spine []*Node
-	for t := n; t != nil; t = t.spineChild() {
-		spine = append(spine, t)
-		if t.Output {
-			return spine
-		}
+// SpineNames returns the names along the pattern's main path: the root's,
+// then each node's on the way down to the output node. It is nil when the
+// pattern has no output node, which only a hand-built pattern can lack
+// (Compile always marks one).
+func (n *Node) SpineNames() []string {
+	if !n.onOutputPath() {
+		return nil
 	}
-	return nil
+	size := 0
+	for t := n; t != nil; t = t.spineChild() {
+		size++
+	}
+	names := make([]string, 0, size)
+	for t := n; t != nil; t = t.spineChild() {
+		names = append(names, t.Name)
+	}
+	return names
 }
 
 // spineChild returns the child on the way down to the output node, nil at
@@ -228,8 +233,15 @@ type StepIO func() func(*obs.Span)
 // Match evaluates the pattern against a name index and returns the output
 // node's matches in document order as a Postings view: an executor result
 // the caller owns, or for an unanchored seed-only pattern such as //bidder
-// the index's own block list, undecoded. ok is false when the pattern has
-// no output node.
+// the index's own block list, undecoded. n is the answer's size. ok is false
+// when the pattern has no output node.
+//
+// With count set, Match runs in count shape and the view is empty: only n
+// is wanted, so no answer is kept. The last spine semi-join counts its rows
+// without writing them (exec's Count form); an answer with no spine step
+// after it — a twig whose output is its root, such as //open_auction[bidder]
+// — is read for its size and handed back to e; a seed-only pattern's size is
+// its list's, nothing decoded.
 //
 // Every semi-join runs on concrete identifiers through e, which shards large
 // postings by frame area; parallel and serial schedules return identical
@@ -238,9 +250,9 @@ type StepIO func() func(*obs.Span)
 // empty one. With a non-nil tr the seed and every semi-join get a span of
 // their own, carrying cardinalities, the executor's block statistics and,
 // when io is set, page I/O; an untraced match builds no span name.
-func Match(p *Node, ix *index.NameIndex, e *exec.Executor, tr *obs.Trace, io StepIO) (index.Postings, bool) {
+func Match(p *Node, ix *index.NameIndex, e *exec.Executor, tr *obs.Trace, io StepIO, count bool) (ids index.Postings, n int, ok bool) {
 	if !p.onOutputPath() {
-		return index.Postings{}, false
+		return index.Postings{}, 0, false
 	}
 	m := &matcher{ix: ix, e: e, tr: tr, io: io}
 	below := p.spineChild() // the one child of a spine node that is no branch
@@ -249,22 +261,31 @@ func Match(p *Node, ix *index.NameIndex, e *exec.Executor, tr *obs.Trace, io Ste
 		if cur.Len() == 0 {
 			tr.Notef("pipeline short-circuit: empty intermediate result before %s", t.Name)
 			cur.release()
-			return index.Postings{}, true
+			return index.Postings{}, 0, true
 		}
 		below = t.spineChild()
 		k := parentSemi
 		if t.Edge == Descendant {
 			k = upwardSemi
 		}
-		cur = m.join(k, nil, t, cur, m.satisfy(t, below, match{Postings: ix.Postings(t.Name)}))
+		descs := m.satisfy(t, below, match{Postings: ix.Postings(t.Name)})
+		if count && below == nil {
+			return index.Postings{}, m.count(k, t, cur, descs), true
+		}
+		cur = m.join(k, nil, t, cur, descs)
 	}
-	return cur.Postings, true
+	if count {
+		n := cur.Len()
+		cur.release()
+		return index.Postings{}, n, true
+	}
+	return cur.Postings, cur.Len(), true
 }
 
 // MatchIDsWith is Match materialised and untraced: the answer, a fresh slice
 // or an executor result, is the caller's.
 func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) (ids []core.ID, ok bool) {
-	res, ok := Match(p, ix, e, nil, nil)
+	res, _, ok := Match(p, ix, e, nil, nil, false)
 	return res.Materialize(), ok
 }
 
@@ -279,17 +300,19 @@ type match struct {
 func (m match) release() { exec.ReleaseIDs(m.own) }
 
 // kernel is one of the executor's semi-joins, named as its span is. Spine
-// steps keep the descendant side, branch steps the ancestor side.
+// steps keep the descendant side, branch steps the ancestor side; a spine
+// kernel also has a counting form, for the last step of a counted match.
 type kernel struct {
-	name string
-	run  func(*exec.Executor, *core.Numbering, index.Postings, index.Postings) []core.ID
+	name  string
+	run   func(*exec.Executor, *core.Numbering, index.Postings, index.Postings) []core.ID
+	count func(*exec.Executor, *core.Numbering, index.Postings, index.Postings) int
 }
 
 var (
-	upwardSemi   = kernel{"upward_semi_join", (*exec.Executor).UpwardSemiJoin}
-	parentSemi   = kernel{"parent_semi_join", (*exec.Executor).ParentSemiJoin}
-	ancestorSemi = kernel{"ancestor_semi_join", (*exec.Executor).AncestorSemiJoin}
-	childSemi    = kernel{"child_semi_join", (*exec.Executor).ChildSemiJoin}
+	upwardSemi   = kernel{"upward_semi_join", (*exec.Executor).UpwardSemiJoin, (*exec.Executor).CountUpwardSemiJoin}
+	parentSemi   = kernel{"parent_semi_join", (*exec.Executor).ParentSemiJoin, (*exec.Executor).CountParentSemiJoin}
+	ancestorSemi = kernel{"ancestor_semi_join", (*exec.Executor).AncestorSemiJoin, nil}
+	childSemi    = kernel{"child_semi_join", (*exec.Executor).ChildSemiJoin, nil}
 )
 
 // matcher is the state of one Match.
@@ -345,29 +368,45 @@ func (m *matcher) satisfy(t, below *Node, cands match) match {
 	return cands
 }
 
-// join runs one semi-join and releases both inputs. Traced, its span is
-// named for the step: "t[c] kernel" for t's branch c, "//c kernel" for the
-// spine step onto c (t nil).
+// join runs one semi-join and releases both inputs.
 func (m *matcher) join(k kernel, t, c *Node, ancs, descs match) match {
-	ex := m.e
-	var sp step
-	if m.tr != nil {
-		name := c.Edge.String() + c.Name
-		if t != nil && c.Edge == Child {
-			name = t.Name + "[" + c.Name + "]"
-		} else if t != nil {
-			name = t.Name + "[.//" + c.Name + "]"
-		}
-		sp = m.start(name + " " + k.name)
-		sp.SetInt("ancs", int64(ancs.Len()))
-		sp.SetInt("descs", int64(descs.Len()))
-		ex = ex.WithSpan(sp.Span)
-	}
+	sp, ex := m.open(k, t, c, ancs, descs)
 	out := k.run(ex, m.ix.RUID(), ancs.Postings, descs.Postings)
 	ancs.release()
 	descs.release()
 	sp.end(len(out))
 	return match{Postings: index.SlicePostings(out), own: out}
+}
+
+// count is join's counting form, for the last spine step onto c: it returns
+// the number of rows the step keeps and writes none of them.
+func (m *matcher) count(k kernel, c *Node, ancs, descs match) int {
+	sp, ex := m.open(k, nil, c, ancs, descs)
+	n := k.count(ex, m.ix.RUID(), ancs.Postings, descs.Postings)
+	ancs.release()
+	descs.release()
+	sp.end(n)
+	return n
+}
+
+// open starts the span of one semi-join and returns it with the executor to
+// run the join on. Traced, the span is named for the step — "t[c] kernel"
+// for t's branch c, "//c kernel" for the spine step onto c (t nil) — and the
+// executor records into it; untraced, both are the receiver's.
+func (m *matcher) open(k kernel, t, c *Node, ancs, descs match) (step, *exec.Executor) {
+	if m.tr == nil {
+		return step{}, m.e
+	}
+	name := c.Edge.String() + c.Name
+	if t != nil && c.Edge == Child {
+		name = t.Name + "[" + c.Name + "]"
+	} else if t != nil {
+		name = t.Name + "[.//" + c.Name + "]"
+	}
+	sp := m.start(name + " " + k.name)
+	sp.SetInt("ancs", int64(ancs.Len()))
+	sp.SetInt("descs", int64(descs.Len()))
+	return sp, m.e.WithSpan(sp.Span)
 }
 
 // step is the span of one traced pipeline step; the zero step is untraced.

@@ -32,7 +32,8 @@ var executors = []*exec.Executor{
 }
 
 // match runs MatchIDsWith, which answers for every compiled pattern, under
-// each executor, and requires the schedules to agree.
+// each executor, and requires the schedules to agree, and Match in count
+// shape to count what they return and keep none of it.
 func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
 	t.Helper()
 	var first []core.ID
@@ -40,6 +41,9 @@ func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
 		ids, ok := twig.MatchIDsWith(p, ix, e)
 		if !ok {
 			t.Fatalf("MatchIDsWith(%s): no output node", p)
+		}
+		if kept, n, _ := twig.Match(p, ix, e, nil, nil, true); n != len(ids) || kept.Len() != 0 {
+			t.Fatalf("Match(%s) in count shape: %d counted, %d kept; %d matched", p, n, kept.Len(), len(ids))
 		}
 		if i == 0 {
 			first = ids
