@@ -42,7 +42,7 @@ func BenchmarkE1UIDInsertRenumber(b *testing.B) {
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			doc := shape.mk()
-			n, err := uid.Build(doc, uid.Options{K: int64(xmltree.MaxFanout(doc.DocumentElement())) + 1})
+			n, err := uid.Build(doc, uid.Options{K: int64(xmltree.Measure(doc.DocumentElement()).MaxFanout) + 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -356,7 +356,7 @@ func BenchmarkE10TableSelection(b *testing.B) {
 	if err := mono.Load(root, n.NodeKey, false); err != nil {
 		b.Fatal(err)
 	}
-	part := storage.NewPartitionedStore(8)
+	part := workload.NewPartitionedStore(8)
 	if err := part.Load(root, n); err != nil {
 		b.Fatal(err)
 	}

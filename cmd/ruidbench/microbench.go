@@ -150,17 +150,17 @@ func parallelBenches() []struct {
 
 	add("parallel/merge_join/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.MergeJoinPostings(rn, ancs, descs))
+			microSink += len(scheme.MergeJoinPostings(rn, ancs, descs))
 		}
 	})
 	add("parallel/upward_join/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.UpwardJoinPostings(rn, ancs, descs))
+			microSink += len(scheme.UpwardJoinPostings(rn, ancs, descs))
 		}
 	})
 	add("parallel/upward_semi_join/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.UpwardSemiJoinPostings(rn, ancs, descs))
+			microSink += len(scheme.UpwardSemiJoinPostings(rn, ancs, descs))
 		}
 	})
 	// A name path runs through the twig pipeline, which has no executor-free
@@ -168,16 +168,6 @@ func parallelBenches() []struct {
 	// are the serial reference.
 	for _, ex := range execs {
 		e := ex.e
-		add("parallel/merge_join/"+ex.tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				microSink += len(e.MergeJoin(rn, ancsP, descsP))
-			}
-		})
-		add("parallel/upward_join/"+ex.tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				microSink += len(e.UpwardJoin(rn, ancsP, descsP))
-			}
-		})
 		add("parallel/upward_semi_join/"+ex.tag, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				microSink += len(e.UpwardSemiJoin(rn, ancsP, descsP))
@@ -269,22 +259,22 @@ func postingsBenches() []struct {
 
 	add("postings/semi_join_selective/seek", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.UpwardSemiJoinPostings(rn, needleP, leafP))
+			microSink += len(scheme.UpwardSemiJoinPostings(rn, needleP, leafP))
 		}
 	})
 	add("postings/semi_join_selective/flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.UpwardSemiJoinPostings(rn, needle, leaf))
+			microSink += len(scheme.UpwardSemiJoinPostings(rn, needle, leaf))
 		}
 	})
 	add("postings/merge_join_selective/seek", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.MergeJoinPostings(rn, needleP, leafP))
+			microSink += len(scheme.MergeJoinPostings(rn, needleP, leafP))
 		}
 	})
 	add("postings/merge_join_selective/flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(index.MergeJoinPostings(rn, needle, leaf))
+			microSink += len(scheme.MergeJoinPostings(rn, needle, leaf))
 		}
 	})
 	add("postings/path_query_selective", func(b *testing.B) {
@@ -508,7 +498,7 @@ func schemeBenches() (benches []struct {
 			if r, ok := s.(scheme.RUID); ok {
 				ix := index.Build(root, r.Num)
 				ancs, descs := ix.Postings(f.anc), ix.Postings(f.desc)
-				semiJoin = func() int { return len(index.UpwardSemiJoinPostings(r.Num, ancs, descs)) }
+				semiJoin = func() int { return len(scheme.UpwardSemiJoinPostings(r.Num, ancs, descs)) }
 			} else {
 				lists := scheme.IDsByName(root, s)
 				ancs, descs := lists[f.anc], lists[f.desc]
@@ -1035,7 +1025,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"upward_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.UpwardJoinPostings(rn, ancs, descs))
+				microSink += len(scheme.UpwardJoinPostings(rn, ancs, descs))
 			}
 		}},
 		{"merge_join/interface", func(b *testing.B) {
@@ -1045,7 +1035,7 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"merge_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.MergeJoinPostings(rn, ancs, descs))
+				microSink += len(scheme.MergeJoinPostings(rn, ancs, descs))
 			}
 		}},
 		{"upward_semi_join/interface", func(b *testing.B) {
@@ -1055,18 +1045,18 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"upward_semi_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.UpwardSemiJoinPostings(rn, ancs, descs))
+				microSink += len(scheme.UpwardSemiJoinPostings(rn, ancs, descs))
 			}
 		}},
 		// The kernels of a /name step and of a [name] predicate.
 		{"parent_semi_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.ParentSemiJoinPostings(rn, ancs, descs))
+				microSink += len(scheme.ParentSemiJoinPostings(rn, ancs, descs))
 			}
 		}},
 		{"child_semi_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(index.ChildSemiJoinPostings(rn, ancs, descs))
+				microSink += len(scheme.ChildSemiJoinPostings(rn, ancs, descs))
 			}
 		}},
 		{"path_query/fastpath", func(b *testing.B) {

@@ -50,10 +50,10 @@ func main() {
 		fmt.Printf("  %-22s %6d pairs in %v\n", name, pairs, time.Since(start).Round(time.Microsecond))
 	}
 	measure("ruid upward probe", func() int {
-		return len(index.UpwardJoinPostings(rn, ixR.Postings(anc), ixR.Postings(desc)))
+		return len(scheme.UpwardJoinPostings(rn, ixR.Postings(anc), ixR.Postings(desc)))
 	})
 	measure("ruid stack merge", func() int {
-		return len(index.MergeJoinPostings(rn, ixR.Postings(anc), ixR.Postings(desc)))
+		return len(scheme.MergeJoinPostings(rn, ixR.Postings(anc), ixR.Postings(desc)))
 	})
 	measure("prepost stack merge", func() int {
 		return len(scheme.MergeJoin(pn, listsP[anc], listsP[desc]))

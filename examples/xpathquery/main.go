@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/storage"
+	"repro/internal/workload"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -52,7 +52,7 @@ func main() {
 
 	// Store the document in the simulated RDBMS, decomposed per §4 into
 	// one table per (element name, global index).
-	ps := storage.NewPartitionedStore(16)
+	ps := workload.NewPartitionedStore(16)
 	if err := ps.Load(doc.DocumentElement(), n); err != nil {
 		log.Fatal(err)
 	}

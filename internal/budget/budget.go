@@ -49,9 +49,6 @@ type Limits struct {
 	MaxResults int64
 }
 
-// Unlimited reports whether the limits constrain nothing.
-func (l Limits) Unlimited() bool { return l.MaxPostings <= 0 && l.MaxResults <= 0 }
-
 // Meter enforces one query's Limits and deadline. Construct with NewMeter;
 // a nil *Meter is the no-budget meter (every charge admitted, Err nil).
 //
@@ -150,11 +147,6 @@ func (m *Meter) Err() error {
 		return *p
 	}
 	return nil
-}
-
-// Exhausted reports whether any limit has tripped.
-func (m *Meter) Exhausted() bool {
-	return m != nil && m.tripped.Load() != nil
 }
 
 // Postings returns the postings charged so far (0 on nil).

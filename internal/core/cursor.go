@@ -157,7 +157,7 @@ func (c *ParentCursor) upper(g int64) (rowKey, bool) {
 }
 
 // AppendChain appends id followed by its ancestor chain up to the document
-// root to dst, the layout of Numbering.AppendAncestorChainID.
+// root to dst (id first, root last: the layout CompareChains reads).
 func (c *ParentCursor) AppendChain(dst []ID, id ID) []ID {
 	dst = append(dst, id)
 	for {

@@ -145,7 +145,7 @@ func TestParentCursorAgrees(t *testing.T) {
 	c.Reset(deep)
 	for range 2000 {
 		a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
-		if got, want := c.AppendChain(nil, a), deep.AppendAncestorChainID(nil, a); !slices.Equal(got, want) {
+		if got, want := c.AppendChain(nil, a), deep.appendAncestorChain(nil, a); !slices.Equal(got, want) {
 			t.Fatalf("chain of %s: cursor %v, numbering %v", a, got, want)
 		}
 		if got, want := c.CompareOrder(a, b), deep.CompareOrderID(a, b); got != want {

@@ -143,18 +143,9 @@ func (n *Numbering) appendAncestorChain(dst []ID, id ID) []ID {
 	}
 }
 
-// AppendAncestorChainID appends id followed by its ancestor chain up to the
-// document root to dst and returns the extended slice. It is the exported
-// form of the chain walk the order comparison uses internally, by RParent
-// step by step; join kernels build the same chains through their scan's
-// ParentCursor (AppendChain) and compare them with CompareChains.
-func (n *Numbering) AppendAncestorChainID(dst []ID, id ID) []ID {
-	return n.appendAncestorChain(dst, id)
-}
-
 // CompareChains compares two identifiers in document order given their
 // precomputed ancestor chains (id first, root last — the
-// AppendAncestorChainID layout). It decides ancestor/descendant and sibling
+// ParentCursor.AppendChain layout). It decides ancestor/descendant and sibling
 // order from the chains alone, with no further parent computation: the
 // chains are aligned at the root end, and the children of the lowest common
 // ancestor — siblings enumerated in one area, so their Local indices compare
@@ -180,17 +171,4 @@ func CompareChains(a, b []ID) int {
 		}
 		return 1
 	}
-}
-
-// ChainContainsProper reports whether id is a proper ancestor of the node
-// whose chain is given (id first, root last): membership in chain[1:].
-// Chains are short (document depth), so a linear scan beats recomputing the
-// climb that produced the chain.
-func ChainContainsProper(chain []ID, id ID) bool {
-	for _, c := range chain[1:] {
-		if c == id {
-			return true
-		}
-	}
-	return false
 }

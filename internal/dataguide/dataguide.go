@@ -67,22 +67,6 @@ func Build(doc *xmltree.Node) *Guide {
 // typically orders of magnitude below the node count on regular documents.
 func (g *Guide) Size() int { return g.paths }
 
-// Count returns the number of elements whose label path is exactly the
-// given sequence from the root.
-func (g *Guide) Count(path ...string) int {
-	at := g.root
-	for _, label := range path {
-		at = at.Children[label]
-		if at == nil {
-			return 0
-		}
-	}
-	if at == g.root {
-		return 0
-	}
-	return at.Count
-}
-
 // HasChain reports whether any label path of the document contains the
 // given names in order (with arbitrary gaps) — exactly the satisfiability
 // question for a //n1//n2//…//nk query.
@@ -110,22 +94,6 @@ func (g *Guide) HasChain(names ...string) bool {
 		return false
 	}
 	return walk(g.root, names)
-}
-
-// Paths returns every distinct label path as a slash-joined string, sorted.
-func (g *Guide) Paths() []string {
-	var out []string
-	var walk func(at *Node, prefix string)
-	walk = func(at *Node, prefix string) {
-		for _, c := range at.Children {
-			p := prefix + "/" + c.Label
-			out = append(out, p)
-			walk(c, p)
-		}
-	}
-	walk(g.root, "")
-	sort.Strings(out)
-	return out
 }
 
 // String renders the guide as an indented outline with counts.

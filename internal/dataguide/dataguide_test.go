@@ -22,23 +22,9 @@ func TestGuideBasics(t *testing.T) {
 	if g.Size() != 6 {
 		t.Fatalf("Size = %d, want 6", g.Size())
 	}
-	cases := []struct {
-		path []string
-		want int
-	}{
-		{[]string{"a"}, 1},
-		{[]string{"a", "b"}, 2},
-		{[]string{"a", "b", "c"}, 2},
-		{[]string{"a", "b", "d"}, 1},
-		{[]string{"a", "e", "c"}, 1},
-		{[]string{"a", "x"}, 0},
-		{[]string{"b"}, 0},
-		{nil, 0},
-	}
-	for _, c := range cases {
-		if got := g.Count(c.path...); got != c.want {
-			t.Errorf("Count(%v) = %d, want %d", c.path, got, c.want)
-		}
+	want := "a (1)\n  b (2)\n    c (2)\n    d (1)\n  e (1)\n    c (1)\n"
+	if got := g.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 	if !g.HasChain("a", "c") || !g.HasChain("b", "c") || !g.HasChain("e", "c") {
 		t.Errorf("existing chains rejected")
@@ -46,13 +32,33 @@ func TestGuideBasics(t *testing.T) {
 	if g.HasChain("c", "b") || g.HasChain("d", "c") || g.HasChain("x") {
 		t.Errorf("impossible chains accepted")
 	}
-	paths := g.Paths()
-	if len(paths) != 6 || paths[0] != "/a" {
-		t.Fatalf("Paths() = %v", paths)
+}
+
+// outline is Guide.String read off the document by brute force: every
+// element's label path, climbed through Parent, counted, and listed in the
+// guide's order (sibling labels sorted, a path before its extensions).
+func outline(root *xmltree.Node) string {
+	counts := map[string]int{}
+	root.Walk(func(x *xmltree.Node) bool {
+		if x.Kind == xmltree.Element {
+			var p []string
+			for cur := x; cur != nil && cur.Kind == xmltree.Element; cur = cur.Parent {
+				p = append([]string{cur.Name}, p...)
+			}
+			counts[strings.Join(p, "/")]++
+		}
+		return true
+	})
+	paths := make([][]string, 0, len(counts))
+	for k := range counts {
+		paths = append(paths, strings.Split(k, "/"))
 	}
-	if !strings.Contains(g.String(), "b (2)") {
-		t.Fatalf("String() = %s", g.String())
+	slices.SortFunc(paths, slices.Compare)
+	var b strings.Builder
+	for _, p := range paths {
+		fmt.Fprintf(&b, "%s%s (%d)\n", strings.Repeat("  ", len(p)-1), p[len(p)-1], counts[strings.Join(p, "/")])
 	}
+	return b.String()
 }
 
 // TestGuideMatchesBruteForce: counts and chain existence agree with direct
@@ -66,39 +72,9 @@ func TestGuideMatchesBruteForce(t *testing.T) {
 		g := dataguide.Build(doc)
 		root := doc.DocumentElement()
 
-		// Count: pick random real paths and some fakes.
-		for i := 0; i < 20; i++ {
-			var path []string
-			n := root.Elements()[rng.Intn(len(root.Elements()))]
-			for cur := n; cur != nil && cur.Kind == xmltree.Element; cur = cur.Parent {
-				path = append([]string{cur.Name}, path...)
-			}
-			want := 0
-			root.Walk(func(x *xmltree.Node) bool {
-				if x.Kind != xmltree.Element {
-					return true
-				}
-				var p []string
-				for cur := x; cur != nil && cur.Kind == xmltree.Element; cur = cur.Parent {
-					p = append([]string{cur.Name}, p...)
-				}
-				if len(p) == len(path) {
-					same := true
-					for j := range p {
-						if p[j] != path[j] {
-							same = false
-							break
-						}
-					}
-					if same {
-						want++
-					}
-				}
-				return true
-			})
-			if got := g.Count(path...); got != want {
-				t.Fatalf("trial %d: Count(%v) = %d, want %d", trial, path, got, want)
-			}
+		// Every label path with its count, read off the document.
+		if got, want := g.String(), outline(root); got != want {
+			t.Fatalf("trial %d: guide\n%s\nbrute force\n%s", trial, got, want)
 		}
 
 		// HasChain vs brute force on random name pairs/triples.
@@ -142,8 +118,8 @@ func TestGuideCompression(t *testing.T) {
 	if g.Size() >= nodes/100 {
 		t.Fatalf("guide has %d paths for %d elements: no compression", g.Size(), nodes)
 	}
-	if g.Count("dblp", "article") != 1000 {
-		t.Fatalf("Count(dblp/article) = %d", g.Count("dblp", "article"))
+	if !strings.Contains(g.String(), "\n  article (1000)\n") {
+		t.Fatalf("guide lacks /dblp/article (1000):\n%s", g.String())
 	}
 }
 
@@ -158,7 +134,7 @@ func TestGuideBatchFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := dataguide.Build(doc)
-	basePaths := strings.Join(base.Paths(), ",")
+	baseText := base.String()
 
 	sub1, _ := xmltree.ParseString(`<f><c/></f>`)
 	sub2, _ := xmltree.ParseString(`<c/>`)
@@ -188,19 +164,14 @@ func TestGuideBatchFold(t *testing.T) {
 	if folded == nil {
 		t.Fatal("Batch.Guide returned nil for a consistent batch")
 	}
-	if got, want := strings.Join(folded.Paths(), ","), strings.Join(rebuilt.Paths(), ","); got != want {
-		t.Fatalf("folded paths %q != rebuilt paths %q", got, want)
-	}
-	for _, p := range [][]string{{"a", "b", "f", "c"}, {"a", "c"}, {"a", "e", "c"}, {"a", "b", "c"}} {
-		if folded.Count(p...) != rebuilt.Count(p...) {
-			t.Fatalf("Count(%v): folded %d != rebuilt %d", p, folded.Count(p...), rebuilt.Count(p...))
-		}
+	if got, want := folded.String(), rebuilt.String(); got != want {
+		t.Fatalf("folded guide %q != rebuilt guide %q", got, want)
 	}
 	if folded.Size() != rebuilt.Size() {
 		t.Fatalf("Size: folded %d != rebuilt %d", folded.Size(), rebuilt.Size())
 	}
-	if got := strings.Join(base.Paths(), ","); got != basePaths {
-		t.Fatalf("batch fold mutated the base guide: %q != %q", got, basePaths)
+	if got := base.String(); got != baseText {
+		t.Fatalf("batch fold mutated the base guide: %q != %q", got, baseText)
 	}
 
 	// Removing a path the guide never recorded breaks the batch as a whole.

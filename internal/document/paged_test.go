@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -317,9 +318,6 @@ func TestPagedWritesKeepUntouchedBlocksPaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	bidders := func() *index.PostingList { return d.Snapshot().Index().Postings("bidder").List() }
-	if n := bidders().NumBlocks(); n < 10 || bidders().PagedBlocks() != n {
-		t.Fatalf("fixture: bidder has %d blocks, %d paged", n, bidders().PagedBlocks())
-	}
 	// blocks maps each block of a list, by its skip entry (less its
 	// offsets) and bytes, to its byte length.
 	type key struct {
@@ -341,6 +339,9 @@ func TestPagedWritesKeepUntouchedBlocksPaged(t *testing.T) {
 	}
 	resident := func(pl *index.PostingList) int {
 		return pl.SizeBytes() - pl.NumBlocks()*int(unsafe.Sizeof(index.Skip{}))
+	}
+	if n, r := bidders().NumBlocks(), resident(bidders()); n < 10 || r != 0 {
+		t.Fatalf("fixture: bidder has %d blocks, %d resident bytes", n, r)
 	}
 	r := rand.New(rand.NewSource(25))
 	first := 1 + r.Intn(580)
@@ -376,10 +377,21 @@ func TestPagedWritesKeepUntouchedBlocksPaged(t *testing.T) {
 			}
 		}
 	}
+	// At most six blocks resident: no more resident bytes than the six
+	// largest blocks hold.
 	pl := bidders()
-	t.Logf("after 50 pairs %d of bidder's %d blocks are paged", pl.PagedBlocks(), pl.NumBlocks())
-	if pl.PagedBlocks() < pl.NumBlocks()-6 {
-		t.Fatalf("after 50 pairs %d of bidder's %d blocks are paged, want at least %d", pl.PagedBlocks(), pl.NumBlocks(), pl.NumBlocks()-6)
+	sizes := make([]int, 0, pl.NumBlocks())
+	for _, sk := range pl.Skips() {
+		sizes = append(sizes, int(sk.End-sk.Off))
+	}
+	slices.Sort(sizes)
+	six := 0
+	for _, n := range sizes[len(sizes)-6:] {
+		six += n
+	}
+	t.Logf("after 50 pairs bidder holds %d resident delta bytes; its six largest blocks hold %d", resident(pl), six)
+	if resident(pl) > six {
+		t.Fatalf("after 50 pairs bidder holds %d resident delta bytes, more than its six largest blocks (%d)", resident(pl), six)
 	}
 }
 

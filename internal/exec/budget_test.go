@@ -44,12 +44,6 @@ func TestMeteredMatchesUnmetered(t *testing.T) {
 				equalIDs(t, mode.String()+"/semi/"+view+"/"+dview,
 					me.UpwardSemiJoin(n, a, d), e.UpwardSemiJoin(n, a, d))
 				charged("semi")
-				equalPairs(t, mode.String()+"/join/"+view+"/"+dview,
-					me.UpwardJoin(n, a, d), e.UpwardJoin(n, a, d))
-				charged("join")
-				equalPairs(t, mode.String()+"/merge/"+view+"/"+dview,
-					me.MergeJoin(n, a, d), e.MergeJoin(n, a, d))
-				charged("merge")
 				equalIDs(t, mode.String()+"/parent/"+view+"/"+dview,
 					me.ParentSemiJoin(n, a, d), e.ParentSemiJoin(n, a, d))
 				charged("parent")

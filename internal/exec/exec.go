@@ -238,8 +238,6 @@ func ReleaseIDs(ids []core.ID) {
 	resultPool.Put(b)
 }
 
-var pairBufPool = sync.Pool{New: func() any { poolMisses.Add(1); return new([]index.PairID) }}
-
 var blockScratchPool = sync.Pool{New: func() any { poolMisses.Add(1); return new(index.BlockScratch) }}
 
 // blockScratch hands out a pooled scratch wired to this executor's meter, so

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
+	"repro/internal/scheme"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
 )
@@ -31,18 +32,6 @@ func equalIDs(t *testing.T, op string, got, want []core.ID) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: id %d: parallel %v serial %v", op, i, got[i], want[i])
-		}
-	}
-}
-
-func equalPairs(t *testing.T, op string, got, want []index.PairID) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: parallel %d pairs, serial %d", op, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: pair %d: parallel %v serial %v", op, i, got[i], want[i])
 		}
 	}
 }
@@ -107,12 +96,10 @@ func TestParallelAgreesWithSerial(t *testing.T) {
 			ancs, descs = ix.RuidIDs("section"), ix.RuidIDs("title")
 		}
 		sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
-		wantUpward := index.UpwardJoinPostings(n, sAncs, sDescs)
-		wantMerge := index.MergeJoinPostings(n, sAncs, sDescs)
-		wantUpSemi := index.UpwardSemiJoinPostings(n, sAncs, sDescs)
-		wantParent := index.ParentSemiJoinPostings(n, sAncs, sDescs)
-		wantAnc := index.AncestorSemiJoinPostings(n, sAncs, sDescs)
-		wantChild := index.ChildSemiJoinPostings(n, sAncs, sDescs)
+		wantUpSemi := scheme.UpwardSemiJoinPostings(n, sAncs, sDescs)
+		wantParent := scheme.ParentSemiJoinPostings(n, sAncs, sDescs)
+		wantAnc := scheme.AncestorSemiJoinPostings(n, sAncs, sDescs)
+		wantChild := scheme.ChildSemiJoinPostings(n, sAncs, sDescs)
 		for aKind, aView := range views(ancs) {
 			for dKind, dView := range views(descs) {
 				tag := "/" + aKind + "-" + dKind
@@ -124,8 +111,6 @@ func TestParallelAgreesWithSerial(t *testing.T) {
 					{Mode: exec.Forced, Workers: 8},
 				} {
 					e := exec.New(cfg)
-					equalPairs(t, "UpwardJoin"+tag, e.UpwardJoin(n, aView, dView), wantUpward)
-					equalPairs(t, "MergeJoin"+tag, e.MergeJoin(n, aView, dView), wantMerge)
 					equalIDs(t, "UpwardSemiJoin"+tag, e.UpwardSemiJoin(n, aView, dView), wantUpSemi)
 					equalIDs(t, "ParentSemiJoin"+tag, e.ParentSemiJoin(n, aView, dView), wantParent)
 					if got := e.CountUpwardSemiJoin(n, aView, dView); got != len(wantUpSemi) {
@@ -151,31 +136,33 @@ func TestIndexPostingsAgree(t *testing.T) {
 	ancsP, descsP := ix.Postings("section"), ix.Postings("title")
 	for _, workers := range []int{1, 4} {
 		e := exec.New(exec.Config{Mode: exec.Forced, Workers: workers})
-		equalPairs(t, "MergeJoin", e.MergeJoin(n, ancsP, descsP), index.MergeJoinPostings(n, sAncs, sDescs))
-		equalPairs(t, "UpwardJoin", e.UpwardJoin(n, ancsP, descsP), index.UpwardJoinPostings(n, sAncs, sDescs))
-		equalIDs(t, "UpwardSemiJoin", e.UpwardSemiJoin(n, ancsP, descsP), index.UpwardSemiJoinPostings(n, sAncs, sDescs))
-		equalIDs(t, "ChildSemiJoin", e.ChildSemiJoin(n, ancsP, descsP), index.ChildSemiJoinPostings(n, sAncs, sDescs))
+		equalIDs(t, "UpwardSemiJoin", e.UpwardSemiJoin(n, ancsP, descsP), scheme.UpwardSemiJoinPostings(n, sAncs, sDescs))
+		equalIDs(t, "ParentSemiJoin", e.ParentSemiJoin(n, ancsP, descsP), scheme.ParentSemiJoinPostings(n, sAncs, sDescs))
+		equalIDs(t, "AncestorSemiJoin", e.AncestorSemiJoin(n, ancsP, descsP), scheme.AncestorSemiJoinPostings(n, sAncs, sDescs))
+		equalIDs(t, "ChildSemiJoin", e.ChildSemiJoin(n, ancsP, descsP), scheme.ChildSemiJoinPostings(n, sAncs, sDescs))
 	}
 }
 
-// TestParallelNestedJoin pins the merge-join shard seeding on a deeply
-// nested ancestor list: sections nested under sections, where shard
-// boundaries land mid-subtree and the start stack must carry several open
-// ancestors across. Block-backed descendants additionally cut a shard into
-// several runs, each seeded by the merge kernel on its own.
+// TestParallelNestedJoin runs the semi-joins on a deeply nested list joined
+// with itself: sections nested under sections, where shard boundaries land
+// mid-subtree, so a shard's descendants have ancestors in an earlier shard.
+// Block-backed descendants additionally cut a shard into several runs.
 func TestParallelNestedJoin(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	secs := ix.RuidIDs("section")
 	sSecs := index.SlicePostings(secs)
-	want := index.MergeJoinPostings(n, sSecs, sSecs)
-	wantUp := index.UpwardJoinPostings(n, sSecs, sSecs)
+	wantUp := scheme.UpwardSemiJoinPostings(n, sSecs, sSecs)
+	wantAnc := scheme.AncestorSemiJoinPostings(n, sSecs, sSecs)
+	if len(wantUp) == 0 || len(wantUp) == len(secs) {
+		t.Fatalf("fixture nests %d of %d sections", len(wantUp), len(secs))
+	}
 	for kind, view := range views(secs) {
 		for _, workers := range []int{2, 5, 16} {
 			e := exec.New(exec.Config{Mode: exec.Forced, Workers: workers})
-			equalPairs(t, "MergeJoin(section,section)/"+kind,
-				e.MergeJoin(n, view, view), want)
-			equalPairs(t, "UpwardJoin(section,section)/"+kind,
-				e.UpwardJoin(n, view, view), wantUp)
+			equalIDs(t, "UpwardSemiJoin(section,section)/"+kind,
+				e.UpwardSemiJoin(n, view, view), wantUp)
+			equalIDs(t, "AncestorSemiJoin(section,section)/"+kind,
+				e.AncestorSemiJoin(n, view, view), wantAnc)
 		}
 	}
 }
@@ -184,7 +171,7 @@ func TestParallelNestedJoin(t *testing.T) {
 // without branches) under each mode against the serial one-shot semi-join.
 func TestPathQueryParallel(t *testing.T) {
 	n, ix := buildFixture(t, 9)
-	want := index.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("title"))
+	want := scheme.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("title"))
 	if len(want) == 0 {
 		t.Fatal("fixture returned no path results")
 	}
@@ -214,23 +201,23 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 	} {
 		e := exec.New(cfg)
 		for kind, view := range views(titles) {
-			if got := e.UpwardJoin(n, index.SlicePostings(nil), view); len(got) != 0 {
-				t.Fatalf("%s empty ancs: got %d pairs", kind, len(got))
+			if got := e.UpwardSemiJoin(n, index.SlicePostings(nil), view); len(got) != 0 {
+				t.Fatalf("%s empty ancs: got %d ids", kind, len(got))
 			}
-			if got := e.MergeJoin(n, view, index.SlicePostings(nil)); len(got) != 0 {
-				t.Fatalf("%s empty descs: got %d pairs", kind, len(got))
+			if got := e.AncestorSemiJoin(n, view, index.SlicePostings(nil)); len(got) != 0 {
+				t.Fatalf("%s empty descs: got %d ids", kind, len(got))
 			}
-			if got := e.MergeJoin(n, view, index.BlockPostings(nil)); len(got) != 0 {
-				t.Fatalf("%s empty block descs: got %d pairs", kind, len(got))
+			if got := e.AncestorSemiJoin(n, view, index.BlockPostings(nil)); len(got) != 0 {
+				t.Fatalf("%s empty block descs: got %d ids", kind, len(got))
 			}
 		}
 		one := index.SlicePostings(titles[:1])
 		for _, oneView := range views(one.Slice()) {
-			equalPairs(t, "single", e.MergeJoin(n, oneView, oneView), index.MergeJoinPostings(n, one, one))
+			equalIDs(t, "single", e.ChildSemiJoin(n, oneView, oneView), scheme.ChildSemiJoinPostings(n, one, one))
 		}
 		small := index.SlicePostings(titles[:min(3, len(titles))])
 		for _, smallView := range views(small.Slice()) {
-			equalIDs(t, "tiny", e.UpwardSemiJoin(n, smallView, smallView), index.UpwardSemiJoinPostings(n, small, small))
+			equalIDs(t, "tiny", e.UpwardSemiJoin(n, smallView, smallView), scheme.UpwardSemiJoinPostings(n, small, small))
 		}
 	}
 }
@@ -242,9 +229,9 @@ func TestDefaultExecutor(t *testing.T) {
 		t.Fatalf("default executor %+v", e)
 	}
 	n, ix := buildFixture(t, 7)
-	equalPairs(t, "default",
-		e.UpwardJoin(n, ix.Postings("section"), ix.Postings("title")),
-		index.UpwardJoinPostings(n, index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))))
+	equalIDs(t, "default",
+		e.UpwardSemiJoin(n, ix.Postings("section"), ix.Postings("title")),
+		scheme.UpwardSemiJoinPostings(n, index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))))
 }
 
 // TestReleaseIDs: a released result goes back for reuse, and a second

@@ -1,25 +1,25 @@
 package exec
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/index"
 )
 
-// The six structural joins over index.Postings views. Every operation, in
-// every mode and on every executor — plain, observed or metered — takes the
-// same path: the descendant side is cut into unit ranges (shardUnits), each
-// range is scanned by index.ForEachRun against one shared read-only probe,
-// the operation's run kernel turns every admitted run into rows, and shard
-// outputs concatenate in range order — which is document order, because the
-// inputs are document-ordered and every kernel preserves input order. Serial
-// mode (and an Auto operation below the crossover) is the same path with one
-// range; the index.*Postings one-shots are the reference the tests compare
-// it against, not a path it delegates to. The two top-down semi-joins also
-// have a counting form (count), the same path with each run's rows counted
-// and dropped, for a caller that reads only the size of the answer.
+// The four structural semi-joins over index.Postings views. Every operation,
+// in every mode and on every executor — plain, observed or metered — takes
+// the same path: the descendant side is cut into unit ranges (shardUnits),
+// each range is scanned by index.ForEachRun against one shared read-only
+// probe, the operation's run kernel turns every admitted run into rows, and
+// shard outputs concatenate in range order — which is document order,
+// because the inputs are document-ordered and every kernel preserves input
+// order. Serial mode (and an Auto operation below the crossover) is the same
+// path with one range; the serial one-shots of internal/scheme are the
+// reference the tests compare it against, not a path it delegates to. The
+// two top-down semi-joins also have a counting form (count), the same path
+// with each run's rows counted and dropped, for a caller that reads only the
+// size of the answer.
 //
 // Budget enforcement (WithMeter) has one pattern: the probe side is charged
 // as postings before it is built, the descendant side is charged inside
@@ -78,21 +78,21 @@ func (o *op) end() {
 
 // kernel is one join's run kernel bound to its numbering: it appends the
 // rows run produces against the probe to buf.
-type kernel[T any] func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []T) []T
+type kernel func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID
 
-// gather is the sharding driver of the four joins whose rows follow the
+// gather is the sharding driver of the two semi-joins whose rows follow the
 // descendant side: every shard appends into a pooled buffer, and the buffers
-// are copied in range order into one result, result(total) long.
-func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, descs index.Postings, pool *sync.Pool, result func(total int) []T, k kernel[T]) []T {
+// are copied in range order into one pooled result (acquireIDs).
+func gather(e *Executor, n *core.Numbering, ancs, descs index.Postings, k kernel) []core.ID {
 	o := e.begin(n, ancs, descs)
 	if o == nil {
 		return nil
 	}
 	defer o.end()
-	bufs := make([]*[]T, len(o.ranges))
+	bufs := make([]*[]core.ID, len(o.ranges))
 	o.shards(func(s int, bs *index.BlockScratch) func(run []core.ID) {
 		poolGets.Add(1)
-		b := pool.Get().(*[]T)
+		b := idBufPool.Get().(*[]core.ID)
 		bufs[s] = b
 		return func(run []core.ID) {
 			before := len(*b)
@@ -104,11 +104,11 @@ func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, desc
 	for _, b := range bufs {
 		total += len(*b)
 	}
-	out := result(total)
+	out := acquireIDs(total)
 	for _, b := range bufs {
 		out = append(out, *b...)
 		*b = (*b)[:0]
-		pool.Put(b)
+		idBufPool.Put(b)
 	}
 	return out
 }
@@ -119,7 +119,7 @@ func gather[T core.ID | index.PairID](e *Executor, n *core.Numbering, ancs, desc
 // adds up what each run kept. Results are charged per run as gather charges
 // them, so a counted operation spends the budget its materialised form
 // would; the output itself is never written anywhere that outlives a run.
-func count(e *Executor, n *core.Numbering, ancs, descs index.Postings, k kernel[core.ID]) int {
+func count(e *Executor, n *core.Numbering, ancs, descs index.Postings, k kernel) int {
 	o := e.begin(n, ancs, descs)
 	if o == nil {
 		return 0
@@ -181,28 +181,6 @@ func (e *Executor) hitSemiJoin(n *core.Numbering, ancs, descs index.Postings, co
 	return out
 }
 
-// makePairs allocates a pair result: pair joins have no caller that hands
-// rows back, so their results are not drawn from a pool.
-func makePairs(n int) []index.PairID { return make([]index.PairID, 0, n) }
-
-// UpwardJoin is index.UpwardJoinPostings sharded over descs: every pair
-// (a, d) with a ∈ ancs a proper ancestor of d ∈ descs, in document order of
-// the descendant.
-func (e *Executor) UpwardJoin(n *core.Numbering, ancs, descs index.Postings) []index.PairID {
-	return gather(e, n, ancs, descs, &pairBufPool, makePairs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []index.PairID) []index.PairID {
-		return index.AppendUpwardJoinRUID(bs.Cursor(), &pr.Set, run, buf)
-	})
-}
-
-// MergeJoin is index.MergeJoinPostings sharded over descs. The merge kernel
-// seeds itself per run (index.AppendMergeJoinRUID), so no state crosses a
-// shard boundary and the concatenated output is identical to the serial one.
-func (e *Executor) MergeJoin(n *core.Numbering, ancs, descs index.Postings) []index.PairID {
-	return gather(e, n, ancs, descs, &pairBufPool, makePairs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []index.PairID) []index.PairID {
-		return index.AppendMergeJoinRUID(pr, run, bs, buf)
-	})
-}
-
 // upwardSemiRows and parentSemiRows are the run kernels of the two
 // top-down semi-joins, shared by their materialised and counting forms.
 func upwardSemiRows(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf []core.ID) []core.ID {
@@ -213,11 +191,11 @@ func parentSemiRows(pr *index.Probe, bs *index.BlockScratch, run []core.ID, buf 
 	return index.AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, buf)
 }
 
-// UpwardSemiJoin is index.UpwardSemiJoinPostings sharded over descs: the
+// UpwardSemiJoin is scheme.UpwardSemiJoinPostings sharded over descs: the
 // members of descs having at least one proper ancestor in ancs, in input
 // order.
 func (e *Executor) UpwardSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, upwardSemiRows)
+	return gather(e, n, ancs, descs, upwardSemiRows)
 }
 
 // CountUpwardSemiJoin is len(UpwardSemiJoin(n, ancs, descs)), charged
@@ -226,10 +204,10 @@ func (e *Executor) CountUpwardSemiJoin(n *core.Numbering, ancs, descs index.Post
 	return count(e, n, ancs, descs, upwardSemiRows)
 }
 
-// ParentSemiJoin is index.ParentSemiJoinPostings sharded over descs: the
+// ParentSemiJoin is scheme.ParentSemiJoinPostings sharded over descs: the
 // members of descs whose direct parent is in ancs, in input order.
 func (e *Executor) ParentSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return gather(e, n, ancs, descs, &idBufPool, acquireIDs, parentSemiRows)
+	return gather(e, n, ancs, descs, parentSemiRows)
 }
 
 // CountParentSemiJoin is len(ParentSemiJoin(n, ancs, descs)), charged
@@ -238,14 +216,14 @@ func (e *Executor) CountParentSemiJoin(n *core.Numbering, ancs, descs index.Post
 	return count(e, n, ancs, descs, parentSemiRows)
 }
 
-// AncestorSemiJoin is index.AncestorSemiJoinPostings with the probing half
+// AncestorSemiJoin is scheme.AncestorSemiJoinPostings with the probing half
 // sharded over descs: the members of ancs having at least one proper
 // descendant in descs, in ancs order.
 func (e *Executor) AncestorSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {
 	return e.hitSemiJoin(n, ancs, descs, index.CollectAncestorHitsRUID)
 }
 
-// ChildSemiJoin is index.ChildSemiJoinPostings with the probing half
+// ChildSemiJoin is scheme.ChildSemiJoinPostings with the probing half
 // sharded over descs: the members of ancs having at least one direct child
 // in descs, in ancs order.
 func (e *Executor) ChildSemiJoin(n *core.Numbering, ancs, descs index.Postings) []core.ID {

@@ -3,10 +3,10 @@ package exec_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/scheme"
 )
 
 // TestObservedAgreesWithPlain requires that attaching a registry and a span
@@ -27,10 +27,6 @@ func TestObservedAgreesWithPlain(t *testing.T) {
 			tag := mode.String() + "/" + kind
 			equalIDs(t, "UpwardSemiJoin/"+tag,
 				observed.UpwardSemiJoin(n, ancs, descs), plain.UpwardSemiJoin(n, ancs, descs))
-			equalPairs(t, "UpwardJoin/"+tag,
-				observed.UpwardJoin(n, ancs, descs), plain.UpwardJoin(n, ancs, descs))
-			equalPairs(t, "MergeJoin/"+tag,
-				observed.MergeJoin(n, ancs, descs), plain.MergeJoin(n, ancs, descs))
 			equalIDs(t, "ParentSemiJoin/"+tag,
 				observed.ParentSemiJoin(n, ancs, descs), plain.ParentSemiJoin(n, ancs, descs))
 			equalIDs(t, "AncestorSemiJoin/"+tag,
@@ -39,14 +35,14 @@ func TestObservedAgreesWithPlain(t *testing.T) {
 				observed.ChildSemiJoin(n, ancs, descs), plain.ChildSemiJoin(n, ancs, descs))
 			sp.End()
 
-			if got := reg.Counter("exec.ops").Value(); got != 6 {
-				t.Errorf("%s: exec.ops = %d, want 6", tag, got)
+			if got := reg.Counter("exec.ops").Value(); got != 4 {
+				t.Errorf("%s: exec.ops = %d, want 4", tag, got)
 			}
-			if reg.Histogram("exec.op_ns").Count() != 6 {
+			if reg.Histogram("exec.op_ns").Count() != 4 {
 				t.Errorf("%s: exec.op_ns count = %d", tag, reg.Histogram("exec.op_ns").Count())
 			}
 			// Every operation records its shards, a single-shard one included.
-			if got := reg.Counter("exec.shards").Value(); got < 6 {
+			if got := reg.Counter("exec.shards").Value(); got < 4 {
 				t.Errorf("%s: exec.shards = %d, want at least one per operation", tag, got)
 			}
 			// Block-backed inputs must surface seek statistics even serially:
@@ -101,8 +97,7 @@ func TestPanicPropagatesWithTracing(t *testing.T) {
 	sp := tr.StartSpan("doomed")
 	e := exec.New(exec.Config{Mode: exec.Forced, Workers: 4, Observe: reg}).WithSpan(sp)
 
-	var descIDs []core.ID
-	descIDs = descs.AppendAll(descIDs)
+	descIDs := descs.Materialize()
 	func() {
 		defer func() {
 			if r := recover(); r == nil {
@@ -123,7 +118,7 @@ func TestPanicPropagatesWithTracing(t *testing.T) {
 	sp2 := tr.StartSpan("recovered")
 	got := e.WithSpan(sp2).UpwardSemiJoin(n, ancs, descs)
 	sp2.End()
-	want := index.UpwardSemiJoinPostings(n, index.SlicePostings(ancs.Materialize()), index.SlicePostings(descIDs))
+	want := scheme.UpwardSemiJoinPostings(n, index.SlicePostings(ancs.Materialize()), index.SlicePostings(descIDs))
 	equalIDs(t, "UpwardSemiJoin after panic", got, want)
 	if reg.Counter("exec.ops").Value() == 0 {
 		t.Fatal("no operations recorded after recovery")

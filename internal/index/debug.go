@@ -98,6 +98,9 @@ func checkPostingList(rn *core.Numbering, name string, pl *PostingList) error {
 			}
 		}
 		for i, id := range ids {
+			if blk.blob != nil && !climbsToRoot(rn, id) {
+				return fail("block %d holds %v, whose parent chain does not reach the root", b, id)
+			}
 			if (b > 0 || i > 0) && rn.CompareOrderID(prev, id) >= 0 {
 				return fail("out of document order at block %d: %v !< %v", b, prev, id)
 			}
@@ -108,6 +111,22 @@ func checkPostingList(rn *core.Numbering, name string, pl *PostingList) error {
 		return fail("blocks hold %d postings in %d resident bytes, the list says %d in %d", total, resident, pl.n, pl.resident)
 	}
 	return nil
+}
+
+// climbsToRoot reports whether id's RParent chain ends at the document root,
+// which comparing it in document order presumes: a corrupt snapshot's key
+// (a paged block's First or Last, read from outside the program) fails here
+// instead of inside the comparison. No chain of the numbering is
+// longer than its node count, so a longer climb fails too.
+func climbsToRoot(rn *core.Numbering, id core.ID) bool {
+	for steps := 0; id != core.RootID; steps++ {
+		p, ok, err := rn.RParent(id)
+		if err != nil || !ok || steps > rn.Size() {
+			return false
+		}
+		id = p
+	}
+	return true
 }
 
 // assertSorted panics on a sortedness violation when debug checks are on.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -71,26 +72,26 @@ func TestFastPathAgree(t *testing.T) {
 	pairs := canon(truthPairs(n, root, "section", "title"))
 
 	t.Run("UpwardJoin", func(t *testing.T) {
-		if got := index.UpwardJoinPostings(n, ancs, descs); canon(got) != pairs {
+		if got := scheme.UpwardJoinPostings(n, ancs, descs); canon(got) != pairs {
 			t.Fatalf("%d pairs, differs from the pointer tree", len(got))
 		}
 	})
 	t.Run("MergeJoin", func(t *testing.T) {
-		if got := index.MergeJoinPostings(n, ancs, descs); canon(got) != pairs {
+		if got := scheme.MergeJoinPostings(n, ancs, descs); canon(got) != pairs {
 			t.Fatalf("%d pairs, differs from the pointer tree", len(got))
 		}
 	})
 	t.Run("UpwardSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section//title", index.UpwardSemiJoinPostings(n, ancs, descs), truth("title", "section", true, true))
+		sameIDs(t, "section//title", scheme.UpwardSemiJoinPostings(n, ancs, descs), truth("title", "section", true, true))
 	})
 	t.Run("ParentSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section/title", index.ParentSemiJoinPostings(n, ancs, descs), truth("title", "section", true, false))
+		sameIDs(t, "section/title", scheme.ParentSemiJoinPostings(n, ancs, descs), truth("title", "section", true, false))
 	})
 	t.Run("AncestorSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section[.//title]", index.AncestorSemiJoinPostings(n, ancs, descs), truth("section", "title", false, true))
+		sameIDs(t, "section[.//title]", scheme.AncestorSemiJoinPostings(n, ancs, descs), truth("section", "title", false, true))
 	})
 	t.Run("ChildSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section[title]", index.ChildSemiJoinPostings(n, ancs, descs), truth("section", "title", false, false))
+		sameIDs(t, "section[title]", scheme.ChildSemiJoinPostings(n, ancs, descs), truth("section", "title", false, false))
 	})
 	t.Run("PathQuery", func(t *testing.T) {
 		nodes, err := xpath.NewEngine(doc, xpath.PointerNavigator{}).Query("//section//section//title")
@@ -103,8 +104,8 @@ func TestFastPathAgree(t *testing.T) {
 		}
 		// The serial form of the planner's pipeline: one upward semi-join per
 		// step, each consuming the last one's survivors.
-		nested := index.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("section"))
-		sameIDs(t, "//section//section//title", index.UpwardSemiJoinPostings(n, index.SlicePostings(nested), ix.Postings("title")), want)
+		nested := scheme.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("section"))
+		sameIDs(t, "//section//section//title", scheme.UpwardSemiJoinPostings(n, index.SlicePostings(nested), ix.Postings("title")), want)
 	})
 }
 

@@ -125,18 +125,6 @@ func (s *IDSet) Reset(n int) {
 	s.resize(size)
 }
 
-// Each calls fn for every member, in no particular order.
-func (s *IDSet) Each(fn func(core.ID)) {
-	if s.n == 0 {
-		return
-	}
-	for _, id := range s.slots {
-		if id != (core.ID{}) {
-			fn(id)
-		}
-	}
-}
-
 // Pool traffic of the two pools below. internal/exec reports it under
 // exec.pool_gets / exec.pool_misses together with its own scratch pools;
 // package index stays free of obs.

@@ -10,15 +10,15 @@
 // UID-family specialty is the upward join: for each descendant candidate,
 // the ancestor chain is *computed* from the identifier (rparent arithmetic)
 // and probed against a hash of the ancestor list, with no tree or storage
-// access at all; MergeJoinPostings is the stack-based sort-merge join beside
-// it (experiment E11 compares the two across selectivities).
+// access at all.
 //
-// Each join has one path: a run kernel written once (fastpath.go), fed by the
-// one iterator over a Postings view (ForEachRun, seek.go — skip-table
-// admission, budget charge, block decode), wrapped by a serial one-shot
-// *Postings form that is the reference, and sharded by internal/exec. The
-// boxed kernels the scheme bake-off runs under every numbering scheme live
-// in internal/scheme.
+// This package holds what serving runs of the joins: the four semi-join run
+// kernels (fastpath.go) and the one iterator over a Postings view that feeds
+// them (ForEachRun, seek.go — skip-table admission, budget charge, block
+// decode); internal/exec shards them. The serial one-shot *Postings forms,
+// the pair joins (upward and stack-based sort-merge, which experiment E11
+// compares) and the boxed kernels the scheme bake-off runs under every
+// numbering scheme live in internal/scheme.
 package index
 
 import (

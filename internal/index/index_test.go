@@ -8,11 +8,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
 // canon renders a pair list order-independently for comparison.
-func canon(pairs []index.PairID) string {
+func canon(pairs []scheme.PairID) string {
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
 		keys[i] = string(p.Ancestor.Key()) + "|" + string(p.Descendant.Key())
@@ -23,8 +24,8 @@ func canon(pairs []index.PairID) string {
 
 // truthPairs is the pair set of a//d read off the pointer tree: every element
 // named d with each of its proper ancestors named a.
-func truthPairs(n *core.Numbering, root *xmltree.Node, a, d string) []index.PairID {
-	var out []index.PairID
+func truthPairs(n *core.Numbering, root *xmltree.Node, a, d string) []scheme.PairID {
+	var out []scheme.PairID
 	for _, dn := range root.Elements() {
 		if dn.Name != d {
 			continue
@@ -33,7 +34,7 @@ func truthPairs(n *core.Numbering, root *xmltree.Node, a, d string) []index.Pair
 		for p := dn.Parent; p != nil && p.Kind == xmltree.Element; p = p.Parent {
 			if p.Name == a {
 				aid, _ := n.RUID(p)
-				out = append(out, index.PairID{Ancestor: aid, Descendant: did})
+				out = append(out, scheme.PairID{Ancestor: aid, Descendant: did})
 			}
 		}
 	}
@@ -45,7 +46,7 @@ func truthPairs(n *core.Numbering, root *xmltree.Node, a, d string) []index.Pair
 func TestSemiJoin(t *testing.T) {
 	doc := xmltree.XMark(2, 5)
 	s, ix, _ := buildRUID(t, doc)
-	semi := index.UpwardSemiJoinPostings(s, ix.Postings("item"), ix.Postings("text"))
+	semi := scheme.UpwardSemiJoinPostings(s, ix.Postings("item"), ix.Postings("text"))
 	var want []core.ID
 	for _, x := range doc.DocumentElement().Elements() {
 		if x.Name != "text" {
@@ -102,9 +103,9 @@ func TestJoinRandomized(t *testing.T) {
 		d := names[rng.Intn(len(names))]
 		ancs, descs := ix.Postings(a), ix.Postings(d)
 		want := truthPairs(rn, doc.DocumentElement(), a, d)
-		for sname, join := range map[string]func() []index.PairID{
-			"upward": func() []index.PairID { return index.UpwardJoinPostings(rn, ancs, descs) },
-			"merge":  func() []index.PairID { return index.MergeJoinPostings(rn, ancs, descs) },
+		for sname, join := range map[string]func() []scheme.PairID{
+			"upward": func() []scheme.PairID { return scheme.UpwardJoinPostings(rn, ancs, descs) },
+			"merge":  func() []scheme.PairID { return scheme.MergeJoinPostings(rn, ancs, descs) },
 		} {
 			if got := join(); canon(got) != canon(want) {
 				t.Fatalf("trial %d: %s join on (%s, %s): %d pairs, want %d",
@@ -118,7 +119,7 @@ func TestJoinRandomized(t *testing.T) {
 func TestParentSemiJoin(t *testing.T) {
 	doc := xmltree.Recursive(2, 5)
 	s, ix, _ := buildRUID(t, doc)
-	got := index.ParentSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title"))
+	got := scheme.ParentSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title"))
 	var want []core.ID
 	for _, x := range doc.DocumentElement().Elements() {
 		if x.Name == "title" && x.Parent.Name == "section" {
@@ -157,12 +158,12 @@ func TestReverseSemiJoins(t *testing.T) {
 		}
 	}
 	sameIDs(t, "AncestorSemiJoinPostings",
-		index.AncestorSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title")), wantA)
+		scheme.AncestorSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title")), wantA)
 	sameIDs(t, "ChildSemiJoinPostings",
-		index.ChildSemiJoinPostings(s, ix.Postings("section"), ix.Postings("para")), wantC)
+		scheme.ChildSemiJoinPostings(s, ix.Postings("section"), ix.Postings("para")), wantC)
 
 	// Empty inputs.
-	if got := index.AncestorSemiJoinPostings(s, index.SlicePostings(nil), ix.Postings("title")); len(got) != 0 {
+	if got := scheme.AncestorSemiJoinPostings(s, index.SlicePostings(nil), ix.Postings("title")); len(got) != 0 {
 		t.Fatalf("AncestorSemiJoinPostings(nil, ...) = %d", len(got))
 	}
 }

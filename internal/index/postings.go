@@ -25,11 +25,10 @@ import (
 // list, where those bytes sit behind its BlockSource). Nothing mutates a
 // block once a list holds it, so epochs share blocks by pointer: a splice
 // (delta.go) copies the directory and writes only the blocks it changes.
-// Build, PostingListFromParts and PagedPostingList lay out a list's blocks
-// in one backing array and its bytes in one array the blocks subslice, so a
-// list nothing has spliced reads as contiguously as a flat one. The flat
-// persisted form — one skip table over one byte region — is what Skips and
-// DataBytes assemble.
+// Build and PagedPostingList lay out a list's blocks in one backing array
+// and its bytes in one array the blocks subslice, so a list nothing has
+// spliced reads as contiguously as a flat one. The flat persisted form — one
+// skip table over one byte region — is what Skips and DataBytes assemble.
 
 // BlockSize is the maximal number of postings per block. 128 keeps the
 // skip-table overhead under a byte per posting while leaving blocks small
@@ -123,21 +122,6 @@ func (pl *PostingList) NumBlocks() int {
 
 // First returns the list's first posting; the list must not be empty.
 func (pl *PostingList) First() core.ID { return pl.blocks[0].First }
-
-// PagedBlocks returns how many blocks keep their bytes behind a
-// BlockSource rather than in memory.
-func (pl *PostingList) PagedBlocks() int {
-	if pl == nil {
-		return 0
-	}
-	paged := 0
-	for _, blk := range pl.blocks {
-		if blk.blob != nil {
-			paged++
-		}
-	}
-	return paged
-}
 
 // Skips assembles the flat skip table of the persisted form: every block's
 // entry, with Off/End locating its bytes in DataBytes.
@@ -259,9 +243,9 @@ func (blk *block) appendPaged(b int, dst []core.ID) ([]core.ID, error) {
 // decodeBlockChecked decodes one block's delta bytes onto dst with full
 // validation against its skip entry: every entry must decode, the bytes
 // must be consumed exactly, and Last/MinGlobal/MaxGlobal must agree with
-// the contents. Shared by load-time validation (PostingListFromParts), the
-// debug checks and the paged fault path, which re-runs it on every fault —
-// the same LoadPostings-grade revalidation, applied lazily per block.
+// the contents. Shared by the debug checks and the paged fault path, which
+// runs it on every fault: the load path's content validation, applied lazily
+// per block.
 func decodeBlockChecked(sk Skip, b int, buf []byte, dst []core.ID) ([]core.ID, error) {
 	dst = append(dst, sk.First)
 	prev := sk.First
@@ -372,27 +356,6 @@ func layout(skips []Skip, data []byte, paged *blob) *PostingList {
 	return newList(dir)
 }
 
-// PostingListFromParts reassembles a list from its persisted form and
-// structurally validates it: block byte ranges must tile data exactly,
-// every block must decode, and the skip entries must agree with the decoded
-// contents. Corrupt input returns an error, never a panic — this is the
-// storage load path. (Document-order sortedness needs the numbering and is
-// checked by index.FromPostingLists.)
-func PostingListFromParts(data []byte, skips []Skip, n int) (*PostingList, error) {
-	if err := validateSkipStructure(skips, len(data), n); err != nil {
-		return nil, err
-	}
-	var scratch []core.ID
-	for i, sk := range skips {
-		var err error
-		scratch, err = decodeBlockChecked(sk, i, data[sk.Off:sk.End], scratch[:0])
-		if err != nil {
-			return nil, fmt.Errorf("index: %w", err)
-		}
-	}
-	return layout(skips, data, nil), nil
-}
-
 // validateSkipStructure checks the decode-free half of list validation:
 // block byte ranges must tile the data region exactly and the per-block
 // counts must sum to n.
@@ -459,28 +422,11 @@ func (p Postings) Len() int {
 	return len(p.ids)
 }
 
-// units returns how many units ForEachRun walks: blocks of a block or paged
-// view, identifiers of a slice view.
-func (p Postings) units() int {
-	if p.pl != nil {
-		return len(p.pl.blocks)
-	}
-	return len(p.ids)
-}
-
 // List returns the block-compressed list, or nil for a slice view.
 func (p Postings) List() *PostingList { return p.pl }
 
 // Slice returns the underlying slice, or nil for a block view.
 func (p Postings) Slice() []core.ID { return p.ids }
-
-// AppendAll decodes or copies every posting onto dst in document order.
-func (p Postings) AppendAll(dst []core.ID) []core.ID {
-	if p.pl != nil {
-		return p.pl.AppendAll(dst)
-	}
-	return append(dst, p.ids...)
-}
 
 // Materialize returns the postings as one document-ordered slice. A slice
 // view returns its backing slice without copying (treat it as read-only); a

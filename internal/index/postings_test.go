@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -47,7 +48,8 @@ func sameIDs(t *testing.T, what string, got, want []core.ID) {
 // TestPostingListRoundTrip checks, for every name of several document
 // shapes, that the block-compressed list decodes back to the independent
 // walk-order oracle, that no block exceeds BlockSize, and that the
-// persisted parts (DataBytes/Skips/Len) revalidate through PostingListFromParts.
+// persisted parts (DataBytes/Skips/Len) revalidate through the load path
+// (fromParts).
 func TestPostingListRoundTrip(t *testing.T) {
 	docs := map[string]*xmltree.Node{
 		"recursive": xmltree.Recursive(3, 6),
@@ -73,7 +75,7 @@ func TestPostingListRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := index.PostingListFromParts(data, pl.Skips(), pl.Len()); err != nil {
+			if err := fromParts(data, pl.Skips(), pl.Len()); err != nil {
 				t.Fatalf("%s/%s: own parts rejected: %v", shape, name, err)
 			}
 		}
@@ -102,9 +104,25 @@ func TestPostingListCompression(t *testing.T) {
 	t.Logf("%d postings in %d bytes: %.2f B/posting (flat: %.0f, %.1fx)", count, size, bpp, flat, flat/bpp)
 }
 
+// fromParts runs persisted parts through the validation a cold open gives
+// them: PagedPostingList checks the skip table's structure, and a fault of
+// each block checks its contents against its skip entry.
+func fromParts(data []byte, skips []index.Skip, n int) error {
+	pl, err := index.PagedPostingList(skips, n, len(data), memSource(data))
+	if err != nil {
+		return err
+	}
+	for b := 0; b < pl.NumBlocks(); b++ {
+		if _, err := pl.TryAppendBlock(b, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestPostingListFromPartsRejectsCorruption feeds structurally broken parts
-// to the load-path validator; each must come back as an error, never a
-// panic or a silently accepted list.
+// to the load-path validation (fromParts); each must come back as an error,
+// never a panic or a silently accepted list.
 func TestPostingListFromPartsRejectsCorruption(t *testing.T) {
 	ids := make([]core.ID, 0, 300)
 	for i := 0; i < 300; i++ {
@@ -178,21 +196,73 @@ func TestPostingListFromPartsRejectsCorruption(t *testing.T) {
 	}
 	for name, build := range cases {
 		d, sk, n := build()
-		if _, err := index.PostingListFromParts(d, sk, n); err == nil {
+		if err := fromParts(d, sk, n); err == nil {
 			t.Errorf("%s: corrupt parts accepted", name)
 		}
 	}
 	// The unmodified parts must still pass.
-	if _, err := index.PostingListFromParts(cloneData(), cloneSkips(), pl.Len()); err != nil {
+	if err := fromParts(cloneData(), cloneSkips(), pl.Len()); err != nil {
 		t.Fatalf("pristine parts rejected: %v", err)
 	}
 }
 
-// TestSeekKernelsAgree compares every serial Postings-form join against its
-// flat-slice oracle over random subsets, in all four combinations of slice
-// and block input views. This is the direct seek-kernel check; the exec
-// package repeats it through the parallel scheduler.
+// TestSeekKernelsAgree compares every serial Postings-form join against an
+// oracle, in all four combinations of slice and block input views: the
+// semi-joins against their flat-slice form, the pair joins against the boxed
+// joins of internal/scheme (Scheme.Parent and CompareOrder, no kernel in
+// common). Random subsets of a random document come first; then a few
+// open_auctions of XMark against every increase, where the skip test cuts
+// the block view of the descendant side into several runs, each seeded by
+// the merge kernel on its own. The exec package repeats the semi-joins
+// through the parallel scheduler.
 func TestSeekKernelsAgree(t *testing.T) {
+	views := func(ids []core.ID) map[string]index.Postings {
+		return map[string]index.Postings{
+			"slice": index.SlicePostings(ids),
+			"block": index.BlockPostings(index.BuildPostingList(ids)),
+		}
+	}
+	boxed := func(ids []core.ID) []scheme.ID {
+		out := make([]scheme.ID, len(ids))
+		for i, id := range ids {
+			out[i] = id
+		}
+		return out
+	}
+	samePairs := func(what string, got []scheme.PairID, want []scheme.Pair) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, want %d", what, len(got), len(want))
+		}
+		for i, p := range want {
+			if got[i] != (scheme.PairID{Ancestor: p.Ancestor.(core.ID), Descendant: p.Descendant.(core.ID)}) {
+				t.Fatalf("%s: pair %d: %v want %v", what, i, got[i], p)
+			}
+		}
+	}
+	check := func(n *core.Numbering, ancs, descs []core.ID) {
+		t.Helper()
+		rs := scheme.RUID{Num: n}
+		wantUp := scheme.UpwardJoin(rs, boxed(ancs), boxed(descs))
+		wantMerge := scheme.MergeJoin(rs, boxed(ancs), boxed(descs))
+		sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
+		wantUpSemi := scheme.UpwardSemiJoinPostings(n, sAncs, sDescs)
+		wantParent := scheme.ParentSemiJoinPostings(n, sAncs, sDescs)
+		wantAnc := scheme.AncestorSemiJoinPostings(n, sAncs, sDescs)
+		wantChild := scheme.ChildSemiJoinPostings(n, sAncs, sDescs)
+		for ak, av := range views(ancs) {
+			for dk, dv := range views(descs) {
+				tag := ak + "-" + dk
+				samePairs("UpwardJoin/"+tag, scheme.UpwardJoinPostings(n, av, dv), wantUp)
+				samePairs("MergeJoin/"+tag, scheme.MergeJoinPostings(n, av, dv), wantMerge)
+				sameIDs(t, "UpwardSemiJoin/"+tag, scheme.UpwardSemiJoinPostings(n, av, dv), wantUpSemi)
+				sameIDs(t, "ParentSemiJoin/"+tag, scheme.ParentSemiJoinPostings(n, av, dv), wantParent)
+				sameIDs(t, "AncestorSemiJoin/"+tag, scheme.AncestorSemiJoinPostings(n, av, dv), wantAnc)
+				sameIDs(t, "ChildSemiJoin/"+tag, scheme.ChildSemiJoinPostings(n, av, dv), wantChild)
+			}
+		}
+	}
+
 	doc := xmltree.Random(xmltree.RandomConfig{Nodes: 6000, MaxFanout: 5, DepthBias: 0.5, Seed: 3})
 	n, _, flat := buildRUID(t, doc)
 	names := make([]string, 0, len(flat))
@@ -211,49 +281,25 @@ func TestSeekKernelsAgree(t *testing.T) {
 		}
 		return out
 	}
-	views := func(ids []core.ID) map[string]index.Postings {
-		return map[string]index.Postings{
-			"slice": index.SlicePostings(ids),
-			"block": index.BlockPostings(index.BuildPostingList(ids)),
-		}
-	}
 	for trial := 0; trial < 12; trial++ {
-		ancs, descs := pick(), pick()
-		sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
-		wantUp := index.UpwardJoinPostings(n, sAncs, sDescs)
-		wantMerge := index.MergeJoinPostings(n, sAncs, sDescs)
-		wantUpSemi := index.UpwardSemiJoinPostings(n, sAncs, sDescs)
-		wantParent := index.ParentSemiJoinPostings(n, sAncs, sDescs)
-		wantAnc := index.AncestorSemiJoinPostings(n, sAncs, sDescs)
-		wantChild := index.ChildSemiJoinPostings(n, sAncs, sDescs)
-		for ak, av := range views(ancs) {
-			for dk, dv := range views(descs) {
-				tag := ak + "-" + dk
-				gotUp := index.UpwardJoinPostings(n, av, dv)
-				if len(gotUp) != len(wantUp) {
-					t.Fatalf("UpwardJoin/%s: %d pairs, want %d", tag, len(gotUp), len(wantUp))
-				}
-				for i := range gotUp {
-					if gotUp[i] != wantUp[i] {
-						t.Fatalf("UpwardJoin/%s: pair %d: %v want %v", tag, i, gotUp[i], wantUp[i])
-					}
-				}
-				gotMerge := index.MergeJoinPostings(n, av, dv)
-				if len(gotMerge) != len(wantMerge) {
-					t.Fatalf("MergeJoin/%s: %d pairs, want %d", tag, len(gotMerge), len(wantMerge))
-				}
-				for i := range gotMerge {
-					if gotMerge[i] != wantMerge[i] {
-						t.Fatalf("MergeJoin/%s: pair %d: %v want %v", tag, i, gotMerge[i], wantMerge[i])
-					}
-				}
-				sameIDs(t, "UpwardSemiJoin/"+tag, index.UpwardSemiJoinPostings(n, av, dv), wantUpSemi)
-				sameIDs(t, "ParentSemiJoin/"+tag, index.ParentSemiJoinPostings(n, av, dv), wantParent)
-				sameIDs(t, "AncestorSemiJoin/"+tag, index.AncestorSemiJoinPostings(n, av, dv), wantAnc)
-				sameIDs(t, "ChildSemiJoin/"+tag, index.ChildSemiJoinPostings(n, av, dv), wantChild)
-			}
-		}
+		check(n, pick(), pick())
 	}
+
+	n, _, flat = buildRUID(t, xmltree.XMark(100, 1))
+	var auctions []core.ID
+	for i := 0; i < len(flat["open_auction"]); i += 150 {
+		auctions = append(auctions, flat["open_auction"][i])
+	}
+	increases := views(flat["increase"])["block"]
+	pr := index.MakeProbe(index.SlicePostings(auctions))
+	var bs index.BlockScratch
+	runs := 0
+	index.ForEachRun(n, pr, increases, 0, increases.List().NumBlocks(), &bs, func([]core.ID) { runs++ })
+	pr.Release()
+	if runs < 2 || bs.Stats.Skipped == 0 {
+		t.Fatalf("skip test cut increase into %d runs, skipping %d blocks: want several runs", runs, bs.Stats.Skipped)
+	}
+	check(n, auctions, flat["increase"])
 }
 
 // TestProbeSkipIsSound verifies the block skip test directly: any block the
@@ -286,8 +332,18 @@ func TestProbeSkipIsSound(t *testing.T) {
 				}
 				skipped++
 				for _, d := range pl.AppendBlock(b, nil) {
-					chain = n.AppendAncestorChainID(chain[:0], d)
-					for _, a := range chain[1:] {
+					chain = chain[:0]
+					for cur := d; ; {
+						p, ok, err := n.RParent(cur)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						chain, cur = append(chain, p), p
+					}
+					for _, a := range chain {
 						if pr.Set.Has(a) {
 							t.Fatalf("probe(%s) skipped block %d of %s containing hit %v under %v",
 								ancName, b, descName, a, d)

@@ -8,21 +8,21 @@ import (
 	"repro/internal/core"
 )
 
-// The read side of the ruid joins: the probe, the block skip test and the one
-// iterator over a Postings view, plus the serial one-shot joins. The skip test
-// exploits the one interval the ruid scheme gives us for free: a subtree is
-// contiguous in document order. A block covering the document-order range
-// [First, Last] can only produce a hit against an ancestor set A if some
-// a ∈ A lies strictly inside (First, Last] — found by binary search over
-// the sorted ancestors with the O(1)-space order comparator — or some a is
-// an ancestor-or-self of First, found by climbing First's ancestor chain
-// (pure identifier arithmetic, Lemma 1: no I/O, no tree access) against the
-// membership set. The test never skips a productive block: if d in the
-// block has an ancestor a, then either a follows First in document order
-// (and precedes d ≤ Last), or a's contiguous subtree contains both d and
-// First, making a an ancestor-or-self of First. Skipping therefore never
-// changes results, and candidates are processed in block order, so output
-// order is exactly the serial flat-slice order.
+// The read side of the ruid joins: the probe, the block skip test and the
+// one iterator over a Postings view. The skip test exploits the one interval
+// the ruid scheme gives us for free: a subtree is contiguous in document
+// order. A block covering the document-order range [First, Last] can only
+// produce a hit against an ancestor set A if some a ∈ A lies strictly inside
+// (First, Last] — found by binary search over the sorted ancestors with the
+// O(1)-space order comparator — or some a is an ancestor-or-self of First,
+// found by climbing First's ancestor chain (pure identifier arithmetic,
+// Lemma 1: no I/O, no tree access) against the membership set. The test
+// never skips a productive block: if d in the block has an ancestor a, then
+// either a follows First in document order (and precedes d ≤ Last), or a's
+// contiguous subtree contains both d and First, making a an ancestor-or-self
+// of First. Skipping therefore never changes results, and candidates are
+// processed in block order, so output order is exactly the serial flat-slice
+// order.
 
 // Probe is the ancestor side of a join prepared for probing: the
 // membership set plus the same identifiers as a document-ordered slice
@@ -102,9 +102,8 @@ func (pr *Probe) admitAll(pl *PostingList) bool {
 }
 
 // maxRunBlocks caps how many consecutive candidate blocks are decoded into
-// one kernel call: long enough to amortize the per-run setup (the merge
-// join re-seeds its stack per run), short enough to keep the decode scratch
-// bounded (32 blocks = 4096 identifiers).
+// one kernel call: long enough to amortize the per-run setup, short enough
+// to keep the decode scratch bounded (32 blocks = 4096 identifiers).
 const maxRunBlocks = 32
 
 // BlockStats counts what the skip table did for one scan: how many blocks
@@ -124,18 +123,14 @@ type BlockStats struct {
 
 // BlockScratch is one worker's reusable scratch for a scan and the kernel it
 // feeds — the parent cursor every climb of the scan goes through, the decode
-// buffer, the skip test's ancestor-chain buffer, the merge kernel's
-// open-ancestor stack and chain buffers, and the scan's block statistics;
-// internal/exec pools instances across shards. The zero value is ready.
+// buffer, the skip test's ancestor-chain buffer and the scan's block
+// statistics; internal/exec pools instances across shards. The zero value is
+// ready.
 type BlockScratch struct {
 	cursor core.ParentCursor // bound to the scan's numbering by ForEachRun
 
 	buf   []core.ID
 	chain []core.ID
-
-	stack  []core.ID
-	aChain []core.ID
-	dChain []core.ID
 
 	// Stats accumulates across scans until reset; exec drains it per shard.
 	Stats BlockStats
@@ -216,89 +211,12 @@ func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockS
 	}
 }
 
-// The serial one-shot form of every join, over Postings views: probe, one
-// scan of the whole descendant side, the run kernel on every run. They are
-// the reference internal/exec's sharded operations are tested against.
-
-func oneShot[T any](n *core.Numbering, ancs, descs Postings, kernel func(pr *Probe, bs *BlockScratch, run []core.ID, out []T) []T) []T {
-	pr := MakeProbe(ancs)
-	defer pr.Release()
-	var bs BlockScratch
-	out := make([]T, 0, descs.Len())
-	ForEachRun(n, pr, descs, 0, descs.units(), &bs, func(run []core.ID) {
-		out = kernel(pr, &bs, run, out)
-	})
-	return out
-}
-
-// UpwardJoinPostings returns every pair (a, d) with a ∈ ancs a proper
-// ancestor of d ∈ descs, in document order of the descendant, computed by
-// rparent arithmetic against a hash of ancs.
-func UpwardJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
-	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []PairID) []PairID {
-		return AppendUpwardJoinRUID(bs.Cursor(), &pr.Set, run, out)
-	})
-}
-
-// MergeJoinPostings returns the same pairs as UpwardJoinPostings by the
-// stack-based sort-merge over the two document-ordered inputs. The ancestor
-// side is materialized in the probe: the merge kernel walks it sequentially
-// and a selective merge join has a small ancestor side by construction.
-func MergeJoinPostings(n *core.Numbering, ancs, descs Postings) []PairID {
-	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []PairID) []PairID {
-		return AppendMergeJoinRUID(pr, run, bs, out)
-	})
-}
-
-// UpwardSemiJoinPostings returns the members of descs having at least one
-// proper ancestor in ancs, in input order.
-func UpwardSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []core.ID) []core.ID {
-		return AppendUpwardSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
-	})
-}
-
-// ParentSemiJoinPostings returns the members of descs whose direct parent is
-// in ancs, in input order. One rparent computation per candidate.
-func ParentSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	return oneShot(n, ancs, descs, func(pr *Probe, bs *BlockScratch, run []core.ID, out []core.ID) []core.ID {
-		return AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
-	})
-}
-
-// hitOneShot is oneShot for the bottom-up semi-joins: collect accumulates
-// the probe members each run hits, and the ancestor side is then filtered
-// through that set.
-func hitOneShot(n *core.Numbering, ancs, descs Postings, collect func(c *core.ParentCursor, set *IDSet, run []core.ID, hit *IDSet)) []core.ID {
-	pr := MakeProbe(ancs)
-	defer pr.Release()
-	hit := AcquireIDSet(min(ancs.Len(), descs.Len()))
-	defer hit.Release()
-	var bs BlockScratch
-	ForEachRun(n, pr, descs, 0, descs.units(), &bs, func(run []core.ID) {
-		collect(bs.Cursor(), &pr.Set, run, hit)
-	})
-	return AppendHitMembersPostings(pr, []*IDSet{hit}, make([]core.ID, 0, hit.Len()))
-}
-
-// AncestorSemiJoinPostings returns the members of ancs having at least one
-// proper descendant in descs, in ancs order.
-func AncestorSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	return hitOneShot(n, ancs, descs, CollectAncestorHitsRUID)
-}
-
-// ChildSemiJoinPostings returns the members of ancs having at least one
-// direct child in descs, in ancs order.
-func ChildSemiJoinPostings(n *core.Numbering, ancs, descs Postings) []core.ID {
-	return hitOneShot(n, ancs, descs, CollectChildHitsRUID)
-}
-
 // AppendHitMembersPostings appends the postings pr was built from that are
 // present in any of hits to out, in their document order — the emission half
-// of both bottom-up semi-joins. The serial forms pass their one hit set;
-// internal/exec passes its per-shard sets as they are, since filtering the
-// ancestor side through them restores order without a sort and without
-// building their union.
+// of both bottom-up semi-joins. The serial forms (internal/scheme) pass
+// their one hit set; internal/exec passes its per-shard sets as they are,
+// since filtering the ancestor side through them restores order without a
+// sort and without building their union.
 func AppendHitMembersPostings(pr *Probe, hits []*IDSet, out []core.ID) []core.ID {
 	for _, a := range pr.ids {
 		for _, hit := range hits {

@@ -36,14 +36,6 @@ func NewTrace(query string) *Trace {
 	return &Trace{query: query, start: time.Now()}
 }
 
-// Query returns the traced query text.
-func (t *Trace) Query() string {
-	if t == nil {
-		return ""
-	}
-	return t.query
-}
-
 // SetPlan records the planner's decision: the plan kind and its Explain
 // rendering.
 func (t *Trace) SetPlan(kind, detail string) {
@@ -140,7 +132,6 @@ type Span struct {
 // Attr is one rendered span attribute.
 type Attr struct {
 	Key string
-	Str string // non-empty: string attribute; otherwise Val is rendered
 	Val int64
 }
 
@@ -183,44 +174,12 @@ func (s *Span) SetInt(key string, v int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.attrs {
-		if s.attrs[i].Key == key && s.attrs[i].Str == "" {
+		if s.attrs[i].Key == key {
 			s.attrs[i].Val = v
 			return
 		}
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Val: v})
-}
-
-// AddInt accumulates into an integer attribute, creating it at d.
-func (s *Span) AddInt(key string, d int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key && s.attrs[i].Str == "" {
-			s.attrs[i].Val += d
-			return
-		}
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Val: d})
-}
-
-// SetStr upserts a string attribute.
-func (s *Span) SetStr(key, v string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key && s.attrs[i].Str != "" {
-			s.attrs[i].Str = v
-			return
-		}
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Str: v})
 }
 
 // Int returns an integer attribute's value.
@@ -231,7 +190,7 @@ func (s *Span) Int(key string) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, a := range s.attrs {
-		if a.Key == key && a.Str == "" {
+		if a.Key == key {
 			return a.Val, true
 		}
 	}
@@ -312,11 +271,7 @@ func (s *Span) render(w io.Writer, idx int) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  [%d] %-34s %8s", idx, s.name, fmtDur(s.dur))
 	for _, a := range s.Attrs() {
-		if a.Str != "" {
-			fmt.Fprintf(&b, " %s=%s", a.Key, a.Str)
-		} else {
-			fmt.Fprintf(&b, " %s=%d", a.Key, a.Val)
-		}
+		fmt.Fprintf(&b, " %s=%d", a.Key, a.Val)
 	}
 	fmt.Fprintln(w, b.String())
 	if shards := s.ShardNS(); len(shards) > 0 {

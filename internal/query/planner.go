@@ -213,9 +213,6 @@ func (p *Planner) SetExecutor(e *exec.Executor) {
 	p.exec = e
 }
 
-// Executor returns the executor scheduling the identifier pipelines.
-func (p *Planner) Executor() *exec.Executor { return p.exec }
-
 // Guide exposes the planner's DataGuide structural summary.
 func (p *Planner) Guide() *dataguide.Guide { return p.guide }
 

@@ -1,8 +1,17 @@
 package scheme
 
+import (
+	"sort"
+
+	"repro/internal/core"
+	"repro/internal/index"
+)
+
 // The reference join kernels the experiment tables and the bake-off run under
-// every numbering scheme, over boxed per-name lists (IDsByName). The served
-// joins are the unboxed kernels of internal/index over ruid postings.
+// every numbering scheme, over boxed per-name lists (IDsByName), and, at the
+// end of this file, the serial one-shot ruid joins over index.Postings
+// views. The served joins are the four semi-join kernels of internal/index,
+// sharded by internal/exec.
 
 // Pair is one (ancestor, descendant) join result.
 type Pair struct {
@@ -134,4 +143,207 @@ func MergeSemiJoin(s Scheme, ancs, descs []ID) []ID {
 		}
 	}
 	return out
+}
+
+// The serial one-shot ruid joins, over index.Postings views: probe, one
+// scan of the whole descendant side through index.ForEachRun, a run kernel
+// on every run. The four semi-joins are the reference internal/exec's
+// sharded operations are tested against; the two pair joins (UpwardJoin and
+// MergeJoin's unboxed forms) have no served counterpart and run only in
+// ruidbench and the examples.
+
+// PairID is one (ancestor, descendant) join result in unboxed form.
+type PairID struct {
+	Ancestor   core.ID
+	Descendant core.ID
+}
+
+// units returns how many units index.ForEachRun walks over p: blocks of a
+// block or paged view, identifiers of a slice view.
+func units(p index.Postings) int {
+	if pl := p.List(); pl != nil {
+		return pl.NumBlocks()
+	}
+	return p.Len()
+}
+
+func oneShot[T any](n *core.Numbering, ancs, descs index.Postings, kernel func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []T) []T) []T {
+	pr := index.MakeProbe(ancs)
+	defer pr.Release()
+	var bs index.BlockScratch
+	out := make([]T, 0, descs.Len())
+	index.ForEachRun(n, pr, descs, 0, units(descs), &bs, func(run []core.ID) {
+		out = kernel(pr, &bs, run, out)
+	})
+	return out
+}
+
+// UpwardJoinPostings returns every pair (a, d) with a ∈ ancs a proper
+// ancestor of d ∈ descs, in document order of the descendant, computed by
+// rparent arithmetic against a hash of ancs.
+func UpwardJoinPostings(n *core.Numbering, ancs, descs index.Postings) []PairID {
+	return oneShot(n, ancs, descs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []PairID) []PairID {
+		return appendUpwardJoinRUID(bs.Cursor(), &pr.Set, run, out)
+	})
+}
+
+// MergeJoinPostings returns the same pairs as UpwardJoinPostings by the
+// stack-based sort-merge over the two document-ordered inputs. The ancestor
+// side is materialized once: the merge kernel walks it sequentially, and a
+// selective merge join has a small ancestor side by construction.
+func MergeJoinPostings(n *core.Numbering, ancs, descs index.Postings) []PairID {
+	ancIDs := ancs.Materialize()
+	var ms mergeScratch
+	return oneShot(n, ancs, descs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []PairID) []PairID {
+		return appendMergeJoinRUID(ancIDs, &pr.Set, run, bs.Cursor(), &ms, out)
+	})
+}
+
+// UpwardSemiJoinPostings returns the members of descs having at least one
+// proper ancestor in ancs, in input order.
+func UpwardSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
+	return oneShot(n, ancs, descs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []core.ID) []core.ID {
+		return index.AppendUpwardSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
+	})
+}
+
+// ParentSemiJoinPostings returns the members of descs whose direct parent is
+// in ancs, in input order. One rparent computation per candidate.
+func ParentSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
+	return oneShot(n, ancs, descs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []core.ID) []core.ID {
+		return index.AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
+	})
+}
+
+// hitOneShot is oneShot for the bottom-up semi-joins: collect accumulates
+// the probe members each run hits, and the ancestor side is then filtered
+// through that set.
+func hitOneShot(n *core.Numbering, ancs, descs index.Postings, collect func(c *core.ParentCursor, set *index.IDSet, run []core.ID, hit *index.IDSet)) []core.ID {
+	pr := index.MakeProbe(ancs)
+	defer pr.Release()
+	hit := index.AcquireIDSet(min(ancs.Len(), descs.Len()))
+	defer hit.Release()
+	var bs index.BlockScratch
+	index.ForEachRun(n, pr, descs, 0, units(descs), &bs, func(run []core.ID) {
+		collect(bs.Cursor(), &pr.Set, run, hit)
+	})
+	return index.AppendHitMembersPostings(pr, []*index.IDSet{hit}, make([]core.ID, 0, hit.Len()))
+}
+
+// AncestorSemiJoinPostings returns the members of ancs having at least one
+// proper descendant in descs, in ancs order.
+func AncestorSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
+	return hitOneShot(n, ancs, descs, index.CollectAncestorHitsRUID)
+}
+
+// ChildSemiJoinPostings returns the members of ancs having at least one
+// direct child in descs, in ancs order.
+func ChildSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
+	return hitOneShot(n, ancs, descs, index.CollectChildHitsRUID)
+}
+
+// appendUpwardJoinRUID is the upward-join kernel over one descendant run:
+// for every d in descs whose ancestor chain hits set, the (ancestor, d)
+// pairs are appended to out in climb order (nearest ancestor first).
+func appendUpwardJoinRUID(c *core.ParentCursor, set *index.IDSet, descs []core.ID, out []PairID) []PairID {
+	for _, d := range descs {
+		cur := d
+		for {
+			p, ok := c.Parent(cur)
+			if !ok {
+				break
+			}
+			if set.Has(p) {
+				out = append(out, PairID{Ancestor: p, Descendant: d})
+			}
+			cur = p
+		}
+	}
+	return out
+}
+
+// mergeScratch is the merge kernel's reusable state across the runs of one
+// scan: the open-ancestor stack and the two chain buffers.
+type mergeScratch struct {
+	stack  []core.ID
+	aChain []core.ID
+	dChain []core.ID
+}
+
+// appendMergeJoinRUID is the stack-based sort-merge kernel over one
+// contiguous descendant run, against the document-ordered ancestor side ancs
+// (set holds the same identifiers). The kernel climbs each identifier's
+// ancestor chain exactly once (one chain per admitted ancestor, one per
+// descendant) through c and decides order and ancestorship from the chains
+// (core.CompareChains), instead of paying several RParent climbs per
+// comparison the way the boxed MergeJoin does.
+//
+// Every run seeds itself, so runs are independent and their outputs
+// concatenate to the one-pass result whatever cut them (a skipped block, or
+// nothing at all): candidate admission starts at the first ancestor not
+// ordered before the run's first descendant (binary search), and the
+// open-ancestor stack starts as the members of set on that descendant's
+// ancestor chain, outermost first — exactly the one-pass algorithm's stack
+// state at that descendant.
+func appendMergeJoinRUID(ancs []core.ID, set *index.IDSet, descs []core.ID, c *core.ParentCursor, ms *mergeScratch, out []PairID) []PairID {
+	if len(descs) == 0 {
+		return out
+	}
+	d0 := descs[0]
+	ancs = ancs[sort.Search(len(ancs), func(j int) bool {
+		return c.CompareOrder(ancs[j], d0) >= 0
+	}):]
+	// The chain runs nearest-first from d0 itself (chain[0]) to the root.
+	stack := ms.stack[:0]
+	ms.dChain = c.AppendChain(ms.dChain[:0], d0)
+	for j := len(ms.dChain) - 1; j >= 1; j-- {
+		if set.Has(ms.dChain[j]) {
+			stack = append(stack, ms.dChain[j])
+		}
+	}
+	i := 0
+	for _, d := range descs {
+		dChain := c.AppendChain(ms.dChain[:0], d)
+		// Admit every ancestor candidate that starts before d.
+		for i < len(ancs) {
+			aChain := c.AppendChain(ms.aChain[:0], ancs[i])
+			if core.CompareChains(aChain, dChain) >= 0 {
+				ms.aChain = aChain
+				break
+			}
+			// Pop candidates whose subtree closed before this one starts.
+			// Stack entries precede ancs[i] (sorted input), so "closed
+			// before" is exactly "not a proper ancestor of ancs[i]".
+			for len(stack) > 0 && !chainContainsProper(aChain, stack[len(stack)-1]) {
+				stack = stack[:len(stack)-1]
+			}
+			stack = append(stack, ancs[i])
+			ms.aChain = aChain
+			i++
+		}
+		// Pop candidates whose subtree closed before d.
+		for len(stack) > 0 && !chainContainsProper(dChain, stack[len(stack)-1]) {
+			stack = stack[:len(stack)-1]
+		}
+		// Every remaining stack entry is an ancestor of d (they are nested).
+		for _, a := range stack {
+			out = append(out, PairID{Ancestor: a, Descendant: d})
+		}
+		ms.dChain = dChain
+	}
+	ms.stack = stack
+	return out
+}
+
+// chainContainsProper reports whether id is a proper ancestor of the node
+// whose chain is given (id first, root last): membership in chain[1:].
+// Chains are short (document depth), so a linear scan beats recomputing the
+// climb that produced the chain.
+func chainContainsProper(chain []core.ID, id core.ID) bool {
+	for _, c := range chain[1:] {
+		if c == id {
+			return true
+		}
+	}
+	return false
 }

@@ -525,6 +525,3 @@ func (r *Running) Addr() string { return r.l.Addr().String() }
 
 // Close shuts the listener down immediately.
 func (r *Running) Close() error { return r.srv.Close() }
-
-// Shutdown drains in-flight requests before closing.
-func (r *Running) Shutdown(ctx context.Context) error { return r.srv.Shutdown(ctx) }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/index"
@@ -25,12 +24,6 @@ type BlockStore struct {
 type blob struct {
 	pages []int32
 	size  int
-}
-
-// NewBlockStore creates a block store with its own pager of poolPages pool
-// frames.
-func NewBlockStore(poolPages int) *BlockStore {
-	return NewBlockStoreOn(NewPager(poolPages))
 }
 
 // NewBlockStoreOn creates a block store whose pages live in an existing
@@ -62,37 +55,6 @@ func (s *BlockStore) PutBlob(name string, data []byte) error {
 	}
 	s.blobs[name] = b
 	return nil
-}
-
-// HasBlob reports whether a blob named name is stored.
-func (s *BlockStore) HasBlob(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.blobs[name]
-	return ok
-}
-
-// BlobSize returns the byte length of a stored blob.
-func (s *BlockStore) BlobSize(name string) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[name]
-	if !ok {
-		return 0, false
-	}
-	return b.size, true
-}
-
-// BlobNames returns the stored blob names in sorted order.
-func (s *BlockStore) BlobNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.blobs))
-	for n := range s.blobs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ReadRange appends bytes [off, end) of the named blob to dst, faulting
@@ -143,18 +105,6 @@ func (b blobSource) ReadRange(off, end uint32, dst []byte) ([]byte, error) {
 	return b.s.ReadRange(b.name, int(off), int(end), dst)
 }
 
-// Stats returns the underlying pager's I/O counters.
-func (s *BlockStore) Stats() IOStats { return s.pager.Stats() }
-
-// ResetStats zeroes the underlying pager's I/O counters.
-func (s *BlockStore) ResetStats() { s.pager.ResetStats() }
-
-// DropCache empties the underlying buffer pool for cold measurements.
-func (s *BlockStore) DropCache() { s.pager.DropCache() }
-
-// Pager exposes the underlying pager (shared in the DocStore layout).
-func (s *BlockStore) Pager() *Pager { return s.pager }
-
 // DocStore is the out-of-core backing of one document: a single pager — one
 // buffer pool, one I/O ledger — holding both the postings block blobs and
 // the node-payload B+tree. Table K, the skip tables, and the DataGuide stay
@@ -187,10 +137,6 @@ func (ds *DocStore) DropCache() { ds.pager.DropCache() }
 
 // Flush writes every dirty frame back.
 func (ds *DocStore) Flush() { ds.pager.Flush() }
-
-// Pages returns the number of allocated pages across blobs and the node
-// table.
-func (ds *DocStore) Pages() int { return ds.pager.Pages() }
 
 // SetObserver mirrors the shared pager's I/O counters into r.
 func (ds *DocStore) SetObserver(r *obs.Registry) { ds.pager.SetObserver(r) }

@@ -17,7 +17,7 @@ func blobPattern(n int) []byte {
 }
 
 func TestBlockStoreRoundTrip(t *testing.T) {
-	s := NewBlockStore(4)
+	s := NewBlockStoreOn(NewPager(4))
 	big := blobPattern(3*PageSize + 123)
 	small := []byte("tiny")
 	if err := s.PutBlob("big", big); err != nil {
@@ -29,14 +29,8 @@ func TestBlockStoreRoundTrip(t *testing.T) {
 	if err := s.PutBlob("big", big); err == nil {
 		t.Fatalf("duplicate PutBlob accepted (blobs are immutable)")
 	}
-	if !s.HasBlob("big") || s.HasBlob("nope") {
-		t.Fatalf("HasBlob wrong")
-	}
-	if sz, ok := s.BlobSize("big"); !ok || sz != len(big) {
-		t.Fatalf("BlobSize = %d,%v", sz, ok)
-	}
-	if names := s.BlobNames(); len(names) != 2 || names[0] != "big" || names[1] != "small" {
-		t.Fatalf("BlobNames = %v", names)
+	if len(s.blobs) != 2 || s.blobs["big"].size != len(big) || s.blobs["small"].size != len(small) {
+		t.Fatalf("stored blobs %v", s.blobs)
 	}
 
 	// Ranges within a page, straddling page boundaries, and the full blob.
@@ -69,20 +63,20 @@ func TestBlockStoreRoundTrip(t *testing.T) {
 
 	// A blob survives a cold restart of the pool, and the fault count equals
 	// the pages the range spans.
-	s.Pager().Flush()
-	s.DropCache()
-	s.ResetStats()
+	s.pager.Flush()
+	s.pager.DropCache()
+	s.pager.ResetStats()
 	if _, err := s.ReadRange("big", 0, len(big), nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Reads != 4 {
+	if st := s.pager.Stats(); st.Reads != 4 {
 		t.Fatalf("cold full read faulted %d pages, want 4", st.Reads)
 	}
-	s.ResetStats()
+	s.pager.ResetStats()
 	if _, err := s.ReadRange("big", 3*PageSize, len(big), nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Reads != 0 || st.CacheHits != 1 {
+	if st := s.pager.Stats(); st.Reads != 0 || st.CacheHits != 1 {
 		t.Fatalf("warm tail read: %v, want one hit and no reads", st)
 	}
 }
@@ -91,13 +85,13 @@ func TestBlockStoreRoundTrip(t *testing.T) {
 // a single pool bound and one I/O ledger govern both.
 func TestDocStoreSharedPool(t *testing.T) {
 	ds := NewDocStore(8)
-	if ds.Blocks.Pager() != ds.Pager() || ds.Nodes.Pager() != ds.Pager() {
+	if ds.Blocks.pager != ds.Pager() || ds.Nodes.Pager() != ds.Pager() {
 		t.Fatalf("DocStore parts do not share the pager")
 	}
 	if err := ds.Blocks.PutBlob("b", blobPattern(2*PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	before := ds.Pages()
+	before := ds.pager.Pages()
 	if before < 2 {
 		t.Fatalf("blob pages not visible through DocStore: %d", before)
 	}

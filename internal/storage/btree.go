@@ -353,20 +353,3 @@ func (t *BTree) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 	}
 	return nil
 }
-
-// Height returns the number of levels in the tree (1 for a lone leaf).
-func (t *BTree) Height() (int, error) {
-	h := 1
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return 0, err
-		}
-		if n.leaf {
-			return h, nil
-		}
-		h++
-		id = n.kids[0]
-	}
-}

@@ -94,12 +94,12 @@ func pagedFixture(t *testing.T) (*BlockStore, *index.PostingList, *index.Posting
 	if len(data) < 3*PageSize {
 		t.Fatalf("fixture too small: %d data bytes", len(data))
 	}
-	bs := NewBlockStore(4)
+	bs := NewBlockStoreOn(NewPager(4))
 	if err := bs.PutBlob("px:t", data); err != nil {
 		t.Fatal(err)
 	}
-	bs.Pager().Flush()
-	bs.DropCache()
+	bs.pager.Flush()
+	bs.pager.DropCache()
 	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), bs.Source("px:t"))
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +110,8 @@ func pagedFixture(t *testing.T) (*BlockStore, *index.PostingList, *index.Posting
 // TestPagedBlocksTornPageRejected: a torn page write — half a page of the
 // blob region replaced by other bytes, as a crashed partial sector write
 // would leave it — must surface as a decode error from every affected
-// block on the next fault, never as silently wrong postings. This is the
-// paged analogue of LoadPostings' full revalidation: the same checks run
-// per block at fault time.
+// block on the next fault, never as silently wrong postings: a block's
+// contents are validated at fault time.
 func TestPagedBlocksTornPageRejected(t *testing.T) {
 	bs, ppl, pl := pagedFixture(t)
 
@@ -130,14 +129,14 @@ func TestPagedBlocksTornPageRejected(t *testing.T) {
 
 	// Tear the second data page: its first half becomes garbage directly on
 	// "disk", bypassing the pager API exactly like a torn hardware write.
-	p := bs.Pager()
+	p := bs.pager
 	p.mu.Lock()
 	pageID := bs.blobs["px:t"].pages[1]
 	for i := 0; i < PageSize/2; i++ {
 		p.disk[pageID][i] = 0xEE
 	}
 	p.mu.Unlock()
-	bs.DropCache()
+	bs.pager.DropCache()
 
 	bad, ok := 0, 0
 	for b := 0; b < ppl.NumBlocks(); b++ {
@@ -188,14 +187,14 @@ func TestPagedBlocksPartialFlushRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := NewBlockStore(4)
+	bs := NewBlockStoreOn(NewPager(4))
 	if err := bs.PutBlob("px:t", data); err != nil {
 		t.Fatal(err)
 	}
 	// Crash before Flush: discard the pool without writing dirty frames
 	// back. Earlier pages were already written back by eviction pressure
 	// during PutBlob (the pool holds only 4 frames); the tail is lost.
-	p := bs.Pager()
+	p := bs.pager
 	p.mu.Lock()
 	lost := 0
 	for _, f := range p.frames {

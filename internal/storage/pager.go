@@ -15,9 +15,10 @@
 //   - BlockStore: named byte blobs (postings block regions) spread over
 //     pages, read back through pinned frames;
 //   - DocStore: one pager shared by a document's postings blobs and its
-//     node-payload table, so a single pool bound governs all paged state;
-//   - PartitionedStore: the §4 "database file/table selection" layout, one
-//     table per ruid global index.
+//     node-payload table, so a single pool bound governs all paged state.
+//
+// The §4 "database file/table selection" layout (one table per element name
+// and ruid global index) is E10's, and lives in internal/workload.
 package storage
 
 import (
@@ -427,20 +428,6 @@ func (p *Pager) Pages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.disk)
-}
-
-// PinnedFrames returns the number of frames currently held by at least one
-// pin — zero between queries if every Pin was matched by an Unpin.
-func (p *Pager) PinnedFrames() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, f := range p.frames {
-		if f.pins > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // PageStore is the page-level interface the B+tree is built on. *Pager is

@@ -73,34 +73,11 @@ func EncodePostings(ix *index.NameIndex) ([]byte, error) {
 	return out, nil
 }
 
-// DecodePostings parses an EncodePostings snapshot back into resident
-// posting lists. Every list is structurally revalidated
-// (index.PostingListFromParts): the skip table must tile the data, every
-// block must decode, and the skip entries must agree with the decoded
-// contents. Corrupt or truncated input returns an error, never a panic.
-func DecodePostings(b []byte) (map[string]*index.PostingList, error) {
-	lists := make(map[string]*index.PostingList)
-	err := walkPostings(b, func(name string, count int, skips []index.Skip, data []byte) error {
-		dcopy := make([]byte, len(data))
-		copy(dcopy, data)
-		pl, err := index.PostingListFromParts(dcopy, skips, count)
-		if err != nil {
-			return fmt.Errorf("storage: %q: %w", name, err)
-		}
-		lists[name] = pl
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lists, nil
-}
-
 // walkPostings parses an EncodePostings snapshot section by section,
 // invoking fn once per name with the parsed skip table and the section's
-// delta data bytes (aliasing b; fn copies what it retains). The resident
-// and paged load paths share it, so both apply identical header
-// validation.
+// delta data bytes (aliasing b; fn copies what it retains). Every count
+// read from b is bounded by the bytes left before anything is sized from
+// it, so corrupt input returns an error instead of exhausting memory.
 func walkPostings(b []byte, fn func(name string, count int, skips []index.Skip, data []byte) error) error {
 	if len(b) < len(postingsMagic) || string(b[:len(postingsMagic)]) != postingsMagic {
 		return fmt.Errorf("storage: bad postings magic")
@@ -129,6 +106,11 @@ func walkPostings(b []byte, fn func(name string, count int, skips []index.Skip, 
 	if err != nil {
 		return err
 	}
+	// A name entry takes at least four bytes: one each for its name length,
+	// posting count, block count and data length.
+	if nNames > uint64(len(b))/4 {
+		return fmt.Errorf("storage: %d names in %d bytes", nNames, len(b))
+	}
 	seen := make(map[string]bool, nNames)
 	for i := uint64(0); i < nNames; i++ {
 		nameLen, err := uvarint("name length")
@@ -154,6 +136,9 @@ func walkPostings(b []byte, fn func(name string, count int, skips []index.Skip, 
 		}
 		if nBlocks > count {
 			return fmt.Errorf("storage: %q: %d blocks for %d postings", name, nBlocks, count)
+		}
+		if nBlocks > uint64(len(b))/minBlockHeader {
+			return fmt.Errorf("storage: %q: %d blocks in %d bytes", name, nBlocks, len(b))
 		}
 		skips := make([]index.Skip, nBlocks)
 		off := uint32(0)
@@ -208,36 +193,13 @@ func walkPostings(b []byte, fn func(name string, count int, skips []index.Skip, 
 	return nil
 }
 
-// SavePostings writes the index's postings snapshot to w.
-func SavePostings(w io.Writer, ix *index.NameIndex) error {
-	b, err := EncodePostings(ix)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// LoadPostings reads a postings snapshot from r and assembles a ruid-backed
-// index over rn. Beyond the structural checks of DecodePostings, the
-// assembly verifies every list is in strict document order under rn
-// (index.FromPostingLists) — a snapshot from a different document fails
-// here instead of producing wrong query results.
-func LoadPostings(r io.Reader, rn *core.Numbering) (*index.NameIndex, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	lists, err := DecodePostings(b)
-	if err != nil {
-		return nil, err
-	}
-	return index.FromPostingLists(rn, lists)
-}
-
 // PostingsBlobPrefix namespaces posting-list blobs inside a BlockStore, so
 // they coexist with any other blobs on the same pager.
 const PostingsBlobPrefix = "px:"
+
+// minBlockHeader is the fewest bytes a block header takes: two keys and
+// four one-byte varints.
+const minBlockHeader = 2*core.KeyBytes + 4
 
 // LoadPostingsPaged reads a postings snapshot from r and assembles a
 // ruid-backed index whose block bytes live in bs pages instead of memory:
@@ -245,9 +207,9 @@ const PostingsBlobPrefix = "px:"
 // the paged form (index.PagedPostingList), so only the skip tables stay
 // resident and queries fault in exactly the blocks their skip tables admit.
 // Header and skip-table structure are validated here; block contents are
-// revalidated on every fault (the lazy equivalent of LoadPostings' full
-// pass), so a torn page surfaces as an error at read time, not as wrong
-// results.
+// validated on every fault, so a torn page surfaces as an error at read
+// time, not as wrong results. Corrupt or truncated input returns an error,
+// never a panic.
 func LoadPostingsPaged(r io.Reader, rn *core.Numbering, bs *BlockStore) (*index.NameIndex, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

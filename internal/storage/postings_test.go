@@ -37,6 +37,25 @@ func libraryOf(shelves, books int) string {
 	return sb.String()
 }
 
+// loadPostings runs a snapshot through the decoder a cold open uses,
+// LoadPostingsPaged, and then faults every block, which validates its
+// contents: the first error either step reports is returned.
+func loadPostings(enc []byte, rn *core.Numbering) (*index.NameIndex, error) {
+	ix, err := storage.LoadPostingsPaged(bytes.NewReader(enc), rn, storage.NewBlockStoreOn(storage.NewPager(64)))
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range ix.Names() {
+		pl := ix.Postings(name).List()
+		for b := 0; b < pl.NumBlocks(); b++ {
+			if _, err := pl.TryAppendBlock(b, nil); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return ix, nil
+}
+
 // checkRoundTrip encodes ix, decodes it back, and requires the reassembled
 // index to hold byte-identical posting lists (same data, same skip table,
 // same decoded identifiers) and the re-encoding to reproduce the snapshot
@@ -47,7 +66,7 @@ func checkRoundTrip(t *testing.T, ix *index.NameIndex) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := storage.LoadPostings(bytes.NewReader(enc), ix.RUID())
+	loaded, err := loadPostings(enc, ix.RUID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +292,10 @@ func TestPostingsHistoryGolden(t *testing.T) {
 }
 
 // TestLoadPostingsRejectsCorruption flips bits and truncates a valid
-// snapshot; every mutation must load as an error — or, when the flip lands
-// in delta bytes without breaking structure, still pass full validation —
-// and never panic.
+// snapshot; every mutation must load as an error (loadPostings: the paged
+// decoder, then a fault of every block) — or, when the flip lands in delta
+// bytes without breaking structure, still pass full validation — and never
+// panic.
 func TestLoadPostingsRejectsCorruption(t *testing.T) {
 	d, err := document.OpenString(libraryXML(), document.Options{
 		Partition: core.PartitionConfig{MaxAreaNodes: 12, AdjustFanout: true},
@@ -288,11 +308,11 @@ func TestLoadPostingsRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.DecodePostings(enc[:0]); err == nil {
+	if _, err := loadPostings(enc[:0], ix.RUID()); err == nil {
 		t.Error("empty snapshot accepted")
 	}
 	for cut := 1; cut < len(enc); cut += 7 {
-		if _, err := storage.DecodePostings(enc[:cut]); err == nil {
+		if _, err := loadPostings(enc[:cut], ix.RUID()); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -300,13 +320,9 @@ func TestLoadPostingsRejectsCorruption(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte(nil), enc...)
 		mut[r.Intn(len(mut))] ^= byte(1 << r.Intn(8))
-		lists, err := storage.DecodePostings(mut)
-		if err != nil {
-			continue
-		}
-		// Structurally valid despite the flip: document-order validation
-		// against the real numbering is the second line of defense. Either
-		// outcome is fine; both must be panic-free.
-		_, _ = index.FromPostingLists(ix.RUID(), lists)
+		// A flip may load as an error or, when it lands in delta bytes
+		// without breaking structure or document order, as a valid index.
+		// Either outcome is fine; both must be panic-free.
+		_, _ = loadPostings(mut, ix.RUID())
 	}
 }

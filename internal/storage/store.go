@@ -175,13 +175,6 @@ func (st *NodeStore) ResetStats() { st.pager.ResetStats() }
 // DropCache empties the buffer pool for cold measurements.
 func (st *NodeStore) DropCache() { st.pager.DropCache() }
 
-// Height returns the clustered index height.
-func (st *NodeStore) Height() (int, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.tree.Height()
-}
-
 // Pages returns the number of allocated pages.
 func (st *NodeStore) Pages() int { return st.pager.Pages() }
 

@@ -112,7 +112,7 @@ func E10TableSelection() *Table {
 		if err := mono.Load(root, n.NodeKey, false); err != nil {
 			panic(err)
 		}
-		part := storage.NewPartitionedStore(8)
+		part := NewPartitionedStore(8)
 		if err := part.Load(root, n); err != nil {
 			panic(err)
 		}

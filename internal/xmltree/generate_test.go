@@ -107,30 +107,22 @@ func TestPaperExampleTreeShape(t *testing.T) {
 	if nodes["v"].Parent != nodes["s"] {
 		t.Fatalf("v must hang under s")
 	}
-	if MaxFanout(doc.DocumentElement()) != 4 {
-		t.Fatalf("maxFanout = %d, want 4", MaxFanout(doc.DocumentElement()))
+	if got := Measure(doc.DocumentElement()).MaxFanout; got != 4 {
+		t.Fatalf("maxFanout = %d, want 4", got)
 	}
 }
 
 func TestStatsHelpers(t *testing.T) {
 	doc := mustParse(t, `<a><b>t</b><b/><c/></a>`)
 	root := doc.DocumentElement()
-	h := NameHistogram(root)
-	if h["b"] != 2 || h["a"] != 1 || h["c"] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-	names := SortedNames(h)
-	if names[0] != "b" {
-		t.Fatalf("SortedNames = %v", names)
-	}
 	s := Measure(root)
-	if s.TextNodes != 1 || s.Leaves != 3 {
+	if s.Elements != 4 || s.TextNodes != 1 || s.Leaves != 3 || s.MaxFanout != 3 || s.MaxDepth != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.AvgFanout() == 0 {
-		t.Fatalf("AvgFanout = 0")
+	if s.AvgFanout() != 2 {
+		t.Fatalf("AvgFanout = %v, want 2", s.AvgFanout())
 	}
-	if s.String() == "" || Sketch(root, 1) == "" {
-		t.Fatalf("render helpers empty")
+	if s.String() == "" {
+		t.Fatalf("render helper empty")
 	}
 }

@@ -104,14 +104,6 @@ func NewElement(name string) *Node { return &Node{Kind: Element, Name: name} }
 // NewText returns a detached text node.
 func NewText(data string) *Node { return &Node{Kind: Text, Data: data} }
 
-// NewComment returns a detached comment node.
-func NewComment(data string) *Node { return &Node{Kind: Comment, Data: data} }
-
-// NewProcInst returns a detached processing-instruction node.
-func NewProcInst(target, data string) *Node {
-	return &Node{Kind: ProcInst, Name: target, Data: data}
-}
-
 // Num returns the stamp n carries and its root flag (see NodeNum).
 func (n *Node) Num() (num NodeNum, root bool) { return n.num, n.root }
 

@@ -121,3 +121,11 @@ func checkLocal(n xml.Name) error {
 	}
 	return nil
 }
+
+// NewComment returns a detached comment node.
+func NewComment(data string) *Node { return &Node{Kind: Comment, Data: data} }
+
+// NewProcInst returns a detached processing-instruction node.
+func NewProcInst(target, data string) *Node {
+	return &Node{Kind: ProcInst, Name: target, Data: data}
+}

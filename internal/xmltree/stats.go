@@ -1,10 +1,6 @@
 package xmltree
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Stats summarizes the topology of a tree. The quantities mirror the
 // parameters the paper's analysis depends on: node count, maximal fan-out
@@ -73,19 +69,6 @@ func (s Stats) String() string {
 		s.Nodes, s.Elements, s.TextNodes, s.Attributes, s.MaxFanout, s.AvgFanout(), s.MaxDepth, s.Leaves)
 }
 
-// MaxFanout returns the maximal fan-out (number of children) over the
-// subtree rooted at n, the k parameter of the original UID scheme.
-func MaxFanout(n *Node) int {
-	max := 0
-	n.Walk(func(d *Node) bool {
-		if d.NumChildren() > max {
-			max = d.NumChildren()
-		}
-		return true
-	})
-	return max
-}
-
 // CountNodes returns the number of nodes in the subtree rooted at n,
 // excluding attributes.
 func CountNodes(n *Node) int {
@@ -108,64 +91,4 @@ func MaxDepth(n *Node) int {
 	}
 	walk(n, 0)
 	return max
-}
-
-// Sketch renders the element structure of a tree as an indented outline,
-// useful in golden tests and example output. Depth is limited to maxDepth
-// levels below n (-1 for unlimited).
-func Sketch(n *Node, maxDepth int) string {
-	var b strings.Builder
-	var walk func(d *Node, depth int)
-	walk = func(d *Node, depth int) {
-		if maxDepth >= 0 && depth > maxDepth {
-			return
-		}
-		b.WriteString(strings.Repeat("  ", depth))
-		switch d.Kind {
-		case Element:
-			b.WriteString(d.Name)
-		case Text:
-			t := d.Data
-			if len(t) > 20 {
-				t = t[:20] + "..."
-			}
-			fmt.Fprintf(&b, "%q", t)
-		default:
-			b.WriteString(d.Kind.String())
-		}
-		b.WriteByte('\n')
-		for i := 0; i < d.NumChildren(); i++ {
-			walk(d.Child(i), depth+1)
-		}
-	}
-	walk(n, 0)
-	return b.String()
-}
-
-// NameHistogram counts descendant-or-self elements of n by name.
-func NameHistogram(n *Node) map[string]int {
-	h := make(map[string]int)
-	n.Walk(func(d *Node) bool {
-		if d.Kind == Element {
-			h[d.Name]++
-		}
-		return true
-	})
-	return h
-}
-
-// SortedNames returns the element names of a histogram in decreasing count
-// order (ties broken alphabetically).
-func SortedNames(h map[string]int) []string {
-	names := make([]string, 0, len(h))
-	for n := range h {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if h[names[i]] != h[names[j]] {
-			return h[names[i]] > h[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

@@ -23,9 +23,6 @@ func NewEngine(doc *xmltree.Node, nav Navigator) *Engine {
 	return &Engine{doc: doc, nav: nav}
 }
 
-// Navigator returns the engine's navigator.
-func (e *Engine) Navigator() Navigator { return e.nav }
-
 // stopStride is how many visited candidates pass between two samples of a
 // run's stop test: often enough that a deadline is honoured within
 // microseconds, seldom enough that the test costs the walk nothing.
