@@ -31,10 +31,12 @@ type slotVisit struct {
 	slot func(a *area, i int) bool
 }
 
-// at hands over position i of row a, which holds x.
+// at hands over position i of row a, which holds x. A node consumer walks
+// an XPath axis, and no axis it walks holds an attribute, which a numbering
+// WithAttrs enumerates as a leading child (§4).
 func (v slotVisit) at(a *area, i int, x *xmltree.Node) bool {
 	if v.node != nil {
-		return v.node(x)
+		return x.Kind == xmltree.Attribute || v.node(x)
 	}
 	return v.slot(a, i)
 }
@@ -155,7 +157,7 @@ func (n *Numbering) scan(a *area, lo, hi int64, rev, deep bool, visit slotVisit)
 		run, first := a.nodes.Run(i)
 		for j := i - first; i != end && uint(j) < uint(len(run)); i, j = i+step, j+step {
 			if !deep {
-				if !visit.node(run[j]) {
+				if x := run[j]; x.Kind != xmltree.Attribute && !visit.node(x) {
 					return false
 				}
 			} else if !n.descend(a, i, run[j], rev, visit) {
@@ -281,7 +283,7 @@ func intoIDs(dst *[]ID) slotVisit {
 // The VisitX methods walk one axis of the numbered node c in place, in axis
 // order (reverse axes nearest first), handing visit each node until it
 // returns false; they report whether the walk ran to its end. A node outside
-// the numbering has no axes.
+// the numbering has no axes, and an attribute is on none of them.
 
 // VisitChildren walks the children of c in document order.
 func (n *Numbering) VisitChildren(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {

@@ -180,7 +180,18 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 // loop, rare (it needs a wide-and-deep area) and reported conservatively as
 // a full rebuild. An overflow the promotion does not cure returns false with
 // n untouched (see renumberWith), so the caller can undo the whole update.
+//
+// The promotion climbs Parent. A fork that has owned its whole tree since an
+// earlier heal (ownAll) may hold subtrees inserted after it whose Parent the
+// caller has cleared — the document detaches each inserted subtree as its
+// batch counts it — so the tree is relinked first.
 func (n *Numbering) healOverflow(at *xmltree.Node) bool {
+	n.root.Walk(func(x *xmltree.Node) bool {
+		for i := 0; i < x.NumChildren(); i++ {
+			x.Child(i).Parent = x
+		}
+		return true
+	})
 	roots := map[*xmltree.Node]bool{at: true}
 	n.forEachArea(func(a *area) { roots[a.root] = true })
 	f, _ := deriveFrame(n.root, roots, n.opts.WithAttrs)

@@ -106,10 +106,6 @@ type pendingOp struct {
 // and reports the mutation's own outcome.
 type Ticket struct{ op *pendingOp }
 
-// Seq returns the mutation's WAL sequence number, 0 when the group commit
-// runs without a WAL.
-func (t *Ticket) Seq() int64 { return t.op.seq }
-
 // Done is closed when the mutation's batch has been decided (published or
 // failed).
 func (t *Ticket) Done() <-chan struct{} { return t.op.done }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -40,22 +38,6 @@ type batchMutation struct {
 	parent string
 	pos    int
 	xml    string
-}
-
-// scriptedBatch is a mixed workload: inserts at scattered parents, deletes
-// of pre-existing subtrees, and an insert-then-delete pair that must leave
-// no trace.
-func scriptedBatch() []batchMutation {
-	return []batchMutation{
-		{insert: true, parent: "/book/section", pos: 0, xml: "<w1><t1/></w1>"},
-		{insert: true, parent: "/book/section/section", pos: 1, xml: "<w2/>"},
-		{insert: true, parent: "/book/section/section/section", pos: 0, xml: "<w3>text</w3>"},
-		{parent: "/book/section/section", pos: 3}, // delete a deep pre-existing subtree
-		{insert: true, parent: "/book", pos: 1, xml: "<ephemeral><x/></ephemeral>"},
-		{parent: "/book", pos: 1}, // ... and remove it again
-		{insert: true, parent: "/book/section", pos: 2, xml: "<w4/>"},
-		{parent: "/book/section/section/section", pos: 0}, // delete the just-inserted w3
-	}
 }
 
 func applySerial(t *testing.T, d *Document, muts []batchMutation) {
@@ -149,39 +131,6 @@ func assertDocsEqual(t *testing.T, got, want *Document) {
 	}
 }
 
-// TestGroupCommitEquivalence: one coalesced batch must leave the document
-// byte-identical to the serial per-mutation oracle — and must publish ONE
-// epoch for the whole batch.
-func TestGroupCommitEquivalence(t *testing.T) {
-	grouped, serial := groupFixture(t), groupFixture(t)
-	muts := scriptedBatch()
-	applySerial(t, serial, muts)
-
-	// A long linger guarantees the sequentially enqueued ops coalesce.
-	if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: 64, MaxDelay: 200 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	defer grouped.Close()
-	before := grouped.Snapshot().Epoch()
-	tickets := enqueueAll(t, grouped, muts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range tickets {
-		if _, err := tk.Wait(ctx); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if got := grouped.Snapshot().Epoch(); got != before+1 {
-		t.Fatalf("batch published %d epochs, want 1", got-before)
-	}
-	assertDocsEqual(t, grouped, serial)
-
-	// No trace of the insert-then-delete pair.
-	if res, _, err := grouped.Query("//ephemeral"); err != nil || len(res) != 0 {
-		t.Fatalf("ephemeral survived: %v %v", res, err)
-	}
-}
-
 // assertSameTreeAndStamps compares two documents' current epochs by
 // serialization and by the stamp of every node, attributes included.
 func assertSameTreeAndStamps(t *testing.T, what string, got, want *Document) {
@@ -196,137 +145,6 @@ func assertSameTreeAndStamps(t *testing.T, what string, got, want *Document) {
 	if !slices.Equal(gs, ws) {
 		t.Fatalf("%s: stamps diverge", what)
 	}
-}
-
-// checkBatchEqualsSerial applies muts to three documents opened by open —
-// one mutation at a time, as one coalesced batch, and as a WAL replay of the
-// same records — and holds the three to the same tree and the same stamps.
-// It returns the serially written document.
-func checkBatchEqualsSerial(t *testing.T, open func() *Document, muts []batchMutation) *Document {
-	t.Helper()
-	serial, grouped, replayed := open(), open(), open()
-	applySerial(t, serial, muts)
-
-	if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: len(muts), MaxDelay: 500 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	defer grouped.Close()
-	before := grouped.Snapshot().Epoch()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range enqueueAll(t, grouped, muts) {
-		if _, err := tk.Wait(ctx); err != nil {
-			t.Fatalf("batched op %d: %v", i, err)
-		}
-	}
-	if got := grouped.Snapshot().Epoch(); got != before+1 {
-		t.Fatalf("the batch published %d epochs, want 1", got-before)
-	}
-	assertSameTreeAndStamps(t, "batch vs one by one", grouped, serial)
-
-	records := make([][]byte, len(muts))
-	for i, m := range muts {
-		records[i] = encodeMutation(m.insert, m.parent, m.pos, m.xml)
-	}
-	if applied, skipped, err := replayed.ReplayWAL(records); err != nil || applied != len(muts) || skipped != 0 {
-		t.Fatalf("replay applied %d, skipped %d, err %v; want %d/0", applied, skipped, err, len(muts))
-	}
-	assertSameTreeAndStamps(t, "replay vs one by one", replayed, serial)
-	return serial
-}
-
-// TestBatchEqualsSerialApplication: a batch is its members applied one at a
-// time, positional parent paths included — an insert, like a delete, changes
-// what b[1] selects, so every member resolves its path on the state the
-// members before it left. ReplayWAL submits a whole log as one batch, so
-// anything else lets a recovered document differ from the one that crashed.
-func TestBatchEqualsSerialApplication(t *testing.T) {
-	open := func() *Document {
-		d, err := OpenString(`<a><b id="old"/></a>`, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	serial := checkBatchEqualsSerial(t, open, []batchMutation{
-		{insert: true, parent: "/a/b[1]", pos: 0, xml: "<x/>"},
-		{insert: true, parent: "/a", pos: 0, xml: `<b id="new"/>`},
-		{insert: true, parent: "/a/b[1]", pos: 0, xml: "<y/>"},
-	})
-	if got, want := xmltree.Serialize(serial.Snapshot().Tree().DocumentElement()), `<a><b id="new"><y/></b><b id="old"><x/></b></a>`; got != want {
-		t.Fatalf("one by one: %s, want %s", got, want)
-	}
-
-	// A seeded history of inserts and deletes whose parents are named by
-	// position at every step, generated against a scratch document so that
-	// every member is valid when its turn comes.
-	for _, seed := range []int64{1, 2, 3} {
-		rng := rand.New(rand.NewSource(seed))
-		scratch := groupFixture(t)
-		var muts []batchMutation
-		for len(muts) < 48 {
-			// A random walk down from the root element spells the path.
-			x, path := scratch.Snapshot().Tree().DocumentElement(), "/book"
-			for {
-				kids := x.ChildElements("")
-				if len(kids) == 0 || rng.Intn(4) == 0 {
-					break
-				}
-				c := kids[rng.Intn(len(kids))]
-				k := 1 + slices.Index(x.ChildElements(c.Name), c)
-				x, path = c, fmt.Sprintf("%s/%s[%d]", path, c.Name, k)
-			}
-			m := batchMutation{parent: path}
-			if x.NumChildren() == 0 || rng.Intn(3) > 0 {
-				m.insert, m.pos = true, rng.Intn(x.NumChildren()+1)
-				m.xml = fmt.Sprintf("<%s><leaf/></%s>", x.Name, x.Name) // a same-name sibling for later paths to count
-				if rng.Intn(2) == 0 {
-					m.xml = fmt.Sprintf("<n%d/>", len(muts))
-				}
-			} else {
-				m.pos = rng.Intn(x.NumChildren())
-			}
-			applySerial(t, scratch, []batchMutation{m})
-			muts = append(muts, m)
-		}
-		checkBatchEqualsSerial(t, func() *Document { return groupFixture(t) }, muts)
-	}
-}
-
-// TestGroupCommitRollback: a batch member failing mid-merge (bad path,
-// out-of-range position) must fail ALONE — the rest of the batch publishes
-// and the final state equals the serial application of the good members.
-func TestGroupCommitRollback(t *testing.T) {
-	grouped, serial := groupFixture(t), groupFixture(t)
-	good := []batchMutation{
-		{insert: true, parent: "/book/section", pos: 0, xml: "<w1/>"},
-		{insert: true, parent: "/book/section/section", pos: 1, xml: "<w2/>"},
-	}
-	bad := []batchMutation{
-		{insert: true, parent: "/book/nosuch", pos: 0, xml: "<nope/>"},
-		{parent: "/book/section", pos: 999},
-	}
-	applySerial(t, serial, good)
-
-	if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: 64, MaxDelay: 200 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	defer grouped.Close()
-	muts := []batchMutation{good[0], bad[0], bad[1], good[1]}
-	tickets := enqueueAll(t, grouped, muts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range tickets {
-		_, err := tk.Wait(ctx)
-		wantErr := i == 1 || i == 2
-		if wantErr && err == nil {
-			t.Fatalf("op %d: bad mutation succeeded", i)
-		}
-		if !wantErr && err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	assertDocsEqual(t, grouped, serial)
 }
 
 // TestFailedBatchMemberPublishesNothing is write atomicity at the document
@@ -509,140 +327,6 @@ func TestRejectedAssemblyFailsLoudly(t *testing.T) {
 	if got := titles(); got != want {
 		t.Fatalf("//section/title = %d after the fallback, %d before", got, want)
 	}
-}
-
-// TestGroupCommitWALRecovery: acked mutations must survive a crash — a
-// fresh document replaying the log lands byte-identical to the writer's
-// final state — and a torn tail must not resurrect the unacked suffix.
-func TestGroupCommitWALRecovery(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "doc.wal")
-	wal, err := storage.CreateWAL(walPath, storage.SyncGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writer := groupFixture(t)
-	if err := writer.EnableGroupCommit(GroupConfig{MaxBatch: 4, MaxDelay: time.Millisecond, WAL: wal}); err != nil {
-		t.Fatal(err)
-	}
-	muts := scriptedBatch()
-	tickets := enqueueAll(t, writer, muts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range tickets {
-		if tk.Seq() != int64(i+1) {
-			t.Fatalf("op %d: WAL seq %d", i, tk.Seq())
-		}
-		if _, err := tk.Wait(ctx); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if err := writer.Close(); err != nil { // flush + close the log
-		t.Fatal(err)
-	}
-
-	// "Crash" recovery: a fresh document over the same base image replays
-	// the log and must land exactly where the writer did.
-	recover := func(t *testing.T, path string) (*Document, int, int) {
-		t.Helper()
-		var records [][]byte
-		w, err := storage.OpenWAL(path, storage.SyncGroup, func(p []byte) error {
-			records = append(records, append([]byte(nil), p...))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		d := groupFixture(t)
-		epoch := d.Snapshot().Epoch()
-		applied, skipped, err := d.ReplayWAL(records)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if applied > 0 && d.Snapshot().Epoch() != epoch+1 {
-			t.Fatalf("replay published %d epochs, want 1", d.Snapshot().Epoch()-epoch)
-		}
-		return d, applied, skipped
-	}
-
-	recovered, applied, skipped := recover(t, walPath)
-	if applied != len(muts) || skipped != 0 {
-		t.Fatalf("replay applied %d skipped %d, want %d/0", applied, skipped, len(muts))
-	}
-	assertDocsEqual(t, recovered, writer)
-
-	// Torn tail: cut the file mid-record. Recovery must truncate back to
-	// the last intact record and replay exactly that durable prefix — the
-	// serial oracle over the surviving records.
-	blob, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := filepath.Join(dir, "torn.wal")
-	if err := os.WriteFile(torn, blob[:len(blob)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tornDoc, tornApplied, _ := recover(t, torn)
-	if tornApplied != len(muts)-1 {
-		t.Fatalf("torn replay applied %d, want %d", tornApplied, len(muts)-1)
-	}
-	oracle := groupFixture(t)
-	applySerial(t, oracle, muts[:len(muts)-1])
-	assertDocsEqual(t, tornDoc, oracle)
-}
-
-// TestSynchronousWriteIsLogged: on a WAL-backed document a synchronous
-// Insert or Delete is a queued mutation like any other — logged, in queue
-// order. It used to bypass the log, so crash replay lost it and ran every
-// later positional record against a different tree.
-func TestSynchronousWriteIsLogged(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "doc.wal")
-	wal, err := storage.CreateWAL(walPath, storage.SyncGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writer := groupFixture(t)
-	if err := writer.EnableGroupCommit(GroupConfig{MaxBatch: 4, MaxDelay: time.Millisecond, WAL: wal}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := writer.Insert("/book/section", 0, xmltree.NewElement("sync")); err != nil {
-		t.Fatal(err)
-	}
-	// Positional records after it: replayed without the insert above, this
-	// delete would take the section's original first child instead.
-	tk, err := writer.EnqueueDelete(ctx, "/book/section", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writer.Delete("/book/section/section", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := writer.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var records [][]byte
-	reopened, err := storage.OpenWAL(walPath, storage.SyncGroup, func(p []byte) error {
-		records = append(records, append([]byte(nil), p...))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	recovered := groupFixture(t)
-	if applied, skipped, err := recovered.ReplayWAL(records); err != nil || applied != 3 || skipped != 0 {
-		t.Fatalf("replay applied %d skipped %d err %v, want 3/0/nil", applied, skipped, err)
-	}
-	if res, _, err := recovered.Query("/book/section/sync"); err != nil || len(res) != 1 {
-		t.Fatalf("synchronous insert lost in replay: %v %v", res, err)
-	}
-	assertDocsEqual(t, recovered, writer)
 }
 
 // TestGroupCommitConcurrent drives concurrent writers against concurrent

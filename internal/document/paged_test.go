@@ -53,100 +53,6 @@ func queryPaths(t *testing.T, d *document.Document, q string) []string {
 	return sortedPaths(snap, got)
 }
 
-// TestPagedEngineMatchesResident is the oracle test of the out-of-core
-// acceptance bar: the same document opened resident and opened with a tiny
-// buffer pool must answer every query identically — before and after a
-// series of identical structural updates (which exercise incremental
-// payload maintenance, the block splice over paged input lists and full
-// re-page-out publications) — and must hold identical postings throughout.
-func TestPagedEngineMatchesResident(t *testing.T) {
-	src := pagedLibraryXML()
-	opts := document.Options{Partition: core.PartitionConfig{MaxAreaNodes: 32, AdjustFanout: true}}
-	resident, err := document.OpenString(src, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	popts := opts
-	popts.PoolPages = 8
-	paged, err := document.OpenString(src, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paged.Store() == nil || resident.Store() != nil {
-		t.Fatalf("Store(): paged=%v resident=%v", paged.Store(), resident.Store())
-	}
-
-	check := func(stage string) {
-		t.Helper()
-		for _, q := range pagedQueries {
-			want := queryPaths(t, resident, q)
-			got := queryPaths(t, paged, q)
-			if strings.Join(got, "|") != strings.Join(want, "|") {
-				t.Fatalf("%s: Query(%q): paged %v, resident %v", stage, q, got, want)
-			}
-		}
-		// Below the queries: a write splices the paged engine's lists from
-		// paged input (block bytes faulted through the pool), the resident
-		// engine's from resident input, and both must hold the same postings.
-		rix, pix := resident.Snapshot().Index(), paged.Snapshot().Index()
-		if err := pix.CheckSorted(); err != nil {
-			t.Fatalf("%s: paged index: %v", stage, err)
-		}
-		if got, want := strings.Join(pix.Names(), " "), strings.Join(rix.Names(), " "); got != want {
-			t.Fatalf("%s: paged index names %q, resident %q", stage, got, want)
-		}
-		for _, name := range rix.Names() {
-			got, want := pix.RuidIDs(name), rix.RuidIDs(name)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %q: paged index holds %d postings, resident %d", stage, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: %q posting %d: paged %v, resident %v", stage, name, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	check("initial")
-
-	// Cold re-run: even with every page dropped the answers are identical
-	// and the faults are visible in the I/O ledger.
-	paged.DropCaches()
-	paged.ResetIOStats()
-	check("cold")
-	if st := paged.IOStats(); st.Reads == 0 {
-		t.Fatalf("cold queries over a paged document issued no reads: %v", st)
-	}
-
-	// Identical update histories must keep the engines in lockstep.
-	for step := 0; step < 12; step++ {
-		shelf := fmt.Sprintf("/lib/shelf[%d]", step%12+1)
-		if step%3 == 2 {
-			if _, err := resident.Delete(shelf, 0); err != nil {
-				t.Fatalf("step %d: resident delete: %v", step, err)
-			}
-			if _, err := paged.Delete(shelf, 0); err != nil {
-				t.Fatalf("step %d: paged delete: %v", step, err)
-			}
-		} else {
-			mk := func() *xmltree.Node {
-				book := xmltree.NewElement("book")
-				title := xmltree.NewElement("title")
-				title.AppendChild(xmltree.NewText(fmt.Sprintf("new%d", step)))
-				book.AppendChild(title)
-				return book
-			}
-			if _, err := resident.Insert(shelf, step%5, mk()); err != nil {
-				t.Fatalf("step %d: resident insert: %v", step, err)
-			}
-			if _, err := paged.Insert(shelf, step%5, mk()); err != nil {
-				t.Fatalf("step %d: paged insert: %v", step, err)
-			}
-		}
-		check(fmt.Sprintf("after step %d", step))
-	}
-}
-
 // TestPayloadFailureSurfaces: on a paged document the payload table follows
 // every installed epoch. When it cannot — a failed Nodes.Put or Delete — the
 // write must say so; it used to return nil and leave the store silently

@@ -8,7 +8,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/scheme"
-	"repro/internal/twig"
 	"repro/internal/xmltree"
 )
 
@@ -164,28 +163,6 @@ func TestParallelNestedJoin(t *testing.T) {
 			equalIDs(t, "AncestorSemiJoin(section,section)/"+kind,
 				e.AncestorSemiJoin(n, view, view), wantAnc)
 		}
-	}
-}
-
-// TestPathQueryParallel runs the planner's name-path pipeline (a twig
-// without branches) under each mode against the serial one-shot semi-join.
-func TestPathQueryParallel(t *testing.T) {
-	n, ix := buildFixture(t, 9)
-	want := scheme.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("title"))
-	if len(want) == 0 {
-		t.Fatal("fixture returned no path results")
-	}
-	chain, err := twig.Compile("//section//title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []exec.Config{
-		{Mode: exec.Serial},
-		{Mode: exec.Auto, Workers: 4, MinWork: 1},
-		{Mode: exec.Forced, Workers: 8},
-	} {
-		got, _ := twig.MatchIDsWith(chain, ix, exec.New(cfg))
-		equalIDs(t, "PathQuery/"+cfg.Mode.String(), got, want)
 	}
 }
 

@@ -21,47 +21,6 @@ func newPlanner(t *testing.T, doc *xmltree.Node) *query.Planner {
 	return query.New(doc, n)
 }
 
-// TestPlannerMatchesEngine: for a mixed workload, the planner's results
-// equal the pointer engine's, whichever plan it picks.
-func TestPlannerMatchesEngine(t *testing.T) {
-	docs := map[string]*xmltree.Node{
-		"xmark":     xmltree.XMark(2, 9),
-		"recursive": xmltree.Recursive(2, 7),
-		"dblp":      xmltree.DBLP(300, 4),
-	}
-	queries := []string{
-		// Join-compilable chains.
-		"/site//item/name", "//section//title", "/dblp/article/author",
-		"//regions//item//text", "/book//para",
-		// Navigation-only: predicates, unions, attributes, wildcards.
-		"//item[1]", "//article[count(author) > 1]", "//title | //name",
-		"//*", "//item/@id", "//section/..",
-	}
-	for dn, doc := range docs {
-		p := newPlanner(t, doc)
-		ref := xpath.NewEngine(doc, xpath.PointerNavigator{})
-		for _, q := range queries {
-			got, plan, err := p.Run(q)
-			if err != nil {
-				t.Fatalf("%s: Run(%q): %v", dn, q, err)
-			}
-			want, err := ref.Query(q)
-			if err != nil {
-				t.Fatalf("%s: ref Query(%q): %v", dn, q, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: Run(%q) [%s] = %d nodes, want %d",
-					dn, q, plan.Kind, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: Run(%q) [%s]: node %d differs", dn, q, plan.Kind, i)
-				}
-			}
-		}
-	}
-}
-
 // TestPlannerChoosesJoinForSelectiveChains: a selective name chain on a
 // large document should compile to a join plan; non-compilable queries must
 // fall back to navigation.

@@ -65,7 +65,7 @@ func TestConcurrentTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				xml := fmt.Sprintf("<item><name>w-%s-%d</name></item>", name, i)
-				if _, err := s.Insert(context.Background(), name, "/site/regions", 0, xml); err != nil {
+				if _, err := s.InsertReq(context.Background(), name, WriteRequest{Parent: "/site/regions", XML: xml, WaitVisible: true}); err != nil {
 					t.Errorf("insert %s/%d: %v", name, i, err)
 					return
 				}

@@ -46,7 +46,7 @@ func TestServerGroupCommitWrites(t *testing.T) {
 	// The last write waited for visibility, but earlier batch members may
 	// publish after it enqueued; settle the pipeline with one more synced
 	// no-op round trip.
-	if _, err := s.Delete(ctx, "site", "/site/regions", 0); err != nil {
+	if _, err := s.DeleteReq(ctx, "site", WriteRequest{Parent: "/site/regions", WaitVisible: true}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := s.Query(ctx, "site", QueryRequest{Query: "//person"})

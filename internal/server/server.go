@@ -426,12 +426,6 @@ func (s *Server) Close() error {
 	return first
 }
 
-// Insert executes one structural insert on the named document with
-// visibility-ack semantics (the synchronous contract).
-func (s *Server) Insert(ctx context.Context, doc, parentPath string, pos int, xml string) (document.Stats, error) {
-	return s.InsertReq(ctx, doc, WriteRequest{Parent: parentPath, Pos: pos, XML: xml, WaitVisible: true})
-}
-
 // InsertReq executes one structural insert per the request's ack mode: the
 // mutation enters the document's mutation pipeline (durability-acked at WAL
 // append on a group-commit server); WaitVisible additionally blocks until
@@ -445,12 +439,6 @@ func (s *Server) InsertReq(ctx context.Context, doc string, req WriteRequest) (d
 		}
 		return d.EnqueueInsert(ctx, req.Parent, req.Pos, sub)
 	})
-}
-
-// Delete executes one structural delete on the named document with
-// visibility-ack semantics.
-func (s *Server) Delete(ctx context.Context, doc, parentPath string, pos int) (document.Stats, error) {
-	return s.DeleteReq(ctx, doc, WriteRequest{Parent: parentPath, Pos: pos, WaitVisible: true})
 }
 
 // DeleteReq executes one structural delete per the request's ack mode; see

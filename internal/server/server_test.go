@@ -619,7 +619,7 @@ func TestQueryPathsComeFromTheEpoch(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, w := range []struct{ parent, xml string }{{"/a/c", "<y/>"}, {"/a", "<x/>"}, {"/a/b", "<z/>"}} {
-		if _, err := s.Insert(ctx, "doc", w.parent, 0, w.xml); err != nil {
+		if _, err := s.InsertReq(ctx, "doc", WriteRequest{Parent: w.parent, XML: w.xml, WaitVisible: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

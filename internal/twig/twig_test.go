@@ -2,7 +2,6 @@ package twig_test
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,10 +9,9 @@ import (
 	"repro/internal/index"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 )
 
-func setup(t *testing.T, doc *xmltree.Node) (*core.Numbering, *index.NameIndex, *xpath.Engine) {
+func setup(t *testing.T, doc *xmltree.Node) (*core.Numbering, *index.NameIndex) {
 	t.Helper()
 	n, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{
 		MaxAreaNodes: 20, AdjustFanout: true,
@@ -21,7 +19,7 @@ func setup(t *testing.T, doc *xmltree.Node) (*core.Numbering, *index.NameIndex, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, index.Build(doc.DocumentElement(), n), xpath.NewEngine(doc, xpath.PointerNavigator{})
+	return n, index.Build(doc.DocumentElement(), n)
 }
 
 // executors are the schedules every match is held to: one goroutine, and
@@ -52,59 +50,6 @@ func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
 		}
 	}
 	return first
-}
-
-// TestTwigMatchesXPath: for twig-compilable queries, MatchIDsWith returns
-// exactly the XPath engine's result set.
-func TestTwigMatchesXPath(t *testing.T) {
-	docs := map[string]*xmltree.Node{
-		"xmark":     xmltree.XMark(2, 21),
-		"recursive": xmltree.Recursive(2, 6),
-		"random":    xmltree.Random(xmltree.RandomConfig{Nodes: 400, MaxFanout: 5, Seed: 77}),
-	}
-	queries := map[string][]string{
-		"xmark": {
-			"//item[name]//text",
-			"//person[profile]/name",
-			"//open_auction[bidder][itemref]/initial",
-			"/site/regions//item[description//text]/name",
-			"//item[description/parlist/listitem]",
-		},
-		"recursive": {
-			"//section[title][para]//section/title",
-			"/book/section[section/section]//para",
-			"//section[section[section[title]]]",
-		},
-		"random": {
-			"//e1[e2]//e3",
-			"//e4[e5][e6]",
-			"/e0//e7[e8]",
-		},
-	}
-	for dn, doc := range docs {
-		n, ix, ref := setup(t, doc)
-		for _, q := range queries[dn] {
-			p, err := twig.Compile(q)
-			if err != nil {
-				t.Fatalf("%s: Compile(%q): %v", dn, q, err)
-			}
-			got := match(t, p, ix)
-			want, err := ref.Query(q)
-			if err != nil {
-				t.Fatalf("%s: ref Query(%q): %v", dn, q, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: MatchIDsWith(%q) = %d nodes, xpath %d (pattern %s)",
-					dn, q, len(got), len(want), p)
-			}
-			for i := range got {
-				node, ok := n.NodeOfID(got[i])
-				if !ok || node != want[i] {
-					t.Fatalf("%s: MatchIDsWith(%q): result %d differs", dn, q, i)
-				}
-			}
-		}
-	}
 }
 
 // TestTwigCompileRejects: queries outside the fragment are refused, not
@@ -149,7 +94,7 @@ func TestTwigAnchoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, ix, _ := setup(t, doc)
+	n, ix := setup(t, doc)
 	p, err := twig.Compile("/a[b]")
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +117,7 @@ func TestTwigAnchoring(t *testing.T) {
 // nothing.
 func TestTwigEmptyResult(t *testing.T) {
 	doc := xmltree.Recursive(2, 4)
-	_, ix, _ := setup(t, doc)
+	_, ix := setup(t, doc)
 	p, err := twig.Compile("//section[nonexistent]/title")
 	if err != nil {
 		t.Fatal(err)
@@ -185,67 +130,10 @@ func TestTwigEmptyResult(t *testing.T) {
 // TestTwigNoOutputNode: a hand-built pattern without an output node is
 // refused, not answered with an empty set.
 func TestTwigNoOutputNode(t *testing.T) {
-	_, ix, _ := setup(t, xmltree.Recursive(2, 4))
+	_, ix := setup(t, xmltree.Recursive(2, 4))
 	p := &twig.Node{Name: "section", Children: []*twig.Node{{Name: "title", Edge: twig.Child}}}
 	if ids, ok := twig.MatchIDsWith(p, ix, exec.Default()); ok {
 		t.Fatalf("MatchIDsWith without an output node = %d ids, ok", len(ids))
-	}
-}
-
-// TestPathQueryMatchesXPath: a pattern without branches — the planner's
-// join chain — agrees with the navigation engine on //n1//n2//…//nk
-// queries.
-func TestPathQueryMatchesXPath(t *testing.T) {
-	docs := map[string]*xmltree.Node{
-		"recursive": xmltree.Recursive(2, 6),
-		"xmark":     xmltree.XMark(2, 6),
-		"random": xmltree.Random(xmltree.RandomConfig{
-			Nodes: 400, MaxFanout: 5, Seed: 31,
-		}),
-	}
-	paths := map[string][][]string{
-		"recursive": {
-			{"book", "section", "title"},
-			{"section", "section", "para"},
-			{"section", "section", "section", "title"},
-		},
-		"xmark": {
-			{"site", "regions", "item"},
-			{"item", "description", "text"},
-			{"open_auctions", "bidder", "increase"},
-		},
-		"random": {
-			{"e1", "e2"}, {"e3", "e3"}, {"e0", "e5", "e7"},
-		},
-	}
-	for dn, doc := range docs {
-		rn, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 24}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := index.Build(doc.DocumentElement(), rn)
-		engine := xpath.NewEngine(doc, xpath.PointerNavigator{})
-		for _, names := range paths[dn] {
-			q := "//" + strings.Join(names, "//")
-			chain, err := twig.Compile(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := match(t, chain, ix)
-			want, err := engine.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %s: join pipeline %d results, xpath %d", dn, q, len(got), len(want))
-			}
-			for i := range got {
-				node, ok := rn.NodeOfID(got[i])
-				if !ok || node != want[i] {
-					t.Fatalf("%s %s: result %d differs", dn, q, i)
-				}
-			}
-		}
 	}
 }
 
