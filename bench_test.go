@@ -15,7 +15,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/prepost"
 	"repro/internal/scheme"
-	"repro/internal/storage"
 	"repro/internal/twig"
 	"repro/internal/uid"
 	"repro/internal/workload"
@@ -352,8 +351,8 @@ func BenchmarkE10TableSelection(b *testing.B) {
 	n := workload.BuildRUID(doc)
 	root := doc.DocumentElement()
 
-	mono := storage.NewNodeStore(8)
-	if err := mono.Load(root, n.NodeKey, false); err != nil {
+	mono := workload.NewNodeStore(8)
+	if err := mono.Load(root, scheme.NodeKey(scheme.RUID{Num: n}), false); err != nil {
 		b.Fatal(err)
 	}
 	part := workload.NewPartitionedStore(8)
@@ -385,7 +384,7 @@ func BenchmarkE10TableSelection(b *testing.B) {
 			id, _ := n.RUID(x)
 			key := string(id.Key())
 			found := false
-			if err := mono.ScanRange(nil, nil, func(k []byte, _ storage.Record) bool {
+			if err := mono.ScanRange(nil, nil, func(k []byte, _ workload.Record) bool {
 				if string(k) == key {
 					found = true
 					return false
@@ -450,9 +449,9 @@ func BenchmarkE11StructuralJoin(b *testing.B) {
 func BenchmarkE12StorageAxes(b *testing.B) {
 	doc := xmltree.XMark(4, 2)
 	rn := workload.BuildRUID(doc)
-	st := storage.NewNodeStore(64)
+	st := workload.NewNodeStore(64)
 	root := doc.DocumentElement()
-	if err := st.Load(root, rn.NodeKey, false); err != nil {
+	if err := st.Load(root, scheme.NodeKey(scheme.RUID{Num: rn}), false); err != nil {
 		b.Fatal(err)
 	}
 	var sample []*xmltree.Node

@@ -34,9 +34,9 @@
 //
 // Out-of-core flags (facade modes):
 //
-//   - -pool-pages N backs postings and node payloads with an N-frame
-//     buffer pool instead of resident slices; the I/O ledger is printed
-//     to standard error after the query.
+//   - -pool-pages N backs postings with an N-frame buffer pool instead
+//     of resident slices; the I/O ledger is printed to standard error
+//     after the query.
 //   - -cold round-trips the document through a saved bundle and reopens
 //     it cold: nothing is materialized up front, and the query faults in
 //     only the pages it touches.
@@ -84,7 +84,7 @@ func main() {
 	flag.StringVar(&cfg.parallel, "parallel", "auto", "identifier pipeline scheduling: auto, serial or forced")
 	flag.IntVar(&cfg.workers, "workers", 0, "query worker cap (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.serve, "serve", "", "serve /metrics and /debug/pprof on this address after the query")
-	flag.IntVar(&cfg.poolPages, "pool-pages", 0, "back postings and node payloads with an N-frame buffer pool")
+	flag.IntVar(&cfg.poolPages, "pool-pages", 0, "back postings with an N-frame buffer pool")
 	flag.BoolVar(&cfg.cold, "cold", false, "round-trip through a saved bundle and reopen cold before querying")
 	flag.IntVar(&cfg.writes, "writes", 0, "drive N group-commit inserts before the query (facade modes; pairs with -stats)")
 	flag.BoolVar(&cfg.waitVis, "wait-visible", false, "trace each -writes insert and print its write-pipeline stage breakdown")

@@ -423,7 +423,7 @@ func assertFreshLabels(t *testing.T, n *Numbering, sub *xmltree.Node, d *Delta) 
 	}
 	for _, r := range d.Relabels {
 		if in[r.Node] {
-			t.Fatalf("inserted node %s reported as relabeled %v→%v", r.Node.Path(), r.Old, r.New)
+			t.Fatalf("inserted node %s reported as relabeled from %v", r.Node.Path(), r.Old)
 		}
 	}
 }

@@ -415,17 +415,6 @@ func (n *Numbering) RUID(node *xmltree.Node) (ID, bool) {
 	return id, id.Global != 0
 }
 
-// NodeKey returns the storage key of a numbered node, its identifier's Key,
-// and false if the node is not numbered: the key function a node table is
-// loaded with.
-func (n *Numbering) NodeKey(node *xmltree.Node) ([]byte, bool) {
-	id, ok := n.RUID(node)
-	if !ok {
-		return nil, false
-	}
-	return id.Key(), true
-}
-
 // NodeOfID resolves a concrete identifier by a seek in the clustered slot
 // array of its table-K row (the same arrays the axis routines scan).
 // Identifier shapes (see ID): an area root's identifier carries its own

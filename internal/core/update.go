@@ -65,8 +65,8 @@ func (s *UpdateStats) Add(other UpdateStats) {
 	s.AreaRebuilds += other.AreaRebuilds
 }
 
-// Delta describes what one successful update changed, for the index, guide
-// and payload maintenance of the layer above. Node pointers refer to the
+// Delta describes what one successful update changed, for the index and
+// guide maintenance of the layer above. Node pointers refer to the
 // updated numbering's tree as the update left it: a relabeled node is the
 // one that carries the new stamp (on a fork, the fork's copy), a dropped
 // node the one the delete detached.
@@ -85,10 +85,11 @@ type Delta struct {
 	Full bool
 }
 
-// Relabel records one identifier change of a surviving node.
+// Relabel records one identifier change of a surviving node: the identifier
+// it held before the update (the new one is its stamp).
 type Relabel struct {
-	Node     *xmltree.Node
-	Old, New ID
+	Node *xmltree.Node
+	Old  ID
 }
 
 // NodeID pairs a node with an identifier it held.
@@ -162,9 +163,17 @@ func (n *Numbering) InsertChildDelta(parent *xmltree.Node, pos int, newChild *xm
 	var ov *overflowError
 	if errors.As(err, &ov) && ov.node != nil && !stampOf(ov.node).Root {
 		if n.copied != nil {
-			// A heal renumbers the whole tree: own all of it, then run the same code.
+			// A heal renumbers the whole tree: own all of it, then run the same
+			// code. An overflow the heal does not cure drops the clone, so the
+			// fork goes on over the tree it had: only a Full delta leaves a fork
+			// owning a clone, every node of which carries a Parent.
 			parent.RemoveChild(pos)
-			return n.InsertChildDelta(n.ownAll()[parent], pos, newChild)
+			fork := *n
+			st, d, err := n.InsertChildDelta(n.ownAll()[parent], pos, newChild)
+			if err != nil {
+				*n = fork
+			}
+			return st, d, err
 		}
 		if n.healOverflow(ov.node) {
 			return UpdateStats{FullRebuild: true, Relabeled: n.size}, &Delta{Full: true, Inserted: newChild}, nil
@@ -319,7 +328,7 @@ func (n *Numbering) renumberArea(g int64, d *Delta) (st UpdateStats, err error) 
 		x := n.ownAt(g, m.p)
 		if was, existed := n.RUID(x); existed {
 			st.Relabeled++
-			d.Relabels = append(d.Relabels, Relabel{Node: x, Old: was, New: m.id})
+			d.Relabels = append(d.Relabels, Relabel{Node: x, Old: was})
 		} else {
 			d.InsertedCount++
 		}

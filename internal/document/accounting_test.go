@@ -42,16 +42,12 @@ func recount(s *document.Snapshot) int {
 	return n
 }
 
-// TestFailedPublishKeepsCounters: when publication fails after a
-// structural write, the document's statistics must keep describing the
-// epoch readers still see. Before the fix, Insert bumped the document's
-// counters before publishing, so a failed publication
-// left the counters permanently drifted from every published epoch. The
-// failure here is the one that happens before the install: a write that
-// heals a local-index overflow publishes in full, which on a paged document
-// pages the epoch out into a fresh store, and a text row larger than a
-// B+tree value refuses the page-out.
-func TestFailedPublishKeepsCounters(t *testing.T) {
+// TestHealedPublishKeepsCounters: a write that heals a local-index overflow
+// publishes in full, which on a paged document pages the epoch out into a
+// fresh store, and the document's statistics must describe the epoch it
+// installs while a pinned epoch keeps its own. The inserted text is larger
+// than a page: a paged document keeps no node row, so nothing refuses it.
+func TestHealedPublishKeepsCounters(t *testing.T) {
 	d, err := document.OpenString("<a><b><c/></b></a>", document.Options{
 		Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 1},
 		PoolPages: 8,
@@ -59,30 +55,15 @@ func TestFailedPublishKeepsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := func(text string) *xmltree.Node {
-		x := xmltree.NewElement("x")
-		x.AppendChild(xmltree.NewText(text))
-		return x
-	}
 	before, pinned := d.Stats(), d.Snapshot()
 	if before.Nodes != recount(pinned) {
 		t.Fatalf("baseline Stats.Nodes = %d, recount = %d", before.Nodes, recount(pinned))
 	}
 
 	// Under the leaf c the insert overflows c's 1-bit local index and heals.
-	if _, err := d.Insert("/a/b/c", 0, payload(strings.Repeat("t", storage.PageSize))); err == nil {
-		t.Fatal("Insert published a text row no B+tree page holds")
-	}
-	after := d.Stats()
-	if after != before || d.Snapshot() != pinned {
-		t.Fatalf("failed publication changed Stats: before %+v, after %+v", before, after)
-	}
-	if got := recount(d.Snapshot()); after.Nodes != got {
-		t.Fatalf("Stats.Nodes = %d diverged from published epoch recount %d", after.Nodes, got)
-	}
-
-	// The same write with a row that fits takes the same full publication.
-	st, err := d.Insert("/a/b/c", 0, payload("t"))
+	x := xmltree.NewElement("x")
+	x.AppendChild(xmltree.NewText(strings.Repeat("t", storage.PageSize+1)))
+	st, err := d.Insert("/a/b/c", 0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +72,9 @@ func TestFailedPublishKeepsCounters(t *testing.T) {
 	}
 	if got := d.Stats(); got.Nodes != before.Nodes+2 || got.Nodes != recount(d.Snapshot()) {
 		t.Fatalf("after the healed insert: Stats.Nodes = %d, want %d = recount %d", got.Nodes, before.Nodes+2, recount(d.Snapshot()))
+	}
+	if got := recount(pinned); got != before.Nodes {
+		t.Fatalf("the pinned epoch recounts %d nodes, want %d", got, before.Nodes)
 	}
 }
 

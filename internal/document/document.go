@@ -42,8 +42,8 @@
 // function, publishLocked, installs the epoch that covers it. WAL replay
 // submits the recovered records as one batch through the same two functions.
 // There is no other way to move the snapshot pointer (the cold install in
-// OpenBundle excepted), so durability, counter accounting and payload
-// maintenance each have exactly one implementation.
+// OpenBundle excepted), so durability and counter accounting each have
+// exactly one implementation.
 //
 // # Publication
 //
@@ -133,11 +133,11 @@ type Options struct {
 	// every hot path on its unobserved branch.
 	Observe *obs.Registry
 	// PoolPages, when positive, puts the document in out-of-core mode:
-	// postings block bytes and node payloads live in storage.Pager pages
-	// behind a shared buffer pool of PoolPages frames, faulted on demand by
-	// the query kernels; only table K, the skip tables and the DataGuide
-	// stay memory-resident. Queries over a paged document report their page
-	// I/O per stage in EXPLAIN ANALYZE, and a fault failure surfaces as an
+	// postings block bytes live in storage.Pager pages behind a buffer pool
+	// of PoolPages frames, faulted on demand by the query kernels; table K,
+	// the skip tables, the DataGuide and the tree stay memory-resident.
+	// Queries over a paged document report their page I/O per stage in
+	// EXPLAIN ANALYZE, and a fault failure surfaces as an
 	// *index.PagedError from Query.
 	PoolPages int
 }
@@ -164,14 +164,14 @@ type Document struct {
 	mu sync.Mutex // serializes writers and epoch publication
 
 	// Out-of-core mode (Options.PoolPages > 0): store holds the postings
-	// blobs and the node-payload table behind one shared buffer pool, and
-	// every published snapshot's index pages its block bytes through it.
+	// blobs behind one buffer pool, and every published snapshot's index
+	// pages its block bytes through it.
 	// readonly marks a cold-opened document (OpenBundle): nothing about its
 	// tree forbids a fork, but serving a bundle read-write belongs with the
 	// checkpoint-plus-WAL-tail recovery it needs to be worth anything
 	// (ROADMAP item 4), so until then it refuses writes.
 	poolPages int
-	store     *storage.DocStore
+	store     *storage.BlockStore
 	readonly  bool
 
 	epoch uint64
@@ -275,10 +275,9 @@ func (w *working) doc() *xmltree.Node { return w.num.Doc() }
 // yields a consistent epoch.
 //
 // The statistics travel on the snapshot, so a failed publication (a page-out
-// failure) leaves Stats describing the epoch readers still see. A non-nil
-// error wrapping ErrStorage is the one failure AFTER the install: the epoch
-// is visible but the paged payload table could not follow it. Callers hold
-// d.mu.
+// failure) leaves Stats describing the epoch readers still see. Nothing
+// fails after the install: an error means no epoch was published. Callers
+// hold d.mu.
 func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
 	var start time.Time
 	if d.dm != nil {
@@ -322,21 +321,8 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
 		// here, as a stamp of the previous epoch disagreeing with its table K.
 		prev.num.AssertK("publishing the next epoch")
 	}
-	if !full {
-		// In out-of-core mode the payload table follows the epoch (the store
-		// serves the latest one). It replays the deltas in application order:
-		// each deletes dropped/old-key rows before writing new bindings, so
-		// relabel chains across batch members resolve to the final keys. A
-		// full publication paged out a fresh store instead.
-		for _, delta := range w.deltas {
-			if err = d.maintainPayloadsLocked(delta); err != nil {
-				err = fmt.Errorf("%w: payload table behind epoch %d: %w", ErrStorage, d.epoch, err)
-				break
-			}
-		}
-	}
 	d.noteEpochLocked(full, st, time.Since(start))
-	return err
+	return nil
 }
 
 // snapshotOf wires a planner over tree to the document's executor, observer

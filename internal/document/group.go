@@ -71,9 +71,8 @@ func (cfg GroupConfig) withDefaults() GroupConfig {
 }
 
 // ErrStorage marks a write that failed below the document — a WAL append or
-// fsync, or the paged payload table — as opposed to a mutation the document
-// rejected (bad path, position out of range). Test with errors.Is; the cause
-// is wrapped alongside.
+// fsync — as opposed to a mutation the document rejected (bad path, position
+// out of range). Test with errors.Is; the cause is wrapped alongside.
 var ErrStorage = errors.New("document: storage failure")
 
 // ErrDocumentClosed reports an Enqueue racing DisableGroupCommit: the commit

@@ -226,6 +226,61 @@ func TestFailedBatchMemberPublishesNothing(t *testing.T) {
 	}
 }
 
+// TestUncuredHealLeavesTheFork: an overflow on a fork that no promotion
+// cures runs through the whole-tree clone a heal works on (ownAll) and
+// fails. The member must leave the fork as it found it: the batch's other
+// members then publish incrementally over the fork, and the epoch holds no
+// node with a Parent. Here member 0 applies, members 1-3 overflow the 1-bit
+// local index of the document element and cannot heal.
+func TestUncuredHealLeavesTheFork(t *testing.T) {
+	open := func() *Document {
+		d, err := OpenString("<e2/>", Options{Partition: core.PartitionConfig{MaxAreaNodes: 31, MaxLocalBits: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	muts := []batchMutation{
+		{insert: true, parent: "/*", pos: 0, xml: "<e2/>"},
+		{insert: true, parent: "/*", pos: 0, xml: "<e1><e1/></e1>"},
+		{insert: true, parent: "/*", pos: 0, xml: "<e2><e1/></e2>"},
+		{insert: true, parent: "/*", pos: 0, xml: "<e0/>"},
+	}
+	d := open()
+	if err := d.EnableGroupCommit(GroupConfig{MaxBatch: len(muts), MaxDelay: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, tk := range enqueueAll(t, d, muts) {
+		if _, err := tk.Wait(ctx); i == 0 && err != nil {
+			t.Fatalf("member 0: %v", err)
+		} else if i > 0 && !errors.Is(err, core.ErrOverflow) {
+			t.Fatalf("member %d: err = %v, want ErrOverflow", i, err)
+		}
+	}
+	snap := d.Snapshot()
+	if snap.Epoch() != 2 {
+		t.Fatalf("the batch published epoch %d, want 2", snap.Epoch())
+	}
+	snap.Tree().Walk(func(x *xmltree.Node) bool {
+		if x.Parent != nil {
+			t.Fatalf("epoch %d publishes %s %q with a Parent", snap.Epoch(), x.Kind, x.Name)
+		}
+		return true
+	})
+	serial := open()
+	applySerial(t, serial, muts[:1])
+	assertSameTreeAndStamps(t, "batch with uncured heals vs its good member alone", d, serial)
+	if err := snap.Index().CheckSorted(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := snap.Query("//e2"); err != nil || len(got) != 2 {
+		t.Fatalf("//e2 = %d nodes, %v; want the document element and member 0", len(got), err)
+	}
+}
+
 // TestBatchDeleteInsideInsertedSubtree: a batch that inserts a subtree and
 // then edits inside it — detaching one inserted element, adding another —
 // must still publish incrementally. The detached element was never in a

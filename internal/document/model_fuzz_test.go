@@ -32,10 +32,10 @@ import (
 // configuration: {resident, PoolPages 8} × {exec.Serial, exec.Forced} ×
 // {batch 1, batch 64} behind a commit loop and a WAL, and "inline", which
 // writes with neither. After every step each configuration must hold the
-// model's tree and answers, the stamps of every other one and postings,
-// payload rows and a table K that agree with its tree; a write must fail
-// wherever the model's one-by-one application fails, and a batch-1 write
-// must keep its relabels and copies inside its update area (§3.2).
+// model's tree and answers, the stamps of every other one and postings and
+// a table K that agree with its tree; a write must fail wherever the model's
+// one-by-one application fails, and a batch-1 write must keep its relabels
+// and copies inside its update area (§3.2).
 //
 // The input's first byte picks the base document, the second the partition
 // and whether attributes are numbered; then each step takes an opcode byte
@@ -458,7 +458,7 @@ func (h *servingHarness) check(wrote bool) {
 			t.Fatalf("%s: %v", l.name, err)
 		}
 		snap.Numbering().AssertK("a step of FuzzServingModel")
-		postings, rows := make(map[string][]core.ID), make(map[string]storage.Record)
+		postings := make(map[string][]core.ID)
 		snap.Tree().WalkFull(func(x *xmltree.Node) bool {
 			if x.Parent != nil && x.Kind != xmltree.Attribute {
 				t.Fatalf("%s: epoch %d publishes %s %q with a Parent", l.name, snap.Epoch(), x.Kind, x.Name)
@@ -467,23 +467,8 @@ func (h *servingHarness) check(wrote bool) {
 			if ok && x.Kind == xmltree.Element {
 				postings[x.Name] = append(postings[x.Name], id)
 			}
-			if ok {
-				rows[string(id.Key())] = storage.Record{Name: x.Name, Kind: uint8(x.Kind), Value: x.Data}
-			}
 			return true
 		})
-		if l.pool > 0 { // the paged payload table follows the epoch
-			err := l.d.Store().Nodes.ScanRange(nil, nil, func(key []byte, r storage.Record) bool {
-				if want, ok := rows[string(key)]; !ok || r != want {
-					t.Fatalf("%s: the payload row under %x is %+v, the epoch's %+v", l.name, key, r, want)
-				}
-				delete(rows, string(key))
-				return true
-			})
-			if err != nil || len(rows) > 0 {
-				t.Fatalf("%s: %d numbered nodes have no payload row, err %v", l.name, len(rows), err)
-			}
-		}
 		names := make([]string, 0, len(postings))
 		for name, ids := range postings {
 			names = append(names, name)

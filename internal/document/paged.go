@@ -17,14 +17,14 @@ import (
 )
 
 // Out-of-core mode. With Options.PoolPages > 0 the document's postings
-// block bytes and node payload rows live in storage.Pager pages behind one
-// shared buffer pool (storage.DocStore) and are faulted on demand; table K,
-// the skip tables and the DataGuide stay memory-resident, which is exactly
-// the split Lemma 1 needs — axis navigation computes on K and identifiers
-// and touches no page, while block decodes and payload fetches page
-// honestly. SaveBundle/OpenBundle persist a document and reopen it cold:
-// the reopened engine materializes no postings bytes, so the first queries
-// fault in only the blocks their skip tables admit.
+// block bytes live in storage.Pager pages behind one buffer pool (a
+// storage.BlockStore) and are faulted on demand; table K, the skip tables,
+// the DataGuide and the tree stay memory-resident, which is exactly the
+// split Lemma 1 needs — axis navigation computes on K and identifiers and
+// touches no page, an answer resolves to the resident tree, and block
+// decodes page honestly. SaveBundle/OpenBundle persist a document and reopen
+// it cold: the reopened engine materializes no postings bytes, so the first
+// queries fault in only the blocks their skip tables admit.
 
 // ErrColdDocument reports a structural update against a cold-opened
 // document, which serves reads only until a bundle carries its WAL position
@@ -39,21 +39,20 @@ func (d *Document) wireIOStats(p *query.Planner) {
 		return
 	}
 	pg := d.store.Pager()
-	p.SetIOStats(func() (reads, writes, hits, evictions int64) {
+	p.SetIOStats(func() (reads, hits, evictions int64) {
 		st := pg.Stats()
-		return st.Reads, st.Writes, st.CacheHits, st.Evictions
+		return st.Reads, st.CacheHits, st.Evictions
 	})
 }
 
 // pageOutSnapshot converts a freshly assembled resident snapshot to its
-// paged form under a brand-new DocStore: every posting list's delta bytes
-// become a pager blob behind a paged list (skip tables stay resident), and
-// every numbered node's payload row is bulk-loaded into the shared
-// B+tree. Runs before the snapshot is published; on error the caller keeps
-// the resident snapshot unpublished. Callers hold d.mu.
+// paged form under a brand-new BlockStore: every posting list's delta bytes
+// become a pager blob behind a paged list (skip tables stay resident). Runs
+// before the snapshot is published; on error the caller keeps the resident
+// snapshot unpublished. Callers hold d.mu.
 func (d *Document) pageOutSnapshot(snap *Snapshot) error {
-	store := storage.NewDocStore(d.poolPages)
-	store.SetObserver(d.reg)
+	store := storage.NewBlockStore(d.poolPages)
+	store.Pager().SetObserver(d.reg)
 	ix := snap.Index()
 	names := ix.Names()
 	lists := make(map[string]*index.PostingList, len(names))
@@ -67,10 +66,10 @@ func (d *Document) pageOutSnapshot(snap *Snapshot) error {
 			return err
 		}
 		blob := storage.PostingsBlobPrefix + name
-		if err := store.Blocks.PutBlob(blob, data); err != nil {
+		if err := store.PutBlob(blob, data); err != nil {
 			return err
 		}
-		ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), store.Blocks.Source(blob))
+		ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), store.Source(blob))
 		if err != nil {
 			return fmt.Errorf("document: page-out %q: %w", name, err)
 		}
@@ -80,68 +79,16 @@ func (d *Document) pageOutSnapshot(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	root := snap.tree
-	if root.Kind == xmltree.Document {
-		root = root.DocumentElement()
-	}
-	// Attribute rows follow the numbering: NodeKey answers only for numbered
-	// nodes, so passing withAttrs=true stores attrs exactly when the
-	// document was opened WithAttrs.
-	if err := store.Nodes.Load(root, snap.num.NodeKey, true); err != nil {
-		return err
-	}
-	store.Flush()
+	store.Pager().Flush()
 	d.store = store
 	*snap = *d.snapshotOf(snap.tree, snap.num, pix, snap.Guide(), snap.nodes, snap.depths)
 	return nil
 }
 
-// maintainPayloadsLocked applies an update's delta to the payload table:
-// dropped rows and the old keys of relabeled rows are removed first, then
-// every new binding is written, so a relabel chain never leaves a stale row
-// under a reused key. Inserted subtrees are walked as the batch left them,
-// for the stamps the new epoch carries. Callers hold d.mu; a non-paged
-// document is a no-op.
-func (d *Document) maintainPayloadsLocked(delta *core.Delta) error {
-	if d.store == nil {
-		return nil
-	}
-	num := d.cur.Load().num
-	for _, p := range delta.Dropped {
-		if _, err := d.store.Nodes.Delete(p.ID.Key()); err != nil {
-			return err
-		}
-	}
-	for _, r := range delta.Relabels {
-		if _, err := d.store.Nodes.Delete(r.Old.Key()); err != nil {
-			return err
-		}
-	}
-	for _, r := range delta.Relabels {
-		if err := d.store.Nodes.Put(r.New.Key(), r.Node); err != nil {
-			return err
-		}
-	}
-	var werr error
-	if delta.Inserted != nil {
-		delta.Inserted.WalkFull(func(x *xmltree.Node) bool {
-			if key, ok := num.NodeKey(x); ok {
-				if err := d.store.Nodes.Put(key, x); err != nil {
-					werr = err
-					return false
-				}
-			}
-			return true
-		})
-	}
-	return werr
-}
-
 // Store exposes the out-of-core backing store (nil unless the document was
-// opened with PoolPages or OpenBundle). It always serves the latest epoch:
-// a reader pinning an older snapshot should not resolve payloads through
-// it.
-func (d *Document) Store() *storage.DocStore { return d.store }
+// opened with PoolPages or OpenBundle): the postings blobs of the latest
+// full publication, which the paged lists of every epoch since read.
+func (d *Document) Store() *storage.BlockStore { return d.store }
 
 // IOStats returns the paged store's cumulative I/O counters (zero when the
 // document is not paged).
@@ -149,14 +96,14 @@ func (d *Document) IOStats() storage.IOStats {
 	if d.store == nil {
 		return storage.IOStats{}
 	}
-	return d.store.Stats()
+	return d.store.Pager().Stats()
 }
 
 // ResetIOStats zeroes the paged store's I/O counters (no-op when not
 // paged), for before/after measurements.
 func (d *Document) ResetIOStats() {
 	if d.store != nil {
-		d.store.ResetStats()
+		d.store.Pager().ResetStats()
 	}
 }
 
@@ -164,7 +111,7 @@ func (d *Document) ResetIOStats() {
 // so subsequent queries run cold.
 func (d *Document) DropCaches() {
 	if d.store != nil {
-		d.store.DropCache()
+		d.store.Pager().DropCache()
 	}
 }
 
@@ -199,11 +146,10 @@ func (d *Document) SaveBundle(w io.Writer) error {
 
 // OpenBundle reopens a SaveBundle document cold: the XML is parsed and the
 // numbering restored from its snapshot (no re-partitioning), but the
-// postings load paged — block bytes go straight into DocStore pages and
-// only the skip tables become resident — and the payload table is loaded
-// behind the same pool. The buffer pool is then dropped, so the first
-// queries fault from a cold cache and EXPLAIN ANALYZE shows exactly which
-// stages page. The document is read-only (ErrColdDocument); PoolPages
+// postings load paged — block bytes go straight into BlockStore pages and
+// only the skip tables become resident. The buffer pool is then dropped, so
+// the first queries fault from a cold cache and EXPLAIN ANALYZE shows exactly
+// which stages page. The document is read-only (ErrColdDocument); PoolPages
 // defaults to 256 frames when unset.
 func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 	pool := opts.PoolPages
@@ -234,21 +180,17 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
+	if doc.DocumentElement() == nil {
+		return nil, fmt.Errorf("document: bundle has no document element")
+	}
 	num, err := core.Load(doc, bytes.NewReader(sections[1]))
 	if err != nil {
 		return nil, err
 	}
-	store := storage.NewDocStore(pool)
-	store.SetObserver(opts.Observe)
-	ix, err := storage.LoadPostingsPaged(bytes.NewReader(sections[2]), num, store.Blocks)
+	store := storage.NewBlockStore(pool)
+	store.Pager().SetObserver(opts.Observe)
+	ix, err := storage.LoadPostingsPaged(bytes.NewReader(sections[2]), num, store)
 	if err != nil {
-		return nil, err
-	}
-	root := doc.DocumentElement()
-	if root == nil {
-		return nil, fmt.Errorf("document: bundle has no document element")
-	}
-	if err := store.Nodes.Load(root, num.NodeKey, true); err != nil {
 		return nil, err
 	}
 	d := &Document{
@@ -268,8 +210,9 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 	d.cur.Store(snap)
 	// Start cold: loading dirtied the pool; everything is on "disk" now and
 	// the first faults count from zero.
-	store.Flush()
-	store.DropCache()
-	store.ResetStats()
+	pg := store.Pager()
+	pg.Flush()
+	pg.DropCache()
+	pg.ResetStats()
 	return d, nil
 }

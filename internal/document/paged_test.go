@@ -53,36 +53,43 @@ func queryPaths(t *testing.T, d *document.Document, q string) []string {
 	return sortedPaths(snap, got)
 }
 
-// TestPayloadFailureSurfaces: on a paged document the payload table follows
-// every installed epoch. When it cannot — a failed Nodes.Put or Delete — the
-// write must say so; it used to return nil and leave the store silently
-// behind the epoch readers see.
-func TestPayloadFailureSurfaces(t *testing.T) {
-	d, err := document.OpenString(pagedLibraryXML(), document.Options{PoolPages: 8})
+// TestPagedLargeText: a paged document keeps its postings out of core and
+// nothing else, so a text node larger than a page is no different from a
+// small one. It opens paged, takes an insert of such a node, and reopens
+// cold from its bundle, answering the same on every step.
+func TestPagedLargeText(t *testing.T) {
+	big := func(c string) string { return strings.Repeat(c, storage.PageSize+1) }
+	src := "<site><doc><title>t</title><body>" + big("x") + "</body></doc></site>"
+	d, err := document.OpenString(src, document.Options{PoolPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A node table whose root is an interior page pointing at a child that
-	// was never allocated: every Put and Delete fails descending into it.
-	pager := storage.NewPager(4)
-	broken := storage.NewNodeStoreOn(pager)
-	if err := pager.Write(0, []byte{0, 0, 0, 0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff}); err != nil {
+	body := xmltree.NewElement("body")
+	body.AppendChild(xmltree.NewText(big("y")))
+	if _, err := d.Insert("/site/doc", 2, body); err != nil {
 		t.Fatal(err)
 	}
-	d.Store().Nodes = broken
-
-	epoch := d.Snapshot().Epoch()
-	_, err = d.Insert("/lib/shelf", 0, xmltree.NewElement("probe"))
-	if !errors.Is(err, document.ErrStorage) || !errors.Is(err, storage.ErrPageBounds) {
-		t.Fatalf("Insert over a failing payload table: err = %v, want ErrStorage wrapping ErrPageBounds", err)
+	want := "<site><doc><title>t</title><body>" + big("x") + "</body><body>" + big("y") + "</body></doc></site>"
+	var bundle bytes.Buffer
+	if err := d.SaveBundle(&bundle); err != nil {
+		t.Fatal(err)
 	}
-	// The failure is after the install: the epoch is visible, and the error
-	// is how the caller learns the store no longer matches it.
-	if got := d.Snapshot().Epoch(); got != epoch+1 {
-		t.Fatalf("epoch %d after the failed payload update, want %d", got, epoch+1)
+	cold, err := document.OpenBundle(&bundle, document.Options{PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := queryPaths(t, d, "//probe"); len(got) != 1 {
-		t.Fatalf("//probe = %v, want the installed insert", got)
+	for name, doc := range map[string]*document.Document{"paged": d, "cold": cold} {
+		snap := doc.Snapshot()
+		if got := xmltree.Serialize(snap.Tree().DocumentElement()); got != want {
+			t.Fatalf("%s: the document holds %d bytes, want %d", name, len(got), len(want))
+		}
+		got, _, err := snap.Query("/site/doc/body/text()")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[0].Data != big("x") || got[1].Data != big("y") {
+			t.Fatalf("%s: /site/doc/body/text() = %d nodes, want both large texts", name, len(got))
+		}
 	}
 }
 

@@ -100,11 +100,11 @@ type Planner struct {
 }
 
 // IOStatsFunc reports the cumulative page I/O of the store backing a paged
-// snapshot: reads (pool misses), writes, hits, and evictions. The document
-// facade wires it to the DocStore pager when PoolPages is set; with it, the
+// snapshot: reads (pool misses), hits, and evictions. The document facade
+// wires it to the BlockStore pager when PoolPages is set; with it, the
 // per-stage EXPLAIN ANALYZE spans carry io_reads / io_hits / io_evictions
 // deltas, witnessing which stages fault and which run I/O-free.
-type IOStatsFunc func() (reads, writes, hits, evictions int64)
+type IOStatsFunc func() (reads, hits, evictions int64)
 
 // SetIOStats attaches the paged store's I/O counters (nil detaches).
 func (p *Planner) SetIOStats(f IOStatsFunc) { p.io = f }
@@ -114,9 +114,9 @@ func (p *Planner) SetIOStats(f IOStatsFunc) { p.io = f }
 // the function it returns writes what the step read, hit and evicted onto
 // the step's span.
 func (p *Planner) stepIO() func(*obs.Span) {
-	r0, _, h0, e0 := p.io()
+	r0, h0, e0 := p.io()
 	return func(sp *obs.Span) {
-		r, _, h, e := p.io()
+		r, h, e := p.io()
 		sp.SetInt("io_reads", r-r0)
 		sp.SetInt("io_hits", h-h0)
 		sp.SetInt("io_evictions", e-e0)
@@ -530,11 +530,11 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter, counted bool
 	var r0, h0, e0 int64
 	if tr != nil && p.io != nil {
 		io = p.stepIO
-		r0, _, h0, e0 = p.io()
+		r0, h0, e0 = p.io()
 	}
 	ids, n, _ := twig.Match(plan.pattern, p.ix, p.exec.WithMeter(m), tr, io, counted)
 	if io != nil {
-		r, _, h, e := p.io()
+		r, h, e := p.io()
 		tr.Notef("io: reads=%d hits=%d evictions=%d", r-r0, h-h0, e-e0)
 	}
 	// A tripped meter means the pipeline stopped mid-kernel and ids is a

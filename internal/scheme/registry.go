@@ -142,7 +142,7 @@ func IDsByName(root *xmltree.Node, s Scheme) map[string][]ID {
 	return lists
 }
 
-// NodeKey returns the key function storage.NodeStore.Load takes for s: the
+// NodeKey returns the key function workload.NodeStore.Load takes for s: the
 // Key of the identifier s assigns a node, and false for a node s does not
 // number.
 func NodeKey(s Scheme) func(*xmltree.Node) ([]byte, bool) {

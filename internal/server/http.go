@@ -41,7 +41,7 @@ import (
 // that ran out of wall clock, 422 for queries that ran out of postings or
 // result budget, 404 for catalog misses, 409 for catalog collisions and for
 // writes to a document that takes none (cold-opened), 500 for a write the
-// storage layer failed (WAL append or fsync, payload table) and for an
+// storage layer failed (WAL append or fsync) and for an
 // answer whose identifiers the numbering cannot resolve, 400 for malformed
 // inputs.
 

@@ -5,14 +5,14 @@ import (
 	"sync"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 )
 
 // BlockStore keeps named byte blobs — the delta-block data regions of
-// persisted posting lists — spread over pager pages. A blob is immutable
-// once stored; readers fault only the pages a requested byte range spans,
-// pinning each frame while its bytes are copied out so concurrent faults
-// through the shared pool can never recycle a frame mid-copy.
+// persisted posting lists — spread over the pages of a pager it owns: the
+// out-of-core backing of one document, one buffer pool and one I/O ledger.
+// A blob is immutable once stored; readers fault only the pages a requested
+// byte range spans, pinning each frame while its bytes are copied out so
+// concurrent faults through the pool can never recycle a frame mid-copy.
 type BlockStore struct {
 	mu    sync.Mutex
 	pager *Pager
@@ -26,12 +26,14 @@ type blob struct {
 	size  int
 }
 
-// NewBlockStoreOn creates a block store whose pages live in an existing
-// pager — the DocStore layout, where postings blobs and the node table
-// share one buffer pool.
-func NewBlockStoreOn(p *Pager) *BlockStore {
-	return &BlockStore{pager: p, blobs: make(map[string]*blob)}
+// NewBlockStore creates an empty block store over a pager of its own whose
+// buffer pool holds poolPages pages.
+func NewBlockStore(poolPages int) *BlockStore {
+	return &BlockStore{pager: NewPager(poolPages), blobs: make(map[string]*blob)}
 }
+
+// Pager exposes the store's pager: its pool bound and I/O counters.
+func (s *BlockStore) Pager() *Pager { return s.pager }
 
 // PutBlob stores data under name, spreading it over freshly allocated
 // pages. Blobs are immutable: storing a name twice is an error.
@@ -104,39 +106,3 @@ type blobSource struct {
 func (b blobSource) ReadRange(off, end uint32, dst []byte) ([]byte, error) {
 	return b.s.ReadRange(b.name, int(off), int(end), dst)
 }
-
-// DocStore is the out-of-core backing of one document: a single pager — one
-// buffer pool, one I/O ledger — holding both the postings block blobs and
-// the node-payload B+tree. Table K, the skip tables, and the DataGuide stay
-// memory-resident in the query engine; everything DocStore holds is faulted
-// on demand.
-type DocStore struct {
-	pager  *Pager
-	Blocks *BlockStore
-	Nodes  *NodeStore
-}
-
-// NewDocStore creates an empty document store whose shared buffer pool
-// holds poolPages pages.
-func NewDocStore(poolPages int) *DocStore {
-	p := NewPager(poolPages)
-	return &DocStore{pager: p, Blocks: NewBlockStoreOn(p), Nodes: NewNodeStoreOn(p)}
-}
-
-// Pager exposes the shared pager.
-func (ds *DocStore) Pager() *Pager { return ds.pager }
-
-// Stats returns the shared pager's I/O counters.
-func (ds *DocStore) Stats() IOStats { return ds.pager.Stats() }
-
-// ResetStats zeroes the shared pager's I/O counters.
-func (ds *DocStore) ResetStats() { ds.pager.ResetStats() }
-
-// DropCache empties the shared buffer pool (cold start).
-func (ds *DocStore) DropCache() { ds.pager.DropCache() }
-
-// Flush writes every dirty frame back.
-func (ds *DocStore) Flush() { ds.pager.Flush() }
-
-// SetObserver mirrors the shared pager's I/O counters into r.
-func (ds *DocStore) SetObserver(r *obs.Registry) { ds.pager.SetObserver(r) }

@@ -17,7 +17,7 @@ func blobPattern(n int) []byte {
 }
 
 func TestBlockStoreRoundTrip(t *testing.T) {
-	s := NewBlockStoreOn(NewPager(4))
+	s := NewBlockStore(4)
 	big := blobPattern(3*PageSize + 123)
 	small := []byte("tiny")
 	if err := s.PutBlob("big", big); err != nil {
@@ -78,30 +78,5 @@ func TestBlockStoreRoundTrip(t *testing.T) {
 	}
 	if st := s.pager.Stats(); st.Reads != 0 || st.CacheHits != 1 {
 		t.Fatalf("warm tail read: %v, want one hit and no reads", st)
-	}
-}
-
-// TestDocStoreSharedPool: blobs and node-table pages draw on one pager, so
-// a single pool bound and one I/O ledger govern both.
-func TestDocStoreSharedPool(t *testing.T) {
-	ds := NewDocStore(8)
-	if ds.Blocks.pager != ds.Pager() || ds.Nodes.Pager() != ds.Pager() {
-		t.Fatalf("DocStore parts do not share the pager")
-	}
-	if err := ds.Blocks.PutBlob("b", blobPattern(2*PageSize)); err != nil {
-		t.Fatal(err)
-	}
-	before := ds.pager.Pages()
-	if before < 2 {
-		t.Fatalf("blob pages not visible through DocStore: %d", before)
-	}
-	ds.Flush()
-	ds.DropCache()
-	ds.ResetStats()
-	if _, err := ds.Blocks.ReadRange("b", 0, PageSize, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := ds.Stats(); st.Reads != 1 {
-		t.Fatalf("shared ledger missed the fault: %v", st)
 	}
 }

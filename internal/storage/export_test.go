@@ -2,23 +2,6 @@ package storage
 
 // Inspection helpers only the tests use.
 
-// Height returns the number of levels in the tree (1 for a lone leaf).
-func (t *BTree) Height() (int, error) {
-	h := 1
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return 0, err
-		}
-		if n.leaf {
-			return h, nil
-		}
-		h++
-		id = n.kids[0]
-	}
-}
-
 // PinnedFrames returns the number of frames currently held by at least one
 // pin — zero between queries if every Pin was matched by an Unpin.
 func (p *Pager) PinnedFrames() int {
@@ -33,9 +16,13 @@ func (p *Pager) PinnedFrames() int {
 	return n
 }
 
-// Height returns the clustered index height.
-func (st *NodeStore) Height() (int, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.tree.Height()
+// readPage returns a copy of a page's bytes, faulting it in through a pin
+// like every reader of the pool.
+func readPage(p *Pager, id int32) ([]byte, error) {
+	pp, err := p.Pin(id)
+	if err != nil {
+		return nil, err
+	}
+	defer pp.Unpin()
+	return append([]byte(nil), pp.Data()...), nil
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,71 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 )
-
-// faultStore wraps a Pager and fails reads after a countdown, simulating a
-// bad sector mid-operation. Both page access paths — Read and Pin — count
-// against and trip the same fault, since the B-tree prefers Pin when the
-// store supports it.
-type faultStore struct {
-	*Pager
-	failAfter int // fail every Read/Pin once the counter reaches zero
-	reads     int
-}
-
-var errInjected = errors.New("storage: injected read fault")
-
-func (f *faultStore) Read(id int32) ([]byte, error) {
-	f.reads++
-	if f.failAfter >= 0 && f.reads > f.failAfter {
-		return nil, errInjected
-	}
-	return f.Pager.Read(id)
-}
-
-func (f *faultStore) Pin(id int32) (*PinnedPage, error) {
-	f.reads++
-	if f.failAfter >= 0 && f.reads > f.failAfter {
-		return nil, errInjected
-	}
-	return f.Pager.Pin(id)
-}
-
-// TestBTreeReadFaultPropagation: read faults surface as errors from every
-// B+tree operation instead of being swallowed or panicking.
-func TestBTreeReadFaultPropagation(t *testing.T) {
-	fs := &faultStore{Pager: NewPager(64), failAfter: -1}
-	tr := NewBTree(fs)
-	for v := 0; v < 2000; v++ {
-		if err := tr.Put(key64(uint64(v)), []byte{byte(v)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// From now on every read fails.
-	fs.failAfter = 0
-	fs.reads = 1
-
-	if _, _, err := tr.Get(key64(5)); !errors.Is(err, errInjected) {
-		t.Fatalf("Get error = %v, want injected fault", err)
-	}
-	if err := tr.Put(key64(9999), []byte{1}); !errors.Is(err, errInjected) {
-		t.Fatalf("Put error = %v, want injected fault", err)
-	}
-	if _, err := tr.Delete(key64(5)); !errors.Is(err, errInjected) {
-		t.Fatalf("Delete error = %v, want injected fault", err)
-	}
-	if err := tr.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, errInjected) {
-		t.Fatalf("Scan error = %v, want injected fault", err)
-	}
-	if _, err := tr.Height(); !errors.Is(err, errInjected) {
-		t.Fatalf("Height error = %v, want injected fault", err)
-	}
-
-	// Intermittent fault: the tree stays usable once reads recover.
-	fs.failAfter = -1
-	if _, ok, err := tr.Get(key64(5)); err != nil || !ok {
-		t.Fatalf("recovered Get: ok=%v err=%v", ok, err)
-	}
-}
 
 // pagedFixture stores a valid posting list as a blob and returns both the
 // paged view and the resident original, plus the block store for fault
@@ -94,7 +28,7 @@ func pagedFixture(t *testing.T) (*BlockStore, *index.PostingList, *index.Posting
 	if len(data) < 3*PageSize {
 		t.Fatalf("fixture too small: %d data bytes", len(data))
 	}
-	bs := NewBlockStoreOn(NewPager(4))
+	bs := NewBlockStore(4)
 	if err := bs.PutBlob("px:t", data); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +121,7 @@ func TestPagedBlocksPartialFlushRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := NewBlockStoreOn(NewPager(4))
+	bs := NewBlockStore(4)
 	if err := bs.PutBlob("px:t", data); err != nil {
 		t.Fatal(err)
 	}
@@ -227,21 +161,6 @@ func TestPagedBlocksPartialFlushRejected(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatalf("flushed prefix should still decode")
-	}
-}
-
-// TestBTreeRejectsOversizedEntries: keys and values beyond the page budget
-// are refused up front.
-func TestBTreeRejectsOversizedEntries(t *testing.T) {
-	tr := NewBTree(NewPager(8))
-	if err := tr.Put(make([]byte, PageSize), []byte("v")); err == nil {
-		t.Fatalf("oversized key accepted")
-	}
-	if err := tr.Put([]byte("k"), make([]byte, PageSize)); err == nil {
-		t.Fatalf("oversized value accepted")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("rejected entries counted")
 	}
 }
 

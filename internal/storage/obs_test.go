@@ -14,10 +14,10 @@ func TestPagerObserver(t *testing.T) {
 	p := NewPager(4)
 	p.SetObserver(reg)
 	id := p.Alloc()
-	if _, err := p.Read(id); err != nil {
+	if _, err := readPage(p, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Read(id); err != nil {
+	if _, err := readPage(p, id); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Write(id, []byte("x")); err != nil {
@@ -41,7 +41,7 @@ func TestPagerObserver(t *testing.T) {
 
 	// Detaching stops the mirroring but leaves IOStats counting.
 	p.SetObserver(nil)
-	if _, err := p.Read(id); err != nil {
+	if _, err := readPage(p, id); err != nil {
 		t.Fatal(err)
 	}
 	if got := int64(reg.Counter("storage.cache_hits").Value()); got == p.Stats().CacheHits {

@@ -8,17 +8,14 @@
 //
 //   - Pager: fixed-size pages behind a bounded buffer pool with full read /
 //     write / hit / eviction accounting and pinned frames;
-//   - BTree: a B+tree over byte-string keys whose nodes live in pages, used
-//     as the clustered (global, local) identifier index;
-//   - NodeStore: the node table — one record per numbered node, keyed by
-//     the identifier's byte key;
-//   - BlockStore: named byte blobs (postings block regions) spread over
-//     pages, read back through pinned frames;
-//   - DocStore: one pager shared by a document's postings blobs and its
-//     node-payload table, so a single pool bound governs all paged state.
+//   - BlockStore: named byte blobs (postings block regions) spread over the
+//     pages of one pager, read back through pinned frames — all a paged
+//     document keeps out of core;
+//   - the postings snapshot codec and the write-ahead log.
 //
-// The §4 "database file/table selection" layout (one table per element name
-// and ruid global index) is E10's, and lives in internal/workload.
+// The stored node tables the E-tables page through (a B+tree clustered on
+// the identifier keys, and E10's §4 "database file/table selection" layout)
+// live in internal/workload: no served document reads a node row.
 package storage
 
 import (
@@ -84,9 +81,8 @@ var ErrPageBounds = errors.New("storage: page id out of range")
 
 // Pager provides fixed-size pages on a simulated disk behind a bounded
 // buffer pool with second-chance (clock) eviction. All I/O is counted.
-// All methods are safe for concurrent use; the contents of slices handed
-// out by Read and PinnedPage.Data are governed by the rules documented on
-// those methods.
+// All methods are safe for concurrent use; page bytes are read through
+// Pin, whose PinnedPage.Data slice is valid until Unpin.
 type Pager struct {
 	mu    sync.Mutex
 	disk  [][]byte // the "disk": page id -> page image
@@ -178,22 +174,6 @@ func (p *Pager) Alloc() int32 {
 	return int32(len(p.disk) - 1)
 }
 
-// Read returns the current contents of a page, counting a buffer-pool hit
-// or a disk read. The returned slice is the pooled frame: it is only valid
-// until the next pager call, because eviction may recycle the frame. Callers
-// that must hold page bytes across pager calls use Pin instead. Under
-// RUID_DEBUG, evicted frames are poisoned with 0xDB so a stale hold reads
-// garbage deterministically (see TestReadUseAfterEvictPoison).
-func (p *Pager) Read(id int32) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, err := p.fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	return f.data, nil
-}
-
 // Write replaces the contents of a page (through the pool, marking the
 // frame dirty; the disk write is counted at eviction or Flush).
 func (p *Pager) Write(id int32, data []byte) error {
@@ -218,8 +198,8 @@ func (p *Pager) Write(id int32, data []byte) error {
 // PinnedPage is a page held in the buffer pool on the caller's behalf: the
 // frame cannot be evicted (and therefore its bytes cannot be recycled or
 // poisoned) until Unpin. This is the discipline that lets the paged query
-// path decode postings blocks and B-tree nodes safely while other
-// goroutines fault pages through the same pool.
+// path decode postings blocks safely while other goroutines fault pages
+// through the same pool.
 type PinnedPage struct {
 	p        *Pager
 	f        *frame
@@ -233,8 +213,8 @@ type PinnedPage struct {
 	sumValid bool
 }
 
-// Pin faults a page into the pool (counting a read or a hit exactly like
-// Read) and pins its frame against eviction until Unpin. Pins nest: a frame
+// Pin faults a page into the pool (counting a disk read on a miss and a
+// hit otherwise) and pins its frame against eviction until Unpin. Pins nest: a frame
 // stays resident until every pin is released.
 func (p *Pager) Pin(id int32) (*PinnedPage, error) {
 	p.mu.Lock()
@@ -254,7 +234,9 @@ func (p *Pager) Pin(id int32) (*PinnedPage, error) {
 }
 
 // Data returns the pinned frame's bytes. The slice is valid until Unpin;
-// callers must not write through it. Reading while another goroutine writes
+// callers must not write through it. Under RUID_DEBUG an evicted frame is
+// poisoned with 0xDB, so a slice held past Unpin reads garbage
+// deterministically (see TestReadUseAfterEvictPoison). Reading while another goroutine writes
 // the same page is a caller bug (the debug checksum catches it at Unpin).
 // It panics on use after Unpin, and under RUID_DEBUG also if the frame was
 // somehow evicted while pinned (which would indicate a pager bug).
@@ -347,8 +329,8 @@ func (p *Pager) evict() bool {
 			p.obsWrites.Inc()
 		}
 		if debugChecks.Load() {
-			// Poison the recycled frame so any caller still holding the
-			// Read slice observes garbage instead of silently reading a
+			// Poison the recycled frame so any caller still holding its
+			// bytes past Unpin observes garbage instead of silently reading a
 			// stale (or re-faulted different) page.
 			for i := range f.data {
 				f.data[i] = poisonByte
@@ -429,27 +411,3 @@ func (p *Pager) Pages() int {
 	defer p.mu.Unlock()
 	return len(p.disk)
 }
-
-// PageStore is the page-level interface the B+tree is built on. *Pager is
-// the production implementation; tests substitute fault-injecting stores to
-// exercise error propagation.
-type PageStore interface {
-	// Alloc creates a new zeroed page and returns its id.
-	Alloc() int32
-	// Read returns the current page contents (valid until the next call).
-	Read(id int32) ([]byte, error)
-	// Write replaces the page contents.
-	Write(id int32, data []byte) error
-}
-
-var _ PageStore = (*Pager)(nil)
-
-// PinStore is implemented by page stores that additionally support pinning
-// frames against eviction. The B-tree pins pages while decoding when its
-// store supports it, which is what makes a shared concurrent pool safe.
-type PinStore interface {
-	PageStore
-	Pin(id int32) (*PinnedPage, error)
-}
-
-var _ PinStore = (*Pager)(nil)

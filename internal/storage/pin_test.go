@@ -44,7 +44,7 @@ func TestPinPreventsEviction(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, id := range ids[1:] {
-			if _, err := p.Read(id); err != nil {
+			if _, err := readPage(p, id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,12 +92,12 @@ func TestPinNesting(t *testing.T) {
 	b.Unpin()
 }
 
-// TestReadUseAfterEvictPoison is the regression for the documented Read
-// footgun: a caller that holds the returned slice across further pager
-// calls (an unpinned hold across fetch) must observe deterministic poison
-// under RUID_DEBUG once the frame is evicted — not silently read whatever
-// page was faulted into the recycled frame. Pin is the sanctioned way to
-// hold bytes, and keeps them intact under the same pressure.
+// TestReadUseAfterEvictPoison is the regression for the documented read
+// footgun: a caller that holds a frame's bytes past Unpin (an unpinned hold
+// across further faults) must observe deterministic poison under RUID_DEBUG
+// once the frame is evicted — not silently read whatever page was faulted
+// into the recycled frame. Holding the pin is the sanctioned way to keep
+// bytes, and keeps them intact under the same pressure.
 func TestReadUseAfterEvictPoison(t *testing.T) {
 	prev := SetDebugChecks(true)
 	defer SetDebugChecks(prev)
@@ -106,21 +106,23 @@ func TestReadUseAfterEvictPoison(t *testing.T) {
 	ids := fillPages(t, p, 8)
 	p.DropCache()
 
-	held, err := p.Read(ids[0]) // the footgun: held across subsequent fetches
+	pp, err := p.Pin(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := pp.Data() // the footgun: held across subsequent fetches
+	pp.Unpin()
 	pinned, err := p.Pin(ids[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids[2:] { // evicts frame 0 (clock order: oldest unpinned first)
-		if _, err := p.Read(id); err != nil {
+		if _, err := readPage(p, id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if held[0] != poisonByte || held[31] != poisonByte {
-		t.Fatalf("stale Read hold not poisoned: % x (want %02x)", held[:4], poisonByte)
+		t.Fatalf("stale hold not poisoned: % x (want %02x)", held[:4], poisonByte)
 	}
 	if d := pinned.Data(); d[0] != 2 {
 		t.Fatalf("pinned hold corrupted under the same pressure: %x", d[0])
@@ -194,7 +196,7 @@ func TestSetCapacityEvictsDown(t *testing.T) {
 	p := NewPager(16)
 	ids := fillPages(t, p, 12)
 	for _, id := range ids {
-		if _, err := p.Read(id); err != nil {
+		if _, err := readPage(p, id); err != nil {
 			t.Fatal(err)
 		}
 	}

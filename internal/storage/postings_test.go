@@ -41,7 +41,7 @@ func libraryOf(shelves, books int) string {
 // LoadPostingsPaged, and then faults every block, which validates its
 // contents: the first error either step reports is returned.
 func loadPostings(enc []byte, rn *core.Numbering) (*index.NameIndex, error) {
-	ix, err := storage.LoadPostingsPaged(bytes.NewReader(enc), rn, storage.NewBlockStoreOn(storage.NewPager(64)))
+	ix, err := storage.LoadPostingsPaged(bytes.NewReader(enc), rn, storage.NewBlockStore(64))
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,7 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestPagerBasics(t *testing.T) {
@@ -24,7 +19,7 @@ func TestPagerBasics(t *testing.T) {
 	p.DropCache()
 	p.ResetStats()
 	for i, id := range ids {
-		got, err := p.Read(id)
+		got, err := readPage(p, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,13 +33,13 @@ func TestPagerBasics(t *testing.T) {
 	}
 	// Re-reading the last pages hits the pool.
 	p.ResetStats()
-	if _, err := p.Read(ids[7]); err != nil {
+	if _, err := readPage(p, ids[7]); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Stats(); got.CacheHits != 1 || got.Reads != 0 {
 		t.Fatalf("expected warm hit, got %v", got)
 	}
-	if _, err := p.Read(999); err == nil {
+	if _, err := readPage(p, 999); err == nil {
 		t.Fatalf("expected out-of-range error")
 	}
 }
@@ -63,7 +58,7 @@ func TestPagerEvictionWritesBackDirtyPages(t *testing.T) {
 	p.Flush()
 	p.DropCache()
 	for i, id := range ids {
-		got, err := p.Read(id)
+		got, err := readPage(p, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,176 +68,5 @@ func TestPagerEvictionWritesBackDirtyPages(t *testing.T) {
 	}
 	if p.Stats().Writes == 0 {
 		t.Fatalf("dirty evictions must count writes")
-	}
-}
-
-func key64(v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-func TestBTreeInsertGetScan(t *testing.T) {
-	p := NewPager(64)
-	tr := NewBTree(p)
-	const n = 5000
-	perm := rand.New(rand.NewSource(1)).Perm(n)
-	for _, v := range perm {
-		if err := tr.Put(key64(uint64(v)), []byte(fmt.Sprintf("val%d", v))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
-	}
-	h, err := tr.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 2 {
-		t.Fatalf("tree of %d keys should have split (height %d)", n, h)
-	}
-	for _, v := range []int{0, 1, 42, n / 2, n - 1} {
-		got, ok, err := tr.Get(key64(uint64(v)))
-		if err != nil || !ok {
-			t.Fatalf("Get(%d): ok=%v err=%v", v, ok, err)
-		}
-		if string(got) != fmt.Sprintf("val%d", v) {
-			t.Fatalf("Get(%d) = %q", v, got)
-		}
-	}
-	if _, ok, _ := tr.Get(key64(n + 10)); ok {
-		t.Fatalf("Get of missing key succeeded")
-	}
-	// Range scan returns exactly [100, 200] in order.
-	var seen []uint64
-	err = tr.Scan(key64(100), key64(200), func(k, v []byte) bool {
-		seen = append(seen, binary.BigEndian.Uint64(k))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 101 || seen[0] != 100 || seen[100] != 200 {
-		t.Fatalf("scan returned %d keys [%d..%d]", len(seen), seen[0], seen[len(seen)-1])
-	}
-	if !sort.SliceIsSorted(seen, func(i, j int) bool { return seen[i] < seen[j] }) {
-		t.Fatalf("scan out of order")
-	}
-	// Replacement does not grow the tree.
-	if err := tr.Put(key64(42), []byte("replaced")); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != n {
-		t.Fatalf("Len after replace = %d", tr.Len())
-	}
-	got, _, _ := tr.Get(key64(42))
-	if string(got) != "replaced" {
-		t.Fatalf("replace failed: %q", got)
-	}
-}
-
-func TestBTreeDelete(t *testing.T) {
-	p := NewPager(32)
-	tr := NewBTree(p)
-	for v := 0; v < 1000; v++ {
-		if err := tr.Put(key64(uint64(v)), []byte{byte(v)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for v := 0; v < 1000; v += 2 {
-		ok, err := tr.Delete(key64(uint64(v)))
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d): ok=%v err=%v", v, ok, err)
-		}
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len = %d, want 500", tr.Len())
-	}
-	for v := 0; v < 1000; v++ {
-		_, ok, _ := tr.Get(key64(uint64(v)))
-		if ok != (v%2 == 1) {
-			t.Fatalf("Get(%d) present=%v", v, ok)
-		}
-	}
-	if ok, _ := tr.Delete(key64(2)); ok {
-		t.Fatalf("double delete succeeded")
-	}
-}
-
-// TestQuickBTreeMatchesMap: the tree agrees with a reference map under a
-// random operation sequence.
-func TestQuickBTreeMatchesMap(t *testing.T) {
-	f := func(seed int64, opsRaw uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ops := 200 + int(opsRaw)%800
-		p := NewPager(16)
-		tr := NewBTree(p)
-		ref := map[uint64]string{}
-		for i := 0; i < ops; i++ {
-			k := uint64(rng.Intn(300))
-			switch rng.Intn(3) {
-			case 0, 1:
-				v := fmt.Sprintf("v%d-%d", k, i)
-				if err := tr.Put(key64(k), []byte(v)); err != nil {
-					return false
-				}
-				ref[k] = v
-			case 2:
-				ok, err := tr.Delete(key64(k))
-				if err != nil {
-					return false
-				}
-				_, inRef := ref[k]
-				if ok != inRef {
-					return false
-				}
-				delete(ref, k)
-			}
-		}
-		if tr.Len() != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			got, ok, err := tr.Get(key64(k))
-			if err != nil || !ok || string(got) != v {
-				return false
-			}
-		}
-		// Full scan matches sorted reference keys.
-		var keys []uint64
-		if err := tr.Scan(nil, nil, func(k, _ []byte) bool {
-			keys = append(keys, binary.BigEndian.Uint64(k))
-			return true
-		}); err != nil {
-			return false
-		}
-		if len(keys) != len(ref) {
-			return false
-		}
-		return sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecordRoundTrip(t *testing.T) {
-	cases := []Record{
-		{Name: "title", Kind: 1, Value: ""},
-		{Name: "", Kind: 2, Value: "some text with ümläuts"},
-		{Name: "id", Kind: 5, Value: "x42"},
-	}
-	for _, r := range cases {
-		got, err := decodeRecord(encodeRecord(r))
-		if err != nil {
-			t.Fatalf("decode(%+v): %v", r, err)
-		}
-		if got != r {
-			t.Fatalf("round trip %+v -> %+v", r, got)
-		}
-	}
-	if _, err := decodeRecord([]byte{1, 2}); err == nil {
-		t.Fatalf("short record must fail")
 	}
 }

@@ -1,30 +1,41 @@
-package storage
+package workload
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"repro/internal/storage"
 )
 
 // BTree is a B+tree over byte-string keys whose nodes are pager pages.
 // Interior nodes hold separator keys and child page ids; leaves hold
 // key/value pairs and are chained left-to-right for range scans. A node
 // splits when its serialization no longer fits in one page, so the fan-out
-// adapts to key and value sizes. Deletion removes keys in place without
-// rebalancing (pages may underflow), which preserves correctness and is
-// sufficient for the workloads measured here.
+// adapts to key and value sizes. It is the clustered identifier index of
+// the stored node tables the E-tables page through (NodeStore); a table is
+// bulk-loaded and then only read, so the tree has no delete.
 type BTree struct {
 	pager PageStore
-	pin   PinStore // non-nil when pager supports pinning
 	root  int32
 	size  int
+}
+
+// PageStore is what the B+tree needs of a pager. *storage.Pager is the one
+// implementation; tests wrap it to inject faults.
+type PageStore interface {
+	// Alloc creates a new zeroed page and returns its id.
+	Alloc() int32
+	// Pin faults a page in and holds its frame until Unpin.
+	Pin(id int32) (*storage.PinnedPage, error)
+	// Write replaces the page contents.
+	Write(id int32, data []byte) error
 }
 
 // NewBTree creates an empty tree whose nodes live in pager.
 func NewBTree(pager PageStore) *BTree {
 	t := &BTree{pager: pager}
-	t.pin, _ = pager.(PinStore)
 	t.root = pager.Alloc()
 	t.writeNode(t.root, &bnode{leaf: true, next: -1})
 	return t
@@ -51,38 +62,22 @@ type bnode struct {
 //	leaf:       repeat { klen u16, key, vlen u16, val }
 //	interior:   child0 i32, repeat { klen u16, key, child i32 }
 func (t *BTree) readNode(id int32) (*bnode, error) {
-	// Pin the page for the duration of the decode when the store supports
-	// it: with a shared concurrent pool, another goroutine's fault could
-	// otherwise evict this frame mid-decode. Everything is copied out of
-	// the frame before Unpin.
-	var buf []byte
-	if t.pin != nil {
-		pp, err := t.pin.Pin(id)
-		if err != nil {
-			return nil, err
-		}
-		defer pp.Unpin()
-		buf = pp.Data()
-	} else {
-		var err error
-		buf, err = t.pager.Read(id)
-		if err != nil {
-			return nil, err
-		}
+	// The page is pinned for the duration of the decode, and everything is
+	// copied out of the frame before Unpin.
+	pp, err := t.pager.Pin(id)
+	if err != nil {
+		return nil, err
 	}
+	defer pp.Unpin()
+	buf := pp.Data()
 	n := &bnode{leaf: buf[0] == 1}
 	cnt := int(binary.BigEndian.Uint16(buf[1:3]))
 	n.next = int32(binary.BigEndian.Uint32(buf[3:7]))
 	// Copy the payload region out of the frame once and hand out
 	// cap-bounded subslices: one arena allocation per node instead of two
 	// tiny copies per entry, which dominated bulk-load profiles. The caps
-	// keep a caller's append from clobbering a neighbouring entry. Under
-	// a plain Read the buffer is already a private copy and is sliced
-	// directly.
-	arena := buf[7:]
-	if t.pin != nil {
-		arena = append(make([]byte, 0, len(arena)), arena...)
-	}
+	// keep a caller's append from clobbering a neighbouring entry.
+	arena := append([]byte(nil), buf[7:]...)
 	off := 0
 	if n.leaf {
 		n.keys = make([][]byte, 0, cnt)
@@ -160,8 +155,8 @@ func (t *BTree) writeNode(id int32, n *bnode) {
 			buf = append(buf, u32[:]...)
 		}
 	}
-	if len(buf) > PageSize {
-		panic(fmt.Sprintf("storage: btree node overflows page: %d bytes", len(buf)))
+	if len(buf) > storage.PageSize {
+		panic(fmt.Sprintf("workload: btree node overflows page: %d bytes", len(buf)))
 	}
 	if err := t.pager.Write(id, buf); err != nil {
 		panic(err) // ids come from Alloc; out-of-range is a program error
@@ -195,8 +190,8 @@ func childIndex(keys [][]byte, key []byte) int {
 
 // Put inserts key/value or replaces the existing value.
 func (t *BTree) Put(key, val []byte) error {
-	if len(key) > PageSize/8 || len(val) > PageSize/2 {
-		return fmt.Errorf("storage: key (%d) or value (%d) too large", len(key), len(val))
+	if len(key) > storage.PageSize/8 || len(val) > storage.PageSize/2 {
+		return fmt.Errorf("workload: key (%d) or value (%d) too large", len(key), len(val))
 	}
 	sepKey, rightID, grew, err := t.insert(t.root, key, val)
 	if err != nil {
@@ -265,7 +260,7 @@ func (t *BTree) insert(id int32, key, val []byte) (sep []byte, rightID int32, gr
 // serialization exceeds the page size. It returns the separator and right
 // page id on split, or (nil, -1).
 func (t *BTree) splitIfNeeded(id int32, n *bnode) ([]byte, int32) {
-	if n.serializedSize() <= PageSize {
+	if n.serializedSize() <= storage.PageSize {
 		t.writeNode(id, n)
 		return nil, -1
 	}
@@ -292,30 +287,6 @@ func (t *BTree) splitIfNeeded(id int32, n *bnode) ([]byte, int32) {
 	t.writeNode(id, n)
 	t.writeNode(rightID, right)
 	return sep, rightID
-}
-
-// Delete removes key if present and reports whether it was found. Pages are
-// not rebalanced.
-func (t *BTree) Delete(key []byte) (bool, error) {
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return false, err
-		}
-		if n.leaf {
-			i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], key) >= 0 })
-			if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
-				return false, nil
-			}
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.vals = append(n.vals[:i], n.vals[i+1:]...)
-			t.writeNode(id, n)
-			t.size--
-			return true, nil
-		}
-		id = n.kids[childIndex(n.keys, key)]
-	}
 }
 
 // Scan visits every key in [lo, hi] in order, calling fn; fn returning

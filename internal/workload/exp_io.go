@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/prepost"
 	"repro/internal/scheme"
-	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -46,11 +45,11 @@ func E12StorageAxes() *Table {
 			panic(err)
 		}
 
-		stR := storage.NewNodeStore(4)
-		if err := stR.Load(root, rn.NodeKey, false); err != nil {
+		stR := NewNodeStore(4)
+		if err := stR.Load(root, scheme.NodeKey(scheme.RUID{Num: rn}), false); err != nil {
 			panic(err)
 		}
-		stP := storage.NewNodeStore(4)
+		stP := NewNodeStore(4)
 		if err := stP.Load(root, scheme.NodeKey(pn), false); err != nil {
 			panic(err)
 		}
@@ -123,7 +122,7 @@ func E12StorageAxes() *Table {
 			count := 0
 			loKey := prepost.ID{Pre: lo + 1}.Key()
 			hiKey := prepost.ID{Pre: hi}.Key()
-			if err := stP.ScanRange(loKey, hiKey, func([]byte, storage.Record) bool {
+			if err := stP.ScanRange(loKey, hiKey, func([]byte, Record) bool {
 				count++
 				return true
 			}); err != nil {
@@ -135,7 +134,7 @@ func E12StorageAxes() *Table {
 		// Baseline: full relation scan per operation.
 		measure("full scan", float64(stR.Len()), func(x *xmltree.Node) int {
 			count := 0
-			if err := stR.ScanRange(nil, nil, func([]byte, storage.Record) bool {
+			if err := stR.ScanRange(nil, nil, func([]byte, Record) bool {
 				count++
 				return true
 			}); err != nil {

@@ -36,8 +36,9 @@ import (
 //     ancestor identifier to a real stored node pages through the B-tree.
 //
 // A second block measures the paged query engine itself (document.Options
-// PoolPages): a cold query faults its posting blocks and node payloads
-// through the pool, and a warm repeat is served from it.
+// PoolPages) under the same pool: a cold query faults its posting blocks
+// through the pool, and a warm repeat is served from it. A paged document
+// pages only its postings; answers resolve to its resident tree.
 
 // OutOfCoreStats are the raw measurements behind E17, shared by the table
 // renderer, cmd/ruidbench's io/* JSON rows, and the CI cold-query smoke.
@@ -56,7 +57,7 @@ type OutOfCoreStats struct {
 	UIDSteps        int64
 	UID64Overflowed bool // Build64 failed at this scale (Observation 1)
 
-	// Paged query engine (document with PoolPages at ~5% of its pages).
+	// Paged query engine (document with PoolPages at the baselines' pool).
 	DocPoolPages   int
 	DocTotalPages  int
 	ColdQueryReads int64
@@ -118,8 +119,8 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 
 	// Stored node tables, loaded with a pool roomy enough that the bulk
 	// load itself does not thrash, then capped at ~5% for the measurement.
-	load := func(key func(*xmltree.Node) ([]byte, bool)) *storage.NodeStore {
-		t := storage.NewNodeStore(32768)
+	load := func(key func(*xmltree.Node) ([]byte, bool)) *NodeStore {
+		t := NewNodeStore(32768)
 		if err := t.Load(root, key, false); err != nil {
 			panic(err)
 		}
@@ -129,7 +130,7 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 		t.ResetStats()
 		return t
 	}
-	stR := load(rn.NodeKey)
+	stR := load(scheme.NodeKey(scheme.RUID{Num: rn}))
 	stP := load(scheme.NodeKey(pn))
 	st.TotalPages = stR.Pages()
 	st.PoolPages = outOfCorePool(st.TotalPages)
@@ -251,8 +252,9 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 		}
 	}
 
-	// Paged query engine: the same tree behind an out-of-core DocStore,
-	// built with a roomy pool and then capped at ~5% of its pages.
+	// Paged query engine: the same tree with its postings out of core,
+	// built with a roomy pool and then capped at the baselines' pool, so the
+	// whole experiment runs under one memory budget.
 	d, err := document.FromTree(doc, document.Options{
 		PoolPages: 32768, Partition: DefaultPartition,
 	})
@@ -261,7 +263,7 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 	}
 	pg := d.Store().Pager()
 	st.DocTotalPages = pg.Pages()
-	st.DocPoolPages = outOfCorePool(st.DocTotalPages)
+	st.DocPoolPages = st.PoolPages
 	pg.SetCapacity(st.DocPoolPages)
 	d.DropCaches()
 	d.ResetIOStats()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/storage"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -108,8 +108,8 @@ func E10TableSelection() *Table {
 		n := BuildRUID(doc)
 		root := doc.DocumentElement()
 
-		mono := storage.NewNodeStore(8)
-		if err := mono.Load(root, n.NodeKey, false); err != nil {
+		mono := NewNodeStore(8)
+		if err := mono.Load(root, scheme.NodeKey(scheme.RUID{Num: n}), false); err != nil {
 			panic(err)
 		}
 		part := NewPartitionedStore(8)
@@ -144,7 +144,7 @@ func E10TableSelection() *Table {
 			id, _ := n.RUID(x)
 			key := id.Key()
 			found := false
-			if err := mono.ScanRange(nil, nil, func(k []byte, r storage.Record) bool {
+			if err := mono.ScanRange(nil, nil, func(k []byte, r Record) bool {
 				if string(k) == string(key) {
 					found = true
 					return false

@@ -1,10 +1,10 @@
-package storage
+package workload
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
+	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -33,21 +33,21 @@ func encodeRecord(r Record) []byte {
 // decodeRecord parses a serialized record.
 func decodeRecord(b []byte) (Record, error) {
 	if len(b) < 5 {
-		return Record{}, fmt.Errorf("storage: record too short (%d bytes)", len(b))
+		return Record{}, fmt.Errorf("workload: record too short (%d bytes)", len(b))
 	}
 	r := Record{Kind: b[0]}
 	off := 1
 	nl := int(binary.BigEndian.Uint16(b[off : off+2]))
 	off += 2
 	if off+nl+2 > len(b) {
-		return Record{}, fmt.Errorf("storage: corrupt record name")
+		return Record{}, fmt.Errorf("workload: corrupt record name")
 	}
 	r.Name = string(b[off : off+nl])
 	off += nl
 	vl := int(binary.BigEndian.Uint16(b[off : off+2]))
 	off += 2
 	if off+vl > len(b) {
-		return Record{}, fmt.Errorf("storage: corrupt record value")
+		return Record{}, fmt.Errorf("workload: corrupt record value")
 	}
 	r.Value = string(b[off : off+vl])
 	return r, nil
@@ -63,36 +63,27 @@ func recordOf(n *xmltree.Node) Record {
 	return r
 }
 
-// NodeStore is the node table of one document: records keyed by the
-// numbering scheme's identifier keys, clustered in a B+tree. With a ruid
-// numbering, key order is (global index, local index) — exactly the sort
-// order the paper prescribes for RDBMS storage. Reads may run concurrently
-// (the paged query path fetches payloads from parallel workers); writes
-// take the table lock exclusively.
+// NodeStore is the stored node table the E-tables' baselines page through:
+// records keyed by the numbering scheme's identifier keys, clustered in a
+// B+tree behind a pager of its own. With a ruid numbering, key order is
+// (global index, local index) — exactly the sort order the paper prescribes
+// for RDBMS storage. No served document has one: the engine answers from
+// its resident tree, and pages only its postings.
 type NodeStore struct {
-	mu    sync.RWMutex
-	pager *Pager
+	pager *storage.Pager
 	tree  *BTree
 }
 
 // NewNodeStore creates an empty node table with the given buffer-pool size
 // (pages).
 func NewNodeStore(poolPages int) *NodeStore {
-	return NewNodeStoreOn(NewPager(poolPages))
-}
-
-// NewNodeStoreOn creates an empty node table whose B+tree pages live in an
-// existing pager — the DocStore layout, where postings blobs and the node
-// table share one buffer pool.
-func NewNodeStoreOn(p *Pager) *NodeStore {
+	p := storage.NewPager(poolPages)
 	return &NodeStore{pager: p, tree: NewBTree(p)}
 }
 
 // Load bulk-inserts, in document order, every node under root for which key
 // returns a key: the identifier key of each numbered node.
 func (st *NodeStore) Load(root *xmltree.Node, key func(*xmltree.Node) ([]byte, bool), withAttrs bool) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	var err error
 	root.WalkFull(func(n *xmltree.Node) bool {
 		if n.Kind == xmltree.Attribute && !withAttrs {
@@ -102,7 +93,7 @@ func (st *NodeStore) Load(root *xmltree.Node, key func(*xmltree.Node) ([]byte, b
 		if !ok {
 			return true
 		}
-		if e := st.tree.Put(k, encodeRecord(recordOf(n))); e != nil {
+		if e := st.Put(k, n); e != nil {
 			err = e
 			return false
 		}
@@ -113,15 +104,11 @@ func (st *NodeStore) Load(root *xmltree.Node, key func(*xmltree.Node) ([]byte, b
 
 // Put inserts or replaces the row of n under key.
 func (st *NodeStore) Put(key []byte, n *xmltree.Node) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.tree.Put(key, encodeRecord(recordOf(n)))
 }
 
 // Get fetches the row stored under key.
 func (st *NodeStore) Get(key []byte) (Record, bool, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	v, ok, err := st.tree.Get(key)
 	if err != nil || !ok {
 		return Record{}, false, err
@@ -133,17 +120,8 @@ func (st *NodeStore) Get(key []byte) (Record, bool, error) {
 	return r, true, nil
 }
 
-// Delete removes the row stored under key.
-func (st *NodeStore) Delete(key []byte) (bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.tree.Delete(key)
-}
-
 // ScanRange visits the rows whose keys fall in [lo, hi] in key order.
 func (st *NodeStore) ScanRange(lo, hi []byte, fn func(key []byte, r Record) bool) error {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	var derr error
 	err := st.tree.Scan(lo, hi, func(k, v []byte) bool {
 		r, e := decodeRecord(v)
@@ -160,14 +138,10 @@ func (st *NodeStore) ScanRange(lo, hi []byte, fn func(key []byte, r Record) bool
 }
 
 // Len returns the number of stored rows.
-func (st *NodeStore) Len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.tree.Len()
-}
+func (st *NodeStore) Len() int { return st.tree.Len() }
 
 // Stats returns the accumulated I/O counters.
-func (st *NodeStore) Stats() IOStats { return st.pager.Stats() }
+func (st *NodeStore) Stats() storage.IOStats { return st.pager.Stats() }
 
 // ResetStats zeroes the I/O counters.
 func (st *NodeStore) ResetStats() { st.pager.ResetStats() }
@@ -178,5 +152,5 @@ func (st *NodeStore) DropCache() { st.pager.DropCache() }
 // Pages returns the number of allocated pages.
 func (st *NodeStore) Pages() int { return st.pager.Pages() }
 
-// Pager exposes the underlying pager (shared in the DocStore layout).
-func (st *NodeStore) Pager() *Pager { return st.pager }
+// Pager exposes the underlying pager.
+func (st *NodeStore) Pager() *storage.Pager { return st.pager }

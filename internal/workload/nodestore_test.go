@@ -1,10 +1,10 @@
-package storage_test
+package workload
 
 import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/storage"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -22,9 +22,9 @@ func buildRUID(t *testing.T, doc *xmltree.Node, budget int) *core.Numbering {
 func TestNodeStoreLoadAndGet(t *testing.T) {
 	doc := xmltree.XMark(1, 9)
 	n := buildRUID(t, doc, 24)
-	st := storage.NewNodeStore(64)
+	st := NewNodeStore(64)
 	root := doc.DocumentElement()
-	if err := st.Load(root, n.NodeKey, false); err != nil {
+	if err := st.Load(root, scheme.NodeKey(scheme.RUID{Num: n}), false); err != nil {
 		t.Fatal(err)
 	}
 	want := xmltree.CountNodes(root)
@@ -41,7 +41,7 @@ func TestNodeStoreLoadAndGet(t *testing.T) {
 			t.Fatalf("row mismatch for %s: %+v", x.Path(), r)
 		}
 	}
-	if _, err := st.Height(); err != nil {
+	if _, err := st.tree.Height(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,9 +52,9 @@ func TestNodeStoreLoadAndGet(t *testing.T) {
 func TestClusteredScanIsAreaScan(t *testing.T) {
 	doc := xmltree.Balanced(3, 5)
 	n := buildRUID(t, doc, 16)
-	st := storage.NewNodeStore(64)
+	st := NewNodeStore(64)
 	root := doc.DocumentElement()
-	if err := st.Load(root, n.NodeKey, false); err != nil {
+	if err := st.Load(root, scheme.NodeKey(scheme.RUID{Num: n}), false); err != nil {
 		t.Fatal(err)
 	}
 	// Count per-area rows via ground truth. A node's row is keyed by its
@@ -69,7 +69,7 @@ func TestClusteredScanIsAreaScan(t *testing.T) {
 		lo := core.ID{Global: g, Local: 0, Root: false}.Key()
 		hi := core.ID{Global: g + 1, Local: 0, Root: false}.Key()
 		count := 0
-		err := st.ScanRange(lo, hi, func(k []byte, _ storage.Record) bool {
+		err := st.ScanRange(lo, hi, func(k []byte, _ Record) bool {
 			id, ok := core.DecodeKey(k)
 			if !ok || id.Global != g {
 				t.Fatalf("scan of area %d yielded key of area %v", g, id)
@@ -91,9 +91,9 @@ func TestClusteredScanIsAreaScan(t *testing.T) {
 func TestParentLookupNeedsNoTreeIO(t *testing.T) {
 	doc := xmltree.Recursive(2, 7)
 	n := buildRUID(t, doc, 32)
-	st := storage.NewNodeStore(256)
+	st := NewNodeStore(256)
 	root := doc.DocumentElement()
-	if err := st.Load(root, n.NodeKey, false); err != nil {
+	if err := st.Load(root, scheme.NodeKey(scheme.RUID{Num: n}), false); err != nil {
 		t.Fatal(err)
 	}
 	deep := root

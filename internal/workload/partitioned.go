@@ -16,10 +16,10 @@ import (
 // common global index of ruid of items". A query that knows an element
 // name and the relevant areas opens only the matching small tables instead
 // of scanning a monolithic one. E10 measures it against the monolithic
-// storage.NodeStore; no served document uses it.
+// NodeStore; no served document uses it.
 type PartitionedStore struct {
 	poolPages int
-	tables    map[tableKey]*storage.NodeStore
+	tables    map[tableKey]*NodeStore
 }
 
 type tableKey struct {
@@ -33,7 +33,7 @@ func (k tableKey) String() string { return fmt.Sprintf("%s_g%d", k.name, k.globa
 // NewPartitionedStore creates an empty decomposed store; each table gets
 // its own buffer pool of poolPages pages.
 func NewPartitionedStore(poolPages int) *PartitionedStore {
-	return &PartitionedStore{poolPages: poolPages, tables: make(map[tableKey]*storage.NodeStore)}
+	return &PartitionedStore{poolPages: poolPages, tables: make(map[tableKey]*NodeStore)}
 }
 
 // Load distributes every numbered element of the snapshot into its table.
@@ -50,7 +50,7 @@ func (ps *PartitionedStore) Load(root *xmltree.Node, n *core.Numbering) error {
 		k := tableKey{name: x.Name, global: id.Global}
 		tbl := ps.tables[k]
 		if tbl == nil {
-			tbl = storage.NewNodeStore(ps.poolPages)
+			tbl = NewNodeStore(ps.poolPages)
 			ps.tables[k] = tbl
 		}
 		if e := tbl.Put(id.Key(), x); e != nil {
@@ -78,8 +78,8 @@ func (ps *PartitionedStore) TableNames() []string {
 // SelectTables returns the tables a query for the given element name must
 // open, restricted to the given areas (nil means all areas). This is the
 // candidate-selection step of §4.
-func (ps *PartitionedStore) SelectTables(name string, globals []int64) []*storage.NodeStore {
-	var out []*storage.NodeStore
+func (ps *PartitionedStore) SelectTables(name string, globals []int64) []*NodeStore {
+	var out []*NodeStore
 	if globals == nil {
 		keys := make([]tableKey, 0, len(ps.tables))
 		for k := range ps.tables {
@@ -104,10 +104,10 @@ func (ps *PartitionedStore) SelectTables(name string, globals []int64) []*storag
 // Lookup fetches the row for one identifier, opening only the tables the
 // name + global decomposition selects. It returns the record and the I/O
 // the lookup cost.
-func (ps *PartitionedStore) Lookup(name string, id core.ID) (storage.Record, bool, storage.IOStats, error) {
+func (ps *PartitionedStore) Lookup(name string, id core.ID) (Record, bool, storage.IOStats, error) {
 	tbl, ok := ps.tables[tableKey{name: name, global: id.Global}]
 	if !ok {
-		return storage.Record{}, false, storage.IOStats{}, nil
+		return Record{}, false, storage.IOStats{}, nil
 	}
 	before := tbl.Stats()
 	r, found, err := tbl.Get(id.Key())
@@ -116,10 +116,10 @@ func (ps *PartitionedStore) Lookup(name string, id core.ID) (storage.Record, boo
 
 // ScanName visits every row of every table holding elements with the given
 // name (all areas), in (global, local) order per table.
-func (ps *PartitionedStore) ScanName(name string, fn func(key []byte, r storage.Record) bool) error {
+func (ps *PartitionedStore) ScanName(name string, fn func(key []byte, r Record) bool) error {
 	for _, tbl := range ps.SelectTables(name, nil) {
 		stop := false
-		err := tbl.ScanRange(nil, nil, func(k []byte, r storage.Record) bool {
+		err := tbl.ScanRange(nil, nil, func(k []byte, r Record) bool {
 			if !fn(k, r) {
 				stop = true
 				return false

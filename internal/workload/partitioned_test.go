@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -27,7 +26,7 @@ func TestPartitionedStoreSelection(t *testing.T) {
 	}
 	// Every title row is reachable through name-selected tables.
 	count := 0
-	if err := ps.ScanName("title", func(_ []byte, r storage.Record) bool {
+	if err := ps.ScanName("title", func(_ []byte, r Record) bool {
 		if r.Name != "title" {
 			t.Fatalf("ScanName(title) yielded %q", r.Name)
 		}
