@@ -606,6 +606,10 @@ func applyDeltaBytesRow() microResult {
 		}}
 	}
 	defer index.SetDebugChecks(index.SetDebugChecks(false))
+	// One P, as in the index test: a pooled value sits in the private slot of
+	// the P that put it, out of reach of a Get on another P once a collection
+	// has moved it to the victim cache.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	best := uint64(math.MaxUint64)
 	runtime.GC()
 	a0 := allocatedBytes()
@@ -829,9 +833,11 @@ func writeRows() []microResult {
 // that makes a count write its answer down again fails CI.
 //
 // nav_visited_per_point_query: candidates the axis walks hand the evaluator
-// per positional lookup. t[k] stops at its k-th match, so the value is a
-// function of the fixed positions, not of how many siblings follow them; a
-// change that walks an axis to its end again multiplies it.
+// per positional lookup. Each lookup names the last of its siblings, and
+// t[k] under children that are all elements of one name is one slot read,
+// so the value counts the steps, not the siblings: a change that walks to
+// the k-th sibling again multiplies it, and one that walks the axis to its
+// end adds to it.
 //
 // build/k_rows and build/kappa fingerprint the table K the server built for
 // that document — its area count and the frame fan-out κ. Every identifier
@@ -858,10 +864,10 @@ func readRows() []microResult {
 		"/site/people/person[profile]/name", "//bidder/increase",
 	}
 	points := []string{
-		"/site/regions/europe/item[3]/name",
-		"/site/regions/namerica/item[5]/description/parlist/listitem[1]/text",
-		"/site/people/person[30]/ancestor::*",
-		"/site/open_auctions/open_auction[60]/bidder[1]/increase",
+		"/site/regions/europe/item[80]/name",
+		"/site/regions/namerica/item[80]/description/parlist/listitem[1]/text",
+		"/site/people/person[200]/ancestor::*",
+		"/site/open_auctions/open_auction[120]/bidder[1]/increase",
 	}
 	for i, q := range append(joins, points...) {
 		resp, err := srv.Query(context.Background(), "bench", server.QueryRequest{Query: q})

@@ -291,6 +291,37 @@ func (n *Numbering) VisitChildren(c *xmltree.Node, visit func(*xmltree.Node) boo
 	return !ok || n.walkBelow(id, false, atNode(visit))
 }
 
+// ChildAt returns the j-th child of c (1-based, attributes excluded) by one
+// slot read: c's children are the occupied slots of its child range, in
+// order, so the j-th sits j-1 positions past the first of them — behind c's
+// attributes where the numbering enumerates them as leading children (§4).
+// A boundary slot's node is the lower area's root, so no hop through K is
+// needed. ok is false when c is outside the numbering or has fewer than j
+// children.
+func (n *Numbering) ChildAt(c *xmltree.Node, j int) (*xmltree.Node, bool) {
+	id, ok := n.RUID(c)
+	if !ok || j < 1 {
+		return nil, false
+	}
+	g, l := n.childContext(id)
+	a, ok := n.krow(g)
+	if !ok {
+		return nil, false
+	}
+	lo, hi := childSlots(l, a.fanout)
+	i := seek(a.slots, lo)
+	if n.opts.WithAttrs {
+		i += c.NumAttrs()
+	}
+	if j > len(a.slots)-i {
+		return nil, false
+	}
+	if i += j - 1; a.slots[i] > hi {
+		return nil, false
+	}
+	return a.nodes.At(i), true
+}
+
 // VisitDescendants walks the descendants of c in document order.
 func (n *Numbering) VisitDescendants(c *xmltree.Node, visit func(*xmltree.Node) bool) bool {
 	id, ok := n.RUID(c)

@@ -309,6 +309,9 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
 			if x.Parent != nil {
 				panic(fmt.Sprintf("document: epoch %d would publish %s %q with a Parent", d.epoch+1, x.Kind, x.Name))
 			}
+			if !x.UniformSound() { // t[k] would read the wrong child's slot
+				panic(fmt.Sprintf("document: epoch %d would publish %s %q with a uniform bit its children belie", d.epoch+1, x.Kind, x.Name))
+			}
 			return true
 		})
 	}
@@ -513,7 +516,8 @@ func detachTree(doc *xmltree.Node) (nodes, depths int) {
 }
 
 // debugChecks gates publication's O(n) check that the tree it installs
-// carries no Parent below the document node, and turns a rejected
+// carries no Parent below the document node and no uniform bit
+// (xmltree.Node.UniformChildren) its children belie, and turns a rejected
 // incremental assembly from a silent full rebuild into a panic. Seeded from
 // RUID_DEBUG like the core, index and query checks.
 var debugChecks = os.Getenv("RUID_DEBUG") != ""

@@ -137,6 +137,11 @@ type groupMetrics struct {
 	// whichever document registered first.
 	queueDepth    *obs.Gauge
 	pipelineDepth *obs.Gauge
+
+	// walAppends, walFsyncs and walBytes mirror the WAL's own counts. For
+	// the reason above they are counters each commit loop adds its WAL's
+	// growth to (mirrorWAL), so they sum over the server's documents.
+	walAppends, walFsyncs, walBytes *obs.Counter
 }
 
 type groupCommitter struct {
@@ -153,6 +158,8 @@ type groupCommitter struct {
 	done chan struct{}
 
 	gm *groupMetrics
+
+	walSeen storage.WALStats // what mirrorWAL has added so far
 }
 
 // EnableGroupCommit starts the document's commit loop: from here on every
@@ -186,10 +193,11 @@ func (d *Document) EnableGroupCommit(cfg GroupConfig) error {
 			queueDepth:    d.reg.Gauge("write.queue_depth"),
 			pipelineDepth: d.reg.Gauge("write.pipeline_depth"),
 		}
-		if w := cfg.WAL; w != nil {
-			d.reg.RegisterFunc("write.wal_appends", func() int64 { return w.Stats().Appends })
-			d.reg.RegisterFunc("write.wal_fsyncs", func() int64 { return w.Stats().Syncs })
-			d.reg.RegisterFunc("write.wal_bytes", func() int64 { return w.Stats().Bytes })
+		if cfg.WAL != nil {
+			gc.gm.walAppends = d.reg.Counter("write.wal_appends")
+			gc.gm.walFsyncs = d.reg.Counter("write.wal_fsyncs")
+			gc.gm.walBytes = d.reg.Counter("write.wal_bytes")
+			gc.walSeen = cfg.WAL.Stats() // a replay before the loop is not the loop's
 		}
 	}
 	go gc.loop()
@@ -208,7 +216,9 @@ func (d *Document) DisableGroupCommit() error {
 	gc.emu.Unlock()
 	<-gc.done
 	if gc.cfg.WAL != nil {
-		return gc.cfg.WAL.Close()
+		err := gc.cfg.WAL.Close()
+		gc.mirrorWAL() // the loop has exited: the closing fsync is the last
+		return err
 	}
 	return nil
 }
@@ -379,6 +389,20 @@ func (gc *groupCommitter) noteDepth(inflight int) {
 	gc.gm.pipelineDepth.Set(queued + int64(inflight))
 }
 
+// mirrorWAL adds what the WAL appended and synced since the last call to
+// the write.wal_* counters. The commit loop calls it once per batch and,
+// after the loop has exited, DisableGroupCommit once more.
+func (gc *groupCommitter) mirrorWAL() {
+	if gc.gm == nil || gc.gm.walAppends == nil {
+		return
+	}
+	st := gc.cfg.WAL.Stats()
+	gc.gm.walAppends.Add(uint64(st.Appends - gc.walSeen.Appends))
+	gc.gm.walFsyncs.Add(uint64(st.Syncs - gc.walSeen.Syncs))
+	gc.gm.walBytes.Add(uint64(st.Bytes - gc.walSeen.Bytes))
+	gc.walSeen = st
+}
+
 // commit makes one batch durable, applies it and publishes one epoch.
 func (gc *groupCommitter) commit(batch []*pendingOp) {
 	gc.noteDepth(len(batch))
@@ -390,6 +414,7 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 		if last := batch[len(batch)-1].seq; last > 0 {
 			if err := w.SyncTo(last); err != nil {
 				err = fmt.Errorf("%w: WAL fsync: %w", ErrStorage, err)
+				gc.mirrorWAL()
 				for _, op := range batch {
 					op.err = err
 					decide(op)
@@ -411,6 +436,7 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 		gc.gm.applied.Add(uint64(applied))
 		gc.gm.failed.Add(uint64(len(batch) - applied))
 	}
+	gc.mirrorWAL() // before the tickets: a writer that saw its write sees its record counted
 	for _, op := range batch {
 		decide(op)
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -712,4 +713,58 @@ func TestGroupCommitGaugesFollowLiveDocument(t *testing.T) {
 		}
 	}
 	t.Fatal("the closed document is still reachable (pinned by the registry?)")
+}
+
+// TestGroupCommitWALCountersSumDocuments: write.wal_appends, _fsyncs and
+// _bytes used to be RegisterFunc closures over the first document's WAL, so
+// a second document's records went uncounted (and the closed WAL stayed
+// reachable from the registry). As counters each commit loop adds its WAL's
+// growth to, they sum over the documents of a registry.
+func TestGroupCommitWALCountersSumDocuments(t *testing.T) {
+	reg := obs.NewRegistry()
+	metric := func(name string) int64 { // as /metrics.json reads it, whatever its kind
+		v, _ := strconv.ParseInt(fmt.Sprint(reg.Snapshot()[name]), 10, 64)
+		return v
+	}
+	dir := t.TempDir()
+	var stats []storage.WALStats
+	write := func(name string, n int) {
+		d, err := FromTree(xmltree.Recursive(2, 6), Options{Observe: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := storage.OpenWAL(filepath.Join(dir, name), storage.SyncGroup, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.EnableGroupCommit(GroupConfig{MaxBatch: 1, WAL: w}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := d.Insert("/book", 0, xmltree.NewElement("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := metric("write.wal_appends"); len(stats) == 1 && got != int64(1+n) {
+			t.Fatalf("with %d writes of the second document visible: write.wal_appends %d, want %d", n, got, 1+n)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stats = append(stats, w.Stats())
+	}
+	write("first.wal", 1)
+	write("second.wal", 5)
+	var want storage.WALStats
+	for _, st := range stats {
+		want.Appends, want.Syncs, want.Bytes = want.Appends+st.Appends, want.Syncs+st.Syncs, want.Bytes+st.Bytes
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{{"write.wal_appends", 6}, {"write.wal_appends", want.Appends}, {"write.wal_fsyncs", want.Syncs}, {"write.wal_bytes", want.Bytes}} {
+		if got := metric(c.name); got != c.want {
+			t.Errorf("%s = %d, want %d (the WALs: %+v)", c.name, got, c.want, stats)
+		}
+	}
 }

@@ -443,6 +443,12 @@ func (h *servingHarness) pin(p *program) {
 func (h *servingHarness) check(wrote bool) {
 	t := h.t
 	xml, nodes := xmltree.Serialize(h.model), len(h.model.DocumentElement().Nodes())
+	h.model.Walk(func(x *xmltree.Node) bool {
+		if !x.UniformSound() {
+			t.Fatalf("model: %s has a uniform bit its children belie", x.Path())
+		}
+		return true
+	})
 	var ref *live
 	var stamps []string
 	var stats document.Stats
@@ -462,6 +468,9 @@ func (h *servingHarness) check(wrote bool) {
 		snap.Tree().WalkFull(func(x *xmltree.Node) bool {
 			if x.Parent != nil && x.Kind != xmltree.Attribute {
 				t.Fatalf("%s: epoch %d publishes %s %q with a Parent", l.name, snap.Epoch(), x.Kind, x.Name)
+			}
+			if !x.UniformSound() {
+				t.Fatalf("%s: epoch %d publishes %s %q with a uniform bit its children belie", l.name, snap.Epoch(), x.Kind, x.Name)
 			}
 			id, ok := snap.Numbering().RUID(x)
 			if ok && x.Kind == xmltree.Element {

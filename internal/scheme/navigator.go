@@ -38,18 +38,20 @@ func (v Navigator) walk(n *xmltree.Node, axis func(AxisScheme, ID) []ID, rev boo
 		if rev {
 			i = len(ids) - 1 - i
 		}
-		x, ok := v.S.NodeOf(ids[i])
-		if !ok {
-			if debugChecks {
-				panic(fmt.Sprintf("scheme: %s generated identifier %s, which resolves to no node", v.S.Name(), ids[i]))
-			}
-			continue
-		}
-		if !visit(x) {
+		if x, ok := v.resolve(ids[i]); ok && !visit(x) {
 			return false
 		}
 	}
 	return true
+}
+
+// resolve returns the node a generated identifier names.
+func (v Navigator) resolve(id ID) (*xmltree.Node, bool) {
+	x, ok := v.S.NodeOf(id)
+	if !ok && debugChecks {
+		panic(fmt.Sprintf("scheme: %s generated identifier %s, which resolves to no node", v.S.Name(), id))
+	}
+	return x, ok
 }
 
 // Parent implements xpath.Navigator.
@@ -68,6 +70,21 @@ func (v Navigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) {
 // Children implements xpath.Navigator.
 func (v Navigator) Children(n *xmltree.Node, visit xpath.Visit) bool {
 	return v.walk(n, AxisScheme.Children, false, visit)
+}
+
+// ChildAt implements xpath.Navigator: the j-th identifier of the generated
+// child list, resolved alone. A boxed scheme pays for the list, which is
+// what its positional step costs; a registered scheme lists no attributes.
+func (v Navigator) ChildAt(n *xmltree.Node, j int) (*xmltree.Node, bool) {
+	id, ok := v.S.IDOf(n)
+	if !ok {
+		return nil, false
+	}
+	ids := v.S.Children(id)
+	if j < 1 || j > len(ids) {
+		return nil, false
+	}
+	return v.resolve(ids[j-1])
 }
 
 // Descendants implements xpath.Navigator.

@@ -80,19 +80,32 @@ type NodeNum struct {
 // (paper §4) the sequence itself.
 //
 // Node is 96 bytes on a 64-bit platform, a size class of the allocator: an
-// 8-byte header (Kind, the root flag of the stamp, the attribute count),
-// Name, Data, Parent, the sequence's four words and the stamp.
-// TestNodeStaysInItsSizeClass holds the figure; a field more, or a Seq grown
-// by one word, moves every node of every document into the 112-byte class.
+// 8-byte header (Kind, the root flag of the stamp, the uniform bit, the
+// attribute count), Name, Data, Parent, the sequence's four words and the
+// stamp. TestNodeStaysInItsSizeClass holds the figure; a field more, or a Seq
+// grown by one word, moves every node of every document into the 112-byte
+// class.
+//
+// The uniform bit (UniformChildren) says that every child — attributes
+// excluded — is an element and that all of them share one name, which makes
+// the k-th child of a name the k-th child: a positional step reads one slot
+// instead of walking k siblings. The parser sets it exactly; InsertChildAt,
+// PutChild and SetEntry keep it in O(1) by comparing the new child with one
+// already there; a removal never sets it, so after one it may read false
+// where it could read true, which costs only the walk. A node's Kind and
+// Name must not change while it is a child. TestUniformChildren holds the
+// maintenance, and under RUID_DEBUG each publication checks the bit on the
+// tree it installs.
 type Node struct {
-	Kind   Kind
-	root   bool   // the root flag of the stamp (SetNum)
-	nattr  uint32 // how many entries at the front of seq are attributes
-	Name   string // element name, attribute name or PI target
-	Data   string // text content, comment text, attribute value or PI data
-	Parent *Node  // nil for the document node and, in a tree a document.Document publishes, for all but attributes
-	seq    Seq    // element and document nodes only: the attributes, then the children
-	num    NodeNum
+	Kind    Kind
+	root    bool   // the root flag of the stamp (SetNum)
+	uniform bool   // every child is an element of one name (UniformChildren)
+	nattr   uint32 // how many entries at the front of seq are attributes
+	Name    string // element name, attribute name or PI target
+	Data    string // text content, comment text, attribute value or PI data
+	Parent  *Node  // nil for the document node and, in a tree a document.Document publishes, for all but attributes
+	seq     Seq    // element and document nodes only: the attributes, then the children
+	num     NodeNum
 }
 
 // NewDocument returns an empty document node.
@@ -136,6 +149,38 @@ func (n *Node) Attrs() []*Node {
 		out = append(out, run[:min(len(run), k-len(out))]...)
 	}
 	return out
+}
+
+// UniformChildren reports that every child of n is an element and that all
+// of them share one name (see Node). False promises nothing: the children
+// may be uniform all the same.
+func (n *Node) UniformChildren() bool { return n.uniform }
+
+// UniformSound reports whether n's uniform bit holds: it is false, or n's
+// children are elements of one name. Publication's debug check asks it of
+// every node.
+func (n *Node) UniformSound() bool {
+	for i := 0; n.uniform && i < n.NumChildren(); i++ {
+		if !sameKind(n.Child(0), n.Child(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameKind reports whether c, as a child beside x, keeps a parent's children
+// uniform.
+func sameKind(x, c *Node) bool { return c.Kind == Element && c.Name == x.Name }
+
+// uniformOf reports whether kids — children, attributes excluded — are
+// elements of one name.
+func uniformOf(kids []*Node) bool {
+	for _, c := range kids {
+		if !sameKind(kids[0], c) {
+			return false
+		}
+	}
+	return true
 }
 
 // NumChildren returns how many children n has, attributes not counted.
@@ -240,8 +285,14 @@ func (n *Node) TakeChild(i int) *Node {
 // PutChild makes c the child at position i of n without writing c (see
 // TakeChild). It panics if i is out of range.
 func (n *Node) PutChild(i int, c *Node) {
-	if i < 0 || i > n.NumChildren() {
+	nc := n.NumChildren()
+	if i < 0 || i > nc {
 		panic("xmltree: insert position out of range")
+	}
+	if nc == 0 {
+		n.uniform = c.Kind == Element
+	} else if n.uniform {
+		n.uniform = sameKind(n.Child(0), c)
 	}
 	n.seq.Insert(int(n.nattr)+i, c)
 }
@@ -250,7 +301,12 @@ func (n *Node) PutChild(i int, c *Node) {
 // counts — with x, writing neither x nor the node it replaces: how a
 // path-copying writer re-points the entry at its copy of that node. It
 // panics when i is out of range.
-func (n *Node) SetEntry(i int, x *Node) { n.seq.Set(i, x) }
+func (n *Node) SetEntry(i int, x *Node) {
+	if n.uniform && i >= int(n.nattr) {
+		n.uniform = sameKind(n.seq.At(i), x)
+	}
+	n.seq.Set(i, x)
+}
 
 // Detach removes n from its parent. It is a no-op for parentless nodes.
 func (n *Node) Detach() {
@@ -441,9 +497,10 @@ func (n *Node) cloneInto(m map[*Node]*Node) *Node {
 }
 
 // copyAlone returns a copy of n's header, payload and stamp: no Parent, an
-// empty sequence (it keeps n's attribute count, for the caller to fill).
+// empty sequence (it keeps n's attribute count and uniform bit, for the
+// caller to fill with the same children).
 func (n *Node) copyAlone() *Node {
-	return &Node{Kind: n.Kind, root: n.root, nattr: n.nattr, Name: n.Name, Data: n.Data, num: n.num}
+	return &Node{Kind: n.Kind, root: n.root, uniform: n.uniform, nattr: n.nattr, Name: n.Name, Data: n.Data, num: n.num}
 }
 
 // ShallowCopy returns a copy of n alone, for path-copying writers: the copy

@@ -359,3 +359,80 @@ func TestAttrsPastOneChunk(t *testing.T) {
 		t.Fatalf("after detaching p70: %d attributes, %s at 70", a.NumAttrs(), a.Attrs()[70].Name)
 	}
 }
+
+// uniformTruth reports whether n's children are elements of one name.
+func uniformTruth(n *Node) bool { return uniformOf(n.AppendChildren(nil)) }
+
+// TestUniformChildren holds the uniform bit: the parser sets it exactly on
+// every node with children, the copies carry it, an insert or a re-pointed
+// entry keeps it exact, and a removal never sets it.
+func TestUniformChildren(t *testing.T) {
+	doc := mustParse(t, `<r a="1"><c/><c><d/>t</c><c><d/><d/></c><e><x/></e><e>t<x/></e><f/></r>`)
+	doc.WalkFull(func(n *Node) bool {
+		if n.NumChildren() > 0 && n.UniformChildren() != uniformTruth(n) || !n.UniformSound() {
+			t.Fatalf("parsed %s: uniform %v, want %v", n.Path(), n.UniformChildren(), uniformTruth(n))
+		}
+		return true
+	})
+	r := doc.DocumentElement()
+	if r.UniformChildren() || !r.Child(2).UniformChildren() || r.Child(1).UniformChildren() || r.Child(4).UniformChildren() {
+		t.Fatal("parsed bits differ from the children they describe")
+	}
+	c := r.Child(2) // <c><d/><d/></c>
+	for _, x := range []*Node{c.Clone(), c.ShallowCopy()} {
+		if !x.UniformChildren() {
+			t.Fatal("a copy dropped the bit")
+		}
+	}
+
+	// Built by appends, a node is exact from its first child on.
+	b := NewElement("b")
+	b.AppendChild(NewElement("k"))
+	b.AppendChild(NewElement("k"))
+	if !b.UniformChildren() {
+		t.Fatal("two k appended: not uniform")
+	}
+	b.InsertChildAt(1, NewElement("z"))
+	if b.UniformChildren() {
+		t.Fatal("a z inserted among the k: still uniform")
+	}
+	// Removing the z makes the children uniform, and the bit stays false.
+	b.RemoveChild(1)
+	if b.UniformChildren() || !uniformTruth(b) {
+		t.Fatal("a removal set the bit")
+	}
+	for b.NumChildren() > 0 {
+		b.TakeChild(0)
+	}
+	b.PutChild(0, NewText("t"))
+	if b.UniformChildren() {
+		t.Fatal("a text child: uniform")
+	}
+	b.TakeChild(0)
+	b.PutChild(0, NewElement("k"))
+	if !b.UniformChildren() {
+		t.Fatal("the first child of an empty node: not exact")
+	}
+	b.SetAttr("a", "1")
+	b.AppendChild(NewElement("k"))
+	if !b.UniformChildren() {
+		t.Fatal("an attribute cleared the bit")
+	}
+	// A path-copying writer re-points an entry at the copy of its node.
+	b.SetEntry(b.NumAttrs(), b.Child(0).ShallowCopy())
+	if !b.UniformChildren() {
+		t.Fatal("re-pointing an entry at a copy cleared the bit")
+	}
+	b.SetEntry(0, b.Attrs()[0].ShallowCopy())
+	if !b.UniformChildren() {
+		t.Fatal("re-pointing an attribute cleared the bit")
+	}
+	b.SetEntry(b.NumAttrs()+1, NewElement("z"))
+	if b.UniformChildren() || !b.UniformSound() {
+		t.Fatal("an entry re-pointed at a z: still uniform")
+	}
+	c.Child(0).Detach()
+	if !c.UniformChildren() {
+		t.Fatal("a detach changed a uniform bit")
+	}
+}

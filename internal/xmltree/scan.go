@@ -561,10 +561,13 @@ func (s *scanner) endTag() error {
 	return nil
 }
 
-// close gives the innermost open element the children gathered for it.
+// close gives the innermost open element the children gathered for it, and
+// the uniform bit they earn.
 func (s *scanner) close() {
 	f := s.open[len(s.open)-1]
-	f.n.seq = SeqOf(s.kids[f.kids:])
+	kids := s.kids[f.kids:]
+	f.n.seq = SeqOf(kids)
+	f.n.uniform = uniformOf(kids[f.n.nattr:])
 	s.kids = s.kids[:f.kids]
 	s.open = s.open[:len(s.open)-1]
 }

@@ -17,9 +17,10 @@
 //
 // There is one evaluator and it streams: a Navigator walks an axis for a
 // visitor instead of returning it, a step applies its node test to one
-// candidate at a time, t[k] stops the walk at its k-th match, and only a
-// step whose predicates need last() or a per-candidate evaluation collects
-// a context's survivors. Context sets are nodes, which carry their labels;
+// candidate at a time, t[k] reads the k-th child's slot where every child
+// is an element of one name and elsewhere stops the walk at its k-th match,
+// and only a step whose predicates need last() or a per-candidate
+// evaluation collects a context's survivors. Context sets are nodes, which carry their labels;
 // a lone context's answer is in document order as it stands, and merged
 // contexts and unions are ordered by the Navigator from those labels — the
 // Engine keeps no per-node table and no state of its own, so one engine

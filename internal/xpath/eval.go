@@ -137,6 +137,15 @@ func (s *stepScan) visit(n *xmltree.Node) bool {
 	return s.k == 0
 }
 
+// slotStep reports whether the k-th candidate of the step from c can only be
+// c's k-th child, which one ChildAt read finds: a child step from an element
+// whose children are all elements of one name — any node test then passes
+// all of them or none — or a node() test, which every child passes.
+func (s *stepScan) slotStep(c *xmltree.Node) bool {
+	return s.k > 0 && s.axis == AxisChild && c.Kind == xmltree.Element &&
+		(s.test.Kind == TestNode || c.UniformChildren())
+}
+
 // position returns the index a bare-number predicate selects, or 0 when it
 // selects nothing (zero, negative, fractional).
 func position(k NumberLit) int {
@@ -154,8 +163,9 @@ func (r *run) evalStep(ctx []*xmltree.Node, step Step) []*xmltree.Node {
 	walk := true
 	if len(preds) > 0 {
 		if lead, ok := preds[0].(NumberLit); ok {
-			// t[k]: count to k during the walk instead of collecting t; a k
-			// that selects nothing (0, 2.5) needs no walk.
+			// t[k]: read the k-th child's slot (slotStep), or count to k
+			// during the walk instead of collecting t; a k that selects
+			// nothing (0, 2.5) needs neither.
 			s.k, preds = position(lead), preds[1:]
 			walk = s.k > 0
 		}
@@ -163,7 +173,15 @@ func (r *run) evalStep(ctx []*xmltree.Node, step Step) []*xmltree.Node {
 	for _, c := range ctx {
 		from := len(s.out)
 		s.seen = 0
-		if walk {
+		switch {
+		case walk && s.slotStep(c):
+			if !r.tick() {
+				break
+			}
+			if x, ok := r.nav.ChildAt(c, s.k); ok && matches(x, s.test, s.axis) {
+				s.out = append(s.out, x)
+			}
+		case walk:
 			r.axis(c, step.Axis, visit)
 		}
 		if r.stopped {

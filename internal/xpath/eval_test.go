@@ -313,12 +313,15 @@ func TestSharedEngineConcurrent(t *testing.T) {
 // FuzzEnginesAgree: whatever ParseUnion accepts evaluates to the same node
 // sequence on the pointer navigator and on the ruid (in-place) and uid
 // (boxed) scheme navigators over one small fixed document. The seed corpus
-// is the differential workload above.
+// is the differential workload above and positionalSeeds.
 func FuzzEnginesAgree(f *testing.F) {
 	for _, qs := range agreeQueries {
 		for _, q := range qs {
 			f.Add(q)
 		}
+	}
+	for _, q := range positionalSeeds {
+		f.Add(q)
 	}
 	doc := xmltree.XMark(1, 4)
 	navs := agreeNavigators(f, doc)[:2]
@@ -335,6 +338,19 @@ func FuzzEnginesAgree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// positionalSeeds are child steps a slot read answers on XMark(1, 4) — under
+// parents whose children are elements of one name (regions' items, people,
+// open_auctions), behind an id attribute, past the last child, at 2^53 — and
+// ones it must leave to the walk: an item's or an auction's mixed children,
+// text under a name, node() over any of them.
+var positionalSeeds = []string{
+	"/site/regions/europe/item[4]/name", "/site/regions/*[2]/item[1]/description/parlist/listitem[1]/text",
+	"/site/people/person[10]/*[2]", "/site/people/person[11]", "/site/people/person[9007199254740992]",
+	"/site/open_auctions/open_auction[6]/bidder[1]/increase", "/site/open_auctions/open_auction[2]/node()[2]",
+	"//item/name/text()[1]", "//name/node()[1]", "//person/text()[1]", "/site/people/text()[1]",
+	"/site/people/node()[3]/@id", "//open_auction/*[9007199254740992]", "//regions/*/item[2]/name",
 }
 
 // TestPointerNavigatorGroundTruth holds the oracle to xmltree's own
@@ -372,32 +388,49 @@ func TestPointerNavigatorGroundTruth(t *testing.T) {
 	}
 }
 
-// TestPositionalStopsAtK: t[k] costs k candidates, not the axis — on every
-// navigator, the boxed ones included — and a stop test that trips ends the
-// walk with no answer.
+// TestPositionalStopsAtK: t[k] among children that are all elements of one
+// name is one slot read, and elsewhere costs k candidates, not the axis — on
+// every navigator, the boxed ones included — and a stop test that trips ends
+// the walk with no answer.
 func TestPositionalStopsAtK(t *testing.T) {
-	doc := xmltree.NewDocument()
-	root := xmltree.NewElement("r")
-	doc.AppendChild(root)
-	for i := 0; i < 5000; i++ {
-		c := xmltree.NewElement("c")
-		c.AppendChild(xmltree.NewElement("d"))
-		root.AppendChild(c)
+	build := func(odd bool) (*xmltree.Node, *xmltree.Node) {
+		doc := xmltree.NewDocument()
+		root := xmltree.NewElement("r")
+		doc.AppendChild(root)
+		for i := 0; i < 5000; i++ {
+			c := xmltree.NewElement("c")
+			c.AppendChild(xmltree.NewElement("d"))
+			root.AppendChild(c)
+		}
+		if odd {
+			root.AppendChild(xmltree.NewElement("x"))
+		}
+		return doc, root
 	}
 	paths, err := xpath.ParseUnion("/r/c[7]/d[1]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nav := range append(agreeNavigators(t, doc), xpath.PointerNavigator{}) {
-		nodes, visited, ok := xpath.NewEngine(doc, nav).EvalMetered(paths, nil)
-		if !ok || len(nodes) != 1 || nodes[0] != root.Child(6).Child(0) {
-			t.Fatalf("%s: /r/c[7]/d[1] = %d nodes, ok %v", nav.Name(), len(nodes), ok)
-		}
-		if visited != 1+7+1 { // r, seven c, one d
-			t.Errorf("%s: visited %d candidates, want 9", nav.Name(), visited)
+	for _, tc := range []struct {
+		odd  bool
+		want int
+	}{
+		{false, 1 + 1 + 1}, // r, the slot of the seventh c, the slot of its d
+		{true, 1 + 7 + 1},  // an x among the c: r, seven c, one d
+	} {
+		doc, root := build(tc.odd)
+		for _, nav := range append(agreeNavigators(t, doc), xpath.PointerNavigator{}) {
+			nodes, visited, ok := xpath.NewEngine(doc, nav).EvalMetered(paths, nil)
+			if !ok || len(nodes) != 1 || nodes[0] != root.Child(6).Child(0) {
+				t.Fatalf("%s, x sibling %v: /r/c[7]/d[1] = %d nodes, ok %v", nav.Name(), tc.odd, len(nodes), ok)
+			}
+			if visited != tc.want {
+				t.Errorf("%s, x sibling %v: visited %d candidates, want %d", nav.Name(), tc.odd, visited, tc.want)
+			}
 		}
 	}
 
+	doc, _ := build(false)
 	all, err := xpath.ParseUnion("//d")
 	if err != nil {
 		t.Fatal(err)
@@ -409,6 +442,95 @@ func TestPositionalStopsAtK(t *testing.T) {
 	if ok || nodes != nil || visited >= full || calls != 3 {
 		t.Errorf("stopped walk: ok %v, %d nodes, visited %d of %d, %d samples", ok, len(nodes), visited, full, calls)
 	}
+}
+
+// TestPositionalBySlot holds the positional child step to its answer
+// wherever a slot read could land elsewhere than the walk: beside a text
+// sibling, behind attributes a numbering enumerates, past the last child,
+// at a position no int64 sum may overflow, under *, node() and text(), and
+// under a parent a delete left uniform without its bit. Every navigator —
+// ruid with and without attributes numbered, the boxed ones, the pointer
+// tree — gives the answer read off the tree.
+func TestPositionalBySlot(t *testing.T) {
+	cases := []struct {
+		name, src string
+		drop      int // a child of r to delete before numbering; -1 keeps all
+		queries   map[string]string
+	}{
+		{"text sibling", `<r><c i="1"/>t<c i="2"/><c i="3"/></r>`, -1, map[string]string{
+			"/r/c[2]": "c#2", "/r/node()[2]": "'t'", "/r/text()[1]": "'t'", "/r/*[3]": "c#3", "/r/c[4]": "",
+		}},
+		{"attributes", `<r a="1" b="2"><c i="1"/><c i="2"><d/></c><c i="3"/></r>`, -1, map[string]string{
+			"/r/c[1]": "c#1", "/r/c[3]": "c#3", "/r/node()[1]": "c#1", "/r/*[2]/d[1]": "d",
+			"/r/text()[1]": "", "/r/d[1]": "", "/r/c[2]/node()[1]": "d",
+		}},
+		{"past the end", `<r><c i="1"/><c i="2"/></r>`, -1, map[string]string{
+			"/r/c[3]": "", "/r/c[9007199254740992]": "", "/r/node()[9007199254740992]": "",
+			"/r/*[9007199254740992]": "", "/r/c[2]": "c#2", "/r/c[2][1]": "c#2", "/r/c[2][2]": "",
+		}},
+		{"uniform by a delete", `<r><c i="1"/><x/><c i="2"/><c i="3"/></r>`, 1, map[string]string{
+			"/r/c[2]": "c#2", "/r/c[3]": "c#3", "/r/*[1]": "c#1", "/r/node()[3]": "c#3",
+		}},
+	}
+	for _, tc := range cases {
+		// A tree carries one numbering's stamps, so each navigator gets its
+		// own copy of the document.
+		parse := func() *xmltree.Node {
+			doc, err := xmltree.ParseString(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root := doc.DocumentElement(); tc.drop >= 0 {
+				root.RemoveChild(tc.drop)
+				if root.UniformChildren() {
+					t.Fatalf("%s: a delete set the uniform bit", tc.name)
+				}
+			}
+			return doc
+		}
+		type engine struct {
+			name string
+			e    *xpath.Engine
+		}
+		doc := parse()
+		engines := []engine{{"pointer", xpath.NewEngine(doc, xpath.PointerNavigator{})}}
+		for _, nav := range agreeNavigators(t, doc) {
+			engines = append(engines, engine{nav.Name(), xpath.NewEngine(doc, nav)})
+		}
+		doc = parse()
+		withAttrs, err := core.Build(doc, core.Options{WithAttrs: true, Partition: core.PartitionConfig{MaxAreaNodes: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, engine{"ruid WithAttrs", xpath.NewEngine(doc, xpath.SchemeNavigator{S: withAttrs})})
+		for q, want := range tc.queries {
+			for _, e := range engines {
+				got, err := e.e.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if texts := positionalTexts(got); texts != want {
+					t.Errorf("%s, %s: %s = %q, want %q", tc.name, e.name, q, texts, want)
+				}
+			}
+		}
+	}
+}
+
+// positionalTexts renders a node-set as TestPositionalBySlot states it: an
+// element by name and its i attribute, a text by its data.
+func positionalTexts(nodes []*xmltree.Node) string {
+	parts := make([]string, 0, len(nodes))
+	for _, n := range nodes {
+		if i, ok := n.Attr("i"); ok {
+			parts = append(parts, n.Name+"#"+i)
+		} else if n.Kind == xmltree.Text {
+			parts = append(parts, "'"+n.Data+"'")
+		} else {
+			parts = append(parts, n.Name)
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // TestSchemeInterfaceSanity double-checks that prepost (a compare-only

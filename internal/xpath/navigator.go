@@ -28,6 +28,10 @@ type Navigator interface {
 	Name() string
 	Parent(n *xmltree.Node) (*xmltree.Node, bool)
 	Children(n *xmltree.Node, visit Visit) bool
+	// ChildAt returns the j-th child of n (1-based, attributes excluded), or
+	// false when n has fewer than j: the one read a positional child step
+	// makes where the k-th candidate is known to be the k-th child.
+	ChildAt(n *xmltree.Node, j int) (*xmltree.Node, bool)
 	Descendants(n *xmltree.Node, visit Visit) bool
 	Ancestors(n *xmltree.Node, visit Visit) bool
 	FollowingSiblings(n *xmltree.Node, visit Visit) bool
@@ -105,6 +109,14 @@ func siblings(n *xmltree.Node) (parent *xmltree.Node, at, end int) {
 // Children implements Navigator.
 func (PointerNavigator) Children(n *xmltree.Node, visit Visit) bool {
 	return all(n, visit)
+}
+
+// ChildAt implements Navigator.
+func (PointerNavigator) ChildAt(n *xmltree.Node, j int) (*xmltree.Node, bool) {
+	if j < 1 || j > n.NumChildren() {
+		return nil, false
+	}
+	return n.Child(j - 1), true
 }
 
 // Descendants implements Navigator.
@@ -194,6 +206,11 @@ func (v SchemeNavigator) Parent(n *xmltree.Node) (*xmltree.Node, bool) { return 
 // Children implements Navigator.
 func (v SchemeNavigator) Children(n *xmltree.Node, visit Visit) bool {
 	return v.S.VisitChildren(n, visit)
+}
+
+// ChildAt implements Navigator by slot arithmetic.
+func (v SchemeNavigator) ChildAt(n *xmltree.Node, j int) (*xmltree.Node, bool) {
+	return v.S.ChildAt(n, j)
 }
 
 // Descendants implements Navigator.
