@@ -57,7 +57,7 @@ func main() {
 	walDir := flag.String("wal", "", "per-document write-ahead log directory (enables group commit + crash recovery)")
 	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group, always or none")
 	batch := flag.Int("batch", 0, "group-commit batch size; >0 enables the batched write path without a WAL (0 with -wal = default 64)")
-	batchDelay := flag.Duration("batch-delay", 0, "group-commit batch linger (0 = default 500µs)")
+	batchDelay := flag.Duration("batch-delay", 0, "group-commit batch linger beside concurrent writers (0 = default 500µs); a lone writer's write commits as soon as it is dequeued")
 	slowMS := flag.Int64("slow-ms", 0, "slow-request threshold in milliseconds for /v1/debug/slow (0 = default 250)")
 	flightRecords := flag.Int("flight-records", 0, "flight-recorder ring size (0 = default 256)")
 	flag.Usage = func() {

@@ -94,7 +94,7 @@ func main() {
 	writeRatio := flag.Float64("write-ratio", 0, "fraction of requests issued as inserts (write-heavy mode)")
 	waitVisible := flag.Bool("wait-visible", false, "writes ack at epoch publication instead of durability")
 	batch := flag.Int("batch", 0, "-self only: group-commit batch size (>0 enables the batched write path)")
-	batchDelay := flag.Duration("batch-delay", 0, "-self only: group-commit batch linger")
+	batchDelay := flag.Duration("batch-delay", 0, "-self only: group-commit batch linger beside concurrent writers (a lone writer never waits it out)")
 	walDir := flag.String("wal", "", "-self only: per-document WAL directory (enables group commit + durability acks)")
 	maxPostings := flag.Int64("max-postings", 0, "per-query postings budget sent with each request")
 	timeout := flag.Duration("timeout", 0, "per-query timeout sent with each request")

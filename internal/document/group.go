@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -43,8 +44,12 @@ type GroupConfig struct {
 	// 0 selects the default, 64.
 	MaxBatch int
 	// MaxDelay is how long the commit loop lingers for followers after the
-	// first mutation of a batch arrives. 0 selects the default, 500µs; a
-	// negative value disables lingering (publish whatever is queued).
+	// first mutation of a batch arrives, when writers are concurrent: the
+	// loop lingers only if its previous batch held more than one mutation or
+	// more than one is in flight (between Enqueue's entry and its batch's
+	// decision) as it takes the first. A lone writer's mutation commits the
+	// moment it is dequeued. 0 selects the default, 500µs; a negative value
+	// disables lingering (publish whatever is queued).
 	MaxDelay time.Duration
 	// QueueDepth bounds the intake queue; a full queue blocks Enqueue
 	// (admission backpressure). 0 selects 4×MaxBatch.
@@ -160,6 +165,12 @@ type groupCommitter struct {
 	gm *groupMetrics
 
 	walSeen storage.WALStats // what mirrorWAL has added so far
+
+	// inflight counts the ops between submit's entry and the decision of
+	// their batch, and lastBatch is the size of the loop's previous batch
+	// (the loop's own): the two signals fill lingers on.
+	inflight  atomic.Int64
+	lastBatch int
 }
 
 // EnableGroupCommit starts the document's commit loop: from here on every
@@ -264,6 +275,7 @@ func (d *Document) submit(op *pendingOp) (*Ticket, error) {
 		decide(op)
 		return &Ticket{op: op}, nil
 	}
+	gc.inflight.Add(1)
 	var rec []byte
 	if gc.cfg.WAL != nil {
 		xml := ""
@@ -279,6 +291,7 @@ func (d *Document) submit(op *pendingOp) (*Ticket, error) {
 	select {
 	case <-gc.quit:
 		gc.emu.Unlock()
+		gc.inflight.Add(-1)
 		return nil, ErrDocumentClosed
 	default:
 	}
@@ -286,6 +299,7 @@ func (d *Document) submit(op *pendingOp) (*Ticket, error) {
 		seq, err := gc.cfg.WAL.AppendNoSync(rec)
 		if err != nil {
 			gc.emu.Unlock()
+			gc.inflight.Add(-1)
 			return nil, fmt.Errorf("%w: WAL append: %w", ErrStorage, err)
 		}
 		op.seq = seq
@@ -341,29 +355,32 @@ func (gc *groupCommitter) loop() {
 	}
 }
 
-// fill collects up to MaxBatch ops starting from first, lingering up to
-// MaxDelay for followers when linger is set. Every op taken is stamped
-// "dequeue" here — the one chokepoint all three take sites share.
+// fill collects up to MaxBatch ops starting from first. When linger is set
+// and writers are concurrent — the previous batch held more than one op, or
+// more than one is in flight as first is dequeued — it lingers up to
+// MaxDelay for followers; then, or at once for a lone writer, it takes
+// whatever else is queued. Every op taken is stamped "dequeue" here — the
+// one chokepoint all three take sites share — and "batched" as the batch
+// closes.
 func (gc *groupCommitter) fill(first *pendingOp, linger bool) []*pendingOp {
 	first.rc.Stamp(obs.StageDequeue)
 	batch := append(make([]*pendingOp, 0, gc.cfg.MaxBatch), first)
-	if linger && gc.cfg.MaxDelay > 0 {
+	if linger && gc.cfg.MaxDelay > 0 && (gc.lastBatch > 1 || gc.inflight.Load() > 1) {
 		timer := time.NewTimer(gc.cfg.MaxDelay)
 		defer timer.Stop()
+	wait:
 		for len(batch) < gc.cfg.MaxBatch {
 			select {
 			case op := <-gc.ch:
 				op.rc.Stamp(obs.StageDequeue)
 				batch = append(batch, op)
 			case <-timer.C:
-				return batch
+				break wait
 			case <-gc.quit:
 				// Shutdown while lingering: stop waiting, take what's queued.
-				linger = false
-				goto drain
+				break wait
 			}
 		}
-		return batch
 	}
 drain:
 	for len(batch) < gc.cfg.MaxBatch {
@@ -372,9 +389,13 @@ drain:
 			op.rc.Stamp(obs.StageDequeue)
 			batch = append(batch, op)
 		default:
-			return batch
+			break drain
 		}
 	}
+	for _, op := range batch {
+		op.rc.Stamp(obs.StageBatched)
+	}
+	gc.lastBatch = len(batch)
 	return batch
 }
 
@@ -417,11 +438,11 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 				gc.mirrorWAL()
 				for _, op := range batch {
 					op.err = err
-					decide(op)
 				}
 				if gc.gm != nil {
 					gc.gm.failed.Add(uint64(len(batch)))
 				}
+				gc.release(batch)
 				return
 			}
 		}
@@ -437,6 +458,13 @@ func (gc *groupCommitter) commit(batch []*pendingOp) {
 		gc.gm.failed.Add(uint64(len(batch) - applied))
 	}
 	gc.mirrorWAL() // before the tickets: a writer that saw its write sees its record counted
+	gc.release(batch)
+}
+
+// release takes a decided batch off the in-flight count and releases its
+// tickets.
+func (gc *groupCommitter) release(batch []*pendingOp) {
+	gc.inflight.Add(-int64(len(batch)))
 	for _, op := range batch {
 		decide(op)
 	}

@@ -60,25 +60,28 @@ func applySerial(t *testing.T, d *Document, muts []batchMutation) {
 	}
 }
 
-func enqueueAll(t *testing.T, d *Document, muts []batchMutation) []*Ticket {
+// applyBatch applies muts to d as ONE batch, as the commit loop applies a
+// batch it has filled and ReplayWAL a recovered log, and returns the ops
+// with their outcomes. How many of a lone goroutine's enqueues the commit
+// loop takes into one batch is the loop's call, so a test of what one batch
+// publishes builds the batch here.
+func applyBatch(t *testing.T, d *Document, muts []batchMutation) []*pendingOp {
 	t.Helper()
-	tickets := make([]*Ticket, len(muts))
+	ops := make([]*pendingOp, len(muts))
 	for i, m := range muts {
-		var err error
+		ops[i] = &pendingOp{insert: m.insert, parent: m.parent, pos: m.pos}
 		if m.insert {
-			sub, perr := xmltree.ParseFragment(m.xml)
-			if perr != nil {
-				t.Fatal(perr)
+			sub, err := xmltree.ParseFragment(m.xml)
+			if err != nil {
+				t.Fatal(err)
 			}
-			tickets[i], err = d.EnqueueInsert(context.Background(), m.parent, m.pos, sub)
-		} else {
-			tickets[i], err = d.EnqueueDelete(context.Background(), m.parent, m.pos)
-		}
-		if err != nil {
-			t.Fatalf("enqueue op %d: %v", i, err)
+			ops[i].child = sub
 		}
 	}
-	return tickets
+	d.mu.Lock()
+	d.applyBatchLocked(ops)
+	d.mu.Unlock()
+	return ops
 }
 
 // stamp is what a node carries of its numbering, root flag included.
@@ -169,17 +172,10 @@ func TestFailedBatchMemberPublishesNothing(t *testing.T) {
 	var healed bool
 	batch := func(d *Document, muts []batchMutation) []error {
 		t.Helper()
-		if err := d.EnableGroupCommit(GroupConfig{MaxBatch: len(muts), MaxDelay: 500 * time.Millisecond}); err != nil {
-			t.Fatal(err)
-		}
-		defer d.DisableGroupCommit()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
 		errs := make([]error, len(muts))
-		for i, tk := range enqueueAll(t, d, muts) {
-			var st core.UpdateStats
-			st, errs[i] = tk.Wait(ctx)
-			healed = healed || st.FullRebuild
+		for i, op := range applyBatch(t, d, muts) {
+			errs[i] = op.err
+			healed = healed || op.stats.FullRebuild
 		}
 		return errs
 	}
@@ -248,14 +244,8 @@ func TestUncuredHealLeavesTheFork(t *testing.T) {
 		{insert: true, parent: "/*", pos: 0, xml: "<e0/>"},
 	}
 	d := open()
-	if err := d.EnableGroupCommit(GroupConfig{MaxBatch: len(muts), MaxDelay: time.Second}); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range enqueueAll(t, d, muts) {
-		if _, err := tk.Wait(ctx); i == 0 && err != nil {
+	for i, op := range applyBatch(t, d, muts) {
+		if err := op.err; i == 0 && err != nil {
 			t.Fatalf("member 0: %v", err)
 		} else if i > 0 && !errors.Is(err, core.ErrOverflow) {
 			t.Fatalf("member %d: err = %v, want ErrOverflow", i, err)
@@ -290,7 +280,7 @@ func TestUncuredHealLeavesTheFork(t *testing.T) {
 // back to a full rebuild).
 func TestBatchDeleteInsideInsertedSubtree(t *testing.T) {
 	reg := obs.NewRegistry()
-	grouped, err := FromTree(xmltree.Recursive(2, 6), Options{
+	batched, err := FromTree(xmltree.Recursive(2, 6), Options{
 		Partition: core.PartitionConfig{MaxAreaNodes: 8},
 		Observe:   reg,
 	})
@@ -306,19 +296,13 @@ func TestBatchDeleteInsideInsertedSubtree(t *testing.T) {
 	}
 	applySerial(t, serial, muts)
 
-	if err := grouped.EnableGroupCommit(GroupConfig{MaxBatch: 64, MaxDelay: 200 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	defer grouped.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range enqueueAll(t, grouped, muts) {
-		if _, err := tk.Wait(ctx); err != nil {
-			t.Fatalf("op %d: %v", i, err)
+	for i, op := range applyBatch(t, batched, muts) {
+		if op.err != nil {
+			t.Fatalf("op %d: %v", i, op.err)
 		}
 	}
-	assertDocsEqual(t, grouped, serial)
-	if err := grouped.Snapshot().Index().CheckSorted(); err != nil {
+	assertDocsEqual(t, batched, serial)
+	if err := batched.Snapshot().Index().CheckSorted(); err != nil {
 		t.Fatal(err)
 	}
 	if full, incr := reg.Counter("doc.publish_full").Value(), reg.Counter("doc.publish_incremental").Value(); full != 1 || incr != 1 {
@@ -469,6 +453,117 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestLoneWriterSkipsTheLinger: the commit loop lingers only beside
+// concurrent writers. A lone writer's visible writes each commit as soon as
+// the loop takes them, so an hour's MaxDelay costs them nothing, and each is
+// a batch of one.
+func TestLoneWriterSkipsTheLinger(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := FromTree(xmltree.Recursive(2, 6), Options{Observe: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := storage.CreateWAL(filepath.Join(t.TempDir(), "doc.wal"), storage.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EnableGroupCommit(GroupConfig{MaxDelay: time.Hour, WAL: wal}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const writes = 20
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < writes; i++ {
+			if _, err := d.Insert("/book", 0, xmltree.NewElement("x")); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a lone writer's serial writes waited out the linger")
+	}
+	if got := reg.Counter("write.batches").Value(); got != writes {
+		t.Fatalf("%d serial writes took %d batches, want one each", writes, got)
+	}
+}
+
+// TestConcurrentWritersStillCoalesce: eight writers behind a WAL, each
+// waiting for its write to be visible before the next, still share batches.
+func TestConcurrentWritersStillCoalesce(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := FromTree(xmltree.Recursive(2, 6), Options{Observe: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := storage.CreateWAL(filepath.Join(t.TempDir(), "doc.wal"), storage.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EnableGroupCommit(GroupConfig{WAL: wal}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const writers, perWriter = 8, 16
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := d.Insert("/book", 0, xmltree.NewElement("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	h := reg.Histogram("write.batch_size")
+	if h.Sum() != writers*perWriter || h.Count() >= h.Sum() {
+		t.Fatalf("%d writes of %d concurrent writers took %d batches, want a mean batch above 1", h.Sum(), writers, h.Count())
+	}
+}
+
+// TestLoneFlushStillCoalesces: one goroutine that enqueues faster than the
+// loop publishes — 32 writes acknowledged at durability, then waited for —
+// still shares batches: ops pile up while the loop commits, and a batch of
+// more than one keeps the loop lingering.
+func TestLoneFlushStillCoalesces(t *testing.T) {
+	d := groupFixture(t)
+	wal, err := storage.CreateWAL(filepath.Join(t.TempDir(), "doc.wal"), storage.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EnableGroupCommit(GroupConfig{WAL: wal}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const writes = 32
+	epoch := d.Snapshot().Epoch()
+	tickets := make([]*Ticket, writes)
+	for i := range tickets {
+		if tickets[i], err = d.EnqueueInsert(context.Background(), "/book", 0, xmltree.NewElement("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tk := range tickets {
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.Snapshot().Epoch() - epoch; got >= writes {
+		t.Fatalf("a flush of %d writes published %d epochs, want fewer", writes, got)
+	}
+}
+
 // TestGroupCommitLifecycle pins the enable/disable contract: the same
 // Enqueue call works with and without a commit loop — inline, with the
 // ticket already decided, when there is none.
@@ -582,7 +677,7 @@ func TestWritesRacingClose(t *testing.T) {
 }
 
 // TestGroupCommitStageStamps pins the write-pipeline tracing contract: a
-// traced EnqueueInsert over a WAL must stamp all seven pipeline stages
+// traced EnqueueInsert over a WAL must stamp all eight pipeline stages
 // onto the request, and the reported timeline must be monotonically
 // non-decreasing even though the stamps come from three goroutines (the
 // writer, the fsync leader, the commit loop).
@@ -613,16 +708,19 @@ func TestGroupCommitStageStamps(t *testing.T) {
 	stages := rc.Summary().Stages
 	want := []string{
 		obs.StageEnqueue, obs.StageWALAppend, obs.StageFsyncDone,
-		obs.StageDequeue, obs.StageMerged, obs.StagePublished, obs.StageVisible,
+		obs.StageDequeue, obs.StageBatched, obs.StageMerged, obs.StagePublished, obs.StageVisible,
 	}
-	got := make(map[string]bool, len(stages))
+	got := make(map[string]int64, len(stages))
 	for _, s := range stages {
-		got[s.Name] = true
+		got[s.Name] = s.OffsetUS
 	}
 	for _, name := range want {
-		if !got[name] {
+		if _, ok := got[name]; !ok {
 			t.Errorf("stage %q not stamped (got %v)", name, stages)
 		}
+	}
+	if got[obs.StageBatched] < got[obs.StageDequeue] || got[obs.StageMerged] < got[obs.StageBatched] {
+		t.Errorf("the batch closed outside dequeue..merged: %v", stages)
 	}
 	if len(stages) != len(want) {
 		t.Errorf("stamped %d stages, want %d: %v", len(stages), len(want), stages)

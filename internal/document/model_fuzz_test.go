@@ -60,8 +60,9 @@ func FuzzServingModel(f *testing.F) {
 			cov[fmt.Sprint("seed ", i)]++
 		}
 	})
-	// Replayed together, the generated seeds reach every step and plan kind
-	// and every write outcome. Not checked while fuzzing, nor when -run
+	// Replayed together, the generated seeds reach every step and plan kind,
+	// every write outcome and a batch-64 flush that published fewer epochs
+	// than it applied members. Not checked while fuzzing, nor when -run
 	// leaves a seed out.
 	for i := range seeds {
 		if flag.Lookup("test.fuzz").Value.String() != "" || cov[fmt.Sprint("seed ", i)] == 0 {
@@ -69,7 +70,7 @@ func FuzzServingModel(f *testing.F) {
 		}
 	}
 	for _, what := range []string{"insert", "delete", "query", "count", "pin", "reopen", "join plan", "twig plan",
-		"nav plan", "pruned", "full rebuild", "refused write", "relabeling write", "pin outlived"} {
+		"nav plan", "pruned", "full rebuild", "refused write", "relabeling write", "pin outlived", "multi-member batch"} {
 		if cov[what] == 0 {
 			f.Errorf("the seeds reached no %s", what)
 		}
@@ -375,8 +376,12 @@ func (h *servingHarness) flush() {
 				t.Fatalf("%s: batch member %d, %s: err %v, the model applied it: %v", l.name, i, h.queued[i], err, h.queued[i].ok)
 			}
 		}
-		if n := int(l.d.Snapshot().Epoch() - before); ok == 0 && n != 0 || ok > 0 && (n < 1 || n > ok) {
+		n := int(l.d.Snapshot().Epoch() - before)
+		if ok == 0 && n != 0 || ok > 0 && (n < 1 || n > ok) {
 			t.Fatalf("%s: %d applied batch members published %d epochs", l.name, ok, n)
+		}
+		if n < ok {
+			h.cov["multi-member batch"]++
 		}
 	}
 	h.queued = h.queued[:0]

@@ -38,6 +38,7 @@ const (
 	StageWALAppend = "wal_append" // record appended to the WAL (not yet synced)
 	StageFsyncDone = "fsync_done" // record durable per the WAL sync policy
 	StageDequeue   = "dequeue"    // commit loop pulled the op into a batch
+	StageBatched   = "batched"    // the op's batch closed; lingering is over
 	StageMerged    = "merged"     // op applied to the batch's fork
 	StagePublished = "published"  // the batch's single epoch published
 	StageVisible   = "visible"    // waiters released; op readable by queries

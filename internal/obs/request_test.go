@@ -57,7 +57,7 @@ func TestRequestCtxStagesMonotone(t *testing.T) {
 	// Stamp from several goroutines to shuffle append order, as the
 	// group-commit pipeline does (writer goroutine vs commit loop).
 	var wg sync.WaitGroup
-	for _, name := range []string{"enqueue", "dequeue", "wal_append", "fsync_done", "merged", "published", "visible"} {
+	for _, name := range []string{StageEnqueue, StageDequeue, StageBatched, StageWALAppend, StageFsyncDone, StageMerged, StagePublished, StageVisible} {
 		wg.Add(1)
 		go func(n string) {
 			defer wg.Done()
@@ -67,8 +67,8 @@ func TestRequestCtxStagesMonotone(t *testing.T) {
 	wg.Wait()
 	rc.Finish(200)
 	st := rc.Summary().Stages
-	if len(st) != 7 {
-		t.Fatalf("stages = %d, want 7", len(st))
+	if len(st) != 8 {
+		t.Fatalf("stages = %d, want 8", len(st))
 	}
 	for i := 1; i < len(st); i++ {
 		if st[i].OffsetUS < st[i-1].OffsetUS {

@@ -89,7 +89,10 @@ type GroupCommitConfig struct {
 	// Enabled starts a commit loop for every opened document.
 	Enabled bool
 	// MaxBatch / MaxDelay / QueueDepth are document.GroupConfig knobs
-	// (zero = that config's defaults).
+	// (zero = that config's defaults). MaxDelay is a linger the commit loop
+	// waits out only beside concurrent writers — its previous batch held
+	// more than one mutation, or more than one is in flight as it takes the
+	// first — so a lone writer's mutation commits as soon as it is dequeued.
 	MaxBatch   int
 	MaxDelay   time.Duration
 	QueueDepth int

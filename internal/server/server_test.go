@@ -434,7 +434,7 @@ func TestOverloadSheds(t *testing.T) {
 }
 
 // TestInsertWaitVisibleStages is the tracing acceptance check: an
-// insert?wait=visible on a group-commit server returns all seven
+// insert?wait=visible on a group-commit server returns all eight
 // write-pipeline stages with monotonically non-decreasing offsets, and the
 // same breakdown is queryable afterwards at /v1/debug/requests.
 func TestInsertWaitVisibleStages(t *testing.T) {
@@ -479,7 +479,7 @@ func TestInsertWaitVisibleStages(t *testing.T) {
 	}
 	checkStages := func(where string, stages []obs.StageStamp) {
 		want := []string{obs.StageEnqueue, obs.StageWALAppend, obs.StageFsyncDone,
-			obs.StageDequeue, obs.StageMerged, obs.StagePublished, obs.StageVisible}
+			obs.StageDequeue, obs.StageBatched, obs.StageMerged, obs.StagePublished, obs.StageVisible}
 		got := map[string]bool{}
 		last := int64(-1)
 		for _, st := range stages {

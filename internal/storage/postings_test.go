@@ -2,7 +2,6 @@ package storage_test
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/document"
@@ -207,87 +205,6 @@ func TestPostingsSnapshotUnderUpdates(t *testing.T) {
 					split, coalesced, partial)
 			}
 		})
-	}
-}
-
-// TestPostingsHistoryGolden pins where the block splice puts block
-// boundaries: the postings of XMark 20 after a fixed seeded history — 500
-// writes published one by one, then ten batches of 32 published as one
-// epoch each — must serialize to the committed bytes. Boundaries are a
-// function of the update history alone, so a change to how a splice stores
-// or shares blocks must reproduce them exactly.
-func TestPostingsHistoryGolden(t *testing.T) {
-	d, err := document.OpenString(xmltree.Serialize(xmltree.XMark(20, 1)), document.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auctions := len(d.Snapshot().Tree().DocumentElement().FirstChildElement("open_auctions").ChildElements("open_auction"))
-	r := rand.New(rand.NewSource(25))
-	// write returns one seeded mutation of a random open_auction: an insert
-	// of a bidder right after <initial>, or the delete of that position.
-	type write struct {
-		insert bool
-		parent string
-	}
-	next := func() write {
-		return write{r.Intn(5) < 3, fmt.Sprintf("/site/open_auctions/open_auction[%d]", 1+r.Intn(auctions))}
-	}
-	bidder := func() *xmltree.Node {
-		b := xmltree.NewElement("bidder")
-		inc := xmltree.NewElement("increase")
-		inc.AppendChild(xmltree.NewText("1.50"))
-		b.AppendChild(inc)
-		return b
-	}
-	for i := 0; i < 500; i++ {
-		// A refused write (no child at position 1) is part of the history too.
-		if w := next(); w.insert {
-			_, _ = d.Insert(w.parent, 1, bidder())
-		} else {
-			_, _ = d.Delete(w.parent, 1)
-		}
-	}
-	if err := d.EnableGroupCommit(document.GroupConfig{MaxBatch: 32, MaxDelay: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	for batch := 0; batch < 10; batch++ {
-		epoch := d.Snapshot().Epoch()
-		tickets := make([]*document.Ticket, 0, 32)
-		for i := 0; i < 32; i++ {
-			var tk *document.Ticket
-			if w := next(); w.insert {
-				tk, err = d.EnqueueInsert(context.Background(), w.parent, 1, bidder())
-			} else {
-				tk, err = d.EnqueueDelete(context.Background(), w.parent, 1)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			tickets = append(tickets, tk)
-		}
-		for _, tk := range tickets {
-			_, _ = tk.Wait(context.Background())
-		}
-		if got := d.Snapshot().Epoch(); got != epoch+1 {
-			t.Fatalf("batch %d published %d epochs, want one", batch, got-epoch)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	enc := checkRoundTrip(t, d.Snapshot().Index())
-	golden := filepath.Join("testdata", "postings_history_golden.bin")
-	if *updateGolden {
-		if err := os.WriteFile(golden, enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(enc, want) {
-		t.Fatalf("postings after the history differ from golden (%d vs %d bytes)", len(enc), len(want))
 	}
 }
 
