@@ -11,7 +11,7 @@
 // prints machine-readable results — the format committed as
 // BENCH_baseline.json. With -io-json it runs only the out-of-core I/O
 // measurement (experiment E17) at a caller-chosen scale and prints the
-// io/* rows — the mode the CI cold-query smoke asserts against.
+// io/* rows — the mode the CI I/O smoke asserts against.
 package main
 
 import (

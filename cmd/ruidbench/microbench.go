@@ -943,8 +943,8 @@ const (
 
 // ioRows measures the out-of-core I/O profile (experiment E17 at reduced
 // scale) as pseudo-benchmark rows: the value carried in ns_per_op is a page
-// count, byte volume or rate — lower is better for every row, so the
-// benchdiff regression gate applies unchanged. The headline row is
+// count or a reads-per-thousand-steps rate — lower is better for every row,
+// so the benchdiff regression gate applies unchanged. The headline row is
 // io/ruid_nav_reads: its committed baseline is 0, and a 0-baseline row
 // passes the gate only while the current value is also 0, so any change
 // that makes ruid axis navigation touch stored pages fails CI.
@@ -964,11 +964,6 @@ func ioRows(nodes, samples int) []microResult {
 		row("prepost_reads_per_kstep", 1000*safeDiv(s.PrepostReads, s.PrepostSteps)),
 		row("uid_reads", float64(s.UIDReads)),
 		row("uid_reads_per_kstep", 1000*safeDiv(s.UIDReads, s.UIDSteps)),
-		row("cold_query_reads", float64(s.ColdQueryReads)),
-		row("cold_miss_rate_pct", s.ColdMissRate()),
-		row("cold_bytes_faulted", float64(s.ColdBytesFaulted())),
-		row("warm_query_reads", float64(s.WarmQueryReads)),
-		row("warm_miss_rate_pct", 100-s.WarmHitRate()),
 	}
 }
 

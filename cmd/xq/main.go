@@ -6,7 +6,7 @@
 //
 //	xq [-nav ruid|pointer|planner] [-area N] [-serialize]
 //	   [-explain-analyze] [-stats] [-parallel auto|serial|forced]
-//	   [-workers N] [-serve addr] [-pool-pages N] [-cold] [-writes N]
+//	   [-workers N] [-serve addr] [-cold] [-writes N]
 //	   [-wait-visible] 'xpath' [file.xml]
 //
 // With no file argument the document is read from standard input. The ruid
@@ -31,15 +31,8 @@
 //     standard error after the batch lands.
 //   - -serve addr keeps the process alive after the query, exposing
 //     /metrics, /metrics.json and /debug/pprof on addr.
-//
-// Out-of-core flags (facade modes):
-//
-//   - -pool-pages N backs postings with an N-frame buffer pool instead
-//     of resident slices; the I/O ledger is printed to standard error
-//     after the query.
-//   - -cold round-trips the document through a saved bundle and reopens
-//     it cold: nothing is materialized up front, and the query faults in
-//     only the pages it touches.
+//   - -cold (facade modes) round-trips the document through a saved bundle
+//     and queries the reopened, read-only document.
 package main
 
 import (
@@ -68,7 +61,6 @@ type config struct {
 	parallel  string // -parallel: auto | serial | forced
 	workers   int    // -workers: query worker cap (0 = GOMAXPROCS)
 	serve     string // -serve: observability HTTP address ("" = off)
-	poolPages int    // -pool-pages: buffer-pool frames (0 = resident)
 	cold      bool   // -cold: reopen from a bundle before querying
 	writes    int    // -writes: group-commit inserts to drive before the query
 	waitVis   bool   // -wait-visible: trace writes and print stage breakdowns
@@ -84,8 +76,7 @@ func main() {
 	flag.StringVar(&cfg.parallel, "parallel", "auto", "identifier pipeline scheduling: auto, serial or forced")
 	flag.IntVar(&cfg.workers, "workers", 0, "query worker cap (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.serve, "serve", "", "serve /metrics and /debug/pprof on this address after the query")
-	flag.IntVar(&cfg.poolPages, "pool-pages", 0, "back postings with an N-frame buffer pool")
-	flag.BoolVar(&cfg.cold, "cold", false, "round-trip through a saved bundle and reopen cold before querying")
+	flag.BoolVar(&cfg.cold, "cold", false, "round-trip through a saved bundle and query the reopened document")
 	flag.IntVar(&cfg.writes, "writes", 0, "drive N group-commit inserts before the query (facade modes; pairs with -stats)")
 	flag.BoolVar(&cfg.waitVis, "wait-visible", false, "trace each -writes insert and print its write-pipeline stage breakdown")
 	flag.Usage = func() {
@@ -135,7 +126,6 @@ func run(cfg config, query, path string, out io.Writer) error {
 		Partition:   core.PartitionConfig{MaxAreaNodes: cfg.area, AdjustFanout: true},
 		Parallel:    mode,
 		ExecWorkers: cfg.workers,
-		PoolPages:   cfg.poolPages,
 	}
 	var reg *obs.Registry
 	if cfg.stats || cfg.serve != "" {
@@ -148,8 +138,7 @@ func run(cfg config, query, path string, out io.Writer) error {
 	}
 
 	// open builds the facade document; with -cold it then round-trips
-	// through an in-memory bundle and reopens, so the returned document
-	// serves the query out-of-core from a clean (empty-pool) start.
+	// through an in-memory bundle and returns the reopened document.
 	open := func(in io.Reader) (*document.Document, error) {
 		d, err := document.Open(in, opts)
 		if err != nil {
@@ -220,16 +209,6 @@ func run(cfg config, query, path string, out io.Writer) error {
 		return nil
 	}
 
-	// ioReport prints the buffer-pool ledger for out-of-core documents.
-	ioReport := func(d *document.Document) {
-		if d.Store() == nil {
-			return
-		}
-		st := d.IOStats()
-		fmt.Fprintf(os.Stderr, "io: reads=%d writes=%d hits=%d evictions=%d (pool %d pages)\n",
-			st.Reads, st.Writes, st.CacheHits, st.Evictions, d.Store().Pager().Capacity())
-	}
-
 	// finish dumps metrics and/or parks the process on the observability
 	// endpoint after the query ran, for the modes that built a facade.
 	finish := func() error {
@@ -262,7 +241,6 @@ func run(cfg config, query, path string, out io.Writer) error {
 				return err
 			}
 			fmt.Fprint(out, report)
-			ioReport(d)
 			return finish()
 		}
 		snap := d.Snapshot()
@@ -274,7 +252,6 @@ func run(cfg config, query, path string, out io.Writer) error {
 		if err := printResults(out, results, cfg.serialize, snap.Path); err != nil {
 			return err
 		}
-		ioReport(d)
 		return finish()
 
 	case "ruid":
@@ -294,12 +271,11 @@ func run(cfg config, query, path string, out io.Writer) error {
 		if err := printResults(out, results, cfg.serialize, snap.Path); err != nil {
 			return err
 		}
-		ioReport(d)
 		return finish()
 
 	case "pointer":
-		if cfg.stats || cfg.serve != "" || cfg.cold || cfg.poolPages > 0 || cfg.writes > 0 {
-			return fmt.Errorf("-stats, -serve, -cold, -pool-pages and -writes need the facade: use -nav ruid or -nav planner")
+		if cfg.stats || cfg.serve != "" || cfg.cold || cfg.writes > 0 {
+			return fmt.Errorf("-stats, -serve, -cold and -writes need the facade: use -nav ruid or -nav planner")
 		}
 		doc, err := xmltree.Parse(in)
 		if err != nil {

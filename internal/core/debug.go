@@ -15,7 +15,7 @@ import (
 
 // debugChecks gates the O(n) table-K verification after Build, Load,
 // CloneFor and every update, and of an epoch once its successor is published
-// (AssertK). Seeded from RUID_DEBUG like the index, query and pager checks.
+// (AssertK). Seeded from RUID_DEBUG like the index and query checks.
 var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
 // checkK verifies table K against the stamps: the rows come in ascending

@@ -2,13 +2,11 @@ package document_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/document"
 	"repro/internal/obs"
-	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -43,14 +41,11 @@ func recount(s *document.Snapshot) int {
 }
 
 // TestHealedPublishKeepsCounters: a write that heals a local-index overflow
-// publishes in full, which on a paged document pages the epoch out into a
-// fresh store, and the document's statistics must describe the epoch it
-// installs while a pinned epoch keeps its own. The inserted text is larger
-// than a page: a paged document keeps no node row, so nothing refuses it.
+// publishes in full, and the document's statistics must describe the epoch
+// it installs while a pinned epoch keeps its own.
 func TestHealedPublishKeepsCounters(t *testing.T) {
 	d, err := document.OpenString("<a><b><c/></b></a>", document.Options{
 		Partition: core.PartitionConfig{MaxAreaNodes: 1, MaxLocalBits: 1},
-		PoolPages: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +57,7 @@ func TestHealedPublishKeepsCounters(t *testing.T) {
 
 	// Under the leaf c the insert overflows c's 1-bit local index and heals.
 	x := xmltree.NewElement("x")
-	x.AppendChild(xmltree.NewText(strings.Repeat("t", storage.PageSize+1)))
+	x.AppendChild(xmltree.NewText("t"))
 	st, err := d.Insert("/a/b/c", 0, x)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,12 @@ package document_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/document"
+	"repro/internal/storage"
 )
 
 // smallBundle is the SaveBundle of a small document.
@@ -65,6 +68,52 @@ func TestOpenBundleRejectsHugeCounts(t *testing.T) {
 	}
 }
 
+// TestOpenBundleRejectsCorruptPostings: validation happens when a bundle
+// opens. A block whose delta bytes do not decode, and a key whose parent
+// chain does not reach the root (which comparing it in document order
+// presumes), are errors from OpenBundle, not panics of a later query.
+func TestOpenBundleRejectsCorruptPostings(t *testing.T) {
+	d, err := document.OpenString(`<a><b/><b/></a>`, document.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.SaveBundle(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bundle := buf.Bytes()
+	px, err := storage.EncodePostings(d.Snapshot().Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The section is the magic, the name count, then a's entry — name length,
+	// name, posting count, block count — and its one block's header: First
+	// and Last keys, MinGlobal, MaxGlobal. b's delta bytes end it.
+	first := len("ruidpx01") + 1 + 1 + len("a") + 1 + 1
+	if !bytes.Equal(px[first:first+core.KeyBytes], core.RootID.Key()) {
+		t.Fatalf("fixture: a's block does not start with the root at byte %d", first)
+	}
+	torn := bytes.Clone(px)
+	torn[len(torn)-1] |= 0x80 // b's last varint now runs off the end
+	orphan := bytes.Clone(px)
+	stray := core.ID{Global: 100, Local: 5} // area 100 has no K row
+	copy(orphan[first:], stray.Key())
+	copy(orphan[first+core.KeyBytes:], stray.Key())
+	orphan[first+2*core.KeyBytes], orphan[first+2*core.KeyBytes+1] = 100, 100
+	for name, c := range map[string]struct {
+		px   []byte
+		want string
+	}{
+		"torn delta bytes": {torn, "does not decode"},
+		"orphan key":       {orphan, "does not reach the root"},
+	} {
+		_, err := document.OpenBundle(bytes.NewReader(withPostings(t, bundle, c.px)), document.Options{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: OpenBundle err %v, want %q", name, err, c.want)
+		}
+	}
+}
+
 // FuzzOpenBundle: any input either fails to open or opens into a document
 // that answers //* — never a panic.
 func FuzzOpenBundle(f *testing.F) {
@@ -77,7 +126,7 @@ func FuzzOpenBundle(f *testing.F) {
 		f.Add(withPostings(f, bundle, px))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := document.OpenBundle(bytes.NewReader(b), document.Options{PoolPages: 8})
+		d, err := document.OpenBundle(bytes.NewReader(b), document.Options{})
 		if err != nil {
 			return
 		}

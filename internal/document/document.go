@@ -103,7 +103,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -132,14 +131,6 @@ type Options struct {
 	// registry for the document's whole lifetime. nil (the default) leaves
 	// every hot path on its unobserved branch.
 	Observe *obs.Registry
-	// PoolPages, when positive, puts the document in out-of-core mode:
-	// postings block bytes live in storage.Pager pages behind a buffer pool
-	// of PoolPages frames, faulted on demand by the query kernels; table K,
-	// the skip tables, the DataGuide and the tree stay memory-resident.
-	// Queries over a paged document report their page I/O per stage in
-	// EXPLAIN ANALYZE, and a fault failure surfaces as an
-	// *index.PagedError from Query.
-	PoolPages int
 }
 
 func (o Options) coreOptions() core.Options {
@@ -163,16 +154,11 @@ type Document struct {
 
 	mu sync.Mutex // serializes writers and epoch publication
 
-	// Out-of-core mode (Options.PoolPages > 0): store holds the postings
-	// blobs behind one buffer pool, and every published snapshot's index
-	// pages its block bytes through it.
 	// readonly marks a cold-opened document (OpenBundle): nothing about its
 	// tree forbids a fork, but serving a bundle read-write belongs with the
 	// checkpoint-plus-WAL-tail recovery it needs to be worth anything
 	// (ROADMAP item 4), so until then it refuses writes.
-	poolPages int
-	store     *storage.BlockStore
-	readonly  bool
+	readonly bool
 
 	epoch uint64
 	cur   atomic.Pointer[Snapshot]
@@ -228,11 +214,10 @@ func OpenString(src string, opts Options) (*Document, error) {
 // mutate it afterwards.
 func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 	d := &Document{
-		opts:      opts.coreOptions(),
-		exec:      exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
-		reg:       opts.Observe,
-		dm:        newDocMetrics(opts.Observe),
-		poolPages: opts.PoolPages,
+		opts: opts.coreOptions(),
+		exec: exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
+		reg:  opts.Observe,
+		dm:   newDocMetrics(opts.Observe),
 	}
 	num, err := core.Build(doc, d.opts)
 	if err != nil {
@@ -240,7 +225,8 @@ func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d, d.publishLocked(&working{num: num}, nil)
+	d.publishLocked(&working{num: num}, nil)
+	return d, nil
 }
 
 // working is the state a batch works on and then publishes: the private
@@ -272,13 +258,8 @@ func (w *working) doc() *xmltree.Node { return w.num.Doc() }
 // there are deltas and none of them is a full rebuild. Otherwise, and when
 // incremental assembly trips an internal invariant (a panic under
 // RUID_DEBUG), they are built from scratch over w's tree, which always
-// yields a consistent epoch.
-//
-// The statistics travel on the snapshot, so a failed publication (a page-out
-// failure) leaves Stats describing the epoch readers still see. Nothing
-// fails after the install: an error means no epoch was published. Callers
-// hold d.mu.
-func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
+// yields a consistent epoch. Callers hold d.mu.
+func (d *Document) publishLocked(w *working, guide *dataguide.Guide) {
 	var start time.Time
 	if d.dm != nil {
 		start = time.Now()
@@ -300,9 +281,7 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
 	}
 	full := snap == nil
 	if full {
-		if snap, err = d.assembleFullLocked(w); err != nil {
-			return err
-		}
+		snap = d.assembleFullLocked(w)
 	}
 	if debugChecks {
 		snap.tree.Walk(func(x *xmltree.Node) bool {
@@ -325,35 +304,25 @@ func (d *Document) publishLocked(w *working, guide *dataguide.Guide) error {
 		prev.num.AssertK("publishing the next epoch")
 	}
 	d.noteEpochLocked(full, st, time.Since(start))
-	return nil
 }
 
-// snapshotOf wires a planner over tree to the document's executor, observer
-// and pager and wraps it as a snapshot; publishLocked stamps the epoch
+// snapshotOf wires a planner over tree to the document's executor and
+// observer and wraps it as a snapshot; publishLocked stamps the epoch
 // number.
 func (d *Document) snapshotOf(tree *xmltree.Node, num *core.Numbering, ix *index.NameIndex, guide *dataguide.Guide, nodes, depths int) *Snapshot {
 	planner := query.NewWithState(tree, num, ix, guide, nodes, depths)
 	planner.SetExecutor(d.exec)
 	planner.SetObserver(d.reg)
-	d.wireIOStats(planner)
 	return &Snapshot{tree: tree, num: num, planner: planner, nodes: nodes, depths: depths}
 }
 
 // assembleFullLocked builds the next epoch's index and guide from scratch
-// over w's tree, sharing neither with the previous epoch (out of core, the
-// snapshot is paged out into a fresh store before it can become visible).
-// The walk that detaches the tree recounts its statistics. Callers hold
-// d.mu.
-func (d *Document) assembleFullLocked(w *working) (*Snapshot, error) {
+// over w's tree, sharing neither with the previous epoch. The walk that
+// detaches the tree recounts its statistics. Callers hold d.mu.
+func (d *Document) assembleFullLocked(w *working) *Snapshot {
 	tree := w.doc()
 	nodes, depths := detachTree(tree)
-	snap := d.snapshotOf(tree, w.num, index.Build(w.num.Root(), w.num), dataguide.Build(tree), nodes, depths)
-	if d.poolPages > 0 {
-		if err := d.pageOutSnapshot(snap); err != nil {
-			return nil, err
-		}
-	}
-	return snap, nil
+	return d.snapshotOf(tree, w.num, index.Build(w.num.Root(), w.num), dataguide.Build(tree), nodes, depths)
 }
 
 // assembleBatchLocked builds the next epoch incrementally from the previous

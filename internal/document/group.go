@@ -117,7 +117,7 @@ func (t *Ticket) Done() <-chan struct{} { return t.op.done }
 // Wait blocks until the mutation is visible or ctx ends, and returns its
 // §3.2 relabeling statistics. A batch member that failed mid-merge gets its
 // own error while the rest of the batch publishes (atomicity is per
-// mutation); a publication failure fails every member.
+// mutation); a failed WAL fsync fails every member.
 func (t *Ticket) Wait(ctx context.Context) (core.UpdateStats, error) {
 	select {
 	case <-t.op.done:
@@ -487,14 +487,11 @@ func (d *Document) writable() error {
 // dropped and nothing is published. Per-op outcomes land on the ops. Callers
 // hold d.mu.
 func (d *Document) applyBatchLocked(batch []*pendingOp) int {
-	fail := func(ops []*pendingOp, err error) int {
-		for _, op := range ops {
+	if err := d.writable(); err != nil {
+		for _, op := range batch {
 			op.err = err
 		}
 		return 0
-	}
-	if err := d.writable(); err != nil {
-		return fail(batch, err)
 	}
 	prev := d.cur.Load()
 	w := &working{num: prev.num.Fork(), born: make(map[*xmltree.Node]struct{}), nodes: prev.nodes, depths: prev.depths}
@@ -560,9 +557,7 @@ func (d *Document) applyBatchLocked(batch []*pendingOp) int {
 	if fold != nil {
 		guide = fold.Guide()
 	}
-	if err := d.publishLocked(w, guide); err != nil {
-		return fail(applied, err)
-	}
+	d.publishLocked(w, guide)
 	for _, op := range applied {
 		op.rc.Stamp(obs.StagePublished)
 	}

@@ -332,7 +332,7 @@ func TestRejectedAssemblyFailsLoudly(t *testing.T) {
 	}
 	want := titles()
 	ghost := core.ID{Global: 1, Local: 1 << 40}
-	publishDoctored := func() (panicked any, err error) {
+	publishDoctored := func() (panicked any) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		defer func() { panicked = recover() }()
@@ -342,21 +342,22 @@ func TestRejectedAssemblyFailsLoudly(t *testing.T) {
 		}
 		w := &working{num: prev.num.Fork(), born: map[*xmltree.Node]struct{}{}, nodes: prev.nodes, depths: prev.depths}
 		w.deltas = []*core.Delta{{Dropped: []core.NodeID{{Node: w.num.Root(), ID: ghost}}}}
-		return nil, d.publishLocked(w, nil)
+		d.publishLocked(w, nil)
+		return nil
 	}
 
 	debugChecks = true
-	panicked, err := publishDoctored()
+	panicked := publishDoctored()
 	if msg, _ := panicked.(string); !strings.Contains(msg, "incremental assembly") || !strings.Contains(msg, ghost.String()) {
-		t.Fatalf("debug publication: panic %v, err %v; want a panic naming the rejected edit", panicked, err)
+		t.Fatalf("debug publication: panic %v; want a panic naming the rejected edit", panicked)
 	}
 	if got := d.Snapshot().Epoch(); got != 1 {
 		t.Fatalf("the panicking publication installed epoch %d", got)
 	}
 
 	debugChecks = false
-	if panicked, err := publishDoctored(); err != nil || panicked != nil {
-		t.Fatalf("publication: err %v, panic %v; want the full-rebuild fallback", err, panicked)
+	if panicked := publishDoctored(); panicked != nil {
+		t.Fatalf("publication: panic %v; want the full-rebuild fallback", panicked)
 	}
 	if full, incr := reg.Counter("doc.publish_full").Value(), reg.Counter("doc.publish_incremental").Value(); full != 2 || incr != 0 {
 		t.Fatalf("published %d full and %d incremental epochs, want the open and the fallback in full", full, incr)
@@ -492,6 +493,34 @@ func TestLoneWriterSkipsTheLinger(t *testing.T) {
 	}
 	if got := reg.Counter("write.batches").Value(); got != writes {
 		t.Fatalf("%d serial writes took %d batches, want one each", writes, got)
+	}
+}
+
+// TestLoneDurableWritesFsyncOnce: under SyncGroup a lone writer's durable
+// writes through the commit loop cost at most one fsync each. The loop's
+// publish-after-durable barrier joins the fsync the write's enqueuer leads
+// instead of issuing a second while it is in flight.
+func TestLoneDurableWritesFsyncOnce(t *testing.T) {
+	d, err := FromTree(xmltree.Recursive(2, 6), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := storage.CreateWAL(filepath.Join(t.TempDir(), "doc.wal"), storage.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EnableGroupCommit(GroupConfig{WAL: wal}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const writes = 40
+	for i := 0; i < writes; i++ {
+		if _, err := d.Insert("/book", 0, xmltree.NewElement("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := wal.Stats(); st.Appends != writes || st.Syncs > st.Appends {
+		t.Fatalf("%d lone durable writes: %d appends, %d fsyncs; want at most one fsync each", writes, st.Appends, st.Syncs)
 	}
 }
 

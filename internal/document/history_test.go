@@ -58,7 +58,7 @@ func TestPostingsHistoryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := storage.LoadPostingsPaged(bytes.NewReader(enc), d.Snapshot().Numbering(), storage.NewBlockStore(64))
+	loaded, err := storage.LoadPostings(bytes.NewReader(enc), d.Snapshot().Numbering())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,8 @@ import (
 // program of inserts, deletes, queries, counts, pins and reopens and runs it
 // in lockstep against a model — a pointer tree mutated through the xmltree
 // API and queried by the pointer navigator — and one Document per serving
-// configuration: {resident, PoolPages 8} × {exec.Serial, exec.Forced} ×
-// {batch 1, batch 64} behind a commit loop and a WAL, and "inline", which
-// writes with neither. After every step each configuration must hold the
+// configuration: {exec.Serial, exec.Forced} × {batch 1, batch 64} behind a
+// commit loop and a WAL, and "inline", which writes with neither. After every step each configuration must hold the
 // model's tree and answers, the stamps of every other one and postings and
 // a table K that agree with its tree; a write must fail wherever the model's
 // one-by-one application fails, and a batch-1 write must keep its relabels
@@ -44,7 +43,6 @@ import (
 // seed.
 func FuzzServingModel(f *testing.F) {
 	defer index.SetDebugChecks(index.SetDebugChecks(true))
-	defer storage.SetDebugChecks(storage.SetDebugChecks(true))
 	cov := make(map[string]int) // what the programs, run one at a time, reached
 	var seeds [][]byte
 	for i := 0; i < 8; i++ {
@@ -116,7 +114,6 @@ var servingSteps = [16]string{"insert", "insert", "insert", "insert", "insert", 
 // live is one configuration's document and its snapshot of each pin.
 type live struct {
 	name  string
-	pool  int
 	mode  exec.Mode
 	batch int // 1 or 64 behind a commit loop and WAL; 0 writes inline
 	d     *document.Document
@@ -173,9 +170,9 @@ func runServingModel(t *testing.T, prog []byte, cov map[string]int) {
 	h := &servingHarness{t: t, cov: cov, base: base, model: model,
 		opts: document.Options{Partition: servingPartitions[hb%4], WithAttrs: hb&4 != 0}}
 	dir := t.TempDir()
-	for i := 0; i < 8; i++ {
-		l := &live{pool: 8 * (i >> 2), mode: []exec.Mode{exec.Serial, exec.Forced}[i>>1&1], batch: []int{1, 64}[i&1]}
-		if l.name = fmt.Sprintf("pool=%d/%s/batch=%d", l.pool, l.mode, l.batch); l.batch == 64 {
+	for i := 0; i < 4; i++ {
+		l := &live{mode: []exec.Mode{exec.Serial, exec.Forced}[i>>1], batch: []int{1, 64}[i&1]}
+		if l.name = fmt.Sprintf("%s/batch=%d", l.mode, l.batch); l.batch == 64 {
 			l.reg = obs.NewRegistry() // observed, as the server runs
 		}
 		h.lives = append(h.lives, l)
@@ -184,17 +181,8 @@ func runServingModel(t *testing.T, prog []byte, cov map[string]int) {
 	for i, l := range h.lives {
 		l.wal = filepath.Join(dir, fmt.Sprint(i, ".wal"))
 		h.open(l)
-		if (l.d.Store() != nil) != (l.pool > 0) {
-			t.Fatalf("%s: Store() = %v", l.name, l.d.Store())
-		}
-		l.d.DropCaches() // the first check reads every posting list cold
 	}
 	h.check(false)
-	for _, l := range h.lives {
-		if st := l.d.IOStats(); l.pool > 0 && st.Reads == 0 {
-			t.Fatalf("%s: reading a cold paged document faulted nothing: %+v", l.name, st)
-		}
-	}
 	for step := 0; step < 64 && p.i < len(p.b); step++ {
 		kind := servingSteps[p.next()%16]
 		if kind != "insert" && kind != "delete" {
@@ -231,7 +219,7 @@ func runServingModel(t *testing.T, prog []byte, cov map[string]int) {
 func (h *servingHarness) open(l *live) {
 	t := h.t
 	opts := h.opts
-	opts.PoolPages, opts.Parallel, opts.Observe = l.pool, l.mode, l.reg
+	opts.Parallel, opts.Observe = l.mode, l.reg
 	if l.mode == exec.Forced {
 		opts.ExecWorkers = 4
 	}
@@ -262,9 +250,6 @@ func (h *servingHarness) open(l *live) {
 	}
 	if err := d.EnableGroupCommit(document.GroupConfig{MaxBatch: l.batch, WAL: wal}); err != nil {
 		t.Fatal(err)
-	}
-	if l.pool > 0 {
-		d.DropCaches()
 	}
 }
 

@@ -259,7 +259,7 @@ func putBlockScratch(b *index.BlockScratch) {
 }
 
 // shardUnits cuts descs into at most want contiguous [lo, hi) ranges of the
-// units index.ForEachRun walks: whole blocks of a block or paged view,
+// units index.ForEachRun walks: whole blocks of a block view,
 // area-aligned identifier ranges of a slice view.
 func shardUnits(descs index.Postings, want int) [][2]int {
 	if pl := descs.List(); pl != nil {

@@ -48,42 +48,21 @@ func subsample(r *rand.Rand, ids []core.ID, keep float64) []core.ID {
 	return out
 }
 
-// memSource is the minimal index.BlockSource: a paged list's delta bytes in
-// a plain byte slice.
-type memSource []byte
-
-func (m memSource) ReadRange(off, end uint32, dst []byte) ([]byte, error) {
-	return append(dst, m[off:end]...), nil
-}
-
 // views returns the representations a posting run can reach the executor
-// in: the plain slice view (intermediate pipeline results), the
+// in: the plain slice view (intermediate pipeline results) and the
 // block-compressed view (index-resident postings, rebuilt here from the
-// same identifiers) and the paged view (a cold-opened document's postings:
-// the same blocks, faulted through a BlockSource on every decode).
+// same identifiers).
 func views(ids []core.ID) map[string]index.Postings {
-	pl := index.BuildPostingList(ids)
-	paged := pl
-	if pl != nil {
-		data, err := pl.DataBytes()
-		if err == nil {
-			paged, err = index.PagedPostingList(pl.Skips(), pl.Len(), len(data), memSource(data))
-		}
-		if err != nil {
-			panic(err)
-		}
-	}
 	return map[string]index.Postings{
 		"slice": index.SlicePostings(ids),
-		"block": index.BlockPostings(pl),
-		"paged": index.BlockPostings(paged),
+		"block": index.BlockPostings(index.BuildPostingList(ids)),
 	}
 }
 
 // TestParallelAgreesWithSerial runs every executor operation in Serial mode
 // and in Forced mode at several worker counts over randomized document-order
-// subsets of real postings, in every combination of slice, block and paged
-// input views, and requires byte-identical output versus the serial
+// subsets of real postings, in every combination of slice and block input
+// views, and requires byte-identical output versus the serial
 // flat-slice oracle.
 func TestParallelAgreesWithSerial(t *testing.T) {
 	n, ix := buildFixture(t, 9)

@@ -37,25 +37,30 @@ func SetDebugChecks(on bool) bool {
 
 // CheckSorted verifies the postings invariant at block granularity: every
 // posting list is strictly ascending in document order (which implies no
-// duplicates), every resident block's Skip entry agrees with its decoded
-// contents (First/Last identifiers, Global window, entry count, byte
-// extent) and the block counts sum to the list's.
+// duplicates), every block's Skip entry agrees with its decoded contents
+// (First/Last identifiers, Global window, entry count, byte extent) and the
+// block counts sum to the list's.
 func (ix *NameIndex) CheckSorted() error {
+	return ix.check(false)
+}
+
+// check runs checkPostingList over every list, climbing each identifier to
+// the root first when climb is set.
+func (ix *NameIndex) check(climb bool) error {
 	for name, pl := range ix.ruidByName {
-		if err := checkPostingList(ix.ruid, name, pl); err != nil {
+		if err := checkPostingList(ix.ruid, name, pl, climb); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkPostingList validates one list block by block: every block's count
-// and byte extent, and strict document order across the whole list. A
-// resident block is decoded in full against its skip entry; a paged block is
-// checked without faulting its bytes — its First/Last in order, its byte
-// range after the previous paged block's in their blob — so a cold open
-// stays cold; the fault path revalidates its contents on every read instead.
-func checkPostingList(rn *core.Numbering, name string, pl *PostingList) error {
+// checkPostingList validates one list block by block: every block decoded
+// in full against its skip entry, and strict document order across the
+// whole list. With climb set every identifier's RParent chain must reach
+// the root before it is compared (climbsToRoot): identifiers read from
+// outside the program are checked so.
+func checkPostingList(rn *core.Numbering, name string, pl *PostingList, climb bool) error {
 	if pl.Len() == 0 {
 		return fmt.Errorf("index: empty posting list stored for %q", name)
 	}
@@ -63,42 +68,25 @@ func checkPostingList(rn *core.Numbering, name string, pl *PostingList) error {
 		return fmt.Errorf("index: postings for %q: "+format, append([]any{name}, args...)...)
 	}
 	var (
-		prev            core.ID
-		pagedBlob       *blob
-		pagedEnd        uint32
-		total, resident int
-		buf             [BlockSize]core.ID
+		prev         core.ID
+		total, bytes int
+		buf          [BlockSize]core.ID
 	)
 	for b, blk := range pl.blocks {
 		if blk.N == 0 || int(blk.N) > BlockSize {
 			return fail("block %d has %d entries (max %d)", b, blk.N, BlockSize)
 		}
-		if blk.End < blk.Off {
-			return fail("block %d has bytes [%d,%d)", b, blk.Off, blk.End)
+		if blk.End < blk.Off || len(blk.data) != int(blk.End-blk.Off) {
+			return fail("block %d holds %d bytes, its extent [%d,%d)", b, len(blk.data), blk.Off, blk.End)
 		}
 		total += int(blk.N)
-		ids := buf[:0]
-		if blk.blob == nil {
-			if len(blk.data) != int(blk.End-blk.Off) {
-				return fail("block %d holds %d bytes, its extent says %d", b, len(blk.data), blk.End-blk.Off)
-			}
-			resident += len(blk.data)
-			var err error
-			if ids, err = decodeBlockChecked(blk.Skip, b, blk.data, ids); err != nil {
-				return fail("%w", err)
-			}
-		} else {
-			if blk.blob == pagedBlob && blk.Off < pagedEnd {
-				return fail("paged block %d bytes [%d,%d) overlap the previous paged block's", b, blk.Off, blk.End)
-			}
-			pagedBlob, pagedEnd = blk.blob, blk.End
-			ids = append(ids, blk.First)
-			if blk.N > 1 {
-				ids = append(ids, blk.Last)
-			}
+		bytes += len(blk.data)
+		ids, err := decodeBlockChecked(blk.Skip, b, blk.data, buf[:0])
+		if err != nil {
+			return fail("%w", err)
 		}
 		for i, id := range ids {
-			if blk.blob != nil && !climbsToRoot(rn, id) {
+			if climb && !climbsToRoot(rn, id) {
 				return fail("block %d holds %v, whose parent chain does not reach the root", b, id)
 			}
 			if (b > 0 || i > 0) && rn.CompareOrderID(prev, id) >= 0 {
@@ -107,17 +95,16 @@ func checkPostingList(rn *core.Numbering, name string, pl *PostingList) error {
 			prev = id
 		}
 	}
-	if total != pl.n || resident != pl.resident {
-		return fail("blocks hold %d postings in %d resident bytes, the list says %d in %d", total, resident, pl.n, pl.resident)
+	if total != pl.n || bytes != pl.bytes {
+		return fail("blocks hold %d postings in %d bytes, the list says %d in %d", total, bytes, pl.n, pl.bytes)
 	}
 	return nil
 }
 
 // climbsToRoot reports whether id's RParent chain ends at the document root,
-// which comparing it in document order presumes: a corrupt snapshot's key
-// (a paged block's First or Last, read from outside the program) fails here
-// instead of inside the comparison. No chain of the numbering is
-// longer than its node count, so a longer climb fails too.
+// which comparing it in document order presumes: a corrupt snapshot's
+// identifier fails here instead of inside the comparison. No chain of the
+// numbering is longer than its node count, so a longer climb fails too.
 func climbsToRoot(rn *core.Numbering, id core.ID) bool {
 	for steps := 0; id != core.RootID; steps++ {
 		p, ok, err := rn.RParent(id)

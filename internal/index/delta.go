@@ -17,8 +17,7 @@ import (
 // whole *PostingList, and inside a touched name every block the edits miss
 // is shared by pointer. The next list copies the directory, a pointer per
 // block; only the blocks that hold an edited posting, or that a split or a
-// coalesce rewrites, are decoded, re-encoded and allocated. A paged block
-// the edits miss stays paged.
+// coalesce rewrites, are decoded, re-encoded and allocated.
 
 // IDPair is one identifier change of a surviving element.
 type IDPair struct{ Old, New core.ID }
@@ -128,7 +127,7 @@ var splicers = sync.Pool{New: func() any { return new(splicer) }}
 //     is dropped, an overfull one is split into equal parts, and a touched
 //     block is coalesced with a neighbour when the pair fits in one block.
 //  4. Touched blocks are re-encoded into new blocks; every other block is
-//     the previous list's, shared by pointer, resident or paged as it was.
+//     the previous list's, shared by pointer.
 //
 // A nil result means the name has no postings left.
 func splice(old *PostingList, pn, rn *core.Numbering, nd *NameDelta, st *DeltaStats) (*PostingList, error) {
@@ -161,10 +160,7 @@ func (sp *splicer) splice(nd *NameDelta) (*PostingList, error) {
 				return pn.CompareOrderID(old.blocks[b].Last, id) >= 0
 			})
 			if b < old.NumBlocks() {
-				i, err := sp.edit(b)
-				if err != nil {
-					return hit{}, err
-				}
+				i := sp.edit(b)
 				if pos := slices.Index(sp.edited[i].ids, id); pos >= 0 {
 					last = b
 					return hit{b, pos}, nil
@@ -243,10 +239,7 @@ func (sp *splicer) splice(nd *NameDelta) (*PostingList, error) {
 			k := p.lo + sort.Search(p.hi-p.lo-1, func(i int) bool {
 				return rn.CompareOrderID(old.blocks[p.lo+1+i].First, ins[0]) > 0
 			})
-			ids, err := sp.decode(k)
-			if err != nil {
-				return nil, err
-			}
+			ids := sp.decode(k)
 			split := [3]piece{{lo: p.lo, hi: k}, {lo: k, hi: k + 1, ids: ids}, {lo: k + 1, hi: p.hi}}
 			parts, at := split[:], t
 			if k == p.lo {
@@ -293,18 +286,14 @@ func (sp *splicer) splice(nd *NameDelta) (*PostingList, error) {
 					sp.prev = p.hi - 1
 					break
 				}
-				if err := sp.keep(k); err != nil {
-					return nil, err
-				}
+				sp.keep(k)
 			}
 			continue
 		}
 		ids := p.ids
 		for parts := (len(ids) + BlockSize - 1) / BlockSize; parts > 0; parts-- {
 			n := (len(ids) + parts - 1) / parts
-			if err := sp.write(ids[:n]); err != nil {
-				return nil, err
-			}
+			sp.write(ids[:n])
 			ids = ids[n:]
 		}
 	}
@@ -320,28 +309,20 @@ func (sp *splicer) lookup(b int) int {
 
 // edit returns the index in edited of old block b, decoding it first if no
 // edit has yet.
-func (sp *splicer) edit(b int) (int, error) {
+func (sp *splicer) edit(b int) int {
 	i := sp.lookup(b)
 	if i == len(sp.edited) || sp.edited[i].lo != b {
-		ids, err := sp.decode(b)
-		if err != nil {
-			return 0, err
-		}
-		sp.edited = slices.Insert(sp.edited, i, piece{lo: b, hi: b + 1, ids: ids})
+		sp.edited = slices.Insert(sp.edited, i, piece{lo: b, hi: b + 1, ids: sp.decode(b)})
 	}
-	return i, nil
+	return i
 }
 
 // decode appends old block b to the arena and returns it, its capacity
 // clipped to its length.
-func (sp *splicer) decode(b int) ([]core.ID, error) {
+func (sp *splicer) decode(b int) []core.ID {
 	start := len(sp.arena)
-	ids, err := sp.old.TryAppendBlock(b, sp.arena)
-	if err != nil {
-		return nil, err
-	}
-	sp.arena = ids
-	return ids[start:len(ids):len(ids)], nil
+	sp.arena = sp.old.AppendBlock(b, sp.arena)
+	return sp.arena[start:len(sp.arena):len(sp.arena)]
 }
 
 // merge appends the merge of ids and add, both in rn's document order, to
@@ -362,46 +343,34 @@ func (sp *splicer) merge(ids, add []core.ID) []core.ID {
 
 // keep emits old block k: shared, unless it coalesces with what precedes
 // it — the pending block, or a shared block it did not neighbour before.
-func (sp *splicer) keep(k int) error {
+func (sp *splicer) keep(k int) {
 	n := int(sp.old.blocks[k].N)
 	switch {
 	case len(sp.pend) > 0 && len(sp.pend)+n <= BlockSize:
-		return sp.decodeOnto(k)
+		sp.pend = sp.old.AppendBlock(k, sp.pend)
 	case len(sp.pend) == 0 && len(sp.dir) > 0 && k != sp.prev+1 && int(sp.old.blocks[sp.prev].N)+n <= BlockSize:
 		sp.dir = sp.dir[:len(sp.dir)-1]
-		if err := sp.decodeOnto(sp.prev); err != nil {
-			return err
-		}
-		return sp.decodeOnto(k)
+		sp.pend = sp.old.AppendBlock(sp.prev, sp.pend)
+		sp.pend = sp.old.AppendBlock(k, sp.pend)
+	default:
+		sp.flush()
+		sp.dir = append(sp.dir, sp.old.blocks[k])
+		sp.prev = k
 	}
-	sp.flush()
-	sp.dir = append(sp.dir, sp.old.blocks[k])
-	sp.prev = k
-	return nil
 }
 
 // write emits a touched block's postings, coalesced with what precedes it
 // when the pair fits in one block.
-func (sp *splicer) write(ids []core.ID) error {
+func (sp *splicer) write(ids []core.ID) {
 	switch {
 	case len(sp.pend) > 0 && len(sp.pend)+len(ids) <= BlockSize:
 	case len(sp.pend) == 0 && len(sp.dir) > 0 && int(sp.old.blocks[sp.prev].N)+len(ids) <= BlockSize:
 		sp.dir = sp.dir[:len(sp.dir)-1]
-		if err := sp.decodeOnto(sp.prev); err != nil {
-			return err
-		}
+		sp.pend = sp.old.AppendBlock(sp.prev, sp.pend)
 	default:
 		sp.flush()
 	}
 	sp.pend = append(sp.pend, ids...)
-	return nil
-}
-
-// decodeOnto decodes old block k onto the pending block.
-func (sp *splicer) decodeOnto(k int) error {
-	var err error
-	sp.pend, err = sp.old.TryAppendBlock(k, sp.pend)
-	return err
 }
 
 // flush encodes the pending block, if any, as the directory's next block.
@@ -419,7 +388,7 @@ func (sp *splicer) flush() {
 }
 
 // encodeBlock encodes ids, at most BlockSize of them in document order, as a
-// new resident block, using scratch as the encode buffer; it returns the
+// new block, using scratch as the encode buffer; it returns the
 // block and the grown scratch.
 func encodeBlock(ids []core.ID, scratch []byte) (*block, []byte) {
 	blk := &block{Skip: Skip{

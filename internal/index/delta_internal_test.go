@@ -124,7 +124,7 @@ func TestSpliceNormalization(t *testing.T) {
 				}
 				return
 			}
-			if err := checkPostingList(num, "x", got); err != nil {
+			if err := checkPostingList(num, "x", got, false); err != nil {
 				t.Fatal(err)
 			}
 			var sizes []int

@@ -148,7 +148,7 @@ func (h *spliceHarness) removeName(name string) {
 
 // publish splices the writes since the last publish into the index and
 // checks the result against a from-scratch build of the master.
-func (h *spliceHarness) publish(paged bool) index.DeltaStats {
+func (h *spliceHarness) publish() index.DeltaStats {
 	h.t.Helper()
 	next := h.binding()
 	edits := make(map[string]*index.NameDelta)
@@ -176,20 +176,6 @@ func (h *spliceHarness) publish(paged bool) index.DeltaStats {
 	}
 
 	prev := h.ix
-	if paged {
-		// The same epoch with every list's bytes behind a BlockSource.
-		lists := make(map[string]*index.PostingList)
-		for _, name := range prev.Names() {
-			lists[name] = prev.Postings(name).List()
-			if lists[name].PagedBlocks() == 0 { // an earlier paged step may have shared some
-				lists[name] = pagedTwin(h.t, lists[name])
-			}
-		}
-		var err error
-		if prev, err = index.FromPostingLists(prev.RUID(), lists); err != nil {
-			h.t.Fatal(err)
-		}
-	}
 	_, rn := h.freeze()
 	nix, st, err := prev.ApplyDelta(rn, edits)
 	if err != nil {
@@ -230,7 +216,7 @@ func (h *spliceHarness) publish(paged bool) index.DeltaStats {
 
 	// Scope: a name outside the edits shares its list; inside an edited
 	// name, every block counted as shared is one of the previous epoch's
-	// block objects — a paged one still paged — and an edit costs at most
+	// block objects, and an edit costs at most
 	// its own block and two coalesced neighbours.
 	oldBlocks, newBlocks, shared := 0, 0, 0
 	for _, name := range prev.Names() {
@@ -242,12 +228,7 @@ func (h *spliceHarness) publish(paged bool) index.DeltaStats {
 			continue
 		}
 		oldBlocks += old.NumBlocks()
-		kept := index.SharedBlocks(old, cur)
-		shared += kept
-		if old.PagedBlocks() == old.NumBlocks() && cur.PagedBlocks() != kept {
-			h.t.Fatalf("after %d writes: %q keeps %d blocks of a paged list, %d of them paged",
-				h.writes, name, kept, cur.PagedBlocks())
-		}
+		shared += index.SharedBlocks(old, cur)
 	}
 	for name := range edits {
 		newBlocks += nix.Postings(name).List().NumBlocks()
@@ -310,7 +291,7 @@ func TestSpliceMatchesRebuild(t *testing.T) {
 				}
 			}
 		}
-		h.publish(step%5 == 4)
+		h.publish()
 	}
 }
 
@@ -333,7 +314,7 @@ func TestSpliceRelabelOnly(t *testing.T) {
 	if _, _, err := h.num.InsertChildDelta(p, 0, xmltree.NewElement("solo")); err != nil {
 		t.Fatal(err)
 	}
-	st := h.publish(false)
+	st := h.publish()
 	if st.NamesTouched < 2 {
 		t.Fatalf("insert at position 0 relabeled no sibling: %+v", st)
 	}

@@ -27,18 +27,3 @@ func SharedBlocks(prev, cur *PostingList) int {
 	}
 	return n
 }
-
-// PagedBlocks returns how many blocks keep their bytes behind a
-// BlockSource rather than in memory.
-func (pl *PostingList) PagedBlocks() int {
-	if pl == nil {
-		return 0
-	}
-	paged := 0
-	for _, blk := range pl.blocks {
-		if blk.blob != nil {
-			paged++
-		}
-	}
-	return paged
-}

@@ -72,9 +72,10 @@ func Build(root *xmltree.Node, rn *core.Numbering) *NameIndex {
 func (ix *NameIndex) RUID() *core.Numbering { return ix.ruid }
 
 // FromPostingLists assembles an index from prebuilt posting lists — the
-// storage load path. Every list is verified to be in strict document order
-// under rn, so a corrupt or mismatched snapshot is an error here rather than
-// wrong query results later.
+// storage load path. Every identifier is climbed to the root under rn and
+// every list verified to be in strict document order, so a corrupt or
+// mismatched snapshot is an error here rather than a panic or wrong query
+// results later.
 func FromPostingLists(rn *core.Numbering, lists map[string]*PostingList) (*NameIndex, error) {
 	ix := &NameIndex{ruid: rn, ruidByName: make(map[string]*PostingList, len(lists))}
 	for name, pl := range lists {
@@ -83,7 +84,7 @@ func FromPostingLists(rn *core.Numbering, lists map[string]*PostingList) (*NameI
 		}
 		ix.ruidByName[name] = pl
 	}
-	if err := ix.CheckSorted(); err != nil {
+	if err := ix.check(true); err != nil {
 		return nil, err
 	}
 	return ix, nil

@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"repro/internal/core"
@@ -21,14 +20,13 @@ import (
 // over the ones that cannot.
 //
 // A list is a directory of pointers to immutable blocks, each holding its
-// skip entry and its own delta bytes (or, for a block read from a paged
-// list, where those bytes sit behind its BlockSource). Nothing mutates a
-// block once a list holds it, so epochs share blocks by pointer: a splice
-// (delta.go) copies the directory and writes only the blocks it changes.
-// Build and PagedPostingList lay out a list's blocks in one backing array
-// and its bytes in one array the blocks subslice, so a list nothing has
-// spliced reads as contiguously as a flat one. The flat persisted form — one
-// skip table over one byte region — is what Skips and DataBytes assemble.
+// skip entry and its own delta bytes. Nothing mutates a block once a list
+// holds it, so epochs share blocks by pointer: a splice (delta.go) copies
+// the directory and writes only the blocks it changes. Build and
+// PostingListFromParts lay out a list's blocks in one backing array and its
+// bytes in one array the blocks subslice, so a list nothing has spliced
+// reads as contiguously as a flat one. The flat persisted form — one skip
+// table over one byte region — is what Skips and DataBytes assemble.
 
 // BlockSize is the maximal number of postings per block. 128 keeps the
 // skip-table overhead under a byte per posting while leaving blocks small
@@ -48,50 +46,19 @@ type Skip struct {
 
 const skipBytes = int(unsafe.Sizeof(Skip{}))
 
-// block is one immutable block of a list. End-Off is its byte length. A
-// resident block's bytes are data; a paged block's are [Off, End) of its
-// blob, and data is nil.
+// block is one immutable block of a list: its skip entry and its delta
+// bytes, End-Off of them.
 type block struct {
 	Skip
 	data []byte
-	blob *blob
 }
-
-// blob is a paged list's delta region behind its source, one per
-// PagedPostingList and shared by every block read from it.
-type blob struct{ src BlockSource }
-
-// BlockSource supplies a paged posting list's delta bytes on demand: the
-// out-of-core form, where only the skip entries are memory-resident and
-// block bytes live in buffer-pool pages (storage.BlockStore implements it).
-// ReadRange appends bytes [off, end) of the list's data region to dst.
-type BlockSource interface {
-	ReadRange(off, end uint32, dst []byte) ([]byte, error)
-}
-
-// PagedError wraps an I/O or validation failure on the paged posting fault
-// path. The block decode sites shared by all join kernels cannot return
-// errors without threading them through every signature, so a paged fault
-// failure panics with *PagedError; query.Planner recovers it at the query
-// boundary (for serial and parallel plans alike — internal/exec re-raises
-// worker panics) and returns it as an ordinary error.
-type PagedError struct {
-	Block int   // block index whose fault failed
-	Err   error // the underlying I/O or validation error
-}
-
-func (e *PagedError) Error() string {
-	return fmt.Sprintf("index: paged postings block %d: %v", e.Block, e.Err)
-}
-
-func (e *PagedError) Unwrap() error { return e.Err }
 
 // PostingList is one name's block-compressed, document-ordered postings: a
-// directory of shared, immutable blocks, any of which may be paged.
+// directory of shared, immutable blocks.
 type PostingList struct {
-	blocks   []*block
-	n        int
-	resident int // delta bytes of the resident blocks
+	blocks []*block
+	n      int
+	bytes  int // delta bytes of the blocks
 }
 
 // newList returns the list over a directory.
@@ -99,7 +66,7 @@ func newList(blocks []*block) *PostingList {
 	pl := &PostingList{blocks: blocks}
 	for _, blk := range blocks {
 		pl.n += int(blk.N)
-		pl.resident += len(blk.data)
+		pl.bytes += len(blk.data)
 	}
 	return pl
 }
@@ -136,64 +103,34 @@ func (pl *PostingList) Skips() []Skip {
 	return out
 }
 
-// DataBytes assembles the delta byte region of the persisted form, faulting
-// paged blocks' bytes through their source (a run of paged blocks adjacent
-// in their blob is one read). Together with Skips and Len it is the exact
-// persisted form.
-func (pl *PostingList) DataBytes() ([]byte, error) {
+// DataBytes assembles the delta byte region of the persisted form.
+// Together with Skips and Len it is the exact persisted form.
+func (pl *PostingList) DataBytes() []byte {
 	if pl == nil {
-		return nil, nil
+		return nil
 	}
-	size := 0
+	out := make([]byte, 0, pl.bytes)
 	for _, blk := range pl.blocks {
-		size += int(blk.End - blk.Off)
+		out = append(out, blk.data...)
 	}
-	out := make([]byte, 0, size)
-	for i := 0; i < len(pl.blocks); {
-		blk := pl.blocks[i]
-		if blk.blob == nil {
-			out = append(out, blk.data...)
-			i++
-			continue
-		}
-		end := blk.End
-		for i++; i < len(pl.blocks) && pl.blocks[i].blob == blk.blob && pl.blocks[i].Off == end; i++ {
-			end = pl.blocks[i].End
-		}
-		var err error
-		if out, err = blk.blob.src.ReadRange(blk.Off, end, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return out
 }
 
 // SizeBytes returns the resident size of the compressed representation:
-// delta bytes plus skip entries. A paged block's bytes are not resident, so
-// only its skip entry counts — the footprint Lemma 1's in-memory table K
-// argument is about.
+// delta bytes plus skip entries.
 func (pl *PostingList) SizeBytes() int {
 	if pl == nil {
 		return 0
 	}
-	return pl.resident + len(pl.blocks)*skipBytes
+	return pl.bytes + len(pl.blocks)*skipBytes
 }
 
 // AppendBlock decodes block b onto dst and returns the extended slice. A
-// resident block is validated when it is made (Finish never emits a
-// malformed block, FromParts rejects one), so a decode failure is memory
-// corruption and panics. A paged block is revalidated against its skip
-// entry on every fault — torn or corrupted pages surface as a *PagedError
-// panic that query.Planner converts to an error.
+// block is validated when it is made (Finish never emits a malformed block,
+// PostingListFromParts rejects one), so a decode failure is memory
+// corruption and panics.
 func (pl *PostingList) AppendBlock(b int, dst []core.ID) []core.ID {
 	blk := pl.blocks[b]
-	if blk.blob != nil {
-		out, err := blk.appendPaged(b, dst)
-		if err != nil {
-			panic(&PagedError{Block: b, Err: err})
-		}
-		return out
-	}
 	dst = append(dst, blk.First)
 	prev := blk.First
 	buf := blk.data
@@ -209,43 +146,10 @@ func (pl *PostingList) AppendBlock(b int, dst []core.ID) []core.ID {
 	return dst
 }
 
-// TryAppendBlock is AppendBlock with an error return instead of the
-// *PagedError panic, for callers (the splice, tests, tools) that probe
-// possibly-corrupt paged blocks directly. On error dst's appended tail is
-// garbage and the original prefix should be re-sliced by the caller.
-func (pl *PostingList) TryAppendBlock(b int, dst []core.ID) ([]core.ID, error) {
-	if blk := pl.blocks[b]; blk.blob != nil {
-		return blk.appendPaged(b, dst)
-	}
-	return pl.AppendBlock(b, dst), nil
-}
-
-// blockBytesPool recycles the byte scratch paged faults decode from, so a
-// seek over a paged list allocates once per goroutine rather than per
-// block.
-var blockBytesPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendPaged faults a paged block (block b of its list) and decodes it
-// onto dst.
-func (blk *block) appendPaged(b int, dst []core.ID) ([]core.ID, error) {
-	bufp := blockBytesPool.Get().(*[]byte)
-	buf, err := blk.blob.src.ReadRange(blk.Off, blk.End, (*bufp)[:0])
-	if err == nil {
-		dst, err = decodeBlockChecked(blk.Skip, b, buf, dst)
-	}
-	if buf != nil {
-		*bufp = buf[:0]
-	}
-	blockBytesPool.Put(bufp)
-	return dst, err
-}
-
 // decodeBlockChecked decodes one block's delta bytes onto dst with full
 // validation against its skip entry: every entry must decode, the bytes
 // must be consumed exactly, and Last/MinGlobal/MaxGlobal must agree with
-// the contents. Shared by the debug checks and the paged fault path, which
-// runs it on every fault: the load path's content validation, applied lazily
-// per block.
+// the contents. Shared by the debug checks and PostingListFromParts.
 func decodeBlockChecked(sk Skip, b int, buf []byte, dst []core.ID) ([]core.ID, error) {
 	dst = append(dst, sk.First)
 	prev := sk.First
@@ -326,7 +230,7 @@ func (b *PostingBuilder) Finish() *PostingList {
 	if len(b.skips) == 0 {
 		return nil
 	}
-	pl := layout(b.skips, b.data, nil)
+	pl := layout(b.skips, b.data)
 	*b = PostingBuilder{}
 	return pl
 }
@@ -341,14 +245,13 @@ func BuildPostingList(ids []core.ID) *PostingList {
 }
 
 // layout lays a list out over a flat skip table: the block structs in one
-// backing array, each resident block's bytes a subslice of data, or, when
-// paged is set, every block paged at its [Off, End) of that blob.
-func layout(skips []Skip, data []byte, paged *blob) *PostingList {
+// backing array, each block's bytes a subslice of data.
+func layout(skips []Skip, data []byte) *PostingList {
 	arr := make([]block, len(skips))
 	dir := make([]*block, len(skips))
 	for i, sk := range skips {
-		arr[i] = block{Skip: sk, blob: paged}
-		if paged == nil && sk.End > sk.Off {
+		arr[i] = block{Skip: sk}
+		if sk.End > sk.Off {
 			arr[i].data = data[sk.Off:sk.End:sk.End]
 		}
 		dir[i] = &arr[i]
@@ -381,20 +284,22 @@ func validateSkipStructure(skips []Skip, dataLen, n int) error {
 	return nil
 }
 
-// PagedPostingList assembles the out-of-core form: resident skip entries
-// over a dataLen-byte delta region that lives behind src. Only the
-// decode-free structural validation runs here — faulting every block to
-// verify its contents would defeat a cold open, so content validation is
-// deferred to each fault (decodeBlockChecked in appendPaged), which rejects
-// torn or corrupt pages at read time.
-func PagedPostingList(skips []Skip, n, dataLen int, src BlockSource) (*PostingList, error) {
-	if src == nil {
-		return nil, fmt.Errorf("index: paged posting list needs a block source")
-	}
-	if err := validateSkipStructure(skips, dataLen, n); err != nil {
+// PostingListFromParts assembles a list from its persisted form — a skip
+// table over a dataLen-byte delta region, n postings in all — and validates
+// it in full: the skip table must tile the region, and every block must
+// decode to exactly what its skip entry says. Corrupt parts return an
+// error, never a panic. The list keeps its own copy of data.
+func PostingListFromParts(skips []Skip, n int, data []byte) (*PostingList, error) {
+	if err := validateSkipStructure(skips, len(data), n); err != nil {
 		return nil, err
 	}
-	return layout(skips, nil, &blob{src}), nil
+	var buf [BlockSize]core.ID
+	for b, sk := range skips {
+		if _, err := decodeBlockChecked(sk, b, data[sk.Off:sk.End], buf[:0]); err != nil {
+			return nil, fmt.Errorf("index: %w", err)
+		}
+	}
+	return layout(skips, append([]byte(nil), data...)), nil
 }
 
 // Postings is the read view join code consumes: either a block-compressed

@@ -71,11 +71,7 @@ func TestPostingListRoundTrip(t *testing.T) {
 					t.Fatalf("%s/%s: block %d holds %d entries", shape, name, b, sk.N)
 				}
 			}
-			data, err := pl.DataBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fromParts(data, pl.Skips(), pl.Len()); err != nil {
+			if err := fromParts(pl.DataBytes(), pl.Skips(), pl.Len()); err != nil {
 				t.Fatalf("%s/%s: own parts rejected: %v", shape, name, err)
 			}
 		}
@@ -104,20 +100,12 @@ func TestPostingListCompression(t *testing.T) {
 	t.Logf("%d postings in %d bytes: %.2f B/posting (flat: %.0f, %.1fx)", count, size, bpp, flat, flat/bpp)
 }
 
-// fromParts runs persisted parts through the validation a cold open gives
-// them: PagedPostingList checks the skip table's structure, and a fault of
-// each block checks its contents against its skip entry.
+// fromParts runs persisted parts through the validation a bundle load
+// gives them, PostingListFromParts: the skip table's structure, and each
+// block's contents against its skip entry.
 func fromParts(data []byte, skips []index.Skip, n int) error {
-	pl, err := index.PagedPostingList(skips, n, len(data), memSource(data))
-	if err != nil {
-		return err
-	}
-	for b := 0; b < pl.NumBlocks(); b++ {
-		if _, err := pl.TryAppendBlock(b, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := index.PostingListFromParts(skips, n, data)
+	return err
 }
 
 // TestPostingListFromPartsRejectsCorruption feeds structurally broken parts
@@ -129,10 +117,7 @@ func TestPostingListFromPartsRejectsCorruption(t *testing.T) {
 		ids = append(ids, core.ID{Global: int64(2 + i/7), Local: int64(1 + i%7)})
 	}
 	pl := index.BuildPostingList(ids)
-	data, err := pl.DataBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := pl.DataBytes()
 	skips := pl.Skips()
 
 	cloneSkips := func() []index.Skip { return append([]index.Skip(nil), skips...) }

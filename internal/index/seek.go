@@ -149,7 +149,7 @@ func (bs *BlockScratch) Cursor() *core.ParentCursor { return &bs.cursor }
 
 // ForEachRun is the one reader of a join's descendant side. It walks units
 // [lo, hi) of p in document order and hands fn every run of postings the
-// probe admits. The units of a block or paged view are its blocks: maximal
+// probe admits. The units of a block view are its blocks: maximal
 // runs of consecutive candidate blocks (at most maxRunBlocks) are decoded
 // into the scratch, blocks failing the skip test are galloped over without
 // decoding, and a probe dense enough admits every block untested (see

@@ -173,9 +173,6 @@ func dumpSummary(w io.Writer, s RequestSummary) {
 	if s.QueueUS > 0 {
 		fmt.Fprintf(w, " queue=%v", time.Duration(s.QueueUS)*time.Microsecond)
 	}
-	if s.IOReads > 0 || s.IOHits > 0 {
-		fmt.Fprintf(w, " io_reads=%d io_hits=%d", s.IOReads, s.IOHits)
-	}
 	if s.Postings > 0 || s.Results > 0 {
 		fmt.Fprintf(w, " postings=%d results=%d", s.Postings, s.Results)
 	}

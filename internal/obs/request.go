@@ -10,8 +10,8 @@ import (
 
 // Request-scoped tracing. A RequestCtx is created once at HTTP ingress and
 // travels with the request — through admission, budget charging, query
-// execution, the pager, and (for writes) across the asynchronous group-
-// commit pipeline, where the commit loop stamps stages on a goroutine the
+// execution, and (for writes) across the asynchronous group-commit
+// pipeline, where the commit loop stamps stages on a goroutine the
 // request never sees. It is the per-request counterpart of the Registry's
 // aggregate counters: where the registry answers "how much, in total", the
 // RequestCtx answers "where did THIS request's time go".
@@ -66,10 +66,8 @@ type RequestCtx struct {
 	errMsg string
 
 	// Request-scoped resource counters, stamped by the layers that know
-	// them: the server records pager I/O deltas and budget charges, the
-	// admission gate records queue wait.
-	ioReads  atomic.Int64
-	ioHits   atomic.Int64
+	// them: the server records budget charges, the admission gate records
+	// queue wait.
 	postings atomic.Int64
 	results  atomic.Int64
 	queueNS  atomic.Int64
@@ -128,16 +126,6 @@ func (rc *RequestCtx) Stamp(name string) {
 	rc.mu.Lock()
 	rc.stages = append(rc.stages, StageStamp{Name: name, OffsetUS: off.Microseconds()})
 	rc.mu.Unlock()
-}
-
-// AddIO accumulates the request's pager traffic (buffer-pool misses and
-// hits).
-func (rc *RequestCtx) AddIO(reads, hits int64) {
-	if rc == nil {
-		return
-	}
-	rc.ioReads.Add(reads)
-	rc.ioHits.Add(hits)
 }
 
 // SetBudget records what the request's budget meter charged.
@@ -214,8 +202,6 @@ type RequestSummary struct {
 	Status     int          `json:"status,omitempty"`
 	Error      string       `json:"error,omitempty"`
 	QueueUS    int64        `json:"queue_us,omitempty"`
-	IOReads    int64        `json:"io_reads,omitempty"`
-	IOHits     int64        `json:"io_hits,omitempty"`
 	Postings   int64        `json:"postings,omitempty"`
 	Results    int64        `json:"results,omitempty"`
 	Stages     []StageStamp `json:"stages,omitempty"`
@@ -238,8 +224,6 @@ func (rc *RequestCtx) Summary() RequestSummary {
 		Status:     int(rc.status.Load()),
 		Error:      errMsg,
 		QueueUS:    time.Duration(rc.queueNS.Load()).Microseconds(),
-		IOReads:    rc.ioReads.Load(),
-		IOHits:     rc.ioHits.Load(),
 		Postings:   rc.postings.Load(),
 		Results:    rc.results.Load(),
 		Stages:     rc.Stages(),

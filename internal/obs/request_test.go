@@ -11,7 +11,6 @@ import (
 func TestRequestCtxNilSafety(t *testing.T) {
 	var rc *RequestCtx
 	rc.Stamp("x")
-	rc.AddIO(1, 2)
 	rc.SetBudget(3, 4)
 	rc.AddQueueWait(time.Second)
 	rc.SetError("boom")
@@ -80,7 +79,6 @@ func TestRequestCtxStagesMonotone(t *testing.T) {
 func TestRequestCtxSummary(t *testing.T) {
 	rc := NewRequest("query", "docA")
 	rc.Stamp("admitted")
-	rc.AddIO(5, 95)
 	rc.SetBudget(1000, 42)
 	rc.AddQueueWait(3 * time.Millisecond)
 	rc.SetError("deadline")
@@ -89,7 +87,7 @@ func TestRequestCtxSummary(t *testing.T) {
 	if s.Kind != "query" || s.Doc != "docA" || s.Status != 504 || s.Error != "deadline" {
 		t.Fatalf("summary identity: %+v", s)
 	}
-	if s.IOReads != 5 || s.IOHits != 95 || s.Postings != 1000 || s.Results != 42 {
+	if s.Postings != 1000 || s.Results != 42 {
 		t.Fatalf("summary counters: %+v", s)
 	}
 	if s.QueueUS < 3000 {

@@ -93,34 +93,9 @@ type Planner struct {
 	engine *xpath.Engine
 	exec   *exec.Executor
 	m      *plannerMetrics
-	io     IOStatsFunc
 
 	nodes     int
 	meanDepth float64
-}
-
-// IOStatsFunc reports the cumulative page I/O of the store backing a paged
-// snapshot: reads (pool misses), hits, and evictions. The document facade
-// wires it to the BlockStore pager when PoolPages is set; with it, the
-// per-stage EXPLAIN ANALYZE spans carry io_reads / io_hits / io_evictions
-// deltas, witnessing which stages fault and which run I/O-free.
-type IOStatsFunc func() (reads, hits, evictions int64)
-
-// SetIOStats attaches the paged store's I/O counters (nil detaches).
-func (p *Planner) SetIOStats(f IOStatsFunc) { p.io = f }
-
-// stepIO prices the page I/O of one traced pipeline step (a twig.StepIO
-// over the attached store): it reads the counters as the step starts, and
-// the function it returns writes what the step read, hit and evicted onto
-// the step's span.
-func (p *Planner) stepIO() func(*obs.Span) {
-	r0, h0, e0 := p.io()
-	return func(sp *obs.Span) {
-		r, h, e := p.io()
-		sp.SetInt("io_reads", r-r0)
-		sp.SetInt("io_hits", h-h0)
-		sp.SetInt("io_evictions", e-e0)
-	}
 }
 
 // plannerMetrics holds the registry pointers the planner records into,
@@ -332,11 +307,9 @@ func (r *Result) Nodes() ([]*xmltree.Node, error) {
 	return r.nodes, nil
 }
 
-// resolve maps the identifiers to nodes. Decoding a paged seed list can
-// fault; the failure is an error here as it is inside RunMetered.
-func (r *Result) resolve() (nodes []*xmltree.Node, err error) {
-	defer recoverPaged(&err)
-	nodes = make([]*xmltree.Node, 0, r.n)
+// resolve maps the identifiers to nodes.
+func (r *Result) resolve() ([]*xmltree.Node, error) {
+	nodes := make([]*xmltree.Node, 0, r.n)
 	for _, id := range r.ids.Materialize() {
 		n, ok := r.rn.NodeOfID(id)
 		if !ok {
@@ -347,24 +320,10 @@ func (r *Result) resolve() (nodes []*xmltree.Node, err error) {
 	return nodes, nil
 }
 
-// recoverPaged turns a paged-postings fault into an ordinary error. Paged
-// postings fault inside decode sites that cannot return errors; a fault
-// failure (I/O error, torn page) panics with *index.PagedError, re-raised by
-// the executor from parallel workers. Anything else keeps panicking.
-func recoverPaged(err *error) {
-	if r := recover(); r != nil {
-		pe, ok := r.(*index.PagedError)
-		if !ok {
-			panic(r)
-		}
-		*err = pe
-	}
-}
-
 // debugChecks makes every query resolve its answer and hold it to Len, so a
 // count-only request cannot hide an index the numbering disagrees with; a
 // counted answer is first written out and held to its count (check).
-// Seeded from RUID_DEBUG like the index and pager checks.
+// Seeded from RUID_DEBUG like the index checks.
 var debugChecks = os.Getenv("RUID_DEBUG") != ""
 
 // Run plans and executes the query, returning the result node-set in
@@ -456,7 +415,7 @@ func (p *Planner) check(r Result, plan Plan) error {
 		if plan.Kind == NavPlan {
 			return nil
 		}
-		ids, n, _ := twig.Match(plan.pattern, p.ix, p.exec, nil, nil, false)
+		ids, n, _ := twig.Match(plan.pattern, p.ix, p.exec, nil, false)
 		if n != r.n {
 			panic(fmt.Sprintf("query: %q counted %d identifiers, written out %d", plan.Query, r.n, n))
 		}
@@ -477,10 +436,9 @@ func (p *Planner) check(r Result, plan Plan) error {
 
 // execute plans q and runs the chosen plan up to, and not including, the
 // resolve of an identifier answer. A counted run keeps no answer.
-func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter, counted bool) (res Result, plan Plan, err error) {
-	defer recoverPaged(&err)
+func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter, counted bool) (Result, Plan, error) {
 	sp := tr.StartSpan("plan")
-	plan, err = p.Plan(q)
+	plan, err := p.Plan(q)
 	sp.End()
 	if err != nil {
 		return Result{}, Plan{}, err
@@ -526,17 +484,7 @@ func (p *Planner) execute(q string, tr *obs.Trace, m *budget.Meter, counted bool
 	// The whole pipeline runs on concrete identifiers, never boxing a single
 	// probe, and its answer — the index's own list for a seed-only chain —
 	// resolves through the concrete lookup.
-	var io twig.StepIO
-	var r0, h0, e0 int64
-	if tr != nil && p.io != nil {
-		io = p.stepIO
-		r0, h0, e0 = p.io()
-	}
-	ids, n, _ := twig.Match(plan.pattern, p.ix, p.exec.WithMeter(m), tr, io, counted)
-	if io != nil {
-		r, h, e := p.io()
-		tr.Notef("io: reads=%d hits=%d evictions=%d", r-r0, h-h0, e-e0)
-	}
+	ids, n, _ := twig.Match(plan.pattern, p.ix, p.exec.WithMeter(m), tr, counted)
 	// A tripped meter means the pipeline stopped mid-kernel and ids is a
 	// partial (possibly empty) set: discard it and surface the sentinel.
 	if err := m.Err(); err != nil {

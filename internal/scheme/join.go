@@ -159,7 +159,7 @@ type PairID struct {
 }
 
 // units returns how many units index.ForEachRun walks over p: blocks of a
-// block or paged view, identifiers of a slice view.
+// block view, identifiers of a slice view.
 func units(p index.Postings) int {
 	if pl := p.List(); pl != nil {
 		return pl.NumBlocks()

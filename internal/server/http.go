@@ -30,11 +30,11 @@ import (
 // /metrics.json, /debug/pprof/) on the same listener.
 //
 // Every /v1/docs handler runs behind the tracing middleware: a fresh
-// obs.RequestCtx rides the request's context end to end (admission, budget,
-// pager, and — for writes — across the group-commit pipeline), and its
-// summary lands in the flight recorder plus the per-endpoint and
-// per-document metric families when the request completes. Write bodies may
-// set waitVisible in JSON or pass ?wait=visible in the URL.
+// obs.RequestCtx rides the request's context end to end (admission, budget
+// and — for writes — across the group-commit pipeline), and its summary
+// lands in the flight recorder plus the per-endpoint and per-document
+// metric families when the request completes. Write bodies may set
+// waitVisible in JSON or pass ?wait=visible in the URL.
 //
 // Error mapping is part of the overload contract: 503 + Retry-After for
 // shed requests and for writes racing a document's close, 504 for queries

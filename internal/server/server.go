@@ -282,7 +282,6 @@ func (s *Server) Query(ctx context.Context, doc string, req QueryRequest) (*Quer
 	rc.Stamp("admitted")
 	start := time.Now()
 	snap := d.Snapshot() // pin the epoch for the whole request
-	io0 := d.IOStats()
 	m := budget.NewMeter(ctx, lim)
 	res, plan, err := snap.QueryMetered(req.Query, nil, m, req.IncludePaths)
 	rc.Stamp("exec_done")
@@ -304,13 +303,6 @@ func (s *Server) Query(ctx context.Context, doc string, req QueryRequest) (*Quer
 		}
 	}
 	elapsed := time.Since(start)
-	// Per-request pager attribution by cumulative delta — the same
-	// before/after approach the planner uses for per-stage io_reads/io_hits
-	// spans. Concurrent queries on the same document smear into each
-	// other's deltas; for a latency breakdown that is precise enough, and
-	// it costs two counter reads instead of per-pin plumbing.
-	io1 := d.IOStats()
-	rc.AddIO(io1.Reads-io0.Reads, io1.CacheHits-io0.CacheHits)
 	rc.SetBudget(m.Postings(), m.Results())
 	if s.sm != nil {
 		s.sm.queries.Inc()

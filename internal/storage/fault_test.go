@@ -5,164 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/index"
 )
-
-// pagedFixture stores a valid posting list as a blob and returns both the
-// paged view and the resident original, plus the block store for fault
-// injection. The list is large enough to span several pages and many
-// blocks.
-func pagedFixture(t *testing.T) (*BlockStore, *index.PostingList, *index.PostingList) {
-	t.Helper()
-	ids := make([]core.ID, 0, 40000)
-	for i := 0; i < 40000; i++ {
-		ids = append(ids, core.ID{Global: int64(2 + i/500), Local: int64(1 + i%500)})
-	}
-	pl := index.BuildPostingList(ids)
-	data, err := pl.DataBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) < 3*PageSize {
-		t.Fatalf("fixture too small: %d data bytes", len(data))
-	}
-	bs := NewBlockStore(4)
-	if err := bs.PutBlob("px:t", data); err != nil {
-		t.Fatal(err)
-	}
-	bs.pager.Flush()
-	bs.pager.DropCache()
-	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), bs.Source("px:t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bs, ppl, pl
-}
-
-// TestPagedBlocksTornPageRejected: a torn page write — half a page of the
-// blob region replaced by other bytes, as a crashed partial sector write
-// would leave it — must surface as a decode error from every affected
-// block on the next fault, never as silently wrong postings: a block's
-// contents are validated at fault time.
-func TestPagedBlocksTornPageRejected(t *testing.T) {
-	bs, ppl, pl := pagedFixture(t)
-
-	// Baseline: the paged list decodes block-for-block identically.
-	for b := 0; b < ppl.NumBlocks(); b++ {
-		got, err := ppl.TryAppendBlock(b, nil)
-		if err != nil {
-			t.Fatalf("pristine block %d: %v", b, err)
-		}
-		want := pl.AppendBlock(b, nil)
-		if len(got) != len(want) {
-			t.Fatalf("pristine block %d: %d ids, want %d", b, len(got), len(want))
-		}
-	}
-
-	// Tear the second data page: its first half becomes garbage directly on
-	// "disk", bypassing the pager API exactly like a torn hardware write.
-	p := bs.pager
-	p.mu.Lock()
-	pageID := bs.blobs["px:t"].pages[1]
-	for i := 0; i < PageSize/2; i++ {
-		p.disk[pageID][i] = 0xEE
-	}
-	p.mu.Unlock()
-	bs.pager.DropCache()
-
-	bad, ok := 0, 0
-	for b := 0; b < ppl.NumBlocks(); b++ {
-		if _, err := ppl.TryAppendBlock(b, nil); err != nil {
-			bad++
-		} else {
-			ok++
-		}
-	}
-	if bad == 0 {
-		t.Fatalf("no block rejected a torn page (%d blocks decoded)", ok)
-	}
-	if ok == 0 {
-		t.Fatalf("every block failed; tear was supposed to hit only part of the region")
-	}
-
-	// The panicking fast path wraps the same failure in *index.PagedError so
-	// the query layer can recover it into an error return.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("AppendBlock on a torn block did not panic")
-		}
-		pe, isPE := r.(*index.PagedError)
-		if !isPE {
-			panic(r)
-		}
-		if pe.Err == nil {
-			t.Fatalf("PagedError without cause")
-		}
-	}()
-	for b := 0; b < ppl.NumBlocks(); b++ {
-		ppl.AppendBlock(b, nil)
-	}
-}
-
-// TestPagedBlocksPartialFlushRejected: a crash that loses the dirty tail of
-// the pool ("partial flush") leaves the blob's later pages zeroed on disk.
-// Blocks over the flushed prefix still decode; blocks over the lost suffix
-// are rejected at fault time.
-func TestPagedBlocksPartialFlushRejected(t *testing.T) {
-	ids := make([]core.ID, 0, 40000)
-	for i := 0; i < 40000; i++ {
-		ids = append(ids, core.ID{Global: int64(2 + i/500), Local: int64(1 + i%500)})
-	}
-	pl := index.BuildPostingList(ids)
-	data, err := pl.DataBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := NewBlockStore(4)
-	if err := bs.PutBlob("px:t", data); err != nil {
-		t.Fatal(err)
-	}
-	// Crash before Flush: discard the pool without writing dirty frames
-	// back. Earlier pages were already written back by eviction pressure
-	// during PutBlob (the pool holds only 4 frames); the tail is lost.
-	p := bs.pager
-	p.mu.Lock()
-	lost := 0
-	for _, f := range p.frames {
-		if f.dirty {
-			lost++
-		}
-	}
-	p.frames = map[int32]*frame{}
-	p.clock = nil
-	p.hand = 0
-	p.mu.Unlock()
-	if lost == 0 {
-		t.Fatalf("no dirty frames to lose; fixture does not model a partial flush")
-	}
-
-	ppl, err := index.PagedPostingList(pl.Skips(), pl.Len(), len(data), bs.Source("px:t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, ok := 0, 0
-	for b := 0; b < ppl.NumBlocks(); b++ {
-		if _, err := ppl.TryAppendBlock(b, nil); err != nil {
-			bad++
-		} else {
-			ok++
-		}
-	}
-	if bad == 0 {
-		t.Fatalf("zeroed tail pages decoded cleanly (%d blocks)", ok)
-	}
-	if ok == 0 {
-		t.Fatalf("flushed prefix should still decode")
-	}
-}
 
 // WAL fault injection: the write path's durability claims live or die on
 // recovery behavior under torn writes, truncated tails and bit rot. Each

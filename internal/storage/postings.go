@@ -1,3 +1,9 @@
+// Package storage holds what a served document persists: the write-ahead
+// log of its mutations (wal.go) and the snapshot codec of its
+// block-compressed postings (postings.go), the postings section of a
+// document bundle. The stored node tables of the paper's RDBMS setting, and
+// the simulated pager under them, are the experiment tables' and live in
+// internal/workload: no served document reads a node row or a page.
 package storage
 
 import (
@@ -61,12 +67,7 @@ func EncodePostings(ix *index.NameIndex) ([]byte, error) {
 			out = binary.AppendUvarint(out, uint64(sk.End-sk.Off))
 			out = binary.AppendUvarint(out, uint64(sk.N))
 		}
-		// DataBytes faults a paged list's delta region back in, so a
-		// paged-open document saves byte-identically to a resident one.
-		data, err := pl.DataBytes()
-		if err != nil {
-			return nil, fmt.Errorf("storage: postings for %q: %w", name, err)
-		}
+		data := pl.DataBytes()
 		out = binary.AppendUvarint(out, uint64(len(data)))
 		out = append(out, data...)
 	}
@@ -193,35 +194,24 @@ func walkPostings(b []byte, fn func(name string, count int, skips []index.Skip, 
 	return nil
 }
 
-// PostingsBlobPrefix namespaces posting-list blobs inside a BlockStore, so
-// they coexist with any other blobs on the same pager.
-const PostingsBlobPrefix = "px:"
-
 // minBlockHeader is the fewest bytes a block header takes: two keys and
 // four one-byte varints.
 const minBlockHeader = 2*core.KeyBytes + 4
 
-// LoadPostingsPaged reads a postings snapshot from r and assembles a
-// ruid-backed index whose block bytes live in bs pages instead of memory:
-// each name's delta region is stored as one blob and its posting list is
-// the paged form (index.PagedPostingList), so only the skip tables stay
-// resident and queries fault in exactly the blocks their skip tables admit.
-// Header and skip-table structure are validated here; block contents are
-// validated on every fault, so a torn page surfaces as an error at read
-// time, not as wrong results. Corrupt or truncated input returns an error,
+// LoadPostings reads a postings snapshot from r and assembles a resident
+// ruid-backed index over rn. Every block is decoded and checked against its
+// skip entry (index.PostingListFromParts), and every identifier is climbed
+// to the root under rn before it is compared in document order
+// (index.FromPostingLists). Corrupt or truncated input returns an error,
 // never a panic.
-func LoadPostingsPaged(r io.Reader, rn *core.Numbering, bs *BlockStore) (*index.NameIndex, error) {
+func LoadPostings(r io.Reader, rn *core.Numbering) (*index.NameIndex, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	lists := make(map[string]*index.PostingList)
 	err = walkPostings(b, func(name string, count int, skips []index.Skip, data []byte) error {
-		blob := PostingsBlobPrefix + name
-		if err := bs.PutBlob(blob, data); err != nil {
-			return err
-		}
-		pl, err := index.PagedPostingList(skips, count, len(data), bs.Source(blob))
+		pl, err := index.PostingListFromParts(skips, count, data)
 		if err != nil {
 			return fmt.Errorf("storage: %q: %w", name, err)
 		}

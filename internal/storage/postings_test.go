@@ -35,23 +35,9 @@ func libraryOf(shelves, books int) string {
 	return sb.String()
 }
 
-// loadPostings runs a snapshot through the decoder a cold open uses,
-// LoadPostingsPaged, and then faults every block, which validates its
-// contents: the first error either step reports is returned.
+// loadPostings runs a snapshot through the loader a bundle open uses.
 func loadPostings(enc []byte, rn *core.Numbering) (*index.NameIndex, error) {
-	ix, err := storage.LoadPostingsPaged(bytes.NewReader(enc), rn, storage.NewBlockStore(64))
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range ix.Names() {
-		pl := ix.Postings(name).List()
-		for b := 0; b < pl.NumBlocks(); b++ {
-			if _, err := pl.TryAppendBlock(b, nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return ix, nil
+	return storage.LoadPostings(bytes.NewReader(enc), rn)
 }
 
 // checkRoundTrip encodes ix, decodes it back, and requires the reassembled
@@ -77,15 +63,7 @@ func checkRoundTrip(t *testing.T, ix *index.NameIndex) []byte {
 		if back == nil {
 			t.Fatalf("%q: lost in round trip", name)
 		}
-		od, err := orig.DataBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bd, err := back.DataBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(od, bd) {
+		if !bytes.Equal(orig.DataBytes(), back.DataBytes()) {
 			t.Fatalf("%q: delta bytes differ after round trip", name)
 		}
 		os, bs := orig.Skips(), back.Skips()
@@ -209,10 +187,9 @@ func TestPostingsSnapshotUnderUpdates(t *testing.T) {
 }
 
 // TestLoadPostingsRejectsCorruption flips bits and truncates a valid
-// snapshot; every mutation must load as an error (loadPostings: the paged
-// decoder, then a fault of every block) — or, when the flip lands in delta
-// bytes without breaking structure, still pass full validation — and never
-// panic.
+// snapshot; every mutation must load as an error — or, when the flip lands
+// in delta bytes without breaking structure, still pass full validation —
+// and never panic. A torn last varint of the delta bytes must be an error.
 func TestLoadPostingsRejectsCorruption(t *testing.T) {
 	d, err := document.OpenString(libraryXML(), document.Options{
 		Partition: core.PartitionConfig{MaxAreaNodes: 12, AdjustFanout: true},
@@ -232,6 +209,14 @@ func TestLoadPostingsRejectsCorruption(t *testing.T) {
 		if _, err := loadPostings(enc[:cut], ix.RUID()); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+	// The snapshot ends with the delta bytes of its last name's last block,
+	// and a varint's last byte has no continuation bit: setting it leaves
+	// the block's final entry undecodable.
+	torn := append([]byte(nil), enc...)
+	torn[len(torn)-1] |= 0x80
+	if _, err := loadPostings(torn, ix.RUID()); err == nil || !strings.Contains(err.Error(), "does not decode") {
+		t.Errorf("torn delta bytes: err %v, want a block that does not decode", err)
 	}
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {

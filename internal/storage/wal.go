@@ -275,22 +275,13 @@ func (w *WAL) WaitDurable(seq int64) error {
 	return nil
 }
 
-// SyncTo fsyncs only when seq is not yet covered by a completed fsync. The
-// commit loop's publish-after-durable barrier: no mutation becomes visible
-// to readers before its record is on disk, and because the batch's
-// enqueuers usually already drove a covering fsync, the call is a no-op on
-// the hot path.
+// SyncTo returns once an fsync covers seq. The commit loop's
+// publish-after-durable barrier: no mutation becomes visible to readers
+// before its record is on disk. It joins the group barrier, so a batch
+// whose enqueuer already leads a covering fsync waits for that one instead
+// of issuing a second, and on the hot path it returns at once.
 func (w *WAL) SyncTo(seq int64) error {
-	w.smu.Lock()
-	done := w.synced >= seq
-	w.smu.Unlock()
-	if done {
-		return nil
-	}
-	w.mu.Lock()
-	upto := w.seq
-	w.mu.Unlock()
-	return w.fsync(upto)
+	return w.awaitSync(seq)
 }
 
 // fsync issues one fsync and publishes the covered sequence number.

@@ -225,11 +225,6 @@ func (n *Node) spineChild() *Node {
 	return nil
 }
 
-// StepIO prices the page I/O of one traced pipeline step: called as the
-// step's span opens, it returns the function that records the step's I/O
-// onto the span before it ends.
-type StepIO func() func(*obs.Span)
-
 // Match evaluates the pattern against a name index and returns the output
 // node's matches in document order as a Postings view: an executor result
 // the caller owns, or for an unanchored seed-only pattern such as //bidder
@@ -248,13 +243,13 @@ type StepIO func() func(*obs.Span)
 // sequences. Each intermediate goes back to e (exec.ReleaseIDs) once the
 // semi-join reading it has returned, and the pipeline stops at the first
 // empty one. With a non-nil tr the seed and every semi-join get a span of
-// their own, carrying cardinalities, the executor's block statistics and,
-// when io is set, page I/O; an untraced match builds no span name.
-func Match(p *Node, ix *index.NameIndex, e *exec.Executor, tr *obs.Trace, io StepIO, count bool) (ids index.Postings, n int, ok bool) {
+// their own, carrying cardinalities and the executor's block statistics; an
+// untraced match builds no span name.
+func Match(p *Node, ix *index.NameIndex, e *exec.Executor, tr *obs.Trace, count bool) (ids index.Postings, n int, ok bool) {
 	if !p.onOutputPath() {
 		return index.Postings{}, 0, false
 	}
-	m := &matcher{ix: ix, e: e, tr: tr, io: io}
+	m := &matcher{ix: ix, e: e, tr: tr}
 	below := p.spineChild() // the one child of a spine node that is no branch
 	cur := m.satisfy(p, below, m.seed(p))
 	for t := below; t != nil; t = below {
@@ -285,7 +280,7 @@ func Match(p *Node, ix *index.NameIndex, e *exec.Executor, tr *obs.Trace, io Ste
 // MatchIDsWith is Match materialised and untraced: the answer, a fresh slice
 // or an executor result, is the caller's.
 func MatchIDsWith(p *Node, ix *index.NameIndex, e *exec.Executor) (ids []core.ID, ok bool) {
-	res, _, ok := Match(p, ix, e, nil, nil, false)
+	res, _, ok := Match(p, ix, e, nil, false)
 	return res.Materialize(), ok
 }
 
@@ -320,7 +315,6 @@ type matcher struct {
 	ix *index.NameIndex
 	e  *exec.Executor
 	tr *obs.Trace
-	io StepIO
 }
 
 // seed returns the root's postings; for an anchored root ('/name'), the
@@ -328,13 +322,13 @@ type matcher struct {
 // precedes every other element, so it can only be the list's first entry:
 // no block is decoded to look for it.
 func (m *matcher) seed(t *Node) match {
-	var sp step
+	var sp *obs.Span
 	if m.tr != nil {
 		pre := "//"
 		if t.Anchored {
 			pre = "/"
 		}
-		sp = m.start("seed " + pre + t.Name)
+		sp = m.tr.StartSpan("seed " + pre + t.Name)
 	}
 	cur := m.ix.Postings(t.Name)
 	if t.Anchored {
@@ -344,7 +338,7 @@ func (m *matcher) seed(t *Node) match {
 		}
 		cur = index.SlicePostings(anchored)
 	}
-	sp.end(cur.Len())
+	endStep(sp, cur.Len())
 	return match{Postings: cur}
 }
 
@@ -374,7 +368,7 @@ func (m *matcher) join(k kernel, t, c *Node, ancs, descs match) match {
 	out := k.run(ex, m.ix.RUID(), ancs.Postings, descs.Postings)
 	ancs.release()
 	descs.release()
-	sp.end(len(out))
+	endStep(sp, len(out))
 	return match{Postings: index.SlicePostings(out), own: out}
 }
 
@@ -385,7 +379,7 @@ func (m *matcher) count(k kernel, c *Node, ancs, descs match) int {
 	n := k.count(ex, m.ix.RUID(), ancs.Postings, descs.Postings)
 	ancs.release()
 	descs.release()
-	sp.end(n)
+	endStep(sp, n)
 	return n
 }
 
@@ -393,9 +387,9 @@ func (m *matcher) count(k kernel, c *Node, ancs, descs match) int {
 // run the join on. Traced, the span is named for the step — "t[c] kernel"
 // for t's branch c, "//c kernel" for the spine step onto c (t nil) — and the
 // executor records into it; untraced, both are the receiver's.
-func (m *matcher) open(k kernel, t, c *Node, ancs, descs match) (step, *exec.Executor) {
+func (m *matcher) open(k kernel, t, c *Node, ancs, descs match) (*obs.Span, *exec.Executor) {
 	if m.tr == nil {
-		return step{}, m.e
+		return nil, m.e
 	}
 	name := c.Edge.String() + c.Name
 	if t != nil && c.Edge == Child {
@@ -403,34 +397,15 @@ func (m *matcher) open(k kernel, t, c *Node, ancs, descs match) (step, *exec.Exe
 	} else if t != nil {
 		name = t.Name + "[.//" + c.Name + "]"
 	}
-	sp := m.start(name + " " + k.name)
+	sp := m.tr.StartSpan(name + " " + k.name)
 	sp.SetInt("ancs", int64(ancs.Len()))
 	sp.SetInt("descs", int64(descs.Len()))
-	return sp, m.e.WithSpan(sp.Span)
+	return sp, m.e.WithSpan(sp)
 }
 
-// step is the span of one traced pipeline step; the zero step is untraced.
-type step struct {
-	*obs.Span
-	record func(*obs.Span) // the step's I/O, when priced
-}
-
-func (m *matcher) start(name string) step {
-	s := step{Span: m.tr.StartSpan(name)}
-	if m.io != nil {
-		s.record = m.io()
-	}
-	return s
-}
-
-// end records the step's output size and I/O and ends its span.
-func (s step) end(out int) {
-	if s.Span == nil {
-		return
-	}
-	s.SetInt("out", int64(out))
-	if s.record != nil {
-		s.record(s.Span)
-	}
-	s.End()
+// endStep records a traced step's output size and ends its span; an untraced
+// step's span is nil.
+func endStep(sp *obs.Span, out int) {
+	sp.SetInt("out", int64(out))
+	sp.End()
 }

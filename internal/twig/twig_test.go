@@ -40,7 +40,7 @@ func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
 		if !ok {
 			t.Fatalf("MatchIDsWith(%s): no output node", p)
 		}
-		if kept, n, _ := twig.Match(p, ix, e, nil, nil, true); n != len(ids) || kept.Len() != 0 {
+		if kept, n, _ := twig.Match(p, ix, e, nil, true); n != len(ids) || kept.Len() != 0 {
 			t.Fatalf("Match(%s) in count shape: %d counted, %d kept; %d matched", p, n, kept.Len(), len(ids))
 		}
 		if i == 0 {

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-
-	"repro/internal/storage"
 )
 
 // BTree is a B+tree over byte-string keys whose nodes are pager pages.
@@ -22,13 +20,13 @@ type BTree struct {
 	size  int
 }
 
-// PageStore is what the B+tree needs of a pager. *storage.Pager is the one
+// PageStore is what the B+tree needs of a pager. *Pager is the one
 // implementation; tests wrap it to inject faults.
 type PageStore interface {
 	// Alloc creates a new zeroed page and returns its id.
 	Alloc() int32
 	// Pin faults a page in and holds its frame until Unpin.
-	Pin(id int32) (*storage.PinnedPage, error)
+	Pin(id int32) (*PinnedPage, error)
 	// Write replaces the page contents.
 	Write(id int32, data []byte) error
 }
@@ -155,7 +153,7 @@ func (t *BTree) writeNode(id int32, n *bnode) {
 			buf = append(buf, u32[:]...)
 		}
 	}
-	if len(buf) > storage.PageSize {
+	if len(buf) > PageSize {
 		panic(fmt.Sprintf("workload: btree node overflows page: %d bytes", len(buf)))
 	}
 	if err := t.pager.Write(id, buf); err != nil {
@@ -190,7 +188,7 @@ func childIndex(keys [][]byte, key []byte) int {
 
 // Put inserts key/value or replaces the existing value.
 func (t *BTree) Put(key, val []byte) error {
-	if len(key) > storage.PageSize/8 || len(val) > storage.PageSize/2 {
+	if len(key) > PageSize/8 || len(val) > PageSize/2 {
 		return fmt.Errorf("workload: key (%d) or value (%d) too large", len(key), len(val))
 	}
 	sepKey, rightID, grew, err := t.insert(t.root, key, val)
@@ -260,7 +258,7 @@ func (t *BTree) insert(id int32, key, val []byte) (sep []byte, rightID int32, gr
 // serialization exceeds the page size. It returns the separator and right
 // page id on split, or (nil, -1).
 func (t *BTree) splitIfNeeded(id int32, n *bnode) ([]byte, int32) {
-	if n.serializedSize() <= storage.PageSize {
+	if n.serializedSize() <= PageSize {
 		t.writeNode(id, n)
 		return nil, -1
 	}

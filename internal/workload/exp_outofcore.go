@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/document"
 	"repro/internal/prepost"
 	"repro/internal/scheme"
-	"repro/internal/storage"
 	"repro/internal/uid"
 	"repro/internal/xmltree"
 )
@@ -34,14 +32,9 @@ import (
 //     sparse (and past int64 on deep shapes, Observation 1) — so the
 //     id→node mapping can never be a dense resident array; resolving each
 //     ancestor identifier to a real stored node pages through the B-tree.
-//
-// A second block measures the paged query engine itself (document.Options
-// PoolPages) under the same pool: a cold query faults its posting blocks
-// through the pool, and a warm repeat is served from it. A paged document
-// pages only its postings; answers resolve to its resident tree.
 
 // OutOfCoreStats are the raw measurements behind E17, shared by the table
-// renderer, cmd/ruidbench's io/* JSON rows, and the CI cold-query smoke.
+// renderer, cmd/ruidbench's io/* JSON rows, and the CI I/O smoke.
 type OutOfCoreStats struct {
 	Nodes      int // element count of the measured document
 	Samples    int // sampled start nodes per navigation measurement
@@ -56,37 +49,6 @@ type OutOfCoreStats struct {
 	UIDReads        int64
 	UIDSteps        int64
 	UID64Overflowed bool // Build64 failed at this scale (Observation 1)
-
-	// Paged query engine (document with PoolPages at the baselines' pool).
-	DocPoolPages   int
-	DocTotalPages  int
-	ColdQueryReads int64
-	ColdQueryHits  int64
-	WarmQueryReads int64
-	WarmQueryHits  int64
-}
-
-// ColdBytesFaulted is the byte volume the cold queries faulted in.
-func (s OutOfCoreStats) ColdBytesFaulted() int64 {
-	return s.ColdQueryReads * storage.PageSize
-}
-
-// ColdMissRate is reads/(reads+hits) of the cold query run, in percent.
-func (s OutOfCoreStats) ColdMissRate() float64 {
-	t := s.ColdQueryReads + s.ColdQueryHits
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(s.ColdQueryReads) / float64(t)
-}
-
-// WarmHitRate is hits/(reads+hits) of the warm query run, in percent.
-func (s OutOfCoreStats) WarmHitRate() float64 {
-	t := s.WarmQueryReads + s.WarmQueryHits
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(s.WarmQueryHits) / float64(t)
 }
 
 // outOfCorePool caps a pool at ~5% of total pages (minimum 4 frames).
@@ -97,10 +59,6 @@ func outOfCorePool(totalPages int) int {
 	}
 	return p
 }
-
-// e17Queries are the chain/twig queries of the paged-engine block, over
-// the names the DBLP-shaped document carries.
-var e17Queries = []string{"//article[author]/title", "//article/year", "//dblp//author"}
 
 // MeasureOutOfCore runs the E17 measurement at the given scale. The
 // document is a deterministic DBLP-shaped tree of ~`nodes` elements
@@ -252,36 +210,6 @@ func MeasureOutOfCore(nodes, samples int) OutOfCoreStats {
 		}
 	}
 
-	// Paged query engine: the same tree with its postings out of core,
-	// built with a roomy pool and then capped at the baselines' pool, so the
-	// whole experiment runs under one memory budget.
-	d, err := document.FromTree(doc, document.Options{
-		PoolPages: 32768, Partition: DefaultPartition,
-	})
-	if err != nil {
-		panic(err)
-	}
-	pg := d.Store().Pager()
-	st.DocTotalPages = pg.Pages()
-	st.DocPoolPages = st.PoolPages
-	pg.SetCapacity(st.DocPoolPages)
-	d.DropCaches()
-	d.ResetIOStats()
-	for _, q := range e17Queries {
-		if _, _, err := d.Query(q); err != nil {
-			panic(fmt.Sprintf("cold query %q: %v", q, err))
-		}
-	}
-	cold := d.IOStats()
-	st.ColdQueryReads, st.ColdQueryHits = cold.Reads, cold.CacheHits
-	d.ResetIOStats()
-	for _, q := range e17Queries {
-		if _, _, err := d.Query(q); err != nil {
-			panic(fmt.Sprintf("warm query %q: %v", q, err))
-		}
-	}
-	warm := d.IOStats()
-	st.WarmQueryReads, st.WarmQueryHits = warm.Reads, warm.CacheHits
 	return st
 }
 
@@ -299,7 +227,7 @@ func E17OutOfCore() *Table {
 func e17Table(s OutOfCoreStats) *Table {
 	t := &Table{
 		ID:    "E17",
-		Title: "Out-of-core navigation and paged queries (Lemma 1 at scale)",
+		Title: "Out-of-core navigation (Lemma 1 at scale)",
 		Note: fmt.Sprintf("%d-element document; pool %d of %d pages (~5%%); %d sampled ancestor chains",
 			s.Nodes, s.PoolPages, s.TotalPages, s.Samples),
 		Header: []string{"operation", "scheme", "steps", "stored reads", "reads/step"},
@@ -320,11 +248,5 @@ func e17Table(s OutOfCoreStats) *Table {
 	}
 	t.AddRow("ancestor chain (stored id->node probe)", uidLabel,
 		s.UIDSteps, s.UIDReads, perStep(s.UIDReads, s.UIDSteps))
-	t.AddRow(fmt.Sprintf("cold twig queries (pool %d/%d)", s.DocPoolPages, s.DocTotalPages), "ruid paged",
-		len(e17Queries), s.ColdQueryReads,
-		fmt.Sprintf("%.1f%% miss", s.ColdMissRate()))
-	t.AddRow("warm twig queries (same pool)", "ruid paged",
-		len(e17Queries), s.WarmQueryReads,
-		fmt.Sprintf("%.1f%% hit", s.WarmHitRate()))
 	return t
 }

@@ -204,6 +204,6 @@ func Experiments() []Experiment {
 		{"E12", "Cold page reads per stored-axis operation", E12StorageAxes},
 		{"E13", "Area budget ablation (document: xmark-4)", E13BudgetAblation},
 		{"E14", "Branching twig patterns: join matcher vs navigation", E14TwigMatching},
-		{"E17", "Out-of-core navigation and paged queries (Lemma 1 at scale)", E17OutOfCore},
+		{"E17", "Out-of-core navigation (Lemma 1 at scale)", E17OutOfCore},
 	}
 }

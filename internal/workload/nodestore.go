@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -70,14 +69,14 @@ func recordOf(n *xmltree.Node) Record {
 // for RDBMS storage. No served document has one: the engine answers from
 // its resident tree, and pages only its postings.
 type NodeStore struct {
-	pager *storage.Pager
+	pager *Pager
 	tree  *BTree
 }
 
 // NewNodeStore creates an empty node table with the given buffer-pool size
 // (pages).
 func NewNodeStore(poolPages int) *NodeStore {
-	p := storage.NewPager(poolPages)
+	p := NewPager(poolPages)
 	return &NodeStore{pager: p, tree: NewBTree(p)}
 }
 
@@ -141,7 +140,7 @@ func (st *NodeStore) ScanRange(lo, hi []byte, fn func(key []byte, r Record) bool
 func (st *NodeStore) Len() int { return st.tree.Len() }
 
 // Stats returns the accumulated I/O counters.
-func (st *NodeStore) Stats() storage.IOStats { return st.pager.Stats() }
+func (st *NodeStore) Stats() IOStats { return st.pager.Stats() }
 
 // ResetStats zeroes the I/O counters.
 func (st *NodeStore) ResetStats() { st.pager.ResetStats() }
@@ -153,4 +152,4 @@ func (st *NodeStore) DropCache() { st.pager.DropCache() }
 func (st *NodeStore) Pages() int { return st.pager.Pages() }
 
 // Pager exposes the underlying pager.
-func (st *NodeStore) Pager() *storage.Pager { return st.pager }
+func (st *NodeStore) Pager() *Pager { return st.pager }

@@ -1,22 +1,4 @@
-// Package storage is the simulated RDBMS substrate. The paper stored and
-// indexed numbered XML nodes in a relational system reached over JDBC; its
-// performance observations, however, are about algorithmic quantities —
-// how many identifier records change, how many index pages a lookup
-// touches, whether parent computation needs any I/O at all. This package
-// reproduces exactly those quantities with a deterministic in-process page
-// store:
-//
-//   - Pager: fixed-size pages behind a bounded buffer pool with full read /
-//     write / hit / eviction accounting and pinned frames;
-//   - BlockStore: named byte blobs (postings block regions) spread over the
-//     pages of one pager, read back through pinned frames — all a paged
-//     document keeps out of core;
-//   - the postings snapshot codec and the write-ahead log.
-//
-// The stored node tables the E-tables page through (a B+tree clustered on
-// the identifier keys, and E10's §4 "database file/table selection" layout)
-// live in internal/workload: no served document reads a node row.
-package storage
+package workload
 
 import (
 	"errors"
@@ -25,16 +7,22 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
+
+// The simulated disk under the stored node tables (BTree, NodeStore,
+// PartitionedStore). The paper's performance observations are about
+// algorithmic quantities — how many identifier records change, how many
+// index pages a lookup touches, whether parent computation needs any I/O
+// at all — and a deterministic in-process page store reproduces exactly
+// those: fixed-size pages behind a bounded buffer pool with full read /
+// write / hit / eviction accounting and pinned frames.
 
 // PageSize is the size of one simulated disk page in bytes.
 const PageSize = 4096
 
 // debugChecks gates the use-after-evict hardening: poisoning evicted frame
 // bytes and checksumming pinned frames. Seeded from RUID_DEBUG like the
-// index-side invariant checks.
+// index-side invariant checks; tests toggle it directly.
 var debugChecks atomic.Bool
 
 func init() {
@@ -42,11 +30,6 @@ func init() {
 		debugChecks.Store(true)
 	}
 }
-
-// SetDebugChecks toggles the eviction-poisoning / pin-checksum hardening and
-// returns the previous setting. Tests use it to exercise the debug paths
-// without the environment variable.
-func SetDebugChecks(on bool) bool { return debugChecks.Swap(on) }
 
 // poisonByte fills evicted frames under debug mode so stale holds read
 // garbage deterministically instead of whatever page was faulted next.
@@ -77,7 +60,7 @@ func (s IOStats) String() string {
 }
 
 // ErrPageBounds reports an out-of-range page access.
-var ErrPageBounds = errors.New("storage: page id out of range")
+var ErrPageBounds = errors.New("workload: page id out of range")
 
 // Pager provides fixed-size pages on a simulated disk behind a bounded
 // buffer pool with second-chance (clock) eviction. All I/O is counted.
@@ -88,35 +71,10 @@ type Pager struct {
 	disk  [][]byte // the "disk": page id -> page image
 	stats IOStats
 
-	// Mirrors of the IOStats counters in an observability registry, nil
-	// unless SetObserver attached one (all *obs.Counter methods are
-	// nil-safe). They witness at runtime what the paper argues analytically:
-	// RParent-based parent computation issues zero page reads.
-	obsReads  *obs.Counter
-	obsWrites *obs.Counter
-	obsHits   *obs.Counter
-	obsEvicts *obs.Counter
-
 	capacity int
 	frames   map[int32]*frame
 	clock    []*frame
 	hand     int
-}
-
-// SetObserver mirrors the pager's I/O accounting into r as the counters
-// storage.page_reads, storage.page_writes, storage.cache_hits and
-// storage.evictions. A nil registry detaches.
-func (p *Pager) SetObserver(r *obs.Registry) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r == nil {
-		p.obsReads, p.obsWrites, p.obsHits, p.obsEvicts = nil, nil, nil, nil
-		return
-	}
-	p.obsReads = r.Counter("storage.page_reads")
-	p.obsWrites = r.Counter("storage.page_writes")
-	p.obsHits = r.Counter("storage.cache_hits")
-	p.obsEvicts = r.Counter("storage.evictions")
 }
 
 type frame struct {
@@ -142,13 +100,6 @@ func NewPager(poolPages int) *Pager {
 		capacity: poolPages,
 		frames:   make(map[int32]*frame, poolPages),
 	}
-}
-
-// Capacity returns the buffer-pool bound in pages.
-func (p *Pager) Capacity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacity
 }
 
 // SetCapacity resizes the buffer pool (minimum 4 pages), evicting frames
@@ -178,7 +129,7 @@ func (p *Pager) Alloc() int32 {
 // frame dirty; the disk write is counted at eviction or Flush).
 func (p *Pager) Write(id int32, data []byte) error {
 	if len(data) > PageSize {
-		return fmt.Errorf("storage: page %d write of %d bytes exceeds page size", id, len(data))
+		return fmt.Errorf("workload: page %d write of %d bytes exceeds page size", id, len(data))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -197,9 +148,9 @@ func (p *Pager) Write(id int32, data []byte) error {
 
 // PinnedPage is a page held in the buffer pool on the caller's behalf: the
 // frame cannot be evicted (and therefore its bytes cannot be recycled or
-// poisoned) until Unpin. This is the discipline that lets the paged query
-// path decode postings blocks safely while other goroutines fault pages
-// through the same pool.
+// poisoned) until Unpin. This is the discipline that lets a B+tree read
+// decode a node safely while other goroutines fault pages through the same
+// pool.
 type PinnedPage struct {
 	p        *Pager
 	f        *frame
@@ -244,10 +195,10 @@ func (pp *PinnedPage) Data() []byte {
 	pp.p.mu.Lock()
 	defer pp.p.mu.Unlock()
 	if pp.unpinned || pp.f.pins <= 0 {
-		panic("storage: PinnedPage.Data after Unpin")
+		panic("workload: PinnedPage.Data after Unpin")
 	}
 	if pp.f.poisoned {
-		panic(fmt.Sprintf("storage: pinned page %d was evicted and poisoned", pp.f.id))
+		panic(fmt.Sprintf("workload: pinned page %d was evicted and poisoned", pp.f.id))
 	}
 	return pp.f.data
 }
@@ -259,17 +210,17 @@ func (pp *PinnedPage) Unpin() {
 	pp.p.mu.Lock()
 	defer pp.p.mu.Unlock()
 	if pp.unpinned {
-		panic("storage: PinnedPage.Unpin called twice")
+		panic("workload: PinnedPage.Unpin called twice")
 	}
 	pp.unpinned = true
 	f := pp.f
 	if f.pins <= 0 {
-		panic(fmt.Sprintf("storage: unpin of page %d with no pins", f.id))
+		panic(fmt.Sprintf("workload: unpin of page %d with no pins", f.id))
 	}
 	f.pins--
 	if pp.sumValid && f.gen == pp.gen && !f.poisoned {
 		if crc32.ChecksumIEEE(f.data) != pp.sum {
-			panic(fmt.Sprintf("storage: page %d mutated while read-pinned", f.id))
+			panic(fmt.Sprintf("workload: page %d mutated while read-pinned", f.id))
 		}
 	}
 }
@@ -282,12 +233,10 @@ func (p *Pager) fetch(id int32) (*frame, error) {
 	}
 	if f, ok := p.frames[id]; ok {
 		p.stats.CacheHits++
-		p.obsHits.Inc()
 		f.refbit = true
 		return f, nil
 	}
 	p.stats.Reads++
-	p.obsReads.Inc()
 	f := &frame{id: id, data: make([]byte, PageSize), refbit: true}
 	copy(f.data, p.disk[id])
 	if len(p.frames) >= p.capacity {
@@ -326,7 +275,6 @@ func (p *Pager) evict() bool {
 		if f.dirty {
 			copy(p.disk[f.id], f.data)
 			p.stats.Writes++
-			p.obsWrites.Inc()
 		}
 		if debugChecks.Load() {
 			// Poison the recycled frame so any caller still holding its
@@ -338,7 +286,6 @@ func (p *Pager) evict() bool {
 			f.poisoned = true
 		}
 		p.stats.Evictions++
-		p.obsEvicts.Inc()
 		delete(p.frames, f.id)
 		p.clock = append(p.clock[:p.hand], p.clock[p.hand+1:]...)
 		return true
@@ -354,7 +301,6 @@ func (p *Pager) Flush() {
 		if f.dirty {
 			copy(p.disk[f.id], f.data)
 			p.stats.Writes++
-			p.obsWrites.Inc()
 			f.dirty = false
 		}
 	}
@@ -391,7 +337,6 @@ func (p *Pager) DropCache() {
 		if f.dirty {
 			copy(p.disk[f.id], f.data)
 			p.stats.Writes++
-			p.obsWrites.Inc()
 		}
 		if debugChecks.Load() {
 			for i := range f.data {

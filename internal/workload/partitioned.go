@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -104,10 +103,10 @@ func (ps *PartitionedStore) SelectTables(name string, globals []int64) []*NodeSt
 // Lookup fetches the row for one identifier, opening only the tables the
 // name + global decomposition selects. It returns the record and the I/O
 // the lookup cost.
-func (ps *PartitionedStore) Lookup(name string, id core.ID) (Record, bool, storage.IOStats, error) {
+func (ps *PartitionedStore) Lookup(name string, id core.ID) (Record, bool, IOStats, error) {
 	tbl, ok := ps.tables[tableKey{name: name, global: id.Global}]
 	if !ok {
-		return Record{}, false, storage.IOStats{}, nil
+		return Record{}, false, IOStats{}, nil
 	}
 	before := tbl.Stats()
 	r, found, err := tbl.Get(id.Key())
@@ -137,8 +136,8 @@ func (ps *PartitionedStore) ScanName(name string, fn func(key []byte, r Record) 
 }
 
 // TotalStats sums the I/O counters over all tables.
-func (ps *PartitionedStore) TotalStats() storage.IOStats {
-	var s storage.IOStats
+func (ps *PartitionedStore) TotalStats() IOStats {
+	var s IOStats
 	for _, tbl := range ps.tables {
 		st := tbl.Stats()
 		s.Reads += st.Reads

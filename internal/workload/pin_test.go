@@ -1,4 +1,4 @@
-package storage
+package workload
 
 import (
 	"bytes"
@@ -99,8 +99,7 @@ func TestPinNesting(t *testing.T) {
 // into the recycled frame. Holding the pin is the sanctioned way to keep
 // bytes, and keeps them intact under the same pressure.
 func TestReadUseAfterEvictPoison(t *testing.T) {
-	prev := SetDebugChecks(true)
-	defer SetDebugChecks(prev)
+	defer debugChecks.Store(debugChecks.Swap(true))
 
 	p := NewPager(4)
 	ids := fillPages(t, p, 8)
@@ -147,8 +146,7 @@ func TestPinnedPageMisusePanics(t *testing.T) {
 // TestPinChecksumCatchesScribble: under RUID_DEBUG, mutating a read-pinned
 // frame without going through Write is detected at Unpin.
 func TestPinChecksumCatchesScribble(t *testing.T) {
-	prev := SetDebugChecks(true)
-	defer SetDebugChecks(prev)
+	defer debugChecks.Store(debugChecks.Swap(true))
 
 	p := NewPager(4)
 	ids := fillPages(t, p, 2)
@@ -205,8 +203,8 @@ func TestSetCapacityEvictsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetCapacity(4)
-	if got := p.Capacity(); got != 4 {
-		t.Fatalf("Capacity = %d", got)
+	if p.capacity != 4 {
+		t.Fatalf("capacity = %d", p.capacity)
 	}
 	if len(p.frames) > 4 {
 		t.Fatalf("%d frames resident after SetCapacity(4)", len(p.frames))
@@ -223,8 +221,7 @@ func TestSetCapacityEvictsDown(t *testing.T) {
 // recycled: an evicted pin would either panic (poison detection) or read
 // the wrong pattern. Debug mode is on so poison and checksums are armed.
 func TestConcurrentPinsNeverEvicted(t *testing.T) {
-	prev := SetDebugChecks(true)
-	defer SetDebugChecks(prev)
+	defer debugChecks.Store(debugChecks.Swap(true))
 
 	p := NewPager(4)
 	const pages = 64
