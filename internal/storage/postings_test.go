@@ -228,3 +228,91 @@ func TestLoadPostingsRejectsCorruption(t *testing.T) {
 		_, _ = loadPostings(mut, ix.RUID())
 	}
 }
+
+// diskPage is the unit a crashed disk tears or loses: one 4 KiB page.
+const diskPage = 4096
+
+// faultFixture returns the postings snapshot of a document whose largest
+// posting list spans several disk pages of delta bytes, with that list's
+// skip table and the offset of its delta bytes inside the snapshot.
+func faultFixture(t *testing.T) (enc []byte, rn *core.Numbering, skips []index.Skip, dataOff, dataLen int) {
+	t.Helper()
+	d, err := document.OpenString(libraryOf(40, 250), document.Options{
+		Partition: core.PartitionConfig{MaxAreaNodes: 12, AdjustFanout: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := d.Snapshot().Index()
+	if enc, err = storage.EncodePostings(ix); err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	for _, name := range ix.Names() {
+		if pl := ix.Postings(name).List(); pl != nil && len(pl.DataBytes()) > len(data) {
+			data, skips = pl.DataBytes(), pl.Skips()
+		}
+	}
+	if len(data) < 3*diskPage {
+		t.Fatalf("fixture too small: %d data bytes", len(data))
+	}
+	dataOff = bytes.Index(enc, data)
+	if dataOff < 0 || bytes.Index(enc[dataOff+1:], data) >= 0 {
+		t.Fatal("delta bytes not found once in the snapshot")
+	}
+	if _, err := loadPostings(enc, ix.RUID()); err != nil {
+		t.Fatalf("pristine snapshot: %v", err)
+	}
+	return enc, ix.RUID(), skips, dataOff, len(data)
+}
+
+// checkPrefixLoads requires the blocks whose delta bytes end at or before
+// cut to still validate on their own: a fault rejects the blocks it hits,
+// not the bytes before it.
+func checkPrefixLoads(t *testing.T, enc []byte, skips []index.Skip, dataOff, cut int) {
+	t.Helper()
+	k, n := 0, 0
+	for k < len(skips) && int(skips[k].End) <= cut {
+		n += int(skips[k].N)
+		k++
+	}
+	if k == 0 || k == len(skips) {
+		t.Fatalf("fault at byte %d leaves %d of %d blocks before it", cut, k, len(skips))
+	}
+	end := int(skips[k-1].End)
+	if _, err := index.PostingListFromParts(skips[:k], n, enc[dataOff:dataOff+end]); err != nil {
+		t.Fatalf("%d blocks before the fault: %v", k, err)
+	}
+}
+
+// TestPagedBlocksTornPageRejected: a torn page write — half a page of a
+// posting list's delta bytes replaced by other bytes, as a crashed partial
+// sector write would leave it — must surface as a load error, never as
+// silently wrong postings, while the blocks before the tear still validate.
+func TestPagedBlocksTornPageRejected(t *testing.T) {
+	enc, rn, skips, dataOff, _ := faultFixture(t)
+	torn := append([]byte(nil), enc...)
+	for i := diskPage; i < diskPage+diskPage/2; i++ {
+		torn[dataOff+i] = 0xEE
+	}
+	if _, err := loadPostings(torn, rn); err == nil {
+		t.Fatal("snapshot with a torn page loaded")
+	}
+	checkPrefixLoads(t, torn, skips, dataOff, diskPage)
+}
+
+// TestPagedBlocksPartialFlushRejected: a crash that loses the unflushed
+// tail of a write leaves a posting list's later pages zeroed. The load is
+// rejected; the blocks over the flushed prefix still validate.
+func TestPagedBlocksPartialFlushRejected(t *testing.T) {
+	enc, rn, skips, dataOff, dataLen := faultFixture(t)
+	lost := append([]byte(nil), enc...)
+	flushed := 2 * diskPage
+	for i := flushed; i < dataLen; i++ {
+		lost[dataOff+i] = 0
+	}
+	if _, err := loadPostings(lost, rn); err == nil {
+		t.Fatal("snapshot with zeroed tail pages loaded")
+	}
+	checkPrefixLoads(t, lost, skips, dataOff, flushed)
+}
