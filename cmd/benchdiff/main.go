@@ -59,7 +59,9 @@ func load(path string) (map[string]result, error) {
 // write that copies a wide child list or K row whole multiplies; bytes one
 // posting splice allocates, which a splice that copies the list instead of
 // its directory multiplies forty-fold; nodes a count-only query resolves,
-// which is none; candidates a positional lookup's axis walks visit; the
+// which is none; postings a join query decodes, which a scan that reads
+// blocks no answer can lie in raises; candidates a positional lookup's axis
+// walks visit; the
 // area count and κ of the table K built for the bench document, which move
 // when a partition change renames the identifiers; and the live heap an open
 // document holds per node, which a second per-document tree nearly doubles)
@@ -75,6 +77,7 @@ var requiredBenches = []string{
 	"postings/apply_delta_bytes/postings=200000",
 	"read/nodes_resolved_per_count_query",
 	"read/nav_visited_per_point_query",
+	"read/postings_per_join_query",
 	"build/k_rows",
 	"build/kappa",
 	"open/heap_bytes_per_node",

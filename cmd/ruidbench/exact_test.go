@@ -32,6 +32,7 @@ func TestExactRows(t *testing.T) {
 		"build/k_rows":                                  951,
 		"build/kappa":                                   200,
 		"read/nav_visited_per_point_query":              11.25,
+		"read/postings_per_join_query":                  1064.8,
 		"read/nodes_resolved_per_count_query":           0,
 		"read/ids_kept_per_count_query":                 0,
 		"postings/bytes_per_posting/nodes=50000":        4.52636,

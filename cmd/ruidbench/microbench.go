@@ -832,6 +832,12 @@ func writeRows() []microResult {
 // none, so the committed value is 0 and gates like the row above: a change
 // that makes a count write its answer down again fails CI.
 //
+// postings_per_join_query: postings the join queries charge to their
+// budgets (QueryResponse.Postings), the probe side and every admitted block
+// of the descendant side, per query. The scan window and the skip test keep
+// a block that can hold no answer out of it; a change that decodes such
+// blocks again raises it.
+//
 // nav_visited_per_point_query: candidates the axis walks hand the evaluator
 // per positional lookup. Each lookup names the last of its siblings, and
 // t[k] under children that are all elements of one name is one slot read,
@@ -869,16 +875,25 @@ func readRows() []microResult {
 		"/site/people/person[200]/ancestor::*",
 		"/site/open_auctions/open_auction[120]/bidder[1]/increase",
 	}
+	var joinPostings int64
 	for i, q := range append(joins, points...) {
 		resp, err := srv.Query(context.Background(), "bench", server.QueryRequest{Query: q})
 		if err != nil {
 			panic(err)
 		}
-		if nav := i >= len(joins); resp.Count == 0 || (resp.Plan == "nav") != nav {
+		nav := i >= len(joins)
+		if resp.Count == 0 || (resp.Plan == "nav") != nav {
 			panic(fmt.Sprintf("ruidbench: %q answered %d by a %s plan; the rows need non-empty answers, identifier plans for the joins and navigation for the lookups", q, resp.Count, resp.Plan))
+		}
+		if !nav {
+			joinPostings += resp.Postings
 		}
 	}
 	return []microResult{{
+		Name:       "read/postings_per_join_query",
+		Iterations: 1,
+		NsPerOp:    float64(joinPostings) / float64(len(joins)),
+	}, {
 		Name:       "read/nodes_resolved_per_count_query",
 		Iterations: 1,
 		NsPerOp:    float64(reg.Counter("query.nodes_resolved").Value()) / float64(len(joins)+len(points)),

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ParentCursor is RParent for one scan. A join climbs from every posting of
 // a document-ordered list, and the K rows it asks for follow a pattern that a
@@ -30,6 +33,8 @@ type ParentCursor struct {
 	row   rowKey
 
 	memo [cursorMemo]rowKey // upper rows, direct-mapped by global index
+
+	chainA, chainB []ID // CompareOrder's climbs, kept across calls and scans
 }
 
 // rowKey is the part of a K row that line 7 of rparent reads: a copy in the
@@ -46,6 +51,9 @@ const (
 	// cursorWalk bounds the finger's forward walk; beyond it the directory
 	// search is cheaper than chasing more rows.
 	cursorWalk = 8
+	// chainCap is the room a chain buffer starts with: one allocation holds
+	// the ancestor chain of a node up to 16 deep.
+	chainCap = 16
 )
 
 func keyOf(a *area) rowKey { return rowKey{global: a.global, rootLocal: a.rootLocal, fanout: a.fanout} }
@@ -171,13 +179,15 @@ func (c *ParentCursor) AppendChain(dst []ID, id ID) []ID {
 }
 
 // CompareOrder is Numbering.CompareOrderID through the cursor: each
-// identifier climbs once, and CompareChains decides from the two chains.
+// identifier climbs once, into a chain buffer the cursor owns, and
+// CompareChains decides from the two chains.
 func (c *ParentCursor) CompareOrder(a, b ID) int {
 	if a == b {
 		return 0
 	}
-	var bufA, bufB [32]ID
-	return CompareChains(c.AppendChain(bufA[:0], a), c.AppendChain(bufB[:0], b))
+	c.chainA = c.AppendChain(slices.Grow(c.chainA[:0], chainCap), a)
+	c.chainB = c.AppendChain(slices.Grow(c.chainB[:0], chainCap), b)
+	return CompareChains(c.chainA, c.chainB)
 }
 
 // check panics unless the cursor answered id as RParent does.

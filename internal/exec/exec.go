@@ -258,14 +258,21 @@ func putBlockScratch(b *index.BlockScratch) {
 	blockScratchPool.Put(b)
 }
 
-// shardUnits cuts descs into at most want contiguous [lo, hi) ranges of the
-// units index.ForEachRun walks: whole blocks of a block view,
+// shardUnits cuts units [lo, hi) of descs into at most want contiguous
+// ranges of the units index.ForEachRun walks: whole blocks of a block view,
 // area-aligned identifier ranges of a slice view.
-func shardUnits(descs index.Postings, want int) [][2]int {
-	if pl := descs.List(); pl != nil {
-		return shardBlocks(pl.NumBlocks(), want)
+func shardUnits(descs index.Postings, lo, hi, want int) [][2]int {
+	var ranges [][2]int
+	if descs.List() != nil {
+		ranges = shardBlocks(hi-lo, want)
+	} else {
+		ranges = shardRanges(descs.Slice()[lo:hi], want)
 	}
-	return shardRanges(descs.Slice(), want)
+	for i := range ranges {
+		ranges[i][0] += lo
+		ranges[i][1] += lo
+	}
+	return ranges
 }
 
 // shardBlocks cuts nblocks posting blocks into at most want contiguous

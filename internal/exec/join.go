@@ -9,7 +9,8 @@ import (
 
 // The four structural semi-joins over index.Postings views. Every operation,
 // in every mode and on every executor — plain, observed or metered — takes
-// the same path: the descendant side is cut into unit ranges (shardUnits),
+// the same path: the probe's window of the descendant side
+// (index.Probe.Window) is cut into unit ranges (shardUnits),
 // each range is scanned by index.ForEachRun against one shared read-only
 // probe, the operation's run kernel turns every admitted run into rows, and
 // shard outputs concatenate in range order — which is document order,
@@ -40,17 +41,22 @@ type op struct {
 	start  time.Time
 }
 
-// begin resolves the worker policy, cuts descs into unit ranges, charges the
-// probe side and builds the probe. It returns nil when the budget refuses
-// the probe side; otherwise the caller must call end.
+// begin charges the probe side, builds the probe, narrows descs to the
+// probe's window, resolves the worker policy and cuts the window into unit
+// ranges. It returns nil when the budget refuses the probe side; otherwise
+// the caller must call end.
 func (e *Executor) begin(n *core.Numbering, ancs, descs index.Postings) *op {
 	o := &op{e: e, n: n, descs: descs, start: e.opStart()}
 	if !e.meter.ChargePostings(ancs.Len()) {
 		e.noteOp(o.start)
 		return nil
 	}
-	o.ranges = shardUnits(descs, e.workersFor(ancs.Len()+descs.Len()))
 	o.pr = index.MakeProbe(ancs)
+	bs := e.blockScratch()
+	lo, hi := o.pr.Window(n, descs, bs)
+	e.noteBlockStats(&bs.Stats)
+	putBlockScratch(bs)
+	o.ranges = shardUnits(descs, lo, hi, e.workersFor(ancs.Len()+descs.Len()))
 	return o
 }
 
@@ -164,7 +170,7 @@ func (e *Executor) hitSemiJoin(n *core.Numbering, ancs, descs index.Postings, co
 	// than m of them; a shard that does grows its table.
 	sized := min(ancs.Len(), descs.Len()/len(hits)+1)
 	o.shards(func(s int, bs *index.BlockScratch) func(run []core.ID) {
-		hit := index.AcquireIDSet(sized)
+		hit := o.pr.AcquireHits(sized)
 		hits[s] = hit
 		return func(run []core.ID) { collect(bs.Cursor(), &o.pr.Set, run, hit) }
 	})

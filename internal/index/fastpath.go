@@ -8,17 +8,19 @@ import "repro/internal/core"
 // accept any numbering scheme but pay for it twice per probe: the identifier
 // is boxed behind the scheme.ID interface, and the hash-set probe allocates a
 // key string from ID.Key(). The kernels below exploit that core.ID is a small
-// comparable value type: the probe sets are flat pooled tables of inline
-// identifiers (IDSet: three integers hashed, no allocation), every climb goes
-// through the scan's core.ParentCursor (RParent with a forward finger over
-// table K instead of two binary searches a step), and output goes into a
-// caller-supplied buffer. TestFastPathAgree pins each against the pointer
-// tree.
+// comparable value type: the probe sets are flat pooled tables of one-word
+// keys (IDSet: an identifier outside the probe's layout is rejected by two
+// compares, any other is packed and hashed by one multiply, no allocation),
+// every climb goes through the scan's core.ParentCursor (RParent with a
+// forward finger over table K instead of two binary searches a step), and
+// output goes into a caller-supplied buffer. TestFastPathAgree pins each
+// against the pointer tree.
 //
 // Nothing here knows how the run reached it. ForEachRun (seek.go) is the one
-// reader of a Postings view — it admits, charges and decodes — and hands
-// every kernel its runs; the sharding drivers of internal/exec and the serial
-// *Postings forms of internal/scheme are its only callers.
+// reader of a Postings view — it admits, charges and decodes the blocks of
+// the probe's window — and hands every kernel its runs; the sharding drivers
+// of internal/exec and the serial *Postings forms of internal/scheme are its
+// only callers.
 
 // AppendUpwardSemiJoinRUID is the upward-semi-join kernel over one
 // descendant run: every d in descs with at least one ancestor in set is

@@ -2,7 +2,9 @@ package index_test
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,10 +42,13 @@ func sameMembers(t *testing.T, tag string, s *index.IDSet, ref refSet, universe 
 	}
 }
 
-// idFamilies are identifier populations that stress the hash: ids apart
-// only in Root, dense adjacent Globals with one Local (one area root per
-// element), dense Locals in one area, strides that are multiples of the
-// table size, and random triples.
+// idFamilies are identifier populations that stress the hash and the word
+// layout: ids apart only in Root, dense adjacent Globals with one Local (one
+// area root per element), dense Locals in one area, strides that are
+// multiples of the table size, random triples (no word holds them), members
+// at the limits of a layout's fields and of int64, negative components, a
+// Global near 2^61 beside 32-bit Locals (no word holds them either), and a
+// population whose later members fall outside the layout of its earlier ones.
 func idFamilies(rng *rand.Rand, n int) map[string][]core.ID {
 	fam := map[string][]core.ID{}
 	for i := 0; i < n; i++ {
@@ -53,15 +58,51 @@ func idFamilies(rng *rand.Rand, n int) map[string][]core.ID {
 		fam["dense-locals"] = append(fam["dense-locals"], core.ID{Global: 3, Local: int64(i + 2)})
 		fam["strided"] = append(fam["strided"], core.ID{Global: int64(i+1) << 16, Local: int64(i+1) << 20})
 		fam["random"] = append(fam["random"], core.ID{Global: rng.Int63(), Local: rng.Int63(), Root: rng.Intn(2) == 0})
+		// Past the first 64 members every 16th one moves the base down or
+		// widens the Local field.
+		out := core.ID{Global: int64(1000 + i), Local: int64(i % 5)}
+		if i >= 64 && i%16 == 0 {
+			out = core.ID{Global: int64(1000 - i), Local: int64(i) << (i % 30)}
+		}
+		fam["outside-earlier"] = append(fam["outside-earlier"], out)
 	}
 	fam["root-flag-only"] = []core.ID{{Root: true}, {Global: 1}, {Local: 1}}
+	// Global span 2^40 (41 bits) and Local 2^22-1 (22 bits plus Root): the
+	// key fills the word to its last bit.
+	fam["field-limits"] = []core.ID{
+		{Global: 1, Local: 0}, {Global: 1 << 40, Local: 1<<22 - 1, Root: true},
+		{Global: 1 << 40, Local: 0}, {Global: 1, Local: 1<<22 - 1, Root: true},
+		{Global: 1 << 39, Local: 1 << 21}, {Global: 1<<40 - 1, Local: 1<<22 - 2, Root: true},
+		{Global: 2, Local: 1}, {Global: 1 << 40, Local: 1<<22 - 1},
+		{Global: 1 << 41, Local: 0}, {Global: 1, Local: 1 << 22},
+	}
+	fam["int64-limits"] = []core.ID{
+		{Global: math.MaxInt64, Local: 1}, {Global: math.MaxInt64 - 3, Local: 7, Root: true},
+		{Global: math.MaxInt64 - 1, Local: 0}, {Global: math.MaxInt64, Local: 1, Root: true},
+		{Global: math.MinInt64, Local: 2}, {Global: math.MinInt64 + 1, Local: 2, Root: true},
+		{Global: math.MaxInt64 - 2, Local: math.MaxInt64},
+	}
+	fam["negative"] = []core.ID{
+		{Global: -5, Local: 3}, {Global: -1, Local: 1, Root: true}, {Global: -9, Local: 0},
+		{Global: 0, Local: 2}, {Global: -3, Local: 5, Root: true}, {Global: -2, Local: 4},
+		{Global: 7, Local: -1}, {Global: -4, Local: -8, Root: true}, {Global: 1, Local: math.MinInt64},
+	}
+	for i := int64(0); i < 40; i++ {
+		fam["no-word"] = append(fam["no-word"],
+			core.ID{Global: 1<<61 - i, Local: 1<<32 - 1 - i}, core.ID{Global: 1 + i, Local: 1 + i%3, Root: i%2 == 1})
+	}
 	return fam
 }
 
 // TestIDSetMatchesMap grows a zero IDSet by Add alone, across several
-// doublings, re-adding members and the zero ID on the way, and holds it to
-// the map after every family.
+// doublings and layouts, re-adding members and the zero ID on the way, and
+// holds it to the map after every family. Each family then goes through a
+// probe of its first half and a hit set laid out by that probe, which takes
+// the second half's adds outside the probe's layout.
 func TestIDSetMatchesMap(t *testing.T) {
+	// The families whose first half no word holds, and those whose whole.
+	wideHalf := map[string]bool{"random": true, "no-word": true}
+	wideAll := map[string]bool{"random": true, "no-word": true, "negative": true, "int64-limits": true, "field-limits": true}
 	rng := rand.New(rand.NewSource(17))
 	for name, ids := range idFamilies(rng, 3000) {
 		var s index.IDSet
@@ -78,6 +119,54 @@ func TestIDSetMatchesMap(t *testing.T) {
 			}
 		}
 		sameMembers(t, name, &s, ref, ids)
+		if s.Wide() != wideAll[name] {
+			t.Errorf("%s: wide keys %v after every add, want %v", name, s.Wide(), wideAll[name])
+		}
+
+		half := ids[:len(ids)/2]
+		pr := index.MakeProbe(index.SlicePostings(half))
+		probeRef := refSet{}
+		for _, id := range half {
+			probeRef.add(id)
+		}
+		sameMembers(t, name+" probe", &pr.Set, probeRef, ids)
+		if pr.Set.Wide() != wideHalf[name] {
+			t.Errorf("%s: probe of the first half has wide keys %v, want %v", name, pr.Set.Wide(), wideHalf[name])
+		}
+		hit := pr.AcquireHits(len(half) / 4)
+		hitRef := refSet{}
+		for i, id := range ids {
+			if i%3 != 2 {
+				hit.Add(id)
+				hitRef.add(id)
+			}
+		}
+		sameMembers(t, name+" hit set", hit, hitRef, ids)
+		if hit.Wide() != wideAll[name] {
+			t.Errorf("%s: hit set has wide keys %v, want %v", name, hit.Wide(), wideAll[name])
+		}
+		hit.Release()
+		pr.Release()
+	}
+}
+
+// TestProbeKeysAreWords builds a probe from every name's postings of XMark
+// 500 and checks that each one keys its members by single words: the
+// document's identifiers need 26 + 14 bits.
+func TestProbeKeysAreWords(t *testing.T) {
+	doc := xmltree.XMark(500, 1)
+	n, err := core.Build(doc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc.DocumentElement(), n)
+	for _, name := range ix.Names() {
+		ps := ix.Postings(name)
+		pr := index.MakeProbe(ps)
+		if pr.Set.Wide() || pr.Set.Len() != ps.Len() {
+			t.Errorf("%s: probe of %d postings holds %d members, wide keys %v", name, ps.Len(), pr.Set.Len(), pr.Set.Wide())
+		}
+		pr.Release()
 	}
 }
 
@@ -122,9 +211,9 @@ func TestPooledSetsStartEmpty(t *testing.T) {
 			ref.add(id)
 		}
 		sameMembers(t, "probe", &pr.Set, ref, universe)
-		pr.Release()
 
-		hit := index.AcquireIDSet(rng.Intn(64))
+		hit := pr.AcquireHits(rng.Intn(64))
+		pr.Release()
 		if hit.Len() != 0 {
 			t.Fatalf("round %d: pooled hit set starts with %d members", round, hit.Len())
 		}
@@ -151,7 +240,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 		release()
 	}
 	mustPanic("Probe", index.MakeProbe(index.SlicePostings(nil)).Release)
-	mustPanic("hit set", index.AcquireIDSet(0).Release)
+	mustPanic("hit set", index.MakeProbe(index.SlicePostings(nil)).AcquireHits(0).Release)
 }
 
 // TestProbeSharedByShards is the read side under the race detector: one
@@ -186,7 +275,7 @@ func TestProbeSharedByShards(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			run := descs[s*len(descs)/shards : (s+1)*len(descs)/shards]
-			hits[s] = index.AcquireIDSet(0)
+			hits[s] = pr.AcquireHits(0)
 			var c core.ParentCursor
 			c.Reset(n)
 			index.CollectAncestorHitsRUID(&c, &pr.Set, run, hits[s])
@@ -207,8 +296,11 @@ func TestProbeSharedByShards(t *testing.T) {
 
 // FuzzIDSet replays an operation tape against the map. Each 18-byte record
 // is an opcode and an identifier whose components are folded into small
-// ranges, so that adds, re-adds, lookups of absent ids and resets to sizes
-// below and above the population all collide often.
+// ranges (full range with opcode bit 4), so that adds, re-adds, lookups of
+// absent ids and resets to sizes below and above the population all collide
+// often. A reset with opcode bit 8 replaces the set by a hit set laid out by
+// a probe of the members so far, so that later adds may fall outside the
+// probe's layout.
 func FuzzIDSet(f *testing.F) {
 	rec := func(op byte, g, l uint64, root bool) []byte {
 		b := make([]byte, 18)
@@ -220,6 +312,13 @@ func FuzzIDSet(f *testing.F) {
 		}
 		return b
 	}
+	cat := func(recs ...[]byte) []byte {
+		var out []byte
+		for _, r := range recs {
+			out = append(out, r...)
+		}
+		return out
+	}
 	var seed []byte
 	for i := uint64(0); i < 40; i++ {
 		seed = append(seed, rec(0, i, 1, i%2 == 0)...)
@@ -229,9 +328,23 @@ func FuzzIDSet(f *testing.F) {
 	seed = append(seed, rec(0, 0, 0, true)...)
 	f.Add(seed)
 	f.Add(rec(3, 1<<40, 0, false))
+	neg := func(v int64) uint64 { return uint64(v) }
+	// Members at the field limits: a 41-bit Global span beside a 22-bit
+	// Local fills the word; one more bit either way does not fit.
+	f.Add(cat(rec(4, 1, 0, false), rec(4, 1<<40, 1<<22-1, true), rec(6, 1<<40, 1<<22-1, true),
+		rec(4, 1<<41, 0, false), rec(6, 1, 1<<22, false), rec(4, math.MaxInt64, 1, false), rec(6, math.MaxInt64, 1, false)))
+	// Negative components.
+	f.Add(cat(rec(4, neg(-5), 3, false), rec(4, neg(-1), 1, true), rec(6, neg(-5), 3, false),
+		rec(4, 7, neg(-1), false), rec(6, 7, neg(-1), false), rec(4, neg(math.MinInt64), 2, true)))
+	// Adds outside the layout of a probe of the members so far.
+	f.Add(cat(rec(4, 100, 3, false), rec(4, 101, 2, true), rec(4, 140, 1, false), rec(11, 5, 0, false),
+		rec(4, 90, 3, false), rec(4, 120, 1<<20, true), rec(4, 1<<61, 1<<32-1, false), rec(6, 100, 3, false)))
+	// Members that no word holds.
+	f.Add(cat(rec(4, 1<<61, 1<<32-1, false), rec(4, 1, 1, true), rec(6, 1<<61, 1<<32-1, false),
+		rec(15, 0, 0, false), rec(4, 2, 2, false), rec(6, 1, 1, true)))
 
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		var s index.IDSet
+		s := new(index.IDSet)
 		ref := refSet{}
 		var universe []core.ID
 		for ; len(tape) >= 18; tape = tape[18:] {
@@ -250,10 +363,26 @@ func FuzzIDSet(f *testing.F) {
 					t.Fatalf("Has(%v) = %v, reference %v", id, !want, want)
 				}
 			case 3:
-				s.Reset(int(g % 4096))
-				clear(ref)
+				if tape[0]&8 == 0 {
+					s.Reset(int(g % 4096))
+					clear(ref)
+					continue
+				}
+				var members []core.ID
+				for _, m := range universe {
+					if _, ok := ref[m]; ok && !slices.Contains(members, m) {
+						members = append(members, m)
+					}
+				}
+				pr := index.MakeProbe(index.SlicePostings(members))
+				sameMembers(t, "probe", &pr.Set, ref, universe)
+				s = pr.AcquireHits(int(g % 64))
+				pr.Release()
+				for _, m := range members {
+					s.Add(m)
+				}
 			}
 		}
-		sameMembers(t, "tape", &s, ref, universe)
+		sameMembers(t, "tape", s, ref, universe)
 	})
 }

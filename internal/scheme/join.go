@@ -146,8 +146,8 @@ func MergeSemiJoin(s Scheme, ancs, descs []ID) []ID {
 }
 
 // The serial one-shot ruid joins, over index.Postings views: probe, one
-// scan of the whole descendant side through index.ForEachRun, a run kernel
-// on every run. The four semi-joins are the reference internal/exec's
+// scan of the probe's window of the descendant side through
+// index.ForEachRun, a run kernel on every run. The four semi-joins are the reference internal/exec's
 // sharded operations are tested against; the two pair joins (UpwardJoin and
 // MergeJoin's unboxed forms) have no served counterpart and run only in
 // ruidbench and the examples.
@@ -158,21 +158,13 @@ type PairID struct {
 	Descendant core.ID
 }
 
-// units returns how many units index.ForEachRun walks over p: blocks of a
-// block view, identifiers of a slice view.
-func units(p index.Postings) int {
-	if pl := p.List(); pl != nil {
-		return pl.NumBlocks()
-	}
-	return p.Len()
-}
-
 func oneShot[T any](n *core.Numbering, ancs, descs index.Postings, kernel func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []T) []T) []T {
 	pr := index.MakeProbe(ancs)
 	defer pr.Release()
 	var bs index.BlockScratch
 	out := make([]T, 0, descs.Len())
-	index.ForEachRun(n, pr, descs, 0, units(descs), &bs, func(run []core.ID) {
+	lo, hi := pr.Window(n, descs, &bs)
+	index.ForEachRun(n, pr, descs, lo, hi, &bs, func(run []core.ID) {
 		out = kernel(pr, &bs, run, out)
 	})
 	return out
@@ -221,10 +213,11 @@ func ParentSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []cor
 func hitOneShot(n *core.Numbering, ancs, descs index.Postings, collect func(c *core.ParentCursor, set *index.IDSet, run []core.ID, hit *index.IDSet)) []core.ID {
 	pr := index.MakeProbe(ancs)
 	defer pr.Release()
-	hit := index.AcquireIDSet(min(ancs.Len(), descs.Len()))
+	hit := pr.AcquireHits(min(ancs.Len(), descs.Len()))
 	defer hit.Release()
 	var bs index.BlockScratch
-	index.ForEachRun(n, pr, descs, 0, units(descs), &bs, func(run []core.ID) {
+	lo, hi := pr.Window(n, descs, &bs)
+	index.ForEachRun(n, pr, descs, lo, hi, &bs, func(run []core.ID) {
 		collect(bs.Cursor(), &pr.Set, run, hit)
 	})
 	return index.AppendHitMembersPostings(pr, []*index.IDSet{hit}, make([]core.ID, 0, hit.Len()))
