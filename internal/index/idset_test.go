@@ -151,11 +151,11 @@ func TestIDSetMatchesMap(t *testing.T) {
 }
 
 // TestProbeKeysAreWords builds a probe from every name's postings of XMark
-// 500 and checks that each one keys its members by single words: the
-// document's identifiers need 26 + 14 bits.
+// 500, numbered with the served partition, and checks that each one keys its
+// members by single words: the document's identifiers need 26 + 14 bits.
 func TestProbeKeysAreWords(t *testing.T) {
 	doc := xmltree.XMark(500, 1)
-	n, err := core.Build(doc, core.Options{})
+	n, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 64, AdjustFanout: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,12 +120,13 @@ const minWindowBlocks = 4
 // trailing blocks whose First follows the subtree of the highest member on
 // the last member's ancestor chain (the widest member subtree that reaches
 // past the last member). Each cut is a binary search over the skip entries
-// through bs's cursor, made only when the end block it would drop fails the
-// test. Every kernel emits rows only for descendants of probe members, so a
-// window is exact for all of them. The cut blocks count as skipped in
-// bs.Stats. A slice view, and a list shorter than minWindowBlocks, is never
-// windowed. Callers compute the window once per operation and cut it into
-// shards (internal/exec) or scan it whole (internal/scheme).
+// through bs's cursor, climbing into stack buffers, made only when the end
+// block it would drop fails the test. Every kernel emits rows only for
+// descendants of probe members, so a window is exact for all of them. The
+// cut blocks count as skipped in bs.Stats. A slice view, and a list shorter
+// than minWindowBlocks, is never windowed. Callers compute the window once
+// per operation and cut it into shards (internal/exec) or scan it whole
+// (internal/scheme).
 func (pr *Probe) Window(n *core.Numbering, p Postings, bs *BlockScratch) (lo, hi int) {
 	pl := p.List()
 	if pl == nil {
@@ -141,18 +142,16 @@ func (pr *Probe) Window(n *core.Numbering, p Postings, bs *BlockScratch) (lo, hi
 	} else {
 		c := &bs.cursor
 		c.Reset(n)
-		bs.growChains()
-		bs.mchain = c.AppendChain(bs.mchain[:0], pr.ids[0])
+		var chainBuf, memberBuf [chainCap]core.ID
+		member := c.AppendChain(memberBuf[:0], pr.ids[0])
 		before := func(b int) bool {
-			bs.chain = c.AppendChain(bs.chain[:0], pl.blocks[b].Last)
-			return core.CompareChains(bs.chain, bs.mchain) <= 0
+			return core.CompareChains(c.AppendChain(chainBuf[:0], pl.blocks[b].Last), member) <= 0
 		}
 		if before(0) {
 			lo = 1 + sort.Search(nb-1, func(i int) bool { return !before(1 + i) })
 		}
 		if lo < hi {
-			bs.mchain = c.AppendChain(bs.mchain[:0], pr.ids[len(pr.ids)-1])
-			top := bs.mchain
+			top := c.AppendChain(memberBuf[:0], pr.ids[len(pr.ids)-1])
 			for j := len(top) - 1; j >= 0; j-- {
 				if pr.Set.Has(top[j]) {
 					top = top[j:]
@@ -160,11 +159,11 @@ func (pr *Probe) Window(n *core.Numbering, p Postings, bs *BlockScratch) (lo, hi
 				}
 			}
 			past := func(b int) bool {
-				bs.chain = c.AppendChain(bs.chain[:0], pl.blocks[b].First)
-				if d := len(bs.chain) - len(top); d >= 0 && bs.chain[d] == top[0] {
+				chain := c.AppendChain(chainBuf[:0], pl.blocks[b].First)
+				if d := len(chain) - len(top); d >= 0 && chain[d] == top[0] {
 					return false // inside top's subtree
 				}
-				return core.CompareChains(bs.chain, top) > 0
+				return core.CompareChains(chain, top) > 0
 			}
 			if past(hi - 1) {
 				hi = lo + sort.Search(hi-1-lo, func(i int) bool { return past(lo + i) })
@@ -198,9 +197,9 @@ type BlockStats struct {
 
 // BlockScratch is one worker's reusable scratch for a scan and the kernel it
 // feeds — the parent cursor every climb of the scan goes through, the decode
-// buffer, the ancestor-chain buffers of the window and the skip test, and
-// the scan's block statistics; internal/exec pools instances across shards.
-// The zero value is ready.
+// buffer, the skip test's ancestor-chain buffers and the scan's block
+// statistics; internal/exec pools instances across shards. The zero value is
+// ready.
 type BlockScratch struct {
 	cursor core.ParentCursor // bound to the scan's numbering by ForEachRun
 
@@ -219,8 +218,8 @@ type BlockScratch struct {
 	Meter *budget.Meter
 }
 
-// chainCap is the room the chain buffers start with: one allocation holds
-// the ancestor chain of a node up to 16 deep.
+// chainCap is the room a chain buffer starts with: the ancestor chain of a
+// node up to 16 deep fits without growing it.
 const chainCap = 16
 
 // growChains gives both chain buffers room for chainCap identifiers, so a
