@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ParentCursor is RParent for one scan. A join climbs from every posting of
 // a document-ordered list, and the K rows it asks for follow a pattern that a
@@ -51,9 +48,6 @@ const (
 	// cursorWalk bounds the finger's forward walk; beyond it the directory
 	// search is cheaper than chasing more rows.
 	cursorWalk = 8
-	// chainCap is the room a chain buffer starts with: one allocation holds
-	// the ancestor chain of a node up to 16 deep.
-	chainCap = 16
 )
 
 func keyOf(a *area) rowKey { return rowKey{global: a.global, rootLocal: a.rootLocal, fanout: a.fanout} }
@@ -185,8 +179,8 @@ func (c *ParentCursor) CompareOrder(a, b ID) int {
 	if a == b {
 		return 0
 	}
-	c.chainA = c.AppendChain(slices.Grow(c.chainA[:0], chainCap), a)
-	c.chainB = c.AppendChain(slices.Grow(c.chainB[:0], chainCap), b)
+	c.chainA = c.AppendChain(c.chainA[:0], a)
+	c.chainB = c.AppendChain(c.chainB[:0], b)
 	return CompareChains(c.chainA, c.chainB)
 }
 

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -114,6 +113,10 @@ func (pr *Probe) admitAll(pl *PostingList) bool {
 // end tests cost about what the blocks they could cut do.
 const minWindowBlocks = 4
 
+// chainCap is the room of Window's stack chain buffers: the ancestor chain
+// of a node up to 16 deep fits without growing them.
+const chainCap = 16
+
 // Window returns the units [lo, hi) of p a scan must visit: for a block
 // view, the blocks that can hold a descendant of a probe member. It drops
 // the leading blocks whose Last does not follow the first member, and the
@@ -218,16 +221,6 @@ type BlockScratch struct {
 	Meter *budget.Meter
 }
 
-// chainCap is the room a chain buffer starts with: the ancestor chain of a
-// node up to 16 deep fits without growing it.
-const chainCap = 16
-
-// growChains gives both chain buffers room for chainCap identifiers, so a
-// fresh scratch allocates each once instead of growing it by doubling.
-func (bs *BlockScratch) growChains() {
-	bs.chain, bs.mchain = slices.Grow(bs.chain[:0], chainCap), slices.Grow(bs.mchain[:0], chainCap)
-}
-
 // Cursor returns the parent cursor of the scan bs serves, for the run
 // kernels; it is bound to the scan's numbering once ForEachRun starts.
 func (bs *BlockScratch) Cursor() *core.ParentCursor { return &bs.cursor }
@@ -262,8 +255,6 @@ func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockS
 	admitAll := pr.admitAll(pl)
 	if admitAll {
 		bs.Stats.AdmitAll++
-	} else {
-		bs.growChains()
 	}
 	candidate := func(b int) bool {
 		if admitAll {

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -158,14 +159,26 @@ type PairID struct {
 	Descendant core.ID
 }
 
+// scratchPool holds the one-shots' scan scratch, as internal/exec pools its
+// shards': a scratch's cursor, decode and chain buffers outlive the join.
+var scratchPool = sync.Pool{New: func() any { return new(index.BlockScratch) }}
+
+func getScratch() *index.BlockScratch { return scratchPool.Get().(*index.BlockScratch) }
+
+func putScratch(bs *index.BlockScratch) {
+	bs.Stats = index.BlockStats{}
+	scratchPool.Put(bs)
+}
+
 func oneShot[T any](n *core.Numbering, ancs, descs index.Postings, kernel func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []T) []T) []T {
 	pr := index.MakeProbe(ancs)
 	defer pr.Release()
-	var bs index.BlockScratch
+	bs := getScratch()
+	defer putScratch(bs)
 	out := make([]T, 0, descs.Len())
-	lo, hi := pr.Window(n, descs, &bs)
-	index.ForEachRun(n, pr, descs, lo, hi, &bs, func(run []core.ID) {
-		out = kernel(pr, &bs, run, out)
+	lo, hi := pr.Window(n, descs, bs)
+	index.ForEachRun(n, pr, descs, lo, hi, bs, func(run []core.ID) {
+		out = kernel(pr, bs, run, out)
 	})
 	return out
 }
@@ -215,9 +228,10 @@ func hitOneShot(n *core.Numbering, ancs, descs index.Postings, collect func(c *c
 	defer pr.Release()
 	hit := pr.AcquireHits(min(ancs.Len(), descs.Len()))
 	defer hit.Release()
-	var bs index.BlockScratch
-	lo, hi := pr.Window(n, descs, &bs)
-	index.ForEachRun(n, pr, descs, lo, hi, &bs, func(run []core.ID) {
+	bs := getScratch()
+	defer putScratch(bs)
+	lo, hi := pr.Window(n, descs, bs)
+	index.ForEachRun(n, pr, descs, lo, hi, bs, func(run []core.ID) {
 		collect(bs.Cursor(), &pr.Set, run, hit)
 	})
 	return index.AppendHitMembersPostings(pr, []*index.IDSet{hit}, make([]core.ID, 0, hit.Len()))
