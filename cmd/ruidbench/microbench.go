@@ -101,15 +101,11 @@ func epochPublishBench(size int) func(b *testing.B) {
 	}
 }
 
-// parallelBenches measures the frame-parallel execution layer against the
-// serial one-shot joins on a ~65k-node recursive document (16383 sections
-// and titles): each join family at p=1 (the Serial-mode executor: the one
-// path with a single shard) and at forced 2 and 8 workers. The `serial` rows
-// feed the one-shots flat slice views and the p=* rows feed the executor the
-// index's block views, so serial against p=1 prices block decode and per-run
-// merge seeding — properties of the view — not scheduling. Speedup is
-// bounded by the machine's core count; the committed baseline records
-// whatever this host measured.
+// parallelBenches measures the executor on a ~65k-node recursive document
+// (16383 sections and titles): the upward semi-join, a name path and a twig
+// through the executor over the index's block views (the `p=1` rows: one
+// goroutine, the path served queries take), beside the two pair joins over
+// flat slice views (`serial`), which have no served counterpart.
 func parallelBenches() []struct {
 	name string
 	fn   func(b *testing.B)
@@ -127,15 +123,7 @@ func parallelBenches() []struct {
 	if err != nil {
 		panic(err)
 	}
-
-	execs := []struct {
-		tag string
-		e   *exec.Executor
-	}{
-		{"p=1", exec.New(exec.Config{Mode: exec.Serial})},
-		{"p=2", exec.New(exec.Config{Mode: exec.Forced, Workers: 2})},
-		{"p=8", exec.New(exec.Config{Mode: exec.Forced, Workers: 8})},
-	}
+	e := exec.New(exec.Config{})
 
 	var out []struct {
 		name string
@@ -158,34 +146,23 @@ func parallelBenches() []struct {
 			microSink += len(scheme.UpwardJoinPostings(rn, ancs, descs))
 		}
 	})
-	add("parallel/upward_semi_join/serial", func(b *testing.B) {
+	add("parallel/upward_semi_join/p=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(scheme.UpwardSemiJoinPostings(rn, ancs, descs))
+			microSink += len(e.UpwardSemiJoin(rn, ancsP, descsP))
 		}
 	})
-	// A name path runs through the twig pipeline, which has no executor-free
-	// serial form: the path_query and twig p=1 rows (Serial-mode executor)
-	// are the serial reference.
-	for _, ex := range execs {
-		e := ex.e
-		add("parallel/upward_semi_join/"+ex.tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				microSink += len(e.UpwardSemiJoin(rn, ancsP, descsP))
-			}
-		})
-		add("parallel/path_query/"+ex.tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ids, _ := twig.MatchIDsWith(chain, ix, e)
-				microSink += len(ids)
-			}
-		})
-		add("parallel/twig/"+ex.tag, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ids, _ := twig.MatchIDsWith(pattern, ix, e)
-				microSink += len(ids)
-			}
-		})
-	}
+	add("parallel/path_query/p=1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ids, _ := twig.MatchIDsWith(chain, ix, e)
+			microSink += len(ids)
+		}
+	})
+	add("parallel/twig/p=1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ids, _ := twig.MatchIDsWith(pattern, ix, e)
+			microSink += len(ids)
+		}
+	})
 	return out
 }
 
@@ -244,7 +221,7 @@ func postingsBenches() []struct {
 	if err != nil {
 		panic(err)
 	}
-	serial := exec.New(exec.Config{Mode: exec.Serial})
+	e := exec.New(exec.Config{})
 
 	var out []struct {
 		name string
@@ -259,12 +236,12 @@ func postingsBenches() []struct {
 
 	add("postings/semi_join_selective/seek", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(scheme.UpwardSemiJoinPostings(rn, needleP, leafP))
+			microSink += len(e.UpwardSemiJoin(rn, needleP, leafP))
 		}
 	})
 	add("postings/semi_join_selective/flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			microSink += len(scheme.UpwardSemiJoinPostings(rn, needle, leaf))
+			microSink += len(e.UpwardSemiJoin(rn, needle, leaf))
 		}
 	})
 	add("postings/merge_join_selective/seek", func(b *testing.B) {
@@ -279,7 +256,7 @@ func postingsBenches() []struct {
 	})
 	add("postings/path_query_selective", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ids, _ := twig.MatchIDsWith(chain, ix, serial)
+			ids, _ := twig.MatchIDsWith(chain, ix, e)
 			microSink += len(ids)
 		}
 	})
@@ -307,8 +284,8 @@ func obsBenches() []struct {
 	ix := index.Build(doc.DocumentElement(), rn)
 	ancsP, descsP := ix.Postings("section"), ix.Postings("title")
 
-	off := exec.New(exec.Config{Mode: exec.Serial})
-	on := exec.New(exec.Config{Mode: exec.Serial, Observe: obs.NewRegistry()})
+	off := exec.New(exec.Config{})
+	on := exec.New(exec.Config{Observe: obs.NewRegistry()})
 
 	// One generated tree per document: FromTree takes ownership of its tree.
 	dOff, err := document.FromTree(xmltree.Recursive(2, 9), document.Options{})
@@ -455,7 +432,7 @@ var schemeFamilies = []struct {
 // (timed), plus pseudo-rows carrying label footprint and update relabel
 // scope. Every scheme runs the descendant semi-join its capabilities favour
 // (DESIGN.md §9): ruid the identifier semi-join over its index's Postings
-// views — the one-shot form of the kernel internal/exec shards — and the
+// views through the executor, the path served queries take — and the
 // boxed schemes, over per-name lists from scheme.IDsByName, Parent climbing
 // (scheme.UpwardSemiJoin) when Parent is arithmetic and depth is not labeled,
 // the comparison-only scheme.MergeSemiJoin otherwise.
@@ -498,7 +475,7 @@ func schemeBenches() (benches []struct {
 			if r, ok := s.(scheme.RUID); ok {
 				ix := index.Build(root, r.Num)
 				ancs, descs := ix.Postings(f.anc), ix.Postings(f.desc)
-				semiJoin = func() int { return len(scheme.UpwardSemiJoinPostings(r.Num, ancs, descs)) }
+				semiJoin = func() int { return len(exec.Default().UpwardSemiJoin(r.Num, ancs, descs)) }
 			} else {
 				lists := scheme.IDsByName(root, s)
 				ancs, descs := lists[f.anc], lists[f.desc]
@@ -1018,7 +995,7 @@ func runMicrobench(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	serial := exec.New(exec.Config{Mode: exec.Serial})
+	e := exec.New(exec.Config{})
 
 	axisDoc := xmltree.XMark(2, 2)
 	an := workload.BuildRUID(axisDoc)
@@ -1061,23 +1038,23 @@ func runMicrobench(out io.Writer) error {
 		}},
 		{"upward_semi_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(scheme.UpwardSemiJoinPostings(rn, ancs, descs))
+				microSink += len(e.UpwardSemiJoin(rn, ancs, descs))
 			}
 		}},
 		// The kernels of a /name step and of a [name] predicate.
 		{"parent_semi_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(scheme.ParentSemiJoinPostings(rn, ancs, descs))
+				microSink += len(e.ParentSemiJoin(rn, ancs, descs))
 			}
 		}},
 		{"child_semi_join/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink += len(scheme.ChildSemiJoinPostings(rn, ancs, descs))
+				microSink += len(e.ChildSemiJoin(rn, ancs, descs))
 			}
 		}},
 		{"path_query/fastpath", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ids, _ := twig.MatchIDsWith(chain, ix, serial)
+				ids, _ := twig.MatchIDsWith(chain, ix, e)
 				microSink += len(ids)
 			}
 		}},

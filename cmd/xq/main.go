@@ -5,8 +5,7 @@
 // Usage:
 //
 //	xq [-nav ruid|pointer|planner] [-area N] [-serialize]
-//	   [-explain-analyze] [-stats] [-parallel auto|serial|forced]
-//	   [-workers N] [-serve addr] [-cold] [-writes N]
+//	   [-explain-analyze] [-stats] [-serve addr] [-cold] [-writes N]
 //	   [-wait-visible] 'xpath' [file.xml]
 //
 // With no file argument the document is read from standard input. The ruid
@@ -17,8 +16,8 @@
 //
 //   - -explain-analyze runs the query through the planner under a trace and
 //     prints the per-stage EXPLAIN ANALYZE report (plan decision with both
-//     cost estimates, per-stage cardinalities and wall times, per-shard
-//     durations, blocks admitted versus skipped) instead of the result set.
+//     cost estimates, per-stage cardinalities and wall times, blocks
+//     admitted versus skipped) instead of the result set.
 //   - -stats dumps the engine metric registry after the query, in the
 //     Prometheus text exposition /metrics serves.
 //   - -writes N drives N inserts through the group-commit write path before
@@ -45,7 +44,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/document"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -58,8 +56,6 @@ type config struct {
 	serialize bool
 	explain   bool   // -explain-analyze: print the trace, not the results
 	stats     bool   // -stats: dump the metric registry after the query
-	parallel  string // -parallel: auto | serial | forced
-	workers   int    // -workers: query worker cap (0 = GOMAXPROCS)
 	serve     string // -serve: observability HTTP address ("" = off)
 	cold      bool   // -cold: reopen from a bundle before querying
 	writes    int    // -writes: group-commit inserts to drive before the query
@@ -73,8 +69,6 @@ func main() {
 	flag.BoolVar(&cfg.serialize, "serialize", false, "print matched subtrees as XML instead of paths")
 	flag.BoolVar(&cfg.explain, "explain-analyze", false, "print the traced execution report (implies -nav planner)")
 	flag.BoolVar(&cfg.stats, "stats", false, "dump engine metrics after the query")
-	flag.StringVar(&cfg.parallel, "parallel", "auto", "identifier pipeline scheduling: auto, serial or forced")
-	flag.IntVar(&cfg.workers, "workers", 0, "query worker cap (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.serve, "serve", "", "serve /metrics and /debug/pprof on this address after the query")
 	flag.BoolVar(&cfg.cold, "cold", false, "round-trip through a saved bundle and query the reopened document")
 	flag.IntVar(&cfg.writes, "writes", 0, "drive N group-commit inserts before the query (facade modes; pairs with -stats)")
@@ -94,20 +88,6 @@ func main() {
 	}
 }
 
-// execMode resolves the -parallel flag.
-func execMode(s string) (exec.Mode, error) {
-	switch s {
-	case "auto", "":
-		return exec.Auto, nil
-	case "serial":
-		return exec.Serial, nil
-	case "forced":
-		return exec.Forced, nil
-	default:
-		return exec.Auto, fmt.Errorf("unknown -parallel mode %q (want auto, serial or forced)", s)
-	}
-}
-
 func run(cfg config, query, path string, out io.Writer) error {
 	var in io.Reader = os.Stdin
 	if path != "" {
@@ -118,14 +98,8 @@ func run(cfg config, query, path string, out io.Writer) error {
 		defer f.Close()
 		in = f
 	}
-	mode, err := execMode(cfg.parallel)
-	if err != nil {
-		return err
-	}
 	opts := document.Options{
-		Partition:   core.PartitionConfig{MaxAreaNodes: cfg.area, AdjustFanout: true},
-		Parallel:    mode,
-		ExecWorkers: cfg.workers,
+		Partition: core.PartitionConfig{MaxAreaNodes: cfg.area, AdjustFanout: true},
 	}
 	var reg *obs.Registry
 	if cfg.stats || cfg.serve != "" {

@@ -18,7 +18,7 @@ func writeDoc(t *testing.T, src string) string {
 
 // cfg builds the flag config most tests use: only the navigator varies.
 func cfg(nav string) config {
-	return config{nav: nav, area: 8, parallel: "auto"}
+	return config{nav: nav, area: 8}
 }
 
 const testDoc = `<lib><book id="b1"><title>One</title></book><book id="b2"><title>Two</title></book></lib>`
@@ -78,11 +78,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(cfg("ruid"), "//a", filepath.Join(t.TempDir(), "nope.xml"), &out); err == nil {
 		t.Errorf("missing file accepted")
-	}
-	bad := cfg("ruid")
-	bad.parallel = "sideways"
-	if err := run(bad, "//a", p, &out); err == nil {
-		t.Errorf("unknown -parallel mode accepted")
 	}
 	pointerStats := cfg("pointer")
 	pointerStats.stats = true

@@ -9,9 +9,8 @@
 // sentinel error (ErrPostingsBudget, ErrResultBudget, or the context's own
 // error for deadlines), never a partial result presented as a complete one.
 //
-// The enforcement point is a Meter: one per query, shared by every shard
-// worker of that query's operations. All methods are safe for concurrent
-// use, and — following the internal/obs convention — nil-safe: a nil *Meter
+// The enforcement point is a Meter: one per query, charged by every
+// operation of that query. All methods are safe for concurrent use, and — following the internal/obs convention — nil-safe: a nil *Meter
 // admits everything at the cost of one branch, so the unbudgeted path stays
 // allocation- and atomics-free.
 package budget
@@ -53,8 +52,8 @@ type Limits struct {
 // a nil *Meter is the no-budget meter (every charge admitted, Err nil).
 //
 // The first limit to trip wins and is latched: every later charge on any
-// goroutine is refused, which is what stops a sharded operation — each
-// worker halts at its next charge point, typically one posting block later.
+// goroutine is refused, which is what stops an operation — its scan halts at
+// its next charge point, typically one posting run later.
 type Meter struct {
 	ctx         context.Context
 	maxPostings int64

@@ -91,7 +91,7 @@ func OpenBundle(r io.Reader, opts Options) (*Document, error) {
 	}
 	d := &Document{
 		opts:     opts.coreOptions(),
-		exec:     exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
+		exec:     exec.New(exec.Config{Observe: opts.Observe}),
 		reg:      opts.Observe,
 		dm:       newDocMetrics(opts.Observe),
 		readonly: true,

@@ -119,13 +119,6 @@ type Options struct {
 	// WithAttrs numbers attribute nodes too (§4: "all components of XML
 	// document trees").
 	WithAttrs bool
-	// Parallel selects when the identifier pipelines (join chains, twig
-	// matches) run frame-parallel. The zero value, exec.Auto, parallelizes
-	// queries whose posting volume clears exec.DefaultMinWork and runs
-	// smaller ones serially; exec.Serial pins everything to one goroutine.
-	Parallel exec.Mode
-	// ExecWorkers caps the query worker pool; 0 means GOMAXPROCS.
-	ExecWorkers int
 	// Observe, when non-nil, turns the runtime observability layer on:
 	// planner, executor and publication metrics are recorded into this
 	// registry for the document's whole lifetime. nil (the default) leaves
@@ -215,7 +208,7 @@ func OpenString(src string, opts Options) (*Document, error) {
 func FromTree(doc *xmltree.Node, opts Options) (*Document, error) {
 	d := &Document{
 		opts: opts.coreOptions(),
-		exec: exec.New(exec.Config{Mode: opts.Parallel, Workers: opts.ExecWorkers, Observe: opts.Observe}),
+		exec: exec.New(exec.Config{Observe: opts.Observe}),
 		reg:  opts.Observe,
 		dm:   newDocMetrics(opts.Observe),
 	}

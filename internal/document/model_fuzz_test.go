@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/document"
-	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -29,8 +28,9 @@ import (
 // program of inserts, deletes, queries, counts, pins and reopens and runs it
 // in lockstep against a model — a pointer tree mutated through the xmltree
 // API and queried by the pointer navigator — and one Document per serving
-// configuration: {exec.Serial, exec.Forced} × {batch 1, batch 64} behind a
-// commit loop and a WAL, and "inline", which writes with neither. After every step each configuration must hold the
+// configuration: batch 1 and batch 64 (observed, as the server runs) behind
+// a commit loop and a WAL, and "inline", which writes with neither. After
+// every step each configuration must hold the
 // model's tree and answers, the stamps of every other one and postings and
 // a table K that agree with its tree; a write must fail wherever the model's
 // one-by-one application fails, and a batch-1 write must keep its relabels
@@ -114,7 +114,6 @@ var servingSteps = [16]string{"insert", "insert", "insert", "insert", "insert", 
 // live is one configuration's document and its snapshot of each pin.
 type live struct {
 	name  string
-	mode  exec.Mode
 	batch int // 1 or 64 behind a commit loop and WAL; 0 writes inline
 	d     *document.Document
 	reg   *obs.Registry
@@ -153,7 +152,7 @@ type servingHarness struct {
 	opts    document.Options
 	model   *xmltree.Node
 	lives   []*live
-	queued  []*write // not yet written to the batch-64 configurations
+	queued  []*write // not yet written to the batch-64 configuration
 	pins    []pin
 	applied int // the writes the model applied and refused: every WAL holds them all
 	failed  int
@@ -170,14 +169,11 @@ func runServingModel(t *testing.T, prog []byte, cov map[string]int) {
 	h := &servingHarness{t: t, cov: cov, base: base, model: model,
 		opts: document.Options{Partition: servingPartitions[hb%4], WithAttrs: hb&4 != 0}}
 	dir := t.TempDir()
-	for i := 0; i < 4; i++ {
-		l := &live{mode: []exec.Mode{exec.Serial, exec.Forced}[i>>1], batch: []int{1, 64}[i&1]}
-		if l.name = fmt.Sprintf("%s/batch=%d", l.mode, l.batch); l.batch == 64 {
-			l.reg = obs.NewRegistry() // observed, as the server runs
-		}
-		h.lives = append(h.lives, l)
+	h.lives = []*live{
+		{name: "batch=1", batch: 1},
+		{name: "batch=64", batch: 64, reg: obs.NewRegistry()}, // observed, as the server runs
+		{name: "inline"},
 	}
-	h.lives = append(h.lives, &live{name: "inline", mode: exec.Serial})
 	for i, l := range h.lives {
 		l.wal = filepath.Join(dir, fmt.Sprint(i, ".wal"))
 		h.open(l)
@@ -219,10 +215,7 @@ func runServingModel(t *testing.T, prog []byte, cov map[string]int) {
 func (h *servingHarness) open(l *live) {
 	t := h.t
 	opts := h.opts
-	opts.Parallel, opts.Observe = l.mode, l.reg
-	if l.mode == exec.Forced {
-		opts.ExecWorkers = 4
-	}
+	opts.Observe = l.reg
 	d, err := document.OpenString(h.base, opts)
 	if err != nil {
 		t.Fatalf("%s: open: %v", l.name, err)

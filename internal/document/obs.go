@@ -93,8 +93,8 @@ func (d *Document) Registry() *obs.Registry { return d.reg }
 
 // ExplainAnalyze executes q against the current epoch under a fresh trace
 // and returns the rendered report: the plan decision with both cost
-// estimates, one line per execution stage with cardinalities and per-shard
-// timings, and the seek kernels' blocks admitted versus skipped.
+// estimates, one line per execution stage with cardinalities and timings,
+// and the seek kernels' blocks admitted versus skipped.
 func (d *Document) ExplainAnalyze(q string) (string, error) {
 	tr := obs.NewTrace(q)
 	if _, _, err := d.Snapshot().QueryMetered(q, tr, nil, true); err != nil {

@@ -19,89 +19,85 @@ import (
 // to the unmetered executor, in every input representation. There is one
 // charge point for the descendant side (index.ForEachRun), so a slice view —
 // every posting of which is admitted — costs exactly |ancs| + |descs|
-// postings per operation, however many shards cut it.
+// postings per operation.
 
 func TestMeteredMatchesUnmetered(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	ancs := ix.Postings("section")
 	descs := ix.Postings("title")
-	for _, mode := range []exec.Mode{exec.Serial, exec.Forced} {
-		e := exec.New(exec.Config{Mode: mode, Workers: 4})
-		m := budget.NewMeter(context.Background(), budget.Limits{MaxPostings: 1 << 40, MaxResults: 1 << 40})
-		me := e.WithMeter(m)
-		for view, a := range views(ancs.Materialize()) {
-			for dview, d := range views(descs.Materialize()) {
-				last := m.Postings()
-				charged := func(op string) {
-					t.Helper()
-					now := m.Postings()
-					if want := int64(a.Len() + d.Len()); dview == "slice" && now-last != want {
-						t.Errorf("%s/%s/%s/slice: charged %d postings, want |ancs|+|descs| = %d",
-							mode, op, view, now-last, want)
-					}
-					last = now
+	e := exec.New(exec.Config{})
+	m := budget.NewMeter(context.Background(), budget.Limits{MaxPostings: 1 << 40, MaxResults: 1 << 40})
+	me := e.WithMeter(m)
+	for view, a := range views(ancs.Materialize()) {
+		for dview, d := range views(descs.Materialize()) {
+			last := m.Postings()
+			charged := func(op string) {
+				t.Helper()
+				now := m.Postings()
+				if want := int64(a.Len() + d.Len()); dview == "slice" && now-last != want {
+					t.Errorf("%s/%s/slice: charged %d postings, want |ancs|+|descs| = %d",
+						op, view, now-last, want)
 				}
-				equalIDs(t, mode.String()+"/semi/"+view+"/"+dview,
-					me.UpwardSemiJoin(n, a, d), e.UpwardSemiJoin(n, a, d))
-				charged("semi")
-				equalIDs(t, mode.String()+"/parent/"+view+"/"+dview,
-					me.ParentSemiJoin(n, a, d), e.ParentSemiJoin(n, a, d))
-				charged("parent")
-				// A counting form charges what its materialised form does.
-				for _, op := range []struct {
-					name  string
-					rows  func(*core.Numbering, index.Postings, index.Postings) []core.ID
-					count func(*core.Numbering, index.Postings, index.Postings) int
-				}{
-					{"count_semi", me.UpwardSemiJoin, me.CountUpwardSemiJoin},
-					{"count_parent", me.ParentSemiJoin, me.CountParentSemiJoin},
-				} {
-					p0, r0 := m.Postings(), m.Results()
-					rows := op.rows(n, a, d)
-					p1, r1 := m.Postings(), m.Results()
-					if got := op.count(n, a, d); got != len(rows) || m.Postings()-p1 != p1-p0 || m.Results()-r1 != r1-r0 {
-						t.Errorf("%s/%s/%s/%s: counted %d of %d rows, charging %d postings and %d results against %d and %d",
-							mode, op.name, view, dview, got, len(rows), m.Postings()-p1, m.Results()-r1, p1-p0, r1-r0)
-					}
-					last = m.Postings()
-				}
-				equalIDs(t, mode.String()+"/ancsemi/"+view+"/"+dview,
-					me.AncestorSemiJoin(n, a, d), e.AncestorSemiJoin(n, a, d))
-				charged("ancsemi")
-				equalIDs(t, mode.String()+"/childsemi/"+view+"/"+dview,
-					me.ChildSemiJoin(n, a, d), e.ChildSemiJoin(n, a, d))
-				charged("childsemi")
+				last = now
 			}
+			equalIDs(t, "semi/"+view+"/"+dview,
+				me.UpwardSemiJoin(n, a, d), e.UpwardSemiJoin(n, a, d))
+			charged("semi")
+			equalIDs(t, "parent/"+view+"/"+dview,
+				me.ParentSemiJoin(n, a, d), e.ParentSemiJoin(n, a, d))
+			charged("parent")
+			// A counting form charges what its materialised form does.
+			for _, op := range []struct {
+				name  string
+				rows  func(*core.Numbering, index.Postings, index.Postings) []core.ID
+				count func(*core.Numbering, index.Postings, index.Postings) int
+			}{
+				{"count_semi", me.UpwardSemiJoin, me.CountUpwardSemiJoin},
+				{"count_parent", me.ParentSemiJoin, me.CountParentSemiJoin},
+			} {
+				p0, r0 := m.Postings(), m.Results()
+				rows := op.rows(n, a, d)
+				p1, r1 := m.Postings(), m.Results()
+				if got := op.count(n, a, d); got != len(rows) || m.Postings()-p1 != p1-p0 || m.Results()-r1 != r1-r0 {
+					t.Errorf("%s/%s/%s: counted %d of %d rows, charging %d postings and %d results against %d and %d",
+						op.name, view, dview, got, len(rows), m.Postings()-p1, m.Results()-r1, p1-p0, r1-r0)
+				}
+				last = m.Postings()
+			}
+			equalIDs(t, "ancsemi/"+view+"/"+dview,
+				me.AncestorSemiJoin(n, a, d), e.AncestorSemiJoin(n, a, d))
+			charged("ancsemi")
+			equalIDs(t, "childsemi/"+view+"/"+dview,
+				me.ChildSemiJoin(n, a, d), e.ChildSemiJoin(n, a, d))
+			charged("childsemi")
 		}
-		if err := m.Err(); err != nil {
-			t.Fatalf("%s: generous meter tripped: %v", mode, err)
-		}
-		if m.Postings() == 0 || m.Results() == 0 {
-			t.Fatalf("%s: metered run recorded no consumption (postings=%d results=%d)",
-				mode, m.Postings(), m.Results())
-		}
+	}
+	if err := m.Err(); err != nil {
+		t.Fatalf("generous meter tripped: %v", err)
+	}
+	if m.Postings() == 0 || m.Results() == 0 {
+		t.Fatalf("metered run recorded no consumption (postings=%d results=%d)", m.Postings(), m.Results())
 	}
 }
 
 // TestPostingsBudgetStopsKernels: a tiny postings allowance trips inside
 // the operation — whatever view the descendant side arrives in — and the
-// scan stops there.
+// scan stops there: refused on the probe side, nothing is scanned; admitted
+// there but refused at the first run, nothing is decoded.
 func TestPostingsBudgetStopsKernels(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	ancs := ix.Postings("section")
 	descs := ix.Postings("title")
-	for _, mode := range []exec.Mode{exec.Serial, exec.Forced} {
-		e := exec.New(exec.Config{Mode: mode, Workers: 4})
-		for view, d := range views(descs.Materialize()) {
-			m := budget.NewMeter(context.Background(), budget.Limits{MaxPostings: 1})
+	e := exec.New(exec.Config{})
+	for view, d := range views(descs.Materialize()) {
+		for _, limit := range []int64{1, int64(ancs.Len()) + 1} {
+			m := budget.NewMeter(context.Background(), budget.Limits{MaxPostings: limit})
 			out := e.WithMeter(m).UpwardSemiJoin(n, ancs, d)
 			if !errors.Is(m.Err(), budget.ErrPostingsBudget) {
-				t.Fatalf("%s/%s: Err = %v, want ErrPostingsBudget", mode, view, m.Err())
+				t.Fatalf("%s/%d: Err = %v, want ErrPostingsBudget", view, limit, m.Err())
 			}
-			// The full result would be descs-sized; a tripped meter must have
-			// stopped the scan early.
-			if len(out) == descs.Len() {
-				t.Fatalf("%s/%s: tripped meter produced the complete result", mode, view)
+			if len(out) != 0 {
+				t.Fatalf("%s/%d: tripped meter produced %d rows", view, limit, len(out))
 			}
 		}
 	}
@@ -111,23 +107,20 @@ func TestResultBudgetStopsKernels(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	ancs := ix.Postings("section")
 	descs := ix.Postings("title")
-	full := exec.New(exec.Config{}).UpwardSemiJoin(n, ancs, descs)
-	if len(full) < 4 {
+	e := exec.New(exec.Config{})
+	if full := e.UpwardSemiJoin(n, ancs, descs); len(full) < 4 {
 		t.Skip("fixture too small to bound results")
 	}
-	for _, mode := range []exec.Mode{exec.Serial, exec.Forced} {
-		e := exec.New(exec.Config{Mode: mode, Workers: 4})
-		for view, d := range views(descs.Materialize()) {
-			m := budget.NewMeter(context.Background(), budget.Limits{MaxResults: 1})
-			e.WithMeter(m).UpwardSemiJoin(n, ancs, d)
-			if !errors.Is(m.Err(), budget.ErrResultBudget) {
-				t.Fatalf("%s/%s: Err = %v, want ErrResultBudget", mode, view, m.Err())
-			}
-			m = budget.NewMeter(context.Background(), budget.Limits{MaxResults: 1})
-			e.WithMeter(m).CountUpwardSemiJoin(n, ancs, d)
-			if !errors.Is(m.Err(), budget.ErrResultBudget) {
-				t.Fatalf("%s/%s: counted: Err = %v, want ErrResultBudget", mode, view, m.Err())
-			}
+	for view, d := range views(descs.Materialize()) {
+		m := budget.NewMeter(context.Background(), budget.Limits{MaxResults: 1})
+		e.WithMeter(m).UpwardSemiJoin(n, ancs, d)
+		if !errors.Is(m.Err(), budget.ErrResultBudget) {
+			t.Fatalf("%s: Err = %v, want ErrResultBudget", view, m.Err())
+		}
+		m = budget.NewMeter(context.Background(), budget.Limits{MaxResults: 1})
+		e.WithMeter(m).CountUpwardSemiJoin(n, ancs, d)
+		if !errors.Is(m.Err(), budget.ErrResultBudget) {
+			t.Fatalf("%s: counted: Err = %v, want ErrResultBudget", view, m.Err())
 		}
 	}
 }
@@ -139,7 +132,7 @@ func TestDeadlineStopsKernels(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	m := budget.NewMeter(ctx, budget.Limits{})
-	out := exec.New(exec.Config{Mode: exec.Forced, Workers: 4}).WithMeter(m).UpwardSemiJoin(n, ancs, descs)
+	out := exec.New(exec.Config{}).WithMeter(m).UpwardSemiJoin(n, ancs, descs)
 	if !errors.Is(m.Err(), context.DeadlineExceeded) {
 		t.Fatalf("Err = %v, want DeadlineExceeded", m.Err())
 	}
@@ -155,10 +148,10 @@ func TestPooledScratchDoesNotLeakMeter(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	ancs := ix.Postings("section")
 	descs := ix.Postings("title")
-	e := exec.New(exec.Config{Mode: exec.Forced, Workers: 4})
+	e := exec.New(exec.Config{})
 	want := e.UpwardSemiJoin(n, ancs, descs)
 
-	m := budget.NewMeter(context.Background(), budget.Limits{MaxPostings: 1})
+	m := budget.NewMeter(context.Background(), budget.Limits{MaxPostings: int64(ancs.Len()) + 1})
 	e.WithMeter(m).UpwardSemiJoin(n, ancs, descs)
 	if !errors.Is(m.Err(), budget.ErrPostingsBudget) {
 		t.Fatalf("setup: meter did not trip: %v", m.Err())
@@ -188,7 +181,7 @@ func BenchmarkUnmeteredOverhead(b *testing.B) {
 	ix := index.Build(doc.DocumentElement(), n)
 	ancs := ix.Postings("section")
 	descs := ix.Postings("title")
-	e := exec.New(exec.Config{Mode: exec.Serial})
+	e := exec.New(exec.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkIDs = e.UpwardSemiJoin(n, ancs, descs)

@@ -1,13 +1,13 @@
 package exec_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -26,11 +26,11 @@ func buildFixture(t *testing.T, depth int) (*core.Numbering, *index.NameIndex) {
 func equalIDs(t *testing.T, op string, got, want []core.ID) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: parallel %d ids, serial %d", op, len(got), len(want))
+		t.Fatalf("%s: %d ids, want %d", op, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("%s: id %d: parallel %v serial %v", op, i, got[i], want[i])
+			t.Fatalf("%s: id %d: %v, want %v", op, i, got[i], want[i])
 		}
 	}
 }
@@ -59,13 +59,78 @@ func views(ids []core.ID) map[string]index.Postings {
 	}
 }
 
-// TestParallelAgreesWithSerial runs every executor operation in Serial mode
-// and in Forced mode at several worker counts over randomized document-order
-// subsets of real postings, in every combination of slice and block input
-// views, and requires byte-identical output versus the serial
-// flat-slice oracle.
+// semiJoins is the four semi-joins' answers for one input pair.
+type semiJoins struct{ up, parent, anc, child []core.ID }
+
+// oracle computes the four semi-joins by brute force: every descendant's
+// ancestor chain is climbed by RParent and looked up in a Go map — no probe,
+// no window, no skip test, no pooled memory.
+func oracle(t *testing.T, n *core.Numbering, ancs, descs []core.ID) semiJoins {
+	t.Helper()
+	inAncs := make(map[core.ID]bool, len(ancs))
+	for _, a := range ancs {
+		inAncs[a] = true
+	}
+	var o semiJoins
+	hitAnc, hitChild := make(map[core.ID]bool), make(map[core.ID]bool)
+	for _, d := range descs {
+		found := false
+		for cur, first := d, true; ; first = false {
+			p, ok, err := n.RParent(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if inAncs[p] {
+				if first {
+					o.parent = append(o.parent, d)
+					hitChild[p] = true
+				}
+				found = true
+				hitAnc[p] = true
+			}
+			cur = p
+		}
+		if found {
+			o.up = append(o.up, d)
+		}
+	}
+	for _, a := range ancs {
+		if hitAnc[a] {
+			o.anc = append(o.anc, a)
+		}
+		if hitChild[a] {
+			o.child = append(o.child, a)
+		}
+	}
+	return o
+}
+
+// sameSemiJoins runs every executor operation over ancs and descs and holds
+// it to want.
+func sameSemiJoins(t *testing.T, tag string, e *exec.Executor, n *core.Numbering, ancs, descs index.Postings, want semiJoins) {
+	t.Helper()
+	equalIDs(t, "UpwardSemiJoin"+tag, e.UpwardSemiJoin(n, ancs, descs), want.up)
+	equalIDs(t, "ParentSemiJoin"+tag, e.ParentSemiJoin(n, ancs, descs), want.parent)
+	if got := e.CountUpwardSemiJoin(n, ancs, descs); got != len(want.up) {
+		t.Errorf("CountUpwardSemiJoin%s = %d, want %d", tag, got, len(want.up))
+	}
+	if got := e.CountParentSemiJoin(n, ancs, descs); got != len(want.parent) {
+		t.Errorf("CountParentSemiJoin%s = %d, want %d", tag, got, len(want.parent))
+	}
+	equalIDs(t, "AncestorSemiJoin"+tag, e.AncestorSemiJoin(n, ancs, descs), want.anc)
+	equalIDs(t, "ChildSemiJoin"+tag, e.ChildSemiJoin(n, ancs, descs), want.child)
+}
+
+// TestParallelAgreesWithSerial runs every executor operation over
+// randomized document-order subsets of real postings, in every combination
+// of slice and block input views, and requires byte-identical output versus
+// the brute-force oracle.
 func TestParallelAgreesWithSerial(t *testing.T) {
 	n, ix := buildFixture(t, 9)
+	e := exec.New(exec.Config{})
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
 		ancs := subsample(r, ix.RuidIDs("section"), 0.7)
@@ -73,107 +138,60 @@ func TestParallelAgreesWithSerial(t *testing.T) {
 		if trial == 0 {
 			ancs, descs = ix.RuidIDs("section"), ix.RuidIDs("title")
 		}
-		sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
-		wantUpSemi := scheme.UpwardSemiJoinPostings(n, sAncs, sDescs)
-		wantParent := scheme.ParentSemiJoinPostings(n, sAncs, sDescs)
-		wantAnc := scheme.AncestorSemiJoinPostings(n, sAncs, sDescs)
-		wantChild := scheme.ChildSemiJoinPostings(n, sAncs, sDescs)
+		want := oracle(t, n, ancs, descs)
 		for aKind, aView := range views(ancs) {
 			for dKind, dView := range views(descs) {
-				tag := "/" + aKind + "-" + dKind
-				for _, cfg := range []exec.Config{
-					{Mode: exec.Serial},
-					{Mode: exec.Forced, Workers: 1},
-					{Mode: exec.Forced, Workers: 2},
-					{Mode: exec.Forced, Workers: 3},
-					{Mode: exec.Forced, Workers: 8},
-				} {
-					e := exec.New(cfg)
-					equalIDs(t, "UpwardSemiJoin"+tag, e.UpwardSemiJoin(n, aView, dView), wantUpSemi)
-					equalIDs(t, "ParentSemiJoin"+tag, e.ParentSemiJoin(n, aView, dView), wantParent)
-					if got := e.CountUpwardSemiJoin(n, aView, dView); got != len(wantUpSemi) {
-						t.Errorf("CountUpwardSemiJoin%s = %d, want %d", tag, got, len(wantUpSemi))
-					}
-					if got := e.CountParentSemiJoin(n, aView, dView); got != len(wantParent) {
-						t.Errorf("CountParentSemiJoin%s = %d, want %d", tag, got, len(wantParent))
-					}
-					equalIDs(t, "AncestorSemiJoin"+tag, e.AncestorSemiJoin(n, aView, dView), wantAnc)
-					equalIDs(t, "ChildSemiJoin"+tag, e.ChildSemiJoin(n, aView, dView), wantChild)
-				}
+				sameSemiJoins(t, "/"+aKind+"-"+dKind, e, n, aView, dView, want)
 			}
 		}
 	}
 }
 
 // TestIndexPostingsAgree drives the executor with the index's own resident
-// block-compressed lists (not rebuilt ones) against the flat oracle.
+// block-compressed lists (not rebuilt ones) against the oracle.
 func TestIndexPostingsAgree(t *testing.T) {
 	n, ix := buildFixture(t, 9)
-	ancs, descs := ix.RuidIDs("section"), ix.RuidIDs("title")
-	sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
-	ancsP, descsP := ix.Postings("section"), ix.Postings("title")
-	for _, workers := range []int{1, 4} {
-		e := exec.New(exec.Config{Mode: exec.Forced, Workers: workers})
-		equalIDs(t, "UpwardSemiJoin", e.UpwardSemiJoin(n, ancsP, descsP), scheme.UpwardSemiJoinPostings(n, sAncs, sDescs))
-		equalIDs(t, "ParentSemiJoin", e.ParentSemiJoin(n, ancsP, descsP), scheme.ParentSemiJoinPostings(n, sAncs, sDescs))
-		equalIDs(t, "AncestorSemiJoin", e.AncestorSemiJoin(n, ancsP, descsP), scheme.AncestorSemiJoinPostings(n, sAncs, sDescs))
-		equalIDs(t, "ChildSemiJoin", e.ChildSemiJoin(n, ancsP, descsP), scheme.ChildSemiJoinPostings(n, sAncs, sDescs))
-	}
+	want := oracle(t, n, ix.RuidIDs("section"), ix.RuidIDs("title"))
+	sameSemiJoins(t, "", exec.New(exec.Config{}), n, ix.Postings("section"), ix.Postings("title"), want)
 }
 
 // TestParallelNestedJoin runs the semi-joins on a deeply nested list joined
-// with itself: sections nested under sections, where shard boundaries land
-// mid-subtree, so a shard's descendants have ancestors in an earlier shard.
-// Block-backed descendants additionally cut a shard into several runs.
+// with itself: sections nested under sections, where a descendant's
+// ancestor lies in an earlier block of the same list. Block-backed
+// descendants cut the scan into several runs.
 func TestParallelNestedJoin(t *testing.T) {
 	n, ix := buildFixture(t, 9)
 	secs := ix.RuidIDs("section")
-	sSecs := index.SlicePostings(secs)
-	wantUp := scheme.UpwardSemiJoinPostings(n, sSecs, sSecs)
-	wantAnc := scheme.AncestorSemiJoinPostings(n, sSecs, sSecs)
-	if len(wantUp) == 0 || len(wantUp) == len(secs) {
-		t.Fatalf("fixture nests %d of %d sections", len(wantUp), len(secs))
+	want := oracle(t, n, secs, secs)
+	if len(want.up) == 0 || len(want.up) == len(secs) {
+		t.Fatalf("fixture nests %d of %d sections", len(want.up), len(secs))
 	}
 	for kind, view := range views(secs) {
-		for _, workers := range []int{2, 5, 16} {
-			e := exec.New(exec.Config{Mode: exec.Forced, Workers: workers})
-			equalIDs(t, "UpwardSemiJoin(section,section)/"+kind,
-				e.UpwardSemiJoin(n, view, view), wantUp)
-			equalIDs(t, "AncestorSemiJoin(section,section)/"+kind,
-				e.AncestorSemiJoin(n, view, view), wantAnc)
-		}
+		sameSemiJoins(t, "(section,section)/"+kind, exec.New(exec.Config{}), n, view, view, want)
 	}
 }
 
-// TestEmptyAndTinyInputs drives the degenerate shapes through every mode
-// and both input views: empty sides, single elements, fewer items than
-// workers (and fewer blocks than workers).
+// TestEmptyAndTinyInputs drives the degenerate shapes through both input
+// views: empty sides, single elements, lists shorter than a block.
 func TestEmptyAndTinyInputs(t *testing.T) {
 	n, ix := buildFixture(t, 5)
 	titles := ix.RuidIDs("title")
-	for _, cfg := range []exec.Config{
-		{Mode: exec.Serial},
-		{Mode: exec.Forced, Workers: 8},
-	} {
-		e := exec.New(cfg)
-		for kind, view := range views(titles) {
-			if got := e.UpwardSemiJoin(n, index.SlicePostings(nil), view); len(got) != 0 {
-				t.Fatalf("%s empty ancs: got %d ids", kind, len(got))
-			}
-			if got := e.AncestorSemiJoin(n, view, index.SlicePostings(nil)); len(got) != 0 {
-				t.Fatalf("%s empty descs: got %d ids", kind, len(got))
-			}
-			if got := e.AncestorSemiJoin(n, view, index.BlockPostings(nil)); len(got) != 0 {
-				t.Fatalf("%s empty block descs: got %d ids", kind, len(got))
-			}
+	e := exec.New(exec.Config{})
+	for kind, view := range views(titles) {
+		if got := e.UpwardSemiJoin(n, index.SlicePostings(nil), view); len(got) != 0 {
+			t.Fatalf("%s empty ancs: got %d ids", kind, len(got))
 		}
-		one := index.SlicePostings(titles[:1])
-		for _, oneView := range views(one.Slice()) {
-			equalIDs(t, "single", e.ChildSemiJoin(n, oneView, oneView), scheme.ChildSemiJoinPostings(n, one, one))
+		if got := e.AncestorSemiJoin(n, view, index.SlicePostings(nil)); len(got) != 0 {
+			t.Fatalf("%s empty descs: got %d ids", kind, len(got))
 		}
-		small := index.SlicePostings(titles[:min(3, len(titles))])
-		for _, smallView := range views(small.Slice()) {
-			equalIDs(t, "tiny", e.UpwardSemiJoin(n, smallView, smallView), scheme.UpwardSemiJoinPostings(n, small, small))
+		if got := e.AncestorSemiJoin(n, view, index.BlockPostings(nil)); len(got) != 0 {
+			t.Fatalf("%s empty block descs: got %d ids", kind, len(got))
+		}
+	}
+	for _, ids := range [][]core.ID{titles[:1], titles[:min(3, len(titles))]} {
+		want := oracle(t, n, ids, ids)
+		for kind, view := range views(ids) {
+			sameSemiJoins(t, fmt.Sprintf("/%d-%s", len(ids), kind), e, n, view, view, want)
 		}
 	}
 }
@@ -181,13 +199,12 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 // TestDefaultExecutor sanity-checks the process-wide executor.
 func TestDefaultExecutor(t *testing.T) {
 	e := exec.Default()
-	if e == nil || e.Workers() < 1 {
-		t.Fatalf("default executor %+v", e)
+	if e == nil || exec.Default() != e {
+		t.Fatalf("default executor %p, then %p", e, exec.Default())
 	}
 	n, ix := buildFixture(t, 7)
-	equalIDs(t, "default",
-		e.UpwardSemiJoin(n, ix.Postings("section"), ix.Postings("title")),
-		scheme.UpwardSemiJoinPostings(n, index.SlicePostings(ix.RuidIDs("section")), index.SlicePostings(ix.RuidIDs("title"))))
+	want := oracle(t, n, ix.RuidIDs("section"), ix.RuidIDs("title"))
+	equalIDs(t, "default", e.UpwardSemiJoin(n, ix.Postings("section"), ix.Postings("title")), want.up)
 }
 
 // TestReleaseIDs: a released result goes back for reuse, and a second
@@ -196,7 +213,7 @@ func TestDefaultExecutor(t *testing.T) {
 // touch it.
 func TestReleaseIDs(t *testing.T) {
 	n, ix := buildFixture(t, 8)
-	ex := exec.New(exec.Config{Mode: exec.Serial})
+	ex := exec.New(exec.Config{})
 	kept := ex.UpwardSemiJoin(n, ix.Postings("section"), ix.Postings("title"))
 	want := append([]core.ID(nil), kept...)
 	for i := 0; i < 20; i++ {

@@ -19,8 +19,8 @@ import (
 //     the per-query EXPLAIN ANALYZE trace.
 //
 // Neither changes what an operation does — there is one execution path, and
-// it always gathers block statistics and shard counts; a sink only decides
-// whether they are kept. With neither present the cost is one branch per
+// it always gathers block statistics; a sink only decides whether they are
+// kept. With neither present the cost is one branch per
 // clock read and one atomic add per pool round-trip.
 
 // Pool traffic counters, global because the pools are. A miss is a Get that
@@ -35,10 +35,8 @@ var (
 // execMetrics holds the registry pointers the executor records into. nil
 // means "no registry": individual fields are then never dereferenced.
 type execMetrics struct {
-	ops     *obs.Counter
-	opNS    *obs.Histogram
-	shards  *obs.Counter
-	shardNS *obs.Histogram
+	ops  *obs.Counter
+	opNS *obs.Histogram
 
 	// Seek-kernel block statistics. Named index.* because they witness the
 	// skip table's work, but owned here: package index stays free of obs.
@@ -57,8 +55,6 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 	return &execMetrics{
 		ops:            r.Counter("exec.ops"),
 		opNS:           r.Histogram("exec.op_ns"),
-		shards:         r.Counter("exec.shards"),
-		shardNS:        r.Histogram("exec.shard_ns"),
 		blocksAdmitted: r.Counter("index.blocks_admitted"),
 		blocksSkipped:  r.Counter("index.blocks_skipped"),
 		skipProbes:     r.Counter("index.skip_probes"),
@@ -67,8 +63,8 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 }
 
 // WithSpan returns an executor recording into sp in addition to the
-// receiver's registry. The copy shares the receiver's policy and metrics
-// (and any attached meter); the planner attaches one span per query stage.
+// receiver's registry. The copy shares the receiver's metrics (and any
+// attached meter); the planner attaches one span per query stage.
 // WithSpan(nil) on an untraced executor returns the receiver unchanged.
 func (e *Executor) WithSpan(sp *obs.Span) *Executor {
 	if sp == nil && e.span == nil {
@@ -83,8 +79,8 @@ func (e *Executor) WithSpan(sp *obs.Span) *Executor {
 // the probe side and every admitted run of the descendant side are charged
 // as postings scanned (the latter inside index.ForEachRun, before any
 // decode), and every operation's output rows are charged as results. A
-// tripped meter stops each shard at its next charge point and the operation
-// returns a partial (to-be-discarded) output; the caller surfaces m.Err().
+// tripped meter stops the scan at its next run and the operation returns a
+// partial (to-be-discarded) output; the caller surfaces m.Err().
 // WithMeter(nil) returns the receiver unchanged.
 func (e *Executor) WithMeter(m *budget.Meter) *Executor {
 	if m == nil {
@@ -111,8 +107,7 @@ func (e *Executor) noteOp(start time.Time) {
 	}
 }
 
-// noteBlockStats folds one shard's seek statistics into both sinks. Called
-// from shard worker goroutines: every write below is atomic.
+// noteBlockStats folds one operation's seek statistics into both sinks.
 func (e *Executor) noteBlockStats(st *index.BlockStats) {
 	if st.Probes == 0 && st.Admitted == 0 && st.Skipped == 0 && st.AdmitAll == 0 {
 		return
@@ -124,43 +119,4 @@ func (e *Executor) noteBlockStats(st *index.BlockStats) {
 		e.m.admitAll.Add(uint64(st.AdmitAll))
 	}
 	e.span.AddBlocks(st.Admitted, st.Skipped, st.Probes, st.AdmitAll)
-}
-
-// shardClock is per-shard wall-time capture for one operation: nil when
-// observation is off, else one slot per shard, each written by exactly
-// one worker (no synchronization needed beyond run's WaitGroup).
-type shardClock []int64
-
-func (e *Executor) newShardClock(n int) shardClock {
-	if e.m == nil && e.span == nil {
-		return nil
-	}
-	return make(shardClock, n)
-}
-
-func (c shardClock) start() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (c shardClock) stop(s int, t time.Time) {
-	if c != nil {
-		c[s] = time.Since(t).Nanoseconds()
-	}
-}
-
-// note flushes the captured durations after run returns.
-func (c shardClock) note(e *Executor) {
-	if c == nil {
-		return
-	}
-	if e.m != nil {
-		e.m.shards.Add(uint64(len(c)))
-		for _, ns := range c {
-			e.m.shardNS.Observe(ns)
-		}
-	}
-	e.span.AddShardNS(c)
 }

@@ -11,9 +11,9 @@ import (
 // Document-order sortedness is a maintained invariant of NameIndex
 // postings: Build emits walk order, and ApplyDelta preserves order by
 // substituting in place and merging inserted identifiers into the block
-// they belong to — neither ever sorts a list. The parallel execution layer (internal/exec) leans on
-// the invariant twice: contiguous posting shards can be joined
-// independently, and shard outputs merge by plain concatenation. Because
+// they belong to — neither ever sorts a list. The execution layer
+// (internal/exec) leans on it: the probe's window is a contiguous range of
+// a list, and every join output is document-ordered without a sort. Because
 // nothing re-sorts per query, a violation would surface as wrong query
 // results, not a crash; the debug check below turns it into a loud failure
 // at the point of corruption instead.

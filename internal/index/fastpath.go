@@ -18,9 +18,9 @@ import "repro/internal/core"
 //
 // Nothing here knows how the run reached it. ForEachRun (seek.go) is the one
 // reader of a Postings view — it admits, charges and decodes the blocks of
-// the probe's window — and hands every kernel its runs; the sharding drivers
-// of internal/exec and the serial *Postings forms of internal/scheme are its
-// only callers.
+// the probe's window — and hands every kernel its runs; the operations of
+// internal/exec and the two pair joins of internal/scheme are its only
+// callers.
 
 // AppendUpwardSemiJoinRUID is the upward-semi-join kernel over one
 // descendant run: every d in descs with at least one ancestor in set is
@@ -57,8 +57,8 @@ func AppendParentSemiJoinRUID(c *core.ParentCursor, set *IDSet, descs []core.ID,
 
 // CollectAncestorHitsRUID is the probing half of the ancestor semi-join
 // over one descendant run: every member of set found on the ancestor chain
-// of some d ∈ descs is recorded in hit. Each shard accumulates into its own
-// hit set; the caller filters the ancestor list through them in order.
+// of some d ∈ descs is recorded in hit; the caller filters the ancestor list
+// through it in order.
 func CollectAncestorHitsRUID(c *core.ParentCursor, set *IDSet, descs []core.ID, hit *IDSet) {
 	for _, d := range descs {
 		cur := d

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -22,9 +23,10 @@ func buildRUIDIndex(t *testing.T) (*xmltree.Node, *core.Numbering, *index.NameIn
 	return doc, n, index.Build(doc.DocumentElement(), n)
 }
 
-// TestFastPathAgree pins every ruid join kernel, over the block postings of
-// a self-nesting document cut into 16-node areas, to the answer the pointer
-// tree gives for section and title.
+// TestFastPathAgree pins every ruid join — the two pair joins and the
+// executor's four semi-joins — over the block postings of a self-nesting
+// document cut into 16-node areas, to the answer the pointer tree gives for
+// section and title.
 func TestFastPathAgree(t *testing.T) {
 	doc, n, ix := buildRUIDIndex(t)
 	root := doc.DocumentElement()
@@ -70,6 +72,7 @@ func TestFastPathAgree(t *testing.T) {
 		return out
 	}
 	pairs := canon(truthPairs(n, root, "section", "title"))
+	ex := exec.Default()
 
 	t.Run("UpwardJoin", func(t *testing.T) {
 		if got := scheme.UpwardJoinPostings(n, ancs, descs); canon(got) != pairs {
@@ -82,16 +85,16 @@ func TestFastPathAgree(t *testing.T) {
 		}
 	})
 	t.Run("UpwardSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section//title", scheme.UpwardSemiJoinPostings(n, ancs, descs), truth("title", "section", true, true))
+		sameIDs(t, "section//title", ex.UpwardSemiJoin(n, ancs, descs), truth("title", "section", true, true))
 	})
 	t.Run("ParentSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section/title", scheme.ParentSemiJoinPostings(n, ancs, descs), truth("title", "section", true, false))
+		sameIDs(t, "section/title", ex.ParentSemiJoin(n, ancs, descs), truth("title", "section", true, false))
 	})
 	t.Run("AncestorSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section[.//title]", scheme.AncestorSemiJoinPostings(n, ancs, descs), truth("section", "title", false, true))
+		sameIDs(t, "section[.//title]", ex.AncestorSemiJoin(n, ancs, descs), truth("section", "title", false, true))
 	})
 	t.Run("ChildSemiJoin", func(t *testing.T) {
-		sameIDs(t, "section[title]", scheme.ChildSemiJoinPostings(n, ancs, descs), truth("section", "title", false, false))
+		sameIDs(t, "section[title]", ex.ChildSemiJoin(n, ancs, descs), truth("section", "title", false, false))
 	})
 	t.Run("PathQuery", func(t *testing.T) {
 		nodes, err := xpath.NewEngine(doc, xpath.PointerNavigator{}).Query("//section//section//title")
@@ -102,10 +105,10 @@ func TestFastPathAgree(t *testing.T) {
 		for i, x := range nodes {
 			want[i], _ = n.RUID(x)
 		}
-		// The serial form of the planner's pipeline: one upward semi-join per
-		// step, each consuming the last one's survivors.
-		nested := scheme.UpwardSemiJoinPostings(n, ix.Postings("section"), ix.Postings("section"))
-		sameIDs(t, "//section//section//title", scheme.UpwardSemiJoinPostings(n, index.SlicePostings(nested), ix.Postings("title")), want)
+		// The planner's pipeline: one upward semi-join per step, each
+		// consuming the last one's survivors.
+		nested := ex.UpwardSemiJoin(n, ix.Postings("section"), ix.Postings("section"))
+		sameIDs(t, "//section//section//title", ex.UpwardSemiJoin(n, index.SlicePostings(nested), ix.Postings("title")), want)
 	})
 }
 

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -170,6 +170,38 @@ func TestProbeKeysAreWords(t *testing.T) {
 	}
 }
 
+// TestProbeLengthOnXMark holds every probe of XMark 500, numbered with the
+// served partition, to at most 1.5 slots per member lookup, what linear
+// probing averages at the table's load of one half. Plain Fibonacci hashing
+// clustered on the parlist probe (1.73 slots); MakeProbe builds that one
+// again with folded keys, and keeps plain hashing where it spreads, as on
+// the item probe of the read_join queries.
+func TestProbeLengthOnXMark(t *testing.T) {
+	doc := xmltree.XMark(500, 1)
+	n, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 64, AdjustFanout: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc.DocumentElement(), n)
+	for _, name := range ix.Names() {
+		ps := ix.Postings(name)
+		pr := index.MakeProbe(ps)
+		slots, lookups := pr.Set.ProbeSlots(ps.Materialize())
+		if lookups != ps.Len() || slots > 1.5 {
+			t.Errorf("%s probe: %.3f slots per member lookup over %d of %d members, want at most 1.5", name, slots, lookups, ps.Len())
+		}
+		switch name {
+		case "parlist":
+			t.Logf("parlist probe: %.3f slots per member lookup, folded keys %v", slots, pr.Set.Mixed())
+		case "item":
+			if pr.Set.Mixed() {
+				t.Errorf("item probe folds its keys at %.3f slots per lookup", slots)
+			}
+		}
+		pr.Release()
+	}
+}
+
 // TestIDSetReuse is the pooled life cycle: one table sized by Reset for a
 // large probe, then a small one, then one larger than any before, with
 // growth past the Reset size in between. No use may see a member of an
@@ -244,8 +276,9 @@ func TestDoubleReleasePanics(t *testing.T) {
 }
 
 // TestProbeSharedByShards is the read side under the race detector: one
-// probe, built once, read by many goroutines running the kernels the
-// executor's shards run, each with a hit set of its own.
+// probe, built once, read by many goroutines at once, each running the
+// kernels over its own shard of the descendants with a hit set of its own.
+// The shards' rows, concatenated in shard order, are the executor's answer.
 func TestProbeSharedByShards(t *testing.T) {
 	doc := xmltree.Random(xmltree.RandomConfig{Nodes: 4000, MaxFanout: 6, DepthBias: 0.5, Seed: 5})
 	n, _, flat := buildRUID(t, doc)
@@ -258,8 +291,8 @@ func TestProbeSharedByShards(t *testing.T) {
 		}
 	}
 	sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
-	want := scheme.AncestorSemiJoinPostings(n, sAncs, sDescs)
-	wantUp := scheme.UpwardSemiJoinPostings(n, sAncs, sDescs)
+	want := exec.Default().AncestorSemiJoin(n, sAncs, sDescs)
+	wantUp := exec.Default().UpwardSemiJoin(n, sAncs, sDescs)
 	if len(want) == 0 || len(wantUp) == 0 {
 		t.Fatalf("fixture joins nothing: %d ancestors, %d descendants hit", len(want), len(wantUp))
 	}
@@ -267,7 +300,7 @@ func TestProbeSharedByShards(t *testing.T) {
 	pr := index.MakeProbe(sAncs)
 	defer pr.Release()
 	const shards = 8
-	hits := make([]*index.IDSet, shards)
+	hits := make([][]core.ID, shards)
 	ups := make([][]core.ID, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
@@ -275,23 +308,32 @@ func TestProbeSharedByShards(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			run := descs[s*len(descs)/shards : (s+1)*len(descs)/shards]
-			hits[s] = pr.AcquireHits(0)
+			hit := pr.AcquireHits(0)
+			defer hit.Release()
 			var c core.ParentCursor
 			c.Reset(n)
-			index.CollectAncestorHitsRUID(&c, &pr.Set, run, hits[s])
+			index.CollectAncestorHitsRUID(&c, &pr.Set, run, hit)
+			hits[s] = index.AppendHitMembersPostings(pr, hit, nil)
 			ups[s] = index.AppendUpwardSemiJoinRUID(&c, &pr.Set, run, nil)
 		}(s)
 	}
 	wg.Wait()
 	var up []core.ID
+	hit := make(map[core.ID]bool)
 	for s := 0; s < shards; s++ {
 		up = append(up, ups[s]...)
+		for _, a := range hits[s] {
+			hit[a] = true
+		}
+	}
+	var anc []core.ID
+	for _, a := range ancs {
+		if hit[a] {
+			anc = append(anc, a)
+		}
 	}
 	sameIDs(t, "upward semi-join over shards", up, wantUp)
-	sameIDs(t, "ancestor semi-join over shards", index.AppendHitMembersPostings(pr, hits, nil), want)
-	for _, h := range hits {
-		h.Release()
-	}
+	sameIDs(t, "ancestor semi-join over shards", anc, want)
 }
 
 // FuzzIDSet replays an operation tape against the map. Each 18-byte record

@@ -15,10 +15,9 @@
 // This package holds what serving runs of the joins: the four semi-join run
 // kernels (fastpath.go) and the one iterator over a Postings view that feeds
 // them (ForEachRun, seek.go — skip-table admission, budget charge, block
-// decode); internal/exec shards them. The serial one-shot *Postings forms,
-// the pair joins (upward and stack-based sort-merge, which experiment E11
-// compares) and the boxed kernels the scheme bake-off runs under every
-// numbering scheme live in internal/scheme.
+// decode); internal/exec runs them. The pair joins (upward and stack-based
+// sort-merge, which experiment E11 compares) and the boxed kernels the
+// scheme bake-off runs under every numbering scheme live in internal/scheme.
 package index
 
 import (
@@ -34,8 +33,7 @@ import (
 // runs the unboxed kernels over Postings views. Sortedness is a maintained
 // invariant, not a per-query step: Build emits walk order, ApplyDelta patches
 // in place and splices, and nothing downstream re-sorts (see debug.go). The
-// join pipelines, the reconstruction fast path and the parallel shard merge
-// all rely on it.
+// join pipelines and the reconstruction fast path rely on it.
 type NameIndex struct {
 	ruid       *core.Numbering
 	ruidByName map[string]*PostingList // block-compressed postings, document order

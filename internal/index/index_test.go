@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -46,7 +47,7 @@ func truthPairs(n *core.Numbering, root *xmltree.Node, a, d string) []scheme.Pai
 func TestSemiJoin(t *testing.T) {
 	doc := xmltree.XMark(2, 5)
 	s, ix, _ := buildRUID(t, doc)
-	semi := scheme.UpwardSemiJoinPostings(s, ix.Postings("item"), ix.Postings("text"))
+	semi := exec.Default().UpwardSemiJoin(s, ix.Postings("item"), ix.Postings("text"))
 	var want []core.ID
 	for _, x := range doc.DocumentElement().Elements() {
 		if x.Name != "text" {
@@ -119,7 +120,7 @@ func TestJoinRandomized(t *testing.T) {
 func TestParentSemiJoin(t *testing.T) {
 	doc := xmltree.Recursive(2, 5)
 	s, ix, _ := buildRUID(t, doc)
-	got := scheme.ParentSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title"))
+	got := exec.Default().ParentSemiJoin(s, ix.Postings("section"), ix.Postings("title"))
 	var want []core.ID
 	for _, x := range doc.DocumentElement().Elements() {
 		if x.Name == "title" && x.Parent.Name == "section" {
@@ -127,11 +128,11 @@ func TestParentSemiJoin(t *testing.T) {
 			want = append(want, id)
 		}
 	}
-	sameIDs(t, "ParentSemiJoinPostings", got, want)
+	sameIDs(t, "ParentSemiJoin", got, want)
 }
 
-// TestReverseSemiJoins checks AncestorSemiJoinPostings and
-// ChildSemiJoinPostings against pointer ground truth.
+// TestReverseSemiJoins checks the executor's AncestorSemiJoin and
+// ChildSemiJoin against pointer ground truth.
 func TestReverseSemiJoins(t *testing.T) {
 	doc := xmltree.Recursive(2, 5)
 	s, ix, _ := buildRUID(t, doc)
@@ -157,13 +158,14 @@ func TestReverseSemiJoins(t *testing.T) {
 			}
 		}
 	}
-	sameIDs(t, "AncestorSemiJoinPostings",
-		scheme.AncestorSemiJoinPostings(s, ix.Postings("section"), ix.Postings("title")), wantA)
-	sameIDs(t, "ChildSemiJoinPostings",
-		scheme.ChildSemiJoinPostings(s, ix.Postings("section"), ix.Postings("para")), wantC)
+	ex := exec.Default()
+	sameIDs(t, "AncestorSemiJoin",
+		ex.AncestorSemiJoin(s, ix.Postings("section"), ix.Postings("title")), wantA)
+	sameIDs(t, "ChildSemiJoin",
+		ex.ChildSemiJoin(s, ix.Postings("section"), ix.Postings("para")), wantC)
 
 	// Empty inputs.
-	if got := scheme.AncestorSemiJoinPostings(s, index.SlicePostings(nil), ix.Postings("title")); len(got) != 0 {
-		t.Fatalf("AncestorSemiJoinPostings(nil, ...) = %d", len(got))
+	if got := ex.AncestorSemiJoin(s, index.SlicePostings(nil), ix.Postings("title")); len(got) != 0 {
+		t.Fatalf("AncestorSemiJoin(nil, ...) = %d", len(got))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -193,13 +194,12 @@ func TestPostingListFromPartsRejectsCorruption(t *testing.T) {
 
 // TestSeekKernelsAgree compares every serial Postings-form join against an
 // oracle, in all four combinations of slice and block input views: the
-// semi-joins against their flat-slice form, the pair joins against the boxed
-// joins of internal/scheme (Scheme.Parent and CompareOrder, no kernel in
-// common). Random subsets of a random document come first; then a few
+// executor's semi-joins against their flat-slice form (and the upward one
+// against the boxed join as well), the pair joins against the boxed joins of
+// internal/scheme (Scheme.Parent and CompareOrder, no kernel in common). Random subsets of a random document come first; then a few
 // open_auctions of XMark against every increase, where the skip test cuts
 // the block view of the descendant side into several runs, each seeded by
-// the merge kernel on its own. The exec package repeats the semi-joins
-// through the parallel scheduler.
+// the merge kernel on its own.
 func TestSeekKernelsAgree(t *testing.T) {
 	views := func(ids []core.ID) map[string]index.Postings {
 		return map[string]index.Postings{
@@ -211,6 +211,13 @@ func TestSeekKernelsAgree(t *testing.T) {
 		out := make([]scheme.ID, len(ids))
 		for i, id := range ids {
 			out[i] = id
+		}
+		return out
+	}
+	unboxed := func(ids []scheme.ID) []core.ID {
+		out := make([]core.ID, len(ids))
+		for i, id := range ids {
+			out[i] = id.(core.ID)
 		}
 		return out
 	}
@@ -231,19 +238,21 @@ func TestSeekKernelsAgree(t *testing.T) {
 		wantUp := scheme.UpwardJoin(rs, boxed(ancs), boxed(descs))
 		wantMerge := scheme.MergeJoin(rs, boxed(ancs), boxed(descs))
 		sAncs, sDescs := index.SlicePostings(ancs), index.SlicePostings(descs)
-		wantUpSemi := scheme.UpwardSemiJoinPostings(n, sAncs, sDescs)
-		wantParent := scheme.ParentSemiJoinPostings(n, sAncs, sDescs)
-		wantAnc := scheme.AncestorSemiJoinPostings(n, sAncs, sDescs)
-		wantChild := scheme.ChildSemiJoinPostings(n, sAncs, sDescs)
+		ex := exec.Default()
+		wantUpSemi := ex.UpwardSemiJoin(n, sAncs, sDescs)
+		sameIDs(t, "UpwardSemiJoin/boxed", wantUpSemi, unboxed(scheme.UpwardSemiJoin(rs, boxed(ancs), boxed(descs))))
+		wantParent := ex.ParentSemiJoin(n, sAncs, sDescs)
+		wantAnc := ex.AncestorSemiJoin(n, sAncs, sDescs)
+		wantChild := ex.ChildSemiJoin(n, sAncs, sDescs)
 		for ak, av := range views(ancs) {
 			for dk, dv := range views(descs) {
 				tag := ak + "-" + dk
 				samePairs("UpwardJoin/"+tag, scheme.UpwardJoinPostings(n, av, dv), wantUp)
 				samePairs("MergeJoin/"+tag, scheme.MergeJoinPostings(n, av, dv), wantMerge)
-				sameIDs(t, "UpwardSemiJoin/"+tag, scheme.UpwardSemiJoinPostings(n, av, dv), wantUpSemi)
-				sameIDs(t, "ParentSemiJoin/"+tag, scheme.ParentSemiJoinPostings(n, av, dv), wantParent)
-				sameIDs(t, "AncestorSemiJoin/"+tag, scheme.AncestorSemiJoinPostings(n, av, dv), wantAnc)
-				sameIDs(t, "ChildSemiJoin/"+tag, scheme.ChildSemiJoinPostings(n, av, dv), wantChild)
+				sameIDs(t, "UpwardSemiJoin/"+tag, ex.UpwardSemiJoin(n, av, dv), wantUpSemi)
+				sameIDs(t, "ParentSemiJoin/"+tag, ex.ParentSemiJoin(n, av, dv), wantParent)
+				sameIDs(t, "AncestorSemiJoin/"+tag, ex.AncestorSemiJoin(n, av, dv), wantAnc)
+				sameIDs(t, "ChildSemiJoin/"+tag, ex.ChildSemiJoin(n, av, dv), wantChild)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ import (
 // Probe is the ancestor side of a join prepared for probing: the
 // membership set plus the same identifiers as a document-ordered slice
 // (the binary-search side of the skip test). Built once per join,
-// read-only afterwards; concurrent shard kernels share one instance.
+// read-only afterwards.
 type Probe struct {
 	Set IDSet
 	ids []core.ID
@@ -42,9 +42,10 @@ type Probe struct {
 var probePool = sync.Pool{New: func() any { poolMisses.Add(1); return new(Probe) }}
 
 // MakeProbe builds the probe for p in a pooled table laid out for its
-// members; the caller releases it once every kernel reading it has
-// returned. A slice view shares its backing slice; a block view is decoded
-// once, into the probe's own scratch.
+// members, and builds it again with folded keys when the first table comes
+// out clustered (see hashKey); the caller releases it once every kernel
+// reading it has returned. A slice view shares its backing slice; a block
+// view is decoded once, into the probe's own scratch.
 func MakeProbe(p Postings) *Probe {
 	poolGets.Add(1)
 	pr := probePool.Get().(*Probe)
@@ -56,9 +57,15 @@ func MakeProbe(p Postings) *Probe {
 		pr.ids = p.Slice()
 	}
 	lay, ok := layoutOf(pr.ids)
-	pr.Set.reset(len(pr.ids), lay, !ok)
-	for _, id := range pr.ids {
-		pr.Set.Add(id)
+	for _, mix := range []bool{false, true} {
+		pr.Set.reset(len(pr.ids), lay, !ok)
+		pr.Set.mix = mix
+		for _, id := range pr.ids {
+			pr.Set.Add(id)
+		}
+		if !pr.Set.clustered() {
+			break
+		}
 	}
 	return pr
 }
@@ -128,8 +135,7 @@ const chainCap = 16
 // descendants of probe members, so a window is exact for all of them. The
 // cut blocks count as skipped in bs.Stats. A slice view, and a list shorter
 // than minWindowBlocks, is never windowed. Callers compute the window once
-// per operation and cut it into shards (internal/exec) or scan it whole
-// (internal/scheme).
+// per operation and scan it whole.
 func (pr *Probe) Window(n *core.Numbering, p Postings, bs *BlockScratch) (lo, hi int) {
 	pl := p.List()
 	if pl == nil {
@@ -188,9 +194,9 @@ const maxRunBlocks = 32
 // passed over without decoding (Skipped: cut by the window, or galloped over
 // after a failed test), and how often the dense admit-all shortcut bypassed
 // the skip test entirely (AdmitAll, once per scan). A slice view has no
-// blocks and moves none of them. The fields are plain integers —
-// the scratch is per-worker — and internal/exec folds them into the
-// observability registry and the query trace after each shard.
+// blocks and moves none of them. The fields are plain integers — a scratch
+// serves one scan at a time — and internal/exec folds them into the
+// observability registry and the query trace after each operation.
 type BlockStats struct {
 	Probes   int64
 	Admitted int64
@@ -198,11 +204,11 @@ type BlockStats struct {
 	AdmitAll int64
 }
 
-// BlockScratch is one worker's reusable scratch for a scan and the kernel it
-// feeds — the parent cursor every climb of the scan goes through, the decode
+// BlockScratch is the reusable scratch of one scan and the kernel it feeds —
+// the parent cursor every climb of the scan goes through, the decode
 // buffer, the skip test's ancestor-chain buffers and the scan's block
-// statistics; internal/exec pools instances across shards. The zero value is
-// ready.
+// statistics; internal/exec pools instances across operations. The zero
+// value is ready.
 type BlockScratch struct {
 	cursor core.ParentCursor // bound to the scan's numbering by ForEachRun
 
@@ -210,7 +216,8 @@ type BlockScratch struct {
 	chain  []core.ID // a block boundary's ancestor chain
 	mchain []core.ID // a probe member's ancestor chain
 
-	// Stats accumulates across scans until reset; exec drains it per shard.
+	// Stats accumulates across scans until reset; exec drains it per
+	// operation.
 	Stats BlockStats
 
 	// Meter, when non-nil, is the query's resource budget: ForEachRun
@@ -226,7 +233,7 @@ type BlockScratch struct {
 func (bs *BlockScratch) Cursor() *core.ParentCursor { return &bs.cursor }
 
 // ForEachRun is the one reader of a join's descendant side. It walks units
-// [lo, hi) of p in document order — the probe's Window, or a shard of it —
+// [lo, hi) of p in document order — the probe's Window —
 // and hands fn every run of postings the probe admits. The units of a block
 // view are its blocks: maximal runs of consecutive candidate blocks (at most
 // maxRunBlocks) are decoded into the scratch, blocks failing the skip test
@@ -239,7 +246,7 @@ func (bs *BlockScratch) Cursor() *core.ParentCursor { return &bs.cursor }
 //
 // This is the budget enforcement point of the read path: every admitted
 // run's postings are charged against bs.Meter before any decode, and a
-// refused charge — limit exceeded, deadline past, or another shard already
+// refused charge — limit exceeded, deadline past, or the meter already
 // tripped — ends the scan immediately. The caller's partial output is
 // discarded above (the query surfaces the meter's sentinel error), so
 // stopping mid-list never yields a silently truncated result.
@@ -291,18 +298,13 @@ func ForEachRun(n *core.Numbering, pr *Probe, p Postings, lo, hi int, bs *BlockS
 }
 
 // AppendHitMembersPostings appends the postings pr was built from that are
-// present in any of hits to out, in their document order — the emission half
-// of both bottom-up semi-joins. The serial forms (internal/scheme) pass
-// their one hit set; internal/exec passes its per-shard sets as they are,
-// since filtering the ancestor side through them restores order without a
-// sort and without building their union.
-func AppendHitMembersPostings(pr *Probe, hits []*IDSet, out []core.ID) []core.ID {
+// present in hit to out, in their document order — the emission half of both
+// bottom-up semi-joins: filtering the ancestor side through the hit set
+// keeps its order without a sort.
+func AppendHitMembersPostings(pr *Probe, hit *IDSet, out []core.ID) []core.ID {
 	for _, a := range pr.ids {
-		for _, hit := range hits {
-			if hit.Has(a) {
-				out = append(out, a)
-				break
-			}
+		if hit.Has(a) {
+			out = append(out, a)
 		}
 	}
 	return out

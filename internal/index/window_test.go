@@ -7,36 +7,34 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
-// windowRows runs the four semi-joins of ancs over descs through the serial
-// one-shots and through a forced 4-worker executor, keyed by kernel.
-func windowRows(n *core.Numbering, e *exec.Executor, ancs, descs index.Postings) map[string][]core.ID {
+// windowRows runs the four semi-joins of ancs over descs through the
+// executor, and the two counting forms, keyed by kernel.
+func windowRows(n *core.Numbering, ancs, descs index.Postings) map[string][]core.ID {
+	e := exec.Default()
 	return map[string][]core.ID{
-		"upward":        scheme.UpwardSemiJoinPostings(n, ancs, descs),
-		"parent":        scheme.ParentSemiJoinPostings(n, ancs, descs),
-		"ancestor":      scheme.AncestorSemiJoinPostings(n, ancs, descs),
-		"child":         scheme.ChildSemiJoinPostings(n, ancs, descs),
-		"forced/upward": e.UpwardSemiJoin(n, ancs, descs),
-		"forced/parent": e.ParentSemiJoin(n, ancs, descs),
-		"forced/anc":    e.AncestorSemiJoin(n, ancs, descs),
-		"forced/child":  e.ChildSemiJoin(n, ancs, descs),
+		"upward":       e.UpwardSemiJoin(n, ancs, descs),
+		"parent":       e.ParentSemiJoin(n, ancs, descs),
+		"ancestor":     e.AncestorSemiJoin(n, ancs, descs),
+		"child":        e.ChildSemiJoin(n, ancs, descs),
+		"count/upward": make([]core.ID, e.CountUpwardSemiJoin(n, ancs, descs)),
+		"count/parent": make([]core.ID, e.CountParentSemiJoin(n, ancs, descs)),
 	}
 }
 
 // sameWindowRows holds every kernel's rows over the block view of descs —
 // the only view a window narrows — to its rows over a slice view of the
 // same list, with the ancestors given as either view.
-func sameWindowRows(t *testing.T, tag string, n *core.Numbering, e *exec.Executor, ancs []core.ID, descs *index.PostingList) {
+func sameWindowRows(t *testing.T, tag string, n *core.Numbering, ancs []core.ID, descs *index.PostingList) {
 	t.Helper()
-	want := windowRows(n, e, index.SlicePostings(ancs), index.SlicePostings(descs.AppendAll(nil)))
+	want := windowRows(n, index.SlicePostings(ancs), index.SlicePostings(descs.AppendAll(nil)))
 	for view, av := range map[string]index.Postings{
 		"slice": index.SlicePostings(ancs),
 		"block": index.BlockPostings(index.BuildPostingList(ancs)),
 	} {
-		for k, got := range windowRows(n, e, av, index.BlockPostings(descs)) {
+		for k, got := range windowRows(n, av, index.BlockPostings(descs)) {
 			sameIDs(t, tag+"/"+view+"/"+k, got, want[k])
 		}
 	}
@@ -52,7 +50,7 @@ func sameWindowRows(t *testing.T, tag string, n *core.Numbering, e *exec.Executo
 //
 // Each probe's window must be exactly the blocks holding a descendant of a
 // member — the hull the text postings give here — and the rows over it must
-// be the rows over the unwindowed slice view, serial and sharded. C is the
+// be the rows over the unwindowed slice view. C is the
 // last member of {A, B, C} and its subtree ends in block 2, but B's runs on
 // to block 4: a window cut at the last member's own subtree, or one block
 // short of B's, loses rows.
@@ -71,7 +69,6 @@ func TestWindowMatchesSliceView(t *testing.T) {
 	}
 	li := flat["listitem"]
 	one := func(name string) core.ID { return flat[name][0] }
-	e := exec.New(exec.Config{Mode: exec.Forced, Workers: 4})
 	for _, c := range []struct {
 		name   string
 		ancs   []core.ID
@@ -103,7 +100,7 @@ func TestWindowMatchesSliceView(t *testing.T) {
 		if c.lo == c.hi && (runs != 0 || bs.Stats.Admitted != 0 || bs.Stats.Probes != 0 || bs.Stats.Skipped != 8) {
 			t.Errorf("%s: empty window scanned %d runs: %+v, want every block skipped", c.name, runs, bs.Stats)
 		}
-		sameWindowRows(t, c.name, n, e, c.ancs, descs)
+		sameWindowRows(t, c.name, n, c.ancs, descs)
 	}
 }
 
@@ -112,7 +109,6 @@ func TestWindowMatchesSliceView(t *testing.T) {
 // and last alone, against text and against listitem itself.
 func TestWindowOnXMark(t *testing.T) {
 	n, ix, flat := buildRUID(t, xmltree.XMark(20, 1))
-	e := exec.New(exec.Config{Mode: exec.Forced, Workers: 4})
 	li := flat["listitem"]
 	var sparse []core.ID
 	for i := 3; i < len(li); i += 7 {
@@ -126,7 +122,7 @@ func TestWindowOnXMark(t *testing.T) {
 		for tag, ancs := range map[string][]core.ID{
 			"all": li, "sparse": sparse, "first": li[:1], "last": li[len(li)-1:],
 		} {
-			sameWindowRows(t, d+"/"+tag, n, e, ancs, descs)
+			sameWindowRows(t, d+"/"+tag, n, ancs, descs)
 		}
 	}
 }

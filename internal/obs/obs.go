@@ -10,10 +10,9 @@
 //     and trace method is nil-safe — a nil *Counter, *Histogram, *Trace or
 //     *Span no-ops — so "observation off" costs a single nil check and the
 //     instrumented code needs no branches of its own.
-//   - Counters are atomics, not mutex-guarded maps. The identifier kernels
-//     record from concurrent shard workers; a shared mutex would serialize
-//     exactly the code the executor exists to parallelize, while an
-//     uncontended atomic add costs a few nanoseconds and scales. The
+//   - Counters are atomics, not mutex-guarded maps. Concurrent queries
+//     record into one registry; a shared mutex would serialize them, while
+//     an uncontended atomic add costs a few nanoseconds and scales. The
 //     registry's map is touched only at resolve time (registration), never
 //     per observation.
 package obs

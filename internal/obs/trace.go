@@ -11,14 +11,13 @@ import (
 
 // Trace records one query's execution for the EXPLAIN ANALYZE renderer:
 // the plan decision and an ordered list of per-stage spans, each carrying
-// wall time, cardinality attributes, the shard layout with per-shard
-// durations, and the block-skip statistics of the seek kernels.
+// wall time, cardinality attributes and the block-skip statistics of the
+// seek kernels.
 //
 // A nil *Trace is the disabled tracer: every method no-ops and StartSpan
 // returns a nil *Span whose methods no-op too, so instrumented code traces
 // unconditionally and pays one nil check when tracing is off. A Trace is
-// meant for one query on one goroutine; the concurrent shard workers of
-// the executor only touch a Span's atomic block counters.
+// meant for one query on one goroutine.
 type Trace struct {
 	query  string
 	plan   string
@@ -107,10 +106,8 @@ func (t *Trace) Notes() []string {
 	return append([]string(nil), t.notes...)
 }
 
-// Span is one execution stage of a trace. Attribute and shard recording is
-// single-goroutine (the query's); only the block counters are written by
-// concurrent shard workers and are atomic for that reason. All methods are
-// nil-safe.
+// Span is one execution stage of a trace, recorded by the query's
+// goroutine. All methods are nil-safe and safe for concurrent use.
 type Span struct {
 	name   string
 	begin  time.Time
@@ -118,15 +115,14 @@ type Span struct {
 	dur    time.Duration
 	ended  bool
 
-	// Block-skip statistics, accumulated atomically by shard workers.
+	// Block-skip statistics.
 	blocksAdmitted atomic.Int64
 	blocksSkipped  atomic.Int64
 	skipProbes     atomic.Int64
 	admitAlls      atomic.Int64
 
-	mu      sync.Mutex
-	attrs   []Attr
-	shardNS []int64
+	mu    sync.Mutex
+	attrs []Attr
 }
 
 // Attr is one rendered span attribute.
@@ -209,7 +205,7 @@ func (s *Span) Attrs() []Attr {
 
 // AddBlocks accumulates seek-kernel block statistics: blocks decoded
 // (admitted), blocks galloped over (skipped), skip-test probes, and
-// admit-all fallbacks. Safe from concurrent shard workers.
+// admit-all fallbacks.
 func (s *Span) AddBlocks(admitted, skipped, probes, admitAlls int64) {
 	if s == nil {
 		return
@@ -228,29 +224,8 @@ func (s *Span) Blocks() (admitted, skipped, probes, admitAlls int64) {
 	return s.blocksAdmitted.Load(), s.blocksSkipped.Load(), s.skipProbes.Load(), s.admitAlls.Load()
 }
 
-// AddShardNS appends per-shard wall times (nanoseconds) for one sharded
-// operation run under this span.
-func (s *Span) AddShardNS(durs []int64) {
-	if s == nil || len(durs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.shardNS = append(s.shardNS, durs...)
-	s.mu.Unlock()
-}
-
-// ShardNS returns the recorded per-shard wall times.
-func (s *Span) ShardNS() []int64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int64(nil), s.shardNS...)
-}
-
 // Render writes the EXPLAIN ANALYZE view of the trace: the plan decision,
-// then one line (plus shard/block detail lines) per stage.
+// then one line (plus a block detail line) per stage.
 func (t *Trace) Render(w io.Writer) {
 	if t == nil {
 		return
@@ -274,23 +249,6 @@ func (s *Span) render(w io.Writer, idx int) {
 		fmt.Fprintf(&b, " %s=%d", a.Key, a.Val)
 	}
 	fmt.Fprintln(w, b.String())
-	if shards := s.ShardNS(); len(shards) > 0 {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "        shards=%d [", len(shards))
-		const maxShown = 16
-		for i, ns := range shards {
-			if i == maxShown {
-				fmt.Fprintf(&sb, " +%d more", len(shards)-maxShown)
-				break
-			}
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(fmtDur(time.Duration(ns)))
-		}
-		sb.WriteByte(']')
-		fmt.Fprintln(w, sb.String())
-	}
 	adm, skip, probes, admitAll := s.Blocks()
 	if adm != 0 || skip != 0 || probes != 0 || admitAll != 0 {
 		line := fmt.Sprintf("        blocks: admitted=%d skipped=%d probes=%d", adm, skip, probes)

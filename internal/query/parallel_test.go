@@ -3,18 +3,21 @@ package query_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/xmltree"
 )
 
-// TestParallelDeterminism pins the tentpole guarantee of the parallel
-// execution layer: for every conformance query, parallel and serial
-// execution return identical result sequences — same nodes, same order —
-// whatever GOMAXPROCS and worker count are in effect. The CI race job runs
-// this with GOMAXPROCS=1 as well; the loop below additionally forces 1, 2
-// and 8 scheduler threads in-process.
+// TestParallelDeterminism: for every conformance query, p goroutines
+// running it at once on one planner, under 1, 2 and 8 scheduler threads,
+// each get the sequence the planner returns alone — same nodes, same order.
+// An executor operation runs on its caller's goroutine, so the parallelism
+// of the read path is between queries: they share the planner, its executor
+// and the pools behind it (probes, hit sets, scan scratch, released
+// results), and a pooled buffer handed to two queries at once shows here.
+// The CI race job runs this with GOMAXPROCS=1 as well.
 func TestParallelDeterminism(t *testing.T) {
 	docs := map[string]*xmltree.Node{
 		"xmark":     xmltree.XMark(2, 9),
@@ -34,35 +37,43 @@ func TestParallelDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for dn, doc := range docs {
 		p := newPlanner(t, doc)
-		// Serial reference sequences, computed before touching GOMAXPROCS.
-		p.SetExecutor(exec.New(exec.Config{Mode: exec.Serial}))
-		type ref struct{ nodes []*xmltree.Node }
-		want := make(map[string]ref, len(queries))
+		// Reference sequences, one query at a time, computed before
+		// touching GOMAXPROCS.
+		want := make(map[string][]*xmltree.Node, len(queries))
 		for _, q := range queries {
 			nodes, _, err := p.Run(q)
 			if err != nil {
-				t.Fatalf("%s: serial Run(%q): %v", dn, q, err)
+				t.Fatalf("%s: Run(%q): %v", dn, q, err)
 			}
-			want[q] = ref{nodes}
+			want[q] = nodes
 		}
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			for _, workers := range []int{1, 2, 8} {
-				p.SetExecutor(exec.New(exec.Config{Mode: exec.Forced, Workers: workers}))
+			for _, callers := range []int{1, 2, 8} {
 				for _, q := range queries {
-					t.Run(fmt.Sprintf("%s/procs=%d/p=%d/%s", dn, procs, workers, q), func(t *testing.T) {
-						got, plan, err := p.Run(q)
-						if err != nil {
-							t.Fatalf("parallel Run: %v", err)
+					t.Run(fmt.Sprintf("%s/procs=%d/p=%d/%s", dn, procs, callers, q), func(t *testing.T) {
+						errs := make(chan error, callers)
+						var wg sync.WaitGroup
+						for g := 0; g < callers; g++ {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								for round := 0; round < 3; round++ {
+									got, plan, err := p.Run(q)
+									if err == nil && !slices.Equal(got, want[q]) {
+										err = fmt.Errorf("[%s] %d nodes, alone %d: sequences differ", plan.Kind, len(got), len(want[q]))
+									}
+									if err != nil {
+										errs <- err
+										return
+									}
+								}
+							}()
 						}
-						w := want[q].nodes
-						if len(got) != len(w) {
-							t.Fatalf("[%s] %d nodes, serial %d", plan.Kind, len(got), len(w))
-						}
-						for i := range got {
-							if got[i] != w[i] {
-								t.Fatalf("[%s] node %d differs from serial", plan.Kind, i)
-							}
+						wg.Wait()
+						close(errs)
+						for err := range errs {
+							t.Error(err)
 						}
 					})
 				}

@@ -178,8 +178,8 @@ func NewWithState(doc *xmltree.Node, num *core.Numbering, ix *index.NameIndex, g
 // Index exposes the planner's name index (for statistics and tests).
 func (p *Planner) Index() *index.NameIndex { return p.ix }
 
-// SetExecutor replaces the executor scheduling the identifier pipelines —
-// the facade routes its Parallel option here. A nil executor resets to the
+// SetExecutor replaces the executor running the identifier pipelines — the
+// facade routes its observed executor here. A nil executor resets to the
 // process-wide default.
 func (p *Planner) SetExecutor(e *exec.Executor) {
 	if e == nil {

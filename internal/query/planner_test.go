@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/query"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -83,10 +82,10 @@ func TestPlannerRootAnchoring(t *testing.T) {
 
 // TestPlannerTwig: name-test patterns compile to identifier plans — twig
 // when they branch, join when they do not — and return engine-identical
-// results under serial and forced-parallel executors. The edge cases of the
-// one pipeline ride along: an anchored root with a branch, an output node
-// carrying a branch, a nested predicate, a spine that empties midway, and
-// a root step that is not the document element.
+// results. The edge cases of the one pipeline ride along: an anchored root
+// with a branch, an output node carrying a branch, a nested predicate, a
+// spine that empties midway, and a root step that is not the document
+// element.
 func TestPlannerTwig(t *testing.T) {
 	doc := xmltree.XMark(2, 5)
 	p := newPlanner(t, doc)
@@ -105,27 +104,24 @@ func TestPlannerTwig(t *testing.T) {
 		{"/nosuch//name", query.JoinPlan},
 		{"/people//name", query.JoinPlan},
 	}
-	for _, mode := range []exec.Mode{exec.Serial, exec.Forced} {
-		p.SetExecutor(exec.New(exec.Config{Mode: mode, Workers: 4}))
-		for _, c := range cases {
-			got, plan, err := p.Run(c.q)
-			if err != nil {
-				t.Fatalf("%s: Run(%q): %v", mode, c.q, err)
-			}
-			if plan.Kind != c.kind {
-				t.Fatalf("%q planned as %s, want %s: %s", c.q, plan.Kind, c.kind, plan.Explain())
-			}
-			want, err := ref.Query(c.q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: Run(%q) = %d nodes, want %d", mode, c.q, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: Run(%q): node %d differs", mode, c.q, i)
-				}
+	for _, c := range cases {
+		got, plan, err := p.Run(c.q)
+		if err != nil {
+			t.Fatalf("Run(%q): %v", c.q, err)
+		}
+		if plan.Kind != c.kind {
+			t.Fatalf("%q planned as %s, want %s: %s", c.q, plan.Kind, c.kind, plan.Explain())
+		}
+		want, err := ref.Query(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Run(%q) = %d nodes, want %d", c.q, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Run(%q): node %d differs", c.q, i)
 			}
 		}
 	}

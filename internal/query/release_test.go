@@ -27,8 +27,8 @@ var readJoinQueries = []string{
 // keeps survive 100 further queries unchanged, and the five read_join
 // queries plus a twig whose output is its root, kept and counted runs
 // interleaved from several goroutines on one planner, keep matching the
-// pointer evaluator under GOMAXPROCS 1 and 2, serial and auto executors
-// alike (the race detector watches the reuse in the race build).
+// pointer evaluator under GOMAXPROCS 1 and 2 (the race detector watches the
+// reuse in the race build).
 func TestReleasedIntermediatesStayPrivate(t *testing.T) {
 	doc := xmltree.XMark(3, 5)
 	n, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 24, AdjustFanout: true}})
@@ -74,39 +74,35 @@ func TestReleasedIntermediatesStayPrivate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		for _, mode := range []exec.Mode{exec.Serial, exec.Auto} {
-			// A low crossover makes Auto shard this small document.
-			p.SetExecutor(exec.New(exec.Config{Mode: mode, MinWork: 64}))
-			t.Run(fmt.Sprintf("procs=%d/%s", procs, mode), func(t *testing.T) {
-				var wg sync.WaitGroup
-				errs := make(chan error, 4)
-				for g := 0; g < 4; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						for i := 0; i < 5*len(queries); i++ {
-							q, keep := queries[(g+i)%len(queries)], g%2 == 0
-							res, plan, err := p.RunMetered(q, nil, nil, keep)
-							var got []*xmltree.Node
-							if err == nil && keep {
-								got, err = res.Nodes()
-							}
-							if err == nil && (res.Len() != len(want[q]) || keep && !slices.Equal(got, want[q])) {
-								err = fmt.Errorf("%q [%s] resolve=%v: %d nodes, pointer evaluator %d", q, plan.Kind, keep, res.Len(), len(want[q]))
-							}
-							if err != nil {
-								errs <- err
-								return
-							}
+		t.Run(fmt.Sprintf("procs=%d/serial", procs), func(t *testing.T) {
+			var wg sync.WaitGroup
+			errs := make(chan error, 4)
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 5*len(queries); i++ {
+						q, keep := queries[(g+i)%len(queries)], g%2 == 0
+						res, plan, err := p.RunMetered(q, nil, nil, keep)
+						var got []*xmltree.Node
+						if err == nil && keep {
+							got, err = res.Nodes()
 						}
-					}(g)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					t.Error(err)
-				}
-			})
-		}
+						if err == nil && (res.Len() != len(want[q]) || keep && !slices.Equal(got, want[q])) {
+							err = fmt.Errorf("%q [%s] resolve=%v: %d nodes, pointer evaluator %d", q, plan.Kind, keep, res.Len(), len(want[q]))
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package scheme
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -10,9 +9,9 @@ import (
 
 // The reference join kernels the experiment tables and the bake-off run under
 // every numbering scheme, over boxed per-name lists (IDsByName), and, at the
-// end of this file, the serial one-shot ruid joins over index.Postings
-// views. The served joins are the four semi-join kernels of internal/index,
-// sharded by internal/exec.
+// end of this file, the two ruid pair joins over index.Postings views. The
+// served joins are the four semi-join kernels of internal/index, run by
+// internal/exec.
 
 // Pair is one (ancestor, descendant) join result.
 type Pair struct {
@@ -146,12 +145,11 @@ func MergeSemiJoin(s Scheme, ancs, descs []ID) []ID {
 	return out
 }
 
-// The serial one-shot ruid joins, over index.Postings views: probe, one
-// scan of the probe's window of the descendant side through
-// index.ForEachRun, a run kernel on every run. The four semi-joins are the reference internal/exec's
-// sharded operations are tested against; the two pair joins (UpwardJoin and
-// MergeJoin's unboxed forms) have no served counterpart and run only in
-// ruidbench and the examples.
+// The two ruid pair joins over index.Postings views: probe, one scan of the
+// probe's window of the descendant side through index.ForEachRun, a run
+// kernel on every run. They have no served counterpart (the server answers
+// with the semi-joins of internal/exec) and run only in ruidbench and the
+// examples.
 
 // PairID is one (ancestor, descendant) join result in unboxed form.
 type PairID struct {
@@ -159,26 +157,16 @@ type PairID struct {
 	Descendant core.ID
 }
 
-// scratchPool holds the one-shots' scan scratch, as internal/exec pools its
-// shards': a scratch's cursor, decode and chain buffers outlive the join.
-var scratchPool = sync.Pool{New: func() any { return new(index.BlockScratch) }}
-
-func getScratch() *index.BlockScratch { return scratchPool.Get().(*index.BlockScratch) }
-
-func putScratch(bs *index.BlockScratch) {
-	bs.Stats = index.BlockStats{}
-	scratchPool.Put(bs)
-}
-
-func oneShot[T any](n *core.Numbering, ancs, descs index.Postings, kernel func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []T) []T) []T {
+// oneShot probes ancs, scans the probe's window of descs and runs kernel
+// on every admitted run.
+func oneShot(n *core.Numbering, ancs, descs index.Postings, kernel func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []PairID) []PairID) []PairID {
 	pr := index.MakeProbe(ancs)
 	defer pr.Release()
-	bs := getScratch()
-	defer putScratch(bs)
-	out := make([]T, 0, descs.Len())
-	lo, hi := pr.Window(n, descs, bs)
-	index.ForEachRun(n, pr, descs, lo, hi, bs, func(run []core.ID) {
-		out = kernel(pr, bs, run, out)
+	var bs index.BlockScratch
+	out := make([]PairID, 0, descs.Len())
+	lo, hi := pr.Window(n, descs, &bs)
+	index.ForEachRun(n, pr, descs, lo, hi, &bs, func(run []core.ID) {
+		out = kernel(pr, &bs, run, out)
 	})
 	return out
 }
@@ -202,51 +190,6 @@ func MergeJoinPostings(n *core.Numbering, ancs, descs index.Postings) []PairID {
 	return oneShot(n, ancs, descs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []PairID) []PairID {
 		return appendMergeJoinRUID(ancIDs, &pr.Set, run, bs.Cursor(), &ms, out)
 	})
-}
-
-// UpwardSemiJoinPostings returns the members of descs having at least one
-// proper ancestor in ancs, in input order.
-func UpwardSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return oneShot(n, ancs, descs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []core.ID) []core.ID {
-		return index.AppendUpwardSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
-	})
-}
-
-// ParentSemiJoinPostings returns the members of descs whose direct parent is
-// in ancs, in input order. One rparent computation per candidate.
-func ParentSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return oneShot(n, ancs, descs, func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []core.ID) []core.ID {
-		return index.AppendParentSemiJoinRUID(bs.Cursor(), &pr.Set, run, out)
-	})
-}
-
-// hitOneShot is oneShot for the bottom-up semi-joins: collect accumulates
-// the probe members each run hits, and the ancestor side is then filtered
-// through that set.
-func hitOneShot(n *core.Numbering, ancs, descs index.Postings, collect func(c *core.ParentCursor, set *index.IDSet, run []core.ID, hit *index.IDSet)) []core.ID {
-	pr := index.MakeProbe(ancs)
-	defer pr.Release()
-	hit := pr.AcquireHits(min(ancs.Len(), descs.Len()))
-	defer hit.Release()
-	bs := getScratch()
-	defer putScratch(bs)
-	lo, hi := pr.Window(n, descs, bs)
-	index.ForEachRun(n, pr, descs, lo, hi, bs, func(run []core.ID) {
-		collect(bs.Cursor(), &pr.Set, run, hit)
-	})
-	return index.AppendHitMembersPostings(pr, []*index.IDSet{hit}, make([]core.ID, 0, hit.Len()))
-}
-
-// AncestorSemiJoinPostings returns the members of ancs having at least one
-// proper descendant in descs, in ancs order.
-func AncestorSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return hitOneShot(n, ancs, descs, index.CollectAncestorHitsRUID)
-}
-
-// ChildSemiJoinPostings returns the members of ancs having at least one
-// direct child in descs, in ancs order.
-func ChildSemiJoinPostings(n *core.Numbering, ancs, descs index.Postings) []core.ID {
-	return hitOneShot(n, ancs, descs, index.CollectChildHitsRUID)
 }
 
 // appendUpwardJoinRUID is the upward-join kernel over one descendant run:

@@ -10,9 +10,8 @@ import (
 )
 
 // Admission control. The server bounds the queries it executes
-// concurrently (inflight slots — each query can itself fan out over the
-// executor's worker pool, so slots × workers is the real parallelism) and
-// the queries it lets wait for a slot (the queue). Load beyond both bounds
+// concurrently (inflight slots — a query runs on one goroutine, so the slots
+// are the real parallelism) and the queries it lets wait for a slot (the queue). Load beyond both bounds
 // is shed immediately with ErrOverloaded rather than queued without limit:
 // an unbounded queue converts overload into unbounded latency for every
 // request, while shedding keeps the served requests' latency flat and

@@ -41,8 +41,8 @@ import (
 // Config configures a Server. The zero value serves with sensible bounds.
 type Config struct {
 	// MaxInflight bounds concurrently executing requests; 0 means
-	// GOMAXPROCS (each request may itself parallelize over the executor's
-	// pool, so inflight × workers is the true CPU fan-out ceiling).
+	// GOMAXPROCS (a request's query runs on one goroutine, so this is the
+	// CPU fan-out ceiling of reads).
 	MaxInflight int
 	// MaxQueue bounds requests waiting for an execution slot; beyond it
 	// requests are shed with 503. 0 means 4 × MaxInflight.

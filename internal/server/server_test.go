@@ -18,7 +18,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/document"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
@@ -262,62 +261,52 @@ func TestCountTouchesNoNode(t *testing.T) {
 // TestCountedBudgetParity: a count-only request is run in count shape and
 // keeps no answer, yet it is charged exactly what the same request asking
 // for paths is charged. For the read_join queries, a seed-only chain and a
-// twig whose output is its root, under serial and forced-parallel
-// executors, the two report the same count, postings and results; a
-// maxResults one below that results figure refuses both with the same
-// sentinel and HTTP status, and one equal to it admits both.
+// twig whose output is its root, the two report the same count, postings
+// and results; a maxResults one below that results figure refuses both with
+// the same sentinel and HTTP status, and one equal to it admits both.
 func TestCountedBudgetParity(t *testing.T) {
 	queries := []string{
 		"/site//item/name", "//listitem//text", "//open_auction[bidder]/itemref",
 		"/site/people/person[profile]/name", "//bidder/increase",
 		"//bidder", "//open_auction[bidder]",
 	}
-	for _, mode := range []struct {
-		name string
-		opts document.Options
-	}{
-		{"serial", document.Options{Parallel: exec.Serial}},
-		{"forced", document.Options{Parallel: exec.Forced, ExecWorkers: 4}},
-	} {
-		s := New(Config{DocumentOptions: mode.opts})
-		if _, err := s.Open("d", xmarkSrc(2, 7)); err != nil {
-			t.Fatal(err)
-		}
-		h := s.Handler()
-		ask := func(req QueryRequest) (int, QueryResponse, string) {
-			body, _ := json.Marshal(req)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/docs/d/query", bytes.NewReader(body)))
-			var resp QueryResponse
-			if rec.Code == http.StatusOK {
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-					t.Fatalf("%s %q: %v", mode.name, req.Query, err)
-				}
-			}
-			return rec.Code, resp, rec.Body.String()
-		}
-		for _, q := range queries {
-			tag := mode.name + " " + q
-			_, counted, _ := ask(QueryRequest{Query: q})
-			_, kept, _ := ask(QueryRequest{Query: q, IncludePaths: true})
-			if counted.Count == 0 || counted.Count != kept.Count || counted.Postings != kept.Postings || counted.Results != kept.Results {
-				t.Fatalf("%s: counted %+v, with paths %+v", tag, counted, kept)
-			}
-			for _, paths := range []bool{false, true} {
-				refused := QueryRequest{Query: q, IncludePaths: paths, MaxResults: counted.Results - 1}
-				if _, err := s.Query(context.Background(), "d", refused); !errors.Is(err, budget.ErrResultBudget) {
-					t.Fatalf("%s paths=%v: maxResults %d: err %v, want ErrResultBudget", tag, paths, refused.MaxResults, err)
-				}
-				if code, _, body := ask(refused); code != http.StatusUnprocessableEntity || !strings.Contains(body, budget.ErrResultBudget.Error()) {
-					t.Fatalf("%s paths=%v: maxResults %d: %d %s", tag, paths, refused.MaxResults, code, body)
-				}
-				admitted := QueryRequest{Query: q, IncludePaths: paths, MaxResults: counted.Results}
-				if code, resp, body := ask(admitted); code != http.StatusOK || resp.Count != counted.Count {
-					t.Fatalf("%s paths=%v: maxResults %d: %d %s", tag, paths, admitted.MaxResults, code, body)
-				}
+	s := New(Config{})
+	defer s.Close()
+	if _, err := s.Open("d", xmarkSrc(2, 7)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	ask := func(req QueryRequest) (int, QueryResponse, string) {
+		body, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/docs/d/query", bytes.NewReader(body)))
+		var resp QueryResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%q: %v", req.Query, err)
 			}
 		}
-		s.Close()
+		return rec.Code, resp, rec.Body.String()
+	}
+	for _, q := range queries {
+		_, counted, _ := ask(QueryRequest{Query: q})
+		_, kept, _ := ask(QueryRequest{Query: q, IncludePaths: true})
+		if counted.Count == 0 || counted.Count != kept.Count || counted.Postings != kept.Postings || counted.Results != kept.Results {
+			t.Fatalf("%s: counted %+v, with paths %+v", q, counted, kept)
+		}
+		for _, paths := range []bool{false, true} {
+			refused := QueryRequest{Query: q, IncludePaths: paths, MaxResults: counted.Results - 1}
+			if _, err := s.Query(context.Background(), "d", refused); !errors.Is(err, budget.ErrResultBudget) {
+				t.Fatalf("%s paths=%v: maxResults %d: err %v, want ErrResultBudget", q, paths, refused.MaxResults, err)
+			}
+			if code, _, body := ask(refused); code != http.StatusUnprocessableEntity || !strings.Contains(body, budget.ErrResultBudget.Error()) {
+				t.Fatalf("%s paths=%v: maxResults %d: %d %s", q, paths, refused.MaxResults, code, body)
+			}
+			admitted := QueryRequest{Query: q, IncludePaths: paths, MaxResults: counted.Results}
+			if code, resp, body := ask(admitted); code != http.StatusOK || resp.Count != counted.Count {
+				t.Fatalf("%s paths=%v: maxResults %d: %d %s", q, paths, admitted.MaxResults, code, body)
+			}
+		}
 	}
 }
 

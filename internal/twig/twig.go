@@ -238,9 +238,7 @@ func (n *Node) spineChild() *Node {
 // — is read for its size and handed back to e; a seed-only pattern's size is
 // its list's, nothing decoded.
 //
-// Every semi-join runs on concrete identifiers through e, which shards large
-// postings by frame area; parallel and serial schedules return identical
-// sequences. Each intermediate goes back to e (exec.ReleaseIDs) once the
+// Every semi-join runs on concrete identifiers through e. Each intermediate goes back to e (exec.ReleaseIDs) once the
 // semi-join reading it has returned, and the pipeline stops at the first
 // empty one. With a non-nil tr the seed and every semi-join get a span of
 // their own, carrying cardinalities and the executor's block statistics; an

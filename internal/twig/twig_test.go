@@ -1,7 +1,6 @@
 package twig_test
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -22,34 +21,20 @@ func setup(t *testing.T, doc *xmltree.Node) (*core.Numbering, *index.NameIndex) 
 	return n, index.Build(doc.DocumentElement(), n)
 }
 
-// executors are the schedules every match is held to: one goroutine, and
-// forced sharding even on one CPU.
-var executors = []*exec.Executor{
-	exec.New(exec.Config{Mode: exec.Serial}),
-	exec.New(exec.Config{Mode: exec.Forced, Workers: 4}),
-}
-
-// match runs MatchIDsWith, which answers for every compiled pattern, under
-// each executor, and requires the schedules to agree, and Match in count
-// shape to count what they return and keep none of it.
+// match runs MatchIDsWith, which answers for every compiled pattern, and
+// requires Match in count shape to count what it returns and keep none of
+// it.
 func match(t *testing.T, p *twig.Node, ix *index.NameIndex) []core.ID {
 	t.Helper()
-	var first []core.ID
-	for i, e := range executors {
-		ids, ok := twig.MatchIDsWith(p, ix, e)
-		if !ok {
-			t.Fatalf("MatchIDsWith(%s): no output node", p)
-		}
-		if kept, n, _ := twig.Match(p, ix, e, nil, true); n != len(ids) || kept.Len() != 0 {
-			t.Fatalf("Match(%s) in count shape: %d counted, %d kept; %d matched", p, n, kept.Len(), len(ids))
-		}
-		if i == 0 {
-			first = ids
-		} else if !slices.Equal(ids, first) {
-			t.Fatalf("MatchIDsWith(%s): %d ids forced, %d serial", p, len(ids), len(first))
-		}
+	e := exec.Default()
+	ids, ok := twig.MatchIDsWith(p, ix, e)
+	if !ok {
+		t.Fatalf("MatchIDsWith(%s): no output node", p)
 	}
-	return first
+	if kept, n, _ := twig.Match(p, ix, e, nil, true); n != len(ids) || kept.Len() != 0 {
+		t.Fatalf("Match(%s) in count shape: %d counted, %d kept; %d matched", p, n, kept.Len(), len(ids))
+	}
+	return ids
 }
 
 // TestTwigCompileRejects: queries outside the fragment are refused, not
