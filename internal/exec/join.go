@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -59,17 +58,12 @@ func (o *op) scan(fn func(run []core.ID)) {
 	index.ForEachRun(o.n, o.pr, o.descs, o.lo, o.hi, &o.s.BlockScratch, fn)
 }
 
-// end records the operation, releases its probe and scratch, and yields the
-// processor. A query runs its operations back to back without blocking, and
-// a timer on its P — a paced writer's, the commit loop's linger — fires only
-// when that P schedules: without the yield, bench/'s mixed_rw writer went
-// out 4-5 ms late at p90 (0.9-1.0 ms with it).
+// end records the operation and releases its probe and scratch.
 func (o *op) end() {
 	o.e.noteBlockStats(&o.s.Stats)
 	putScratch(o.s)
 	o.pr.Release()
 	o.e.noteOp(o.start)
-	runtime.Gosched()
 }
 
 // kernel is one top-down semi-join's run kernel (package index): it climbs

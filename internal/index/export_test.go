@@ -14,9 +14,6 @@ func (pr *Probe) MayContribute(n *core.Numbering, sk *Skip) bool {
 // first Add chooses: a pooled set's life cycle without a probe.
 func (s *IDSet) Reset(n int) { s.reset(n, keyLayout{}, false) }
 
-// Mixed reports whether s folds its keys before hashing (see hashKey).
-func (s *IDSet) Mixed() bool { return s.mix }
-
 // Wide reports whether s keeps whole identifiers because no word layout
 // holds its members.
 func (s *IDSet) Wide() bool { return len(s.wide) != 0 }
@@ -37,29 +34,4 @@ func SharedBlocks(prev, cur *PostingList) int {
 		}
 	}
 	return n
-}
-
-// ProbeSlots returns the mean number of table slots Has reads to look up
-// each of ids that s keys by a word — up to the slot holding a member, or the
-// empty slot that ends a miss — and how many lookups that mean is over.
-func (s *IDSet) ProbeSlots(ids []core.ID) (mean float64, lookups int) {
-	mask := uint64(len(s.keys) - 1)
-	slots := 0
-	for _, id := range ids {
-		k, ok := s.lay.key(id)
-		if !ok {
-			continue
-		}
-		lookups++
-		for i := hashKey(k, s.mix) >> s.shift; ; i++ {
-			slots++
-			if c := s.keys[i&mask]; c == k || c == 0 {
-				break
-			}
-		}
-	}
-	if lookups == 0 {
-		return 0, 0
-	}
-	return float64(slots) / float64(lookups), lookups
 }

@@ -37,9 +37,6 @@ type IDSet struct {
 	shift uint8 // 64 - log2(table size): a slot index is the hash's top bits
 	n     int
 
-	mix  bool // keys are folded before hashing (hashKey)
-	walk int  // slots the inserts since the last reset walked past their home slot
-
 	wide   []core.ID // the table of a set no layout holds; empty otherwise
 	pooled bool      // back in its pool: a second Release would hand it to two users
 }
@@ -121,21 +118,8 @@ const minIDSetSlots = 8
 
 // hashKey is Fibonacci hashing: the table takes the product's top bits,
 // which depend on every key bit below them, so dense runs of Global (one
-// area root per element) and of Local (siblings inside an area) both spread
-// nearly one member to a slot. Keys that interleave a few such runs can
-// cluster instead: XMark 500's parlist probe read 1.73 slots per member
-// lookup. A set MakeProbe finds clustered sets mix, and its keys get a
-// shift-xor before the multiply, folding every bit onto the one seven below
-// it: parlist then reads 1.24 (TestProbeLengthOnXMark). The fold is not the
-// default because it spreads like a random hash: the read_join queries'
-// lookups, 1.08 slots each without it, read 1.22 with it, and their p50 rose
-// 9 % on a 2-CPU host.
-func hashKey(k uint64, mix bool) uint64 {
-	if mix {
-		k ^= k >> 7
-	}
-	return k * 0x9E3779B97F4A7C15
-}
+// area root per element) and of Local (siblings inside an area) both spread.
+func hashKey(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 }
 
 // hashID mixes the three components of a wide member with two odd
 // multipliers, for the same top-bits indexing.
@@ -157,7 +141,7 @@ func (s *IDSet) Has(id core.ID) bool {
 		return len(s.wide) != 0 && s.hasWide(id)
 	}
 	mask := uint64(len(s.keys) - 1)
-	for i := hashKey(k, s.mix) >> s.shift; ; i++ {
+	for i := hashKey(k) >> s.shift; ; i++ {
 		switch s.keys[i&mask] {
 		case 0:
 			return false
@@ -202,30 +186,16 @@ func (s *IDSet) Add(id core.ID) {
 // insert adds key k to a table with room for it.
 func (s *IDSet) insert(k uint64) {
 	mask := uint64(len(s.keys) - 1)
-	home := hashKey(k, s.mix) >> s.shift
-	for i := home; ; i++ {
+	for i := hashKey(k) >> s.shift; ; i++ {
 		switch c := &s.keys[i&mask]; *c {
 		case k:
 			return
 		case 0:
 			*c = k
 			s.n++
-			s.walk += int(i - home)
 			return
 		}
 	}
-}
-
-// clustered reports whether the members of a set keyed by words sit past
-// their home slots more than twice as far, on average, as a uniformly random
-// hash would put them at the table's load α = n/size: α/(2(1−α)) slots
-// (Knuth's successful-search cost less the first slot). Linear probing
-// leaves a member where it was inserted, so the inserts' walk since the last
-// reset is exact. XMark 500's parlist probe walks 2.5 times the random
-// figure; the probes of a self-nesting document, at most 1.4 times it at a
-// load of one half, where folding would buy nothing.
-func (s *IDSet) clustered() bool {
-	return len(s.keys) != 0 && s.walk*(len(s.keys)-s.n) > s.n*s.n
 }
 
 func (s *IDSet) addWide(id core.ID) {
@@ -257,7 +227,7 @@ func (s *IDSet) relayout(id core.ID) bool {
 		return true
 	}
 	size := max(len(keys), minIDSetSlots)
-	s.keys, s.n, s.walk = nil, 0, 0
+	s.keys, s.n = nil, 0
 	if ok {
 		s.lay = lay
 		s.keys = make([]uint64, size)
@@ -286,7 +256,7 @@ func (s *IDSet) relayout(id core.ID) bool {
 // has room; callers that know their size up front size the set first and
 // never get here.
 func (s *IDSet) grow() {
-	s.n, s.walk = 0, 0
+	s.n = 0
 	if old := s.wide; len(old) != 0 {
 		s.wide = make([]core.ID, 2*len(old))
 		s.setShift(len(s.wide))
@@ -310,10 +280,9 @@ func (s *IDSet) grow() {
 func (s *IDSet) setShift(size int) { s.shift = uint8(64 - bits.TrailingZeros(uint(size))) }
 
 // reset empties the set and sizes a table for n members under lay, or a wide
-// table when wide, with plain hashing. The cost is clearing the table the
-// previous use occupied, not the largest this set ever grew to: a
-// one-element seed that draws a megabyte table from the pool clears and
-// probes eight slots of it.
+// table when wide. The cost is clearing the table the previous use occupied,
+// not the largest this set ever grew to: a one-element seed that draws a
+// megabyte table from the pool clears and probes eight slots of it.
 func (s *IDSet) reset(n int, lay keyLayout, wide bool) {
 	if s.n > 0 {
 		clear(s.keys)
@@ -324,7 +293,7 @@ func (s *IDSet) reset(n int, lay keyLayout, wide bool) {
 	for size < 2*n {
 		size <<= 1
 	}
-	s.lay, s.mix, s.walk = lay, false, 0
+	s.lay = lay
 	s.keys, s.wide = s.keys[:0], s.wide[:0]
 	if wide {
 		s.wide = resized(s.wide, size)
@@ -355,14 +324,13 @@ func PoolTraffic() (gets, misses int64) { return poolGets.Load(), poolMisses.Loa
 var idSetPool = sync.Pool{New: func() any { poolMisses.Add(1); return new(IDSet) }}
 
 // AcquireHits returns an empty pooled set sized for n members under the
-// probe's layout and hashing — the hit set of the bottom-up semi-joins,
-// whose members are probe members. Release it when done.
+// probe's layout — the hit set of the bottom-up semi-joins, whose members
+// are probe members. Release it when done.
 func (pr *Probe) AcquireHits(n int) *IDSet {
 	poolGets.Add(1)
 	s := idSetPool.Get().(*IDSet)
 	s.pooled = false
 	s.reset(n, pr.Set.lay, len(pr.Set.wide) != 0)
-	s.mix = pr.Set.mix
 	return s
 }
 

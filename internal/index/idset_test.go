@@ -170,38 +170,6 @@ func TestProbeKeysAreWords(t *testing.T) {
 	}
 }
 
-// TestProbeLengthOnXMark holds every probe of XMark 500, numbered with the
-// served partition, to at most 1.5 slots per member lookup, what linear
-// probing averages at the table's load of one half. Plain Fibonacci hashing
-// clustered on the parlist probe (1.73 slots); MakeProbe builds that one
-// again with folded keys, and keeps plain hashing where it spreads, as on
-// the item probe of the read_join queries.
-func TestProbeLengthOnXMark(t *testing.T) {
-	doc := xmltree.XMark(500, 1)
-	n, err := core.Build(doc, core.Options{Partition: core.PartitionConfig{MaxAreaNodes: 64, AdjustFanout: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.Build(doc.DocumentElement(), n)
-	for _, name := range ix.Names() {
-		ps := ix.Postings(name)
-		pr := index.MakeProbe(ps)
-		slots, lookups := pr.Set.ProbeSlots(ps.Materialize())
-		if lookups != ps.Len() || slots > 1.5 {
-			t.Errorf("%s probe: %.3f slots per member lookup over %d of %d members, want at most 1.5", name, slots, lookups, ps.Len())
-		}
-		switch name {
-		case "parlist":
-			t.Logf("parlist probe: %.3f slots per member lookup, folded keys %v", slots, pr.Set.Mixed())
-		case "item":
-			if pr.Set.Mixed() {
-				t.Errorf("item probe folds its keys at %.3f slots per lookup", slots)
-			}
-		}
-		pr.Release()
-	}
-}
-
 // TestIDSetReuse is the pooled life cycle: one table sized by Reset for a
 // large probe, then a small one, then one larger than any before, with
 // growth past the Reset size in between. No use may see a member of an

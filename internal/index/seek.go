@@ -42,10 +42,9 @@ type Probe struct {
 var probePool = sync.Pool{New: func() any { poolMisses.Add(1); return new(Probe) }}
 
 // MakeProbe builds the probe for p in a pooled table laid out for its
-// members, and builds it again with folded keys when the first table comes
-// out clustered (see hashKey); the caller releases it once every kernel
-// reading it has returned. A slice view shares its backing slice; a block
-// view is decoded once, into the probe's own scratch.
+// members; the caller releases it once every kernel reading it has
+// returned. A slice view shares its backing slice; a block view is decoded
+// once, into the probe's own scratch.
 func MakeProbe(p Postings) *Probe {
 	poolGets.Add(1)
 	pr := probePool.Get().(*Probe)
@@ -57,15 +56,9 @@ func MakeProbe(p Postings) *Probe {
 		pr.ids = p.Slice()
 	}
 	lay, ok := layoutOf(pr.ids)
-	for _, mix := range []bool{false, true} {
-		pr.Set.reset(len(pr.ids), lay, !ok)
-		pr.Set.mix = mix
-		for _, id := range pr.ids {
-			pr.Set.Add(id)
-		}
-		if !pr.Set.clustered() {
-			break
-		}
+	pr.Set.reset(len(pr.ids), lay, !ok)
+	for _, id := range pr.ids {
+		pr.Set.Add(id)
 	}
 	return pr
 }

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -157,16 +158,28 @@ type PairID struct {
 	Descendant core.ID
 }
 
+// scratchPool holds the pair joins' scan scratch, as internal/exec pools
+// its own: a scratch's cursor, decode and chain buffers outlive the join.
+var scratchPool = sync.Pool{New: func() any { return new(index.BlockScratch) }}
+
+func getScratch() *index.BlockScratch { return scratchPool.Get().(*index.BlockScratch) }
+
+func putScratch(bs *index.BlockScratch) {
+	bs.Stats = index.BlockStats{}
+	scratchPool.Put(bs)
+}
+
 // oneShot probes ancs, scans the probe's window of descs and runs kernel
 // on every admitted run.
 func oneShot(n *core.Numbering, ancs, descs index.Postings, kernel func(pr *index.Probe, bs *index.BlockScratch, run []core.ID, out []PairID) []PairID) []PairID {
 	pr := index.MakeProbe(ancs)
 	defer pr.Release()
-	var bs index.BlockScratch
+	bs := getScratch()
+	defer putScratch(bs)
 	out := make([]PairID, 0, descs.Len())
-	lo, hi := pr.Window(n, descs, &bs)
-	index.ForEachRun(n, pr, descs, lo, hi, &bs, func(run []core.ID) {
-		out = kernel(pr, &bs, run, out)
+	lo, hi := pr.Window(n, descs, bs)
+	index.ForEachRun(n, pr, descs, lo, hi, bs, func(run []core.ID) {
+		out = kernel(pr, bs, run, out)
 	})
 	return out
 }
