@@ -303,6 +303,27 @@ func (s *IDSet) reset(n int, lay keyLayout, wide bool) {
 	s.setShift(size)
 }
 
+// fill empties the set and makes ids its members: the table is sized and
+// laid out for all of them first, so each is keyed straight into it, with
+// none of Add's relayout and grow checks. A member set no word holds goes
+// through Add into the wide table.
+func (s *IDSet) fill(ids []core.ID) {
+	lay, ok := layoutOf(ids)
+	s.reset(len(ids), lay, !ok)
+	if !ok {
+		for _, id := range ids {
+			s.Add(id)
+		}
+		return
+	}
+	for _, id := range ids {
+		if id != (core.ID{}) {
+			k, _ := lay.key(id)
+			s.insert(k)
+		}
+	}
+}
+
 // resized returns size zero slots, in t's backing array when it is large
 // enough. Every slot of the backing array must already be zero.
 func resized[T any](t []T, size int) []T {

@@ -12,7 +12,9 @@ import (
 // block's first identifier is stored uncompressed in its Skip entry; the
 // remaining entries are delta-encoded against their predecessor with the
 // core varint codec (core.AppendIDDelta), so the common same-area step
-// costs 2 bytes instead of a resident 24-byte core.ID. The skip entries are
+// costs 2 bytes instead of a resident 24-byte core.ID. Every read of a
+// block — the scan, the splice, the load-path validation — decodes it with
+// the one block decoder, core.AppendIDDeltas. The skip entries are
 // what the join iterator (ForEachRun, seek.go) reads: each carries the
 // block's first and last identifier and the range of UID-local areas
 // (Global components) present in it, so a join can decide per block —
@@ -132,16 +134,10 @@ func (pl *PostingList) SizeBytes() int {
 func (pl *PostingList) AppendBlock(b int, dst []core.ID) []core.ID {
 	blk := pl.blocks[b]
 	dst = append(dst, blk.First)
-	prev := blk.First
-	buf := blk.data
-	for i := 1; i < int(blk.N); i++ {
-		id, n, ok := core.DecodeIDDelta(buf, prev)
-		if !ok {
-			panic(fmt.Sprintf("index: corrupt posting block %d at entry %d", b, i))
-		}
-		dst = append(dst, id)
-		buf = buf[n:]
-		prev = id
+	base := len(dst)
+	dst, _, ok := core.AppendIDDeltas(dst, blk.First, blk.data, int(blk.N)-1)
+	if !ok {
+		panic(fmt.Sprintf("index: corrupt posting block %d at entry %d", b, 1+len(dst)-base))
 	}
 	return dst
 }
@@ -152,27 +148,20 @@ func (pl *PostingList) AppendBlock(b int, dst []core.ID) []core.ID {
 // the contents. Shared by the debug checks and PostingListFromParts.
 func decodeBlockChecked(sk Skip, b int, buf []byte, dst []core.ID) ([]core.ID, error) {
 	dst = append(dst, sk.First)
-	prev := sk.First
+	base := len(dst)
+	dst, used, ok := core.AppendIDDeltas(dst, sk.First, buf, int(sk.N)-1)
+	if !ok {
+		return dst, fmt.Errorf("block %d entry %d does not decode", b, 1+len(dst)-base)
+	}
+	if used != len(buf) {
+		return dst, fmt.Errorf("block %d has %d trailing bytes", b, len(buf)-used)
+	}
 	minG, maxG := sk.First.Global, sk.First.Global
-	for j := 1; j < int(sk.N); j++ {
-		id, m, ok := core.DecodeIDDelta(buf, prev)
-		if !ok {
-			return dst, fmt.Errorf("block %d entry %d does not decode", b, j)
-		}
-		buf = buf[m:]
-		prev = id
-		if id.Global < minG {
-			minG = id.Global
-		}
-		if id.Global > maxG {
-			maxG = id.Global
-		}
-		dst = append(dst, id)
+	for _, id := range dst[base:] {
+		minG = min(minG, id.Global)
+		maxG = max(maxG, id.Global)
 	}
-	if len(buf) != 0 {
-		return dst, fmt.Errorf("block %d has %d trailing bytes", b, len(buf))
-	}
-	if prev != sk.Last || minG != sk.MinGlobal || maxG != sk.MaxGlobal {
+	if dst[len(dst)-1] != sk.Last || minG != sk.MinGlobal || maxG != sk.MaxGlobal {
 		return dst, fmt.Errorf("block %d skip entry disagrees with contents", b)
 	}
 	return dst, nil

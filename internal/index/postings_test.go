@@ -194,12 +194,14 @@ func TestPostingListFromPartsRejectsCorruption(t *testing.T) {
 
 // TestSeekKernelsAgree compares every serial Postings-form join against an
 // oracle, in all four combinations of slice and block input views: the
-// executor's semi-joins against their flat-slice form (and the upward one
-// against the boxed join as well), the pair joins against the boxed joins of
-// internal/scheme (Scheme.Parent and CompareOrder, no kernel in common). Random subsets of a random document come first; then a few
-// open_auctions of XMark against every increase, where the skip test cuts
-// the block view of the descendant side into several runs, each seeded by
-// the merge kernel on its own.
+// executor's semi-joins against their flat-slice form, which is held to the
+// boxed join (upward) or to a plain RParent climb (parent, ancestor, child),
+// and the pair joins against the boxed joins of internal/scheme
+// (Scheme.Parent and CompareOrder, no kernel in common). Random subsets of a
+// random document come first; then a few open_auctions of XMark against every
+// increase, where the skip test cuts the block view of the descendant side
+// into several runs, each seeded by the merge kernel on its own; last, the
+// sibling runs of siblingRuns.
 func TestSeekKernelsAgree(t *testing.T) {
 	views := func(ids []core.ID) map[string]index.Postings {
 		return map[string]index.Postings{
@@ -244,6 +246,10 @@ func TestSeekKernelsAgree(t *testing.T) {
 		wantParent := ex.ParentSemiJoin(n, sAncs, sDescs)
 		wantAnc := ex.AncestorSemiJoin(n, sAncs, sDescs)
 		wantChild := ex.ChildSemiJoin(n, sAncs, sDescs)
+		climbParent, climbAnc, climbChild := climbSemiJoins(t, n, ancs, descs)
+		sameIDs(t, "ParentSemiJoin/climb", wantParent, climbParent)
+		sameIDs(t, "AncestorSemiJoin/climb", wantAnc, climbAnc)
+		sameIDs(t, "ChildSemiJoin/climb", wantChild, climbChild)
 		for ak, av := range views(ancs) {
 			for dk, dv := range views(descs) {
 				tag := ak + "-" + dk
@@ -294,6 +300,56 @@ func TestSeekKernelsAgree(t *testing.T) {
 		t.Fatalf("skip test cut increase into %d runs, skipping %d blocks: want several runs", runs, bs.Stats.Skipped)
 	}
 	check(n, auctions, flat["increase"])
+
+	// The repeated-parent rule of the kernels: sibling runs longer than a
+	// block under a member, under a non-member with a member above it and
+	// under no member at all, members nested in members, and a t list that
+	// starts at the document root.
+	n, _, flat = buildRUID(t, siblingRuns())
+	for _, anc := range []string{"s", "g", "t"} {
+		check(n, flat[anc], flat["t"])
+	}
+}
+
+// climbSemiJoins answers the parent, ancestor and child semi-joins of ancs
+// and descs by climbing every descendant with Numbering.RParent, one step at
+// a time and nothing remembered: the oracle the run kernels' repeated-parent
+// rule is held to.
+func climbSemiJoins(t *testing.T, n *core.Numbering, ancs, descs []core.ID) (parent, anc, child []core.ID) {
+	t.Helper()
+	member := make(map[core.ID]bool, len(ancs))
+	for _, a := range ancs {
+		member[a] = true
+	}
+	aboveHit, parentHit := make(map[core.ID]bool), make(map[core.ID]bool)
+	for _, d := range descs {
+		for cur, first := d, true; ; first = false {
+			p, ok, err := n.RParent(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if member[p] {
+				aboveHit[p] = true
+				if first {
+					parentHit[p] = true
+					parent = append(parent, d)
+				}
+			}
+			cur = p
+		}
+	}
+	for _, a := range ancs {
+		if aboveHit[a] {
+			anc = append(anc, a)
+		}
+		if parentHit[a] {
+			child = append(child, a)
+		}
+	}
+	return parent, anc, child
 }
 
 // TestProbeSkipIsSound verifies the block skip test directly: any block the

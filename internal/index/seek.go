@@ -55,11 +55,7 @@ func MakeProbe(p Postings) *Probe {
 	} else {
 		pr.ids = p.Slice()
 	}
-	lay, ok := layoutOf(pr.ids)
-	pr.Set.reset(len(pr.ids), lay, !ok)
-	for _, id := range pr.ids {
-		pr.Set.Add(id)
-	}
+	pr.Set.fill(pr.ids)
 	return pr
 }
 
